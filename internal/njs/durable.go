@@ -397,7 +397,8 @@ func (n *NJS) emitDataSpace(vsite string, fs *vfs.FS, emit func(journal.Entry) e
 				}
 				continue
 			}
-			data, err := fs.ReadFile(e.Path)
+			// A read-only view, not a copy: stored contents are immutable.
+			data, _, _, err := fs.ReadFileRange(e.Path, 0, 0)
 			if err != nil {
 				continue // raced a removal
 			}

@@ -105,7 +105,10 @@ func (n *NJS) StageOpen(caller core.DN, asServer bool, req protocol.PutOpenReque
 
 // StageChunk stores one CRC-checked chunk of a staged upload (protocol v2).
 // Delivery is idempotent — a re-send after a lost reply is acknowledged
-// without rewriting — and the ack is durable before it is sent.
+// without rewriting — and the ack is durable before it is sent. req.Data
+// passes to the spool, which stores it as the chunk without copying: callers
+// (the gateway, with a buffer the wire decoded for this request alone) must
+// not touch it again.
 func (n *NJS) StageChunk(caller core.DN, asServer bool, req protocol.PutChunkRequest) (protocol.PutChunkReply, error) {
 	if n.dead.Load() {
 		return protocol.PutChunkReply{}, ErrDown

@@ -323,13 +323,13 @@ func (c *Client) dropSiteStream(usite core.Usite, sc *streamConn) {
 // reconnect (the envelope path has its own retry loop, and every streamable
 // request is idempotent, so the replay is safe).
 func (c *Client) streamCall(ctx context.Context, usite core.Usite, t MsgType, payload any, replyOut any) (error, bool) {
-	kind, body, ok := encodeStreamRequest(t, payload, telemetry.TraceFrom(ctx))
+	kind, frame, ok := encodeStreamRequest(t, payload, telemetry.TraceFrom(ctx))
 	if !ok {
 		return nil, false
 	}
-	defer putFrameBuf(body)
+	defer putFrameBuf(frame)
 
-	f, err := c.streamRoundTrip(ctx, usite, kind, *body)
+	f, err := c.streamRoundTrip(ctx, usite, kind, *frame)
 	if err != nil {
 		if ctx.Err() != nil {
 			return fmt.Errorf("protocol: %s to %s: %w", t, usite, ctx.Err()), true
@@ -360,14 +360,14 @@ func (c *Client) streamCall(ctx context.Context, usite core.Usite, t MsgType, pa
 
 // streamRoundTrip performs one frame round trip, transparently reconnecting
 // and replaying once when the persistent connection died under the call.
-func (c *Client) streamRoundTrip(ctx context.Context, usite core.Usite, kind byte, body []byte) (Frame, error) {
+func (c *Client) streamRoundTrip(ctx context.Context, usite core.Usite, kind byte, frame []byte) (Frame, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		sc, err := c.stream(ctx, usite)
 		if err != nil {
 			return Frame{}, err
 		}
-		f, err := sc.roundTrip(ctx, kind, body)
+		f, err := sc.roundTrip(ctx, kind, frame)
 		if err == nil {
 			return f, nil
 		}
@@ -381,11 +381,13 @@ func (c *Client) streamRoundTrip(ctx context.Context, usite core.Usite, kind byt
 	return Frame{}, lastErr
 }
 
-// encodeStreamRequest maps a hot message kind to its frame encoding. The
-// returned buffer is pooled; the caller releases it with putFrameBuf.
+// encodeStreamRequest maps a hot message kind to its frame encoding: the
+// payload behind a reserved header, in one pooled buffer that the caller
+// releases with putFrameBuf once the frame is sent. Everything the request
+// references (a chunk's Data) is copied here and not touched again.
 func encodeStreamRequest(t MsgType, payload any, trace string) (byte, *[]byte, bool) {
 	bp := getFrameBuf(0)
-	b := (*bp)[:0]
+	b := *bp
 	var kind byte
 	switch t {
 	case MsgConsign:

@@ -89,25 +89,29 @@ var (
 	ErrFrameShort    = errors.New("protocol: truncated frame")
 )
 
-// framePool recycles encode-side scratch buffers: the write path assembles
-// header+payload into one buffer so a frame costs a single conn write and no
-// steady-state allocation. Buffers above a sanity cap are dropped rather
-// than pooled to keep the pool from pinning worst-case frames forever.
+// framePool recycles encode-side frame buffers: a frame is encoded once,
+// header and payload in one buffer, so it costs a single conn write, a
+// single copy of its payload and no steady-state allocation. Buffers above a
+// sanity cap are dropped rather than pooled to keep the pool from pinning
+// worst-case frames forever.
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
 
 const framePoolMax = 4 << 20
 
+// getFrameBuf returns a pooled buffer holding a frame under construction:
+// frameHeaderLen reserved bytes, behind which the caller appends the payload
+// (n is a capacity hint for it). sendFrame fills the header in.
 func getFrameBuf(n int) *[]byte {
 	bp := framePool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, 0, n)
+	if cap(*bp) < frameHeaderLen+n {
+		*bp = make([]byte, 0, frameHeaderLen+n)
 	}
+	*bp = (*bp)[:frameHeaderLen]
 	return bp
 }
 
 func putFrameBuf(bp *[]byte) {
 	if cap(*bp) <= framePoolMax {
-		*bp = (*bp)[:0]
 		framePool.Put(bp)
 	}
 }
@@ -120,21 +124,38 @@ func AppendFrame(b []byte, kind byte, id uint64, payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// writeFrame encodes and writes one frame as a single w.Write call, using a
-// pooled scratch buffer. It must be called under the stream's write lock.
+// sendFrame fills in the header reserved at the front of frame (see
+// getFrameBuf) and writes the frame as a single w.Write call. It must be
+// called under the stream's write lock.
+func sendFrame(w io.Writer, kind byte, id uint64, frame []byte) error {
+	n := len(frame) - frameHeaderLen
+	if n > MaxFramePayload {
+		return ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(frame, uint32(1+8+n))
+	frame[4] = kind
+	binary.BigEndian.PutUint64(frame[5:], id)
+	_, err := w.Write(frame)
+	return err
+}
+
+// writeFrame is sendFrame for a payload built elsewhere (the handshake's
+// sealed envelopes): it copies the payload behind a pooled header.
 func writeFrame(w io.Writer, kind byte, id uint64, payload []byte) error {
 	if len(payload) > MaxFramePayload {
 		return ErrFrameTooLarge
 	}
-	bp := getFrameBuf(frameHeaderLen + len(payload))
-	*bp = AppendFrame((*bp)[:0], kind, id, payload)
-	_, err := w.Write(*bp)
+	bp := getFrameBuf(len(payload))
+	*bp = append(*bp, payload...)
+	err := sendFrame(w, kind, id, *bp)
 	putFrameBuf(bp)
 	return err
 }
 
-// readFrame reads one frame. The payload is freshly allocated: ownership
-// passes to the caller (reply payloads outlive the read loop).
+// readFrame reads one frame. The payload is freshly allocated, never pooled,
+// and ownership passes to the caller, who may keep it and anything decoded
+// out of it for good: a FramePut payload becomes the stored chunk itself
+// (staging.Spool.Chunk adopts it), and reply payloads outlive the read loop.
 func readFrame(r io.Reader) (Frame, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
@@ -184,11 +205,9 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	return f, int(4 + n), nil
 }
 
-// streamError encodes a FrameError payload.
-func streamError(code byte, msg string) []byte {
-	p := make([]byte, 0, 1+len(msg))
-	p = append(p, code)
-	return append(p, msg...)
+// appendStreamError appends a FrameError payload to b.
+func appendStreamError(b []byte, code byte, msg string) []byte {
+	return append(append(b, code), msg...)
 }
 
 // parseStreamError decodes a FrameError payload.

@@ -180,7 +180,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 9, FrameHello, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add(AppendFrame(nil, FrameCall, 99, []byte("payload")))
-	f.Add(AppendFrame(nil, FrameError, 7, streamError(StreamErrUnsupported, "nope")))
+	f.Add(AppendFrame(nil, FrameError, 7, appendStreamError(nil, StreamErrUnsupported, "nope")))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, n, err := DecodeFrame(data)

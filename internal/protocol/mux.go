@@ -177,10 +177,11 @@ func (s *streamConn) unregister(id uint64) {
 	s.mu.Unlock()
 }
 
-// write sends one frame under the write lock.
-func (s *streamConn) write(kind byte, id uint64, payload []byte) error {
+// send writes one frame, encoded in place (see getFrameBuf), under the write
+// lock.
+func (s *streamConn) send(kind byte, id uint64, frame []byte) error {
 	s.wmu.Lock()
-	err := writeFrame(s.conn, kind, id, payload)
+	err := sendFrame(s.conn, kind, id, frame)
 	s.wmu.Unlock()
 	if err != nil {
 		s.fail(fmt.Errorf("protocol: v3 stream write: %w", err))
@@ -188,11 +189,18 @@ func (s *streamConn) write(kind byte, id uint64, payload []byte) error {
 	return err
 }
 
+// subStop tells the server to end subscription id (best effort).
+func (s *streamConn) subStop(id uint64) {
+	var frame [frameHeaderLen]byte
+	s.send(FrameSubStop, id, frame[:])
+}
+
 // roundTrip sends one request frame and waits for its correlated reply,
 // holding one slot of the in-flight window for the duration. A FrameSub
 // round trip that is abandoned (context cancelled) tells the server to
-// release the long-poll with a FrameSubStop.
-func (s *streamConn) roundTrip(ctx context.Context, kind byte, payload []byte) (Frame, error) {
+// release the long-poll with a FrameSubStop. frame is the request encoded
+// behind a reserved header (getFrameBuf); it is not retained.
+func (s *streamConn) roundTrip(ctx context.Context, kind byte, frame []byte) (Frame, error) {
 	select {
 	case s.window <- struct{}{}:
 	case <-ctx.Done():
@@ -206,7 +214,7 @@ func (s *streamConn) roundTrip(ctx context.Context, kind byte, payload []byte) (
 	if err != nil {
 		return Frame{}, err
 	}
-	if err := s.write(kind, id, payload); err != nil {
+	if err := s.send(kind, id, frame); err != nil {
 		s.unregister(id)
 		return Frame{}, err
 	}
@@ -216,8 +224,8 @@ func (s *streamConn) roundTrip(ctx context.Context, kind byte, payload []byte) (
 	case <-ctx.Done():
 		s.unregister(id)
 		if kind == FrameSub {
-			// Best effort: free the server-side long-poll immediately.
-			s.write(FrameSubStop, id, nil)
+			// Free the server-side long-poll immediately.
+			s.subStop(id)
 		}
 		return Frame{}, ctx.Err()
 	case <-s.done:
@@ -243,8 +251,8 @@ func (s *streamConn) subscribe(b binSub) (uint64, <-chan binEvents, error) {
 	s.mu.Unlock()
 
 	bp := getFrameBuf(0)
-	*bp = encSub((*bp)[:0], &b)
-	err := s.write(FrameSub, id, *bp)
+	*bp = encSub(*bp, &b)
+	err := s.send(FrameSub, id, *bp)
 	putFrameBuf(bp)
 	if err != nil {
 		return 0, nil, err
@@ -263,7 +271,7 @@ func (s *streamConn) unsubscribe(id uint64) {
 	closed := s.closed
 	s.mu.Unlock()
 	if ok && !closed {
-		s.write(FrameSubStop, id, nil)
+		s.subStop(id)
 	}
 }
 

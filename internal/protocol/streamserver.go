@@ -101,27 +101,27 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 		return
 	}
 	if opts.MaxVersion > 0 && opts.MaxVersion < 3 {
-		writeFrame(conn, FrameError, f.ID, streamError(StreamErrUnsupported,
+		writeFrame(conn, FrameError, f.ID, appendStreamError(nil, StreamErrUnsupported,
 			fmt.Sprintf("%v: 3", ErrBadVersion)))
 		return
 	}
 	o, err := OpenTraced(opts.CA, f.Payload)
 	if err != nil {
-		writeFrame(conn, FrameError, f.ID, streamError(StreamErrGeneric, err.Error()))
+		writeFrame(conn, FrameError, f.ID, appendStreamError(nil, StreamErrGeneric, err.Error()))
 		return
 	}
 	var hr HelloRequest
 	if o.Type != MsgHello || json.Unmarshal(o.Payload, &hr) != nil {
-		writeFrame(conn, FrameError, f.ID, streamError(StreamErrGeneric, "malformed hello"))
+		writeFrame(conn, FrameError, f.ID, appendStreamError(nil, StreamErrGeneric, "malformed hello"))
 		return
 	}
 	if hr.Usite != "" && opts.Usite != "" && hr.Usite != opts.Usite {
-		writeFrame(conn, FrameError, f.ID, streamError(StreamErrGeneric,
+		writeFrame(conn, FrameError, f.ID, appendStreamError(nil, StreamErrGeneric,
 			fmt.Sprintf("stream hello addressed to %s, this is %s", hr.Usite, opts.Usite)))
 		return
 	}
 	if err := be.StreamHello(o); err != nil {
-		writeFrame(conn, FrameError, f.ID, streamError(StreamErrGeneric, err.Error()))
+		writeFrame(conn, FrameError, f.ID, appendStreamError(nil, StreamErrGeneric, err.Error()))
 		return
 	}
 	helloOK, err := SealTracedAt(opts.Cred, 3, o.Trace, MsgHelloReply, HelloReply{Usite: opts.Usite, Nonce: hr.Nonce})
@@ -188,12 +188,16 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 	s.wg.Wait()
 }
 
-// write sends one frame under the write lock; a failed write kills the
-// connection, which unwinds the read loop and every subscription.
-func (s *streamSession) write(kind byte, id uint64, payload []byte) error {
+// reply encodes a typed reply through enc, in place behind the header of one
+// pooled frame buffer, and sends it under the write lock; a failed write
+// kills the connection, which unwinds the read loop and every subscription.
+func (s *streamSession) reply(id uint64, kind byte, enc func([]byte) []byte) error {
+	bp := getFrameBuf(0)
+	*bp = enc(*bp)
 	s.wmu.Lock()
-	err := writeFrame(s.conn, kind, id, payload)
+	err := sendFrame(s.conn, kind, id, *bp)
 	s.wmu.Unlock()
+	putFrameBuf(bp)
 	if err != nil {
 		s.conn.Close()
 	}
@@ -201,15 +205,7 @@ func (s *streamSession) write(kind byte, id uint64, payload []byte) error {
 }
 
 func (s *streamSession) writeErr(id uint64, code byte, msg string) {
-	s.write(FrameError, id, streamError(code, msg))
-}
-
-// reply encodes a typed reply through enc into a pooled buffer and sends it.
-func (s *streamSession) reply(id uint64, kind byte, enc func([]byte) []byte) {
-	bp := getFrameBuf(0)
-	*bp = enc((*bp)[:0])
-	s.write(kind, id, *bp)
-	putFrameBuf(bp)
+	s.reply(id, FrameError, func(b []byte) []byte { return appendStreamError(b, code, msg) })
 }
 
 // handle serves one request/response frame. Backend errors travel as generic
@@ -261,9 +257,9 @@ func (s *streamSession) handle(f Frame) {
 			s.writeErr(f.ID, StreamErrBadFrame, err.Error())
 			return
 		}
-		// The decoded chunk data aliases this frame's read buffer, which is
-		// freshly allocated per frame (never pooled) — safe to retain in the
-		// spool.
+		// req.Data aliases this frame's payload, which readFrame allocated
+		// for this frame alone and handed over: the backend owns it from
+		// here, and the spool stores it as the chunk without copying.
 		rep, err := s.be.StreamPutChunk(s.ctx, s.dn, s.asServer, req)
 		if err != nil {
 			s.writeErr(f.ID, StreamErrGeneric, err.Error())
@@ -379,9 +375,5 @@ func (s *streamSession) runSub(ctx context.Context, id uint64, sub binSub) {
 }
 
 func (s *streamSession) writeEvents(id uint64, e binEvents) bool {
-	bp := getFrameBuf(0)
-	*bp = encEvents((*bp)[:0], &e)
-	err := s.write(FrameEvents, id, *bp)
-	putFrameBuf(bp)
-	return err == nil
+	return s.reply(id, FrameEvents, func(b []byte) []byte { return encEvents(b, &e) }) == nil
 }

@@ -187,10 +187,55 @@ func TestDownloadResumeAfterDroppedReply(t *testing.T) {
 	}
 }
 
+// hookWriter runs hook once, on the first write, then behaves like a buffer.
+type hookWriter struct {
+	bytes.Buffer
+	hook func()
+}
+
+func (w *hookWriter) Write(p []byte) (int, error) {
+	if w.hook != nil {
+		w.hook()
+		w.hook = nil
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestDownloadDuringOverwriteIsMutatedNotTorn serves a download straight from
+// vfs ranged reads — read-only views of the stored bytes, no copies — while
+// the file is overwritten with readahead chunks in flight. The views already
+// handed out must keep the old bytes, and the transfer must end in
+// ErrMutated with an untorn prefix of the old version delivered.
+func TestDownloadDuringOverwriteIsMutatedNotTorn(t *testing.T) {
+	fs := vfs.New(sim.NewVirtualClock())
+	before, after := pattern(256<<10), bytes.Repeat([]byte{0xAB}, 256<<10)
+	if err := fs.WriteFile("/f", before); err != nil {
+		t.Fatal(err)
+	}
+	src := func(_ context.Context, off, limit int64) (Chunk, error) {
+		data, size, crc, err := fs.ReadFileRange("/f", off, limit)
+		return Chunk{Data: data, Size: size, CRC: crc}, err
+	}
+	w := &hookWriter{hook: func() {
+		if err := fs.WriteFile("/f", after); err != nil {
+			t.Error(err)
+		}
+	}}
+	p, err := Download(context.Background(), src, w, Options{ChunkSize: 4096, Window: 4, Retries: -1})
+	if !errors.Is(err, ErrMutated) {
+		t.Fatalf("download across an overwrite: err = %v, want ErrMutated", err)
+	}
+	if p.Offset != int64(w.Len()) || !bytes.Equal(w.Bytes(), before[:w.Len()]) {
+		t.Fatalf("delivered %d bytes (progress %d) that are not a prefix of the old version", w.Len(), p.Offset)
+	}
+}
+
 // --- upload engine over a real spool -------------------------------------
 
 // spoolPutter adapts a Spool directly to the Putter interface — the upload
-// engine against the real server half, minus the wire.
+// engine against the real server half, minus the wire. Like a wire, it hands
+// the spool its own copy of each chunk: the engine reuses req.Data after
+// PutChunk returns, and Spool.Chunk keeps what it is given.
 type spoolPutter struct {
 	s     *Spool
 	owner core.DN
@@ -210,7 +255,7 @@ func (p *spoolPutter) PutOpen(_ context.Context, req protocol.PutOpenRequest) (p
 }
 
 func (p *spoolPutter) PutChunk(_ context.Context, req protocol.PutChunkRequest) (protocol.PutChunkReply, error) {
-	w, err := p.s.Chunk(p.owner, req.Handle, req.Index, req.Data, req.CRC)
+	w, err := p.s.Chunk(p.owner, req.Handle, req.Index, append([]byte(nil), req.Data...), req.CRC)
 	if err != nil {
 		return protocol.PutChunkReply{}, err
 	}

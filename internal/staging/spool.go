@@ -3,7 +3,6 @@ package staging
 import (
 	"encoding/json"
 	"fmt"
-	"hash/crc64"
 	"path"
 	"sort"
 	"strconv"
@@ -176,6 +175,10 @@ func (s *Spool) lookupLocked(owner core.DN, handle string) (*spoolEntry, error) 
 // re-sending an index below the watermark (or one already buffered in the
 // window) is acknowledged without rewriting, which is what makes client
 // retries after lost replies safe. Returns the new contiguous watermark.
+//
+// Chunk takes ownership of data: the stored chunk is the caller's buffer (the
+// frame payload the wire allocated), not a copy, so the caller must not
+// modify it afterwards. The CRC verified here is recorded with the chunk.
 func (s *Spool) Chunk(owner core.DN, handle string, index int64, data []byte, crc uint64) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -205,7 +208,7 @@ func (s *Spool) Chunk(owner core.DN, handle string, index int64, data []byte, cr
 	}
 	p := s.chunkPath(handle, index)
 	if !s.fs.Exists(p) {
-		if err := s.fs.WriteFile(p, data); err != nil {
+		if err := s.fs.AdoptFile(p, data, crc); err != nil {
 			return 0, err
 		}
 	}
@@ -217,9 +220,12 @@ func (s *Spool) Chunk(owner core.DN, handle string, index int64, data []byte, cr
 }
 
 // Commit seals an upload: the chunk sequence must be hole-free, every chunk
-// except the last exactly on the grid, and the assembled content must match
-// crc. Committing an already-sealed upload with the same CRC is acknowledged
-// idempotently. Returns the sealed size and CRC.
+// except the last exactly on the grid, and the content must checksum to crc.
+// Committing an already-sealed upload with the same CRC is acknowledged
+// idempotently. Returns the sealed size and CRC. The seal costs O(chunks),
+// not O(bytes): every byte was CRC-verified when its chunk arrived, so the
+// whole-file checksum is combined from the chunk files' (size, crc) as the
+// file system reports them — recomputed from the bytes after crash recovery.
 func (s *Spool) Commit(owner core.DN, handle string, crc uint64) (Info, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -234,26 +240,36 @@ func (s *Spool) Commit(owner core.DN, handle string, crc uint64) (Info, error) {
 		}
 		return e.info(), nil
 	}
-	// A chunk file beyond the watermark means a hole below it.
-	if maxIdx, err := s.maxChunkLocked(handle); err != nil {
+	files, err := s.fs.List(s.dir(handle))
+	if err != nil {
 		return Info{}, err
-	} else if maxIdx >= e.watermark {
-		return Info{}, fmt.Errorf("%w: %q has chunk %d but watermark %d",
-			ErrMissingChunk, handle, maxIdx, e.watermark)
+	}
+	chunks := make([]*vfs.FileInfo, e.watermark)
+	for i := range files {
+		name := files[i].Name // "c00000042", or meta.json
+		idx, err := strconv.ParseInt(strings.TrimPrefix(name, "c"), 10, 64)
+		if err != nil || !strings.HasPrefix(name, "c") {
+			continue
+		}
+		// A chunk file beyond the watermark means a hole below it.
+		if idx >= e.watermark {
+			return Info{}, fmt.Errorf("%w: %q has chunk %d but watermark %d",
+				ErrMissingChunk, handle, idx, e.watermark)
+		}
+		chunks[idx] = &files[i]
 	}
 	var size int64
 	var running uint64
-	for i := int64(0); i < e.watermark; i++ {
-		data, err := s.fs.ReadFile(s.chunkPath(handle, i))
-		if err != nil {
-			return Info{}, fmt.Errorf("%w: chunk %d of %q: %v", ErrMissingChunk, i, handle, err)
+	for i, fi := range chunks {
+		if fi == nil {
+			return Info{}, fmt.Errorf("%w: chunk %d of %q", ErrMissingChunk, i, handle)
 		}
-		if i < e.watermark-1 && int64(len(data)) != e.meta.ChunkSize {
+		if int64(i) < e.watermark-1 && fi.Size != e.meta.ChunkSize {
 			return Info{}, fmt.Errorf("staging: chunk %d of %q is short (%d of %d bytes) but not last",
-				i, handle, len(data), e.meta.ChunkSize)
+				i, handle, fi.Size, e.meta.ChunkSize)
 		}
-		running = crc64.Update(running, crcTable, data)
-		size += int64(len(data))
+		running = crcCombine(running, fi.CRC, fi.Size)
+		size += fi.Size
 	}
 	if running != crc {
 		return Info{}, fmt.Errorf("%w: %q assembled to %#x, commit announces %#x",
@@ -264,28 +280,6 @@ func (s *Spool) Commit(owner core.DN, handle string, crc uint64) (Info, error) {
 		return Info{}, err
 	}
 	return e.info(), nil
-}
-
-// maxChunkLocked returns the highest chunk index present (-1 when none).
-func (s *Spool) maxChunkLocked(handle string) (int64, error) {
-	entries, err := s.fs.List(s.dir(handle))
-	if err != nil {
-		return -1, err
-	}
-	max := int64(-1)
-	for _, fi := range entries {
-		if !strings.HasPrefix(fi.Name, "c") {
-			continue
-		}
-		idx, err := strconv.ParseInt(fi.Name[1:], 10, 64)
-		if err != nil {
-			continue
-		}
-		if idx > max {
-			max = idx
-		}
-	}
-	return max, nil
 }
 
 // Consume assembles a committed upload's content for staging into a job's
@@ -302,9 +296,10 @@ func (s *Spool) Consume(owner core.DN, handle string) ([]byte, Info, error) {
 	if !e.meta.Committed {
 		return nil, Info{}, fmt.Errorf("%w: %q", ErrNotCommitted, handle)
 	}
+	// One assembly buffer, filled from read-only views of the chunk files.
 	data := make([]byte, 0, e.meta.Size)
 	for i := int64(0); i < e.watermark; i++ {
-		chunk, err := s.fs.ReadFile(s.chunkPath(handle, i))
+		chunk, _, _, err := s.fs.ReadFileRange(s.chunkPath(handle, i), 0, 0)
 		if err != nil {
 			return nil, Info{}, fmt.Errorf("%w: chunk %d of %q: %v", ErrMissingChunk, i, handle, err)
 		}

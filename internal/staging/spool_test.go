@@ -3,6 +3,7 @@ package staging
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -364,5 +365,102 @@ func TestSpoolRescanRestoresEntries(t *testing.T) {
 	}
 	if next.Handle == open.Handle || next.Handle == sealed.Handle {
 		t.Fatalf("recovered spool re-minted handle %s", next.Handle)
+	}
+}
+
+// mirrorFS replays every mutation of src into a fresh FS the way journal
+// recovery does — through plain WriteFile, so the replica holds the same
+// bytes with a cold checksum cache.
+func mirrorFS(t *testing.T, src *vfs.FS, clock sim.Clock) *vfs.FS {
+	t.Helper()
+	replica := vfs.New(clock)
+	src.Observe(func(m vfs.Mutation) {
+		var err error
+		switch m.Op {
+		case vfs.OpWrite:
+			err = replica.WriteFile(m.Path, m.Data)
+		case vfs.OpMkdir:
+			err = replica.MkdirAll(m.Path)
+		case vfs.OpRemove:
+			err = replica.RemoveAll(m.Path)
+		case vfs.OpRename:
+			err = replica.Rename(m.Path, m.To)
+		}
+		if err != nil {
+			t.Errorf("replaying %+v: %v", m.Op, err)
+		}
+	})
+	return replica
+}
+
+// TestRecoveredSpoolCommitsToSameSeal: Commit seals from the chunk files'
+// recorded checksums, which a crash loses. A Rescan-recovered spool must
+// recompute them from the recovered bytes and arrive at the same Size/CRC as
+// the live one — and must still refuse a wrong announcement.
+func TestRecoveredSpoolCommitsToSameSeal(t *testing.T) {
+	clock := sim.NewVirtualClock()
+	fs := vfs.New(clock)
+	replica := mirrorFS(t, fs, clock)
+	live, err := NewSpool(fs, "/spool", "", clock)
+	if err != nil {
+		t.Fatalf("NewSpool: %v", err)
+	}
+	payload := pattern(5*4096 + 123) // five grid chunks and a short last one
+	open, err := live.Open("u", "in.dat", 4096, 4)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	sendChunks(t, live, "u", open.Handle, 4096, payload)
+
+	recovered, err := NewSpool(replica, "/spool", "", clock)
+	if err != nil {
+		t.Fatalf("NewSpool(replica): %v", err)
+	}
+	if err := recovered.Rescan(); err != nil {
+		t.Fatalf("Rescan: %v", err)
+	}
+	if _, err := recovered.Commit("u", open.Handle, Checksum(payload)^1); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("recovered spool, wrong announced CRC: err = %v, want ErrChecksum", err)
+	}
+	fs.Observe(nil) // the two commits below are compared, not mirrored
+	want, err := live.Commit("u", open.Handle, Checksum(payload))
+	if err != nil {
+		t.Fatalf("live Commit: %v", err)
+	}
+	got, err := recovered.Commit("u", open.Handle, Checksum(payload))
+	if err != nil {
+		t.Fatalf("recovered Commit: %v", err)
+	}
+	if got.Size != want.Size || got.CRC != want.CRC || got.Chunks != want.Chunks {
+		t.Fatalf("recovered seal %d/%#x/%d, live seal %d/%#x/%d", got.Size, got.CRC, got.Chunks, want.Size, want.CRC, want.Chunks)
+	}
+	if got.Size != int64(len(payload)) || got.CRC != Checksum(payload) {
+		t.Fatalf("seal %d/%#x is not the size and crc64 of the content", got.Size, got.CRC)
+	}
+	data, _, err := recovered.Consume("u", open.Handle)
+	if err != nil || !bytes.Equal(data, payload) {
+		t.Fatalf("Consume on the recovered spool: %v", err)
+	}
+}
+
+// TestCommitReadsNoBytes pins the O(chunks) seal: committing 4 MiB must not
+// allocate (let alone copy) anything near the payload.
+func TestCommitReadsNoBytes(t *testing.T) {
+	s, _, _ := newTestSpool(t)
+	const chunk = 256 << 10
+	payload := pattern(16 * chunk)
+	open, err := s.Open("u", "in.dat", chunk, 4)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	sendChunks(t, s, "u", open.Handle, chunk, payload)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := s.Commit("u", open.Handle, Checksum(payload)); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	runtime.ReadMemStats(&m1)
+	if n := m1.TotalAlloc - m0.TotalAlloc; n > 64<<10 {
+		t.Fatalf("Commit of %d bytes allocated %d bytes", len(payload), n)
 	}
 }

@@ -3,8 +3,8 @@ package staging
 import (
 	"context"
 	"fmt"
-	"hash/crc64"
 	"io"
+	"sync"
 
 	"unicore/internal/core"
 	"unicore/internal/protocol"
@@ -16,10 +16,25 @@ import (
 type Putter interface {
 	// PutOpen begins an upload and returns its transfer handle.
 	PutOpen(ctx context.Context, req protocol.PutOpenRequest) (protocol.PutOpenReply, error)
-	// PutChunk delivers (idempotently) one chunk.
+	// PutChunk delivers (idempotently) one chunk. req.Data belongs to the
+	// caller and is reused as soon as PutChunk returns: an implementation
+	// must not retain it (a wire encodes it; anything else copies).
 	PutChunk(ctx context.Context, req protocol.PutChunkRequest) (protocol.PutChunkReply, error)
 	// PutCommit seals the upload after verifying the whole-file CRC.
 	PutCommit(ctx context.Context, req protocol.PutCommitRequest) (protocol.PutCommitReply, error)
+}
+
+// chunkBufs recycles chunk buffers across uploads; one too small for the
+// chunk size an upload negotiated is dropped.
+var chunkBufs sync.Pool
+
+func getChunkBuf(size int64) *[]byte {
+	if bp, _ := chunkBufs.Get().(*[]byte); bp != nil && int64(cap(*bp)) >= size {
+		*bp = (*bp)[:size]
+		return bp
+	}
+	b := make([]byte, size)
+	return &b
 }
 
 // Upload streams r into the spool area of a Vsite and returns the committed
@@ -27,12 +42,13 @@ type Putter interface {
 // so the input travels in CRC-checked chunks ahead of the AJO instead of
 // inline inside the consign envelope.
 //
-// Chunks are read sequentially from r and sent in window-sized parallel
-// batches (the server accepts up to the negotiated window beyond its
-// contiguous watermark, so no chunk in a batch can be out of order). Failed
-// sends are retried — chunk delivery is idempotent, so a lost reply is cured
-// by re-sending the same chunk. The whole-file CRC is folded while reading
-// and sealed into the commit.
+// Chunks are read sequentially from r, straight into a ring of at most
+// window pooled buffers, and sent in window-sized parallel batches (the
+// server accepts up to the negotiated window beyond its contiguous
+// watermark, so no chunk in a batch can be out of order). Failed sends are
+// retried — chunk delivery is idempotent, so a lost reply is cured by
+// re-sending the same chunk. Each chunk is checksummed once; the whole-file
+// CRC sealed into the commit is combined from the per-chunk checksums.
 func Upload(ctx context.Context, p Putter, vsite core.Vsite, name string, r io.Reader, opt Options) (string, protocol.PutCommitReply, error) {
 	opt = opt.withDefaults()
 	open, err := p.PutOpen(ctx, protocol.PutOpenRequest{
@@ -47,55 +63,52 @@ func Upload(ctx context.Context, p Putter, vsite core.Vsite, name string, r io.R
 			fmt.Errorf("staging: server opened %q with chunk %d / window %d", open.Handle, chunkSize, window)
 	}
 
+	ring := make([]*[]byte, 0, window) // chunk buffers, reused by every batch
+	defer func() {
+		for _, bp := range ring {
+			chunkBufs.Put(bp)
+		}
+	}()
+
 	var crc uint64
-	index := int64(0)
-	buf := make([]byte, chunkSize)
-	eof := false
-	for !eof {
-		// Read one window-sized batch of chunks off the sequential reader.
-		type piece struct {
-			index int64
-			data  []byte
-		}
-		var batch []piece
-		for len(batch) < window {
-			n, err := io.ReadFull(r, buf)
-			if n > 0 {
-				data := append([]byte(nil), buf[:n]...)
-				crc = crc64.Update(crc, crcTable, data)
-				batch = append(batch, piece{index: index, data: data})
+	var index int64
+	errs := make(chan error, window)
+	for eof := false; !eof; {
+		// One batch: up to window chunks, each sent as soon as it is read. All
+		// stay within the server's window because the previous batch is fully
+		// acknowledged, and the batch is drained before anything returns, so no
+		// send still reads a buffer that is reused or back in the pool.
+		sent := 0
+		var batchErr error
+		for sent < window && !eof && batchErr == nil {
+			if sent == len(ring) {
+				ring = append(ring, getChunkBuf(chunkSize))
+			}
+			n, err := io.ReadFull(r, *ring[sent])
+			eof = err == io.EOF || err == io.ErrUnexpectedEOF
+			if err != nil && !eof {
+				batchErr = fmt.Errorf("staging: reading upload: %w", err)
+			} else if n > 0 {
+				req := protocol.PutChunkRequest{Handle: open.Handle, Index: index, Data: (*ring[sent])[:n]}
+				req.CRC = Checksum(req.Data)
+				crc = crcCombine(crc, req.CRC, int64(n))
+				go func() { errs <- putChunkRetry(ctx, p, req, opt) }()
 				index++
-			}
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				eof = true
-				break
-			}
-			if err != nil {
-				return open.Handle, protocol.PutCommitReply{}, fmt.Errorf("staging: reading upload: %w", err)
+				sent++
 			}
 		}
-		// Send the batch in parallel; every chunk stays within the server's
-		// window because the previous batch is fully acknowledged.
-		errs := make(chan error, len(batch))
-		for _, pc := range batch {
-			go func(pc piece) {
-				errs <- putChunkRetry(ctx, p, protocol.PutChunkRequest{
-					Handle: open.Handle, Index: pc.index, Data: pc.data, CRC: Checksum(pc.data),
-				}, opt)
-			}(pc)
-		}
-		for range batch {
-			if err := <-errs; err != nil {
-				return open.Handle, protocol.PutCommitReply{}, err
+		for ; sent > 0; sent-- {
+			if err := <-errs; batchErr == nil {
+				batchErr = err
 			}
+		}
+		if batchErr != nil {
+			return open.Handle, protocol.PutCommitReply{}, batchErr
 		}
 	}
 
 	commit, err := putCommitRetry(ctx, p, protocol.PutCommitRequest{Handle: open.Handle, CRC: crc}, opt)
-	if err != nil {
-		return open.Handle, protocol.PutCommitReply{}, err
-	}
-	return open.Handle, commit, nil
+	return open.Handle, commit, err
 }
 
 // putChunkRetry delivers one chunk on the shared retry policy (re-sends are

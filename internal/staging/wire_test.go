@@ -1,0 +1,278 @@
+package staging_test
+
+import (
+	"bytes"
+	"context"
+	"hash/crc64"
+	"net"
+	"net/http"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"time"
+
+	"unicore/internal/ajo"
+	"unicore/internal/client"
+	"unicore/internal/core"
+	"unicore/internal/gateway"
+	"unicore/internal/pki"
+	"unicore/internal/protocol"
+	"unicore/internal/resources"
+	"unicore/internal/staging"
+	"unicore/internal/testbed"
+)
+
+// These tests drive the upload/download engines through a real
+// client.Session against a real gateway + NJS + spool, over every transport
+// the repository has — the ownership rule is a contract between tiers, so it
+// is checked where the tiers meet.
+
+const (
+	wireUsite = core.Usite("OWN")
+	wireVsite = core.Vsite("CLUSTER")
+)
+
+// raceEnabled is set by race_test.go under -race, where sync.Pool drops a
+// quarter of all Puts on purpose and allocation totals mean nothing.
+var raceEnabled bool
+
+func wirePayload(n int, salt byte) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = byte(i*31+i/509) ^ salt
+	}
+	return out
+}
+
+type wireSite struct {
+	d    *testbed.Deployment
+	user *pki.Credential
+}
+
+func newWireSite(t *testing.T) *wireSite {
+	t.Helper()
+	d, err := testbed.SingleSite(wireUsite, wireVsite, 16)
+	if err != nil {
+		t.Fatalf("SingleSite: %v", err)
+	}
+	t.Cleanup(d.Close)
+	user, err := d.NewUser("Wire User", "Test", "wire")
+	if err != nil {
+		t.Fatalf("NewUser: %v", err)
+	}
+	return &wireSite{d: d, user: user}
+}
+
+// spool is the server-side truth the tests compare against.
+func (s *wireSite) spool(t *testing.T) *staging.Spool {
+	t.Helper()
+	sp, ok := s.d.Sites[wireUsite].NJS.StagingSpool(wireVsite)
+	if !ok {
+		t.Fatal("site has no spool")
+	}
+	return sp
+}
+
+// sessions returns one session per transport: signed envelopes over InProc
+// POSTs, v3 frames over InProc's net.Pipe, and v3 frames over mutual TLS on
+// loopback TCP.
+func (s *wireSite) sessions(t *testing.T) map[string]*client.Session {
+	t.Helper()
+	envelopes := s.d.UserClient(s.user)
+	envelopes.DisableStreams = true
+
+	srvCred, err := s.d.CA.IssueServer("wire-test-listener", "localhost")
+	if err != nil {
+		t.Fatalf("IssueServer: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- gateway.ServeTLS(ln, s.d.Sites[wireUsite].Gateway, srvCred, s.d.CA) }()
+	cfg := pki.ClientTLS(s.user, s.d.CA)
+	cfg.ServerName = "localhost"
+	httpTr := &http.Transport{TLSClientConfig: cfg}
+	reg := protocol.NewRegistry()
+	reg.Add(wireUsite, "https://"+ln.Addr().String())
+	tlsClient := protocol.NewClient(protocol.NewHTTPTransport(httpTr), s.user, s.d.CA, reg)
+	t.Cleanup(func() {
+		tlsClient.Close()
+		httpTr.CloseIdleConnections()
+		ln.Close()
+		<-served
+	})
+
+	pipe := s.d.UserClient(s.user)
+	t.Cleanup(pipe.Close)
+	return map[string]*client.Session{
+		"inproc-envelopes": client.NewSession(envelopes, wireUsite),
+		"net-pipe-frames":  client.NewSession(pipe, wireUsite),
+		"loopback-tls":     client.NewSession(tlsClient, wireUsite),
+	}
+}
+
+// TestPutChunkNeverRetainsCallerBuffer is the client half of the ownership
+// rule: once PutChunk returns the caller may scribble over req.Data — and the
+// upload engine does, reusing pooled buffers across batches and uploads —
+// without the spooled content ever changing.
+func TestPutChunkNeverRetainsCallerBuffer(t *testing.T) {
+	site := newWireSite(t)
+	ctx := context.Background()
+	for name, sess := range site.sessions(t) {
+		t.Run(name, func(t *testing.T) {
+			const chunk = 32 << 10
+			want := wirePayload(3*chunk+100, 0)
+			open, err := sess.PutOpen(ctx, protocol.PutOpenRequest{Vsite: wireVsite, Name: "a.dat", ChunkSize: chunk, Window: 4})
+			if err != nil {
+				t.Fatalf("PutOpen: %v", err)
+			}
+			buf := make([]byte, chunk)
+			for i := 0; i*chunk < len(want); i++ {
+				n := copy(buf, want[i*chunk:])
+				if _, err := sess.PutChunk(ctx, protocol.PutChunkRequest{
+					Handle: open.Handle, Index: int64(i), Data: buf[:n], CRC: staging.Checksum(buf[:n]),
+				}); err != nil {
+					t.Fatalf("PutChunk(%d): %v", i, err)
+				}
+				for j := range buf {
+					buf[j] = 0xEE // the caller's buffer is the caller's again
+				}
+			}
+			if _, err := sess.PutCommit(ctx, protocol.PutCommitRequest{Handle: open.Handle, CRC: staging.Checksum(want)}); err != nil {
+				t.Fatalf("PutCommit: %v", err)
+			}
+
+			// Two engine uploads back to back: the second runs on the pooled
+			// buffers the first one filled.
+			sess.Transfer = staging.Options{ChunkSize: chunk, Window: 2}
+			first, second := wirePayload(7*chunk+5, 1), wirePayload(7*chunk+5, 2)
+			h1, err := sess.Upload(ctx, wireVsite, "first.dat", bytes.NewReader(first))
+			if err != nil {
+				t.Fatalf("Upload(first): %v", err)
+			}
+			h2, err := sess.Upload(ctx, wireVsite, "second.dat", bytes.NewReader(second))
+			if err != nil {
+				t.Fatalf("Upload(second): %v", err)
+			}
+			for handle, content := range map[string][]byte{open.Handle: want, h1: first, h2: second} {
+				got, info, err := site.spool(t).Consume(site.user.DN(), handle)
+				if err != nil {
+					t.Fatalf("Consume(%s): %v", handle, err)
+				}
+				if !bytes.Equal(got, content) || info.CRC != staging.Checksum(content) {
+					t.Fatalf("spooled %s differs from what was sent", handle)
+				}
+			}
+		})
+	}
+}
+
+// crcSink checksums what it is handed and keeps nothing.
+type crcSink struct {
+	crc uint64
+	n   int64
+}
+
+var wireCRC = crc64.MakeTable(crc64.ECMA)
+
+func (s *crcSink) Write(p []byte) (int, error) {
+	s.crc = crc64.Update(s.crc, wireCRC, p)
+	s.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestStagedTransferAllocationBudget is the gate on the data plane's one
+// machine-independent cost: a staged byte is allocated once per tier it comes
+// to rest in. Uploading allocates the payload once (the frame payload that
+// becomes the stored chunk) and downloading once (the frame payload handed to
+// the writer); everything else — chunk ring, encode buffers — is pooled. The
+// budget is 1.3× payload per direction; the pre-ownership engine spent 4.1×
+// up and 2.0× down.
+func TestStagedTransferAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool deliberately drops buffers under -race")
+	}
+	const (
+		fileSize = 8 << 20
+		rounds   = 6
+		budget   = 1.3
+	)
+	// With the collector off nothing empties the buffer pools mid-transfer, so
+	// the figures are what the code path allocates, not how often a small test
+	// heap happens to be collected (~150 MiB is allocated in all).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	site := newWireSite(t)
+	ctx := context.Background()
+	sess := site.d.Session(site.user, wireUsite) // v3 frames over InProc
+	payload := wirePayload(fileSize, 3)
+	want := staging.Checksum(payload)
+
+	allocated := func(fn func()) float64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		fn()
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / (rounds * fileSize)
+	}
+	upload := func() string {
+		handle, commit, err := staging.Upload(ctx, sess, wireVsite, "in.dat", bytes.NewReader(payload), sess.Transfer)
+		if err != nil {
+			t.Fatalf("Upload: %v", err)
+		}
+		if commit.Size != fileSize || commit.CRC != want {
+			t.Fatalf("commit sealed %d/%#x, want %d/%#x", commit.Size, commit.CRC, fileSize, want)
+		}
+		return handle
+	}
+
+	handle := upload() // warm-up: fills the buffer pools, as a client's first transfer does
+	if up := allocated(func() {
+		for i := 0; i < rounds; i++ {
+			upload()
+		}
+	}); up > budget {
+		t.Errorf("upload allocated %.2f× its payload, budget %.1f×", up, budget)
+	} else {
+		t.Logf("upload allocated %.2f× its payload", up)
+	}
+
+	// Land the upload in a job's Uspace so there is something to download.
+	b := client.NewJob("alloc-budget", core.Target{Usite: wireUsite, Vsite: wireVsite})
+	imp := b.ImportStaged("stage", handle, "in.dat")
+	run := b.Script("noop", "echo ok\n", resources.Request{Processors: 1, RunTime: time.Minute})
+	b.After(imp, run)
+	job, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	id, err := sess.Submit(ctx, job)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	site.d.Run(1_000_000)
+	if sum, err := sess.Status(ctx, id); err != nil || sum.Status != ajo.StatusSuccessful {
+		t.Fatalf("staging job: %+v, %v", sum, err)
+	}
+
+	download := func() {
+		var sink crcSink
+		if _, err := sess.Download(ctx, id, "in.dat", &sink); err != nil {
+			t.Fatalf("Download: %v", err)
+		}
+		if sink.n != fileSize || sink.crc != want {
+			t.Fatalf("downloaded %d bytes crc %#x, want %d/%#x", sink.n, sink.crc, fileSize, want)
+		}
+	}
+	download() // warm-up
+	if down := allocated(func() {
+		for i := 0; i < rounds; i++ {
+			download()
+		}
+	}); down > budget {
+		t.Errorf("download allocated %.2f× its payload, budget %.1f×", down, budget)
+	} else {
+		t.Logf("download allocated %.2f× its payload", down)
+	}
+}

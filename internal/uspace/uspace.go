@@ -194,9 +194,10 @@ func (s *Space) ReadJobFile(job core.JobID, rel string) ([]byte, error) {
 
 // ReadJobFileRange reads up to limit bytes of a Uspace file starting at
 // offset, returning the chunk plus the file's total size and whole-file CRC
-// — the §5.6 chunked-transfer primitive. Unlike ReadJobFile it copies only
-// the requested window, so serving a 256 KiB chunk of a large result stays
-// O(chunk) rather than O(file).
+// — the §5.6 chunked-transfer primitive. Unlike ReadJobFile it copies
+// nothing: the chunk is a read-only view of the stored bytes (see
+// vfs.FS.ReadFileRange) that the caller encodes or copies but never writes
+// through.
 func (s *Space) ReadJobFileRange(job core.JobID, rel string, offset, limit int64) ([]byte, int64, uint64, error) {
 	p, err := s.jobPath(job, rel)
 	if err != nil {

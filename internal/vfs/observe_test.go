@@ -132,15 +132,18 @@ func TestObserverNotCalledOnFailure(t *testing.T) {
 	}
 }
 
-func TestObserverDataIsPrivateCopy(t *testing.T) {
+// The observer receives the stored bytes themselves, not a copy: what it
+// retains is cap-limited and keeps its contents whatever later happens to
+// the caller's buffer or the file.
+func TestObserverDataIsStableView(t *testing.T) {
 	fs := New(nil)
 	if err := fs.MkdirAll("/d"); err != nil {
 		t.Fatal(err)
 	}
-	var seen []byte
+	var seen [][]byte
 	fs.Observe(func(m Mutation) {
 		if m.Op == OpWrite {
-			seen = m.Data
+			seen = append(seen, m.Data)
 		}
 	})
 	input := []byte("original")
@@ -148,19 +151,22 @@ func TestObserverDataIsPrivateCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	input[0] = 'X' // caller reuses its buffer
-	if err := fs.AppendFile("/d/f", []byte("...")); err != nil {
+	for _, tail := range []string{"...", "!!!"} {
+		if err := fs.AppendFile("/d/f", []byte(tail)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.WriteFile("/d/f", []byte("replaced")); err != nil {
 		t.Fatal(err)
 	}
-	if string(seen) != "original..." {
-		t.Fatalf("observer saw %q", seen)
+	want := []string{"original", "original...", "original...!!!", "replaced"}
+	if len(seen) != len(want) {
+		t.Fatalf("observer saw %d writes, want %d", len(seen), len(want))
 	}
-	// Mutating what the observer retained must not corrupt the file.
-	seen[0] = 'Z'
-	data, err := fs.ReadFile("/d/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "original..." {
-		t.Fatalf("file corrupted through observer slice: %q", data)
+	for i, w := range want {
+		if string(seen[i]) != w || cap(seen[i]) != len(seen[i]) {
+			t.Fatalf("write %d: observer retained %q (len %d cap %d), want %q with cap == len",
+				i, seen[i], len(seen[i]), cap(seen[i]), w)
+		}
 	}
 }

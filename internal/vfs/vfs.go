@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"unicore/internal/sim"
@@ -62,8 +63,9 @@ const (
 	OpRename
 )
 
-// Mutation describes one successful change to the file system. Data is a
-// private copy the observer may retain.
+// Mutation describes one successful change to the file system. Data is the
+// stored contents themselves — immutable (see FS), so the observer may retain
+// it but must never write through it.
 type Mutation struct {
 	Op   MutationOp
 	Path string
@@ -72,6 +74,11 @@ type Mutation struct {
 }
 
 // FS is a thread-safe in-memory file system with an optional byte quota.
+//
+// File contents are immutable once written: WriteFile replaces the node and
+// AppendFile only writes past the bytes already stored. So ReadFileRange, the
+// mutation observer and Copy hand out the stored bytes themselves, as
+// cap-limited slices that nobody may write through, instead of copies.
 //
 // An observer installed with Observe is invoked after every successful
 // mutation, while the FS write lock is still held — that keeps the
@@ -85,6 +92,7 @@ type FS struct {
 	quota    int64 // 0 = unlimited
 	used     int64
 	observer func(Mutation)
+	crcMu    sync.Mutex // serialises checksum-cache fills under the read lock
 }
 
 type node struct {
@@ -93,11 +101,11 @@ type node struct {
 	data     []byte
 	modTime  time.Time
 	children map[string]*node
-	// crc caches the whole-file checksum so chunked readers (ReadFileRange)
-	// do not rescan the contents per chunk. Invalidated on append; a
-	// WriteFile replaces the node, so its zero value starts invalid.
+	// crc caches the whole-file checksum so ReadFileRange/Stat/List do not
+	// rescan the contents per call: filled by sumLocked, invalidated on
+	// append; a WriteFile replaces the node, so its zero value starts invalid.
 	crc   uint64
-	crcOK bool
+	crcOK atomic.Bool
 }
 
 // New returns an empty FS whose timestamps come from clock. A nil clock uses
@@ -127,15 +135,22 @@ func (fs *FS) notifyLocked(m Mutation) {
 	}
 }
 
-// notifyWriteLocked reports a write, copying the contents only when someone
-// is listening. Caller holds the write lock.
-func (fs *FS) notifyWriteLocked(p string, data []byte) {
-	if fs.observer == nil {
-		return
+// view returns n's contents cap-limited, so that neither the holder's appends
+// nor a later AppendFile to n can reach the other's bytes.
+func (n *node) view() []byte { return n.data[:len(n.data):len(n.data)] }
+
+// sumLocked returns n's whole-file checksum, filling the cache on first use.
+// Caller holds at least a read lock, under which n.data cannot change.
+func (fs *FS) sumLocked(n *node) uint64 {
+	if !n.crcOK.Load() {
+		fs.crcMu.Lock()
+		if !n.crcOK.Load() {
+			n.crc = crc64.Checksum(n.data, crcTable)
+			n.crcOK.Store(true)
+		}
+		fs.crcMu.Unlock()
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	fs.observer(Mutation{Op: OpWrite, Path: p, Data: cp})
+	return n.crc
 }
 
 // SetQuota sets the total byte quota (0 disables). Lowering the quota below
@@ -263,9 +278,25 @@ func (fs *FS) Mkdir(p string) error {
 	return nil
 }
 
-// WriteFile creates or replaces the file at p with data. The parent
-// directory must exist.
+// WriteFile creates or replaces the file at p with a copy of data. The
+// parent directory must exist.
 func (fs *FS) WriteFile(p string, data []byte) error {
+	buf := make([]byte, len(data))
+	copy(buf, data)
+	return fs.put(p, buf, 0, false)
+}
+
+// AdoptFile is WriteFile without the copy: the FS takes ownership of data,
+// which the caller must never modify again, and records crc — which the
+// caller has just verified to be data's crc64 — as the file's checksum.
+func (fs *FS) AdoptFile(p string, data []byte, crc uint64) error {
+	return fs.put(p, data, crc, true)
+}
+
+// put creates or replaces the file at p with data, which the FS now owns —
+// cap-limited, so that an AppendFile reallocates instead of growing into
+// memory the previous owner may still hold beyond data.
+func (fs *FS) put(p string, data []byte, crc uint64, crcOK bool) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	par, base, err := fs.parent(p)
@@ -283,11 +314,11 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 	if err := fs.chargeLocked(int64(len(data)) - old); err != nil {
 		return err
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	par.children[base] = &node{name: base, data: buf, modTime: fs.clock.Now()}
+	n := &node{name: base, data: data[:len(data):len(data)], modTime: fs.clock.Now(), crc: crc}
+	n.crcOK.Store(crcOK)
+	par.children[base] = n
 	cp, _ := clean(p)
-	fs.notifyWriteLocked(cp, data)
+	fs.notifyLocked(Mutation{Op: OpWrite, Path: cp, Data: n.data})
 	return nil
 }
 
@@ -312,10 +343,10 @@ func (fs *FS) AppendFile(p string, data []byte) error {
 	}
 	n.data = append(n.data, data...)
 	n.modTime = fs.clock.Now()
-	n.crcOK = false
+	n.crcOK.Store(false)
 	// Appends are observed as full-content writes (see MutationOp).
 	cp, _ := clean(p)
-	fs.notifyWriteLocked(cp, n.data)
+	fs.notifyLocked(Mutation{Op: OpWrite, Path: cp, Data: n.view()})
 	return nil
 }
 
@@ -341,55 +372,27 @@ func (fs *FS) ReadFile(p string) ([]byte, error) {
 // at or past EOF returns no data with the metadata intact (how chunked
 // readers detect the end of a transfer). Negative offsets are an error.
 //
-// The whole-file CRC is cached on the node, so serving an N-chunk file costs
-// one checksum pass plus one copy per chunk — not a full-file copy and scan
-// per chunk as ReadFile would.
+// The returned slice is a read-only view of the stored bytes (len == cap),
+// not a copy: it keeps its contents whatever later happens to p, and the
+// caller must not write through it. The whole-file CRC is cached on the
+// node, so serving an N-chunk file costs one checksum pass and no copies.
 func (fs *FS) ReadFileRange(p string, offset, limit int64) ([]byte, int64, uint64, error) {
 	if offset < 0 {
 		return nil, 0, 0, fmt.Errorf("%w: negative offset %d", ErrBadRange, offset)
 	}
 	fs.mu.RLock()
+	defer fs.mu.RUnlock()
 	n, err := fs.lookup(p)
 	if err != nil {
-		fs.mu.RUnlock()
-		return nil, 0, 0, err
-	}
-	if n.dir {
-		fs.mu.RUnlock()
-		return nil, 0, 0, fmt.Errorf("%w: %q", ErrIsDir, p)
-	}
-	if n.crcOK {
-		data, size, crc := rangeOf(n, offset, limit)
-		fs.mu.RUnlock()
-		return data, size, crc, nil
-	}
-	fs.mu.RUnlock()
-
-	// First ranged read of this file: take the write lock to fill the CRC
-	// cache. The node must be re-resolved — it may have been replaced.
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	n, err = fs.lookup(p)
-	if err != nil {
 		return nil, 0, 0, err
 	}
 	if n.dir {
 		return nil, 0, 0, fmt.Errorf("%w: %q", ErrIsDir, p)
 	}
-	if !n.crcOK {
-		n.crc = crc64.Checksum(n.data, crcTable)
-		n.crcOK = true
-	}
-	data, size, crc := rangeOf(n, offset, limit)
-	return data, size, crc, nil
-}
-
-// rangeOf copies the [offset, offset+limit) window of a file node. Caller
-// holds at least a read lock and has validated offset >= 0.
-func rangeOf(n *node, offset, limit int64) ([]byte, int64, uint64) {
+	crc := fs.sumLocked(n)
 	size := int64(len(n.data))
 	if offset >= size {
-		return nil, size, n.crc
+		return nil, size, crc, nil
 	}
 	end := size
 	// Compare limit against the remaining bytes rather than computing
@@ -397,9 +400,7 @@ func rangeOf(n *node, offset, limit int64) ([]byte, int64, uint64) {
 	if limit > 0 && limit < size-offset {
 		end = offset + limit
 	}
-	out := make([]byte, end-offset)
-	copy(out, n.data[offset:end])
-	return out, size, n.crc
+	return n.data[offset:end:end], size, crc, nil
 }
 
 // Stat describes the file or directory at p.
@@ -421,11 +422,7 @@ func (fs *FS) infoLocked(n *node, fullPath string) FileInfo {
 	}
 	if !n.dir {
 		fi.Size = int64(len(n.data))
-		if n.crcOK {
-			fi.CRC = n.crc
-		} else {
-			fi.CRC = crc64.Checksum(n.data, crcTable)
-		}
+		fi.CRC = fs.sumLocked(n)
 	}
 	return fi
 }
@@ -572,14 +569,8 @@ func (fs *FS) Rename(oldp, newp string) error {
 	return nil
 }
 
-// Copy duplicates the file at src to dst within this FS.
-func (fs *FS) Copy(dst, src string) error {
-	data, err := fs.ReadFile(src)
-	if err != nil {
-		return err
-	}
-	return fs.WriteFile(dst, data)
-}
+// Copy duplicates the file at src to dst within this FS (see CopyBetween).
+func (fs *FS) Copy(dst, src string) error { return CopyBetween(fs, dst, fs, src) }
 
 // CopyTree recursively copies the directory (or file) at src to dst.
 func (fs *FS) CopyTree(dst, src string) error {
@@ -606,13 +597,14 @@ func (fs *FS) CopyTree(dst, src string) error {
 }
 
 // CopyBetween copies a single file across file systems (e.g. a transfer
-// between the Uspaces of two Vsites).
+// between the Uspaces of two Vsites). The copy shares the source's immutable
+// buffer and its checksum; the destination's quota is charged in full.
 func CopyBetween(dst *FS, dstPath string, src *FS, srcPath string) error {
-	data, err := src.ReadFile(srcPath)
+	data, _, crc, err := src.ReadFileRange(srcPath, 0, 0)
 	if err != nil {
 		return err
 	}
-	return dst.WriteFile(dstPath, data)
+	return dst.put(dstPath, data, crc, true)
 }
 
 // TreeSize returns the total content bytes under p.

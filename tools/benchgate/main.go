@@ -13,7 +13,10 @@
 // Gated metrics come in two kinds. The machine-independent
 // protocol-efficiency figures — envelopes/job (BenchmarkAwaitEvent) and
 // envelopes/MB (BenchmarkTransferThroughput) — are deterministic per run, so
-// a >25% increase is a real protocol regression, never runner noise. The v3
+// a >25% increase is a real protocol regression, never runner noise — and
+// where the baseline is 0 (frames carry the traffic, no envelope is spent),
+// any envelope at all is the regression: a zero baseline means "must stay
+// 0", not "nothing to compare against". The v3
 // hot-path rate figures — consigns/sec (BenchmarkConsignRate) and events/sec
 // (BenchmarkEventRate) — are wall-clock and therefore runner-dependent, so
 // they gate only against a generous floor: falling below half the baseline
@@ -211,15 +214,20 @@ func compare(baseline, current Report, threshold float64) []string {
 		}
 		for unit, cur := range current.Metrics[name] {
 			b, ok := base[unit]
-			if !ok || b <= 0 {
+			if !ok || b < 0 {
 				continue
 			}
 			switch {
+			case gatedLower[unit] && b == 0 && cur > 0:
+				// No percentage of zero is a tolerance: a cost the baseline
+				// eliminated must stay eliminated.
+				failures = append(failures, fmt.Sprintf(
+					"%s %s regressed: baseline is 0, now %.3f (must stay 0)", name, unit, cur))
 			case gatedLower[unit] && cur > b*(1+threshold):
 				failures = append(failures, fmt.Sprintf(
 					"%s %s regressed: %.3f → %.3f (>%.0f%% over baseline)",
 					name, unit, b, cur, threshold*100))
-			case gatedRate[unit] && cur < b*rateFloor:
+			case gatedRate[unit] && b > 0 && cur < b*rateFloor:
 				failures = append(failures, fmt.Sprintf(
 					"%s %s collapsed: %.1f → %.1f (below %.0f%% of baseline)",
 					name, unit, b, cur, rateFloor*100))
