@@ -83,7 +83,7 @@ func runJob(b *testing.B, d *testbed.Deployment, user *unicore.Credential, job *
 		b.Fatalf("submit: %v", err)
 	}
 	d.Run(50_000_000)
-	o, err := d.JMC(user).Outcome(job.Target.Usite, id)
+	o, err := d.Session(user, job.Target.Usite).Outcome(context.Background(), id)
 	if err != nil {
 		b.Fatalf("outcome: %v", err)
 	}
@@ -456,7 +456,7 @@ func BenchmarkSec6_BrokerExtension(b *testing.B) {
 			b.StopTimer()
 			d := mustDeploy(b, testbed.GermanSpecs()...)
 			user := mustUser(b, d, fmt.Sprintf("s6-%d", i))
-			jpa, jmc := d.JPA(user), d.JMC(user)
+			jpa := d.JPA(user)
 			c := d.UserClient(user)
 			habitual := unicore.Target{Usite: "FZJ", Vsite: "T3E"}
 			// Saturate the habitual machine: 6 × 256 PEs on a 512-PE T3E.
@@ -511,7 +511,7 @@ func BenchmarkSec6_BrokerExtension(b *testing.B) {
 			b.StopTimer()
 			var last time.Time
 			for _, p := range ids {
-				o, err := jmc.Outcome(p.us, p.id)
+				o, err := d.Session(user, p.us).Outcome(context.Background(), p.id)
 				if err != nil {
 					b.Fatalf("outcome: %v", err)
 				}
@@ -640,9 +640,9 @@ func BenchmarkConcurrentClients(b *testing.B) {
 		ids[i] = id
 	}
 	d.Run(50_000_000)
-	jmc := d.JMC(user)
+	sess := d.Session(user, "FZJ")
 	for _, id := range ids {
-		s, err := jmc.Status("FZJ", id)
+		s, err := sess.Status(context.Background(), id)
 		if err != nil || s.Status != unicore.StatusSuccessful {
 			b.Fatalf("job %s not ready: %v %s", id, err, s.Status)
 		}
@@ -652,25 +652,26 @@ func BenchmarkConcurrentClients(b *testing.B) {
 	var next atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		// One JMC (and protocol client) per worker, as real clients would.
-		jmc := d.JMC(user)
+		// One session (and protocol client) per worker, as real clients would.
+		ctx := context.Background()
+		sess := d.Session(user, "FZJ")
 		for pb.Next() {
 			i := next.Add(1)
 			id := ids[int(i)%jobPool]
 			switch i % 8 {
 			case 0:
-				if _, err := jmc.List("FZJ"); err != nil {
+				if _, err := sess.List(ctx); err != nil {
 					b.Errorf("list: %v", err)
 					return
 				}
 			case 1:
-				data, err := jmc.FetchFile("FZJ", id, "out.dat")
+				data, err := sess.FetchFile(ctx, id, "out.dat")
 				if err != nil || len(data) != fileSize {
 					b.Errorf("fetch: %d bytes, err %v", len(data), err)
 					return
 				}
 			default:
-				if _, err := jmc.Status("FZJ", id); err != nil {
+				if _, err := sess.Status(ctx, id); err != nil {
 					b.Errorf("status: %v", err)
 					return
 				}
@@ -684,7 +685,7 @@ func BenchmarkConcurrentClients(b *testing.B) {
 	}
 }
 
-// --- Session API v2: server-push events vs interval polling ----------------
+// --- Session API: server-push events ---------------------------------------
 
 // monitorEnvelopes counts the signed monitoring envelopes (status polls plus
 // event subscribes) a gateway has verified.
@@ -693,7 +694,7 @@ func monitorEnvelopes(d *testbed.Deployment, usite unicore.Usite) int64 {
 	return stats.ByType[protocol.MsgPoll] + stats.ByType[protocol.MsgSubscribe]
 }
 
-// notifyBenchJob is the monitored workload of the Wait/Await pair: ~20
+// notifyBenchJob is the monitored workload of BenchmarkAwaitEvent: ~20
 // virtual minutes of batch work.
 func notifyBenchJob(b *testing.B, i int) *unicore.AbstractJob {
 	jb := unicore.NewJob(fmt.Sprintf("notify-%06d", i), unicore.Target{Usite: "FZJ", Vsite: "T3E"})
@@ -705,37 +706,10 @@ func notifyBenchJob(b *testing.B, i int) *unicore.AbstractJob {
 	return job
 }
 
-// BenchmarkWaitPoll measures the deprecated poll-paced monitor: JMC.Wait
-// issues one signed monitoring envelope per 2-second interval until the job
-// is terminal, so envelopes/job grows with the job's duration —
-// O(duration/interval), the §5.3 scaling wall the session API removes.
-func BenchmarkWaitPoll(b *testing.B) {
-	d := mustDeploy(b, singleSiteSpec("FZJ"))
-	user := mustUser(b, d, "waitpoll")
-	jpa, jmc := d.JPA(user), d.JMC(user)
-	before := monitorEnvelopes(d, "FZJ")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id, err := jpa.Submit(notifyBenchJob(b, i))
-		if err != nil {
-			b.Fatalf("submit: %v", err)
-		}
-		sum, err := jmc.Wait("FZJ", id, 2*time.Second, func(dur time.Duration) { d.Clock.Advance(dur) }, 100000)
-		if err != nil {
-			b.Fatalf("wait: %v", err)
-		}
-		if sum.Status != unicore.StatusSuccessful {
-			b.Fatalf("job finished %s", sum.Status)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(monitorEnvelopes(d, "FZJ")-before)/float64(b.N), "envelopes/job")
-}
-
-// BenchmarkAwaitEvent measures the protocol-v2 session monitor: one
-// long-polled subscribe that the server holds until the terminal event, plus
-// the final summary fetch — O(1) envelopes per completed job regardless of
-// duration. Compare the envelopes/job metric against BenchmarkWaitPoll.
+// BenchmarkAwaitEvent measures the session monitor: one long-polled subscribe
+// that the server holds until the terminal event, plus the final summary
+// fetch — O(1) envelopes per completed job regardless of duration (0 when the
+// persistent stream carries both).
 func BenchmarkAwaitEvent(b *testing.B) {
 	d := mustDeploy(b, singleSiteSpec("FZJ"))
 	user := mustUser(b, d, "await")
@@ -865,9 +839,9 @@ func fetchEnvelopes(d *testbed.Deployment, usite unicore.Usite) int64 {
 
 // BenchmarkTransferThroughput measures the §5.6 bulk download path for a
 // 16 MiB Uspace result through the full authenticated gateway → NJS stack.
-// path=sequential reproduces the pre-v3 implementation — a v2-pinned client
+// path=sequential is the reference envelope path — a WithoutStreams client
 // issuing one signed envelope per sequential 256 KiB chunk, exactly one in
-// flight. path=parallel is the redesigned hot path: the staging engine's
+// flight. path=parallel is the hot path: the staging engine's
 // default 1 MiB × 8 readahead window riding the persistent v3 stream, where
 // chunk data travels as length-prefixed binary frames instead of signed
 // envelopes. The parallel path must win on both MB/s (no per-chunk
@@ -892,18 +866,18 @@ func BenchmarkTransferThroughput(b *testing.B) {
 	d.Run(10_000_000)
 
 	modes := []struct {
-		name       string
-		opt        unicore.TransferOptions
-		maxVersion int // 0 = newest; 2 pins the pre-v3 envelope path
+		name      string
+		opt       unicore.TransferOptions
+		envelopes bool // pin the per-request envelope path
 	}{
-		{"path=sequential", unicore.TransferOptions{ChunkSize: 256 << 10, Window: 1}, 2},
-		{"path=parallel", unicore.TransferOptions{}, 0}, // engine defaults: 1 MiB × 8, v3 stream
+		{"path=sequential", unicore.TransferOptions{ChunkSize: 256 << 10, Window: 1}, true},
+		{"path=parallel", unicore.TransferOptions{}, false}, // engine defaults: 1 MiB × 8, v3 stream
 	}
 	for _, m := range modes {
 		b.Run(fmt.Sprintf("%s/size=%d", m.name, fileSize), func(b *testing.B) {
 			opts := []unicore.DialOption{unicore.WithClient(d.UserClient(user)), unicore.WithSite("FZJ")}
-			if m.maxVersion != 0 {
-				opts = append(opts, unicore.WithVersion(m.maxVersion))
+			if m.envelopes {
+				opts = append(opts, unicore.WithoutStreams())
 			}
 			sess, err := unicore.Dial("", opts...)
 			if err != nil {
@@ -937,10 +911,10 @@ func BenchmarkAblation_FirewallSplit(b *testing.B) {
 			spec.Split = split
 			d := mustDeploy(b, spec)
 			user := mustUser(b, d, "fw")
-			jmc := d.JMC(user)
+			sess := d.Session(user, "FZJ")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := jmc.List("FZJ"); err != nil {
+				if _, err := sess.List(context.Background()); err != nil {
 					b.Fatalf("list: %v", err)
 				}
 			}
@@ -991,7 +965,7 @@ func BenchmarkFederatedConsign(b *testing.B) {
 	}
 	b.StopTimer()
 	d.Run(50_000_000)
-	if o, err := d.JMC(user).Outcome("FZJ", last); err != nil || o.Status != unicore.StatusSuccessful {
+	if o, err := d.Session(user, "FZJ").Outcome(context.Background(), last); err != nil || o.Status != unicore.StatusSuccessful {
 		b.Fatalf("forwarded job did not complete via the origin gateway: %v", err)
 	}
 	snap := d.Federation("FZJ").Registry().Snapshot()

@@ -1,7 +1,7 @@
 // Command unicore-status is the CLI job monitor controller (JMC, §4.1,
 // §5.7): it lists jobs, shows the coloured status display, saves task
-// output, controls jobs, and — over protocol v2+ — follows the server-push
-// event stream of a job instead of polling it.
+// output, controls jobs, and follows the server-push event stream of a job
+// instead of polling it.
 //
 // Usage:
 //
@@ -18,21 +18,19 @@
 //	unicore-status ... metrics
 //	unicore-status ... -per-replica -spans -json metrics
 //
-// wait awaits the terminal event over the event stream (falling back to
-// -interval polling against a v1 site); watch streams every lifecycle event
-// as it happens until the job finishes or the user interrupts — against a v3
-// site the events arrive pushed over the persistent stream; fetch streams
-// a Uspace file to -o (or stdout) through the windowed parallel download
-// engine, verifying the whole-file checksum incrementally; metrics scrapes
-// the site's live telemetry over protocol v2 (MsgMetrics), merged site-wide
-// by default or per replica with -per-replica. -json switches list and
-// metrics to machine-readable output.
+// wait awaits the terminal event over the event stream; watch streams every
+// lifecycle event as it happens until the job finishes or the user
+// interrupts — the events arrive pushed over the persistent stream; fetch
+// streams a Uspace file to -o (or stdout) through the windowed parallel
+// download engine, verifying the whole-file checksum incrementally; metrics
+// scrapes the site's live telemetry (MsgMetrics), merged site-wide by default
+// or per replica with -per-replica. -json switches list and metrics to
+// machine-readable output.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -44,7 +42,6 @@ import (
 	"unicore/internal/ajo"
 	"unicore/internal/core"
 	"unicore/internal/deploy"
-	"unicore/internal/protocol"
 )
 
 func main() {
@@ -53,8 +50,6 @@ func main() {
 		usiteFlag  = flag.String("usite", "", "Usite name behind the gateway")
 		caPath     = flag.String("ca", "ca.pem", "CA file")
 		credPath   = flag.String("cred", "user.pem", "user credential file")
-		interval   = flag.Duration("interval", 2*time.Second, "poll interval for wait against a v1 site")
-		maxPolls   = flag.Int("max-polls", 1800, "poll limit for wait against a v1 site")
 		outPath    = flag.String("o", "", "fetch: write the file here instead of stdout")
 		jsonOut    = flag.Bool("json", false, "list, metrics: emit JSON instead of the table")
 		perReplica = flag.Bool("per-replica", false, "metrics: one snapshot per origin instead of the site-wide merge")
@@ -132,11 +127,6 @@ func main() {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
 		sum, err := sess.Await(ctx, jobArg())
-		if errors.Is(err, protocol.ErrV1Peer) {
-			// The site only speaks v1: fall back to interval polling through
-			// the JMC compatibility wrapper.
-			sum, err = sess.JMC().Wait(usite, jobArg(), *interval, time.Sleep, *maxPolls)
-		}
 		if err != nil {
 			log.Fatalf("unicore-status: %v", err)
 		}

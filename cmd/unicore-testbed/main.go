@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -19,6 +20,7 @@ import (
 
 	"unicore/internal/accounting"
 	"unicore/internal/ajo"
+	"unicore/internal/client"
 	"unicore/internal/core"
 	"unicore/internal/testbed"
 )
@@ -49,7 +51,17 @@ func main() {
 	if err != nil {
 		log.Fatalf("unicore-testbed: %v", err)
 	}
-	jpa, jmc := d.JPA(user), d.JMC(user)
+	// One session per Usite over one shared client: one identity, one
+	// persistent stream per site.
+	ctx := context.Background()
+	c := d.UserClient(user)
+	sessions := make(map[core.Usite]*client.Session)
+	session := func(usite core.Usite) *client.Session {
+		if sessions[usite] == nil {
+			sessions[usite] = client.NewSession(c, usite)
+		}
+		return sessions[usite]
+	}
 
 	workload, err := testbed.GenerateWorkload(testbed.DefaultWorkload(*seed, *jobs, d.Targets()))
 	if err != nil {
@@ -59,7 +71,7 @@ func main() {
 
 	ids := make(map[core.JobID]core.Usite, len(workload))
 	for _, j := range workload {
-		id, err := jpa.Submit(j)
+		id, err := session(j.Target.Usite).Submit(ctx, j)
 		if err != nil {
 			log.Fatalf("unicore-testbed: submitting %s: %v", j.Name(), err)
 		}
@@ -69,7 +81,7 @@ func main() {
 
 	var ok, failed int
 	for id, usite := range ids {
-		sum, err := jmc.Status(usite, id)
+		sum, err := session(usite).Status(ctx, id)
 		if err != nil {
 			log.Fatalf("unicore-testbed: status %s: %v", id, err)
 		}

@@ -1,6 +1,7 @@
 package asi
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -262,7 +263,7 @@ func TestGaussianRunsEndToEnd(t *testing.T) {
 	}
 	d.Run(1_000_000)
 
-	o, err := d.JMC(user).Outcome("CHEM", id)
+	o, err := d.Session(user, "CHEM").Outcome(context.Background(), id)
 	if err != nil {
 		t.Fatalf("Outcome: %v", err)
 	}

@@ -2,8 +2,8 @@
 // Agent (JPA) that builds and submits abstract jobs, and the Job Monitor
 // Controller (JMC) that tracks status, retrieves output, and controls jobs
 // (paper §4.1, §5.7). In the paper both are signed Java applets running in a
-// Web browser; here they are a library plus CLI front ends, and the applet
-// trust chain is reproduced by FetchApplet.
+// Web browser; here they are a library (Session carries both surfaces) plus
+// CLI front ends, and the applet trust chain is reproduced by FetchApplet.
 package client
 
 import (
@@ -137,8 +137,8 @@ func (b *Builder) ImportBytes(name string, data []byte, to string) ajo.ActionID 
 
 // ImportStaged stages a committed staged upload (the transfer handle
 // returned by Session.Upload) into the job's Uspace — the bulk path: the
-// bytes travelled ahead of the AJO through the chunked protocol-v2 staging
-// engine, so the consign envelope stays small.
+// bytes travelled ahead of the AJO through the chunked staging engine, so the
+// consign envelope stays small.
 func (b *Builder) ImportStaged(name, handle, to string) ajo.ActionID {
 	return b.add(&ajo.ImportTask{
 		Header: ajo.Header{ActionID: b.nextID("import"), ActionName: name},

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +28,7 @@ type rig struct {
 	reg   *protocol.Registry
 	user  *pki.Credential
 	jpa   *JPA
-	jmc   *JMC
+	sess  *Session
 	c     *protocol.Client
 	njs   *njs.NJS
 	users *uudb.DB
@@ -69,7 +71,7 @@ func newRig(t *testing.T) *rig {
 	reg := protocol.NewRegistry()
 	reg.Add("LRZ", "https://gw.lrz")
 	c := protocol.NewClient(net, user, ca, reg)
-	return &rig{clock: clock, ca: ca, gw: gw, net: net, reg: reg, user: user, jpa: NewJPA(c), jmc: NewJMC(c), c: c, njs: n, users: users}
+	return &rig{clock: clock, ca: ca, gw: gw, net: net, reg: reg, user: user, jpa: NewJPA(c), sess: NewSession(c, "LRZ"), c: c, njs: n, users: users}
 }
 
 var vpp = core.Target{Usite: "LRZ", Vsite: "VPP"}
@@ -204,16 +206,17 @@ func TestSubmitWaitOutcome(t *testing.T) {
 		t.Fatalf("Submit did not stamp the user DN: %q", job.UserDN)
 	}
 
-	// Drive the virtual clock between polls.
-	sum, err := r.jmc.Wait("LRZ", jid, time.Second, func(d time.Duration) { r.clock.Advance(d) }, 10000)
+	// The terminal event is already buffered when Await subscribes.
+	r.clock.RunUntilIdle(100000)
+	sum, err := r.sess.Await(context.Background(), jid)
 	if err != nil {
-		t.Fatalf("Wait: %v", err)
+		t.Fatalf("Await: %v", err)
 	}
 	if sum.Status != ajo.StatusSuccessful {
 		t.Fatalf("status = %s, want SUCCESSFUL", sum.Status)
 	}
 
-	o, err := r.jmc.Outcome("LRZ", jid)
+	o, err := r.sess.Outcome(context.Background(), jid)
 	if err != nil {
 		t.Fatalf("Outcome: %v", err)
 	}
@@ -240,14 +243,14 @@ func TestHoldResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if err := r.jmc.Hold("LRZ", jid); err != nil {
+	if err := r.sess.Hold(context.Background(), jid); err != nil {
 		t.Fatalf("Hold: %v", err)
 	}
-	if err := r.jmc.Resume("LRZ", jid); err != nil {
+	if err := r.sess.Resume(context.Background(), jid); err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
 	r.clock.RunUntilIdle(100000)
-	sum, err := r.jmc.Status("LRZ", jid)
+	sum, err := r.sess.Status(context.Background(), jid)
 	if err != nil {
 		t.Fatalf("Status: %v", err)
 	}
@@ -255,11 +258,13 @@ func TestHoldResume(t *testing.T) {
 		t.Fatalf("status = %s after resume, want SUCCESSFUL", sum.Status)
 	}
 	// Resuming a job that is not held is an error.
-	if err := r.jmc.Resume("LRZ", jid); err == nil {
+	if err := r.sess.Resume(context.Background(), jid); err == nil {
 		t.Fatal("resume of a non-held job succeeded")
 	}
 }
 
+// TestWaitTimesOut bounds a wait with a context deadline: while the job is
+// still running, Await gives up with the deadline error instead of a summary.
 func TestWaitTimesOut(t *testing.T) {
 	r := newRig(t)
 	b := NewJob("slow", vpp)
@@ -269,9 +274,14 @@ func TestWaitTimesOut(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	_, err = r.jmc.Wait("LRZ", jid, time.Millisecond, func(d time.Duration) { r.clock.Advance(d) }, 3)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, err = r.sess.Await(ctx, jid)
 	if err == nil {
-		t.Fatal("Wait returned before the job could have finished")
+		t.Fatal("Await returned before the job could have finished")
+	}
+	if !errors.Is(err, context.DeadlineExceeded) && !strings.Contains(err.Error(), context.DeadlineExceeded.Error()) {
+		t.Fatalf("Await past its deadline returned %v, want context.DeadlineExceeded", err)
 	}
 }
 
@@ -302,10 +312,10 @@ func TestFetchAppletVerified(t *testing.T) {
 
 func TestStatusOfUnknownJob(t *testing.T) {
 	r := newRig(t)
-	if _, err := r.jmc.Status("LRZ", "LRZ-999999"); err == nil {
+	if _, err := r.sess.Status(context.Background(), "LRZ-999999"); err == nil {
 		t.Fatal("status of unknown job succeeded")
 	}
-	if _, err := r.jmc.Outcome("LRZ", "LRZ-999999"); err == nil {
+	if _, err := r.sess.Outcome(context.Background(), "LRZ-999999"); err == nil {
 		t.Fatal("outcome of unknown job succeeded")
 	}
 }
@@ -323,7 +333,7 @@ func TestFetchFileToWorkstation(t *testing.T) {
 	r.clock.RunUntilIdle(100000)
 
 	// The on-request §5.6 transfer back to the workstation, chunked.
-	data, err := r.jmc.FetchFile("LRZ", jid, "big.dat")
+	data, err := r.sess.FetchFile(context.Background(), jid, "big.dat")
 	if err != nil {
 		t.Fatalf("FetchFile: %v", err)
 	}
@@ -331,7 +341,7 @@ func TestFetchFileToWorkstation(t *testing.T) {
 		t.Fatalf("fetched %d bytes, want 300000", len(data))
 	}
 	// Missing files are reported cleanly.
-	if _, err := r.jmc.FetchFile("LRZ", jid, "ghost.dat"); err == nil {
+	if _, err := r.sess.FetchFile(context.Background(), jid, "ghost.dat"); err == nil {
 		t.Fatal("fetching a missing file succeeded")
 	}
 }
@@ -352,8 +362,8 @@ func TestFetchFileRequiresOwnership(t *testing.T) {
 		t.Fatalf("IssueUser: %v", err)
 	}
 	reg := r.c.Registry()
-	eveJMC := NewJMC(protocol.NewClient(r.net, eve, r.ca, reg))
-	if _, err := eveJMC.FetchFile("LRZ", jid, "secret.dat"); err == nil {
+	eveSess := NewSession(protocol.NewClient(r.net, eve, r.ca, reg), "LRZ")
+	if _, err := eveSess.FetchFile(context.Background(), jid, "secret.dat"); err == nil {
 		t.Fatal("eve fetched another user's job file")
 	}
 }

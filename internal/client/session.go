@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -19,8 +21,8 @@ import (
 )
 
 // JobEvent is one server-push job lifecycle notification, exactly as the
-// server logged it (package events defines the shape; protocol v2 carries
-// it). Watch delivers these; Await consumes them internally.
+// server logged it (package events defines the shape). Watch delivers these;
+// Await consumes them internally.
 type JobEvent = events.Event
 
 // DefaultLongPoll is the default server-side hold per Watch/Await subscribe
@@ -29,12 +31,11 @@ type JobEvent = events.Event
 // hold expires.
 const DefaultLongPoll = 30 * time.Second
 
-// Session is the protocol-v2 client handle: one user, one Usite, one
-// context-aware API. It unifies the JPA (job preparation, §5.4) and the JMC
-// (job monitoring and control, §5.7) behind a single surface, and replaces
-// interval polling with the server-push event stream — Await and Watch
-// complete a job with O(1) subscribe round trips where JMC.Wait needed one
-// poll per interval.
+// Session is the client handle: one user, one Usite, one context-aware API.
+// It unifies the paper's JPA (job preparation, §5.4) and JMC (job monitoring
+// and control, §5.7) behind a single surface, and replaces interval polling
+// with the server-push event stream — Await and Watch complete a job with
+// O(1) subscribe round trips however long it runs.
 //
 // Every method takes a context.Context; cancellation propagates through
 // protocol.Client into the transport, so a cancelled Await releases the
@@ -43,7 +44,6 @@ type Session struct {
 	c     *protocol.Client
 	usite core.Usite
 	jpa   *JPA
-	jmc   *JMC
 
 	// LongPoll is the server-side hold requested per subscribe round of
 	// Watch/Await (default DefaultLongPoll). Set it before first use.
@@ -61,9 +61,9 @@ type Session struct {
 }
 
 // NewSession opens a session for one Usite over a protocol client (the same
-// client a JPA/JMC would use — unicore.Dial is the facade form).
+// client a JPA would use — unicore.Dial is the facade form).
 func NewSession(c *protocol.Client, usite core.Usite) *Session {
-	return &Session{c: c, usite: usite, jpa: NewJPA(c), jmc: NewJMC(c), LongPoll: DefaultLongPoll}
+	return &Session{c: c, usite: usite, jpa: NewJPA(c), LongPoll: DefaultLongPoll}
 }
 
 // Usite returns the site this session talks to.
@@ -76,17 +76,12 @@ func (s *Session) DN() core.DN { return s.c.DN() }
 // validation) for workflows the unified surface does not cover.
 func (s *Session) JPA() *JPA { return s.jpa }
 
-// JMC returns the session's job monitor controller (deprecated polling
-// surface) for workflows the unified surface does not cover.
-func (s *Session) JMC() *JMC { return s.jmc }
-
 // Submit validates and consigns a job at this session's Usite. Each Submit
 // runs under a distributed trace: unless the caller already put one in ctx
-// (telemetry.WithTrace), a fresh trace ID is minted and carried in the v2
+// (telemetry.WithTrace), a fresh trace ID is minted and carried in the
 // envelope header, so every server-side hop of this admission — gateway
 // dispatch, pool routing, NJS admission, journal sync — records a span under
-// it. Trace returns the ID after the job is admitted; a v1 peer ignores the
-// header and the submission proceeds untraced.
+// it. Trace returns the ID after the job is admitted.
 func (s *Session) Submit(ctx context.Context, job *ajo.AbstractJob) (core.JobID, error) {
 	if job.Target.Usite != s.usite {
 		return "", fmt.Errorf("client: job targets %s, session is bound to %s", job.Target.Usite, s.usite)
@@ -117,12 +112,10 @@ func (s *Session) Trace(job core.JobID) (string, bool) {
 	return t, ok
 }
 
-// Metrics scrapes the live telemetry of the session's Usite (protocol v2):
-// the gateway's own registry plus the server tier's, per origin. With
-// perReplica set the reply keeps one snapshot per replica instead of the
-// site-wide merge; with spans set the per-request trace spans ride along.
-// Against a site that negotiated down to protocol v1 it fails with
-// protocol.ErrV1Peer.
+// Metrics scrapes the live telemetry of the session's Usite: the gateway's
+// own registry plus the server tier's, per origin. With perReplica set the
+// reply keeps one snapshot per replica instead of the site-wide merge; with
+// spans set the per-request trace spans ride along.
 func (s *Session) Metrics(ctx context.Context, perReplica, spans bool) ([]telemetry.Snapshot, error) {
 	var reply protocol.MetricsReply
 	req := protocol.MetricsRequest{PerReplica: perReplica, Spans: spans}
@@ -179,16 +172,14 @@ func (s *Session) FetchFile(ctx context.Context, job core.JobID, file string) ([
 // incrementally. Chunk-level retries ride out replica failover mid-transfer.
 // On failure the returned progress resumes the download via ResumeDownload.
 func (s *Session) Download(ctx context.Context, job core.JobID, file string, w io.Writer) (staging.Progress, error) {
-	opt := fetchOptions(s.c, s.usite, s.Transfer)
-	return staging.Download(ctx, fetchSource(s.c, s.usite, job, file), w, opt)
+	return staging.Download(ctx, fetchSource(s.c, s.usite, job, file), w, s.Transfer)
 }
 
 // ResumeDownload continues a failed Download from its returned progress
 // (against the same writer): nothing already delivered is refetched, and the
 // whole-file checksum still covers every byte.
 func (s *Session) ResumeDownload(ctx context.Context, job core.JobID, file string, w io.Writer, p staging.Progress) (staging.Progress, error) {
-	opt := fetchOptions(s.c, s.usite, s.Transfer)
-	return staging.Resume(ctx, fetchSource(s.c, s.usite, job, file), w, p, opt)
+	return staging.Resume(ctx, fetchSource(s.c, s.usite, job, file), w, p, s.Transfer)
 }
 
 // DownloadTo streams a file from the job's Uspace into a local file
@@ -206,8 +197,8 @@ func (s *Session) DownloadTo(ctx context.Context, job core.JobID, file, localPat
 	return p.Offset, cerr
 }
 
-// PutOpen begins a staged upload at the session's Usite (protocol v2, part
-// of the staging.Putter surface; most callers want Upload).
+// PutOpen begins a staged upload at the session's Usite (part of the
+// staging.Putter surface; most callers want Upload).
 func (s *Session) PutOpen(ctx context.Context, req protocol.PutOpenRequest) (protocol.PutOpenReply, error) {
 	var reply protocol.PutOpenReply
 	err := s.c.Call(ctx, s.usite, protocol.MsgPutOpen, req, &reply)
@@ -235,17 +226,15 @@ var _ staging.Putter = (*Session)(nil)
 // and returns the committed transfer handle — the value to reference from an
 // ImportTask (Builder.ImportStaged / ajo.ImportSource.Staged) so a bulk
 // input travels in CRC-checked chunks ahead of the AJO instead of inline in
-// the signed consign envelope. Against a site that negotiated down to
-// protocol v1, Upload fails with protocol.ErrV1Peer — fall back to an inline
-// import there.
+// the signed consign envelope.
 func (s *Session) Upload(ctx context.Context, vsite core.Vsite, name string, r io.Reader) (string, error) {
 	handle, _, err := staging.Upload(ctx, s, vsite, name, r, s.Transfer)
 	return handle, err
 }
 
-// Events performs one raw subscription fetch (protocol v2): the buffered
-// events past the request's cursor, long-polled server-side for up to
-// req.WaitMs. Most callers want Watch or Await instead.
+// Events performs one raw subscription fetch: the buffered events past the
+// request's cursor, long-polled server-side for up to req.WaitMs. Most
+// callers want Watch or Await instead.
 func (s *Session) Events(ctx context.Context, req protocol.SubscribeRequest) (protocol.EventsReply, error) {
 	return fetchEvents(ctx, s.c, s.usite, req)
 }
@@ -262,12 +251,9 @@ func (s *Session) longPollMs() int64 {
 // Await blocks until the job is terminal and returns its final summary,
 // consuming the server-push event stream: each round is one long-polled
 // subscribe that the server holds until events arrive, so a job completes in
-// O(1) round trips regardless of how long it runs — where the deprecated
-// JMC.Wait burned one signed poll envelope per interval. A lost reply is
-// recovered by re-subscribing at the same cursor (no gaps, no duplicates);
-// cancelling ctx aborts the in-flight round immediately. Against a site that
-// negotiated down to protocol v1, Await fails with protocol.ErrV1Peer — use
-// the polling Wait there.
+// O(1) round trips regardless of how long it runs. A lost reply is recovered
+// by re-subscribing at the same cursor (no gaps, no duplicates); cancelling
+// ctx aborts the in-flight round immediately.
 func (s *Session) Await(ctx context.Context, job core.JobID) (ajo.Summary, error) {
 	cursor := uint64(0)
 	for {
@@ -303,12 +289,11 @@ var ErrWatchGap = errors.New("client: events evicted before the watch cursor; st
 // authorization failure, or an already-evicted stream head (ErrWatchGap)
 // surfaces as an error instead of a silently closed channel.
 //
-// Against a protocol-v3 site the watch rides the persistent stream: one
-// subscription frame, then server-pushed event batches with no per-batch
-// round trip. A site without a stream path (older protocol, a front end that
-// cannot upgrade) or a stream that dies mid-watch falls back to the
-// long-polled subscribe loop at the same cursor — the handover loses and
-// duplicates nothing.
+// The watch rides the persistent stream: one subscription frame, then
+// server-pushed event batches with no per-batch round trip. A site without a
+// stream path (a front end that cannot upgrade) or a stream that dies
+// mid-watch falls back to the long-polled subscribe loop at the same cursor —
+// the handover loses and duplicates nothing.
 //
 // The channel is closed after the job's terminal event has been delivered.
 // A closure whose last delivered event is not terminal means the stream
@@ -362,8 +347,6 @@ func (s *Session) Watch(ctx context.Context, job core.JobID) (<-chan JobEvent, e
 			switch {
 			case err != nil && ctx.Err() != nil:
 				return
-			case errors.Is(err, protocol.ErrV1Peer):
-				return // permanent: the site cannot push events
 			case err != nil:
 				// Transient (owning replica failing over, reply lost beyond
 				// the client's retries): back off and re-subscribe at the
@@ -403,7 +386,7 @@ func (s *Session) watchPush(ctx context.Context, job core.JobID, cursor uint64, 
 		Job: job, Cursor: cursor, WaitMs: s.longPollMs(),
 	})
 	if err != nil {
-		return false // no v3 stream here: long-poll instead
+		return false // no stream here: long-poll instead
 	}
 	defer stop()
 	for {
@@ -435,9 +418,6 @@ const (
 	watchMaxFailures  = 5
 	watchRetryBackoff = 200 * time.Millisecond
 )
-
-// The monitoring and control cores, shared by Session (the primary surface)
-// and the deprecated JMC wrappers.
 
 // listJobs fetches the caller's jobs at a Usite, newest first.
 func listJobs(ctx context.Context, c *protocol.Client, usite core.Usite) ([]protocol.JobInfo, error) {
@@ -484,19 +464,9 @@ func controlJob(ctx context.Context, c *protocol.Client, usite core.Usite, job c
 	return nil
 }
 
-// fetchWholeFile materialises one Uspace file in memory through the windowed
-// transfer engine.
-func fetchWholeFile(ctx context.Context, c *protocol.Client, usite core.Usite, job core.JobID, file string, opt staging.Options) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := staging.Download(ctx, fetchSource(c, usite, job, file), &buf, fetchOptions(c, usite, opt)); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // fetchEvents performs one non-waiting (unless req.WaitMs asks) subscription
-// fetch — the shared engine under JMC.Wait, Session.Await, and the Watch
-// long-poll fallback.
+// fetch — the shared engine under Session.Await and the Watch long-poll
+// fallback.
 func fetchEvents(ctx context.Context, c *protocol.Client, usite core.Usite, req protocol.SubscribeRequest) (protocol.EventsReply, error) {
 	var reply protocol.EventsReply
 	if err := c.Call(ctx, usite, protocol.MsgSubscribe, req, &reply); err != nil {
@@ -524,13 +494,49 @@ func fetchSource(c *protocol.Client, usite core.Usite, job core.JobID, file stri
 	}
 }
 
-// fetchOptions applies the v1 fallback to a transfer configuration: against
-// a site that negotiated down to protocol v1 the windowed engine degrades to
-// the sequential one-chunk-in-flight loop of the original implementation
-// (the ranged MsgFetch itself exists since v1).
-func fetchOptions(c *protocol.Client, usite core.Usite, opt staging.Options) staging.Options {
-	if c.SiteVersion(usite) < 2 {
-		opt.Window = 1
+// TaskOutput extracts a task's standard output and error from an outcome
+// tree ("the standard output and error files can be listed and/or saved for
+// tasks", §5.7).
+func TaskOutput(root *ajo.Outcome, id ajo.ActionID) (stdout, stderr []byte, err error) {
+	o, ok := root.Find(id)
+	if !ok {
+		return nil, nil, fmt.Errorf("client: no outcome for action %s", id)
 	}
-	return opt
+	return o.Stdout, o.Stderr, nil
+}
+
+// Display renders the JMC's job display: one line per action with the
+// status icon colour, indented by job-group depth — the text equivalent of
+// the coloured-icon tree of §5.7.
+func Display(root *ajo.Outcome) string {
+	var b strings.Builder
+	renderOutcome(&b, root, 0)
+	return b.String()
+}
+
+func renderOutcome(b *strings.Builder, o *ajo.Outcome, depth int) {
+	icon := statusIcon(o.Status)
+	fmt.Fprintf(b, "%s%s [%s/%s] %s", strings.Repeat("  ", depth), icon, o.Status, o.Status.Colour(), o.Name)
+	if o.Reason != "" {
+		fmt.Fprintf(b, " (%s)", o.Reason)
+	}
+	b.WriteByte('\n')
+	children := append([]*ajo.Outcome(nil), o.Children...)
+	sort.SliceStable(children, func(i, j int) bool { return children[i].Action < children[j].Action })
+	for _, c := range children {
+		renderOutcome(b, c, depth+1)
+	}
+}
+
+func statusIcon(s ajo.Status) string {
+	switch s {
+	case ajo.StatusSuccessful:
+		return "●"
+	case ajo.StatusFailed, ajo.StatusNotDone, ajo.StatusAborted:
+		return "✖"
+	case ajo.StatusRunning, ajo.StatusQueued:
+		return "◐"
+	default:
+		return "○"
+	}
 }

@@ -2,22 +2,17 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"unicore/internal/ajo"
 	"unicore/internal/events"
-	"unicore/internal/pki"
-	"unicore/internal/protocol"
 	"unicore/internal/resources"
 )
 
-// session opens a v2 session against the rig's site.
+// session opens a session against the rig's site.
 func (r *rig) session() *Session {
 	return NewSession(r.c, "LRZ")
 }
@@ -202,148 +197,5 @@ func TestConsignIDFallbackStaysUnique(t *testing.T) {
 	}
 	if id1 == id2 {
 		t.Fatalf("second submission deduplicated onto %s", id1)
-	}
-}
-
-// failAfter passes requests through until n have been served, then fails
-// every later round trip — the shape of a transport that dies mid-wait.
-type failAfter struct {
-	base http.RoundTripper
-	left int
-}
-
-func (f *failAfter) RoundTrip(req *http.Request) (*http.Response, error) {
-	if f.left <= 0 {
-		return nil, fmt.Errorf("transport down")
-	}
-	f.left--
-	return f.base.RoundTrip(req)
-}
-
-// TestWaitSurfacesTransportError is the regression test for the Wait error
-// contract: when a poll fails in transit mid-wait — including on the very
-// last round — Wait returns the transport error, never ErrWaitTimeout
-// masking it.
-func TestWaitSurfacesTransportError(t *testing.T) {
-	r := newRig(t)
-	jid, err := r.jpa.Submit(slowJob(t))
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	// The job stays non-terminal (nobody drives the clock). Let exactly the
-	// first two monitor rounds through, then kill the transport: the final
-	// round errors and that error must surface.
-	ft := &failAfter{base: r.net, left: 2}
-	c := protocol.NewClient(protocol.OverHTTP(ft), r.user, r.ca, r.reg)
-	c.Retries = 0
-	jmc := NewJMC(c)
-	_, err = jmc.Wait("LRZ", jid, time.Millisecond, func(time.Duration) {}, 3)
-	if err == nil {
-		t.Fatal("Wait returned nil despite the dead transport")
-	}
-	if errors.Is(err, ErrWaitTimeout) {
-		t.Fatalf("Wait masked the transport failure behind ErrWaitTimeout: %v", err)
-	}
-	if !strings.Contains(err.Error(), "transport down") {
-		t.Fatalf("Wait error = %v, want the transport failure", err)
-	}
-	// Under a lossy-but-retrying transport (the §5.3 claim) Wait still
-	// reaches the terminal summary.
-	r.clock.RunUntilIdle(1000000)
-	flaky := protocol.NewFlaky(r.net, 0.3, 42)
-	fc := protocol.NewClient(flaky, r.user, r.ca, r.reg)
-	fc.Retries = 50
-	sum, err := NewJMC(fc).Wait("LRZ", jid, time.Millisecond, func(time.Duration) {}, 50)
-	if err != nil {
-		t.Fatalf("Wait over flaky transport: %v", err)
-	}
-	if sum.Status != ajo.StatusSuccessful {
-		t.Fatalf("Wait status = %s, want SUCCESSFUL", sum.Status)
-	}
-}
-
-// v1Site mimics a pre-session gateway: it accepts only version-1 envelopes
-// (rejecting others with the ErrBadVersion marker, exactly as the old strict
-// Open did) and answers polls with a terminal summary.
-func v1Site(t *testing.T, ca *pki.Authority, cred *pki.Credential) http.Handler {
-	t.Helper()
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		var env protocol.Envelope
-		if err := json.NewDecoder(req.Body).Decode(&env); err != nil {
-			t.Fatalf("v1 site: decode: %v", err)
-		}
-		seal := func(mt protocol.MsgType, payload any) {
-			out, err := protocol.SealAt(cred, 1, mt, payload)
-			if err != nil {
-				t.Fatalf("v1 site: seal: %v", err)
-			}
-			w.Write(out)
-		}
-		if env.Version != 1 {
-			seal(protocol.MsgError, protocol.ErrorReply{
-				Code:    "authentication",
-				Message: fmt.Sprintf("protocol: unsupported protocol version: %d", env.Version),
-			})
-			return
-		}
-		switch env.Type {
-		case protocol.MsgPoll:
-			seal(protocol.MsgPollReply, protocol.PollReply{Found: true, Summary: ajo.Summary{
-				Job: "OLD-000001", Status: ajo.StatusSuccessful, Total: 1, Done: 1,
-			}})
-		default:
-			seal(protocol.MsgError, protocol.ErrorReply{Code: string(env.Type), Message: "unsupported"})
-		}
-	})
-}
-
-// TestVersionNegotiationAgainstV1Site downgrades transparently: the first
-// call re-seals at v1 after the rejection, later calls go straight to v1,
-// Session.Await reports ErrV1Peer, and JMC.Wait falls back to polling.
-func TestVersionNegotiationAgainstV1Site(t *testing.T) {
-	ca, err := pki.NewAuthority("DFN-PCA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := ca.IssueServer("gateway.old", "gw.old")
-	if err != nil {
-		t.Fatal(err)
-	}
-	user, err := ca.IssueUser("Vera Vintage", "OLD")
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := protocol.NewInProc()
-	net.Register("gw.old", v1Site(t, ca, srv))
-	reg := protocol.NewRegistry()
-	reg.Add("OLD", "https://gw.old")
-	c := protocol.NewClient(net, user, ca, reg)
-
-	if v := c.SiteVersion("OLD"); v != protocol.Version {
-		t.Fatalf("initial site version = %d, want %d", v, protocol.Version)
-	}
-	jmc := NewJMC(c)
-	sum, err := jmc.Status("OLD", "OLD-000001")
-	if err != nil {
-		t.Fatalf("Status via negotiation: %v", err)
-	}
-	if sum.Status != ajo.StatusSuccessful {
-		t.Fatalf("status = %s", sum.Status)
-	}
-	if v := c.SiteVersion("OLD"); v != 1 {
-		t.Fatalf("negotiated site version = %d, want 1", v)
-	}
-
-	sess := NewSession(c, "OLD")
-	if _, err := sess.Await(context.Background(), "OLD-000001"); !errors.Is(err, protocol.ErrV1Peer) {
-		t.Fatalf("Await against a v1 site: err = %v, want ErrV1Peer", err)
-	}
-	// The deprecated Wait still completes by falling back to status polls.
-	sum, err = jmc.Wait("OLD", "OLD-000001", time.Millisecond, func(time.Duration) {}, 5)
-	if err != nil {
-		t.Fatalf("Wait fallback: %v", err)
-	}
-	if sum.Status != ajo.StatusSuccessful {
-		t.Fatalf("Wait fallback status = %s", sum.Status)
 	}
 }

@@ -154,7 +154,7 @@ func (m *mutatingTransport) RoundTrip(req *http.Request) (*http.Response, error)
 
 // TestFetchFileSurfacesMidTransferMutation is the client-level regression
 // test for the seed fetch loop: a Uspace file rewritten between two chunks
-// must surface as a checksum/mutation error through JMC.FetchFile — never
+// must surface as a checksum/mutation error through Session.FetchFile — never
 // loop, never return mixed bytes.
 func TestFetchFileSurfacesMidTransferMutation(t *testing.T) {
 	r := newRig(t)
@@ -175,9 +175,9 @@ func TestFetchFileSurfacesMidTransferMutation(t *testing.T) {
 			t.Errorf("mutating out.dat: %v", err)
 		}
 	}
-	jmc := NewJMC(protocol.NewClient(protocol.OverHTTP(mt), r.user, r.ca, r.reg))
-	jmc.Transfer = staging.Options{ChunkSize: 64 << 10, Window: 2, Retries: -1}
-	_, err := jmc.FetchFile("LRZ", id, "out.dat")
+	sess := NewSession(protocol.NewClient(protocol.OverHTTP(mt), r.user, r.ca, r.reg), "LRZ")
+	sess.Transfer = staging.Options{ChunkSize: 64 << 10, Window: 2, Retries: -1}
+	_, err := sess.FetchFile(context.Background(), id, "out.dat")
 	if !errors.Is(err, staging.ErrMutated) && !errors.Is(err, staging.ErrChecksum) {
 		t.Fatalf("fetch of a mutating file: err = %v, want ErrMutated/ErrChecksum", err)
 	}
@@ -197,7 +197,7 @@ func runProducerJob(t *testing.T, r *rig, content []byte) core.JobID {
 		t.Fatalf("Submit: %v", err)
 	}
 	r.clock.RunUntilIdle(1_000_000)
-	sum, err := r.jmc.Status("LRZ", id)
+	sum, err := r.sess.Status(context.Background(), id)
 	if err != nil || sum.Status != ajo.StatusSuccessful {
 		t.Fatalf("producer finished %s (%v)", sum.Status, err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"unicore/internal/pki"
 	"unicore/internal/protocol"
 )
 
@@ -105,72 +104,5 @@ func TestSubscribeLongPollCancellation(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancel did not release the long-poll")
-	}
-}
-
-// TestReplyMirrorsRequestVersion keeps v1 peers working against a v2 server:
-// a v1-sealed request gets a v1-sealed reply, and a v2 request a v2 reply.
-func TestReplyMirrorsRequestVersion(t *testing.T) {
-	s := newSite(t)
-	for _, ver := range []int{1, 2} {
-		env, err := protocol.SealAt(s.alice, ver, protocol.MsgList, protocol.ListRequest{})
-		if err != nil {
-			t.Fatalf("SealAt(%d): %v", ver, err)
-		}
-		got, mt, _, _, _, err := protocol.OpenVersioned(s.ca, s.gw.Handle(env))
-		if err != nil {
-			t.Fatalf("OpenVersioned(reply to v%d): %v", ver, err)
-		}
-		if mt != protocol.MsgListReply {
-			t.Fatalf("v%d request answered with %s", ver, mt)
-		}
-		if got != ver {
-			t.Fatalf("reply to a v%d request sealed at v%d", ver, got)
-		}
-	}
-	// An authentication failure on a v1 envelope is answered at v1 too —
-	// a strict v1 verifier must be able to read the error it caused.
-	otherCA, err := pki.NewAuthority("IMPOSTOR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stranger, err := otherCA.IssueUser("Mallory", "ELSEWHERE")
-	if err != nil {
-		t.Fatal(err)
-	}
-	badEnv, err := protocol.SealAt(stranger, 1, protocol.MsgList, protocol.ListRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotVer, mt, _, _, _, err := protocol.OpenVersioned(s.ca, s.gw.Handle(badEnv))
-	if err != nil {
-		t.Fatalf("OpenVersioned(auth-failure reply): %v", err)
-	}
-	if mt != protocol.MsgError {
-		t.Fatalf("untrusted signer answered with %s, want error", mt)
-	}
-	if gotVer != 1 {
-		t.Fatalf("auth-failure reply to a v1 envelope sealed at v%d, want v1", gotVer)
-	}
-
-	// A version beyond the supported range is rejected with the negotiation
-	// marker clients downgrade on.
-	raw, err := json.Marshal(map[string]any{"version": protocol.Version + 1, "type": "list"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt, body, _, _, err := protocol.Open(s.ca, s.gw.Handle(raw))
-	if err != nil {
-		t.Fatalf("Open(rejection): %v", err)
-	}
-	if mt != protocol.MsgError {
-		t.Fatalf("future-version request answered with %s", mt)
-	}
-	var er protocol.ErrorReply
-	if err := json.Unmarshal(body, &er); err != nil {
-		t.Fatal(err)
-	}
-	if !protocol.IsVersionRejection(&er) {
-		t.Fatalf("rejection %v not recognised by IsVersionRejection", &er)
 	}
 }

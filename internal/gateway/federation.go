@@ -76,7 +76,6 @@ func (g *Gateway) handleFedAdvertise(raw json.RawMessage, asServer bool) (any, p
 	if err := json.Unmarshal(raw, &req); err != nil {
 		return nil, "", fmt.Errorf("gateway: bad fed-advertise request: %w", err)
 	}
-	//lint:allow versiongate the dispatch gate already refused v1-sealed envelopes for this v2-only exchange
 	return f.HandleAdvertise(req), protocol.MsgFedAdvertiseReply, nil
 }
 
@@ -210,7 +209,6 @@ func (g *Gateway) fedStageOpen(ctx context.Context, dn core.DN, asServer bool, r
 	}
 	req.Owner = dn
 	var reply protocol.PutOpenReply
-	//lint:allow versiongate Relay delegates to Client.Call, which gates and fails fast on v1 peers
 	if err := f.Relay(ctx, peer, protocol.MsgPutOpen, req, &reply); err != nil {
 		return nil, "", true, fmt.Errorf("gateway: relaying staged upload to %s: %w", peer, err)
 	}

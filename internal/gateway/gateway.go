@@ -124,11 +124,6 @@ type Config struct {
 	// MaxEventWait caps the server-side long-poll of one MsgSubscribe
 	// request (default DefaultMaxEventWait).
 	MaxEventWait time.Duration
-	// MaxVersion caps the protocol version this gateway accepts (0 = the
-	// build's protocol.Version). A capped gateway rejects newer envelopes
-	// and refuses v3 streams exactly like a build that predates them —
-	// the knob behind the negotiation matrix tests.
-	MaxVersion int
 }
 
 // Gateway is one Usite's UNICORE server front end.
@@ -139,7 +134,6 @@ type Gateway struct {
 	users    *uudb.DB
 	siteAuth SiteAuth
 	maxWait  time.Duration
-	maxVer   int
 
 	// backend holds the server tier behind an atomic pointer so a recovered
 	// NJS (or a rebuilt replica router) can be swapped in while requests are
@@ -209,10 +203,6 @@ func New(cfg Config) (*Gateway, error) {
 	if maxWait <= 0 {
 		maxWait = DefaultMaxEventWait
 	}
-	maxVer := cfg.MaxVersion
-	if maxVer <= 0 || maxVer > protocol.Version {
-		maxVer = protocol.Version
-	}
 	g := &Gateway{
 		usite:      cfg.Usite,
 		cred:       cfg.Cred,
@@ -220,7 +210,6 @@ func New(cfg Config) (*Gateway, error) {
 		users:      cfg.Users,
 		siteAuth:   cfg.SiteAuth,
 		maxWait:    maxWait,
-		maxVer:     maxVer,
 		applets:    make(map[string]Applet),
 		byType:     make(map[protocol.MsgType]*atomic.Int64),
 		extraTypes: make(map[protocol.MsgType]int64),
@@ -435,74 +424,65 @@ func (g *Gateway) Handle(data []byte) []byte {
 
 // HandleContext is Handle under a caller context: a MsgSubscribe long-poll
 // waits on it, so cancelling the inbound request (the client went away)
-// releases the held goroutine immediately. The reply envelope is sealed at
-// the version the request arrived with, which is what keeps v1 peers working
-// against a v2 server.
+// releases the held goroutine immediately.
 func (g *Gateway) HandleContext(ctx context.Context, data []byte) []byte {
-	verifyStart := time.Now()
-	o, err := protocol.OpenTraced(g.ca, data)
-	g.tel.Counter("pki_verify_total").Inc()
-	g.tel.Histogram("pki_verify_seconds", telemetry.ScaleSeconds).ObserveSince(verifyStart)
-	ver, t, raw, dn, role := o.Version, o.Type, o.Payload, o.From, o.Role
-	if err != nil {
-		g.countFailure("authentication")
-		// Mirror the failing peer's version when it parsed in range, so a
-		// strict v1 verifier can still read the error reply.
-		if ver == 0 {
-			ver = protocol.Version
-		}
-		return g.sealError(ver, o.Trace, "authentication", err)
+	o, refusal := g.authenticate(data)
+	if refusal != nil {
+		return refusal
 	}
-	if ver > g.maxVer {
-		// A version-capped gateway rejects newer envelopes the same way an
-		// old build does (there, OpenTraced itself fails the version range
-		// check): the client reads the rejection and downgrades.
-		g.countFailure("authentication")
-		return g.sealError(g.maxVer, o.Trace, "authentication",
-			fmt.Errorf("%w: %d", protocol.ErrBadVersion, ver))
-	}
+	t := o.Type
 	if o.Trace != "" {
 		// Adopt the caller's trace: every span below this point — including
 		// the backend tier's — lands in the same cross-tier trace.
 		ctx = telemetry.WithTrace(ctx, o.Trace)
 	}
 	g.count(t)
-	switch role {
-	case pki.RoleUser, pki.RoleServer:
-		// Users and peer UNICORE servers may talk to a gateway.
-	default:
-		g.countFailure("role")
-		return g.sealError(ver, o.Trace, "role", fmt.Errorf("%w: %q", ErrNotPermitted, role))
-	}
-	if role == pki.RoleUser && g.siteAuth != nil {
-		if err := g.siteAuth(dn); err != nil {
-			g.countFailure("site-auth")
-			return g.sealError(ver, o.Trace, "site-auth", fmt.Errorf("%w: %v", ErrSiteAuth, err))
-		}
-	}
-	asServer := role == pki.RoleServer
 
 	sp := g.tel.StartSpan(ctx, "gateway.dispatch").Note(string(t))
-	reply, rt, err := g.dispatch(ctx, ver, t, raw, dn, asServer)
+	reply, rt, err := g.dispatch(ctx, t, o.Payload, o.From, o.Role == pki.RoleServer)
 	sp.End()
 	if err != nil {
 		g.countFailure(string(t))
-		return g.sealError(ver, o.Trace, string(t), err)
+		return g.sealError(o.Trace, string(t), err)
 	}
-	out, err := protocol.SealTracedAt(g.cred, ver, o.Trace, rt, reply)
+	out, err := protocol.SealTraced(g.cred, o.Trace, rt, reply)
 	if err != nil {
-		return g.sealError(ver, o.Trace, "internal", err)
+		return g.sealError(o.Trace, "internal", err)
 	}
 	return out
 }
 
-// dispatch routes one authenticated request to the NJS. ver is the protocol
-// version the envelope arrived with: v2-only requests (the staging MsgPut*
-// family) inside a v1 envelope are refused with a version rejection.
-func (g *Gateway) dispatch(ctx context.Context, ver int, t protocol.MsgType, raw json.RawMessage, dn core.DN, asServer bool) (any, protocol.MsgType, error) {
-	if protocol.V2Only(t) && ver < 2 {
-		return nil, "", fmt.Errorf("%w: %s requires protocol v2", protocol.ErrBadVersion, t)
+// authenticate admits one signed envelope — a POSTed request or a stream
+// hello — to the gateway: verify it against the CA (counted and timed), then
+// apply the role policy and the site-specific authentication. A non-nil
+// refusal is the sealed error reply; the envelope goes no further.
+func (g *Gateway) authenticate(data []byte) (o protocol.Opened, refusal []byte) {
+	verifyStart := time.Now()
+	o, err := protocol.OpenTraced(g.ca, data)
+	g.tel.Counter("pki_verify_total").Inc()
+	g.tel.Histogram("pki_verify_seconds", telemetry.ScaleSeconds).ObserveSince(verifyStart)
+	if err != nil {
+		g.countFailure("authentication")
+		return o, g.sealError(o.Trace, "authentication", err)
 	}
+	switch o.Role {
+	case pki.RoleUser, pki.RoleServer:
+		// Users and peer UNICORE servers may talk to a gateway.
+	default:
+		g.countFailure("role")
+		return o, g.sealError(o.Trace, "role", fmt.Errorf("%w: %q", ErrNotPermitted, o.Role))
+	}
+	if o.Role == pki.RoleUser && g.siteAuth != nil {
+		if err := g.siteAuth(o.From); err != nil {
+			g.countFailure("site-auth")
+			return o, g.sealError(o.Trace, "site-auth", fmt.Errorf("%w: %v", ErrSiteAuth, err))
+		}
+	}
+	return o, nil
+}
+
+// dispatch routes one authenticated request to the NJS.
+func (g *Gateway) dispatch(ctx context.Context, t protocol.MsgType, raw json.RawMessage, dn core.DN, asServer bool) (any, protocol.MsgType, error) {
 	switch t {
 	case protocol.MsgConsign:
 		return g.handleConsign(ctx, raw, dn, asServer)
@@ -752,7 +732,6 @@ func (g *Gateway) putChunkTyped(ctx context.Context, req protocol.PutChunkReques
 	fwd := req
 	fwd.Owner = dn
 	var relayReply protocol.PutChunkReply
-	//lint:allow versiongate the relay delegates to Client.Call, which gates and fails fast on v1 peers
 	if relay, err := g.fedStageRelay(ctx, dn, asServer, req.Handle, protocol.MsgPutChunk, fwd, &relayReply); relay {
 		return relayReply, err
 	}
@@ -768,7 +747,6 @@ func (g *Gateway) subscribeTyped(ctx context.Context, req protocol.SubscribeRequ
 		return protocol.EventsReply{}, err
 	} else if relay {
 		var reply protocol.EventsReply
-		//lint:allow versiongate the relay delegates to Client.Call, which gates and fails fast on v1 peers
 		err := f.Relay(ctx, peer, protocol.MsgSubscribe, req, &reply)
 		return reply, err
 	}
@@ -835,12 +813,11 @@ func (g *Gateway) longPollEvents(ctx context.Context, dn core.DN, asServer bool,
 	}
 }
 
-// sealError wraps a failure as a signed error reply at the request's
-// protocol version, echoing the request's trace ID so a failed hop still
-// shows up in its trace. If even sealing fails the gateway returns an
-// unsigned error document as a last resort.
-func (g *Gateway) sealError(ver int, trace, code string, cause error) []byte {
-	out, err := protocol.SealTracedAt(g.cred, ver, trace, protocol.MsgError, protocol.ErrorReply{
+// sealError wraps a failure as a signed error reply, echoing the request's
+// trace ID so a failed hop still shows up in its trace. If even sealing fails
+// the gateway returns an unsigned error document as a last resort.
+func (g *Gateway) sealError(trace, code string, cause error) []byte {
+	out, err := protocol.SealTraced(g.cred, trace, protocol.MsgError, protocol.ErrorReply{
 		Code:    code,
 		Message: cause.Error(),
 	})

@@ -9,7 +9,7 @@ import (
 	"unicore/internal/telemetry"
 )
 
-// TestMetricsScrape pulls the v2 telemetry snapshot from a live gateway:
+// TestMetricsScrape pulls the telemetry snapshot from a live gateway:
 // the default scrape is one merged site-wide snapshot with spans stripped,
 // -per-replica style requests return every origin, and the request's own
 // envelope verification is already visible in the counters it reads back.
@@ -83,33 +83,5 @@ func TestMetricsScrape(t *testing.T) {
 	if all.Total("pki_verify_total") < snap.Total("pki_verify_total") {
 		t.Errorf("per-replica merge lost counts: %v < %v",
 			all.Total("pki_verify_total"), snap.Total("pki_verify_total"))
-	}
-}
-
-// TestMetricsRequiresV2 keeps v1 interop untouched: MsgMetrics inside a
-// v1-sealed envelope is refused with the version-rejection marker, answered
-// at v1 so a strict v1 verifier can read the error it caused.
-func TestMetricsRequiresV2(t *testing.T) {
-	s := newSite(t)
-	env, err := protocol.SealAt(s.alice, 1, protocol.MsgMetrics, protocol.MetricsRequest{})
-	if err != nil {
-		t.Fatalf("SealAt(1): %v", err)
-	}
-	ver, mt, raw, _, _, err := protocol.OpenVersioned(s.ca, s.gw.Handle(env))
-	if err != nil {
-		t.Fatalf("OpenVersioned: %v", err)
-	}
-	if mt != protocol.MsgError {
-		t.Fatalf("v1 metrics request answered with %s, want %s", mt, protocol.MsgError)
-	}
-	if ver != 1 {
-		t.Fatalf("rejection sealed at v%d, want v1", ver)
-	}
-	var er protocol.ErrorReply
-	if err := json.Unmarshal(raw, &er); err != nil {
-		t.Fatalf("decode error reply: %v", err)
-	}
-	if !protocol.IsVersionRejection(&er) {
-		t.Fatalf("rejection %v not recognised by IsVersionRejection", &er)
 	}
 }

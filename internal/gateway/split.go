@@ -185,25 +185,22 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Handle authenticates the envelope at the firewall and relays it inward.
-// Failures are answered locally with sealed error replies (at the version
-// the request arrived with) — unauthenticated traffic never crosses the
-// firewall. Note the relay serializes frames on one pooled connection, so a
-// split site that serves MsgSubscribe long-polls should configure a small
-// gateway MaxEventWait; subscribers recover by re-issuing their cursor.
+// Failures are answered locally with sealed error replies — unauthenticated
+// traffic never crosses the firewall. Note the relay serializes frames on one
+// pooled connection, so a split site that serves MsgSubscribe long-polls
+// should configure a small gateway MaxEventWait; subscribers recover by
+// re-issuing their cursor.
 func (f *Front) Handle(data []byte) []byte {
-	ver, _, _, _, role, err := protocol.OpenVersioned(f.ca, data)
+	_, _, _, role, err := protocol.Open(f.ca, data)
 	if err != nil {
-		if ver == 0 {
-			ver = protocol.Version
-		}
-		return f.sealError(ver, "authentication", err)
+		return f.sealError("authentication", err)
 	}
 	if role != pki.RoleUser && role != pki.RoleServer {
-		return f.sealError(ver, "role", fmt.Errorf("%w: %q", ErrNotPermitted, role))
+		return f.sealError("role", fmt.Errorf("%w: %q", ErrNotPermitted, role))
 	}
 	reply, err := f.relay(data)
 	if err != nil {
-		return f.sealError(ver, "relay", fmt.Errorf("gateway: relaying inside the firewall: %w", err))
+		return f.sealError("relay", fmt.Errorf("gateway: relaying inside the firewall: %w", err))
 	}
 	return reply
 }
@@ -242,8 +239,8 @@ func (f *Front) Close() {
 	}
 }
 
-func (f *Front) sealError(ver int, code string, cause error) []byte {
-	out, err := protocol.SealAt(f.cred, ver, protocol.MsgError, protocol.ErrorReply{
+func (f *Front) sealError(code string, cause error) []byte {
+	out, err := protocol.Seal(f.cred, protocol.MsgError, protocol.ErrorReply{
 		Code:    code,
 		Message: cause.Error(),
 	})

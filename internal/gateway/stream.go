@@ -15,7 +15,6 @@ import (
 	"net/http"
 
 	"unicore/internal/core"
-	"unicore/internal/pki"
 	"unicore/internal/protocol"
 )
 
@@ -56,36 +55,23 @@ func (g *Gateway) ServeStream(ctx context.Context, conn net.Conn) {
 	active.Inc()
 	defer active.Dec()
 	protocol.ServeStreamConn(ctx, conn, g, protocol.StreamServerOpts{
-		Cred:       g.cred,
-		CA:         g.ca,
-		Usite:      g.usite,
-		MaxVersion: g.maxVer,
+		Cred:  g.cred,
+		Usite: g.usite,
 		OnFrame: func(kind byte) {
 			g.tel.Counter("gateway_stream_frames_total", "kind", frameKindName(kind)).Inc()
 		},
 	})
 }
 
-// StreamHello authorises one verified Hello envelope: the same role policy
-// and site-specific authentication the envelope path applies per request,
-// performed once and bound to the connection.
-func (g *Gateway) StreamHello(o protocol.Opened) error {
-	verifies := g.tel.Counter("pki_verify_total")
-	verifies.Inc()
-	switch o.Role {
-	case pki.RoleUser, pki.RoleServer:
-	default:
-		g.countFailure("role")
-		return fmt.Errorf("%w: %q", ErrNotPermitted, o.Role)
+// StreamHello authenticates one Hello envelope: the same verification, role
+// policy and site-specific authentication the envelope path applies per
+// request, performed once and bound to the connection.
+func (g *Gateway) StreamHello(hello []byte) (protocol.Opened, []byte) {
+	o, refusal := g.authenticate(hello)
+	if refusal == nil {
+		g.tel.Counter("gateway_stream_hellos_total", "role", string(o.Role)).Inc()
 	}
-	if o.Role == pki.RoleUser && g.siteAuth != nil {
-		if err := g.siteAuth(o.From); err != nil {
-			g.countFailure("site-auth")
-			return fmt.Errorf("%w: %v", ErrSiteAuth, err)
-		}
-	}
-	g.tel.Counter("gateway_stream_hellos_total", "role", string(o.Role)).Inc()
-	return nil
+	return o, refusal
 }
 
 // StreamConsign serves one consignment arriving as a frame.
@@ -106,7 +92,6 @@ func (g *Gateway) StreamPoll(ctx context.Context, dn core.DN, asServer bool, req
 // the zero-copy upload path: no base64, no per-chunk signature; integrity is
 // the per-chunk CRC now and the signed whole-transfer digest at commit.
 func (g *Gateway) StreamPutChunk(ctx context.Context, dn core.DN, asServer bool, req protocol.PutChunkRequest) (protocol.PutChunkReply, error) {
-	//lint:allow versiongate v3 stream handlers only run after a v3 handshake; no older peer can reach them
 	sp := g.tel.StartSpan(ctx, "gateway.dispatch").Note(string(protocol.MsgPutChunk))
 	defer sp.End()
 	return g.putChunkTyped(ctx, req, dn, asServer)
@@ -129,7 +114,6 @@ func (g *Gateway) StreamTransfer(ctx context.Context, dn core.DN, asServer bool,
 // StreamEvents serves one event-batch round of a stream subscription: the
 // same federation routing and long-poll core as an envelope MsgSubscribe.
 func (g *Gateway) StreamEvents(ctx context.Context, dn core.DN, asServer bool, req protocol.SubscribeRequest) (protocol.EventsReply, error) {
-	//lint:allow versiongate v3 stream handlers only run after a v3 handshake; no older peer can reach them
 	sp := g.tel.StartSpan(ctx, "gateway.dispatch").Note(string(protocol.MsgSubscribe))
 	defer sp.End()
 	return g.subscribeTyped(ctx, req, dn, asServer)

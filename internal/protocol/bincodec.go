@@ -11,13 +11,12 @@ import (
 	"unicore/internal/events"
 )
 
-// Compact binary codec for the protocol v3 hot message kinds. JSON stays the
-// payload format of every signed envelope at every version — v1/v2 wire
-// bytes are untouched — but the frames of a v3 stream carry these hand-rolled
-// uvarint encodings instead: no field names, no base64 expansion of chunk
-// data, no reflection. Each encoder appends to a (possibly pooled) buffer;
-// each decoder consumes a binReader and leaves error handling to one check
-// at the end.
+// Compact binary codec for the hot message kinds. JSON stays the payload
+// format of every signed envelope, but the frames of a v3 stream carry these
+// hand-rolled uvarint encodings instead: no field names, no base64 expansion
+// of chunk data, no reflection. Each encoder appends to a (possibly pooled)
+// buffer; each decoder consumes a binReader and leaves error handling to one
+// check at the end.
 
 // Binary request discriminators — the first byte of a FrameCall payload.
 const (

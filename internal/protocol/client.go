@@ -51,26 +51,12 @@ func (r *Registry) Sites() []core.Usite {
 	return out
 }
 
-// CallOpts tunes one Call. The zero value is right for almost every call.
-type CallOpts struct {
-	// MinVersion overrides the version floor derived from the message kind
-	// (MinVersionFor): a caller sending a kind whose semantics changed at a
-	// later version can refuse downgraded peers explicitly.
-	MinVersion int
-	// NoStream pins this call to the signed-envelope POST path even when a
-	// v3 stream to the site is available.
-	NoStream bool
-}
-
-// Client is the signed-envelope RPC client used by the user tier (JPA/JMC/
-// Session) and by NJS→peer-gateway communication. It negotiates the protocol
-// version per site: requests are sealed at the newest version the site is
-// known to accept, and a version rejection downgrades the site one version
-// and retries the call transparently (v3→v2→v1). Against a v3 peer the hot
-// message kinds (consign, poll, fetch/transfer, staged chunks, event
-// subscriptions) ride a persistent multiplexed frame stream; everything
-// else — and every call to an older peer — travels as one signed envelope
-// per POST, byte-identical to previous releases.
+// Client is the signed-envelope RPC client used by the user tier (JPA/
+// Session) and by NJS→peer-gateway communication. The hot message kinds
+// (consign, poll, fetch/transfer, staged chunks, event subscriptions) ride a
+// persistent multiplexed frame stream per site; everything else — and every
+// call when the transport has no stream path — travels as one signed envelope
+// per POST.
 type Client struct {
 	tr       Transport
 	cred     *pki.Credential
@@ -81,17 +67,10 @@ type Client struct {
 	// idempotent via ConsignID, everything else is read-only or
 	// idempotent).
 	Retries int
-	// MaxVersion caps the protocol version this client negotiates (0 = the
-	// build's Version). Pinning to 2 reproduces a pre-v3 client exactly.
-	MaxVersion int
-	// DisableStreams keeps every call on the envelope POST path even
-	// against v3 peers — for callers whose traffic must stay per-request
-	// (fault-injection shims, conservative relays).
+	// DisableStreams keeps every call on the envelope POST path — for
+	// callers whose traffic must stay per-request (fault-injection shims,
+	// conservative relays).
 	DisableStreams bool
-
-	// vmu guards the negotiated per-site protocol versions.
-	vmu  sync.Mutex
-	vers map[core.Usite]int
 
 	// smu guards the per-site persistent streams.
 	smu     sync.Mutex
@@ -111,7 +90,7 @@ type siteStream struct {
 // http.RoundTripper with OverHTTP.
 func NewClient(tr Transport, cred *pki.Credential, ca *pki.Authority, reg *Registry) *Client {
 	return &Client{tr: tr, cred: cred, ca: ca, registry: reg, Retries: 2,
-		vers: make(map[core.Usite]int), streams: make(map[core.Usite]*siteStream)}
+		streams: make(map[core.Usite]*siteStream)}
 }
 
 // DN returns the client identity.
@@ -119,34 +98,6 @@ func (c *Client) DN() core.DN { return c.cred.DN() }
 
 // Registry returns the client's site registry.
 func (c *Client) Registry() *Registry { return c.registry }
-
-// maxVersion is the ceiling this client negotiates from.
-func (c *Client) maxVersion() int {
-	if c.MaxVersion > 0 && c.MaxVersion < Version {
-		return c.MaxVersion
-	}
-	return Version
-}
-
-// SiteVersion returns the protocol version this client currently seals
-// requests to a site at (the negotiation ceiling until a rejection
-// negotiated it down).
-func (c *Client) SiteVersion(usite core.Usite) int {
-	v := c.maxVersion()
-	c.vmu.Lock()
-	defer c.vmu.Unlock()
-	if cached, ok := c.vers[usite]; ok && cached < v {
-		return cached
-	}
-	return v
-}
-
-// setSiteVersion records a negotiated site version.
-func (c *Client) setSiteVersion(usite core.Usite, v int) {
-	c.vmu.Lock()
-	c.vers[usite] = v
-	c.vmu.Unlock()
-}
 
 // Close tears down every persistent stream. The client remains usable; new
 // calls redial as needed.
@@ -171,55 +122,24 @@ func (c *Client) Close() {
 // into replyOut (a pointer). Server errors arrive as *ErrorReply errors.
 // Cancellation aborts the in-flight round trip (a server long-poll —
 // MsgSubscribe — unblocks as soon as the caller cancels) and stops the retry
-// loop. Call also runs the passive version negotiation: a version-rejection
-// error reply downgrades the site one protocol version and retries the call
-// transparently, and a version floor (V2Only kinds against a v1 peer) fails
-// fast with ErrV1Peer.
-func (c *Client) Call(ctx context.Context, usite core.Usite, t MsgType, payload any, replyOut any, opts ...CallOpts) error {
-	var opt CallOpts
-	if len(opts) > 0 {
-		opt = opts[0]
+// loop.
+func (c *Client) Call(ctx context.Context, usite core.Usite, t MsgType, payload any, replyOut any) error {
+	if !c.DisableStreams {
+		if err, handled := c.streamCall(ctx, usite, t, payload, replyOut); handled {
+			return err
+		}
 	}
-	floor := opt.MinVersion
-	if floor == 0 {
-		floor = MinVersionFor(t)
-	}
-	for {
-		ver := c.SiteVersion(usite)
-		if floor > ver {
-			return fmt.Errorf("%w: %s", ErrV1Peer, usite)
-		}
-		var err error
-		handled := false
-		if ver >= 3 && !c.DisableStreams && !opt.NoStream {
-			err, handled = c.streamCall(ctx, usite, t, payload, replyOut)
-		}
-		if !handled {
-			err = c.callOnce(ctx, usite, ver, t, payload, replyOut)
-		}
-		var er *ErrorReply
-		if errors.As(err, &er) && ver > MinVersion && IsVersionRejection(er) {
-			// Downgrade one version and retry: v3→v2 keeps the session API,
-			// v2→v1 is the legacy polling floor.
-			c.setSiteVersion(usite, ver-1)
-			if ver-1 < 3 {
-				c.dropSiteStream(usite, nil)
-			}
-			continue
-		}
-		return err
-	}
+	return c.callOnce(ctx, usite, t, payload, replyOut)
 }
 
-// callOnce performs one sealed envelope round trip at an explicit version.
-func (c *Client) callOnce(ctx context.Context, usite core.Usite, ver int, t MsgType, payload any, replyOut any) error {
+// callOnce performs one sealed envelope round trip.
+func (c *Client) callOnce(ctx context.Context, usite core.Usite, t MsgType, payload any, replyOut any) error {
 	base, ok := c.registry.Lookup(usite)
 	if !ok {
 		return fmt.Errorf("protocol: unknown Usite %q", usite)
 	}
-	// Propagate the caller's distributed trace in the envelope header; the
-	// field only exists at v2+, so SealTracedAt drops it for v1 peers.
-	body, err := SealTracedAt(c.cred, ver, telemetry.TraceFrom(ctx), t, payload)
+	// Propagate the caller's distributed trace in the envelope header.
+	body, err := SealTraced(c.cred, telemetry.TraceFrom(ctx), t, payload)
 	if err != nil {
 		return err
 	}
@@ -237,22 +157,9 @@ func (c *Client) callOnce(ctx context.Context, usite core.Usite, ver int, t MsgT
 	if err != nil {
 		return fmt.Errorf("protocol: %s to %s failed after %d attempts: %w", t, usite, attempts, err)
 	}
-	rt, raw, _, role, err := Open(c.ca, respBody)
-	if err != nil {
-		return fmt.Errorf("protocol: verifying reply from %s: %w", usite, err)
-	}
-	if role != pki.RoleServer {
-		return fmt.Errorf("protocol: reply from %s signed by a %s certificate, want server", usite, role)
-	}
-	if rt == MsgError {
-		var er ErrorReply
-		if err := json.Unmarshal(raw, &er); err != nil {
-			return fmt.Errorf("protocol: undecodable error reply: %w", err)
-		}
-		return &er
-	}
-	if replyOut == nil {
-		return nil
+	rt, raw, err := openReply(c.ca, usite, respBody)
+	if err != nil || replyOut == nil {
+		return err
 	}
 	if err := json.Unmarshal(raw, replyOut); err != nil {
 		return fmt.Errorf("protocol: decoding %s reply: %w", rt, err)
@@ -260,9 +167,30 @@ func (c *Client) callOnce(ctx context.Context, usite core.Usite, ver int, t MsgT
 	return nil
 }
 
+// openReply verifies one server-signed reply envelope — a POST response or
+// a stream hello's answer. A MsgError reply comes back as an *ErrorReply
+// error.
+func openReply(ca *pki.Authority, usite core.Usite, data []byte) (MsgType, json.RawMessage, error) {
+	rt, raw, _, role, err := Open(ca, data)
+	if err != nil {
+		return "", nil, fmt.Errorf("protocol: verifying reply from %s: %w", usite, err)
+	}
+	if role != pki.RoleServer {
+		return "", nil, fmt.Errorf("protocol: reply from %s signed by a %s certificate, want server", usite, role)
+	}
+	if rt == MsgError {
+		var er ErrorReply
+		if err := json.Unmarshal(raw, &er); err != nil {
+			return "", nil, fmt.Errorf("protocol: undecodable error reply: %w", err)
+		}
+		return "", nil, &er
+	}
+	return rt, raw, nil
+}
+
 // stream returns the live persistent stream to a site, dialing one if
-// needed. ErrNoStream is sticky: once the transport or the peer refuses the
-// stream path, the site stays on envelopes until the client is rebuilt.
+// needed. ErrNoStream is sticky: once the transport reports it has no stream
+// path, the site stays on envelopes until the client is rebuilt.
 func (c *Client) stream(ctx context.Context, usite core.Usite) (*streamConn, error) {
 	c.smu.Lock()
 	ss := c.streams[usite]
@@ -318,10 +246,10 @@ func (c *Client) dropSiteStream(usite core.Usite, sc *streamConn) {
 
 // streamCall routes one hot-path call over the site's persistent stream.
 // handled=false means "this call did not happen over the stream — use the
-// envelope path": unknown kinds, no stream path, a request the server
-// cannot serve over frames, or a connection that died even after one
-// reconnect (the envelope path has its own retry loop, and every streamable
-// request is idempotent, so the replay is safe).
+// envelope path": unknown kinds, no stream path, or a connection that died
+// even after one reconnect (the envelope path has its own retry loop, and
+// every streamable request is idempotent, so the replay is safe). A hello the
+// server refused is the call's answer, not a dead connection.
 func (c *Client) streamCall(ctx context.Context, usite core.Usite, t MsgType, payload any, replyOut any) (error, bool) {
 	kind, frame, ok := encodeStreamRequest(t, payload, telemetry.TraceFrom(ctx))
 	if !ok {
@@ -334,21 +262,21 @@ func (c *Client) streamCall(ctx context.Context, usite core.Usite, t MsgType, pa
 		if ctx.Err() != nil {
 			return fmt.Errorf("protocol: %s to %s: %w", t, usite, ctx.Err()), true
 		}
+		var refused *ErrorReply
+		if errors.As(err, &refused) {
+			return err, true
+		}
 		return nil, false
 	}
 	if f.Kind == FrameError {
 		code, msg := parseStreamError(f.Payload)
-		switch code {
-		case StreamErrUnsupported:
-			return nil, false
-		case StreamErrBadFrame:
+		if code == StreamErrBadFrame {
 			c.dropSiteStream(usite, nil)
 			return nil, false
-		default:
-			// Mirror the envelope path's error shape: the gateway would have
-			// sealed this as an ErrorReply coded with the request type.
-			return &ErrorReply{Code: string(t), Message: msg}, true
 		}
+		// Mirror the envelope path's error shape: the gateway would have
+		// sealed this as an ErrorReply coded with the request type.
+		return &ErrorReply{Code: string(t), Message: msg}, true
 	}
 	if err := decodeStreamReply(t, f, replyOut); err != nil {
 		// An undecodable reply poisons the connection, not the call.
@@ -531,9 +459,9 @@ func assignReply[T any](replyOut any, v T) error {
 // ends (terminal job event, connection loss, consumer overflow); a close
 // without a terminal event means "resume by cursor" — re-subscribe or fall
 // back to polling; nothing is lost either way. Returns ErrNoStream when the
-// site has no stream path (older peer or POST-only transport).
+// site has no stream path (POST-only transport).
 func (c *Client) SubscribeStream(ctx context.Context, usite core.Usite, req SubscribeRequest) (<-chan EventsReply, func(), error) {
-	if c.DisableStreams || c.SiteVersion(usite) < 3 {
+	if c.DisableStreams {
 		return nil, nil, ErrNoStream
 	}
 	sc, err := c.stream(ctx, usite)

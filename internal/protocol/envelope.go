@@ -36,39 +36,20 @@ func parseCert(der []byte) (*x509.Certificate, error) {
 	return cert, nil
 }
 
-// Version is the newest wire protocol version this build speaks. Protocol v2
-// adds the session API: MsgSubscribe/MsgEventsReply server-push job event
-// streams with cursor-resumable batches. Protocol v3 adds the persistent
-// multiplexed frame stream (see frame.go): hot message kinds ride a
-// long-lived authenticated connection in a compact binary codec, staged
-// chunks travel as raw frames integrity-checked by the whole-transfer CRC
-// that MsgPutCommit signs, and event batches are pushed server-side. The
-// envelope POST path remains fully supported at v3 — streams are purely a
-// hot-path overlay, so every v1/v2 exchange is byte-identical to before.
+// Version is the one wire protocol version this build speaks: signed
+// envelopes over POST for every message kind, plus the persistent multiplexed
+// frame stream (see frame.go) that the hot kinds ride — a long-lived
+// authenticated connection in a compact binary codec, staged chunks as raw
+// frames integrity-checked by the whole-transfer CRC that MsgPutCommit signs,
+// and event batches pushed server-side. An envelope or stream hello at any
+// other version is refused with a server-signed ErrBadVersion error.
 const Version = 3
 
-// MinVersion is the oldest wire protocol version still accepted. v1 peers
-// (request/reply polling only) keep working against v2 servers: their
-// envelopes verify, and replies are sealed back at the version the request
-// arrived with.
-const MinVersion = 1
-
-// Errors reported when opening envelopes and negotiating versions.
+// Errors reported when opening envelopes.
 var (
 	ErrBadEnvelope = errors.New("protocol: malformed envelope")
 	ErrBadVersion  = errors.New("protocol: unsupported protocol version")
-	// ErrV1Peer reports that a v2-only request (MsgSubscribe or a staging
-	// MsgPut*) was addressed to a peer that negotiated down to protocol v1.
-	ErrV1Peer = errors.New("protocol: peer speaks protocol v1 (no server-push events)")
 )
-
-// IsVersionRejection reports whether a server error reply is a protocol
-// version rejection — the downgrade signal of the passive version
-// negotiation: a client that sealed at v2 and got this back re-seals at v1
-// and remembers the peer's version.
-func IsVersionRejection(er *ErrorReply) bool {
-	return er != nil && strings.Contains(er.Message, ErrBadVersion.Error())
-}
 
 // MsgType discriminates envelope payloads.
 type MsgType string
@@ -96,12 +77,12 @@ const (
 	MsgFetch          MsgType = "fetch"
 	MsgFetchReply     MsgType = "fetch-reply"
 	// MsgSubscribe fetches a cursor-resumable batch of job lifecycle events,
-	// long-polling server-side until events are available (protocol v2).
+	// long-polling server-side until events are available.
 	MsgSubscribe MsgType = "subscribe"
 	// MsgEventsReply answers a subscription with a coalesced event batch.
 	MsgEventsReply MsgType = "events-reply"
 	// MsgPutOpen begins a staged upload into a Vsite's spool area, returning
-	// the transfer handle the chunks are sent under (protocol v2).
+	// the transfer handle the chunks are sent under.
 	MsgPutOpen MsgType = "put-open"
 	// MsgPutOpenReply acknowledges a staged-upload open with its handle.
 	MsgPutOpenReply MsgType = "put-open-reply"
@@ -116,13 +97,13 @@ const (
 	// MsgPutCommitReply acknowledges the seal with the recorded size and CRC.
 	MsgPutCommitReply MsgType = "put-commit-reply"
 	// MsgMetrics scrapes a point-in-time telemetry snapshot from a live
-	// server (protocol v2): per-origin metric values plus recent trace spans,
+	// server: per-origin metric values plus recent trace spans,
 	// merged across pool replicas by the Router.
 	MsgMetrics MsgType = "metrics"
 	// MsgMetricsReply carries the scraped snapshots, one per origin.
 	MsgMetricsReply MsgType = "metrics-reply"
 	// MsgFedAdvertise exchanges federation advertisements between peered
-	// gateways (protocol v2): the sender pushes every fresh advertisement it
+	// gateways: the sender pushes every fresh advertisement it
 	// holds — its own plus relayed peers' — and the receiver answers with its
 	// view, so one gossip round trip converges both peer tables.
 	MsgFedAdvertise MsgType = "fed-advertise"
@@ -139,36 +120,6 @@ const (
 	MsgHelloReply MsgType = "hello-reply"
 	MsgError      MsgType = "error"
 )
-
-// V2Only reports whether a message type exists only in protocol v2 and
-// later — the client refuses to address these to a peer that negotiated down
-// to v1, and servers refuse them inside a v1-sealed envelope.
-func V2Only(t MsgType) bool {
-	switch t {
-	case MsgSubscribe, MsgPutOpen, MsgPutChunk, MsgPutCommit, MsgMetrics,
-		MsgFedAdvertise, MsgFedAdvertiseReply:
-		return true
-	}
-	return V3Only(t)
-}
-
-// V3Only reports whether a message type exists only in protocol v3 — the
-// stream handshake pair, which never appears below v3.
-func V3Only(t MsgType) bool {
-	return t == MsgHello || t == MsgHelloReply
-}
-
-// MinVersionFor returns the lowest protocol version a message kind exists
-// at — the floor the client checks before addressing a downgraded peer.
-func MinVersionFor(t MsgType) int {
-	switch {
-	case V3Only(t):
-		return 3
-	case V2Only(t):
-		return 2
-	}
-	return MinVersion
-}
 
 // MsgTypes lists every defined message type, in wire-constant order. Servers
 // use it to pre-size lock-free per-type counters.
@@ -201,39 +152,22 @@ func MsgTypes() []MsgType {
 type Envelope struct {
 	Version int     `json:"version"`
 	Type    MsgType `json:"type"`
-	// Trace is the request's distributed trace ID (protocol v2, optional).
-	// It rides the envelope header, outside the signed payload, so relays
-	// can read it without re-verifying; v1 envelopes omit it entirely and
-	// their wire encoding is byte-identical to pre-trace builds.
+	// Trace is the request's distributed trace ID (optional). It rides the
+	// envelope header, outside the signed payload, so relays can read it
+	// without re-verifying.
 	Trace     string          `json:"trace,omitempty"`
 	Payload   json.RawMessage `json:"payload"`
 	Signature pki.Signature   `json:"signature"`
 }
 
 // Seal marshals payload, signs it with cred, and returns the encoded
-// envelope at the current protocol version.
+// envelope.
 func Seal(cred *pki.Credential, t MsgType, payload any) ([]byte, error) {
-	return SealAt(cred, Version, t, payload)
+	return SealTraced(cred, "", t, payload)
 }
 
-// SealAt seals an envelope at an explicit protocol version — the negotiation
-// hook: clients seal at the version a site last accepted, servers seal
-// replies at the version the request arrived with.
-func SealAt(cred *pki.Credential, version int, t MsgType, payload any) ([]byte, error) {
-	return SealTracedAt(cred, version, "", t, payload)
-}
-
-// SealTracedAt is SealAt plus a distributed trace ID in the envelope
-// header. The trace field is a v2 extension: sealing at v1 drops it so v1
-// envelopes stay byte-identical to pre-trace builds (the versiongate
-// contract for wire-visible v2 additions).
-func SealTracedAt(cred *pki.Credential, version int, trace string, t MsgType, payload any) ([]byte, error) {
-	if version < MinVersion || version > Version {
-		return nil, fmt.Errorf("%w: cannot seal at version %d", ErrBadVersion, version)
-	}
-	if version < 2 {
-		trace = ""
-	}
+// SealTraced is Seal plus a distributed trace ID in the envelope header.
+func SealTraced(cred *pki.Credential, trace string, t MsgType, payload any) ([]byte, error) {
 	body, err := json.Marshal(payload)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: marshal %s payload: %w", t, err)
@@ -242,7 +176,7 @@ func SealTracedAt(cred *pki.Credential, version int, trace string, t MsgType, pa
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(Envelope{Version: version, Type: t, Trace: trace, Payload: body, Signature: sig})
+	return json.Marshal(Envelope{Version: Version, Type: t, Trace: trace, Payload: body, Signature: sig})
 }
 
 // Open decodes an envelope, verifies the payload signature against the CA,
@@ -250,27 +184,13 @@ func SealTracedAt(cred *pki.Credential, version int, trace string, t MsgType, pa
 // role chains through the same CA; callers enforce role expectations
 // (gateways accept users and servers, clients expect servers).
 func Open(ca *pki.Authority, data []byte) (MsgType, json.RawMessage, core.DN, pki.Role, error) {
-	_, t, raw, dn, role, err := OpenVersioned(ca, data)
-	return t, raw, dn, role, err
-}
-
-// OpenVersioned is Open plus the envelope's protocol version, which servers
-// mirror when sealing the reply so that v1 peers keep verifying replies.
-// Every version in [MinVersion, Version] is accepted. On verification
-// failures past the version check, the parsed in-range version is still
-// returned (with the error), so a server can seal its error reply at the
-// version the failing peer speaks.
-func OpenVersioned(ca *pki.Authority, data []byte) (int, MsgType, json.RawMessage, core.DN, pki.Role, error) {
 	o, err := OpenTraced(ca, data)
-	return o.Version, o.Type, o.Payload, o.From, o.Role, err
+	return o.Type, o.Payload, o.From, o.Role, err
 }
 
-// Opened is the result of opening an envelope with OpenTraced: the
-// negotiated version, the verified payload and signer identity, and the
-// optional v2 trace ID from the header.
+// Opened is the result of opening an envelope with OpenTraced: the verified
+// payload and signer identity, and the optional trace ID from the header.
 type Opened struct {
-	// Version is the envelope's protocol version.
-	Version int
 	// Type is the message kind.
 	Type MsgType
 	// Payload is the verified raw payload.
@@ -279,28 +199,24 @@ type Opened struct {
 	From core.DN
 	// Role is the signer's certificate role (user or server).
 	Role pki.Role
-	// Trace is the distributed trace ID, "" when absent or on a v1
-	// envelope (the field is v2-only; a v1 sender cannot set it).
+	// Trace is the distributed trace ID, "" when absent.
 	Trace string
 }
 
-// OpenTraced is OpenVersioned returning a structured result that also
-// carries the envelope's trace ID. On verification failures past the
-// version check, the parsed in-range version (and trace, if any) is still
-// returned with the error so servers can seal version-matched error
-// replies and attribute the failure to a trace.
+// OpenTraced is Open returning a structured result that also carries the
+// envelope's trace ID. An envelope at any version but Version is refused with
+// ErrBadVersion before its signature is looked at. On verification failures
+// past the version check, the trace (if any) is still returned with the error
+// so servers can attribute the failure to a trace.
 func OpenTraced(ca *pki.Authority, data []byte) (Opened, error) {
 	var env Envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return Opened{}, fmt.Errorf("%w: %v", ErrBadEnvelope, err)
 	}
-	if env.Version < MinVersion || env.Version > Version {
+	if env.Version != Version {
 		return Opened{}, fmt.Errorf("%w: %d", ErrBadVersion, env.Version)
 	}
-	o := Opened{Version: env.Version}
-	if env.Version >= 2 {
-		o.Trace = env.Trace
-	}
+	o := Opened{Trace: env.Trace}
 	dn, err := ca.VerifySignature(env.Payload, env.Signature, "")
 	if err != nil {
 		return o, err
@@ -462,12 +378,12 @@ type LoadReply struct {
 	Vsites  map[string]VsiteLoad `json:"vsites"`
 }
 
-// JobEvent is one protocol-v2 job lifecycle notification — the wire shape is
+// JobEvent is one job lifecycle notification — the wire shape is
 // exactly the server's log record (package events).
 type JobEvent = events.Event
 
-// SubscribeRequest fetches a batch of job lifecycle events past a cursor
-// (protocol v2). Job selects one job's stream (resumed at the per-job Cursor);
+// SubscribeRequest fetches a batch of job lifecycle events past a cursor.
+// Job selects one job's stream (resumed at the per-job Cursor);
 // an empty Job selects all of the caller's jobs at the Usite (resumed at the
 // per-replica Origins cursors). WaitMs asks the server to long-poll: hold the
 // request up to that many real milliseconds until events are available, then
@@ -493,8 +409,8 @@ type EventsReply struct {
 	Gap     bool              `json:"gap,omitempty"`
 }
 
-// PutOpenRequest begins a staged upload into the spool area of a Vsite
-// (protocol v2). Huge job inputs travel ahead of the AJO through this chunked
+// PutOpenRequest begins a staged upload into the spool area of a Vsite.
+// Huge job inputs travel ahead of the AJO through this chunked
 // path instead of riding inline inside one giant signed consign envelope
 // (§5.6 "data are transferred in chunks, on user request"): the later
 // ImportTask references the committed upload by its handle
@@ -574,8 +490,8 @@ type PutCommitReply struct {
 	Chunks int64  `json:"chunks"`
 }
 
-// MetricsRequest scrapes a live telemetry snapshot from a Usite
-// (protocol v2). PerReplica asks for the unmerged per-origin breakdown in
+// MetricsRequest scrapes a live telemetry snapshot from a Usite.
+// PerReplica asks for the unmerged per-origin breakdown in
 // addition to the aggregate; Spans asks to include recent trace spans.
 type MetricsRequest struct {
 	PerReplica bool `json:"perReplica,omitempty"`
@@ -651,3 +567,9 @@ type ErrorReply struct {
 
 // Error renders the reply as an error.
 func (e ErrorReply) Error() string { return fmt.Sprintf("%s: %s", e.Code, e.Message) }
+
+// Is makes errors.Is(err, ErrBadVersion) hold for a server's refusal of an
+// envelope or stream hello sealed at a version it does not speak.
+func (e ErrorReply) Is(target error) bool {
+	return target == ErrBadVersion && strings.Contains(e.Message, ErrBadVersion.Error())
+}

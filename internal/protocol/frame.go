@@ -8,23 +8,24 @@ import (
 	"sync"
 )
 
-// Protocol v3 replaces the one-POST-per-envelope hot path with a persistent
-// multiplexed byte stream per (client, site) pair. The stream carries frames:
+// The hot message kinds ride a persistent multiplexed byte stream per
+// (client, site) pair instead of one POST per envelope. The stream carries
+// frames:
 //
 //	u32 BE  length   — covers kind + id + payload, at most MaxFramePayload+9
 //	u8      kind     — frame discriminator (Frame* constants)
 //	u64 BE  id       — correlation ID; replies carry the request's id
 //	[]byte  payload  — kind-specific body
 //
-// The first exchange on every stream is a signed Hello envelope (sealed at
-// v3) answered by a server-signed HelloOK: the connection is authenticated
-// once and the caller's DN and role are bound to it, so the hot frames that
-// follow ride without per-message signatures. Staged-upload integrity is
+// The first exchange on every stream is a signed Hello envelope answered by
+// a server-signed HelloOK: the connection is authenticated once and the
+// caller's DN and role are bound to it, so the hot frames that follow ride
+// without per-message signatures. Staged-upload integrity is
 // preserved end to end by the running whole-transfer CRC that MsgPutCommit
 // signs inside a regular envelope, and downloads are verified once against
 // the whole-file CRC at completion.
 const (
-	// FrameHello opens a stream: payload is a signed v3 MsgHello envelope.
+	// FrameHello opens a stream: payload is a signed MsgHello envelope.
 	FrameHello byte = 0x01
 	// FrameHelloOK accepts a stream: payload is a signed MsgHelloReply
 	// envelope; the client verifies it against the CA and the server role.
@@ -50,8 +51,8 @@ const (
 	FrameEvents  byte = 0x0A
 	FrameSubStop byte = 0x0B
 	// FrameError reports a per-request failure under the request's id:
-	// payload is u8 code + error message. StreamErrUnsupported tells the
-	// client to retry that request over the signed-envelope POST path.
+	// payload is u8 code + error message. A refused FrameHello is answered
+	// with one whose message is a server-signed MsgError envelope.
 	FrameError byte = 0x7F
 )
 
@@ -61,8 +62,8 @@ const (
 	// what the envelope path would have returned as an ErrorReply.
 	StreamErrGeneric byte = 0
 	// StreamErrUnsupported marks a request the server cannot serve over the
-	// stream (old build, unknown frame kind or call code): the client falls
-	// back to the envelope path for it.
+	// stream (unknown frame kind or call code); the client reports it as the
+	// call's error.
 	StreamErrUnsupported byte = 1
 	// StreamErrBadFrame reports an undecodable frame; the connection is
 	// poisoned and both ends drop it.

@@ -38,12 +38,12 @@ func fuzzCreds(t testing.TB) (*pki.Authority, *pki.Credential) {
 	return fuzzPKI.ca, fuzzPKI.cred
 }
 
-// FuzzOpenVersioned feeds arbitrary bytes to the envelope opener — the
-// exact input an internet-facing gateway receives. Invariant: no panic, and
-// anything it does accept carries an in-range version and a verified role.
-func FuzzOpenVersioned(f *testing.F) {
+// FuzzOpen feeds arbitrary bytes to the envelope opener — the exact input an
+// internet-facing gateway receives. Invariant: no panic, and anything it does
+// accept is at Version and carries a verified role.
+func FuzzOpen(f *testing.F) {
 	ca, cred := fuzzCreds(f)
-	sealed, err := SealAt(cred, Version, MsgPoll, PollRequest{Job: "FZJ-1"})
+	sealed, err := Seal(cred, MsgPoll, PollRequest{Job: "FZJ-1"})
 	if err != nil {
 		f.Fatalf("sealing seed envelope: %v", err)
 	}
@@ -56,12 +56,13 @@ func FuzzOpenVersioned(f *testing.F) {
 	f.Add(tampered)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ver, mt, raw, dn, role, err := OpenVersioned(ca, data)
+		mt, raw, dn, role, err := Open(ca, data)
 		if err != nil {
 			return
 		}
-		if ver < MinVersion || ver > Version {
-			t.Fatalf("accepted out-of-range version %d", ver)
+		var env Envelope
+		if err := json.Unmarshal(data, &env); err != nil || env.Version != Version {
+			t.Fatalf("accepted an envelope at version %d (decode: %v)", env.Version, err)
 		}
 		if mt == "" {
 			t.Fatal("accepted an envelope with an empty message type")
@@ -83,26 +84,24 @@ type fuzzBlob struct {
 	D []byte `json:"d"`
 }
 
-// FuzzSealOpenRoundTrip seals arbitrary payloads at both negotiated
-// versions and requires the opener to return them verbatim with the right
-// version, type, identity and role.
+// FuzzSealOpenRoundTrip seals arbitrary payloads and requires the opener to
+// return them verbatim with the right type, identity and role.
 func FuzzSealOpenRoundTrip(f *testing.F) {
-	f.Add(int64(2), []byte("payload"))
-	f.Add(int64(1), []byte{})
-	f.Add(int64(1), []byte{0x00, 0xff, 0xfe})
-	f.Fuzz(func(t *testing.T, verSeed int64, blob []byte) {
+	f.Add([]byte("payload"))
+	f.Add([]byte{})
+	f.Add([]byte{0x00, 0xff, 0xfe})
+	f.Fuzz(func(t *testing.T, blob []byte) {
 		ca, cred := fuzzCreds(t)
-		ver := MinVersion + int(((verSeed%2)+2)%2) // 1 or 2
-		sealed, err := SealAt(cred, ver, MsgPoll, fuzzBlob{D: blob})
+		sealed, err := Seal(cred, MsgPoll, fuzzBlob{D: blob})
 		if err != nil {
-			t.Fatalf("SealAt(v%d): %v", ver, err)
+			t.Fatalf("Seal: %v", err)
 		}
-		gotVer, mt, raw, dn, role, err := OpenVersioned(ca, sealed)
+		mt, raw, dn, role, err := Open(ca, sealed)
 		if err != nil {
-			t.Fatalf("OpenVersioned rejected its own seal: %v", err)
+			t.Fatalf("Open rejected its own seal: %v", err)
 		}
-		if gotVer != ver || mt != MsgPoll {
-			t.Fatalf("round trip changed envelope: v%d %q, want v%d %q", gotVer, mt, ver, MsgPoll)
+		if mt != MsgPoll {
+			t.Fatalf("round trip changed envelope type: %q, want %q", mt, MsgPoll)
 		}
 		if dn != cred.DN() || role != pki.RoleUser {
 			t.Fatalf("round trip changed identity: %q %q", dn, role)

@@ -49,9 +49,9 @@ type streamConn struct {
 
 // openStream dials baseURL's v3 stream and authenticates it: a signed Hello
 // envelope out, a verified server-signed HelloOK back. ErrNoStream (from the
-// transport, or from a peer that answers the Hello with an unsupported
-// error) means "this pair has no stream path" — the caller pins the site to
-// the envelope path.
+// transport) means "this pair has no stream path" — the caller pins the site
+// to the envelope path. A hello the server refuses comes back as the server's
+// signed *ErrorReply.
 func openStream(ctx context.Context, tr Transport, baseURL string, cred *pki.Credential, ca *pki.Authority, usite core.Usite) (*streamConn, error) {
 	conn, err := tr.OpenStream(ctx, baseURL)
 	if err != nil {
@@ -63,7 +63,7 @@ func openStream(ctx context.Context, tr Transport, baseURL string, cred *pki.Cre
 		return nil, err
 	}
 	nonce := hex.EncodeToString(nb[:])
-	hello, err := SealTracedAt(cred, 3, telemetry.TraceFrom(ctx), MsgHello, HelloRequest{Usite: usite, Nonce: nonce})
+	hello, err := SealTraced(cred, telemetry.TraceFrom(ctx), MsgHello, HelloRequest{Usite: usite, Nonce: nonce})
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -82,30 +82,30 @@ func openStream(ctx context.Context, tr Transport, baseURL string, cred *pki.Cre
 		conn.Close()
 		return nil, fmt.Errorf("protocol: v3 hello to %s: %w", usite, err)
 	}
+	// Accepted or refused, the answer is a server-signed envelope: a
+	// MsgHelloReply in a FrameHelloOK, or a MsgError as the message of a
+	// FrameError.
+	answer := f.Payload
 	switch f.Kind {
 	case FrameHelloOK:
 	case FrameError:
-		code, msg := parseStreamError(f.Payload)
-		conn.Close()
-		if code == StreamErrUnsupported {
-			return nil, fmt.Errorf("%w: %s", ErrNoStream, msg)
-		}
-		return nil, fmt.Errorf("protocol: v3 hello to %s refused: %s", usite, msg)
+		_, msg := parseStreamError(f.Payload)
+		answer = []byte(msg)
 	default:
 		conn.Close()
 		return nil, fmt.Errorf("protocol: v3 hello to %s answered with frame kind %#x", usite, f.Kind)
 	}
-	o, err := OpenTraced(ca, f.Payload)
+	rt, raw, err := openReply(ca, usite, answer)
 	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("protocol: verifying v3 hello reply from %s: %w", usite, err)
+		return nil, fmt.Errorf("protocol: v3 hello to %s: %w", usite, err)
 	}
-	if o.Type != MsgHelloReply || o.Role != pki.RoleServer {
+	if f.Kind != FrameHelloOK || rt != MsgHelloReply {
 		conn.Close()
-		return nil, fmt.Errorf("protocol: v3 hello reply from %s is %s/%s, want %s from a server", usite, o.Type, o.Role, MsgHelloReply)
+		return nil, fmt.Errorf("protocol: v3 hello to %s answered with a %s envelope in frame kind %#x", usite, rt, f.Kind)
 	}
 	var hr HelloReply
-	if err := json.Unmarshal(o.Payload, &hr); err != nil || hr.Nonce != nonce {
+	if err := json.Unmarshal(raw, &hr); err != nil || hr.Nonce != nonce {
 		conn.Close()
 		return nil, fmt.Errorf("protocol: v3 hello reply from %s does not echo the handshake nonce", usite)
 	}
@@ -289,27 +289,32 @@ func (s *streamConn) readLoop() {
 		}
 		s.mu.Lock()
 		if ch, ok := s.subs[f.ID]; ok {
+			// An End batch or a FrameError is the server ending the
+			// subscription; an overflow or an undecodable batch is this end
+			// cutting it off, and the server's push loop runs on until told.
+			ended, cut := f.Kind != FrameEvents, false
 			if f.Kind == FrameEvents {
-				if ev, derr := decEvents(f.Payload); derr == nil {
+				if ev, derr := decEvents(f.Payload); derr != nil {
+					cut = true
+				} else {
 					select {
 					case ch <- ev:
-						if ev.End {
-							delete(s.subs, f.ID)
-							close(ch)
-						}
+						ended = ev.End
 					default: // overflow: cut the subscriber off
-						delete(s.subs, f.ID)
-						close(ch)
+						cut = true
 					}
-				} else {
-					delete(s.subs, f.ID)
-					close(ch)
 				}
-			} else { // FrameError or teardown: end the subscription
+			}
+			if ended || cut {
 				delete(s.subs, f.ID)
 				close(ch)
 			}
 			s.mu.Unlock()
+			if cut {
+				// Off the read loop, which must never wait on a write; the
+				// write ends when the server reads it or the stream fails.
+				go s.subStop(f.ID)
+			}
 			continue
 		}
 		ch, ok := s.pending[f.ID]

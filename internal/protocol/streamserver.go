@@ -37,10 +37,11 @@ const defaultPushWaitMs = 30_000
 // gateway, shared with its envelope dispatch. Identity (dn, asServer) is the
 // stream's: it was verified once at Hello and binds every frame after.
 type StreamBackend interface {
-	// StreamHello authorises a verified Hello envelope before the handshake
-	// completes (role policy, site-specific auth). An error refuses the
-	// stream.
-	StreamHello(o Opened) error
+	// StreamHello authenticates the Hello envelope before the handshake
+	// completes — signature, role policy, site-specific auth, exactly as for
+	// a POSTed envelope. A non-nil refusal is the sealed MsgError envelope
+	// that refuses the stream.
+	StreamHello(hello []byte) (o Opened, refusal []byte)
 	StreamConsign(ctx context.Context, dn core.DN, asServer bool, req ConsignRequest) (ConsignReply, error)
 	StreamPoll(ctx context.Context, dn core.DN, asServer bool, req PollRequest) (PollReply, error)
 	StreamPutChunk(ctx context.Context, dn core.DN, asServer bool, req PutChunkRequest) (PutChunkReply, error)
@@ -56,14 +57,9 @@ type StreamBackend interface {
 type StreamServerOpts struct {
 	// Cred signs the HelloOK reply (server role).
 	Cred *pki.Credential
-	// CA verifies the client's Hello envelope.
-	CA *pki.Authority
 	// Usite is the site this stream serves; a Hello addressed elsewhere is
 	// refused (the stream equivalent of posting to the wrong gateway).
 	Usite core.Usite
-	// MaxVersion below 3 refuses every stream with an unsupported error —
-	// how a version-capped gateway presents exactly like a pre-v3 build.
-	MaxVersion int
 	// OnFrame, when set, observes every inbound post-handshake frame kind —
 	// the telemetry hook. Stream frames are deliberately not envelope
 	// requests and never count into gateway Stats().ByType.
@@ -100,31 +96,31 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 	if err != nil || f.Kind != FrameHello {
 		return
 	}
-	if opts.MaxVersion > 0 && opts.MaxVersion < 3 {
-		writeFrame(conn, FrameError, f.ID, appendStreamError(nil, StreamErrUnsupported,
-			fmt.Sprintf("%v: 3", ErrBadVersion)))
+	// A refused hello is answered like a refused POST, with a server-signed
+	// MsgError envelope, carried as the message of a FrameError.
+	refuse := func(envelope []byte) {
+		writeFrame(conn, FrameError, f.ID, appendStreamError(nil, StreamErrGeneric, string(envelope)))
+	}
+	o, refusal := be.StreamHello(f.Payload)
+	if refusal != nil {
+		refuse(refusal)
 		return
 	}
-	o, err := OpenTraced(opts.CA, f.Payload)
-	if err != nil {
-		writeFrame(conn, FrameError, f.ID, appendStreamError(nil, StreamErrGeneric, err.Error()))
-		return
+	refuseBecause := func(reason string) {
+		if envelope, err := SealTraced(opts.Cred, o.Trace, MsgError, ErrorReply{Code: string(MsgHello), Message: reason}); err == nil {
+			refuse(envelope)
+		}
 	}
 	var hr HelloRequest
 	if o.Type != MsgHello || json.Unmarshal(o.Payload, &hr) != nil {
-		writeFrame(conn, FrameError, f.ID, appendStreamError(nil, StreamErrGeneric, "malformed hello"))
+		refuseBecause("malformed hello")
 		return
 	}
 	if hr.Usite != "" && opts.Usite != "" && hr.Usite != opts.Usite {
-		writeFrame(conn, FrameError, f.ID, appendStreamError(nil, StreamErrGeneric,
-			fmt.Sprintf("stream hello addressed to %s, this is %s", hr.Usite, opts.Usite)))
+		refuseBecause(fmt.Sprintf("stream hello addressed to %s, this is %s", hr.Usite, opts.Usite))
 		return
 	}
-	if err := be.StreamHello(o); err != nil {
-		writeFrame(conn, FrameError, f.ID, appendStreamError(nil, StreamErrGeneric, err.Error()))
-		return
-	}
-	helloOK, err := SealTracedAt(opts.Cred, 3, o.Trace, MsgHelloReply, HelloReply{Usite: opts.Usite, Nonce: hr.Nonce})
+	helloOK, err := SealTraced(opts.Cred, o.Trace, MsgHelloReply, HelloReply{Usite: opts.Usite, Nonce: hr.Nonce})
 	if err != nil {
 		return
 	}

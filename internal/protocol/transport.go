@@ -36,7 +36,7 @@ const StreamUpgradeProto = "unicore-v3"
 var ErrNoStream = errors.New("protocol: transport does not support v3 streams")
 
 // Transport moves bytes between a client and a site gateway. Post carries
-// one signed envelope per call — the v1/v2 path and the v3 fallback.
+// one signed envelope per call — every cold kind, and the stream's fallback.
 // OpenStream dials the site's persistent v3 frame stream; transports (or
 // peers) without stream support return ErrNoStream.
 type Transport interface {
@@ -166,7 +166,7 @@ func (t *HTTPTransport) Post(ctx context.Context, baseURL string, body []byte) (
 
 // OpenStream implements Transport: dial TLS, send the Upgrade handshake,
 // hand back the hijacked connection. A peer that answers anything but 101
-// (an old build, a plain proxy) yields ErrNoStream.
+// (a split front, a plain proxy) yields ErrNoStream.
 func (t *HTTPTransport) OpenStream(ctx context.Context, baseURL string) (net.Conn, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {

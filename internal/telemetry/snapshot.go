@@ -68,7 +68,7 @@ type MetricPoint struct {
 }
 
 // Snapshot is a frozen, serialisable copy of one registry (or a merge of
-// several). It travels inside the v2 MsgMetrics reply and feeds the
+// several). It travels inside the MsgMetrics reply and feeds the
 // plaintext -debug-addr dump.
 type Snapshot struct {
 	// Origin names the component (or merged component set) sampled.

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -97,7 +98,7 @@ func runCrashWorkload(t *testing.T, crash bool) map[string]string {
 	if err != nil {
 		t.Fatalf("GenerateWorkload: %v", err)
 	}
-	jpa, jmc := d.JPA(user), d.JMC(user)
+	jpa := d.JPA(user)
 	type consigned struct {
 		name  string
 		usite core.Usite
@@ -120,7 +121,7 @@ func runCrashWorkload(t *testing.T, crash bool) map[string]string {
 		// Prove the crash point is mid-workload in the surviving trace.
 		live := 0
 		for _, c := range ids {
-			sum, err := jmc.Status(c.usite, c.id)
+			sum, err := d.Session(user, c.usite).Status(context.Background(), c.id)
 			if err != nil {
 				t.Fatalf("Status(%s) at crash point: %v", c.id, err)
 			}
@@ -161,7 +162,7 @@ func runCrashWorkload(t *testing.T, crash bool) map[string]string {
 
 	out := make(map[string]string, len(ids))
 	for _, c := range ids {
-		o, err := jmc.Outcome(c.usite, c.id)
+		o, err := d.Session(user, c.usite).Outcome(context.Background(), c.id)
 		if err != nil {
 			t.Fatalf("Outcome(%s): %v", c.id, err)
 		}

@@ -166,7 +166,7 @@ func runFailoverWorkload(t *testing.T, kill bool) map[string]string {
 	if err != nil {
 		t.Fatalf("GenerateWorkload: %v", err)
 	}
-	jpa, jmc := d.JPA(user), d.JMC(user)
+	jpa, sess := d.JPA(user), d.Session(user, "POOL")
 	ids := make(map[string]core.JobID, len(jobs))
 	for _, j := range jobs {
 		id, err := jpa.Submit(j)
@@ -188,7 +188,7 @@ func runFailoverWorkload(t *testing.T, kill bool) map[string]string {
 	if kill {
 		live := 0
 		for name, id := range ids {
-			sum, err := jmc.Status("POOL", id)
+			sum, err := sess.Status(context.Background(), id)
 			if err != nil {
 				t.Fatalf("Status(%s) at kill point: %v", name, err)
 			}
@@ -277,7 +277,7 @@ func runFailoverWorkload(t *testing.T, kill bool) map[string]string {
 				len(ownedDuring)-len(ownedBefore))
 		}
 		if len(ownedBefore) > 0 {
-			_, err := jmc.Status("POOL", ownedBefore[0].Job)
+			_, err := sess.Status(context.Background(), ownedBefore[0].Job)
 			if err == nil || !strings.Contains(err.Error(), pool.ErrReplicaDown.Error()) {
 				t.Fatalf("Status of a job on the dead replica: err = %v, want ErrReplicaDown", err)
 			}
@@ -330,7 +330,7 @@ func runFailoverWorkload(t *testing.T, kill bool) map[string]string {
 
 	out := make(map[string]string, len(ids))
 	for name, id := range ids {
-		o, err := jmc.Outcome("POOL", id)
+		o, err := sess.Outcome(context.Background(), id)
 		if err != nil {
 			t.Fatalf("Outcome(%s): %v", name, err)
 		}

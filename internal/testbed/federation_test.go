@@ -60,7 +60,7 @@ func TestFederatedAutoPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa, jmc := d.JPA(user), d.JMC(user)
+	jpa := d.JPA(user)
 
 	job, err := bigJob("auto-placed")
 	if err != nil {
@@ -76,17 +76,17 @@ func TestFederatedAutoPlacement(t *testing.T) {
 	d.Run(1_000_000)
 
 	// Status, outcome, and file fetch all resolve through the origin.
-	sum, err := jmc.Status("FZJ", id)
+	sum, err := d.Session(user, "FZJ").Status(context.Background(), id)
 	if err != nil {
 		t.Fatalf("Status via origin: %v", err)
 	}
 	if sum.Status != ajo.StatusSuccessful {
 		t.Fatalf("status = %s, want SUCCESSFUL", sum.Status)
 	}
-	if _, err := jmc.Outcome("FZJ", id); err != nil {
+	if _, err := d.Session(user, "FZJ").Outcome(context.Background(), id); err != nil {
 		t.Fatalf("Outcome via origin: %v", err)
 	}
-	data, err := jmc.FetchFile("FZJ", id, "out.dat")
+	data, err := d.Session(user, "FZJ").FetchFile(context.Background(), id, "out.dat")
 	if err != nil {
 		t.Fatalf("FetchFile via origin: %v", err)
 	}
@@ -126,7 +126,7 @@ func TestFederatedPlacementRefusedByStranger(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if _, err := d.JMC(eve).Status("FZJ", id); err == nil {
+	if _, err := d.Session(eve, "FZJ").Status(context.Background(), id); err == nil {
 		t.Fatal("stranger polled a remotely-placed job through the origin gateway")
 	}
 }
@@ -205,7 +205,7 @@ func TestFederatedConsignSurvivesPeerGatewayRestart(t *testing.T) {
 	id := reply.Job
 
 	// Exactly one job exists at the remote site: the retries deduplicated.
-	jobs, err := d.JMC(user).List("DWD")
+	jobs, err := d.Session(user, "DWD").List(context.Background())
 	if err != nil {
 		t.Fatalf("List at DWD: %v", err)
 	}
@@ -214,7 +214,7 @@ func TestFederatedConsignSurvivesPeerGatewayRestart(t *testing.T) {
 	}
 
 	d.Run(1_000_000)
-	sum, err := d.JMC(user).Status("FZJ", id)
+	sum, err := d.Session(user, "FZJ").Status(context.Background(), id)
 	if err != nil {
 		t.Fatalf("Status via origin: %v", err)
 	}
@@ -247,7 +247,7 @@ func TestDagSpansGateways(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa, jmc := d.JPA(user), d.JMC(user)
+	jpa := d.JPA(user)
 
 	pre := client.NewJob("pre", core.Target{Usite: "FZJ", Vsite: "SMALL"})
 	pre.Script("prepare", "write grid.dat 2048\necho prepared\n",
@@ -272,12 +272,12 @@ func TestDagSpansGateways(t *testing.T) {
 	}
 	d.Run(2_000_000)
 
-	sum, err := jmc.Status("FZJ", id)
+	sum, err := d.Session(user, "FZJ").Status(context.Background(), id)
 	if err != nil {
 		t.Fatalf("Status via origin: %v", err)
 	}
 	if sum.Status != ajo.StatusSuccessful {
-		if o, oerr := jmc.Outcome("FZJ", id); oerr == nil {
+		if o, oerr := d.Session(user, "FZJ").Outcome(context.Background(), id); oerr == nil {
 			t.Logf("outcome:\n%s", client.Display(o))
 		}
 		t.Fatalf("status = %s, want SUCCESSFUL", sum.Status)
@@ -301,7 +301,7 @@ func TestFederationSoakPeerKilledMidWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa, jmc := d.JPA(user), d.JMC(user)
+	jpa := d.JPA(user)
 
 	submit := func(i int) (core.JobID, error) {
 		job, err := bigJob(fmt.Sprintf("soak-%03d", i))
@@ -347,7 +347,7 @@ func TestFederationSoakPeerKilledMidWorkload(t *testing.T) {
 	}
 	d.Run(5_000_000)
 	for id := range accepted {
-		sum, err := jmc.Status("FZJ", id)
+		sum, err := d.Session(user, "FZJ").Status(context.Background(), id)
 		if err != nil {
 			t.Fatalf("Status %s: %v", id, err)
 		}
@@ -356,7 +356,7 @@ func TestFederationSoakPeerKilledMidWorkload(t *testing.T) {
 		}
 	}
 	// No duplicate admissions slipped through the failures.
-	jobs, err := jmc.List("DWD")
+	jobs, err := d.Session(user, "DWD").List(context.Background())
 	if err != nil {
 		t.Fatalf("List at DWD: %v", err)
 	}

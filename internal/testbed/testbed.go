@@ -456,13 +456,8 @@ func (d *Deployment) JPA(cred *pki.Credential) *client.JPA {
 	return client.NewJPA(d.UserClient(cred))
 }
 
-// JMC builds a job monitor controller for a user.
-func (d *Deployment) JMC(cred *pki.Credential) *client.JMC {
-	return client.NewJMC(d.UserClient(cred))
-}
-
-// Session opens a protocol-v2 session (context-aware submit/monitor/control
-// with server-push event streams) for a user at one Usite. Under the virtual
+// Session opens a session (context-aware submit/monitor/control with
+// server-push event streams) for a user at one Usite. Under the virtual
 // clock, drive the deployment from another goroutine (go d.Run(...)) while a
 // Session.Await or Watch blocks — its long-poll wakes as events fire.
 func (d *Deployment) Session(cred *pki.Credential, usite core.Usite) *client.Session {

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -22,7 +23,7 @@ func TestSingleSiteQuickJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa, jmc := d.JPA(user), d.JMC(user)
+	jpa := d.JPA(user)
 
 	b := client.NewJob("hello", core.Target{Usite: "DEMO", Vsite: "CLUSTER"})
 	b.Script("greet", "echo hello from the testbed\n", resources.Request{Processors: 1, RunTime: time.Minute})
@@ -35,7 +36,7 @@ func TestSingleSiteQuickJob(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	d.Run(100000)
-	sum, err := jmc.Status("DEMO", id)
+	sum, err := d.Session(user, "DEMO").Status(context.Background(), id)
 	if err != nil {
 		t.Fatalf("Status: %v", err)
 	}
@@ -89,7 +90,7 @@ func TestMultiSiteJobAcrossGermany(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa, jmc := d.JPA(user), d.JMC(user)
+	jpa := d.JPA(user)
 
 	// Pre-processing at ZIB, main run at FZJ, with a Uspace-to-Uspace
 	// transfer between them (§5.6).
@@ -113,12 +114,12 @@ func TestMultiSiteJobAcrossGermany(t *testing.T) {
 	}
 	d.Run(1000000)
 
-	sum, err := jmc.Status("FZJ", id)
+	sum, err := d.Session(user, "FZJ").Status(context.Background(), id)
 	if err != nil {
 		t.Fatalf("Status: %v", err)
 	}
 	if sum.Status != ajo.StatusSuccessful {
-		o, oerr := jmc.Outcome("FZJ", id)
+		o, oerr := d.Session(user, "FZJ").Outcome(context.Background(), id)
 		if oerr == nil {
 			t.Logf("outcome:\n%s", client.Display(o))
 		}
@@ -153,7 +154,7 @@ func TestSplitSiteInDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa, jmc := d.JPA(user), d.JMC(user)
+	jpa := d.JPA(user)
 	b := client.NewJob("via-firewall", core.Target{Usite: specs[0].Usite, Vsite: "T3E"})
 	b.Script("hello", "echo hello\n", resources.Request{Processors: 1, RunTime: time.Minute})
 	job, _ := b.Build()
@@ -162,7 +163,7 @@ func TestSplitSiteInDeployment(t *testing.T) {
 		t.Fatalf("Submit through split gateway: %v", err)
 	}
 	d.Run(100000)
-	sum, err := jmc.Status(specs[0].Usite, id)
+	sum, err := d.Session(user, specs[0].Usite).Status(context.Background(), id)
 	if err != nil || sum.Status != ajo.StatusSuccessful {
 		t.Fatalf("status = %v (err %v)", sum.Status, err)
 	}
@@ -231,7 +232,7 @@ func TestWorkloadRunsOnGermanTestbed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa, jmc := d.JPA(user), d.JMC(user)
+	jpa := d.JPA(user)
 
 	jobs, err := GenerateWorkload(DefaultWorkload(7, 30, d.Targets()))
 	if err != nil {
@@ -249,7 +250,7 @@ func TestWorkloadRunsOnGermanTestbed(t *testing.T) {
 
 	var ok, bad int
 	for id, usite := range ids {
-		sum, err := jmc.Status(usite, id)
+		sum, err := d.Session(user, usite).Status(context.Background(), id)
 		if err != nil {
 			t.Fatalf("Status %s: %v", id, err)
 		}
@@ -257,7 +258,7 @@ func TestWorkloadRunsOnGermanTestbed(t *testing.T) {
 			ok++
 		} else {
 			bad++
-			o, oerr := jmc.Outcome(usite, id)
+			o, oerr := d.Session(user, usite).Outcome(context.Background(), id)
 			if oerr == nil {
 				t.Errorf("job %s failed:\n%s", id, client.Display(o))
 			}

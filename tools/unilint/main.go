@@ -1,8 +1,8 @@
 // Command unilint is the repository's invariant checker: a multichecker
 // that runs the internal/analysis suite — durableack, lockorder,
-// versiongate, ctxpropagate, errsink — over package patterns, alongside the
-// standard `go vet` passes. CI runs it as a required step; a non-empty
-// finding set (or a malformed //lint:allow directive) fails the build.
+// ctxpropagate, errsink — over package patterns, alongside the standard
+// `go vet` passes. CI runs it as a required step; a non-empty finding set (or
+// a malformed //lint:allow directive) fails the build.
 //
 // Usage:
 //
@@ -26,14 +26,12 @@ import (
 	"unicore/internal/analysis/durableack"
 	"unicore/internal/analysis/errsink"
 	"unicore/internal/analysis/lockorder"
-	"unicore/internal/analysis/versiongate"
 )
 
 // suite is the full analyzer set unilint runs.
 var suite = []*analysis.Analyzer{
 	durableack.Analyzer,
 	lockorder.Analyzer,
-	versiongate.Analyzer,
 	ctxpropagate.Analyzer,
 	errsink.Analyzer,
 }

@@ -22,9 +22,10 @@
 //	b := unicore.NewJob("hello", unicore.Target{Usite: "DEMO", Vsite: "CLUSTER"})
 //	b.Script("greet", "echo hello\n", unicore.ResourceRequest{Processors: 1})
 //	job, _ := b.Build()
-//	id, _ := d.JPA(user).Submit(job)
+//	sess := d.Session(user, "DEMO")
+//	id, _ := sess.Submit(ctx, job)
 //	d.Run(100000) // drive the virtual clock
-//	sum, _ := d.JMC(user).Status("DEMO", id)
+//	sum, _ := sess.Status(ctx, id)
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // reproduced figures and claims.
@@ -103,24 +104,22 @@ type (
 	Builder = client.Builder
 	// JPA is the job preparation agent.
 	JPA = client.JPA
-	// JMC is the job monitor controller.
-	JMC = client.JMC
 	// Credential couples an X.509 certificate with its key.
 	Credential = pki.Credential
 	// Authority is the certification authority whose certificates the mutual
 	// TLS handshake trusts (the paper's §4.2 "UNICORE CA").
 	Authority = pki.Authority
-	// Client is the signed-envelope protocol client underneath JPA and JMC;
-	// the broker refreshes its load information through one.
+	// Client is the signed-envelope protocol client underneath JPA and
+	// Session; the broker refreshes its load information through one.
 	Client = protocol.Client
-	// Transport carries envelopes (and, against a v3 peer, the persistent
-	// frame stream) to a gateway: protocol.NewHTTPTransport for real
-	// deployments, a Deployment's in-process network for testbeds.
+	// Transport carries envelopes (and the persistent frame stream) to a
+	// gateway: protocol.NewHTTPTransport for real deployments, a
+	// Deployment's in-process network for testbeds.
 	Transport = protocol.Transport
-	// Session is the protocol-v2 client handle: context-aware
-	// submit/monitor/control for one user at one Usite, with server-push job
-	// event streams (Session.Watch / Session.Await) replacing interval
-	// polling. Open one with Dial or Deployment.Session.
+	// Session is the client handle: context-aware submit/monitor/control
+	// for one user at one Usite, with server-push job event streams
+	// (Session.Watch / Session.Await) replacing interval polling. Open one
+	// with Dial or Deployment.Session.
 	Session = client.Session
 	// JobEvent is one server-push job lifecycle notification delivered by
 	// Session.Watch.
@@ -136,7 +135,6 @@ type dialConfig struct {
 	ca        *Authority
 	tr        Transport
 	client    *Client
-	version   int
 	retries   int
 	noStreams bool
 }
@@ -165,29 +163,22 @@ func WithTransport(tr Transport) DialOption {
 	return func(c *dialConfig) { c.tr = tr }
 }
 
-// WithVersion caps the protocol version the session negotiates (1, 2, or 3).
-// Pinning below 3 keeps every call on the signed-envelope POST path exactly
-// as a pre-v3 client would send it.
-func WithVersion(max int) DialOption {
-	return func(c *dialConfig) { c.version = max }
-}
-
 // WithRetries sets the number of additional attempts after a transport
 // failure (default 2; the asynchronous protocol makes retries safe).
 func WithRetries(n int) DialOption {
 	return func(c *dialConfig) { c.retries = n }
 }
 
-// WithClient reuses an existing protocol client — its identity, negotiated
-// site versions, live streams, and registry — instead of building a fresh
-// one. The dialled URL is added to its registry.
+// WithClient reuses an existing protocol client — its identity, live
+// streams, and registry — instead of building a fresh one. The dialled URL is
+// added to its registry.
 func WithClient(c *Client) DialOption {
 	return func(cfg *dialConfig) { cfg.client = c }
 }
 
-// WithoutStreams keeps every call on the per-request envelope path even
-// against v3 peers — for callers whose traffic must remain one signed POST
-// per message (conservative relays, traffic recorders).
+// WithoutStreams keeps every call on the per-request envelope path — for
+// callers whose traffic must remain one signed POST per message
+// (conservative relays, traffic recorders).
 func WithoutStreams() DialOption {
 	return func(c *dialConfig) { c.noStreams = true }
 }
@@ -200,8 +191,8 @@ func WithoutStreams() DialOption {
 //
 // — and defaults everything else: the Usite is the URL's hostname (WithSite
 // overrides), the transport is the mutual-TLS HTTP transport (WithTransport
-// overrides), and the protocol version, retry count, and stream use follow
-// the client defaults (WithVersion, WithRetries, WithoutStreams override).
+// overrides), and the retry count and stream use follow the client defaults
+// (WithRetries, WithoutStreams override).
 // For in-process testbeds, Deployment.Session remains the shortcut.
 func Dial(gatewayURL string, opts ...DialOption) (*Session, error) {
 	cfg := dialConfig{retries: -1}
@@ -233,9 +224,6 @@ func Dial(gatewayURL string, opts ...DialOption) (*Session, error) {
 	if gatewayURL != "" {
 		c.Registry().Add(usite, gatewayURL)
 	}
-	if cfg.version > 0 {
-		c.MaxVersion = cfg.version
-	}
 	if cfg.retries >= 0 {
 		c.Retries = cfg.retries
 	}
@@ -244,13 +232,6 @@ func Dial(gatewayURL string, opts ...DialOption) (*Session, error) {
 	}
 	return client.NewSession(c, usite), nil
 }
-
-// DialClient opens a session for one Usite over an existing protocol client.
-//
-// Deprecated: use Dial with WithClient and WithSite —
-// Dial("", WithClient(c), WithSite(usite)) — or Deployment.Session for
-// in-process testbeds.
-func DialClient(c *Client, usite Usite) *Session { return client.NewSession(c, usite) }
 
 // Bulk data staging (package staging): Session.Upload streams a workstation
 // file into a Vsite's spool in CRC-checked chunks and returns the transfer

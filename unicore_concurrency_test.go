@@ -1,6 +1,7 @@
 package unicore_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -52,7 +53,8 @@ func TestConcurrentClientsStress(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			jpa, jmc := d.JPA(creds[c]), d.JMC(creds[c])
+			ctx := context.Background()
+			sess := d.Session(creds[c], "FZJ")
 			for k := 0; k < jobsPerClient; k++ {
 				jb := unicore.NewJob(fmt.Sprintf("stress-%02d-%02d", c, k),
 					unicore.Target{Usite: "FZJ", Vsite: "T3E"})
@@ -63,14 +65,13 @@ func TestConcurrentClientsStress(t *testing.T) {
 					errs <- fmt.Errorf("client %d: build: %w", c, err)
 					return
 				}
-				id, err := jpa.Submit(job)
+				id, err := sess.Submit(ctx, job)
 				if err != nil {
 					errs <- fmt.Errorf("client %d: submit: %w", c, err)
 					return
 				}
 				jobIDs[c] = append(jobIDs[c], id)
-				s, err := jmc.Wait("FZJ", id, 0,
-					func(time.Duration) { time.Sleep(200 * time.Microsecond) }, 1<<20)
+				s, err := sess.Await(ctx, id)
 				if err != nil {
 					errs <- fmt.Errorf("client %d: wait %s: %w", c, id, err)
 					return
@@ -79,7 +80,7 @@ func TestConcurrentClientsStress(t *testing.T) {
 					errs <- fmt.Errorf("client %d: job %s finished %s", c, id, s.Status)
 					return
 				}
-				data, err := jmc.FetchFile("FZJ", id, "out.dat")
+				data, err := sess.FetchFile(ctx, id, "out.dat")
 				if err != nil {
 					errs <- fmt.Errorf("client %d: fetch %s: %w", c, id, err)
 					return
@@ -112,7 +113,7 @@ func TestConcurrentClientsStress(t *testing.T) {
 
 	// Per-job isolation: each client's List sees exactly its own jobs.
 	for c := 0; c < clients; c++ {
-		list, err := d.JMC(creds[c]).List("FZJ")
+		list, err := d.Session(creds[c], "FZJ").List(context.Background())
 		if err != nil {
 			t.Fatalf("client %d: list: %v", c, err)
 		}

@@ -36,14 +36,14 @@ func TestPublicQuickstart(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	d.Run(100000)
-	sum, err := d.JMC(user).Status("DEMO", id)
+	sum, err := d.Session(user, "DEMO").Status(context.Background(), id)
 	if err != nil {
 		t.Fatalf("Status: %v", err)
 	}
 	if sum.Status != unicore.StatusSuccessful {
 		t.Fatalf("status = %s", sum.Status)
 	}
-	o, err := d.JMC(user).Outcome("DEMO", id)
+	o, err := d.Session(user, "DEMO").Outcome(context.Background(), id)
 	if err != nil {
 		t.Fatalf("Outcome: %v", err)
 	}
@@ -121,7 +121,7 @@ func TestGermanWorkloadEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa, jmc := d.JPA(user), d.JMC(user)
+	jpa := d.JPA(user)
 
 	jobs, err := unicore.GenerateWorkload(unicore.DefaultWorkload(1999, 24, d.Targets()))
 	if err != nil {
@@ -142,12 +142,12 @@ func TestGermanWorkloadEndToEnd(t *testing.T) {
 	d.Run(20_000_000)
 
 	for _, p := range all {
-		sum, err := jmc.Status(p.us, p.id)
+		sum, err := d.Session(user, p.us).Status(context.Background(), p.id)
 		if err != nil {
 			t.Fatalf("Status %s: %v", p.id, err)
 		}
 		if sum.Status != unicore.StatusSuccessful {
-			o, _ := jmc.Outcome(p.us, p.id)
+			o, _ := d.Session(user, p.us).Outcome(context.Background(), p.id)
 			t.Fatalf("job %s at %s finished %s:\n%s", p.id, p.us, sum.Status, unicore.Display(o))
 		}
 	}
@@ -192,15 +192,15 @@ func TestSecurityProperties(t *testing.T) {
 	d.Run(100000)
 
 	// Eve cannot see or control Alice's job.
-	if _, err := d.JMC(eve).Outcome("SEC", id); err == nil {
+	if _, err := d.Session(eve, "SEC").Outcome(context.Background(), id); err == nil {
 		t.Fatal("eve read alice's outcome")
 	}
-	if err := d.JMC(eve).Abort("SEC", id); err == nil {
+	if err := d.Session(eve, "SEC").Abort(context.Background(), id); err == nil {
 		t.Fatal("eve aborted alice's job")
 	}
 	// Revocation locks Alice out everywhere.
 	d.CA.Revoke(alice.Cert)
-	if _, err := d.JMC(alice).Status("SEC", id); err == nil {
+	if _, err := d.Session(alice, "SEC").Status(context.Background(), id); err == nil {
 		t.Fatal("revoked alice still served")
 	}
 
