@@ -24,6 +24,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -34,42 +35,48 @@ import (
 	"strings"
 	"time"
 
-	"unicore/internal/broker"
+	"unicore/internal/controller"
 	"unicore/internal/core"
 	"unicore/internal/deploy"
-	"unicore/internal/federation"
 	"unicore/internal/gateway"
 	"unicore/internal/pki"
-	"unicore/internal/pool"
 	"unicore/internal/protocol"
 	"unicore/internal/sim"
 	"unicore/internal/telemetry"
 )
 
+// options are the flags that shape the combined-mode site.
+type options struct {
+	config, peers, poolPolicy, advertise string
+	replicas                             int
+	fedPeers                             []deploy.TopologyPeer
+	fedEvery                             time.Duration
+}
+
 func main() {
 	var (
-		configPath = flag.String("config", "", "site configuration JSON (combined mode)")
+		o          options
 		caPath     = flag.String("ca", "ca.pem", "CA file")
 		credPath   = flag.String("cred", "gateway.pem", "server credential file")
 		listen     = flag.String("listen", ":8443", "TLS listen address")
 		front      = flag.Bool("front", false, "run only the firewall front; relay to -inner")
 		inner      = flag.String("inner", "127.0.0.1:7000", "inner NJS socket address (front mode)")
-		peers      = flag.String("peers", "", "comma-separated USITE=https://host:port peer registry")
 		appletsDir = flag.String("applets", "", "directory of applet payload files to sign and serve")
 		softPath   = flag.String("software", "", "software credential used to sign applets")
-		replicas   = flag.Int("replicas", 1, "NJS replicas per Vsite (replica-pool mode when > 1)")
-		poolPolicy = flag.String("pool-policy", "round-robin", "replica routing: round-robin, least-loaded, or consistent-hash")
 		debugAddr  = flag.String("debug-addr", "", "opt-in: serve net/http/pprof and plaintext /metrics on this address")
-		advertise  = flag.String("advertise", "", "this gateway's URL in federation advertisements (required with -peer)")
-		fedEvery   = flag.Duration("fed-interval", time.Minute, "federation gossip cadence")
 	)
-	var fedPeers []deploy.TopologyPeer
+	flag.StringVar(&o.config, "config", "", "site configuration JSON (combined mode)")
+	flag.StringVar(&o.peers, "peers", "", "comma-separated USITE=https://host:port peer registry")
+	flag.IntVar(&o.replicas, "replicas", 1, "NJS replicas per Vsite (replica-pool mode when > 1)")
+	flag.StringVar(&o.poolPolicy, "pool-policy", "round-robin", "replica routing: round-robin, least-loaded, or consistent-hash")
+	flag.StringVar(&o.advertise, "advertise", "", "this gateway's URL in federation advertisements (required with -peer)")
+	flag.DurationVar(&o.fedEvery, "fed-interval", time.Minute, "federation gossip cadence")
 	flag.Func("peer", "peer gateway as USITE=https://host:port (repeatable; federates the grid)", func(v string) error {
 		u, url, ok := strings.Cut(v, "=")
 		if !ok || u == "" || url == "" {
 			return fmt.Errorf("want USITE=URL, got %q", v)
 		}
-		fedPeers = append(fedPeers, deploy.TopologyPeer{Usite: core.Usite(u), URL: url})
+		o.fedPeers = append(o.fedPeers, deploy.TopologyPeer{Usite: core.Usite(u), URL: url})
 		return nil
 	})
 	flag.Parse()
@@ -86,7 +93,7 @@ func main() {
 	var handler http.Handler
 	var debugRegs []*telemetry.Registry
 	if *front {
-		if len(fedPeers) > 0 {
+		if len(o.fedPeers) > 0 {
 			log.Fatal("unicore-gateway: -peer federates the combined gateway; the firewall front only relays")
 		}
 		f, err := gateway.NewFront(cred, ca, gateway.TCPDial(*inner))
@@ -97,85 +104,18 @@ func main() {
 		handler = f
 		log.Printf("front mode: relaying to inner NJS at %s", *inner)
 	} else {
-		if *configPath == "" {
-			log.Fatal("unicore-gateway: combined mode needs -config")
-		}
-		cfg, err := deploy.LoadSiteConfig(*configPath)
+		gw, regs, stop, err := assemble(o, cred, ca)
 		if err != nil {
 			log.Fatalf("unicore-gateway: %v", err)
 		}
-		replicated := *replicas > 1
-		for _, v := range cfg.Vsites {
-			if v.Replicas > 1 {
-				replicated = true
-			}
-		}
-		var reg *protocol.Registry
-		if *peers != "" {
-			if reg, err = deploy.ParsePeers(*peers); err != nil {
-				log.Fatalf("unicore-gateway: %v", err)
-			}
-		}
-		var gw *gateway.Gateway
-		if replicated {
-			policy, err := pool.ParsePolicy(*poolPolicy)
-			if err != nil {
-				log.Fatalf("unicore-gateway: %v", err)
-			}
-			g, router, reps, _, err := deploy.BuildReplicatedSite(cfg, cred, ca, sim.RealClock{}, *replicas, policy)
-			if err != nil {
-				log.Fatalf("unicore-gateway: %v", err)
-			}
-			gw = g
-			if reg != nil {
-				for _, ns := range reps {
-					for _, n := range ns {
-						n.SetPeers(protocol.NewClient(gateway.ClientTransport(cred, ca), cred, ca, reg))
-					}
-				}
-			}
-			router.StartHealthChecks()
-			debugRegs = append(debugRegs, gw.Telemetry())
-			for _, set := range router.Sets() {
-				debugRegs = append(debugRegs, set.Telemetry())
-				log.Printf("vsite %s: %d NJS replicas, %s routing", set.Vsite(), len(set.Names()), policy)
-			}
-			for _, ns := range reps {
-				for _, n := range ns {
-					debugRegs = append(debugRegs, n.Telemetry())
-				}
-			}
-		} else {
-			g, n, _, err := deploy.BuildSite(cfg, cred, ca, sim.RealClock{})
-			if err != nil {
-				log.Fatalf("unicore-gateway: %v", err)
-			}
-			gw = g
-			if reg != nil {
-				n.SetPeers(protocol.NewClient(gateway.ClientTransport(cred, ca), cred, ca, reg))
-			}
-			debugRegs = append(debugRegs, gw.Telemetry(), n.Telemetry())
-		}
-		if len(fedPeers) > 0 {
-			fed, err := federate(gw, cred, ca, fedPeers, *advertise, *fedEvery)
-			if err != nil {
-				log.Fatalf("unicore-gateway: %v", err)
-			}
-			defer fed.Stop()
-			debugRegs = append(debugRegs, fed.Registry())
-			log.Printf("federated with %v, advertising %s every %s", fed.Peers(), *advertise, *fedEvery)
-		}
+		defer stop()
+		debugRegs = regs
 		if *appletsDir != "" {
 			if err := installApplets(gw, *appletsDir, *softPath); err != nil {
 				log.Fatalf("unicore-gateway: %v", err)
 			}
 		}
 		handler = gw
-		var vsites []string
-		for _, v := range cfg.Vsites {
-			vsites = append(vsites, string(v.Name))
-		}
-		log.Printf("combined mode: serving Usite %s with Vsites %v", gw.Usite(), vsites)
 	}
 
 	if *debugAddr != "" {
@@ -203,32 +143,104 @@ func main() {
 	}
 }
 
-// federate peers the gateway with the -peer sites and starts the gossip
-// loop. The federation speaks under the gateway's own server credential over
-// a fresh mutual-TLS transport and registry, so peer routing never collides
-// with the NJS's -peers transfer registry.
-func federate(gw *gateway.Gateway, cred *pki.Credential, ca *pki.Authority, peers []deploy.TopologyPeer, advertise string, interval time.Duration) (*federation.Federation, error) {
-	if advertise == "" {
-		return nil, fmt.Errorf("-peer needs -advertise (the URL peers dial this gateway at)")
+// assemble stands up the combined-mode site the flags describe and returns
+// its gateway, the telemetry registries -debug-addr serves, and a stop
+// function. A site with one replica per Vsite is a single NJS behind the
+// gateway (deploy.BuildSite); -replicas or a per-Vsite count above one makes
+// it a static controller.Stack, the reconcile loop left unstarted.
+func assemble(o options, cred *pki.Credential, ca *pki.Authority) (*gateway.Gateway, []*telemetry.Registry, func(), error) {
+	if o.config == "" {
+		return nil, nil, nil, errors.New("combined mode needs -config")
 	}
-	fed, err := federation.New(federation.Config{
-		Usite:  gw.Usite(),
-		URL:    advertise,
-		Client: protocol.NewClient(gateway.ClientTransport(cred, ca), cred, ca, protocol.NewRegistry()),
-		Clock:  sim.RealClock{},
-		Policy: broker.LeastLoaded,
-	})
+	if len(o.fedPeers) > 0 && o.advertise == "" {
+		return nil, nil, nil, errors.New("-peer needs -advertise (the URL peers dial this gateway at)")
+	}
+	site, err := deploy.LoadSite(o.config)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	for _, p := range peers {
-		if err := fed.AddPeer(p.Usite, p.URL); err != nil {
-			return nil, err
+	routes, err := deploy.ParsePeers(o.peers)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	pooled := o.replicas > 1
+	for i := range site.Vsites {
+		v := &site.Vsites[i]
+		pooled = pooled || v.Replicas > 1
+		if v.Replicas < 1 {
+			v.Replicas = o.replicas
+		}
+		if v.Policy == "" {
+			v.Policy = o.poolPolicy
 		}
 	}
-	gw.SetFederation(fed)
-	fed.Start(interval)
-	return fed, nil
+	log.Printf("combined mode: serving Usite %s", site.Usite)
+
+	if pooled {
+		stack, err := controller.NewStack(controller.StackConfig{
+			Spec: &deploy.TopologySpec{
+				Version: deploy.TopologyVersion,
+				Sites:   []deploy.TopologySite{*site},
+				Peers:   o.fedPeers,
+			},
+			Usite:          site.Usite,
+			Cred:           cred,
+			CA:             ca,
+			Clock:          sim.RealClock{},
+			AdvertiseURL:   o.advertise,
+			GossipInterval: o.fedEvery,
+		})
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		for _, u := range routes.Sites() {
+			url, _ := routes.Lookup(u)
+			stack.Peers.Registry().Add(u, url)
+		}
+		stack.Router.StartHealthChecks()
+		regs := []*telemetry.Registry{stack.Gateway.Telemetry()}
+		for _, set := range stack.Router.Sets() {
+			regs = append(regs, set.Telemetry())
+			log.Printf("vsite %s: %d NJS replicas, %s routing", set.Vsite(), len(set.Names()), set.Policy())
+		}
+		for _, n := range stack.Replicas() {
+			regs = append(regs, n.Telemetry())
+		}
+		if stack.Federation != nil {
+			regs = append(regs, stack.Federation.Registry())
+		}
+		return stack.Gateway, regs, func() {
+			stack.Router.StopHealthChecks()
+			if err := stack.Close(); err != nil {
+				log.Printf("unicore-gateway: closing site: %v", err)
+			}
+		}, nil
+	}
+
+	gw, n, _, err := deploy.BuildSite(site, cred, ca, sim.RealClock{}, "", 0)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	tr := gateway.ClientTransport(cred, ca)
+	if o.peers != "" {
+		n.SetPeers(protocol.NewClient(tr, cred, ca, routes))
+	}
+	regs := []*telemetry.Registry{gw.Telemetry(), n.Telemetry()}
+	stop := func() {}
+	if len(o.fedPeers) > 0 {
+		// The federation gets its own registry, so peer routing never
+		// collides with the NJS's -peers transfer registry.
+		fed, err := deploy.Federate(gw, protocol.NewClient(tr, cred, ca, protocol.NewRegistry()),
+			sim.RealClock{}, o.advertise, o.fedPeers, n.Accounting)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		fed.Start(o.fedEvery)
+		log.Printf("federated with %v, advertising %s every %s", fed.Peers(), o.advertise, o.fedEvery)
+		regs = append(regs, fed.Registry())
+		stop = fed.Stop
+	}
+	return gw, regs, stop, nil
 }
 
 // installApplets signs and installs every file in dir as an applet.

@@ -24,6 +24,7 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"os"
@@ -38,32 +39,34 @@ import (
 	"unicore/internal/gateway"
 	"unicore/internal/journal"
 	"unicore/internal/njs"
+	"unicore/internal/pki"
 	"unicore/internal/protocol"
 	"unicore/internal/sim"
 	"unicore/internal/telemetry"
 )
 
+// options are the flags that shape the site.
+type options struct {
+	config, topology, usite, peers, stateDir string
+	snapEvery                                int
+}
+
 func main() {
 	var (
-		configPath = flag.String("config", "", "site configuration JSON")
-		topoPath   = flag.String("topology", "", "topology spec file (alternative to -config; needs -usite)")
-		usite      = flag.String("usite", "", "which declared usite of the -topology spec to serve")
-		caPath     = flag.String("ca", "ca.pem", "CA file")
-		credPath   = flag.String("cred", "njs.pem", "server credential file")
-		listen     = flag.String("listen", "127.0.0.1:7000", "inner socket listen address")
-		peers      = flag.String("peers", "", "comma-separated USITE=https://host:port peer registry")
-		stateDir   = flag.String("state-dir", "", "journal/snapshot directory for durable job state (empty = memory-only)")
-		snapEvery  = flag.Int("snapshot-every", 4096, "journal entries between automatic snapshots (with -state-dir)")
-		spoolTTL   = flag.Duration("spool-ttl", njs.DefaultSpoolTTL, "staged uploads never consigned are garbage-collected after this age")
-		debugAddr  = flag.String("debug-addr", "", "opt-in: serve net/http/pprof and plaintext /metrics on this address")
+		o         options
+		caPath    = flag.String("ca", "ca.pem", "CA file")
+		credPath  = flag.String("cred", "njs.pem", "server credential file")
+		listen    = flag.String("listen", "127.0.0.1:7000", "inner socket listen address")
+		spoolTTL  = flag.Duration("spool-ttl", njs.DefaultSpoolTTL, "staged uploads never consigned are garbage-collected after this age")
+		debugAddr = flag.String("debug-addr", "", "opt-in: serve net/http/pprof and plaintext /metrics on this address")
 	)
+	flag.StringVar(&o.config, "config", "", "site configuration JSON")
+	flag.StringVar(&o.topology, "topology", "", "topology spec file (alternative to -config; needs -usite)")
+	flag.StringVar(&o.usite, "usite", "", "which declared usite of the -topology spec to serve")
+	flag.StringVar(&o.peers, "peers", "", "comma-separated USITE=https://host:port peer registry")
+	flag.StringVar(&o.stateDir, "state-dir", "", "journal/snapshot directory for durable job state (empty = memory-only)")
+	flag.IntVar(&o.snapEvery, "snapshot-every", 4096, "journal entries between automatic snapshots (with -state-dir)")
 	flag.Parse()
-	if *configPath == "" && *topoPath == "" {
-		log.Fatal("unicore-njs: need -config or -topology")
-	}
-	if *configPath != "" && *topoPath != "" {
-		log.Fatal("unicore-njs: -config and -topology are mutually exclusive")
-	}
 	ca, err := deploy.LoadAuthority(*caPath)
 	if err != nil {
 		log.Fatalf("unicore-njs: %v", err)
@@ -72,61 +75,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("unicore-njs: %v", err)
 	}
-	var cfg *deploy.SiteConfig
-	if *topoPath != "" {
-		// Boot from the shared declarative topology: derive this site's
-		// config from the spec, and default the journal root to the spec's
-		// journalDir so every replica of the deployment journals under one
-		// declared tree.
-		if *usite == "" {
-			log.Fatal("unicore-njs: -topology needs -usite")
-		}
-		spec, err := deploy.LoadTopology(*topoPath)
-		if err != nil {
-			log.Fatalf("unicore-njs: %v", err)
-		}
-		cfg, err = spec.SiteConfig(core.Usite(*usite))
-		if err != nil {
-			log.Fatalf("unicore-njs: %v", err)
-		}
-		if *stateDir == "" && spec.JournalDir != "" {
-			*stateDir = filepath.Join(spec.JournalDir, *usite)
-		}
-	} else {
-		cfg, err = deploy.LoadSiteConfig(*configPath)
-		if err != nil {
-			log.Fatalf("unicore-njs: %v", err)
-		}
-	}
-
-	var (
-		gw    *gateway.Gateway
-		n     *njs.NJS
-		store *journal.Store
-	)
-	if *stateDir != "" {
-		gw, n, _, store, err = deploy.BuildDurableSite(cfg, cred, ca, sim.RealClock{}, *stateDir, *snapEvery)
-		if err != nil {
-			log.Fatalf("unicore-njs: %v", err)
-		}
-		log.Printf("recovered durable job state from %s", *stateDir)
-	} else {
-		gw, n, _, err = deploy.BuildSite(cfg, cred, ca, sim.RealClock{})
-		if err != nil {
-			log.Fatalf("unicore-njs: %v", err)
-		}
-	}
-	if *peers != "" {
-		reg, err := deploy.ParsePeers(*peers)
-		if err != nil {
-			log.Fatalf("unicore-njs: %v", err)
-		}
-		n.SetPeers(protocol.NewClient(gateway.ClientTransport(cred, ca), cred, ca, reg))
+	gw, n, store, err := assemble(o, cred, ca)
+	if err != nil {
+		log.Fatalf("unicore-njs: %v", err)
 	}
 	if store != nil {
-		// Wiring is complete: resume the recovered workload (re-dispatch
-		// in-flight actions, re-arm remote poll timers).
-		n.ResumeRecovered()
+		log.Printf("recovered durable job state from %s", store.Dir())
 	}
 	if *debugAddr != "" {
 		ds, err := telemetry.ServeDebug(*debugAddr, gw.Telemetry(), n.Telemetry())
@@ -202,4 +156,55 @@ func main() {
 	if err != nil && !errors.Is(err, net.ErrClosed) {
 		log.Fatalf("unicore-njs: %v", err)
 	}
+}
+
+// assemble stands up the site the flags describe — its shape from -config
+// (a site file) or from one declared site of a shared -topology spec, which
+// also defaults the state directory to <journalDir>/<usite> so every site of
+// the deployment journals under one declared tree — and returns it wired
+// and, when durable, with its recovered workload resumed.
+func assemble(o options, cred *pki.Credential, ca *pki.Authority) (*gateway.Gateway, *njs.NJS, *journal.Store, error) {
+	var site *deploy.TopologySite
+	switch {
+	case o.config != "" && o.topology != "":
+		return nil, nil, nil, errors.New("-config and -topology are mutually exclusive")
+	case o.config != "":
+		var err error
+		if site, err = deploy.LoadSite(o.config); err != nil {
+			return nil, nil, nil, err
+		}
+	case o.topology == "":
+		return nil, nil, nil, errors.New("need -config or -topology")
+	case o.usite == "":
+		return nil, nil, nil, errors.New("-topology needs -usite")
+	default:
+		spec, err := deploy.LoadTopology(o.topology)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		var ok bool
+		if site, ok = spec.Site(core.Usite(o.usite)); !ok {
+			return nil, nil, nil, fmt.Errorf("topology declares no usite %q", o.usite)
+		}
+		if o.stateDir == "" && spec.JournalDir != "" {
+			o.stateDir = filepath.Join(spec.JournalDir, o.usite)
+		}
+	}
+	routes, err := deploy.ParsePeers(o.peers)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	gw, n, store, err := deploy.BuildSite(site, cred, ca, sim.RealClock{}, o.stateDir, o.snapEvery)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if o.peers != "" {
+		n.SetPeers(protocol.NewClient(gateway.ClientTransport(cred, ca), cred, ca, routes))
+	}
+	if store != nil {
+		// Wiring is complete: resume the recovered workload (re-dispatch
+		// in-flight actions, re-arm remote poll timers).
+		n.ResumeRecovered()
+	}
+	return gw, n, store, nil
 }

@@ -174,8 +174,7 @@ func (c *Controller) Apply(site deploy.TopologySite) error {
 		return fmt.Errorf("controller: spec declares usite %q but this controller manages %q",
 			site.Usite, c.Usite())
 	}
-	spec := deploy.TopologySpec{Version: deploy.TopologyVersion, Sites: []deploy.TopologySite{site}}
-	if err := spec.Validate(); err != nil {
+	if err := site.Validate(); err != nil {
 		return err
 	}
 	c.mu.Lock()

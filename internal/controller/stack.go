@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"unicore/internal/accounting"
-	"unicore/internal/broker"
 	"unicore/internal/core"
 	"unicore/internal/deploy"
 	"unicore/internal/federation"
@@ -52,12 +51,14 @@ type StackConfig struct {
 	// DefaultInterval).
 	Interval time.Duration
 	// AdvertiseURL is this gateway's base URL in federation
-	// self-advertisements — what peer gateways dial to forward work here.
-	// Required when the spec's peers block names sites other than this one.
+	// self-advertisements — what peer gateways dial to forward work here
+	// (default: the spec's own peers entry for Usite). One of the two is
+	// required when the peers block names sites other than this one.
 	AdvertiseURL string
-	// FedTransport carries federation gossip and forwarded consigns to peer
-	// gateways (default: a mutual-TLS transport over Cred and CA). Testbeds
-	// inject their in-process network here.
+	// FedTransport carries everything this site sends to other sites —
+	// the replicas' sub-job consigns and Uspace transfers, federation
+	// gossip and forwarded consigns (default: a mutual-TLS transport over
+	// Cred and CA). Testbeds inject their in-process network here.
 	FedTransport protocol.Transport
 	// GossipInterval is the federation gossip cadence (default one minute).
 	GossipInterval time.Duration
@@ -70,6 +71,11 @@ type Stack struct {
 	Router     *pool.Router
 	Controller *Controller
 	Users      *uudb.DB
+	// Peers is the client every replica — built now or by a later reconcile
+	// pass — distributes job groups and pulls Uspace files through, speaking
+	// under the gateway's server credential. Its registry starts from the
+	// spec's peers block; callers that know of more sites add them there.
+	Peers *protocol.Client
 	// Federation is the gateway's grid membership, nil when the spec
 	// declares no peers beyond this site itself.
 	Federation *federation.Federation
@@ -84,7 +90,8 @@ type Stack struct {
 
 // NewStack builds the stack and runs the first reconcile pass, so the
 // returned deployment is already serving the declared topology. Call
-// Controller.Start to arm the continuous loop, and Close on shutdown.
+// Controller.Start to arm the continuous loop (without it the pools stay at
+// their booted size), and Close on shutdown.
 func NewStack(cfg StackConfig) (*Stack, error) {
 	if cfg.Spec == nil {
 		return nil, errors.New("controller: nil topology spec")
@@ -107,9 +114,18 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
+	rt := cfg.FedTransport
+	if rt == nil {
+		rt = gateway.ClientTransport(cfg.Cred, cfg.CA)
+	}
+	routes := protocol.NewRegistry()
+	for _, p := range cfg.Spec.Peers {
+		routes.Add(p.Usite, p.URL)
+	}
 	st := &Stack{
 		Router:    router,
 		Users:     users,
+		Peers:     protocol.NewClient(rt, cfg.Cred, cfg.CA, routes),
 		usite:     site.Usite,
 		clock:     cfg.Clock,
 		stateRoot: cfg.StateRoot,
@@ -146,7 +162,7 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		return []telemetry.Snapshot{ctl.Telemetry().Snapshot()}
 	})
 	st.Gateway = gw
-	if err := st.federate(cfg); err != nil {
+	if err := st.federate(cfg, rt); err != nil {
 		return nil, err
 	}
 	if _, err := ctl.ReconcileNow(); err != nil {
@@ -159,9 +175,11 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 }
 
 // federate attaches the federation half when the spec's peers block names
-// sites other than this one. The peer entry for this site itself (the shared
-// one-spec-per-grid idiom) is skipped.
-func (s *Stack) federate(cfg StackConfig) error {
+// sites other than this one.
+func (s *Stack) federate(cfg StackConfig, rt protocol.Transport) error {
+	// The entry for this site itself — the shared one-spec-per-grid idiom,
+	// which also carries the URL the rest of the grid dials it at — is no
+	// peer.
 	var peers []deploy.TopologyPeer
 	for _, p := range cfg.Spec.Peers {
 		if p.Usite != s.usite {
@@ -172,78 +190,39 @@ func (s *Stack) federate(cfg StackConfig) error {
 		return nil
 	}
 	url := cfg.AdvertiseURL
-	if url == "" {
-		// The shared-spec idiom again: the site's own peer entry carries the
-		// URL the rest of the grid dials it at.
-		if self, ok := cfg.Spec.Peer(s.usite); ok {
-			url = self.URL
-		}
+	if self, ok := cfg.Spec.Peer(s.usite); ok && url == "" {
+		url = self.URL
 	}
 	if url == "" {
 		return fmt.Errorf("controller: topology declares peers but no advertise URL for %s", s.usite)
 	}
-	rt := cfg.FedTransport
-	if rt == nil {
-		rt = gateway.ClientTransport(cfg.Cred, cfg.CA)
-	}
-	fed, err := federation.New(federation.Config{
-		Usite:  s.usite,
-		URL:    url,
-		Client: protocol.NewClient(rt, cfg.Cred, cfg.CA, protocol.NewRegistry()),
-		Clock:  cfg.Clock,
-		Policy: broker.LeastLoaded,
-		Usage:  s.usage,
-	})
-	if err != nil {
-		return err
-	}
-	for _, p := range peers {
-		if err := fed.AddPeer(p.Usite, p.URL); err != nil {
-			return err
+	// Federation routing gets its own registry so it never collides with
+	// the replicas' transfer routes in Peers.
+	client := protocol.NewClient(rt, cfg.Cred, cfg.CA, protocol.NewRegistry())
+	fed, err := deploy.Federate(s.Gateway, client, cfg.Clock, url, peers, func() []accounting.Record {
+		var recs []accounting.Record
+		for _, n := range s.Replicas() {
+			recs = append(recs, n.Accounting()...)
 		}
-	}
-	s.Gateway.SetFederation(fed)
+		return recs
+	})
 	s.Federation = fed
-	return nil
+	return err
 }
 
-// usage aggregates the live batch accounting of every replica into the
-// charge-back summary the federation advertises.
-func (s *Stack) usage() accounting.Summary {
-	desired := s.Controller.Desired()
-	var recs []accounting.Record
+// Replicas lists the live NJS behind every pool, in Vsite then tag order.
+func (s *Stack) Replicas() []*njs.NJS {
+	var out []*njs.NJS
 	for _, set := range s.Router.Sets() {
-		v, ok := desired.Vsite(set.Vsite())
-		if !ok {
-			continue
-		}
-		vc, err := v.NJSConfig()
-		if err != nil {
-			continue
-		}
 		for _, tag := range set.Names() {
-			svc, ok := set.Service(tag)
-			if !ok {
-				continue
-			}
-			n, ok := svc.(*njs.NJS)
-			if !ok {
-				continue
-			}
-			vs, ok := n.Vsite(set.Vsite())
-			if !ok {
-				continue
-			}
-			for _, rec := range vs.RMS.Accounting() {
-				recs = append(recs, accounting.Record{
-					Target:      core.Target{Usite: s.usite, Vsite: set.Vsite()},
-					MFlopsPerPE: vc.Profile.MFlopsPerPE,
-					Record:      rec,
-				})
+			if svc, ok := set.Service(tag); ok {
+				if n, ok := svc.(*njs.NJS); ok {
+					out = append(out, n)
+				}
 			}
 		}
 	}
-	return accounting.Summarise(recs)
+	return out
 }
 
 // Apply re-declares the stack's site from a new spec document and
@@ -260,37 +239,50 @@ func (s *Stack) Apply(spec *deploy.TopologySpec) error {
 	return err
 }
 
-func (s *Stack) storeKey(v core.Vsite, tag string) string {
-	return string(v) + "/" + tag
+func storeKey(v core.Vsite, tag string) string { return string(v) + "/" + tag }
+
+// takeStore removes and returns the open journal store of a replica (nil
+// for memory-only replicas).
+func (s *Stack) takeStore(v core.Vsite, tag string) *journal.Store {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	store := s.stores[storeKey(v, tag)]
+	delete(s.stores, storeKey(v, tag))
+	return store
 }
 
 // build constructs a replica for the controller: journal-backed under
 // <stateRoot>/<usite>/<vsite>/<tag> when a state root is declared,
-// memory-only otherwise.
+// memory-only otherwise, with the stack's peer client installed.
 func (s *Stack) build(v deploy.TopologyVsite, tag string) (njs.Service, error) {
 	vc, err := v.NJSConfig()
 	if err != nil {
 		return nil, err
 	}
-	if s.stateRoot == "" {
-		return deploy.BuildReplica(s.usite, vc, s.clock, tag)
-	}
-	dir := filepath.Join(s.stateRoot, string(s.usite), string(v.Name), tag)
-	store, err := journal.Open(dir)
-	if err != nil {
-		return nil, err
-	}
+	var store *journal.Store
 	every := v.SnapshotEvery
 	if every <= 0 {
 		every = DefaultSnapshotEvery
 	}
-	n, err := deploy.BuildDurableReplica(s.usite, vc, s.clock, tag, store, every)
-	if err != nil {
-		return nil, errors.Join(err, store.Close())
+	if s.stateRoot != "" {
+		store, err = journal.Open(filepath.Join(s.stateRoot, string(s.usite), string(v.Name), tag))
+		if err != nil {
+			return nil, err
+		}
 	}
-	s.mu.Lock()
-	s.stores[s.storeKey(v.Name, tag)] = store
-	s.mu.Unlock()
+	n, err := deploy.BuildReplica(s.usite, vc, s.clock, tag, store, every)
+	if err != nil {
+		if store != nil {
+			err = errors.Join(err, store.Close())
+		}
+		return nil, err
+	}
+	n.SetPeers(s.Peers)
+	if store != nil {
+		s.mu.Lock()
+		s.stores[storeKey(v.Name, tag)] = store
+		s.mu.Unlock()
+	}
 	return n, nil
 }
 
@@ -299,11 +291,7 @@ func (s *Stack) build(v deploy.TopologyVsite, tag string) (njs.Service, error) {
 // replays its journal, and the pool's rejoin reconciliation re-homes its
 // ack entries and stage pins.
 func (s *Stack) recover(v deploy.TopologyVsite, tag string) (njs.Service, error) {
-	s.mu.Lock()
-	store := s.stores[s.storeKey(v.Name, tag)]
-	delete(s.stores, s.storeKey(v.Name, tag))
-	s.mu.Unlock()
-	if store != nil {
+	if store := s.takeStore(v.Name, tag); store != nil {
 		if err := store.Close(); err != nil {
 			return nil, fmt.Errorf("controller: releasing journal of %s/%s: %w", v.Name, tag, err)
 		}
@@ -311,45 +299,43 @@ func (s *Stack) recover(v deploy.TopologyVsite, tag string) (njs.Service, error)
 	return s.build(v, tag)
 }
 
+// shutdown retires a live NJS: snapshot (compacting the journal for the next
+// recovery) when it has one, then kill.
+func shutdown(n *njs.NJS) error {
+	if n.Ping() != nil {
+		return nil
+	}
+	var err error
+	if n.Journal() != nil {
+		err = n.Snapshot()
+	}
+	n.Kill()
+	return err
+}
+
 // retire shuts a replaced or scaled-down instance all the way down:
-// snapshot (compacting the journal for the next recovery), kill, close.
+// snapshot, kill, close — every failure reported.
 func (s *Stack) retire(v deploy.TopologyVsite, tag string, svc njs.Service) error {
 	var errs []error
 	if n, ok := svc.(*njs.NJS); ok {
-		if n.Ping() == nil {
-			errs = append(errs, n.Snapshot())
-			n.Kill()
-		}
+		errs = append(errs, shutdown(n))
 	}
-	s.mu.Lock()
-	store := s.stores[s.storeKey(v.Name, tag)]
-	delete(s.stores, s.storeKey(v.Name, tag))
-	s.mu.Unlock()
-	if store != nil {
+	if store := s.takeStore(v.Name, tag); store != nil {
 		errs = append(errs, store.Close())
 	}
 	return errors.Join(errs...)
 }
 
 // Close stops the reconcile loop and shuts every replica down cleanly:
-// snapshot, kill, close journals.
+// snapshot, kill, close journals — every failure reported.
 func (s *Stack) Close() error {
 	if s.Federation != nil {
 		s.Federation.Stop()
 	}
 	s.Controller.Stop()
 	var errs []error
-	for _, set := range s.Router.Sets() {
-		for _, tag := range set.Names() {
-			svc, ok := set.Service(tag)
-			if !ok {
-				continue
-			}
-			if n, ok := svc.(*njs.NJS); ok && n.Ping() == nil {
-				errs = append(errs, n.Snapshot())
-				n.Kill()
-			}
-		}
+	for _, n := range s.Replicas() {
+		errs = append(errs, shutdown(n))
 	}
 	s.mu.Lock()
 	stores := s.stores

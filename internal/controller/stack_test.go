@@ -12,6 +12,7 @@ import (
 	"unicore/internal/deploy"
 	"unicore/internal/njs"
 	"unicore/internal/pki"
+	"unicore/internal/protocol"
 	"unicore/internal/resources"
 	"unicore/internal/sim"
 	"unicore/internal/uudb"
@@ -135,5 +136,88 @@ func TestStackBootHealRoll(t *testing.T) {
 	}
 	if err := stack.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestStackReplicasReachPeerSites boots two sites of one shared spec as two
+// stacks and runs a job group across them: the main job at FZJ needs a file
+// its sub-job produces at ZIB. Every replica a stack builds must carry a peer
+// client routed by the spec's peers block, or the FZJ replica can neither
+// consign the sub-job to ZIB nor pull the file back from ZIB's Uspace.
+func TestStackReplicasReachPeerSites(t *testing.T) {
+	clock := sim.NewVirtualClock()
+	ca, err := pki.NewAuthority("DFN-PCA")
+	if err != nil {
+		t.Fatalf("NewAuthority: %v", err)
+	}
+	alice, err := ca.IssueUser("Alice Ahlmann", "FZJ")
+	if err != nil {
+		t.Fatalf("IssueUser: %v", err)
+	}
+	users := []deploy.UserMapping{{
+		DN:     alice.DN(),
+		Logins: map[core.Vsite]uudb.Login{"T3E": {UID: "aahlm"}},
+	}}
+	t3e := []deploy.TopologyVsite{{Name: "T3E", Machine: "t3e", Replicas: 2}}
+	spec := &deploy.TopologySpec{
+		Version: deploy.TopologyVersion,
+		Sites: []deploy.TopologySite{
+			{Usite: "FZJ", Vsites: t3e, Users: users},
+			{Usite: "ZIB", Vsites: t3e, Users: users},
+		},
+		Peers: []deploy.TopologyPeer{
+			{Usite: "FZJ", URL: "https://gw.fzj"},
+			{Usite: "ZIB", URL: "https://gw.zib"},
+		},
+	}
+	net := protocol.NewInProc()
+	stacks := map[core.Usite]*Stack{}
+	for usite, host := range map[core.Usite]string{"FZJ": "gw.fzj", "ZIB": "gw.zib"} {
+		cred, err := ca.IssueServer("gateway."+string(usite), host)
+		if err != nil {
+			t.Fatalf("IssueServer: %v", err)
+		}
+		stack, err := NewStack(StackConfig{
+			Spec: spec, Usite: usite, Cred: cred, CA: ca, Clock: clock, FedTransport: net,
+		})
+		if err != nil {
+			t.Fatalf("NewStack(%s): %v", usite, err)
+		}
+		defer stack.Close()
+		// The gossip loop re-arms forever; under the virtual clock that
+		// would keep RunUntilIdle from ever going idle.
+		stack.Federation.Stop()
+		net.Register(host, stack.Gateway)
+		stacks[usite] = stack
+	}
+
+	pre := client.NewJob("pre", core.Target{Usite: "ZIB", Vsite: "T3E"})
+	pre.Script("prepare", "write grid.dat 4096\n", resources.Request{Processors: 1, RunTime: 10 * time.Minute})
+	b := client.NewJob("coupled", core.Target{Usite: "FZJ", Vsite: "T3E"})
+	sub := b.SubJob(pre)
+	tr := b.Transfer("fetch grid", sub, "grid.dat")
+	run := b.Script("main", "cat grid.dat > used.tmp\n", resources.Request{Processors: 1, RunTime: 10 * time.Minute})
+	b.Chain(sub, tr, run)
+	job, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	id, err := stacks["FZJ"].Router.Consign(context.Background(), alice.DN(), "coupled-1", job)
+	if err != nil {
+		t.Fatalf("Consign: %v", err)
+	}
+	if fired := clock.RunUntilIdle(1_000_000); fired >= 1_000_000 {
+		t.Fatal("clock never went idle")
+	}
+	o, found, err := stacks["FZJ"].Router.Outcome(alice.DN(), false, id)
+	if err != nil || !found {
+		t.Fatalf("Outcome: found=%v err=%v", found, err)
+	}
+	if o.Status != ajo.StatusSuccessful {
+		t.Fatalf("job group across two stacks = %s, want SUCCESSFUL:\n%s", o.Status, client.Display(o))
+	}
+	// The sub-job really ran behind ZIB's gateway.
+	if jobs, err := stacks["ZIB"].Router.List(alice.DN()); err != nil || len(jobs) != 1 {
+		t.Fatalf("ZIB lists %v (err %v), want the 1 sub-job", jobs, err)
 	}
 }

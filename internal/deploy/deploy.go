@@ -1,123 +1,30 @@
 // Package deploy holds the file formats and assembly helpers behind the
-// cmd/ tools: JSON site configurations (which Vsites a Usite runs, who maps
-// to which login), JSON job descriptions for the CLI JPA, and PEM keyring
-// loading. It is the glue that turns the in-process library into real
-// multi-process deployments over TLS.
+// cmd/ tools: the site schema (TopologySite — a site.json, or one entry of a
+// topology spec), the single-NJS site builder, the replica constructor
+// every pooled site is made of and the federation attach every gateway
+// shares, JSON job descriptions for the CLI JPA, and PEM keyring loading. It is the glue that turns the in-process library into
+// real multi-process deployments over TLS.
 package deploy
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
-	"unicore/internal/codine"
+	"unicore/internal/accounting"
+	"unicore/internal/broker"
 	"unicore/internal/core"
+	"unicore/internal/federation"
 	"unicore/internal/gateway"
 	"unicore/internal/journal"
 	"unicore/internal/machine"
 	"unicore/internal/njs"
 	"unicore/internal/pki"
-	"unicore/internal/pool"
 	"unicore/internal/protocol"
 	"unicore/internal/sim"
 	"unicore/internal/uudb"
 )
-
-// SiteConfig is the JSON description of one Usite.
-type SiteConfig struct {
-	Usite  core.Usite    `json:"usite"`
-	Vsites []VsiteConfig `json:"vsites"`
-	// Users maps certificate DNs to per-Vsite logins.
-	Users []UserMapping `json:"users,omitempty"`
-}
-
-// VsiteConfig is the JSON description of one execution system.
-type VsiteConfig struct {
-	Name core.Vsite `json:"name"`
-	// Machine selects a profile: "t3e", "vpp700", "sp2", "sx4", "cluster".
-	Machine string `json:"machine"`
-	// Processors overrides the profile's default PE count (0 keeps it).
-	Processors int `json:"processors,omitempty"`
-	// Backfill enables EASY backfill in the batch scheduler.
-	Backfill bool `json:"backfill,omitempty"`
-	// Queues optionally declares batch queues (default: one "batch" queue).
-	Queues []QueueConfig `json:"queues,omitempty"`
-	// Replicas is how many NJS replicas serve this Vsite in a replicated
-	// deployment (BuildReplicatedSite); 0 falls back to the deployment-wide
-	// default, and plain BuildSite ignores it.
-	Replicas int `json:"replicas,omitempty"`
-}
-
-// QueueConfig is the JSON description of one batch queue.
-type QueueConfig struct {
-	Name       string `json:"name"`
-	Slots      int    `json:"slots"`
-	MaxTimeSec int    `json:"maxTimeSec,omitempty"`
-}
-
-// UserMapping is one UUDB entry.
-type UserMapping struct {
-	DN     core.DN                   `json:"dn"`
-	Email  string                    `json:"email,omitempty"`
-	Logins map[core.Vsite]uudb.Login `json:"logins"`
-	Extra  map[string]string         `json:"extra,omitempty"`
-}
-
-// LoadSiteConfig reads and validates a site configuration file.
-func LoadSiteConfig(path string) (*SiteConfig, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("deploy: %w", err)
-	}
-	var cfg SiteConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		return nil, fmt.Errorf("deploy: parsing %s: %w", path, err)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("deploy: %s: %w", path, err)
-	}
-	return &cfg, nil
-}
-
-// Validate checks the configuration for completeness.
-func (c *SiteConfig) Validate() error {
-	if c.Usite == "" {
-		return fmt.Errorf("empty usite name")
-	}
-	if len(c.Vsites) == 0 {
-		return fmt.Errorf("usite %s has no vsites", c.Usite)
-	}
-	seen := map[core.Vsite]bool{}
-	for _, v := range c.Vsites {
-		if v.Name == "" {
-			return fmt.Errorf("usite %s: vsite without name", c.Usite)
-		}
-		if seen[v.Name] {
-			return fmt.Errorf("usite %s: duplicate vsite %q", c.Usite, v.Name)
-		}
-		seen[v.Name] = true
-		if _, err := Machine(v.Machine, v.Processors); err != nil {
-			return fmt.Errorf("vsite %s: %w", v.Name, err)
-		}
-		if v.Replicas < 0 {
-			return fmt.Errorf("vsite %s: negative replica count %d", v.Name, v.Replicas)
-		}
-	}
-	for _, u := range c.Users {
-		if u.DN == "" {
-			return fmt.Errorf("user mapping without DN")
-		}
-		for vs := range u.Logins {
-			if !seen[vs] {
-				return fmt.Errorf("user %s mapped at unknown vsite %q", u.DN, vs)
-			}
-		}
-	}
-	return nil
-}
 
 // Machine resolves a profile name (processors = 0 keeps the default size).
 func Machine(name string, processors int) (machine.Profile, error) {
@@ -143,8 +50,7 @@ func Machine(name string, processors int) (machine.Profile, error) {
 }
 
 // BuildUsers assembles a site's UUDB from its declared user mappings — the
-// piece of a site description shared by the static builders here and the
-// spec-driven controller boot path.
+// piece of a site description BuildSite and controller.Stack share.
 func BuildUsers(usite core.Usite, mappings []UserMapping, clock sim.Scheduler) (*uudb.DB, error) {
 	users := uudb.New(usite, clock)
 	for _, u := range mappings {
@@ -158,214 +64,107 @@ func BuildUsers(usite core.Usite, mappings []UserMapping, clock sim.Scheduler) (
 	return users, nil
 }
 
-// NJSConfig resolves a declared topology Vsite into the njs.VsiteConfig a
-// replica builder consumes (machine profile, queue set).
-func (v *TopologyVsite) NJSConfig() (njs.VsiteConfig, error) {
-	vc := VsiteConfig{
-		Name:       v.Name,
-		Machine:    v.Machine,
-		Processors: v.Processors,
-		Backfill:   v.Backfill,
-		Queues:     v.Queues,
+// newNJS mints an NJS: memory-only when store is nil, otherwise recovered
+// from the store (an empty store is a fresh NJS) and journaling to it from
+// then on.
+func newNJS(cfg njs.Config, store *journal.Store, snapshotEvery int) (*njs.NJS, error) {
+	if store == nil {
+		return njs.New(cfg)
 	}
-	return vc.VsiteNJSConfig()
+	return njs.Recover(store, cfg, snapshotEvery)
 }
 
-// buildParts assembles a site's UUDB and NJS configuration from its JSON
-// description.
-func buildParts(cfg *SiteConfig, clock sim.Scheduler) (*uudb.DB, njs.Config, error) {
-	users, err := BuildUsers(cfg.Usite, cfg.Users, clock)
+// BuildSite assembles a single-NJS site — UUDB, one NJS serving every
+// declared Vsite, and the gateway in front of it — under the given clock
+// (sim.RealClock{} in the daemons). With stateDir == "" the NJS is
+// memory-only and the returned store is nil. Otherwise job state is
+// recovered from the journal rooted there and every later transition is
+// journaled (automatic snapshot after snapshotEvery entries; see
+// njs.AttachJournal): the caller must call NJS.ResumeRecovered once wiring
+// (peers) is complete, and owns the store — snapshot and close it on
+// shutdown.
+func BuildSite(site *TopologySite, cred *pki.Credential, ca *pki.Authority, clock sim.Scheduler, stateDir string, snapshotEvery int) (*gateway.Gateway, *njs.NJS, *journal.Store, error) {
+	users, err := BuildUsers(site.Usite, site.Users, clock)
 	if err != nil {
-		return nil, njs.Config{}, err
+		return nil, nil, nil, err
 	}
-	var vcs []njs.VsiteConfig
-	for i := range cfg.Vsites {
-		vc, err := cfg.Vsites[i].VsiteNJSConfig()
+	cfg := njs.Config{Usite: site.Usite, Clock: clock}
+	for i := range site.Vsites {
+		vc, err := site.Vsites[i].NJSConfig()
 		if err != nil {
-			return nil, njs.Config{}, err
+			return nil, nil, nil, err
 		}
-		vcs = append(vcs, vc)
+		cfg.Vsites = append(cfg.Vsites, vc)
 	}
-	return users, njs.Config{Usite: cfg.Usite, Clock: clock, Vsites: vcs}, nil
-}
-
-// BuildSite assembles the running pieces of a site: its UUDB, NJS, and
-// gateway, under the given clock (sim.RealClock{} in the daemons).
-func BuildSite(cfg *SiteConfig, cred *pki.Credential, ca *pki.Authority, clock sim.Scheduler) (*gateway.Gateway, *njs.NJS, *uudb.DB, error) {
-	users, njsCfg, err := buildParts(cfg, clock)
-	if err != nil {
-		return nil, nil, nil, err
+	var store *journal.Store
+	if stateDir != "" {
+		if store, err = journal.Open(stateDir); err != nil {
+			return nil, nil, nil, err
+		}
 	}
-	n, err := njs.New(njsCfg)
-	if err != nil {
-		return nil, nil, nil, err
+	n, err := newNJS(cfg, store, snapshotEvery)
+	var gw *gateway.Gateway
+	if err == nil {
+		gw, err = gateway.New(gateway.Config{Usite: site.Usite, Cred: cred, CA: ca, Users: users, NJS: n})
 	}
-	gw, err := gateway.New(gateway.Config{
-		Usite: cfg.Usite,
-		Cred:  cred,
-		CA:    ca,
-		Users: users,
-		NJS:   n,
-	})
 	if err != nil {
+		if store != nil {
+			// Surface a failing close alongside the assembly error: a close
+			// failure here is a swallowed flush/fsync problem on the journal.
+			err = errors.Join(err, store.Close())
+		}
 		return nil, nil, nil, err
 	}
 	// Telemetry timestamps (trace span starts) follow the deployment clock.
 	gw.Telemetry().SetNow(clock.Now)
-	return gw, n, users, nil
+	return gw, n, store, nil
 }
 
-// BuildDurableSite is BuildSite with journal-backed NJS state rooted at
-// stateDir: job state is recovered from the journal at boot and every
-// subsequent transition is journaled (automatic snapshot after snapshotEvery
-// entries; see njs.AttachJournal). The caller must call
-// NJS.ResumeRecovered() once wiring (peers) is complete, and owns the
-// returned store — snapshot and close it on shutdown.
-func BuildDurableSite(cfg *SiteConfig, cred *pki.Credential, ca *pki.Authority, clock sim.Scheduler, stateDir string, snapshotEvery int) (*gateway.Gateway, *njs.NJS, *uudb.DB, *journal.Store, error) {
-	users, njsCfg, err := buildParts(cfg, clock)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	store, err := journal.Open(stateDir)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	n, err := njs.Recover(store, njsCfg, snapshotEvery)
-	if err != nil {
-		// Surface a failing close alongside the recovery error: a close
-		// failure here is a swallowed flush/fsync problem on the journal.
-		return nil, nil, nil, nil, errors.Join(err, store.Close())
-	}
-	gw, err := gateway.New(gateway.Config{
-		Usite: cfg.Usite,
-		Cred:  cred,
-		CA:    ca,
-		Users: users,
-		NJS:   n,
-	})
-	if err != nil {
-		return nil, nil, nil, nil, errors.Join(err, store.Close())
-	}
-	gw.Telemetry().SetNow(clock.Now)
-	return gw, n, users, store, nil
-}
-
-// BuildReplicatedSite assembles a scaled-out site: every Vsite is served by
-// a pool of NJS replicas (the per-Vsite count from the JSON config, falling
-// back to defaultReplicas, minimum 1) behind a pool.Router that the gateway
-// fronts through the njs.Service interface. Each replica carries a distinct
-// instance tag so minted job IDs never collide across the pool. The caller
-// owns peer wiring: install a protocol client on every returned replica NJS
-// (SetPeers) when the site talks to other Usites, and start the router's
-// health checks once serving begins.
-func BuildReplicatedSite(cfg *SiteConfig, cred *pki.Credential, ca *pki.Authority, clock sim.Scheduler, defaultReplicas int, policy pool.Policy) (*gateway.Gateway, *pool.Router, map[core.Vsite][]*njs.NJS, *uudb.DB, error) {
-	users, njsCfg, err := buildParts(cfg, clock)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if defaultReplicas < 1 {
-		defaultReplicas = 1
-	}
-	router, err := pool.NewRouter(cfg.Usite)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	replicas := make(map[core.Vsite][]*njs.NJS, len(njsCfg.Vsites))
-	for i, vc := range njsCfg.Vsites {
-		count := cfg.Vsites[i].Replicas
-		if count < 1 {
-			count = defaultReplicas
-		}
-		set, err := pool.New(pool.Config{Vsite: vc.Name, Policy: policy, Clock: clock})
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		for r := 0; r < count; r++ {
-			tag := pool.ReplicaTag(r)
-			n, err := BuildReplica(cfg.Usite, vc, clock, tag)
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			if err := set.Add(tag, n); err != nil {
-				return nil, nil, nil, nil, err
-			}
-			replicas[vc.Name] = append(replicas[vc.Name], n)
-		}
-		if err := router.AddSet(set); err != nil {
-			return nil, nil, nil, nil, err
-		}
-	}
-	gw, err := gateway.New(gateway.Config{
-		Usite:   cfg.Usite,
-		Cred:    cred,
-		CA:      ca,
-		Users:   users,
-		Backend: router,
-	})
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	gw.Telemetry().SetNow(clock.Now)
-	return gw, router, replicas, users, nil
-}
-
-// BuildReplica builds one memory-only NJS replica serving a single Vsite
-// under the given pool tag — the unit BuildReplicatedSite assembles pools
-// from, exposed so a running Vsite can grow without rebuilding the site
-// (the controller adds the result to the live ReplicaSet with set.Add).
-// The tag becomes the NJS instance so minted job IDs never collide across
-// the pool.
-func BuildReplica(usite core.Usite, vc njs.VsiteConfig, clock sim.Scheduler, tag string) (*njs.NJS, error) {
-	n, err := njs.New(njs.Config{
+// BuildReplica builds one NJS replica serving a single Vsite under a pool
+// tag — the only place a tagged NJS is minted, whether a controller.Stack is
+// populating, growing, healing or rolling a pool or the testbed is wiring a
+// static one. The tag becomes the NJS instance, so job IDs minted across the
+// pool never collide, and a recovered replica must be rebuilt under the tag
+// it journaled with. A nil store builds a memory-only replica; otherwise the
+// replica's prior life is recovered from the store, the caller must call
+// ResumeRecovered once wiring is complete, and the caller owns the store.
+func BuildReplica(usite core.Usite, vc njs.VsiteConfig, clock sim.Scheduler, tag string, store *journal.Store, snapshotEvery int) (*njs.NJS, error) {
+	n, err := newNJS(njs.Config{
 		Usite:    usite,
 		Clock:    clock,
 		Vsites:   []njs.VsiteConfig{vc},
 		Instance: tag,
-	})
+	}, store, snapshotEvery)
 	if err != nil {
 		return nil, fmt.Errorf("deploy: vsite %s replica %s: %w", vc.Name, tag, err)
 	}
 	return n, nil
 }
 
-// BuildDurableReplica is BuildReplica with journal-backed state: the
-// replica's prior life is recovered from the store (empty store = fresh
-// replica) and every subsequent transition is journaled. The caller must
-// call ResumeRecovered once wiring is complete, and owns the store.
-func BuildDurableReplica(usite core.Usite, vc njs.VsiteConfig, clock sim.Scheduler, tag string, store *journal.Store, snapshotEvery int) (*njs.NJS, error) {
-	n, err := njs.Recover(store, njs.Config{
-		Usite:    usite,
-		Clock:    clock,
-		Vsites:   []njs.VsiteConfig{vc},
-		Instance: tag,
-	}, snapshotEvery)
+// Federate gives a gateway its grid membership: a federation advertising
+// the gateway at url, gossiping through client (which speaks under the
+// gateway's server credential) with the given peers, placing with the
+// least-loaded policy, and advertising the charge-back summary of the batch
+// accounting records usage returns. The gossip loop is not started.
+func Federate(gw *gateway.Gateway, client *protocol.Client, clock sim.Scheduler, url string, peers []TopologyPeer, usage func() []accounting.Record) (*federation.Federation, error) {
+	fed, err := federation.New(federation.Config{
+		Usite:  gw.Usite(),
+		URL:    url,
+		Client: client,
+		Clock:  clock,
+		Policy: broker.LeastLoaded,
+		Usage:  func() accounting.Summary { return accounting.Summarise(usage()) },
+	})
 	if err != nil {
-		return nil, fmt.Errorf("deploy: vsite %s replica %s: %w", vc.Name, tag, err)
+		return nil, err
 	}
-	return n, nil
-}
-
-// VsiteNJSConfig resolves one declared Vsite into the njs.VsiteConfig a
-// replica of it runs — the single-Vsite slice of what buildParts computes.
-func (v *VsiteConfig) VsiteNJSConfig() (njs.VsiteConfig, error) {
-	prof, err := Machine(v.Machine, v.Processors)
-	if err != nil {
-		return njs.VsiteConfig{}, err
-	}
-	var queues []codine.Queue
-	for _, q := range v.Queues {
-		mt := time.Duration(q.MaxTimeSec) * time.Second
-		if mt == 0 {
-			mt = 24 * time.Hour
+	for _, p := range peers {
+		if err := fed.AddPeer(p.Usite, p.URL); err != nil {
+			return nil, err
 		}
-		queues = append(queues, codine.Queue{Name: q.Name, Slots: q.Slots, MaxTime: mt})
 	}
-	return njs.VsiteConfig{
-		Name:     v.Name,
-		Profile:  prof,
-		Backfill: v.Backfill,
-		Queues:   queues,
-	}, nil
+	gw.SetFederation(fed)
+	return fed, nil
 }
 
 // LoadAuthority reads a CA PEM file.

@@ -12,8 +12,6 @@ import (
 	"unicore/internal/ajo"
 	"unicore/internal/client"
 	"unicore/internal/core"
-	"unicore/internal/journal"
-	"unicore/internal/njs"
 	"unicore/internal/pki"
 	"unicore/internal/pool"
 	"unicore/internal/resources"
@@ -46,9 +44,9 @@ const siteJSON = `{
 
 func TestLoadSiteConfig(t *testing.T) {
 	path := writeTemp(t, "site.json", siteJSON)
-	cfg, err := LoadSiteConfig(path)
+	cfg, err := LoadSite(path)
 	if err != nil {
-		t.Fatalf("LoadSiteConfig: %v", err)
+		t.Fatalf("LoadSite: %v", err)
 	}
 	if cfg.Usite != "FZJ" || len(cfg.Vsites) != 2 || len(cfg.Users) != 1 {
 		t.Fatalf("cfg = %+v", cfg)
@@ -65,7 +63,7 @@ func TestSiteConfigValidation(t *testing.T) {
 	}
 	for i, doc := range bad {
 		path := writeTemp(t, "bad.json", doc)
-		if _, err := LoadSiteConfig(path); err == nil {
+		if _, err := LoadSite(path); err == nil {
 			t.Fatalf("case %d: bad config accepted: %s", i, doc)
 		}
 	}
@@ -92,9 +90,9 @@ func TestMachineProfiles(t *testing.T) {
 
 func TestBuildSiteEndToEnd(t *testing.T) {
 	path := writeTemp(t, "site.json", siteJSON)
-	cfg, err := LoadSiteConfig(path)
+	cfg, err := LoadSite(path)
 	if err != nil {
-		t.Fatalf("LoadSiteConfig: %v", err)
+		t.Fatalf("LoadSite: %v", err)
 	}
 	ca, err := pki.NewAuthority("Deploy-CA")
 	if err != nil {
@@ -105,14 +103,17 @@ func TestBuildSiteEndToEnd(t *testing.T) {
 		t.Fatalf("IssueServer: %v", err)
 	}
 	clock := sim.NewVirtualClock()
-	gw, n, users, err := BuildSite(cfg, cred, ca, clock)
+	gw, n, store, err := BuildSite(cfg, cred, ca, clock, "", 0)
 	if err != nil {
 		t.Fatalf("BuildSite: %v", err)
+	}
+	if store != nil {
+		t.Fatal("memory-only site returned a journal store")
 	}
 	if gw.Usite() != "FZJ" || n.Usite() != "FZJ" {
 		t.Fatalf("usites: gw=%s njs=%s", gw.Usite(), n.Usite())
 	}
-	login, err := users.Map("CN=Alice,O=FZJ,C=DE", "T3E")
+	login, err := gw.MapLogin("CN=Alice,O=FZJ,C=DE", "T3E")
 	if err != nil || login.UID != "alice" {
 		t.Fatalf("mapping = %+v, %v", login, err)
 	}
@@ -124,73 +125,6 @@ func TestBuildSiteEndToEnd(t *testing.T) {
 	names := vs.RMS.QueueNames()
 	if len(names) != 2 || names[0] != "fast" || names[1] != "batch" {
 		t.Fatalf("queues = %v", names)
-	}
-}
-
-// TestBuildDurableSiteRecovers boots a durable site, consigns a job to
-// completion, tears the site down (crash), and boots a second durable site
-// over the same state directory: the job must come back verbatim.
-func TestBuildDurableSiteRecovers(t *testing.T) {
-	path := writeTemp(t, "site.json", siteJSON)
-	cfg, err := LoadSiteConfig(path)
-	if err != nil {
-		t.Fatalf("LoadSiteConfig: %v", err)
-	}
-	ca, err := pki.NewAuthority("Deploy-CA")
-	if err != nil {
-		t.Fatalf("NewAuthority: %v", err)
-	}
-	cred, err := ca.IssueServer("gateway.fzj")
-	if err != nil {
-		t.Fatalf("IssueServer: %v", err)
-	}
-	clock := sim.NewVirtualClock()
-	stateDir := t.TempDir()
-
-	_, n, _, store, err := BuildDurableSite(cfg, cred, ca, clock, stateDir, 0)
-	if err != nil {
-		t.Fatalf("BuildDurableSite: %v", err)
-	}
-	n.ResumeRecovered()
-	job := &ajo.AbstractJob{
-		Header: ajo.Header{ActionID: "deploy-job", ActionName: "deploy-job"},
-		Target: core.Target{Usite: "FZJ", Vsite: "CLUSTER"},
-		UserDN: "CN=Alice,O=FZJ,C=DE",
-		Actions: ajo.ActionList{&ajo.UserTask{
-			TaskBase: ajo.TaskBase{Header: ajo.Header{ActionID: "hello"}},
-			Command:  "echo hello durable world",
-		}},
-	}
-	id, err := n.Consign(context.Background(), "CN=Alice,O=FZJ,C=DE", "dur-1", job)
-	if err != nil {
-		t.Fatalf("Consign: %v", err)
-	}
-	clock.RunUntilIdle(0)
-	if err := n.Snapshot(); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	n.Kill()
-	if err := store.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	_, n2, _, store2, err := BuildDurableSite(cfg, cred, ca, clock, stateDir, 0)
-	if err != nil {
-		t.Fatalf("BuildDurableSite (reboot): %v", err)
-	}
-	defer store2.Close()
-	n2.ResumeRecovered()
-	clock.RunUntilIdle(0)
-	o, found, err := n2.Outcome("CN=Alice,O=FZJ,C=DE", false, id)
-	if err != nil || !found {
-		t.Fatalf("Outcome after reboot: %v found=%v", err, found)
-	}
-	if o.Status != ajo.StatusSuccessful {
-		t.Fatalf("recovered job = %s", o.Status)
-	}
-	hit, ok := o.Find("hello")
-	if !ok || string(hit.Stdout) != "hello durable world\n" {
-		t.Fatalf("recovered stdout = %q (found=%v)", hit.Stdout, ok)
 	}
 }
 
@@ -361,88 +295,15 @@ func TestJobSpecErrors(t *testing.T) {
 	}
 }
 
-var _ = uudb.Login{} // keep the import for the site JSON round trip above
-
-func TestBuildReplicatedSite(t *testing.T) {
-	// T3E pins its own replica count; CLUSTER falls back to the default.
-	doc := `{
-  "usite": "FZJ",
-  "vsites": [
-    {"name": "T3E", "machine": "t3e", "processors": 128, "replicas": 2},
-    {"name": "CLUSTER", "machine": "cluster"}
-  ],
-  "users": [
-    {"dn": "CN=Alice,O=FZJ,C=DE",
-     "logins": {"T3E": {"uid": "alice"}, "CLUSTER": {"uid": "ali"}}}
-  ]
-}`
-	path := writeTemp(t, "site.json", doc)
-	cfg, err := LoadSiteConfig(path)
-	if err != nil {
-		t.Fatalf("LoadSiteConfig: %v", err)
-	}
-	ca, err := pki.NewAuthority("Deploy-CA")
-	if err != nil {
-		t.Fatalf("NewAuthority: %v", err)
-	}
-	cred, err := ca.IssueServer("gateway.fzj")
-	if err != nil {
-		t.Fatalf("IssueServer: %v", err)
-	}
-	clock := sim.NewVirtualClock()
-	gw, router, replicas, _, err := BuildReplicatedSite(cfg, cred, ca, clock, 3, pool.LeastLoaded)
-	if err != nil {
-		t.Fatalf("BuildReplicatedSite: %v", err)
-	}
-	if got := len(replicas["T3E"]); got != 2 {
-		t.Fatalf("T3E replicas = %d, want the per-vsite override 2", got)
-	}
-	if got := len(replicas["CLUSTER"]); got != 3 {
-		t.Fatalf("CLUSTER replicas = %d, want the default 3", got)
-	}
-	// Replica instance tags keep job IDs disjoint across the pool.
-	tags := map[string]bool{}
-	for _, n := range replicas["CLUSTER"] {
-		if tags[n.Instance()] {
-			t.Fatalf("duplicate replica instance tag %q", n.Instance())
-		}
-		tags[n.Instance()] = true
-	}
-	// The gateway fronts the router, and a consigned job lands on exactly
-	// one replica with the DN→login mapping applied.
-	if gw.Backend() != njs.Service(router) {
-		t.Fatal("gateway backend is not the router")
-	}
-	b := client.NewJob("hello", core.Target{Usite: "FZJ", Vsite: "CLUSTER"})
-	b.Script("noop", "echo hello\n", resources.Request{Processors: 1, RunTime: time.Hour})
-	job, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	id, err := router.Consign(context.Background(), "CN=Alice,O=FZJ,C=DE", "c1", job)
-	if err != nil {
-		t.Fatalf("Consign through router: %v", err)
-	}
-	owners := 0
-	for _, n := range replicas["CLUSTER"] {
-		if jobs, _ := n.List("CN=Alice,O=FZJ,C=DE"); len(jobs) == 1 && jobs[0].Job == id {
-			owners++
-		}
-	}
-	if owners != 1 {
-		t.Fatalf("job %s owned by %d replicas, want exactly 1", id, owners)
-	}
-}
-
-// TestBuildReplicaGrowsLiveVsite covers the extracted single-replica build
-// path: a replica built on its own joins an already-serving ReplicaSet and
-// takes traffic, without rebuilding the site.
+// TestBuildReplicaGrowsLiveVsite covers the replica constructor on its own:
+// a replica built in isolation joins an already-serving ReplicaSet and takes
+// traffic, without rebuilding the site.
 func TestBuildReplicaGrowsLiveVsite(t *testing.T) {
 	clock := sim.NewVirtualClock()
-	vcfg := VsiteConfig{Name: "CLUSTER", Machine: "cluster"}
-	vc, err := vcfg.VsiteNJSConfig()
+	vcfg := TopologyVsite{Name: "CLUSTER", Machine: "cluster"}
+	vc, err := vcfg.NJSConfig()
 	if err != nil {
-		t.Fatalf("VsiteNJSConfig: %v", err)
+		t.Fatalf("NJSConfig: %v", err)
 	}
 	set, err := pool.New(pool.Config{Vsite: "CLUSTER", Policy: pool.RoundRobin, Clock: clock})
 	if err != nil {
@@ -452,7 +313,7 @@ func TestBuildReplicaGrowsLiveVsite(t *testing.T) {
 		return uudb.Login{UID: "a"}, nil
 	})
 	for r := 0; r < 2; r++ {
-		n, err := BuildReplica("FZJ", vc, clock, pool.ReplicaTag(r))
+		n, err := BuildReplica("FZJ", vc, clock, pool.ReplicaTag(r), nil, 0)
 		if err != nil {
 			t.Fatalf("BuildReplica(%d): %v", r, err)
 		}
@@ -471,7 +332,7 @@ func TestBuildReplicaGrowsLiveVsite(t *testing.T) {
 		t.Fatalf("Consign before grow: %v", err)
 	}
 	// …then grow it by one replica built in isolation.
-	n3, err := BuildReplica("FZJ", vc, clock, pool.ReplicaTag(2))
+	n3, err := BuildReplica("FZJ", vc, clock, pool.ReplicaTag(2), nil, 0)
 	if err != nil {
 		t.Fatalf("BuildReplica(2): %v", err)
 	}
@@ -505,67 +366,7 @@ func TestBuildReplicaGrowsLiveVsite(t *testing.T) {
 	}
 }
 
-// TestBuildDurableReplicaRecovers round-trips one replica through a crash:
-// consign against the journaled replica, kill it, rebuild from the same
-// store, and find the job again under the same instance tag.
-func TestBuildDurableReplicaRecovers(t *testing.T) {
-	clock := sim.NewVirtualClock()
-	vcfg := VsiteConfig{Name: "CLUSTER", Machine: "cluster"}
-	vc, err := vcfg.VsiteNJSConfig()
-	if err != nil {
-		t.Fatalf("VsiteNJSConfig: %v", err)
-	}
-	dir := t.TempDir()
-	store, err := journal.Open(dir)
-	if err != nil {
-		t.Fatalf("journal.Open: %v", err)
-	}
-	n, err := BuildDurableReplica("FZJ", vc, clock, "r0", store, 0)
-	if err != nil {
-		t.Fatalf("BuildDurableReplica: %v", err)
-	}
-	n.SetLoginMapper(func(core.DN, core.Vsite) (uudb.Login, error) {
-		return uudb.Login{UID: "a"}, nil
-	})
-	n.ResumeRecovered()
-	b := client.NewJob("durable", core.Target{Usite: "FZJ", Vsite: "CLUSTER"})
-	b.Script("noop", "echo durable\n", resources.Request{Processors: 1, RunTime: time.Hour})
-	job, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	id, err := n.Consign(context.Background(), "CN=A", "dur-r0", job)
-	if err != nil {
-		t.Fatalf("Consign: %v", err)
-	}
-	if err := store.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	n.Kill()
-	if err := store.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	store2, err := journal.Open(dir)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer store2.Close()
-	n2, err := BuildDurableReplica("FZJ", vc, clock, "r0", store2, 0)
-	if err != nil {
-		t.Fatalf("BuildDurableReplica (reboot): %v", err)
-	}
-	n2.ResumeRecovered()
-	if n2.Instance() != "r0" {
-		t.Fatalf("recovered instance = %q, want r0", n2.Instance())
-	}
-	jobs, err := n2.List("CN=A")
-	if err != nil || len(jobs) != 1 || jobs[0].Job != id {
-		t.Fatalf("recovered jobs = %+v, %v (want the consigned job %s)", jobs, err, id)
-	}
-}
-
-// TestBuildDurableSiteErrorPathClosesStore drives BuildDurableSite into its
+// TestBuildDurableSiteErrorPathClosesStore drives a durable BuildSite into its
 // post-journal-open failure path (a nil credential fails gateway assembly)
 // and checks two things the error handling owes the caller: the assembly
 // error itself survives (errors.Join must not mask it), and the journal
@@ -574,9 +375,9 @@ func TestBuildDurableReplicaRecovers(t *testing.T) {
 // writer.
 func TestBuildDurableSiteErrorPathClosesStore(t *testing.T) {
 	path := writeTemp(t, "site.json", siteJSON)
-	cfg, err := LoadSiteConfig(path)
+	cfg, err := LoadSite(path)
 	if err != nil {
-		t.Fatalf("LoadSiteConfig: %v", err)
+		t.Fatalf("LoadSite: %v", err)
 	}
 	ca, err := pki.NewAuthority("Deploy-CA")
 	if err != nil {
@@ -585,9 +386,9 @@ func TestBuildDurableSiteErrorPathClosesStore(t *testing.T) {
 	clock := sim.NewVirtualClock()
 	stateDir := t.TempDir()
 
-	_, _, _, _, err = BuildDurableSite(cfg, nil, ca, clock, stateDir, 0)
+	_, _, _, err = BuildSite(cfg, nil, ca, clock, stateDir, 0)
 	if err == nil {
-		t.Fatal("BuildDurableSite with nil credential succeeded")
+		t.Fatal("BuildSite with nil credential succeeded")
 	}
 	if !strings.Contains(err.Error(), "credential") {
 		t.Fatalf("gateway assembly error masked by the close path: %v", err)
@@ -598,9 +399,9 @@ func TestBuildDurableSiteErrorPathClosesStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("IssueServer: %v", err)
 	}
-	_, n, _, store, err := BuildDurableSite(cfg, cred, ca, clock, stateDir, 0)
+	_, n, store, err := BuildSite(cfg, cred, ca, clock, stateDir, 0)
 	if err != nil {
-		t.Fatalf("BuildDurableSite after failed attempt: %v", err)
+		t.Fatalf("BuildSite after failed attempt: %v", err)
 	}
 	n.ResumeRecovered()
 	if err := store.Close(); err != nil {

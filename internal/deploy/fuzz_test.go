@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -9,7 +10,9 @@ import (
 // arbitrary input: it never panics (it returns an error instead), and any
 // document it accepts round-trips — Encode of the parsed spec re-parses to a
 // deeply equal spec, so `unicore-ctl` can normalise operator files without
-// changing their meaning.
+// changing their meaning. The same input goes through the site-file parser,
+// which shares the decoder and the validator: it must not panic either, and
+// the two file kinds must agree on what a valid site is.
 func FuzzTopologySpecParse(f *testing.F) {
 	f.Add([]byte(sampleTopology))
 	f.Add([]byte(`{"version": 1, "sites": [{"usite": "A", "vsites": [{"name": "V", "machine": "cluster"}]}]}`))
@@ -22,7 +25,14 @@ func FuzzTopologySpecParse(f *testing.F) {
 	f.Add([]byte(`[1, 2, 3]`))
 	f.Add([]byte(`{"version": 1, "sites": [`))
 	f.Add([]byte{0xff, 0xfe, 0x00})
+	f.Add([]byte(siteJSON))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if site, err := ParseSite(data); err == nil {
+			one := TopologySpec{Version: TopologyVersion, Sites: []TopologySite{*site}}
+			if err := one.Validate(); err != nil {
+				t.Fatalf("site accepted alone but refused inside a spec: %v", err)
+			}
+		}
 		spec, err := ParseTopology(data)
 		if err != nil {
 			return // rejected input is fine; panicking is not
@@ -37,6 +47,15 @@ func FuzzTopologySpecParse(f *testing.F) {
 		}
 		if !reflect.DeepEqual(spec, again) {
 			t.Fatalf("round trip diverged:\noriginal: %+v\nreparsed: %+v", spec, again)
+		}
+		for i := range spec.Sites {
+			doc, err := json.Marshal(&spec.Sites[i])
+			if err != nil {
+				t.Fatalf("site of an accepted spec does not encode: %v", err)
+			}
+			if _, err := ParseSite(doc); err != nil {
+				t.Fatalf("site accepted inside a spec but refused alone: %v\n%s", err, doc)
+			}
 		}
 	})
 }

@@ -1,22 +1,26 @@
 package deploy
 
-// Topology specs are the declarative layer above the per-site JSON configs:
-// one document describes the whole desired deployment — which Usites exist,
-// how many NJS replicas serve each Vsite, which routing policy and spool TTL
-// each pool runs, and where the replica journals live. The controller
-// (internal/controller) diffs a spec against the live deployment and
-// converges it; unicore-ctl parses, validates, diffs, and applies spec
-// files; unicore-njs can derive its site config from the shared spec.
+// One schema describes a site wherever it is written down: a site.json file
+// is a TopologySite, and a topology spec is a list of them plus what only a
+// whole deployment has — which Usites exist, where the replica journals live,
+// who the federation peers are. The controller (internal/controller) diffs a
+// spec against the live deployment and converges it; unicore-ctl parses,
+// validates, diffs, and applies spec files; unicore-gateway and unicore-njs
+// boot from either file kind.
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"time"
 
+	"unicore/internal/codine"
 	"unicore/internal/core"
+	"unicore/internal/njs"
 	"unicore/internal/pool"
+	"unicore/internal/uudb"
 )
 
 // TopologyVersion is the spec format this tree reads and writes.
@@ -46,14 +50,29 @@ type TopologyPeer struct {
 	URL string `json:"url"`
 }
 
-// TopologySite declares one Usite.
+// TopologySite declares one Usite — the document a site.json file holds and
+// one element of a topology spec's sites list.
 type TopologySite struct {
 	Usite core.Usite `json:"usite"`
 	// Vsites lists the execution systems of the site.
 	Vsites []TopologyVsite `json:"vsites"`
-	// Users maps certificate DNs to per-Vsite logins (same shape as the
-	// per-site config).
+	// Users maps certificate DNs to per-Vsite logins.
 	Users []UserMapping `json:"users,omitempty"`
+}
+
+// QueueConfig is the JSON description of one batch queue.
+type QueueConfig struct {
+	Name       string `json:"name"`
+	Slots      int    `json:"slots"`
+	MaxTimeSec int    `json:"maxTimeSec,omitempty"`
+}
+
+// UserMapping is one UUDB entry.
+type UserMapping struct {
+	DN     core.DN                   `json:"dn"`
+	Email  string                    `json:"email,omitempty"`
+	Logins map[core.Vsite]uudb.Login `json:"logins"`
+	Extra  map[string]string         `json:"extra,omitempty"`
 }
 
 // TopologyVsite declares one execution system and its replica pool.
@@ -69,7 +88,8 @@ type TopologyVsite struct {
 	Queues []QueueConfig `json:"queues,omitempty"`
 	// Replicas is the declared NJS replica count (minimum 1). With an
 	// Autoscale block this is the resting size; the controller moves the
-	// live count inside [Autoscale.Min, Autoscale.Max].
+	// live count inside [Autoscale.Min, Autoscale.Max]. The single-NJS
+	// builder (BuildSite) ignores it, as it does every pool knob below.
 	Replicas int `json:"replicas,omitempty"`
 	// Policy selects the pool's consign routing: "round-robin",
 	// "least-loaded", or "consistent-hash" (default round-robin).
@@ -111,15 +131,6 @@ func (v *TopologyVsite) SpoolTTL() time.Duration {
 	return time.Duration(v.SpoolTTLSec) * time.Second
 }
 
-// ReplicaFloor returns the smallest replica count the spec allows for the
-// Vsite: Autoscale.Min when autoscaling, else the declared count (min 1).
-func (v *TopologyVsite) ReplicaFloor() int {
-	if v.Autoscale != nil {
-		return v.Autoscale.Min
-	}
-	return v.DeclaredReplicas()
-}
-
 // DeclaredReplicas returns the declared resting replica count (minimum 1).
 func (v *TopologyVsite) DeclaredReplicas() int {
 	if v.Replicas < 1 {
@@ -128,20 +139,27 @@ func (v *TopologyVsite) DeclaredReplicas() int {
 	return v.Replicas
 }
 
-// ParseTopology decodes and validates a topology spec document. Unknown
-// fields are rejected so a typo ("replcas") cannot silently deploy a
-// different topology than the operator wrote.
-func ParseTopology(data []byte) (*TopologySpec, error) {
+// decodeStrict decodes exactly one JSON document into v. Unknown fields are
+// rejected so a typo ("replcas") cannot silently deploy something other than
+// what the operator wrote, and a second document in the stream is a
+// concatenation mistake, not a bigger deployment.
+func decodeStrict(data []byte, what string, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var spec TopologySpec
-	if err := dec.Decode(&spec); err != nil {
-		return nil, fmt.Errorf("deploy: parsing topology: %w", err)
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("deploy: parsing %s: %w", what, err)
 	}
-	// A second document in the stream is a concatenation mistake, not a
-	// bigger topology.
 	if dec.More() {
-		return nil, fmt.Errorf("deploy: parsing topology: trailing data after spec document")
+		return fmt.Errorf("deploy: parsing %s: trailing data after the document", what)
+	}
+	return nil
+}
+
+// ParseTopology decodes and validates a topology spec document.
+func ParseTopology(data []byte) (*TopologySpec, error) {
+	var spec TopologySpec
+	if err := decodeStrict(data, "topology", &spec); err != nil {
+		return nil, err
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("deploy: topology: %w", err)
@@ -149,17 +167,39 @@ func ParseTopology(data []byte) (*TopologySpec, error) {
 	return &spec, nil
 }
 
+// ParseSite decodes and validates a site document (the contents of a
+// site.json file) under the same rules as ParseTopology.
+func ParseSite(data []byte) (*TopologySite, error) {
+	var site TopologySite
+	if err := decodeStrict(data, "site", &site); err != nil {
+		return nil, err
+	}
+	if err := site.Validate(); err != nil {
+		return nil, fmt.Errorf("deploy: site: %w", err)
+	}
+	return &site, nil
+}
+
 // LoadTopology reads and validates a topology spec file.
 func LoadTopology(path string) (*TopologySpec, error) {
+	return loadFile(path, ParseTopology)
+}
+
+// LoadSite reads and validates a site configuration file.
+func LoadSite(path string) (*TopologySite, error) {
+	return loadFile(path, ParseSite)
+}
+
+func loadFile[T any](path string, parse func([]byte) (*T, error)) (*T, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("deploy: %w", err)
 	}
-	spec, err := ParseTopology(data)
+	doc, err := parse(data)
 	if err != nil {
 		return nil, fmt.Errorf("%w (%s)", err, path)
 	}
-	return spec, nil
+	return doc, nil
 }
 
 // Encode renders the spec as indented JSON. Encode∘ParseTopology is the
@@ -183,75 +223,13 @@ func (s *TopologySpec) Validate() error {
 	seenSites := map[core.Usite]bool{}
 	for i := range s.Sites {
 		site := &s.Sites[i]
-		if site.Usite == "" {
-			return fmt.Errorf("site %d has no usite name", i)
+		if err := site.Validate(); err != nil {
+			return fmt.Errorf("site %d: %w", i, err)
 		}
 		if seenSites[site.Usite] {
 			return fmt.Errorf("duplicate usite %q", site.Usite)
 		}
 		seenSites[site.Usite] = true
-		if len(site.Vsites) == 0 {
-			return fmt.Errorf("usite %s has no vsites", site.Usite)
-		}
-		seenV := map[core.Vsite]bool{}
-		for j := range site.Vsites {
-			v := &site.Vsites[j]
-			if v.Name == "" {
-				return fmt.Errorf("usite %s: vsite %d has no name", site.Usite, j)
-			}
-			if seenV[v.Name] {
-				return fmt.Errorf("usite %s: duplicate vsite %q", site.Usite, v.Name)
-			}
-			seenV[v.Name] = true
-			if _, err := Machine(v.Machine, v.Processors); err != nil {
-				return fmt.Errorf("usite %s vsite %s: %w", site.Usite, v.Name, err)
-			}
-			if v.Replicas < 0 {
-				return fmt.Errorf("usite %s vsite %s: negative replica count %d", site.Usite, v.Name, v.Replicas)
-			}
-			if v.Processors < 0 {
-				return fmt.Errorf("usite %s vsite %s: negative processor count %d", site.Usite, v.Name, v.Processors)
-			}
-			if v.Generation < 0 {
-				return fmt.Errorf("usite %s vsite %s: negative generation %d", site.Usite, v.Name, v.Generation)
-			}
-			if v.SpoolTTLSec < 0 {
-				return fmt.Errorf("usite %s vsite %s: negative spool TTL %d", site.Usite, v.Name, v.SpoolTTLSec)
-			}
-			if v.SnapshotEvery < 0 {
-				return fmt.Errorf("usite %s vsite %s: negative snapshot cadence %d", site.Usite, v.Name, v.SnapshotEvery)
-			}
-			if _, err := pool.ParsePolicy(v.Policy); err != nil {
-				return fmt.Errorf("usite %s vsite %s: %w", site.Usite, v.Name, err)
-			}
-			if a := v.Autoscale; a != nil {
-				if a.Min < 1 {
-					return fmt.Errorf("usite %s vsite %s: autoscale min %d (want >= 1)", site.Usite, v.Name, a.Min)
-				}
-				if a.Max < a.Min {
-					return fmt.Errorf("usite %s vsite %s: autoscale max %d below min %d", site.Usite, v.Name, a.Max, a.Min)
-				}
-				if a.BacklogPerReplica < 0 {
-					return fmt.Errorf("usite %s vsite %s: negative autoscale backlog %d", site.Usite, v.Name, a.BacklogPerReplica)
-				}
-				if a.IdleCycles < 0 {
-					return fmt.Errorf("usite %s vsite %s: negative autoscale idle cycles %d", site.Usite, v.Name, a.IdleCycles)
-				}
-				if r := v.DeclaredReplicas(); r < a.Min || r > a.Max {
-					return fmt.Errorf("usite %s vsite %s: declared replicas %d outside autoscale bounds [%d,%d]", site.Usite, v.Name, r, a.Min, a.Max)
-				}
-			}
-		}
-		for _, u := range site.Users {
-			if u.DN == "" {
-				return fmt.Errorf("usite %s: user mapping without DN", site.Usite)
-			}
-			for vs := range u.Logins {
-				if !seenV[vs] {
-					return fmt.Errorf("usite %s: user %s mapped at unknown vsite %q", site.Usite, u.DN, vs)
-				}
-			}
-		}
 	}
 	seenPeers := map[core.Usite]bool{}
 	for i, p := range s.Peers {
@@ -267,6 +245,110 @@ func (s *TopologySpec) Validate() error {
 		seenPeers[p.Usite] = true
 	}
 	return nil
+}
+
+// Validate checks one site declaration — the only validator a site passes
+// through, whether it was read from a site.json or from a topology spec.
+func (site *TopologySite) Validate() error {
+	if site.Usite == "" {
+		return errors.New("empty usite name")
+	}
+	if len(site.Vsites) == 0 {
+		return fmt.Errorf("usite %s has no vsites", site.Usite)
+	}
+	seen := map[core.Vsite]bool{}
+	for j := range site.Vsites {
+		v := &site.Vsites[j]
+		if v.Name == "" {
+			return fmt.Errorf("usite %s: vsite %d has no name", site.Usite, j)
+		}
+		if seen[v.Name] {
+			return fmt.Errorf("usite %s: duplicate vsite %q", site.Usite, v.Name)
+		}
+		seen[v.Name] = true
+		if err := v.validate(); err != nil {
+			return fmt.Errorf("usite %s vsite %s: %w", site.Usite, v.Name, err)
+		}
+	}
+	for _, u := range site.Users {
+		if u.DN == "" {
+			return fmt.Errorf("usite %s: user mapping without DN", site.Usite)
+		}
+		for vs := range u.Logins {
+			if !seen[vs] {
+				return fmt.Errorf("usite %s: user %s mapped at unknown vsite %q", site.Usite, u.DN, vs)
+			}
+		}
+	}
+	return nil
+}
+
+// validate checks one Vsite declaration's own fields.
+func (v *TopologyVsite) validate() error {
+	if _, err := Machine(v.Machine, v.Processors); err != nil {
+		return err
+	}
+	if v.Replicas < 0 {
+		return fmt.Errorf("negative replica count %d", v.Replicas)
+	}
+	if v.Processors < 0 {
+		return fmt.Errorf("negative processor count %d", v.Processors)
+	}
+	if v.Generation < 0 {
+		return fmt.Errorf("negative generation %d", v.Generation)
+	}
+	if v.SpoolTTLSec < 0 {
+		return fmt.Errorf("negative spool TTL %d", v.SpoolTTLSec)
+	}
+	if v.SnapshotEvery < 0 {
+		return fmt.Errorf("negative snapshot cadence %d", v.SnapshotEvery)
+	}
+	if _, err := pool.ParsePolicy(v.Policy); err != nil {
+		return err
+	}
+	a := v.Autoscale
+	if a == nil {
+		return nil
+	}
+	if a.Min < 1 {
+		return fmt.Errorf("autoscale min %d (want >= 1)", a.Min)
+	}
+	if a.Max < a.Min {
+		return fmt.Errorf("autoscale max %d below min %d", a.Max, a.Min)
+	}
+	if a.BacklogPerReplica < 0 {
+		return fmt.Errorf("negative autoscale backlog %d", a.BacklogPerReplica)
+	}
+	if a.IdleCycles < 0 {
+		return fmt.Errorf("negative autoscale idle cycles %d", a.IdleCycles)
+	}
+	if r := v.DeclaredReplicas(); r < a.Min || r > a.Max {
+		return fmt.Errorf("declared replicas %d outside autoscale bounds [%d,%d]", r, a.Min, a.Max)
+	}
+	return nil
+}
+
+// NJSConfig resolves a declared Vsite into the njs.VsiteConfig an NJS serving
+// it runs (machine profile, queue set).
+func (v *TopologyVsite) NJSConfig() (njs.VsiteConfig, error) {
+	prof, err := Machine(v.Machine, v.Processors)
+	if err != nil {
+		return njs.VsiteConfig{}, err
+	}
+	var queues []codine.Queue
+	for _, q := range v.Queues {
+		mt := time.Duration(q.MaxTimeSec) * time.Second
+		if mt == 0 {
+			mt = 24 * time.Hour
+		}
+		queues = append(queues, codine.Queue{Name: q.Name, Slots: q.Slots, MaxTime: mt})
+	}
+	return njs.VsiteConfig{
+		Name:     v.Name,
+		Profile:  prof,
+		Backfill: v.Backfill,
+		Queues:   queues,
+	}, nil
 }
 
 // Peer returns the declared peer entry for a Usite.
@@ -297,31 +379,6 @@ func (site *TopologySite) Vsite(v core.Vsite) (*TopologyVsite, bool) {
 		}
 	}
 	return nil, false
-}
-
-// SiteConfig converts one declared site into the per-site JSON config shape
-// the builders consume — the bridge that lets unicore-njs and unicore-gateway
-// boot from a shared topology spec instead of a per-site file.
-func (s *TopologySpec) SiteConfig(u core.Usite) (*SiteConfig, error) {
-	site, ok := s.Site(u)
-	if !ok {
-		return nil, fmt.Errorf("deploy: topology declares no usite %q", u)
-	}
-	cfg := &SiteConfig{Usite: site.Usite, Users: site.Users}
-	for _, v := range site.Vsites {
-		cfg.Vsites = append(cfg.Vsites, VsiteConfig{
-			Name:       v.Name,
-			Machine:    v.Machine,
-			Processors: v.Processors,
-			Backfill:   v.Backfill,
-			Queues:     v.Queues,
-			Replicas:   v.DeclaredReplicas(),
-		})
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return cfg, nil
 }
 
 // TopologyChange is one step of a topology diff.

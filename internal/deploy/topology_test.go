@@ -83,7 +83,7 @@ func TestTopologyRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("Vsite(T3E) not found")
 	}
-	if v.DeclaredReplicas() != 3 || v.ReplicaFloor() != 2 || v.SpoolTTL().Seconds() != 3600 {
+	if v.DeclaredReplicas() != 3 || v.Autoscale.Min != 2 || v.SpoolTTL().Seconds() != 3600 {
 		t.Fatalf("T3E decoded wrong: %+v", v)
 	}
 	if c, ok := site.Vsite("CLUSTER"); !ok || c.DeclaredReplicas() != 1 {
@@ -151,22 +151,47 @@ func TestTopologyValidate(t *testing.T) {
 	}
 }
 
-// TestTopologySiteConfig checks the bridge from topology spec to the
-// per-site config the builders consume.
-func TestTopologySiteConfig(t *testing.T) {
-	spec := parseSample(t)
-	cfg, err := spec.SiteConfig("FZJ")
-	if err != nil {
-		t.Fatalf("SiteConfig: %v", err)
+// TestBothFileKindsRejectTheSameInputs holds the two documents an operator
+// writes — a site.json and a topology spec — to one strict parser and one
+// validator: each malformed site is refused with the same complaint whether
+// it arrives alone or as an entry of a spec's sites list.
+func TestBothFileKindsRejectTheSameInputs(t *testing.T) {
+	const good = `{"usite": "X", "vsites": [{"name": "V", "machine": "t3e"}]}`
+	cases := []struct{ name, site, suffix, want string }{
+		{"well-formed", good, "", ""},
+		{"unknown-field", `{"usite": "X", "vsites": [{"name": "V", "machine": "t3e", "replcas": 3}]}`, "", "unknown field"},
+		{"trailing-document", good, good, "trailing data"},
+		{"negative-processors", `{"usite": "X", "vsites": [{"name": "V", "machine": "t3e", "processors": -4}]}`, "", "negative processor count"},
+		{"negative-replicas", `{"usite": "X", "vsites": [{"name": "V", "machine": "t3e", "replicas": -1}]}`, "", "negative replica count"},
+		{"user-at-unknown-vsite", `{"usite": "X", "vsites": [{"name": "V", "machine": "t3e"}],
+			"users": [{"dn": "CN=A", "logins": {"W": {"uid": "a"}}}]}`, "", "unknown vsite"},
 	}
-	if cfg.Usite != "FZJ" || len(cfg.Vsites) != 2 || len(cfg.Users) != 1 {
-		t.Fatalf("converted config wrong: %+v", cfg)
+	kinds := []struct {
+		name  string
+		parse func(site, suffix string) error
+	}{
+		{"site", func(site, suffix string) error {
+			_, err := ParseSite([]byte(site + suffix))
+			return err
+		}},
+		{"topology", func(site, suffix string) error {
+			_, err := ParseTopology([]byte(`{"version": 1, "sites": [` + site + `]}` + suffix))
+			return err
+		}},
 	}
-	if cfg.Vsites[0].Replicas != 3 || cfg.Vsites[1].Replicas != 1 {
-		t.Fatalf("replica counts not carried over: %+v", cfg.Vsites)
-	}
-	if _, err := spec.SiteConfig("NOPE"); err == nil {
-		t.Fatal("SiteConfig of undeclared usite succeeded")
+	for _, tc := range cases {
+		for _, kind := range kinds {
+			t.Run(tc.name+"/"+kind.name, func(t *testing.T) {
+				err := kind.parse(tc.site, tc.suffix)
+				if tc.want == "" {
+					if err != nil {
+						t.Fatalf("well-formed document refused: %v", err)
+					}
+				} else if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err = %v, want %q", err, tc.want)
+				}
+			})
+		}
 	}
 }
 

@@ -49,6 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"unicore/internal/accounting"
 	"unicore/internal/ajo"
 	"unicore/internal/codine"
 	"unicore/internal/core"
@@ -409,6 +410,24 @@ func (n *NJS) Load() float64 {
 		total += v.RMS.Load()
 	}
 	return total / float64(len(n.vsites))
+}
+
+// Accounting returns the batch accounting of every Vsite, in Vsite-name
+// order, tagged with its target and the machine's per-PE peak so usage can
+// be merged and charged across sites (package accounting).
+func (n *NJS) Accounting() []accounting.Record {
+	var out []accounting.Record
+	for _, name := range n.VsiteNames() {
+		rms := n.vsites[name].RMS
+		for _, rec := range rms.Accounting() {
+			out = append(out, accounting.Record{
+				Target:      core.Target{Usite: n.usite, Vsite: name},
+				MFlopsPerPE: rms.Machine().MFlopsPerPE,
+				Record:      rec,
+			})
+		}
+	}
+	return out
 }
 
 // nextJobID mints "USITE-000001"-style IDs ("USITE-r1-000001" when this NJS

@@ -8,7 +8,7 @@ package pool
 // flight); then either SetService swaps in a journal-recovered replacement
 // under the same name (the reconcile pass re-homes ack-index entries and
 // stage pins automatically) or Remove retires the name for good. Add grows a
-// live set the same way BuildReplicatedSite assembles one.
+// live set the same way the controller populates a new one.
 
 import (
 	"fmt"

@@ -5,6 +5,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -308,5 +311,48 @@ func TestDrainBeforeKillLosesNothing(t *testing.T) {
 	}
 	if got := snap.HistCount("controller_drain_seconds"); got != 3 {
 		t.Fatalf("controller_drain_seconds count = %v, want 3", got)
+	}
+}
+
+// TestManagedSiteSurfacesRetireAndCloseFailures loses replicas' journal
+// directories out from under a live managed site — the volume went away — so
+// the snapshot that retiring a replica or closing the site owes the next
+// recovery cannot be written. The site must say so: a roll that retires the
+// replica reports the failure from the reconcile pass that hit it, and Close
+// reports every replica it could not shut down cleanly, not just the first.
+func TestManagedSiteSurfacesRetireAndCloseFailures(t *testing.T) {
+	root := t.TempDir()
+	spec := chaosSpec()
+	d, m, err := NewManaged(spec, "POOL", root)
+	if err != nil {
+		t.Fatalf("NewManaged: %v", err)
+	}
+	defer d.Close()
+	lose := func(tag string) string {
+		dir := filepath.Join(root, "POOL", "CLUSTER", tag)
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatalf("removing %s: %v", dir, err)
+		}
+		return dir
+	}
+
+	// The generation bump rolls r0 first: drain, retire (snapshot fails),
+	// recover, rejoin — all inside the pass ApplySpec runs.
+	r0 := lose("r0")
+	spec.Sites[0].Vsites[0].Generation = 1
+	_, err = d.ApplySpec(spec, "POOL", "")
+	if err == nil || !strings.Contains(err.Error(), "retiring CLUSTER/r0") || !strings.Contains(err.Error(), r0) {
+		t.Fatalf("ApplySpec after losing %s = %v, want the failed retire of CLUSTER/r0", r0, err)
+	}
+	// The roll itself went on: r0 is back (empty — its journal is gone).
+	set, _ := d.Sites["POOL"].Pool.Set("CLUSTER")
+	if h := set.Healthy(); len(h) != 3 {
+		t.Fatalf("healthy after the failed retire = %v, want all 3 serving", h)
+	}
+
+	r1, r2 := lose("r1"), lose("r2")
+	err = m.Close()
+	if err == nil || !strings.Contains(err.Error(), r1) || !strings.Contains(err.Error(), r2) {
+		t.Fatalf("Close after losing %s and %s = %v, want both failures", r1, r2, err)
 	}
 }

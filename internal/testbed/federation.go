@@ -14,8 +14,8 @@ import (
 	"net/http/httptest"
 
 	"unicore/internal/accounting"
-	"unicore/internal/broker"
 	"unicore/internal/core"
+	"unicore/internal/deploy"
 	"unicore/internal/federation"
 	"unicore/internal/protocol"
 )
@@ -87,21 +87,12 @@ func (d *Deployment) EnableFederation(usites ...core.Usite) error {
 		if _, dup := d.feds[u]; dup {
 			continue
 		}
-		u := u
-		fed, err := federation.New(federation.Config{
-			Usite:  u,
-			URL:    "https://" + hostOf(u),
-			Client: protocol.NewClient(d.Net, site.cred, d.CA, d.Registry),
-			Clock:  d.Clock,
-			Policy: broker.LeastLoaded,
-			Usage: func() accounting.Summary {
-				return accounting.Summarise(d.SiteAccounting(u))
-			},
-		})
+		// No peers yet: the full mesh below covers sites federated later too.
+		fed, err := deploy.Federate(site.Gateway, protocol.NewClient(d.Net, site.cred, d.CA, d.Registry),
+			d.Clock, "https://"+hostOf(u), nil, func() []accounting.Record { return d.SiteAccounting(u) })
 		if err != nil {
 			return err
 		}
-		site.Gateway.SetFederation(fed)
 		d.feds[u] = fed
 		g := newGate(site.Gateway)
 		d.gates[u] = g

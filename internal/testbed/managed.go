@@ -7,45 +7,22 @@ package testbed
 // chaos suite and the metrics-smoke tool boot whole sites from spec files.
 
 import (
-	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
-	"sync"
 
 	"unicore/internal/controller"
 	"unicore/internal/core"
 	"unicore/internal/deploy"
-	"unicore/internal/gateway"
-	"unicore/internal/journal"
 	"unicore/internal/njs"
-	"unicore/internal/pki"
-	"unicore/internal/pool"
-	"unicore/internal/protocol"
-	"unicore/internal/sim"
-	"unicore/internal/telemetry"
 )
 
 // NewManaged stands up a deployment consisting of one controller-managed
 // site booted from a topology spec — the spec-file twin of New(SiteSpec...).
 // Additional managed sites can join later with ApplySpec.
 func NewManaged(spec *deploy.TopologySpec, u core.Usite, stateRoot string) (*Deployment, *ManagedSite, error) {
-	clock := sim.NewVirtualClock()
-	ca, err := pki.NewAuthority("DFN-PCA")
+	d, err := newDeployment()
 	if err != nil {
 		return nil, nil, err
-	}
-	software, err := ca.IssueSoftware("UNICORE Consortium")
-	if err != nil {
-		return nil, nil, err
-	}
-	d := &Deployment{
-		Clock:    clock,
-		CA:       ca,
-		Net:      protocol.NewInProc(),
-		Registry: protocol.NewRegistry(),
-		Software: software,
-		Sites:    make(map[core.Usite]*Site),
 	}
 	m, err := d.ApplySpec(spec, u, stateRoot)
 	if err != nil {
@@ -54,227 +31,76 @@ func NewManaged(spec *deploy.TopologySpec, u core.Usite, stateRoot string) (*Dep
 	return d, m, nil
 }
 
-// ManagedSite is one controller-managed Usite of a deployment.
+// ManagedSite is one controller-managed Usite of a deployment: a
+// controller.Stack — the builder `unicore-ctl apply` runs — registered on the
+// deployment's in-process network, plus the fault injection a test needs.
 type ManagedSite struct {
-	d *Deployment
+	*controller.Stack
 	// Site is the deployed site, registered in Deployment.Sites like any
-	// statically-wired one (Site.Replicas maps tag index → live NJS; holes
-	// are nil after a scale-down).
+	// statically-wired one (Site.Pool is the stack's router; Site.Replicas
+	// stays nil — ask Stack.Replicas for the live instances).
 	Site *Site
-	// Controller converges the site onto its declared topology.
-	Controller *controller.Controller
-
-	stateRoot string
-	mu        sync.Mutex
-	stores    map[string]*journal.Store // vsite/tag → open journal store
 }
 
 // ApplySpec boots (or re-declares) a controller-managed site from a parsed
-// topology spec. On first use for a Usite it deploys the whole site —
-// gateway, UUDB, empty replica pools — and runs one reconcile pass so the
-// declared replicas are serving; later calls hand the new declaration to
-// the site's controller and reconcile once. stateRoot roots the
-// per-replica journals (<stateRoot>/<usite>/<vsite>/<tag>); empty means
-// memory-only replicas (spec.JournalDir is used when set).
+// topology spec. On first use for a Usite it boots a controller.Stack for
+// the site, whose first reconcile pass leaves the declared replicas serving;
+// later calls hand the new declaration to the stack and reconcile once.
+// stateRoot roots the per-replica journals
+// (<stateRoot>/<usite>/<vsite>/<tag>); empty means spec.JournalDir, and
+// memory-only replicas when that is empty too. Replicas reach the sites
+// already deployed, and whatever the spec's peers block names.
 func (d *Deployment) ApplySpec(spec *deploy.TopologySpec, u core.Usite, stateRoot string) (*ManagedSite, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	site, ok := spec.Site(u)
-	if !ok {
-		return nil, fmt.Errorf("testbed: topology declares no usite %q", u)
-	}
 	if m, ok := d.managed[u]; ok {
-		if err := m.Controller.Apply(*site); err != nil {
-			return nil, err
-		}
-		if _, err := m.Controller.ReconcileNow(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		return m, m.Apply(spec)
 	}
 	if _, dup := d.Sites[u]; dup {
 		return nil, fmt.Errorf("testbed: %s is already deployed statically", u)
 	}
-	if stateRoot == "" {
-		stateRoot = spec.JournalDir
-	}
-
 	host := hostOf(u)
 	srvCred, err := d.CA.IssueServer("gateway."+strings.ToLower(string(u)), host)
 	if err != nil {
 		return nil, err
 	}
-	users, err := deploy.BuildUsers(u, site.Users, d.Clock)
+	stack, err := controller.NewStack(controller.StackConfig{
+		Spec:         spec,
+		Usite:        u,
+		Cred:         srvCred,
+		CA:           d.CA,
+		Clock:        d.Clock,
+		StateRoot:    stateRoot,
+		FedTransport: d.Net,
+	})
 	if err != nil {
 		return nil, err
 	}
-	router, err := pool.NewRouter(u)
-	if err != nil {
-		return nil, err
+	for _, peer := range d.Registry.Sites() {
+		url, _ := d.Registry.Lookup(peer)
+		stack.Peers.Registry().Add(peer, url)
 	}
 	// Mirror the declared Vsites into a SiteSpec so the generic helpers
-	// (NewUser, Targets, Accounting) treat the managed site like any other.
+	// (NewUser, Targets) treat the managed site like any other.
 	tspec := SiteSpec{Usite: u}
-	for i := range site.Vsites {
-		vc, err := site.Vsites[i].NJSConfig()
+	for _, v := range stack.Controller.Desired().Vsites {
+		vc, err := v.NJSConfig()
 		if err != nil {
 			return nil, err
 		}
 		tspec.Vsites = append(tspec.Vsites, vc)
 	}
-	deployed := &Site{
-		Spec:     tspec,
-		Users:    users,
-		Pool:     router,
-		Replicas: make(map[core.Vsite][]*njs.NJS, len(site.Vsites)),
-		cred:     srvCred,
-	}
 	m := &ManagedSite{
-		d:         d,
-		Site:      deployed,
-		stateRoot: stateRoot,
-		stores:    make(map[string]*journal.Store),
+		Stack: stack,
+		Site:  &Site{Spec: tspec, Users: stack.Users, Pool: stack.Router, Gateway: stack.Gateway, cred: srvCred},
 	}
-	ctl, err := controller.New(controller.Config{
-		Site:    *site,
-		Router:  router,
-		Clock:   d.Clock,
-		Build:   m.build,
-		Recover: m.recover,
-		Retire:  m.retire,
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.Controller = ctl
-	gw, err := gateway.New(gateway.Config{
-		Usite:   u,
-		Cred:    srvCred,
-		CA:      d.CA,
-		Users:   users,
-		Backend: router,
-	})
-	if err != nil {
-		return nil, err
-	}
-	gw.Telemetry().SetNow(d.Clock.Now)
-	gw.AddMetricsSource(func() []telemetry.Snapshot {
-		return []telemetry.Snapshot{ctl.Telemetry().Snapshot()}
-	})
-	deployed.Gateway = gw
-	d.Net.Register(host, gw)
+	d.Net.Register(host, stack.Gateway)
 	d.Registry.Add(u, "https://"+host)
-	d.Sites[u] = deployed
+	d.Sites[u] = m.Site
 	d.order = append(d.order, u)
 	if d.managed == nil {
 		d.managed = make(map[core.Usite]*ManagedSite)
 	}
 	d.managed[u] = m
-	if _, err := ctl.ReconcileNow(); err != nil {
-		return nil, err
-	}
 	return m, nil
-}
-
-// Managed returns the managed handle of a spec-booted site.
-func (d *Deployment) Managed(u core.Usite) (*ManagedSite, bool) {
-	m, ok := d.managed[u]
-	return m, ok
-}
-
-func (m *ManagedSite) storeKey(v core.Vsite, tag string) string {
-	return string(v) + "/" + tag
-}
-
-// track records a live replica in Site.Replicas at its tag index.
-func (m *ManagedSite) track(v core.Vsite, tag string, n *njs.NJS) {
-	i, ok := pool.ParseReplicaTag(tag)
-	if !ok {
-		return
-	}
-	m.mu.Lock()
-	reps := m.Site.Replicas[v]
-	for len(reps) <= i {
-		reps = append(reps, nil)
-	}
-	reps[i] = n
-	m.Site.Replicas[v] = reps
-	m.mu.Unlock()
-}
-
-// build constructs one replica for the controller: journal-backed under the
-// state root when one is declared, with the site's peer client wired in.
-func (m *ManagedSite) build(v deploy.TopologyVsite, tag string) (njs.Service, error) {
-	vc, err := v.NJSConfig()
-	if err != nil {
-		return nil, err
-	}
-	var n *njs.NJS
-	if m.stateRoot == "" {
-		n, err = deploy.BuildReplica(m.Site.Spec.Usite, vc, m.d.Clock, tag)
-	} else {
-		dir := filepath.Join(m.stateRoot, string(m.Site.Spec.Usite), string(v.Name), tag)
-		var store *journal.Store
-		store, err = journal.Open(dir)
-		if err != nil {
-			return nil, err
-		}
-		every := v.SnapshotEvery
-		if every <= 0 {
-			every = controller.DefaultSnapshotEvery
-		}
-		n, err = deploy.BuildDurableReplica(m.Site.Spec.Usite, vc, m.d.Clock, tag, store, every)
-		if err != nil {
-			return nil, errors.Join(err, store.Close())
-		}
-		m.mu.Lock()
-		m.stores[m.storeKey(v.Name, tag)] = store
-		m.mu.Unlock()
-	}
-	if err != nil {
-		return nil, err
-	}
-	n.SetPeers(protocol.NewClient(m.d.Net, m.Site.cred, m.d.CA, m.d.Registry))
-	m.track(v.Name, tag, n)
-	return n, nil
-}
-
-// recover releases the crashed instance's journal handle and rebuilds from
-// the same directory — the controller's heal and roll path.
-func (m *ManagedSite) recover(v deploy.TopologyVsite, tag string) (njs.Service, error) {
-	m.mu.Lock()
-	store := m.stores[m.storeKey(v.Name, tag)]
-	delete(m.stores, m.storeKey(v.Name, tag))
-	m.mu.Unlock()
-	if store != nil {
-		if err := store.Close(); err != nil {
-			return nil, fmt.Errorf("testbed: releasing journal of %s/%s: %w", v.Name, tag, err)
-		}
-	}
-	return m.build(v, tag)
-}
-
-// retire shuts a replaced or scaled-down instance down: snapshot, kill,
-// close its journal, drop it from Site.Replicas.
-func (m *ManagedSite) retire(v deploy.TopologyVsite, tag string, svc njs.Service) error {
-	if n, ok := svc.(*njs.NJS); ok && n.Ping() == nil {
-		n.Snapshot()
-		n.Kill()
-	}
-	m.mu.Lock()
-	store := m.stores[m.storeKey(v.Name, tag)]
-	delete(m.stores, m.storeKey(v.Name, tag))
-	if i, ok := pool.ParseReplicaTag(tag); ok {
-		if reps := m.Site.Replicas[v.Name]; i < len(reps) {
-			reps[i] = nil
-		}
-	}
-	m.mu.Unlock()
-	if store != nil {
-		return store.Close()
-	}
-	return nil
 }
 
 // KillReplica crashes one managed replica by pool tag: the journal is
@@ -282,7 +108,7 @@ func (m *ManagedSite) retire(v deploy.TopologyVsite, tag string, svc njs.Service
 // dies, and a health sweep trips its breaker so routing fails over. The
 // controller's next pass heals it from the journal.
 func (m *ManagedSite) KillReplica(v core.Vsite, tag string) error {
-	set, ok := m.Site.Pool.Set(v)
+	set, ok := m.Router.Set(v)
 	if !ok {
 		return fmt.Errorf("testbed: no vsite %q at %s", v, m.Site.Spec.Usite)
 	}
@@ -306,20 +132,4 @@ func (m *ManagedSite) KillReplica(v core.Vsite, tag string) error {
 // drive convergence at exactly the instants a test cares about.
 func (m *ManagedSite) Reconcile() (controller.Result, error) {
 	return m.Controller.ReconcileNow()
-}
-
-// Close stops the controller and closes every replica journal.
-func (m *ManagedSite) Close() error {
-	m.Controller.Stop()
-	var first error
-	m.mu.Lock()
-	stores := m.stores
-	m.stores = make(map[string]*journal.Store)
-	m.mu.Unlock()
-	for _, store := range stores {
-		if err := store.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

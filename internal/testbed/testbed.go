@@ -18,6 +18,7 @@ import (
 	"unicore/internal/client"
 	"unicore/internal/codine"
 	"unicore/internal/core"
+	"unicore/internal/deploy"
 	"unicore/internal/federation"
 	"unicore/internal/gateway"
 	"unicore/internal/journal"
@@ -87,14 +88,9 @@ func hostOf(u core.Usite) string {
 	return "gw." + strings.ToLower(string(u)) + ".unicore"
 }
 
-// New deploys the given sites. Every gateway gets signed JPA and JMC applet
-// payloads, and every NJS gets a server-credentialled peer client so job
-// groups can be distributed between the sites (Figure 2).
-func New(specs ...SiteSpec) (*Deployment, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("testbed: no sites")
-	}
-	clock := sim.NewVirtualClock()
+// newDeployment creates an empty deployment: a fresh CA, virtual clock and
+// in-process network, no sites yet.
+func newDeployment() (*Deployment, error) {
 	ca, err := pki.NewAuthority("DFN-PCA")
 	if err != nil {
 		return nil, err
@@ -103,13 +99,26 @@ func New(specs ...SiteSpec) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Deployment{
-		Clock:    clock,
+	return &Deployment{
+		Clock:    sim.NewVirtualClock(),
 		CA:       ca,
 		Net:      protocol.NewInProc(),
 		Registry: protocol.NewRegistry(),
 		Software: software,
-		Sites:    make(map[core.Usite]*Site, len(specs)),
+		Sites:    make(map[core.Usite]*Site),
+	}, nil
+}
+
+// New deploys the given sites. Every gateway gets signed JPA and JMC applet
+// payloads, and every NJS gets a server-credentialled peer client so job
+// groups can be distributed between the sites (Figure 2).
+func New(specs ...SiteSpec) (*Deployment, error) {
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("testbed: no sites")
+	}
+	d, err := newDeployment()
+	if err != nil {
+		return nil, err
 	}
 	for _, spec := range specs {
 		if _, dup := d.Sites[spec.Usite]; dup {
@@ -124,12 +133,6 @@ func New(specs ...SiteSpec) (*Deployment, error) {
 	}
 	return d, nil
 }
-
-// replicaName is the stable pool identity (and njs.Config.Instance tag) of
-// replica i — the shared convention of pool.ReplicaTag, which RestartReplica
-// relies on to recover a replica under the exact tag it journaled its job
-// IDs with.
-func replicaName(i int) string { return pool.ReplicaTag(i) }
 
 // deploySite stands up one Usite.
 func (d *Deployment) deploySite(spec SiteSpec) (*Site, error) {
@@ -166,17 +169,12 @@ func (d *Deployment) deploySite(spec SiteSpec) (*Site, error) {
 				return nil, err
 			}
 			for i := 0; i < spec.Replicas; i++ {
-				n, err := njs.New(njs.Config{
-					Usite:    spec.Usite,
-					Clock:    d.Clock,
-					Vsites:   []njs.VsiteConfig{vc},
-					Instance: replicaName(i),
-				})
+				n, err := deploy.BuildReplica(spec.Usite, vc, d.Clock, pool.ReplicaTag(i), nil, 0)
 				if err != nil {
 					return nil, err
 				}
 				n.SetPeers(protocol.NewClient(d.Net, srvCred, d.CA, d.Registry))
-				if err := set.Add(replicaName(i), n); err != nil {
+				if err := set.Add(pool.ReplicaTag(i), n); err != nil {
 					return nil, err
 				}
 				site.Replicas[vc.Name] = append(site.Replicas[vc.Name], n)
@@ -314,10 +312,10 @@ func (d *Deployment) KillReplica(u core.Usite, v core.Vsite, i int) error {
 	return nil
 }
 
-// RestartReplica boots a replacement NJS from the replica's journal store,
-// re-wires it (peer client, instance tag), swaps it into the pool under the
-// replica's stable name (which re-installs the login mapper and closes the
-// breaker), and resumes the recovered workload.
+// RestartReplica boots a replacement NJS from the replica's journal store
+// under the tag it journaled its job IDs with, re-wires its peer client,
+// swaps it into the pool under that stable name (which re-installs the login
+// mapper and closes the breaker), and resumes the recovered workload.
 func (d *Deployment) RestartReplica(u core.Usite, v core.Vsite, i int, store *journal.Store, snapshotEvery int) error {
 	site, set, _, err := d.replica(u, v, i)
 	if err != nil {
@@ -334,17 +332,12 @@ func (d *Deployment) RestartReplica(u core.Usite, v core.Vsite, i int, store *jo
 	if !found {
 		return fmt.Errorf("testbed: no vsite spec %q at %s", v, u)
 	}
-	n, err := njs.Recover(store, njs.Config{
-		Usite:    u,
-		Clock:    d.Clock,
-		Vsites:   []njs.VsiteConfig{vc},
-		Instance: replicaName(i),
-	}, snapshotEvery)
+	n, err := deploy.BuildReplica(u, vc, d.Clock, pool.ReplicaTag(i), store, snapshotEvery)
 	if err != nil {
 		return err
 	}
 	n.SetPeers(protocol.NewClient(d.Net, site.cred, d.CA, d.Registry))
-	if err := set.SetService(replicaName(i), n); err != nil {
+	if err := set.SetService(pool.ReplicaTag(i), n); err != nil {
 		return err
 	}
 	site.Replicas[v][i] = n
@@ -515,30 +508,21 @@ func (d *Deployment) SiteAccounting(u core.Usite) []accounting.Record {
 	if !ok {
 		return nil
 	}
+	// A replicated site runs one RMS per replica; each contributes its share
+	// of the Vsite's accounting.
+	var njss []*njs.NJS
+	if m, managed := d.managed[u]; managed {
+		njss = m.Replicas()
+	} else if site.NJS != nil {
+		njss = []*njs.NJS{site.NJS}
+	} else {
+		for _, vc := range site.Spec.Vsites {
+			njss = append(njss, site.Replicas[vc.Name]...)
+		}
+	}
 	var out []accounting.Record
-	for _, vc := range site.Spec.Vsites {
-		// A replicated site runs one RMS per replica; each contributes
-		// its share of the Vsite's accounting.
-		njss := []*njs.NJS{site.NJS}
-		if site.NJS == nil {
-			njss = site.Replicas[vc.Name]
-		}
-		for _, n := range njss {
-			if n == nil { // managed sites leave holes after scale-down
-				continue
-			}
-			vs, ok := n.Vsite(vc.Name)
-			if !ok {
-				continue
-			}
-			for _, rec := range vs.RMS.Accounting() {
-				out = append(out, accounting.Record{
-					Target:      core.Target{Usite: u, Vsite: vc.Name},
-					MFlopsPerPE: vc.Profile.MFlopsPerPE,
-					Record:      rec,
-				})
-			}
-		}
+	for _, n := range njss {
+		out = append(out, n.Accounting()...)
 	}
 	return out
 }

@@ -2,8 +2,9 @@
 // lacks a doc comment. CI runs it over the packages whose godoc is part of
 // the repository's documentation contract (internal/pool, internal/broker,
 // internal/gateway, internal/events, internal/client, internal/staging,
-// internal/telemetry, internal/controller, internal/analysis...); a
-// declaration group's comment covers its members, as godoc renders it.
+// internal/telemetry, internal/controller, internal/deploy,
+// internal/analysis...); a declaration group's comment covers its members,
+// as godoc renders it.
 //
 // Usage: go run ./tools/docscheck <package dir>...
 package main
