@@ -13,7 +13,6 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"unicore/internal/ajo"
@@ -62,40 +61,23 @@ func (g *Gateway) vsiteLoadsOf(svc njs.Service) map[string]protocol.VsiteLoad {
 	return out
 }
 
-// handleFedAdvertise serves one gossip exchange. Only peer gateways (server
-// role) may gossip, and only a federated gateway answers.
-func (g *Gateway) handleFedAdvertise(raw json.RawMessage, asServer bool) (any, protocol.MsgType, error) {
-	if !asServer {
-		return nil, "", fmt.Errorf("%w: federation gossip is gateway-to-gateway traffic", ErrNotPermitted)
-	}
-	f := g.fed.Load()
-	if f == nil {
-		return nil, "", federation.ErrNotFederated
-	}
-	var req protocol.FedAdvertiseRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		return nil, "", fmt.Errorf("gateway: bad fed-advertise request: %w", err)
-	}
-	return f.HandleAdvertise(req), protocol.MsgFedAdvertiseReply, nil
-}
-
 // fedConsign applies federation policy to one decoded consign before local
 // admission. It returns handled=false when the job should continue into the
 // local NJS (possibly retargeted by auto-placement); handled=true when it
 // produced the reply itself (a forward, or a refusal).
-func (g *Gateway) fedConsign(ctx context.Context, f *federation.Federation, consignID string, job *ajo.AbstractJob, owner core.DN, asServer bool) (any, protocol.MsgType, bool, error) {
+func (g *Gateway) fedConsign(ctx context.Context, f *federation.Federation, consignID string, job *ajo.AbstractJob, owner core.DN, asServer bool) (reply protocol.ConsignReply, handled bool, err error) {
 	if asServer {
 		// Server-to-server consigns — a peer gateway's forward or an NJS
 		// distributing a sub-job — must target the receiving site. Anything
 		// else would let a misrouted forward bounce between gateways.
 		if job.Target.Usite != "" && job.Target.Usite != g.usite {
-			return nil, "", true, fmt.Errorf("gateway: server consignment for %s arrived at %s (forwarding loop refused)", job.Target.Usite, g.usite)
+			return reply, true, fmt.Errorf("gateway: server consignment for %s arrived at %s (forwarding loop refused)", job.Target.Usite, g.usite)
 		}
-		return nil, "", false, nil
+		return reply, false, nil
 	}
 	stagedAt, err := f.StagedSite(job)
 	if err != nil {
-		return nil, "", true, err
+		return reply, true, err
 	}
 	stagedLocally := stagedAt == "" && len(job.StagedHandles()) > 0
 	target := job.Target
@@ -105,7 +87,7 @@ func (g *Gateway) fedConsign(ctx context.Context, f *federation.Federation, cons
 		// are spooled.
 		cands, err := f.Place(job.MaxResources())
 		if err != nil {
-			return nil, "", true, err
+			return reply, true, err
 		}
 		target = core.Target{}
 		for _, c := range cands {
@@ -119,68 +101,65 @@ func (g *Gateway) fedConsign(ctx context.Context, f *federation.Federation, cons
 			break
 		}
 		if target.Usite == "" {
-			return nil, "", true, fmt.Errorf("%w: none of the %d candidates can reach the job's staged inputs", broker.ErrNoCandidate, len(cands))
+			return reply, true, fmt.Errorf("%w: none of the %d candidates can reach the job's staged inputs", broker.ErrNoCandidate, len(cands))
 		}
 		if target.Usite == g.usite {
 			broker.Retarget(job, target)
-			return nil, "", false, nil
+			return reply, false, nil
 		}
 	}
 	if target.Usite == "" || target.Usite == g.usite {
 		if stagedAt != "" {
-			return nil, "", true, fmt.Errorf("gateway: job targets %s but its staged inputs are spooled at %s", g.usite, stagedAt)
+			return reply, true, fmt.Errorf("gateway: job targets %s but its staged inputs are spooled at %s", g.usite, stagedAt)
 		}
-		return nil, "", false, nil
+		return reply, false, nil
 	}
 	// The job runs at a peer. Its staged inputs must already be there.
 	if stagedLocally {
-		return nil, "", true, fmt.Errorf("gateway: job targets %s but its staged inputs are spooled at %s", target.Usite, g.usite)
+		return reply, true, fmt.Errorf("gateway: job targets %s but its staged inputs are spooled at %s", target.Usite, g.usite)
 	}
 	if stagedAt != "" && stagedAt != target.Usite {
-		return nil, "", true, fmt.Errorf("gateway: job targets %s but its staged inputs are spooled at %s", target.Usite, stagedAt)
+		return reply, true, fmt.Errorf("gateway: job targets %s but its staged inputs are spooled at %s", target.Usite, stagedAt)
 	}
-	reply, err := f.Forward(ctx, owner, consignID, job, target)
+	reply, err = f.Forward(ctx, owner, consignID, job, target)
 	if err != nil {
 		// The forward did not come back with a journaled ack: answer
 		// not-accepted so the client retries — the namespaced consign ID
 		// converges on the same remote job once the peer is back.
-		return protocol.ConsignReply{Accepted: false, Reason: err.Error()}, protocol.MsgConsignReply, true, nil
+		return protocol.ConsignReply{Accepted: false, Reason: err.Error()}, true, nil
 	}
-	return reply, protocol.MsgConsignReply, true, nil
+	return reply, true, nil
 }
 
-// fedRoute decides whether a job-scoped request (poll, outcome, control,
-// fetch, transfer, job events) must be relayed to the peer gateway whose
-// NJS minted the job ID. Peer servers relay freely; a user is relayed only
-// when this gateway's placement record shows it forwarded that job for
-// them — the proxying rule that keeps origin-side authorization intact
-// even though the relay itself travels under the gateway's server identity.
-func (g *Gateway) fedRoute(dn core.DN, asServer bool, job core.JobID) (*federation.Federation, core.Usite, bool, error) {
-	f := g.fed.Load()
-	if f == nil || job == "" {
-		return nil, "", false, nil
+// fedRoute names the peer gateway a job-scoped request (poll, outcome,
+// control, fetch, transfer, job events) must be relayed to — the one whose
+// NJS minted the job ID — or "" when the job is local. Peer servers relay
+// freely; a user is relayed only when this gateway's placement record shows
+// it forwarded that job for them — the proxying rule that keeps origin-side
+// authorization intact even though the relay itself travels under the
+// gateway's server identity.
+func (g *Gateway) fedRoute(f *federation.Federation, c caller, job core.JobID) (core.Usite, error) {
+	if job == "" {
+		return "", nil
 	}
 	peer := f.JobSite(job)
-	if peer == "" {
-		return nil, "", false, nil
+	if peer == "" || c.asServer {
+		return peer, nil
 	}
-	if asServer {
-		return f, peer, true, nil
+	if pl, ok := f.Placement(job); ok && pl.Owner == c.dn {
+		return peer, nil
 	}
-	if pl, ok := f.Placement(job); ok && pl.Owner == dn {
-		return f, peer, true, nil
-	}
-	return nil, "", false, fmt.Errorf("gateway: job %s was not placed through this gateway", job)
+	return "", fmt.Errorf("gateway: job %s was not placed through this gateway", job)
 }
 
 // stageOwner resolves the effective owner of a staging call: a server-role
 // relay may carry the user it acts for (the consign UserDN rule applied to
 // spools); everyone else owns their own uploads.
-func stageOwner(dn core.DN, asServer bool, owner core.DN) core.DN {
-	if asServer && owner != "" {
+func stageOwner(c caller, owner core.DN) core.DN {
+	if c.asServer && owner != "" {
 		return owner
 	}
-	return dn
+	return c.dn
 }
 
 // servesVsite reports whether the local backend fronts the named Vsite.
@@ -198,37 +177,36 @@ func (g *Gateway) servesVsite(v core.Vsite) bool {
 // and the eventual consign follow it there. It returns handled=false when
 // the upload is local (or no peer advertises the Vsite — the local error
 // is the clearer one).
-func (g *Gateway) fedStageOpen(ctx context.Context, dn core.DN, asServer bool, req protocol.PutOpenRequest) (any, protocol.MsgType, bool, error) {
+func (g *Gateway) fedStageOpen(ctx context.Context, c caller, req protocol.PutOpenRequest) (reply protocol.PutOpenReply, handled bool, err error) {
 	f := g.fed.Load()
-	if f == nil || asServer || g.servesVsite(req.Vsite) {
-		return nil, "", false, nil
+	if f == nil || c.asServer || g.servesVsite(req.Vsite) {
+		return reply, false, nil
 	}
 	peer, err := f.VsiteHost(req.Vsite)
 	if err != nil {
-		return nil, "", false, nil
+		return reply, false, nil
 	}
-	req.Owner = dn
-	var reply protocol.PutOpenReply
+	req.Owner = c.dn
 	if err := f.Relay(ctx, peer, protocol.MsgPutOpen, req, &reply); err != nil {
-		return nil, "", true, fmt.Errorf("gateway: relaying staged upload to %s: %w", peer, err)
+		return reply, true, fmt.Errorf("gateway: relaying staged upload to %s: %w", peer, err)
 	}
-	f.PinStage(reply.Handle, peer, dn)
-	return reply, protocol.MsgPutOpenReply, true, nil
+	f.PinStage(reply.Handle, peer, c.dn)
+	return reply, true, nil
 }
 
-// fedStageRelay relays a chunk or commit for a peer-pinned handle. Only the
-// user who opened the upload may follow it.
-func (g *Gateway) fedStageRelay(ctx context.Context, dn core.DN, asServer bool, handle string, t protocol.MsgType, payload, replyOut any) (bool, error) {
-	f := g.fed.Load()
-	if f == nil || asServer {
-		return false, nil
+// fedStageRelay names the peer gateway a chunk or commit must be relayed to
+// — the one its handle is pinned to — or "" when the upload is local. Only
+// the user who opened the upload may follow it.
+func (g *Gateway) fedStageRelay(f *federation.Federation, c caller, handle string) (core.Usite, error) {
+	if c.asServer {
+		return "", nil
 	}
 	pin, ok := f.StagePeer(handle)
 	if !ok {
-		return false, nil
+		return "", nil
 	}
-	if pin.Owner != dn {
-		return true, fmt.Errorf("gateway: staged upload %s is not owned by %s", handle, dn)
+	if pin.Owner != c.dn {
+		return "", fmt.Errorf("gateway: staged upload %s is not owned by %s", handle, c.dn)
 	}
-	return true, f.Relay(ctx, pin.Peer, t, payload, replyOut)
+	return pin.Peer, nil
 }

@@ -18,11 +18,10 @@
 // # Concurrency model
 //
 // Handle is safe for any number of concurrent callers and takes no gateway
-// lock on the request path: traffic counters are lock-free atomics (with a
-// small mutex only around the dynamic failure-cause map), and the applet
-// store sits behind its own RWMutex so applet serving never contends with
-// anything else. Per-request state flows through the NJS, which shards its
-// locking per job.
+// lock on the request path: traffic counters are atomics in the telemetry
+// registry, and the applet store sits behind its own RWMutex so applet
+// serving never contends with anything else. Per-request state flows through
+// the NJS, which shards its locking per job.
 package gateway
 
 import (
@@ -37,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"unicore/internal/ajo"
 	"unicore/internal/core"
 	"unicore/internal/federation"
 	"unicore/internal/njs"
@@ -152,21 +150,12 @@ type Gateway struct {
 	appletMu sync.RWMutex
 	applets  map[string]Applet
 
-	// Traffic counters are atomics so the request hot path takes no lock.
-	// byType is pre-populated with every defined message type at New and
-	// never mutated afterwards, making the per-type increment lock-free;
-	// extraMu covers the two small maps with dynamic keys.
-	requests   atomic.Int64
-	rejected   atomic.Int64
-	byType     map[protocol.MsgType]*atomic.Int64
-	extraMu    sync.Mutex
-	extraTypes map[protocol.MsgType]int64
-	byFailure  map[string]int64
-
-	// tel mirrors the traffic counters into the scrapeable registry and adds
-	// what Stats never carried: signature-verify latency, long-poll occupancy,
-	// and the "gateway.dispatch" trace spans. Deployments running on a virtual
-	// clock point its clock at the simulation via Telemetry().SetNow.
+	// tel holds the traffic counters — gateway_requests_total{type}, one
+	// series per row of the operation table plus unknownType, and
+	// gateway_rejected_total{cause}, which Stats reads back — and what Stats
+	// never carried: signature-verify latency, long-poll occupancy, and the
+	// "gateway.dispatch" trace spans. Deployments running on a virtual clock
+	// point its clock at the simulation via Telemetry().SetNow.
 	tel *telemetry.Registry
 
 	// sourceMu guards extra metric sources (e.g. a topology controller's
@@ -204,20 +193,14 @@ func New(cfg Config) (*Gateway, error) {
 		maxWait = DefaultMaxEventWait
 	}
 	g := &Gateway{
-		usite:      cfg.Usite,
-		cred:       cfg.Cred,
-		ca:         cfg.CA,
-		users:      cfg.Users,
-		siteAuth:   cfg.SiteAuth,
-		maxWait:    maxWait,
-		applets:    make(map[string]Applet),
-		byType:     make(map[protocol.MsgType]*atomic.Int64),
-		extraTypes: make(map[protocol.MsgType]int64),
-		byFailure:  make(map[string]int64),
-		tel:        telemetry.New("gateway/" + string(cfg.Usite)),
-	}
-	for _, t := range protocol.MsgTypes() {
-		g.byType[t] = new(atomic.Int64)
+		usite:    cfg.Usite,
+		cred:     cfg.Cred,
+		ca:       cfg.CA,
+		users:    cfg.Users,
+		siteAuth: cfg.SiteAuth,
+		maxWait:  maxWait,
+		applets:  make(map[string]Applet),
+		tel:      telemetry.New("gateway/" + string(cfg.Usite)),
 	}
 	g.SetBackend(backend)
 	return g, nil
@@ -328,48 +311,28 @@ func (g *Gateway) AppletNames() []string {
 // Stats returns a snapshot of the traffic counters. Only message types that
 // have been seen appear in the maps.
 func (g *Gateway) Stats() Stats {
-	s := Stats{
-		Requests:  g.requests.Load(),
-		Rejected:  g.rejected.Load(),
-		ByType:    make(map[protocol.MsgType]int64, len(g.byType)),
-		ByFailure: make(map[string]int64),
-	}
-	for t, c := range g.byType {
-		if v := c.Load(); v != 0 {
-			s.ByType[t] = v
+	s := Stats{ByType: make(map[protocol.MsgType]int64), ByFailure: make(map[string]int64)}
+	for _, p := range g.tel.Snapshot().Metrics {
+		switch p.Name {
+		case "gateway_requests_total":
+			s.Requests += int64(p.Value)
+			s.ByType[protocol.MsgType(p.Labels["type"])] = int64(p.Value)
+		case "gateway_rejected_total":
+			s.Rejected += int64(p.Value)
+			s.ByFailure[p.Labels["cause"]] = int64(p.Value)
 		}
 	}
-	g.extraMu.Lock()
-	for t, v := range g.extraTypes {
-		s.ByType[t] += v
-	}
-	for k, v := range g.byFailure {
-		s.ByFailure[k] = v
-	}
-	g.extraMu.Unlock()
 	return s
 }
 
+// count records one verified request; t is a row of the operation table or
+// unknownType.
 func (g *Gateway) count(t protocol.MsgType) {
-	g.requests.Add(1)
 	g.tel.Counter("gateway_requests_total", "type", string(t)).Inc()
-	if c, ok := g.byType[t]; ok {
-		c.Add(1)
-		return
-	}
-	// A type outside the protocol's defined set (possible on forged or
-	// future-version envelopes) falls back to the guarded overflow map.
-	g.extraMu.Lock()
-	g.extraTypes[t]++
-	g.extraMu.Unlock()
 }
 
 func (g *Gateway) countFailure(cause string) {
-	g.rejected.Add(1)
 	g.tel.Counter("gateway_rejected_total", "cause", cause).Inc()
-	g.extraMu.Lock()
-	g.byFailure[cause]++
-	g.extraMu.Unlock()
 }
 
 // ServeHTTP implements the site's https endpoint: POST /unicore carries
@@ -430,21 +393,27 @@ func (g *Gateway) HandleContext(ctx context.Context, data []byte) []byte {
 	if refusal != nil {
 		return refusal
 	}
-	t := o.Type
 	if o.Trace != "" {
 		// Adopt the caller's trace: every span below this point — including
 		// the backend tier's — lands in the same cross-tier trace.
 		ctx = telemetry.WithTrace(ctx, o.Trace)
 	}
+	t := o.Type
+	row, known := ops[t]
+	if !known {
+		// The one place an unknown request type is handled: one counter
+		// bucket and one failure cause, whatever the sender called it.
+		g.count(unknownType)
+		g.countFailure(string(unknownType))
+		return g.sealError(o.Trace, string(unknownType), fmt.Errorf("gateway: unsupported request type %q", t))
+	}
 	g.count(t)
-
-	sp := g.tel.StartSpan(ctx, "gateway.dispatch").Note(string(t))
-	reply, rt, err := g.dispatch(ctx, t, o.Payload, o.From, o.Role == pki.RoleServer)
-	sp.End()
+	reply, err := row.envelope(g, ctx, caller{dn: o.From, asServer: o.Role == pki.RoleServer}, o.Payload)
 	if err != nil {
 		g.countFailure(string(t))
 		return g.sealError(o.Trace, string(t), err)
 	}
+	rt, _ := protocol.ReplyType(t)
 	out, err := protocol.SealTraced(g.cred, o.Trace, rt, reply)
 	if err != nil {
 		return g.sealError(o.Trace, "internal", err)
@@ -481,304 +450,13 @@ func (g *Gateway) authenticate(data []byte) (o protocol.Opened, refusal []byte) 
 	return o, nil
 }
 
-// dispatch routes one authenticated request to the NJS.
-func (g *Gateway) dispatch(ctx context.Context, t protocol.MsgType, raw json.RawMessage, dn core.DN, asServer bool) (any, protocol.MsgType, error) {
-	switch t {
-	case protocol.MsgConsign:
-		return g.handleConsign(ctx, raw, dn, asServer)
-	case protocol.MsgPoll:
-		var req protocol.PollRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, "", fmt.Errorf("gateway: bad poll request: %w", err)
-		}
-		reply, err := g.pollTyped(ctx, req, dn, asServer)
-		return reply, protocol.MsgPollReply, err
-	case protocol.MsgOutcome:
-		var req protocol.OutcomeRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, "", fmt.Errorf("gateway: bad outcome request: %w", err)
-		}
-		if f, peer, relay, err := g.fedRoute(dn, asServer, req.Job); err != nil {
-			return nil, "", err
-		} else if relay {
-			var reply protocol.OutcomeReply
-			err := f.Relay(ctx, peer, protocol.MsgOutcome, req, &reply)
-			return reply, protocol.MsgOutcomeReply, err
-		}
-		o, found, err := g.svc().Outcome(dn, asServer, req.Job)
-		if err != nil {
-			return nil, "", err
-		}
-		reply := protocol.OutcomeReply{Found: found}
-		if found {
-			enc, err := ajo.MarshalOutcome(o)
-			if err != nil {
-				return nil, "", err
-			}
-			reply.Outcome = enc
-		}
-		return reply, protocol.MsgOutcomeReply, nil
-	case protocol.MsgList:
-		jobs, err := g.svc().List(dn)
-		return protocol.ListReply{Jobs: jobs}, protocol.MsgListReply, err
-	case protocol.MsgControl:
-		var req protocol.ControlRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, "", fmt.Errorf("gateway: bad control request: %w", err)
-		}
-		if f, peer, relay, err := g.fedRoute(dn, asServer, req.Job); err != nil {
-			return nil, "", err
-		} else if relay {
-			var reply protocol.ControlReply
-			err := f.Relay(ctx, peer, protocol.MsgControl, req, &reply)
-			return reply, protocol.MsgControlReply, err
-		}
-		err := g.svc().Control(dn, asServer, req.Job, req.Op)
-		reply := protocol.ControlReply{OK: err == nil}
-		if err != nil {
-			reply.Reason = err.Error()
-		}
-		return reply, protocol.MsgControlReply, nil
-	case protocol.MsgResources:
-		var req protocol.ResourcesRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, "", fmt.Errorf("gateway: bad resources request: %w", err)
-		}
-		return g.handleResources(req)
-	case protocol.MsgTransfer:
-		var req protocol.TransferRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, "", fmt.Errorf("gateway: bad transfer request: %w", err)
-		}
-		reply, err := g.transferTyped(ctx, req, dn, asServer)
-		return reply, protocol.MsgTransferReply, err
-	case protocol.MsgApplet:
-		var req protocol.AppletRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, "", fmt.Errorf("gateway: bad applet request: %w", err)
-		}
-		g.appletMu.RLock()
-		a, ok := g.applets[req.Name]
-		g.appletMu.RUnlock()
-		if !ok {
-			return nil, "", fmt.Errorf("gateway: no applet %q at %s", req.Name, g.usite)
-		}
-		return protocol.AppletReply{
-			Name: a.Name, Version: a.Version, Payload: a.Payload, Signature: a.Signature,
-		}, protocol.MsgAppletReply, nil
-	case protocol.MsgFetch:
-		var req protocol.FetchRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, "", fmt.Errorf("gateway: bad fetch request: %w", err)
-		}
-		reply, err := g.fetchTyped(ctx, req, dn, asServer)
-		return reply, protocol.MsgFetchReply, err
-	case protocol.MsgSubscribe:
-		var req protocol.SubscribeRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, "", fmt.Errorf("gateway: bad subscribe request: %w", err)
-		}
-		reply, err := g.subscribeTyped(ctx, req, dn, asServer)
-		return reply, protocol.MsgEventsReply, err
-	case protocol.MsgPutOpen:
-		var req protocol.PutOpenRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, "", fmt.Errorf("gateway: bad put-open request: %w", err)
-		}
-		if reply, rt, handled, err := g.fedStageOpen(ctx, dn, asServer, req); handled || err != nil {
-			return reply, rt, err
-		}
-		reply, err := g.svc().StageOpen(stageOwner(dn, asServer, req.Owner), asServer, req)
-		return reply, protocol.MsgPutOpenReply, err
-	case protocol.MsgPutChunk:
-		var req protocol.PutChunkRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, "", fmt.Errorf("gateway: bad put-chunk request: %w", err)
-		}
-		reply, err := g.putChunkTyped(ctx, req, dn, asServer)
-		return reply, protocol.MsgPutChunkReply, err
-	case protocol.MsgPutCommit:
-		var req protocol.PutCommitRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, "", fmt.Errorf("gateway: bad put-commit request: %w", err)
-		}
-		fwd := req
-		fwd.Owner = dn
-		var relayReply protocol.PutCommitReply
-		if relay, err := g.fedStageRelay(ctx, dn, asServer, req.Handle, protocol.MsgPutCommit, fwd, &relayReply); relay {
-			return relayReply, protocol.MsgPutCommitReply, err
-		}
-		reply, err := g.svc().StageCommit(stageOwner(dn, asServer, req.Owner), asServer, req)
-		return reply, protocol.MsgPutCommitReply, err
-	case protocol.MsgLoad:
-		// One backend load for the whole reply: a concurrent SetBackend swap
-		// must not yield a report mixing two backends' figures.
-		svc := g.svc()
-		return protocol.LoadReply{Overall: svc.Load(), Vsites: g.vsiteLoadsOf(svc)}, protocol.MsgLoadReply, nil
-	case protocol.MsgFedAdvertise:
-		return g.handleFedAdvertise(raw, asServer)
-	case protocol.MsgMetrics:
-		var req protocol.MetricsRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, "", fmt.Errorf("gateway: bad metrics request: %w", err)
-		}
-		snaps := g.Metrics()
-		if !req.PerReplica {
-			snaps = []telemetry.Snapshot{telemetry.Merge("usite/"+string(g.usite), snaps...)}
-		}
-		if !req.Spans {
-			for i := range snaps {
-				snaps[i].Spans = nil
-			}
-		}
-		return protocol.MetricsReply{Snapshots: snaps}, protocol.MsgMetricsReply, nil
-	default:
-		return nil, "", fmt.Errorf("gateway: unsupported request type %q", t)
-	}
-}
-
-// handleConsign admits an AJO from its JSON envelope form.
-func (g *Gateway) handleConsign(ctx context.Context, raw json.RawMessage, dn core.DN, asServer bool) (any, protocol.MsgType, error) {
-	var req protocol.ConsignRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		return nil, "", fmt.Errorf("gateway: bad consign request: %w", err)
-	}
-	reply, err := g.consignTyped(ctx, req, dn, asServer)
-	return reply, protocol.MsgConsignReply, err
-}
-
-// consignTyped admits an AJO — the shared core of the envelope and v3 frame
-// paths. A user-signed consignment is owned by the signer; a server-signed
-// consignment (a peer NJS distributing a job group, §5.5) is owned by the
-// user recorded in the AJO.
-func (g *Gateway) consignTyped(ctx context.Context, req protocol.ConsignRequest, dn core.DN, asServer bool) (protocol.ConsignReply, error) {
-	action, err := ajo.Unmarshal(req.AJO)
-	if err != nil {
-		return protocol.ConsignReply{}, fmt.Errorf("gateway: decoding AJO: %w", err)
-	}
-	job, ok := action.(*ajo.AbstractJob)
-	if !ok {
-		return protocol.ConsignReply{}, fmt.Errorf("gateway: consigned action is %s, want a job", action.Kind())
-	}
-	owner := dn
-	if asServer {
-		if job.UserDN == "" {
-			return protocol.ConsignReply{}, errors.New("gateway: server consignment without a user DN")
-		}
-		owner = job.UserDN
-	} else if job.UserDN != "" && job.UserDN != dn {
-		return protocol.ConsignReply{}, fmt.Errorf("gateway: AJO user %s does not match signer %s", job.UserDN, dn)
-	}
-	if f := g.fed.Load(); f != nil {
-		reply, _, handled, err := g.fedConsign(ctx, f, req.ConsignID, job, owner, asServer)
-		if err != nil {
-			return protocol.ConsignReply{}, err
-		}
-		if handled {
-			cr, _ := reply.(protocol.ConsignReply)
-			return cr, nil
-		}
-	}
-	id, err := g.svc().Consign(ctx, owner, req.ConsignID, job)
-	reply := protocol.ConsignReply{Accepted: err == nil, Job: id}
-	if err != nil {
-		reply.Reason = err.Error()
-		reply.Accepted = false
-	}
-	return reply, nil
-}
-
-// pollTyped serves one job-status poll, relaying federated placements.
-func (g *Gateway) pollTyped(ctx context.Context, req protocol.PollRequest, dn core.DN, asServer bool) (protocol.PollReply, error) {
-	if f, peer, relay, err := g.fedRoute(dn, asServer, req.Job); err != nil {
-		return protocol.PollReply{}, err
-	} else if relay {
-		var reply protocol.PollReply
-		err := f.Relay(ctx, peer, protocol.MsgPoll, req, &reply)
-		return reply, err
-	}
-	return g.svc().Poll(dn, asServer, req.Job)
-}
-
-// transferTyped serves one NJS-to-NJS Uspace read.
-func (g *Gateway) transferTyped(ctx context.Context, req protocol.TransferRequest, dn core.DN, asServer bool) (protocol.TransferReply, error) {
-	if !asServer {
-		return protocol.TransferReply{}, fmt.Errorf("%w: Uspace transfers are NJS-to-NJS traffic", ErrNotPermitted)
-	}
-	if f, peer, relay, err := g.fedRoute(dn, asServer, req.Job); err != nil {
-		return protocol.TransferReply{}, err
-	} else if relay {
-		var reply protocol.TransferReply
-		err := f.Relay(ctx, peer, protocol.MsgTransfer, req, &reply)
-		return reply, err
-	}
-	return g.svc().FetchFile(req.Job, req.File, req.Offset, req.Limit)
-}
-
-// fetchTyped serves one owner-authorised file fetch.
-func (g *Gateway) fetchTyped(ctx context.Context, req protocol.FetchRequest, dn core.DN, asServer bool) (protocol.TransferReply, error) {
-	if f, peer, relay, err := g.fedRoute(dn, asServer, req.Job); err != nil {
-		return protocol.TransferReply{}, err
-	} else if relay {
-		var reply protocol.TransferReply
-		err := f.Relay(ctx, peer, protocol.MsgFetch, req, &reply)
-		return reply, err
-	}
-	return g.svc().FetchFileOwned(dn, asServer, req.Job, req.File, req.Offset, req.Limit)
-}
-
-// putChunkTyped serves one staged-upload chunk, relaying peer-pinned handles.
-func (g *Gateway) putChunkTyped(ctx context.Context, req protocol.PutChunkRequest, dn core.DN, asServer bool) (protocol.PutChunkReply, error) {
-	fwd := req
-	fwd.Owner = dn
-	var relayReply protocol.PutChunkReply
-	if relay, err := g.fedStageRelay(ctx, dn, asServer, req.Handle, protocol.MsgPutChunk, fwd, &relayReply); relay {
-		return relayReply, err
-	}
-	return g.svc().StageChunk(stageOwner(dn, asServer, req.Owner), asServer, req)
-}
-
-// subscribeTyped serves one event-batch subscription round. Job-scoped
-// streams of a remotely-placed job relay to the peer (its gateway holds the
-// long-poll); a user's all-jobs stream (empty Job) stays local — it is
-// scoped to this Usite's log.
-func (g *Gateway) subscribeTyped(ctx context.Context, req protocol.SubscribeRequest, dn core.DN, asServer bool) (protocol.EventsReply, error) {
-	if f, peer, relay, err := g.fedRoute(dn, asServer, req.Job); err != nil {
-		return protocol.EventsReply{}, err
-	} else if relay {
-		var reply protocol.EventsReply
-		err := f.Relay(ctx, peer, protocol.MsgSubscribe, req, &reply)
-		return reply, err
-	}
-	return g.longPollEvents(ctx, dn, asServer, req)
-}
-
-// handleResources serves the ASN.1 resource pages of §5.4.
-func (g *Gateway) handleResources(req protocol.ResourcesRequest) (any, protocol.MsgType, error) {
-	var pages [][]byte
-	for _, p := range g.svc().Pages() {
-		if req.Vsite != "" && p.Target.Vsite != req.Vsite {
-			continue
-		}
-		der, err := p.MarshalASN1()
-		if err != nil {
-			return nil, "", fmt.Errorf("gateway: encoding resource page %s: %w", p.Target, err)
-		}
-		pages = append(pages, der)
-	}
-	if req.Vsite != "" && len(pages) == 0 {
-		return nil, "", fmt.Errorf("gateway: no Vsite %q at %s", req.Vsite, g.usite)
-	}
-	return protocol.ResourcesReply{PagesDER: pages}, protocol.MsgResourcesReply, nil
-}
-
 // longPollEvents serves one MsgSubscribe: fetch buffered events past the
 // cursor; when none are available and the request asked to wait, hold until
 // the backend signals an append, the wall-clock wait expires, or the caller
 // goes away — then reply with everything buffered by then (coalescing). The
 // notify channel is taken before each fetch, so an append racing the fetch
 // wakes the next round instead of being lost.
-func (g *Gateway) longPollEvents(ctx context.Context, dn core.DN, asServer bool, req protocol.SubscribeRequest) (protocol.EventsReply, error) {
+func (g *Gateway) longPollEvents(ctx context.Context, c caller, req protocol.SubscribeRequest) (protocol.EventsReply, error) {
 	occupancy := g.tel.Gauge("gateway_longpoll_active")
 	occupancy.Inc()
 	defer occupancy.Dec()
@@ -795,7 +473,7 @@ func (g *Gateway) longPollEvents(ctx context.Context, dn core.DN, asServer bool,
 	for {
 		svc := g.svc()
 		ch, release := svc.EventsNotify(req)
-		reply, err := svc.Events(dn, asServer, req)
+		reply, err := svc.Events(c.dn, c.asServer, req)
 		if err != nil || len(reply.Events) > 0 || wait <= 0 {
 			release()
 			return reply, err

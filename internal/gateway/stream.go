@@ -1,8 +1,8 @@
 // Protocol v3 stream serving: the gateway's half of the persistent
 // multiplexed frame transport. The HTTP upgrade at /unicore/v3 hands the raw
-// connection to protocol.ServeStreamConn; the typed frame handlers below are
-// the same consignTyped/pollTyped/... cores the signed-envelope dispatch
-// uses, so authorisation, federation relaying, and error texts are identical
+// connection to protocol.ServeStreamConn; the typed frame handlers below run
+// the rows of the operation table (ops.go) that the signed-envelope door
+// runs, so authorisation, federation relaying, and error texts are identical
 // on both paths. Stream traffic is observable through dedicated telemetry
 // counters (gateway_stream_*) and deliberately never counts into
 // Stats().ByType — that map remains a census of signed envelopes.
@@ -10,7 +10,6 @@ package gateway
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"net/http"
 
@@ -58,7 +57,7 @@ func (g *Gateway) ServeStream(ctx context.Context, conn net.Conn) {
 		Cred:  g.cred,
 		Usite: g.usite,
 		OnFrame: func(kind byte) {
-			g.tel.Counter("gateway_stream_frames_total", "kind", frameKindName(kind)).Inc()
+			g.tel.Counter("gateway_stream_frames_total", "kind", protocol.FrameKindName(kind)).Inc()
 		},
 	})
 }
@@ -76,77 +75,33 @@ func (g *Gateway) StreamHello(hello []byte) (protocol.Opened, []byte) {
 
 // StreamConsign serves one consignment arriving as a frame.
 func (g *Gateway) StreamConsign(ctx context.Context, dn core.DN, asServer bool, req protocol.ConsignRequest) (protocol.ConsignReply, error) {
-	sp := g.tel.StartSpan(ctx, "gateway.dispatch").Note(string(protocol.MsgConsign))
-	defer sp.End()
-	return g.consignTyped(ctx, req, dn, asServer)
+	return opConsign.serve(g, ctx, caller{dn, asServer}, req)
 }
 
 // StreamPoll serves one status poll arriving as a frame.
 func (g *Gateway) StreamPoll(ctx context.Context, dn core.DN, asServer bool, req protocol.PollRequest) (protocol.PollReply, error) {
-	sp := g.tel.StartSpan(ctx, "gateway.dispatch").Note(string(protocol.MsgPoll))
-	defer sp.End()
-	return g.pollTyped(ctx, req, dn, asServer)
+	return opPoll.serve(g, ctx, caller{dn, asServer}, req)
 }
 
 // StreamPutChunk serves one staged-upload chunk arriving as a raw frame —
 // the zero-copy upload path: no base64, no per-chunk signature; integrity is
 // the per-chunk CRC now and the signed whole-transfer digest at commit.
 func (g *Gateway) StreamPutChunk(ctx context.Context, dn core.DN, asServer bool, req protocol.PutChunkRequest) (protocol.PutChunkReply, error) {
-	sp := g.tel.StartSpan(ctx, "gateway.dispatch").Note(string(protocol.MsgPutChunk))
-	defer sp.End()
-	return g.putChunkTyped(ctx, req, dn, asServer)
+	return opPutChunk.serve(g, ctx, caller{dn, asServer}, req)
 }
 
 // StreamFetch serves one owner-authorised file read arriving as a frame.
 func (g *Gateway) StreamFetch(ctx context.Context, dn core.DN, asServer bool, req protocol.FetchRequest) (protocol.TransferReply, error) {
-	sp := g.tel.StartSpan(ctx, "gateway.dispatch").Note(string(protocol.MsgFetch))
-	defer sp.End()
-	return g.fetchTyped(ctx, req, dn, asServer)
+	return opFetch.serve(g, ctx, caller{dn, asServer}, req)
 }
 
 // StreamTransfer serves one NJS-to-NJS Uspace read arriving as a frame.
 func (g *Gateway) StreamTransfer(ctx context.Context, dn core.DN, asServer bool, req protocol.TransferRequest) (protocol.TransferReply, error) {
-	sp := g.tel.StartSpan(ctx, "gateway.dispatch").Note(string(protocol.MsgTransfer))
-	defer sp.End()
-	return g.transferTyped(ctx, req, dn, asServer)
+	return opTransfer.serve(g, ctx, caller{dn, asServer}, req)
 }
 
 // StreamEvents serves one event-batch round of a stream subscription: the
 // same federation routing and long-poll core as an envelope MsgSubscribe.
 func (g *Gateway) StreamEvents(ctx context.Context, dn core.DN, asServer bool, req protocol.SubscribeRequest) (protocol.EventsReply, error) {
-	sp := g.tel.StartSpan(ctx, "gateway.dispatch").Note(string(protocol.MsgSubscribe))
-	defer sp.End()
-	return g.subscribeTyped(ctx, req, dn, asServer)
-}
-
-// frameKindName labels frame kinds for metrics.
-func frameKindName(kind byte) string {
-	switch kind {
-	case protocol.FrameHello:
-		return "hello"
-	case protocol.FrameHelloOK:
-		return "hello-ok"
-	case protocol.FrameCall:
-		return "call"
-	case protocol.FrameReply:
-		return "reply"
-	case protocol.FramePut:
-		return "put"
-	case protocol.FramePutAck:
-		return "put-ack"
-	case protocol.FrameFetch:
-		return "fetch"
-	case protocol.FrameData:
-		return "data"
-	case protocol.FrameSub:
-		return "sub"
-	case protocol.FrameEvents:
-		return "events"
-	case protocol.FrameSubStop:
-		return "sub-stop"
-	case protocol.FrameError:
-		return "error"
-	default:
-		return fmt.Sprintf("0x%02x", kind)
-	}
+	return opSubscribe.serve(g, ctx, caller{dn, asServer}, req)
 }

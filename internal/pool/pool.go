@@ -214,6 +214,8 @@ func ReplicaTag(i int) string { return fmt.Sprintf("r%d", i) }
 // it, health-checks the replicas, and fails unacknowledged admissions over
 // to the next healthy replica.
 type ReplicaSet struct {
+	scopedCalls // the job- and handle-scoped calls, over routeJob and routeStage
+
 	cfg Config
 
 	// mu guards replica membership, the ring, the affinity and ack indexes,
@@ -270,6 +272,7 @@ func New(cfg Config) (*ReplicaSet, error) {
 		lastOpen: make(map[core.DN]*Replica),
 		tel:      telemetry.New("pool/" + string(cfg.Vsite)),
 	}
+	s.scopedCalls.tier = s
 	s.tel.SetNow(cfg.Clock.Now)
 	return s, nil
 }
@@ -807,104 +810,6 @@ func (s *ReplicaSet) lookupOrder(id core.JobID) ([]*Replica, error) {
 	return order, nil
 }
 
-// Poll routes a status poll to the replica that owns the job.
-func (s *ReplicaSet) Poll(caller core.DN, asServer bool, id core.JobID) (protocol.PollReply, error) {
-	reps, err := s.lookupOrder(id)
-	if err != nil {
-		return protocol.PollReply{}, err
-	}
-	for _, rep := range reps {
-		reply, err := rep.service().Poll(caller, asServer, id)
-		if err != nil {
-			return protocol.PollReply{}, err
-		}
-		if reply.Found {
-			s.recordAffinity(id, rep)
-			return reply, nil
-		}
-	}
-	return protocol.PollReply{Found: false}, nil
-}
-
-// Outcome routes an outcome fetch to the replica that owns the job.
-func (s *ReplicaSet) Outcome(caller core.DN, asServer bool, id core.JobID) (*ajo.Outcome, bool, error) {
-	reps, err := s.lookupOrder(id)
-	if err != nil {
-		return nil, false, err
-	}
-	for _, rep := range reps {
-		o, found, err := rep.service().Outcome(caller, asServer, id)
-		if err != nil {
-			return nil, false, err
-		}
-		if found {
-			s.recordAffinity(id, rep)
-			return o, true, nil
-		}
-	}
-	return nil, false, nil
-}
-
-// Control routes an abort/hold/resume to the replica that owns the job.
-func (s *ReplicaSet) Control(caller core.DN, asServer bool, id core.JobID, op ajo.ControlOp) error {
-	reps, err := s.lookupOrder(id)
-	if err != nil {
-		return err
-	}
-	var last error = fmt.Errorf("%w: %s", njs.ErrUnknownJob, id)
-	for _, rep := range reps {
-		err := rep.service().Control(caller, asServer, id, op)
-		if errors.Is(err, njs.ErrUnknownJob) {
-			last = err
-			continue
-		}
-		if err == nil {
-			s.recordAffinity(id, rep)
-		}
-		return err
-	}
-	return last
-}
-
-// FetchFile routes a peer-NJS Uspace read to the replica that owns the job.
-func (s *ReplicaSet) FetchFile(id core.JobID, file string, offset, limit int64) (protocol.TransferReply, error) {
-	reps, err := s.lookupOrder(id)
-	if err != nil {
-		return protocol.TransferReply{}, err
-	}
-	for _, rep := range reps {
-		reply, err := rep.service().FetchFile(id, file, offset, limit)
-		if err != nil {
-			return protocol.TransferReply{}, err
-		}
-		if reply.Found {
-			s.recordAffinity(id, rep)
-			return reply, nil
-		}
-	}
-	return protocol.TransferReply{Found: false}, nil
-}
-
-// FetchFileOwned routes an owner Uspace read to the replica that owns the
-// job.
-func (s *ReplicaSet) FetchFileOwned(caller core.DN, asServer bool, id core.JobID, file string, offset, limit int64) (protocol.TransferReply, error) {
-	reps, err := s.lookupOrder(id)
-	if err != nil {
-		return protocol.TransferReply{}, err
-	}
-	for _, rep := range reps {
-		reply, err := rep.service().FetchFileOwned(caller, asServer, id, file, offset, limit)
-		if err != nil {
-			return protocol.TransferReply{}, err
-		}
-		if reply.Found {
-			s.recordAffinity(id, rep)
-			return reply, nil
-		}
-	}
-	return protocol.TransferReply{Found: false}, nil
-}
-
 // Events routes a protocol-v2 subscription read. A job-scoped request goes
 // to the replica that owns the job (the existing read affinity); its per-job
 // Seq cursor is replica-independent — a journal-recovered replacement replica
@@ -914,22 +819,7 @@ func (s *ReplicaSet) FetchFileOwned(caller core.DN, asServer bool, id core.JobID
 // the usable replicas and merges their streams, keyed by per-origin cursors.
 func (s *ReplicaSet) Events(caller core.DN, asServer bool, req protocol.SubscribeRequest) (protocol.EventsReply, error) {
 	if req.Job != "" {
-		reps, err := s.lookupOrder(req.Job)
-		if err != nil {
-			return protocol.EventsReply{}, err
-		}
-		for _, rep := range reps {
-			reply, err := rep.service().Events(caller, asServer, req)
-			if errors.Is(err, njs.ErrUnknownJob) {
-				continue
-			}
-			if err != nil {
-				return protocol.EventsReply{}, err
-			}
-			s.recordAffinity(req.Job, rep)
-			return reply, nil
-		}
-		return protocol.EventsReply{}, fmt.Errorf("%w: %s", njs.ErrUnknownJob, req.Job)
+		return s.jobEvents(caller, asServer, req)
 	}
 	now := s.cfg.Clock.Now()
 	merged := protocol.EventsReply{Cursor: req.Cursor, Origins: make(map[string]uint64)}

@@ -22,6 +22,8 @@ import (
 // routed to the target Vsite's set; job-scoped reads are routed by each
 // set's job affinity; listings and load figures are merged across sets.
 type Router struct {
+	scopedCalls // the job- and handle-scoped calls, over routeJob and routeStage
+
 	usite core.Usite
 
 	// mu guards set membership and the mapper: sets are usually registered
@@ -43,7 +45,9 @@ func NewRouter(usite core.Usite) (*Router, error) {
 	if usite == "" {
 		return nil, errors.New("pool: empty usite")
 	}
-	return &Router{usite: usite, sets: make(map[core.Vsite]*ReplicaSet)}, nil
+	r := &Router{usite: usite, sets: make(map[core.Vsite]*ReplicaSet)}
+	r.scopedCalls.tier = r
+	return r, nil
 }
 
 // AddSet registers a Vsite's replica set — at assembly time, or on a live
@@ -146,129 +150,6 @@ func (r *Router) Metrics() []telemetry.Snapshot {
 	return out
 }
 
-// scatterErr folds per-set routing failures: a set that reported the job
-// unreachable (owner down / no replica) wins over "not found", because the
-// job may well live behind the unhealthy replica.
-func scatterErr(first, err error) error {
-	if first == nil {
-		return err
-	}
-	return first
-}
-
-// Poll finds the job's Vsite set by affinity (scatter on a cold pool) and
-// returns its status summary.
-func (r *Router) Poll(caller core.DN, asServer bool, id core.JobID) (protocol.PollReply, error) {
-	var routeErr error
-	for _, set := range r.Sets() {
-		reply, err := set.Poll(caller, asServer, id)
-		if err != nil {
-			if errors.Is(err, ErrNoReplica) || errors.Is(err, ErrReplicaDown) {
-				routeErr = scatterErr(routeErr, err)
-				continue
-			}
-			return protocol.PollReply{}, err
-		}
-		if reply.Found {
-			return reply, nil
-		}
-	}
-	if routeErr != nil {
-		return protocol.PollReply{}, routeErr
-	}
-	return protocol.PollReply{Found: false}, nil
-}
-
-// Outcome finds the job's Vsite set and returns its outcome tree.
-func (r *Router) Outcome(caller core.DN, asServer bool, id core.JobID) (*ajo.Outcome, bool, error) {
-	var routeErr error
-	for _, set := range r.Sets() {
-		o, found, err := set.Outcome(caller, asServer, id)
-		if err != nil {
-			if errors.Is(err, ErrNoReplica) || errors.Is(err, ErrReplicaDown) {
-				routeErr = scatterErr(routeErr, err)
-				continue
-			}
-			return nil, false, err
-		}
-		if found {
-			return o, true, nil
-		}
-	}
-	if routeErr != nil {
-		return nil, false, routeErr
-	}
-	return nil, false, nil
-}
-
-// Control routes an abort/hold/resume to the replica that owns the job.
-func (r *Router) Control(caller core.DN, asServer bool, id core.JobID, op ajo.ControlOp) error {
-	var routeErr error
-	for _, set := range r.Sets() {
-		err := set.Control(caller, asServer, id, op)
-		switch {
-		case errors.Is(err, ErrNoReplica) || errors.Is(err, ErrReplicaDown):
-			// The job may live behind this set's unhealthy replicas:
-			// unreachable beats "not found" (see scatterErr).
-			routeErr = scatterErr(routeErr, err)
-		case errors.Is(err, njs.ErrUnknownJob):
-			// Keep scanning the other sets.
-		default:
-			return err // success, or a real per-job failure
-		}
-	}
-	if routeErr != nil {
-		return routeErr
-	}
-	return fmt.Errorf("%w: %s", njs.ErrUnknownJob, id)
-}
-
-// FetchFile serves a peer-NJS Uspace read from the replica that owns the
-// job (§5.6 Uspace-to-Uspace transfers).
-func (r *Router) FetchFile(id core.JobID, file string, offset, limit int64) (protocol.TransferReply, error) {
-	var routeErr error
-	for _, set := range r.Sets() {
-		reply, err := set.FetchFile(id, file, offset, limit)
-		if err != nil {
-			if errors.Is(err, ErrNoReplica) || errors.Is(err, ErrReplicaDown) {
-				routeErr = scatterErr(routeErr, err)
-				continue
-			}
-			return protocol.TransferReply{}, err
-		}
-		if reply.Found {
-			return reply, nil
-		}
-	}
-	if routeErr != nil {
-		return protocol.TransferReply{}, routeErr
-	}
-	return protocol.TransferReply{Found: false}, nil
-}
-
-// FetchFileOwned serves an owner Uspace read from the replica that owns the
-// job.
-func (r *Router) FetchFileOwned(caller core.DN, asServer bool, id core.JobID, file string, offset, limit int64) (protocol.TransferReply, error) {
-	var routeErr error
-	for _, set := range r.Sets() {
-		reply, err := set.FetchFileOwned(caller, asServer, id, file, offset, limit)
-		if err != nil {
-			if errors.Is(err, ErrNoReplica) || errors.Is(err, ErrReplicaDown) {
-				routeErr = scatterErr(routeErr, err)
-				continue
-			}
-			return protocol.TransferReply{}, err
-		}
-		if reply.Found {
-			return reply, nil
-		}
-	}
-	if routeErr != nil {
-		return protocol.TransferReply{}, routeErr
-	}
-	return protocol.TransferReply{Found: false}, nil
-}
-
 // Events merges the protocol-v2 event streams behind this Usite. A
 // job-scoped subscription is routed to the Vsite set (and, inside it, the
 // replica) that owns the job; per-job cursors survive failover unchanged. A
@@ -276,24 +157,7 @@ func (r *Router) FetchFileOwned(caller core.DN, asServer bool, id core.JobID, fi
 // per-origin cursors.
 func (r *Router) Events(caller core.DN, asServer bool, req protocol.SubscribeRequest) (protocol.EventsReply, error) {
 	if req.Job != "" {
-		var routeErr error
-		for _, set := range r.Sets() {
-			reply, err := set.Events(caller, asServer, req)
-			switch {
-			case err == nil:
-				return reply, nil
-			case errors.Is(err, ErrNoReplica) || errors.Is(err, ErrReplicaDown):
-				routeErr = scatterErr(routeErr, err)
-			case errors.Is(err, njs.ErrUnknownJob):
-				// Keep scanning the other sets.
-			default:
-				return protocol.EventsReply{}, err
-			}
-		}
-		if routeErr != nil {
-			return protocol.EventsReply{}, routeErr
-		}
-		return protocol.EventsReply{}, fmt.Errorf("%w: %s", njs.ErrUnknownJob, req.Job)
+		return r.jobEvents(caller, asServer, req)
 	}
 	merged := protocol.EventsReply{Cursor: req.Cursor, Origins: make(map[string]uint64)}
 	for _, set := range r.Sets() {

@@ -14,7 +14,6 @@ package pool
 // horizon so the map does not grow forever.
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -153,43 +152,59 @@ func (s *ReplicaSet) stageOrder(handle string) ([]*Replica, error) {
 	return order, nil
 }
 
-// setStageCall routes one handle-scoped staging call: follow the pin, or
-// scatter until a replica recognizes the handle and re-pin there.
-func setStageCall[T any](s *ReplicaSet, handle string, call func(njs.Service) (T, error)) (T, error) {
-	var zero T
+// routeStage routes one handle-scoped staging call inside a set: follow the
+// pin, or scatter until a replica recognizes the handle and re-pin there.
+func (s *ReplicaSet) routeStage(handle string, try func(njs.Service) (bool, error)) (bool, error) {
 	reps, err := s.stageOrder(handle)
 	if err != nil {
-		return zero, err
+		return false, err
 	}
-	var last error = fmt.Errorf("%w: %q", staging.ErrUnknownHandle, handle)
 	for _, rep := range reps {
 		rep.calls.Add(1)
-		reply, err := call(rep.service())
+		found, err := try(rep.service())
 		rep.calls.Add(-1)
-		if errors.Is(err, staging.ErrUnknownHandle) {
-			last = err
-			continue
+		if err != nil {
+			return false, err
 		}
-		if err == nil {
+		if found {
 			s.pinStage(handle, rep)
+			return true, nil
 		}
-		return reply, err
 	}
-	return zero, last
+	return false, nil
 }
 
-// StageChunk routes a chunk to the replica that holds the upload.
-func (s *ReplicaSet) StageChunk(caller core.DN, asServer bool, req protocol.PutChunkRequest) (protocol.PutChunkReply, error) {
-	return setStageCall(s, req.Handle, func(svc njs.Service) (protocol.PutChunkReply, error) {
-		return svc.StageChunk(caller, asServer, req)
-	})
+// routeStage finds the upload's Vsite set by handle (scatter on a cold pool).
+func (r *Router) routeStage(handle string, try func(njs.Service) (bool, error)) (bool, error) {
+	return r.scan(func(set *ReplicaSet) (bool, error) { return set.routeStage(handle, try) })
 }
 
-// StageCommit routes a commit to the replica that holds the upload.
-func (s *ReplicaSet) StageCommit(caller core.DN, asServer bool, req protocol.PutCommitRequest) (protocol.PutCommitReply, error) {
-	return setStageCall(s, req.Handle, func(svc njs.Service) (protocol.PutCommitReply, error) {
-		return svc.StageCommit(caller, asServer, req)
+// handleMissing is the error of a staging call for a handle no service knew.
+func handleMissing(handle string, found bool, err error) error {
+	if err == nil && !found {
+		return fmt.Errorf("%w: %q", staging.ErrUnknownHandle, handle)
+	}
+	return err
+}
+
+// StageChunk delivers a chunk to the replica that holds the upload.
+func (c scopedCalls) StageChunk(caller core.DN, asServer bool, req protocol.PutChunkRequest) (reply protocol.PutChunkReply, err error) {
+	found, err := c.tier.routeStage(req.Handle, func(svc njs.Service) (bool, error) {
+		r, err := svc.StageChunk(caller, asServer, req)
+		found, err := known(err, staging.ErrUnknownHandle)
+		return keep(&reply, r, found, err)
 	})
+	return reply, handleMissing(req.Handle, found, err)
+}
+
+// StageCommit seals an upload on the replica that holds it.
+func (c scopedCalls) StageCommit(caller core.DN, asServer bool, req protocol.PutCommitRequest) (reply protocol.PutCommitReply, err error) {
+	found, err := c.tier.routeStage(req.Handle, func(svc njs.Service) (bool, error) {
+		r, err := svc.StageCommit(caller, asServer, req)
+		found, err := known(err, staging.ErrUnknownHandle)
+		return keep(&reply, r, found, err)
+	})
+	return reply, handleMissing(req.Handle, found, err)
 }
 
 // stageHint resolves the consign-affinity constraint of a job's staged
@@ -229,42 +244,4 @@ func (r *Router) StageOpen(caller core.DN, asServer bool, req protocol.PutOpenRe
 		return protocol.PutOpenReply{}, fmt.Errorf("%w: %q", njs.ErrUnknownVsite, req.Vsite)
 	}
 	return set.StageOpen(caller, asServer, req)
-}
-
-// routerStageCall finds the upload's Vsite set by handle (scatter on a cold
-// pool) and runs the call there.
-func routerStageCall[T any](r *Router, handle string, call func(*ReplicaSet) (T, error)) (T, error) {
-	var zero T
-	var routeErr error
-	for _, set := range r.Sets() {
-		reply, err := call(set)
-		switch {
-		case err == nil:
-			return reply, nil
-		case errors.Is(err, ErrNoReplica) || errors.Is(err, ErrReplicaDown):
-			routeErr = scatterErr(routeErr, err)
-		case errors.Is(err, staging.ErrUnknownHandle):
-			// Keep scanning the other sets.
-		default:
-			return zero, err
-		}
-	}
-	if routeErr != nil {
-		return zero, routeErr
-	}
-	return zero, fmt.Errorf("%w: %q", staging.ErrUnknownHandle, handle)
-}
-
-// StageChunk delivers a chunk to the set (and replica) holding the upload.
-func (r *Router) StageChunk(caller core.DN, asServer bool, req protocol.PutChunkRequest) (protocol.PutChunkReply, error) {
-	return routerStageCall(r, req.Handle, func(set *ReplicaSet) (protocol.PutChunkReply, error) {
-		return set.StageChunk(caller, asServer, req)
-	})
-}
-
-// StageCommit seals an upload on the set (and replica) holding it.
-func (r *Router) StageCommit(caller core.DN, asServer bool, req protocol.PutCommitRequest) (protocol.PutCommitReply, error) {
-	return routerStageCall(r, req.Handle, func(set *ReplicaSet) (protocol.PutCommitReply, error) {
-		return set.StageCommit(caller, asServer, req)
-	})
 }

@@ -18,7 +18,8 @@ import (
 // buffer; each decoder consumes a binReader and leaves error handling to one
 // check at the end.
 
-// Binary request discriminators — the first byte of a FrameCall payload.
+// Binary request discriminators — the first byte of a FrameCall payload
+// (the code column of the wire table in ops.go).
 const (
 	binConsign byte = 1
 	binPoll    byte = 2
@@ -165,7 +166,7 @@ func splitCall(p []byte) (code byte, trace string, body []byte, err error) {
 
 // --- consign ---
 
-func encConsignRequest(b []byte, req *ConsignRequest) []byte {
+func encConsignRequest(b []byte, req ConsignRequest) []byte {
 	b = appendString(b, req.ConsignID)
 	return appendBytes(b, req.AJO)
 }
@@ -180,7 +181,7 @@ func decConsignRequest(p []byte) (ConsignRequest, error) {
 	return req, r.err()
 }
 
-func encConsignReply(b []byte, rep *ConsignReply) []byte {
+func encConsignReply(b []byte, rep ConsignReply) []byte {
 	b = appendString(b, string(rep.Job))
 	b = appendBool(b, rep.Accepted)
 	return appendString(b, rep.Reason)
@@ -197,7 +198,7 @@ func decConsignReply(p []byte) (ConsignReply, error) {
 
 // --- poll ---
 
-func encPollRequest(b []byte, req *PollRequest) []byte {
+func encPollRequest(b []byte, req PollRequest) []byte {
 	return appendString(b, string(req.Job))
 }
 
@@ -207,7 +208,7 @@ func decPollRequest(p []byte) (PollRequest, error) {
 	return req, r.err()
 }
 
-func encPollReply(b []byte, rep *PollReply) []byte {
+func encPollReply(b []byte, rep PollReply) []byte {
 	b = appendBool(b, rep.Found)
 	b = appendString(b, rep.Summary.Job)
 	b = appendVarint(b, int64(rep.Summary.Status))
@@ -232,7 +233,7 @@ func decPollReply(p []byte) (PollReply, error) {
 
 // --- staged-upload chunks (FramePut / FramePutAck) ---
 
-func encPutChunk(b []byte, req *PutChunkRequest) []byte {
+func encPutChunk(b []byte, req PutChunkRequest) []byte {
 	b = appendString(b, req.Handle)
 	b = appendVarint(b, req.Index)
 	b = appendUvarint(b, req.CRC)
@@ -251,7 +252,7 @@ func decPutChunk(p []byte) (PutChunkRequest, error) {
 	return req, r.err()
 }
 
-func encPutAck(b []byte, rep *PutChunkReply) []byte {
+func encPutAck(b []byte, rep PutChunkReply) []byte {
 	return appendVarint(b, rep.Received)
 }
 
@@ -263,37 +264,31 @@ func decPutAck(p []byte) (PutChunkReply, error) {
 
 // --- ranged reads (FrameFetch / FrameData) ---
 
-// binFetch is the frame form of FetchRequest/TransferRequest; Transfer marks
-// the server-role variant (server-to-server Uspace reads) so the gateway
-// applies the right authorisation.
-type binFetch struct {
-	Job      core.JobID
-	File     string
-	Offset   int64
-	Limit    int64
-	Transfer bool
+// A FrameFetch body is the frame form of both FetchRequest and
+// TransferRequest. The trailing flag marks the server-role variant
+// (server-to-server Uspace reads) so the gateway applies the right
+// authorisation; it is the op's code in the wire table, which the server
+// reads to pick the op before the body is decoded (splitRequest).
+func encFetch(b []byte, req FetchRequest, transfer bool) []byte {
+	b = appendString(b, string(req.Job))
+	b = appendString(b, req.File)
+	b = appendVarint(b, req.Offset)
+	b = appendVarint(b, req.Limit)
+	return appendBool(b, transfer)
 }
 
-func encFetch(b []byte, f *binFetch) []byte {
-	b = appendString(b, string(f.Job))
-	b = appendString(b, f.File)
-	b = appendVarint(b, f.Offset)
-	b = appendVarint(b, f.Limit)
-	return appendBool(b, f.Transfer)
-}
-
-func decFetch(p []byte) (binFetch, error) {
+func decFetch(p []byte) (FetchRequest, error) {
 	r := &binReader{b: p}
-	var f binFetch
-	f.Job = core.JobID(r.string())
-	f.File = r.string()
-	f.Offset = r.varint()
-	f.Limit = r.varint()
-	f.Transfer = r.bool()
-	return f, r.err()
+	var req FetchRequest
+	req.Job = core.JobID(r.string())
+	req.File = r.string()
+	req.Offset = r.varint()
+	req.Limit = r.varint()
+	r.bool() // the transfer flag
+	return req, r.err()
 }
 
-func encData(b []byte, rep *TransferReply) []byte {
+func encData(b []byte, rep TransferReply) []byte {
 	b = appendBool(b, rep.Found)
 	b = appendVarint(b, rep.Size)
 	b = appendUvarint(b, rep.CRC)
@@ -321,7 +316,7 @@ type binSub struct {
 	Once bool
 }
 
-func encSub(b []byte, s *binSub) []byte {
+func encSub(b []byte, s binSub) []byte {
 	b = appendString(b, string(s.Job))
 	b = appendUvarint(b, s.Cursor)
 	b = appendOrigins(b, s.Origins)
@@ -349,7 +344,7 @@ type binEvents struct {
 	End bool
 }
 
-func encEvents(b []byte, e *binEvents) []byte {
+func encEvents(b []byte, e binEvents) []byte {
 	b = appendUvarint(b, e.Cursor)
 	b = appendOrigins(b, e.Origins)
 	b = appendBool(b, e.Gap)

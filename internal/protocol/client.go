@@ -158,8 +158,16 @@ func (c *Client) callOnce(ctx context.Context, usite core.Usite, t MsgType, payl
 		return fmt.Errorf("protocol: %s to %s failed after %d attempts: %w", t, usite, attempts, err)
 	}
 	rt, raw, err := openReply(c.ca, usite, respBody)
-	if err != nil || replyOut == nil {
+	if err != nil {
 		return err
+	}
+	// A correctly signed reply of the wrong type would otherwise decode to a
+	// zero value of the expected one (a list-reply read as "job not found").
+	if want, ok := ReplyType(t); ok && rt != want {
+		return fmt.Errorf("protocol: %s to %s answered with a %s, want %s", t, usite, rt, want)
+	}
+	if replyOut == nil {
+		return nil
 	}
 	if err := json.Unmarshal(raw, replyOut); err != nil {
 		return fmt.Errorf("protocol: decoding %s reply: %w", rt, err)
@@ -251,11 +259,20 @@ func (c *Client) dropSiteStream(usite core.Usite, sc *streamConn) {
 // every streamable request is idempotent, so the replay is safe). A hello the
 // server refused is the call's answer, not a dead connection.
 func (c *Client) streamCall(ctx context.Context, usite core.Usite, t MsgType, payload any, replyOut any) (error, bool) {
-	kind, frame, ok := encodeStreamRequest(t, payload, telemetry.TraceFrom(ctx))
-	if !ok {
+	op := opByRequest[t]
+	if op == nil || op.wire == nil {
 		return nil, false
 	}
+	// The request is encoded behind a reserved header in one pooled buffer,
+	// released once the frame is sent. Everything the request references (a
+	// chunk's Data) is copied here and not touched again.
+	frame := getFrameBuf(0)
 	defer putFrameBuf(frame)
+	var ok bool
+	if *frame, ok = op.wire.encodeRequest(*frame, payload, telemetry.TraceFrom(ctx)); !ok {
+		return nil, false
+	}
+	kind, _, _ := op.wire.frames()
 
 	f, err := c.streamRoundTrip(ctx, usite, kind, *frame)
 	if err != nil {
@@ -278,7 +295,7 @@ func (c *Client) streamCall(ctx context.Context, usite core.Usite, t MsgType, pa
 		// sealed this as an ErrorReply coded with the request type.
 		return &ErrorReply{Code: string(t), Message: msg}, true
 	}
-	if err := decodeStreamReply(t, f, replyOut); err != nil {
+	if err := op.wire.decodeReply(t, f, replyOut); err != nil {
 		// An undecodable reply poisons the connection, not the call.
 		c.dropSiteStream(usite, nil)
 		return nil, false
@@ -307,150 +324,6 @@ func (c *Client) streamRoundTrip(ctx context.Context, usite core.Usite, kind byt
 		lastErr = err
 	}
 	return Frame{}, lastErr
-}
-
-// encodeStreamRequest maps a hot message kind to its frame encoding: the
-// payload behind a reserved header, in one pooled buffer that the caller
-// releases with putFrameBuf once the frame is sent. Everything the request
-// references (a chunk's Data) is copied here and not touched again.
-func encodeStreamRequest(t MsgType, payload any, trace string) (byte, *[]byte, bool) {
-	bp := getFrameBuf(0)
-	b := *bp
-	var kind byte
-	switch t {
-	case MsgConsign:
-		req, ok := asPtr[ConsignRequest](payload)
-		if !ok {
-			putFrameBuf(bp)
-			return 0, nil, false
-		}
-		kind = FrameCall
-		b = encCallHeader(b, binConsign, trace)
-		b = encConsignRequest(b, req)
-	case MsgPoll:
-		req, ok := asPtr[PollRequest](payload)
-		if !ok {
-			putFrameBuf(bp)
-			return 0, nil, false
-		}
-		kind = FrameCall
-		b = encCallHeader(b, binPoll, trace)
-		b = encPollRequest(b, req)
-	case MsgFetch:
-		req, ok := asPtr[FetchRequest](payload)
-		if !ok {
-			putFrameBuf(bp)
-			return 0, nil, false
-		}
-		kind = FrameFetch
-		b = encFetch(b, &binFetch{Job: req.Job, File: req.File, Offset: req.Offset, Limit: req.Limit})
-	case MsgTransfer:
-		req, ok := asPtr[TransferRequest](payload)
-		if !ok {
-			putFrameBuf(bp)
-			return 0, nil, false
-		}
-		kind = FrameFetch
-		b = encFetch(b, &binFetch{Job: req.Job, File: req.File, Offset: req.Offset, Limit: req.Limit, Transfer: true})
-	case MsgPutChunk:
-		req, ok := asPtr[PutChunkRequest](payload)
-		if !ok {
-			putFrameBuf(bp)
-			return 0, nil, false
-		}
-		kind = FramePut
-		b = encPutChunk(b, req)
-	case MsgSubscribe:
-		req, ok := asPtr[SubscribeRequest](payload)
-		if !ok {
-			putFrameBuf(bp)
-			return 0, nil, false
-		}
-		kind = FrameSub
-		b = encSub(b, &binSub{SubscribeRequest: *req, Once: true})
-	default:
-		putFrameBuf(bp)
-		return 0, nil, false
-	}
-	*bp = b
-	return kind, bp, true
-}
-
-// decodeStreamReply decodes the reply frame for a hot message kind into
-// replyOut (which may be nil: reply discarded, errors still surfaced).
-func decodeStreamReply(t MsgType, f Frame, replyOut any) error {
-	switch t {
-	case MsgConsign:
-		if f.Kind != FrameReply {
-			return fmt.Errorf("protocol: consign answered with frame kind %#x", f.Kind)
-		}
-		rep, err := decConsignReply(f.Payload)
-		if err != nil {
-			return err
-		}
-		return assignReply(replyOut, rep)
-	case MsgPoll:
-		if f.Kind != FrameReply {
-			return fmt.Errorf("protocol: poll answered with frame kind %#x", f.Kind)
-		}
-		rep, err := decPollReply(f.Payload)
-		if err != nil {
-			return err
-		}
-		return assignReply(replyOut, rep)
-	case MsgFetch, MsgTransfer:
-		if f.Kind != FrameData {
-			return fmt.Errorf("protocol: fetch answered with frame kind %#x", f.Kind)
-		}
-		rep, err := decData(f.Payload)
-		if err != nil {
-			return err
-		}
-		return assignReply(replyOut, rep)
-	case MsgPutChunk:
-		if f.Kind != FramePutAck {
-			return fmt.Errorf("protocol: put-chunk answered with frame kind %#x", f.Kind)
-		}
-		rep, err := decPutAck(f.Payload)
-		if err != nil {
-			return err
-		}
-		return assignReply(replyOut, rep)
-	case MsgSubscribe:
-		if f.Kind != FrameEvents {
-			return fmt.Errorf("protocol: subscribe answered with frame kind %#x", f.Kind)
-		}
-		rep, err := decEvents(f.Payload)
-		if err != nil {
-			return err
-		}
-		return assignReply(replyOut, rep.EventsReply)
-	}
-	return fmt.Errorf("protocol: no stream decoding for %s", t)
-}
-
-// asPtr accepts the payload as either T or *T — call sites use both forms.
-func asPtr[T any](payload any) (*T, bool) {
-	switch v := payload.(type) {
-	case *T:
-		return v, true
-	case T:
-		return &v, true
-	}
-	return nil, false
-}
-
-// assignReply stores a typed reply into the caller's out pointer.
-func assignReply[T any](replyOut any, v T) error {
-	if replyOut == nil {
-		return nil
-	}
-	p, ok := replyOut.(*T)
-	if !ok {
-		return fmt.Errorf("protocol: reply out parameter is %T, want *%T", replyOut, v)
-	}
-	*p = v
-	return nil
 }
 
 // SubscribeStream opens a push subscription over the site's persistent v3

@@ -54,7 +54,8 @@ var (
 // MsgType discriminates envelope payloads.
 type MsgType string
 
-// Request and reply message types.
+// Request and reply message types. Which reply answers which request, and
+// which pairs also ride the frame stream, is the operation table in ops.go.
 const (
 	MsgConsign        MsgType = "consign"
 	MsgConsignReply   MsgType = "consign-reply"
@@ -120,31 +121,6 @@ const (
 	MsgHelloReply MsgType = "hello-reply"
 	MsgError      MsgType = "error"
 )
-
-// MsgTypes lists every defined message type, in wire-constant order. Servers
-// use it to pre-size lock-free per-type counters.
-func MsgTypes() []MsgType {
-	return []MsgType{
-		MsgConsign, MsgConsignReply,
-		MsgPoll, MsgPollReply,
-		MsgOutcome, MsgOutcomeReply,
-		MsgList, MsgListReply,
-		MsgControl, MsgControlReply,
-		MsgResources, MsgResourcesReply,
-		MsgTransfer, MsgTransferReply,
-		MsgApplet, MsgAppletReply,
-		MsgLoad, MsgLoadReply,
-		MsgFetch, MsgFetchReply,
-		MsgSubscribe, MsgEventsReply,
-		MsgPutOpen, MsgPutOpenReply,
-		MsgPutChunk, MsgPutChunkReply,
-		MsgPutCommit, MsgPutCommitReply,
-		MsgMetrics, MsgMetricsReply,
-		MsgFedAdvertise, MsgFedAdvertiseReply,
-		MsgHello, MsgHelloReply,
-		MsgError,
-	}
-}
 
 // Envelope is the signed wire unit. The signature covers the payload bytes;
 // the embedded certificate identifies the sender (user or server) to the

@@ -56,6 +56,31 @@ const (
 	FrameError byte = 0x7F
 )
 
+// frameKindNames labels the frame kinds, for metrics and error texts.
+var frameKindNames = [...]string{
+	FrameHello:   "hello",
+	FrameHelloOK: "hello-ok",
+	FrameCall:    "call",
+	FrameReply:   "reply",
+	FramePut:     "put",
+	FramePutAck:  "put-ack",
+	FrameFetch:   "fetch",
+	FrameData:    "data",
+	FrameSub:     "sub",
+	FrameEvents:  "events",
+	FrameSubStop: "sub-stop",
+	FrameError:   "error",
+}
+
+// FrameKindName returns the label of a frame kind; an undefined kind is
+// labelled by its hex value.
+func FrameKindName(kind byte) string {
+	if int(kind) < len(frameKindNames) && frameKindNames[kind] != "" {
+		return frameKindNames[kind]
+	}
+	return fmt.Sprintf("0x%02x", kind)
+}
+
 // Stream error codes carried by FrameError payloads.
 const (
 	// StreamErrGeneric is a server-side request failure; the message mirrors

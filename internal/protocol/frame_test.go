@@ -5,10 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
-
-	"unicore/internal/ajo"
-	"unicore/internal/events"
 )
 
 // TestFrameRoundTrip pushes frames through the write and read halves and the
@@ -83,74 +79,43 @@ func TestFrameDecodeRejects(t *testing.T) {
 // equality the event-stream recovery tests demand between the JSON and binary
 // decodings of one event.
 func TestBinCodecRoundTrips(t *testing.T) {
-	now := time.Unix(0, 1234567890123456789).UTC()
-
-	creq := ConsignRequest{ConsignID: "c-1", AJO: []byte(`{"job":1}`)}
-	if got, err := decConsignRequest(encConsignRequest(nil, &creq)); err != nil || !reflect.DeepEqual(got, creq) {
-		t.Fatalf("consign request: %+v, %v", got, err)
+	// Every row of the wire table, on the samples of its request and reply
+	// types.
+	reqs, reps := codecSamples()
+	for _, o := range ops {
+		if o.wire != nil {
+			o.wire.(codecFuzzer).roundTrip(t, o.request, reqs, reps)
+		}
 	}
-	crep := ConsignReply{Job: "FZJ-000001", Accepted: true, Reason: "ok"}
-	if got, err := decConsignReply(encConsignReply(nil, &crep)); err != nil || !reflect.DeepEqual(got, crep) {
-		t.Fatalf("consign reply: %+v, %v", got, err)
-	}
-
-	preq := PollRequest{Job: "FZJ-000002"}
-	if got, err := decPollRequest(encPollRequest(nil, &preq)); err != nil || !reflect.DeepEqual(got, preq) {
-		t.Fatalf("poll request: %+v, %v", got, err)
-	}
-	prep := PollReply{Found: true, Summary: ajo.Summary{
-		Job: "FZJ-000002", Status: ajo.StatusRunning, Total: 5, Done: 2, Failed: 1, Updated: now,
-	}}
-	if got, err := decPollReply(encPollReply(nil, &prep)); err != nil || !reflect.DeepEqual(got, prep) {
-		t.Fatalf("poll reply: %+v, %v", got, err)
+	// The fetch rows share one body; the trailing flag picks the row.
+	fetch := FetchRequest{Job: "FZJ-000003", File: "out.dat", Offset: 1 << 20, Limit: 256 << 10}
+	for _, transfer := range []bool{false, true} {
+		enc := encFetch(nil, fetch, transfer)
+		code, _, body, err := splitRequest(FrameFetch, enc)
+		if got, derr := decFetch(body); err != nil || derr != nil || got != fetch || (code != 0) != transfer {
+			t.Fatalf("fetch (transfer=%v): %+v, code %d, %v, %v", transfer, got, code, err, derr)
+		}
 	}
 
-	chunk := PutChunkRequest{Handle: "h-1", Index: 3, CRC: 0xDEADBEEF, Owner: "CN=alice", Data: []byte{1, 2, 3}}
-	if got, err := decPutChunk(encPutChunk(nil, &chunk)); err != nil || !reflect.DeepEqual(got, chunk) {
-		t.Fatalf("put chunk: %+v, %v", got, err)
-	}
-	ack := PutChunkReply{Received: 4}
-	if got, err := decPutAck(encPutAck(nil, &ack)); err != nil || !reflect.DeepEqual(got, ack) {
-		t.Fatalf("put ack: %+v, %v", got, err)
-	}
-
-	fetch := binFetch{Job: "FZJ-000003", File: "out.dat", Offset: 1 << 20, Limit: 256 << 10, Transfer: true}
-	if got, err := decFetch(encFetch(nil, &fetch)); err != nil || !reflect.DeepEqual(got, fetch) {
-		t.Fatalf("fetch: %+v, %v", got, err)
-	}
-	data := TransferReply{Found: true, Size: 1 << 20, CRC: 0xCAFE, Data: bytes.Repeat([]byte{9}, 512)}
-	if got, err := decData(encData(nil, &data)); err != nil || !reflect.DeepEqual(got, data) {
-		t.Fatalf("data: %+v, %v", got, err)
-	}
-
-	sub := binSub{SubscribeRequest: SubscribeRequest{
-		Job: "FZJ-000004", Cursor: 17, Origins: map[string]uint64{"fzj": 9, "dwd": 3}, Max: 64, WaitMs: 30000,
-	}, Once: true}
-	if got, err := decSub(encSub(nil, &sub)); err != nil || !reflect.DeepEqual(got, sub) {
+	// The frame forms carry one flag beyond the table's types.
+	sub := binSub{SubscribeRequest: sample[SubscribeRequest](reqs), Once: true}
+	if got, err := decSub(encSub(nil, sub)); err != nil || !reflect.DeepEqual(got, sub) {
 		t.Fatalf("sub: %+v, %v", got, err)
 	}
-	evs := binEvents{EventsReply: EventsReply{
-		Cursor:  21,
-		Origins: map[string]uint64{"fzj": 21},
-		Gap:     false,
-		Events: []events.Event{{
-			Job: "FZJ-000004", Seq: 2, Global: 21, Origin: "fzj", Type: events.Type("status"),
-			Action: ajo.ActionID("s1"), Status: ajo.StatusSuccessful, Reason: "done", Time: now, Terminal: true,
-		}},
-	}, End: true}
-	if got, err := decEvents(encEvents(nil, &evs)); err != nil || !reflect.DeepEqual(got, evs) {
+	evs := binEvents{EventsReply: sample[EventsReply](reps), End: true}
+	if got, err := decEvents(encEvents(nil, evs)); err != nil || !reflect.DeepEqual(got, evs) {
 		t.Fatalf("events: %+v, %v", got, err)
 	}
 
 	// Zero time must round-trip to the zero time, not unix epoch.
 	zrep := PollReply{Found: false}
-	got, err := decPollReply(encPollReply(nil, &zrep))
+	got, err := decPollReply(encPollReply(nil, zrep))
 	if err != nil || !got.Summary.Updated.IsZero() {
 		t.Fatalf("zero time: %+v, %v", got, err)
 	}
 
 	// Truncated and trailing-garbage payloads must fail, never panic.
-	enc := encPollReply(nil, &prep)
+	enc := encPollReply(nil, sample[PollReply](reps))
 	if _, err := decPollReply(enc[:len(enc)-1]); err == nil {
 		t.Fatal("truncated poll reply decoded")
 	}

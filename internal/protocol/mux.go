@@ -251,7 +251,7 @@ func (s *streamConn) subscribe(b binSub) (uint64, <-chan binEvents, error) {
 	s.mu.Unlock()
 
 	bp := getFrameBuf(0)
-	*bp = encSub(*bp, &b)
+	*bp = encSub(*bp, b)
 	err := s.send(FrameSub, id, *bp)
 	putFrameBuf(bp)
 	if err != nil {

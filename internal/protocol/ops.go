@@ -1,0 +1,230 @@
+package protocol
+
+import (
+	"context"
+	"fmt"
+
+	"unicore/internal/core"
+)
+
+// op is one row of the protocol's operation table: a request type, the reply
+// type that answers it, and — for the hot ops — how the pair rides the frame
+// stream. Everything this package does per op is derived from the table:
+// the envelope client's reply-type check, the client's frame encoding and
+// reply decoding, and the server session's frame dispatch.
+type op struct {
+	request MsgType
+	reply   MsgType
+	wire    wireRow // nil: the op travels as signed envelopes only
+}
+
+// ops is the operation table, in wire-constant order.
+var ops = []op{
+	{MsgConsign, MsgConsignReply, &wireOp[ConsignRequest, ConsignReply]{
+		kind: FrameCall, code: binConsign, answer: FrameReply,
+		encReq: encConsignRequest, decReq: decConsignRequest,
+		encRep: encConsignReply, decRep: decConsignReply,
+		backend: StreamBackend.StreamConsign,
+	}},
+	{MsgPoll, MsgPollReply, &wireOp[PollRequest, PollReply]{
+		kind: FrameCall, code: binPoll, answer: FrameReply,
+		encReq: encPollRequest, decReq: decPollRequest,
+		encRep: encPollReply, decRep: decPollReply,
+		backend: StreamBackend.StreamPoll,
+	}},
+	{MsgOutcome, MsgOutcomeReply, nil},
+	{MsgList, MsgListReply, nil},
+	{MsgControl, MsgControlReply, nil},
+	{MsgResources, MsgResourcesReply, nil},
+	{MsgTransfer, MsgTransferReply, &wireOp[TransferRequest, TransferReply]{
+		kind: FrameFetch, code: 1, answer: FrameData,
+		encReq: func(b []byte, req TransferRequest) []byte { return encFetch(b, FetchRequest(req), true) },
+		decReq: func(p []byte) (TransferRequest, error) {
+			req, err := decFetch(p)
+			return TransferRequest(req), err
+		},
+		encRep: encData, decRep: decData,
+		backend: StreamBackend.StreamTransfer,
+	}},
+	{MsgApplet, MsgAppletReply, nil},
+	{MsgLoad, MsgLoadReply, nil},
+	{MsgFetch, MsgFetchReply, &wireOp[FetchRequest, TransferReply]{
+		kind: FrameFetch, code: 0, answer: FrameData,
+		encReq: func(b []byte, req FetchRequest) []byte { return encFetch(b, req, false) },
+		decReq: decFetch,
+		encRep: encData, decRep: decData,
+		backend: StreamBackend.StreamFetch,
+	}},
+	{MsgSubscribe, MsgEventsReply, subscribeOp},
+	{MsgPutOpen, MsgPutOpenReply, nil},
+	{MsgPutChunk, MsgPutChunkReply, &wireOp[PutChunkRequest, PutChunkReply]{
+		kind: FramePut, answer: FramePutAck,
+		encReq: encPutChunk, decReq: decPutChunk,
+		encRep: encPutAck, decRep: decPutAck,
+		backend: StreamBackend.StreamPutChunk,
+	}},
+	{MsgPutCommit, MsgPutCommitReply, nil},
+	{MsgMetrics, MsgMetricsReply, nil},
+	{MsgFedAdvertise, MsgFedAdvertiseReply, nil},
+	{MsgHello, MsgHelloReply, nil},
+}
+
+// subscribeOp is the one-batch form of a subscription — what Client.Call
+// sends for MsgSubscribe. The server session runs FrameSub itself (one-shot
+// and push subscriptions are cancellable and outlive a request slot, see
+// startSub) and takes only the backend method from this row.
+var subscribeOp = &wireOp[SubscribeRequest, EventsReply]{
+	kind: FrameSub, answer: FrameEvents,
+	encReq: func(b []byte, req SubscribeRequest) []byte {
+		return encSub(b, binSub{SubscribeRequest: req, Once: true})
+	},
+	decReq: func(p []byte) (SubscribeRequest, error) {
+		sub, err := decSub(p)
+		return sub.SubscribeRequest, err
+	},
+	encRep: func(b []byte, rep EventsReply) []byte { return encEvents(b, binEvents{EventsReply: rep}) },
+	decRep: func(p []byte) (EventsReply, error) {
+		e, err := decEvents(p)
+		return e.EventsReply, err
+	},
+	backend: StreamBackend.StreamEvents,
+}
+
+// opByRequest and opByFrame index the table: by request type for the
+// client, by request frame kind and code for the server session.
+var (
+	opByRequest = make(map[MsgType]*op, len(ops))
+	opByFrame   = make(map[[2]byte]wireRow)
+)
+
+func init() {
+	for i := range ops {
+		o := &ops[i]
+		opByRequest[o.request] = o
+		if o.wire != nil {
+			kind, code, _ := o.wire.frames()
+			opByFrame[[2]byte{kind, code}] = o.wire
+		}
+	}
+}
+
+// ReplyType returns the reply type that answers a request type; ok is false
+// when t is not a request.
+func ReplyType(t MsgType) (reply MsgType, ok bool) {
+	o := opByRequest[t]
+	if o == nil {
+		return "", false
+	}
+	return o.reply, true
+}
+
+// Frames returns the frame kinds a request type and its reply ride on a
+// stream; ok is false for an op that travels as signed envelopes only.
+func Frames(t MsgType) (request, reply byte, ok bool) {
+	o := opByRequest[t]
+	if o == nil || o.wire == nil {
+		return 0, 0, false
+	}
+	request, _, reply = o.wire.frames()
+	return request, reply, true
+}
+
+// wireRow is a wireOp with its request and reply types erased — what the
+// client and the server session hold after a table lookup.
+type wireRow interface {
+	// frames returns the request frame kind, the code that selects the op
+	// among those sharing the kind, and the reply frame kind.
+	frames() (kind, code, answer byte)
+	// encodeRequest appends the request frame's payload to b; ok is false
+	// when payload is not the op's request type (by value or by pointer).
+	encodeRequest(b []byte, payload any, trace string) (out []byte, ok bool)
+	// decodeReply decodes a reply frame into replyOut (which may be nil:
+	// reply discarded, errors still surfaced).
+	decodeReply(t MsgType, f Frame, replyOut any) error
+	// serveFrame decodes one request body, runs it on the session's backend
+	// and writes the reply frame.
+	serveFrame(ctx context.Context, s *streamSession, id uint64, body []byte)
+}
+
+// wireOp is the frame form of one op, typed by its request and reply so a
+// request travels from the frame to the backend and back without boxing.
+type wireOp[Req, Rep any] struct {
+	kind   byte // request frame kind
+	code   byte // selects the op among those sharing kind: FrameCall's leading code byte, FrameFetch's trailing flag
+	answer byte // reply frame kind
+
+	encReq func([]byte, Req) []byte
+	decReq func([]byte) (Req, error)
+	encRep func([]byte, Rep) []byte
+	decRep func([]byte) (Rep, error)
+
+	backend func(StreamBackend, context.Context, core.DN, bool, Req) (Rep, error)
+}
+
+func (o *wireOp[Req, Rep]) frames() (kind, code, answer byte) { return o.kind, o.code, o.answer }
+
+func (o *wireOp[Req, Rep]) encodeRequest(b []byte, payload any, trace string) ([]byte, bool) {
+	var req Req
+	switch v := payload.(type) {
+	case Req:
+		req = v
+	case *Req:
+		req = *v
+	default:
+		return b, false
+	}
+	if o.kind == FrameCall {
+		b = encCallHeader(b, o.code, trace)
+	}
+	return o.encReq(b, req), true
+}
+
+func (o *wireOp[Req, Rep]) decodeReply(t MsgType, f Frame, replyOut any) error {
+	if f.Kind != o.answer {
+		return fmt.Errorf("protocol: %s answered with frame kind %#x", t, f.Kind)
+	}
+	rep, err := o.decRep(f.Payload)
+	if err != nil || replyOut == nil {
+		return err
+	}
+	p, ok := replyOut.(*Rep)
+	if !ok {
+		return fmt.Errorf("protocol: reply out parameter is %T, want %T", replyOut, p)
+	}
+	*p = rep
+	return nil
+}
+
+// serveFrame answers backend errors as generic stream errors — the client
+// surfaces them as *ErrorReply exactly like a sealed error envelope would. A
+// decoded request may alias body (a chunk's Data does): readFrame allocated
+// it for this frame alone, so the backend owns it from here.
+func (o *wireOp[Req, Rep]) serveFrame(ctx context.Context, s *streamSession, id uint64, body []byte) {
+	req, err := o.decReq(body)
+	if err != nil {
+		s.writeErr(id, StreamErrBadFrame, err.Error())
+		return
+	}
+	rep, err := o.backend(s.be, ctx, s.dn, s.asServer, req)
+	if err != nil {
+		s.writeErr(id, StreamErrGeneric, err.Error())
+		return
+	}
+	bp := getFrameBuf(0)
+	*bp = o.encRep(*bp, rep)
+	s.send(o.answer, id, bp)
+}
+
+// splitRequest peels a request frame's payload apart: the code that selects
+// the op among those sharing the frame kind, the caller's trace, and the
+// op's body. Only a FrameCall carries a header (code byte, trace); a
+// FrameFetch's code is the transfer flag that ends its body.
+func splitRequest(kind byte, p []byte) (code byte, trace string, body []byte, err error) {
+	switch {
+	case kind == FrameCall:
+		return splitCall(p)
+	case kind == FrameFetch && len(p) > 0:
+		code = p[len(p)-1]
+	}
+	return code, "", p, nil
+}

@@ -1,0 +1,246 @@
+package protocol
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"unicore/internal/ajo"
+	"unicore/internal/events"
+)
+
+// wrongTypeTransport answers every POST with a correctly server-signed reply
+// of one fixed type, whatever was asked.
+type wrongTypeTransport struct {
+	rig     *testRig
+	rt      MsgType
+	payload any
+}
+
+func (w wrongTypeTransport) Post(context.Context, string, []byte) ([]byte, error) {
+	return Seal(w.rig.server, w.rt, w.payload)
+}
+
+func (wrongTypeTransport) OpenStream(context.Context, string) (net.Conn, error) {
+	return nil, ErrNoStream
+}
+
+// TestEnvelopeClientChecksReplyType: a server-signed list-reply answering a
+// poll must be an error, not a zero PollReply ("job not found"). The op's own
+// reply type and a signed error reply still get through.
+func TestEnvelopeClientChecksReplyType(t *testing.T) {
+	r := newRig(t)
+	call := func(rt MsgType, payload any) (PollReply, error) {
+		c := NewClient(wrongTypeTransport{rig: r, rt: rt, payload: payload}, r.user, r.ca, r.reg)
+		var reply PollReply
+		err := c.Call(context.Background(), "FZJ", MsgPoll, PollRequest{Job: "FZJ-000001"}, &reply)
+		return reply, err
+	}
+	if _, err := call(MsgListReply, ListReply{}); err == nil || !strings.Contains(err.Error(), string(MsgListReply)) {
+		t.Fatalf("list-reply answering a poll: err = %v, want a reply-type error", err)
+	}
+	// The check holds when the caller discards the reply, too.
+	c := NewClient(wrongTypeTransport{rig: r, rt: MsgListReply, payload: ListReply{}}, r.user, r.ca, r.reg)
+	if err := c.Call(context.Background(), "FZJ", MsgPoll, PollRequest{}, nil); err == nil {
+		t.Fatal("list-reply answering a poll with a discarded reply: no error")
+	}
+	if reply, err := call(MsgPollReply, PollReply{Found: true}); err != nil || !reply.Found {
+		t.Fatalf("poll-reply answering a poll: %+v, %v", reply, err)
+	}
+	var er *ErrorReply
+	if _, err := call(MsgError, ErrorReply{Code: "poll", Message: "boom"}); !errors.As(err, &er) || er.Message != "boom" {
+		t.Fatalf("error reply answering a poll: err = %v", err)
+	}
+}
+
+// codecFuzzer is implemented, in this test file, by every row of the wire
+// table: the table is ranged over without naming its instantiations, so a new
+// framed op is fuzzed without editing the test.
+type codecFuzzer interface {
+	roundTrip(t *testing.T, msg MsgType, reqs, reps []any)
+	fuzzCodecs(t *testing.T, msg MsgType, p []byte)
+	seedCodecs(add func([]byte), reqs, reps []any)
+	zeroRequest() any
+}
+
+// stable requires enc(dec(p)) to be a fixed point: what a decoder accepts
+// re-encodes to bytes it accepts again, as the same value. (Compared as
+// values, not bytes: a decoder accepts non-canonical varints, and an origins
+// map encodes in map order.)
+func stable[T any](t *testing.T, what string, dec func([]byte) (T, error), enc func([]byte, T) []byte, p []byte) {
+	v, err := dec(p)
+	if err != nil {
+		return
+	}
+	again, err := dec(enc(nil, v))
+	if err != nil {
+		t.Fatalf("%s: re-encoding of an accepted input is rejected: %v (input %x)", what, err, p)
+	}
+	if !reflect.DeepEqual(v, again) {
+		t.Fatalf("%s: %+v re-encodes to %+v (input %x)", what, v, again, p)
+	}
+}
+
+func (o *wireOp[Req, Rep]) fuzzCodecs(t *testing.T, msg MsgType, p []byte) {
+	stable(t, string(msg)+" request", o.decReq, o.encReq, p)
+	stable(t, string(msg)+" reply", o.decRep, o.encRep, p)
+}
+
+// codecSamples returns one populated value of every request and reply type
+// the wire table carries — the round-trip test's inputs and the fuzzer's seed
+// corpus.
+func codecSamples() (reqs, reps []any) {
+	now := time.Unix(0, 1234567890123456789).UTC()
+	reqs = []any{
+		ConsignRequest{ConsignID: "c-1", AJO: []byte(`{"job":1}`)},
+		PollRequest{Job: "FZJ-000002"},
+		PutChunkRequest{Handle: "h-1", Index: 3, CRC: 0xDEADBEEF, Owner: "CN=alice", Data: []byte{1, 2, 3}},
+		FetchRequest{Job: "FZJ-000003", File: "out.dat", Offset: 1 << 20, Limit: 256 << 10},
+		TransferRequest{Job: "FZJ-000003", File: "out.dat", Offset: 1 << 20, Limit: 256 << 10},
+		SubscribeRequest{Job: "FZJ-000004", Cursor: 17, Origins: map[string]uint64{"fzj": 9, "dwd": 3}, Max: 64, WaitMs: 30000},
+	}
+	reps = []any{
+		ConsignReply{Job: "FZJ-000001", Accepted: true, Reason: "ok"},
+		PollReply{Found: true, Summary: ajo.Summary{Job: "FZJ-000002", Status: ajo.StatusRunning, Total: 5, Done: 2, Failed: 1, Updated: now}},
+		PutChunkReply{Received: 4},
+		TransferReply{Found: true, Size: 1 << 20, CRC: 0xCAFE, Data: bytes.Repeat([]byte{9}, 512)},
+		EventsReply{Cursor: 21, Origins: map[string]uint64{"fzj": 21}, Events: []events.Event{{
+			Job: "FZJ-000004", Seq: 2, Global: 21, Origin: "fzj", Type: events.Type("status"),
+			Action: ajo.ActionID("s1"), Status: ajo.StatusSuccessful, Reason: "done", Time: now, Terminal: true,
+		}}},
+	}
+	return reqs, reps
+}
+
+// sample returns codecSamples' value of type T.
+func sample[T any](vs []any) T {
+	for _, v := range vs {
+		if x, ok := v.(T); ok {
+			return x
+		}
+	}
+	panic("codecSamples has no value of the requested type")
+}
+
+// roundTrip requires dec(enc(v)) to compare deeply equal to v for every
+// sample of the row's own types — the same equality the event-stream recovery
+// tests demand between the JSON and binary decodings of one event.
+func (o *wireOp[Req, Rep]) roundTrip(t *testing.T, msg MsgType, reqs, reps []any) {
+	tried := 0
+	for _, v := range reqs {
+		if req, ok := v.(Req); ok {
+			tried++
+			if got, err := o.decReq(o.encReq(nil, req)); err != nil || !reflect.DeepEqual(got, req) {
+				t.Errorf("%s request: %+v, %v; want %+v", msg, got, err, req)
+			}
+		}
+	}
+	for _, v := range reps {
+		if rep, ok := v.(Rep); ok {
+			tried++
+			if got, err := o.decRep(o.encRep(nil, rep)); err != nil || !reflect.DeepEqual(got, rep) {
+				t.Errorf("%s reply: %+v, %v; want %+v", msg, got, err, rep)
+			}
+		}
+	}
+	if tried < 2 {
+		t.Errorf("%s: codecSamples has no sample of its request or reply type", msg)
+	}
+}
+
+func (o *wireOp[Req, Rep]) zeroRequest() any {
+	var req Req
+	return req
+}
+
+func (o *wireOp[Req, Rep]) seedCodecs(add func([]byte), reqs, reps []any) {
+	for _, v := range reqs {
+		if req, ok := v.(Req); ok {
+			add(o.encReq(nil, req))
+		}
+	}
+	for _, v := range reps {
+		if rep, ok := v.(Rep); ok {
+			add(o.encRep(nil, rep))
+		}
+	}
+}
+
+// FuzzStreamBodyDecoders feeds arbitrary bytes to every per-kind body decoder
+// in the wire table — what a stream peer can put in a frame after the hello:
+// no decoder may panic, and anything one accepts must re-encode stably. The
+// frame forms that carry a flag beyond the table's request and reply types
+// (binSub.Once, binEvents.End) are fuzzed alongside.
+func FuzzStreamBodyDecoders(f *testing.F) {
+	reqs, reps := codecSamples()
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	for _, o := range ops {
+		if o.wire != nil {
+			o.wire.(codecFuzzer).seedCodecs(func(p []byte) { f.Add(p) }, reqs, reps)
+		}
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		for _, o := range ops {
+			if o.wire != nil {
+				o.wire.(codecFuzzer).fuzzCodecs(t, o.request, p)
+			}
+		}
+		stable(t, "sub frame", decSub, encSub, p)
+		stable(t, "events frame", decEvents, encEvents, p)
+		for _, kind := range []byte{FrameCall, FramePut, FrameFetch} {
+			if _, _, body, err := splitRequest(kind, p); err == nil && len(body) > len(p) {
+				t.Fatalf("splitRequest(%#x) grew the body", kind)
+			}
+		}
+	})
+}
+
+// TestWireTableIsConsistent checks what the table's users assume: request
+// types and frame (kind, code) pairs are unique, every framed request encodes
+// to a body its own row's decoder accepts and splitRequest routes back to
+// that row, and a frame no row claims resolves to no row.
+func TestWireTableIsConsistent(t *testing.T) {
+	if len(opByRequest) != len(ops) {
+		t.Fatalf("%d rows index to %d request types: a request type is listed twice", len(ops), len(opByRequest))
+	}
+	framed := 0
+	for _, o := range ops {
+		if o.wire == nil {
+			continue
+		}
+		framed++
+		kind, code, answer := o.wire.frames()
+		if FrameKindName(kind) == fmt.Sprintf("0x%02x", kind) || FrameKindName(answer) == fmt.Sprintf("0x%02x", answer) {
+			t.Errorf("%s rides unnamed frame kinds %#x/%#x", o.request, kind, answer)
+		}
+		// The zero request of the row's type, through the client's encoder.
+		zero := o.wire.(codecFuzzer).zeroRequest()
+		body, ok := o.wire.encodeRequest(nil, zero, "trace-1")
+		if !ok {
+			t.Fatalf("%s: encodeRequest refuses its own request type %T", o.request, zero)
+		}
+		gotCode, trace, _, err := splitRequest(kind, body)
+		if err != nil || gotCode != code {
+			t.Errorf("%s: splitRequest = code %d, %v; the row says code %d", o.request, gotCode, err, code)
+		}
+		if kind == FrameCall && trace != "trace-1" {
+			t.Errorf("%s: trace %q did not survive the call header", o.request, trace)
+		}
+		if opByFrame[[2]byte{kind, code}] != o.wire {
+			t.Errorf("%s: frame (%#x, %d) resolves to another row", o.request, kind, code)
+		}
+	}
+	if len(opByFrame) != framed {
+		t.Fatalf("%d framed rows index to %d (kind, code) pairs: two rows share a frame", framed, len(opByFrame))
+	}
+	if opByFrame[[2]byte{FrameCall, 0xEE}] != nil || opByFrame[[2]byte{0x55, 0}] != nil {
+		t.Fatal("an unknown call code or frame kind resolves to a row")
+	}
+}

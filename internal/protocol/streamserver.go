@@ -158,7 +158,11 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 			opts.OnFrame(f.Kind)
 		}
 		switch f.Kind {
-		case FrameCall, FramePut, FrameFetch:
+		case FrameSub:
+			s.startSub(f)
+		case FrameSubStop:
+			s.stopSub(f.ID)
+		default:
 			select {
 			case s.sem <- struct{}{}:
 				s.wg.Add(1)
@@ -169,12 +173,6 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 				}(f)
 			case <-sctx.Done():
 			}
-		case FrameSub:
-			s.startSub(f)
-		case FrameSubStop:
-			s.stopSub(f.ID)
-		default:
-			s.writeErr(f.ID, StreamErrUnsupported, fmt.Sprintf("unsupported frame kind %#x", f.Kind))
 		}
 		if sctx.Err() != nil {
 			break
@@ -184,12 +182,11 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 	s.wg.Wait()
 }
 
-// reply encodes a typed reply through enc, in place behind the header of one
-// pooled frame buffer, and sends it under the write lock; a failed write
-// kills the connection, which unwinds the read loop and every subscription.
-func (s *streamSession) reply(id uint64, kind byte, enc func([]byte) []byte) error {
-	bp := getFrameBuf(0)
-	*bp = enc(*bp)
+// send writes one frame encoded in place behind the header of a pooled frame
+// buffer (getFrameBuf), under the write lock, and releases the buffer; a
+// failed write kills the connection, which unwinds the read loop and every
+// subscription.
+func (s *streamSession) send(kind byte, id uint64, bp *[]byte) error {
 	s.wmu.Lock()
 	err := sendFrame(s.conn, kind, id, *bp)
 	s.wmu.Unlock()
@@ -201,87 +198,31 @@ func (s *streamSession) reply(id uint64, kind byte, enc func([]byte) []byte) err
 }
 
 func (s *streamSession) writeErr(id uint64, code byte, msg string) {
-	s.reply(id, FrameError, func(b []byte) []byte { return appendStreamError(b, code, msg) })
+	bp := getFrameBuf(0)
+	*bp = appendStreamError(*bp, code, msg)
+	s.send(FrameError, id, bp)
 }
 
-// handle serves one request/response frame. Backend errors travel as generic
-// stream errors — the client surfaces them as *ErrorReply exactly like a
-// sealed error envelope would.
+// handle serves one request/response frame: the wire table names the op the
+// frame's kind and code select, and the op's row does the rest. A frame no
+// row claims — an unknown kind, or an unknown code of a known kind — is
+// refused here and nowhere else.
 func (s *streamSession) handle(f Frame) {
-	switch f.Kind {
-	case FrameCall:
-		code, trace, body, err := splitCall(f.Payload)
-		if err != nil {
-			s.writeErr(f.ID, StreamErrBadFrame, err.Error())
-			return
-		}
-		ctx := s.ctx
-		if trace != "" {
-			ctx = telemetry.WithTrace(ctx, trace)
-		}
-		switch code {
-		case binConsign:
-			req, err := decConsignRequest(body)
-			if err != nil {
-				s.writeErr(f.ID, StreamErrBadFrame, err.Error())
-				return
-			}
-			rep, err := s.be.StreamConsign(ctx, s.dn, s.asServer, req)
-			if err != nil {
-				s.writeErr(f.ID, StreamErrGeneric, err.Error())
-				return
-			}
-			s.reply(f.ID, FrameReply, func(b []byte) []byte { return encConsignReply(b, &rep) })
-		case binPoll:
-			req, err := decPollRequest(body)
-			if err != nil {
-				s.writeErr(f.ID, StreamErrBadFrame, err.Error())
-				return
-			}
-			rep, err := s.be.StreamPoll(ctx, s.dn, s.asServer, req)
-			if err != nil {
-				s.writeErr(f.ID, StreamErrGeneric, err.Error())
-				return
-			}
-			s.reply(f.ID, FrameReply, func(b []byte) []byte { return encPollReply(b, &rep) })
-		default:
-			s.writeErr(f.ID, StreamErrUnsupported, fmt.Sprintf("unsupported call code %d", code))
-		}
-	case FramePut:
-		req, err := decPutChunk(f.Payload)
-		if err != nil {
-			s.writeErr(f.ID, StreamErrBadFrame, err.Error())
-			return
-		}
-		// req.Data aliases this frame's payload, which readFrame allocated
-		// for this frame alone and handed over: the backend owns it from
-		// here, and the spool stores it as the chunk without copying.
-		rep, err := s.be.StreamPutChunk(s.ctx, s.dn, s.asServer, req)
-		if err != nil {
-			s.writeErr(f.ID, StreamErrGeneric, err.Error())
-			return
-		}
-		s.reply(f.ID, FramePutAck, func(b []byte) []byte { return encPutAck(b, &rep) })
-	case FrameFetch:
-		bf, err := decFetch(f.Payload)
-		if err != nil {
-			s.writeErr(f.ID, StreamErrBadFrame, err.Error())
-			return
-		}
-		var rep TransferReply
-		if bf.Transfer {
-			rep, err = s.be.StreamTransfer(s.ctx, s.dn, s.asServer,
-				TransferRequest{Job: bf.Job, File: bf.File, Offset: bf.Offset, Limit: bf.Limit})
-		} else {
-			rep, err = s.be.StreamFetch(s.ctx, s.dn, s.asServer,
-				FetchRequest{Job: bf.Job, File: bf.File, Offset: bf.Offset, Limit: bf.Limit})
-		}
-		if err != nil {
-			s.writeErr(f.ID, StreamErrGeneric, err.Error())
-			return
-		}
-		s.reply(f.ID, FrameData, func(b []byte) []byte { return encData(b, &rep) })
+	code, trace, body, err := splitRequest(f.Kind, f.Payload)
+	if err != nil {
+		s.writeErr(f.ID, StreamErrBadFrame, err.Error())
+		return
 	}
+	op := opByFrame[[2]byte{f.Kind, code}]
+	if op == nil {
+		s.writeErr(f.ID, StreamErrUnsupported, fmt.Sprintf("unsupported %s frame (code %d)", FrameKindName(f.Kind), code))
+		return
+	}
+	ctx := s.ctx
+	if trace != "" {
+		ctx = telemetry.WithTrace(ctx, trace)
+	}
+	op.serveFrame(ctx, s, f.ID, body)
 }
 
 // startSub opens a subscription under the frame's correlation ID: one batch
@@ -335,7 +276,7 @@ func (s *streamSession) runSub(ctx context.Context, id uint64, sub binSub) {
 		req.WaitMs = defaultPushWaitMs
 	}
 	for {
-		reply, err := s.be.StreamEvents(ctx, s.dn, s.asServer, req)
+		reply, err := subscribeOp.backend(s.be, ctx, s.dn, s.asServer, req)
 		if ctx.Err() != nil {
 			return // cancelled: FrameSubStop, stream teardown, or shutdown
 		}
@@ -371,5 +312,7 @@ func (s *streamSession) runSub(ctx context.Context, id uint64, sub binSub) {
 }
 
 func (s *streamSession) writeEvents(id uint64, e binEvents) bool {
-	return s.reply(id, FrameEvents, func(b []byte) []byte { return encEvents(b, &e) }) == nil
+	bp := getFrameBuf(0)
+	*bp = encEvents(*bp, e)
+	return s.send(FrameEvents, id, bp) == nil
 }

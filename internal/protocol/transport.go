@@ -241,6 +241,8 @@ type bufferedConn struct {
 	buf []byte
 }
 
+// Read drains the bytes buffered during the handshake, then reads from the
+// connection.
 func (c *bufferedConn) Read(p []byte) (int, error) {
 	if len(c.buf) > 0 {
 		n := copy(p, c.buf)
@@ -361,6 +363,8 @@ type killableConn struct {
 	once sync.Once
 }
 
+// Close drops the connection from the Flaky transport's live set (once) and
+// closes it.
 func (c *killableConn) Close() error {
 	c.once.Do(func() {
 		c.f.mu.Lock()
