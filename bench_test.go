@@ -219,35 +219,34 @@ func fullAJO(depth int) *ajo.AbstractJob {
 }
 
 // BenchmarkFig3_AJORoundTrip measures encode+decode of the full Figure 3
-// hierarchy at increasing recursion depth, for both codecs (JSON envelope
-// with type registry, and gob). B/op tracks the wire size pressure.
+// hierarchy at increasing recursion depth, for both forms of the AJO (the
+// binary wire form, and the JSON debug form with its type registry). B/op
+// tracks the wire size pressure.
 func BenchmarkFig3_AJORoundTrip(b *testing.B) {
+	codecs := []struct {
+		name      string
+		marshal   func(ajo.Action) ([]byte, error)
+		unmarshal func([]byte) (ajo.Action, error)
+	}{
+		{"json", ajo.MarshalJSON, ajo.UnmarshalJSON},
+		{"bin", ajo.Marshal, ajo.Unmarshal},
+	}
 	for _, depth := range []int{1, 2, 4, 6} {
 		job := fullAJO(depth)
-		b.Run(fmt.Sprintf("codec=json/depth=%d", depth), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				raw, err := ajo.Marshal(job)
-				if err != nil {
-					b.Fatal(err)
+		for _, c := range codecs {
+			b.Run(fmt.Sprintf("codec=%s/depth=%d", c.name, depth), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					raw, err := c.marshal(job)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := c.unmarshal(raw); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if _, err := ajo.Unmarshal(raw); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("codec=gob/depth=%d", depth), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				raw, err := ajo.MarshalGob(job)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := ajo.UnmarshalGob(raw); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -23,6 +23,19 @@
 // containing job groups and tasks" (§3): an AbstractJob holds a DAG of
 // actions, among which further AbstractJobs may appear, each carrying the
 // destination Vsite for its tasks.
+//
+// # Encodings
+//
+// "The UNICORE protocol is implemented as … the abstract job object" (§5.3),
+// so the AJO has exactly one encoding that travels: Marshal and Unmarshal
+// (codec.go), a tagged binary form over the whole recursive tree, built from
+// package bin's uvarint primitives like the stream frames and the journal
+// records. A consign request carries it, a gateway forwards it to a peer, an
+// NJS hands it to a remote Usite and writes it into its journal's admission
+// record — all through the same two functions. MarshalJSON and UnmarshalJSON
+// (json.go) are the self-describing form for people and tools: class names
+// from Figure 3, one {kind, body} envelope per action. Outcome trees travel
+// as plain JSON inside signed envelopes (MarshalOutcome).
 package ajo
 
 import (
@@ -39,6 +52,7 @@ import (
 // names from Figure 3 so serialised AJOs read like the paper.
 type Kind string
 
+// The concrete classes of Figure 3.
 const (
 	KindJob      Kind = "AbstractJobObject"
 	KindExecute  Kind = "ExecuteTask"
@@ -153,8 +167,10 @@ type ExecuteTask struct {
 	Stdin       string            `json:"stdin,omitempty"` // Uspace-relative input file
 }
 
+// Kind reports KindExecute.
 func (t *ExecuteTask) Kind() Kind { return KindExecute }
 
+// Validate checks the action's own fields; see Action.
 func (t *ExecuteTask) Validate() error {
 	if err := t.validateHeader(); err != nil {
 		return err
@@ -176,8 +192,10 @@ type CompileTask struct {
 	Output   string   `json:"output"` // Uspace-relative object file
 }
 
+// Kind reports KindCompile.
 func (t *CompileTask) Kind() Kind { return KindCompile }
 
+// Validate checks the action's own fields; see Action.
 func (t *CompileTask) Validate() error {
 	if err := t.validateHeader(); err != nil {
 		return err
@@ -202,8 +220,10 @@ type LinkTask struct {
 	Output    string   `json:"output"`
 }
 
+// Kind reports KindLink.
 func (t *LinkTask) Kind() Kind { return KindLink }
 
+// Validate checks the action's own fields; see Action.
 func (t *LinkTask) Validate() error {
 	if err := t.validateHeader(); err != nil {
 		return err
@@ -223,8 +243,10 @@ type UserTask struct {
 	Command string `json:"command"`
 }
 
+// Kind reports KindUser.
 func (t *UserTask) Kind() Kind { return KindUser }
 
+// Validate checks the action's own fields; see Action.
 func (t *UserTask) Validate() error {
 	if err := t.validateHeader(); err != nil {
 		return err
@@ -242,8 +264,10 @@ type ScriptTask struct {
 	Script string `json:"script"` // script text, carried inside the AJO
 }
 
+// Kind reports KindScript.
 func (t *ScriptTask) Kind() Kind { return KindScript }
 
+// Validate checks the action's own fields; see Action.
 func (t *ScriptTask) Validate() error {
 	if err := t.validateHeader(); err != nil {
 		return err
@@ -297,8 +321,10 @@ type ImportTask struct {
 	To     string       `json:"to"` // Uspace-relative destination
 }
 
+// Kind reports KindImport.
 func (t *ImportTask) Kind() Kind { return KindImport }
 
+// Validate checks the action's own fields; see Action.
 func (t *ImportTask) Validate() error {
 	if err := t.validateHeader(); err != nil {
 		return err
@@ -324,8 +350,10 @@ type ExportTask struct {
 	ToXspace string `json:"toXspace"`
 }
 
+// Kind reports KindExport.
 func (t *ExportTask) Kind() Kind { return KindExport }
 
+// Validate checks the action's own fields; see Action.
 func (t *ExportTask) Validate() error {
 	if err := t.validateHeader(); err != nil {
 		return err
@@ -362,8 +390,10 @@ type TransferTask struct {
 	Files      []string `json:"files"`
 }
 
+// Kind reports KindTransfer.
 func (t *TransferTask) Kind() Kind { return KindTransfer }
 
+// Validate checks the action's own fields; see Action.
 func (t *TransferTask) Validate() error {
 	if err := t.validateHeader(); err != nil {
 		return err
@@ -382,6 +412,7 @@ func (t *TransferTask) Validate() error {
 // ControlOp enumerates job-control operations.
 type ControlOp string
 
+// The job-control operations a ControlService may carry.
 const (
 	OpAbort  ControlOp = "abort"
 	OpHold   ControlOp = "hold"
@@ -396,8 +427,10 @@ type ControlService struct {
 	Op  ControlOp  `json:"op"`
 }
 
+// Kind reports KindControl.
 func (s *ControlService) Kind() Kind { return KindControl }
 
+// Validate checks the action's own fields; see Action.
 func (s *ControlService) Validate() error {
 	if err := s.validateHeader(); err != nil {
 		return err
@@ -417,13 +450,16 @@ type ListService struct {
 	Header
 }
 
+// Kind reports KindList.
 func (s *ListService) Kind() Kind { return KindList }
 
+// Validate checks the action's own fields; see Action.
 func (s *ListService) Validate() error { return s.validateHeader() }
 
 // QueryKind selects what a QueryService asks for.
 type QueryKind string
 
+// What a QueryService may ask for.
 const (
 	QueryJobStatus    QueryKind = "jobStatus"
 	QueryResourcePage QueryKind = "resourcePage"
@@ -437,8 +473,10 @@ type QueryService struct {
 	Target core.Target `json:"target,omitempty"`
 }
 
+// Kind reports KindQuery.
 func (s *QueryService) Kind() Kind { return KindQuery }
 
+// Validate checks the action's own fields; see Action.
 func (s *QueryService) Validate() error {
 	if err := s.validateHeader(); err != nil {
 		return err
@@ -485,6 +523,7 @@ type AbstractJob struct {
 	Dependencies []Dependency      `json:"dependencies,omitempty"`
 }
 
+// Kind reports KindJob.
 func (j *AbstractJob) Kind() Kind { return KindJob }
 
 // Find returns the direct child action with the given ID.

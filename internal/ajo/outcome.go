@@ -35,6 +35,7 @@ var statusNames = [...]string{
 	"SUCCESSFUL", "FAILED", "ABORTED", "NOT_DONE",
 }
 
+// String renders the status as the JMC shows it (SUCCESSFUL, NOT_DONE, …).
 func (s Status) String() string {
 	if s < 0 || int(s) >= len(statusNames) {
 		return fmt.Sprintf("Status(%d)", int(s))

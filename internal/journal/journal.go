@@ -29,7 +29,13 @@
 //
 //	offset 0: uint32 little-endian payload length
 //	offset 4: uint64 little-endian CRC64-ECMA of the payload
-//	offset 12: payload (a self-contained gob-encoded Entry)
+//	offset 12: payload: u8 format tag, u8 Kind, the fields of that kind
+//
+// The fields are written with package bin's uvarint primitives — the same
+// ones the stream frames and the AJO use — in the order codec.go lists them:
+// no field names, no type descriptors, nothing shared between records, so
+// any record decodes alone. A payload whose tag is not the current format is
+// refused by name; no reader for an older format is kept.
 //
 // A torn tail (short frame or CRC mismatch at the end of the newest journal
 // file) is truncated silently — it is the expected shape of a crash mid-write.
@@ -38,9 +44,7 @@ package journal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -74,7 +78,7 @@ const (
 	// KindRename moves a file or directory.
 	KindRename
 	// KindAdmit records a job admission (consign): identity, login, and the
-	// full AJO payload in the ajo gob codec.
+	// full AJO as ajo.Marshal encodes it.
 	KindAdmit
 	// KindActionStart records a non-terminal action transition (queued by the
 	// batch subsystem, started on the machine).
@@ -105,6 +109,7 @@ var kindNames = [...]string{
 	"ROOT_DONE", "SEQ", "JOB_EVENT",
 }
 
+// String renders the kind as the docs name it (ADMIT, FILE_WRITE, …).
 func (k Kind) String() string {
 	if int(k) < len(kindNames) && k > 0 {
 		return kindNames[k]
@@ -128,7 +133,7 @@ type Admission struct {
 	Groups       []string
 	Project      string
 	Vsite        string
-	AJO          []byte // ajo gob codec
+	AJO          []byte // output of ajo.Marshal
 	ConsignID    string
 	ParentJob    string
 	ParentAction string
@@ -206,8 +211,9 @@ type JobEventRecord struct {
 	Terminal bool
 }
 
-// Entry is one journal record. Exactly the payload field matching Kind is
-// set; the rest stay nil so gob keeps records compact.
+// Entry is one journal record. Only the payload field matching Kind is
+// written: File for the four file kinds, Action for both action kinds, Seq
+// for KindSeq.
 type Entry struct {
 	Kind    Kind
 	File    *FileMutation
@@ -221,18 +227,22 @@ type Entry struct {
 	Seq     int64
 }
 
-// encode frames one entry: header + gob payload.
-func encode(buf *bytes.Buffer, e Entry) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(e); err != nil {
-		return fmt.Errorf("journal: encoding %s entry: %w", e.Kind, err)
-	}
+// appendFrame appends one framed entry to b: the header is reserved, the
+// payload encoded in place behind it, then length and checksum filled in.
+func appendFrame(b []byte, e Entry) ([]byte, error) {
+	start := len(b)
 	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payload.Len()))
-	binary.LittleEndian.PutUint64(hdr[4:12], crc64.Checksum(payload.Bytes(), crcTable))
-	buf.Write(hdr[:])
-	buf.Write(payload.Bytes())
-	return nil
+	b, err := appendPayload(append(b, hdr[:]...), e)
+	if err != nil {
+		return b[:start], err
+	}
+	payload := b[start+headerSize:]
+	if len(payload) > maxRecordSize {
+		return b[:start], fmt.Errorf("journal: %s entry of %d bytes exceeds the %d-byte record limit", e.Kind, len(payload), maxRecordSize)
+	}
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(b[start+4:], crc64.Checksum(payload, crcTable))
+	return b, nil
 }
 
 // readResult classifies what the reader found at the current offset.
@@ -271,13 +281,10 @@ func readEntry(r io.Reader) (Entry, readResult, error) {
 	if crc64.Checksum(payload, crcTable) != want {
 		return Entry{}, readTorn, nil
 	}
-	var e Entry
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
-		// The frame checksummed correctly but the payload does not decode:
-		// that is corruption, not a torn tail.
-		return Entry{}, readOK, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return e, readOK, nil
+	// A frame that checksums correctly but does not decode is corruption
+	// (decodePayload says so), not a torn tail.
+	e, err := decodePayload(payload)
+	return e, readOK, err
 }
 
 // validPrefix returns the byte length of the longest prefix of r that

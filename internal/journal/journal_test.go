@@ -1,12 +1,19 @@
 package journal
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"unicore/internal/bin/bintest"
 )
 
 func entryN(i int) Entry {
@@ -84,7 +91,7 @@ func TestAllEntryKindsRoundTrip(t *testing.T) {
 		{Kind: KindRename, File: &FileMutation{Vsite: "T3E", Path: "/uspace/J-1/a", To: "/uspace/J-1/b"}},
 		{Kind: KindAdmit, Admit: &Admission{
 			Job: "FZJ-000001", Owner: "CN=U,O=Org", UID: "u1", Groups: []string{"unicore"},
-			Project: "hpc", Vsite: "T3E", AJO: []byte("gob"), ConsignID: "c1",
+			Project: "hpc", Vsite: "T3E", AJO: []byte("ajo"), ConsignID: "c1",
 			ParentJob: "FZJ-000000", ParentAction: "sub", Submitted: time.Unix(7, 0).UTC(),
 		}},
 		{Kind: KindActionStart, Action: &ActionEvent{Job: "FZJ-000001", Action: "run", Status: 2}},
@@ -94,6 +101,8 @@ func TestAllEntryKindsRoundTrip(t *testing.T) {
 		{Kind: KindControl, Control: &ControlEvent{Job: "FZJ-000001", Op: "hold"}},
 		{Kind: KindRootDone, Root: &RootEvent{Job: "FZJ-000001", Status: 4, Finished: time.Unix(9, 0).UTC()}},
 		{Kind: KindSeq, Seq: 17},
+		{Kind: KindJobEvent, Event: &JobEventRecord{Owner: "CN=U,O=Org", Job: "FZJ-000001", Seq: 3, Global: 9,
+			Origin: "FZJ", Type: "status", Action: "run", Status: 2, Reason: "queued", Time: time.Unix(8, 0).UTC(), Terminal: true}},
 	}
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -111,16 +120,122 @@ func TestAllEntryKindsRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d, want %d", len(got), len(entries))
 	}
 	for i, e := range got {
-		if e.Kind != entries[i].Kind {
-			t.Fatalf("entry %d: kind %s, want %s", i, e.Kind, entries[i].Kind)
+		if !reflect.DeepEqual(e, entries[i]) {
+			t.Errorf("entry %d (%s) changed in the journal:\nwrote: %+v\nread:  %+v", i, entries[i].Kind, entries[i], e)
 		}
 	}
-	adm := got[4].Admit
-	if adm == nil || adm.ConsignID != "c1" || adm.ParentAction != "sub" || len(adm.Groups) != 1 {
-		t.Fatalf("admission mangled: %+v", adm)
+}
+
+// payloadKinds maps each payload field of Entry to the kinds that carry it.
+// TestEveryPayloadFieldSurvives ranges over Entry's fields by reflection, so
+// a payload pointer added to Entry without a row here fails that test.
+var payloadKinds = map[string][]Kind{
+	"File":    {KindFileWrite, KindFileRemove, KindMkdir, KindRename},
+	"Admit":   {KindAdmit},
+	"Action":  {KindActionStart, KindActionDone},
+	"Inject":  {KindInject},
+	"Remote":  {KindRemote},
+	"Control": {KindControl},
+	"Root":    {KindRootDone},
+	"Event":   {KindJobEvent},
+}
+
+// TestEveryPayloadFieldSurvives is the field-coverage gate for the hand
+// codec: every exported field of every payload struct is set by reflection
+// (bintest.Fill), framed, read back and compared — a field added to a payload
+// struct and not carried by codec.go comes back zero and fails here by name.
+// It also pins that every Kind has a row, so a new Kind needs a codec case.
+func TestEveryPayloadFieldSurvives(t *testing.T) {
+	covered := map[Kind]bool{KindSeq: true}
+	et := reflect.TypeOf(Entry{})
+	for i := 0; i < et.NumField(); i++ {
+		f := et.Field(i)
+		if f.Type.Kind() != reflect.Pointer {
+			continue
+		}
+		kinds, ok := payloadKinds[f.Name]
+		if !ok {
+			t.Errorf("Entry.%s has no row in payloadKinds: which kinds carry it?", f.Name)
+			continue
+		}
+		for _, k := range kinds {
+			covered[k] = true
+			payload := reflect.New(f.Type.Elem())
+			bintest.Fill(t, payload.Interface())
+			in := Entry{Kind: k}
+			reflect.ValueOf(&in).Elem().Field(i).Set(payload)
+			buf, err := appendFrame(nil, in)
+			if err != nil {
+				t.Fatalf("%s: %v", k, err)
+			}
+			out, res, err := readEntry(bytes.NewReader(buf))
+			if err != nil || res != readOK {
+				t.Fatalf("%s: readEntry: res=%v err=%v", k, res, err)
+			}
+			if !reflect.DeepEqual(in, out) {
+				t.Errorf("%s: a field did not survive the round trip:\nwrote: %+v\nread:  %+v", k, payload.Elem().Interface(), reflect.ValueOf(out).Field(i).Elem().Interface())
+			}
+		}
 	}
-	if got[11].Seq != 17 {
-		t.Fatalf("seq = %d", got[11].Seq)
+	seq := Entry{Kind: KindSeq, Seq: -17}
+	buf, err := appendFrame(nil, seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, _, err := readEntry(bytes.NewReader(buf)); err != nil || out != seq {
+		t.Errorf("SEQ: read %+v, %v", out, err)
+	}
+	for k := KindFileWrite; int(k) < len(kindNames); k++ {
+		if !covered[k] {
+			t.Errorf("%s is in no row of payloadKinds", k)
+		}
+	}
+	if _, err := appendFrame(nil, Entry{Kind: Kind(len(kindNames))}); err == nil {
+		t.Error("an entry of a kind past the last one was framed")
+	}
+	if _, err := appendFrame(nil, Entry{Kind: KindAdmit}); err == nil {
+		t.Error("an ADMIT entry without an Admission was framed")
+	}
+}
+
+// TestForeignFormatIsRefusedByName: a record that checksums but leads with a
+// tag this build does not write — a journal from before the binary format,
+// or from a later one — stops replay with an error that names both formats.
+// No reader for any other format is kept, and nothing is skipped.
+func TestForeignFormatIsRefusedByName(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	s.Append(entryN(0))
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	path := filepath.Join(dir, journalName(0))
+	old := frame([]byte("\x7f\x03\x01\x01\x05Entry\x01\xff\x80")) // how a gob stream began
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	n := 0
+	err = s2.Replay(func(Entry) error { n++; return nil })
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "format tag 0x7f") || !strings.Contains(err.Error(), "journal format 0x01") {
+		t.Fatalf("replay over a foreign-format record: %v", err)
+	}
+	if n != 1 {
+		t.Fatalf("replayed %d entries before the foreign record, want 1", n)
 	}
 }
 
@@ -386,6 +501,119 @@ func TestConcurrentAppendersLoseNothing(t *testing.T) {
 	if got := collect(t, s); len(got) != workers*each {
 		t.Fatalf("replayed %d entries, want %d", len(got), workers*each)
 	}
+}
+
+// TestAppendBlocksAtTheBoundAndLosesNothing drives a writer whose file cannot
+// keep up — the write end of a pipe nobody reads — until the queue reaches
+// maxPendingBytes: Append must then stop accepting (not queue without bound,
+// not drop), resume once the reader drains the pipe, and every entry must
+// come out the other end, in order.
+func TestAppendBlocksAtTheBoundAndLosesNothing(t *testing.T) {
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	w := startWriter(pw)
+
+	// 1 MiB entries: the pipe takes a few hundred KiB, the flusher holds one
+	// batch in flight, the queue fills after ~maxPendingBytes of them.
+	const total = 3 * maxPendingBytes >> 20
+	blob := bytes.Repeat([]byte{0xab}, 1<<20)
+	var accepted atomic.Int64
+	producerDone := make(chan struct{})
+	go func() {
+		defer close(producerDone)
+		for i := 0; i < total; i++ {
+			w.Append(Entry{Kind: KindFileWrite, File: &FileMutation{Path: fmt.Sprintf("f%03d", i), Data: blob}})
+			accepted.Add(1)
+		}
+	}()
+
+	// Wait for the producer to stall: accepted stops moving short of total.
+	stalledAt := int64(-1)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		n := accepted.Load()
+		time.Sleep(50 * time.Millisecond)
+		if n > 0 && n == accepted.Load() {
+			stalledAt = n
+			break
+		}
+	}
+	if stalledAt < 0 || stalledAt >= total {
+		t.Fatalf("producer never stalled (accepted %d of %d): the queue is not bounded", accepted.Load(), total)
+	}
+	w.mu.Lock()
+	queued := w.queued
+	w.mu.Unlock()
+	// The bound may be overshot by the one entry that crossed it.
+	if limit := maxPendingBytes + len(blob) + 256; queued > limit {
+		t.Fatalf("writer holds %d bytes with the producer stalled, bound is %d", queued, maxPendingBytes)
+	}
+	select {
+	case <-producerDone:
+		t.Fatal("producer finished while the pipe was blocked")
+	default:
+	}
+
+	// Drain: every entry arrives, in order, and the producer finishes.
+	got := 0
+	readDone := make(chan error, 1)
+	go func() {
+		readDone <- readAll(pr, false, func(e Entry) error {
+			if want := fmt.Sprintf("f%03d", got); e.File == nil || e.File.Path != want || len(e.File.Data) != len(blob) {
+				return fmt.Errorf("entry %d: got %+v, want path %s", got, e.Kind, want)
+			}
+			got++
+			return nil
+		})
+	}()
+	<-producerDone
+	w.mu.Lock()
+	for w.flushed < w.appended && w.err == nil {
+		w.cond.Wait()
+	}
+	werr := w.err
+	w.mu.Unlock()
+	if werr != nil {
+		t.Fatalf("writer error: %v", werr)
+	}
+	_ = w.Close() // fsync of a pipe fails; the entries are already written
+	if err := <-readDone; err != nil {
+		t.Fatalf("reading the pipe back: %v", err)
+	}
+	if got != total {
+		t.Fatalf("read %d entries back, appended %d", got, total)
+	}
+}
+
+// TestAppendAfterWriteErrorDropsInsteadOfBlocking: once the flusher has died
+// on a write error nobody will drain the queue, so Append must drop — even
+// with the queue over its bound — rather than wait forever.
+func TestAppendAfterWriteErrorDropsInsteadOfBlocking(t *testing.T) {
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := startWriter(pw)
+	pr.Close() // every write now fails with EPIPE
+	blob := bytes.Repeat([]byte{1}, 1<<20)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2*maxPendingBytes>>20; i++ {
+			w.Append(Entry{Kind: KindFileWrite, File: &FileMutation{Path: "f", Data: blob}})
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Append blocked on a writer whose flusher is dead")
+	}
+	if err := w.Sync(); err == nil {
+		t.Fatal("Sync after a failed write reported success")
+	}
+	_ = w.Close()
 }
 
 // BenchmarkJournalAppend measures the producer-side cost of an append: the

@@ -2,7 +2,6 @@ package journal
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -164,9 +163,10 @@ func truncateTornTail(path string) error {
 // Dir returns the state directory path.
 func (s *Store) Dir() string { return s.dir }
 
-// Append enqueues one entry on the live journal. It is cheap and
-// non-blocking; durability is deferred to the batched flusher (call Sync to
-// force it). The enqueue happens under wmu so it cannot race Compact's
+// Append enqueues one entry on the live journal. It is cheap, and waits only
+// when the writer's queue is at its bound (see writer.Append); durability is
+// deferred to the batched flusher (call Sync to force it). The enqueue
+// happens under wmu so it cannot race Compact's
 // writer swap: an entry lands either in the old generation (whose Close
 // drains it) or the new one — never in a writer that is already closed.
 func (s *Store) Append(e Entry) {
@@ -296,13 +296,12 @@ func (s *Store) Compact(emit func(append func(Entry) error) error) error {
 	}
 	werr := func() error {
 		bw := bufio.NewWriterSize(f, 1<<16)
-		var frame bytes.Buffer
-		appendFn := func(e Entry) error {
-			frame.Reset()
-			if err := encode(&frame, e); err != nil {
+		var frame []byte
+		appendFn := func(e Entry) (err error) {
+			if frame, err = appendFrame(frame[:0], e); err != nil {
 				return err
 			}
-			_, err := bw.Write(frame.Bytes())
+			_, err = bw.Write(frame)
 			return err
 		}
 		if err := emit(appendFn); err != nil {

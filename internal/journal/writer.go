@@ -1,23 +1,33 @@
 package journal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"sync"
 )
 
+// maxPendingBytes bounds what a writer holds in memory: the weight of the
+// entries queued plus the batch being written. A burst that outruns the disk
+// fills the queue to this size and then waits for it.
+const maxPendingBytes = 32 << 20
+
 // writer is the batched appender behind a Store. Append enqueues an entry
-// under a small mutex and returns immediately; a background goroutine drains
-// the queue in batches (group commit), so producers — which may hold NJS job
-// locks or the vfs lock — never wait on file I/O. Sync blocks until every
-// entry appended so far is written and fsynced.
+// under a small mutex and returns; a background goroutine drains the queue in
+// batches (group commit), so producers — which may hold NJS job locks or the
+// vfs lock — do not wait on file I/O unless the queue is full. Sync blocks
+// until every entry appended so far is written and fsynced.
+//
+// One condition variable serves three kinds of waiter. Append's Signal still
+// reaches the flusher: the flusher waits only when nothing is queued or in
+// flight, and then no Sync has anything to wait for and no Append is over
+// the bound.
 type writer struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	f        *os.File
 	pending  []Entry
+	queued   int   // weight of pending plus the batch in flight
 	appended int64 // entries handed to Append
 	flushed  int64 // entries written to the file
 	err      error // first write error, sticky
@@ -32,31 +42,45 @@ func newWriter(path string) (*writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
+	return startWriter(f), nil
+}
+
+// startWriter starts a flusher over an open file.
+func startWriter(f *os.File) *writer {
 	w := &writer{f: f, done: make(chan struct{})}
 	w.cond = sync.NewCond(&w.mu)
 	go w.flushLoop()
-	return w, nil
+	return w
 }
 
-// Append enqueues one entry. It never blocks on I/O; a sticky write error
-// surfaces on the next Sync or Close. After such an error the flusher is
-// gone, so entries are dropped rather than queued without bound.
+// Append enqueues one entry. It blocks only while maxPendingBytes are
+// already queued and the flusher is alive to drain them — the flusher takes
+// no lock but the writer's own, so a producer holding a job or vfs lock
+// cannot deadlock on it. A sticky write error surfaces on the next Sync or
+// Close; after one the flusher is gone, so entries are dropped rather than
+// queued for nobody.
 func (w *writer) Append(e Entry) {
+	weight := e.weight()
 	w.mu.Lock()
+	for w.queued >= maxPendingBytes && !w.closed && w.err == nil {
+		w.cond.Wait()
+	}
 	if w.closed || w.err != nil {
 		w.mu.Unlock()
 		return
 	}
 	w.pending = append(w.pending, e)
+	w.queued += weight
 	w.appended++
 	w.mu.Unlock()
 	w.cond.Signal()
 }
 
-// flushLoop drains the queue in batches until Close.
+// flushLoop drains the queue in batches until Close. Each batch is encoded
+// into one reused buffer and written with one call.
 func (w *writer) flushLoop() {
 	defer close(w.done)
-	var buf bytes.Buffer
+	var buf []byte
 	for {
 		w.mu.Lock()
 		for len(w.pending) == 0 && !w.closed && w.err == nil {
@@ -67,22 +91,24 @@ func (w *writer) flushLoop() {
 			return
 		}
 		batch := w.pending
+		taken := w.queued // the previous batch is already subtracted
 		w.pending = nil
 		w.mu.Unlock()
 
-		buf.Reset()
+		buf = buf[:0]
 		var err error
 		for _, e := range batch {
-			if err = encode(&buf, e); err != nil {
+			if buf, err = appendFrame(buf, e); err != nil {
 				break
 			}
 		}
 		if err == nil {
-			_, err = w.f.Write(buf.Bytes())
+			_, err = w.f.Write(buf)
 		}
 
 		w.mu.Lock()
 		w.flushed += int64(len(batch))
+		w.queued -= taken
 		if err != nil && w.err == nil {
 			w.err = err
 		}

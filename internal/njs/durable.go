@@ -9,7 +9,7 @@ package njs
 // # What is journaled
 //
 //   - admissions (KindAdmit: identity, login, parent link, the AJO in the
-//     ajo gob codec),
+//     binary form ajo.Marshal writes),
 //   - every terminal action transition, including NOT_DONE cascades and
 //     aborts (KindActionDone),
 //   - batch lifecycle events (KindActionStart: queued, running),
@@ -232,7 +232,7 @@ func (n *NJS) recordAdmit(uj *unicoreJob) {
 	if n.rec.Load() == nil {
 		return
 	}
-	raw, err := ajo.MarshalGob(uj.job)
+	raw, err := ajo.Marshal(uj.job)
 	if err != nil {
 		return // a job that came through Validate always marshals
 	}
@@ -414,7 +414,7 @@ func (n *NJS) emitDataSpace(vsite string, fs *vfs.FS, emit func(journal.Entry) e
 
 // emitJob captures one job under its lock.
 func (n *NJS) emitJob(uj *unicoreJob, emit func(journal.Entry) error) error {
-	raw, err := ajo.MarshalGob(uj.job)
+	raw, err := ajo.Marshal(uj.job)
 	if err != nil {
 		return err
 	}
@@ -514,7 +514,30 @@ func Recover(store *journal.Store, cfg Config, snapshotEvery int) (*NJS, error) 
 		quotas[name] = fs.Quota()
 		fs.SetQuota(0)
 	}
-	if err := store.Replay(n.applyEntry); err != nil {
+	// A job's admission event is journaled just ahead of its ADMIT record.
+	// An event of a job not admitted yet is held back until the admission
+	// arrives; if a torn tail swallowed the admission the event goes with
+	// it, so a job that was never there leaves nothing in the event log.
+	early := make(map[string][]*journal.JobEventRecord)
+	err = store.Replay(func(e journal.Entry) error {
+		if ev := e.Event; e.Kind == journal.KindJobEvent && ev != nil && n.jobs[core.JobID(ev.Job)] == nil {
+			early[ev.Job] = append(early[ev.Job], ev)
+			return nil
+		}
+		if err := n.applyEntry(e); err != nil {
+			return err
+		}
+		if e.Kind == journal.KindAdmit {
+			for _, ev := range early[e.Admit.Job] {
+				if err := n.applyJobEvent(ev); err != nil {
+					return err
+				}
+			}
+			delete(early, e.Admit.Job)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	for name, vs := range n.vsites {
@@ -656,8 +679,8 @@ func (n *NJS) applyEntry(e journal.Entry) error {
 		}
 		return nil
 	}
-	// Unknown kinds are skipped: a newer writer may have added entry types
-	// this reader does not need.
+	// Nothing else arrives: the journal refuses a record of a kind it does
+	// not know (a new kind takes a new format tag).
 	return nil
 }
 
@@ -706,7 +729,7 @@ func (n *NJS) applyAdmit(a *journal.Admission) error {
 	if !ok {
 		return fmt.Errorf("njs: job %s admitted at unknown vsite %q", id, a.Vsite)
 	}
-	act, err := ajo.UnmarshalGob(a.AJO)
+	act, err := ajo.Unmarshal(a.AJO)
 	if err != nil {
 		return fmt.Errorf("njs: replaying %s: %w", id, err)
 	}

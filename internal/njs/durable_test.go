@@ -2,7 +2,11 @@ package njs
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -10,8 +14,10 @@ import (
 
 	"unicore/internal/ajo"
 	"unicore/internal/core"
+	"unicore/internal/events"
 	"unicore/internal/journal"
 	"unicore/internal/machine"
+	"unicore/internal/protocol"
 	"unicore/internal/sim"
 	"unicore/internal/uudb"
 )
@@ -315,9 +321,9 @@ func TestRecoverPartialAbortFinishes(t *testing.T) {
 	defer store.Close()
 
 	// Hand-write the torn prefix: admission, then only the abort control.
-	raw, err := ajo.MarshalGob(durableStagedJob("torn-abort"))
+	raw, err := ajo.Marshal(durableStagedJob("torn-abort"))
 	if err != nil {
-		t.Fatalf("MarshalGob: %v", err)
+		t.Fatalf("Marshal: %v", err)
 	}
 	store.Append(journal.Entry{Kind: journal.KindAdmit, Admit: &journal.Admission{
 		Job: "FZJ-000001", Owner: string(alice), UID: "u_alice", Vsite: "CLUSTER", AJO: raw,
@@ -511,5 +517,178 @@ func BenchmarkJournalRecover(b *testing.B) {
 		}
 		rn.Kill()
 		store.Close()
+	}
+}
+
+// frameEnds parses a journal image into the end offset of each record (the
+// frame is a 4-byte little-endian payload length, an 8-byte checksum, the
+// payload).
+func frameEnds(t *testing.T, wal []byte) []int {
+	t.Helper()
+	var ends []int
+	for off := 0; off < len(wal); {
+		if off+12 > len(wal) {
+			t.Fatalf("journal image ends inside a frame header at %d", off)
+		}
+		off += 12 + int(binary.LittleEndian.Uint32(wal[off:]))
+		ends = append(ends, off)
+	}
+	return ends
+}
+
+// TestTornWriteSweepOverLastRecords crashes a site at every byte of its
+// journal's tail. The journal holds one finished job and, last, one durable
+// consign — exactly its four records — and is cut at every offset inside the
+// last eight records (the consign's four and the finished job's final four).
+// Every cut must recover, and leave each job whole or gone:
+//
+//   - the finished job is always there and runs (again) to SUCCESSFUL;
+//   - the consigned job is there iff its ADMIT record survived whole, and
+//     then runs to SUCCESSFUL; otherwise no trace of it is left — no
+//     directory, no listing, no event, no consign-index entry;
+//   - retrying the consign under its ID converges on one job, and the
+//     journal afterwards holds exactly one admission per consign ID;
+//   - every job's event sequence is contiguous and opens with one admission.
+func TestTornWriteSweepOverLastRecords(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	clock := sim.NewVirtualClock()
+	n, store := newDurableNJS(t, clock, dir, 0)
+	finished, err := n.Consign(ctx, alice, "finished-1", durableStagedJob("finished"))
+	if err != nil {
+		t.Fatalf("Consign: %v", err)
+	}
+	clock.RunUntilIdle(0)
+	acked, err := n.Consign(ctx, alice, "acked-1", durableStagedJob("acked"))
+	if err != nil {
+		t.Fatalf("Consign: %v", err)
+	}
+	n.Kill() // the ack is out; nothing after it reaches the journal
+	var kinds []journal.Kind
+	if err := store.Replay(func(e journal.Entry) error { kinds = append(kinds, e.Kind); return nil }); err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, "journal-00000000.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := frameEnds(t, wal)
+	if len(ends) != len(kinds) || len(ends) < 9 {
+		t.Fatalf("journal image has %d frames, replay saw %d entries", len(ends), len(kinds))
+	}
+	consign := []journal.Kind{journal.KindMkdir, journal.KindJobEvent, journal.KindAdmit, journal.KindFileWrite}
+	if got := kinds[len(kinds)-4:]; !reflect.DeepEqual(got, consign) {
+		t.Fatalf("a durable consign wrote %v, want its four records %v", got, consign)
+	}
+	admitEnd := ends[len(ends)-2]
+
+	for cut := ends[len(ends)-9]; cut <= len(wal); cut++ {
+		cutDir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(cutDir, "journal-00000000.wal"), wal[:cut], 0o600); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("cut at %d of %d: %s", cut, len(wal), fmt.Sprintf(format, args...))
+			}
+			store, err := journal.Open(cutDir)
+			if err != nil {
+				fail("Open: %v", err)
+			}
+			defer store.Close()
+			clock := sim.NewVirtualClock()
+			n, err := Recover(store, durableCfg(clock), 0)
+			if err != nil {
+				fail("Recover: %v", err)
+			}
+			defer n.Kill()
+			n.SetLoginMapper(testMapper)
+			n.ResumeRecovered()
+			clock.RunUntilIdle(0)
+
+			_, present, err := n.Outcome(alice, false, acked)
+			if err != nil {
+				fail("Outcome(%s): %v", acked, err)
+			}
+			if present != (cut >= admitEnd) {
+				fail("consigned job present=%v, but its ADMIT record ends at %d", present, admitEnd)
+			}
+			if !present {
+				fs := n.vsites["CLUSTER"].Space.FS()
+				if p := n.vsites["CLUSTER"].Space.JobDir(acked); fs.Exists(p) {
+					fail("absent job %s left its directory %s behind", acked, p)
+				}
+				if rep, err := n.Events(alice, false, protocol.SubscribeRequest{}); err != nil {
+					fail("Events: %v", err)
+				} else {
+					for _, ev := range rep.Events {
+						if ev.Job == acked {
+							fail("absent job %s left event %+v behind", acked, ev)
+						}
+					}
+				}
+				if jobs, err := n.List(alice); err != nil || len(jobs) != 1 {
+					fail("List with the consign lost: %d jobs, %v", len(jobs), err)
+				}
+			}
+
+			// The client never saw (or lost) the ack and retries.
+			again, err := n.Consign(ctx, alice, "acked-1", durableStagedJob("acked"))
+			if err != nil {
+				fail("consign retry: %v", err)
+			}
+			if present && again != acked {
+				fail("consign retry admitted %s beside the recovered %s", again, acked)
+			}
+			clock.RunUntilIdle(0)
+			for _, id := range []core.JobID{finished, again} {
+				o, found, err := n.Outcome(alice, false, id)
+				if err != nil || !found {
+					fail("Outcome(%s): found=%v err=%v", id, found, err)
+				}
+				if o.Status != ajo.StatusSuccessful {
+					fail("job %s ended %s:\n%s", id, o.Status, canonical(o))
+				}
+				rep, err := n.Events(alice, false, protocol.SubscribeRequest{Job: id})
+				if err != nil {
+					fail("Events(%s): %v", id, err)
+				}
+				admitted := 0
+				for i, ev := range rep.Events {
+					if ev.Seq != uint64(i+1) {
+						fail("job %s: event %d has seq %d", id, i, ev.Seq)
+					}
+					if ev.Type == events.TypeAdmitted {
+						admitted++
+					}
+				}
+				if admitted != 1 {
+					fail("job %s: %d admission events", id, admitted)
+				}
+			}
+			if jobs, err := n.List(alice); err != nil || len(jobs) != 2 {
+				fail("List: %d jobs, %v", len(jobs), err)
+			}
+			if err := store.Sync(); err != nil {
+				fail("Sync: %v", err)
+			}
+			admits := map[string]int{}
+			err = store.Replay(func(e journal.Entry) error {
+				if e.Kind == journal.KindAdmit {
+					admits[e.Admit.ConsignID]++
+				}
+				return nil
+			})
+			if err != nil {
+				fail("Replay: %v", err)
+			}
+			if admits["finished-1"] != 1 || admits["acked-1"] != 1 || len(admits) != 2 {
+				fail("admissions per consign ID: %v", admits)
+			}
+		}()
 	}
 }

@@ -1,12 +1,8 @@
 package protocol
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"time"
-
 	"unicore/internal/ajo"
+	"unicore/internal/bin"
 	"unicore/internal/core"
 	"unicore/internal/events"
 )
@@ -15,8 +11,9 @@ import (
 // format of every signed envelope, but the frames of a v3 stream carry these
 // hand-rolled uvarint encodings instead: no field names, no base64 expansion
 // of chunk data, no reflection. Each encoder appends to a (possibly pooled)
-// buffer; each decoder consumes a binReader and leaves error handling to one
-// check at the end.
+// buffer; each decoder consumes a bin.Reader and leaves error handling to one
+// check at the end. The primitives are package bin's, shared with the AJO
+// and journal codecs.
 
 // Binary request discriminators — the first byte of a FrameCall payload
 // (the code column of the wire table in ops.go).
@@ -25,119 +22,24 @@ const (
 	binPoll    byte = 2
 )
 
-var errBinCodec = errors.New("protocol: malformed binary payload")
-
-type binReader struct {
-	b   []byte
-	bad bool
-}
-
-func (r *binReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *binReader) varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *binReader) bytes() []byte {
-	n := r.uvarint()
-	if r.bad || uint64(len(r.b)) < n {
-		r.bad = true
-		return nil
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *binReader) string() string { return string(r.bytes()) }
-
-func (r *binReader) bool() bool { return r.uvarint() != 0 }
-
-func (r *binReader) time() time.Time {
-	// Zero marks the zero time distinctly from unix nano 0. UTC matches what
-	// the JSON envelope path yields after an RFC 3339 round trip, so the two
-	// decodings of one event compare equal.
-	v := r.varint()
-	if v == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, v).UTC()
-}
-
-// err returns the decode verdict: one check covers the whole message.
-func (r *binReader) err() error {
-	if r.bad {
-		return errBinCodec
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", errBinCodec, len(r.b))
-	}
-	return nil
-}
-
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-func appendVarint(b []byte, v int64) []byte   { return binary.AppendVarint(b, v) }
-
-func appendBytes(b []byte, v []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(v)))
-	return append(b, v...)
-}
-
-func appendString(b []byte, v string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(v)))
-	return append(b, v...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendTime(b []byte, t time.Time) []byte {
-	if t.IsZero() {
-		return binary.AppendVarint(b, 0)
-	}
-	return binary.AppendVarint(b, t.UnixNano())
-}
-
 func appendOrigins(b []byte, m map[string]uint64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(m)))
+	b = bin.AppendUvarint(b, uint64(len(m)))
 	for k, v := range m {
-		b = appendString(b, k)
-		b = binary.AppendUvarint(b, v)
+		b = bin.AppendStr(b, k)
+		b = bin.AppendUvarint(b, v)
 	}
 	return b
 }
 
-func (r *binReader) origins() map[string]uint64 {
-	n := r.uvarint()
-	if n == 0 || r.bad {
-		return nil
-	}
-	if n > uint64(len(r.b)) { // each entry is ≥ 2 bytes; cheap bound first
-		r.bad = true
+func readOrigins(r *bin.Reader) map[string]uint64 {
+	n := r.Count()
+	if n == 0 {
 		return nil
 	}
 	m := make(map[string]uint64, n)
-	for i := uint64(0); i < n && !r.bad; i++ {
-		k := r.string()
-		m[k] = r.uvarint()
+	for i := 0; i < n && !r.Failed(); i++ {
+		k := r.Str()
+		m[k] = r.Uvarint()
 	}
 	return m
 }
@@ -149,117 +51,117 @@ func (r *binReader) origins() map[string]uint64 {
 // code-specific body.
 func encCallHeader(b []byte, code byte, trace string) []byte {
 	b = append(b, code)
-	return appendString(b, trace)
+	return bin.AppendStr(b, trace)
 }
 
 func splitCall(p []byte) (code byte, trace string, body []byte, err error) {
 	if len(p) == 0 {
-		return 0, "", nil, errBinCodec
+		return 0, "", nil, bin.ErrMalformed
 	}
-	r := &binReader{b: p[1:]}
-	trace = r.string()
-	if r.bad {
-		return 0, "", nil, errBinCodec
+	r := bin.NewReader(p[1:])
+	trace = r.Str()
+	if r.Failed() {
+		return 0, "", nil, bin.ErrMalformed
 	}
-	return p[0], trace, r.b, nil
+	return p[0], trace, r.Rest(), nil
 }
 
 // --- consign ---
 
 func encConsignRequest(b []byte, req ConsignRequest) []byte {
-	b = appendString(b, req.ConsignID)
-	return appendBytes(b, req.AJO)
+	b = bin.AppendStr(b, req.ConsignID)
+	return bin.AppendBytes(b, req.AJO)
 }
 
 func decConsignRequest(p []byte) (ConsignRequest, error) {
-	r := &binReader{b: p}
+	r := bin.NewReader(p)
 	var req ConsignRequest
-	req.ConsignID = r.string()
-	if raw := r.bytes(); len(raw) > 0 {
+	req.ConsignID = r.Str()
+	if raw := r.Bytes(); len(raw) > 0 {
 		req.AJO = append([]byte(nil), raw...)
 	}
-	return req, r.err()
+	return req, r.Err()
 }
 
 func encConsignReply(b []byte, rep ConsignReply) []byte {
-	b = appendString(b, string(rep.Job))
-	b = appendBool(b, rep.Accepted)
-	return appendString(b, rep.Reason)
+	b = bin.AppendStr(b, string(rep.Job))
+	b = bin.AppendBool(b, rep.Accepted)
+	return bin.AppendStr(b, rep.Reason)
 }
 
 func decConsignReply(p []byte) (ConsignReply, error) {
-	r := &binReader{b: p}
+	r := bin.NewReader(p)
 	var rep ConsignReply
-	rep.Job = core.JobID(r.string())
-	rep.Accepted = r.bool()
-	rep.Reason = r.string()
-	return rep, r.err()
+	rep.Job = core.JobID(r.Str())
+	rep.Accepted = r.Bool()
+	rep.Reason = r.Str()
+	return rep, r.Err()
 }
 
 // --- poll ---
 
 func encPollRequest(b []byte, req PollRequest) []byte {
-	return appendString(b, string(req.Job))
+	return bin.AppendStr(b, string(req.Job))
 }
 
 func decPollRequest(p []byte) (PollRequest, error) {
-	r := &binReader{b: p}
-	req := PollRequest{Job: core.JobID(r.string())}
-	return req, r.err()
+	r := bin.NewReader(p)
+	req := PollRequest{Job: core.JobID(r.Str())}
+	return req, r.Err()
 }
 
 func encPollReply(b []byte, rep PollReply) []byte {
-	b = appendBool(b, rep.Found)
-	b = appendString(b, rep.Summary.Job)
-	b = appendVarint(b, int64(rep.Summary.Status))
-	b = appendVarint(b, int64(rep.Summary.Total))
-	b = appendVarint(b, int64(rep.Summary.Done))
-	b = appendVarint(b, int64(rep.Summary.Failed))
-	return appendTime(b, rep.Summary.Updated)
+	b = bin.AppendBool(b, rep.Found)
+	b = bin.AppendStr(b, rep.Summary.Job)
+	b = bin.AppendVarint(b, int64(rep.Summary.Status))
+	b = bin.AppendVarint(b, int64(rep.Summary.Total))
+	b = bin.AppendVarint(b, int64(rep.Summary.Done))
+	b = bin.AppendVarint(b, int64(rep.Summary.Failed))
+	return bin.AppendTime(b, rep.Summary.Updated)
 }
 
 func decPollReply(p []byte) (PollReply, error) {
-	r := &binReader{b: p}
+	r := bin.NewReader(p)
 	var rep PollReply
-	rep.Found = r.bool()
-	rep.Summary.Job = r.string()
-	rep.Summary.Status = ajo.Status(r.varint())
-	rep.Summary.Total = int(r.varint())
-	rep.Summary.Done = int(r.varint())
-	rep.Summary.Failed = int(r.varint())
-	rep.Summary.Updated = r.time()
-	return rep, r.err()
+	rep.Found = r.Bool()
+	rep.Summary.Job = r.Str()
+	rep.Summary.Status = ajo.Status(r.Varint())
+	rep.Summary.Total = int(r.Varint())
+	rep.Summary.Done = int(r.Varint())
+	rep.Summary.Failed = int(r.Varint())
+	rep.Summary.Updated = r.Time()
+	return rep, r.Err()
 }
 
 // --- staged-upload chunks (FramePut / FramePutAck) ---
 
 func encPutChunk(b []byte, req PutChunkRequest) []byte {
-	b = appendString(b, req.Handle)
-	b = appendVarint(b, req.Index)
-	b = appendUvarint(b, req.CRC)
-	b = appendString(b, string(req.Owner))
-	return appendBytes(b, req.Data)
+	b = bin.AppendStr(b, req.Handle)
+	b = bin.AppendVarint(b, req.Index)
+	b = bin.AppendUvarint(b, req.CRC)
+	b = bin.AppendStr(b, string(req.Owner))
+	return bin.AppendBytes(b, req.Data)
 }
 
 func decPutChunk(p []byte) (PutChunkRequest, error) {
-	r := &binReader{b: p}
+	r := bin.NewReader(p)
 	var req PutChunkRequest
-	req.Handle = r.string()
-	req.Index = r.varint()
-	req.CRC = r.uvarint()
-	req.Owner = core.DN(r.string())
-	req.Data = r.bytes()
-	return req, r.err()
+	req.Handle = r.Str()
+	req.Index = r.Varint()
+	req.CRC = r.Uvarint()
+	req.Owner = core.DN(r.Str())
+	req.Data = r.Bytes()
+	return req, r.Err()
 }
 
 func encPutAck(b []byte, rep PutChunkReply) []byte {
-	return appendVarint(b, rep.Received)
+	return bin.AppendVarint(b, rep.Received)
 }
 
 func decPutAck(p []byte) (PutChunkReply, error) {
-	r := &binReader{b: p}
-	rep := PutChunkReply{Received: r.varint()}
-	return rep, r.err()
+	r := bin.NewReader(p)
+	rep := PutChunkReply{Received: r.Varint()}
+	return rep, r.Err()
 }
 
 // --- ranged reads (FrameFetch / FrameData) ---
@@ -270,39 +172,39 @@ func decPutAck(p []byte) (PutChunkReply, error) {
 // authorisation; it is the op's code in the wire table, which the server
 // reads to pick the op before the body is decoded (splitRequest).
 func encFetch(b []byte, req FetchRequest, transfer bool) []byte {
-	b = appendString(b, string(req.Job))
-	b = appendString(b, req.File)
-	b = appendVarint(b, req.Offset)
-	b = appendVarint(b, req.Limit)
-	return appendBool(b, transfer)
+	b = bin.AppendStr(b, string(req.Job))
+	b = bin.AppendStr(b, req.File)
+	b = bin.AppendVarint(b, req.Offset)
+	b = bin.AppendVarint(b, req.Limit)
+	return bin.AppendBool(b, transfer)
 }
 
 func decFetch(p []byte) (FetchRequest, error) {
-	r := &binReader{b: p}
+	r := bin.NewReader(p)
 	var req FetchRequest
-	req.Job = core.JobID(r.string())
-	req.File = r.string()
-	req.Offset = r.varint()
-	req.Limit = r.varint()
-	r.bool() // the transfer flag
-	return req, r.err()
+	req.Job = core.JobID(r.Str())
+	req.File = r.Str()
+	req.Offset = r.Varint()
+	req.Limit = r.Varint()
+	r.Bool() // the transfer flag
+	return req, r.Err()
 }
 
 func encData(b []byte, rep TransferReply) []byte {
-	b = appendBool(b, rep.Found)
-	b = appendVarint(b, rep.Size)
-	b = appendUvarint(b, rep.CRC)
-	return appendBytes(b, rep.Data)
+	b = bin.AppendBool(b, rep.Found)
+	b = bin.AppendVarint(b, rep.Size)
+	b = bin.AppendUvarint(b, rep.CRC)
+	return bin.AppendBytes(b, rep.Data)
 }
 
 func decData(p []byte) (TransferReply, error) {
-	r := &binReader{b: p}
+	r := bin.NewReader(p)
 	var rep TransferReply
-	rep.Found = r.bool()
-	rep.Size = r.varint()
-	rep.CRC = r.uvarint()
-	rep.Data = r.bytes()
-	return rep, r.err()
+	rep.Found = r.Bool()
+	rep.Size = r.Varint()
+	rep.CRC = r.Uvarint()
+	rep.Data = r.Bytes()
+	return rep, r.Err()
 }
 
 // --- event subscriptions (FrameSub / FrameEvents) ---
@@ -317,24 +219,24 @@ type binSub struct {
 }
 
 func encSub(b []byte, s binSub) []byte {
-	b = appendString(b, string(s.Job))
-	b = appendUvarint(b, s.Cursor)
+	b = bin.AppendStr(b, string(s.Job))
+	b = bin.AppendUvarint(b, s.Cursor)
 	b = appendOrigins(b, s.Origins)
-	b = appendVarint(b, int64(s.Max))
-	b = appendVarint(b, s.WaitMs)
-	return appendBool(b, s.Once)
+	b = bin.AppendVarint(b, int64(s.Max))
+	b = bin.AppendVarint(b, s.WaitMs)
+	return bin.AppendBool(b, s.Once)
 }
 
 func decSub(p []byte) (binSub, error) {
-	r := &binReader{b: p}
+	r := bin.NewReader(p)
 	var s binSub
-	s.Job = core.JobID(r.string())
-	s.Cursor = r.uvarint()
-	s.Origins = r.origins()
-	s.Max = int(r.varint())
-	s.WaitMs = r.varint()
-	s.Once = r.bool()
-	return s, r.err()
+	s.Job = core.JobID(r.Str())
+	s.Cursor = r.Uvarint()
+	s.Origins = readOrigins(r)
+	s.Max = int(r.Varint())
+	s.WaitMs = r.Varint()
+	s.Once = r.Bool()
+	return s, r.Err()
 }
 
 // binEvents is the frame form of EventsReply. End tells a push subscriber no
@@ -345,55 +247,51 @@ type binEvents struct {
 }
 
 func encEvents(b []byte, e binEvents) []byte {
-	b = appendUvarint(b, e.Cursor)
+	b = bin.AppendUvarint(b, e.Cursor)
 	b = appendOrigins(b, e.Origins)
-	b = appendBool(b, e.Gap)
-	b = appendBool(b, e.End)
-	b = appendUvarint(b, uint64(len(e.Events)))
+	b = bin.AppendBool(b, e.Gap)
+	b = bin.AppendBool(b, e.End)
+	b = bin.AppendUvarint(b, uint64(len(e.Events)))
 	for i := range e.Events {
 		ev := &e.Events[i]
-		b = appendString(b, string(ev.Job))
-		b = appendUvarint(b, ev.Seq)
-		b = appendUvarint(b, ev.Global)
-		b = appendString(b, ev.Origin)
-		b = appendString(b, string(ev.Type))
-		b = appendString(b, string(ev.Action))
-		b = appendVarint(b, int64(ev.Status))
-		b = appendString(b, ev.Reason)
-		b = appendTime(b, ev.Time)
-		b = appendBool(b, ev.Terminal)
+		b = bin.AppendStr(b, string(ev.Job))
+		b = bin.AppendUvarint(b, ev.Seq)
+		b = bin.AppendUvarint(b, ev.Global)
+		b = bin.AppendStr(b, ev.Origin)
+		b = bin.AppendStr(b, string(ev.Type))
+		b = bin.AppendStr(b, string(ev.Action))
+		b = bin.AppendVarint(b, int64(ev.Status))
+		b = bin.AppendStr(b, ev.Reason)
+		b = bin.AppendTime(b, ev.Time)
+		b = bin.AppendBool(b, ev.Terminal)
 	}
 	return b
 }
 
 func decEvents(p []byte) (binEvents, error) {
-	r := &binReader{b: p}
+	r := bin.NewReader(p)
 	var e binEvents
-	e.Cursor = r.uvarint()
-	e.Origins = r.origins()
-	e.Gap = r.bool()
-	e.End = r.bool()
-	n := r.uvarint()
-	if r.bad || n > uint64(len(r.b)) { // ≥ 10 bytes per event; cheap bound
-		r.bad = true
-		return e, r.err()
-	}
+	e.Cursor = r.Uvarint()
+	e.Origins = readOrigins(r)
+	e.Gap = r.Bool()
+	e.End = r.Bool()
+	n := r.Count()
 	if n > 0 {
 		e.Events = make([]JobEvent, 0, n)
 	}
-	for i := uint64(0); i < n && !r.bad; i++ {
+	for i := 0; i < n && !r.Failed(); i++ {
 		var ev events.Event
-		ev.Job = core.JobID(r.string())
-		ev.Seq = r.uvarint()
-		ev.Global = r.uvarint()
-		ev.Origin = r.string()
-		ev.Type = events.Type(r.string())
-		ev.Action = ajo.ActionID(r.string())
-		ev.Status = ajo.Status(r.varint())
-		ev.Reason = r.string()
-		ev.Time = r.time()
-		ev.Terminal = r.bool()
+		ev.Job = core.JobID(r.Str())
+		ev.Seq = r.Uvarint()
+		ev.Global = r.Uvarint()
+		ev.Origin = r.Str()
+		ev.Type = events.Type(r.Str())
+		ev.Action = ajo.ActionID(r.Str())
+		ev.Status = ajo.Status(r.Varint())
+		ev.Reason = r.Str()
+		ev.Time = r.Time()
+		ev.Terminal = r.Bool()
 		e.Events = append(e.Events, ev)
 	}
-	return e, r.err()
+	return e, r.Err()
 }

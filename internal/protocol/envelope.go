@@ -210,8 +210,8 @@ func OpenTraced(ca *pki.Authority, data []byte) (Opened, error) {
 // ConsignRequest submits an AJO. ConsignID is chosen by the client and makes
 // consignment idempotent under retries.
 type ConsignRequest struct {
-	ConsignID string          `json:"consignID"`
-	AJO       json.RawMessage `json:"ajo"` // output of ajo.Marshal
+	ConsignID string `json:"consignID"`
+	AJO       []byte `json:"ajo"` // output of ajo.Marshal: raw in a frame, base64 in an envelope
 }
 
 // ConsignReply acknowledges (or refuses) a consignment. The protocol is
