@@ -9,6 +9,7 @@
 //	unicore-status ... -json list
 //	unicore-status ... status  FZJ-000042
 //	unicore-status ... outcome FZJ-000042
+//	unicore-status ... -json outcome FZJ-000042
 //	unicore-status ... wait    FZJ-000042
 //	unicore-status ... watch   FZJ-000042
 //	unicore-status ... -o result.dat fetch FZJ-000042 out.dat
@@ -24,8 +25,8 @@
 // streams a Uspace file to -o (or stdout) through the windowed parallel
 // download engine, verifying the whole-file checksum incrementally; metrics
 // scrapes the site's live telemetry (MsgMetrics), merged site-wide by default
-// or per replica with -per-replica. -json switches list and metrics to
-// machine-readable output.
+// or per replica with -per-replica. -json switches list, outcome and metrics
+// to machine-readable output.
 package main
 
 import (
@@ -51,7 +52,7 @@ func main() {
 		caPath     = flag.String("ca", "ca.pem", "CA file")
 		credPath   = flag.String("cred", "user.pem", "user credential file")
 		outPath    = flag.String("o", "", "fetch: write the file here instead of stdout")
-		jsonOut    = flag.Bool("json", false, "list, metrics: emit JSON instead of the table")
+		jsonOut    = flag.Bool("json", false, "list, outcome, metrics: emit JSON instead of the table")
 		perReplica = flag.Bool("per-replica", false, "metrics: one snapshot per origin instead of the site-wide merge")
 		withSpans  = flag.Bool("spans", false, "metrics: include recent trace spans in the scrape")
 	)
@@ -171,6 +172,14 @@ func main() {
 		o, err := sess.Outcome(context.Background(), jobArg())
 		if err != nil {
 			log.Fatalf("unicore-status: %v", err)
+		}
+		if *jsonOut {
+			doc, err := ajo.MarshalOutcomeJSON(o)
+			if err != nil {
+				log.Fatalf("unicore-status: %v", err)
+			}
+			fmt.Printf("%s\n", doc)
+			return
 		}
 		fmt.Print(unicore.Display(o))
 	case "abort":

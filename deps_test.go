@@ -1,7 +1,9 @@
 package unicore_test
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -25,6 +27,29 @@ func TestNoPackageImportsGob(t *testing.T) {
 		for _, imp := range fields[1:] {
 			if imp == "encoding/gob" {
 				t.Errorf("%s imports encoding/gob", fields[0])
+			}
+		}
+	}
+}
+
+// TestServingTiersEncodeOutcomesOnce keeps the JSON form of an outcome tree
+// where it belongs, in the CLI: the NJS copies a tree structurally and the
+// gateway encodes it once, in the binary form, for either door. A call to
+// ajo.MarshalOutcomeJSON in those tiers is the old per-request JSON round
+// trip growing back.
+func TestServingTiersEncodeOutcomesOnce(t *testing.T) {
+	for _, dir := range []string{"internal/njs", "internal/gateway"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files under %s (%v)", dir, err)
+		}
+		for _, file := range files {
+			src, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(string(src), "MarshalOutcomeJSON") {
+				t.Errorf("%s calls ajo.MarshalOutcomeJSON", file)
 			}
 		}
 	}

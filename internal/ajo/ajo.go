@@ -34,8 +34,10 @@
 // NJS hands it to a remote Usite and writes it into its journal's admission
 // record — all through the same two functions. MarshalJSON and UnmarshalJSON
 // (json.go) are the self-describing form for people and tools: class names
-// from Figure 3, one {kind, body} envelope per action. Outcome trees travel
-// as plain JSON inside signed envelopes (MarshalOutcome).
+// from Figure 3, one {kind, body} envelope per action. The outcome tree that
+// answers an AJO travels the same way: MarshalOutcome and UnmarshalOutcome are
+// the binary form a gateway replies with and the journal keeps,
+// MarshalOutcomeJSON the one a CLI prints.
 package ajo
 
 import (

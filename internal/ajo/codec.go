@@ -24,11 +24,18 @@ import (
 // actions, among them further jobs. Map entries are written in key order, so
 // equal actions encode to equal bytes.
 //
+// The outcome tree that answers an AJO (MarshalOutcome, at the end of this
+// file) is encoded the same way behind its own format tag.
+//
 // The self-describing JSON form (json.go) is for people, not for the wire.
 
-// formatTag leads every binary AJO. A reader refuses any other value by
-// name rather than guessing at the bytes behind it.
-const formatTag byte = 0x01
+// formatTag leads every binary AJO, outcomeTag every binary outcome tree. A
+// reader refuses any other value by name rather than guessing at the bytes
+// behind it.
+const (
+	formatTag  byte = 0x01
+	outcomeTag byte = 0x02
+)
 
 // maxDepth bounds job-group nesting on both sides, so a hostile document
 // cannot drive the decoder's recursion arbitrarily deep.
@@ -302,4 +309,103 @@ func readAction(r *bin.Reader, depth int) (Action, error) {
 		}
 		return nil, fmt.Errorf("ajo: unknown action kind code %d", code)
 	}
+}
+
+// MarshalOutcome encodes an outcome tree in its one wire form — what a
+// gateway answers a retrieve-outcome with, and what the journal keeps of a
+// finished sub-job:
+//
+//	u8 outcomeTag, then one node:
+//	node := action, name, kind, status, reason, exit code, stdout, stderr,
+//	        files (path, size, crc), started, finished, child nodes
+func MarshalOutcome(o *Outcome) ([]byte, error) {
+	if o == nil {
+		return nil, fmt.Errorf("ajo: marshal nil outcome")
+	}
+	b := make([]byte, 0, 512)
+	return appendOutcome(append(b, outcomeTag), o, 0)
+}
+
+func appendOutcome(b []byte, o *Outcome, depth int) ([]byte, error) {
+	if depth >= maxDepth {
+		return nil, fmt.Errorf("ajo: outcome %s: nested deeper than %d job groups", o.Action, maxDepth)
+	}
+	b = bin.AppendStr(b, string(o.Action))
+	b = bin.AppendStr(b, o.Name)
+	b = bin.AppendStr(b, string(o.Kind))
+	b = bin.AppendVarint(b, int64(o.Status))
+	b = bin.AppendStr(b, o.Reason)
+	b = bin.AppendVarint(b, int64(o.ExitCode))
+	b = bin.AppendBytes(b, o.Stdout)
+	b = bin.AppendBytes(b, o.Stderr)
+	b = bin.AppendUvarint(b, uint64(len(o.Files)))
+	for _, f := range o.Files {
+		b = bin.AppendStr(b, f.Path)
+		b = bin.AppendVarint(b, f.Size)
+		b = bin.AppendUvarint(b, f.CRC)
+	}
+	b = bin.AppendTime(b, o.Started)
+	b = bin.AppendTime(b, o.Finished)
+	b = bin.AppendUvarint(b, uint64(len(o.Children)))
+	for _, c := range o.Children {
+		if c == nil {
+			return nil, fmt.Errorf("ajo: outcome %s has a nil child", o.Action)
+		}
+		var err error
+		if b, err = appendOutcome(b, c, depth+1); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// UnmarshalOutcome decodes MarshalOutcome's form. The result shares no
+// memory with data; absent output, file and child lists decode as nil.
+func UnmarshalOutcome(data []byte) (*Outcome, error) {
+	if len(data) == 0 {
+		return nil, fmt.Errorf("ajo: empty outcome")
+	}
+	if data[0] != outcomeTag {
+		return nil, fmt.Errorf("ajo: outcome has format tag 0x%02x, this build reads binary outcome format 0x%02x", data[0], outcomeTag)
+	}
+	r := bin.NewReader(data[1:])
+	o, err := readOutcome(r, 0)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("ajo: decoding outcome: %w", err)
+	}
+	return o, nil
+}
+
+func readOutcome(r *bin.Reader, depth int) (*Outcome, error) {
+	if depth >= maxDepth {
+		return nil, fmt.Errorf("ajo: outcome nests deeper than %d job groups", maxDepth)
+	}
+	o := &Outcome{Action: ActionID(r.Str()), Name: r.Str(), Kind: Kind(r.Str())}
+	o.Status = Status(r.Varint())
+	o.Reason = r.Str()
+	o.ExitCode = int(r.Varint())
+	o.Stdout = append([]byte(nil), r.Bytes()...) // a copy; empty stays nil
+	o.Stderr = append([]byte(nil), r.Bytes()...)
+	if n := r.Count(); n > 0 {
+		o.Files = make([]FileRecord, 0, n)
+		for i := 0; i < n && !r.Failed(); i++ {
+			o.Files = append(o.Files, FileRecord{Path: r.Str(), Size: r.Varint(), CRC: r.Uvarint()})
+		}
+	}
+	o.Started = r.Time()
+	o.Finished = r.Time()
+	if n := r.Count(); n > 0 {
+		o.Children = make([]*Outcome, 0, n)
+		for i := 0; i < n && !r.Failed(); i++ {
+			c, err := readOutcome(r, depth+1)
+			if err != nil {
+				return nil, err
+			}
+			o.Children = append(o.Children, c)
+		}
+	}
+	return o, nil
 }

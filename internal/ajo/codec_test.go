@@ -321,9 +321,6 @@ func TestOutcomeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(o, back) {
 		t.Fatalf("outcome round trip mismatch:\n%+v\n%+v", o, back)
 	}
-	if _, err := UnmarshalOutcome([]byte("{{")); err == nil {
-		t.Fatal("garbage outcome accepted")
-	}
 }
 
 // Property: any UserTask round-trips through both codecs.

@@ -112,17 +112,8 @@ func (l *ActionList) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// MarshalOutcome / UnmarshalOutcome serialise outcome trees for the
-// retrieve-outcome endpoint.
-func MarshalOutcome(o *Outcome) ([]byte, error) {
-	return json.Marshal(o)
-}
-
-// UnmarshalOutcome decodes an outcome tree.
-func UnmarshalOutcome(data []byte) (*Outcome, error) {
-	var o Outcome
-	if err := json.Unmarshal(data, &o); err != nil {
-		return nil, fmt.Errorf("ajo: decoding outcome: %w", err)
-	}
-	return &o, nil
+// MarshalOutcomeJSON renders an outcome tree as indented JSON, for people (a
+// CLI's -json output); MarshalOutcome is the form that travels.
+func MarshalOutcomeJSON(o *Outcome) ([]byte, error) {
+	return json.MarshalIndent(o, "", "  ")
 }

@@ -1,6 +1,7 @@
 package ajo
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"time"
@@ -96,6 +97,24 @@ type Outcome struct {
 // NewOutcome initialises a pending outcome for an action.
 func NewOutcome(a Action) *Outcome {
 	return &Outcome{Action: a.ID(), Name: a.Name(), Kind: a.Kind(), Status: StatusPending}
+}
+
+// Clone returns a deep copy of the tree rooted at o: no node, output buffer,
+// file list or child list of the copy is shared with the original.
+func (o *Outcome) Clone() *Outcome {
+	cp := *o
+	cp.Stdout = bytes.Clone(o.Stdout)
+	cp.Stderr = bytes.Clone(o.Stderr)
+	if o.Files != nil {
+		cp.Files = append([]FileRecord(nil), o.Files...)
+	}
+	if o.Children != nil {
+		cp.Children = make([]*Outcome, len(o.Children))
+		for i, c := range o.Children {
+			cp.Children[i] = c.Clone()
+		}
+	}
+	return &cp
 }
 
 // Find locates the outcome for id in the tree rooted at o (including o).

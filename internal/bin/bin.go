@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -81,6 +82,23 @@ func (r *Reader) Varint() int64 {
 	return v
 }
 
+// Float64 reads AppendFloat64's eight bytes. NaN and the infinities are
+// malformed: a JSON envelope cannot carry them either, and no reader of a
+// load figure expects one.
+func (r *Reader) Float64() float64 {
+	if r.bad || len(r.b) < 8 {
+		r.bad = true
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		r.bad = true
+		return 0
+	}
+	r.b = r.b[8:]
+	return v
+}
+
 // Bytes returns a length-prefixed field as a view into the input, capped so
 // an append by the holder cannot reach the bytes behind it.
 func (r *Reader) Bytes() []byte {
@@ -92,6 +110,15 @@ func (r *Reader) Bytes() []byte {
 	v := r.b[:n:n]
 	r.b = r.b[n:]
 	return v
+}
+
+// Blob is Bytes with an empty field read as nil — what an omitted field of
+// a JSON envelope decodes to.
+func (r *Reader) Blob() []byte {
+	if v := r.Bytes(); len(v) > 0 {
+		return v
+	}
+	return nil
 }
 
 // Str reads a length-prefixed string (a copy, unlike Bytes).
@@ -141,6 +168,12 @@ func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v
 
 // AppendVarint appends v as a zig-zag signed varint.
 func AppendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
+
+// AppendFloat64 appends v's IEEE 754 bits as eight little-endian bytes (a
+// load figure, a charge: the only non-integer numbers on the wire).
+func AppendFloat64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
 
 // AppendBytes appends v behind its uvarint length.
 func AppendBytes(b []byte, v []byte) []byte {

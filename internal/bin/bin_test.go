@@ -22,6 +22,9 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	b = AppendTime(b, time.Time{})
 	b = AppendStrs(b, []string{"a", "", "c"})
 	b = AppendStrs(b, nil)
+	b = AppendFloat64(b, -0.375)
+	b = AppendBytes(b, []byte{9})
+	b = AppendBytes(b, nil)
 
 	r := NewReader(b)
 	if got := r.Byte(); got != 0xa1 {
@@ -55,8 +58,17 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	if got := r.Strs(); got != nil {
 		t.Errorf("empty Strs = %#v, want nil", got)
 	}
+	if got := r.Float64(); got != -0.375 {
+		t.Errorf("Float64 = %v", got)
+	}
+	if full, empty := r.Blob(), r.Blob(); !reflect.DeepEqual(full, []byte{9}) || empty != nil {
+		t.Errorf("Blob pair = %v, %#v: want [9], nil", full, empty)
+	}
 	if err := r.Err(); err != nil {
 		t.Errorf("Err after a full read: %v", err)
+	}
+	if v := r.Float64(); v != 0 || !r.Failed() {
+		t.Errorf("Float64 past the end = %v, failed=%v", v, r.Failed())
 	}
 }
 
@@ -79,6 +91,10 @@ func TestReaderVerdicts(t *testing.T) {
 	r = NewReader(AppendUvarint(nil, 1<<40))
 	if n := r.Count(); n != 0 || !r.Failed() {
 		t.Errorf("Count of 2^40 over an empty tail = %d, failed=%v", n, r.Failed())
+	}
+	r = NewReader(AppendFloat64(nil, math.NaN()))
+	if v := r.Float64(); v != 0 || !r.Failed() {
+		t.Errorf("Float64 of NaN = %v, failed=%v", v, r.Failed())
 	}
 	r = NewReader(AppendUvarint(nil, 1<<40))
 	if s := r.Strs(); s != nil || !r.Failed() {

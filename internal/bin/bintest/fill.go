@@ -19,8 +19,10 @@ var timeType = reflect.TypeOf(time.Time{})
 // nested structs, slices and maps — to a non-zero value no other field got.
 // Slices get two elements, maps two entries. Times are UTC, as bin.Reader
 // decodes them. Interface-typed values are left alone: only the caller knows
-// which implementations belong there. A field of a type Fill does not know
-// fails the test, so a new kind of field cannot slip past unfilled.
+// which implementations belong there. A recursive type (an outcome's
+// children) is filled two levels deep and left empty below. A field of a type
+// Fill does not know fails the test, so a new kind of field cannot slip past
+// unfilled.
 func Fill(t testing.TB, ptr any) {
 	t.Helper()
 	v := reflect.ValueOf(ptr)
@@ -28,10 +30,12 @@ func Fill(t testing.TB, ptr any) {
 		t.Fatalf("bintest.Fill wants a non-nil pointer, got %T", ptr)
 	}
 	n := 0
-	fill(t, v.Elem(), v.Type().String(), &n)
+	fill(t, v.Elem(), v.Type().String(), &n, map[reflect.Type]int{})
 }
 
-func fill(t testing.TB, v reflect.Value, path string, n *int) {
+// open counts, per pointer type, how many values of it are being filled on
+// the path from the root: what ends a recursive type.
+func fill(t testing.TB, v reflect.Value, path string, n *int, open map[reflect.Type]int) {
 	t.Helper()
 	*n++
 	switch {
@@ -50,33 +54,40 @@ func fill(t testing.TB, v reflect.Value, path string, n *int) {
 		v.SetInt(int64(*n))
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		v.SetUint(uint64(*n))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(*n) + 0.5)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			if f := v.Type().Field(i); f.IsExported() {
-				fill(t, v.Field(i), path+"."+f.Name, n)
+				fill(t, v.Field(i), path+"."+f.Name, n, open)
 			}
 		}
 	case reflect.Slice:
-		if v.Type().Elem().Kind() == reflect.Interface {
+		if et := v.Type().Elem(); et.Kind() == reflect.Interface || open[et] >= 2 {
 			return
 		}
 		s := reflect.MakeSlice(v.Type(), 2, 2)
-		fill(t, s.Index(0), path+"[0]", n)
-		fill(t, s.Index(1), path+"[1]", n)
+		fill(t, s.Index(0), path+"[0]", n, open)
+		fill(t, s.Index(1), path+"[1]", n, open)
 		v.Set(s)
 	case reflect.Map:
 		m := reflect.MakeMap(v.Type())
 		for i := 0; i < 2; i++ {
 			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
-			fill(t, k, path+"[key]", n)
-			fill(t, e, path+"[value]", n)
+			fill(t, k, path+"[key]", n, open)
+			fill(t, e, path+"[value]", n, open)
 			m.SetMapIndex(k, e)
 		}
 		v.Set(m)
 	case reflect.Pointer:
+		if open[v.Type()] >= 2 {
+			return
+		}
+		open[v.Type()]++
 		p := reflect.New(v.Type().Elem())
-		fill(t, p.Elem(), path, n)
+		fill(t, p.Elem(), path, n, open)
 		v.Set(p)
+		open[v.Type()]--
 	default:
 		t.Fatalf("bintest.Fill: %s has kind %s, which Fill cannot set — teach it, then check the codec carries the field", path, v.Kind())
 	}

@@ -105,8 +105,8 @@ type route interface {
 // verbatim would let one authenticated peer mint unbounded metric series.
 const unknownType protocol.MsgType = "unknown"
 
-// The rows. The six ops that also ride the frame stream are named, for the
-// Stream* methods in stream.go.
+// The rows, named for the Stream* methods in stream.go: every op but
+// federation gossip also rides the frame stream.
 var (
 	opConsign = &op[protocol.ConsignRequest, protocol.ConsignReply]{
 		msg:   protocol.MsgConsign,
@@ -119,6 +119,32 @@ var (
 			return g.svc().Poll(c.dn, c.asServer, req.Job)
 		},
 	}
+	opOutcome = &op[protocol.OutcomeRequest, protocol.OutcomeReply]{
+		msg:   protocol.MsgOutcome,
+		job:   func(req protocol.OutcomeRequest) core.JobID { return req.Job },
+		local: (*Gateway).outcome,
+	}
+	opList = &op[protocol.ListRequest, protocol.ListReply]{
+		msg: protocol.MsgList,
+		local: func(g *Gateway, _ context.Context, c caller, _ protocol.ListRequest) (protocol.ListReply, error) {
+			jobs, err := g.svc().List(c.dn)
+			return protocol.ListReply{Jobs: jobs}, err
+		},
+	}
+	opControl = &op[protocol.ControlRequest, protocol.ControlReply]{
+		msg: protocol.MsgControl,
+		job: func(req protocol.ControlRequest) core.JobID { return req.Job },
+		local: func(g *Gateway, _ context.Context, c caller, req protocol.ControlRequest) (protocol.ControlReply, error) {
+			if err := g.svc().Control(c.dn, c.asServer, req.Job, req.Op); err != nil {
+				return protocol.ControlReply{Reason: err.Error()}, nil
+			}
+			return protocol.ControlReply{OK: true}, nil
+		},
+	}
+	opResources = &op[protocol.ResourcesRequest, protocol.ResourcesReply]{
+		msg:   protocol.MsgResources,
+		local: (*Gateway).resources,
+	}
 	// opTransfer is the NJS-to-NJS Uspace read of §5.6.
 	opTransfer = &op[protocol.TransferRequest, protocol.TransferReply]{
 		msg:        protocol.MsgTransfer,
@@ -126,6 +152,19 @@ var (
 		job:        func(req protocol.TransferRequest) core.JobID { return req.Job },
 		local: func(g *Gateway, _ context.Context, _ caller, req protocol.TransferRequest) (protocol.TransferReply, error) {
 			return g.svc().FetchFile(req.Job, req.File, req.Offset, req.Limit)
+		},
+	}
+	opApplet = &op[protocol.AppletRequest, protocol.AppletReply]{
+		msg:   protocol.MsgApplet,
+		local: (*Gateway).applet,
+	}
+	opLoad = &op[protocol.LoadRequest, protocol.LoadReply]{
+		msg: protocol.MsgLoad,
+		local: func(g *Gateway, _ context.Context, _ caller, _ protocol.LoadRequest) (protocol.LoadReply, error) {
+			// One backend load for the whole reply: a concurrent SetBackend
+			// swap must not yield a report mixing two backends' figures.
+			svc := g.svc()
+			return protocol.LoadReply{Overall: svc.Load(), Vsites: g.vsiteLoadsOf(svc)}, nil
 		},
 	}
 	opFetch = &op[protocol.FetchRequest, protocol.TransferReply]{
@@ -144,6 +183,10 @@ var (
 		job:   func(req protocol.SubscribeRequest) core.JobID { return req.Job },
 		local: (*Gateway).longPollEvents,
 	}
+	opPutOpen = &op[protocol.PutOpenRequest, protocol.PutOpenReply]{
+		msg:   protocol.MsgPutOpen,
+		local: (*Gateway).putOpen,
+	}
 	opPutChunk = &op[protocol.PutChunkRequest, protocol.PutChunkReply]{
 		msg: protocol.MsgPutChunk,
 		handle: func(req protocol.PutChunkRequest, owner core.DN) (string, protocol.PutChunkRequest) {
@@ -154,61 +197,7 @@ var (
 			return g.svc().StageChunk(stageOwner(c, req.Owner), c.asServer, req)
 		},
 	}
-)
-
-// ops is the operation table. The reply type that answers each request type
-// is the protocol's to say (protocol.ReplyType).
-var ops = table(
-	opConsign,
-	opPoll,
-	&op[protocol.OutcomeRequest, protocol.OutcomeReply]{
-		msg:   protocol.MsgOutcome,
-		job:   func(req protocol.OutcomeRequest) core.JobID { return req.Job },
-		local: (*Gateway).outcome,
-	},
-	&op[protocol.ListRequest, protocol.ListReply]{
-		msg: protocol.MsgList,
-		local: func(g *Gateway, _ context.Context, c caller, _ protocol.ListRequest) (protocol.ListReply, error) {
-			jobs, err := g.svc().List(c.dn)
-			return protocol.ListReply{Jobs: jobs}, err
-		},
-	},
-	&op[protocol.ControlRequest, protocol.ControlReply]{
-		msg: protocol.MsgControl,
-		job: func(req protocol.ControlRequest) core.JobID { return req.Job },
-		local: func(g *Gateway, _ context.Context, c caller, req protocol.ControlRequest) (protocol.ControlReply, error) {
-			if err := g.svc().Control(c.dn, c.asServer, req.Job, req.Op); err != nil {
-				return protocol.ControlReply{Reason: err.Error()}, nil
-			}
-			return protocol.ControlReply{OK: true}, nil
-		},
-	},
-	&op[protocol.ResourcesRequest, protocol.ResourcesReply]{
-		msg:   protocol.MsgResources,
-		local: (*Gateway).resources,
-	},
-	opTransfer,
-	&op[protocol.AppletRequest, protocol.AppletReply]{
-		msg:   protocol.MsgApplet,
-		local: (*Gateway).applet,
-	},
-	&op[protocol.LoadRequest, protocol.LoadReply]{
-		msg: protocol.MsgLoad,
-		local: func(g *Gateway, _ context.Context, _ caller, _ protocol.LoadRequest) (protocol.LoadReply, error) {
-			// One backend load for the whole reply: a concurrent SetBackend
-			// swap must not yield a report mixing two backends' figures.
-			svc := g.svc()
-			return protocol.LoadReply{Overall: svc.Load(), Vsites: g.vsiteLoadsOf(svc)}, nil
-		},
-	},
-	opFetch,
-	opSubscribe,
-	&op[protocol.PutOpenRequest, protocol.PutOpenReply]{
-		msg:   protocol.MsgPutOpen,
-		local: (*Gateway).putOpen,
-	},
-	opPutChunk,
-	&op[protocol.PutCommitRequest, protocol.PutCommitReply]{
+	opPutCommit = &op[protocol.PutCommitRequest, protocol.PutCommitReply]{
 		msg: protocol.MsgPutCommit,
 		handle: func(req protocol.PutCommitRequest, owner core.DN) (string, protocol.PutCommitRequest) {
 			req.Owner = owner
@@ -217,11 +206,18 @@ var ops = table(
 		local: func(g *Gateway, _ context.Context, c caller, req protocol.PutCommitRequest) (protocol.PutCommitReply, error) {
 			return g.svc().StageCommit(stageOwner(c, req.Owner), c.asServer, req)
 		},
-	},
-	&op[protocol.MetricsRequest, protocol.MetricsReply]{
+	}
+	opMetrics = &op[protocol.MetricsRequest, protocol.MetricsReply]{
 		msg:   protocol.MsgMetrics,
 		local: (*Gateway).metrics,
-	},
+	}
+)
+
+// ops is the operation table. The reply type that answers each request type
+// is the protocol's to say (protocol.ReplyType).
+var ops = table(
+	opConsign, opPoll, opOutcome, opList, opControl, opResources, opTransfer, opApplet, opLoad,
+	opFetch, opSubscribe, opPutOpen, opPutChunk, opPutCommit, opMetrics,
 	// Only peer gateways may gossip, and only a federated gateway answers.
 	&op[protocol.FedAdvertiseRequest, protocol.FedAdvertiseReply]{
 		msg:        protocol.MsgFedAdvertise,
@@ -278,7 +274,8 @@ func (g *Gateway) consign(ctx context.Context, c caller, req protocol.ConsignReq
 	return protocol.ConsignReply{Accepted: true, Job: id}, nil
 }
 
-// outcome returns a job's outcome tree in its wire encoding.
+// outcome returns a job's outcome tree in its wire encoding — encoded here,
+// once, whichever door the request came through.
 func (g *Gateway) outcome(_ context.Context, c caller, req protocol.OutcomeRequest) (protocol.OutcomeReply, error) {
 	o, found, err := g.svc().Outcome(c.dn, c.asServer, req.Job)
 	if err != nil || !found {

@@ -7,6 +7,7 @@ import (
 	"hash/crc64"
 	"os"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -176,8 +177,9 @@ func (g *grid) submit(t *testing.T, user *pki.Credential, target core.Target) co
 type prober interface {
 	// probe builds the row's request — scoped to the job and the
 	// staged-upload handle, asking for the job's out.dat, consigning an empty
-	// AJO, delivering chunk 0: whichever of those fields the request type
-	// has — and a fresh reply to decode into.
+	// AJO, delivering chunk 0, aborting, naming the jpa applet and FZJ's
+	// Vsite: whichever of those fields the request type has — and a fresh
+	// reply to decode into.
 	probe(job core.JobID, handle string) (request, replyOut any)
 	describe() (role, relay string)
 }
@@ -189,6 +191,7 @@ func (o *op[Req, Rep]) probe(job core.JobID, handle string) (any, any) {
 	for name, value := range map[string]any{
 		"Job": job, "Handle": handle, "File": "out.dat", "AJO": []byte("{}"),
 		"Data": chunk, "CRC": crc64.Checksum(chunk, crc64.MakeTable(crc64.ECMA)),
+		"Op": ajo.OpAbort, "Name": "jpa", "Vsite": "T3E",
 	} {
 		if f := v.FieldByName(name); f.IsValid() {
 			f.Set(reflect.ValueOf(value).Convert(f.Type()))
@@ -211,16 +214,70 @@ func (o *op[Req, Rep]) describe() (role, relay string) {
 	return role, relay
 }
 
-// TestBothDoorsOneAnswer sends the same request through the signed-envelope
-// door (Client.DisableStreams) and through the frame stream, for every op the
-// wire table puts on frames, and requires the same reply and the same error
-// text from both. The scenarios cover each way the shared row can answer:
-// served locally, refused by role (a user asking for a server-only op),
-// refused by ownership, not found, and relayed to the peer gateway that holds
-// the job. Ops and their request types come from the code's tables, so a new
-// framed op is covered without editing this test.
-func TestBothDoorsOneAnswer(t *testing.T) {
+// canonical renders a reply for comparison between the doors: as JSON, with
+// what no reader can tell apart (an absent list against an empty one) and
+// what no two calls share (a freshly minted upload handle, the counters of a
+// live scrape) taken out. ok reports whether the taken-out parts were there.
+func canonical(t *testing.T, msg protocol.MsgType, reply any) (doc string, ok bool) {
+	t.Helper()
+	raw, err := json.Marshal(reply)
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatalf("%s reply is not a JSON object: %v", msg, err)
+	}
+	ok = true
+	switch msg {
+	case protocol.MsgPutOpen:
+		ok = fields["handle"] != ""
+		delete(fields, "handle")
+	case protocol.MsgMetrics:
+		snaps, _ := fields["snapshots"].([]any)
+		ok = len(snaps) > 0
+		for i, s := range snaps {
+			snaps[i] = s.(map[string]any)["origin"]
+		}
+	}
+	for k, v := range fields {
+		switch v := v.(type) {
+		case nil:
+			delete(fields, k)
+		case []any:
+			if len(v) == 0 {
+				delete(fields, k)
+			}
+		case map[string]any:
+			if len(v) == 0 {
+				delete(fields, k)
+			}
+		}
+	}
+	return fmt.Sprint(fields), ok
+}
+
+// TestBothDoorsAgree sends the same request through the signed-envelope door
+// (Client.DisableStreams) and through the frame stream, for every op the wire
+// table puts on frames — every client op — and requires the same reply and
+// the same error text from both. The scenarios cover each way the shared row
+// can answer: served locally, refused by role (a user asking for a
+// server-only op), refused by ownership, not found, and relayed to the peer
+// gateway that holds the job. Ops and their request types come from the
+// code's tables, so a new framed op is covered without editing this test.
+func TestBothDoorsAgree(t *testing.T) {
 	g := newGrid(t)
+	software, err := g.ca.IssueSoftware("UNICORE Consortium")
+	if err != nil {
+		t.Fatalf("IssueSoftware: %v", err)
+	}
+	jpa, err := SignApplet(software, "jpa", "1.2", []byte("job preparation agent"))
+	if err != nil {
+		t.Fatalf("SignApplet: %v", err)
+	}
+	if err := g.gw["FZJ"].InstallApplet(jpa); err != nil {
+		t.Fatalf("InstallApplet: %v", err)
+	}
 	local := g.submit(t, g.alice, core.Target{Usite: "FZJ", Vsite: "T3E"})
 	remote := g.submit(t, g.alice, core.Target{Usite: "DWD", Vsite: "SP2"})
 	if !strings.HasPrefix(string(remote), "DWD-") {
@@ -232,6 +289,7 @@ func TestBothDoorsOneAnswer(t *testing.T) {
 	for _, vsite := range []core.Vsite{"T3E", "SP2"} {
 		var opened protocol.PutOpenReply
 		c := protocol.NewClient(g.net, g.alice, g.ca, g.reg)
+		defer c.Close()
 		if err := c.Call(context.Background(), "FZJ", protocol.MsgPutOpen, protocol.PutOpenRequest{Vsite: vsite, Name: "in.dat"}, &opened); err != nil {
 			t.Fatalf("put-open for %s: %v", vsite, err)
 		}
@@ -253,45 +311,53 @@ func TestBothDoorsOneAnswer(t *testing.T) {
 		{"owner, job and upload relayed to DWD", g.alice, remote, uploads["SP2"]},
 		{"stranger, job and upload relayed to DWD", g.bob, remote, uploads["SP2"]},
 	}
-	framed := 0
+	// In table order of the message names, so a run is repeatable: a chunk
+	// lands before the commit that seals it.
+	var framed []protocol.MsgType
+	for msg := range ops {
+		if _, _, ok := protocol.Frames(msg); ok {
+			framed = append(framed, msg)
+		}
+	}
+	sort.Slice(framed, func(i, j int) bool { return framed[i] < framed[j] })
+	if len(framed) != len(ops)-1 {
+		t.Fatalf("the wire table frames %d of the gateway's %d ops, want all but fed-advertise", len(framed), len(ops))
+	}
+	frameCount := func() float64 {
+		return g.gw["FZJ"].Telemetry().Snapshot().Total("gateway_stream_frames_total")
+	}
 	for _, sc := range scenarios {
 		envelopes := protocol.NewClient(g.net, sc.caller, g.ca, g.reg)
 		envelopes.DisableStreams = true
 		frames := protocol.NewClient(g.net, sc.caller, g.ca, g.reg)
 		defer frames.Close()
-		for msg, row := range ops {
-			if _, _, ok := protocol.Frames(msg); !ok {
-				continue
-			}
-			req, viaEnvelope := row.(prober).probe(sc.job, sc.handle)
-			_, viaFrame := row.(prober).probe(sc.job, sc.handle)
+		for _, msg := range framed {
+			row := ops[msg].(prober)
+			req, viaEnvelope := row.probe(sc.job, sc.handle)
+			_, viaFrame := row.probe(sc.job, sc.handle)
 			errEnvelope := envelopes.Call(context.Background(), "FZJ", msg, req, viaEnvelope)
-			before := g.gw["FZJ"].Telemetry().Snapshot().Total("gateway_stream_frames_total")
+			before, posted := frameCount(), g.gw["FZJ"].Stats().Requests
 			errFrame := frames.Call(context.Background(), "FZJ", msg, req, viaFrame)
-			if g.gw["FZJ"].Telemetry().Snapshot().Total("gateway_stream_frames_total") == before {
+			if frameCount() == before || g.gw["FZJ"].Stats().Requests != posted {
 				t.Errorf("%s / %s: the wire table frames this op, but the call reached the gateway as an envelope", sc.name, msg)
 			}
-			framed++
 			if fmt.Sprint(errEnvelope) != fmt.Sprint(errFrame) {
 				t.Errorf("%s / %s: envelope door says %v, frame door says %v", sc.name, msg, errEnvelope, errFrame)
 			}
-			// Compared as JSON: the two codecs may differ on nil versus
-			// empty for an absent byte slice, which no reader can tell apart.
-			if e, f := mustJSON(t, viaEnvelope), mustJSON(t, viaFrame); e != f {
+			e, eok := canonical(t, msg, viaEnvelope)
+			f, fok := canonical(t, msg, viaFrame)
+			if e != f || (errFrame == nil && !(eok && fok)) {
 				t.Errorf("%s / %s: envelope door replies %s, frame door replies %s", sc.name, msg, e, f)
 			}
-			if _, serverOnly := row.(prober).describe(); errEnvelope == nil && sc.caller.Role != pki.RoleServer && serverOnly == "server" {
+			if role, _ := row.describe(); errEnvelope == nil && sc.caller.Role != pki.RoleServer && role == "server" {
 				t.Errorf("%s / %s: a user was served a server-only op", sc.name, msg)
 			}
 		}
 	}
-	if framed == 0 {
-		t.Fatal("the wire table frames no op: nothing was compared")
-	}
 	// The rows the scenarios exist for, spelled out once on the frame door.
 	frames := protocol.NewClient(g.net, g.alice, g.ca, g.reg)
 	defer frames.Close()
-	err := frames.Call(context.Background(), "FZJ", protocol.MsgTransfer, protocol.TransferRequest{Job: local, File: "out.dat"}, nil)
+	err = frames.Call(context.Background(), "FZJ", protocol.MsgTransfer, protocol.TransferRequest{Job: local, File: "out.dat"}, nil)
 	if err == nil || !strings.Contains(err.Error(), ErrNotPermitted.Error()) {
 		t.Errorf("transfer as a user: err = %v, want the role refusal", err)
 	}
@@ -299,15 +365,19 @@ func TestBothDoorsOneAnswer(t *testing.T) {
 	if err := frames.Call(context.Background(), "FZJ", protocol.MsgPoll, protocol.PollRequest{Job: remote}, &poll); err != nil || !poll.Found {
 		t.Errorf("poll of the relayed job: %+v, %v", poll, err)
 	}
-}
-
-func mustJSON(t *testing.T, v any) string {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
+	var out protocol.OutcomeReply
+	if err := frames.Call(context.Background(), "FZJ", protocol.MsgOutcome, protocol.OutcomeRequest{Job: remote}, &out); err != nil || !out.Found {
+		t.Fatalf("outcome of the relayed job: found=%v, %v", out.Found, err)
 	}
-	return string(b)
+	if tree, err := ajo.UnmarshalOutcome(out.Outcome); err != nil || tree.Status != ajo.StatusSuccessful || len(tree.Children) != 1 {
+		t.Errorf("outcome of the relayed job: %+v, %v", tree, err)
+	}
+	var commit protocol.PutCommitReply
+	if err := frames.Call(context.Background(), "FZJ", protocol.MsgPutCommit, protocol.PutCommitRequest{
+		Handle: uploads["SP2"], CRC: crc64.Checksum([]byte("chunk zero"), crc64.MakeTable(crc64.ECMA)),
+	}, &commit); err != nil || commit.Chunks != 1 {
+		t.Errorf("commit of the upload pinned to DWD: %+v, %v", commit, err)
+	}
 }
 
 // TestProtocolDocListsTheTables parses the "Message types" table of

@@ -83,11 +83,57 @@ func (g *Gateway) StreamPoll(ctx context.Context, dn core.DN, asServer bool, req
 	return opPoll.serve(g, ctx, caller{dn, asServer}, req)
 }
 
+// StreamOutcome serves one outcome retrieval arriving as a frame.
+func (g *Gateway) StreamOutcome(ctx context.Context, dn core.DN, asServer bool, req protocol.OutcomeRequest) (protocol.OutcomeReply, error) {
+	return opOutcome.serve(g, ctx, caller{dn, asServer}, req)
+}
+
+// StreamList serves one job listing arriving as a frame.
+func (g *Gateway) StreamList(ctx context.Context, dn core.DN, asServer bool, req protocol.ListRequest) (protocol.ListReply, error) {
+	return opList.serve(g, ctx, caller{dn, asServer}, req)
+}
+
+// StreamControl serves one abort, hold or resume arriving as a frame.
+func (g *Gateway) StreamControl(ctx context.Context, dn core.DN, asServer bool, req protocol.ControlRequest) (protocol.ControlReply, error) {
+	return opControl.serve(g, ctx, caller{dn, asServer}, req)
+}
+
+// StreamResources serves the resource pages to a frame caller.
+func (g *Gateway) StreamResources(ctx context.Context, dn core.DN, asServer bool, req protocol.ResourcesRequest) (protocol.ResourcesReply, error) {
+	return opResources.serve(g, ctx, caller{dn, asServer}, req)
+}
+
+// StreamApplet serves one signed applet to a frame caller.
+func (g *Gateway) StreamApplet(ctx context.Context, dn core.DN, asServer bool, req protocol.AppletRequest) (protocol.AppletReply, error) {
+	return opApplet.serve(g, ctx, caller{dn, asServer}, req)
+}
+
+// StreamLoad serves the site's load report to a frame caller.
+func (g *Gateway) StreamLoad(ctx context.Context, dn core.DN, asServer bool, req protocol.LoadRequest) (protocol.LoadReply, error) {
+	return opLoad.serve(g, ctx, caller{dn, asServer}, req)
+}
+
+// StreamPutOpen opens a staged upload for a frame caller.
+func (g *Gateway) StreamPutOpen(ctx context.Context, dn core.DN, asServer bool, req protocol.PutOpenRequest) (protocol.PutOpenReply, error) {
+	return opPutOpen.serve(g, ctx, caller{dn, asServer}, req)
+}
+
 // StreamPutChunk serves one staged-upload chunk arriving as a raw frame —
 // the zero-copy upload path: no base64, no per-chunk signature; integrity is
-// the per-chunk CRC now and the signed whole-transfer digest at commit.
+// the per-chunk CRC now and the combined whole-file CRC checked at commit.
 func (g *Gateway) StreamPutChunk(ctx context.Context, dn core.DN, asServer bool, req protocol.PutChunkRequest) (protocol.PutChunkReply, error) {
 	return opPutChunk.serve(g, ctx, caller{dn, asServer}, req)
+}
+
+// StreamPutCommit seals a staged upload for a frame caller, under the
+// identity the stream's hello bound — the one its chunks arrived under.
+func (g *Gateway) StreamPutCommit(ctx context.Context, dn core.DN, asServer bool, req protocol.PutCommitRequest) (protocol.PutCommitReply, error) {
+	return opPutCommit.serve(g, ctx, caller{dn, asServer}, req)
+}
+
+// StreamMetrics serves one telemetry scrape arriving as a frame.
+func (g *Gateway) StreamMetrics(ctx context.Context, dn core.DN, asServer bool, req protocol.MetricsRequest) (protocol.MetricsReply, error) {
+	return opMetrics.serve(g, ctx, caller{dn, asServer}, req)
 }
 
 // StreamFetch serves one owner-authorised file read arriving as a frame.

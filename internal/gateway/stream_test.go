@@ -4,7 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +17,218 @@ import (
 	"unicore/internal/pki"
 	"unicore/internal/protocol"
 )
+
+// tamper is a transport that interferes with what the server sends back,
+// after the server has done the work.
+type tamper struct {
+	protocol.Transport
+	// loseReply loses the next reply, whichever door it comes back through:
+	// a POST's response becomes a transport error, and a stream is severed
+	// in place of delivering its next reply frame.
+	loseReply atomic.Bool
+	// mangle, when set, rewrites every frame a stream delivers after its
+	// hello-ok.
+	mangle func(protocol.Frame) protocol.Frame
+}
+
+func (tr *tamper) Post(ctx context.Context, baseURL string, body []byte) ([]byte, error) {
+	resp, err := tr.Transport.Post(ctx, baseURL, body)
+	if err == nil && tr.loseReply.CompareAndSwap(true, false) {
+		return nil, errors.New("tamper: response lost in transit")
+	}
+	return resp, err
+}
+
+func (tr *tamper) OpenStream(ctx context.Context, baseURL string) (net.Conn, error) {
+	conn, err := tr.Transport.OpenStream(ctx, baseURL)
+	if err != nil {
+		return nil, err
+	}
+	return &tamperedConn{Conn: conn, tr: tr}, nil
+}
+
+// tamperedConn reframes the server-to-client direction of a stream so the
+// transport can act on whole frames. Read is the client's read loop's alone.
+type tamperedConn struct {
+	net.Conn
+	tr      *tamper
+	in, out []byte // read but not yet a whole frame; framed for the client
+}
+
+func (c *tamperedConn) Read(p []byte) (int, error) {
+	for len(c.out) == 0 {
+		f, n, err := protocol.DecodeFrame(c.in)
+		if errors.Is(err, protocol.ErrFrameShort) {
+			buf := make([]byte, 32<<10)
+			m, rerr := c.Conn.Read(buf)
+			if m == 0 && rerr != nil {
+				return 0, rerr
+			}
+			c.in = append(c.in, buf[:m]...)
+			continue
+		}
+		if err != nil {
+			return 0, err
+		}
+		c.in = c.in[n:]
+		if f.Kind != protocol.FrameHelloOK {
+			if c.tr.loseReply.CompareAndSwap(true, false) {
+				c.Conn.Close()
+				return 0, io.ErrClosedPipe
+			}
+			if c.tr.mangle != nil {
+				f = c.tr.mangle(f)
+			}
+		}
+		c.out = protocol.AppendFrame(nil, f.Kind, f.ID, f.Payload)
+	}
+	n := copy(p, c.out)
+	c.out = c.out[n:]
+	return n, nil
+}
+
+// TestWrongReplyOutIsTheCallsError: handing Call a replyOut of another op's
+// reply type is the caller's bug and comes back as the call's error. It must
+// not be mistaken for an undecodable reply — which would drop a healthy
+// stream and run the request a second time on the envelope path, where
+// json.Unmarshal into the wrong struct quietly yields a zero value.
+func TestWrongReplyOutIsTheCallsError(t *testing.T) {
+	s := newSite(t)
+	c := s.client(s.alice)
+	defer c.Close()
+	id := consign(t, c, scriptJob("held", "echo held\n"))
+	total := func(name string) float64 { return s.gw.Telemetry().Snapshot().Total(name) }
+
+	frames, posts := total("gateway_stream_frames_total"), s.gw.Stats().Requests
+	var wrong protocol.PollReply
+	err := c.Call(context.Background(), "FZJ", protocol.MsgControl, protocol.ControlRequest{Job: id, Op: ajo.OpHold}, &wrong)
+	if err == nil || !strings.Contains(err.Error(), "reply out parameter") {
+		t.Fatalf("control into a *PollReply: err = %v, want the out-parameter error", err)
+	}
+	if got := total("gateway_stream_frames_total") - frames; got != 1 {
+		t.Errorf("the call sent %v frames, want 1", got)
+	}
+	if got := s.gw.Stats().Requests - posts; got != 0 {
+		t.Errorf("the call was re-sent as %d envelopes", got)
+	}
+	// The request itself ran, once, and the stream is the one the hello opened.
+	var right protocol.ControlReply
+	if err := c.Call(context.Background(), "FZJ", protocol.MsgControl, protocol.ControlRequest{Job: id, Op: ajo.OpResume}, &right); err != nil || !right.OK {
+		t.Fatalf("resume after the hold: %+v, %v", right, err)
+	}
+	if got := total("gateway_stream_hellos_total"); got != 1 {
+		t.Errorf("%v stream hellos, want 1: the stream was dropped", got)
+	}
+}
+
+// TestUndecodableReplyDropsTheStream is the other half: bytes the row's
+// decoder rejects poison the connection, not the call — the stream is
+// dropped, the call is answered over the envelope path, and the next call
+// dials a fresh stream.
+func TestUndecodableReplyDropsTheStream(t *testing.T) {
+	s := newSite(t)
+	tr := &tamper{Transport: s.net}
+	c := protocol.NewClient(tr, s.alice, s.ca, s.reg)
+	defer c.Close()
+	id := consign(t, c, scriptJob("garbled", "echo garbled\n"))
+
+	tr.mangle = func(f protocol.Frame) protocol.Frame {
+		f.Payload = []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}
+		return f
+	}
+	var list protocol.ListReply
+	if err := c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &list); err != nil {
+		t.Fatalf("list across a garbled reply: %v", err)
+	}
+	if len(list.Jobs) != 1 || list.Jobs[0].Job != id {
+		t.Fatalf("list = %+v, want the one job %s", list.Jobs, id)
+	}
+	if got := s.gw.Stats().ByType[protocol.MsgList]; got != 1 {
+		t.Errorf("%d list envelopes, want the 1 the fallback sent", got)
+	}
+	tr.mangle = nil
+	if err := c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &list); err != nil {
+		t.Fatalf("list on the fresh stream: %v", err)
+	}
+	if got := s.gw.Telemetry().Snapshot().Total("gateway_stream_hellos_total"); got != 2 {
+		t.Errorf("%v stream hellos, want 2: the poisoned stream was kept", got)
+	}
+	if got := s.gw.Stats().ByType[protocol.MsgList]; got != 1 {
+		t.Errorf("%d list envelopes after the redial, want still 1", got)
+	}
+}
+
+// TestLostReplyReplaysLikeTheEnvelopeRetry loses the reply to a mutating op
+// after the server has run it — the stream dies under the in-flight call, or
+// the POST's response never arrives — and requires both doors to recover the
+// same way: the request runs once more, the caller gets that second answer,
+// and the site is left in the same state. For a resume that means the answer
+// is the replay's "not held"; for a put-open, one orphaned upload the spool's
+// sweep collects. Neither door may do better or worse than the other.
+func TestLostReplyReplaysLikeTheEnvelopeRetry(t *testing.T) {
+	type observed struct {
+		Resume  protocol.ControlReply
+		Err     string
+		Status  ajo.Status
+		Events  int
+		Opened  protocol.PutOpenReply
+		Uploads int
+	}
+	run := func(t *testing.T, streams bool) observed {
+		s := newSite(t)
+		tr := &tamper{Transport: s.net}
+		c := protocol.NewClient(tr, s.alice, s.ca, s.reg)
+		c.DisableStreams = !streams
+		defer c.Close()
+		ctx := context.Background()
+		id := consign(t, c, scriptJob("replayed", "echo replayed\n"))
+		if err := c.Call(ctx, "FZJ", protocol.MsgControl, protocol.ControlRequest{Job: id, Op: ajo.OpHold}, nil); err != nil {
+			t.Fatalf("hold: %v", err)
+		}
+		var got observed
+		tr.loseReply.Store(true)
+		if err := c.Call(ctx, "FZJ", protocol.MsgControl, protocol.ControlRequest{Job: id, Op: ajo.OpResume}, &got.Resume); err != nil {
+			got.Err = err.Error()
+		}
+		tr.loseReply.Store(true)
+		if err := c.Call(ctx, "FZJ", protocol.MsgPutOpen, protocol.PutOpenRequest{Vsite: "T3E", Name: "in.dat"}, &got.Opened); err != nil {
+			t.Fatalf("put-open across a lost reply: %v", err)
+		}
+		if tr.loseReply.Load() {
+			t.Fatal("no reply was lost: the fault never fired")
+		}
+		if streams {
+			if posts := s.gw.Stats().Requests; posts != 0 {
+				t.Errorf("the stream client fell back to %d envelopes; one replay on a fresh stream should do", posts)
+			}
+			if hellos := s.gw.Telemetry().Snapshot().Total("gateway_stream_hellos_total"); hellos != 3 {
+				t.Errorf("%v stream hellos, want 3: one redial per severed stream", hellos)
+			}
+		}
+		s.clock.RunUntilIdle(100000)
+		poll, err := s.njs.Poll(s.alice.DN(), false, id)
+		if err != nil {
+			t.Fatalf("Poll: %v", err)
+		}
+		evs, err := s.njs.Events(s.alice.DN(), false, protocol.SubscribeRequest{Job: id})
+		if err != nil {
+			t.Fatalf("Events: %v", err)
+		}
+		got.Status, got.Events, got.Uploads = poll.Summary.Status, len(evs.Events), len(s.njs.StagedHandles())
+		if got.Opened.Handle == "" {
+			t.Error("put-open returned no handle")
+		}
+		got.Opened.Handle = "" // minted per open
+		return got
+	}
+	frames, envelopes := run(t, true), run(t, false)
+	if !reflect.DeepEqual(frames, envelopes) {
+		t.Fatalf("a lost reply leaves\n  over the stream: %+v\n  over envelopes:  %+v", frames, envelopes)
+	}
+	if frames.Resume.OK || frames.Status != ajo.StatusSuccessful || frames.Uploads != 2 {
+		t.Fatalf("observed %+v, want the replayed resume refused, the job run, and two uploads opened", frames)
+	}
+}
 
 // TestStreamKillReconnectIdempotent severs the persistent v3 connection in
 // the middle of a pipelined burst of calls and asserts the client absorbs it:
@@ -152,6 +369,7 @@ func TestRefusedEnvelopeIsCountedAtBothDoors(t *testing.T) {
 		send func(c *protocol.Client) error
 	}{
 		{"post", func(c *protocol.Client) error {
+			c.DisableStreams = true
 			return c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, nil)
 		}},
 		// A push subscription has no POST form: the hello is its only door.

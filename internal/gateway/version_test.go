@@ -91,8 +91,8 @@ func TestForeignVersionRefused(t *testing.T) {
 		name  string
 		split bool
 		hello bool
-		// kind is a cold kind (always a POSTed envelope) for the POST doors
-		// and a hot kind (dials the stream first) for the hello door.
+		// The POST doors pin the client to envelopes; the hello door's
+		// client dials the stream first, as every stock client does.
 		kind    protocol.MsgType
 		payload any
 	}{
@@ -113,6 +113,7 @@ func TestForeignVersionRefused(t *testing.T) {
 				}
 				tr := &foreignVersion{t: t, base: s.net, version: version, hello: door.hello}
 				c := protocol.NewClient(tr, s.alice, s.ca, s.reg)
+				c.DisableStreams = !door.hello
 				defer c.Close()
 
 				err := c.Call(context.Background(), "FZJ", door.kind, door.payload, nil)

@@ -123,14 +123,6 @@ func errNoPayload(k Kind) error {
 	return fmt.Errorf("journal: %s entry without its payload", k)
 }
 
-// blob reads a byte field as a view into the record; an empty one is nil.
-func blob(r *bin.Reader) []byte {
-	if v := r.Bytes(); len(v) > 0 {
-		return v
-	}
-	return nil
-}
-
 // decodePayload is appendPayload's inverse. The entry's byte fields are
 // views into p, which the caller must not reuse. Any fault — a foreign
 // format tag, an unknown kind, a short or over-long field list — is
@@ -146,17 +138,17 @@ func decodePayload(p []byte) (Entry, error) {
 	r := bin.NewReader(p[2:])
 	switch e.Kind {
 	case KindFileWrite, KindFileRemove, KindMkdir, KindRename:
-		e.File = &FileMutation{Vsite: r.Str(), Path: r.Str(), To: r.Str(), Data: blob(r)}
+		e.File = &FileMutation{Vsite: r.Str(), Path: r.Str(), To: r.Str(), Data: r.Blob()}
 	case KindAdmit:
 		e.Admit = &Admission{
 			Job: r.Str(), Owner: r.Str(), UID: r.Str(), Groups: r.Strs(),
-			Project: r.Str(), Vsite: r.Str(), AJO: blob(r), ConsignID: r.Str(),
+			Project: r.Str(), Vsite: r.Str(), AJO: r.Blob(), ConsignID: r.Str(),
 			ParentJob: r.Str(), ParentAction: r.Str(), Submitted: r.Time(),
 		}
 	case KindActionStart, KindActionDone:
 		a := &ActionEvent{
 			Job: r.Str(), Action: r.Str(), Status: int(r.Varint()), Reason: r.Str(),
-			ExitCode: int(r.Varint()), Stdout: blob(r), Stderr: blob(r),
+			ExitCode: int(r.Varint()), Stdout: r.Blob(), Stderr: r.Blob(),
 		}
 		if n := r.Count(); n > 0 {
 			a.Files = make([]FileStat, 0, n)
@@ -164,10 +156,10 @@ func decodePayload(p []byte) (Entry, error) {
 				a.Files = append(a.Files, FileStat{Path: r.Str(), Size: r.Varint(), CRC: r.Uvarint()})
 			}
 		}
-		a.Started, a.Finished, a.Tree = r.Time(), r.Time(), blob(r)
+		a.Started, a.Finished, a.Tree = r.Time(), r.Time(), r.Blob()
 		e.Action = a
 	case KindInject:
-		e.Inject = &Injection{Job: r.Str(), After: r.Str(), Name: r.Str(), Data: blob(r)}
+		e.Inject = &Injection{Job: r.Str(), After: r.Str(), Name: r.Str(), Data: r.Blob()}
 	case KindRemote:
 		e.Remote = &RemoteLink{Job: r.Str(), Action: r.Str(), Usite: r.Str(), RemoteJob: r.Str()}
 	case KindControl:

@@ -824,22 +824,6 @@ func (n *NJS) applyActionDone(ev *journal.ActionEvent) error {
 	if uj == nil || o == nil || o.Status.Terminal() {
 		return nil
 	}
-	if len(ev.Tree) > 0 {
-		if node, err := ajo.UnmarshalOutcome(ev.Tree); err == nil {
-			o.Status = node.Status
-			o.Reason = node.Reason
-			o.ExitCode = node.ExitCode
-			o.Stdout = node.Stdout
-			o.Stderr = node.Stderr
-			o.Files = node.Files
-			o.Started = node.Started
-			o.Finished = node.Finished
-			o.Children = node.Children
-			uj.done[ev.Action] = true
-			delete(uj.inflight, ajo.ActionID(ev.Action))
-			return nil
-		}
-	}
 	o.Status = ajo.Status(ev.Status)
 	o.Reason = ev.Reason
 	o.ExitCode = ev.ExitCode
@@ -851,6 +835,17 @@ func (n *NJS) applyActionDone(ev *journal.ActionEvent) error {
 	}
 	o.Started = ev.Started
 	o.Finished = ev.Finished
+	if len(ev.Tree) > 0 {
+		// The record of a finished sub-job: its flat fields are the tree's
+		// root, the tree adds the children. A tree the outcome codec refuses
+		// (the JSON an older build wrote here) is a record this build cannot
+		// read — named, not replayed childless from the flat fields.
+		node, err := ajo.UnmarshalOutcome(ev.Tree)
+		if err != nil {
+			return fmt.Errorf("%w: %s record of %s/%s: %v", journal.ErrCorrupt, journal.KindActionDone, ev.Job, ev.Action, err)
+		}
+		o.Children = node.Children
+	}
 	uj.done[ev.Action] = true
 	delete(uj.inflight, ajo.ActionID(ev.Action))
 	return nil

@@ -1,8 +1,11 @@
 package njs
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -410,6 +413,92 @@ func TestRecoverLocalSubJobTree(t *testing.T) {
 	}
 	if !strings.Contains(base, "SUCCESSFUL") {
 		t.Fatalf("sub-job workload failed:\n%s", base)
+	}
+}
+
+// TestSubJobOutcomeTreeReplaysFromTheJournal: a finished sub-job's outcome
+// tree rides its parent's ACTION_DONE record in the binary outcome form, and
+// recovery rebuilds the children from it. The JSON tree an older build wrote
+// there is a record this build cannot read: recovery stops and names the
+// format, it does not fall back to the record's flat fields and come up with
+// a childless sub-job.
+func TestSubJobOutcomeTreeReplaysFromTheJournal(t *testing.T) {
+	clock := sim.NewVirtualClock()
+	dir := t.TempDir()
+	n, store := newDurableNJS(t, clock, dir, 0)
+	sub := &ajo.AbstractJob{
+		Header:  ajo.Header{ActionID: "pre", ActionName: "pre"},
+		Target:  core.Target{Usite: "FZJ", Vsite: "T3E"},
+		Actions: ajo.ActionList{script("prep", "cpu 5m\necho prepped\n")},
+	}
+	parent := &ajo.AbstractJob{
+		Header:       ajo.Header{ActionID: "parent", ActionName: "parent"},
+		Target:       core.Target{Usite: "FZJ", Vsite: "CLUSTER"},
+		Actions:      ajo.ActionList{sub, script("main", "cpu 5m\necho main done\n")},
+		Dependencies: []ajo.Dependency{{Before: "pre", After: "main"}},
+	}
+	id, err := n.Consign(context.Background(), alice, "", parent)
+	if err != nil {
+		t.Fatalf("Consign: %v", err)
+	}
+	clock.RunUntilIdle(0)
+	before, found, err := n.Outcome(alice, false, id)
+	if err != nil || !found || before.Status != ajo.StatusSuccessful {
+		t.Fatalf("Outcome before the crash: %+v found=%v %v", before, found, err)
+	}
+	pre, ok := before.Find("pre")
+	if !ok || len(pre.Children) != 1 || string(pre.Children[0].Stdout) != "prepped\n" {
+		t.Fatalf("sub-job outcome before the crash: %+v", pre)
+	}
+
+	n2, store2 := crashRestart(t, n, store, clock, dir, 0)
+	after, found, err := n2.Outcome(alice, false, id)
+	if err != nil || !found {
+		t.Fatalf("Outcome after recovery: found=%v %v", found, err)
+	}
+	// Compared encoded: the recovered tree's timestamps are the same instants
+	// in UTC.
+	rawBefore, _ := ajo.MarshalOutcome(before)
+	rawAfter, _ := ajo.MarshalOutcome(after)
+	if !bytes.Equal(rawBefore, rawAfter) {
+		t.Fatalf("outcome changed across recovery:\nbefore: %s\nafter:  %s", canonical(before), canonical(after))
+	}
+
+	// The same journal, its outcome trees rewritten as an older build wrote
+	// them.
+	old, err := journal.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	trees := 0
+	err = store2.Replay(func(e journal.Entry) error {
+		if e.Kind == journal.KindActionDone && len(e.Action.Tree) > 0 {
+			tree, err := ajo.UnmarshalOutcome(e.Action.Tree)
+			if err != nil {
+				return err
+			}
+			ev := *e.Action
+			if ev.Tree, err = json.Marshal(tree); err != nil {
+				return err
+			}
+			e.Action = &ev
+			trees++
+		}
+		old.Append(e)
+		return nil
+	})
+	if err != nil || trees == 0 {
+		t.Fatalf("rewriting the journal: %d trees, %v", trees, err)
+	}
+	n2.Kill()
+	store2.Close()
+	if err := old.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Recover(old, durableCfg(clock), 0)
+	if !errors.Is(err, journal.ErrCorrupt) || !strings.Contains(err.Error(), "format tag 0x7b") {
+		t.Fatalf("Recover over JSON outcome trees: %v, want ErrCorrupt naming the foreign format tag", err)
 	}
 }
 

@@ -210,8 +210,8 @@ func (n *NJS) Poll(caller core.DN, asServer bool, id core.JobID) (protocol.PollR
 	return protocol.PollReply{Found: true, Summary: s}, nil
 }
 
-// Outcome returns a deep copy of the job's outcome tree. The tree is
-// serialized under the job's lock; the copy is decoded outside it.
+// Outcome returns a deep copy of the job's outcome tree, taken under the
+// job's lock.
 func (n *NJS) Outcome(caller core.DN, asServer bool, id core.JobID) (*ajo.Outcome, bool, error) {
 	uj, ok := n.job(id)
 	if !ok {
@@ -221,15 +221,8 @@ func (n *NJS) Outcome(caller core.DN, asServer bool, id core.JobID) (*ajo.Outcom
 		return nil, false, err
 	}
 	uj.mu.Lock()
-	raw, err := ajo.MarshalOutcome(uj.root)
+	cp := uj.root.Clone()
 	uj.mu.Unlock()
-	if err != nil {
-		return nil, false, err
-	}
-	cp, err := ajo.UnmarshalOutcome(raw)
-	if err != nil {
-		return nil, false, err
-	}
 	return cp, true, nil
 }
 

@@ -1,14 +1,18 @@
 package protocol
 
 import (
+	"encoding/json"
+
 	"unicore/internal/ajo"
 	"unicore/internal/bin"
 	"unicore/internal/core"
 	"unicore/internal/events"
+	"unicore/internal/pki"
+	"unicore/internal/telemetry"
 )
 
-// Compact binary codec for the hot message kinds. JSON stays the payload
-// format of every signed envelope, but the frames of a v3 stream carry these
+// Compact binary codec for every client op. JSON stays the payload format of
+// every signed envelope, but the frames of a v3 stream carry these
 // hand-rolled uvarint encodings instead: no field names, no base64 expansion
 // of chunk data, no reflection. Each encoder appends to a (possibly pooled)
 // buffer; each decoder consumes a bin.Reader and leaves error handling to one
@@ -18,8 +22,17 @@ import (
 // Binary request discriminators — the first byte of a FrameCall payload
 // (the code column of the wire table in ops.go).
 const (
-	binConsign byte = 1
-	binPoll    byte = 2
+	binConsign byte = iota + 1
+	binPoll
+	binOutcome
+	binList
+	binControl
+	binResources
+	binApplet
+	binLoad
+	binPutOpen
+	binPutCommit
+	binMetrics
 )
 
 func appendOrigins(b []byte, m map[string]uint64) []byte {
@@ -131,6 +144,270 @@ func decPollReply(p []byte) (PollReply, error) {
 	rep.Summary.Failed = int(r.Varint())
 	rep.Summary.Updated = r.Time()
 	return rep, r.Err()
+}
+
+// --- outcome ---
+
+func encOutcomeRequest(b []byte, req OutcomeRequest) []byte {
+	return bin.AppendStr(b, string(req.Job))
+}
+
+func decOutcomeRequest(p []byte) (OutcomeRequest, error) {
+	r := bin.NewReader(p)
+	req := OutcomeRequest{Job: core.JobID(r.Str())}
+	return req, r.Err()
+}
+
+func encOutcomeReply(b []byte, rep OutcomeReply) []byte {
+	b = bin.AppendBool(b, rep.Found)
+	return bin.AppendBytes(b, rep.Outcome)
+}
+
+func decOutcomeReply(p []byte) (OutcomeReply, error) {
+	r := bin.NewReader(p)
+	rep := OutcomeReply{Found: r.Bool(), Outcome: r.Blob()}
+	return rep, r.Err()
+}
+
+// --- list ---
+
+func encListRequest(b []byte, _ ListRequest) []byte { return b }
+
+func decListRequest(p []byte) (ListRequest, error) {
+	return ListRequest{}, bin.NewReader(p).Err()
+}
+
+func encListReply(b []byte, rep ListReply) []byte {
+	b = bin.AppendUvarint(b, uint64(len(rep.Jobs)))
+	for i := range rep.Jobs {
+		j := &rep.Jobs[i]
+		b = bin.AppendStr(b, string(j.Job))
+		b = bin.AppendStr(b, j.Name)
+		b = bin.AppendVarint(b, int64(j.Status))
+		b = bin.AppendTime(b, j.Submitted)
+	}
+	return b
+}
+
+func decListReply(p []byte) (ListReply, error) {
+	r := bin.NewReader(p)
+	var rep ListReply
+	if n := r.Count(); n > 0 {
+		rep.Jobs = make([]JobInfo, 0, n)
+		for i := 0; i < n && !r.Failed(); i++ {
+			rep.Jobs = append(rep.Jobs, JobInfo{
+				Job: core.JobID(r.Str()), Name: r.Str(), Status: ajo.Status(r.Varint()), Submitted: r.Time(),
+			})
+		}
+	}
+	return rep, r.Err()
+}
+
+// --- control ---
+
+func encControlRequest(b []byte, req ControlRequest) []byte {
+	b = bin.AppendStr(b, string(req.Job))
+	return bin.AppendStr(b, string(req.Op))
+}
+
+func decControlRequest(p []byte) (ControlRequest, error) {
+	r := bin.NewReader(p)
+	req := ControlRequest{Job: core.JobID(r.Str()), Op: ajo.ControlOp(r.Str())}
+	return req, r.Err()
+}
+
+func encControlReply(b []byte, rep ControlReply) []byte {
+	b = bin.AppendBool(b, rep.OK)
+	return bin.AppendStr(b, rep.Reason)
+}
+
+func decControlReply(p []byte) (ControlReply, error) {
+	r := bin.NewReader(p)
+	rep := ControlReply{OK: r.Bool(), Reason: r.Str()}
+	return rep, r.Err()
+}
+
+// --- resource pages ---
+
+func encResourcesRequest(b []byte, req ResourcesRequest) []byte {
+	return bin.AppendStr(b, string(req.Vsite))
+}
+
+func decResourcesRequest(p []byte) (ResourcesRequest, error) {
+	r := bin.NewReader(p)
+	req := ResourcesRequest{Vsite: core.Vsite(r.Str())}
+	return req, r.Err()
+}
+
+func encResourcesReply(b []byte, rep ResourcesReply) []byte {
+	b = bin.AppendUvarint(b, uint64(len(rep.PagesDER)))
+	for _, der := range rep.PagesDER {
+		b = bin.AppendBytes(b, der)
+	}
+	return b
+}
+
+func decResourcesReply(p []byte) (ResourcesReply, error) {
+	r := bin.NewReader(p)
+	var rep ResourcesReply
+	if n := r.Count(); n > 0 {
+		rep.PagesDER = make([][]byte, 0, n)
+		for i := 0; i < n && !r.Failed(); i++ {
+			rep.PagesDER = append(rep.PagesDER, r.Bytes())
+		}
+	}
+	return rep, r.Err()
+}
+
+// --- applets ---
+
+func encAppletRequest(b []byte, req AppletRequest) []byte {
+	return bin.AppendStr(b, req.Name)
+}
+
+func decAppletRequest(p []byte) (AppletRequest, error) {
+	r := bin.NewReader(p)
+	req := AppletRequest{Name: r.Str()}
+	return req, r.Err()
+}
+
+func encAppletReply(b []byte, rep AppletReply) []byte {
+	b = bin.AppendStr(b, rep.Name)
+	b = bin.AppendStr(b, rep.Version)
+	b = bin.AppendBytes(b, rep.Payload)
+	b = bin.AppendBytes(b, rep.Signature.CertDER)
+	return bin.AppendBytes(b, rep.Signature.Sig)
+}
+
+func decAppletReply(p []byte) (AppletReply, error) {
+	r := bin.NewReader(p)
+	rep := AppletReply{Name: r.Str(), Version: r.Str(), Payload: r.Blob(),
+		Signature: pki.Signature{CertDER: r.Blob(), Sig: r.Blob()}}
+	return rep, r.Err()
+}
+
+// --- load ---
+
+func encLoadRequest(b []byte, _ LoadRequest) []byte { return b }
+
+func decLoadRequest(p []byte) (LoadRequest, error) {
+	return LoadRequest{}, bin.NewReader(p).Err()
+}
+
+func encLoadReply(b []byte, rep LoadReply) []byte {
+	b = bin.AppendFloat64(b, rep.Overall)
+	b = bin.AppendUvarint(b, uint64(len(rep.Vsites)))
+	for name, l := range rep.Vsites {
+		b = bin.AppendStr(b, name)
+		b = bin.AppendFloat64(b, l.Load)
+		b = bin.AppendVarint(b, int64(l.Pending))
+		b = bin.AppendVarint(b, int64(l.Inflight))
+		b = bin.AppendVarint(b, int64(l.Replicas))
+		b = bin.AppendVarint(b, int64(l.Healthy))
+	}
+	return b
+}
+
+func decLoadReply(p []byte) (LoadReply, error) {
+	r := bin.NewReader(p)
+	rep := LoadReply{Overall: r.Float64()}
+	if n := r.Count(); n > 0 {
+		rep.Vsites = make(map[string]VsiteLoad, n)
+		for i := 0; i < n && !r.Failed(); i++ {
+			name := r.Str()
+			rep.Vsites[name] = VsiteLoad{Load: r.Float64(), Pending: int(r.Varint()),
+				Inflight: int(r.Varint()), Replicas: int(r.Varint()), Healthy: int(r.Varint())}
+		}
+	}
+	return rep, r.Err()
+}
+
+// --- staged-upload open and commit ---
+
+func encPutOpenRequest(b []byte, req PutOpenRequest) []byte {
+	b = bin.AppendStr(b, string(req.Vsite))
+	b = bin.AppendStr(b, req.Name)
+	b = bin.AppendVarint(b, req.Size)
+	b = bin.AppendVarint(b, req.ChunkSize)
+	b = bin.AppendVarint(b, int64(req.Window))
+	return bin.AppendStr(b, string(req.Owner))
+}
+
+func decPutOpenRequest(p []byte) (PutOpenRequest, error) {
+	r := bin.NewReader(p)
+	req := PutOpenRequest{Vsite: core.Vsite(r.Str()), Name: r.Str(), Size: r.Varint(),
+		ChunkSize: r.Varint(), Window: int(r.Varint()), Owner: core.DN(r.Str())}
+	return req, r.Err()
+}
+
+func encPutOpenReply(b []byte, rep PutOpenReply) []byte {
+	b = bin.AppendStr(b, rep.Handle)
+	b = bin.AppendVarint(b, rep.ChunkSize)
+	return bin.AppendVarint(b, int64(rep.Window))
+}
+
+func decPutOpenReply(p []byte) (PutOpenReply, error) {
+	r := bin.NewReader(p)
+	rep := PutOpenReply{Handle: r.Str(), ChunkSize: r.Varint(), Window: int(r.Varint())}
+	return rep, r.Err()
+}
+
+func encPutCommitRequest(b []byte, req PutCommitRequest) []byte {
+	b = bin.AppendStr(b, req.Handle)
+	b = bin.AppendUvarint(b, req.CRC)
+	return bin.AppendStr(b, string(req.Owner))
+}
+
+func decPutCommitRequest(p []byte) (PutCommitRequest, error) {
+	r := bin.NewReader(p)
+	req := PutCommitRequest{Handle: r.Str(), CRC: r.Uvarint(), Owner: core.DN(r.Str())}
+	return req, r.Err()
+}
+
+func encPutCommitReply(b []byte, rep PutCommitReply) []byte {
+	b = bin.AppendVarint(b, rep.Size)
+	b = bin.AppendUvarint(b, rep.CRC)
+	return bin.AppendVarint(b, rep.Chunks)
+}
+
+func decPutCommitReply(p []byte) (PutCommitReply, error) {
+	r := bin.NewReader(p)
+	rep := PutCommitReply{Size: r.Varint(), CRC: r.Uvarint(), Chunks: r.Varint()}
+	return rep, r.Err()
+}
+
+// --- metrics ---
+
+func encMetricsRequest(b []byte, req MetricsRequest) []byte {
+	b = bin.AppendBool(b, req.PerReplica)
+	return bin.AppendBool(b, req.Spans)
+}
+
+func decMetricsRequest(p []byte) (MetricsRequest, error) {
+	r := bin.NewReader(p)
+	req := MetricsRequest{PerReplica: r.Bool(), Spans: r.Bool()}
+	return req, r.Err()
+}
+
+// A metrics reply is the one body that is not hand-coded fields: the
+// snapshots are package telemetry's type, which grows with every instrumented
+// layer, so they ride as one length-prefixed JSON document — the document an
+// envelope would carry. Snapshots that do not marshal go out as an empty
+// document, which the decoder refuses like any malformed body.
+func encMetricsReply(b []byte, rep MetricsReply) []byte {
+	doc, _ := json.Marshal(rep.Snapshots)
+	return bin.AppendBytes(b, doc)
+}
+
+func decMetricsReply(p []byte) (MetricsReply, error) {
+	r := bin.NewReader(p)
+	doc := r.Bytes()
+	if err := r.Err(); err != nil {
+		return MetricsReply{}, err
+	}
+	var snaps []telemetry.Snapshot
+	err := json.Unmarshal(doc, &snaps)
+	return MetricsReply{Snapshots: snaps}, err
 }
 
 // --- staged-upload chunks (FramePut / FramePutAck) ---

@@ -51,12 +51,12 @@ func (r *Registry) Sites() []core.Usite {
 	return out
 }
 
-// Client is the signed-envelope RPC client used by the user tier (JPA/
-// Session) and by NJS→peer-gateway communication. The hot message kinds
-// (consign, poll, fetch/transfer, staged chunks, event subscriptions) ride a
-// persistent multiplexed frame stream per site; everything else — and every
-// call when the transport has no stream path — travels as one signed envelope
-// per POST.
+// Client is the RPC client used by the user tier (JPA/Session) and by
+// NJS→peer-gateway communication. Every op of the operation table that has a
+// frame form — all but federation gossip — rides one persistent multiplexed
+// frame stream per site, authenticated once by its signed hello; when the
+// transport has no stream path, or DisableStreams is set, each call travels
+// as one signed envelope per POST instead.
 type Client struct {
 	tr       Transport
 	cred     *pki.Credential
@@ -252,12 +252,13 @@ func (c *Client) dropSiteStream(usite core.Usite, sc *streamConn) {
 	}
 }
 
-// streamCall routes one hot-path call over the site's persistent stream.
+// streamCall routes one call over the site's persistent stream.
 // handled=false means "this call did not happen over the stream — use the
-// envelope path": unknown kinds, no stream path, or a connection that died
-// even after one reconnect (the envelope path has its own retry loop, and
-// every streamable request is idempotent, so the replay is safe). A hello the
-// server refused is the call's answer, not a dead connection.
+// envelope path": an op with no frame form, no stream path, or a connection
+// that died even after one reconnect (the envelope path has its own retry
+// loop, and a request replayed on a fresh stream is replayed exactly as that
+// loop would re-POST it). A hello the server refused is the call's answer,
+// not a dead connection.
 func (c *Client) streamCall(ctx context.Context, usite core.Usite, t MsgType, payload any, replyOut any) (error, bool) {
 	op := opByRequest[t]
 	if op == nil || op.wire == nil {
@@ -296,6 +297,12 @@ func (c *Client) streamCall(ctx context.Context, usite core.Usite, t MsgType, pa
 		return &ErrorReply{Code: string(t), Message: msg}, true
 	}
 	if err := op.wire.decodeReply(t, f, replyOut); err != nil {
+		if errors.Is(err, errReplyOut) {
+			// The caller's mistake: the stream is fine and the request has
+			// run; re-sending it on the envelope path would run it twice and
+			// hide the mistake behind a zero reply.
+			return err, true
+		}
 		// An undecodable reply poisons the connection, not the call.
 		c.dropSiteStream(usite, nil)
 		return nil, false

@@ -38,10 +38,10 @@ func parseCert(der []byte) (*x509.Certificate, error) {
 
 // Version is the one wire protocol version this build speaks: signed
 // envelopes over POST for every message kind, plus the persistent multiplexed
-// frame stream (see frame.go) that the hot kinds ride — a long-lived
+// frame stream (see frame.go) that every client op rides — a long-lived
 // authenticated connection in a compact binary codec, staged chunks as raw
-// frames integrity-checked by the whole-transfer CRC that MsgPutCommit signs,
-// and event batches pushed server-side. An envelope or stream hello at any
+// frames integrity-checked by their CRCs and the whole-file CRC checked at
+// commit, and event batches pushed server-side. An envelope or stream hello at any
 // other version is refused with a server-signed ErrBadVersion error.
 const Version = 3
 
@@ -55,7 +55,7 @@ var (
 type MsgType string
 
 // Request and reply message types. Which reply answers which request, and
-// which pairs also ride the frame stream, is the operation table in ops.go.
+// how the pair rides the frame stream, is the operation table in ops.go.
 const (
 	MsgConsign        MsgType = "consign"
 	MsgConsignReply   MsgType = "consign-reply"
@@ -113,7 +113,7 @@ const (
 	MsgFedAdvertiseReply MsgType = "fed-advertise-reply"
 	// MsgHello authenticates a protocol v3 stream: the first frame of every
 	// persistent connection carries a signed Hello envelope binding the
-	// caller's DN and role to the connection, so the hot frames that follow
+	// caller's DN and role to the connection, so the frames that follow
 	// need no per-message signature.
 	MsgHello MsgType = "hello"
 	// MsgHelloReply accepts a v3 stream; it is server-signed and the client
@@ -243,10 +243,10 @@ type OutcomeRequest struct {
 	Job core.JobID `json:"job"`
 }
 
-// OutcomeReply carries the encoded outcome.
+// OutcomeReply carries the encoded outcome tree.
 type OutcomeReply struct {
-	Found   bool            `json:"found"`
-	Outcome json.RawMessage `json:"outcome,omitempty"`
+	Found   bool   `json:"found"`
+	Outcome []byte `json:"outcome,omitempty"` // output of ajo.MarshalOutcome: raw in a frame, base64 in an envelope
 }
 
 // ListRequest asks for the caller's jobs at this Usite.

@@ -8,9 +8,8 @@ import (
 	"sync"
 )
 
-// The hot message kinds ride a persistent multiplexed byte stream per
-// (client, site) pair instead of one POST per envelope. The stream carries
-// frames:
+// Every client op rides a persistent multiplexed byte stream per (client,
+// site) pair instead of one POST per envelope. The stream carries frames:
 //
 //	u32 BE  length   — covers kind + id + payload, at most MaxFramePayload+9
 //	u8      kind     — frame discriminator (Frame* constants)
@@ -19,11 +18,11 @@ import (
 //
 // The first exchange on every stream is a signed Hello envelope answered by
 // a server-signed HelloOK: the connection is authenticated once and the
-// caller's DN and role are bound to it, so the hot frames that follow ride
-// without per-message signatures. Staged-upload integrity is
-// preserved end to end by the running whole-transfer CRC that MsgPutCommit
-// signs inside a regular envelope, and downloads are verified once against
-// the whole-file CRC at completion.
+// caller's DN and role are bound to it, so the frames that follow ride
+// without per-message signatures. Staged-upload integrity is the per-chunk
+// CRC checked on arrival plus the whole-file CRC the commit announces, which
+// must equal the combination of the stored chunks' CRCs; downloads are
+// verified once against the whole-file CRC at completion.
 const (
 	// FrameHello opens a stream: payload is a signed MsgHello envelope.
 	FrameHello byte = 0x01

@@ -2,40 +2,39 @@ package protocol
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"unicore/internal/core"
 )
 
 // op is one row of the protocol's operation table: a request type, the reply
-// type that answers it, and — for the hot ops — how the pair rides the frame
-// stream. Everything this package does per op is derived from the table:
-// the envelope client's reply-type check, the client's frame encoding and
-// reply decoding, and the server session's frame dispatch.
+// type that answers it, and how the pair rides the frame stream. Everything
+// this package does per op is derived from the table: the envelope client's
+// reply-type check, the client's frame encoding and reply decoding, and the
+// server session's frame dispatch.
 type op struct {
 	request MsgType
 	reply   MsgType
-	wire    wireRow // nil: the op travels as signed envelopes only
+	// wire is nil for the two ops that exist only as signed envelopes: the
+	// hello that authenticates a stream, and gateway-to-gateway gossip.
+	wire wireRow
 }
 
 // ops is the operation table, in wire-constant order.
 var ops = []op{
-	{MsgConsign, MsgConsignReply, &wireOp[ConsignRequest, ConsignReply]{
-		kind: FrameCall, code: binConsign, answer: FrameReply,
-		encReq: encConsignRequest, decReq: decConsignRequest,
-		encRep: encConsignReply, decRep: decConsignReply,
-		backend: StreamBackend.StreamConsign,
-	}},
-	{MsgPoll, MsgPollReply, &wireOp[PollRequest, PollReply]{
-		kind: FrameCall, code: binPoll, answer: FrameReply,
-		encReq: encPollRequest, decReq: decPollRequest,
-		encRep: encPollReply, decRep: decPollReply,
-		backend: StreamBackend.StreamPoll,
-	}},
-	{MsgOutcome, MsgOutcomeReply, nil},
-	{MsgList, MsgListReply, nil},
-	{MsgControl, MsgControlReply, nil},
-	{MsgResources, MsgResourcesReply, nil},
+	{MsgConsign, MsgConsignReply, call(binConsign, encConsignRequest, decConsignRequest,
+		encConsignReply, decConsignReply, StreamBackend.StreamConsign)},
+	{MsgPoll, MsgPollReply, call(binPoll, encPollRequest, decPollRequest,
+		encPollReply, decPollReply, StreamBackend.StreamPoll)},
+	{MsgOutcome, MsgOutcomeReply, call(binOutcome, encOutcomeRequest, decOutcomeRequest,
+		encOutcomeReply, decOutcomeReply, StreamBackend.StreamOutcome)},
+	{MsgList, MsgListReply, call(binList, encListRequest, decListRequest,
+		encListReply, decListReply, StreamBackend.StreamList)},
+	{MsgControl, MsgControlReply, call(binControl, encControlRequest, decControlRequest,
+		encControlReply, decControlReply, StreamBackend.StreamControl)},
+	{MsgResources, MsgResourcesReply, call(binResources, encResourcesRequest, decResourcesRequest,
+		encResourcesReply, decResourcesReply, StreamBackend.StreamResources)},
 	{MsgTransfer, MsgTransferReply, &wireOp[TransferRequest, TransferReply]{
 		kind: FrameFetch, code: 1, answer: FrameData,
 		encReq: func(b []byte, req TransferRequest) []byte { return encFetch(b, FetchRequest(req), true) },
@@ -46,8 +45,10 @@ var ops = []op{
 		encRep: encData, decRep: decData,
 		backend: StreamBackend.StreamTransfer,
 	}},
-	{MsgApplet, MsgAppletReply, nil},
-	{MsgLoad, MsgLoadReply, nil},
+	{MsgApplet, MsgAppletReply, call(binApplet, encAppletRequest, decAppletRequest,
+		encAppletReply, decAppletReply, StreamBackend.StreamApplet)},
+	{MsgLoad, MsgLoadReply, call(binLoad, encLoadRequest, decLoadRequest,
+		encLoadReply, decLoadReply, StreamBackend.StreamLoad)},
 	{MsgFetch, MsgFetchReply, &wireOp[FetchRequest, TransferReply]{
 		kind: FrameFetch, code: 0, answer: FrameData,
 		encReq: func(b []byte, req FetchRequest) []byte { return encFetch(b, req, false) },
@@ -56,17 +57,33 @@ var ops = []op{
 		backend: StreamBackend.StreamFetch,
 	}},
 	{MsgSubscribe, MsgEventsReply, subscribeOp},
-	{MsgPutOpen, MsgPutOpenReply, nil},
+	{MsgPutOpen, MsgPutOpenReply, call(binPutOpen, encPutOpenRequest, decPutOpenRequest,
+		encPutOpenReply, decPutOpenReply, StreamBackend.StreamPutOpen)},
 	{MsgPutChunk, MsgPutChunkReply, &wireOp[PutChunkRequest, PutChunkReply]{
 		kind: FramePut, answer: FramePutAck,
 		encReq: encPutChunk, decReq: decPutChunk,
 		encRep: encPutAck, decRep: decPutAck,
 		backend: StreamBackend.StreamPutChunk,
 	}},
-	{MsgPutCommit, MsgPutCommitReply, nil},
-	{MsgMetrics, MsgMetricsReply, nil},
+	{MsgPutCommit, MsgPutCommitReply, call(binPutCommit, encPutCommitRequest, decPutCommitRequest,
+		encPutCommitReply, decPutCommitReply, StreamBackend.StreamPutCommit)},
+	// The reply's snapshots ride as one JSON document (see encMetricsReply).
+	{MsgMetrics, MsgMetricsReply, call(binMetrics, encMetricsRequest, decMetricsRequest,
+		encMetricsReply, decMetricsReply, StreamBackend.StreamMetrics)},
 	{MsgFedAdvertise, MsgFedAdvertiseReply, nil},
 	{MsgHello, MsgHelloReply, nil},
+}
+
+// call is the row of an op that rides FrameCall / FrameReply under a call
+// code: the codec pair and the backend method are all that tell such ops
+// apart.
+func call[Req, Rep any](code byte,
+	encReq func([]byte, Req) []byte, decReq func([]byte) (Req, error),
+	encRep func([]byte, Rep) []byte, decRep func([]byte) (Rep, error),
+	backend func(StreamBackend, context.Context, core.DN, bool, Req) (Rep, error),
+) *wireOp[Req, Rep] {
+	return &wireOp[Req, Rep]{kind: FrameCall, code: code, answer: FrameReply,
+		encReq: encReq, decReq: decReq, encRep: encRep, decRep: decRep, backend: backend}
 }
 
 // subscribeOp is the one-batch form of a subscription — what Client.Call
@@ -89,6 +106,9 @@ var subscribeOp = &wireOp[SubscribeRequest, EventsReply]{
 	},
 	backend: StreamBackend.StreamEvents,
 }
+
+// errReplyOut reports a Call whose replyOut cannot hold the op's reply.
+var errReplyOut = errors.New("protocol: wrong reply out parameter")
 
 // opByRequest and opByFrame index the table: by request type for the
 // client, by request frame kind and code for the server session.
@@ -119,7 +139,8 @@ func ReplyType(t MsgType) (reply MsgType, ok bool) {
 }
 
 // Frames returns the frame kinds a request type and its reply ride on a
-// stream; ok is false for an op that travels as signed envelopes only.
+// stream; ok is false for the ops that travel as signed envelopes only (the
+// hello and federation gossip).
 func Frames(t MsgType) (request, reply byte, ok bool) {
 	o := opByRequest[t]
 	if o == nil || o.wire == nil {
@@ -139,7 +160,9 @@ type wireRow interface {
 	// when payload is not the op's request type (by value or by pointer).
 	encodeRequest(b []byte, payload any, trace string) (out []byte, ok bool)
 	// decodeReply decodes a reply frame into replyOut (which may be nil:
-	// reply discarded, errors still surfaced).
+	// reply discarded, errors still surfaced). A replyOut that is not a
+	// pointer to the op's reply type is errReplyOut — the caller's mistake;
+	// any other error is the peer's: a reply this row cannot read.
 	decodeReply(t MsgType, f Frame, replyOut any) error
 	// serveFrame decodes one request body, runs it on the session's backend
 	// and writes the reply frame.
@@ -180,19 +203,18 @@ func (o *wireOp[Req, Rep]) encodeRequest(b []byte, payload any, trace string) ([
 }
 
 func (o *wireOp[Req, Rep]) decodeReply(t MsgType, f Frame, replyOut any) error {
+	p, ok := replyOut.(*Rep)
+	if !ok && replyOut != nil {
+		return fmt.Errorf("%w: %s reply decodes into %T, got %T", errReplyOut, t, p, replyOut)
+	}
 	if f.Kind != o.answer {
 		return fmt.Errorf("protocol: %s answered with frame kind %#x", t, f.Kind)
 	}
 	rep, err := o.decRep(f.Payload)
-	if err != nil || replyOut == nil {
-		return err
+	if err == nil && p != nil {
+		*p = rep
 	}
-	p, ok := replyOut.(*Rep)
-	if !ok {
-		return fmt.Errorf("protocol: reply out parameter is %T, want %T", replyOut, p)
-	}
-	*p = rep
-	return nil
+	return err
 }
 
 // serveFrame answers backend errors as generic stream errors — the client

@@ -12,7 +12,10 @@ import (
 	"time"
 
 	"unicore/internal/ajo"
+	"unicore/internal/bin/bintest"
 	"unicore/internal/events"
+	"unicore/internal/pki"
+	"unicore/internal/telemetry"
 )
 
 // wrongTypeTransport answers every POST with a correctly server-signed reply
@@ -64,6 +67,7 @@ func TestEnvelopeClientChecksReplyType(t *testing.T) {
 // framed op is fuzzed without editing the test.
 type codecFuzzer interface {
 	roundTrip(t *testing.T, msg MsgType, reqs, reps []any)
+	everyField(t *testing.T, msg MsgType)
 	fuzzCodecs(t *testing.T, msg MsgType, p []byte)
 	seedCodecs(add func([]byte), reqs, reps []any)
 	zeroRequest() any
@@ -104,6 +108,15 @@ func codecSamples() (reqs, reps []any) {
 		FetchRequest{Job: "FZJ-000003", File: "out.dat", Offset: 1 << 20, Limit: 256 << 10},
 		TransferRequest{Job: "FZJ-000003", File: "out.dat", Offset: 1 << 20, Limit: 256 << 10},
 		SubscribeRequest{Job: "FZJ-000004", Cursor: 17, Origins: map[string]uint64{"fzj": 9, "dwd": 3}, Max: 64, WaitMs: 30000},
+		OutcomeRequest{Job: "FZJ-000005"},
+		ListRequest{},
+		ControlRequest{Job: "FZJ-000006", Op: ajo.OpHold},
+		ResourcesRequest{Vsite: "T3E"},
+		AppletRequest{Name: "jpa"},
+		LoadRequest{},
+		PutOpenRequest{Vsite: "T3E", Name: "in.dat", Size: 16 << 20, ChunkSize: 1 << 20, Window: 8, Owner: "CN=alice"},
+		PutCommitRequest{Handle: "h-1", CRC: 0xFEEDFACE, Owner: "CN=alice"},
+		MetricsRequest{PerReplica: true, Spans: true},
 	}
 	reps = []any{
 		ConsignReply{Job: "FZJ-000001", Accepted: true, Reason: "ok"},
@@ -114,6 +127,17 @@ func codecSamples() (reqs, reps []any) {
 			Job: "FZJ-000004", Seq: 2, Global: 21, Origin: "fzj", Type: events.Type("status"),
 			Action: ajo.ActionID("s1"), Status: ajo.StatusSuccessful, Reason: "done", Time: now, Terminal: true,
 		}}},
+		OutcomeReply{Found: true, Outcome: []byte{0x02, 1, 'j'}},
+		ListReply{Jobs: []JobInfo{{Job: "FZJ-000007", Name: "nightly", Status: ajo.StatusQueued, Submitted: now}}},
+		ControlReply{Reason: "job already finished"},
+		ResourcesReply{PagesDER: [][]byte{{0x30, 0x03, 1, 2, 3}, {0x30, 0x00}}},
+		AppletReply{Name: "jpa", Version: "1.2", Payload: []byte("applet"),
+			Signature: pki.Signature{CertDER: []byte{0x30, 0x01}, Sig: []byte{7, 7}}},
+		LoadReply{Overall: 0.25, Vsites: map[string]VsiteLoad{"T3E": {Load: 0.5, Pending: 3, Inflight: 1, Replicas: 2, Healthy: 1}}},
+		PutOpenReply{Handle: "h-2", ChunkSize: 1 << 20, Window: 8},
+		PutCommitReply{Size: 16 << 20, CRC: 0xFEEDFACE, Chunks: 16},
+		MetricsReply{Snapshots: []telemetry.Snapshot{{Origin: "usite/FZJ", Taken: now,
+			Metrics: []telemetry.MetricPoint{{Name: "consign_total", Kind: telemetry.KindCounter, Value: 4}}}}},
 	}
 	return reqs, reps
 }
@@ -151,6 +175,32 @@ func (o *wireOp[Req, Rep]) roundTrip(t *testing.T, msg MsgType, reqs, reps []any
 	}
 	if tried < 2 {
 		t.Errorf("%s: codecSamples has no sample of its request or reply type", msg)
+	}
+}
+
+// everyField fills the row's request and reply by reflection — every
+// exported field non-zero — and requires both to survive the row's codec: a
+// field added to a message and forgotten in its hand-written codec fails
+// here by name.
+func (o *wireOp[Req, Rep]) everyField(t *testing.T, msg MsgType) {
+	var req Req
+	bintest.Fill(t, &req)
+	if got, err := o.decReq(o.encReq(nil, req)); err != nil || !reflect.DeepEqual(got, req) {
+		t.Errorf("%s request:\n got %+v, %v\nwant %+v", msg, got, err, req)
+	}
+	var rep Rep
+	bintest.Fill(t, &rep)
+	if got, err := o.decRep(o.encRep(nil, rep)); err != nil || !reflect.DeepEqual(got, rep) {
+		t.Errorf("%s reply:\n got %+v, %v\nwant %+v", msg, got, err, rep)
+	}
+}
+
+// TestEveryWireFieldSurvives runs everyField over the whole wire table.
+func TestEveryWireFieldSurvives(t *testing.T) {
+	for _, o := range ops {
+		if o.wire != nil {
+			o.wire.(codecFuzzer).everyField(t, o.request)
+		}
 	}
 }
 
@@ -213,6 +263,10 @@ func TestWireTableIsConsistent(t *testing.T) {
 	framed := 0
 	for _, o := range ops {
 		if o.wire == nil {
+			// Only what no client sends over a stream may lack a frame form.
+			if o.request != MsgFedAdvertise && o.request != MsgHello {
+				t.Errorf("%s has no frame form: a client would need a second connection for it", o.request)
+			}
 			continue
 		}
 		framed++

@@ -44,7 +44,16 @@ type StreamBackend interface {
 	StreamHello(hello []byte) (o Opened, refusal []byte)
 	StreamConsign(ctx context.Context, dn core.DN, asServer bool, req ConsignRequest) (ConsignReply, error)
 	StreamPoll(ctx context.Context, dn core.DN, asServer bool, req PollRequest) (PollReply, error)
+	StreamOutcome(ctx context.Context, dn core.DN, asServer bool, req OutcomeRequest) (OutcomeReply, error)
+	StreamList(ctx context.Context, dn core.DN, asServer bool, req ListRequest) (ListReply, error)
+	StreamControl(ctx context.Context, dn core.DN, asServer bool, req ControlRequest) (ControlReply, error)
+	StreamResources(ctx context.Context, dn core.DN, asServer bool, req ResourcesRequest) (ResourcesReply, error)
+	StreamApplet(ctx context.Context, dn core.DN, asServer bool, req AppletRequest) (AppletReply, error)
+	StreamLoad(ctx context.Context, dn core.DN, asServer bool, req LoadRequest) (LoadReply, error)
+	StreamPutOpen(ctx context.Context, dn core.DN, asServer bool, req PutOpenRequest) (PutOpenReply, error)
 	StreamPutChunk(ctx context.Context, dn core.DN, asServer bool, req PutChunkRequest) (PutChunkReply, error)
+	StreamPutCommit(ctx context.Context, dn core.DN, asServer bool, req PutCommitRequest) (PutCommitReply, error)
+	StreamMetrics(ctx context.Context, dn core.DN, asServer bool, req MetricsRequest) (MetricsReply, error)
 	StreamFetch(ctx context.Context, dn core.DN, asServer bool, req FetchRequest) (TransferReply, error)
 	StreamTransfer(ctx context.Context, dn core.DN, asServer bool, req TransferRequest) (TransferReply, error)
 	// StreamEvents serves one cursor-resumable event batch (one long-poll

@@ -11,8 +11,9 @@
 //     so only a no-worse-than check applies there).
 //
 // Gated metrics come in two kinds. The machine-independent
-// protocol-efficiency figures — envelopes/job (BenchmarkAwaitEvent) and
-// envelopes/MB (BenchmarkTransferThroughput) — are deterministic per run, so
+// protocol-efficiency figures — envelopes/job (BenchmarkAwaitEvent),
+// envelopes/MB (BenchmarkTransferThroughput) and envelopes/request
+// (BenchmarkConcurrentClients) — are deterministic per run, so
 // a >25% increase is a real protocol regression, never runner noise — and
 // where the baseline is 0 (frames carry the traffic, no envelope is spent),
 // any envelope at all is the regression: a zero baseline means "must stay
@@ -52,8 +53,9 @@ const benchRegex = "BenchmarkConcurrentClients$|BenchmarkAwaitEvent$|BenchmarkJo
 // gatedLower lists the lower-is-better protocol-efficiency counters: a rise
 // past threshold over baseline fails the gate.
 var gatedLower = map[string]bool{
-	"envelopes/job": true,
-	"envelopes/MB":  true,
+	"envelopes/job":     true,
+	"envelopes/MB":      true,
+	"envelopes/request": true,
 }
 
 // gatedRate lists the higher-is-better throughput figures of the v3 hot

@@ -20,6 +20,7 @@ func TestCompare(t *testing.T) {
 		{"counter past threshold", "envelopes/MB", 4, 5.1, "regressed"},
 		{"zero baseline stays zero", "envelopes/MB", 0, 0, ""},
 		{"zero baseline must stay zero", "envelopes/job", 0, 0.5, "must stay 0"},
+		{"one envelope in a thousand requests", "envelopes/request", 0, 0.001, "must stay 0"},
 		{"rate above floor", "consigns/sec", 1000, 600, ""},
 		{"rate below floor", "consigns/sec", 1000, 400, "collapsed"},
 		{"rate with no baseline figure", "events/sec", 0, 10, ""},

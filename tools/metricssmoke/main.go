@@ -4,7 +4,8 @@
 // actual CLI binaries, scrapes the live telemetry with `unicore-status
 // metrics`, and fails when a headline metric is absent or zero:
 //
-//   - pki_verify_total        (every envelope the gateway verified)
+//   - pki_verify_total        (every envelope the gateway verified: each CLI
+//     run's stream hello — the scrape itself is a frame)
 //   - consign_ack_seconds     (admission latency histogram, NJS tier)
 //   - journal_sync_seconds    (durable-ack fsync histogram, journal tier)
 //
