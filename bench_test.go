@@ -12,18 +12,19 @@
 //	E8 BenchmarkSec6_BrokerExtension         — §6 resource-broker outlook
 //	   BenchmarkAblation_Backfill            — batch-scheduler design choice
 //	   BenchmarkAblation_FirewallSplit       — §5.2 deployment choice
+//	   BenchmarkFederatedConsign             — §6 multi-gateway outlook
 //
 // Batch execution is simulated on a virtual clock, so the *virtual* metrics
 // (vms/op, vmin/run, ...) carry the paper-facing shapes while ns/op measures
-// the middleware's real processing cost.
+// the middleware's real processing cost. These report and gate nothing: the
+// gated figures are `go run ./bench`'s (BENCHMARK.json), held by
+// tools/benchgate against BENCH_HISTORY.jsonl.
 package unicore_test
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,23 +37,9 @@ import (
 	"unicore/internal/protocol"
 	"unicore/internal/resources"
 	"unicore/internal/sim"
-	"unicore/internal/telemetry"
 	"unicore/internal/testbed"
 	"unicore/internal/vfs"
 )
-
-// siteTelemetry scrapes and merges one Usite's live telemetry snapshots —
-// the same testbed hook the metrics-smoke CI step uses. The figures derived
-// from it land in BENCH_PR.json: envelopes/request, which benchgate holds at
-// zero, and the advisory consign-ack p99.
-func siteTelemetry(b *testing.B, d *testbed.Deployment, usite unicore.Usite) telemetry.Snapshot {
-	b.Helper()
-	snaps, err := d.Metrics(usite)
-	if err != nil {
-		b.Fatalf("telemetry scrape: %v", err)
-	}
-	return telemetry.Merge("bench", snaps...)
-}
 
 // mustDeploy builds a deployment or aborts the benchmark.
 func mustDeploy(b *testing.B, specs ...testbed.SiteSpec) *testbed.Deployment {
@@ -605,299 +592,6 @@ func BenchmarkAblation_Backfill(b *testing.B) {
 	}
 }
 
-// --- Concurrency: multi-client throughput through gateway → NJS ------------
-
-// BenchmarkConcurrentClients measures the NJS/gateway service hot path under
-// concurrent load: parallel clients issue a poll/list/fetch mix against a
-// pool of completed jobs through the full authenticated gateway → NJS path.
-// With the sharded job registry (per-job locks, atomic gateway counters,
-// ranged Uspace reads), requests for different jobs share no lock, so
-// throughput scales with GOMAXPROCS instead of flatlining on a global mutex:
-//
-//	go test -bench ConcurrentClients -cpu 1,2,4,8
-func BenchmarkConcurrentClients(b *testing.B) {
-	const (
-		jobPool  = 16
-		fileSize = 300 << 10 // two fetch chunks
-	)
-	d := mustDeploy(b, singleSiteSpec("FZJ"))
-	user := mustUser(b, d, "conc")
-	jpa := d.JPA(user)
-	ids := make([]unicore.JobID, jobPool)
-	for i := range ids {
-		jb := unicore.NewJob(fmt.Sprintf("conc-%03d", i), unicore.Target{Usite: "FZJ", Vsite: "T3E"})
-		jb.Script("produce", fmt.Sprintf("cpu 1m\nwrite out.dat %d\n", fileSize),
-			unicore.ResourceRequest{Processors: 2, RunTime: time.Hour})
-		job, err := jb.Build()
-		if err != nil {
-			b.Fatalf("build: %v", err)
-		}
-		id, err := jpa.Submit(job)
-		if err != nil {
-			b.Fatalf("submit: %v", err)
-		}
-		ids[i] = id
-	}
-	d.Run(50_000_000)
-	sess := d.Session(user, "FZJ")
-	for _, id := range ids {
-		s, err := sess.Status(context.Background(), id)
-		if err != nil || s.Status != unicore.StatusSuccessful {
-			b.Fatalf("job %s not ready: %v %s", id, err, s.Status)
-		}
-	}
-
-	envelopesBefore := siteTelemetry(b, d, "FZJ").Total("gateway_requests_total")
-	var next atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		// One session (and protocol client) per worker, as real clients would.
-		ctx := context.Background()
-		sess := d.Session(user, "FZJ")
-		for pb.Next() {
-			i := next.Add(1)
-			id := ids[int(i)%jobPool]
-			switch i % 8 {
-			case 0:
-				if _, err := sess.List(ctx); err != nil {
-					b.Errorf("list: %v", err)
-					return
-				}
-			case 1:
-				data, err := sess.FetchFile(ctx, id, "out.dat")
-				if err != nil || len(data) != fileSize {
-					b.Errorf("fetch: %d bytes, err %v", len(data), err)
-					return
-				}
-			default:
-				if _, err := sess.Status(ctx, id); err != nil {
-					b.Errorf("status: %v", err)
-					return
-				}
-			}
-		}
-	})
-	b.StopTimer()
-	// Every request of the mix is a frame on the worker's stream; a signed
-	// envelope here is an op that fell off it. benchgate holds this at 0.
-	envelopes := siteTelemetry(b, d, "FZJ").Total("gateway_requests_total") - envelopesBefore
-	b.ReportMetric(envelopes/float64(b.N), "envelopes/request")
-}
-
-// --- Session API: server-push events ---------------------------------------
-
-// monitorEnvelopes counts the signed monitoring envelopes (status polls plus
-// event subscribes) a gateway has verified.
-func monitorEnvelopes(d *testbed.Deployment, usite unicore.Usite) int64 {
-	stats := d.Sites[usite].Gateway.Stats()
-	return stats.ByType[protocol.MsgPoll] + stats.ByType[protocol.MsgSubscribe]
-}
-
-// notifyBenchJob is the monitored workload of BenchmarkAwaitEvent: ~20
-// virtual minutes of batch work.
-func notifyBenchJob(b *testing.B, i int) *unicore.AbstractJob {
-	jb := unicore.NewJob(fmt.Sprintf("notify-%06d", i), unicore.Target{Usite: "FZJ", Vsite: "T3E"})
-	jb.Script("work", "cpu 20m\necho done\n", unicore.ResourceRequest{Processors: 4, RunTime: time.Hour})
-	job, err := jb.Build()
-	if err != nil {
-		b.Fatalf("build: %v", err)
-	}
-	return job
-}
-
-// BenchmarkAwaitEvent measures the session monitor: one long-polled subscribe
-// that the server holds until the terminal event, plus the final summary
-// fetch — O(1) envelopes per completed job regardless of duration (0 when the
-// persistent stream carries both).
-func BenchmarkAwaitEvent(b *testing.B) {
-	d := mustDeploy(b, singleSiteSpec("FZJ"))
-	user := mustUser(b, d, "await")
-	sess := d.Session(user, "FZJ")
-	before := monitorEnvelopes(d, "FZJ")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id, err := sess.Submit(context.Background(), notifyBenchJob(b, i))
-		if err != nil {
-			b.Fatalf("submit: %v", err)
-		}
-		type result struct {
-			sum unicore.Summary
-			err error
-		}
-		done := make(chan result, 1)
-		go func() {
-			sum, err := sess.Await(context.Background(), id)
-			done <- result{sum, err}
-		}()
-		// Drive the virtual clock while Await blocks on the long-poll; keep
-		// driving until the awaiting goroutine reports back.
-		var res result
-	drive:
-		for {
-			d.Run(50_000_000)
-			select {
-			case res = <-done:
-				break drive
-			case <-time.After(100 * time.Microsecond):
-			}
-		}
-		if res.err != nil {
-			b.Fatalf("await: %v", res.err)
-		}
-		if res.sum.Status != unicore.StatusSuccessful {
-			b.Fatalf("job finished %s", res.sum.Status)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(monitorEnvelopes(d, "FZJ")-before)/float64(b.N), "envelopes/job")
-	if p99 := siteTelemetry(b, d, "FZJ").Quantile("consign_ack_seconds", 0.99); p99 > 0 {
-		b.ReportMetric(p99*1000, "consign-ack-p99-ms")
-	}
-}
-
-// --- Wire-protocol v3 hot path: sustained request rates --------------------
-
-// BenchmarkConsignRate measures the sustained consign admission rate through
-// one session: build, seal, and durably journal one small AJO per iteration
-// over the persistent v3 stream. consigns/sec is the gated control-plane
-// throughput figure; it covers the whole client-side cost (AJO encode,
-// commit-digest signing, framed round trip) plus gateway verify + journal.
-func BenchmarkConsignRate(b *testing.B) {
-	d := mustDeploy(b, singleSiteSpec("FZJ"))
-	user := mustUser(b, d, "crate")
-	sess := d.Session(user, "FZJ")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		jb := unicore.NewJob(fmt.Sprintf("rate-%06d", i), unicore.Target{Usite: "FZJ", Vsite: "T3E"})
-		jb.Script("app", "echo ok\n", unicore.ResourceRequest{Processors: 1, RunTime: time.Minute})
-		job, err := jb.Build()
-		if err != nil {
-			b.Fatalf("build: %v", err)
-		}
-		if _, err := sess.Submit(context.Background(), job); err != nil {
-			b.Fatalf("submit: %v", err)
-		}
-	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(b.N)/secs, "consigns/sec")
-	}
-}
-
-// BenchmarkEventRate measures event-backlog delivery through the session
-// subscribe path: a finished multi-step job leaves a backlog of lifecycle
-// events, and each iteration re-reads it from cursor zero. At v3 the batch
-// rides one framed call; events/sec is the gated monitoring-plane
-// throughput figure.
-func BenchmarkEventRate(b *testing.B) {
-	d := mustDeploy(b, singleSiteSpec("FZJ"))
-	user := mustUser(b, d, "evrate")
-	sess := d.Session(user, "FZJ")
-	jb := unicore.NewJob("events", unicore.Target{Usite: "FZJ", Vsite: "T3E"})
-	for i := 0; i < 8; i++ {
-		jb.Script(fmt.Sprintf("step-%d", i), "cpu 1m\necho step\n",
-			unicore.ResourceRequest{Processors: 1, RunTime: time.Hour})
-	}
-	job, err := jb.Build()
-	if err != nil {
-		b.Fatalf("build: %v", err)
-	}
-	id, err := sess.Submit(context.Background(), job)
-	if err != nil {
-		b.Fatalf("submit: %v", err)
-	}
-	d.Run(50_000_000)
-	backlog, err := sess.Events(context.Background(), protocol.SubscribeRequest{Job: id, Max: 1024})
-	if err != nil || len(backlog.Events) == 0 {
-		b.Fatalf("event backlog: %d events, err %v", len(backlog.Events), err)
-	}
-	perFetch := len(backlog.Events)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reply, err := sess.Events(context.Background(), protocol.SubscribeRequest{Job: id, Max: 1024})
-		if err != nil {
-			b.Fatalf("events: %v", err)
-		}
-		if len(reply.Events) != perFetch {
-			b.Fatalf("backlog drifted: %d events, want %d", len(reply.Events), perFetch)
-		}
-	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(perFetch)*float64(b.N)/secs, "events/sec")
-	}
-}
-
-// --- Bulk staging: windowed parallel transfers vs the sequential baseline ---
-
-// fetchEnvelopes counts the signed ranged-read envelopes (MsgFetch) a
-// gateway has verified.
-func fetchEnvelopes(d *testbed.Deployment, usite unicore.Usite) int64 {
-	return d.Sites[usite].Gateway.Stats().ByType[protocol.MsgFetch]
-}
-
-// BenchmarkTransferThroughput measures the §5.6 bulk download path for a
-// 16 MiB Uspace result through the full authenticated gateway → NJS stack.
-// path=sequential is the reference envelope path — a WithoutStreams client
-// issuing one signed envelope per sequential 256 KiB chunk, exactly one in
-// flight. path=parallel is the hot path: the staging engine's
-// default 1 MiB × 8 readahead window riding the persistent v3 stream, where
-// chunk data travels as length-prefixed binary frames instead of signed
-// envelopes. The parallel path must win on both MB/s (no per-chunk
-// base64+sign/verify round trip) and envelopes/MB (streamed fetches verify
-// one session hello, not one envelope per chunk) — the benchgate CI step
-// enforces exactly that invariant.
-func BenchmarkTransferThroughput(b *testing.B) {
-	const fileSize = 16 << 20
-	d := mustDeploy(b, singleSiteSpec("FZJ"))
-	user := mustUser(b, d, "xfer")
-	jb := unicore.NewJob("produce", unicore.Target{Usite: "FZJ", Vsite: "T3E"})
-	jb.Script("produce", fmt.Sprintf("cpu 1m\nwrite out.dat %d\n", fileSize),
-		unicore.ResourceRequest{Processors: 2, RunTime: time.Hour})
-	job, err := jb.Build()
-	if err != nil {
-		b.Fatalf("build: %v", err)
-	}
-	id, err := d.JPA(user).Submit(job)
-	if err != nil {
-		b.Fatalf("submit: %v", err)
-	}
-	d.Run(10_000_000)
-
-	modes := []struct {
-		name      string
-		opt       unicore.TransferOptions
-		envelopes bool // pin the per-request envelope path
-	}{
-		{"path=sequential", unicore.TransferOptions{ChunkSize: 256 << 10, Window: 1}, true},
-		{"path=parallel", unicore.TransferOptions{}, false}, // engine defaults: 1 MiB × 8, v3 stream
-	}
-	for _, m := range modes {
-		b.Run(fmt.Sprintf("%s/size=%d", m.name, fileSize), func(b *testing.B) {
-			opts := []unicore.DialOption{unicore.WithClient(d.UserClient(user)), unicore.WithSite("FZJ")}
-			if m.envelopes {
-				opts = append(opts, unicore.WithoutStreams())
-			}
-			sess, err := unicore.Dial("", opts...)
-			if err != nil {
-				b.Fatalf("dial: %v", err)
-			}
-			sess.Transfer = m.opt
-			before := fetchEnvelopes(d, "FZJ")
-			b.SetBytes(fileSize)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sess.Download(context.Background(), id, "out.dat", io.Discard); err != nil {
-					b.Fatalf("download: %v", err)
-				}
-			}
-			b.StopTimer()
-			envelopes := float64(fetchEnvelopes(d, "FZJ")-before) / float64(b.N)
-			b.ReportMetric(envelopes/(float64(fileSize)/(1<<20)), "envelopes/MB")
-		})
-	}
-}
-
 // --- Ablation: §5.2 firewall split vs combined gateway ---------------------
 
 // BenchmarkAblation_FirewallSplit measures the real per-request cost of the
@@ -928,8 +622,7 @@ func BenchmarkAblation_FirewallSplit(b *testing.B) {
 // has, so the federated broker places it behind the DWD peer gateway and the
 // consign is re-sealed and forwarded there. ns/op is the full forwarded
 // consign cost (two signed envelopes plus remote journaling);
-// fed-forward-ack-p99-ms is the advisory forward-ack tail benchgate records
-// for trend inspection.
+// fed-forward-ack-p99-ms is the forward-ack tail, reported only.
 func BenchmarkFederatedConsign(b *testing.B) {
 	d := mustDeploy(b,
 		testbed.SiteSpec{Usite: "FZJ", Vsites: []njs.VsiteConfig{{Name: "SMALL", Profile: machine.GenericCluster(2)}}},

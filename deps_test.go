@@ -1,9 +1,11 @@
 package unicore_test
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -51,6 +53,41 @@ func TestServingTiersEncodeOutcomesOnce(t *testing.T) {
 			if strings.Contains(string(src), "MarshalOutcomeJSON") {
 				t.Errorf("%s calls ajo.MarshalOutcomeJSON", file)
 			}
+		}
+	}
+}
+
+// TestPerformanceDocNamesBenchmarkMetrics keeps docs/PERFORMANCE.md — the
+// generated per-layer budget — reproducible: every backticked name in it is
+// an end_to_end or per_layer metric of BENCHMARK.json, so a metric renamed
+// or dropped from the benchmark fails here until the table is regenerated.
+func TestPerformanceDocNamesBenchmarkMetrics(t *testing.T) {
+	var bm struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err == nil {
+		err = json.Unmarshal(raw, &bm)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := map[string]bool{}
+	for _, m := range append(bm.EndToEnd, bm.PerLayer...) {
+		known[m.Name] = true
+	}
+	doc, err := os.ReadFile("docs/PERFORMANCE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := regexp.MustCompile("`([A-Za-z0-9_.]+)`").FindAllStringSubmatch(string(doc), -1)
+	if len(names) < 30 {
+		t.Fatalf("docs/PERFORMANCE.md names only %d metrics; is it the output of go run ./bench -budget?", len(names))
+	}
+	for _, n := range names {
+		if !known[n[1]] {
+			t.Errorf("docs/PERFORMANCE.md names `%s`, which BENCHMARK.json does not", n[1])
 		}
 	}
 }

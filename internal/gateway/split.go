@@ -142,8 +142,13 @@ type Front struct {
 	dial func() (net.Conn, error)
 
 	mu   sync.Mutex
-	conn net.Conn // pooled connection to the Inner
+	idle []net.Conn // connections to the Inner with no relay in flight
 }
+
+// maxIdleInner bounds the idle Inner connections a Front keeps for reuse. A
+// burst of concurrent relays past it dials the extra connections and closes
+// them when their replies are in.
+const maxIdleInner = 8
 
 // NewFront builds the firewall half. dial opens a connection to the Inner's
 // socket; TCPDial is the common choice.
@@ -186,10 +191,7 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Handle authenticates the envelope at the firewall and relays it inward.
 // Failures are answered locally with sealed error replies — unauthenticated
-// traffic never crosses the firewall. Note the relay serializes frames on one
-// pooled connection, so a split site that serves MsgSubscribe long-polls
-// should configure a small gateway MaxEventWait; subscribers recover by
-// re-issuing their cursor.
+// traffic never crosses the firewall.
 func (f *Front) Handle(data []byte) []byte {
 	_, _, _, role, err := protocol.Open(f.ca, data)
 	if err != nil {
@@ -205,38 +207,67 @@ func (f *Front) Handle(data []byte) []byte {
 	return reply
 }
 
-// relay sends one frame to the Inner, reusing the pooled connection and
-// redialling once on failure.
+// relay sends one frame to the Inner and reads its reply, on a connection no
+// other relay shares while it does — the Inner answers a connection's frames
+// one at a time, so a subscribe it holds delays only its own caller. An idle
+// connection may have died with an Inner that restarted; the one retry dials
+// afresh.
 func (f *Front) relay(data []byte) ([]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	conn := f.takeIdle()
 	for attempt := 0; attempt < 2; attempt++ {
-		if f.conn == nil {
-			conn, err := f.dial()
-			if err != nil {
+		if conn == nil {
+			var err error
+			if conn, err = f.dial(); err != nil {
 				return nil, err
 			}
-			f.conn = conn
 		}
-		if err := writeFrame(f.conn, data); err == nil {
-			if reply, err := readFrame(f.conn); err == nil {
+		if err := writeFrame(conn, data); err == nil {
+			if reply, err := readFrame(conn); err == nil {
+				f.release(conn)
 				return reply, nil
 			}
 		}
-		f.conn.Close()
-		f.conn = nil
+		conn.Close()
+		conn = nil
 	}
 	return nil, errors.New("inner connection failed twice")
 }
 
-// Close drops the pooled connection.
+// takeIdle returns an idle connection, or nil when there is none.
+func (f *Front) takeIdle() net.Conn {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.idle)
+	if n == 0 {
+		return nil
+	}
+	conn := f.idle[n-1]
+	f.idle = f.idle[:n-1]
+	return conn
+}
+
+// release returns a connection whose reply has been read to the idle list, or
+// closes it when the list is full.
+func (f *Front) release(conn net.Conn) {
+	f.mu.Lock()
+	keep := len(f.idle) < maxIdleInner
+	if keep {
+		f.idle = append(f.idle, conn)
+	}
+	f.mu.Unlock()
+	if !keep {
+		conn.Close()
+	}
+}
+
+// Close drops the idle connections.
 func (f *Front) Close() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.conn != nil {
-		f.conn.Close()
-		f.conn = nil
+	for _, conn := range f.idle {
+		conn.Close()
 	}
+	f.idle = nil
 }
 
 func (f *Front) sealError(code string, cause error) []byte {

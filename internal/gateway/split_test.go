@@ -5,9 +5,11 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"unicore/internal/ajo"
 	"unicore/internal/protocol"
+	"unicore/internal/uudb"
 )
 
 // splitSite wires a site in the §5.2 firewall configuration: the Front
@@ -85,10 +87,62 @@ func TestSplitSurvivesInnerReconnect(t *testing.T) {
 	// Drop the pooled connection behind the front's back; the next call must
 	// transparently redial.
 	front.mu.Lock()
-	front.conn.Close()
+	front.idle[0].Close()
 	front.mu.Unlock()
 	if err := c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &protocol.ListReply{}); err != nil {
 		t.Fatalf("call after reconnect: %v", err)
+	}
+}
+
+// TestSplitHeldSubscribeDelaysNobodyElse holds one user's long-poll through
+// the front and checks that another user's consign and poll go straight
+// through: each in-flight relay has an Inner connection of its own.
+func TestSplitHeldSubscribeDelaysNobodyElse(t *testing.T) {
+	s, _, cleanup := splitSite(t)
+	defer cleanup()
+	bob, err := s.ca.IssueUser("Bob Bauer", "FZJ")
+	if err != nil {
+		t.Fatalf("IssueUser: %v", err)
+	}
+	s.users.AddUser(bob.DN(), "bob@fzj.de")
+	if err := s.users.AddMapping(bob.DN(), "T3E", uudb.Login{UID: "bbaue", Groups: []string{"zam"}}); err != nil {
+		t.Fatalf("AddMapping: %v", err)
+	}
+	ctx := context.Background()
+	alice := s.client(s.alice)
+	id := consign(t, alice, scriptJob("held", "echo held\n"))
+	var seen protocol.EventsReply
+	if err := alice.Call(ctx, "FZJ", protocol.MsgSubscribe, protocol.SubscribeRequest{Job: id}, &seen); err != nil {
+		t.Fatalf("events: %v", err)
+	}
+
+	// The virtual clock stands still, so nothing new happens to the job and
+	// the Inner holds this subscribe for the full minute unless released.
+	held := make(chan error, 1)
+	go func() {
+		var next protocol.EventsReply
+		held <- alice.Call(ctx, "FZJ", protocol.MsgSubscribe,
+			protocol.SubscribeRequest{Job: id, Cursor: seen.Cursor, WaitMs: 60_000}, &next)
+	}()
+	for s.gw.Stats().ByType[protocol.MsgSubscribe] < 2 {
+		time.Sleep(time.Millisecond) // until the Inner has the subscribe in hand
+	}
+
+	// Should bob's calls queue behind the hold after all, this lets them out.
+	unblock := time.AfterFunc(10*time.Second, func() { s.clock.RunUntilIdle(100000) })
+	start := time.Now()
+	c := s.client(bob)
+	own := consign(t, c, scriptJob("free", "echo free\n"))
+	if err := c.Call(ctx, "FZJ", protocol.MsgPoll, protocol.PollRequest{Job: own}, &protocol.PollReply{}); err != nil {
+		t.Fatalf("bob's poll: %v", err)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Errorf("bob's consign and poll took %v, behind alice's held subscribe", waited)
+	}
+	unblock.Stop()
+	s.clock.RunUntilIdle(100000) // the job runs, its events release the subscribe
+	if err := <-held; err != nil {
+		t.Fatalf("held subscribe: %v", err)
 	}
 }
 

@@ -466,7 +466,7 @@ func (d *Deployment) Run(maxEvents int) int {
 // Metrics returns one live telemetry snapshot per origin at a site — the
 // gateway's own plus everything behind it (a single NJS, or the pool and
 // every replica) — the in-process form of a MsgMetrics scrape, for
-// integration tests and tools/benchgate.
+// integration tests and tools.
 func (d *Deployment) Metrics(u core.Usite) ([]telemetry.Snapshot, error) {
 	site, ok := d.Sites[u]
 	if !ok {

@@ -1,260 +1,256 @@
-// Command benchgate is the benchmark-regression gate of the CI pipeline. It
-// runs the repository's core benchmarks once, writes the parsed metrics to a
-// JSON artifact (BENCH_PR.json), and fails when
+// Command benchgate is CI's one performance gate. From the repository root it
+// runs `go run ./bench` and `go run ./bench -trace`, echoes their output, and
+// fails when a workload of BENCHMARK.json is missing, incorrect or had a
+// failed op, or when a count is worse than the last line of
+// BENCH_HISTORY.jsonl: an end-to-end count by more than its BENCHMARK.json
+// bound, a per-layer count at all. Bounds and directions are BENCHMARK.json's;
+// the gate has none of its own.
 //
-//   - a gated metric regresses by more than -threshold (default 25%) against
-//     the checked-in BENCH_BASELINE.json, or
-//   - a within-run invariant is violated: the parallel staging path of
-//     BenchmarkTransferThroughput must beat the sequential per-envelope
-//     baseline on envelopes/MB always, and on MB/s whenever more than one
-//     CPU is available (on a single core a concurrency win cannot manifest,
-//     so only a no-worse-than check applies there).
+//	go run ./tools/benchgate                  # gate against the last history line
+//	go run ./tools/benchgate -record "PR 21"  # and append this run as a new line
 //
-// Gated metrics come in two kinds. The machine-independent
-// protocol-efficiency figures — envelopes/job (BenchmarkAwaitEvent),
-// envelopes/MB (BenchmarkTransferThroughput) and envelopes/request
-// (BenchmarkConcurrentClients) — are deterministic per run, so
-// a >25% increase is a real protocol regression, never runner noise — and
-// where the baseline is 0 (frames carry the traffic, no envelope is spent),
-// any envelope at all is the regression: a zero baseline means "must stay
-// 0", not "nothing to compare against". The v3
-// hot-path rate figures — consigns/sec (BenchmarkConsignRate) and events/sec
-// (BenchmarkEventRate) — are wall-clock and therefore runner-dependent, so
-// they gate only against a generous floor: falling below half the baseline
-// rate fails the run. Other wall-clock figures (ns/op, MB/s, B/op) are
-// recorded in the artifact for trend inspection but are not gated across
-// machines.
-//
-// Usage:
-//
-//	go run ./tools/benchgate                 # compare against BENCH_BASELINE.json
-//	go run ./tools/benchgate -update         # refresh BENCH_BASELINE.json
-//	go run ./tools/benchgate -out BENCH_PR.json -threshold 0.25
+// -record appends whenever the run itself is sound, also when it is worse than
+// the line before it; the exit status and the FAIL lines still say so, and the
+// new line is in the PR's diff for a reviewer to accept or not.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"os/exec"
-	"regexp"
 	"runtime"
-	"sort"
-	"strconv"
 	"strings"
 )
 
-// benchRegex selects the core benchmarks the gate runs.
-// BenchmarkFederatedConsign's fed-forward-ack-p99-ms is wall-clock and thus
-// advisory: recorded in the artifact for trend inspection, never gated.
-const benchRegex = "BenchmarkConcurrentClients$|BenchmarkAwaitEvent$|BenchmarkJournalAppend$|BenchmarkTransferThroughput|BenchmarkFederatedConsign$|BenchmarkConsignRate$|BenchmarkEventRate$"
+const historyPath = "BENCH_HISTORY.jsonl"
 
-// gatedLower lists the lower-is-better protocol-efficiency counters: a rise
-// past threshold over baseline fails the gate.
-var gatedLower = map[string]bool{
-	"envelopes/job":     true,
-	"envelopes/MB":      true,
-	"envelopes/request": true,
+// tracedCounts are the per-layer figures a history line takes from the
+// traced run: counts per operation that the program fixes, not the machine
+// (journal.syncs_per_op counts durable acks' sync calls, which group commit
+// may merge into fewer fsyncs, so it too is exact). All seven read the same to
+// the last digit across three runs on the box that recorded the first line.
+var tracedCounts = []string{
+	"gateway.envelopes_per_op", "pki.verifies_per_op", "gateway.stream_frames_per_op",
+	"njs.calls_per_op", "journal.appends_per_op", "journal.syncs_per_op", "staging.chunks_per_op",
 }
 
-// gatedRate lists the higher-is-better throughput figures of the v3 hot
-// path. They are wall-clock, so the gate is a coarse floor — rateFloor of
-// the recorded baseline — that catches a collapsed fast path without
-// tripping on runner variance.
-var gatedRate = map[string]bool{
-	"consigns/sec": true,
-	"events/sec":   true,
+// reportOnly is recorded in every line and never compared: it is wall clock,
+// so it differs between machines.
+const reportOnly = "setup_s"
+
+// metric is a row of BENCHMARK.json's end_to_end or per_layer table. A
+// per-layer row has no bound: any move in the worse direction fails.
+type metric struct {
+	Name, Better string
+	Bound        float64
 }
 
-// rateFloor is the fraction of the baseline a gated rate may drop to.
-const rateFloor = 0.50
+type benchmark struct {
+	Workloads []struct{ Name string }
+	EndToEnd  []metric `json:"end_to_end"`
+	PerLayer  []metric `json:"per_layer"`
+}
 
-// Report is the artifact schema (BENCH_PR.json / BENCH_BASELINE.json).
-type Report struct {
-	Go        string                        `json:"go"`
-	Benchtime string                        `json:"benchtime"`
-	Metrics   map[string]map[string]float64 `json:"metrics"` // benchmark → unit → value
+// entry is one line of BENCH_HISTORY.jsonl. Source is "run" for a line
+// -record wrote and "backfill" for one copied from figures written down at
+// the time, which carries only those.
+type entry struct {
+	Label     string                        `json:"label"`
+	Source    string                        `json:"source"`
+	Commit    string                        `json:"commit,omitempty"`
+	Go        string                        `json:"go,omitempty"`
+	Workloads map[string]map[string]float64 `json:"workloads"`
+}
+
+// result is the JSON line that ends each workload of bench's output.
+type result struct {
+	Correct bool
+	Failed  int
+	Metrics map[string]struct{ Value float64 }
 }
 
 func main() {
-	var (
-		baselinePath = flag.String("baseline", "BENCH_BASELINE.json", "checked-in baseline to gate against")
-		outPath      = flag.String("out", "BENCH_PR.json", "artifact written with this run's metrics")
-		threshold    = flag.Float64("threshold", 0.25, "allowed relative regression of a gated metric")
-		benchtime    = flag.String("benchtime", "2x", "go test -benchtime per benchmark")
-		update       = flag.Bool("update", false, "rewrite the baseline from this run instead of gating")
-	)
+	label := flag.String("record", "", "append this run to "+historyPath+" under this label")
 	flag.Parse()
-
-	out, err := runBenchmarks(*benchtime)
+	bm, err := readBenchmark("BENCHMARK.json")
+	var past []entry
+	if err == nil {
+		past, err = readHistory(historyPath)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n%s", err, out)
-		os.Exit(1)
-	}
-	report := Report{Go: runtime.Version(), Benchtime: *benchtime, Metrics: parseBench(out)}
-	if len(report.Metrics) == 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: no benchmark results parsed\n%s", out)
-		os.Exit(1)
-	}
-	if err := writeJSON(*outPath, report); err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: %d benchmarks recorded in %s\n", len(report.Metrics), *outPath)
-
-	failures := checkInvariants(report)
-	if *update {
-		if err := writeJSON(*baselinePath, report); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(1)
+	last := past[len(past)-1]
+	commit, _ := exec.Command("git", "describe", "--always", "--dirty").Output() // empty outside a checkout
+	cur := entry{Label: *label, Source: "run", Commit: strings.TrimSpace(string(commit)), Go: runtime.Version()}
+	var fails []string
+	cur.Workloads, fails = collect(bm, parseRun(runBench()), parseRun(runBench("-trace")))
+	if *label != "" && len(fails) == 0 {
+		if err := record(historyPath, cur); err != nil {
+			fails = append(fails, err.Error())
+		} else {
+			fmt.Printf("benchgate: recorded %q in %s\n", *label, historyPath)
 		}
-		fmt.Printf("benchgate: baseline %s refreshed\n", *baselinePath)
-	} else {
-		baseline, err := readJSON(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: reading baseline: %v (run with -update to create it)\n", err)
-			os.Exit(1)
-		}
-		failures = append(failures, compare(baseline, report, *threshold)...)
 	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "benchgate: FAIL: %s\n", f)
-		}
+	verdict := fmt.Sprintf("every gated count holds against %q", last.Label)
+	if *label != "" && goMinor(last.Go) != goMinor(cur.Go) {
+		// A new line may open a new Go version; nothing else skips the comparison.
+		verdict = fmt.Sprintf("not compared with %q, recorded under %q", last.Label, last.Go)
+	} else {
+		fails = append(fails, compare(bm, last, cur)...)
+	}
+	for _, f := range fails {
+		fmt.Printf("benchgate: FAIL: %s\n", f)
+	}
+	if len(fails) > 0 {
 		os.Exit(1)
 	}
-	fmt.Println("benchgate: all gated metrics and invariants hold")
+	fmt.Println("benchgate:", verdict)
 }
 
-// runBenchmarks executes the selected benchmarks across every package.
-func runBenchmarks(benchtime string) (string, error) {
-	cmd := exec.Command("go", "test", "-run=NONE", "-bench", benchRegex, "-benchtime", benchtime, "./...")
-	raw, err := cmd.CombinedOutput()
-	return string(raw), err
+// runBench runs the benchmark and echoes its output. Its exit status is not
+// looked at: a run that failed shows in collect as a workload missing or
+// incorrect.
+func runBench(args ...string) string {
+	var out bytes.Buffer
+	cmd := exec.Command("go", append([]string{"run", "./bench"}, args...)...)
+	cmd.Stdout, cmd.Stderr = io.MultiWriter(os.Stdout, &out), os.Stderr
+	_ = cmd.Run()
+	return out.String()
 }
 
-// cpuSuffix strips go test's -GOMAXPROCS suffix from a benchmark name.
-var cpuSuffix = regexp.MustCompile(`-\d+$`)
-
-// parseBench extracts metric values from `go test -bench` output lines of the
-// form: BenchmarkName[/sub]-N  <iters>  <value> <unit> [<value> <unit>]...
-func parseBench(out string) map[string]map[string]float64 {
-	metrics := make(map[string]map[string]float64)
+// parseRun reads bench's output: a `# <workload> seed=…` header opens a
+// workload, and the JSON line after its metric lines is its result.
+func parseRun(out string) map[string]result {
+	results := map[string]result{}
+	var name string
 	for _, line := range strings.Split(out, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
+		if f := strings.Fields(line); len(f) > 2 && f[0] == "#" && strings.HasPrefix(f[2], "seed=") {
+			name = f[1]
 		}
-		name := cpuSuffix.ReplaceAllString(fields[0], "")
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				break
+		var r result
+		if strings.HasPrefix(line, "{") && json.Unmarshal([]byte(line), &r) == nil {
+			results[name] = r
+		}
+	}
+	return results
+}
+
+// collect takes from the two runs the figures a history line carries, and
+// names every workload that a run lacks or did not get right.
+func collect(bm benchmark, plain, traced map[string]result) (map[string]map[string]float64, []string) {
+	var endToEnd, fails []string
+	for _, m := range bm.EndToEnd {
+		endToEnd = append(endToEnd, m.Name)
+	}
+	out := map[string]map[string]float64{}
+	for _, w := range bm.Workloads {
+		out[w.Name] = map[string]float64{}
+		for _, run := range []struct {
+			kind    string
+			results map[string]result
+			names   []string
+		}{{"plain", plain, endToEnd}, {"traced", traced, tracedCounts}} {
+			r, ok := run.results[w.Name]
+			if !ok || !r.Correct || r.Failed > 0 {
+				fails = append(fails, fmt.Sprintf("%s: %s run: present=%v correct=%v failed=%d", w.Name, run.kind, ok, r.Correct, r.Failed))
 			}
-			if metrics[name] == nil {
-				metrics[name] = make(map[string]float64)
+			for _, n := range run.names {
+				out[w.Name][n] = r.Metrics[n].Value
 			}
-			metrics[name][fields[i+1]] = v
 		}
 	}
-	return metrics
+	return out, fails
 }
 
-// findOne returns the single benchmark whose name has the given prefix.
-func findOne(r Report, prefix string) (string, map[string]float64, bool) {
-	for name, m := range r.Metrics {
-		if strings.HasPrefix(name, prefix) {
-			return name, m, true
-		}
+// compare holds cur against last on every figure last carries, for every
+// workload of BENCHMARK.json.
+func compare(bm benchmark, last, cur entry) []string {
+	if goMinor(last.Go) != goMinor(cur.Go) {
+		return []string{fmt.Sprintf("history line %q was recorded under %q and this run is %s: counts are not compared across Go minor versions, record a new line",
+			last.Label, last.Go, cur.Go)}
 	}
-	return "", nil, false
-}
-
-// checkInvariants enforces the within-run claims of the staging engine.
-func checkInvariants(r Report) []string {
-	var failures []string
-	seqName, seq, okS := findOne(r, "BenchmarkTransferThroughput/path=sequential")
-	parName, par, okP := findOne(r, "BenchmarkTransferThroughput/path=parallel")
-	if !okS || !okP {
-		return []string{"BenchmarkTransferThroughput did not report both transfer paths"}
-	}
-	if par["envelopes/MB"] >= seq["envelopes/MB"] {
-		failures = append(failures, fmt.Sprintf(
-			"%s uses %.2f envelopes/MB, not fewer than %s's %.2f",
-			parName, par["envelopes/MB"], seqName, seq["envelopes/MB"]))
-	}
-	// The wall-clock win needs real cores: with only one CPU the windowed
-	// engine can merely tie the sequential loop (minus per-envelope fixed
-	// cost), so a no-worse-than-10% check applies there.
-	floor := seq["MB/s"]
-	kind := "beat"
-	if runtime.NumCPU() == 1 {
-		floor *= 0.90
-		kind = "stay within 10% of"
-	}
-	if par["MB/s"] < floor {
-		failures = append(failures, fmt.Sprintf(
-			"%s runs at %.2f MB/s and does not %s %s's %.2f MB/s (GOMAXPROCS=%d)",
-			parName, par["MB/s"], kind, seqName, seq["MB/s"], runtime.NumCPU()))
-	}
-	return failures
-}
-
-// compare gates this run's protocol-efficiency metrics against the baseline.
-func compare(baseline, current Report, threshold float64) []string {
-	var failures []string
-	names := make([]string, 0, len(current.Metrics))
-	for name := range current.Metrics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		base, ok := baseline.Metrics[name]
+	metrics := append(append([]metric{}, bm.EndToEnd...), bm.PerLayer...)
+	var fails []string
+	for _, w := range bm.Workloads {
+		lw, ok := last.Workloads[w.Name]
 		if !ok {
-			continue // new benchmark: recorded, gated once the baseline knows it
+			fails = append(fails, fmt.Sprintf("%s: missing from history line %q", w.Name, last.Label))
 		}
-		for unit, cur := range current.Metrics[name] {
-			b, ok := base[unit]
-			if !ok || b < 0 {
-				continue
+		for _, m := range metrics {
+			l, carried := lw[m.Name]
+			c, ok := cur.Workloads[w.Name][m.Name]
+			sign := 1.0
+			if m.Better == "higher" {
+				sign = -1
 			}
 			switch {
-			case gatedLower[unit] && b == 0 && cur > 0:
-				// No percentage of zero is a tolerance: a cost the baseline
-				// eliminated must stay eliminated.
-				failures = append(failures, fmt.Sprintf(
-					"%s %s regressed: baseline is 0, now %.3f (must stay 0)", name, unit, cur))
-			case gatedLower[unit] && cur > b*(1+threshold):
-				failures = append(failures, fmt.Sprintf(
-					"%s %s regressed: %.3f → %.3f (>%.0f%% over baseline)",
-					name, unit, b, cur, threshold*100))
-			case gatedRate[unit] && b > 0 && cur < b*rateFloor:
-				failures = append(failures, fmt.Sprintf(
-					"%s %s collapsed: %.1f → %.1f (below %.0f%% of baseline)",
-					name, unit, b, cur, rateFloor*100))
+			case !carried || m.Name == reportOnly:
+			case !ok:
+				fails = append(fails, fmt.Sprintf("%s %s: in history line %q, not in this run", w.Name, m.Name, last.Label))
+			case sign*(c-l) > m.Bound*math.Abs(l): // with l = 0 no bound is a tolerance: a zero stays zero
+				fails = append(fails, fmt.Sprintf("%s %s: %.6g → %.6g, worse than %q by more than %g%%",
+					w.Name, m.Name, l, c, last.Label, m.Bound*100))
 			}
 		}
 	}
-	return failures
+	return fails
 }
 
-func writeJSON(path string, r Report) error {
-	raw, err := json.MarshalIndent(r, "", "  ")
+// goMinor cuts "go1.24.3" to "go1.24".
+func goMinor(v string) string {
+	if p := strings.SplitN(v, ".", 3); len(p) == 3 {
+		return p[0] + "." + p[1]
+	}
+	return v
+}
+
+func readBenchmark(path string) (benchmark, error) {
+	var bm benchmark
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(raw, &bm)
+	}
+	return bm, err
+}
+
+// readHistory returns every line of the history, oldest first; there is at
+// least one, and a line that does not parse is an error.
+func readHistory(path string) ([]entry, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var past []entry
+	for i, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var e entry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			return nil, fmt.Errorf("%s line %d: %w", path, i+1, err)
+		}
+		past = append(past, e)
+	}
+	return past, nil
+}
+
+// record appends e as one line; earlier lines are never rewritten.
+func record(path string, e entry) error {
+	line, err := json.Marshal(e)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-func readJSON(path string) (Report, error) {
-	raw, err := os.ReadFile(path)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
-		return Report{}, err
+		return err
 	}
-	var r Report
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return Report{}, fmt.Errorf("%s: %w", path, err)
+	_, err = f.Write(append(line, '\n'))
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return r, nil
+	return err
 }

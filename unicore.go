@@ -130,13 +130,10 @@ type (
 type DialOption func(*dialConfig)
 
 type dialConfig struct {
-	usite     Usite
-	cred      *Credential
-	ca        *Authority
-	tr        Transport
-	client    *Client
-	retries   int
-	noStreams bool
+	usite  Usite
+	cred   *Credential
+	ca     *Authority
+	client *Client
 }
 
 // WithIdentity sets the caller's credential and the certification authority
@@ -154,33 +151,12 @@ func WithSite(usite Usite) DialOption {
 	return func(c *dialConfig) { c.usite = usite }
 }
 
-// WithTransport substitutes the transport under the client — an in-process
-// testbed network, a fault-injection wrapper (protocol.Flaky), or a
-// custom-configured protocol.HTTPTransport. The default is the mutual-TLS
-// HTTP transport built from the WithIdentity credential; it serves both the
-// signed-envelope POSTs and the v3 stream upgrade.
-func WithTransport(tr Transport) DialOption {
-	return func(c *dialConfig) { c.tr = tr }
-}
-
-// WithRetries sets the number of additional attempts after a transport
-// failure (default 2; the asynchronous protocol makes retries safe).
-func WithRetries(n int) DialOption {
-	return func(c *dialConfig) { c.retries = n }
-}
-
-// WithClient reuses an existing protocol client — its identity, live
-// streams, and registry — instead of building a fresh one. The dialled URL is
-// added to its registry.
+// WithClient reuses an existing protocol client — its identity, transport,
+// live streams, and registry — instead of building a fresh one; a caller who
+// needs a lossy transport, a retry count or the envelope door sets it on the
+// client. The dialled URL is added to its registry.
 func WithClient(c *Client) DialOption {
 	return func(cfg *dialConfig) { cfg.client = c }
-}
-
-// WithoutStreams keeps every call on the per-request envelope path — for
-// callers whose traffic must remain one signed POST per message
-// (conservative relays, traffic recorders).
-func WithoutStreams() DialOption {
-	return func(c *dialConfig) { c.noStreams = true }
 }
 
 // Dial opens a Session to the gateway at gatewayURL: the single entry point
@@ -190,12 +166,11 @@ func WithoutStreams() DialOption {
 //		unicore.WithIdentity(cred, ca))
 //
 // — and defaults everything else: the Usite is the URL's hostname (WithSite
-// overrides), the transport is the mutual-TLS HTTP transport (WithTransport
-// overrides), and the retry count and stream use follow the client defaults
-// (WithRetries, WithoutStreams override).
+// overrides) and the client is a fresh one over the mutual-TLS HTTP transport
+// (WithClient substitutes one built by hand).
 // For in-process testbeds, Deployment.Session remains the shortcut.
 func Dial(gatewayURL string, opts ...DialOption) (*Session, error) {
-	cfg := dialConfig{retries: -1}
+	var cfg dialConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -215,20 +190,10 @@ func Dial(gatewayURL string, opts ...DialOption) (*Session, error) {
 		if cfg.cred == nil || cfg.ca == nil {
 			return nil, errors.New("unicore: Dial needs WithIdentity (or a prebuilt client via WithClient)")
 		}
-		tr := cfg.tr
-		if tr == nil {
-			tr = gateway.ClientTransport(cfg.cred, cfg.ca)
-		}
-		c = protocol.NewClient(tr, cfg.cred, cfg.ca, protocol.NewRegistry())
+		c = protocol.NewClient(gateway.ClientTransport(cfg.cred, cfg.ca), cfg.cred, cfg.ca, protocol.NewRegistry())
 	}
 	if gatewayURL != "" {
 		c.Registry().Add(usite, gatewayURL)
-	}
-	if cfg.retries >= 0 {
-		c.Retries = cfg.retries
-	}
-	if cfg.noStreams {
-		c.DisableStreams = true
 	}
 	return client.NewSession(c, usite), nil
 }
