@@ -91,3 +91,33 @@ func TestPerformanceDocNamesBenchmarkMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryMessageIsDescribedOnce keeps each wire, AJO and journal message at
+// one description, the walk that package bin runs in both directions. The
+// primitives it replaced (package bin's Reader type and Append functions) and
+// an enc…/dec… function beside a codec are how a second description of a
+// message, in a second field order, would grow back.
+func TestEveryMessageIsDescribedOnce(t *testing.T) {
+	half := regexp.MustCompile(`(?m)^func (\([^)]*\) )?(enc|dec)[A-Z]\w*[(\[]`)
+	for dir, re := range map[string]*regexp.Regexp{
+		"internal/bin":      regexp.MustCompile(`(?m)^func (\([^)]*\) )?Append[A-Z]\w*\(|^type Reader\b`),
+		"internal/protocol": half, "internal/ajo": half, "internal/journal": half,
+	} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files under %s (%v)", dir, err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range re.FindAllString(string(src), -1) {
+				t.Errorf("%s declares %q", file, strings.TrimRight(decl, "(["))
+			}
+		}
+	}
+}

@@ -3,7 +3,6 @@ package ajo
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"unicore/internal/bin"
 	"unicore/internal/core"
@@ -22,7 +21,8 @@ import (
 // integers, strings and inline import data as raw bytes). The recursion of
 // Figure 3 is the recursion of the encoding: a job's action list holds whole
 // actions, among them further jobs. Map entries are written in key order, so
-// equal actions encode to equal bytes.
+// equal actions encode to equal bytes. Every field is named once, in
+// walkAction, which Marshal runs as the encoder and Unmarshal as the decoder.
 //
 // The outcome tree that answers an AJO (MarshalOutcome, at the end of this
 // file) is encoded the same way behind its own format tag.
@@ -58,11 +58,22 @@ const (
 	codeQuery
 )
 
+// kindByCode maps a kind code to the kind whose zero action newByKind makes
+// for a decoder to fill.
+var kindByCode = [...]Kind{
+	codeJob: KindJob, codeExecute: KindExecute, codeCompile: KindCompile, codeLink: KindLink,
+	codeUser: KindUser, codeScript: KindScript, codeImport: KindImport, codeExport: KindExport,
+	codeTransfer: KindTransfer, codeControl: KindControl, codeList: KindList, codeQuery: KindQuery,
+}
+
 // Marshal encodes any action (including a whole recursive AbstractJob) in
 // the binary wire form.
 func Marshal(a Action) ([]byte, error) {
-	b := make([]byte, 0, 512)
-	return appendAction(append(b, formatTag), a, 0)
+	c := bin.Encoder(append(make([]byte, 0, 512), formatTag))
+	if err := walkAction(&c, &a, 0); err != nil {
+		return nil, err
+	}
+	return c.Bytes(), nil
 }
 
 // Unmarshal decodes the binary wire form into the concrete action type. The
@@ -74,240 +85,174 @@ func Unmarshal(data []byte) (Action, error) {
 	if data[0] != formatTag {
 		return nil, fmt.Errorf("ajo: document has format tag 0x%02x, this build reads binary format 0x%02x", data[0], formatTag)
 	}
-	r := bin.NewReader(data[1:])
-	a, err := readAction(r, 0)
-	if err != nil {
+	c := bin.Decoder(data[1:])
+	var a Action
+	if err := walkAction(&c, &a, 0); err != nil {
 		return nil, err
 	}
-	if err := r.Err(); err != nil {
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("ajo: decoding %s: %w", a.Kind(), err)
 	}
 	return a, nil
 }
 
-func appendHeader(b []byte, code byte, h Header) []byte {
-	b = append(b, code)
-	b = bin.AppendStr(b, string(h.ActionID))
-	return bin.AppendStr(b, h.ActionName)
-}
-
-func appendTaskBase(b []byte, code byte, t *TaskBase) []byte {
-	b = appendHeader(b, code, t.Header)
-	b = bin.AppendVarint(b, int64(t.Resources.Processors))
-	b = bin.AppendVarint(b, int64(t.Resources.RunTime))
-	b = bin.AppendVarint(b, int64(t.Resources.MemoryMB))
-	b = bin.AppendVarint(b, int64(t.Resources.PermDiskMB))
-	return bin.AppendVarint(b, int64(t.Resources.TempDiskMB))
-}
-
-func appendTarget(b []byte, t core.Target) []byte {
-	b = bin.AppendStr(b, string(t.Usite))
-	return bin.AppendStr(b, string(t.Vsite))
-}
-
-func appendStrMap(b []byte, m map[string]string) []byte {
-	b = bin.AppendUvarint(b, uint64(len(m)))
-	if len(m) == 0 {
-		return b
+// walkAction is the one description of every action, run by Marshal as the
+// encoder and by Unmarshal as the decoder. A decoder reads the kind code and
+// fills the zero action of that kind; an encoder finds *a already there and
+// writes its code with its header. A truncated or over-long field is left to
+// Unmarshal's single c.Err check; what has its own name — a nil action, an
+// unknown kind code, nesting past maxDepth — is reported here.
+func walkAction(c *bin.Codec, a *Action, depth int) error {
+	if c.Decoding() {
+		var code byte
+		c.Byte(&code)
+		if c.Failed() {
+			return fmt.Errorf("ajo: decoding: %w", bin.ErrMalformed)
+		}
+		if int(code) < len(kindByCode) {
+			*a, _ = newByKind(kindByCode[code])
+		}
+		if *a == nil {
+			return fmt.Errorf("ajo: unknown action kind code %d", code)
+		}
 	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
+	switch t := (*a).(type) {
+	case *AbstractJob:
+		if depth >= maxDepth {
+			return fmt.Errorf("ajo: job groups nest deeper than %d", maxDepth)
+		}
+		walkHeader(c, codeJob, &t.Header)
+		walkTarget(c, &t.Target)
+		c.Str((*string)(&t.UserDN))
+		c.Str(&t.Project)
+		walkStrMap(c, &t.SiteSecurity)
+		for i := range bin.Slice(c, &t.Actions) {
+			if err := walkAction(c, &t.Actions[i], depth+1); err != nil {
+				return err
+			}
+		}
+		for i := range bin.Slice(c, &t.Dependencies) {
+			d := &t.Dependencies[i]
+			c.Str((*string)(&d.Before))
+			c.Str((*string)(&d.After))
+			c.Strs(&d.Files)
+		}
+	case *ExecuteTask:
+		walkTaskBase(c, codeExecute, &t.TaskBase)
+		c.Str(&t.Executable)
+		c.Strs(&t.Arguments)
+		walkStrMap(c, &t.Environment)
+		c.Str(&t.Stdin)
+	case *CompileTask:
+		walkTaskBase(c, codeCompile, &t.TaskBase)
+		c.Str(&t.Language)
+		c.Strs(&t.Sources)
+		c.Strs(&t.Options)
+		c.Str(&t.Output)
+	case *LinkTask:
+		walkTaskBase(c, codeLink, &t.TaskBase)
+		c.Strs(&t.Objects)
+		c.Strs(&t.Libraries)
+		c.Str(&t.Output)
+	case *UserTask:
+		walkTaskBase(c, codeUser, &t.TaskBase)
+		c.Str(&t.Command)
+	case *ScriptTask:
+		walkTaskBase(c, codeScript, &t.TaskBase)
+		c.Str(&t.Script)
+	case *ImportTask:
+		walkHeader(c, codeImport, &t.Header)
+		// A non-nil empty Inline is a source in its own right (it imports an
+		// empty file), so presence travels apart from length. The data is
+		// copied out of the document.
+		inline := t.Source.Inline != nil
+		c.Bool(&inline)
+		if inline {
+			c.Blob(&t.Source.Inline)
+			if t.Source.Inline == nil {
+				t.Source.Inline = []byte{}
+			}
+		}
+		c.Str(&t.Source.XspacePath)
+		c.Str(&t.Source.Staged)
+		c.Str(&t.To)
+	case *ExportTask:
+		walkHeader(c, codeExport, &t.Header)
+		c.Str(&t.From)
+		c.Str(&t.ToXspace)
+	case *TransferTask:
+		walkHeader(c, codeTransfer, &t.Header)
+		c.Str((*string)(&t.FromAction))
+		c.Strs(&t.Files)
+	case *ControlService:
+		walkHeader(c, codeControl, &t.Header)
+		c.Str((*string)(&t.Job))
+		c.Str((*string)(&t.Op))
+	case *ListService:
+		walkHeader(c, codeList, &t.Header)
+	case *QueryService:
+		walkHeader(c, codeQuery, &t.Header)
+		c.Str((*string)(&t.Query))
+		c.Str((*string)(&t.Job))
+		walkTarget(c, &t.Target)
+	case nil:
+		return fmt.Errorf("ajo: marshal nil action")
+	default:
+		return fmt.Errorf("ajo: marshal: no binary form for %T", t)
+	}
+	return nil
+}
+
+// walkHeader leads every action: kind code, id, name. A decoder has consumed
+// the code already — it chose the type being filled (walkAction).
+func walkHeader(c *bin.Codec, code byte, h *Header) {
+	if !c.Decoding() {
+		c.Byte(&code)
+	}
+	c.Str((*string)(&h.ActionID))
+	c.Str(&h.ActionName)
+}
+
+func walkTaskBase(c *bin.Codec, code byte, t *TaskBase) {
+	walkHeader(c, code, &t.Header)
+	c.Int(&t.Resources.Processors)
+	c.Varint((*int64)(&t.Resources.RunTime))
+	c.Int(&t.Resources.MemoryMB)
+	c.Int(&t.Resources.PermDiskMB)
+	c.Int(&t.Resources.TempDiskMB)
+}
+
+func walkTarget(c *bin.Codec, t *core.Target) {
+	c.Str((*string)(&t.Usite))
+	c.Str((*string)(&t.Vsite))
+}
+
+// walkStrMap writes entries in key order, so equal actions encode to equal
+// bytes.
+func walkStrMap(c *bin.Codec, m *map[string]string) {
+	n := c.Len(len(*m))
+	if n == 0 {
+		return
+	}
+	if c.Decoding() {
+		*m = make(map[string]string, n)
+		for ; n > 0 && !c.Failed(); n-- {
+			var k, v string
+			c.Str(&k)
+			c.Str(&v)
+			(*m)[k] = v
+		}
+		return
+	}
+	keys := make([]string, 0, n)
+	for k := range *m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		b = bin.AppendStr(b, k)
-		b = bin.AppendStr(b, m[k])
-	}
-	return b
-}
-
-func appendAction(b []byte, a Action, depth int) ([]byte, error) {
-	switch t := a.(type) {
-	case *AbstractJob:
-		if depth >= maxDepth {
-			return nil, fmt.Errorf("ajo: job %s: nested deeper than %d job groups", t.ActionID, maxDepth)
-		}
-		b = appendHeader(b, codeJob, t.Header)
-		b = appendTarget(b, t.Target)
-		b = bin.AppendStr(b, string(t.UserDN))
-		b = bin.AppendStr(b, t.Project)
-		b = appendStrMap(b, t.SiteSecurity)
-		b = bin.AppendUvarint(b, uint64(len(t.Actions)))
-		for _, c := range t.Actions {
-			var err error
-			if b, err = appendAction(b, c, depth+1); err != nil {
-				return nil, err
-			}
-		}
-		b = bin.AppendUvarint(b, uint64(len(t.Dependencies)))
-		for _, d := range t.Dependencies {
-			b = bin.AppendStr(b, string(d.Before))
-			b = bin.AppendStr(b, string(d.After))
-			b = bin.AppendStrs(b, d.Files)
-		}
-	case *ExecuteTask:
-		b = appendTaskBase(b, codeExecute, &t.TaskBase)
-		b = bin.AppendStr(b, t.Executable)
-		b = bin.AppendStrs(b, t.Arguments)
-		b = appendStrMap(b, t.Environment)
-		b = bin.AppendStr(b, t.Stdin)
-	case *CompileTask:
-		b = appendTaskBase(b, codeCompile, &t.TaskBase)
-		b = bin.AppendStr(b, t.Language)
-		b = bin.AppendStrs(b, t.Sources)
-		b = bin.AppendStrs(b, t.Options)
-		b = bin.AppendStr(b, t.Output)
-	case *LinkTask:
-		b = appendTaskBase(b, codeLink, &t.TaskBase)
-		b = bin.AppendStrs(b, t.Objects)
-		b = bin.AppendStrs(b, t.Libraries)
-		b = bin.AppendStr(b, t.Output)
-	case *UserTask:
-		b = appendTaskBase(b, codeUser, &t.TaskBase)
-		b = bin.AppendStr(b, t.Command)
-	case *ScriptTask:
-		b = appendTaskBase(b, codeScript, &t.TaskBase)
-		b = bin.AppendStr(b, t.Script)
-	case *ImportTask:
-		b = appendHeader(b, codeImport, t.Header)
-		// A non-nil empty Inline is a source in its own right (it imports an
-		// empty file), so presence travels apart from length.
-		b = bin.AppendBool(b, t.Source.Inline != nil)
-		if t.Source.Inline != nil {
-			b = bin.AppendBytes(b, t.Source.Inline)
-		}
-		b = bin.AppendStr(b, t.Source.XspacePath)
-		b = bin.AppendStr(b, t.Source.Staged)
-		b = bin.AppendStr(b, t.To)
-	case *ExportTask:
-		b = appendHeader(b, codeExport, t.Header)
-		b = bin.AppendStr(b, t.From)
-		b = bin.AppendStr(b, t.ToXspace)
-	case *TransferTask:
-		b = appendHeader(b, codeTransfer, t.Header)
-		b = bin.AppendStr(b, string(t.FromAction))
-		b = bin.AppendStrs(b, t.Files)
-	case *ControlService:
-		b = appendHeader(b, codeControl, t.Header)
-		b = bin.AppendStr(b, string(t.Job))
-		b = bin.AppendStr(b, string(t.Op))
-	case *ListService:
-		b = appendHeader(b, codeList, t.Header)
-	case *QueryService:
-		b = appendHeader(b, codeQuery, t.Header)
-		b = bin.AppendStr(b, string(t.Query))
-		b = bin.AppendStr(b, string(t.Job))
-		b = appendTarget(b, t.Target)
-	case nil:
-		return nil, fmt.Errorf("ajo: marshal nil action")
-	default:
-		return nil, fmt.Errorf("ajo: marshal: no binary form for %T", a)
-	}
-	return b, nil
-}
-
-func readHeader(r *bin.Reader) Header {
-	return Header{ActionID: ActionID(r.Str()), ActionName: r.Str()}
-}
-
-func readTaskBase(r *bin.Reader) TaskBase {
-	t := TaskBase{Header: readHeader(r)}
-	t.Resources.Processors = int(r.Varint())
-	t.Resources.RunTime = time.Duration(r.Varint())
-	t.Resources.MemoryMB = int(r.Varint())
-	t.Resources.PermDiskMB = int(r.Varint())
-	t.Resources.TempDiskMB = int(r.Varint())
-	return t
-}
-
-func readTarget(r *bin.Reader) core.Target {
-	return core.Target{Usite: core.Usite(r.Str()), Vsite: core.Vsite(r.Str())}
-}
-
-func readStrMap(r *bin.Reader) map[string]string {
-	n := r.Count()
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]string, n)
-	for i := 0; i < n && !r.Failed(); i++ {
-		k := r.Str()
-		m[k] = r.Str()
-	}
-	return m
-}
-
-// readAction decodes one action. A truncated or over-long field is left to
-// the caller's single r.Err check; what has its own name — an unknown kind
-// code, nesting past maxDepth — is reported here.
-func readAction(r *bin.Reader, depth int) (Action, error) {
-	switch code := r.Byte(); code {
-	case codeJob:
-		if depth >= maxDepth {
-			return nil, fmt.Errorf("ajo: document nests deeper than %d job groups", maxDepth)
-		}
-		j := &AbstractJob{Header: readHeader(r)}
-		j.Target = readTarget(r)
-		j.UserDN = core.DN(r.Str())
-		j.Project = r.Str()
-		j.SiteSecurity = readStrMap(r)
-		if n := r.Count(); n > 0 {
-			j.Actions = make(ActionList, 0, n)
-			for i := 0; i < n && !r.Failed(); i++ {
-				c, err := readAction(r, depth+1)
-				if err != nil {
-					return nil, err
-				}
-				j.Actions = append(j.Actions, c)
-			}
-		}
-		if n := r.Count(); n > 0 {
-			j.Dependencies = make([]Dependency, 0, n)
-			for i := 0; i < n && !r.Failed(); i++ {
-				j.Dependencies = append(j.Dependencies, Dependency{
-					Before: ActionID(r.Str()), After: ActionID(r.Str()), Files: r.Strs(),
-				})
-			}
-		}
-		return j, nil
-	case codeExecute:
-		return &ExecuteTask{TaskBase: readTaskBase(r), Executable: r.Str(),
-			Arguments: r.Strs(), Environment: readStrMap(r), Stdin: r.Str()}, nil
-	case codeCompile:
-		return &CompileTask{TaskBase: readTaskBase(r), Language: r.Str(),
-			Sources: r.Strs(), Options: r.Strs(), Output: r.Str()}, nil
-	case codeLink:
-		return &LinkTask{TaskBase: readTaskBase(r), Objects: r.Strs(), Libraries: r.Strs(), Output: r.Str()}, nil
-	case codeUser:
-		return &UserTask{TaskBase: readTaskBase(r), Command: r.Str()}, nil
-	case codeScript:
-		return &ScriptTask{TaskBase: readTaskBase(r), Script: r.Str()}, nil
-	case codeImport:
-		t := &ImportTask{Header: readHeader(r)}
-		if r.Bool() {
-			t.Source.Inline = append([]byte{}, r.Bytes()...)
-		}
-		t.Source.XspacePath = r.Str()
-		t.Source.Staged = r.Str()
-		t.To = r.Str()
-		return t, nil
-	case codeExport:
-		return &ExportTask{Header: readHeader(r), From: r.Str(), ToXspace: r.Str()}, nil
-	case codeTransfer:
-		return &TransferTask{Header: readHeader(r), FromAction: ActionID(r.Str()), Files: r.Strs()}, nil
-	case codeControl:
-		return &ControlService{Header: readHeader(r), Job: core.JobID(r.Str()), Op: ControlOp(r.Str())}, nil
-	case codeList:
-		return &ListService{Header: readHeader(r)}, nil
-	case codeQuery:
-		return &QueryService{Header: readHeader(r), Query: QueryKind(r.Str()),
-			Job: core.JobID(r.Str()), Target: readTarget(r)}, nil
-	default:
-		if r.Failed() {
-			return nil, fmt.Errorf("ajo: decoding: %w", bin.ErrMalformed)
-		}
-		return nil, fmt.Errorf("ajo: unknown action kind code %d", code)
+		v := (*m)[k]
+		c.Str(&k)
+		c.Str(&v)
 	}
 }
 
@@ -322,41 +267,11 @@ func MarshalOutcome(o *Outcome) ([]byte, error) {
 	if o == nil {
 		return nil, fmt.Errorf("ajo: marshal nil outcome")
 	}
-	b := make([]byte, 0, 512)
-	return appendOutcome(append(b, outcomeTag), o, 0)
-}
-
-func appendOutcome(b []byte, o *Outcome, depth int) ([]byte, error) {
-	if depth >= maxDepth {
-		return nil, fmt.Errorf("ajo: outcome %s: nested deeper than %d job groups", o.Action, maxDepth)
+	c := bin.Encoder(append(make([]byte, 0, 512), outcomeTag))
+	if err := walkOutcome(&c, o, 0); err != nil {
+		return nil, err
 	}
-	b = bin.AppendStr(b, string(o.Action))
-	b = bin.AppendStr(b, o.Name)
-	b = bin.AppendStr(b, string(o.Kind))
-	b = bin.AppendVarint(b, int64(o.Status))
-	b = bin.AppendStr(b, o.Reason)
-	b = bin.AppendVarint(b, int64(o.ExitCode))
-	b = bin.AppendBytes(b, o.Stdout)
-	b = bin.AppendBytes(b, o.Stderr)
-	b = bin.AppendUvarint(b, uint64(len(o.Files)))
-	for _, f := range o.Files {
-		b = bin.AppendStr(b, f.Path)
-		b = bin.AppendVarint(b, f.Size)
-		b = bin.AppendUvarint(b, f.CRC)
-	}
-	b = bin.AppendTime(b, o.Started)
-	b = bin.AppendTime(b, o.Finished)
-	b = bin.AppendUvarint(b, uint64(len(o.Children)))
-	for _, c := range o.Children {
-		if c == nil {
-			return nil, fmt.Errorf("ajo: outcome %s has a nil child", o.Action)
-		}
-		var err error
-		if b, err = appendOutcome(b, c, depth+1); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
+	return c.Bytes(), nil
 }
 
 // UnmarshalOutcome decodes MarshalOutcome's form. The result shares no
@@ -368,44 +283,47 @@ func UnmarshalOutcome(data []byte) (*Outcome, error) {
 	if data[0] != outcomeTag {
 		return nil, fmt.Errorf("ajo: outcome has format tag 0x%02x, this build reads binary outcome format 0x%02x", data[0], outcomeTag)
 	}
-	r := bin.NewReader(data[1:])
-	o, err := readOutcome(r, 0)
-	if err != nil {
+	c := bin.Decoder(data[1:])
+	o := new(Outcome)
+	if err := walkOutcome(&c, o, 0); err != nil {
 		return nil, err
 	}
-	if err := r.Err(); err != nil {
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("ajo: decoding outcome: %w", err)
 	}
 	return o, nil
 }
 
-func readOutcome(r *bin.Reader, depth int) (*Outcome, error) {
+// walkOutcome is the one description of an outcome node, in both directions.
+func walkOutcome(c *bin.Codec, o *Outcome, depth int) error {
 	if depth >= maxDepth {
-		return nil, fmt.Errorf("ajo: outcome nests deeper than %d job groups", maxDepth)
+		return fmt.Errorf("ajo: outcome nests deeper than %d job groups", maxDepth)
 	}
-	o := &Outcome{Action: ActionID(r.Str()), Name: r.Str(), Kind: Kind(r.Str())}
-	o.Status = Status(r.Varint())
-	o.Reason = r.Str()
-	o.ExitCode = int(r.Varint())
-	o.Stdout = append([]byte(nil), r.Bytes()...) // a copy; empty stays nil
-	o.Stderr = append([]byte(nil), r.Bytes()...)
-	if n := r.Count(); n > 0 {
-		o.Files = make([]FileRecord, 0, n)
-		for i := 0; i < n && !r.Failed(); i++ {
-			o.Files = append(o.Files, FileRecord{Path: r.Str(), Size: r.Varint(), CRC: r.Uvarint()})
+	c.Str((*string)(&o.Action))
+	c.Str(&o.Name)
+	c.Str((*string)(&o.Kind))
+	c.Int((*int)(&o.Status))
+	c.Str(&o.Reason)
+	c.Int(&o.ExitCode)
+	c.Blob(&o.Stdout)
+	c.Blob(&o.Stderr)
+	for i := range bin.Slice(c, &o.Files) {
+		f := &o.Files[i]
+		c.Str(&f.Path)
+		c.Varint(&f.Size)
+		c.Uvarint(&f.CRC)
+	}
+	c.Time(&o.Started)
+	c.Time(&o.Finished)
+	for i := range bin.Slice(c, &o.Children) {
+		if c.Decoding() {
+			o.Children[i] = new(Outcome)
+		} else if o.Children[i] == nil {
+			return fmt.Errorf("ajo: outcome %s has a nil child", o.Action)
+		}
+		if err := walkOutcome(c, o.Children[i], depth+1); err != nil {
+			return err
 		}
 	}
-	o.Started = r.Time()
-	o.Finished = r.Time()
-	if n := r.Count(); n > 0 {
-		o.Children = make([]*Outcome, 0, n)
-		for i := 0; i < n && !r.Failed(); i++ {
-			c, err := readOutcome(r, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			o.Children = append(o.Children, c)
-		}
-	}
-	return o, nil
+	return nil
 }

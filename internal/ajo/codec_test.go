@@ -2,6 +2,7 @@ package ajo
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -11,7 +12,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"unicore/internal/bin"
 	"unicore/internal/core"
 	"unicore/internal/resources"
 )
@@ -188,7 +188,7 @@ func TestNestingDepthIsBounded(t *testing.T) {
 // TestHostileLengthPrefixAllocatesLittle: a count or length prefix far larger
 // than the document behind it is refused before anything is sized by it.
 func TestHostileLengthPrefixAllocatesLittle(t *testing.T) {
-	huge := bin.AppendUvarint(nil, 1<<40)
+	huge := binary.AppendUvarint(nil, 1<<40)
 	docs := map[string][]byte{
 		"string length": append([]byte{formatTag, codeUser}, huge...),
 		"action count":  append([]byte{formatTag, codeJob, 1, 'j', 0, 0, 0, 0, 0, 0}, huge...),

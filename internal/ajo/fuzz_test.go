@@ -1,10 +1,9 @@
 package ajo
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
-
-	"unicore/internal/bin"
 )
 
 // FuzzAJOUnmarshal feeds the binary decoder what a hostile consigner could:
@@ -28,7 +27,7 @@ func FuzzAJOUnmarshal(f *testing.F) {
 	}
 	f.Add(deep)
 	f.Add([]byte{})
-	f.Add(append([]byte{formatTag, codeJob, 1, 'j', 0, 0, 0, 0, 0, 0}, bin.AppendUvarint(nil, 1<<40)...))
+	f.Add(append([]byte{formatTag, codeJob, 1, 'j', 0, 0, 0, 0, 0, 0}, binary.AppendUvarint(nil, 1<<40)...))
 	f.Add([]byte(`{"kind":"ListService","body":{"id":"ls"}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

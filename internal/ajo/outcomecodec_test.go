@@ -2,12 +2,12 @@ package ajo
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
-	"unicore/internal/bin"
 	"unicore/internal/bin/bintest"
 )
 
@@ -104,7 +104,7 @@ func TestOutcomeDecodeErrors(t *testing.T) {
 		"tag only":      good[:1],
 		"truncated":     good[:len(good)/2],
 		"trailing byte": append(bytes.Clone(good), 0),
-		"child count":   append(append([]byte{outcomeTag, 1, 'j'}, make([]byte, 10)...), bin.AppendUvarint(nil, 1<<40)...),
+		"child count":   append(append([]byte{outcomeTag, 1, 'j'}, make([]byte, 10)...), binary.AppendUvarint(nil, 1<<40)...),
 	} {
 		if _, err := UnmarshalOutcome(doc); err == nil {
 			t.Errorf("%s outcome accepted", name)
@@ -185,7 +185,7 @@ func FuzzOutcomeUnmarshal(f *testing.F) {
 		f.Add(raw[:len(raw)/2])
 	}
 	f.Add([]byte{})
-	f.Add(append(append([]byte{outcomeTag, 1, 'j'}, make([]byte, 10)...), bin.AppendUvarint(nil, 1<<40)...))
+	f.Add(append(append([]byte{outcomeTag, 1, 'j'}, make([]byte, 10)...), binary.AppendUvarint(nil, 1<<40)...))
 	f.Add([]byte(`{"action":"job","kind":"AbstractJob","status":4}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

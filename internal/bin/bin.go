@@ -1,9 +1,14 @@
-// Package bin holds the uvarint primitives of the repository's one binary
-// codec. Three formats are built from them and from nothing else: the frame
-// bodies of a stream (internal/protocol), the AJO tree (internal/ajo) and the
-// journal record (internal/journal). An encoder is a chain of Append* calls
-// on a caller-owned buffer; a decoder consumes a Reader and checks Err once
-// at the end.
+// Package bin is the repository's one binary codec. Three formats are built
+// from it and from nothing else: the frame bodies of a stream
+// (internal/protocol), the AJO and outcome trees (internal/ajo) and the
+// journal record (internal/journal).
+//
+// A message is described once, as a walk: a function that hands a Codec a
+// pointer to each field in wire order. Run on an Encoder the walk appends the
+// fields to a caller-owned buffer; run on a Decoder it fills them from the
+// input (the target starts as the zero message) and Err is checked once at
+// the end. Encoding and decoding cannot disagree on field order, and a field
+// the walk names is carried in both directions.
 //
 // The package imports only the standard library, so every tier may use it.
 package bin
@@ -20,195 +25,212 @@ import (
 // length prefix larger than the bytes behind it.
 var ErrMalformed = errors.New("malformed binary payload")
 
-// Reader consumes one encoded message. A failed read returns the zero value
-// and makes every later read fail too, so a decoder needs no check between
-// fields.
-type Reader struct {
-	b   []byte
+// Codec is one direction of one message. A failed read leaves its field
+// untouched and makes every later read fail too, so a walk needs no check
+// between fields. Keep a Codec in a local and pass its address down a chain
+// of direct calls: reached through a function value or an interface it moves
+// to the heap, and the message with it.
+type Codec struct {
+	b   []byte // encoding: the output so far; decoding: the input not yet read
+	dec bool
 	bad bool
 }
 
-// NewReader reads from b. Byte slices the reader returns alias b.
-func NewReader(b []byte) *Reader { return &Reader{b: b} }
+// Encoder returns a codec whose walks append to b.
+func Encoder(b []byte) Codec { return Codec{b: b} }
+
+// Decoder returns a codec whose walks consume p. Views it hands out alias p.
+func Decoder(p []byte) Codec { return Codec{b: p, dec: true} }
+
+// Decoding reports the direction, for the few places a walk has to differ:
+// sizing a map, allocating a node of a tree.
+func (c *Codec) Decoding() bool { return c.dec }
 
 // Failed reports whether a read has failed so far.
-func (r *Reader) Failed() bool { return r.bad }
+func (c *Codec) Failed() bool { return c.bad }
 
-// Rest returns the bytes not yet consumed.
-func (r *Reader) Rest() []byte { return r.b }
+// Bytes returns what an encoder has written, or what a decoder has yet to
+// read.
+func (c *Codec) Bytes() []byte { return c.b }
 
 // Err is the decode verdict: ErrMalformed if any read failed or bytes are
 // left over. One check covers the whole message.
-func (r *Reader) Err() error {
-	if r.bad {
+func (c *Codec) Err() error {
+	switch {
+	case c.bad:
 		return ErrMalformed
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(r.b))
-	}
-	return nil
-}
-
-// Byte reads one raw byte (a tag or a kind code).
-func (r *Reader) Byte() byte {
-	if r.bad || len(r.b) == 0 {
-		r.bad = true
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-// Uvarint reads an unsigned varint: a count, a length, a sequence number.
-func (r *Reader) Uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if r.bad || n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// Varint reads a zig-zag signed varint.
-func (r *Reader) Varint() int64 {
-	v, n := binary.Varint(r.b)
-	if r.bad || n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// Float64 reads AppendFloat64's eight bytes. NaN and the infinities are
-// malformed: a JSON envelope cannot carry them either, and no reader of a
-// load figure expects one.
-func (r *Reader) Float64() float64 {
-	if r.bad || len(r.b) < 8 {
-		r.bad = true
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		r.bad = true
-		return 0
-	}
-	r.b = r.b[8:]
-	return v
-}
-
-// Bytes returns a length-prefixed field as a view into the input, capped so
-// an append by the holder cannot reach the bytes behind it.
-func (r *Reader) Bytes() []byte {
-	n := r.Uvarint()
-	if r.bad || uint64(len(r.b)) < n {
-		r.bad = true
-		return nil
-	}
-	v := r.b[:n:n]
-	r.b = r.b[n:]
-	return v
-}
-
-// Blob is Bytes with an empty field read as nil — what an omitted field of
-// a JSON envelope decodes to.
-func (r *Reader) Blob() []byte {
-	if v := r.Bytes(); len(v) > 0 {
-		return v
+	case c.dec && len(c.b) != 0:
+		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(c.b))
 	}
 	return nil
 }
 
-// Str reads a length-prefixed string (a copy, unlike Bytes).
-func (r *Reader) Str() string { return string(r.Bytes()) }
-
-// Bool reads AppendBool's byte; any non-zero value is true.
-func (r *Reader) Bool() bool { return r.Uvarint() != 0 }
-
-// Time decodes AppendTime's form. Zero marks the zero time distinctly from
-// unix nano 0. UTC matches what a JSON envelope yields after an RFC 3339
-// round trip, so the two decodings of one instant compare equal.
-func (r *Reader) Time() time.Time {
-	v := r.Varint()
-	if v == 0 {
-		return time.Time{}
+// Byte walks one raw byte (a tag or a kind code).
+func (c *Codec) Byte(v *byte) {
+	switch {
+	case !c.dec:
+		c.b = append(c.b, *v)
+	case c.bad || len(c.b) == 0:
+		c.bad = true
+	default:
+		*v, c.b = c.b[0], c.b[1:]
 	}
-	return time.Unix(0, v).UTC()
 }
 
-// Count reads a list length and refuses one the remaining input cannot
-// hold (every element takes at least one byte), so a hostile prefix cannot
-// make the decoder allocate more than a small multiple of the input.
-func (r *Reader) Count() int {
-	n := r.Uvarint()
-	if r.bad || n > uint64(len(r.b)) {
-		r.bad = true
+// Uvarint walks an unsigned varint: a sequence number, a checksum.
+func (c *Codec) Uvarint(v *uint64) {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, *v)
+		return
+	}
+	x, n := binary.Uvarint(c.b)
+	if c.bad || n <= 0 {
+		c.bad = true
+		return
+	}
+	*v, c.b = x, c.b[n:]
+}
+
+// Varint walks a zig-zag signed varint.
+func (c *Codec) Varint(v *int64) {
+	if !c.dec {
+		c.b = binary.AppendVarint(c.b, *v)
+		return
+	}
+	x, n := binary.Varint(c.b)
+	if c.bad || n <= 0 {
+		c.bad = true
+		return
+	}
+	*v, c.b = x, c.b[n:]
+}
+
+// Int walks an int as a Varint.
+func (c *Codec) Int(v *int) {
+	x := int64(*v)
+	c.Varint(&x)
+	*v = int(x)
+}
+
+// Bool walks one byte, 1 or 0; any non-zero value reads as true.
+func (c *Codec) Bool(v *bool) {
+	var x uint64
+	if *v {
+		x = 1
+	}
+	c.Uvarint(&x)
+	*v = x != 0
+}
+
+// Float64 walks v's IEEE 754 bits as eight little-endian bytes (a load
+// figure, a charge: the only non-integer numbers on the wire). NaN and the
+// infinities read as malformed: a JSON envelope cannot carry them either, and
+// no reader of a load figure expects one.
+func (c *Codec) Float64(v *float64) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*v))
+		return
+	}
+	if c.bad || len(c.b) < 8 {
+		c.bad = true
+		return
+	}
+	x := math.Float64frombits(binary.LittleEndian.Uint64(c.b))
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		c.bad = true
+		return
+	}
+	*v, c.b = x, c.b[8:]
+}
+
+// Time walks t as varint unix nanoseconds. The zero time is written as 0 and
+// 0 reads back as the zero time, so the one instant that does not survive is
+// time.Unix(0, 0) itself: it also encodes as 0 and decodes as time.Time{}.
+// The location is not kept; a decoded time is UTC, which matches what a JSON
+// envelope yields after an RFC 3339 round trip, so the two decodings of one
+// instant compare equal.
+func (c *Codec) Time(t *time.Time) {
+	var ns int64
+	if !t.IsZero() {
+		ns = t.UnixNano()
+	}
+	c.Varint(&ns)
+	switch {
+	case !c.dec || c.bad:
+	case ns == 0:
+		*t = time.Time{}
+	default:
+		*t = time.Unix(0, ns).UTC()
+	}
+}
+
+// Len walks a list count or a length prefix: n is written when encoding and
+// returned as read when decoding. A decoder refuses a count the remaining
+// input cannot hold (every element takes at least one byte), so a hostile
+// prefix cannot make it allocate more than a small multiple of the input.
+func (c *Codec) Len(n int) int {
+	u := uint64(n)
+	c.Uvarint(&u)
+	if c.dec && (c.bad || u > uint64(len(c.b))) {
+		c.bad = true
 		return 0
 	}
-	return int(n)
+	return int(u)
 }
 
-// Strs decodes AppendStrs's form; an empty list decodes as nil.
-func (r *Reader) Strs() []string {
-	n := r.Count()
-	if n == 0 {
-		return nil
+// Str walks a length-prefixed string (decoded as a copy, unlike View).
+func (c *Codec) Str(v *string) {
+	n := c.Len(len(*v))
+	if !c.dec {
+		c.b = append(c.b, *v...)
+	} else if !c.bad {
+		*v, c.b = string(c.b[:n]), c.b[n:]
 	}
-	out := make([]string, 0, n)
-	for i := 0; i < n && !r.bad; i++ {
-		out = append(out, r.Str())
+}
+
+// View walks a length-prefixed byte field. Decoded, it is a view into the
+// input, capped so an append by the holder cannot reach the bytes behind it;
+// an empty field reads as nil — what an omitted field of a JSON envelope
+// decodes to.
+func (c *Codec) View(v *[]byte) {
+	n := c.Len(len(*v))
+	switch {
+	case !c.dec:
+		c.b = append(c.b, *v...)
+	case c.bad:
+	case n == 0:
+		*v = nil
+	default:
+		*v, c.b = c.b[:n:n], c.b[n:]
 	}
-	return out
 }
 
-// AppendUvarint appends v as an unsigned varint.
-func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-// AppendVarint appends v as a zig-zag signed varint.
-func AppendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
-
-// AppendFloat64 appends v's IEEE 754 bits as eight little-endian bytes (a
-// load figure, a charge: the only non-integer numbers on the wire).
-func AppendFloat64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-// AppendBytes appends v behind its uvarint length.
-func AppendBytes(b []byte, v []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(v)))
-	return append(b, v...)
-}
-
-// AppendStr appends v behind its uvarint length.
-func AppendStr(b []byte, v string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(v)))
-	return append(b, v...)
-}
-
-// AppendBool appends one byte, 1 or 0.
-func AppendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+// Blob is View decoded as a copy: for a field that outlives the input.
+func (c *Codec) Blob(v *[]byte) {
+	c.View(v)
+	if c.dec {
+		*v = append([]byte(nil), *v...)
 	}
-	return append(b, 0)
 }
 
-// AppendTime encodes t as varint unix nanoseconds, 0 for the zero time. The
-// location is not kept; Reader.Time yields UTC.
-func AppendTime(b []byte, t time.Time) []byte {
-	if t.IsZero() {
-		return binary.AppendVarint(b, 0)
+// Slice walks a list's count and returns the list for the caller to range
+// over and walk each element in place; a decoder makes it first. An empty
+// list reads as nil.
+func Slice[S ~[]E, E any](c *Codec, s *S) S {
+	n := c.Len(len(*s))
+	switch {
+	case !c.dec || c.bad:
+	case n == 0:
+		*s = nil
+	default:
+		*s = make(S, n)
 	}
-	return binary.AppendVarint(b, t.UnixNano())
+	return *s
 }
 
-// AppendStrs appends a uvarint count and then each string.
-func AppendStrs(b []byte, v []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(v)))
-	for _, s := range v {
-		b = AppendStr(b, s)
+// Strs walks a count and then each string.
+func (c *Codec) Strs(v *[]string) {
+	for i := range Slice(c, v) {
+		c.Str(&(*v)[i])
 	}
-	return b
 }

@@ -1,9 +1,9 @@
-// Package bintest is the test support shared by the hand-written codecs
-// built on package bin. A hand codec lists its fields by hand, so a field
-// added to a struct and forgotten in the codec is silently dropped; Fill
-// makes that a test failure: it sets every exported field of a value to a
-// distinct non-zero value by reflection, so an encode/decode round trip
-// compared with reflect.DeepEqual names the forgotten field.
+// Package bintest is the test support shared by the codecs built on package
+// bin. A walk names its fields by hand, so a field added to a struct and not
+// to its walk is silently dropped; Fill makes that a test failure: it sets
+// every exported field of a value to a distinct non-zero value by reflection,
+// so an encode/decode round trip compared with reflect.DeepEqual names the
+// forgotten field.
 package bintest
 
 import (
@@ -17,8 +17,8 @@ var timeType = reflect.TypeOf(time.Time{})
 
 // Fill sets every exported field reachable from ptr — through embedded and
 // nested structs, slices and maps — to a non-zero value no other field got.
-// Slices get two elements, maps two entries. Times are UTC, as bin.Reader
-// decodes them. Interface-typed values are left alone: only the caller knows
+// Slices get two elements, maps two entries. Times are UTC, as a decoder
+// yields them. Interface-typed values are left alone: only the caller knows
 // which implementations belong there. A recursive type (an outcome's
 // children) is filled two levels deep and left empty below. A field of a type
 // Fill does not know fails the test, so a new kind of field cannot slip past

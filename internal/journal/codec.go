@@ -11,116 +11,126 @@ import (
 // was not built for instead of guessing.
 const formatTag byte = 0x01
 
-// appendPayload encodes e behind b: format tag, kind, then the fields of the
-// one payload struct that kind carries, in declaration order.
-func appendPayload(b []byte, e Entry) ([]byte, error) {
-	b = append(b, formatTag, byte(e.Kind))
+// walkEntry is the one description of a record payload, run by appendPayload
+// as the encoder and by decodePayload as the decoder: format tag, kind, then
+// the fields of the one payload struct that kind carries, in declaration
+// order. Byte fields decode as views into the input.
+func walkEntry(c *bin.Codec, e *Entry) error {
+	tag := formatTag
+	c.Byte(&tag)
+	c.Byte((*byte)(&e.Kind))
 	switch e.Kind {
 	case KindFileWrite, KindFileRemove, KindMkdir, KindRename:
-		f := e.File
-		if f == nil {
-			return b, errNoPayload(e.Kind)
+		if f := payload(c, &e.File); f != nil {
+			c.Str(&f.Vsite)
+			c.Str(&f.Path)
+			c.Str(&f.To)
+			c.View(&f.Data)
+			return nil
 		}
-		b = bin.AppendStr(b, f.Vsite)
-		b = bin.AppendStr(b, f.Path)
-		b = bin.AppendStr(b, f.To)
-		b = bin.AppendBytes(b, f.Data)
 	case KindAdmit:
-		a := e.Admit
-		if a == nil {
-			return b, errNoPayload(e.Kind)
+		if a := payload(c, &e.Admit); a != nil {
+			c.Str(&a.Job)
+			c.Str(&a.Owner)
+			c.Str(&a.UID)
+			c.Strs(&a.Groups)
+			c.Str(&a.Project)
+			c.Str(&a.Vsite)
+			c.View(&a.AJO)
+			c.Str(&a.ConsignID)
+			c.Str(&a.ParentJob)
+			c.Str(&a.ParentAction)
+			c.Time(&a.Submitted)
+			return nil
 		}
-		b = bin.AppendStr(b, a.Job)
-		b = bin.AppendStr(b, a.Owner)
-		b = bin.AppendStr(b, a.UID)
-		b = bin.AppendStrs(b, a.Groups)
-		b = bin.AppendStr(b, a.Project)
-		b = bin.AppendStr(b, a.Vsite)
-		b = bin.AppendBytes(b, a.AJO)
-		b = bin.AppendStr(b, a.ConsignID)
-		b = bin.AppendStr(b, a.ParentJob)
-		b = bin.AppendStr(b, a.ParentAction)
-		b = bin.AppendTime(b, a.Submitted)
 	case KindActionStart, KindActionDone:
-		a := e.Action
-		if a == nil {
-			return b, errNoPayload(e.Kind)
+		if a := payload(c, &e.Action); a != nil {
+			c.Str(&a.Job)
+			c.Str(&a.Action)
+			c.Int(&a.Status)
+			c.Str(&a.Reason)
+			c.Int(&a.ExitCode)
+			c.View(&a.Stdout)
+			c.View(&a.Stderr)
+			for i := range bin.Slice(c, &a.Files) {
+				f := &a.Files[i]
+				c.Str(&f.Path)
+				c.Varint(&f.Size)
+				c.Uvarint(&f.CRC)
+			}
+			c.Time(&a.Started)
+			c.Time(&a.Finished)
+			c.View(&a.Tree)
+			return nil
 		}
-		b = bin.AppendStr(b, a.Job)
-		b = bin.AppendStr(b, a.Action)
-		b = bin.AppendVarint(b, int64(a.Status))
-		b = bin.AppendStr(b, a.Reason)
-		b = bin.AppendVarint(b, int64(a.ExitCode))
-		b = bin.AppendBytes(b, a.Stdout)
-		b = bin.AppendBytes(b, a.Stderr)
-		b = bin.AppendUvarint(b, uint64(len(a.Files)))
-		for _, f := range a.Files {
-			b = bin.AppendStr(b, f.Path)
-			b = bin.AppendVarint(b, f.Size)
-			b = bin.AppendUvarint(b, f.CRC)
-		}
-		b = bin.AppendTime(b, a.Started)
-		b = bin.AppendTime(b, a.Finished)
-		b = bin.AppendBytes(b, a.Tree)
 	case KindInject:
-		in := e.Inject
-		if in == nil {
-			return b, errNoPayload(e.Kind)
+		if in := payload(c, &e.Inject); in != nil {
+			c.Str(&in.Job)
+			c.Str(&in.After)
+			c.Str(&in.Name)
+			c.View(&in.Data)
+			return nil
 		}
-		b = bin.AppendStr(b, in.Job)
-		b = bin.AppendStr(b, in.After)
-		b = bin.AppendStr(b, in.Name)
-		b = bin.AppendBytes(b, in.Data)
 	case KindRemote:
-		l := e.Remote
-		if l == nil {
-			return b, errNoPayload(e.Kind)
+		if l := payload(c, &e.Remote); l != nil {
+			c.Str(&l.Job)
+			c.Str(&l.Action)
+			c.Str(&l.Usite)
+			c.Str(&l.RemoteJob)
+			return nil
 		}
-		b = bin.AppendStr(b, l.Job)
-		b = bin.AppendStr(b, l.Action)
-		b = bin.AppendStr(b, l.Usite)
-		b = bin.AppendStr(b, l.RemoteJob)
 	case KindControl:
-		c := e.Control
-		if c == nil {
-			return b, errNoPayload(e.Kind)
+		if ctl := payload(c, &e.Control); ctl != nil {
+			c.Str(&ctl.Job)
+			c.Str(&ctl.Op)
+			return nil
 		}
-		b = bin.AppendStr(b, c.Job)
-		b = bin.AppendStr(b, c.Op)
 	case KindRootDone:
-		d := e.Root
-		if d == nil {
-			return b, errNoPayload(e.Kind)
+		if d := payload(c, &e.Root); d != nil {
+			c.Str(&d.Job)
+			c.Int(&d.Status)
+			c.Time(&d.Finished)
+			return nil
 		}
-		b = bin.AppendStr(b, d.Job)
-		b = bin.AppendVarint(b, int64(d.Status))
-		b = bin.AppendTime(b, d.Finished)
 	case KindSeq:
-		b = bin.AppendVarint(b, e.Seq)
+		c.Varint(&e.Seq)
+		return nil
 	case KindJobEvent:
-		ev := e.Event
-		if ev == nil {
-			return b, errNoPayload(e.Kind)
+		if ev := payload(c, &e.Event); ev != nil {
+			c.Str(&ev.Owner)
+			c.Str(&ev.Job)
+			c.Uvarint(&ev.Seq)
+			c.Uvarint(&ev.Global)
+			c.Str(&ev.Origin)
+			c.Str(&ev.Type)
+			c.Str(&ev.Action)
+			c.Int(&ev.Status)
+			c.Str(&ev.Reason)
+			c.Time(&ev.Time)
+			c.Bool(&ev.Terminal)
+			return nil
 		}
-		b = bin.AppendStr(b, ev.Owner)
-		b = bin.AppendStr(b, ev.Job)
-		b = bin.AppendUvarint(b, ev.Seq)
-		b = bin.AppendUvarint(b, ev.Global)
-		b = bin.AppendStr(b, ev.Origin)
-		b = bin.AppendStr(b, ev.Type)
-		b = bin.AppendStr(b, ev.Action)
-		b = bin.AppendVarint(b, int64(ev.Status))
-		b = bin.AppendStr(b, ev.Reason)
-		b = bin.AppendTime(b, ev.Time)
-		b = bin.AppendBool(b, ev.Terminal)
 	default:
-		return b, fmt.Errorf("journal: encoding entry of unknown %s", e.Kind)
+		return fmt.Errorf("journal: entry of unknown %s", e.Kind)
 	}
-	return b, nil
+	return fmt.Errorf("journal: %s entry without its payload", e.Kind)
 }
 
-func errNoPayload(k Kind) error {
-	return fmt.Errorf("journal: %s entry without its payload", k)
+// payload returns the struct a kind's fields are walked in: a new one hung
+// on the entry when decoding, the entry's own when encoding — nil if it has
+// none, which walkEntry refuses.
+func payload[T any](c *bin.Codec, p **T) *T {
+	if c.Decoding() {
+		*p = new(T)
+	}
+	return *p
+}
+
+// appendPayload encodes e behind b.
+func appendPayload(b []byte, e Entry) ([]byte, error) {
+	c := bin.Encoder(b)
+	err := walkEntry(&c, &e)
+	return c.Bytes(), err
 }
 
 // decodePayload is appendPayload's inverse. The entry's byte fields are
@@ -134,50 +144,12 @@ func decodePayload(p []byte) (Entry, error) {
 	if p[0] != formatTag {
 		return Entry{}, fmt.Errorf("%w: record has format tag 0x%02x, this build reads journal format 0x%02x", ErrCorrupt, p[0], formatTag)
 	}
-	e := Entry{Kind: Kind(p[1])}
-	r := bin.NewReader(p[2:])
-	switch e.Kind {
-	case KindFileWrite, KindFileRemove, KindMkdir, KindRename:
-		e.File = &FileMutation{Vsite: r.Str(), Path: r.Str(), To: r.Str(), Data: r.Blob()}
-	case KindAdmit:
-		e.Admit = &Admission{
-			Job: r.Str(), Owner: r.Str(), UID: r.Str(), Groups: r.Strs(),
-			Project: r.Str(), Vsite: r.Str(), AJO: r.Blob(), ConsignID: r.Str(),
-			ParentJob: r.Str(), ParentAction: r.Str(), Submitted: r.Time(),
-		}
-	case KindActionStart, KindActionDone:
-		a := &ActionEvent{
-			Job: r.Str(), Action: r.Str(), Status: int(r.Varint()), Reason: r.Str(),
-			ExitCode: int(r.Varint()), Stdout: r.Blob(), Stderr: r.Blob(),
-		}
-		if n := r.Count(); n > 0 {
-			a.Files = make([]FileStat, 0, n)
-			for i := 0; i < n && !r.Failed(); i++ {
-				a.Files = append(a.Files, FileStat{Path: r.Str(), Size: r.Varint(), CRC: r.Uvarint()})
-			}
-		}
-		a.Started, a.Finished, a.Tree = r.Time(), r.Time(), r.Blob()
-		e.Action = a
-	case KindInject:
-		e.Inject = &Injection{Job: r.Str(), After: r.Str(), Name: r.Str(), Data: r.Blob()}
-	case KindRemote:
-		e.Remote = &RemoteLink{Job: r.Str(), Action: r.Str(), Usite: r.Str(), RemoteJob: r.Str()}
-	case KindControl:
-		e.Control = &ControlEvent{Job: r.Str(), Op: r.Str()}
-	case KindRootDone:
-		e.Root = &RootEvent{Job: r.Str(), Status: int(r.Varint()), Finished: r.Time()}
-	case KindSeq:
-		e.Seq = r.Varint()
-	case KindJobEvent:
-		e.Event = &JobEventRecord{
-			Owner: r.Str(), Job: r.Str(), Seq: r.Uvarint(), Global: r.Uvarint(),
-			Origin: r.Str(), Type: r.Str(), Action: r.Str(), Status: int(r.Varint()),
-			Reason: r.Str(), Time: r.Time(), Terminal: r.Bool(),
-		}
-	default:
-		return Entry{}, fmt.Errorf("%w: unknown %s", ErrCorrupt, e.Kind)
+	var e Entry
+	c := bin.Decoder(p)
+	if err := walkEntry(&c, &e); err != nil {
+		return Entry{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if err := r.Err(); err != nil {
+	if err := c.Err(); err != nil {
 		return Entry{}, fmt.Errorf("%w: %s record: %v", ErrCorrupt, e.Kind, err)
 	}
 	return e, nil

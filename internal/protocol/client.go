@@ -269,9 +269,11 @@ func (c *Client) streamCall(ctx context.Context, usite core.Usite, t MsgType, pa
 	// chunk's Data) is copied here and not touched again.
 	frame := getFrameBuf(0)
 	defer putFrameBuf(frame)
-	var ok bool
-	if *frame, ok = op.wire.encodeRequest(*frame, payload, telemetry.TraceFrom(ctx)); !ok {
-		return nil, false
+	var err error
+	if *frame, err = op.wire.encodeRequest(*frame, payload, telemetry.TraceFrom(ctx)); err != nil {
+		// A payload of another type goes out as the envelope the caller built;
+		// a request with no walk is this package's mistake, and is the answer.
+		return err, !errors.Is(err, errNotRequest)
 	}
 	kind, _, _ := op.wire.frames()
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"unicore/internal/bin"
 )
 
 // TestFrameRoundTrip pushes frames through the write and read halves and the
@@ -90,36 +92,40 @@ func TestBinCodecRoundTrips(t *testing.T) {
 	// The fetch rows share one body; the trailing flag picks the row.
 	fetch := FetchRequest{Job: "FZJ-000003", File: "out.dat", Offset: 1 << 20, Limit: 256 << 10}
 	for _, transfer := range []bool{false, true} {
-		enc := encFetch(nil, fetch, transfer)
+		enc := mustEncode(fetch)
+		if transfer {
+			enc = mustEncode(TransferRequest(fetch))
+		}
 		code, _, body, err := splitRequest(FrameFetch, enc)
-		if got, derr := decFetch(body); err != nil || derr != nil || got != fetch || (code != 0) != transfer {
+		var got FetchRequest
+		if derr := decode(body, &got); err != nil || derr != nil || got != fetch || (code != 0) != transfer {
 			t.Fatalf("fetch (transfer=%v): %+v, code %d, %v, %v", transfer, got, code, err, derr)
 		}
 	}
 
 	// The frame forms carry one flag beyond the table's types.
 	sub := binSub{SubscribeRequest: sample[SubscribeRequest](reqs), Once: true}
-	if got, err := decSub(encSub(nil, sub)); err != nil || !reflect.DeepEqual(got, sub) {
+	if got, err := roundTrip(sub); err != nil || !reflect.DeepEqual(got, sub) {
 		t.Fatalf("sub: %+v, %v", got, err)
 	}
 	evs := binEvents{EventsReply: sample[EventsReply](reps), End: true}
-	if got, err := decEvents(encEvents(nil, evs)); err != nil || !reflect.DeepEqual(got, evs) {
+	if got, err := roundTrip(evs); err != nil || !reflect.DeepEqual(got, evs) {
 		t.Fatalf("events: %+v, %v", got, err)
 	}
 
 	// Zero time must round-trip to the zero time, not unix epoch.
 	zrep := PollReply{Found: false}
-	got, err := decPollReply(encPollReply(nil, zrep))
+	got, err := roundTrip(zrep)
 	if err != nil || !got.Summary.Updated.IsZero() {
 		t.Fatalf("zero time: %+v, %v", got, err)
 	}
 
 	// Truncated and trailing-garbage payloads must fail, never panic.
-	enc := encPollReply(nil, sample[PollReply](reps))
-	if _, err := decPollReply(enc[:len(enc)-1]); err == nil {
+	enc := mustEncode(sample[PollReply](reps))
+	if err := decode(enc[:len(enc)-1], new(PollReply)); err == nil {
 		t.Fatal("truncated poll reply decoded")
 	}
-	if _, err := decPollReply(append(enc, 0)); err == nil {
+	if err := decode(append(enc, 0), new(PollReply)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 }
@@ -127,13 +133,14 @@ func TestBinCodecRoundTrips(t *testing.T) {
 // TestCallHeaderRoundTrip covers the FrameCall prefix (code + trace).
 func TestCallHeaderRoundTrip(t *testing.T) {
 	body := []byte{1, 2, 3}
-	p := encCallHeader(nil, binPoll, "trace-123")
-	p = append(p, body...)
-	code, trace, rest, err := splitCall(p)
+	c, code, trace := bin.Encoder(nil), binPoll, "trace-123"
+	walkCall(&c, &code, &trace)
+	p := append(c.Bytes(), body...)
+	code, trace, rest, err := splitRequest(FrameCall, p)
 	if err != nil || code != binPoll || trace != "trace-123" || !bytes.Equal(rest, body) {
-		t.Fatalf("splitCall = %d %q %v %v", code, trace, rest, err)
+		t.Fatalf("splitRequest = %d %q %v %v", code, trace, rest, err)
 	}
-	if _, _, _, err := splitCall(nil); err == nil {
+	if _, _, _, err := splitRequest(FrameCall, nil); err == nil {
 		t.Fatal("empty call payload accepted")
 	}
 }

@@ -251,7 +251,7 @@ func (s *streamConn) subscribe(b binSub) (uint64, <-chan binEvents, error) {
 	s.mu.Unlock()
 
 	bp := getFrameBuf(0)
-	*bp = encSub(*bp, b)
+	*bp, _ = encode(*bp, &b) // a binSub has its walk
 	err := s.send(FrameSub, id, *bp)
 	putFrameBuf(bp)
 	if err != nil {
@@ -294,7 +294,8 @@ func (s *streamConn) readLoop() {
 			// cutting it off, and the server's push loop runs on until told.
 			ended, cut := f.Kind != FrameEvents, false
 			if f.Kind == FrameEvents {
-				if ev, derr := decEvents(f.Payload); derr != nil {
+				var ev binEvents
+				if decode(f.Payload, &ev) != nil {
 					cut = true
 				} else {
 					select {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"unicore/internal/bin"
 	"unicore/internal/core"
 )
 
@@ -21,69 +22,40 @@ type op struct {
 	wire wireRow
 }
 
-// ops is the operation table, in wire-constant order.
+// ops is the operation table, in wire-constant order. A row's request and
+// reply types are its wireOp's type arguments; their wire forms are the cases
+// walkMsg has for them (bincodec.go).
 var ops = []op{
-	{MsgConsign, MsgConsignReply, call(binConsign, encConsignRequest, decConsignRequest,
-		encConsignReply, decConsignReply, StreamBackend.StreamConsign)},
-	{MsgPoll, MsgPollReply, call(binPoll, encPollRequest, decPollRequest,
-		encPollReply, decPollReply, StreamBackend.StreamPoll)},
-	{MsgOutcome, MsgOutcomeReply, call(binOutcome, encOutcomeRequest, decOutcomeRequest,
-		encOutcomeReply, decOutcomeReply, StreamBackend.StreamOutcome)},
-	{MsgList, MsgListReply, call(binList, encListRequest, decListRequest,
-		encListReply, decListReply, StreamBackend.StreamList)},
-	{MsgControl, MsgControlReply, call(binControl, encControlRequest, decControlRequest,
-		encControlReply, decControlReply, StreamBackend.StreamControl)},
-	{MsgResources, MsgResourcesReply, call(binResources, encResourcesRequest, decResourcesRequest,
-		encResourcesReply, decResourcesReply, StreamBackend.StreamResources)},
+	{MsgConsign, MsgConsignReply, call(binConsign, StreamBackend.StreamConsign)},
+	{MsgPoll, MsgPollReply, call(binPoll, StreamBackend.StreamPoll)},
+	{MsgOutcome, MsgOutcomeReply, call(binOutcome, StreamBackend.StreamOutcome)},
+	{MsgList, MsgListReply, call(binList, StreamBackend.StreamList)},
+	{MsgControl, MsgControlReply, call(binControl, StreamBackend.StreamControl)},
+	{MsgResources, MsgResourcesReply, call(binResources, StreamBackend.StreamResources)},
 	{MsgTransfer, MsgTransferReply, &wireOp[TransferRequest, TransferReply]{
-		kind: FrameFetch, code: 1, answer: FrameData,
-		encReq: func(b []byte, req TransferRequest) []byte { return encFetch(b, FetchRequest(req), true) },
-		decReq: func(p []byte) (TransferRequest, error) {
-			req, err := decFetch(p)
-			return TransferRequest(req), err
-		},
-		encRep: encData, decRep: decData,
-		backend: StreamBackend.StreamTransfer,
+		kind: FrameFetch, code: 1, answer: FrameData, backend: StreamBackend.StreamTransfer,
 	}},
-	{MsgApplet, MsgAppletReply, call(binApplet, encAppletRequest, decAppletRequest,
-		encAppletReply, decAppletReply, StreamBackend.StreamApplet)},
-	{MsgLoad, MsgLoadReply, call(binLoad, encLoadRequest, decLoadRequest,
-		encLoadReply, decLoadReply, StreamBackend.StreamLoad)},
+	{MsgApplet, MsgAppletReply, call(binApplet, StreamBackend.StreamApplet)},
+	{MsgLoad, MsgLoadReply, call(binLoad, StreamBackend.StreamLoad)},
 	{MsgFetch, MsgFetchReply, &wireOp[FetchRequest, TransferReply]{
-		kind: FrameFetch, code: 0, answer: FrameData,
-		encReq: func(b []byte, req FetchRequest) []byte { return encFetch(b, req, false) },
-		decReq: decFetch,
-		encRep: encData, decRep: decData,
-		backend: StreamBackend.StreamFetch,
+		kind: FrameFetch, code: 0, answer: FrameData, backend: StreamBackend.StreamFetch,
 	}},
 	{MsgSubscribe, MsgEventsReply, subscribeOp},
-	{MsgPutOpen, MsgPutOpenReply, call(binPutOpen, encPutOpenRequest, decPutOpenRequest,
-		encPutOpenReply, decPutOpenReply, StreamBackend.StreamPutOpen)},
+	{MsgPutOpen, MsgPutOpenReply, call(binPutOpen, StreamBackend.StreamPutOpen)},
 	{MsgPutChunk, MsgPutChunkReply, &wireOp[PutChunkRequest, PutChunkReply]{
-		kind: FramePut, answer: FramePutAck,
-		encReq: encPutChunk, decReq: decPutChunk,
-		encRep: encPutAck, decRep: decPutAck,
-		backend: StreamBackend.StreamPutChunk,
+		kind: FramePut, answer: FramePutAck, backend: StreamBackend.StreamPutChunk,
 	}},
-	{MsgPutCommit, MsgPutCommitReply, call(binPutCommit, encPutCommitRequest, decPutCommitRequest,
-		encPutCommitReply, decPutCommitReply, StreamBackend.StreamPutCommit)},
-	// The reply's snapshots ride as one JSON document (see encMetricsReply).
-	{MsgMetrics, MsgMetricsReply, call(binMetrics, encMetricsRequest, decMetricsRequest,
-		encMetricsReply, decMetricsReply, StreamBackend.StreamMetrics)},
+	{MsgPutCommit, MsgPutCommitReply, call(binPutCommit, StreamBackend.StreamPutCommit)},
+	// The reply's snapshots ride as one JSON document (see walkSnapshots).
+	{MsgMetrics, MsgMetricsReply, call(binMetrics, StreamBackend.StreamMetrics)},
 	{MsgFedAdvertise, MsgFedAdvertiseReply, nil},
 	{MsgHello, MsgHelloReply, nil},
 }
 
 // call is the row of an op that rides FrameCall / FrameReply under a call
-// code: the codec pair and the backend method are all that tell such ops
-// apart.
-func call[Req, Rep any](code byte,
-	encReq func([]byte, Req) []byte, decReq func([]byte) (Req, error),
-	encRep func([]byte, Rep) []byte, decRep func([]byte) (Rep, error),
-	backend func(StreamBackend, context.Context, core.DN, bool, Req) (Rep, error),
-) *wireOp[Req, Rep] {
-	return &wireOp[Req, Rep]{kind: FrameCall, code: code, answer: FrameReply,
-		encReq: encReq, decReq: decReq, encRep: encRep, decRep: decRep, backend: backend}
+// code: the code and the backend method are all that tell such ops apart.
+func call[Req, Rep any](code byte, backend func(StreamBackend, context.Context, core.DN, bool, Req) (Rep, error)) *wireOp[Req, Rep] {
+	return &wireOp[Req, Rep]{kind: FrameCall, code: code, answer: FrameReply, backend: backend}
 }
 
 // subscribeOp is the one-batch form of a subscription — what Client.Call
@@ -91,24 +63,15 @@ func call[Req, Rep any](code byte,
 // and push subscriptions are cancellable and outlive a request slot, see
 // startSub) and takes only the backend method from this row.
 var subscribeOp = &wireOp[SubscribeRequest, EventsReply]{
-	kind: FrameSub, answer: FrameEvents,
-	encReq: func(b []byte, req SubscribeRequest) []byte {
-		return encSub(b, binSub{SubscribeRequest: req, Once: true})
-	},
-	decReq: func(p []byte) (SubscribeRequest, error) {
-		sub, err := decSub(p)
-		return sub.SubscribeRequest, err
-	},
-	encRep: func(b []byte, rep EventsReply) []byte { return encEvents(b, binEvents{EventsReply: rep}) },
-	decRep: func(p []byte) (EventsReply, error) {
-		e, err := decEvents(p)
-		return e.EventsReply, err
-	},
-	backend: StreamBackend.StreamEvents,
+	kind: FrameSub, answer: FrameEvents, backend: StreamBackend.StreamEvents,
 }
 
-// errReplyOut reports a Call whose replyOut cannot hold the op's reply.
-var errReplyOut = errors.New("protocol: wrong reply out parameter")
+// errReplyOut reports a Call whose replyOut cannot hold the op's reply,
+// errNotRequest one whose payload is not the op's request.
+var (
+	errReplyOut   = errors.New("protocol: wrong reply out parameter")
+	errNotRequest = errors.New("protocol: wrong request payload")
+)
 
 // opByRequest and opByFrame index the table: by request type for the
 // client, by request frame kind and code for the server session.
@@ -156,9 +119,10 @@ type wireRow interface {
 	// frames returns the request frame kind, the code that selects the op
 	// among those sharing the kind, and the reply frame kind.
 	frames() (kind, code, answer byte)
-	// encodeRequest appends the request frame's payload to b; ok is false
-	// when payload is not the op's request type (by value or by pointer).
-	encodeRequest(b []byte, payload any, trace string) (out []byte, ok bool)
+	// encodeRequest appends the request frame's payload to b. The error is
+	// errNotRequest when payload is not the op's request type (by value or by
+	// pointer).
+	encodeRequest(b []byte, payload any, trace string) ([]byte, error)
 	// decodeReply decodes a reply frame into replyOut (which may be nil:
 	// reply discarded, errors still surfaced). A replyOut that is not a
 	// pointer to the op's reply type is errReplyOut — the caller's mistake;
@@ -176,17 +140,18 @@ type wireOp[Req, Rep any] struct {
 	code   byte // selects the op among those sharing kind: FrameCall's leading code byte, FrameFetch's trailing flag
 	answer byte // reply frame kind
 
-	encReq func([]byte, Req) []byte
-	decReq func([]byte) (Req, error)
-	encRep func([]byte, Rep) []byte
-	decRep func([]byte) (Rep, error)
-
 	backend func(StreamBackend, context.Context, core.DN, bool, Req) (Rep, error)
 }
 
 func (o *wireOp[Req, Rep]) frames() (kind, code, answer byte) { return o.kind, o.code, o.answer }
 
-func (o *wireOp[Req, Rep]) encodeRequest(b []byte, payload any, trace string) ([]byte, bool) {
+// named puts the message type into a codec error — above all errNoWalk,
+// which walkMsg cannot name itself without making every message escape.
+func named[T any](err error) error {
+	return fmt.Errorf("%w (%T)", err, (*T)(nil))
+}
+
+func (o *wireOp[Req, Rep]) encodeRequest(b []byte, payload any, trace string) ([]byte, error) {
 	var req Req
 	switch v := payload.(type) {
 	case Req:
@@ -194,12 +159,18 @@ func (o *wireOp[Req, Rep]) encodeRequest(b []byte, payload any, trace string) ([
 	case *Req:
 		req = *v
 	default:
-		return b, false
+		return b, errNotRequest
 	}
 	if o.kind == FrameCall {
-		b = encCallHeader(b, o.code, trace)
+		c, code := bin.Encoder(b), o.code
+		walkCall(&c, &code, &trace)
+		b = c.Bytes()
 	}
-	return o.encReq(b, req), true
+	b, err := encode(b, &req)
+	if err != nil {
+		return b, named[Req](err)
+	}
+	return b, nil
 }
 
 func (o *wireOp[Req, Rep]) decodeReply(t MsgType, f Frame, replyOut any) error {
@@ -210,11 +181,14 @@ func (o *wireOp[Req, Rep]) decodeReply(t MsgType, f Frame, replyOut any) error {
 	if f.Kind != o.answer {
 		return fmt.Errorf("protocol: %s answered with frame kind %#x", t, f.Kind)
 	}
-	rep, err := o.decRep(f.Payload)
-	if err == nil && p != nil {
+	var rep Rep
+	if err := decode(f.Payload, &rep); err != nil {
+		return named[Rep](err)
+	}
+	if p != nil {
 		*p = rep
 	}
-	return err
+	return nil
 }
 
 // serveFrame answers backend errors as generic stream errors — the client
@@ -222,9 +196,9 @@ func (o *wireOp[Req, Rep]) decodeReply(t MsgType, f Frame, replyOut any) error {
 // decoded request may alias body (a chunk's Data does): readFrame allocated
 // it for this frame alone, so the backend owns it from here.
 func (o *wireOp[Req, Rep]) serveFrame(ctx context.Context, s *streamSession, id uint64, body []byte) {
-	req, err := o.decReq(body)
-	if err != nil {
-		s.writeErr(id, StreamErrBadFrame, err.Error())
+	var req Req
+	if err := decode(body, &req); err != nil {
+		s.writeErr(id, StreamErrBadFrame, named[Req](err).Error())
 		return
 	}
 	rep, err := o.backend(s.be, ctx, s.dn, s.asServer, req)
@@ -233,18 +207,27 @@ func (o *wireOp[Req, Rep]) serveFrame(ctx context.Context, s *streamSession, id 
 		return
 	}
 	bp := getFrameBuf(0)
-	*bp = o.encRep(*bp, rep)
+	if *bp, err = encode(*bp, &rep); err != nil {
+		putFrameBuf(bp)
+		s.writeErr(id, StreamErrBadFrame, named[Rep](err).Error())
+		return
+	}
 	s.send(o.answer, id, bp)
 }
 
 // splitRequest peels a request frame's payload apart: the code that selects
 // the op among those sharing the frame kind, the caller's trace, and the
-// op's body. Only a FrameCall carries a header (code byte, trace); a
-// FrameFetch's code is the transfer flag that ends its body.
+// op's body. Only a FrameCall carries a header (walkCall); a FrameFetch's
+// code is the transfer flag that ends its body.
 func splitRequest(kind byte, p []byte) (code byte, trace string, body []byte, err error) {
 	switch {
 	case kind == FrameCall:
-		return splitCall(p)
+		c := bin.Decoder(p)
+		walkCall(&c, &code, &trace)
+		if c.Failed() {
+			return 0, "", nil, bin.ErrMalformed
+		}
+		return code, trace, c.Bytes(), nil
 	case kind == FrameFetch && len(p) > 0:
 		code = p[len(p)-1]
 	}

@@ -13,6 +13,7 @@ import (
 
 	"unicore/internal/ajo"
 	"unicore/internal/bin/bintest"
+	"unicore/internal/core"
 	"unicore/internal/events"
 	"unicore/internal/pki"
 	"unicore/internal/telemetry"
@@ -68,21 +69,31 @@ func TestEnvelopeClientChecksReplyType(t *testing.T) {
 type codecFuzzer interface {
 	roundTrip(t *testing.T, msg MsgType, reqs, reps []any)
 	everyField(t *testing.T, msg MsgType)
+	missingWalks() []string
 	fuzzCodecs(t *testing.T, msg MsgType, p []byte)
 	seedCodecs(add func([]byte), reqs, reps []any)
 	zeroRequest() any
 }
 
-// stable requires enc(dec(p)) to be a fixed point: what a decoder accepts
-// re-encodes to bytes it accepts again, as the same value. (Compared as
-// values, not bytes: a decoder accepts non-canonical varints, and an origins
-// map encodes in map order.)
-func stable[T any](t *testing.T, what string, dec func([]byte) (T, error), enc func([]byte, T) []byte, p []byte) {
-	v, err := dec(p)
-	if err != nil {
+// roundTrip runs v through its walk in both directions: decode(encode(v)).
+func roundTrip[T any](v T) (got T, err error) {
+	b, err := encode(nil, &v)
+	if err == nil {
+		err = decode(b, &got)
+	}
+	return got, err
+}
+
+// stable requires encode(decode(p)) to be a fixed point: what the walk of T
+// accepts re-encodes to bytes it accepts again, as the same value. (Compared
+// as values, not bytes: a decoder accepts non-canonical varints, and an
+// origins map encodes in map order.)
+func stable[T any](t *testing.T, what string, p []byte) {
+	var v T
+	if decode(p, &v) != nil {
 		return
 	}
-	again, err := dec(enc(nil, v))
+	again, err := roundTrip(v)
 	if err != nil {
 		t.Fatalf("%s: re-encoding of an accepted input is rejected: %v (input %x)", what, err, p)
 	}
@@ -92,8 +103,8 @@ func stable[T any](t *testing.T, what string, dec func([]byte) (T, error), enc f
 }
 
 func (o *wireOp[Req, Rep]) fuzzCodecs(t *testing.T, msg MsgType, p []byte) {
-	stable(t, string(msg)+" request", o.decReq, o.encReq, p)
-	stable(t, string(msg)+" reply", o.decRep, o.encRep, p)
+	stable[Req](t, string(msg)+" request", p)
+	stable[Rep](t, string(msg)+" reply", p)
 }
 
 // codecSamples returns one populated value of every request and reply type
@@ -152,7 +163,7 @@ func sample[T any](vs []any) T {
 	panic("codecSamples has no value of the requested type")
 }
 
-// roundTrip requires dec(enc(v)) to compare deeply equal to v for every
+// roundTrip requires decode(encode(v)) to compare deeply equal to v for every
 // sample of the row's own types — the same equality the event-stream recovery
 // tests demand between the JSON and binary decodings of one event.
 func (o *wireOp[Req, Rep]) roundTrip(t *testing.T, msg MsgType, reqs, reps []any) {
@@ -160,7 +171,7 @@ func (o *wireOp[Req, Rep]) roundTrip(t *testing.T, msg MsgType, reqs, reps []any
 	for _, v := range reqs {
 		if req, ok := v.(Req); ok {
 			tried++
-			if got, err := o.decReq(o.encReq(nil, req)); err != nil || !reflect.DeepEqual(got, req) {
+			if got, err := roundTrip(req); err != nil || !reflect.DeepEqual(got, req) {
 				t.Errorf("%s request: %+v, %v; want %+v", msg, got, err, req)
 			}
 		}
@@ -168,7 +179,7 @@ func (o *wireOp[Req, Rep]) roundTrip(t *testing.T, msg MsgType, reqs, reps []any
 	for _, v := range reps {
 		if rep, ok := v.(Rep); ok {
 			tried++
-			if got, err := o.decRep(o.encRep(nil, rep)); err != nil || !reflect.DeepEqual(got, rep) {
+			if got, err := roundTrip(rep); err != nil || !reflect.DeepEqual(got, rep) {
 				t.Errorf("%s reply: %+v, %v; want %+v", msg, got, err, rep)
 			}
 		}
@@ -179,18 +190,17 @@ func (o *wireOp[Req, Rep]) roundTrip(t *testing.T, msg MsgType, reqs, reps []any
 }
 
 // everyField fills the row's request and reply by reflection — every
-// exported field non-zero — and requires both to survive the row's codec: a
-// field added to a message and forgotten in its hand-written codec fails
-// here by name.
+// exported field non-zero — and requires both to survive their walks: a field
+// added to a message and not named in its walk fails here by name.
 func (o *wireOp[Req, Rep]) everyField(t *testing.T, msg MsgType) {
 	var req Req
 	bintest.Fill(t, &req)
-	if got, err := o.decReq(o.encReq(nil, req)); err != nil || !reflect.DeepEqual(got, req) {
+	if got, err := roundTrip(req); err != nil || !reflect.DeepEqual(got, req) {
 		t.Errorf("%s request:\n got %+v, %v\nwant %+v", msg, got, err, req)
 	}
 	var rep Rep
 	bintest.Fill(t, &rep)
-	if got, err := o.decRep(o.encRep(nil, rep)); err != nil || !reflect.DeepEqual(got, rep) {
+	if got, err := roundTrip(rep); err != nil || !reflect.DeepEqual(got, rep) {
 		t.Errorf("%s reply:\n got %+v, %v\nwant %+v", msg, got, err, rep)
 	}
 }
@@ -204,20 +214,40 @@ func TestEveryWireFieldSurvives(t *testing.T) {
 	}
 }
 
+// missingWalks names those of the row's two types walkMsg has no case for.
+func (o *wireOp[Req, Rep]) missingWalks() (missing []string) {
+	if _, err := encode(nil, new(Req)); errors.Is(err, errNoWalk) {
+		missing = append(missing, fmt.Sprintf("%T", new(Req)))
+	}
+	if _, err := encode(nil, new(Rep)); errors.Is(err, errNoWalk) {
+		missing = append(missing, fmt.Sprintf("%T", new(Rep)))
+	}
+	return missing
+}
+
 func (o *wireOp[Req, Rep]) zeroRequest() any {
 	var req Req
 	return req
 }
 
+// mustEncode is encode for a message known to have its walk.
+func mustEncode[T any](v T) []byte {
+	b, err := encode(nil, &v)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func (o *wireOp[Req, Rep]) seedCodecs(add func([]byte), reqs, reps []any) {
 	for _, v := range reqs {
 		if req, ok := v.(Req); ok {
-			add(o.encReq(nil, req))
+			add(mustEncode(req))
 		}
 	}
 	for _, v := range reps {
 		if rep, ok := v.(Rep); ok {
-			add(o.encRep(nil, rep))
+			add(mustEncode(rep))
 		}
 	}
 }
@@ -242,8 +272,8 @@ func FuzzStreamBodyDecoders(f *testing.F) {
 				o.wire.(codecFuzzer).fuzzCodecs(t, o.request, p)
 			}
 		}
-		stable(t, "sub frame", decSub, encSub, p)
-		stable(t, "events frame", decEvents, encEvents, p)
+		stable[binSub](t, "sub frame", p)
+		stable[binEvents](t, "events frame", p)
 		for _, kind := range []byte{FrameCall, FramePut, FrameFetch} {
 			if _, _, body, err := splitRequest(kind, p); err == nil && len(body) > len(p) {
 				t.Fatalf("splitRequest(%#x) grew the body", kind)
@@ -253,7 +283,8 @@ func FuzzStreamBodyDecoders(f *testing.F) {
 }
 
 // TestWireTableIsConsistent checks what the table's users assume: request
-// types and frame (kind, code) pairs are unique, every framed request encodes
+// types and frame (kind, code) pairs are unique, every row's request and
+// reply type has its walk, every framed request encodes
 // to a body its own row's decoder accepts and splitRequest routes back to
 // that row, and a frame no row claims resolves to no row.
 func TestWireTableIsConsistent(t *testing.T) {
@@ -274,11 +305,15 @@ func TestWireTableIsConsistent(t *testing.T) {
 		if FrameKindName(kind) == fmt.Sprintf("0x%02x", kind) || FrameKindName(answer) == fmt.Sprintf("0x%02x", answer) {
 			t.Errorf("%s rides unnamed frame kinds %#x/%#x", o.request, kind, answer)
 		}
+		// Both of the row's types have a case in walkMsg.
+		for _, missing := range o.wire.(codecFuzzer).missingWalks() {
+			t.Errorf("%s: walkMsg has no case for %s", o.request, missing)
+		}
 		// The zero request of the row's type, through the client's encoder.
 		zero := o.wire.(codecFuzzer).zeroRequest()
-		body, ok := o.wire.encodeRequest(nil, zero, "trace-1")
-		if !ok {
-			t.Fatalf("%s: encodeRequest refuses its own request type %T", o.request, zero)
+		body, err := o.wire.encodeRequest(nil, zero, "trace-1")
+		if err != nil {
+			t.Fatalf("%s: encodeRequest refuses its own request type %T: %v", o.request, zero, err)
 		}
 		gotCode, trace, _, err := splitRequest(kind, body)
 		if err != nil || gotCode != code {
@@ -296,5 +331,94 @@ func TestWireTableIsConsistent(t *testing.T) {
 	}
 	if opByFrame[[2]byte{FrameCall, 0xEE}] != nil || opByFrame[[2]byte{0x55, 0}] != nil {
 		t.Fatal("an unknown call code or frame kind resolves to a row")
+	}
+}
+
+// walkless is a message type walkMsg has no case for: what a row added to the
+// table without its walk looks like.
+type walkless struct{ N int }
+
+// TestRowWithoutWalkIsANamedError: a row whose request or reply type has no
+// walk answers with an error naming the type on every path through it — the
+// client's encoder and decoder, and the serving side as a bad-frame error —
+// and never with a panic in the session goroutine.
+func TestRowWithoutWalkIsANamedError(t *testing.T) {
+	served := false
+	row := &wireOp[walkless, walkless]{FrameCall, 0xEE, FrameReply,
+		func(StreamBackend, context.Context, core.DN, bool, walkless) (walkless, error) {
+			served = true
+			return walkless{}, nil
+		}}
+	named := func(err error) bool {
+		return errors.Is(err, errNoWalk) && strings.Contains(err.Error(), "walkless")
+	}
+	if missing := row.missingWalks(); len(missing) != 2 {
+		t.Fatalf("missingWalks = %v, want both types", missing)
+	}
+	if _, err := row.encodeRequest(nil, walkless{}, ""); !named(err) {
+		t.Errorf("encodeRequest: %v", err)
+	}
+	var rep walkless
+	if err := row.decodeReply("walkless", Frame{Kind: FrameReply}, &rep); !named(err) {
+		t.Errorf("decodeReply: %v", err)
+	}
+
+	client, server := net.Pipe()
+	defer client.Close()
+	go func() {
+		row.serveFrame(context.Background(), &streamSession{conn: server}, 7, nil)
+		server.Close()
+	}()
+	f, err := readFrame(client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, msg := parseStreamError(f.Payload)
+	if f.Kind != FrameError || f.ID != 7 || code != StreamErrBadFrame || !strings.Contains(msg, "walkless") {
+		t.Errorf("serveFrame answered kind %#x id %d code %d %q, want a bad-frame error naming the type", f.Kind, f.ID, code, msg)
+	}
+	if served {
+		t.Error("the backend ran on a request that was never decoded")
+	}
+}
+
+// TestWalksStayOnTheStack is the escape guard of walkMsg: encoding into a
+// buffer with room allocates nothing, and decoding allocates the strings and
+// lists the message holds and nothing else. A walk that lets its message or
+// its codec escape — a function-typed codec column, a field's address handed
+// to json.Unmarshal — costs every frame of every op an allocation or two, and
+// fails here before it fails the benchmark gate.
+func TestWalksStayOnTheStack(t *testing.T) {
+	var poll PollReply
+	bintest.Fill(t, &poll)
+	var evs binEvents
+	bintest.Fill(t, &evs)
+	evs.Origins = nil // what a map costs to make is the runtime's business
+	buf := make([]byte, 0, 4096)
+	if n := testing.AllocsPerRun(100, func() {
+		p, e := poll, evs // copies of this run's own, so an escaping message shows
+		encode(buf, &p)
+		encode(buf, &e)
+	}); n != 0 {
+		t.Errorf("encoding a PollReply and a binEvents allocates %.0f times, want 0", n)
+	}
+	pollBody, evsBody := mustEncode(poll), mustEncode(evs)
+	if n := testing.AllocsPerRun(100, func() {
+		var m PollReply
+		if err := decode(pollBody, &m); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("decoding a PollReply allocates %.0f times, want 1: the summary's job ID", n)
+	}
+	// Per event: Job, Origin, Type, Action, Reason.
+	want := float64(1 + 5*len(evs.Events))
+	if n := testing.AllocsPerRun(100, func() {
+		var m binEvents
+		if err := decode(evsBody, &m); err != nil {
+			t.Fatal(err)
+		}
+	}); n != want {
+		t.Errorf("decoding a binEvents of %d events allocates %.0f times, want %.0f: the list and five strings an event", len(evs.Events), n, want)
 	}
 }

@@ -238,7 +238,7 @@ func (s *streamSession) handle(f Frame) {
 // for a one-shot (the MsgSubscribe compatibility path), a server-driven push
 // loop otherwise.
 func (s *streamSession) startSub(f Frame) {
-	sub, err := decSub(f.Payload)
+	sub, err := decodeSub(f.Payload)
 	if err != nil {
 		s.writeErr(f.ID, StreamErrBadFrame, err.Error())
 		return
@@ -264,6 +264,14 @@ func (s *streamSession) startSub(f Frame) {
 		}()
 		s.runSub(ctx, f.ID, sub)
 	}()
+}
+
+// decodeSub returns the subscription by value: decode takes its target's
+// address, and a target startSub's goroutine captured would move to the heap
+// for every subscription.
+func decodeSub(p []byte) (sub binSub, err error) {
+	err = decode(p, &sub)
+	return sub, err
 }
 
 func (s *streamSession) stopSub(id uint64) {
@@ -322,6 +330,6 @@ func (s *streamSession) runSub(ctx context.Context, id uint64, sub binSub) {
 
 func (s *streamSession) writeEvents(id uint64, e binEvents) bool {
 	bp := getFrameBuf(0)
-	*bp = encEvents(*bp, e)
+	*bp, _ = encode(*bp, &e) // a binEvents has its walk
 	return s.send(FrameEvents, id, bp) == nil
 }
