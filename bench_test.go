@@ -595,8 +595,10 @@ func BenchmarkAblation_Backfill(b *testing.B) {
 // --- Ablation: §5.2 firewall split vs combined gateway ---------------------
 
 // BenchmarkAblation_FirewallSplit measures the real per-request cost of the
-// split deployment (envelope verified at the front, relayed over the IP
-// socket, verified again inside) against the combined server.
+// split deployment against the combined server. The session's hello is
+// verified once at the front and once inside when its stream is spliced
+// (before the loop); what each list then pays is the extra hop of its frames
+// over the loopback IP socket.
 func BenchmarkAblation_FirewallSplit(b *testing.B) {
 	for _, split := range []bool{false, true} {
 		b.Run(fmt.Sprintf("split=%v", split), func(b *testing.B) {
@@ -620,8 +622,8 @@ func BenchmarkAblation_FirewallSplit(b *testing.B) {
 // BenchmarkFederatedConsign measures the §6 multi-gateway outlook: every job
 // targets FZJ with `-site auto` semantics but needs more processors than FZJ
 // has, so the federated broker places it behind the DWD peer gateway and the
-// consign is re-sealed and forwarded there. ns/op is the full forwarded
-// consign cost (two signed envelopes plus remote journaling);
+// consign is forwarded there on the origin's server-role stream. ns/op is the
+// full forwarded consign cost (two stream hops plus remote journaling);
 // fed-forward-ack-p99-ms is the forward-ack tail, reported only.
 func BenchmarkFederatedConsign(b *testing.B) {
 	d := mustDeploy(b,

@@ -1,8 +1,8 @@
 // Command unicore-gateway runs one Usite's UNICORE server over mutually
 // authenticated TLS (the https of §4.1). In the default (combined) mode it
 // hosts the gateway and the NJS in one process; with -front it runs only the
-// Web-server half of the §5.2 firewall split and relays to an inner
-// unicore-njs over an IP socket.
+// Web-server half of the §5.2 firewall split: it authenticates callers and
+// splices their frame streams to an inner unicore-njs over an IP socket.
 //
 // With -replicas N (or per-Vsite "replicas" counts in the site config) the
 // combined mode runs every Vsite as a pool of N NJS replicas behind
@@ -96,7 +96,7 @@ func main() {
 		if len(o.fedPeers) > 0 {
 			log.Fatal("unicore-gateway: -peer federates the combined gateway; the firewall front only relays")
 		}
-		f, err := gateway.NewFront(cred, ca, gateway.TCPDial(*inner))
+		f, err := gateway.NewFront(cred, ca, *inner)
 		if err != nil {
 			log.Fatalf("unicore-gateway: %v", err)
 		}

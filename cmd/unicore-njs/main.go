@@ -1,7 +1,8 @@
 // Command unicore-njs runs the inside-the-firewall half of a split UNICORE
-// server (§5.2): the NJS plus the gateway's security logic, listening on the
-// site-selectable IP socket that the unicore-gateway front relays to. The
-// front never sees job contents — it only forwards verified envelopes.
+// server (§5.2): the NJS plus the gateway's security logic, served plain on
+// the site-selectable IP socket that the unicore-gateway front relays to. The
+// front admits only callers whose signed hello (or envelope) it has verified;
+// this half verifies them again.
 //
 // With -state-dir the NJS is durable: job state is recovered from the
 // write-ahead journal at boot, every admission and transition is journaled
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -109,7 +111,6 @@ func main() {
 		}()
 	}
 
-	inner := gateway.NewInner(gw)
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("unicore-njs: %v", err)
@@ -133,7 +134,7 @@ func main() {
 		l.Close()
 	}()
 
-	err = inner.Serve(l)
+	err = http.Serve(l, gw)
 	if shuttingDown.Load() {
 		if store != nil {
 			if serr := n.Snapshot(); serr != nil {

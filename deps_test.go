@@ -121,3 +121,35 @@ func TestEveryMessageIsDescribedOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestClientsHaveOneDoor keeps every client op on the frame stream. The
+// client's envelope fallback and its switches (Client.DisableStreams, the
+// sticky noStream verdict, HTTPShim/OverHTTP) and the firewall split's
+// private protocol (gateway.NewInner, a writeFrame/readFrame pair of its own,
+// its hand-rolled idle pool) are how a second door for clients would grow
+// back.
+func TestClientsHaveOneDoor(t *testing.T) {
+	gone := regexp.MustCompile(`DisableStreams|HTTPShim|OverHTTP|noStream|NewInner|maxIdleInner`)
+	framing := regexp.MustCompile(`(?m)^func (\([^)]*\) )?(writeFrame|readFrame)\(`)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || path == "deps_test.go" {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, name := range gone.FindAllString(string(src), -1) {
+			t.Errorf("%s names %s", path, name)
+		}
+		if filepath.Dir(path) == filepath.Join("internal", "gateway") {
+			for _, decl := range framing.FindAllString(string(src), -1) {
+				t.Errorf("%s declares %q: the split speaks protocol frames", path, strings.TrimRight(decl, "("))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -230,7 +230,7 @@ func (s *scanner) calls(n ast.Node) {
 // call interprets one call as a lock event or a peer call.
 func (s *scanner) call(call *ast.CallExpr) {
 	info := s.pass.TypesInfo
-	if analysis.IsMethodCall(info, call, "unicore/internal/protocol", "Client", "Call", "callOnce", "streamCall") {
+	if analysis.IsMethodCall(info, call, "unicore/internal/protocol", "Client", "Call", "SubscribeStream", "streamCall", "callOnce") {
 		for _, h := range s.stack {
 			if h.kind == jobLock {
 				s.pass.Reportf(call.Pos(),

@@ -106,6 +106,14 @@ func BadPeerCall(cl *protocol.Client, j *job) {
 	_ = cl.Call(context.Background(), "site", protocol.MsgPoll, nil, nil) // want "peer call through protocol.Client while job lock"
 }
 
+// BadPeerSubscribe dials (or waits on) the peer's stream to open a push
+// subscription while holding a job lock.
+func BadPeerSubscribe(cl *protocol.Client, j *job) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	_, _, _ = cl.SubscribeStream(context.Background(), "site", protocol.SubscribeRequest{}) // want "peer call through protocol.Client while job lock"
+}
+
 // GoodPeerCallBranch unlocks on the early-exit path before calling the peer;
 // after the branch the lock is still held, so the second call is flagged —
 // exactly the consignRemote shape, with the bug reintroduced.

@@ -79,7 +79,7 @@ func (s *Session) JPA() *JPA { return s.jpa }
 // Submit validates and consigns a job at this session's Usite. Each Submit
 // runs under a distributed trace: unless the caller already put one in ctx
 // (telemetry.WithTrace), a fresh trace ID is minted and carried in the
-// envelope header, so every server-side hop of this admission — gateway
+// consign frame's header, so every server-side hop of this admission — gateway
 // dispatch, pool routing, NJS admission, journal sync — records a span under
 // it. Trace returns the ID after the job is admitted.
 func (s *Session) Submit(ctx context.Context, job *ajo.AbstractJob) (core.JobID, error) {
@@ -226,7 +226,7 @@ var _ staging.Putter = (*Session)(nil)
 // and returns the committed transfer handle — the value to reference from an
 // ImportTask (Builder.ImportStaged / ajo.ImportSource.Staged) so a bulk
 // input travels in CRC-checked chunks ahead of the AJO instead of inline in
-// the signed consign envelope.
+// the consign.
 func (s *Session) Upload(ctx context.Context, vsite core.Vsite, name string, r io.Reader) (string, error) {
 	handle, _, err := staging.Upload(ctx, s, vsite, name, r, s.Transfer)
 	return handle, err
@@ -236,7 +236,11 @@ func (s *Session) Upload(ctx context.Context, vsite core.Vsite, name string, r i
 // request's cursor, long-polled server-side for up to req.WaitMs. Most
 // callers want Watch or Await instead.
 func (s *Session) Events(ctx context.Context, req protocol.SubscribeRequest) (protocol.EventsReply, error) {
-	return fetchEvents(ctx, s.c, s.usite, req)
+	var reply protocol.EventsReply
+	if err := s.c.Call(ctx, s.usite, protocol.MsgSubscribe, req, &reply); err != nil {
+		return protocol.EventsReply{}, err
+	}
+	return reply, nil
 }
 
 // longPollMs returns the per-round server hold in milliseconds.
@@ -290,18 +294,17 @@ var ErrWatchGap = errors.New("client: events evicted before the watch cursor; st
 // surfaces as an error instead of a silently closed channel.
 //
 // The watch rides the persistent stream: one subscription frame, then
-// server-pushed event batches with no per-batch round trip. A site without a
-// stream path (a front end that cannot upgrade) or a stream that dies
-// mid-watch falls back to the long-polled subscribe loop at the same cursor —
-// the handover loses and duplicates nothing.
+// server-pushed event batches with no per-batch round trip. A subscription
+// that cannot be opened or ends early (the stream died, the consumer fell
+// behind) is re-opened at the cursor — the handover loses and duplicates
+// nothing.
 //
 // The channel is closed after the job's terminal event has been delivered.
 // A closure whose last delivered event is not terminal means the stream
-// ended early: ctx was cancelled, or the subscription failed after its
-// retries (transient failures — a replica failing over, replies lost in
-// transit — are retried at the same cursor, which the idempotent fetch
-// makes safe). Consumers that must distinguish completion from truncation
-// check the last event's Terminal flag.
+// ended early: ctx was cancelled, events were evicted past the cursor, or
+// the subscription failed watchMaxFailures times in a row. Consumers that
+// must distinguish completion from truncation check the last event's
+// Terminal flag.
 func (s *Session) Watch(ctx context.Context, job core.JobID) (<-chan JobEvent, error) {
 	first, err := s.Events(ctx, protocol.SubscribeRequest{Job: job})
 	if err != nil {
@@ -313,8 +316,9 @@ func (s *Session) Watch(ctx context.Context, job core.JobID) (<-chan JobEvent, e
 	out := make(chan JobEvent, defaultWatchBuffer)
 	go func() {
 		defer close(out)
-		cursor := uint64(0)
+		cursor, fails := uint64(0), 0
 		deliver := func(reply protocol.EventsReply) (done bool) {
+			fails = 0
 			for _, ev := range reply.Events {
 				select {
 				case out <- ev:
@@ -333,40 +337,16 @@ func (s *Session) Watch(ctx context.Context, job core.JobID) (<-chan JobEvent, e
 		if deliver(first) {
 			return
 		}
-		if s.watchPush(ctx, job, cursor, deliver) {
-			return
-		}
-		fails := 0
-		for {
-			if ctx.Err() != nil {
+		// Transient failures (a replica failing over, a stream lost in
+		// transit) are backed off and the subscription re-opened at the same
+		// cursor, until watchMaxFailures in a row have delivered nothing.
+		for ; fails <= watchMaxFailures; fails++ {
+			select {
+			case <-time.After(watchRetryBackoff * time.Duration(fails)):
+			case <-ctx.Done():
 				return
 			}
-			reply, err := s.Events(ctx, protocol.SubscribeRequest{
-				Job: job, Cursor: cursor, WaitMs: s.longPollMs(),
-			})
-			switch {
-			case err != nil && ctx.Err() != nil:
-				return
-			case err != nil:
-				// Transient (owning replica failing over, reply lost beyond
-				// the client's retries): back off and re-subscribe at the
-				// same cursor — the fetch is idempotent, so recovery loses
-				// and duplicates nothing.
-				fails++
-				if fails > watchMaxFailures {
-					return
-				}
-				select {
-				case <-time.After(watchRetryBackoff * time.Duration(fails)):
-				case <-ctx.Done():
-					return
-				}
-				continue
-			case reply.Gap:
-				return // fell behind the bounded log: truncation, end early
-			}
-			fails = 0
-			if deliver(reply) {
+			if s.watchPush(ctx, job, cursor, deliver) {
 				return
 			}
 		}
@@ -374,26 +354,25 @@ func (s *Session) Watch(ctx context.Context, job core.JobID) (<-chan JobEvent, e
 	return out, nil
 }
 
-// watchPush runs the push half of Watch: one stream subscription starting at
-// cursor, batches delivered as the server emits them. It returns true when
-// the watch is finished (terminal event delivered, ctx cancelled, or the
-// stream reported a gap) and false when the caller should fall back to the
-// long-poll loop — no stream path at this site, or the persistent connection
-// died mid-watch. deliver advances the shared cursor, so the fallback resumes
-// exactly where the push left off.
+// watchPush runs one push subscription of a Watch from cursor, delivering
+// batches as the server emits them. It returns true when the watch is
+// finished (terminal event delivered, ctx cancelled, or the stream reported a
+// gap) and false when the subscription could not be opened or ended early;
+// deliver has advanced the watch's cursor, so the next one resumes exactly
+// where this one left off.
 func (s *Session) watchPush(ctx context.Context, job core.JobID, cursor uint64, deliver func(protocol.EventsReply) bool) (done bool) {
 	ch, stop, err := s.c.SubscribeStream(ctx, s.usite, protocol.SubscribeRequest{
 		Job: job, Cursor: cursor, WaitMs: s.longPollMs(),
 	})
 	if err != nil {
-		return false // no stream here: long-poll instead
+		return false
 	}
 	defer stop()
 	for {
 		select {
 		case reply, ok := <-ch:
 			if !ok {
-				return false // stream died: resume by long-polling the cursor
+				return false
 			}
 			if reply.Gap {
 				return true // fell behind the bounded log: truncation
@@ -411,9 +390,9 @@ func (s *Session) watchPush(ctx context.Context, job core.JobID, cursor uint64, 
 // bursts (a coalesced batch) without unbounded buffering.
 const defaultWatchBuffer = 16
 
-// watchMaxFailures bounds consecutive failed subscribe rounds before a
-// Watch gives up; watchRetryBackoff spaces the retries (real time — the
-// failures being ridden out are transport- and failover-level).
+// watchMaxFailures bounds consecutive failed subscriptions before a Watch
+// gives up; watchRetryBackoff spaces the retries (real time — the failures
+// being ridden out are transport- and failover-level).
 const (
 	watchMaxFailures  = 5
 	watchRetryBackoff = 200 * time.Millisecond
@@ -462,17 +441,6 @@ func controlJob(ctx context.Context, c *protocol.Client, usite core.Usite, job c
 		return fmt.Errorf("client: %s %s: %s", op, job, reply.Reason)
 	}
 	return nil
-}
-
-// fetchEvents performs one non-waiting (unless req.WaitMs asks) subscription
-// fetch — the shared engine under Session.Await and the Watch long-poll
-// fallback.
-func fetchEvents(ctx context.Context, c *protocol.Client, usite core.Usite, req protocol.SubscribeRequest) (protocol.EventsReply, error) {
-	var reply protocol.EventsReply
-	if err := c.Call(ctx, usite, protocol.MsgSubscribe, req, &reply); err != nil {
-		return protocol.EventsReply{}, err
-	}
-	return reply, nil
 }
 
 // fetchSource builds the staging engine's chunk source over the owner fetch

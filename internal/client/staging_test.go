@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -130,32 +129,24 @@ func TestStagedHandleOfAnotherUserIsRefused(t *testing.T) {
 	}
 }
 
-// mutatingTransport forwards to the in-process network and fires a hook
-// right after the first response — between the first and second chunk of a
-// windowed fetch.
-type mutatingTransport struct {
-	inner  http.RoundTripper
-	mu     sync.Mutex
-	calls  int
+// mutatingWriter fires a hook when it is handed its first bytes — after the
+// first chunk of a windowed fetch has been delivered, before the later ones
+// are asked for.
+type mutatingWriter struct {
+	bytes.Buffer
+	once   sync.Once
 	mutate func()
 }
 
-func (m *mutatingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := m.inner.RoundTrip(req)
-	m.mu.Lock()
-	m.calls++
-	fire := m.calls == 1 && m.mutate != nil
-	m.mu.Unlock()
-	if fire {
-		m.mutate()
-	}
-	return resp, err
+func (m *mutatingWriter) Write(p []byte) (int, error) {
+	m.once.Do(m.mutate)
+	return m.Buffer.Write(p)
 }
 
 // TestFetchFileSurfacesMidTransferMutation is the client-level regression
 // test for the seed fetch loop: a Uspace file rewritten between two chunks
-// must surface as a checksum/mutation error through Session.FetchFile — never
-// loop, never return mixed bytes.
+// must surface as a checksum/mutation error through the engine under
+// Session.FetchFile — never loop, never return mixed bytes.
 func TestFetchFileSurfacesMidTransferMutation(t *testing.T) {
 	r := newRig(t)
 	content := bigPattern(300_000)
@@ -165,8 +156,8 @@ func TestFetchFileSurfacesMidTransferMutation(t *testing.T) {
 	if !ok {
 		t.Fatal("no VPP vsite")
 	}
-	mt := &mutatingTransport{inner: r.net}
-	mt.mutate = func() {
+	var sink mutatingWriter
+	sink.mutate = func() {
 		changed := bigPattern(300_000)
 		for i := range changed {
 			changed[i] ^= 0xff
@@ -175,9 +166,9 @@ func TestFetchFileSurfacesMidTransferMutation(t *testing.T) {
 			t.Errorf("mutating out.dat: %v", err)
 		}
 	}
-	sess := NewSession(protocol.NewClient(protocol.OverHTTP(mt), r.user, r.ca, r.reg), "LRZ")
+	sess := NewSession(protocol.NewClient(r.net, r.user, r.ca, r.reg), "LRZ")
 	sess.Transfer = staging.Options{ChunkSize: 64 << 10, Window: 2, Retries: -1}
-	_, err := sess.FetchFile(context.Background(), id, "out.dat")
+	_, err := sess.Download(context.Background(), id, "out.dat", &sink)
 	if !errors.Is(err, staging.ErrMutated) && !errors.Is(err, staging.ErrChecksum) {
 		t.Fatalf("fetch of a mutating file: err = %v, want ErrMutated/ErrChecksum", err)
 	}

@@ -12,8 +12,8 @@
 //     cards, DCE) exactly where the paper places it,
 //   - serves the signed applets (JPA/JMC payloads) and the Vsites' resource
 //     pages in ASN.1, and
-//   - forwards authenticated requests to the NJS — either in-process (the
-//     combined server) or across the firewall split of §5.2 (see split.go).
+//   - forwards authenticated requests to the NJS, in-process — behind a Front
+//     (split.go) the whole gateway is the inside half of §5.2's firewall split.
 //
 // # Concurrency model
 //
@@ -341,26 +341,36 @@ func (g *Gateway) countFailure(cause string) {
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.URL.Path == protocol.StreamEndpoint:
-		g.serveStreamUpgrade(w, r)
+		// The stream outlives the upgrade request: detach from its
+		// cancellation but keep its trace/log values.
+		if conn, ok := upgradeStream(w, r); ok {
+			g.ServeStream(context.WithoutCancel(r.Context()), conn)
+		}
 	case r.Method == http.MethodPost && r.URL.Path == protocol.Endpoint:
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxRequest+1))
-		if err != nil {
-			http.Error(w, "reading request", http.StatusBadRequest)
-			return
-		}
-		if len(body) > maxRequest {
-			http.Error(w, "request too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if _, err := w.Write(g.HandleContext(r.Context(), body)); err != nil {
-			return
+		if body, ok := readEnvelope(w, r); ok {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(g.HandleContext(r.Context(), body))
 		}
 	case r.Method == http.MethodGet && r.URL.Path == "/":
 		g.serveIndex(w)
 	default:
 		http.NotFound(w, r)
 	}
+}
+
+// readEnvelope reads one POSTed envelope, bounded by maxRequest; when it
+// cannot, it has answered the request.
+func readEnvelope(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequest+1))
+	if err != nil {
+		http.Error(w, "reading request", http.StatusBadRequest)
+		return nil, false
+	}
+	if len(body) > maxRequest {
+		http.Error(w, "request too large", http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	return body, true
 }
 
 // serveIndex renders the site's Web page.
@@ -378,16 +388,10 @@ func (g *Gateway) serveIndex(w http.ResponseWriter) {
 	fmt.Fprintf(w, "</ul>\n</body></html>\n")
 }
 
-// Handle authenticates one request envelope and dispatches it, returning the
-// sealed reply envelope. It is the shared core of the combined server, the
-// TLS server, and the firewall-split inner half.
-func (g *Gateway) Handle(data []byte) []byte {
-	return g.HandleContext(context.Background(), data)
-}
-
-// HandleContext is Handle under a caller context: a MsgSubscribe long-poll
-// waits on it, so cancelling the inbound request (the client went away)
-// releases the held goroutine immediately.
+// HandleContext authenticates one request envelope and dispatches it,
+// returning the sealed reply envelope. A MsgSubscribe long-poll waits on ctx,
+// so cancelling the inbound request (the client went away) releases the held
+// goroutine immediately.
 func (g *Gateway) HandleContext(ctx context.Context, data []byte) []byte {
 	o, refusal := g.authenticate(data)
 	if refusal != nil {

@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"unicore/internal/protocol"
 	"unicore/internal/resources"
 	"unicore/internal/sim"
+	"unicore/internal/telemetry"
 	"unicore/internal/uudb"
 )
 
@@ -77,6 +79,63 @@ func (s *site) client(cred *pki.Credential) *protocol.Client {
 	return protocol.NewClient(s.net, cred, s.ca, s.reg)
 }
 
+// gauge reads one series of the site gateway's registry.
+func (s *site) gauge(name string, kv ...string) float64 {
+	p, _ := s.gw.Telemetry().Snapshot().Get(name, kv...)
+	return p.Value
+}
+
+// door is either way of calling a gateway: a protocol.Client, whose every op
+// rides the frame stream, or the envelopeDoor.
+type door interface {
+	Call(ctx context.Context, usite core.Usite, t protocol.MsgType, payload, replyOut any) error
+}
+
+// envelopeDoor drives the gateways' signed-envelope door the way a POSTing
+// client did, for the tests that compare the two server doors: Call seals the
+// request under cred, hands it to HandleContext and opens the reply — which
+// must be server-signed and of the op's reply type; a sealed error comes back
+// as a *protocol.ErrorReply.
+type envelopeDoor struct {
+	gw   map[core.Usite]*Gateway
+	cred *pki.Credential
+	ca   *pki.Authority
+}
+
+func (s *site) envelopes(cred *pki.Credential) envelopeDoor {
+	return envelopeDoor{gw: map[core.Usite]*Gateway{"FZJ": s.gw}, cred: cred, ca: s.ca}
+}
+
+func (d envelopeDoor) Call(ctx context.Context, usite core.Usite, t protocol.MsgType, payload, replyOut any) error {
+	env, err := protocol.SealTraced(d.cred, telemetry.TraceFrom(ctx), t, payload)
+	if err != nil {
+		return err
+	}
+	return openEnvelopeReply(d.ca, t, d.gw[usite].HandleContext(ctx, env), replyOut)
+}
+
+// openEnvelopeReply opens the sealed reply to a request of type t.
+func openEnvelopeReply(ca *pki.Authority, t protocol.MsgType, reply []byte, replyOut any) error {
+	rt, raw, _, role, err := protocol.Open(ca, reply)
+	switch want, _ := protocol.ReplyType(t); {
+	case err != nil:
+		return err
+	case role != pki.RoleServer:
+		return fmt.Errorf("reply signed by a %s certificate", role)
+	case rt == protocol.MsgError:
+		var er protocol.ErrorReply
+		if err := json.Unmarshal(raw, &er); err != nil {
+			return err
+		}
+		return &er
+	case rt != want:
+		return fmt.Errorf("%s answered with a %s, want %s", t, rt, want)
+	case replyOut == nil:
+		return nil
+	}
+	return json.Unmarshal(raw, replyOut)
+}
+
 // scriptJob builds a one-task script job for the test Vsite.
 func scriptJob(name, script string) *ajo.AbstractJob {
 	return &ajo.AbstractJob{
@@ -94,7 +153,7 @@ func scriptJob(name, script string) *ajo.AbstractJob {
 	}
 }
 
-func consign(t *testing.T, c *protocol.Client, job *ajo.AbstractJob) core.JobID {
+func consign(t *testing.T, c door, job *ajo.AbstractJob) core.JobID {
 	t.Helper()
 	raw, err := ajo.Marshal(job)
 	if err != nil {
@@ -399,11 +458,9 @@ func TestLoadQuery(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	s := newSite(t)
-	c := s.client(s.alice)
-	// Stats().ByType is a census of signed envelopes; pin the hot kinds to
-	// the envelope path (v3 stream traffic has its own gateway_stream_*
-	// counters).
-	c.DisableStreams = true
+	// Stats().ByType is a census of signed envelopes (v3 stream traffic has
+	// its own gateway_stream_* counters).
+	c := s.envelopes(s.alice)
 	_ = c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &protocol.ListReply{})
 	_ = c.Call(context.Background(), "FZJ", protocol.MsgTransfer, protocol.TransferRequest{}, nil) // rejected: role
 	st := s.gw.Stats()
@@ -420,7 +477,7 @@ func TestStatsCounting(t *testing.T) {
 
 func TestMalformedEnvelope(t *testing.T) {
 	s := newSite(t)
-	reply := s.gw.Handle([]byte("this is not an envelope"))
+	reply := s.gw.HandleContext(context.Background(), []byte("this is not an envelope"))
 	tp, raw, _, _, err := protocol.Open(s.ca, reply)
 	if err != nil {
 		t.Fatalf("error reply not sealed properly: %v", err)

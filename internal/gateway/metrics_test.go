@@ -30,7 +30,7 @@ func TestMetricsScrape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Seal: %v", err)
 		}
-		mt, raw, _, _, err := protocol.Open(s.ca, s.gw.Handle(env))
+		mt, raw, _, _, err := protocol.Open(s.ca, s.gw.HandleContext(context.Background(), env))
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}

@@ -33,7 +33,7 @@ func TestUnknownTypesShareOneCounter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Seal: %v", err)
 		}
-		_, raw, _, _, err := protocol.Open(s.ca, s.gw.Handle(env))
+		_, raw, _, _, err := protocol.Open(s.ca, s.gw.HandleContext(context.Background(), env))
 		if err != nil || !strings.Contains(string(raw), fmt.Sprintf("bogus-%d", i)) {
 			t.Fatalf("reply to bogus-%d: %s, %v; want a signed error naming the type", i, raw, err)
 		}
@@ -258,7 +258,7 @@ func canonical(t *testing.T, msg protocol.MsgType, reply any) (doc string, ok bo
 }
 
 // TestBothDoorsAgree sends the same request through the signed-envelope door
-// (Client.DisableStreams) and through the frame stream, for every op the wire
+// (sealed by hand into HandleContext) and through the frame stream, for every op the wire
 // table puts on frames — every client op — and requires the same reply and
 // the same error text from both. The scenarios cover each way the shared row
 // can answer: served locally, refused by role (a user asking for a
@@ -327,8 +327,7 @@ func TestBothDoorsAgree(t *testing.T) {
 		return g.gw["FZJ"].Telemetry().Snapshot().Total("gateway_stream_frames_total")
 	}
 	for _, sc := range scenarios {
-		envelopes := protocol.NewClient(g.net, sc.caller, g.ca, g.reg)
-		envelopes.DisableStreams = true
+		envelopes := envelopeDoor{gw: g.gw, cred: sc.caller, ca: g.ca}
 		frames := protocol.NewClient(g.net, sc.caller, g.ca, g.reg)
 		defer frames.Close()
 		for _, msg := range framed {

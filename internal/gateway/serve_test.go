@@ -128,8 +128,15 @@ func TestServeHTTPSurface(t *testing.T) {
 
 // TestFrontHTTPSurface covers the firewall front's HTTP handling.
 func TestFrontHTTPSurface(t *testing.T) {
-	_, front, cleanup := splitSite(t)
-	defer cleanup()
+	s, front, _ := splitSite(t)
+	// The front is the site's https Web server (§4.2): it serves the inner
+	// gateway's UNICORE Web page, byte for byte.
+	want, got := httptest.NewRecorder(), httptest.NewRecorder()
+	s.gw.ServeHTTP(want, httptest.NewRequest(http.MethodGet, "/", nil))
+	front.ServeHTTP(got, httptest.NewRequest(http.MethodGet, "/", nil))
+	if got.Code != http.StatusOK || got.Body.String() != want.Body.String() || !strings.Contains(got.Body.String(), "FZJ/T3E") {
+		t.Fatalf("web page through front = %d\n%s\nwant\n%s", got.Code, got.Body, want.Body)
+	}
 	rec := httptest.NewRecorder()
 	front.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, protocol.Endpoint, nil))
 	if rec.Code != http.StatusNotFound {

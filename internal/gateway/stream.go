@@ -17,33 +17,32 @@ import (
 	"unicore/internal/protocol"
 )
 
-// serveStreamUpgrade upgrades one GET /unicore/v3 request to a raw v3 frame
-// stream (Upgrade: unicore-v3) and serves it until the peer goes away.
-func (g *Gateway) serveStreamUpgrade(w http.ResponseWriter, r *http.Request) {
+// upgradeStream upgrades one GET /unicore/v3 request (Upgrade: unicore-v3) to
+// a raw v3 frame stream and returns the hijacked connection; when it cannot,
+// it has answered the request.
+func upgradeStream(w http.ResponseWriter, r *http.Request) (net.Conn, bool) {
 	if r.Header.Get("Upgrade") != protocol.StreamUpgradeProto {
 		http.Error(w, "expected Upgrade: "+protocol.StreamUpgradeProto, http.StatusUpgradeRequired)
-		return
+		return nil, false
 	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {
 		// A front end that cannot yield the raw connection (recorders, some
-		// proxies) has no stream path; clients fall back to envelopes.
+		// proxies) has no stream path.
 		http.Error(w, "stream upgrade unsupported", http.StatusNotImplemented)
-		return
+		return nil, false
 	}
 	conn, buf, err := hj.Hijack()
 	if err != nil {
 		http.Error(w, "hijack failed", http.StatusInternalServerError)
-		return
+		return nil, false
 	}
 	resp := "HTTP/1.1 101 Switching Protocols\r\nUpgrade: " + protocol.StreamUpgradeProto + "\r\nConnection: Upgrade\r\n\r\n"
 	if _, err := buf.WriteString(resp); err != nil || buf.Flush() != nil {
 		conn.Close()
-		return
+		return nil, false
 	}
-	// The stream outlives the upgrade request: detach from its cancellation
-	// but keep its trace/log values.
-	g.ServeStream(context.WithoutCancel(r.Context()), conn)
+	return conn, true
 }
 
 // ServeStream serves one accepted v3 stream connection — the entry point

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"unicore/internal/ajo"
+	"unicore/internal/core"
 	"unicore/internal/pki"
 	"unicore/internal/protocol"
 )
@@ -22,21 +23,12 @@ import (
 // after the server has done the work.
 type tamper struct {
 	protocol.Transport
-	// loseReply loses the next reply, whichever door it comes back through:
-	// a POST's response becomes a transport error, and a stream is severed
-	// in place of delivering its next reply frame.
+	// loseReply loses the next reply: the stream is severed in place of
+	// delivering its next reply frame.
 	loseReply atomic.Bool
 	// mangle, when set, rewrites every frame a stream delivers after its
 	// hello-ok.
 	mangle func(protocol.Frame) protocol.Frame
-}
-
-func (tr *tamper) Post(ctx context.Context, baseURL string, body []byte) ([]byte, error) {
-	resp, err := tr.Transport.Post(ctx, baseURL, body)
-	if err == nil && tr.loseReply.CompareAndSwap(true, false) {
-		return nil, errors.New("tamper: response lost in transit")
-	}
-	return resp, err
 }
 
 func (tr *tamper) OpenStream(ctx context.Context, baseURL string) (net.Conn, error) {
@@ -90,8 +82,7 @@ func (c *tamperedConn) Read(p []byte) (int, error) {
 // TestWrongReplyOutIsTheCallsError: handing Call a replyOut of another op's
 // reply type is the caller's bug and comes back as the call's error. It must
 // not be mistaken for an undecodable reply — which would drop a healthy
-// stream and run the request a second time on the envelope path, where
-// json.Unmarshal into the wrong struct quietly yields a zero value.
+// stream and run the request a second time.
 func TestWrongReplyOutIsTheCallsError(t *testing.T) {
 	s := newSite(t)
 	c := s.client(s.alice)
@@ -99,7 +90,7 @@ func TestWrongReplyOutIsTheCallsError(t *testing.T) {
 	id := consign(t, c, scriptJob("held", "echo held\n"))
 	total := func(name string) float64 { return s.gw.Telemetry().Snapshot().Total(name) }
 
-	frames, posts := total("gateway_stream_frames_total"), s.gw.Stats().Requests
+	frames := total("gateway_stream_frames_total")
 	var wrong protocol.PollReply
 	err := c.Call(context.Background(), "FZJ", protocol.MsgControl, protocol.ControlRequest{Job: id, Op: ajo.OpHold}, &wrong)
 	if err == nil || !strings.Contains(err.Error(), "reply out parameter") {
@@ -107,9 +98,6 @@ func TestWrongReplyOutIsTheCallsError(t *testing.T) {
 	}
 	if got := total("gateway_stream_frames_total") - frames; got != 1 {
 		t.Errorf("the call sent %v frames, want 1", got)
-	}
-	if got := s.gw.Stats().Requests - posts; got != 0 {
-		t.Errorf("the call was re-sent as %d envelopes", got)
 	}
 	// The request itself ran, once, and the stream is the one the hello opened.
 	var right protocol.ControlReply
@@ -123,8 +111,7 @@ func TestWrongReplyOutIsTheCallsError(t *testing.T) {
 
 // TestUndecodableReplyDropsTheStream is the other half: bytes the row's
 // decoder rejects poison the connection, not the call — the stream is
-// dropped, the call is answered over the envelope path, and the next call
-// dials a fresh stream.
+// dropped and the request replayed on a fresh one, within the retry budget.
 func TestUndecodableReplyDropsTheStream(t *testing.T) {
 	s := newSite(t)
 	tr := &tamper{Transport: s.net}
@@ -132,8 +119,12 @@ func TestUndecodableReplyDropsTheStream(t *testing.T) {
 	defer c.Close()
 	id := consign(t, c, scriptJob("garbled", "echo garbled\n"))
 
+	// Garble the first reply only: the replay's answer comes through.
+	var garbled atomic.Bool
 	tr.mangle = func(f protocol.Frame) protocol.Frame {
-		f.Payload = []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}
+		if garbled.CompareAndSwap(false, true) {
+			f.Payload = []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}
+		}
 		return f
 	}
 	var list protocol.ListReply
@@ -143,28 +134,51 @@ func TestUndecodableReplyDropsTheStream(t *testing.T) {
 	if len(list.Jobs) != 1 || list.Jobs[0].Job != id {
 		t.Fatalf("list = %+v, want the one job %s", list.Jobs, id)
 	}
-	if got := s.gw.Stats().ByType[protocol.MsgList]; got != 1 {
-		t.Errorf("%d list envelopes, want the 1 the fallback sent", got)
-	}
-	tr.mangle = nil
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &list); err != nil {
-		t.Fatalf("list on the fresh stream: %v", err)
-	}
-	if got := s.gw.Telemetry().Snapshot().Total("gateway_stream_hellos_total"); got != 2 {
+	snap := s.gw.Telemetry().Snapshot()
+	if got := snap.Total("gateway_stream_hellos_total"); got != 2 {
 		t.Errorf("%v stream hellos, want 2: the poisoned stream was kept", got)
 	}
-	if got := s.gw.Stats().ByType[protocol.MsgList]; got != 1 {
-		t.Errorf("%d list envelopes after the redial, want still 1", got)
+	if p, _ := snap.Get("gateway_stream_frames_total", "kind", "call"); p.Value != 3 {
+		t.Errorf("%v call frames, want 3: the consign, the list and its one replay", p.Value)
 	}
+	if got := s.gw.Stats().Requests; got != 0 {
+		t.Errorf("%d envelopes reached the gateway, want none", got)
+	}
+
+	// A peer that garbles every reply exhausts the budget: the error names it.
+	tr.mangle = func(f protocol.Frame) protocol.Frame {
+		f.Payload = []byte{0xFF}
+		return f
+	}
+	err := c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &list)
+	if err == nil || !strings.Contains(err.Error(), "failed after 3 attempts") {
+		t.Fatalf("list against a peer that garbles every reply: err = %v, want the retry budget spent", err)
+	}
+}
+
+// lossyEnvelopes is the envelope door behind a link that loses the next reply
+// when lose is set: the request reaches the gateway, its answer does not come
+// back, and the sender POSTs it again.
+type lossyEnvelopes struct {
+	envelopeDoor
+	lose *atomic.Bool
+}
+
+func (d lossyEnvelopes) Call(ctx context.Context, usite core.Usite, t protocol.MsgType, payload, replyOut any) error {
+	if d.lose.CompareAndSwap(true, false) {
+		d.envelopeDoor.Call(ctx, usite, t, payload, nil)
+	}
+	return d.envelopeDoor.Call(ctx, usite, t, payload, replyOut)
 }
 
 // TestLostReplyReplaysLikeTheEnvelopeRetry loses the reply to a mutating op
 // after the server has run it — the stream dies under the in-flight call, or
-// the POST's response never arrives — and requires both doors to recover the
-// same way: the request runs once more, the caller gets that second answer,
-// and the site is left in the same state. For a resume that means the answer
-// is the replay's "not held"; for a put-open, one orphaned upload the spool's
-// sweep collects. Neither door may do better or worse than the other.
+// a POST's response never arrives and the envelope is sent again — and
+// requires both doors to recover the same way: the request runs once more,
+// the caller gets that second answer, and the site is left in the same state.
+// For a resume that means the answer is the replay's "not held"; for a
+// put-open, one orphaned upload the spool's sweep collects. Neither door may
+// do better or worse than the other.
 func TestLostReplyReplaysLikeTheEnvelopeRetry(t *testing.T) {
 	type observed struct {
 		Resume  protocol.ControlReply
@@ -177,9 +191,12 @@ func TestLostReplyReplaysLikeTheEnvelopeRetry(t *testing.T) {
 	run := func(t *testing.T, streams bool) observed {
 		s := newSite(t)
 		tr := &tamper{Transport: s.net}
-		c := protocol.NewClient(tr, s.alice, s.ca, s.reg)
-		c.DisableStreams = !streams
-		defer c.Close()
+		var c door = lossyEnvelopes{s.envelopes(s.alice), &tr.loseReply}
+		if streams {
+			client := protocol.NewClient(tr, s.alice, s.ca, s.reg)
+			defer client.Close()
+			c = client
+		}
 		ctx := context.Background()
 		id := consign(t, c, scriptJob("replayed", "echo replayed\n"))
 		if err := c.Call(ctx, "FZJ", protocol.MsgControl, protocol.ControlRequest{Job: id, Op: ajo.OpHold}, nil); err != nil {
@@ -199,7 +216,7 @@ func TestLostReplyReplaysLikeTheEnvelopeRetry(t *testing.T) {
 		}
 		if streams {
 			if posts := s.gw.Stats().Requests; posts != 0 {
-				t.Errorf("the stream client fell back to %d envelopes; one replay on a fresh stream should do", posts)
+				t.Errorf("%d envelopes reached the gateway; one replay on a fresh stream should do", posts)
 			}
 			if hellos := s.gw.Telemetry().Snapshot().Total("gateway_stream_hellos_total"); hellos != 3 {
 				t.Errorf("%v stream hellos, want 3: one redial per severed stream", hellos)
@@ -232,21 +249,19 @@ func TestLostReplyReplaysLikeTheEnvelopeRetry(t *testing.T) {
 
 // TestStreamKillReconnectIdempotent severs the persistent v3 connection in
 // the middle of a pipelined burst of calls and asserts the client absorbs it:
-// in-flight calls are replayed on a fresh stream (or fall back to envelopes),
-// a re-consign of the same ConsignID after the kill is answered with the same
+// in-flight calls are replayed on a fresh stream, a re-consign of the same ConsignID after the kill is answered with the same
 // job — no duplicate admission — and the workload completes.
 func TestStreamKillReconnectIdempotent(t *testing.T) {
 	s := newSite(t)
 	flaky := protocol.NewFlaky(s.net, 0, 1)
-	flaky.Streams = true
 	c := protocol.NewClient(flaky, s.alice, s.ca, s.reg)
+	defer c.Close()
 
 	job := scriptJob("kill", "echo survive\n")
 	id := consign(t, c, job)
 
 	// Pipelined polls racing the kill: half are in flight when the stream
-	// dies; every one must still return (replayed on a reconnect or via the
-	// envelope fallback).
+	// dies; every one must still return, replayed on a reconnect.
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for i := 0; i < 16; i++ {
@@ -260,7 +275,7 @@ func TestStreamKillReconnectIdempotent(t *testing.T) {
 		}()
 	}
 	if n := flaky.KillStreams(); n == 0 {
-		t.Fatal("no live stream to kill: the workload never left the envelope path")
+		t.Fatal("no live stream to kill")
 	}
 	wg.Wait()
 	close(errs)
@@ -321,14 +336,10 @@ func TestStalledSubscriberFreesServerSubscription(t *testing.T) {
 	}
 	defer stop()
 
-	gauge := func(name string, kv ...string) float64 {
-		p, _ := s.gw.Telemetry().Snapshot().Get(name, kv...)
-		return p.Value
-	}
 	// Never reading events is the stall. Every consign appends an admitted
 	// event, so every round of the push loop emits a batch; the cut-off comes
 	// once the client-side buffers are full.
-	for i := 0; gauge("gateway_stream_frames_total", "kind", "sub-stop") == 0; i++ {
+	for i := 0; s.gauge("gateway_stream_frames_total", "kind", "sub-stop") == 0; i++ {
 		if i == 2000 {
 			t.Fatal("2000 unread batches later the client still has not told the server to stop")
 		}
@@ -336,9 +347,9 @@ func TestStalledSubscriberFreesServerSubscription(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
-	for gauge("gateway_longpoll_active") != 0 {
+	for s.gauge("gateway_longpoll_active") != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("gateway_longpoll_active = %v after the subscriber was cut off: the server's push loop is still running", gauge("gateway_longpoll_active"))
+			t.Fatalf("gateway_longpoll_active = %v after the subscriber was cut off: the server's push loop is still running", s.gauge("gateway_longpoll_active"))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -350,8 +361,8 @@ func TestStalledSubscriberFreesServerSubscription(t *testing.T) {
 }
 
 // TestRefusedEnvelopeIsCountedAtBothDoors signs a request under a foreign CA
-// and sends it both ways an envelope reaches the gateway — POSTed, and as the
-// hello of a stream. Either way the refusal is a server-signed error reply
+// and sends it both ways an envelope reaches the gateway — sealed into
+// HandleContext as a POST is, and as the hello of a stream. Either way the refusal is a server-signed error reply
 // and shows up in the same three series: the verification is counted
 // (pki_verify_total), timed (pki_verify_seconds), and its failure attributed
 // (gateway_rejected_total{cause="authentication"}).
@@ -366,14 +377,16 @@ func TestRefusedEnvelopeIsCountedAtBothDoors(t *testing.T) {
 	}
 	doors := []struct {
 		name string
-		send func(c *protocol.Client) error
+		send func(s *site) error
 	}{
-		{"post", func(c *protocol.Client) error {
-			c.DisableStreams = true
-			return c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, nil)
+		{"post", func(s *site) error {
+			return s.envelopes(stranger).Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, nil)
 		}},
-		// A push subscription has no POST form: the hello is its only door.
-		{"hello", func(c *protocol.Client) error {
+		{"hello", func(s *site) error {
+			// The stranger trusts the site's CA (it verifies the refusal) but
+			// signs with a certificate the site's CA never issued.
+			c := protocol.NewClient(s.net, stranger, s.ca, s.reg)
+			defer c.Close()
 			_, _, err := c.SubscribeStream(context.Background(), "FZJ", protocol.SubscribeRequest{})
 			return err
 		}},
@@ -381,12 +394,7 @@ func TestRefusedEnvelopeIsCountedAtBothDoors(t *testing.T) {
 	for _, door := range doors {
 		t.Run(door.name, func(t *testing.T) {
 			s := newSite(t)
-			// The stranger trusts the site's CA (it verifies the refusal) but
-			// signs with a certificate the site's CA never issued.
-			c := protocol.NewClient(s.net, stranger, s.ca, s.reg)
-			defer c.Close()
-
-			err := door.send(c)
+			err := door.send(s)
 			var refused *protocol.ErrorReply
 			if !errors.As(err, &refused) || refused.Code != "authentication" {
 				t.Fatalf("foreign-CA %s: err = %v, want the server's signed authentication refusal", door.name, err)

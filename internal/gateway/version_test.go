@@ -82,46 +82,54 @@ func (h *helloRestamper) Write(b []byte) (int, error) {
 
 // TestForeignVersionRefused pins the one version policy at every door an
 // envelope can come in by: posted to the combined gateway, posted to the
-// firewall-split Front, or sent as a stream hello, an envelope at any version
-// but protocol.Version is refused with a server-signed error. A stock client
-// surfaces that as ErrBadVersion after exactly one round trip — it neither
-// re-seals at another version nor reruns a refused hello on the POST path.
+// firewall-split Front, or sent as a stream hello to either, an envelope at
+// any version but protocol.Version is refused with a server-signed error. A
+// stock client surfaces that as ErrBadVersion after exactly one round trip —
+// it neither re-seals at another version nor redials a refused hello.
 func TestForeignVersionRefused(t *testing.T) {
 	doors := []struct {
-		name  string
-		split bool
-		hello bool
-		// The POST doors pin the client to envelopes; the hello door's
-		// client dials the stream first, as every stock client does.
-		kind    protocol.MsgType
-		payload any
+		name         string
+		split, hello bool
 	}{
-		{name: "gateway", kind: protocol.MsgList, payload: protocol.ListRequest{}},
-		{name: "front", split: true, kind: protocol.MsgList, payload: protocol.ListRequest{}},
-		{name: "hello", hello: true, kind: protocol.MsgPoll, payload: protocol.PollRequest{Job: "FZJ-000001"}},
+		{name: "gateway"},
+		{name: "front", split: true},
+		{name: "hello", hello: true},
+		{name: "front-hello", split: true, hello: true},
 	}
 	for _, door := range doors {
 		for _, version := range []int{1, 2, protocol.Version + 1} {
 			t.Run(fmt.Sprintf("%s/v%d", door.name, version), func(t *testing.T) {
 				var s *site
 				if door.split {
-					var cleanup func()
-					s, _, cleanup = splitSite(t)
-					defer cleanup()
+					s, _, _ = splitSite(t)
 				} else {
 					s = newSite(t)
 				}
 				tr := &foreignVersion{t: t, base: s.net, version: version, hello: door.hello}
-				c := protocol.NewClient(tr, s.alice, s.ca, s.reg)
-				c.DisableStreams = !door.hello
-				defer c.Close()
-
-				err := c.Call(context.Background(), "FZJ", door.kind, door.payload, nil)
+				var err error
+				if door.hello {
+					// The hello door's client dials the stream, as every
+					// stock client does.
+					c := protocol.NewClient(tr, s.alice, s.ca, s.reg)
+					defer c.Close()
+					err = c.Call(context.Background(), "FZJ", protocol.MsgPoll, protocol.PollRequest{Job: "FZJ-000001"}, nil)
+				} else {
+					// The POST doors take a hand-sealed envelope.
+					env, serr := protocol.Seal(s.alice, protocol.MsgList, protocol.ListRequest{})
+					if serr != nil {
+						t.Fatal(serr)
+					}
+					reply, perr := tr.Post(context.Background(), "https://gw.fzj", env)
+					if perr != nil {
+						t.Fatal(perr)
+					}
+					err = openEnvelopeReply(s.ca, protocol.MsgList, reply, nil)
+				}
 				if !errors.Is(err, protocol.ErrBadVersion) {
 					t.Fatalf("call at v%d: err = %v, want ErrBadVersion", version, err)
 				}
-				// An *ErrorReply out of Call was opened from an envelope the
-				// client verified against the CA and the server role.
+				// An *ErrorReply was opened from an envelope verified against
+				// the CA and the server role.
 				var refused *protocol.ErrorReply
 				if !errors.As(err, &refused) {
 					t.Fatalf("call at v%d: err = %v (%T), want the server's signed *ErrorReply", version, err, err)
@@ -130,8 +138,8 @@ func TestForeignVersionRefused(t *testing.T) {
 					t.Fatalf("client made %d round trips against a v%d peer, want exactly 1", got, version)
 				}
 				if door.split {
-					if n := s.gw.Stats().Requests; n != 0 {
-						t.Fatalf("%d foreign-version envelopes crossed the firewall", n)
+					if n := s.gw.Telemetry().Snapshot().Total("pki_verify_total"); n != 0 {
+						t.Fatalf("%v foreign-version envelopes crossed the firewall", n)
 					}
 				} else if n := s.gw.Stats().ByFailure["authentication"]; n != 1 {
 					t.Fatalf("gateway counted %d authentication rejections, want 1", n)

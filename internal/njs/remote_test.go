@@ -8,8 +8,10 @@ package njs_test
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -199,20 +201,30 @@ func TestRemoteSubJobPeerRefuses(t *testing.T) {
 	}
 }
 
-// failAfterConsign forwards the first request (the consignment) and then
-// drops the peer connection for every later poll.
+// failAfterConsign answers the first request (the consignment) and then
+// drops the peer connection under every later poll, and takes no new one.
 type failAfterConsign struct {
-	inner http.Handler
-	seen  int
+	inner   *gateway.Gateway
+	faults  protocol.ConnFaults
+	replies atomic.Int32
 }
 
 func (f *failAfterConsign) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	f.seen++
-	if f.seen <= 1 {
-		f.inner.ServeHTTP(w, r)
+	http.Error(w, "site unreachable", http.StatusBadGateway)
+}
+
+func (f *failAfterConsign) ServeStream(ctx context.Context, conn net.Conn) {
+	if f.replies.Load() > 0 {
+		conn.Close()
 		return
 	}
-	http.Error(w, "site unreachable", http.StatusBadGateway)
+	f.faults.Decide = func() protocol.Fault {
+		if f.replies.Add(1) > 1 {
+			return protocol.LoseFrame
+		}
+		return protocol.NoFault
+	}
+	f.inner.ServeStream(ctx, f.faults.Wrap(conn))
 }
 
 func TestRemoteSubJobLostContact(t *testing.T) {

@@ -54,40 +54,33 @@ func (r *Registry) Sites() []core.Usite {
 // Client is the RPC client used by the user tier (JPA/Session) and by
 // NJS→peer-gateway communication. Every op of the operation table that has a
 // frame form — all but federation gossip — rides one persistent multiplexed
-// frame stream per site, authenticated once by its signed hello; when the
-// transport has no stream path, or DisableStreams is set, each call travels
-// as one signed envelope per POST instead.
+// frame stream per site, authenticated once by its signed hello; gossip
+// travels as one signed envelope per POST.
 type Client struct {
 	tr       Transport
 	cred     *pki.Credential
 	ca       *pki.Authority
 	registry *Registry
-	// Retries is the number of additional attempts after a transport
-	// failure (the asynchronous protocol makes retries safe: consignment is
-	// idempotent via ConsignID, everything else is read-only or
-	// idempotent).
+	// Retries is the number of additional attempts after a transport failure:
+	// a stream that cannot be dialled, dies under the call or delivers a
+	// poisoned reply is dropped, and the request replayed on a fresh one (the
+	// asynchronous protocol makes replays safe: consignment is idempotent via
+	// ConsignID, everything else is read-only or idempotent).
 	Retries int
-	// DisableStreams keeps every call on the envelope POST path — for
-	// callers whose traffic must stay per-request (fault-injection shims,
-	// conservative relays).
-	DisableStreams bool
 
 	// smu guards the per-site persistent streams.
 	smu     sync.Mutex
 	streams map[core.Usite]*siteStream
 }
 
-// siteStream is the per-site stream slot: at most one live connection, and a
-// sticky "no stream path to this site" verdict.
+// siteStream is the per-site stream slot: at most one live connection.
 type siteStream struct {
-	mu       sync.Mutex
-	conn     *streamConn
-	noStream bool
+	mu   sync.Mutex
+	conn *streamConn
 }
 
 // NewClient builds a client. tr is typically an *InProc for tests or an
-// HTTPTransport with pki.ClientTLS config for real deployments; wrap a bare
-// http.RoundTripper with OverHTTP.
+// HTTPTransport with pki.ClientTLS config for real deployments.
 func NewClient(tr Transport, cred *pki.Credential, ca *pki.Authority, reg *Registry) *Client {
 	return &Client{tr: tr, cred: cred, ca: ca, registry: reg, Retries: 2,
 		streams: make(map[core.Usite]*siteStream)}
@@ -119,15 +112,14 @@ func (c *Client) Close() {
 }
 
 // Call sends one request to a Usite's gateway and decodes the reply payload
-// into replyOut (a pointer). Server errors arrive as *ErrorReply errors.
-// Cancellation aborts the in-flight round trip (a server long-poll —
-// MsgSubscribe — unblocks as soon as the caller cancels) and stops the retry
-// loop.
+// into replyOut (a pointer). Server errors arrive as *ErrorReply errors. A
+// row with a frame form rides the site's stream; the one row without
+// (federation gossip) is a sealed envelope. Cancellation aborts the in-flight
+// round trip (a held MsgSubscribe unblocks as soon as the caller cancels) and
+// stops the retry loop.
 func (c *Client) Call(ctx context.Context, usite core.Usite, t MsgType, payload any, replyOut any) error {
-	if !c.DisableStreams {
-		if err, handled := c.streamCall(ctx, usite, t, payload, replyOut); handled {
-			return err
-		}
+	if op := opByRequest[t]; op != nil && op.wire != nil {
+		return c.streamCall(ctx, usite, t, op.wire, payload, replyOut)
 	}
 	return c.callOnce(ctx, usite, t, payload, replyOut)
 }
@@ -136,7 +128,7 @@ func (c *Client) Call(ctx context.Context, usite core.Usite, t MsgType, payload 
 func (c *Client) callOnce(ctx context.Context, usite core.Usite, t MsgType, payload any, replyOut any) error {
 	base, ok := c.registry.Lookup(usite)
 	if !ok {
-		return fmt.Errorf("protocol: unknown Usite %q", usite)
+		return fmt.Errorf("%w %q", errUnknownUsite, usite)
 	}
 	// Propagate the caller's distributed trace in the envelope header.
 	body, err := SealTraced(c.cred, telemetry.TraceFrom(ctx), t, payload)
@@ -197,8 +189,7 @@ func openReply(ca *pki.Authority, usite core.Usite, data []byte) (MsgType, json.
 }
 
 // stream returns the live persistent stream to a site, dialing one if
-// needed. ErrNoStream is sticky: once the transport reports it has no stream
-// path, the site stays on envelopes until the client is rebuilt.
+// needed.
 func (c *Client) stream(ctx context.Context, usite core.Usite) (*streamConn, error) {
 	c.smu.Lock()
 	ss := c.streams[usite]
@@ -210,176 +201,114 @@ func (c *Client) stream(ctx context.Context, usite core.Usite) (*streamConn, err
 
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if ss.noStream {
-		return nil, ErrNoStream
-	}
 	if ss.conn != nil && ss.conn.alive() {
 		return ss.conn, nil
 	}
 	ss.conn = nil
 	base, ok := c.registry.Lookup(usite)
 	if !ok {
-		return nil, fmt.Errorf("protocol: unknown Usite %q", usite)
+		return nil, fmt.Errorf("%w %q", errUnknownUsite, usite)
 	}
 	sc, err := openStream(ctx, c.tr, base, c.cred, c.ca, usite)
 	if err != nil {
-		if errors.Is(err, ErrNoStream) {
-			ss.noStream = true
-		}
 		return nil, err
 	}
 	ss.conn = sc
 	return sc, nil
 }
 
-// dropSiteStream closes the site's stream (all of them when sc is nil; only
-// a specific dead one otherwise, so a racing redial is not torn down).
+var errUnknownUsite = errors.New("protocol: unknown Usite")
+
+// dropSiteStream closes the site's stream if it is still sc, so a racing
+// redial is not torn down.
 func (c *Client) dropSiteStream(usite core.Usite, sc *streamConn) {
 	c.smu.Lock()
 	ss := c.streams[usite]
 	c.smu.Unlock()
-	if ss == nil {
-		return
-	}
 	ss.mu.Lock()
-	if ss.conn != nil && (sc == nil || ss.conn == sc) {
-		ss.conn.close()
+	if ss.conn == sc {
 		ss.conn = nil
 	}
 	ss.mu.Unlock()
-	if sc != nil {
-		sc.close()
-	}
+	sc.close()
 }
 
-// streamCall routes one call over the site's persistent stream.
-// handled=false means "this call did not happen over the stream — use the
-// envelope path": an op with no frame form, no stream path, or a connection
-// that died even after one reconnect (the envelope path has its own retry
-// loop, and a request replayed on a fresh stream is replayed exactly as that
-// loop would re-POST it). A hello the server refused is the call's answer,
-// not a dead connection.
-func (c *Client) streamCall(ctx context.Context, usite core.Usite, t MsgType, payload any, replyOut any) (error, bool) {
-	op := opByRequest[t]
-	if op == nil || op.wire == nil {
-		return nil, false
-	}
+// streamCall runs one call over the site's persistent stream, redialling and
+// replaying within the Retries budget while it is the connection, not the
+// call, that fails.
+func (c *Client) streamCall(ctx context.Context, usite core.Usite, t MsgType, row wireRow, payload any, replyOut any) error {
 	// The request is encoded behind a reserved header in one pooled buffer,
-	// released once the frame is sent. Everything the request references (a
+	// released once the call is over. Everything the request references (a
 	// chunk's Data) is copied here and not touched again.
 	frame := getFrameBuf(0)
 	defer putFrameBuf(frame)
 	var err error
-	if *frame, err = op.wire.encodeRequest(*frame, payload, telemetry.TraceFrom(ctx)); err != nil {
-		// A payload of another type goes out as the envelope the caller built;
-		// a request with no walk is this package's mistake, and is the answer.
-		return err, !errors.Is(err, errNotRequest)
+	if *frame, err = row.encodeRequest(*frame, payload, telemetry.TraceFrom(ctx)); err != nil {
+		return err
 	}
-	kind, _, _ := op.wire.frames()
+	attempts := c.Retries + 1
+	for i := 0; i < attempts && ctx.Err() == nil; i++ {
+		var final bool
+		if final, err = c.attempt(ctx, usite, t, row, *frame, replyOut); final {
+			return err
+		}
+	}
+	if ctx.Err() != nil {
+		return fmt.Errorf("protocol: %s to %s: %w", t, usite, ctx.Err())
+	}
+	return fmt.Errorf("protocol: %s to %s failed after %d attempts: %w", t, usite, attempts, err)
+}
 
-	f, err := c.streamRoundTrip(ctx, usite, kind, *frame)
+// attempt is one try of a call. final=false means the connection failed, not
+// the call — it could not be dialled, died under the request, or delivered a
+// reply nobody can read — and has been dropped: the request may be replayed
+// on a fresh one. A hello the server refused, a site with no stream path and
+// an error the server answered are the call's answer.
+func (c *Client) attempt(ctx context.Context, usite core.Usite, t MsgType, row wireRow, frame []byte, replyOut any) (final bool, err error) {
+	sc, err := c.stream(ctx, usite)
 	if err != nil {
-		if ctx.Err() != nil {
-			return fmt.Errorf("protocol: %s to %s: %w", t, usite, ctx.Err()), true
-		}
 		var refused *ErrorReply
-		if errors.As(err, &refused) {
-			return err, true
+		return errors.As(err, &refused) || errors.Is(err, ErrNoStream) || errors.Is(err, errUnknownUsite), err
+	}
+	kind, _, _ := row.frames()
+	f, err := sc.roundTrip(ctx, kind, frame)
+	if err != nil {
+		if ctx.Err() == nil {
+			c.dropSiteStream(usite, sc)
 		}
-		return nil, false
+		return false, err
 	}
 	if f.Kind == FrameError {
 		code, msg := parseStreamError(f.Payload)
-		if code == StreamErrBadFrame {
-			c.dropSiteStream(usite, nil)
-			return nil, false
+		if code != StreamErrBadFrame {
+			return true, &ErrorReply{Code: string(t), Message: msg}
 		}
-		// Mirror the envelope path's error shape: the gateway would have
-		// sealed this as an ErrorReply coded with the request type.
-		return &ErrorReply{Code: string(t), Message: msg}, true
+		err = errors.New(msg)
+	} else if err = row.decodeReply(t, f, replyOut); err == nil || errors.Is(err, errReplyOut) {
+		// errReplyOut is the caller's mistake: the stream is fine and the
+		// request has run; replaying it would run it twice and hide the
+		// mistake behind a zero reply.
+		return true, err
 	}
-	if err := op.wire.decodeReply(t, f, replyOut); err != nil {
-		if errors.Is(err, errReplyOut) {
-			// The caller's mistake: the stream is fine and the request has
-			// run; re-sending it on the envelope path would run it twice and
-			// hide the mistake behind a zero reply.
-			return err, true
-		}
-		// An undecodable reply poisons the connection, not the call.
-		c.dropSiteStream(usite, nil)
-		return nil, false
-	}
-	return nil, true
-}
-
-// streamRoundTrip performs one frame round trip, transparently reconnecting
-// and replaying once when the persistent connection died under the call.
-func (c *Client) streamRoundTrip(ctx context.Context, usite core.Usite, kind byte, frame []byte) (Frame, error) {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		sc, err := c.stream(ctx, usite)
-		if err != nil {
-			return Frame{}, err
-		}
-		f, err := sc.roundTrip(ctx, kind, frame)
-		if err == nil {
-			return f, nil
-		}
-		if ctx.Err() != nil {
-			return Frame{}, err
-		}
-		// The stream died mid-call: drop it and replay on a fresh one.
-		c.dropSiteStream(usite, sc)
-		lastErr = err
-	}
-	return Frame{}, lastErr
+	// A bad frame either way poisons the connection, not the call.
+	c.dropSiteStream(usite, sc)
+	return false, err
 }
 
 // SubscribeStream opens a push subscription over the site's persistent v3
 // stream: the server delivers event batches as they happen, with no
 // long-poll round trip per batch. The channel closes when the subscription
 // ends (terminal job event, connection loss, consumer overflow); a close
-// without a terminal event means "resume by cursor" — re-subscribe or fall
-// back to polling; nothing is lost either way. Returns ErrNoStream when the
-// site has no stream path (POST-only transport).
+// without a terminal event means "resume by cursor": re-subscribe, and
+// nothing is lost.
 func (c *Client) SubscribeStream(ctx context.Context, usite core.Usite, req SubscribeRequest) (<-chan EventsReply, func(), error) {
-	if c.DisableStreams {
-		return nil, nil, ErrNoStream
-	}
 	sc, err := c.stream(ctx, usite)
 	if err != nil {
 		return nil, nil, err
 	}
 	id, ch, err := sc.subscribe(binSub{SubscribeRequest: req})
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrNoStream, err)
+		return nil, nil, err
 	}
-	out := make(chan EventsReply, 16)
-	done := make(chan struct{})
-	var once sync.Once
-	stop := func() {
-		once.Do(func() {
-			sc.unsubscribe(id)
-			close(done)
-		})
-	}
-	go func() {
-		defer close(out)
-		for {
-			select {
-			case b, ok := <-ch:
-				if !ok {
-					return
-				}
-				select {
-				case out <- b.EventsReply:
-				case <-done:
-					return
-				}
-			case <-done:
-				return
-			}
-		}
-	}()
-	return out, stop, nil
+	return ch, func() { sc.unsubscribe(id) }, nil
 }

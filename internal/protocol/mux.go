@@ -41,7 +41,7 @@ type streamConn struct {
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan Frame
-	subs    map[uint64]chan binEvents
+	subs    map[uint64]chan EventsReply
 	closed  bool
 	err     error
 	done    chan struct{}
@@ -49,9 +49,8 @@ type streamConn struct {
 
 // openStream dials baseURL's v3 stream and authenticates it: a signed Hello
 // envelope out, a verified server-signed HelloOK back. ErrNoStream (from the
-// transport) means "this pair has no stream path" — the caller pins the site
-// to the envelope path. A hello the server refuses comes back as the server's
-// signed *ErrorReply.
+// transport) means "this pair has no stream path". A hello the server (or the
+// firewall front before it) refuses comes back as its signed *ErrorReply.
 func openStream(ctx context.Context, tr Transport, baseURL string, cred *pki.Credential, ca *pki.Authority, usite core.Usite) (*streamConn, error) {
 	conn, err := tr.OpenStream(ctx, baseURL)
 	if err != nil {
@@ -114,7 +113,7 @@ func openStream(ctx context.Context, tr Transport, baseURL string, cred *pki.Cre
 		conn:    conn,
 		window:  make(chan struct{}, DefaultStreamWindow),
 		pending: make(map[uint64]chan Frame),
-		subs:    make(map[uint64]chan binEvents),
+		subs:    make(map[uint64]chan EventsReply),
 		done:    make(chan struct{}),
 	}
 	go s.readLoop()
@@ -236,8 +235,8 @@ func (s *streamConn) roundTrip(ctx context.Context, kind byte, frame []byte) (Fr
 // subscribe opens a push subscription: the server streams FrameEvents
 // batches under the returned ID until the job terminates, unsubscribe is
 // called, or the stream dies. The channel closes on any of those; a closed
-// channel without a terminal event means "resubscribe or fall back".
-func (s *streamConn) subscribe(b binSub) (uint64, <-chan binEvents, error) {
+// channel without a terminal event means "resubscribe at the cursor".
+func (s *streamConn) subscribe(b binSub) (uint64, <-chan EventsReply, error) {
 	s.mu.Lock()
 	if s.closed {
 		err := s.err
@@ -246,7 +245,7 @@ func (s *streamConn) subscribe(b binSub) (uint64, <-chan binEvents, error) {
 	}
 	s.nextID++
 	id := s.nextID
-	ch := make(chan binEvents, 64)
+	ch := make(chan EventsReply, 64)
 	s.subs[id] = ch
 	s.mu.Unlock()
 
@@ -278,8 +277,8 @@ func (s *streamConn) unsubscribe(id uint64) {
 // readLoop is the single reader: every inbound frame routes by correlation
 // ID to a pending waiter or a subscription channel. A subscription consumer
 // that falls behind its buffer is cut off (channel closed) rather than
-// allowed to head-of-line block the whole stream — the subscriber falls back
-// to cursor-resumable polling, which is lossless by construction.
+// allowed to head-of-line block the whole stream — the subscriber resumes at
+// its cursor, which is lossless by construction.
 func (s *streamConn) readLoop() {
 	for {
 		f, err := readFrame(s.conn)
@@ -299,7 +298,7 @@ func (s *streamConn) readLoop() {
 					cut = true
 				} else {
 					select {
-					case ch <- ev:
+					case ch <- ev.EventsReply:
 						ended = ev.End
 					default: // overflow: cut the subscriber off
 						cut = true

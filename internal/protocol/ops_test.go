@@ -35,31 +35,37 @@ func (wrongTypeTransport) OpenStream(context.Context, string) (net.Conn, error) 
 	return nil, ErrNoStream
 }
 
-// TestEnvelopeClientChecksReplyType: a server-signed list-reply answering a
-// poll must be an error, not a zero PollReply ("job not found"). The op's own
-// reply type and a signed error reply still get through.
+// TestEnvelopeClientChecksReplyType: a server-signed list-reply answering the
+// one op that travels as an envelope must be an error, not a zero reply read
+// as "no advertisements". The op's own reply type and a signed error reply
+// still get through.
 func TestEnvelopeClientChecksReplyType(t *testing.T) {
 	r := newRig(t)
-	call := func(rt MsgType, payload any) (PollReply, error) {
+	call := func(rt MsgType, payload any) (FedAdvertiseReply, error) {
 		c := NewClient(wrongTypeTransport{rig: r, rt: rt, payload: payload}, r.user, r.ca, r.reg)
-		var reply PollReply
-		err := c.Call(context.Background(), "FZJ", MsgPoll, PollRequest{Job: "FZJ-000001"}, &reply)
+		var reply FedAdvertiseReply
+		err := c.Call(context.Background(), "FZJ", MsgFedAdvertise, FedAdvertiseRequest{From: "LRZ"}, &reply)
 		return reply, err
 	}
 	if _, err := call(MsgListReply, ListReply{}); err == nil || !strings.Contains(err.Error(), string(MsgListReply)) {
-		t.Fatalf("list-reply answering a poll: err = %v, want a reply-type error", err)
+		t.Fatalf("list-reply answering gossip: err = %v, want a reply-type error", err)
 	}
 	// The check holds when the caller discards the reply, too.
 	c := NewClient(wrongTypeTransport{rig: r, rt: MsgListReply, payload: ListReply{}}, r.user, r.ca, r.reg)
-	if err := c.Call(context.Background(), "FZJ", MsgPoll, PollRequest{}, nil); err == nil {
-		t.Fatal("list-reply answering a poll with a discarded reply: no error")
+	if err := c.Call(context.Background(), "FZJ", MsgFedAdvertise, FedAdvertiseRequest{}, nil); err == nil {
+		t.Fatal("list-reply answering gossip with a discarded reply: no error")
 	}
-	if reply, err := call(MsgPollReply, PollReply{Found: true}); err != nil || !reply.Found {
-		t.Fatalf("poll-reply answering a poll: %+v, %v", reply, err)
+	if reply, err := call(MsgFedAdvertiseReply, FedAdvertiseReply{Ads: []FedAd{{}}}); err != nil || len(reply.Ads) != 1 {
+		t.Fatalf("fed-advertise-reply answering gossip: %+v, %v", reply, err)
 	}
 	var er *ErrorReply
-	if _, err := call(MsgError, ErrorReply{Code: "poll", Message: "boom"}); !errors.As(err, &er) || er.Message != "boom" {
-		t.Fatalf("error reply answering a poll: err = %v", err)
+	if _, err := call(MsgError, ErrorReply{Code: "fed-advertise", Message: "boom"}); !errors.As(err, &er) || er.Message != "boom" {
+		t.Fatalf("error reply answering gossip: err = %v", err)
+	}
+	// Every other op rides the stream, and a transport without one is an
+	// error by name, not a second protocol.
+	if err := c.Call(context.Background(), "FZJ", MsgPoll, PollRequest{}, nil); !errors.Is(err, ErrNoStream) {
+		t.Fatalf("poll over a POST-only transport: err = %v, want ErrNoStream", err)
 	}
 }
 

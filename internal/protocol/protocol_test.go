@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"unicore/internal/core"
 	"unicore/internal/pki"
 )
 
@@ -42,32 +44,38 @@ func newRig(t *testing.T) *testRig {
 	return rig
 }
 
-// echoHandler answers MsgPoll with a fixed PollReply and anything else with
-// an error reply. It verifies request envelopes like a real gateway.
-func (r *testRig) echoHandler(t *testing.T) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		body, _ := io.ReadAll(req.Body)
-		mt, _, dn, role, err := Open(r.ca, body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusForbidden)
-			return
-		}
-		if dn.CommonName() != "Alice" || role != pki.RoleUser {
-			http.Error(w, "wrong identity", http.StatusForbidden)
-			return
-		}
-		var reply []byte
-		if mt == MsgPoll {
-			reply, err = Seal(r.server, MsgPollReply, PollReply{Found: true})
-		} else {
-			reply, err = Seal(r.server, MsgError, ErrorReply{Code: "unsupported", Message: string(mt)})
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		_, _ = w.Write(reply)
-	})
+// echoServer is a minimal gateway: over the frame stream it answers a poll
+// with a fixed PollReply and a list with an error; hellos are verified like a
+// real gateway's, and answered under cred.
+type echoServer struct {
+	StreamBackend // any other op is a nil dereference: the tests send none
+	rig           *testRig
+	cred          *pki.Credential
+}
+
+func (r *testRig) echoServer() *echoServer { return &echoServer{rig: r, cred: r.server} }
+
+func (*echoServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { http.NotFound(w, r) }
+
+func (e *echoServer) ServeStream(ctx context.Context, conn net.Conn) {
+	ServeStreamConn(ctx, conn, e, StreamServerOpts{Cred: e.cred, Usite: "FZJ"})
+}
+
+func (e *echoServer) StreamHello(hello []byte) (Opened, []byte) {
+	o, err := OpenTraced(e.rig.ca, hello)
+	if err != nil || o.From.CommonName() != "Alice" || o.Role != pki.RoleUser {
+		refusal, _ := Seal(e.cred, MsgError, ErrorReply{Code: "authentication", Message: "wrong identity"})
+		return o, refusal
+	}
+	return o, nil
+}
+
+func (*echoServer) StreamPoll(context.Context, core.DN, bool, PollRequest) (PollReply, error) {
+	return PollReply{Found: true}, nil
+}
+
+func (*echoServer) StreamList(context.Context, core.DN, bool, ListRequest) (ListReply, error) {
+	return ListReply{}, errors.New("unsupported")
 }
 
 func TestSealOpenRoundTrip(t *testing.T) {
@@ -164,7 +172,7 @@ func TestInProcRouting(t *testing.T) {
 
 func TestClientCall(t *testing.T) {
 	r := newRig(t)
-	r.net.Register("gw.fzj", r.echoHandler(t))
+	r.net.Register("gw.fzj", r.echoServer())
 	c := NewClient(r.net, r.user, r.ca, r.reg)
 	var reply PollReply
 	if err := c.Call(context.Background(), "FZJ", MsgPoll, PollRequest{Job: "J"}, &reply); err != nil {
@@ -177,22 +185,21 @@ func TestClientCall(t *testing.T) {
 
 func TestClientCallErrorReply(t *testing.T) {
 	r := newRig(t)
-	r.net.Register("gw.fzj", r.echoHandler(t))
+	r.net.Register("gw.fzj", r.echoServer())
 	c := NewClient(r.net, r.user, r.ca, r.reg)
 	err := c.Call(context.Background(), "FZJ", MsgList, ListRequest{}, nil)
 	var er *ErrorReply
-	if !errors.As(err, &er) || er.Code != "unsupported" {
+	if !errors.As(err, &er) || er.Message != "unsupported" {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestClientRejectsUserSignedReply(t *testing.T) {
 	r := newRig(t)
-	// A malicious "gateway" signing replies with a user certificate.
-	r.net.Register("gw.fzj", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		reply, _ := Seal(r.user, MsgPollReply, PollReply{Found: true})
-		_, _ = w.Write(reply)
-	}))
+	// A malicious "gateway" answering the hello under a user certificate.
+	mallory := r.echoServer()
+	mallory.cred = r.user
+	r.net.Register("gw.fzj", mallory)
 	c := NewClient(r.net, r.user, r.ca, r.reg)
 	var reply PollReply
 	err := c.Call(context.Background(), "FZJ", MsgPoll, PollRequest{Job: "J"}, &reply)
@@ -211,7 +218,7 @@ func TestClientUnknownUsite(t *testing.T) {
 
 func TestClientRetriesOverFlakyLink(t *testing.T) {
 	r := newRig(t)
-	r.net.Register("gw.fzj", r.echoHandler(t))
+	r.net.Register("gw.fzj", r.echoServer())
 	flaky := NewFlaky(r.net, 0.5, 42)
 	c := NewClient(flaky, r.user, r.ca, r.reg)
 	c.Retries = 20
@@ -233,13 +240,50 @@ func TestClientRetriesOverFlakyLink(t *testing.T) {
 
 func TestFlakyZeroDropPassesThrough(t *testing.T) {
 	r := newRig(t)
-	r.net.Register("gw.fzj", r.echoHandler(t))
+	r.net.Register("gw.fzj", r.echoServer())
 	flaky := NewFlaky(r.net, 0, 1)
 	c := NewClient(flaky, r.user, r.ca, r.reg)
 	c.Retries = 0
 	var reply PollReply
 	if err := c.Call(context.Background(), "FZJ", MsgPoll, PollRequest{Job: "J"}, &reply); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenStreamHonoursItsContext dials a peer that accepts the connection
+// and then says nothing: cancelling the dial must abort the upgrade handshake
+// at once, not after DialTimeout.
+func TestOpenStreamHonoursItsContext(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback listener available: %v", err)
+	}
+	defer l.Close()
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close() // held open, never answered
+		}
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelled := make(chan time.Time, 1)
+	time.AfterFunc(50*time.Millisecond, func() {
+		cancelled <- time.Now()
+		cancel()
+	})
+	conn, err := NewHTTPTransport(&http.Transport{}).OpenStream(ctx, "http://"+l.Addr().String())
+	if err == nil {
+		conn.Close()
+		t.Fatal("OpenStream succeeded against a silent peer")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the context's", err)
+	}
+	if late := time.Since(<-cancelled); late > 100*time.Millisecond {
+		t.Fatalf("OpenStream returned %v after the cancel", late)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -17,8 +18,8 @@ import (
 // framing, the Hello authentication handshake, correlation-ID bookkeeping,
 // and the push-subscription loops; the typed request handling stays with the
 // StreamBackend (the gateway), which shares its implementation with the
-// signed-envelope dispatch path. Compare streamConn/openStream in mux.go for
-// the client half.
+// signed-envelope dispatch path. SpliceStream is the firewall front's share.
+// Compare streamConn/openStream in mux.go for the client half.
 
 // defaultStreamConcurrency bounds how many request frames one stream serves
 // at once — the server-side mirror of the client's in-flight window.
@@ -73,9 +74,6 @@ type StreamServerOpts struct {
 	// the telemetry hook. Stream frames are deliberately not envelope
 	// requests and never count into gateway Stats().ByType.
 	OnFrame func(kind byte)
-	// Concurrency overrides the per-stream request window (default
-	// defaultStreamConcurrency).
-	Concurrency int
 }
 
 // streamSession is one accepted v3 stream: single reader, mutex-serialised
@@ -105,19 +103,14 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 	if err != nil || f.Kind != FrameHello {
 		return
 	}
-	// A refused hello is answered like a refused POST, with a server-signed
-	// MsgError envelope, carried as the message of a FrameError.
-	refuse := func(envelope []byte) {
-		writeFrame(conn, FrameError, f.ID, appendStreamError(nil, StreamErrGeneric, string(envelope)))
-	}
 	o, refusal := be.StreamHello(f.Payload)
 	if refusal != nil {
-		refuse(refusal)
+		refuseHello(conn, f.ID, refusal)
 		return
 	}
 	refuseBecause := func(reason string) {
 		if envelope, err := SealTraced(opts.Cred, o.Trace, MsgError, ErrorReply{Code: string(MsgHello), Message: reason}); err == nil {
-			refuse(envelope)
+			refuseHello(conn, f.ID, envelope)
 		}
 	}
 	var hr HelloRequest
@@ -138,10 +131,6 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 	}
 	conn.SetDeadline(time.Time{})
 
-	conc := opts.Concurrency
-	if conc <= 0 {
-		conc = defaultStreamConcurrency
-	}
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	// Parent cancellation (server shutdown) must unblock the read loop.
@@ -155,7 +144,7 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 		ctx:      sctx,
 		dn:       o.From,
 		asServer: o.Role == pki.RoleServer,
-		sem:      make(chan struct{}, conc),
+		sem:      make(chan struct{}, defaultStreamConcurrency),
 		subs:     make(map[uint64]context.CancelFunc),
 	}
 	for {
@@ -189,6 +178,43 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 	}
 	cancel()
 	s.wg.Wait()
+}
+
+// refuseHello answers a refused hello like a refused POST: with a
+// server-signed MsgError envelope, carried as the message of a FrameError.
+func refuseHello(conn net.Conn, id uint64, envelope []byte) {
+	writeFrame(conn, FrameError, id, appendStreamError(nil, StreamErrGeneric, string(envelope)))
+}
+
+// SpliceStream is the firewall half of a v3 stream (§5.2): it reads the
+// client's hello and hands its envelope to admit, which verifies it and only
+// then dials the gateway inside. A refusal is answered here exactly as
+// ServeStreamConn would, and nothing has crossed the firewall; otherwise the
+// hello is replayed inward for the gateway to verify in its turn, and the two
+// connections are spliced byte for byte until either side closes — which
+// closes the other, so a held subscribe ends with its caller.
+func SpliceStream(conn net.Conn, admit func(hello []byte) (inner net.Conn, refusal []byte)) {
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	f, err := readFrame(conn)
+	if err != nil || f.Kind != FrameHello {
+		return
+	}
+	inner, refusal := admit(f.Payload)
+	if refusal != nil {
+		refuseHello(conn, f.ID, refusal)
+		return
+	}
+	defer inner.Close()
+	if writeFrame(inner, FrameHello, f.ID, f.Payload) != nil {
+		return
+	}
+	conn.SetDeadline(time.Time{})
+	go func() {
+		io.Copy(inner, conn)
+		inner.Close()
+	}()
+	io.Copy(conn, inner)
 }
 
 // send writes one frame encoded in place behind the header of a pooled frame

@@ -15,6 +15,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -31,23 +32,23 @@ const StreamEndpoint = "/unicore/v3"
 const StreamUpgradeProto = "unicore-v3"
 
 // ErrNoStream reports that a transport (or the peer behind it) cannot carry
-// a persistent v3 stream; callers fall back to the signed-envelope POST
-// path. It is a capability signal, not a failure.
+// a persistent v3 stream. Every client op rides the stream, so this is the
+// call's error: there is no second protocol to fall back to.
 var ErrNoStream = errors.New("protocol: transport does not support v3 streams")
 
-// Transport moves bytes between a client and a site gateway. Post carries
-// one signed envelope per call — every cold kind, and the stream's fallback.
-// OpenStream dials the site's persistent v3 frame stream; transports (or
-// peers) without stream support return ErrNoStream.
+// Transport moves bytes between a client and a site gateway. OpenStream dials
+// the site's persistent v3 frame stream, which carries every client op; Post
+// carries one signed envelope — gateway-to-gateway gossip, and what a
+// firewall front relays of it.
 type Transport interface {
 	Post(ctx context.Context, baseURL string, body []byte) ([]byte, error)
 	OpenStream(ctx context.Context, baseURL string) (net.Conn, error)
 }
 
 // StreamServer is implemented by handlers that can serve a v3 frame stream
-// (the Gateway). In-process transports probe for it: a registered handler
-// that lacks it (the firewall-split Front, wrapped test handlers) simply has
-// no stream path, and clients fall back to envelopes.
+// (the Gateway, the firewall-split Front). In-process transports hand it one
+// end of a net.Pipe; a registered handler that lacks it has no stream path,
+// and its callers get ErrNoStream.
 type StreamServer interface {
 	ServeStream(ctx context.Context, conn net.Conn)
 }
@@ -55,8 +56,7 @@ type StreamServer interface {
 // InProc is an in-process network: it dispatches envelope POSTs directly to
 // registered handlers and v3 streams over net.Pipe, keyed by host name. It
 // lets a whole multi-Usite deployment run inside one process and one virtual
-// clock, with the same handler code that serves real TLS sockets. It still
-// implements http.RoundTripper so HTTP-level test shims can wrap it.
+// clock, with the same handler code that serves real TLS sockets.
 type InProc struct {
 	mu    sync.RWMutex
 	hosts map[string]http.Handler
@@ -126,25 +126,6 @@ func hostOfURL(baseURL string) string {
 	return strings.TrimPrefix(strings.TrimPrefix(baseURL, "https://"), "http://")
 }
 
-// HTTPShim adapts a plain http.RoundTripper — a test double injecting
-// failures at the HTTP layer — to the Transport interface. It has no stream
-// path: OpenStream reports ErrNoStream and callers stay on the POST path,
-// which is exactly where such shims want the traffic.
-type HTTPShim struct{ RT http.RoundTripper }
-
-// OverHTTP wraps an http.RoundTripper as a POST-only Transport.
-func OverHTTP(rt http.RoundTripper) *HTTPShim { return &HTTPShim{RT: rt} }
-
-// Post implements Transport.
-func (s *HTTPShim) Post(ctx context.Context, baseURL string, body []byte) ([]byte, error) {
-	return post(ctx, s.RT, baseURL, body)
-}
-
-// OpenStream implements Transport.
-func (s *HTTPShim) OpenStream(context.Context, string) (net.Conn, error) {
-	return nil, ErrNoStream
-}
-
 // HTTPTransport is the real-network Transport: envelopes ride HTTPS POSTs
 // through HTTP (an *http.Transport carrying the mutual-TLS config), and v3
 // streams are dialed with the same TLS config and switched off HTTP with an
@@ -165,8 +146,9 @@ func (t *HTTPTransport) Post(ctx context.Context, baseURL string, body []byte) (
 }
 
 // OpenStream implements Transport: dial TLS, send the Upgrade handshake,
-// hand back the hijacked connection. A peer that answers anything but 101
-// (a split front, a plain proxy) yields ErrNoStream.
+// hand back the hijacked connection. A peer that answers anything but 101 (a
+// plain proxy) yields ErrNoStream. Cancelling ctx aborts the dial at any
+// point of the handshake.
 func (t *HTTPTransport) OpenStream(ctx context.Context, baseURL string) (net.Conn, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
@@ -210,28 +192,32 @@ func (t *HTTPTransport) OpenStream(ctx context.Context, baseURL string) (net.Con
 		}
 		conn = tc
 	}
-	fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n",
-		StreamEndpoint, u.Host, StreamUpgradeProto)
+	// The upgrade exchange takes no context of its own: dctx ending closes
+	// the connection under it, and is then the error.
+	stop := context.AfterFunc(dctx, func() { conn.Close() })
 	br := bufio.NewReader(conn)
-	conn.SetReadDeadline(time.Now().Add(timeout))
-	resp, err := http.ReadResponse(br, nil)
+	var resp *http.Response
+	_, err = fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n",
+		StreamEndpoint, u.Host, StreamUpgradeProto)
+	if err == nil {
+		resp, err = http.ReadResponse(br, nil)
+	}
+	if !stop() {
+		err = dctx.Err()
+	}
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("protocol: v3 upgrade handshake: %w", err)
 	}
 	resp.Body.Close()
-	conn.SetReadDeadline(time.Time{})
 	if resp.StatusCode != http.StatusSwitchingProtocols {
 		conn.Close()
 		return nil, fmt.Errorf("%w: peer answered HTTP %d to the upgrade", ErrNoStream, resp.StatusCode)
 	}
 	// Bytes the server sent right after the 101 may sit in the bufio reader;
 	// drain it before reading the conn directly.
-	if n := br.Buffered(); n > 0 {
-		peeked, _ := br.Peek(n)
-		return &bufferedConn{Conn: conn, buf: append([]byte(nil), peeked...)}, nil
-	}
-	return &bufferedConn{Conn: conn}, nil
+	peeked, _ := br.Peek(br.Buffered())
+	return &bufferedConn{Conn: conn, buf: append([]byte(nil), peeked...)}, nil
 }
 
 // bufferedConn replays bytes buffered during the upgrade handshake before
@@ -252,39 +238,136 @@ func (c *bufferedConn) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
-// Flaky wraps a Transport and injects failures: each envelope POST is
-// dropped with probability Drop (before reaching the server with probability
-// 0.5, after — losing the response — otherwise), modelling the
-// "unreliability of the underlying communication mechanism" of §5.3.
-//
-// Streams are a capability switch: with Streams false (the default) the
-// flaky network refuses v3 streams outright, pinning traffic to the lossy
-// POST path. With Streams true, OpenStream passes through and every live
-// stream is tracked so KillStreams can sever them mid-flight — the
-// connection-death fault the v3 reconnect logic must absorb.
-type Flaky struct {
-	Base Transport
-	Drop float64
-	// Latency is added per successful round trip (0 = none). It burns real
-	// time, so keep it tiny in tests.
-	Latency time.Duration
-	// Streams lets v3 streams through (subject to KillStreams).
-	Streams bool
+// Fault is what a ConnFaults hook decides for one frame a wrapped stream end
+// is about to write.
+type Fault int
+
+const (
+	// NoFault writes the frame.
+	NoFault Fault = iota
+	// LoseFrame severs the connection instead of writing the frame.
+	LoseFrame
+	// LoseAnswer writes the frame and severs the connection when the peer's
+	// next bytes arrive: the frame was acted on, its answer is lost.
+	LoseAnswer
+)
+
+// ConnFaults is the one connection-fault wrapper the injectors share (Flaky
+// on the client end of a stream, the testbed's gateway gate on the server
+// end): it tracks the live connections it wrapped so Sever can cut them, and
+// asks Decide before every frame a wrapped end writes — both ends write a
+// frame as one Write. The handshake frame, an end's first write, always
+// passes: a fault plan is about requests and replies.
+type ConnFaults struct {
+	Decide func() Fault // nil passes everything
 
 	mu    sync.Mutex
-	rng   *rand.Rand
-	reqs  int
-	lost  int
-	kills int
 	conns map[*killableConn]struct{}
+}
+
+// Wrap returns conn under the injector's control.
+func (cf *ConnFaults) Wrap(conn net.Conn) net.Conn {
+	kc := &killableConn{Conn: conn, cf: cf}
+	cf.mu.Lock()
+	if cf.conns == nil {
+		cf.conns = make(map[*killableConn]struct{})
+	}
+	cf.conns[kc] = struct{}{}
+	cf.mu.Unlock()
+	return kc
+}
+
+// Sever cuts every live wrapped connection and returns how many it cut.
+func (cf *ConnFaults) Sever() int {
+	cf.mu.Lock()
+	conns := cf.conns
+	cf.conns = nil
+	cf.mu.Unlock()
+	for c := range conns {
+		c.Conn.Close()
+	}
+	return len(conns)
+}
+
+// killableConn is one wrapped stream end.
+type killableConn struct {
+	net.Conn
+	cf        *ConnFaults
+	shook     atomic.Bool // the handshake frame has been written
+	cutOnRead atomic.Bool
+}
+
+// Write asks the injector first, once past the handshake frame.
+func (c *killableConn) Write(p []byte) (int, error) {
+	if c.shook.Swap(true) && c.cf.Decide != nil {
+		switch c.cf.Decide() {
+		case LoseFrame:
+			c.Close()
+			return 0, errors.New("fault: frame lost in transit")
+		case LoseAnswer:
+			c.cutOnRead.Store(true)
+		}
+	}
+	return c.Conn.Write(p)
+}
+
+// Read delivers what arrives, until a LoseAnswer fault is due.
+func (c *killableConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 && c.cutOnRead.Load() {
+		c.Close()
+		return 0, errors.New("fault: answer lost in transit")
+	}
+	return n, err
+}
+
+// Close leaves the injector's live set and closes the connection.
+func (c *killableConn) Close() error {
+	c.cf.mu.Lock()
+	delete(c.cf.conns, c)
+	c.cf.mu.Unlock()
+	return c.Conn.Close()
+}
+
+// Flaky wraps a Transport and injects the two faults of §5.3's "unreliability
+// of the underlying communication mechanism" into the streams dialled through
+// it: each request frame is lost with probability Drop — half of those before
+// the server sees it, the rest after the server has acted on it, with the
+// reply. Either way the stream dies under the call, and the client redials
+// and replays. KillStreams severs every live stream at once.
+type Flaky struct {
+	Transport
+	Drop float64
+
+	faults ConnFaults
+	mu     sync.Mutex
+	rng    *rand.Rand
+	reqs   int
+	lost   int
 }
 
 // NewFlaky builds a fault-injecting transport with a deterministic seed.
 func NewFlaky(base Transport, drop float64, seed int64) *Flaky {
-	return &Flaky{Base: base, Drop: drop, rng: rand.New(rand.NewSource(seed))}
+	f := &Flaky{Transport: base, Drop: drop, rng: rand.New(rand.NewSource(seed))}
+	f.faults.Decide = f.decide
+	return f
 }
 
-// Stats reports attempted and lost envelope round trips.
+func (f *Flaky) decide() Fault {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.reqs++
+	if f.rng.Float64() >= f.Drop {
+		return NoFault
+	}
+	f.lost++
+	if f.rng.Float64() < 0.5 {
+		return LoseFrame
+	}
+	return LoseAnswer
+}
+
+// Stats reports the request frames attempted and the ones lost.
 func (f *Flaky) Stats() (reqs, lost int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -293,85 +376,16 @@ func (f *Flaky) Stats() (reqs, lost int) {
 
 // KillStreams severs every live v3 stream opened through this transport and
 // returns how many it killed.
-func (f *Flaky) KillStreams() int {
-	f.mu.Lock()
-	conns := make([]*killableConn, 0, len(f.conns))
-	for c := range f.conns {
-		conns = append(conns, c)
-	}
-	f.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	f.mu.Lock()
-	f.kills += len(conns)
-	f.mu.Unlock()
-	return len(conns)
-}
+func (f *Flaky) KillStreams() int { return f.faults.Sever() }
 
-// Post implements Transport with fault injection.
-func (f *Flaky) Post(ctx context.Context, baseURL string, body []byte) ([]byte, error) {
-	f.mu.Lock()
-	f.reqs++
-	drop := f.rng.Float64() < f.Drop
-	beforeServer := f.rng.Float64() < 0.5
-	if drop {
-		f.lost++
-	}
-	f.mu.Unlock()
-
-	if drop && beforeServer {
-		return nil, fmt.Errorf("flaky: request lost in transit")
-	}
-	if f.Latency > 0 {
-		time.Sleep(f.Latency)
-	}
-	resp, err := f.Base.Post(ctx, baseURL, body)
-	if err != nil {
-		return nil, err
-	}
-	if drop {
-		// The server processed the request but the reply was lost.
-		return nil, fmt.Errorf("flaky: response lost in transit")
-	}
-	return resp, nil
-}
-
-// OpenStream implements Transport (see Streams).
+// OpenStream implements Transport: the base transport's stream, under the
+// fault plan.
 func (f *Flaky) OpenStream(ctx context.Context, baseURL string) (net.Conn, error) {
-	if !f.Streams {
-		return nil, ErrNoStream
-	}
-	conn, err := f.Base.OpenStream(ctx, baseURL)
+	conn, err := f.Transport.OpenStream(ctx, baseURL)
 	if err != nil {
 		return nil, err
 	}
-	kc := &killableConn{Conn: conn, f: f}
-	f.mu.Lock()
-	if f.conns == nil {
-		f.conns = make(map[*killableConn]struct{})
-	}
-	f.conns[kc] = struct{}{}
-	f.mu.Unlock()
-	return kc, nil
-}
-
-// killableConn unregisters itself from the Flaky transport on close.
-type killableConn struct {
-	net.Conn
-	f    *Flaky
-	once sync.Once
-}
-
-// Close drops the connection from the Flaky transport's live set (once) and
-// closes it.
-func (c *killableConn) Close() error {
-	c.once.Do(func() {
-		c.f.mu.Lock()
-		delete(c.f.conns, c)
-		c.f.mu.Unlock()
-	})
-	return c.Conn.Close()
+	return f.faults.Wrap(conn), nil
 }
 
 // post sends an envelope to a site URL over an http.RoundTripper and returns
@@ -383,6 +397,9 @@ func post(ctx context.Context, rt http.RoundTripper, baseURL string, body []byte
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	// Every envelope op is idempotent; the empty key (never sent) lets
+	// net/http redial when a pooled connection turns out to be dead.
+	req.Header["Idempotency-Key"] = nil
 	resp, err := rt.RoundTrip(req)
 	if err != nil {
 		return nil, err

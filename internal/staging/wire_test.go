@@ -3,6 +3,7 @@ package staging_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"hash/crc64"
 	"net"
 	"net/http"
@@ -22,10 +23,10 @@ import (
 	"unicore/internal/testbed"
 )
 
-// These tests drive the upload/download engines through a real
-// client.Session against a real gateway + NJS + spool, over every transport
-// the repository has — the ownership rule is a contract between tiers, so it
-// is checked where the tiers meet.
+// These tests drive the upload/download engines against a real gateway + NJS
+// + spool, through both of the gateway's doors and over every transport the
+// repository has — the ownership rule is a contract between tiers, so it is
+// checked where the tiers meet.
 
 const (
 	wireUsite = core.Usite("OWN")
@@ -73,13 +74,47 @@ func (s *wireSite) spool(t *testing.T) *staging.Spool {
 	return sp
 }
 
-// sessions returns one session per transport: signed envelopes over InProc
-// POSTs, v3 frames over InProc's net.Pipe, and v3 frames over mutual TLS on
-// loopback TCP.
-func (s *wireSite) sessions(t *testing.T) map[string]*client.Session {
+// envelopeDoor is the upload surface over the gateway's signed-envelope door:
+// each call is sealed under the user's credential, handed to HandleContext,
+// and its server-signed reply opened — what a POSTing client did.
+type envelopeDoor struct{ s *wireSite }
+
+func (d envelopeDoor) call(ctx context.Context, t protocol.MsgType, req, reply any) error {
+	env, err := protocol.Seal(d.s.user, t, req)
+	if err != nil {
+		return err
+	}
+	rt, raw, _, _, err := protocol.Open(d.s.d.CA, d.s.d.Sites[wireUsite].Gateway.HandleContext(ctx, env))
+	if err != nil {
+		return err
+	}
+	if rt == protocol.MsgError {
+		var er protocol.ErrorReply
+		if err := json.Unmarshal(raw, &er); err != nil {
+			return err
+		}
+		return &er
+	}
+	return json.Unmarshal(raw, reply)
+}
+
+func (d envelopeDoor) PutOpen(ctx context.Context, req protocol.PutOpenRequest) (reply protocol.PutOpenReply, err error) {
+	return reply, d.call(ctx, protocol.MsgPutOpen, req, &reply)
+}
+
+func (d envelopeDoor) PutChunk(ctx context.Context, req protocol.PutChunkRequest) (reply protocol.PutChunkReply, err error) {
+	return reply, d.call(ctx, protocol.MsgPutChunk, req, &reply)
+}
+
+func (d envelopeDoor) PutCommit(ctx context.Context, req protocol.PutCommitRequest) (reply protocol.PutCommitReply, err error) {
+	return reply, d.call(ctx, protocol.MsgPutCommit, req, &reply)
+}
+
+// putters returns one upload surface per way in: signed envelopes sealed into
+// HandleContext, v3 frames over InProc's net.Pipe, and v3 frames over mutual
+// TLS on loopback TCP.
+func (s *wireSite) putters(t *testing.T) map[string]staging.Putter {
 	t.Helper()
-	envelopes := s.d.UserClient(s.user)
-	envelopes.DisableStreams = true
 
 	srvCred, err := s.d.CA.IssueServer("wire-test-listener", "localhost")
 	if err != nil {
@@ -106,8 +141,8 @@ func (s *wireSite) sessions(t *testing.T) map[string]*client.Session {
 
 	pipe := s.d.UserClient(s.user)
 	t.Cleanup(pipe.Close)
-	return map[string]*client.Session{
-		"inproc-envelopes": client.NewSession(envelopes, wireUsite),
+	return map[string]staging.Putter{
+		"inproc-envelopes": envelopeDoor{s},
 		"net-pipe-frames":  client.NewSession(pipe, wireUsite),
 		"loopback-tls":     client.NewSession(tlsClient, wireUsite),
 	}
@@ -120,7 +155,7 @@ func (s *wireSite) sessions(t *testing.T) map[string]*client.Session {
 func TestPutChunkNeverRetainsCallerBuffer(t *testing.T) {
 	site := newWireSite(t)
 	ctx := context.Background()
-	for name, sess := range site.sessions(t) {
+	for name, sess := range site.putters(t) {
 		t.Run(name, func(t *testing.T) {
 			const chunk = 32 << 10
 			want := wirePayload(3*chunk+100, 0)
@@ -146,13 +181,13 @@ func TestPutChunkNeverRetainsCallerBuffer(t *testing.T) {
 
 			// Two engine uploads back to back: the second runs on the pooled
 			// buffers the first one filled.
-			sess.Transfer = staging.Options{ChunkSize: chunk, Window: 2}
+			opts := staging.Options{ChunkSize: chunk, Window: 2}
 			first, second := wirePayload(7*chunk+5, 1), wirePayload(7*chunk+5, 2)
-			h1, err := sess.Upload(ctx, wireVsite, "first.dat", bytes.NewReader(first))
+			h1, _, err := staging.Upload(ctx, sess, wireVsite, "first.dat", bytes.NewReader(first), opts)
 			if err != nil {
 				t.Fatalf("Upload(first): %v", err)
 			}
-			h2, err := sess.Upload(ctx, wireVsite, "second.dat", bytes.NewReader(second))
+			h2, _, err := staging.Upload(ctx, sess, wireVsite, "second.dat", bytes.NewReader(second), opts)
 			if err != nil {
 				t.Fatalf("Upload(second): %v", err)
 			}

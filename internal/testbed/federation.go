@@ -10,48 +10,73 @@ package testbed
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 
 	"unicore/internal/accounting"
 	"unicore/internal/core"
 	"unicore/internal/deploy"
 	"unicore/internal/federation"
+	"unicore/internal/gateway"
 	"unicore/internal/protocol"
 )
 
 // Gateway failure modes of the gate wrapper.
 const (
 	gateAlive = iota
-	// gateDead refuses every request before the gateway sees it — a crashed
-	// gateway process. Clients observe a transport failure and retry.
+	// gateDead refuses every stream and request before the gateway sees it
+	// and severs the live streams — a crashed gateway process. Clients
+	// observe a transport failure and retry.
 	gateDead
-	// gateBlackhole hands the request to the gateway (state changes happen)
-	// but discards the response — the reply lost in transit.
+	// gateBlackhole hands requests to the gateway (state changes happen) but
+	// loses the answers: a stream is cut when the reply to a frame is
+	// written, a POST's response is discarded — the reply lost in transit.
 	gateBlackhole
 )
 
-// gate wraps a site's registered handler with a switchable failure mode.
+// gate wraps a site's gateway with a switchable failure mode, on both of its
+// doors: the frame streams clients and peers ride (protocol.StreamServer,
+// through the connection-fault wrapper protocol.Flaky uses) and the gossip
+// POST.
 type gate struct {
-	inner http.Handler
-	mode  chan int // 1-buffered: current mode
+	inner  *gateway.Gateway
+	mode   atomic.Int32
+	faults protocol.ConnFaults
 }
 
-func newGate(inner http.Handler) *gate {
-	g := &gate{inner: inner, mode: make(chan int, 1)}
-	g.mode <- gateAlive
+func newGate(inner *gateway.Gateway) *gate {
+	g := &gate{inner: inner}
+	g.faults.Decide = func() protocol.Fault {
+		if g.mode.Load() == gateBlackhole {
+			return protocol.LoseFrame // the frame being written is the reply
+		}
+		return protocol.NoFault
+	}
 	return g
 }
 
-func (g *gate) setMode(m int) {
-	<-g.mode
-	g.mode <- m
+func (g *gate) setMode(m int32) {
+	g.mode.Store(m)
+	if m == gateDead {
+		g.faults.Sever()
+	}
+}
+
+func (g *gate) ServeStream(ctx context.Context, conn net.Conn) {
+	// Checked after Wrap, so a kill racing this accept either is seen here or
+	// finds the connection in the set it severs.
+	conn = g.faults.Wrap(conn)
+	if g.mode.Load() == gateDead {
+		conn.Close()
+		return
+	}
+	g.inner.ServeStream(ctx, conn)
 }
 
 func (g *gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	m := <-g.mode
-	g.mode <- m
-	switch m {
+	switch g.mode.Load() {
 	case gateDead:
 		http.Error(w, "testbed: gateway down", http.StatusBadGateway)
 	case gateBlackhole:

@@ -177,6 +177,9 @@ func TestFederatedConsignSurvivesPeerGatewayRestart(t *testing.T) {
 	if reply.Accepted {
 		t.Fatal("origin acked a forward whose reply was lost — double-ack risk")
 	}
+	if admitted, err := d.Sites["DWD"].NJS.List(user.DN()); err != nil || len(admitted) != 1 {
+		t.Fatalf("DWD admitted %d jobs (%v) behind the blackhole, want the 1 whose ack was lost", len(admitted), err)
+	}
 
 	// Then the gateway process dies outright; a retry still must not ack.
 	if err := d.KillGateway("DWD"); err != nil {
@@ -235,6 +238,22 @@ func TestFederatedConsignSurvivesPeerGatewayRestart(t *testing.T) {
 		if e.Seq != uint64(i+1) {
 			t.Fatalf("event %d has seq %d — stream not contiguous", i, e.Seq)
 		}
+	}
+	onlyGossipIsPosted(t, d, "DWD")
+}
+
+// onlyGossipIsPosted requires that every hop a site served rode the frame
+// stream through its gate: the only envelopes its gateway counted are gossip.
+func onlyGossipIsPosted(t *testing.T, d *Deployment, u core.Usite) {
+	t.Helper()
+	gw := d.Sites[u].Gateway
+	for typ, n := range gw.Stats().ByType {
+		if typ != protocol.MsgFedAdvertise && n != 0 {
+			t.Errorf("%s served %d %s envelopes; every forwarded hop rides the stream", u, n, typ)
+		}
+	}
+	if gw.Telemetry().Snapshot().Total("gateway_stream_frames_total") == 0 {
+		t.Errorf("%s served no stream frames", u)
 	}
 }
 
@@ -363,4 +382,5 @@ func TestFederationSoakPeerKilledMidWorkload(t *testing.T) {
 	if len(jobs) != len(accepted) {
 		t.Fatalf("DWD holds %d jobs, want %d", len(jobs), len(accepted))
 	}
+	onlyGossipIsPosted(t, d, "DWD")
 }

@@ -12,6 +12,7 @@ package testbed
 import (
 	"fmt"
 	"net"
+	"net/http"
 	"strings"
 
 	"unicore/internal/accounting"
@@ -61,9 +62,10 @@ type Site struct {
 	// replica-index order.
 	Pool     *pool.Router
 	Replicas map[core.Vsite][]*njs.NJS
-	// Front and inner are set in split deployments.
+	// Front and inner are set in split deployments: the firewall half, and
+	// the socket the gateway is served on inside.
 	Front *gateway.Front
-	inner *gateway.Inner
+	inner net.Listener
 
 	cred *pki.Credential // server credential, kept for NJS restarts
 }
@@ -216,22 +218,21 @@ func (d *Deployment) deploySite(spec SiteSpec) (*Site, error) {
 	}
 
 	if spec.Split {
-		inner := gateway.NewInner(gw)
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, fmt.Errorf("split listener: %w", err)
 		}
-		go inner.Serve(l)
+		go http.Serve(l, gw)
 		frontCred, err := d.CA.IssueServer("front."+strings.ToLower(string(spec.Usite)), host)
 		if err != nil {
 			return nil, err
 		}
-		front, err := gateway.NewFront(frontCred, d.CA, gateway.TCPDial(l.Addr().String()))
+		front, err := gateway.NewFront(frontCred, d.CA, l.Addr().String())
 		if err != nil {
 			return nil, err
 		}
 		site.Front = front
-		site.inner = inner
+		site.inner = l
 		d.Net.Register(host, front)
 	} else {
 		d.Net.Register(host, gw)

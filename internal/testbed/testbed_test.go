@@ -2,6 +2,9 @@ package testbed
 
 import (
 	"context"
+	"io"
+	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"unicore/internal/ajo"
 	"unicore/internal/client"
 	"unicore/internal/core"
+	"unicore/internal/protocol"
 	"unicore/internal/resources"
 )
 
@@ -166,6 +170,143 @@ func TestSplitSiteInDeployment(t *testing.T) {
 	sum, err := d.Session(user, specs[0].Usite).Status(context.Background(), id)
 	if err != nil || sum.Status != ajo.StatusSuccessful {
 		t.Fatalf("status = %v (err %v)", sum.Status, err)
+	}
+}
+
+// TestSplitSiteRidesTheStream: a Session behind a §5.2 firewall front is on
+// the same door as everyone else. It submits, watches to the terminal event,
+// lists and fetches an outcome over one spliced stream — one hello and one
+// chain verify at the inner gateway, no envelopes, and a watch that is its
+// synchronous first fetch plus one push subscription however many batches
+// arrive — and every reply is what the combined site gives.
+func TestSplitSiteRidesTheStream(t *testing.T) {
+	type replies struct {
+		Events  []client.JobEvent
+		Jobs    []protocol.JobInfo
+		Outcome []byte // the tree, marshalled: its times compare by instant
+	}
+	// One job for both sites: action IDs are minted per process, not per site.
+	b := client.NewJob("via-firewall", core.Target{Usite: GermanSpecs()[0].Usite, Vsite: "T3E"})
+	one := b.Script("one", "cpu 5m\necho a > x.txt\n", resources.Request{Processors: 1, RunTime: time.Hour})
+	two := b.Script("two", "cpu 5m\ncat x.txt\n", resources.Request{Processors: 1, RunTime: time.Hour})
+	b.After(one, two, "x.txt")
+	job, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	run := func(t *testing.T, split bool) replies {
+		specs := GermanSpecs()[:1]
+		specs[0].Split = split
+		d, err := New(specs...)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		defer d.Close()
+		usite := specs[0].Usite
+		user, err := d.NewUser("Stream User", "FZJ", "stream")
+		if err != nil {
+			t.Fatalf("NewUser: %v", err)
+		}
+		c := d.UserClient(user)
+		defer c.Close()
+		sess := client.NewSession(c, usite)
+		ctx := context.Background()
+
+		id, err := sess.Submit(ctx, job)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		events, err := sess.Watch(ctx, id)
+		if err != nil {
+			t.Fatalf("Watch: %v", err)
+		}
+		// Run the job only once the push subscription is parked inside, so
+		// everything past the first fetch has to be pushed.
+		gw := d.Sites[usite].Gateway
+		gauge := func(name string, kv ...string) float64 {
+			p, _ := gw.Telemetry().Snapshot().Get(name, kv...)
+			return p.Value
+		}
+		for gauge("gateway_longpoll_active") < 1 {
+			time.Sleep(time.Millisecond)
+		}
+		go d.Run(1_000_000)
+		var got replies
+		for ev := range events {
+			got.Events = append(got.Events, ev)
+		}
+		if n := len(got.Events); n == 0 || !got.Events[n-1].Terminal {
+			t.Fatalf("watch ended after %d events without the terminal one", n)
+		}
+		if got.Jobs, err = sess.List(ctx); err != nil || len(got.Jobs) != 1 {
+			t.Fatalf("List: %+v, %v", got.Jobs, err)
+		}
+		tree, err := sess.Outcome(ctx, id)
+		if err != nil || tree.Status != ajo.StatusSuccessful {
+			t.Fatalf("Outcome: %+v, %v", tree, err)
+		}
+		if got.Outcome, err = ajo.MarshalOutcome(tree); err != nil {
+			t.Fatalf("MarshalOutcome: %v", err)
+		}
+
+		for _, series := range []struct {
+			name string
+			kv   []string
+			want float64
+		}{
+			{"gateway_stream_hellos_total", []string{"role", "user"}, 1},
+			{"pki_verify_total", nil, 1},
+			{"gateway_stream_frames_total", []string{"kind", "sub"}, 2},
+		} {
+			if got := gauge(series.name, series.kv...); got != series.want {
+				t.Errorf("inner gateway %s%v = %v, want %v", series.name, series.kv, got, series.want)
+			}
+		}
+		if n := gw.Stats().Requests; n != 0 {
+			t.Errorf("inner gateway counted %d envelopes, want 0: an op fell off the stream", n)
+		}
+		return got
+	}
+	split, combined := run(t, true), run(t, false)
+	if !reflect.DeepEqual(split, combined) {
+		t.Fatalf("replies differ behind the front:\n  split:    %+v\n  combined: %+v", split.Events, combined.Events)
+	}
+	if len(split.Events) < 4 {
+		t.Fatalf("only %d events watched: %+v", len(split.Events), split.Events)
+	}
+}
+
+// TestSplitSiteServesTheWebPage: the front is "the https Web server which
+// provides the UNICORE Web page" (§4.2) — its index lists the site's Vsites
+// and signed applets exactly as the combined gateway's does.
+func TestSplitSiteServesTheWebPage(t *testing.T) {
+	page := func(split bool) string {
+		specs := GermanSpecs()[:1]
+		specs[0].Split = split
+		d, err := New(specs...)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		defer d.Close()
+		req, _ := http.NewRequest(http.MethodGet, "https://"+hostOf(specs[0].Usite)+"/", nil)
+		resp, err := d.Net.RoundTrip(req)
+		if err != nil {
+			t.Fatalf("GET /: %v", err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET / (split=%v) = %d: %s", split, resp.StatusCode, body)
+		}
+		return string(body)
+	}
+	split, combined := page(true), page(false)
+	if split != combined {
+		t.Fatalf("the split site's page differs:\n%s\nwant\n%s", split, combined)
+	}
+	for _, want := range []string{"T3E", "jpa", "jmc"} {
+		if !strings.Contains(split, want) {
+			t.Errorf("the split site's page does not list %q:\n%s", want, split)
+		}
 	}
 }
 
