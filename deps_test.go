@@ -5,9 +5,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"unicore/internal/njs"
 )
 
 // TestNoPackageImportsGob keeps the repository at two serialisation schemes:
@@ -151,5 +154,47 @@ func TestClientsHaveOneDoor(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPoolsHaveOneBuilder keeps controller.NewStack the only place a replica
+// pool is assembled: `unicore-ctl apply`, `unicore-gateway -replicas` and the
+// testbed all crash and heal the same stack. A second pool.NewRouter/pool.New
+// call site, the testbed's by-index restart API, the gateway's NJS-typed
+// backend setter, or an njs.Service wider than the 16 methods a pool has to
+// route are how the hand-wired pool would grow back.
+func TestPoolsHaveOneBuilder(t *testing.T) {
+	build := regexp.MustCompile(`pool\.(NewRouter|New)\(`)
+	restart := regexp.MustCompile(`EnableReplicaDurability|RestartReplica`)
+	setNJS := regexp.MustCompile(`(?m)^func \([^)]*\) SetNJS\(`)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		dir := filepath.Dir(path)
+		if !strings.HasSuffix(path, "_test.go") && dir != filepath.Join("internal", "controller") {
+			for _, call := range build.FindAllString(string(src), -1) {
+				t.Errorf("%s calls %s…): pools are built by controller.NewStack", path, call)
+			}
+		}
+		if dir == filepath.Join("internal", "testbed") {
+			for _, name := range restart.FindAllString(string(src), -1) {
+				t.Errorf("%s names %s: a replica is healed by ManagedSite.Reconcile", path, name)
+			}
+		}
+		if dir == filepath.Join("internal", "gateway") && setNJS.MatchString(string(src)) {
+			t.Errorf("%s declares SetNJS: SetBackend takes a *njs.NJS", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reflect.TypeOf((*njs.Service)(nil)).Elem().NumMethod(); n > 16 {
+		t.Errorf("njs.Service has %d methods, want at most 16", n)
 	}
 }

@@ -1,9 +1,11 @@
 // Failover: the scaled-out server tier surviving a replica crash. One Usite
-// runs a Vsite behind three journaled NJS replicas (docs/ARCHITECTURE.md);
+// is booted from a topology spec — the document `unicore-ctl apply -f` takes —
+// declaring a Vsite behind three journaled NJS replicas (docs/ARCHITECTURE.md);
 // the demo consigns a workload, kills one replica mid-run, proves the pool
-// stops routing to it while it is down, recovers it from its journal, and
-// prints that every job reached the same outcome as an uninterrupted run of
-// the identical workload — zero lost and zero duplicated jobs.
+// stops routing to it while it is down, lets the site's controller heal it
+// from its journal, and prints that every job reached the same outcome as an
+// uninterrupted run of the identical workload — zero lost and zero duplicated
+// jobs. It exits non-zero otherwise.
 package main
 
 import (
@@ -18,17 +20,38 @@ import (
 )
 
 const (
-	usite    = "POOL"
-	vsite    = "CLUSTER"
-	replicas = 3
-	victim   = 1 // replica killed mid-workload
+	usite  = "POOL"
+	vsite  = "CLUSTER"
+	victim = "r1" // pool tag of the replica killed mid-workload
 )
 
+// topology declares the site: one 16-node cluster Vsite served by three NJS
+// replicas behind round-robin routing.
+const topology = `{
+  "version": 1,
+  "sites": [{
+    "usite": "POOL",
+    "vsites": [{"name": "CLUSTER", "machine": "cluster", "processors": 16,
+                "replicas": 3, "policy": "round-robin", "snapshotEvery": 256}]
+  }]
+}`
+
 // run executes the workload once and returns every job's terminal status,
-// keyed by job name. With kill set, replica 1 is crashed mid-workload and
-// later recovered from its journal.
+// keyed by job name. With kill set, replica r1 is crashed mid-workload and
+// later healed from its journal.
 func run(kill bool) (map[string]string, error) {
-	d, err := unicore.ReplicatedSite(usite, vsite, 16, replicas, unicore.PoolRoundRobin)
+	spec, err := unicore.ParseTopology([]byte(topology))
+	if err != nil {
+		return nil, err
+	}
+	// Every replica journals independently under the state root
+	// (<root>/POOL/CLUSTER/<tag>), exactly as separate processes would.
+	root, err := os.MkdirTemp("", "unicore-failover-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(root)
+	d, site, err := unicore.NewManaged(spec, usite, root)
 	if err != nil {
 		return nil, err
 	}
@@ -37,33 +60,6 @@ func run(kill bool) (map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Every replica journals independently, exactly as separate processes
-	// would.
-	type handle struct {
-		dir   string
-		store *unicore.JournalStore
-	}
-	stores := make([]handle, replicas)
-	for i := range stores {
-		dir, err := os.MkdirTemp("", "unicore-failover-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		store, err := d.EnableReplicaDurability(usite, vsite, i, dir, 256)
-		if err != nil {
-			return nil, err
-		}
-		stores[i] = handle{dir: dir, store: store}
-	}
-	defer func() {
-		for _, h := range stores {
-			if err := h.store.Close(); err != nil {
-				log.Printf("closing journal store: %v", err)
-			}
-		}
-	}()
 
 	cfg := unicore.DefaultWorkload(42, 12, d.Targets())
 	cfg.MultiSiteFraction = 0
@@ -88,14 +84,10 @@ func run(kill bool) (map[string]string, error) {
 	d.Clock.Advance(10 * time.Minute)
 
 	if kill {
-		h := stores[victim]
-		if err := h.store.Sync(); err != nil {
+		if err := site.KillReplica(vsite, victim); err != nil {
 			return nil, err
 		}
-		if err := d.KillReplica(usite, vsite, victim); err != nil {
-			return nil, err
-		}
-		fmt.Printf("killed replica %d mid-workload; pool routes around it:\n", victim)
+		fmt.Printf("killed replica %s mid-workload; pool routes around it:\n", victim)
 		// New work keeps flowing while the replica is down — the health
 		// check tripped its breaker, so admissions land on the survivors.
 		b := unicore.NewJob("during-outage", unicore.Target{Usite: usite, Vsite: vsite})
@@ -110,20 +102,16 @@ func run(kill bool) (map[string]string, error) {
 		}
 		fmt.Printf("  consign during outage: accepted by a surviving replica\n")
 
-		// Recover the victim from its journal and swap it back into the
-		// pool under its stable replica name.
-		if err := h.store.Close(); err != nil {
-			return nil, err
-		}
-		store, err := unicore.OpenJournal(h.dir)
+		// One controller pass finds the dead replica, recovers it from its
+		// journal and swaps it back into the pool under its stable tag.
+		res, err := site.Reconcile()
 		if err != nil {
 			return nil, err
 		}
-		stores[victim] = handle{dir: h.dir, store: store}
-		if err := d.RestartReplica(usite, vsite, victim, store, 256); err != nil {
-			return nil, err
+		if res.Healed != 1 {
+			return nil, fmt.Errorf("reconcile healed %d replicas, want 1", res.Healed)
 		}
-		fmt.Printf("  replica %d recovered from its journal and rejoined the pool\n\n", victim)
+		fmt.Printf("  replica %s recovered from its journal and rejoined the pool\n\n", victim)
 	}
 
 	if fired := d.Run(10_000_000); fired >= 10_000_000 {

@@ -62,7 +62,7 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatalf("njs.New: %v", err)
 	}
-	gw, err := gateway.New(gateway.Config{Usite: "LRZ", Cred: srv, CA: ca, Users: users, NJS: n})
+	gw, err := gateway.New(gateway.Config{Usite: "LRZ", Cred: srv, CA: ca, Users: users, Backend: n})
 	if err != nil {
 		t.Fatalf("gateway.New: %v", err)
 	}

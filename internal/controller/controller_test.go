@@ -39,8 +39,6 @@ func (f *fakeReplica) set(fn func(*fakeReplica)) {
 	fn(f)
 }
 
-func (f *fakeReplica) Usite() core.Usite { return "FZJ" }
-
 func (f *fakeReplica) Ping() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -91,9 +89,6 @@ func (f *fakeReplica) Outcome(core.DN, bool, core.JobID) (*ajo.Outcome, bool, er
 }
 func (f *fakeReplica) List(core.DN) ([]protocol.JobInfo, error)               { return nil, nil }
 func (f *fakeReplica) Control(core.DN, bool, core.JobID, ajo.ControlOp) error { return nil }
-func (f *fakeReplica) FetchFile(core.JobID, string, int64, int64) (protocol.TransferReply, error) {
-	return protocol.TransferReply{}, nil
-}
 func (f *fakeReplica) FetchFileOwned(core.DN, bool, core.JobID, string, int64, int64) (protocol.TransferReply, error) {
 	return protocol.TransferReply{}, nil
 }
@@ -107,7 +102,6 @@ func (f *fakeReplica) StageCommit(core.DN, bool, protocol.PutCommitRequest) (pro
 	return protocol.PutCommitReply{}, nil
 }
 func (f *fakeReplica) Pages() []resources.Page        { return nil }
-func (f *fakeReplica) Load() float64                  { return 0 }
 func (f *fakeReplica) SetLoginMapper(njs.LoginMapper) {}
 func (f *fakeReplica) Events(core.DN, bool, protocol.SubscribeRequest) (protocol.EventsReply, error) {
 	return protocol.EventsReply{}, nil

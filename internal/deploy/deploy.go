@@ -105,7 +105,7 @@ func BuildSite(site *TopologySite, cred *pki.Credential, ca *pki.Authority, cloc
 	n, err := newNJS(cfg, store, snapshotEvery)
 	var gw *gateway.Gateway
 	if err == nil {
-		gw, err = gateway.New(gateway.Config{Usite: site.Usite, Cred: cred, CA: ca, Users: users, NJS: n})
+		gw, err = gateway.New(gateway.Config{Usite: site.Usite, Cred: cred, CA: ca, Users: users, Backend: n})
 	}
 	if err != nil {
 		if store != nil {
@@ -122,12 +122,12 @@ func BuildSite(site *TopologySite, cred *pki.Credential, ca *pki.Authority, cloc
 
 // BuildReplica builds one NJS replica serving a single Vsite under a pool
 // tag — the only place a tagged NJS is minted, whether a controller.Stack is
-// populating, growing, healing or rolling a pool or the testbed is wiring a
-// static one. The tag becomes the NJS instance, so job IDs minted across the
-// pool never collide, and a recovered replica must be rebuilt under the tag
-// it journaled with. A nil store builds a memory-only replica; otherwise the
-// replica's prior life is recovered from the store, the caller must call
-// ResumeRecovered once wiring is complete, and the caller owns the store.
+// populating, growing, healing or rolling a pool. The tag becomes the NJS
+// instance, so job IDs minted across the pool never collide, and a recovered
+// replica must be rebuilt under the tag it journaled with. A nil store builds
+// a memory-only replica; otherwise the replica's prior life is recovered from
+// the store, the caller must call ResumeRecovered once wiring is complete,
+// and the caller owns the store.
 func BuildReplica(usite core.Usite, vc njs.VsiteConfig, clock sim.Scheduler, tag string, store *journal.Store, snapshotEvery int) (*njs.NJS, error) {
 	n, err := newNJS(njs.Config{
 		Usite:    usite,

@@ -49,11 +49,11 @@ import (
 // inline (§5.6), so the bound is generous.
 const maxRequest = 64 << 20
 
-// DefaultMaxEventWait caps how long one MsgSubscribe request may long-poll
+// maxEventWait caps how long one MsgSubscribe request may long-poll
 // server-side. The cap is real (wall-clock) time even under a virtual-clock
 // deployment: holding a request is a transport concern, and burning no
 // virtual events keeps simulations deterministic.
-const DefaultMaxEventWait = 2 * time.Minute
+const maxEventWait = 2 * time.Minute
 
 // Errors reported by the gateway.
 var (
@@ -110,18 +110,12 @@ type Config struct {
 	CA *pki.Authority
 	// Users is the site's UNICORE user database for DN→login mapping.
 	Users *uudb.DB
-	// NJS is the site's network job supervisor. The gateway installs itself
-	// as the NJS's login mapper. Exactly one of NJS and Backend must be set.
-	NJS *njs.NJS
-	// Backend is the generalised server tier behind the gateway: any
-	// njs.Service — in particular a pool.Router fronting health-checked NJS
-	// replica pools per Vsite. Exactly one of NJS and Backend must be set.
+	// Backend is the server tier behind the gateway: the site's *njs.NJS, or
+	// a pool.Router fronting health-checked NJS replica pools per Vsite. The
+	// gateway installs itself as its login mapper.
 	Backend njs.Service
 	// SiteAuth, when set, is consulted for every user-role request.
 	SiteAuth SiteAuth
-	// MaxEventWait caps the server-side long-poll of one MsgSubscribe
-	// request (default DefaultMaxEventWait).
-	MaxEventWait time.Duration
 }
 
 // Gateway is one Usite's UNICORE server front end.
@@ -131,7 +125,6 @@ type Gateway struct {
 	ca       *pki.Authority
 	users    *uudb.DB
 	siteAuth SiteAuth
-	maxWait  time.Duration
 
 	// backend holds the server tier behind an atomic pointer so a recovered
 	// NJS (or a rebuilt replica router) can be swapped in while requests are
@@ -178,19 +171,8 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Users == nil {
 		return nil, errors.New("gateway: nil user database")
 	}
-	backend := cfg.Backend
-	if cfg.NJS != nil {
-		if backend != nil {
-			return nil, errors.New("gateway: set either NJS or Backend, not both")
-		}
-		backend = cfg.NJS
-	}
-	if backend == nil {
-		return nil, errors.New("gateway: nil NJS/Backend")
-	}
-	maxWait := cfg.MaxEventWait
-	if maxWait <= 0 {
-		maxWait = DefaultMaxEventWait
+	if cfg.Backend == nil {
+		return nil, errors.New("gateway: nil Backend")
 	}
 	g := &Gateway{
 		usite:    cfg.Usite,
@@ -198,11 +180,10 @@ func New(cfg Config) (*Gateway, error) {
 		ca:       cfg.CA,
 		users:    cfg.Users,
 		siteAuth: cfg.SiteAuth,
-		maxWait:  maxWait,
 		applets:  make(map[string]Applet),
 		tel:      telemetry.New("gateway/" + string(cfg.Usite)),
 	}
-	g.SetBackend(backend)
+	g.SetBackend(cfg.Backend)
 	return g, nil
 }
 
@@ -234,11 +215,6 @@ func (g *Gateway) SetBackend(s njs.Service) {
 	s.SetLoginMapper(g.MapLogin)
 	g.backend.Store(&backendBox{svc: s})
 }
-
-// SetNJS swaps a single NJS in as the gateway's backend (SetBackend's
-// original, NJS-typed form — kept for the combined deployment and the
-// restart path of the crash testbed).
-func (g *Gateway) SetNJS(n *njs.NJS) { g.SetBackend(n) }
 
 // Telemetry returns the gateway's metrics registry (debug endpoints and
 // virtual-clock deployments wire its clock through SetNow).
@@ -465,8 +441,8 @@ func (g *Gateway) longPollEvents(ctx context.Context, c caller, req protocol.Sub
 	occupancy.Inc()
 	defer occupancy.Dec()
 	wait := time.Duration(req.WaitMs) * time.Millisecond
-	if wait > g.maxWait {
-		wait = g.maxWait
+	if wait > maxEventWait {
+		wait = maxEventWait
 	}
 	var deadline <-chan time.Time
 	if wait > 0 {

@@ -60,7 +60,7 @@ func newSite(t *testing.T, opts ...func(*Config)) *site {
 	if err != nil {
 		t.Fatalf("njs.New: %v", err)
 	}
-	cfg := Config{Usite: "FZJ", Cred: srvCred, CA: ca, Users: users, NJS: n}
+	cfg := Config{Usite: "FZJ", Cred: srvCred, CA: ca, Users: users, Backend: n}
 	for _, o := range opts {
 		o(&cfg)
 	}

@@ -150,8 +150,8 @@ var (
 		msg:        protocol.MsgTransfer,
 		serverOnly: "Uspace transfers are NJS-to-NJS traffic",
 		job:        func(req protocol.TransferRequest) core.JobID { return req.Job },
-		local: func(g *Gateway, _ context.Context, _ caller, req protocol.TransferRequest) (protocol.TransferReply, error) {
-			return g.svc().FetchFile(req.Job, req.File, req.Offset, req.Limit)
+		local: func(g *Gateway, _ context.Context, c caller, req protocol.TransferRequest) (protocol.TransferReply, error) {
+			return g.svc().FetchFileOwned(c.dn, true, req.Job, req.File, req.Offset, req.Limit)
 		},
 	}
 	opApplet = &op[protocol.AppletRequest, protocol.AppletReply]{
@@ -161,10 +161,13 @@ var (
 	opLoad = &op[protocol.LoadRequest, protocol.LoadReply]{
 		msg: protocol.MsgLoad,
 		local: func(g *Gateway, _ context.Context, _ caller, _ protocol.LoadRequest) (protocol.LoadReply, error) {
-			// One backend load for the whole reply: a concurrent SetBackend
-			// swap must not yield a report mixing two backends' figures.
-			svc := g.svc()
-			return protocol.LoadReply{Overall: svc.Load(), Vsites: g.vsiteLoadsOf(svc)}, nil
+			// One sampling of the backend for the whole reply: Overall is
+			// the mean of the very per-Vsite figures it is sent with.
+			reply := protocol.LoadReply{Vsites: g.vsiteLoadsOf(g.svc())}
+			for _, l := range reply.Vsites {
+				reply.Overall += l.Load / float64(len(reply.Vsites))
+			}
+			return reply, nil
 		},
 	}
 	opFetch = &op[protocol.FetchRequest, protocol.TransferReply]{

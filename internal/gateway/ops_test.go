@@ -114,7 +114,7 @@ func newGrid(t *testing.T) *grid {
 		if err != nil {
 			t.Fatalf("njs.New: %v", err)
 		}
-		gw, err := New(Config{Usite: site.usite, Cred: cred, CA: ca, Users: users, NJS: n})
+		gw, err := New(Config{Usite: site.usite, Cred: cred, CA: ca, Users: users, Backend: n})
 		if err != nil {
 			t.Fatalf("gateway.New: %v", err)
 		}

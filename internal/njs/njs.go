@@ -399,19 +399,6 @@ func (n *NJS) Pages() []resources.Page {
 	return out
 }
 
-// Load reports the mean batch occupancy across Vsites in [0,1] (input to
-// the resource broker).
-func (n *NJS) Load() float64 {
-	if len(n.vsites) == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, v := range n.vsites {
-		total += v.RMS.Load()
-	}
-	return total / float64(len(n.vsites))
-}
-
 // Accounting returns the batch accounting of every Vsite, in Vsite-name
 // order, tagged with its target and the machine's per-PE peak so usage can
 // be merged and charged across sites (package accounting).

@@ -365,9 +365,6 @@ func TestVsiteLoads(t *testing.T) {
 	if loads["CLUSTER"].Pending != 1 {
 		t.Fatalf("cluster pending = %d, want 1", loads["CLUSTER"].Pending)
 	}
-	if n.Load() <= 0 {
-		t.Fatal("overall load should be positive")
-	}
 }
 
 func TestListOrdering(t *testing.T) {

@@ -72,7 +72,7 @@ func newPair(t *testing.T) *pair {
 		if err != nil {
 			t.Fatalf("njs.New: %v", err)
 		}
-		gw, err := gateway.New(gateway.Config{Usite: usite, Cred: cred, CA: ca, Users: users, NJS: n})
+		gw, err := gateway.New(gateway.Config{Usite: usite, Cred: cred, CA: ca, Users: users, Backend: n})
 		if err != nil {
 			t.Fatalf("gateway.New: %v", err)
 		}

@@ -22,8 +22,6 @@ import (
 // over per-Vsite replica sets, which is what lets a gateway scale from one
 // NJS to a health-checked replica pool without changing its request path.
 type Service interface {
-	// Usite returns the site this service fronts.
-	Usite() core.Usite
 	// Consign admits an AJO (§5.3); consignID makes retries idempotent. ctx
 	// carries the caller's distributed trace for per-hop telemetry spans.
 	Consign(ctx context.Context, user core.DN, consignID string, job *ajo.AbstractJob) (core.JobID, error)
@@ -35,9 +33,8 @@ type Service interface {
 	List(caller core.DN) ([]protocol.JobInfo, error)
 	// Control aborts, holds, or resumes a job.
 	Control(caller core.DN, asServer bool, id core.JobID, op ajo.ControlOp) error
-	// FetchFile serves a chunk of a job's Uspace file to a peer NJS (§5.6).
-	FetchFile(id core.JobID, file string, offset, limit int64) (protocol.TransferReply, error)
-	// FetchFileOwned serves a chunk of a job's Uspace file to its owner.
+	// FetchFileOwned serves a chunk of a job's Uspace file to its owner, or
+	// (asServer) to a peer NJS pulling a §5.6 Uspace-to-Uspace transfer.
 	FetchFileOwned(caller core.DN, asServer bool, id core.JobID, file string, offset, limit int64) (protocol.TransferReply, error)
 	// StageOpen begins a staged upload into a Vsite's spool (protocol v2).
 	StageOpen(caller core.DN, asServer bool, req protocol.PutOpenRequest) (protocol.PutOpenReply, error)
@@ -47,8 +44,6 @@ type Service interface {
 	StageCommit(caller core.DN, asServer bool, req protocol.PutCommitRequest) (protocol.PutCommitReply, error)
 	// Pages returns the resource pages of all Vsites, sorted by target (§5.4).
 	Pages() []resources.Page
-	// Load reports the mean batch occupancy across Vsites in [0,1].
-	Load() float64
 	// VsiteLoads reports per-Vsite occupancy and replica health (§6 input).
 	VsiteLoads() map[core.Vsite]VsiteLoad
 	// SetLoginMapper installs the DN→login resolver of the security tier.
@@ -367,8 +362,8 @@ func (n *NJS) abortLocked(uj *unicoreJob, remotes *[]remoteRef) error {
 	return nil
 }
 
-// FetchFile serves a chunk of a job's Uspace file to a peer NJS (§5.6
-// transfer). The gateway restricts it to server-role callers. A negative
+// FetchFile is the ranged-read core of FetchFileOwned: one chunk of a job's
+// Uspace file, no ownership check. A negative
 // offset is an error; an offset at or past EOF returns the file's metadata
 // (size and whole-file CRC) with no data, which is how readers detect the
 // end of a chunked transfer. The read is ranged and copy-free: the reply's

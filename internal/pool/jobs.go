@@ -1,7 +1,7 @@
 package pool
 
 // Job-scoped routing. Every call that concerns one admitted job — Poll,
-// Outcome, Control, FetchFile, FetchFileOwned, job-scoped Events — is routed
+// Outcome, Control, FetchFileOwned, job-scoped Events — is routed
 // the same way, so each is written once (scopedCalls) over the one thing it
 // needs from a routing tier (tier.routeJob): a ReplicaSet follows the job's
 // affinity pin or, on a cold pool, scatters until a replica finds the job and
@@ -131,18 +131,8 @@ func (c scopedCalls) Control(caller core.DN, asServer bool, id core.JobID, op aj
 	return jobMissing(id, found, err)
 }
 
-// FetchFile serves a peer-NJS Uspace read from the replica that owns the
-// job (§5.6 Uspace-to-Uspace transfers).
-func (c scopedCalls) FetchFile(id core.JobID, file string, offset, limit int64) (reply protocol.TransferReply, err error) {
-	_, err = c.tier.routeJob(id, func(svc njs.Service) (bool, error) {
-		r, err := svc.FetchFile(id, file, offset, limit)
-		return keep(&reply, r, r.Found, err)
-	})
-	return reply, err
-}
-
-// FetchFileOwned serves an owner Uspace read from the replica that owns the
-// job.
+// FetchFileOwned serves a Uspace read — the owner's, or a peer NJS's §5.6
+// Uspace-to-Uspace transfer — from the replica that owns the job.
 func (c scopedCalls) FetchFileOwned(caller core.DN, asServer bool, id core.JobID, file string, offset, limit int64) (reply protocol.TransferReply, err error) {
 	_, err = c.tier.routeJob(id, func(svc njs.Service) (bool, error) {
 		r, err := svc.FetchFileOwned(caller, asServer, id, file, offset, limit)

@@ -17,7 +17,6 @@ type jobService interface {
 	Poll(core.DN, bool, core.JobID) (protocol.PollReply, error)
 	Outcome(core.DN, bool, core.JobID) (*ajo.Outcome, bool, error)
 	Control(core.DN, bool, core.JobID, ajo.ControlOp) error
-	FetchFile(core.JobID, string, int64, int64) (protocol.TransferReply, error)
 	FetchFileOwned(core.DN, bool, core.JobID, string, int64, int64) (protocol.TransferReply, error)
 	Events(core.DN, bool, protocol.SubscribeRequest) (protocol.EventsReply, error)
 }
@@ -43,8 +42,10 @@ var jobOps = []struct {
 		}
 		return err == nil, err
 	}},
+	// The peer-NJS Uspace read of §5.6 (the gateway's MsgTransfer): the
+	// owner's read below, made as a server.
 	{"FetchFile", func(s jobService, id core.JobID) (bool, error) {
-		r, err := s.FetchFile(id, "f", 0, 0)
+		r, err := s.FetchFileOwned("", true, id, "f", 0, 0)
 		return r.Found, err
 	}},
 	{"FetchFileOwned", func(s jobService, id core.JobID) (bool, error) {

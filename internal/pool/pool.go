@@ -64,8 +64,8 @@ type Policy int
 const (
 	// RoundRobin cycles admissions over the healthy replicas.
 	RoundRobin Policy = iota
-	// LeastLoaded queries each healthy replica's live load (njs.Service.Load)
-	// and admits on the least occupied one.
+	// LeastLoaded queries each healthy replica's live load
+	// (njs.Service.VsiteLoads) and admits on the least occupied one.
 	LeastLoaded
 	// ConsistentHash places admissions by hashing the consign ID onto the
 	// replica ring, so retries of one submission target the same replica and
@@ -99,12 +99,18 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("pool: unknown policy %q (want round-robin, least-loaded, or consistent-hash)", s)
 }
 
-// Defaults for Config's optional knobs.
+// Health-check and circuit-breaker timing.
 const (
-	DefaultCheckInterval    = 5 * time.Second
+	// DefaultCheckInterval is the active health-check cadence of
+	// StartHealthChecks.
+	DefaultCheckInterval = 5 * time.Second
+	// DefaultFailureThreshold is how many consecutive failures trip a
+	// replica's breaker.
 	DefaultFailureThreshold = 1
-	DefaultBackoffBase      = time.Second
-	DefaultBackoffMax       = time.Minute
+	// DefaultBackoffBase is the first breaker-open duration; each consecutive
+	// trip doubles it up to DefaultBackoffMax.
+	DefaultBackoffBase = time.Second
+	DefaultBackoffMax  = time.Minute
 )
 
 // Config assembles a ReplicaSet.
@@ -115,17 +121,6 @@ type Config struct {
 	Policy Policy
 	// Clock drives health-check timing and circuit-breaker backoff. Required.
 	Clock sim.Scheduler
-	// CheckInterval is the active health-check cadence used by
-	// StartHealthChecks (default DefaultCheckInterval).
-	CheckInterval time.Duration
-	// FailureThreshold is how many consecutive failures trip a replica's
-	// breaker (default DefaultFailureThreshold).
-	FailureThreshold int
-	// BackoffBase is the first breaker-open duration; each consecutive trip
-	// doubles it up to BackoffMax (defaults DefaultBackoffBase/Max).
-	BackoffBase time.Duration
-	// BackoffMax caps the exponential backoff.
-	BackoffMax time.Duration
 }
 
 // replicaState is the circuit-breaker state of one replica.
@@ -142,7 +137,7 @@ const (
 type serviceBox struct{ svc njs.Service }
 
 // Replica is one pooled NJS behind a stable name. The service pointer is
-// hot-swappable (SetService), preserving the gateway's SetNJS semantics per
+// hot-swappable (SetService), preserving the gateway's SetBackend semantics per
 // replica: a recovered NJS takes over mid-traffic without the pool, the
 // gateway, or the clients noticing more than the recovery gap.
 type Replica struct {
@@ -250,18 +245,6 @@ func New(cfg Config) (*ReplicaSet, error) {
 	if cfg.Clock == nil {
 		return nil, errors.New("pool: nil clock")
 	}
-	if cfg.CheckInterval <= 0 {
-		cfg.CheckInterval = DefaultCheckInterval
-	}
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = DefaultFailureThreshold
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = DefaultBackoffBase
-	}
-	if cfg.BackoffMax < cfg.BackoffBase {
-		cfg.BackoffMax = DefaultBackoffMax
-	}
 	s := &ReplicaSet{
 		cfg:      cfg,
 		byName:   make(map[string]*Replica),
@@ -323,7 +306,7 @@ func (s *ReplicaSet) Add(name string, svc njs.Service) error {
 	return nil
 }
 
-// SetService hot-swaps the service behind a replica — the per-replica SetNJS:
+// SetService hot-swaps the service behind a replica — the per-replica SetBackend:
 // a recovered NJS takes over from the dead one under the same pool identity.
 // The swap re-installs the login mapper and closes the replica's breaker
 // (the replacement is presumed healthy until proven otherwise).
@@ -468,14 +451,15 @@ func indexByName(reps []*Replica) map[string]*Replica {
 	return m
 }
 
-// markFailure records a failed call; FailureThreshold consecutive failures
-// trip the breaker for BackoffBase·2^trips (capped at BackoffMax).
+// markFailure records a failed call; DefaultFailureThreshold consecutive
+// failures trip the breaker for DefaultBackoffBase·2^trips (capped at
+// DefaultBackoffMax).
 func (s *ReplicaSet) markFailure(r *Replica) {
 	now := s.cfg.Clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.fails++
-	if r.fails < s.cfg.FailureThreshold {
+	if r.fails < DefaultFailureThreshold {
 		return
 	}
 	r.fails = 0
@@ -483,9 +467,9 @@ func (s *ReplicaSet) markFailure(r *Replica) {
 	if shift > 16 {
 		shift = 16 // the cap below saturates long before this
 	}
-	d := s.cfg.BackoffBase << shift
-	if d > s.cfg.BackoffMax || d <= 0 {
-		d = s.cfg.BackoffMax
+	d := DefaultBackoffBase << shift
+	if d > DefaultBackoffMax {
+		d = DefaultBackoffMax
 	}
 	r.openUntil = now.Add(d)
 	r.trips++
@@ -539,9 +523,9 @@ func (s *ReplicaSet) CheckNow() {
 }
 
 // StartHealthChecks arms the active health-check loop on the configured
-// clock: CheckNow every CheckInterval. Meant for real-clock daemons; under a
-// virtual clock the perpetual timer would keep RunUntilIdle from ever going
-// idle, so virtual deployments call CheckNow at the instants they care
+// clock: CheckNow every DefaultCheckInterval. Meant for real-clock daemons;
+// under a virtual clock the perpetual timer would keep RunUntilIdle from ever
+// going idle, so virtual deployments call CheckNow at the instants they care
 // about.
 func (s *ReplicaSet) StartHealthChecks() {
 	s.mu.Lock()
@@ -555,7 +539,7 @@ func (s *ReplicaSet) StartHealthChecks() {
 
 // armLocked schedules the next health sweep; callers hold s.mu.
 func (s *ReplicaSet) armLocked() {
-	s.timer = s.cfg.Clock.AfterFunc(s.cfg.CheckInterval, func() {
+	s.timer = s.cfg.Clock.AfterFunc(DefaultCheckInterval, func() {
 		s.CheckNow()
 		s.mu.Lock()
 		if s.checking {
@@ -722,7 +706,7 @@ func (s *ReplicaSet) pickConsign(key string, tried map[*Replica]bool) *Replica {
 			if tried[r] || !s.acceptsNew(r, now) {
 				continue
 			}
-			l := r.service().Load()
+			l := r.service().VsiteLoads()[s.cfg.Vsite].Load
 			if best == nil || l < bestLoad {
 				best, bestLoad = r, l
 			}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"unicore/internal/ajo"
 	"unicore/internal/core"
@@ -49,8 +48,6 @@ func newFake(usite core.Usite, vsite core.Vsite, instance string) *fakeService {
 		consigns: make(map[string]core.JobID),
 	}
 }
-
-func (f *fakeService) Usite() core.Usite { return f.usite }
 
 func (f *fakeService) Consign(ctx context.Context, user core.DN, consignID string, job *ajo.AbstractJob) (core.JobID, error) {
 	f.mu.Lock()
@@ -130,7 +127,7 @@ func (f *fakeService) ConsignedJobs() map[string]core.JobID {
 	return out
 }
 
-func (f *fakeService) FetchFile(id core.JobID, file string, offset, limit int64) (protocol.TransferReply, error) {
+func (f *fakeService) FetchFileOwned(caller core.DN, asServer bool, id core.JobID, file string, offset, limit int64) (protocol.TransferReply, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, ok := f.jobs[id]; !ok {
@@ -139,18 +136,8 @@ func (f *fakeService) FetchFile(id core.JobID, file string, offset, limit int64)
 	return protocol.TransferReply{Found: true}, nil
 }
 
-func (f *fakeService) FetchFileOwned(caller core.DN, asServer bool, id core.JobID, file string, offset, limit int64) (protocol.TransferReply, error) {
-	return f.FetchFile(id, file, offset, limit)
-}
-
 func (f *fakeService) Pages() []resources.Page {
 	return []resources.Page{{Target: core.Target{Usite: f.usite, Vsite: f.vsite}}}
-}
-
-func (f *fakeService) Load() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.load
 }
 
 func (f *fakeService) VsiteLoads() map[core.Vsite]njs.VsiteLoad {
@@ -274,13 +261,7 @@ func testJob(vsite core.Vsite) *ajo.AbstractJob {
 func newTestSet(t *testing.T, policy Policy) (*ReplicaSet, *sim.VirtualClock, []*fakeService) {
 	t.Helper()
 	clock := sim.NewVirtualClock()
-	set, err := New(Config{
-		Vsite:       "CLUSTER",
-		Policy:      policy,
-		Clock:       clock,
-		BackoffBase: 10 * time.Second,
-		BackoffMax:  80 * time.Second,
-	})
+	set, err := New(Config{Vsite: "CLUSTER", Policy: policy, Clock: clock})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -438,13 +419,14 @@ func TestConsistentHashAffinitySurvivesReplicaRestart(t *testing.T) {
 func TestBreakerBacksOffExponentiallyAndRecovers(t *testing.T) {
 	set, clock, fakes := newTestSet(t, RoundRobin)
 	fakes[0].setDown(true)
-	set.CheckNow() // trip r0: open for BackoffBase (10s)
+	const base = DefaultBackoffBase
+	set.CheckNow() // trip r0: open for base
 
 	if h := set.Healthy(); len(h) != 2 {
 		t.Fatalf("healthy = %v, want 2 replicas", h)
 	}
 	// Backoff window holds: still excluded before expiry.
-	clock.Advance(5 * time.Second)
+	clock.Advance(base / 2)
 	for i := 0; i < 6; i++ {
 		if _, err := set.Consign(context.Background(), "CN=u", fmt.Sprintf("b%d", i), testJob("CLUSTER")); err != nil {
 			t.Fatalf("Consign: %v", err)
@@ -455,22 +437,23 @@ func TestBreakerBacksOffExponentiallyAndRecovers(t *testing.T) {
 	}
 
 	// Window expires, probe fails, window doubles: after the first re-trip
-	// the replica is open for 20s, so at +15s it must still be excluded.
-	clock.Advance(6 * time.Second) // t=11s: half-open
+	// the replica is open for 2·base, so 1.5·base later it must still be
+	// excluded.
+	clock.Advance(base/2 + base/10) // t=1.1·base: half-open
 	if _, err := set.Consign(context.Background(), "CN=u", "probe-1", testJob("CLUSTER")); err != nil {
 		t.Fatalf("Consign: %v", err)
 	}
 	if n := fakes[0].jobCount(); n != 0 {
 		t.Fatalf("half-open probe admitted %d jobs on a dead replica", n)
 	}
-	clock.Advance(15 * time.Second) // t=26s: inside the doubled window
+	clock.Advance(base + base/2) // t=2.6·base: inside the doubled window
 	if got := set.Healthy(); len(got) != 2 {
 		t.Fatalf("healthy = %v inside doubled backoff window, want 2", got)
 	}
 
 	// Replica heals: once the window expires the probe closes the breaker.
 	fakes[0].setDown(false)
-	clock.Advance(10 * time.Second) // t=36s: past 11s+20s
+	clock.Advance(base) // t=3.6·base: past 1.1·base + 2·base
 	set.CheckNow()
 	if got := set.Healthy(); len(got) != 3 {
 		t.Fatalf("healthy = %v after recovery, want all 3", got)

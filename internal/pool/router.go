@@ -228,20 +228,6 @@ func (r *Router) Pages() []resources.Page {
 	return out
 }
 
-// Load reports the mean healthy-replica occupancy across the Vsites — the
-// overall figure the §6 broker reads.
-func (r *Router) Load() float64 {
-	sets := r.Sets()
-	if len(sets) == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, set := range sets {
-		total += set.LoadInfo().Load
-	}
-	return total / float64(len(sets))
-}
-
 // VsiteLoads reports per-Vsite occupancy with the replica-pool health the
 // broker uses to skip drained sites.
 func (r *Router) VsiteLoads() map[core.Vsite]njs.VsiteLoad {

@@ -2,10 +2,12 @@ package testbed
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"unicore/internal/ajo"
 	"unicore/internal/client"
 	"unicore/internal/core"
 	"unicore/internal/events"
@@ -192,5 +194,102 @@ func TestUserStreamMergesAcrossReplicas(t *testing.T) {
 	}
 	if len(byOrigin) < 2 {
 		t.Fatalf("all events from %d origin(s); the merge was not exercised", len(byOrigin))
+	}
+}
+
+// TestEventLogEvictionEndToEnd is the defined overload behaviour of the
+// bounded per-job event log, seen from the client: a job emits more than
+// events.DefaultJobCap events, so its head is evicted. A watcher that stalls
+// while the log rolls over is told so — its push subscription answers Gap and
+// the channel closes on a non-terminal event, never a silently incomplete
+// stream; a Watch opened from the start is refused with ErrWatchGap; and
+// Session.Events at an explicit retained cursor still reads the window.
+func TestEventLogEvictionEndToEnd(t *testing.T) {
+	d, err := SingleSite("FZJ", "CLUSTER", 8)
+	if err != nil {
+		t.Fatalf("SingleSite: %v", err)
+	}
+	defer d.Close()
+	user, err := d.NewUser("Slow Watcher", "Test", "slow")
+	if err != nil {
+		t.Fatalf("NewUser: %v", err)
+	}
+	sess := d.Session(user, "FZJ")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	// A head of independent actions puts a few dozen events in the log at
+	// once; the long tail behind head[0] then rolls the log over.
+	b := client.NewJob("chatty", core.Target{Usite: "FZJ", Vsite: "CLUSTER"})
+	req := resources.Request{Processors: 1, RunTime: time.Hour}
+	var head []ajo.ActionID
+	for i := 0; i < 20; i++ {
+		head = append(head, b.Script(fmt.Sprintf("head-%02d", i), "cpu 1m\n", req))
+	}
+	for i := 0; i < 120; i++ {
+		b.After(head[0], b.Script(fmt.Sprintf("tail-%03d", i), "cpu 1m\n", req))
+	}
+	job, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	id, err := sess.Submit(ctx, job)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	d.Clock.Advance(time.Second)
+
+	// The watch's first fetch holds more events than its channel buffers, so
+	// with nobody reading it stalls before it has subscribed to anything —
+	// and stays stalled while the job runs dry and the log rolls over.
+	watch, err := sess.Watch(ctx, id)
+	if err != nil {
+		t.Fatalf("Watch on the live job: %v", err)
+	}
+	if fired := d.Run(10_000_000); fired >= 10_000_000 {
+		t.Fatal("clock never went idle")
+	}
+	var stalled []client.JobEvent
+	for ev := range watch {
+		stalled = append(stalled, ev)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("stalled watch never closed")
+	}
+	for i, ev := range stalled {
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("stalled watch: event %d has Seq %d — lost or duplicated before the gap", i, ev.Seq)
+		}
+	}
+	if len(stalled) == 0 || stalled[len(stalled)-1].Terminal {
+		t.Fatalf("stalled watch delivered %d events ending terminal — it never fell behind", len(stalled))
+	}
+
+	// From the start the stream can no longer be delivered gaplessly.
+	if _, err := sess.Watch(ctx, id); !errors.Is(err, client.ErrWatchGap) {
+		t.Fatalf("Watch from cursor 0 of an evicted stream: err = %v, want ErrWatchGap", err)
+	}
+	reply, err := sess.Events(ctx, protocol.SubscribeRequest{Job: id})
+	if err != nil || !reply.Gap || len(reply.Events) == 0 {
+		t.Fatalf("Events from cursor 0: gap=%v events=%d err=%v, want the retained window flagged Gap", reply.Gap, len(reply.Events), err)
+	}
+	first := reply.Events[0].Seq
+	if last := stalled[len(stalled)-1].Seq; last+1 >= first {
+		t.Fatalf("stalled watch reached Seq %d but the log retains from %d: nothing was evicted under it", last, first)
+	}
+
+	// The retained window, read at an explicit cursor: exactly the cap,
+	// contiguous, closing with the terminal event.
+	window, _ := drainJobEvents(t, sess, id, first-1)
+	if len(window) != events.DefaultJobCap {
+		t.Fatalf("retained window holds %d events, want events.DefaultJobCap = %d", len(window), events.DefaultJobCap)
+	}
+	for i, ev := range window {
+		if ev.Seq != first+uint64(i) {
+			t.Fatalf("retained window: event %d has Seq %d, want %d", i, ev.Seq, first+uint64(i))
+		}
+	}
+	if !window[len(window)-1].Terminal {
+		t.Fatal("retained window does not close with the terminal event")
 	}
 }

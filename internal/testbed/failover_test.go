@@ -10,7 +10,7 @@ import (
 	"unicore/internal/ajo"
 	"unicore/internal/client"
 	"unicore/internal/core"
-	"unicore/internal/machine"
+	"unicore/internal/deploy"
 	"unicore/internal/njs"
 	"unicore/internal/pool"
 	"unicore/internal/protocol"
@@ -37,17 +37,63 @@ func probeJob(t *testing.T, name string) *ajo.AbstractJob {
 }
 
 // failoverSpec is one Usite whose single Vsite is served by three NJS
-// replicas behind a pool.Router — the scaled-out server tier.
-func failoverSpec(policy pool.Policy) SiteSpec {
-	return SiteSpec{
-		Usite:    "POOL",
-		Vsites:   []njs.VsiteConfig{{Name: "CLUSTER", Profile: machine.GenericCluster(16)}},
-		Replicas: 3,
-		Policy:   policy,
+// replicas behind a pool.Router — the scaled-out server tier, declared the
+// way an operator would.
+func failoverSpec(policy pool.Policy) *deploy.TopologySpec {
+	return &deploy.TopologySpec{
+		Version: deploy.TopologyVersion,
+		Sites: []deploy.TopologySite{{
+			Usite: "POOL",
+			Vsites: []deploy.TopologyVsite{{
+				Name:          "CLUSTER",
+				Machine:       "cluster",
+				Processors:    16,
+				Replicas:      3,
+				Policy:        policy.String(),
+				SnapshotEvery: 256,
+			}},
+		}},
 	}
 }
 
-const failoverVictim = 1 // replica index killed mid-workload
+// newFailoverSite boots failoverSpec as a controller-managed site with every
+// replica journaled under a fresh state root.
+func newFailoverSite(t *testing.T, policy pool.Policy) (*Deployment, *ManagedSite) {
+	t.Helper()
+	d, m, err := NewManaged(failoverSpec(policy), "POOL", t.TempDir())
+	if err != nil {
+		t.Fatalf("NewManaged: %v", err)
+	}
+	t.Cleanup(d.Close)
+	return d, m
+}
+
+// replicaNJS resolves the live NJS behind one pool tag.
+func replicaNJS(t *testing.T, m *ManagedSite, tag string) *njs.NJS {
+	t.Helper()
+	for _, n := range m.Replicas() {
+		if n.Instance() == tag {
+			return n
+		}
+	}
+	t.Fatalf("no NJS replica %q in the pool", tag)
+	return nil
+}
+
+// healReplica runs the one controller pass that recovers a crashed replica
+// from its journal and swaps it back in under its stable pool tag.
+func healReplica(t *testing.T, m *ManagedSite) {
+	t.Helper()
+	res, err := m.Reconcile()
+	if err != nil {
+		t.Fatalf("Reconcile: %v", err)
+	}
+	if res.Healed != 1 {
+		t.Fatalf("reconcile = %+v, want exactly one heal", res)
+	}
+}
+
+const failoverVictim = "r1" // pool tag of the replica killed mid-workload
 
 // eventWatcher follows every workload job's event stream through the pool
 // gateway with cursor-resumed fetches — the client half of the protocol-v2
@@ -128,35 +174,16 @@ func (w *eventWatcher) verify(t *testing.T) {
 
 // runFailoverWorkload deploys the replicated site (every replica journaled),
 // submits a deterministic workload, and — when kill is set — crashes one
-// replica mid-workload, proves the pool stops routing to it, restarts it
-// from its journal, and lets the clock run dry. It returns the canonical
-// outcome of every workload job, keyed by name.
+// replica mid-workload, proves the pool stops routing to it, has the
+// controller heal it from its journal, and lets the clock run dry. It returns
+// the canonical outcome of every workload job, keyed by name.
 func runFailoverWorkload(t *testing.T, kill bool) map[string]string {
 	t.Helper()
-	d, err := New(failoverSpec(pool.RoundRobin))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer d.Close()
+	d, m := newFailoverSite(t, pool.RoundRobin)
 	user, err := d.NewUser("Failover User", "Test", "failover")
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	const snapshotEvery = 256
-	stores := make([]storeHandle, 3)
-	for i := range stores {
-		dir := t.TempDir()
-		store, err := d.EnableReplicaDurability("POOL", "CLUSTER", i, dir, snapshotEvery)
-		if err != nil {
-			t.Fatalf("EnableReplicaDurability(%d): %v", i, err)
-		}
-		stores[i] = storeHandle{dir: dir, store: store}
-	}
-	defer func() {
-		for _, h := range stores {
-			h.store.Close()
-		}
-	}()
 
 	cfg := DefaultWorkload(11, 24, d.Targets())
 	cfg.MultiSiteFraction = 0 // one Usite: every job is local to the pool
@@ -200,16 +227,15 @@ func runFailoverWorkload(t *testing.T, kill bool) map[string]string {
 			t.Fatal("kill point is not mid-workload: every job already terminal")
 		}
 
-		victim := d.Sites["POOL"].Replicas["CLUSTER"][failoverVictim]
+		victim := replicaNJS(t, m, failoverVictim)
 		ownedBefore, err := victim.List(user.DN())
 		if err != nil {
 			t.Fatalf("List on victim: %v", err)
 		}
 
 		// Crash right after the last fsync, as a real process restart would.
-		h := stores[failoverVictim]
-		if err := h.store.Sync(); err != nil {
-			t.Fatalf("Sync: %v", err)
+		if err := victim.SyncJournal(); err != nil {
+			t.Fatalf("SyncJournal: %v", err)
 		}
 		// Kill the NJS but delay the health sweep, so the next traced
 		// consigns discover the death themselves: the pool's failover then
@@ -252,7 +278,7 @@ func runFailoverWorkload(t *testing.T, kill bool) map[string]string {
 		if failoverTrace == "" {
 			t.Fatal("no traced submit failed over across replicas (round robin never hit the victim first)")
 		}
-		if err := d.KillReplica("POOL", "CLUSTER", failoverVictim); err != nil {
+		if err := m.KillReplica("CLUSTER", failoverVictim); err != nil {
 			t.Fatalf("KillReplica: %v", err)
 		}
 
@@ -288,19 +314,9 @@ func runFailoverWorkload(t *testing.T, kill bool) map[string]string {
 		// their cursors after the restart.
 		watcher.drain(t, true)
 
-		// Recover the victim from its journal and swap it back in under its
-		// stable pool name.
-		if err := h.store.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		store, err := journalReopen(h.dir)
-		if err != nil {
-			t.Fatalf("reopen: %v", err)
-		}
-		stores[failoverVictim] = storeHandle{dir: h.dir, store: store}
-		if err := d.RestartReplica("POOL", "CLUSTER", failoverVictim, store, snapshotEvery); err != nil {
-			t.Fatalf("RestartReplica: %v", err)
-		}
+		// The controller recovers the victim from its journal and swaps it
+		// back in under its stable pool name.
+		healReplica(t, m)
 	}
 
 	if fired := d.Run(10_000_000); fired >= 10_000_000 {
@@ -344,7 +360,8 @@ func runFailoverWorkload(t *testing.T, kill bool) map[string]string {
 
 // TestReplicaFailoverMidWorkload is the acceptance test for the replica
 // pool: with 3 replicas serving one Vsite, killing one mid-workload (health
-// check trips, traffic fails over, victim recovers from its journal) yields
+// check trips, traffic fails over, the controller heals the victim from its
+// journal) yields
 // outcomes identical to an uninterrupted run, with zero duplicated jobs and
 // no request routed to the dead replica while its breaker is open.
 func TestReplicaFailoverMidWorkload(t *testing.T) {
@@ -374,11 +391,7 @@ func TestReplicaFailoverMidWorkload(t *testing.T) {
 // submissions, and the next submission lands on a healthy replica without
 // the client seeing an error.
 func TestConsignFailoverAcrossRealReplicas(t *testing.T) {
-	d, err := New(failoverSpec(pool.ConsistentHash))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer d.Close()
+	d, m := newFailoverSite(t, pool.ConsistentHash)
 	user, err := d.NewUser("Failover User", "Test", "failover")
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
@@ -387,22 +400,22 @@ func TestConsignFailoverAcrossRealReplicas(t *testing.T) {
 	// Kill whatever replica consistent hashing would pick for this job by
 	// killing all but one: the submission must still succeed on the
 	// survivor.
-	for i := 0; i < 2; i++ {
-		if err := d.KillReplica("POOL", "CLUSTER", i); err != nil {
-			t.Fatalf("KillReplica(%d): %v", i, err)
+	survivor := replicaNJS(t, m, "r2")
+	for _, tag := range []string{"r0", "r1"} {
+		if err := m.KillReplica("CLUSTER", tag); err != nil {
+			t.Fatalf("KillReplica(%s): %v", tag, err)
 		}
 	}
 	id, err := jpa.Submit(probeJob(t, "solo"))
 	if err != nil {
 		t.Fatalf("Submit with 2 of 3 replicas dead: %v", err)
 	}
-	survivor := d.Sites["POOL"].Replicas["CLUSTER"][2]
 	if jobs, _ := survivor.List(user.DN()); len(jobs) != 1 || jobs[0].Job != id {
 		t.Fatalf("survivor does not own the failed-over job %s", id)
 	}
 	// Kill the survivor too: a fresh consign now fails cleanly.
-	if err := d.KillReplica("POOL", "CLUSTER", 2); err != nil {
-		t.Fatalf("KillReplica(2): %v", err)
+	if err := m.KillReplica("CLUSTER", "r2"); err != nil {
+		t.Fatalf("KillReplica(r2): %v", err)
 	}
 	if _, err := jpa.Submit(probeJob(t, "solo2")); err == nil || !strings.Contains(err.Error(), pool.ErrNoReplica.Error()) {
 		t.Fatalf("Submit on fully drained pool: err = %v, want ErrNoReplica", err)

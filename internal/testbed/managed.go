@@ -2,9 +2,9 @@ package testbed
 
 // Controller-managed deployments: a site booted from a declarative topology
 // spec (deploy.TopologySpec) whose replica pools a controller.Controller
-// keeps converged — build, heal, roll, autoscale — instead of the static
-// SiteSpec wiring. This is the testbed face of `unicore-ctl apply -f`: the
-// chaos suite and the metrics-smoke tool boot whole sites from spec files.
+// keeps converged — build, heal, roll, autoscale. This is the testbed face
+// of `unicore-ctl apply -f` and the only way the testbed stands up a pool:
+// the failover and chaos suites crash and heal the stack operators run.
 
 import (
 	"fmt"
@@ -36,9 +36,9 @@ func NewManaged(spec *deploy.TopologySpec, u core.Usite, stateRoot string) (*Dep
 // deployment's in-process network, plus the fault injection a test needs.
 type ManagedSite struct {
 	*controller.Stack
-	// Site is the deployed site, registered in Deployment.Sites like any
-	// statically-wired one (Site.Pool is the stack's router; Site.Replicas
-	// stays nil — ask Stack.Replicas for the live instances).
+	// Site is the deployed site, registered in Deployment.Sites like a
+	// single-NJS one (Site.Pool is the stack's router; Site.NJS stays nil —
+	// ask Stack.Replicas for the live instances).
 	Site *Site
 }
 
@@ -48,14 +48,15 @@ type ManagedSite struct {
 // later calls hand the new declaration to the stack and reconcile once.
 // stateRoot roots the per-replica journals
 // (<stateRoot>/<usite>/<vsite>/<tag>); empty means spec.JournalDir, and
-// memory-only replicas when that is empty too. Replicas reach the sites
-// already deployed, and whatever the spec's peers block names.
+// memory-only replicas when that is empty too. Replicas reach every other
+// site of the deployment, whichever was deployed first, and whatever the
+// spec's peers block names.
 func (d *Deployment) ApplySpec(spec *deploy.TopologySpec, u core.Usite, stateRoot string) (*ManagedSite, error) {
 	if m, ok := d.managed[u]; ok {
 		return m, m.Apply(spec)
 	}
 	if _, dup := d.Sites[u]; dup {
-		return nil, fmt.Errorf("testbed: %s is already deployed statically", u)
+		return nil, fmt.Errorf("testbed: %s is already deployed as a single-NJS site", u)
 	}
 	host := hostOf(u)
 	srvCred, err := d.CA.IssueServer("gateway."+strings.ToLower(string(u)), host)
@@ -93,7 +94,12 @@ func (d *Deployment) ApplySpec(spec *deploy.TopologySpec, u core.Usite, stateRoo
 		Site:  &Site{Spec: tspec, Users: stack.Users, Pool: stack.Router, Gateway: stack.Gateway, cred: srvCred},
 	}
 	d.Net.Register(host, stack.Gateway)
+	// A stack's registry is seeded once, above; the stacks already running
+	// learn of this site here, beside the deployment's own registry.
 	d.Registry.Add(u, "https://"+host)
+	for _, other := range d.managed {
+		other.Peers.Registry().Add(u, "https://"+host)
+	}
 	d.Sites[u] = m.Site
 	d.order = append(d.order, u)
 	if d.managed == nil {

@@ -27,42 +27,30 @@ func stagedPayload(n int) []byte {
 	return out
 }
 
-// killRestartReplica crashes one replica right after an fsync and swaps in a
-// journal-recovered replacement, exactly as the failover workload test does.
-func killRestartReplica(t *testing.T, d *Deployment, stores []storeHandle, idx, snapshotEvery int) {
+// killHealReplica crashes one replica right after an fsync and has the
+// controller swap in a journal-recovered replacement, exactly as the failover
+// workload test does.
+func killHealReplica(t *testing.T, m *ManagedSite, tag string) {
 	t.Helper()
-	h := stores[idx]
-	if err := h.store.Sync(); err != nil {
-		t.Fatalf("Sync before kill: %v", err)
+	if err := m.KillReplica("CLUSTER", tag); err != nil {
+		t.Fatalf("KillReplica(%s): %v", tag, err)
 	}
-	if err := d.KillReplica("POOL", "CLUSTER", idx); err != nil {
-		t.Fatalf("KillReplica(%d): %v", idx, err)
-	}
-	if err := h.store.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	store, err := journalReopen(h.dir)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	stores[idx] = storeHandle{dir: h.dir, store: store}
-	if err := d.RestartReplica("POOL", "CLUSTER", idx, store, snapshotEvery); err != nil {
-		t.Fatalf("RestartReplica(%d): %v", idx, err)
-	}
+	healReplica(t, m)
 }
 
-// spoolHolder finds the replica whose spool holds a transfer handle.
-func spoolHolder(t *testing.T, d *Deployment, handle string) int {
+// spoolHolder finds the pool tag of the replica whose spool holds a transfer
+// handle.
+func spoolHolder(t *testing.T, m *ManagedSite, handle string) string {
 	t.Helper()
-	for i, n := range d.Sites["POOL"].Replicas["CLUSTER"] {
+	for _, n := range m.Replicas() {
 		if sp, ok := n.StagingSpool("CLUSTER"); ok {
 			if _, ok := sp.Stat(handle); ok {
-				return i
+				return n.Instance()
 			}
 		}
 	}
 	t.Fatalf("no replica spool holds handle %s", handle)
-	return -1
+	return ""
 }
 
 // triggerWriter forwards to a buffer and fires hook (once) as soon as more
@@ -92,33 +80,14 @@ func (w *triggerWriter) Write(p []byte) (int, error) {
 // and the assembled bytes still verify against the whole-file checksum.
 func TestStagedTransferSurvivesReplicaKill(t *testing.T) {
 	const (
-		snapshotEvery = 1024
-		chunkSize     = 64 << 10
-		fileSize      = 4 << 20 // 64 chunks
+		chunkSize = 64 << 10
+		fileSize  = 4 << 20 // 64 chunks
 	)
-	d, err := New(failoverSpec(pool.RoundRobin))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer d.Close()
+	d, m := newFailoverSite(t, pool.RoundRobin)
 	user, err := d.NewUser("Stage User", "Test", "stage")
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	stores := make([]storeHandle, 3)
-	for i := range stores {
-		dir := t.TempDir()
-		store, err := d.EnableReplicaDurability("POOL", "CLUSTER", i, dir, snapshotEvery)
-		if err != nil {
-			t.Fatalf("EnableReplicaDurability(%d): %v", i, err)
-		}
-		stores[i] = storeHandle{dir: dir, store: store}
-	}
-	defer func() {
-		for _, h := range stores {
-			h.store.Close()
-		}
-	}()
 
 	sess := d.Session(user, "POOL")
 	sess.Transfer = staging.Options{ChunkSize: chunkSize, Window: 4, Retries: 30, Backoff: 10 * time.Millisecond}
@@ -132,7 +101,7 @@ func TestStagedTransferSurvivesReplicaKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PutOpen: %v", err)
 	}
-	victim := spoolHolder(t, d, open.Handle)
+	victim := spoolHolder(t, m, open.Handle)
 	nChunks := fileSize / chunkSize
 	sendChunk := func(i int) {
 		t.Helper()
@@ -152,7 +121,7 @@ func TestStagedTransferSurvivesReplicaKill(t *testing.T) {
 	}
 	// Crash the replica holding the half-received upload and recover it from
 	// its journal: every acknowledged chunk must still be there.
-	killRestartReplica(t, d, stores, victim, snapshotEvery)
+	killHealReplica(t, m, victim)
 	for i := nChunks / 2; i < nChunks; i++ {
 		sendChunk(i)
 	}
@@ -180,8 +149,8 @@ func TestStagedTransferSurvivesReplicaKill(t *testing.T) {
 	}
 	// The consign-affinity hint must have routed the admission to the
 	// replica whose spool holds the chunks.
-	if want := pool.ReplicaTag(victim); !strings.Contains(string(id), "-"+want+"-") {
-		t.Fatalf("staged job %s not admitted on holding replica %s", id, want)
+	if !strings.Contains(string(id), "-"+victim+"-") {
+		t.Fatalf("staged job %s not admitted on holding replica %s", id, victim)
 	}
 	if fired := d.Run(10_000_000); fired >= 10_000_000 {
 		t.Fatal("clock never went idle")
@@ -198,7 +167,7 @@ func TestStagedTransferSurvivesReplicaKill(t *testing.T) {
 	// --- Phase 3: parallel download with a mid-transfer replica kill -------
 	w := &triggerWriter{threshold: fileSize / 4}
 	w.hook = func() {
-		killRestartReplica(t, d, stores, victim, snapshotEvery)
+		killHealReplica(t, m, victim)
 	}
 	if _, err := sess.Download(ctx, id, "out.dat", w); err != nil {
 		t.Fatalf("Download across replica kill: %v", err)

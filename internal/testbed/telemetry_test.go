@@ -15,18 +15,7 @@ import (
 // deployment runs on a frozen virtual clock; and a live scrape reports the
 // headline counters nonzero.
 func TestTraceSpansSubmitAcrossTiers(t *testing.T) {
-	d, err := New(failoverSpec(pool.RoundRobin))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer d.Close()
-	for i := 0; i < 3; i++ {
-		store, err := d.EnableReplicaDurability("POOL", "CLUSTER", i, t.TempDir(), 256)
-		if err != nil {
-			t.Fatalf("EnableReplicaDurability(%d): %v", i, err)
-		}
-		defer store.Close()
-	}
+	d, _ := newFailoverSite(t, pool.RoundRobin)
 	user, err := d.NewUser("Trace User", "Test", "trace")
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)

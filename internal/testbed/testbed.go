@@ -41,12 +41,6 @@ type SiteSpec struct {
 	// server half outside, the NJS half inside, talking over a loopback TCP
 	// socket.
 	Split bool
-	// Replicas > 1 deploys the site with a replica pool: every Vsite is
-	// served by that many independent NJS replicas behind a pool.Router, the
-	// scaled-out server tier. Replicated sites cannot also be Split.
-	Replicas int
-	// Policy selects the pool's consign routing (used when Replicas > 1).
-	Policy pool.Policy
 	// SiteAuth is the optional site-specific authentication hook.
 	SiteAuth gateway.SiteAuth
 }
@@ -54,14 +48,12 @@ type SiteSpec struct {
 // Site is one deployed Usite.
 type Site struct {
 	Spec    SiteSpec
-	NJS     *njs.NJS // nil on replicated sites; see Pool/Replicas
+	NJS     *njs.NJS // nil on controller-managed sites; see Pool
 	Gateway *gateway.Gateway
 	Users   *uudb.DB
-	// Pool and Replicas are set on replicated sites (Spec.Replicas > 1):
-	// the router behind the gateway, and the replica NJSs per Vsite in
-	// replica-index order.
-	Pool     *pool.Router
-	Replicas map[core.Vsite][]*njs.NJS
+	// Pool is set on controller-managed sites (ApplySpec): the stack's
+	// router behind the gateway. Ask the ManagedSite for the live replicas.
+	Pool *pool.Router
 	// Front and inner are set in split deployments: the firewall half, and
 	// the socket the gateway is served on inside.
 	Front *gateway.Front
@@ -144,59 +136,21 @@ func (d *Deployment) deploySite(spec SiteSpec) (*Site, error) {
 		return nil, err
 	}
 	users := uudb.New(spec.Usite, d.Clock)
-	site := &Site{Spec: spec, Users: users, cred: srvCred}
-	gwCfg := gateway.Config{
+	n, err := njs.New(njs.Config{Usite: spec.Usite, Clock: d.Clock, Vsites: spec.Vsites})
+	if err != nil {
+		return nil, err
+	}
+	// The NJS talks to peer sites as this site's server identity.
+	n.SetPeers(protocol.NewClient(d.Net, srvCred, d.CA, d.Registry))
+	site := &Site{Spec: spec, NJS: n, Users: users, cred: srvCred}
+	gw, err := gateway.New(gateway.Config{
 		Usite:    spec.Usite,
 		Cred:     srvCred,
 		CA:       d.CA,
 		Users:    users,
+		Backend:  n,
 		SiteAuth: spec.SiteAuth,
-	}
-	if spec.Replicas > 1 {
-		// Replica-pool deployment: every Vsite is served by Replicas
-		// independent NJSs behind a pool.Router, which the gateway fronts
-		// through the same njs.Service interface as a single NJS.
-		if spec.Split {
-			return nil, fmt.Errorf("replicated site cannot also be split")
-		}
-		router, err := pool.NewRouter(spec.Usite)
-		if err != nil {
-			return nil, err
-		}
-		site.Pool = router
-		site.Replicas = make(map[core.Vsite][]*njs.NJS, len(spec.Vsites))
-		for _, vc := range spec.Vsites {
-			set, err := pool.New(pool.Config{Vsite: vc.Name, Policy: spec.Policy, Clock: d.Clock})
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < spec.Replicas; i++ {
-				n, err := deploy.BuildReplica(spec.Usite, vc, d.Clock, pool.ReplicaTag(i), nil, 0)
-				if err != nil {
-					return nil, err
-				}
-				n.SetPeers(protocol.NewClient(d.Net, srvCred, d.CA, d.Registry))
-				if err := set.Add(pool.ReplicaTag(i), n); err != nil {
-					return nil, err
-				}
-				site.Replicas[vc.Name] = append(site.Replicas[vc.Name], n)
-			}
-			if err := router.AddSet(set); err != nil {
-				return nil, err
-			}
-		}
-		gwCfg.Backend = router
-	} else {
-		n, err := njs.New(njs.Config{Usite: spec.Usite, Clock: d.Clock, Vsites: spec.Vsites})
-		if err != nil {
-			return nil, err
-		}
-		// The NJS talks to peer sites as this site's server identity.
-		n.SetPeers(protocol.NewClient(d.Net, srvCred, d.CA, d.Registry))
-		site.NJS = n
-		gwCfg.NJS = n
-	}
-	gw, err := gateway.New(gwCfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -241,18 +195,29 @@ func (d *Deployment) deploySite(spec SiteSpec) (*Site, error) {
 	return site, nil
 }
 
-// EnableDurability attaches a write-ahead journal store (rooted at dir) to a
-// site's NJS. snapshotEvery > 0 sets the automatic snapshot cadence. The
-// returned store belongs to the caller: Sync/Close it around a simulated
-// crash and hand a reopened store to RestartSite. Replicated sites journal
-// per replica; use EnableReplicaDurability.
-func (d *Deployment) EnableDurability(u core.Usite, dir string, snapshotEvery int) (*journal.Store, error) {
+// single resolves a site served by one NJS — the kind EnableDurability,
+// KillSite and RestartSite crash and recover by hand. A controller-managed
+// site journals under its stack's state root and heals itself
+// (ManagedSite.KillReplica, Reconcile).
+func (d *Deployment) single(u core.Usite) (*Site, error) {
 	site, ok := d.Sites[u]
 	if !ok {
 		return nil, fmt.Errorf("testbed: unknown usite %q", u)
 	}
 	if site.NJS == nil {
-		return nil, fmt.Errorf("testbed: %s is replicated; use EnableReplicaDurability", u)
+		return nil, fmt.Errorf("testbed: %s is controller-managed; crash and heal it through its ManagedSite", u)
+	}
+	return site, nil
+}
+
+// EnableDurability attaches a write-ahead journal store (rooted at dir) to a
+// site's NJS. snapshotEvery > 0 sets the automatic snapshot cadence. The
+// returned store belongs to the caller: Sync/Close it around a simulated
+// crash and hand a reopened store to RestartSite.
+func (d *Deployment) EnableDurability(u core.Usite, dir string, snapshotEvery int) (*journal.Store, error) {
+	site, err := d.single(u)
+	if err != nil {
+		return nil, err
 	}
 	store, err := journal.Open(dir)
 	if err != nil {
@@ -262,102 +227,15 @@ func (d *Deployment) EnableDurability(u core.Usite, dir string, snapshotEvery in
 	return store, nil
 }
 
-// replica resolves one replica of a replicated site.
-func (d *Deployment) replica(u core.Usite, v core.Vsite, i int) (*Site, *pool.ReplicaSet, *njs.NJS, error) {
-	site, ok := d.Sites[u]
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("testbed: unknown usite %q", u)
-	}
-	if site.Pool == nil {
-		return nil, nil, nil, fmt.Errorf("testbed: %s is not a replicated site", u)
-	}
-	set, ok := site.Pool.Set(v)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("testbed: no vsite %q at %s", v, u)
-	}
-	reps := site.Replicas[v]
-	if i < 0 || i >= len(reps) {
-		return nil, nil, nil, fmt.Errorf("testbed: %s/%s has no replica %d", u, v, i)
-	}
-	return site, set, reps[i], nil
-}
-
-// EnableReplicaDurability attaches a journal store (rooted at dir) to one
-// replica of a replicated site — each replica owns its own journal, exactly
-// as each would in a real multi-process pool.
-func (d *Deployment) EnableReplicaDurability(u core.Usite, v core.Vsite, i int, dir string, snapshotEvery int) (*journal.Store, error) {
-	_, _, n, err := d.replica(u, v, i)
-	if err != nil {
-		return nil, err
-	}
-	store, err := journal.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	n.AttachJournal(store, snapshotEvery)
-	return store, nil
-}
-
-// KillReplica simulates an NJS process crash at one replica of a replicated
-// site, then sweeps the pool's health checks so the dead replica's breaker
-// trips: from this instant no new admission is routed to it, and reads
-// pinned to its jobs fail fast with pool.ErrReplicaDown until RestartReplica
-// swaps a recovered NJS back in.
-func (d *Deployment) KillReplica(u core.Usite, v core.Vsite, i int) error {
-	_, set, n, err := d.replica(u, v, i)
-	if err != nil {
-		return err
-	}
-	n.Kill()
-	set.CheckNow()
-	return nil
-}
-
-// RestartReplica boots a replacement NJS from the replica's journal store
-// under the tag it journaled its job IDs with, re-wires its peer client,
-// swaps it into the pool under that stable name (which re-installs the login
-// mapper and closes the breaker), and resumes the recovered workload.
-func (d *Deployment) RestartReplica(u core.Usite, v core.Vsite, i int, store *journal.Store, snapshotEvery int) error {
-	site, set, _, err := d.replica(u, v, i)
-	if err != nil {
-		return err
-	}
-	var vc njs.VsiteConfig
-	found := false
-	for _, c := range site.Spec.Vsites {
-		if c.Name == v {
-			vc, found = c, true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("testbed: no vsite spec %q at %s", v, u)
-	}
-	n, err := deploy.BuildReplica(u, vc, d.Clock, pool.ReplicaTag(i), store, snapshotEvery)
-	if err != nil {
-		return err
-	}
-	n.SetPeers(protocol.NewClient(d.Net, site.cred, d.CA, d.Registry))
-	if err := set.SetService(pool.ReplicaTag(i), n); err != nil {
-		return err
-	}
-	site.Replicas[v][i] = n
-	n.ResumeRecovered()
-	return nil
-}
-
 // KillSite simulates an NJS process crash at a site: the NJS stops
 // journaling and every pending clock callback it owns becomes a no-op. The
 // gateway keeps running (the §5.2 split survives an inner restart); calls
 // reaching the dead NJS are refused or see its frozen state until
 // RestartSite swaps in the recovered one.
 func (d *Deployment) KillSite(u core.Usite) error {
-	site, ok := d.Sites[u]
-	if !ok {
-		return fmt.Errorf("testbed: unknown usite %q", u)
-	}
-	if site.NJS == nil {
-		return fmt.Errorf("testbed: %s is replicated; use KillReplica", u)
+	site, err := d.single(u)
+	if err != nil {
+		return err
 	}
 	site.NJS.Kill()
 	return nil
@@ -366,12 +244,9 @@ func (d *Deployment) KillSite(u core.Usite) error {
 // RestartSite boots a replacement NJS from the journal store, re-wires it
 // (peer client, gateway, login mapping), and resumes the recovered workload.
 func (d *Deployment) RestartSite(u core.Usite, store *journal.Store, snapshotEvery int) error {
-	site, ok := d.Sites[u]
-	if !ok {
-		return fmt.Errorf("testbed: unknown usite %q", u)
-	}
-	if site.NJS == nil {
-		return fmt.Errorf("testbed: %s is replicated; use RestartReplica", u)
+	site, err := d.single(u)
+	if err != nil {
+		return err
 	}
 	n, err := njs.Recover(store, njs.Config{
 		Usite:  site.Spec.Usite,
@@ -382,7 +257,7 @@ func (d *Deployment) RestartSite(u core.Usite, store *journal.Store, snapshotEve
 		return err
 	}
 	n.SetPeers(protocol.NewClient(d.Net, site.cred, d.CA, d.Registry))
-	site.Gateway.SetNJS(n) // installs the login mapper
+	site.Gateway.SetBackend(n) // installs the login mapper
 	site.NJS = n
 	n.ResumeRecovered()
 	return nil
@@ -509,17 +384,11 @@ func (d *Deployment) SiteAccounting(u core.Usite) []accounting.Record {
 	if !ok {
 		return nil
 	}
-	// A replicated site runs one RMS per replica; each contributes its share
-	// of the Vsite's accounting.
-	var njss []*njs.NJS
+	// A managed site runs one RMS per replica; each contributes its share of
+	// the Vsite's accounting.
+	njss := []*njs.NJS{site.NJS}
 	if m, managed := d.managed[u]; managed {
 		njss = m.Replicas()
-	} else if site.NJS != nil {
-		njss = []*njs.NJS{site.NJS}
-	} else {
-		for _, vc := range site.Spec.Vsites {
-			njss = append(njss, site.Replicas[vc.Name]...)
-		}
 	}
 	var out []accounting.Record
 	for _, n := range njss {
@@ -562,15 +431,23 @@ func SingleSite(usite core.Usite, vsite core.Vsite, nodes int) (*Deployment, err
 }
 
 // ReplicatedSite builds a one-Usite deployment whose generic-cluster Vsite
-// is served by a pool of NJS replicas behind health-checked failover
-// routing — the scaled-out server tier (package pool).
+// is served by a pool of memory-only NJS replicas behind health-checked
+// failover routing — the scaled-out server tier, stood up by the same
+// controller.Stack as every other pool. NewManaged is the general form: a
+// state root for per-replica journals, and the ManagedSite handle that
+// crashes and heals replicas.
 func ReplicatedSite(usite core.Usite, vsite core.Vsite, nodes, replicas int, policy pool.Policy) (*Deployment, error) {
-	return New(SiteSpec{
-		Usite:    usite,
-		Vsites:   []njs.VsiteConfig{{Name: vsite, Profile: machine.GenericCluster(nodes)}},
-		Replicas: replicas,
-		Policy:   policy,
-	})
+	d, _, err := NewManaged(&deploy.TopologySpec{
+		Version: deploy.TopologyVersion,
+		Sites: []deploy.TopologySite{{
+			Usite: usite,
+			Vsites: []deploy.TopologyVsite{{
+				Name: vsite, Machine: "cluster", Processors: nodes,
+				Replicas: replicas, Policy: policy.String(),
+			}},
+		}},
+	}, usite, "")
+	return d, err
 }
 
 // QueueConfig is re-exported for site specs that want custom queues.

@@ -13,6 +13,7 @@ import (
 	"unicore/internal/ajo"
 	"unicore/internal/client"
 	"unicore/internal/core"
+	"unicore/internal/deploy"
 	"unicore/internal/protocol"
 	"unicore/internal/resources"
 )
@@ -140,6 +141,57 @@ func TestMultiSiteJobAcrossGermany(t *testing.T) {
 	}
 	if zibJobs != 1 {
 		t.Fatalf("ZIB accounting shows %d jobs, want 1", zibJobs)
+	}
+}
+
+// TestManagedSiteReachesLaterSite deploys two controller-managed sites one
+// after the other: the first stack's registry was seeded before the second
+// site existed, and its replicas must still be able to consign a sub-job to
+// it and pull the result back (§5.6) through the second site's pool.
+func TestManagedSiteReachesLaterSite(t *testing.T) {
+	spec := &deploy.TopologySpec{Version: deploy.TopologyVersion}
+	for _, u := range []core.Usite{"FIRST", "LATER"} {
+		spec.Sites = append(spec.Sites, deploy.TopologySite{
+			Usite:  u,
+			Vsites: []deploy.TopologyVsite{{Name: "CLUSTER", Machine: "cluster", Replicas: 2}},
+		})
+	}
+	d, _, err := NewManaged(spec, "FIRST", "")
+	if err != nil {
+		t.Fatalf("NewManaged: %v", err)
+	}
+	defer d.Close()
+	if _, err := d.ApplySpec(spec, "LATER", ""); err != nil {
+		t.Fatalf("ApplySpec(LATER): %v", err)
+	}
+	user, err := d.NewUser("Late User", "Test", "late")
+	if err != nil {
+		t.Fatalf("NewUser: %v", err)
+	}
+
+	pre := client.NewJob("pre", core.Target{Usite: "LATER", Vsite: "CLUSTER"})
+	pre.Script("prepare", "write grid.dat 4096\n", resources.Request{Processors: 1, RunTime: 10 * time.Minute})
+	b := client.NewJob("coupled", core.Target{Usite: "FIRST", Vsite: "CLUSTER"})
+	sub := b.SubJob(pre)
+	tr := b.Transfer("fetch grid", sub, "grid.dat")
+	run := b.Script("main", "cat grid.dat > used.tmp\n", resources.Request{Processors: 1, RunTime: time.Hour})
+	b.Chain(sub, tr, run)
+	job, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	sess := d.Session(user, "FIRST")
+	id, err := sess.Submit(context.Background(), job)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	d.Run(1_000_000)
+	o, err := sess.Outcome(context.Background(), id)
+	if err != nil {
+		t.Fatalf("Outcome: %v", err)
+	}
+	if o.Status != ajo.StatusSuccessful {
+		t.Fatalf("job at FIRST with a sub-job for LATER finished %s:\n%s", o.Status, client.Display(o))
 	}
 }
 

@@ -41,6 +41,7 @@ import (
 	"unicore/internal/broker"
 	"unicore/internal/client"
 	"unicore/internal/core"
+	"unicore/internal/deploy"
 	"unicore/internal/gateway"
 	"unicore/internal/journal"
 	"unicore/internal/pki"
@@ -233,7 +234,8 @@ type (
 	// WorkloadConfig parameterises the synthetic job mix.
 	WorkloadConfig = testbed.WorkloadConfig
 	// JournalStore is the write-ahead journal + snapshot store behind a
-	// durable NJS (Deployment.EnableDurability / KillSite / RestartSite).
+	// durable single-NJS site (Deployment.EnableDurability / KillSite /
+	// RestartSite); a ManagedSite keeps its replicas' stores itself.
 	JournalStore = journal.Store
 )
 
@@ -256,15 +258,35 @@ const (
 )
 
 // ReplicatedSite deploys one Usite whose generic-cluster Vsite is served by
-// a pool of NJS replicas (Deployment.KillReplica / RestartReplica /
-// EnableReplicaDurability drive the failover lifecycle).
+// a pool of memory-only NJS replicas. NewManaged is the general form, for
+// the failover lifecycle: journaled replicas that can be crashed and healed.
 func ReplicatedSite(usite Usite, vsite Vsite, nodes, replicas int, policy ReplicaPolicy) (*Deployment, error) {
 	return testbed.ReplicatedSite(usite, vsite, nodes, replicas, policy)
 }
 
+type (
+	// TopologySpec is the declarative topology document `unicore-ctl apply
+	// -f` consumes: per-Vsite machines, replica counts and routing policies.
+	TopologySpec = deploy.TopologySpec
+	// ManagedSite is a Usite booted from a TopologySpec, its replica pools
+	// kept converged by the site's controller: KillReplica crashes one
+	// replica, Reconcile heals it from its journal.
+	ManagedSite = testbed.ManagedSite
+)
+
+// ParseTopology parses and validates a topology document (strict JSON).
+func ParseTopology(data []byte) (*TopologySpec, error) { return deploy.ParseTopology(data) }
+
+// NewManaged deploys the spec's site usite in-process as a ManagedSite — the
+// stack `unicore-ctl apply` runs. Each replica journals under
+// stateRoot/<usite>/<vsite>/<tag>; an empty stateRoot falls back to the
+// spec's journalDir, and to memory-only replicas when that is empty too.
+func NewManaged(spec *TopologySpec, usite Usite, stateRoot string) (*Deployment, *ManagedSite, error) {
+	return testbed.NewManaged(spec, usite, stateRoot)
+}
+
 // OpenJournal opens (or creates) a journal store rooted at dir — the handle
-// EnableDurability/EnableReplicaDurability attach and RestartSite/
-// RestartReplica recover from.
+// EnableDurability attaches and RestartSite recovers from.
 func OpenJournal(dir string) (*JournalStore, error) { return journal.Open(dir) }
 
 // German deploys the six-site 1999 German production testbed of §5.7.
