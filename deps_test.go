@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"unicore/internal/njs"
+	"unicore/internal/pool"
 )
 
 // TestNoPackageImportsGob keeps the repository at two serialisation schemes:
@@ -196,5 +197,37 @@ func TestPoolsHaveOneBuilder(t *testing.T) {
 	}
 	if n := reflect.TypeOf((*njs.Service)(nil)).Elem().NumMethod(); n > 16 {
 		t.Errorf("njs.Service has %d methods, want at most 16", n)
+	}
+}
+
+// TestPoolRoutesByName keeps the pool's routing stateless: every job ID and
+// staged-upload handle names the replica that minted it, so a job- or
+// handle-scoped call goes there and nowhere else. A job→replica affinity
+// map, a handle→replica pin map, a scatter search over replicas, or a second
+// routing tier below the Router (job reads served by a ReplicaSet) are how
+// the old routing would grow back.
+func TestPoolRoutesByName(t *testing.T) {
+	decl := regexp.MustCompile(`(?m)^\s*(func (\([^)]*\) )?|type |var |const )?(affinity|stagePin|stagePinTTL|lookupOrder|stageOrder|routeJob|routeStage|tier)\b`)
+	files, err := filepath.Glob(filepath.Join("internal", "pool", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no Go files under internal/pool (%v)", err)
+	}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range decl.FindAllString(string(src), -1) {
+			t.Errorf("%s declares %q: a pooled ID names its replica", file, strings.TrimSpace(d))
+		}
+	}
+	set := reflect.TypeOf((*pool.ReplicaSet)(nil))
+	for _, m := range []string{"Poll", "Outcome", "Events", "EventsNotify", "List"} {
+		if _, ok := set.MethodByName(m); ok {
+			t.Errorf("*pool.ReplicaSet has %s: the Router is the pool's only njs.Service", m)
+		}
 	}
 }

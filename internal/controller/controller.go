@@ -10,8 +10,9 @@
 //   - missing Vsites get replica sets, missing replicas get built and
 //     added to the live set (the declared floor, then autoscale headroom),
 //   - crashed replicas are healed: recovered from their journals and
-//     swapped back in under the same pool name, reusing the pool's rejoin
-//     reconciliation so ack indexes and stage pins survive,
+//     swapped back in under the same pool name, which their job IDs and
+//     handles keep naming, reusing the pool's rejoin reconciliation so the
+//     ack index survives,
 //   - a bumped fleet Generation rolls the replicas one at a time with
 //     drain-before-kill: stop routing new work, wait for in-flight calls
 //     to settle, retire the old instance, recover its journal, rejoin,
@@ -401,7 +402,7 @@ func (c *Controller) signals(set *pool.ReplicaSet) (inflight, depth float64) {
 
 // heal recovers every crashed replica from its durable state and swaps it
 // back in under the same pool name — the pool's rejoin reconciliation then
-// re-homes its ack-index entries and stage pins.
+// re-homes its ack-index entries.
 func (c *Controller) heal(v *deploy.TopologyVsite, set *pool.ReplicaSet, st *vsiteState, res *Result, errs *[]error) {
 	for _, tag := range set.Names() {
 		svc, ok := set.Service(tag)

@@ -289,7 +289,7 @@ func (s *Stack) build(v deploy.TopologyVsite, tag string) (njs.Service, error) {
 // recover is the heal/roll path: release the crashed instance's journal
 // handle, then rebuild from the same directory — the recovered replica
 // replays its journal, and the pool's rejoin reconciliation re-homes its
-// ack entries and stage pins.
+// ack entries.
 func (s *Stack) recover(v deploy.TopologyVsite, tag string) (njs.Service, error) {
 	if store := s.takeStore(v.Name, tag); store != nil {
 		if err := store.Close(); err != nil {

@@ -92,12 +92,15 @@ func TestStackBootHealRoll(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Consign: %v", err)
 	}
-	owner, ok := set.Owner(id)
-	if !ok {
-		t.Fatal("admitted job has no owning replica")
+	var crashed *njs.NJS
+	for _, n := range stack.Replicas() {
+		if n.Instance() == njs.JobInstance("FZJ", id) {
+			crashed = n
+		}
 	}
-	svc, _ := set.Service(owner)
-	crashed := svc.(*njs.NJS)
+	if crashed == nil {
+		t.Fatalf("admitted job %s names no replica", id)
+	}
 	if err := crashed.SyncJournal(); err != nil {
 		t.Fatalf("SyncJournal: %v", err)
 	}

@@ -2,6 +2,8 @@ package deploy_test
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +16,7 @@ import (
 	"unicore/internal/njs"
 	"unicore/internal/pki"
 	"unicore/internal/pool"
+	"unicore/internal/protocol"
 	"unicore/internal/resources"
 	"unicore/internal/sim"
 )
@@ -35,10 +38,28 @@ const conformanceSite = `{
 
 const alice = core.DN("CN=Alice,O=FZJ,C=DE")
 
+// conformanceKeys parses conformanceSite and issues its gateway's keyring.
+func conformanceKeys(t *testing.T) (*deploy.TopologySite, *pki.Credential, *pki.Authority) {
+	t.Helper()
+	site, err := deploy.ParseSite([]byte(conformanceSite))
+	if err != nil {
+		t.Fatalf("ParseSite: %v", err)
+	}
+	ca, err := pki.NewAuthority("Deploy-CA")
+	if err != nil {
+		t.Fatalf("NewAuthority: %v", err)
+	}
+	cred, err := ca.IssueServer("gateway.fzj")
+	if err != nil {
+		t.Fatalf("IssueServer: %v", err)
+	}
+	return site, cred, ca
+}
+
 // standing is one stood-up site as the conformance script sees it.
 type standing struct {
 	gw *gateway.Gateway
-	// replicas is what serves CLUSTER: the site's only NJS, or the pool's.
+	// replicas is every NJS serving the site: its only one, or the pools'.
 	replicas func() []*njs.NJS
 	// crash ends the site's life the hard way (journals synced, nothing
 	// snapshotted); stop ends it cleanly. Both release the state directory.
@@ -52,18 +73,7 @@ type standing struct {
 // directory → the job is intact, then shut down cleanly → rebuild from the
 // snapshot → still intact.
 func TestSiteConformance(t *testing.T) {
-	site, err := deploy.ParseSite([]byte(conformanceSite))
-	if err != nil {
-		t.Fatalf("ParseSite: %v", err)
-	}
-	ca, err := pki.NewAuthority("Deploy-CA")
-	if err != nil {
-		t.Fatalf("NewAuthority: %v", err)
-	}
-	cred, err := ca.IssueServer("gateway.fzj")
-	if err != nil {
-		t.Fatalf("IssueServer: %v", err)
-	}
+	site, cred, ca := conformanceKeys(t)
 
 	single := func(t *testing.T, clock *sim.VirtualClock, dir string) standing {
 		gw, n, store, err := deploy.BuildSite(site, cred, ca, clock, dir, 0)
@@ -130,16 +140,8 @@ func TestSiteConformance(t *testing.T) {
 			}
 		}
 		return standing{
-			gw: stack.Gateway,
-			replicas: func() []*njs.NJS {
-				var out []*njs.NJS
-				for _, n := range stack.Replicas() {
-					if _, ok := n.Vsite("CLUSTER"); ok {
-						out = append(out, n)
-					}
-				}
-				return out
-			},
+			gw:       stack.Gateway,
+			replicas: stack.Replicas,
 			crash: func(t *testing.T) {
 				for _, n := range stack.Replicas() {
 					if err := n.SyncJournal(); err != nil {
@@ -239,5 +241,76 @@ func TestSiteConformance(t *testing.T) {
 			intact("after clean shutdown and snapshot recovery", s)
 			s.stop(t)
 		})
+	}
+}
+
+// TestPooledVsitesMintDisjointNames boots conformanceSite's two pooled Vsites,
+// whose pool tags both start at r0, and consigns several jobs at each through
+// the router. Every name a replica mints must be unique in its Usite: job
+// IDs, so each Outcome finds its own job; event-log origins, so a user
+// stream keeps one cursor per replica; and telemetry origins, so a scrape
+// reports each replica once.
+func TestPooledVsitesMintDisjointNames(t *testing.T) {
+	site, cred, ca := conformanceKeys(t)
+	clock := sim.NewVirtualClock()
+	stack, err := controller.NewStack(controller.StackConfig{
+		Spec:  &deploy.TopologySpec{Version: deploy.TopologyVersion, Sites: []deploy.TopologySite{*site}},
+		Usite: site.Usite, Cred: cred, CA: ca, Clock: clock,
+	})
+	if err != nil {
+		t.Fatalf("NewStack: %v", err)
+	}
+	defer stack.Close()
+
+	names := map[core.JobID]string{}
+	for _, v := range []core.Vsite{"T3E", "CLUSTER"} {
+		for i := 0; i < 6; i++ {
+			name := fmt.Sprintf("%s-%d", v, i)
+			b := client.NewJob(name, core.Target{Usite: "FZJ", Vsite: v})
+			b.Script("hello", "echo "+name+"\n", resources.Request{Processors: 1, RunTime: time.Hour})
+			job, err := b.Build()
+			if err != nil {
+				t.Fatalf("Build: %v", err)
+			}
+			id, err := stack.Router.Consign(context.Background(), alice, name, job)
+			if err != nil {
+				t.Fatalf("Consign(%s): %v", name, err)
+			}
+			if other, dup := names[id]; dup {
+				t.Fatalf("%s and %s were both admitted as %s", other, name, id)
+			}
+			names[id] = name
+		}
+	}
+	clock.RunUntilIdle(0)
+	for id, name := range names {
+		o, found, err := stack.Router.Outcome(alice, false, id)
+		if err != nil || !found || o.Name != name {
+			t.Fatalf("Outcome(%s) = %v (found=%v, err=%v), want job %s", id, o, found, err, name)
+		}
+	}
+
+	replicas := len(stack.Replicas())
+	if replicas != 5 {
+		t.Fatalf("stack runs %d replicas, want the declared 2+3", replicas)
+	}
+	reply, err := stack.Router.Events(alice, false, protocol.SubscribeRequest{})
+	if err != nil {
+		t.Fatalf("Events: %v", err)
+	}
+	if len(reply.Origins) != replicas {
+		t.Fatalf("user stream carries cursors %v, want one per replica (%d)", reply.Origins, replicas)
+	}
+	origins := map[string]bool{}
+	for _, snap := range stack.Router.Metrics() {
+		if strings.HasPrefix(snap.Origin, "njs/") {
+			if origins[snap.Origin] {
+				t.Fatalf("Router.Metrics reports %s twice", snap.Origin)
+			}
+			origins[snap.Origin] = true
+		}
+	}
+	if len(origins) != replicas {
+		t.Fatalf("Router.Metrics has njs origins %v, want one per replica (%d)", origins, replicas)
 	}
 }

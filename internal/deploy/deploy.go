@@ -21,6 +21,7 @@ import (
 	"unicore/internal/machine"
 	"unicore/internal/njs"
 	"unicore/internal/pki"
+	"unicore/internal/pool"
 	"unicore/internal/protocol"
 	"unicore/internal/sim"
 	"unicore/internal/uudb"
@@ -122,18 +123,19 @@ func BuildSite(site *TopologySite, cred *pki.Credential, ca *pki.Authority, cloc
 
 // BuildReplica builds one NJS replica serving a single Vsite under a pool
 // tag — the only place a tagged NJS is minted, whether a controller.Stack is
-// populating, growing, healing or rolling a pool. The tag becomes the NJS
-// instance, so job IDs minted across the pool never collide, and a recovered
-// replica must be rebuilt under the tag it journaled with. A nil store builds
-// a memory-only replica; otherwise the replica's prior life is recovered from
-// the store, the caller must call ResumeRecovered once wiring is complete,
-// and the caller owns the store.
+// populating, growing, healing or rolling a pool. The NJS instance is
+// pool.Instance(vsite, tag), unique within the Usite, so the names minted
+// across every pool of the site never collide and each names its replica; a
+// recovered replica must be rebuilt under the tag it journaled with. A nil
+// store builds a memory-only replica; otherwise the replica's prior life is
+// recovered from the store, the caller must call ResumeRecovered once wiring
+// is complete, and the caller owns the store.
 func BuildReplica(usite core.Usite, vc njs.VsiteConfig, clock sim.Scheduler, tag string, store *journal.Store, snapshotEvery int) (*njs.NJS, error) {
 	n, err := newNJS(njs.Config{
 		Usite:    usite,
 		Clock:    clock,
 		Vsites:   []njs.VsiteConfig{vc},
-		Instance: tag,
+		Instance: pool.Instance(vc.Name, tag),
 	}, store, snapshotEvery)
 	if err != nil {
 		return nil, fmt.Errorf("deploy: vsite %s replica %s: %w", vc.Name, tag, err)

@@ -336,7 +336,7 @@ func TestBuildReplicaGrowsLiveVsite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildReplica(2): %v", err)
 	}
-	if n3.Usite() != "FZJ" || n3.Instance() != "r2" {
+	if n3.Usite() != "FZJ" || n3.Instance() != "CLUSTER.r2" {
 		t.Fatalf("replica identity wrong: usite=%s instance=%s", n3.Usite(), n3.Instance())
 	}
 	if err := set.Add(pool.ReplicaTag(2), n3); err != nil {

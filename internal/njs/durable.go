@@ -799,6 +799,17 @@ func jobSeq(id core.JobID) int64 {
 	return v
 }
 
+// JobInstance inverts nextJobID: the pool instance a job ID of usite was
+// minted under — "" for a single NJS's IDs and for IDs usite never minted.
+func JobInstance(usite core.Usite, id core.JobID) string {
+	rest, ok := strings.CutPrefix(string(id), string(usite)+"-")
+	i := strings.LastIndexByte(rest, '-')
+	if !ok || i < 0 {
+		return ""
+	}
+	return rest[:i]
+}
+
 func (n *NJS) replayJobAction(ev *journal.ActionEvent) (*unicoreJob, *ajo.Outcome) {
 	if ev == nil {
 		return nil, nil

@@ -129,13 +129,15 @@ type Config struct {
 	Usite  core.Usite
 	Clock  sim.Scheduler
 	Vsites []VsiteConfig
-	// Instance tags this NJS within a replica pool (package pool). When set,
-	// minted job IDs carry the tag ("FZJ-r1-000042" instead of "FZJ-000042")
-	// so that the replicas of one Usite never collide on job IDs — and, since
-	// sub-job consign IDs derive from job IDs, never collide on the
-	// deterministic consign IDs they present to peer sites either. Leave
-	// empty for a single-NJS site; a recovered replica must reuse the tag it
-	// was journaled under.
+	// Instance names this NJS within a replica pool: its one Vsite and its
+	// pool tag, as pool.Instance forms them ("CLUSTER.r1"). When set, minted
+	// job IDs ("FZJ-CLUSTER.r1-000042" instead of "FZJ-000042"), staged-upload
+	// handles, event-log origins and the telemetry origin all carry it, so
+	// the replicas of one Usite never collide and the pool routes by the
+	// name an ID carries — and, since sub-job consign IDs derive from job
+	// IDs, they never collide on the deterministic consign IDs they present
+	// to peer sites either. Leave empty for a single-NJS site; a recovered
+	// replica must reuse the instance it was journaled under.
 	Instance string
 }
 
@@ -277,6 +279,9 @@ func New(cfg Config) (*NJS, error) {
 	if len(cfg.Vsites) == 0 {
 		return nil, errors.New("njs: no vsites configured")
 	}
+	if cfg.Instance != "" && len(cfg.Vsites) != 1 {
+		return nil, fmt.Errorf("njs: pool instance %s must serve exactly one vsite, not %d", cfg.Instance, len(cfg.Vsites))
+	}
 	origin := "njs/" + string(cfg.Usite)
 	if cfg.Instance != "" {
 		origin += "/" + cfg.Instance
@@ -332,13 +337,14 @@ func New(cfg Config) (*NJS, error) {
 			Page:  page,
 		}
 		n.vsites[vc.Name] = vs
-		// The spool tag makes handles globally unambiguous: distinct per
-		// Vsite within this NJS and, via the replica instance, distinct
-		// across the replicas of a pool (a recovered replica reuses its tag,
-		// so handles survive recovery unchanged).
+		// The spool tag makes handles globally unambiguous: the Vsite name
+		// within a single NJS, and a pool replica's instance (it serves one
+		// Vsite), so a pooled handle names the replica holding it. A
+		// recovered replica reuses its instance, so handles survive recovery
+		// unchanged.
 		spoolTag := string(vc.Name)
 		if cfg.Instance != "" {
-			spoolTag = cfg.Instance + "-" + spoolTag
+			spoolTag = cfg.Instance
 		}
 		spool, err := staging.NewSpool(fs, SpoolRoot, spoolTag, cfg.Clock)
 		if err != nil {
@@ -417,8 +423,8 @@ func (n *NJS) Accounting() []accounting.Record {
 	return out
 }
 
-// nextJobID mints "USITE-000001"-style IDs ("USITE-r1-000001" when this NJS
-// is a tagged pool replica).
+// nextJobID mints "USITE-000001"-style IDs ("USITE-CLUSTER.r1-000001" when
+// this NJS is a pool replica; JobInstance inverts it).
 func (n *NJS) nextJobID() core.JobID {
 	n.regMu.Lock()
 	n.seq++

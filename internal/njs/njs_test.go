@@ -10,8 +10,10 @@ import (
 	"unicore/internal/ajo"
 	"unicore/internal/core"
 	"unicore/internal/machine"
+	"unicore/internal/protocol"
 	"unicore/internal/resources"
 	"unicore/internal/sim"
+	"unicore/internal/staging"
 	"unicore/internal/uudb"
 )
 
@@ -87,6 +89,46 @@ func TestConsignValidation(t *testing.T) {
 	j4 := job("nomap", "T3E", []ajo.Action{script("s", "echo hi\n")}, nil)
 	if _, err := n2.Consign(context.Background(), alice, "", j4); !errors.Is(err, ErrNoMapper) {
 		t.Fatalf("err = %v, want ErrNoMapper", err)
+	}
+}
+
+// TestPoolInstanceNamesEveryMint: a pool replica serves exactly one Vsite,
+// and every name it mints — job ID, staged-upload handle, event origin,
+// telemetry origin — carries its instance, which JobInstance reads back. A
+// single NJS's IDs name no instance.
+func TestPoolInstanceNamesEveryMint(t *testing.T) {
+	clock := sim.NewVirtualClock()
+	two := []VsiteConfig{{Name: "T3E", Profile: machine.CrayT3E(64)}, {Name: "CLUSTER", Profile: machine.GenericCluster(8)}}
+	if _, err := New(Config{Usite: "FZJ", Clock: clock, Vsites: two, Instance: "T3E.r0"}); err == nil {
+		t.Fatal("a pool instance serving two vsites was built")
+	}
+	n, err := New(Config{Usite: "FZJ", Clock: clock, Vsites: two[1:], Instance: "CLUSTER.r1"})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	n.SetLoginMapper(func(core.DN, core.Vsite) (uudb.Login, error) { return uudb.Login{UID: "a"}, nil })
+	id, err := n.Consign(context.Background(), alice, "", job("named", "CLUSTER", []ajo.Action{script("s", "echo hi\n")}, nil))
+	if err != nil {
+		t.Fatalf("Consign: %v", err)
+	}
+	open, err := n.StageOpen(alice, false, protocol.PutOpenRequest{Vsite: "CLUSTER"})
+	if err != nil {
+		t.Fatalf("StageOpen: %v", err)
+	}
+	reply, err := n.Events(alice, false, protocol.SubscribeRequest{})
+	if err != nil {
+		t.Fatalf("Events: %v", err)
+	}
+	if id != "FZJ-CLUSTER.r1-000001" || JobInstance("FZJ", id) != "CLUSTER.r1" ||
+		staging.HandleTag(open.Handle) != "CLUSTER.r1" || reply.Origins["CLUSTER.r1"] == 0 ||
+		n.Metrics()[0].Origin != "njs/FZJ/CLUSTER.r1" {
+		t.Fatalf("replica CLUSTER.r1 minted job %s, handle %s, origins %v, telemetry %s",
+			id, open.Handle, reply.Origins, n.Metrics()[0].Origin)
+	}
+	for _, other := range []core.JobID{"FZJ-000001", "ZIB-CLUSTER.r1-000001", "FZJ"} {
+		if got := JobInstance("FZJ", other); got != "" {
+			t.Fatalf("JobInstance(FZJ, %s) = %q, want no instance", other, got)
+		}
 	}
 }
 

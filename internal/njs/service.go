@@ -78,8 +78,8 @@ func (n *NJS) Ping() error {
 	return nil
 }
 
-// Instance returns the replica tag this NJS mints job IDs under ("" for a
-// single-NJS site).
+// Instance returns the pool instance this NJS mints job IDs and handles
+// under ("" for a single-NJS site).
 func (n *NJS) Instance() string { return n.instance }
 
 // Telemetry returns this NJS's metrics registry — the testbed hook through

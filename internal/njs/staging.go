@@ -60,9 +60,8 @@ func (n *NJS) StagingSpool(v core.Vsite) (*staging.Spool, bool) {
 }
 
 // StagedHandles reports every transfer handle spooled at this NJS (across
-// its Vsites) — pool.StageReporter: a replica pool consults it when this NJS
-// joins or rejoins a set, so handle→replica pins survive pool restarts and
-// replica recovery.
+// its Vsites) — pool.StageReporter: a replica pool's DrainStatus counts them
+// to tell whether a draining replica still holds uploads.
 func (n *NJS) StagedHandles() []string {
 	var out []string
 	for _, name := range n.VsiteNames() {

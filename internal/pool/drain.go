@@ -3,19 +3,18 @@ package pool
 // Drain-before-kill and dynamic membership. Rolling replacement of a live
 // replica runs in three pool-visible phases: Drain stops routing NEW work
 // (consigns, staged-upload opens) to the replica while everything it owns —
-// running jobs, pinned uploads, event cursors — stays reachable; the caller
-// waits for DrainStatus to settle (no routed admission or staging call in
-// flight); then either SetService swaps in a journal-recovered replacement
-// under the same name (the reconcile pass re-homes ack-index entries and
-// stage pins automatically) or Remove retires the name for good. Add grows a
-// live set the same way the controller populates a new one.
+// running jobs, held uploads, event cursors — stays reachable by name; the
+// caller waits for DrainStatus to settle (no routed admission or staging
+// call in flight); then either SetService swaps in a journal-recovered
+// replacement under the same name (which its IDs keep naming, and the
+// reconcile pass re-homes its ack-index entries) or Remove retires the name
+// for good. Add grows a live set the same way the controller populates a
+// new one.
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"unicore/internal/core"
 )
 
 // ParseReplicaTag inverts ReplicaTag: "r3" → 3. It reports false for names
@@ -41,14 +40,11 @@ type DrainStatus struct {
 	// Inflight is how many routed admission/staging calls are executing on
 	// the replica right now; a drain has settled when this is zero.
 	Inflight int
-	// StagePins is how many staged-upload handles the replica currently
-	// holds: live spool handles when the service reports them
-	// (StageReporter), otherwise the pool's pin count for the replica.
-	// Pins survive replacement — a journal-recovered service rescans its
-	// spool and the rejoin reconciliation re-homes them.
+	// StagePins is how many staged-upload handles the replica's spool holds
+	// (0 when the service is no StageReporter). They survive replacement —
+	// a journal-recovered service rescans its spool, and the handles keep
+	// naming the replica.
 	StagePins int
-	// Jobs is how many jobs the pool has pinned to the replica.
-	Jobs int
 }
 
 // Drain excludes a replica from new-work routing. Idempotent; the replica
@@ -100,28 +96,13 @@ func (s *ReplicaSet) DrainStatus(name string) (DrainStatus, error) {
 	}
 	if rep, ok := r.service().(StageReporter); ok {
 		st.StagePins = len(rep.StagedHandles())
-	} else {
-		s.mu.RLock()
-		for _, p := range s.stage {
-			if p.rep == r {
-				st.StagePins++
-			}
-		}
-		s.mu.RUnlock()
 	}
-	s.mu.RLock()
-	for _, rep := range s.affinity {
-		if rep == r {
-			st.Jobs++
-		}
-	}
-	s.mu.RUnlock()
 	return st, nil
 }
 
 // Remove retires a replica from the set for good: it leaves the ring (its
-// keys redistribute), its job and upload pins are dropped, and job-scoped
-// reads for what it owned fall back to the scatter path. Acknowledged
+// keys redistribute), and job- and handle-scoped calls naming it are
+// not-found from then on. Acknowledged
 // consign IDs stay in the ack index — a client retry of an admission the
 // retired replica acked still converges on the recorded job ID instead of
 // duplicating the job. The caller owns the retired service (Kill it, close
@@ -141,16 +122,6 @@ func (s *ReplicaSet) Remove(name string) error {
 		}
 	}
 	s.ring.remove(name)
-	for id, rep := range s.affinity {
-		if rep == r {
-			delete(s.affinity, id)
-		}
-	}
-	for h, p := range s.stage {
-		if p.rep == r {
-			delete(s.stage, h)
-		}
-	}
 	for dn, rep := range s.lastOpen {
 		if rep == r {
 			delete(s.lastOpen, dn)
@@ -159,24 +130,4 @@ func (s *ReplicaSet) Remove(name string) error {
 	s.mu.Unlock()
 	s.tel.Counter("pool_remove_total", "replica", name).Inc()
 	return nil
-}
-
-// Owner reports which replica a job is pinned to, if any.
-func (s *ReplicaSet) Owner(id core.JobID) (string, bool) {
-	rep, ok := s.owner(id)
-	if !ok {
-		return "", false
-	}
-	return rep.name, true
-}
-
-// StagePinOwner reports which replica holds a staged-upload handle, if any.
-func (s *ReplicaSet) StagePinOwner(handle string) (string, bool) {
-	s.mu.RLock()
-	pin, ok := s.stage[handle]
-	s.mu.RUnlock()
-	if !ok {
-		return "", false
-	}
-	return pin.rep.name, true
 }

@@ -7,14 +7,18 @@ import (
 	"testing"
 
 	"unicore/internal/core"
+	"unicore/internal/njs"
 	"unicore/internal/protocol"
+	"unicore/internal/staging"
 )
 
 // TestDrainStopsNewWorkKeepsOwnedWork: a drained replica takes no new
 // consigns or staged-upload opens, but everything it already owns — jobs,
-// pinned uploads — stays reachable through the pool.
+// held uploads — stays reachable through the pool by name.
 func TestDrainStopsNewWorkKeepsOwnedWork(t *testing.T) {
 	set, _, fakes := newTestSet(t, RoundRobin)
+	router := routerOver(t, set)
+	r1 := Instance("CLUSTER", "r1")
 	// Land a job and an upload on r1 so it owns something before draining.
 	var owned core.JobID
 	for i := 0; owned == "" && i < 6; i++ {
@@ -22,7 +26,7 @@ func TestDrainStopsNewWorkKeepsOwnedWork(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Consign(pre-%d): %v", i, err)
 		}
-		if name, _ := set.Owner(id); name == "r1" {
+		if njs.JobInstance("FZJ", id) == r1 {
 			owned = id
 		}
 	}
@@ -39,7 +43,7 @@ func TestDrainStopsNewWorkKeepsOwnedWork(t *testing.T) {
 		if err != nil {
 			t.Fatalf("StageOpen: %v", err)
 		}
-		if name, _ := set.StagePinOwner(reply.Handle); name == "r1" {
+		if staging.HandleTag(reply.Handle) == r1 {
 			handle, stager = reply.Handle, caller
 		}
 	}
@@ -65,7 +69,7 @@ func TestDrainStopsNewWorkKeepsOwnedWork(t *testing.T) {
 		}
 		if reply, err := set.StageOpen(stager, false, protocol.PutOpenRequest{Vsite: "CLUSTER", Name: "more.dat"}); err != nil {
 			t.Fatalf("StageOpen during drain: %v", err)
-		} else if name, _ := set.StagePinOwner(reply.Handle); name == "r1" {
+		} else if staging.HandleTag(reply.Handle) == r1 {
 			t.Fatal("drained replica took a new staged-upload open (last-open preference not revoked)")
 		}
 	}
@@ -74,10 +78,10 @@ func TestDrainStopsNewWorkKeepsOwnedWork(t *testing.T) {
 	}
 
 	// Owned work still routes to r1: a poll of its job, chunks of its upload.
-	if reply, err := set.Poll("CN=A", false, owned); err != nil || !reply.Found {
+	if reply, err := router.Poll("CN=A", false, owned); err != nil || !reply.Found {
 		t.Fatalf("Poll of drained replica's job: found=%v err=%v", reply.Found, err)
 	}
-	if _, err := set.StageChunk(stager, false, protocol.PutChunkRequest{Handle: handle, Index: 0, Data: []byte("x")}); err != nil {
+	if _, err := router.StageChunk(stager, false, protocol.PutChunkRequest{Handle: handle, Index: 0, Data: []byte("x")}); err != nil {
 		t.Fatalf("StageChunk to drained replica: %v", err)
 	}
 
@@ -85,7 +89,7 @@ func TestDrainStopsNewWorkKeepsOwnedWork(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DrainStatus: %v", err)
 	}
-	if !st.Draining || st.Inflight != 0 || st.Jobs == 0 || st.StagePins == 0 {
+	if !st.Draining || st.Inflight != 0 || st.StagePins == 0 {
 		t.Fatalf("DrainStatus = %+v, want settled-but-owning", st)
 	}
 
@@ -107,9 +111,10 @@ func TestDrainStopsNewWorkKeepsOwnedWork(t *testing.T) {
 	}
 }
 
-// TestRemoveRetiresReplica: a removed replica leaves routing entirely, its
-// pins are dropped, and — the duplicate-prevention half of the contract —
-// an acked consign ID it served still converges on the recorded job.
+// TestRemoveRetiresReplica: a removed replica leaves routing entirely (its
+// job IDs name no replica of the pool), and — the duplicate-prevention half
+// of the contract — an acked consign ID it served still converges on the
+// recorded job.
 func TestRemoveRetiresReplica(t *testing.T) {
 	set, _, fakes := newTestSet(t, RoundRobin)
 	var acked core.JobID
@@ -122,7 +127,7 @@ func TestRemoveRetiresReplica(t *testing.T) {
 			t.Fatalf("Consign: %v", err)
 		}
 		consigned++
-		if name, _ := set.Owner(id); name == "r2" {
+		if njs.JobInstance("FZJ", id) == Instance("CLUSTER", "r2") {
 			acked, ackedCID = id, cid
 		}
 	}
@@ -139,8 +144,8 @@ func TestRemoveRetiresReplica(t *testing.T) {
 	if got := len(set.Names()); got != 2 {
 		t.Fatalf("Names() has %d entries after Remove, want 2", got)
 	}
-	if _, ok := set.Owner(acked); ok {
-		t.Fatal("removed replica still owns its job pin")
+	if reply, err := routerOver(t, set).Poll("CN=A", false, acked); reply.Found || err != nil {
+		t.Fatalf("Poll of a removed replica's job: found=%v err=%v, want a clean not-found", reply.Found, err)
 	}
 	// The ack index survives retirement: a client retry of the consign the
 	// retired replica acked converges instead of duplicating the job.
@@ -199,5 +204,24 @@ func TestDrainUnknownReplica(t *testing.T) {
 	}
 	if _, err := set.DrainStatus("ghost"); !errors.Is(err, ErrUnknownReplica) {
 		t.Fatalf("DrainStatus(ghost) = %v", err)
+	}
+}
+
+// TestDrainedSetReportsNoHealthyReplica: the load report counts what
+// Healthy lists, so a Vsite whose replicas are all draining (a one-replica
+// Vsite mid-roll) reads as drained to the §6 broker instead of drawing
+// consigns that can only fail with ErrNoReplica.
+func TestDrainedSetReportsNoHealthyReplica(t *testing.T) {
+	set, _, _ := newTestSet(t, RoundRobin)
+	for _, name := range set.Names() {
+		if err := set.Drain(name); err != nil {
+			t.Fatalf("Drain(%s): %v", name, err)
+		}
+	}
+	if got := routerOver(t, set).VsiteLoads()["CLUSTER"]; got.Healthy != len(set.Healthy()) || got.Healthy != 0 || got.Replicas != 3 {
+		t.Fatalf("VsiteLoads[CLUSTER] with every replica draining = %+v, want 0 healthy of 3", got)
+	}
+	if _, err := set.Consign(context.Background(), "CN=A", "drained", testJob("CLUSTER")); !errors.Is(err, ErrNoReplica) {
+		t.Fatalf("Consign on a drained set: err = %v, want ErrNoReplica", err)
 	}
 }

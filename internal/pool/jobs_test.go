@@ -11,8 +11,7 @@ import (
 	"unicore/internal/protocol"
 )
 
-// jobService is the job-scoped part of njs.Service — what ReplicaSet and
-// Router both get from jobCalls plus their own Events.
+// jobService is the job-scoped part of njs.Service, as the Router serves it.
 type jobService interface {
 	Poll(core.DN, bool, core.JobID) (protocol.PollReply, error)
 	Outcome(core.DN, bool, core.JobID) (*ajo.Outcome, bool, error)
@@ -61,53 +60,45 @@ var jobOps = []struct {
 	}},
 }
 
-// TestJobRoutingRulesHoldForEveryOp pins the two rules of the shared routing
-// helpers for each job-scoped op, on both tiers: a cold pool (no affinity
-// recorded — the pool restarted since admission) scatters to find the job and
-// pins it to the replica that answered; and once pinned, an unhealthy owner
-// is ErrReplicaDown — never "not found", and never a read from elsewhere.
+// TestJobRoutingRulesHoldForEveryOp pins the one routing rule for each
+// job-scoped op, behind a router fronting the job's set alone and one
+// fronting two sets: the replica the job ID names answers. A job admitted
+// behind the pool's back is found with no state to warm (a pool rebuilt
+// since admission routes the same way); an ID that names no replica of the
+// pool, or names one that never minted it, is a clean not-found; and an
+// unhealthy named replica is ErrReplicaDown — never "not found", and never a
+// read from elsewhere.
 func TestJobRoutingRulesHoldForEveryOp(t *testing.T) {
-	for _, tier := range []string{"set", "router"} {
+	for _, topology := range []string{"set", "router"} {
 		for _, op := range jobOps {
-			t.Run(tier+"/"+op.name, func(t *testing.T) {
+			t.Run(topology+"/"+op.name, func(t *testing.T) {
 				set, _, fakes := newTestSet(t, RoundRobin)
-				var svc jobService = set
-				if tier == "router" {
+				svc := routerOver(t, set)
+				if topology == "router" {
 					other, _, _ := newTestSet(t, RoundRobin)
 					other.cfg.Vsite = "OTHER"
-					r, err := NewRouter("FZJ")
-					if err != nil {
-						t.Fatalf("NewRouter: %v", err)
-					}
-					for _, s := range []*ReplicaSet{other, set} {
-						if err := r.AddSet(s); err != nil {
-							t.Fatalf("AddSet: %v", err)
-						}
-					}
-					svc = r
+					svc = routerOver(t, other, set)
 				}
-				// Admit straight on one replica, behind the pool's back: the
-				// pool holds no affinity for the job.
+				// Admit straight on one replica, behind the pool's back.
 				id, err := fakes[1].Consign(context.Background(), "CN=u", "", testJob("CLUSTER"))
 				if err != nil {
 					t.Fatalf("Consign: %v", err)
 				}
-				if found, err := op.call(svc, "FZJ-none-000000"); found || err != nil {
-					t.Fatalf("unknown job: found=%v err=%v, want a clean not-found", found, err)
-				}
-				if _, pinned := set.owner(id); pinned {
-					t.Fatal("job pinned before any routed call")
+				for _, unknown := range []core.JobID{"FZJ-none-000000", "FZJ-000001", "FZJ-CLUSTER.r9-000001", "FZJ-CLUSTER.r1-000099", "ZIB-CLUSTER.r1-000001"} {
+					if found, err := op.call(svc, unknown); found || err != nil {
+						t.Fatalf("unknown job %s: found=%v err=%v, want a clean not-found", unknown, found, err)
+					}
 				}
 				if found, err := op.call(svc, id); !found || err != nil {
-					t.Fatalf("cold pool: found=%v err=%v, want the scatter to find the job", found, err)
+					t.Fatalf("job %s: found=%v err=%v, want the replica it names to answer", id, found, err)
 				}
-				if rep, pinned := set.owner(id); !pinned || rep.name != "r1" {
-					t.Fatalf("after the scatter the job is pinned to %v (pinned=%v), want r1", rep, pinned)
+				if n := fakes[0].pollN + fakes[2].pollN; n != 0 {
+					t.Fatalf("%d polls reached replicas the job ID does not name", n)
 				}
 				fakes[1].setDown(true)
 				set.CheckNow()
 				if found, err := op.call(svc, id); found || !errors.Is(err, ErrReplicaDown) {
-					t.Fatalf("owner down: found=%v err=%v, want ErrReplicaDown", found, err)
+					t.Fatalf("named replica down: found=%v err=%v, want ErrReplicaDown", found, err)
 				}
 			})
 		}

@@ -4,9 +4,12 @@
 // production follow-up to the testbed deployment (§5.7) had to engineer
 // away. This package fronts N njs.Service replicas per Vsite with:
 //
-//   - pluggable routing — round-robin, least-loaded (live load queries, the
-//     same signal the §6 broker consumes), and consistent-hash-by-job-id so
-//     Poll/Outcome/FetchFile land on the replica that owns the job,
+//   - pluggable placement — round-robin, least-loaded (live load queries, the
+//     same signal the §6 broker consumes), and consistent-hash-by-consign-id
+//     so retries of one submission target the same replica,
+//   - routing by name: every job ID and staged-upload handle a replica mints
+//     carries its instance (Instance), so Poll/Outcome/FetchFile and chunk
+//     calls go to the replica the ID names, with no lookup state to lose,
 //   - active health checks with exponential-backoff circuit breaking, so a
 //     dead or drowning replica stops receiving traffic until it proves
 //     itself again, and
@@ -16,20 +19,21 @@
 //     retry with the same consign ID converges on the acknowledged
 //     admission instead of duplicating the job.
 //
-// A ReplicaSet pools the replicas of one Vsite; a Router aggregates the
-// ReplicaSets of one Usite and itself implements njs.Service, so a gateway
-// fronts a pool exactly as it fronts a single NJS.
+// A ReplicaSet places new work on the replicas of one Vsite; a Router
+// aggregates the ReplicaSets of one Usite and is the package's njs.Service,
+// so a gateway fronts a pool exactly as it fronts a single NJS.
 //
-// Replicas must be built with distinct njs.Config.Instance tags: the tag
-// keeps minted job IDs (and the deterministic sub-job consign IDs derived
-// from them) disjoint across the replicas of one Usite.
+// A replica added under tag t to the set of Vsite v must be built with
+// njs.Config.Instance = Instance(v, t) (deploy.BuildReplica does): the name
+// keeps minted job IDs, handles and origins (and the deterministic sub-job
+// consign IDs derived from job IDs) disjoint across the replicas of one
+// Usite, and is how the Router finds the replica an ID belongs to.
 package pool
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,7 +42,6 @@ import (
 	"unicore/internal/ajo"
 	"unicore/internal/core"
 	"unicore/internal/njs"
-	"unicore/internal/protocol"
 	"unicore/internal/sim"
 	"unicore/internal/telemetry"
 )
@@ -48,8 +51,8 @@ var (
 	// ErrNoReplica reports that no healthy replica is available for a
 	// request — every breaker is open and every half-open probe failed.
 	ErrNoReplica = errors.New("pool: no healthy replica")
-	// ErrReplicaDown reports that the specific replica that owns a job is
-	// unhealthy; the job will be reachable again once the replica is
+	// ErrReplicaDown reports that the replica a job ID or handle names is
+	// unhealthy; what it holds will be reachable again once the replica is
 	// restarted (SetService) or its health probe succeeds.
 	ErrReplicaDown = errors.New("pool: owning replica is unhealthy")
 	// ErrUnknownReplica reports a replica name that was never added.
@@ -179,6 +182,12 @@ func (r *Replica) state(now time.Time) replicaState {
 	}
 }
 
+// healthy reports, without probing, whether the replica takes new work:
+// breaker closed and not draining.
+func (r *Replica) healthy(now time.Time) bool {
+	return r.state(now) == stateClosed && !r.draining.Load()
+}
+
 // markSuccess closes the breaker and resets the backoff.
 func (r *Replica) markSuccess() {
 	r.mu.Lock()
@@ -198,32 +207,34 @@ type ackEntry struct {
 	adopted bool
 }
 
-// ReplicaTag is the conventional stable pool name (and njs.Config.Instance
-// tag) of replica i. Deployments must reuse the tag a replica was journaled
-// under when recovering it, so recovered replicas keep minting job IDs in
-// their own disjoint namespace.
+// ReplicaTag is the conventional stable pool name of replica i, numbered
+// per Vsite. Deployments must reuse the tag a replica was journaled under
+// when recovering it, so recovered replicas keep minting names in their own
+// disjoint namespace.
 func ReplicaTag(i int) string { return fmt.Sprintf("r%d", i) }
 
-// ReplicaSet fronts the NJS replicas of one Vsite: it routes new
-// consignments by policy, pins every admitted job to the replica that owns
-// it, health-checks the replicas, and fails unacknowledged admissions over
-// to the next healthy replica.
-type ReplicaSet struct {
-	scopedCalls // the job- and handle-scoped calls, over routeJob and routeStage
+// Instance names a pooled replica within its Usite: the Vsite it serves and
+// its pool tag ("CLUSTER.r0"). deploy.BuildReplica makes it the replica's
+// njs.Config.Instance, so every job ID, staged-upload handle, event origin
+// and telemetry origin the replica mints carries it, and the Router routes
+// a job- or handle-scoped call to the replica its ID names.
+func Instance(v core.Vsite, tag string) string { return string(v) + "." + tag }
 
+// ReplicaSet places new work on the NJS replicas of one Vsite: it routes
+// new consignments and staged-upload opens by policy, health-checks the
+// replicas, and fails unacknowledged admissions over to the next healthy
+// replica.
+type ReplicaSet struct {
 	cfg Config
 
-	// mu guards replica membership, the ring, the affinity and ack indexes,
-	// and the mapper. Routing takes it only for map work, never across a
-	// replica call.
+	// mu guards replica membership, the ring, the ack index, and the mapper.
+	// Routing takes it only for map work, never across a replica call.
 	mu       sync.RWMutex
 	replicas []*Replica
 	byName   map[string]*Replica
 	ring     ring
-	affinity map[core.JobID]*Replica  // job → owning replica
 	acks     map[string]ackEntry      // consign ID → acknowledged admission
 	inflight map[string]chan struct{} // consign ID → in-flight admission
-	stage    map[string]stagePin      // staged-upload handle → holding replica
 	lastOpen map[core.DN]*Replica     // user → replica of their latest StageOpen
 	mapper   njs.LoginMapper
 	checking bool
@@ -248,14 +259,11 @@ func New(cfg Config) (*ReplicaSet, error) {
 	s := &ReplicaSet{
 		cfg:      cfg,
 		byName:   make(map[string]*Replica),
-		affinity: make(map[core.JobID]*Replica),
 		acks:     make(map[string]ackEntry),
 		inflight: make(map[string]chan struct{}),
-		stage:    make(map[string]stagePin),
 		lastOpen: make(map[core.DN]*Replica),
 		tel:      telemetry.New("pool/" + string(cfg.Vsite)),
 	}
-	s.scopedCalls.tier = s
 	s.tel.SetNow(cfg.Clock.Now)
 	return s, nil
 }
@@ -341,21 +349,18 @@ type ConsignReporter interface {
 }
 
 // reconcile folds a joining (or journal-recovered) replica's admissions
-// into the pool's indexes. Unclaimed consign IDs are adopted — restoring
-// acknowledgement convergence and read affinity across a pool restart, for
-// every routing policy. A consign ID that this pool LIVE-acknowledged on a
-// different replica marks an orphan: the rejoining replica journaled the
-// admission, died before acking, and consign failover re-admitted the job
-// elsewhere; the orphan copy is aborted so the logical job never executes
-// twice (its ID still resolves, to the aborted tombstone). When the
-// existing entry was itself adopted — after a full pool restart nobody
+// into the pool's ack index. Unclaimed consign IDs are adopted — restoring
+// acknowledgement convergence across a pool restart, for every routing
+// policy. A consign ID that this pool LIVE-acknowledged on a different
+// replica marks an orphan: the rejoining replica journaled the admission,
+// died before acking, and consign failover re-admitted the job elsewhere;
+// the orphan copy is aborted so the logical job never executes twice (its
+// ID still names this replica, and resolves to the aborted tombstone). When
+// the existing entry was itself adopted — after a full pool restart nobody
 // knows which copy the client was acknowledged — the conflicting copy is
 // left running: duplicated work is recoverable, aborting the acknowledged
 // copy is not.
 func (s *ReplicaSet) reconcile(r *Replica, svc njs.Service) {
-	// Staged-upload pins rebuild the same way the consign-ack index does:
-	// the joining replica's spool speaks for where the bytes are.
-	s.reconcileStage(r, svc)
 	rep, ok := svc.(ConsignReporter)
 	if !ok {
 		return
@@ -363,26 +368,27 @@ func (s *ReplicaSet) reconcile(r *Replica, svc njs.Service) {
 	for cid, jobID := range rep.ConsignedJobs() {
 		s.mu.Lock()
 		e, acked := s.acks[cid]
-		switch {
-		case !acked:
+		if !acked {
 			s.acks[cid] = ackEntry{rep: r, job: jobID, adopted: true}
-			s.affinity[jobID] = r
-			s.mu.Unlock()
-		case e.rep == r:
-			s.affinity[jobID] = r
-			s.mu.Unlock()
-		case e.adopted:
-			// Conflicting adopted copies: keep both reachable, abort
-			// neither.
-			s.affinity[jobID] = r
-			s.mu.Unlock()
-		default:
-			s.affinity[jobID] = r
-			s.mu.Unlock()
+		}
+		s.mu.Unlock()
+		if acked && e.rep != r && !e.adopted {
 			// Abort outside the lock; an already-terminal orphan is fine.
 			_ = svc.Control("", true, jobID, ajo.OpAbort)
 		}
 	}
+}
+
+// replica resolves an instance name (see Instance) to this set's replica.
+func (s *ReplicaSet) replica(inst string) (*Replica, bool) {
+	tag, ok := strings.CutPrefix(inst, string(s.cfg.Vsite)+".")
+	if !ok {
+		return nil, false
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	r, ok := s.byName[tag]
+	return r, ok
 }
 
 // Service returns the current service behind a named replica.
@@ -415,7 +421,7 @@ func (s *ReplicaSet) Healthy() []string {
 	defer s.mu.RUnlock()
 	var out []string
 	for _, r := range s.replicas {
-		if r.state(now) == stateClosed && !r.draining.Load() {
+		if r.healthy(now) {
 			out = append(out, r.name)
 		}
 	}
@@ -423,7 +429,7 @@ func (s *ReplicaSet) Healthy() []string {
 }
 
 // SetLoginMapper installs the DN→login resolver on every replica (present
-// and future); part of the njs.Service surface the gateway drives.
+// and future); the Router passes on the gateway's.
 func (s *ReplicaSet) SetLoginMapper(fn njs.LoginMapper) {
 	s.mu.Lock()
 	s.mapper = fn
@@ -440,15 +446,6 @@ func (s *ReplicaSet) snapshotReplicas() []*Replica {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return append([]*Replica(nil), s.replicas...)
-}
-
-// indexByName builds a lookup over a replica snapshot.
-func indexByName(reps []*Replica) map[string]*Replica {
-	m := make(map[string]*Replica, len(reps))
-	for _, r := range reps {
-		m[r.name] = r
-	}
-	return m
 }
 
 // markFailure records a failed call; DefaultFailureThreshold consecutive
@@ -618,21 +615,7 @@ func (s *ReplicaSet) consignOnce(ctx context.Context, user core.DN, consignID st
 		if !s.usable(hint, s.cfg.Clock.Now()) {
 			return "", fmt.Errorf("%w: replica %s holds this job's staged uploads", ErrReplicaDown, hint.name)
 		}
-		s.tel.Counter("pool_route_total", "replica", hint.name).Inc()
-		sp := s.tel.StartSpan(ctx, "pool.consign").Note(hint.name)
-		hint.calls.Add(1)
-		id, err := hint.service().Consign(ctx, user, consignID, job)
-		hint.calls.Add(-1)
-		sp.End()
-		if err == nil {
-			hint.markSuccess()
-			s.recordAck(consignID, hint, id)
-			return id, nil
-		}
-		if failoverable(err) {
-			s.markFailure(hint)
-		}
-		return "", err
+		return s.admit(ctx, hint, user, consignID, job)
 	}
 	tried := make(map[*Replica]bool)
 	var lastErr error
@@ -645,32 +628,18 @@ func (s *ReplicaSet) consignOnce(ctx context.Context, user core.DN, consignID st
 			s.tel.Counter("pool_failover_retries_total").Inc()
 		}
 		tried[rep] = true
-		s.tel.Counter("pool_route_total", "replica", rep.name).Inc()
-		sp := s.tel.StartSpan(ctx, "pool.consign").Note(rep.name)
-		rep.calls.Add(1)
-		id, err := rep.service().Consign(ctx, user, consignID, job)
-		rep.calls.Add(-1)
-		sp.End()
-		if err == nil {
-			rep.markSuccess()
-			s.recordAck(consignID, rep, id)
-			return id, nil
-		}
-		if !failoverable(err) {
-			return "", err
-		}
-		s.markFailure(rep)
-		if consignID == "" {
+		id, err := s.admit(ctx, rep, user, consignID, job)
+		if err == nil || !failoverable(err) || consignID == "" {
 			// Without a consign ID there is no idempotency to converge on:
 			// retrying elsewhere could duplicate an admission the dead
 			// replica's journal captured, so the failure is surfaced.
-			return "", err
+			return id, err
 		}
 		// The replica refused to take responsibility (unacked admission):
 		// it is tripped, and the retry moves to the next healthy replica.
 		// If the dead replica's journal did capture the admission, the
-		// reconcile-on-rejoin pass aborts that orphan copy, and the
-		// affinity/ack indexes keep every read on the acknowledged one.
+		// reconcile-on-rejoin pass aborts that orphan copy, and the ack
+		// index keeps every retry on the acknowledged one.
 		lastErr = err
 	}
 	if lastErr != nil {
@@ -679,14 +648,29 @@ func (s *ReplicaSet) consignOnce(ctx context.Context, user core.DN, consignID st
 	return "", ErrNoReplica
 }
 
-// recordAck pins an acknowledged admission to its replica.
-func (s *ReplicaSet) recordAck(consignID string, rep *Replica, id core.JobID) {
-	s.mu.Lock()
-	if consignID != "" {
-		s.acks[consignID] = ackEntry{rep: rep, job: id}
+// admit runs one admission on rep: an acknowledged one enters the ack
+// index, and one the replica refused to take responsibility for trips its
+// breaker.
+func (s *ReplicaSet) admit(ctx context.Context, rep *Replica, user core.DN, consignID string, job *ajo.AbstractJob) (core.JobID, error) {
+	s.tel.Counter("pool_route_total", "replica", rep.name).Inc()
+	sp := s.tel.StartSpan(ctx, "pool.consign").Note(rep.name)
+	rep.calls.Add(1)
+	id, err := rep.service().Consign(ctx, user, consignID, job)
+	rep.calls.Add(-1)
+	sp.End()
+	if err != nil {
+		if failoverable(err) {
+			s.markFailure(rep)
+		}
+		return "", err
 	}
-	s.affinity[id] = rep
-	s.mu.Unlock()
+	rep.markSuccess()
+	if consignID != "" {
+		s.mu.Lock()
+		s.acks[consignID] = ackEntry{rep: rep, job: id}
+		s.mu.Unlock()
+	}
+	return id, nil
 }
 
 // pickConsign chooses the next replica for an admission under the configured
@@ -716,7 +700,10 @@ func (s *ReplicaSet) pickConsign(key string, tried map[*Replica]bool) *Replica {
 		s.mu.RLock()
 		rg := s.ring
 		s.mu.RUnlock()
-		byName := indexByName(reps)
+		byName := make(map[string]*Replica, len(reps))
+		for _, r := range reps {
+			byName[r.name] = r
+		}
 		name := rg.lookup(key, func(n string) bool {
 			r := byName[n]
 			return r != nil && !tried[r] && s.acceptsNew(r, now)
@@ -738,194 +725,15 @@ func (s *ReplicaSet) pickConsign(key string, tried map[*Replica]bool) *Replica {
 	}
 }
 
-// owner returns the replica pinned to a job, if any.
-func (s *ReplicaSet) owner(id core.JobID) (*Replica, bool) {
-	s.mu.RLock()
-	r, ok := s.affinity[id]
-	s.mu.RUnlock()
-	return r, ok
-}
-
-// recordAffinity pins a job discovered by scatter to the replica that
-// answered for it.
-func (s *ReplicaSet) recordAffinity(id core.JobID, rep *Replica) {
-	s.mu.Lock()
-	s.affinity[id] = rep
-	s.mu.Unlock()
-}
-
-// lookupOrder returns the replicas to consult for a job-scoped read, in
-// order. A pinned job goes straight (and only) to its owner — routing a read
-// elsewhere could observe a stale or duplicate copy — and errors with
-// ErrReplicaDown while the owner is unhealthy. An unpinned job (the pool
-// restarted since admission) is searched consistent-hash-first, then across
-// the remaining healthy replicas.
-func (s *ReplicaSet) lookupOrder(id core.JobID) ([]*Replica, error) {
-	now := s.cfg.Clock.Now()
-	if rep, ok := s.owner(id); ok {
-		if !s.usable(rep, now) {
-			return nil, fmt.Errorf("%w: replica %s owns job %s", ErrReplicaDown, rep.name, id)
-		}
-		return []*Replica{rep}, nil
-	}
-	reps := s.snapshotReplicas()
-	s.mu.RLock()
-	rg := s.ring
-	s.mu.RUnlock()
-	byName := indexByName(reps)
-	var order []*Replica
-	seen := make(map[*Replica]bool)
-	if first := rg.lookup(string(id), func(n string) bool {
-		r := byName[n]
-		return r != nil && s.usable(r, now)
-	}); first != "" {
-		r := byName[first]
-		order = append(order, r)
-		seen[r] = true
-	}
-	for _, r := range reps {
-		if !seen[r] && s.usable(r, now) {
-			order = append(order, r)
-		}
-	}
-	if len(order) == 0 {
-		return nil, ErrNoReplica
-	}
-	return order, nil
-}
-
-// Events routes a protocol-v2 subscription read. A job-scoped request goes
-// to the replica that owns the job (the existing read affinity); its per-job
-// Seq cursor is replica-independent — a journal-recovered replacement replica
-// restores the job's event stream with the original numbering — so failover
-// needs no cursor translation beyond re-routing, and the subscriber resumes
-// with no lost and no duplicated events. A user-scoped request scatters over
-// the usable replicas and merges their streams, keyed by per-origin cursors.
-func (s *ReplicaSet) Events(caller core.DN, asServer bool, req protocol.SubscribeRequest) (protocol.EventsReply, error) {
-	if req.Job != "" {
-		return s.jobEvents(caller, asServer, req)
-	}
-	now := s.cfg.Clock.Now()
-	merged := protocol.EventsReply{Cursor: req.Cursor, Origins: make(map[string]uint64)}
-	for _, rep := range s.snapshotReplicas() {
-		if !s.usable(rep, now) {
-			continue
-		}
-		reply, err := rep.service().Events(caller, asServer, req)
-		if err != nil {
-			return protocol.EventsReply{}, err
-		}
-		merged.Events = append(merged.Events, reply.Events...)
-		for origin, next := range reply.Origins {
-			merged.Origins[origin] = next
-		}
-		merged.Gap = merged.Gap || reply.Gap
-	}
-	sortEvents(merged.Events)
-	return merged, nil
-}
-
-// sortEvents orders a merged event batch deterministically: by server time,
-// then origin, then per-replica append order.
-func sortEvents(evs []protocol.JobEvent) {
-	sort.Slice(evs, func(i, j int) bool {
-		if !evs[i].Time.Equal(evs[j].Time) {
-			return evs[i].Time.Before(evs[j].Time)
-		}
-		if evs[i].Origin != evs[j].Origin {
-			return evs[i].Origin < evs[j].Origin
-		}
-		return evs[i].Global < evs[j].Global
-	})
-}
-
-// EventsNotify combines the notify channels of every replica: the returned
-// channel closes when any replica appends an event. The release func must be
-// called when the wait ends; it reclaims the fan-in goroutines.
-func (s *ReplicaSet) EventsNotify(req protocol.SubscribeRequest) (<-chan struct{}, func()) {
-	// A pinned job's events can only appear on its owning replica.
-	if req.Job != "" {
-		if rep, ok := s.owner(req.Job); ok {
-			return rep.service().EventsNotify(req)
-		}
-	}
-	reps := s.snapshotReplicas()
-	chs := make([]<-chan struct{}, 0, len(reps))
-	releases := make([]func(), 0, len(reps))
-	for _, rep := range reps {
-		ch, release := rep.service().EventsNotify(req)
-		chs = append(chs, ch)
-		releases = append(releases, release)
-	}
-	return combineNotify(chs, releases)
-}
-
-// combineNotify fans several notify channels into one. The out channel closes
-// on the first signal; release tears the waiter goroutines down.
-func combineNotify(chs []<-chan struct{}, releases []func()) (<-chan struct{}, func()) {
-	out := make(chan struct{})
-	stop := make(chan struct{})
-	var once sync.Once
-	for _, ch := range chs {
-		go func(ch <-chan struct{}) {
-			select {
-			case <-ch:
-				once.Do(func() { close(out) })
-			case <-stop:
-			}
-		}(ch)
-	}
-	var stopOnce sync.Once
-	release := func() {
-		stopOnce.Do(func() { close(stop) })
-		for _, r := range releases {
-			r()
-		}
-	}
-	return out, release
-}
-
-// List merges the caller's jobs across the replicas currently taking
-// traffic, newest first — the same order a single NJS reports. Half-open
-// replicas are probed and included when they answer; a tripped replica's
-// jobs are omitted until it recovers (poll one of them to get an explicit
-// ErrReplicaDown instead of a silent gap).
-func (s *ReplicaSet) List(caller core.DN) ([]protocol.JobInfo, error) {
-	now := s.cfg.Clock.Now()
-	var out []protocol.JobInfo
-	for _, rep := range s.snapshotReplicas() {
-		if !s.usable(rep, now) {
-			continue
-		}
-		jobs, err := rep.service().List(caller)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, jobs...)
-	}
-	sortJobInfos(out)
-	return out, nil
-}
-
-// sortJobInfos orders job listings newest-first with the NJS tie-break.
-func sortJobInfos(out []protocol.JobInfo) {
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Submitted.Equal(out[j].Submitted) {
-			return out[i].Submitted.After(out[j].Submitted)
-		}
-		return out[i].Job > out[j].Job
-	})
-}
-
 // LoadInfo aggregates the set's live load for the §6 broker: mean occupancy
-// and summed backlog over the healthy replicas, plus the replica/healthy
-// counts that let the broker skip a drained Vsite.
+// and summed backlog over the healthy replicas (those Healthy lists), plus
+// the replica/healthy counts that let the broker skip a drained Vsite.
 func (s *ReplicaSet) LoadInfo() njs.VsiteLoad {
 	now := s.cfg.Clock.Now()
 	reps := s.snapshotReplicas()
 	info := njs.VsiteLoad{Replicas: len(reps)}
 	for _, rep := range reps {
-		if rep.state(now) != stateClosed {
+		if !rep.healthy(now) {
 			continue
 		}
 		vl := rep.service().VsiteLoads()[s.cfg.Vsite]

@@ -267,13 +267,29 @@ func newTestSet(t *testing.T, policy Policy) (*ReplicaSet, *sim.VirtualClock, []
 	}
 	var fakes []*fakeService
 	for i := 0; i < 3; i++ {
-		f := newFake("FZJ", "CLUSTER", fmt.Sprintf("r%d", i))
+		f := newFake("FZJ", "CLUSTER", Instance("CLUSTER", ReplicaTag(i)))
 		fakes = append(fakes, f)
-		if err := set.Add(fmt.Sprintf("r%d", i), f); err != nil {
+		if err := set.Add(ReplicaTag(i), f); err != nil {
 			t.Fatalf("Add: %v", err)
 		}
 	}
 	return set, clock, fakes
+}
+
+// routerOver fronts sets with a Router, the pool's door for job- and
+// handle-scoped calls.
+func routerOver(t *testing.T, sets ...*ReplicaSet) *Router {
+	t.Helper()
+	r, err := NewRouter("FZJ")
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	for _, s := range sets {
+		if err := r.AddSet(s); err != nil {
+			t.Fatalf("AddSet: %v", err)
+		}
+	}
+	return r
 }
 
 func TestRoundRobinSpreadsConsigns(t *testing.T) {
@@ -303,8 +319,8 @@ func TestAllReplicasUnhealthyIsCleanErrNoReplica(t *testing.T) {
 		if _, err := set.Consign(context.Background(), "CN=u", "c1", testJob("CLUSTER")); !errors.Is(err, ErrNoReplica) {
 			t.Errorf("[%s] Consign on all-down pool: err = %v, want ErrNoReplica", policy, err)
 		}
-		if _, err := set.Poll("CN=u", false, "FZJ-r0-000001"); !errors.Is(err, ErrNoReplica) {
-			t.Errorf("[%s] Poll on all-down pool: err = %v, want ErrNoReplica", policy, err)
+		if _, err := routerOver(t, set).Poll("CN=u", false, "FZJ-CLUSTER.r0-000001"); !errors.Is(err, ErrReplicaDown) {
+			t.Errorf("[%s] Poll on all-down pool: err = %v, want ErrReplicaDown", policy, err)
 		}
 	}
 }
@@ -339,7 +355,7 @@ func TestConsignFailoverDoesNotDuplicate(t *testing.T) {
 	}
 
 	// Reads route to the acknowledged copy, never the unacked orphan on r0.
-	reply, err := set.Poll("CN=u", false, id)
+	reply, err := routerOver(t, set).Poll("CN=u", false, id)
 	if err != nil || !reply.Found {
 		t.Fatalf("Poll(%s): found=%v err=%v", id, reply.Found, err)
 	}
@@ -350,11 +366,12 @@ func TestConsignFailoverDoesNotDuplicate(t *testing.T) {
 
 // TestConsistentHashAffinitySurvivesReplicaRestart covers both restart
 // flavours: a replica restart (SetService hot-swap under the same pool
-// name) keeps job reads landing on the owner, and a pool restart (fresh
-// ReplicaSet, empty affinity) re-places the same consign ID on the same
+// name) keeps job reads landing on the replica the job ID names, and a pool
+// restart (fresh ReplicaSet) re-places the same consign ID on the same
 // replica via the name-keyed hash ring.
 func TestConsistentHashAffinitySurvivesReplicaRestart(t *testing.T) {
 	set, clock, fakes := newTestSet(t, ConsistentHash)
+	router := routerOver(t, set)
 	id, err := set.Consign(context.Background(), "CN=u", "stable-key", testJob("CLUSTER"))
 	if err != nil {
 		t.Fatalf("Consign: %v", err)
@@ -367,23 +384,23 @@ func TestConsistentHashAffinitySurvivesReplicaRestart(t *testing.T) {
 	}
 	ownerName := fmt.Sprintf("r%d", owner)
 
-	// Kill the owner: the health check trips its breaker and pinned reads
-	// fail fast with ErrReplicaDown instead of consulting a stale copy.
+	// Kill the owner: the health check trips its breaker and reads of its
+	// jobs fail fast with ErrReplicaDown instead of consulting a stale copy.
 	fakes[owner].setDown(true)
 	set.CheckNow()
-	if _, err := set.Poll("CN=u", false, id); !errors.Is(err, ErrReplicaDown) {
+	if _, err := router.Poll("CN=u", false, id); !errors.Is(err, ErrReplicaDown) {
 		t.Fatalf("Poll with owner down: err = %v, want ErrReplicaDown", err)
 	}
 
 	// Restart: a recovered service (same jobs) is swapped in under the same
-	// replica name. The pinned read works again without re-routing.
-	recovered := newFake("FZJ", "CLUSTER", fmt.Sprintf("r%d", owner))
+	// replica name. The read by name works again without re-routing.
+	recovered := newFake("FZJ", "CLUSTER", Instance("CLUSTER", ownerName))
 	recovered.jobs[id] = "CN=u"
 	recovered.consigns["stable-key"] = id
 	if err := set.SetService(ownerName, recovered); err != nil {
 		t.Fatalf("SetService: %v", err)
 	}
-	reply, err := set.Poll("CN=u", false, id)
+	reply, err := router.Poll("CN=u", false, id)
 	if err != nil || !reply.Found {
 		t.Fatalf("Poll after restart: found=%v err=%v", reply.Found, err)
 	}
@@ -391,8 +408,7 @@ func TestConsistentHashAffinitySurvivesReplicaRestart(t *testing.T) {
 		t.Fatalf("restarted owner served %d polls, want 1", recovered.pollN)
 	}
 
-	// Pool restart: a fresh set over the same replica names has no affinity
-	// state, yet the hash ring re-places the same consign key on the same
+	// Pool restart: a fresh set over the same replica names, and the hash ring re-places the same consign key on the same
 	// replica, where NJS-level idempotency converges on the admitted job.
 	set2, err := New(Config{Vsite: "CLUSTER", Policy: ConsistentHash, Clock: clock})
 	if err != nil {
@@ -488,9 +504,9 @@ func TestRouterRoutesAcrossVsitesAndReportsHealth(t *testing.T) {
 			t.Fatalf("New: %v", err)
 		}
 		for i := 0; i < 2; i++ {
-			f := newFake("FZJ", vs, fmt.Sprintf("%s%d", vs, i))
+			f := newFake("FZJ", vs, Instance(vs, ReplicaTag(i)))
 			all = append(all, f)
-			if err := set.Add(fmt.Sprintf("%s-r%d", vs, i), f); err != nil {
+			if err := set.Add(ReplicaTag(i), f); err != nil {
 				t.Fatalf("Add: %v", err)
 			}
 		}
@@ -555,7 +571,7 @@ func TestRejoinAbortsOrphanAdmissions(t *testing.T) {
 	}
 
 	// The victim recovers from its journal, orphan included, and rejoins.
-	recovered := newFake("FZJ", "CLUSTER", "r0")
+	recovered := newFake("FZJ", "CLUSTER", Instance("CLUSTER", "r0"))
 	recovered.jobs[orphanID] = "CN=u"
 	recovered.consigns["orphan-1"] = orphanID
 	if err := set.SetService("r0", recovered); err != nil {
@@ -606,8 +622,8 @@ func TestPoolRestartAdoptsReplicaAdmissions(t *testing.T) {
 	if total != 1 {
 		t.Fatalf("pool restart duplicated the job: %d admissions across replicas", total)
 	}
-	// Reads are affinity-routed without a scatter warm-up.
-	if reply, err := set2.Poll("CN=u", false, id); err != nil || !reply.Found {
+	// Reads route by the job's name on the rebuilt pool, with no warm-up.
+	if reply, err := routerOver(t, set2).Poll("CN=u", false, id); err != nil || !reply.Found {
 		t.Fatalf("Poll after adoption: found=%v err=%v", reply.Found, err)
 	}
 }
@@ -681,12 +697,12 @@ func TestPoolRestartConflictAbortsNeitherCopy(t *testing.T) {
 	// Both replicas hold a copy of consign ID "dup-1" from before the pool
 	// restart: r0's was the unacked orphan, r1's the acknowledged one — but
 	// the rebuilt pool cannot tell.
-	a := newFake("FZJ", "CLUSTER", "r0")
-	a.jobs["FZJ-r0-000001"] = "CN=u"
-	a.consigns["dup-1"] = "FZJ-r0-000001"
-	b := newFake("FZJ", "CLUSTER", "r1")
-	b.jobs["FZJ-r1-000001"] = "CN=u"
-	b.consigns["dup-1"] = "FZJ-r1-000001"
+	a := newFake("FZJ", "CLUSTER", "CLUSTER.r0")
+	a.jobs["FZJ-CLUSTER.r0-000001"] = "CN=u"
+	a.consigns["dup-1"] = "FZJ-CLUSTER.r0-000001"
+	b := newFake("FZJ", "CLUSTER", "CLUSTER.r1")
+	b.jobs["FZJ-CLUSTER.r1-000001"] = "CN=u"
+	b.consigns["dup-1"] = "FZJ-CLUSTER.r1-000001"
 	if err := set.Add("r0", a); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
@@ -697,8 +713,9 @@ func TestPoolRestartConflictAbortsNeitherCopy(t *testing.T) {
 		t.Fatalf("a conflicting adopted copy was aborted (r0: %v, r1: %v)", a.aborts, b.aborts)
 	}
 	// Both job IDs stay reachable.
-	for _, id := range []core.JobID{"FZJ-r0-000001", "FZJ-r1-000001"} {
-		if reply, err := set.Poll("CN=u", false, id); err != nil || !reply.Found {
+	router := routerOver(t, set)
+	for _, id := range []core.JobID{"FZJ-CLUSTER.r0-000001", "FZJ-CLUSTER.r1-000001"} {
+		if reply, err := router.Poll("CN=u", false, id); err != nil || !reply.Found {
 			t.Fatalf("Poll(%s): found=%v err=%v", id, reply.Found, err)
 		}
 	}

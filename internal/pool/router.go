@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -18,12 +19,11 @@ import (
 // Router aggregates the ReplicaSets of one Usite and implements njs.Service,
 // so a gateway fronts a replicated server tier through the exact interface
 // it uses for a single NJS (paper §4.2: the gateway stays the one door to
-// the site; the pooling behind it is invisible to clients). Consignments are
-// routed to the target Vsite's set; job-scoped reads are routed by each
-// set's job affinity; listings and load figures are merged across sets.
+// the site; the pooling behind it is invisible to clients). Consignments and
+// staged-upload opens are placed by the target Vsite's set; job- and
+// handle-scoped calls go to the replica their ID names (jobs.go); listings,
+// event streams and load figures are merged across every replica.
 type Router struct {
-	scopedCalls // the job- and handle-scoped calls, over routeJob and routeStage
-
 	usite core.Usite
 
 	// mu guards set membership and the mapper: sets are usually registered
@@ -45,9 +45,7 @@ func NewRouter(usite core.Usite) (*Router, error) {
 	if usite == "" {
 		return nil, errors.New("pool: empty usite")
 	}
-	r := &Router{usite: usite, sets: make(map[core.Vsite]*ReplicaSet)}
-	r.scopedCalls.tier = r
-	return r, nil
+	return &Router{usite: usite, sets: make(map[core.Vsite]*ReplicaSet)}, nil
 }
 
 // AddSet registers a Vsite's replica set — at assembly time, or on a live
@@ -92,6 +90,22 @@ func (r *Router) Sets() []*ReplicaSet {
 
 // Usite returns the site this router fronts.
 func (r *Router) Usite() core.Usite { return r.usite }
+
+// live lists the replicas of every set that can take a call right now —
+// closed breakers, and half-open ones that answer an inline probe — in set
+// then registration order.
+func (r *Router) live() []*Replica {
+	var out []*Replica
+	for _, set := range r.Sets() {
+		now := set.cfg.Clock.Now()
+		for _, rep := range set.snapshotReplicas() {
+			if set.usable(rep, now) {
+				out = append(out, rep)
+			}
+		}
+	}
+	return out
+}
 
 // SetLoginMapper installs the DN→login resolver on every replica of every
 // set — the gateway calls this once when it adopts the router as its
@@ -150,57 +164,98 @@ func (r *Router) Metrics() []telemetry.Snapshot {
 	return out
 }
 
-// Events merges the protocol-v2 event streams behind this Usite. A
-// job-scoped subscription is routed to the Vsite set (and, inside it, the
-// replica) that owns the job; per-job cursors survive failover unchanged. A
-// user-scoped subscription merges every set's per-replica streams under
-// per-origin cursors.
+// Events serves a protocol-v2 subscription read. A job-scoped request goes
+// to the replica the job ID names; its per-job Seq cursor is
+// replica-independent — a journal-recovered replacement restores the job's
+// event stream with the original numbering — so failover needs no cursor
+// translation, and the subscriber resumes with no lost and no duplicated
+// events. A user-scoped request merges the streams of every usable replica,
+// keyed by per-origin cursors: one origin per replica, its instance.
 func (r *Router) Events(caller core.DN, asServer bool, req protocol.SubscribeRequest) (protocol.EventsReply, error) {
 	if req.Job != "" {
-		return r.jobEvents(caller, asServer, req)
+		rep, err := r.jobReplica(req.Job)
+		if rep == nil {
+			return protocol.EventsReply{}, jobMissing(req.Job, err)
+		}
+		return rep.service().Events(caller, asServer, req)
 	}
 	merged := protocol.EventsReply{Cursor: req.Cursor, Origins: make(map[string]uint64)}
-	for _, set := range r.Sets() {
-		reply, err := set.Events(caller, asServer, req)
+	for _, rep := range r.live() {
+		reply, err := rep.service().Events(caller, asServer, req)
 		if err != nil {
 			return protocol.EventsReply{}, err
 		}
 		merged.Events = append(merged.Events, reply.Events...)
-		for origin, next := range reply.Origins {
-			merged.Origins[origin] = next
-		}
+		maps.Copy(merged.Origins, reply.Origins)
 		merged.Gap = merged.Gap || reply.Gap
 	}
-	sortEvents(merged.Events)
+	// Deterministic merge order: server time, then origin, then per-replica
+	// append order.
+	evs := merged.Events
+	sort.Slice(evs, func(i, j int) bool {
+		if !evs[i].Time.Equal(evs[j].Time) {
+			return evs[i].Time.Before(evs[j].Time)
+		}
+		if evs[i].Origin != evs[j].Origin {
+			return evs[i].Origin < evs[j].Origin
+		}
+		return evs[i].Global < evs[j].Global
+	})
 	return merged, nil
 }
 
-// EventsNotify combines the notify channels of every set's replicas; the
-// returned channel closes when any replica of the Usite appends an event.
+// EventsNotify returns a channel that closes when an event may be available:
+// the notify channel of the replica a job ID names, or for any other
+// subscription the fan-in of every usable replica's. The release func must
+// be called when the wait ends; it reclaims the fan-in goroutines.
 func (r *Router) EventsNotify(req protocol.SubscribeRequest) (<-chan struct{}, func()) {
-	var chs []<-chan struct{}
-	var releases []func()
-	for _, set := range r.Sets() {
-		ch, release := set.EventsNotify(req)
-		chs = append(chs, ch)
-		releases = append(releases, release)
+	if req.Job != "" {
+		if rep, _ := r.jobReplica(req.Job); rep != nil {
+			return rep.service().EventsNotify(req)
+		}
 	}
-	return combineNotify(chs, releases)
+	out, stop := make(chan struct{}), make(chan struct{})
+	var once, stopOnce sync.Once
+	var releases []func()
+	for _, rep := range r.live() {
+		ch, release := rep.service().EventsNotify(req)
+		releases = append(releases, release)
+		go func() {
+			select {
+			case <-ch:
+				once.Do(func() { close(out) })
+			case <-stop:
+			}
+		}()
+	}
+	return out, func() {
+		stopOnce.Do(func() { close(stop) })
+		for _, release := range releases {
+			release()
+		}
+	}
 }
 
-// List merges the caller's jobs across every set, newest first. Jobs owned
-// by a tripped replica are omitted until it recovers (see
-// ReplicaSet.List).
+// List merges the caller's jobs across the replicas currently taking
+// traffic, newest first with the NJS tie-break — the order a single NJS
+// reports. Half-open replicas are probed and included when they answer; a
+// tripped replica's jobs are omitted until it recovers (poll one of them to
+// get an explicit ErrReplicaDown instead of a silent gap).
 func (r *Router) List(caller core.DN) ([]protocol.JobInfo, error) {
 	var out []protocol.JobInfo
-	for _, set := range r.Sets() {
-		jobs, err := set.List(caller)
+	for _, rep := range r.live() {
+		jobs, err := rep.service().List(caller)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, jobs...)
 	}
-	sortJobInfos(out)
+	sort.Slice(out, func(i, j int) bool {
+		if !out[i].Submitted.Equal(out[j].Submitted) {
+			return out[i].Submitted.After(out[j].Submitted)
+		}
+		return out[i].Job > out[j].Job
+	})
 	return out, nil
 }
 

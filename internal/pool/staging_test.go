@@ -26,23 +26,24 @@ func stagedJob(vsite core.Vsite, handle string) *ajo.AbstractJob {
 
 func TestStageCallsFollowTheHandlePin(t *testing.T) {
 	set, _, fakes := newTestSet(t, RoundRobin)
+	router := routerOver(t, set)
 	open, err := set.StageOpen("CN=u", false, protocol.PutOpenRequest{Vsite: "CLUSTER", ChunkSize: 8, Window: 2})
 	if err != nil {
 		t.Fatalf("StageOpen: %v", err)
 	}
-	// Every chunk and the commit must land on the replica that holds the
-	// spool entry, regardless of the round-robin cursor.
+	// Every chunk and the commit must land on the replica the handle names,
+	// which holds the spool entry, regardless of the round-robin cursor.
 	for i := int64(0); i < 4; i++ {
-		if _, err := set.StageChunk("CN=u", false, protocol.PutChunkRequest{Handle: open.Handle, Index: i}); err != nil {
+		if _, err := router.StageChunk("CN=u", false, protocol.PutChunkRequest{Handle: open.Handle, Index: i}); err != nil {
 			t.Fatalf("StageChunk(%d): %v", i, err)
 		}
 	}
-	commit, err := set.StageCommit("CN=u", false, protocol.PutCommitRequest{Handle: open.Handle})
+	commit, err := router.StageCommit("CN=u", false, protocol.PutCommitRequest{Handle: open.Handle})
 	if err != nil {
 		t.Fatalf("StageCommit: %v", err)
 	}
 	if commit.Chunks != 4 {
-		t.Fatalf("commit saw %d chunks, want 4 (calls scattered off the pin?)", commit.Chunks)
+		t.Fatalf("commit saw %d chunks, want 4 (calls routed off the handle's replica?)", commit.Chunks)
 	}
 	holders := 0
 	for _, f := range fakes {
@@ -65,7 +66,7 @@ func TestStageOpenFailsOverToHealthyReplica(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StageOpen with 2 of 3 replicas dead: %v", err)
 	}
-	if !strings.Contains(open.Handle, "-r2-") {
+	if staging.HandleTag(open.Handle) != Instance("CLUSTER", "r2") {
 		t.Fatalf("handle %s not minted by the sole healthy replica", open.Handle)
 	}
 	fakes[2].setDown(true)
@@ -124,11 +125,8 @@ func TestStageOpenPrefersCallersPreviousReplica(t *testing.T) {
 		if err != nil {
 			t.Fatalf("StageOpen(%d): %v", i, err)
 		}
-		set.mu.RLock()
-		a, b := set.stage[first.Handle].rep, set.stage[next.Handle].rep
-		set.mu.RUnlock()
-		if a != b {
-			t.Fatalf("open %d landed on %s, first on %s — one user's uploads split across replicas", i, b.name, a.name)
+		if a, b := staging.HandleTag(first.Handle), staging.HandleTag(next.Handle); a != b {
+			t.Fatalf("open %d landed on %s, first on %s — one user's uploads split across replicas", i, b, a)
 		}
 	}
 	holders := 0
@@ -152,10 +150,7 @@ func TestStagedConsignAcrossReplicasIsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StageOpen: %v", err)
 	}
-	set.mu.RLock()
-	split := set.stage[a.Handle].rep != set.stage[b.Handle].rep
-	set.mu.RUnlock()
-	if !split {
+	if staging.HandleTag(a.Handle) == staging.HandleTag(b.Handle) {
 		t.Skip("round-robin placed both opens on one replica")
 	}
 	job := stagedJob("CLUSTER", a.Handle)
@@ -169,10 +164,10 @@ func TestStagedConsignAcrossReplicasIsRefused(t *testing.T) {
 	}
 }
 
-func TestReconcileRestoresStagePins(t *testing.T) {
-	// A pool rebuilt from scratch (gateway restart) adopts each replica's
-	// spooled handles at Add time, so staged consigns keep their affinity
-	// without any scatter.
+func TestRebuiltPoolRoutesStagedWorkByHandle(t *testing.T) {
+	// A pool rebuilt from scratch (gateway restart) knows nothing of the
+	// upload, yet routes a chunk and a staged consign to the replica that
+	// minted the handle, with no reconcile and no search.
 	set, clock, fakes := newTestSet(t, RoundRobin)
 	open, err := set.StageOpen("CN=u", false, protocol.PutOpenRequest{Vsite: "CLUSTER"})
 	if err != nil {
@@ -187,48 +182,36 @@ func TestReconcileRestoresStagePins(t *testing.T) {
 			t.Fatalf("Add: %v", err)
 		}
 	}
-	rebuilt.mu.RLock()
-	pin, ok := rebuilt.stage[open.Handle]
-	rebuilt.mu.RUnlock()
-	if !ok {
-		t.Fatal("rebuilt pool did not adopt the spooled handle")
+	if _, err := routerOver(t, rebuilt).StageChunk("CN=u", false, protocol.PutChunkRequest{Handle: open.Handle, Index: 0}); err != nil {
+		t.Fatalf("StageChunk on rebuilt pool: %v", err)
 	}
-	if _, err := rebuilt.Consign(context.Background(), "CN=u", "", stagedJob("CLUSTER", open.Handle)); err != nil {
-		t.Fatalf("staged consign on rebuilt pool: %v", err)
-	}
-	// The admission landed on the adopted pin's replica.
-	holder := -1
-	for i, f := range fakes {
-		if f.jobCount() > 0 {
-			holder = i
+	for i := 0; i < 3; i++ {
+		if _, err := rebuilt.Consign(context.Background(), "CN=u", "", stagedJob("CLUSTER", open.Handle)); err != nil {
+			t.Fatalf("staged consign on rebuilt pool: %v", err)
 		}
 	}
-	if holder < 0 || rebuilt.byName[ReplicaTag(holder)] != pin.rep {
-		t.Fatalf("staged consign landed off the adopted pin (holder %d)", holder)
+	for i, f := range fakes {
+		want := 0
+		if staging.HandleTag(open.Handle) == Instance("CLUSTER", ReplicaTag(i)) {
+			want = 3
+		}
+		if got := f.jobCount(); got != want {
+			t.Fatalf("replica r%d admitted %d staged jobs, want %d", i, got, want)
+		}
 	}
 }
 
-func TestStageChunkUnknownHandleScatters(t *testing.T) {
+func TestUnknownHandleIsErrUnknownHandle(t *testing.T) {
 	set, _, _ := newTestSet(t, RoundRobin)
-	open, err := set.StageOpen("CN=u", false, protocol.PutOpenRequest{Vsite: "CLUSTER"})
-	if err != nil {
-		t.Fatalf("StageOpen: %v", err)
-	}
-	// Simulate a pool restart: the pin map is empty but one replica's spool
-	// still holds the handle. A chunk scatters, finds it, and re-pins.
-	set.mu.Lock()
-	set.stage = make(map[string]stagePin)
-	set.mu.Unlock()
-	if _, err := set.StageChunk("CN=u", false, protocol.PutChunkRequest{Handle: open.Handle, Index: 0}); err != nil {
-		t.Fatalf("StageChunk after pin loss: %v", err)
-	}
-	set.mu.RLock()
-	_, repinned := set.stage[open.Handle]
-	set.mu.RUnlock()
-	if !repinned {
-		t.Fatal("scatter did not re-pin the handle")
-	}
-	if _, err := set.StageChunk("CN=u", false, protocol.PutChunkRequest{Handle: "stg-nowhere", Index: 0}); !errors.Is(err, staging.ErrUnknownHandle) {
-		t.Fatalf("unknown handle: err = %v, want ErrUnknownHandle", err)
+	router := routerOver(t, set)
+	// No such name in the pool, no name at all, and a name whose replica
+	// never minted the handle: each is the same clean refusal.
+	for _, h := range []string{"stg-CLUSTER.r9-00000001", "stg-nowhere", "stg-CLUSTER.r1-99999999"} {
+		if _, err := router.StageChunk("CN=u", false, protocol.PutChunkRequest{Handle: h, Index: 0}); !errors.Is(err, staging.ErrUnknownHandle) {
+			t.Fatalf("StageChunk(%s): err = %v, want ErrUnknownHandle", h, err)
+		}
+		if _, err := router.StageCommit("CN=u", false, protocol.PutCommitRequest{Handle: h}); !errors.Is(err, staging.ErrUnknownHandle) {
+			t.Fatalf("StageCommit(%s): err = %v, want ErrUnknownHandle", h, err)
+		}
 	}
 }

@@ -76,9 +76,10 @@ type Info struct {
 
 // NewSpool creates (or reopens) a spool rooted at root on fs. tag is minted
 // into every handle ("stg-<tag>-00000001") and MUST be distinct per spool
-// across a whole deployment — the NJS tags each Vsite's spool with its
-// replica instance plus the Vsite name, so handles resolve unambiguously
-// within a multi-Vsite NJS and across the replicas of a pool. Call Rescan to
+// across a whole deployment — the NJS tags each Vsite's spool with the Vsite
+// name, and a pool replica's one spool with its instance, so handles resolve
+// unambiguously within a multi-Vsite NJS and name their replica in a pool
+// (HandleTag reads it back). Call Rescan to
 // adopt entries already present in a recovered file tree.
 func NewSpool(fs *vfs.FS, root, tag string, clock sim.Clock) (*Spool, error) {
 	if fs == nil {
@@ -100,6 +101,17 @@ func (s *Spool) mintLocked() string {
 		return fmt.Sprintf("stg-%08d", s.seq)
 	}
 	return fmt.Sprintf("stg-%s-%08d", s.tag, s.seq)
+}
+
+// HandleTag inverts mintLocked: the tag of the spool that minted a handle —
+// "" for an untagged spool's handles and for strings no spool minted.
+func HandleTag(handle string) string {
+	rest, ok := strings.CutPrefix(handle, "stg-")
+	i := strings.LastIndexByte(rest, '-')
+	if !ok || i < 0 {
+		return ""
+	}
+	return rest[:i]
 }
 
 // dir returns an upload's directory.

@@ -262,17 +262,17 @@ func TestSpoolSweepCollectsAbandonedAndConsumed(t *testing.T) {
 }
 
 // TestSpoolTagsKeepHandlesDisjoint: every spool of a deployment mints under
-// its own tag (replica instance + Vsite), so handles never collide across
-// the Vsites of one NJS or the replicas of a pool — and the tag survives a
-// rescan, counter included.
+// its own tag (a pool replica's instance), so handles never collide across
+// the replicas of a pool and HandleTag reads the tag back — and the tag
+// survives a rescan, counter included.
 func TestSpoolTagsKeepHandlesDisjoint(t *testing.T) {
 	clock := sim.NewVirtualClock()
 	fs := vfs.New(clock)
-	a, err := NewSpool(fs, "/spoolA", "r1-T3E", clock)
+	a, err := NewSpool(fs, "/spoolA", "T3E.r1", clock)
 	if err != nil {
 		t.Fatalf("NewSpool: %v", err)
 	}
-	b, err := NewSpool(fs, "/spoolB", "r2-T3E", clock)
+	b, err := NewSpool(fs, "/spoolB", "T3E.r2", clock)
 	if err != nil {
 		t.Fatalf("NewSpool: %v", err)
 	}
@@ -287,11 +287,19 @@ func TestSpoolTagsKeepHandlesDisjoint(t *testing.T) {
 	if ia.Handle == ib.Handle {
 		t.Fatalf("two spools minted the same handle %q", ia.Handle)
 	}
-	if want := "stg-r1-T3E-"; !strings.HasPrefix(ia.Handle, want) {
+	if want := "stg-T3E.r1-"; !strings.HasPrefix(ia.Handle, want) {
 		t.Fatalf("handle %q does not carry its spool tag %q", ia.Handle, want)
 	}
+	if got := HandleTag(ib.Handle); got != "T3E.r2" {
+		t.Fatalf("HandleTag(%q) = %q, want its spool's tag", ib.Handle, got)
+	}
+	for _, h := range []string{"stg-00000001", "T3E.r1-00000001", "stg-"} {
+		if got := HandleTag(h); got != "" {
+			t.Fatalf("HandleTag(%q) = %q, want no tag", h, got)
+		}
+	}
 	// A rescan restores the counter under the tag: no re-minted collision.
-	re, err := NewSpool(fs, "/spoolA", "r1-T3E", clock)
+	re, err := NewSpool(fs, "/spoolA", "T3E.r1", clock)
 	if err != nil {
 		t.Fatalf("NewSpool: %v", err)
 	}

@@ -5,7 +5,7 @@
 // recorded in a bounded ring).
 //
 // Every tier owns one Registry whose Origin names the component
-// ("gateway", "pool/CLUSTER", "njs/CLUSTER/r0", ...). Hot-path call sites
+// ("gateway", "pool/CLUSTER", "njs/FZJ/CLUSTER.r0", ...). Hot-path call sites
 // cache *Counter/*Gauge/*Histogram handles once and update them with a
 // single atomic op; the sharded map is only consulted on first lookup and
 // during Snapshot. Snapshots are deep copies — safe to serialise and merge

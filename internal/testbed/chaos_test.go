@@ -170,9 +170,9 @@ func TestChaosSoakUnderLoad(t *testing.T) {
 }
 
 // TestDrainBeforeKillLosesNothing rolls a replica fleet that is holding
-// live state: jobs admitted everywhere and a pinned (uncommitted) staged
+// live state: jobs admitted everywhere and a held (uncommitted) staged
 // upload. The generation bump must replace every replica drain-first, with
-// no duplicate or aborted jobs, and the upload's pin re-homed onto the
+// no duplicate or aborted jobs, and the upload re-homed onto the
 // journal-recovered instance so the client can finish it afterwards.
 func TestDrainBeforeKillLosesNothing(t *testing.T) {
 	spec := chaosSpec()
@@ -206,7 +206,7 @@ func TestDrainBeforeKillLosesNothing(t *testing.T) {
 		t.Fatalf("Consign(%s): %v", retryCID, err)
 	}
 
-	// Open a staged upload and leave it uncommitted — a pinned spool handle
+	// Open a staged upload and leave it uncommitted — a held spool handle
 	// the roll must carry across the replacement of its owning replica.
 	open, err := sess.PutOpen(ctx, protocol.PutOpenRequest{Vsite: "CLUSTER", Name: "pinned.dat", ChunkSize: 16})
 	if err != nil {
@@ -218,9 +218,10 @@ func TestDrainBeforeKillLosesNothing(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("PutChunk: %v", err)
 	}
-	pinOwner, ok := set.StagePinOwner(open.Handle)
-	if !ok {
-		t.Fatal("open upload has no pin owner")
+	// The handle names the replica that holds it.
+	pinOwner := staging.HandleTag(open.Handle)
+	if !spoolHolds(m, pinOwner, open.Handle) {
+		t.Fatalf("replica %q does not hold the upload its handle %s names", pinOwner, open.Handle)
 	}
 
 	d.Clock.Advance(2 * time.Second)
@@ -249,10 +250,11 @@ func TestDrainBeforeKillLosesNothing(t *testing.T) {
 		t.Fatalf("roll replaced %d replicas, want all 3", rolled)
 	}
 
-	// The pinned upload survived its owner's replacement: same handle, same
-	// owning tag, and the client can finish the transfer.
-	if owner, ok := set.StagePinOwner(open.Handle); !ok || owner != pinOwner {
-		t.Fatalf("pin owner after roll = %q (ok=%v), want re-homed onto %q", owner, ok, pinOwner)
+	// The pinned upload survived its owner's replacement: same handle, held
+	// by the recovered instance it names, and the client can finish the
+	// transfer.
+	if !spoolHolds(m, pinOwner, open.Handle) {
+		t.Fatalf("after the roll replica %q does not hold %s, want it re-homed onto the recovered instance", pinOwner, open.Handle)
 	}
 	rest := []byte(" and the rest")
 	if _, err := sess.PutChunk(ctx, protocol.PutChunkRequest{

@@ -72,7 +72,7 @@ func newFailoverSite(t *testing.T, policy pool.Policy) (*Deployment, *ManagedSit
 func replicaNJS(t *testing.T, m *ManagedSite, tag string) *njs.NJS {
 	t.Helper()
 	for _, n := range m.Replicas() {
-		if n.Instance() == tag {
+		if n.Instance() == pool.Instance("CLUSTER", tag) {
 			return n
 		}
 	}
@@ -115,7 +115,7 @@ func newEventWatcher(sess *client.Session, ids map[string]core.JobID) *eventWatc
 }
 
 // drain pulls every job's stream to exhaustion from its last cursor. With
-// tolerateDown set, jobs pinned to an unhealthy replica are skipped (their
+// tolerateDown set, jobs whose replica is unhealthy are skipped (their
 // cursors stay put, to resume after the restart) instead of failing the
 // test.
 func (w *eventWatcher) drain(t *testing.T, tolerateDown bool) {
@@ -283,7 +283,7 @@ func runFailoverWorkload(t *testing.T, kill bool) map[string]string {
 		}
 
 		// The health check has tripped the victim's breaker: no new
-		// admission may reach it, and reads pinned to its jobs fail fast
+		// admission may reach it, and reads of its jobs fail fast
 		// instead of consulting the frozen corpse.
 		set, _ := d.Sites["POOL"].Pool.Set("CLUSTER")
 		if h := set.Healthy(); len(h) != 2 {

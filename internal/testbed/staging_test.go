@@ -11,6 +11,7 @@ import (
 	"unicore/internal/ajo"
 	"unicore/internal/client"
 	"unicore/internal/core"
+	"unicore/internal/njs"
 	"unicore/internal/pool"
 	"unicore/internal/protocol"
 	"unicore/internal/resources"
@@ -38,19 +39,16 @@ func killHealReplica(t *testing.T, m *ManagedSite, tag string) {
 	healReplica(t, m)
 }
 
-// spoolHolder finds the pool tag of the replica whose spool holds a transfer
-// handle.
-func spoolHolder(t *testing.T, m *ManagedSite, handle string) string {
-	t.Helper()
+// spoolHolds reports whether the live replica named inst holds a transfer
+// handle in its spool.
+func spoolHolds(m *ManagedSite, inst, handle string) bool {
 	for _, n := range m.Replicas() {
-		if sp, ok := n.StagingSpool("CLUSTER"); ok {
-			if _, ok := sp.Stat(handle); ok {
-				return n.Instance()
-			}
+		if sp, ok := n.StagingSpool("CLUSTER"); ok && n.Instance() == inst {
+			_, held := sp.Stat(handle)
+			return held
 		}
 	}
-	t.Fatalf("no replica spool holds handle %s", handle)
-	return ""
+	return false
 }
 
 // triggerWriter forwards to a buffer and fires hook (once) as soon as more
@@ -101,7 +99,12 @@ func TestStagedTransferSurvivesReplicaKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PutOpen: %v", err)
 	}
-	victim := spoolHolder(t, m, open.Handle)
+	// The handle names the replica holding the upload: the victim.
+	holder := staging.HandleTag(open.Handle)
+	if !spoolHolds(m, holder, open.Handle) {
+		t.Fatalf("replica %q does not hold the upload its handle %s names", holder, open.Handle)
+	}
+	victim := strings.TrimPrefix(holder, "CLUSTER.")
 	nChunks := fileSize / chunkSize
 	sendChunk := func(i int) {
 		t.Helper()
@@ -149,7 +152,7 @@ func TestStagedTransferSurvivesReplicaKill(t *testing.T) {
 	}
 	// The consign-affinity hint must have routed the admission to the
 	// replica whose spool holds the chunks.
-	if !strings.Contains(string(id), "-"+victim+"-") {
+	if njs.JobInstance("POOL", id) != holder {
 		t.Fatalf("staged job %s not admitted on holding replica %s", id, victim)
 	}
 	if fired := d.Run(10_000_000); fired >= 10_000_000 {

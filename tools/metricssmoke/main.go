@@ -1,8 +1,9 @@
 // Command metricssmoke is the CI metrics-smoke step: it boots a real durable
-// controller-managed site from a topology spec file over mutually
-// authenticated TLS, pushes one job through it with the
-// actual CLI binaries, scrapes the live telemetry with `unicore-status
-// metrics`, and fails when a headline metric is absent or zero:
+// controller-managed site of two pooled Vsites from a topology spec file
+// over mutually authenticated TLS, pushes one job through each Vsite with
+// the actual CLI binaries, scrapes the live telemetry with `unicore-status
+// metrics`, and fails when a headline metric is absent or zero, or when the
+// two pools' replicas do not report under four distinct names:
 //
 //   - pki_verify_total        (every envelope the gateway verified: each CLI
 //     run's stream hello — the scrape itself is a frame)
@@ -83,23 +84,24 @@ func run() error {
 	}
 
 	// The site boots from a declarative topology spec file — the same
-	// document unicore-ctl applies — through the controller stack: one
-	// durable two-replica Vsite on the real clock, so journal syncs happen
-	// on the admission path the CLI drives and controller metrics ride the
-	// gateway scrape.
+	// document unicore-ctl applies — through the controller stack: two
+	// durable two-replica Vsites on the real clock, so journal syncs happen
+	// on the admission path the CLI drives, controller metrics ride the
+	// gateway scrape, and both pools' tags start at r0.
 	spec := &deploy.TopologySpec{
 		Version:    deploy.TopologyVersion,
 		JournalDir: filepath.Join(work, "state"),
 		Sites: []deploy.TopologySite{{
 			Usite: "SMOKE",
-			Vsites: []deploy.TopologyVsite{{
-				Name: "T3E", Machine: "t3e", Replicas: 2,
-				Policy: "round-robin", SnapshotEvery: 256,
-			}},
+			Vsites: []deploy.TopologyVsite{
+				{Name: "T3E", Machine: "t3e", Replicas: 2, Policy: "round-robin", SnapshotEvery: 256},
+				{Name: "CLUSTER", Machine: "cluster", Replicas: 2, Policy: "round-robin", SnapshotEvery: 256},
+			},
 			Users: []deploy.UserMapping{{
 				DN: user.DN(),
 				Logins: map[core.Vsite]uudb.Login{
-					"T3E": {UID: "smoke", Groups: []string{"ci"}},
+					"T3E":     {UID: "smoke", Groups: []string{"ci"}},
+					"CLUSTER": {UID: "smoke", Groups: []string{"ci"}},
 				},
 			}},
 		}},
@@ -155,21 +157,30 @@ func run() error {
 	}
 	common := []string{"-gateway", gwURL, "-ca", caPath, "-cred", credPath}
 
-	// Submit one script job and wait for its terminal event.
-	jobOut, err := cli(bin["unicore-submit"], append(common, "-target", "SMOKE/T3E", "-script", "echo smoke", "-name", "smoke")...)
-	if err != nil {
-		return fmt.Errorf("submit: %w", err)
-	}
-	jobID := strings.TrimSpace(jobOut)
-	if jobID == "" {
-		return fmt.Errorf("submit printed no job ID")
-	}
+	// Submit one script job to each Vsite and wait for both terminal events.
 	statusArgs := append(common, "-usite", "SMOKE")
-	if _, err := cli(bin["unicore-status"], append(statusArgs, "wait", jobID)...); err != nil {
-		return fmt.Errorf("wait %s: %w", jobID, err)
+	var jobIDs []string
+	for _, target := range []string{"SMOKE/T3E", "SMOKE/CLUSTER"} {
+		jobOut, err := cli(bin["unicore-submit"], append(common, "-target", target, "-script", "echo smoke", "-name", "smoke")...)
+		if err != nil {
+			return fmt.Errorf("submit to %s: %w", target, err)
+		}
+		jobID := strings.TrimSpace(jobOut)
+		if jobID == "" {
+			return fmt.Errorf("submit to %s printed no job ID", target)
+		}
+		jobIDs = append(jobIDs, jobID)
+	}
+	if jobIDs[0] == jobIDs[1] {
+		return fmt.Errorf("both Vsites admitted their job as %s", jobIDs[0])
+	}
+	for _, jobID := range jobIDs {
+		if _, err := cli(bin["unicore-status"], append(statusArgs, "wait", jobID)...); err != nil {
+			return fmt.Errorf("wait %s: %w", jobID, err)
+		}
 	}
 
-	// -json list must be parseable and contain the job.
+	// -json list must be parseable and contain both jobs.
 	listOut, err := cli(bin["unicore-status"], append(statusArgs, "-json", "list")...)
 	if err != nil {
 		return fmt.Errorf("list -json: %w", err)
@@ -180,14 +191,14 @@ func run() error {
 	if err := json.Unmarshal([]byte(listOut), &jobs); err != nil {
 		return fmt.Errorf("list -json is not valid JSON: %w\n%s", err, listOut)
 	}
-	found := false
+	listed := map[string]bool{}
 	for _, j := range jobs {
-		if j.Job == jobID {
-			found = true
-		}
+		listed[j.Job] = true
 	}
-	if !found {
-		return fmt.Errorf("list -json does not contain submitted job %s:\n%s", jobID, listOut)
+	for _, jobID := range jobIDs {
+		if !listed[jobID] {
+			return fmt.Errorf("list -json does not contain submitted job %s:\n%s", jobID, listOut)
+		}
 	}
 
 	// The scrape itself: merged site-wide metrics over MsgMetrics.
@@ -214,8 +225,25 @@ func run() error {
 	if v := merged.Total("controller_reconcile_total"); v <= 0 {
 		return fmt.Errorf("controller_reconcile_total = %v, want > 0", v)
 	}
-	if v := merged.Total("controller_replicas"); v != 2 {
-		return fmt.Errorf("controller_replicas = %v, want the declared 2", v)
+	if v := merged.Total("controller_replicas"); v != 4 {
+		return fmt.Errorf("controller_replicas = %v, want the declared 2+2", v)
+	}
+	// The per-replica breakdown: each replica reports under its own name.
+	perOut, err := cli(bin["unicore-status"], append(statusArgs, "-per-replica", "-json", "metrics")...)
+	if err != nil {
+		return fmt.Errorf("metrics -per-replica -json: %w", err)
+	}
+	if err := json.Unmarshal([]byte(perOut), &snaps); err != nil {
+		return fmt.Errorf("metrics -per-replica -json is not valid JSON: %w\n%s", err, perOut)
+	}
+	origins := map[string]bool{}
+	for _, snap := range snaps {
+		if strings.HasPrefix(snap.Origin, "njs/") {
+			origins[snap.Origin] = true
+		}
+	}
+	if len(origins) != 4 {
+		return fmt.Errorf("scrape carries njs origins %v, want 4 distinct ones (one per replica)", origins)
 	}
 
 	// The plaintext dump must carry the same counter.
