@@ -445,10 +445,10 @@ func controlJob(ctx context.Context, c *protocol.Client, usite core.Usite, job c
 
 // fetchSource builds the staging engine's chunk source over the owner fetch
 // endpoint (MsgFetch): one ranged, idempotent read per call, each reply
-// carrying the file's size and whole-file CRC.
+// carrying the file's size and whole-file CRC, read into the engine's buffer.
 func fetchSource(c *protocol.Client, usite core.Usite, job core.JobID, file string) staging.Source {
-	return func(ctx context.Context, offset, limit int64) (staging.Chunk, error) {
-		var reply protocol.TransferReply
+	return func(ctx context.Context, offset, limit int64, buf []byte) (staging.Chunk, error) {
+		reply := protocol.TransferReply{Data: buf[:0]}
 		err := c.Call(ctx, usite, protocol.MsgFetch, protocol.FetchRequest{
 			Job: job, File: file, Offset: offset, Limit: limit,
 		}, &reply)

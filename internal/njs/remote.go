@@ -240,8 +240,8 @@ func (n *NJS) fetchRemoteFile(usite core.Usite, job core.JobID, file string) ([]
 	if peers == nil {
 		return nil, fmt.Errorf("njs: no peer client configured for %s", usite)
 	}
-	src := func(ctx context.Context, offset, limit int64) (staging.Chunk, error) {
-		var reply protocol.TransferReply
+	src := func(ctx context.Context, offset, limit int64, buf []byte) (staging.Chunk, error) {
+		reply := protocol.TransferReply{Data: buf[:0]}
 		err := peers.Call(ctx, usite, protocol.MsgTransfer, protocol.TransferRequest{
 			Job: job, File: file, Offset: offset, Limit: limit,
 		}, &reply)

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 
@@ -262,6 +263,12 @@ func walkSnapshots(c *bin.Codec, m *MetricsReply) error {
 	m.Snapshots = snaps
 	return err
 }
+
+// TransferReplyOverhead bounds the bytes a TransferReply's frame body spends
+// besides its Data: the Found flag, Size, CRC and Data's length prefix. A
+// receive buffer of limit+TransferReplyOverhead bytes holds the reply to any
+// ranged read of at most limit bytes (Client.Call reads it in place).
+const TransferReplyOverhead = 1 + 3*binary.MaxVarintLen64
 
 func walkFetch(c *bin.Codec, m *FetchRequest, transfer bool) {
 	c.Str((*string)(&m.Job))

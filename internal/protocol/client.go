@@ -116,7 +116,10 @@ func (c *Client) Close() {
 // row with a frame form rides the site's stream; the one row without
 // (federation gossip) is a sealed envelope. Cancellation aborts the in-flight
 // round trip (a held MsgSubscribe unblocks as soon as the caller cancels) and
-// stops the retry loop.
+// stops the retry loop. A *TransferReply lends the spare capacity of its Data
+// as the receive buffer of a data reply (recvBuf); nothing writes that buffer
+// once Call has returned, so a call cancelled while its reply is being read
+// returns when the read is over.
 func (c *Client) Call(ctx context.Context, usite core.Usite, t MsgType, payload any, replyOut any) error {
 	if op := opByRequest[t]; op != nil && op.wire != nil {
 		return c.streamCall(ctx, usite, t, op.wire, payload, replyOut)
@@ -271,7 +274,7 @@ func (c *Client) attempt(ctx context.Context, usite core.Usite, t MsgType, row w
 		return errors.As(err, &refused) || errors.Is(err, ErrNoStream) || errors.Is(err, errUnknownUsite), err
 	}
 	kind, _, _ := row.frames()
-	f, err := sc.roundTrip(ctx, kind, frame)
+	f, err := sc.roundTrip(ctx, kind, frame, recvBuf(replyOut))
 	if err != nil {
 		if ctx.Err() == nil {
 			c.dropSiteStream(usite, sc)
@@ -293,6 +296,17 @@ func (c *Client) attempt(ctx context.Context, usite core.Usite, t MsgType, row w
 	// A bad frame either way poisons the connection, not the call.
 	c.dropSiteStream(usite, sc)
 	return false, err
+}
+
+// recvBuf is the receive buffer a call lends its reply: the spare capacity of
+// a TransferReply's Data. A data reply that fits is read straight into it, so
+// the reply's Data aliases the caller's buffer and a downloaded byte costs the
+// client no allocation; one that does not fit is allocated as any reply is.
+func recvBuf(replyOut any) []byte {
+	if r, ok := replyOut.(*TransferReply); ok {
+		return r.Data[:cap(r.Data)]
+	}
+	return nil
 }
 
 // SubscribeStream opens a push subscription over the site's persistent v3

@@ -180,30 +180,54 @@ func writeFrame(w io.Writer, kind byte, id uint64, payload []byte) error {
 // readFrame reads one frame. The payload is freshly allocated, never pooled,
 // and ownership passes to the caller, who may keep it and anything decoded
 // out of it for good: a FramePut payload becomes the stored chunk itself
-// (staging.Spool.Chunk adopts it), and reply payloads outlive the read loop.
+// (staging.Spool.Chunk adopts it). The client's read loop is the one reader
+// that does not use it: it reads a reply's header first and its payload into
+// the buffer the waiting caller lent (streamConn.readLoop).
 func readFrame(r io.Reader) (Frame, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+	f, n, err := readFrameHeader(r)
+	if err == nil {
+		f.Payload, err = readFramePayload(r, n, nil)
+	}
+	if err != nil {
 		return Frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n < 9 {
-		return Frame{}, ErrFrameShort
+	return f, nil
+}
+
+// readFrameHeader reads one frame's header: its kind and ID, and the length
+// n of the payload that follows, still unread.
+func readFrameHeader(r io.Reader) (f Frame, n int, err error) {
+	var hdr [frameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		return Frame{}, 0, err
 	}
-	if n > MaxFramePayload+9 {
-		return Frame{}, ErrFrameTooLarge
+	size := binary.BigEndian.Uint32(hdr[:4])
+	if size < 9 {
+		return Frame{}, 0, ErrFrameShort
+	}
+	if size > MaxFramePayload+9 {
+		return Frame{}, 0, ErrFrameTooLarge
 	}
 	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
-		return Frame{}, fmt.Errorf("protocol: reading frame header: %w", err)
+		return Frame{}, 0, fmt.Errorf("protocol: reading frame header: %w", err)
 	}
-	f := Frame{Kind: hdr[4], ID: binary.BigEndian.Uint64(hdr[5:])}
-	if n > 9 {
-		f.Payload = make([]byte, n-9)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return Frame{}, fmt.Errorf("protocol: reading frame payload: %w", err)
-		}
+	return Frame{Kind: hdr[4], ID: binary.BigEndian.Uint64(hdr[5:])}, int(size - 9), nil
+}
+
+// readFramePayload reads an n-byte payload into buf's capacity when it fits,
+// and into a fresh allocation when it does not. An empty payload is nil.
+func readFramePayload(r io.Reader, n int, buf []byte) ([]byte, error) {
+	if n == 0 {
+		return nil, nil
 	}
-	return f, nil
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, fmt.Errorf("protocol: reading frame payload: %w", err)
+	}
+	return buf, nil
 }
 
 // DecodeFrame decodes one frame from the front of b, returning the frame and

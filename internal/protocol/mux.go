@@ -40,11 +40,19 @@ type streamConn struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan Frame
+	pending map[uint64]waiter
 	subs    map[uint64]chan EventsReply
 	closed  bool
 	err     error
 	done    chan struct{}
+}
+
+// waiter is one request awaiting its reply. The reader claims it by removing
+// it from pending, and from then on owns buf until it has sent on ch exactly
+// once: the reply frame, or a close when the stream died mid-payload.
+type waiter struct {
+	ch  chan Frame // 1-buffered
+	buf []byte     // receive buffer the reply payload is read into if it fits; nil allocates
 }
 
 // openStream dials baseURL's v3 stream and authenticates it: a signed Hello
@@ -112,7 +120,7 @@ func openStream(ctx context.Context, tr Transport, baseURL string, cred *pki.Cre
 	s := &streamConn{
 		conn:    conn,
 		window:  make(chan struct{}, DefaultStreamWindow),
-		pending: make(map[uint64]chan Frame),
+		pending: make(map[uint64]waiter),
 		subs:    make(map[uint64]chan EventsReply),
 		done:    make(chan struct{}),
 	}
@@ -156,8 +164,9 @@ func (s *streamConn) failErr() error {
 	return ErrStreamClosed
 }
 
-// register allocates a correlation ID with a 1-buffered reply channel.
-func (s *streamConn) register() (uint64, chan Frame, error) {
+// register allocates a correlation ID with a 1-buffered reply channel and
+// the receive buffer buf.
+func (s *streamConn) register(buf []byte) (uint64, chan Frame, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -166,14 +175,22 @@ func (s *streamConn) register() (uint64, chan Frame, error) {
 	s.nextID++
 	id := s.nextID
 	ch := make(chan Frame, 1)
-	s.pending[id] = ch
+	s.pending[id] = waiter{ch: ch, buf: buf}
 	return id, ch, nil
 }
 
-func (s *streamConn) unregister(id uint64) {
+// release withdraws a request its caller is giving up on. If the reader has
+// already claimed it, the reader may be reading the reply into the request's
+// receive buffer: release waits for the reader's one send, so the buffer is
+// the caller's again when release returns.
+func (s *streamConn) release(id uint64, ch chan Frame) {
 	s.mu.Lock()
+	_, unclaimed := s.pending[id]
 	delete(s.pending, id)
 	s.mu.Unlock()
+	if !unclaimed {
+		<-ch
+	}
 }
 
 // send writes one frame, encoded in place (see getFrameBuf), under the write
@@ -198,8 +215,10 @@ func (s *streamConn) subStop(id uint64) {
 // holding one slot of the in-flight window for the duration. A FrameSub
 // round trip that is abandoned (context cancelled) tells the server to
 // release the long-poll with a FrameSubStop. frame is the request encoded
-// behind a reserved header (getFrameBuf); it is not retained.
-func (s *streamConn) roundTrip(ctx context.Context, kind byte, frame []byte) (Frame, error) {
+// behind a reserved header (getFrameBuf); it is not retained. The reply's
+// payload is read into buf when it fits (the returned frame's Payload then
+// aliases buf), and nothing writes buf once roundTrip has returned.
+func (s *streamConn) roundTrip(ctx context.Context, kind byte, frame, buf []byte) (Frame, error) {
 	select {
 	case s.window <- struct{}{}:
 	case <-ctx.Done():
@@ -209,25 +228,29 @@ func (s *streamConn) roundTrip(ctx context.Context, kind byte, frame []byte) (Fr
 	}
 	defer func() { <-s.window }()
 
-	id, ch, err := s.register()
+	id, ch, err := s.register(buf)
 	if err != nil {
 		return Frame{}, err
 	}
 	if err := s.send(kind, id, frame); err != nil {
-		s.unregister(id)
+		s.release(id, ch)
 		return Frame{}, err
 	}
 	select {
-	case f := <-ch:
+	case f, ok := <-ch:
+		if !ok {
+			return Frame{}, s.failErr()
+		}
 		return f, nil
 	case <-ctx.Done():
-		s.unregister(id)
+		s.release(id, ch)
 		if kind == FrameSub {
 			// Free the server-side long-poll immediately.
 			s.subStop(id)
 		}
 		return Frame{}, ctx.Err()
 	case <-s.done:
+		s.release(id, ch)
 		return Frame{}, s.failErr()
 	}
 }
@@ -275,16 +298,35 @@ func (s *streamConn) unsubscribe(id uint64) {
 }
 
 // readLoop is the single reader: every inbound frame routes by correlation
-// ID to a pending waiter or a subscription channel. A subscription consumer
-// that falls behind its buffer is cut off (channel closed) rather than
-// allowed to head-of-line block the whole stream — the subscriber resumes at
-// its cursor, which is lossless by construction.
+// ID to a pending waiter or a subscription channel. A reply is routed on its
+// header, before its payload is read, so the payload lands in the receive
+// buffer its waiter lent. A subscription consumer that falls behind its
+// buffer is cut off (channel closed) rather than allowed to head-of-line
+// block the whole stream — the subscriber resumes at its cursor, which is
+// lossless by construction.
 func (s *streamConn) readLoop() {
 	for {
-		f, err := readFrame(s.conn)
+		f, n, err := readFrameHeader(s.conn)
 		if err != nil {
 			s.fail(fmt.Errorf("protocol: v3 stream read: %w", err))
 			return
+		}
+		s.mu.Lock()
+		w, claimed := s.pending[f.ID]
+		delete(s.pending, f.ID)
+		s.mu.Unlock()
+		// A claimed waiter gets exactly one send, whatever happens next.
+		f.Payload, err = readFramePayload(s.conn, n, w.buf)
+		if err != nil {
+			s.fail(fmt.Errorf("protocol: v3 stream read: %w", err))
+			if claimed {
+				close(w.ch)
+			}
+			return
+		}
+		if claimed {
+			w.ch <- f
+			continue
 		}
 		s.mu.Lock()
 		if ch, ok := s.subs[f.ID]; ok {
@@ -317,14 +359,7 @@ func (s *streamConn) readLoop() {
 			}
 			continue
 		}
-		ch, ok := s.pending[f.ID]
-		if ok {
-			delete(s.pending, f.ID)
-		}
 		s.mu.Unlock()
-		if ok {
-			ch <- f
-		}
 		// Unmatched frames (reply raced a cancellation) are dropped.
 	}
 }

@@ -21,7 +21,14 @@ type Chunk struct {
 // offset at or past EOF returns the file metadata with no data. Reads must be
 // idempotent — the engine re-issues a range after a lost reply. Wrap a
 // missing file in ErrNotFound so the engine fails fast instead of retrying.
-type Source func(ctx context.Context, offset, limit int64) (Chunk, error)
+//
+// buf is lent by the engine for the one call: its capacity holds the reply
+// to a read of limit bytes (limit+protocol.TransferReplyOverhead) and its
+// contents are garbage. The returned Data may alias it — a wire reads the
+// reply straight into it — and the Source must not touch buf once it has
+// returned. The engine lends at most Window buffers at a time, so at most
+// Window chunks of one download are in flight or waiting to be written.
+type Source func(ctx context.Context, offset, limit int64, buf []byte) (Chunk, error)
 
 // Progress is the resumable state of a download: Offset bytes have been
 // delivered to the writer and CRC is the running crc64 over them. The zero
@@ -36,7 +43,12 @@ type Progress struct {
 // Download streams a whole file from src to w through a windowed parallel
 // engine: opt.Window ranged requests are kept in flight (readahead), replies
 // are reordered, and the bytes are written strictly in order — so w sees a
-// plain sequential stream and no whole-file buffer ever exists. The
+// plain sequential stream and no whole-file buffer ever exists. Each request
+// fills one of at most opt.Window pooled chunk buffers, and a request starts
+// only when a buffer is free: a chunk stalled at the head of the file holds
+// the window still, so in-flight and reordered chunks together never exceed
+// opt.Window. A buffer is reused once its chunk has been written, which is
+// safe because an io.Writer must not retain what it is handed. The
 // whole-file checksum is folded incrementally as bytes are written and
 // verified against the server-announced CRC at the end.
 //
@@ -57,10 +69,29 @@ func Resume(ctx context.Context, src Source, w io.Writer, p Progress, opt Option
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	// free holds the chunk buffers no fetch is using, starting with the one
+	// the first read borrows; they go back to the pool when the engine
+	// returns. A buffer still lent to a fetch the engine gave up on is dropped
+	// with that fetch.
+	free := []*[]byte{getChunkBuf(opt.ChunkSize)}
+	defer func() {
+		for _, bp := range free {
+			chunkBufs.Put(bp)
+		}
+	}()
+	take := func() *[]byte {
+		if n := len(free); n > 0 {
+			bp := free[n-1]
+			free = free[:n-1]
+			return bp
+		}
+		return getChunkBuf(opt.ChunkSize)
+	}
+
 	// The first chunk is fetched inline: it establishes the file's size and
 	// whole-file CRC and surfaces not-found/authorization errors before any
 	// parallelism starts.
-	first, err := fetchRetry(ctx, src, p.Offset, opt)
+	first, err := fetchRetry(ctx, src, p.Offset, *free[0], opt)
 	if err != nil {
 		return p, err
 	}
@@ -74,77 +105,70 @@ func Resume(ctx context.Context, src Source, w io.Writer, p Progress, opt Option
 	// The progress CRC may only ever cover bytes the writer accepted — on a
 	// short write exactly the delivered prefix is folded, so the returned
 	// Progress still resumes correctly.
-	consume := func(c Chunk, off int64) error {
+	consume := func(c Chunk) error {
 		if c.Size != size || c.CRC != want {
 			return fmt.Errorf("%w: size %d→%d, crc %#x→%#x", ErrMutated, size, c.Size, want, c.CRC)
 		}
-		expect := size - off
+		expect := size - written
 		if expect > opt.ChunkSize {
 			expect = opt.ChunkSize
 		}
 		if int64(len(c.Data)) != expect {
-			return fmt.Errorf("%w: chunk at %d returned %d bytes, want %d", ErrMutated, off, len(c.Data), expect)
+			return fmt.Errorf("%w: chunk at %d returned %d bytes, want %d", ErrMutated, written, len(c.Data), expect)
 		}
 		n, err := w.Write(c.Data)
 		crc = crc64.Update(crc, crcTable, c.Data[:n])
 		written += int64(n)
 		return err
 	}
-	if err := consume(first, p.Offset); err != nil {
+	if err := consume(first); err != nil {
 		return Progress{Offset: written, CRC: crc}, err
 	}
 
-	// Windowed parallel body: launch up to opt.Window readahead fetches,
-	// reorder replies, write in order, refill the window as it drains.
+	// Windowed parallel body: keep every buffer busy with a readahead fetch,
+	// reorder replies, write in order, refill as buffers come free.
 	type result struct {
 		off   int64
+		buf   *[]byte
 		chunk Chunk
 		err   error
 	}
 	results := make(chan result, opt.Window) // buffered: a cancelled engine never strands a sender
-	launch := func(off int64) {
-		go func() {
-			c, err := fetchRetry(ctx, src, off, opt)
-			results <- result{off: off, chunk: c, err: err}
-		}()
-	}
-	nextLaunch := written
-	inflight := 0
-	for i := 0; i < opt.Window && nextLaunch < size; i++ {
-		launch(nextLaunch)
-		nextLaunch += opt.ChunkSize
-		inflight++
-	}
-	pending := make(map[int64]Chunk, opt.Window)
-	for written < size {
+	lent := 0                                // buffers held by a fetch or by a chunk parked in pending
+	pending := make(map[int64]result, opt.Window)
+	for next := written; written < size; {
+		for ; lent < opt.Window && next < size; next += opt.ChunkSize {
+			bp, off := take(), next
+			lent++
+			go func() {
+				c, err := fetchRetry(ctx, src, off, *bp, opt)
+				results <- result{off: off, buf: bp, chunk: c, err: err}
+			}()
+		}
 		var res result
 		select {
 		case res = <-results:
 		case <-ctx.Done():
 			return Progress{Offset: written, CRC: crc}, ctx.Err()
 		}
-		inflight--
 		if res.err != nil {
 			return Progress{Offset: written, CRC: crc}, res.err
 		}
-		pending[res.off] = res.chunk
+		pending[res.off] = res
 		for {
-			c, ok := pending[written]
+			r, ok := pending[written]
 			if !ok {
 				break
 			}
 			delete(pending, written)
-			if err := consume(c, written); err != nil {
+			err := consume(r.chunk)
+			free = append(free, r.buf) // the writer has returned: the buffer is free
+			lent--
+			if err != nil {
 				return Progress{Offset: written, CRC: crc}, err
 			}
 		}
-		if nextLaunch < size {
-			launch(nextLaunch)
-			nextLaunch += opt.ChunkSize
-			inflight++
-		}
 	}
-	_ = inflight // remaining fetches drain into the buffered channel and are dropped
 	if crc != want {
 		return Progress{Offset: written, CRC: crc},
 			fmt.Errorf("%w: assembled crc %#x, announced %#x", ErrChecksum, crc, want)
@@ -152,13 +176,13 @@ func Resume(ctx context.Context, src Source, w io.Writer, p Progress, opt Option
 	return Progress{Offset: written, CRC: crc}, nil
 }
 
-// fetchRetry reads one range on the shared retry policy (reads are
+// fetchRetry reads one range into buf on the shared retry policy (reads are
 // idempotent; ErrNotFound is permanent and fails fast).
-func fetchRetry(ctx context.Context, src Source, off int64, opt Options) (Chunk, error) {
+func fetchRetry(ctx context.Context, src Source, off int64, buf []byte, opt Options) (Chunk, error) {
 	var c Chunk
 	err := withRetry(ctx, opt, fmt.Sprintf("chunk at offset %d", off), func() error {
 		var err error
-		c, err = src(ctx, off, opt.ChunkSize)
+		c, err = src(ctx, off, opt.ChunkSize, buf)
 		return err
 	})
 	if err != nil {

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"unicore/internal/core"
 	"unicore/internal/protocol"
@@ -16,8 +18,9 @@ import (
 
 // fileSource serves ranged reads over an in-memory file, like the NJS
 // transfer endpoint does: every reply carries the file's current size and
-// whole-file CRC. mutate (optional) swaps the content after a given number of
-// reads; failAt injects one transient failure per listed offset.
+// whole-file CRC, and its bytes land in the engine's buffer, as a wire reads
+// them. mutate (optional) swaps the content after a given number of reads;
+// failAt injects one transient failure per listed offset.
 type fileSource struct {
 	mu      sync.Mutex
 	data    []byte
@@ -27,7 +30,7 @@ type fileSource struct {
 	failAt  map[int64]int
 }
 
-func (f *fileSource) src(_ context.Context, offset, limit int64) (Chunk, error) {
+func (f *fileSource) src(_ context.Context, offset, limit int64, buf []byte) (Chunk, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.reads++
@@ -47,7 +50,7 @@ func (f *fileSource) src(_ context.Context, offset, limit int64) (Chunk, error) 
 		end = size
 	}
 	return Chunk{
-		Data: append([]byte(nil), f.data[offset:end]...),
+		Data: append(buf[:0], f.data[offset:end]...),
 		Size: size,
 		CRC:  Checksum(f.data),
 	}, nil
@@ -101,6 +104,47 @@ func TestDownloadSingleChunkFile(t *testing.T) {
 	}
 }
 
+// TestDownloadHoldsAtMostWindowChunks stalls the second chunk of a 256-chunk
+// file. The chunks behind it arrive but cannot be written yet, and the engine
+// must stop fetching once Window of them are in flight or parked: one inline
+// first read plus Window readahead reads, not the whole file pulled into the
+// reorder buffer while the head is stuck.
+func TestDownloadHoldsAtMostWindowChunks(t *testing.T) {
+	const chunk, window = 1024, 4
+	payload := pattern(256 * chunk)
+	f := &fileSource{data: payload}
+	var calls atomic.Int32
+	release := make(chan struct{})
+	src := func(ctx context.Context, off, limit int64, buf []byte) (Chunk, error) {
+		calls.Add(1)
+		if int64(cap(buf)) < limit+protocol.TransferReplyOverhead {
+			t.Errorf("a %d-byte read was lent a %d-byte buffer, too small for its reply", limit, cap(buf))
+		}
+		if off == chunk {
+			<-release
+		}
+		return f.src(ctx, off, limit, buf)
+	}
+	var got bytes.Buffer
+	done := make(chan error, 1)
+	go func() {
+		_, err := Download(context.Background(), src, &got, Options{ChunkSize: chunk, Window: window})
+		done <- err
+	}()
+	time.Sleep(300 * time.Millisecond)
+	stalled := calls.Load()
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("Download: %v", err)
+	}
+	if stalled != window+1 {
+		t.Errorf("%d Source calls while the head chunk stalled, want Window+1 = %d", stalled, window+1)
+	}
+	if !bytes.Equal(got.Bytes(), payload) {
+		t.Fatal("downloaded bytes differ from source")
+	}
+}
+
 // TestDownloadSurfacesMidTransferMutation is the regression test for the seed
 // fetch loop: a file that changes between chunks must abort the transfer with
 // a checksum/mutation error — never loop, and never hand back a silent
@@ -146,7 +190,7 @@ func TestDownloadRetriesTransientFailures(t *testing.T) {
 
 func TestDownloadFailsFastOnMissingFile(t *testing.T) {
 	calls := 0
-	src := func(context.Context, int64, int64) (Chunk, error) {
+	src := func(context.Context, int64, int64, []byte) (Chunk, error) {
 		calls++
 		return Chunk{}, fmt.Errorf("%w: no such job file", ErrNotFound)
 	}
@@ -212,7 +256,7 @@ func TestDownloadDuringOverwriteIsMutatedNotTorn(t *testing.T) {
 	if err := fs.WriteFile("/f", before); err != nil {
 		t.Fatal(err)
 	}
-	src := func(_ context.Context, off, limit int64) (Chunk, error) {
+	src := func(_ context.Context, off, limit int64, _ []byte) (Chunk, error) {
 		data, size, crc, err := fs.ReadFileRange("/f", off, limit)
 		return Chunk{Data: data, Size: size, CRC: crc}, err
 	}

@@ -32,7 +32,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"sync"
 	"time"
+
+	"unicore/internal/protocol"
 )
 
 // crcTable is the shared CRC64-ECMA table; the same polynomial the vfs layer
@@ -146,6 +149,22 @@ type Options struct {
 	// (default DefaultBackoff). Real time — the failures being ridden out are
 	// transport- and failover-level.
 	Backoff time.Duration
+}
+
+// chunkBufs recycles chunk buffers across uploads and downloads. A buffer
+// for chunks of size bytes also holds the reply to a ranged read of size
+// bytes (protocol.TransferReplyOverhead more), so the two directions run on
+// each other's buffers; one too small for a transfer's chunk size is dropped.
+var chunkBufs sync.Pool
+
+// getChunkBuf returns a buffer of length size from the pool.
+func getChunkBuf(size int64) *[]byte {
+	if bp, _ := chunkBufs.Get().(*[]byte); bp != nil && int64(cap(*bp)) >= size+protocol.TransferReplyOverhead {
+		*bp = (*bp)[:size]
+		return bp
+	}
+	b := make([]byte, size, size+protocol.TransferReplyOverhead)
+	return &b
 }
 
 // withDefaults fills unset fields.

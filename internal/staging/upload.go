@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"unicore/internal/core"
 	"unicore/internal/protocol"
@@ -22,19 +21,6 @@ type Putter interface {
 	PutChunk(ctx context.Context, req protocol.PutChunkRequest) (protocol.PutChunkReply, error)
 	// PutCommit seals the upload after verifying the whole-file CRC.
 	PutCommit(ctx context.Context, req protocol.PutCommitRequest) (protocol.PutCommitReply, error)
-}
-
-// chunkBufs recycles chunk buffers across uploads; one too small for the
-// chunk size an upload negotiated is dropped.
-var chunkBufs sync.Pool
-
-func getChunkBuf(size int64) *[]byte {
-	if bp, _ := chunkBufs.Get().(*[]byte); bp != nil && int64(cap(*bp)) >= size {
-		*bp = (*bp)[:size]
-		return bp
-	}
-	b := make([]byte, size)
-	return &b
 }
 
 // Upload streams r into the spool area of a Vsite and returns the committed
