@@ -10,6 +10,11 @@
 // the end. Encoding and decoding cannot disagree on field order, and a field
 // the walk names is carried in both directions.
 //
+// A byte field that ends its message may be walked as a Tail: an encoder
+// then appends only its length prefix and holds the bytes back (Rest), so a
+// writer can send them from where they rest instead of copying them behind
+// the other fields. The message is Bytes followed by Rest either way.
+//
 // The package imports only the standard library, so every tier may use it.
 package bin
 
@@ -31,9 +36,10 @@ var ErrMalformed = errors.New("malformed binary payload")
 // of direct calls: reached through a function value or an interface it moves
 // to the heap, and the message with it.
 type Codec struct {
-	b   []byte // encoding: the output so far; decoding: the input not yet read
-	dec bool
-	bad bool
+	b    []byte // encoding: the output so far; decoding: the input not yet read
+	rest []byte // encoding: the Tail field's bytes, not copied into b
+	dec  bool
+	bad  bool
 }
 
 // Encoder returns a codec whose walks append to b.
@@ -204,6 +210,22 @@ func (c *Codec) View(v *[]byte) {
 		*v, c.b = c.b[:n:n], c.b[n:]
 	}
 }
+
+// Tail walks a length-prefixed byte field that ends its message. Decoded, it
+// is View. Encoded, only the length prefix is appended; the bytes are held
+// back, uncopied, for Rest. Nothing may be walked after it.
+func (c *Codec) Tail(v *[]byte) {
+	if c.dec {
+		c.View(v)
+		return
+	}
+	c.Len(len(*v))
+	c.rest = *v
+}
+
+// Rest returns the field an encoder's Tail held back (nil if none): the
+// encoded message is Bytes followed by Rest.
+func (c *Codec) Rest() []byte { return c.rest }
 
 // Blob is View decoded as a copy: for a field that outlives the input.
 func (c *Codec) Blob(v *[]byte) {

@@ -190,6 +190,37 @@ func TestViewAliasesBlobCopies(t *testing.T) {
 	}
 }
 
+// TestTailHoldsBackItsBytes: an encoder's Tail appends the length prefix only
+// and hands the field itself back uncopied, so Bytes followed by Rest is what
+// View would have written; a decoder's Tail is View.
+func TestTailHoldsBackItsBytes(t *testing.T) {
+	tag, data := byte(7), []byte("payload")
+	view, tail := Encoder(nil), Encoder(nil)
+	view.Byte(&tag)
+	view.View(&data)
+	tail.Byte(&tag)
+	tail.Tail(&data)
+	if got := append(tail.Bytes(), tail.Rest()...); !bytes.Equal(got, view.Bytes()) {
+		t.Fatalf("Bytes+Rest = %x, View wrote %x", got, view.Bytes())
+	}
+	if len(tail.Bytes()) != 2 || &tail.Rest()[0] != &data[0] {
+		t.Errorf("Tail copied its field: %d bytes written, Rest a copy: %v", len(tail.Bytes()), &tail.Rest()[0] != &data[0])
+	}
+	if e := Encoder(nil); e.Rest() != nil {
+		t.Errorf("Rest without a Tail = %x, want nil", e.Rest())
+	}
+
+	in := view.Bytes()
+	d := Decoder(in)
+	var gotTag byte
+	var got []byte
+	d.Byte(&gotTag)
+	d.Tail(&got)
+	if err := d.Err(); err != nil || gotTag != tag || string(got) != "payload" || &got[0] != &in[2] {
+		t.Errorf("decoded Tail = %q (tag %d, %v): want a view of the input", got, gotTag, err)
+	}
+}
+
 // TestTimeZeroAndEpoch pins the one collision of the time encoding: the zero
 // time is written as 0, so the unix epoch — whose nanosecond count is 0 too —
 // reads back as the zero time. Every other instant survives, as UTC.

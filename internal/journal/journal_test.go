@@ -616,6 +616,59 @@ func TestAppendAfterWriteErrorDropsInsteadOfBlocking(t *testing.T) {
 	_ = w.Close()
 }
 
+// memFile is a journal file in memory whose first fsync fails, as a disk's
+// writeback error does: reported once, and nil on every fsync after it.
+type memFile struct {
+	mu    sync.Mutex
+	data  bytes.Buffer
+	syncs int
+}
+
+func (f *memFile) Write(p []byte) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.data.Write(p)
+}
+
+func (f *memFile) Sync() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.syncs++; f.syncs == 1 {
+		return errors.New("fsync: input/output error")
+	}
+	return nil
+}
+
+func (f *memFile) Close() error { return nil }
+
+// TestFailedFsyncIsSticky: once an fsync fails, the entries it covered may be
+// gone, and a retried fsync that returns nil does not bring them back. So the
+// Sync that saw the failure errors, every later Sync errors without trusting
+// another fsync, and Append stops queueing work no fsync will cover.
+func TestFailedFsyncIsSticky(t *testing.T) {
+	f := &memFile{}
+	w := startWriter(f)
+	w.Append(entryN(1))
+	if err := w.Sync(); err == nil {
+		t.Fatal("the Sync whose fsync failed reported success")
+	}
+	for i := 1; i <= 3; i++ {
+		if err := w.Sync(); err == nil {
+			t.Fatalf("Sync %d after the failed fsync reported success", i)
+		}
+	}
+	w.Append(entryN(2))
+	w.mu.Lock()
+	appended := w.appended
+	w.mu.Unlock()
+	if appended != 1 {
+		t.Errorf("Append queued an entry after the failed fsync (%d appended)", appended)
+	}
+	if err := w.Close(); err == nil {
+		t.Error("Close after the failed fsync reported success")
+	}
+}
+
 // BenchmarkJournalAppend measures the producer-side cost of an append: the
 // enqueue that runs on the NJS transition path while the flusher goroutine
 // does the I/O.

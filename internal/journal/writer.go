@@ -25,14 +25,22 @@ const maxPendingBytes = 32 << 20
 type writer struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
-	f        *os.File
+	f        file
 	pending  []Entry
 	queued   int   // weight of pending plus the batch in flight
 	appended int64 // entries handed to Append
 	flushed  int64 // entries written to the file
-	err      error // first write error, sticky
+	err      error // first write or fsync error, sticky
 	closed   bool
 	done     chan struct{}
+}
+
+// file is what a writer needs of its journal file — an *os.File, or a test's
+// stand-in that fails a write or an fsync on cue.
+type file interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
 }
 
 // newWriter opens (creating or appending to) the journal file at path and
@@ -46,7 +54,7 @@ func newWriter(path string) (*writer, error) {
 }
 
 // startWriter starts a flusher over an open file.
-func startWriter(f *os.File) *writer {
+func startWriter(f file) *writer {
 	w := &writer{f: f, done: make(chan struct{})}
 	w.cond = sync.NewCond(&w.mu)
 	go w.flushLoop()
@@ -56,9 +64,9 @@ func startWriter(f *os.File) *writer {
 // Append enqueues one entry. It blocks only while maxPendingBytes are
 // already queued and the flusher is alive to drain them — the flusher takes
 // no lock but the writer's own, so a producer holding a job or vfs lock
-// cannot deadlock on it. A sticky write error surfaces on the next Sync or
-// Close; after one the flusher is gone, so entries are dropped rather than
-// queued for nobody.
+// cannot deadlock on it. A sticky write or fsync error surfaces on the next
+// Sync or Close; after one the flusher is gone, so entries are dropped rather
+// than queued for nobody.
 func (w *writer) Append(e Entry) {
 	weight := e.weight()
 	w.mu.Lock()
@@ -141,21 +149,26 @@ func (w *writer) Sync() error {
 	return w.syncFile()
 }
 
-// syncFile fsyncs the journal file, tolerating a concurrent Close: the fd is
-// only closed after Close's own drain+fsync, so ErrClosed means Close got
-// there first — and its fsync outcome is in the sticky error, which was
-// recorded before the fd was closed.
+// syncFile fsyncs the journal file. A failed fsync is sticky: the kernel
+// reports a writeback error once, so a retried fsync may return nil over
+// entries whose pages it dropped — after one failure no Sync succeeds and no
+// Append is queued, and only a replay from disk says what survived. It
+// tolerates a concurrent Close: the fd is only closed after Close's own
+// drain+fsync, so ErrClosed means Close got there first — and its fsync
+// outcome is in the sticky error, which was recorded before the fd was
+// closed.
 func (w *writer) syncFile() error {
 	serr := w.f.Sync()
 	if serr == nil {
 		return nil
 	}
-	if !errors.Is(serr, os.ErrClosed) {
-		return serr
-	}
 	w.mu.Lock()
+	if w.err == nil && !errors.Is(serr, os.ErrClosed) {
+		w.err = serr
+	}
 	err := w.err
 	w.mu.Unlock()
+	w.cond.Broadcast() // the flusher and any Append over the bound stop waiting
 	return err
 }
 

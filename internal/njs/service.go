@@ -367,7 +367,8 @@ func (n *NJS) abortLocked(uj *unicoreJob, remotes *[]remoteRef) error {
 // offset is an error; an offset at or past EOF returns the file's metadata
 // (size and whole-file CRC) with no data, which is how readers detect the
 // end of a chunked transfer. The read is ranged and copy-free: the reply's
-// Data is a read-only view of the stored file, for the codecs to encode.
+// Data is a read-only view of the stored file, which the stream writes to the
+// connection as it is, behind the reply's other fields.
 func (n *NJS) FetchFile(id core.JobID, file string, offset, limit int64) (protocol.TransferReply, error) {
 	if offset < 0 {
 		return protocol.TransferReply{}, fmt.Errorf("njs: negative offset %d reading %q of job %s", offset, file, id)

@@ -40,9 +40,17 @@ var errNoWalk = errors.New("protocol: message has no walk")
 // encode appends m's frame body to b; m is a pointer to a message walkMsg
 // knows.
 func encode(b []byte, m any) ([]byte, error) {
+	body, tail, err := encodeFrame(b, m)
+	return append(body, tail...), err
+}
+
+// encodeFrame is encode for the send path: the body is appended to b except
+// for the bytes of a field walked as a Tail (a data reply's Data), which are
+// returned uncopied for sendFrame to write behind it.
+func encodeFrame(b []byte, m any) (body, tail []byte, err error) {
 	c := bin.Encoder(b)
-	err := walkMsg(&c, m)
-	return c.Bytes(), err
+	err = walkMsg(&c, m)
+	return c.Bytes(), c.Rest(), err
 }
 
 // decode fills the zero message m points to from the frame body p. What m
@@ -168,7 +176,7 @@ func walkMsg(c *bin.Codec, m any) error {
 		c.Bool(&m.Found)
 		c.Varint(&m.Size)
 		c.Uvarint(&m.CRC)
-		c.View(&m.Data)
+		c.Tail(&m.Data) // written from the vfs view it rests in (serveFrame)
 
 	// Event subscriptions (FrameSub / FrameEvents). The table's own types are
 	// what Client.Call sends and gets: a one-batch subscription, and a batch

@@ -115,11 +115,13 @@ var (
 )
 
 // framePool recycles encode-side frame buffers: a frame is encoded once,
-// header and payload in one buffer, so it costs a single conn write, a
-// single copy of its payload and no steady-state allocation. Buffers above a
-// sanity cap are dropped rather than pooled to keep the pool from pinning
-// worst-case frames forever.
-var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
+// header and fields in one buffer, and costs no steady-state allocation. A
+// data reply's Data is not copied in (sendFrame writes it from the vfs view
+// behind the buffer), so the frames the pool sees are mostly under 100
+// bytes and a pool miss costs half a kilobyte; an upload's put frame grows
+// its buffer to the chunk once. Buffers above a sanity cap are dropped
+// rather than pooled to keep the pool from pinning worst-case frames forever.
+var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 const framePoolMax = 4 << 20
 
@@ -150,17 +152,24 @@ func AppendFrame(b []byte, kind byte, id uint64, payload []byte) []byte {
 }
 
 // sendFrame fills in the header reserved at the front of frame (see
-// getFrameBuf) and writes the frame as a single w.Write call. It must be
-// called under the stream's write lock.
-func sendFrame(w io.Writer, kind byte, id uint64, frame []byte) error {
-	n := len(frame) - frameHeaderLen
+// getFrameBuf) and writes the frame: frame, then tail — the end of the
+// payload, written from where it rests rather than copied behind the rest
+// (encodeFrame). The header counts both. A frame without a tail is one
+// w.Write, as every frame a client writes is. It must be called under the
+// stream's write lock, which keeps a frame's two writes together; a failed
+// write leaves a torn frame, so its caller closes the connection.
+func sendFrame(w io.Writer, kind byte, id uint64, frame, tail []byte) error {
+	n := len(frame) - frameHeaderLen + len(tail)
 	if n > MaxFramePayload {
 		return ErrFrameTooLarge
 	}
 	binary.BigEndian.PutUint32(frame, uint32(1+8+n))
 	frame[4] = kind
 	binary.BigEndian.PutUint64(frame[5:], id)
-	_, err := w.Write(frame)
+	if _, err := w.Write(frame); err != nil || len(tail) == 0 {
+		return err
+	}
+	_, err := w.Write(tail)
 	return err
 }
 
@@ -172,7 +181,7 @@ func writeFrame(w io.Writer, kind byte, id uint64, payload []byte) error {
 	}
 	bp := getFrameBuf(len(payload))
 	*bp = append(*bp, payload...)
-	err := sendFrame(w, kind, id, *bp)
+	err := sendFrame(w, kind, id, *bp, nil)
 	putFrameBuf(bp)
 	return err
 }

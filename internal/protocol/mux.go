@@ -194,10 +194,10 @@ func (s *streamConn) release(id uint64, ch chan Frame) {
 }
 
 // send writes one frame, encoded in place (see getFrameBuf), under the write
-// lock.
+// lock. A client frame is always one Write: it has no tail.
 func (s *streamConn) send(kind byte, id uint64, frame []byte) error {
 	s.wmu.Lock()
-	err := sendFrame(s.conn, kind, id, frame)
+	err := sendFrame(s.conn, kind, id, frame, nil)
 	s.wmu.Unlock()
 	if err != nil {
 		s.fail(fmt.Errorf("protocol: v3 stream write: %w", err))

@@ -194,7 +194,11 @@ func (o *wireOp[Req, Rep]) decodeReply(t MsgType, f Frame, replyOut any) error {
 // serveFrame answers backend errors as generic stream errors — the client
 // surfaces them as *ErrorReply exactly like a sealed error envelope would. A
 // decoded request may alias body (a chunk's Data does): readFrame allocated
-// it for this frame alone, so the backend owns it from here.
+// it for this frame alone, so the backend owns it from here. The reply's
+// fields are encoded into a small pooled buffer; a data reply's Data is not
+// copied into it but written straight from where it rests (encodeFrame), so
+// a backend's TransferReply.Data must stay unchanged until send returns —
+// a vfs view does, being immutable.
 func (o *wireOp[Req, Rep]) serveFrame(ctx context.Context, s *streamSession, id uint64, body []byte) {
 	var req Req
 	if err := decode(body, &req); err != nil {
@@ -207,12 +211,13 @@ func (o *wireOp[Req, Rep]) serveFrame(ctx context.Context, s *streamSession, id 
 		return
 	}
 	bp := getFrameBuf(0)
-	if *bp, err = encode(*bp, &rep); err != nil {
+	var tail []byte
+	if *bp, tail, err = encodeFrame(*bp, &rep); err != nil {
 		putFrameBuf(bp)
 		s.writeErr(id, StreamErrBadFrame, named[Rep](err).Error())
 		return
 	}
-	s.send(o.answer, id, bp)
+	s.send(o.answer, id, bp, tail)
 }
 
 // splitRequest peels a request frame's payload apart: the code that selects

@@ -3,10 +3,12 @@ package protocol
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,20 +41,26 @@ func (d *dataServer) StreamFetch(context.Context, core.DN, bool, FetchRequest) (
 	return TransferReply{Found: true, Size: int64(len(d.data)), CRC: 1, Data: d.data}, nil
 }
 
-// halvingConn writes a data frame in two halves: the first, then a close of
-// half, then — once hold is ready — the rest. Between the two the client's
-// reader has claimed the reply and sits mid-payload.
+// halvingConn holds back half of a data reply's Data. The server writes the
+// reply as two writes — header and fields, then the Data from where it rests
+// — so the first arms it and the second is written in two halves: the first,
+// then a close of half, then — once hold is ready — the rest. Between the two
+// the client's reader has claimed the reply and sits mid-payload. Writes come
+// one at a time, under the stream's write lock.
 type halvingConn struct {
 	net.Conn
-	half chan struct{}
-	hold <-chan time.Time
-	once sync.Once
+	half  chan struct{}
+	hold  <-chan time.Time
+	once  sync.Once
+	armed bool // the last write began a data frame that it did not finish
 }
 
 func (c *halvingConn) Write(p []byte) (int, error) {
-	if len(p) < frameHeaderLen || p[4] != FrameData {
+	if !c.armed {
+		c.armed = len(p) >= frameHeaderLen && p[4] == FrameData && int(binary.BigEndian.Uint32(p)) > len(p)-4
 		return c.Conn.Write(p)
 	}
+	c.armed = false
 	n, err := c.Conn.Write(p[:len(p)/2])
 	c.once.Do(func() { close(c.half) })
 	if err != nil {
@@ -64,6 +72,51 @@ func (c *halvingConn) Write(p []byte) (int, error) {
 }
 
 var fetchReq = FetchRequest{Job: "FZJ-000001", File: "out.dat"}
+
+// writeCounter counts the writes that reach the connection.
+type writeCounter struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestConnFaultsDecidesOncePerFrame: a server end under ConnFaults writes
+// each data reply as two writes, and the injector is still asked once per
+// frame — so a loss rate is per frame, and a lost frame loses all of it.
+func TestConnFaultsDecidesOncePerFrame(t *testing.T) {
+	r := newRig(t)
+	var decided atomic.Int64
+	cf := &ConnFaults{Decide: func() Fault { decided.Add(1); return NoFault }}
+	counter := &writeCounter{}
+	r.net.Register("gw.fzj", &dataServer{echoServer: *r.echoServer(), data: bytes.Repeat([]byte{0x5A}, 64<<10),
+		wrap: func(conn net.Conn) net.Conn { counter.Conn = conn; return cf.Wrap(counter) }})
+	c := NewClient(r.net, r.user, r.ca, r.reg)
+	defer c.Close()
+
+	const fetches = 5
+	for i := 0; i < fetches; i++ {
+		var reply TransferReply
+		if err := c.Call(context.Background(), "FZJ", MsgFetch, fetchReq, &reply); err != nil || len(reply.Data) != 64<<10 {
+			t.Fatalf("fetch %d: %d bytes, %v", i, len(reply.Data), err)
+		}
+	}
+	var poll PollReply
+	if err := c.Call(context.Background(), "FZJ", MsgPoll, PollRequest{Job: "FZJ-000001"}, &poll); err != nil {
+		t.Fatalf("poll: %v", err)
+	}
+	// The hello reply passes undecided; then five data replies and a reply.
+	const frames = fetches + 1
+	if got := decided.Load(); got != frames {
+		t.Errorf("Decide asked %d times for %d frames", got, frames)
+	}
+	if got := counter.writes.Load(); got != 1+2*fetches+1 {
+		t.Errorf("server end wrote %d times, want %d: a data reply is its fields, then its Data", got, 1+2*fetches+1)
+	}
+}
 
 // TestTransferReplyOverheadBoundsItsFields: the widest Size and CRC a reply
 // can carry, with a 1 MiB chunk behind them, leave the body within

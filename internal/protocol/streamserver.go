@@ -218,12 +218,13 @@ func SpliceStream(conn net.Conn, admit func(hello []byte) (inner net.Conn, refus
 }
 
 // send writes one frame encoded in place behind the header of a pooled frame
-// buffer (getFrameBuf), under the write lock, and releases the buffer; a
-// failed write kills the connection, which unwinds the read loop and every
-// subscription.
-func (s *streamSession) send(kind byte, id uint64, bp *[]byte) error {
+// buffer (getFrameBuf), followed by tail (see sendFrame), under the write
+// lock, and releases the buffer; a failed write kills the connection, so a
+// torn frame is never followed by another, and unwinds the read loop and
+// every subscription.
+func (s *streamSession) send(kind byte, id uint64, bp *[]byte, tail []byte) error {
 	s.wmu.Lock()
-	err := sendFrame(s.conn, kind, id, *bp)
+	err := sendFrame(s.conn, kind, id, *bp, tail)
 	s.wmu.Unlock()
 	putFrameBuf(bp)
 	if err != nil {
@@ -235,7 +236,7 @@ func (s *streamSession) send(kind byte, id uint64, bp *[]byte) error {
 func (s *streamSession) writeErr(id uint64, code byte, msg string) {
 	bp := getFrameBuf(0)
 	*bp = appendStreamError(*bp, code, msg)
-	s.send(FrameError, id, bp)
+	s.send(FrameError, id, bp, nil)
 }
 
 // handle serves one request/response frame: the wire table names the op the
@@ -357,5 +358,5 @@ func (s *streamSession) runSub(ctx context.Context, id uint64, sub binSub) {
 func (s *streamSession) writeEvents(id uint64, e binEvents) bool {
 	bp := getFrameBuf(0)
 	*bp, _ = encode(*bp, &e) // a binEvents has its walk
-	return s.send(FrameEvents, id, bp) == nil
+	return s.send(FrameEvents, id, bp, nil) == nil
 }

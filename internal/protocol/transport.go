@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/tls"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -255,9 +256,12 @@ const (
 // ConnFaults is the one connection-fault wrapper the injectors share (Flaky
 // on the client end of a stream, the testbed's gateway gate on the server
 // end): it tracks the live connections it wrapped so Sever can cut them, and
-// asks Decide before every frame a wrapped end writes — both ends write a
-// frame as one Write. The handshake frame, an end's first write, always
-// passes: a fault plan is about requests and replies.
+// asks Decide once for every frame a wrapped end writes. A frame may take
+// more than one Write — a server writes a data reply's Data apart from its
+// header — so a wrapped end follows the frames' length headers and asks only
+// when a Write starts a frame; a LoseFrame there means none of the frame is
+// written. The handshake frame, an end's first, always passes: a fault plan
+// is about requests and replies.
 type ConnFaults struct {
 	Decide func() Fault // nil passes everything
 
@@ -289,25 +293,34 @@ func (cf *ConnFaults) Sever() int {
 	return len(conns)
 }
 
-// killableConn is one wrapped stream end.
+// killableConn is one wrapped stream end. Its writes come one at a time,
+// under the stream's write lock, and each frame starts a Write with its
+// length header whole (sendFrame), so shook and left need no lock and no
+// header reassembly.
 type killableConn struct {
 	net.Conn
 	cf        *ConnFaults
-	shook     atomic.Bool // the handshake frame has been written
 	cutOnRead atomic.Bool
+	shook     bool // the handshake frame has been started
+	left      int  // bytes of the frame being written still to come
 }
 
-// Write asks the injector first, once past the handshake frame.
+// Write asks the injector first when p starts a frame past the handshake.
 func (c *killableConn) Write(p []byte) (int, error) {
-	if c.shook.Swap(true) && c.cf.Decide != nil {
-		switch c.cf.Decide() {
-		case LoseFrame:
-			c.Close()
-			return 0, errors.New("fault: frame lost in transit")
-		case LoseAnswer:
-			c.cutOnRead.Store(true)
+	if c.left == 0 && len(p) >= 4 {
+		c.left = 4 + int(binary.BigEndian.Uint32(p))
+		if c.shook && c.cf.Decide != nil {
+			switch c.cf.Decide() {
+			case LoseFrame:
+				c.Close()
+				return 0, errors.New("fault: frame lost in transit")
+			case LoseAnswer:
+				c.cutOnRead.Store(true)
+			}
 		}
+		c.shook = true
 	}
+	c.left -= min(c.left, len(p))
 	return c.Conn.Write(p)
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"testing"
 	"time"
 
@@ -315,4 +316,78 @@ func TestStagedTransferAllocationBudget(t *testing.T) {
 	}
 	check("the first download after the uploads", allocated(1, download), downBudget)
 	check("download", allocated(rounds, download), downBudget)
+}
+
+// TestDownloadAllocatesOnlyItsWindow runs downloads where a benchmark runs
+// them — two Ps, the collector on — and empties every pool before each, so
+// no buffer an earlier transfer left behind can hide an allocation. What a
+// download then allocates in large objects (above 32 KiB) is its own chunk
+// ring, at most Window buffers on the client: the server writes each chunk
+// from the vfs view it rests in, and no frame buffer on either side is
+// built to hold one.
+func TestDownloadAllocatesOnlyItsWindow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool deliberately drops buffers under -race")
+	}
+	const (
+		chunks    = 8
+		downloads = 4
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	site := newWireSite(t)
+	ctx := context.Background()
+	sess := site.d.Session(site.user, wireUsite) // v3 frames over InProc
+	if sess.Transfer != (staging.Options{}) {
+		t.Fatalf("session transfer options %+v, want the engine defaults", sess.Transfer)
+	}
+	payload := wirePayload(chunks*staging.DefaultChunkSize, 4)
+	want := staging.Checksum(payload)
+
+	handle, _, err := staging.Upload(ctx, sess, wireVsite, "in.dat", bytes.NewReader(payload), sess.Transfer)
+	if err != nil {
+		t.Fatalf("Upload: %v", err)
+	}
+	b := client.NewJob("window", core.Target{Usite: wireUsite, Vsite: wireVsite})
+	imp := b.ImportStaged("stage", handle, "in.dat")
+	run := b.Script("noop", "echo ok\n", resources.Request{Processors: 1, RunTime: time.Minute})
+	b.After(imp, run)
+	job, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	id, err := sess.Submit(ctx, job)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	site.d.Run(1_000_000)
+	if sum, err := sess.Status(ctx, id); err != nil || sum.Status != ajo.StatusSuccessful {
+		t.Fatalf("staging job: %+v, %v", sum, err)
+	}
+
+	// largeObjects counts the heap objects above 32 KiB allocated so far: the
+	// last bucket of the allocation-size histogram.
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs-by-size:bytes"}}
+	largeObjects := func() uint64 {
+		metrics.Read(sample)
+		h := sample[0].Value.Float64Histogram()
+		if lo := h.Buckets[len(h.Buckets)-2]; lo < 32<<10 {
+			t.Fatalf("the histogram's last bucket starts at %v bytes, not above 32 KiB", lo)
+		}
+		return h.Counts[len(h.Counts)-1]
+	}
+	for i := 0; i < downloads; i++ {
+		runtime.GC() // twice: a pool's victim cache survives one collection
+		runtime.GC()
+		before := largeObjects()
+		var sink crcSink
+		if _, err := sess.Download(ctx, id, "in.dat", &sink); err != nil {
+			t.Fatalf("Download: %v", err)
+		}
+		if sink.n != int64(len(payload)) || sink.crc != want {
+			t.Fatalf("downloaded %d bytes crc %#x, want %d/%#x", sink.n, sink.crc, len(payload), want)
+		}
+		if got := largeObjects() - before; got > staging.DefaultWindow {
+			t.Errorf("download %d allocated %d objects above 32 KiB, want at most its window of %d", i, got, staging.DefaultWindow)
+		}
+	}
 }
