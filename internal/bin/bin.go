@@ -15,6 +15,13 @@
 // writer can send them from where they rest instead of copying them behind
 // the other fields. The message is Bytes followed by Rest either way.
 //
+// A decoded string is a copy: it never aliases the input, so the input may be
+// reused or overwritten once the walk is done. The strings of one message
+// share an arena, cut from chunks that grow geometrically (see Str), so a
+// message of many short fields costs a handful of allocations, not one per
+// field. A surviving string pins its chunk, and no chunk is larger than the
+// message's input.
+//
 // The package imports only the standard library, so every tier may use it.
 package bin
 
@@ -23,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 )
 
@@ -35,17 +43,22 @@ var ErrMalformed = errors.New("malformed binary payload")
 // between fields. Keep a Codec in a local and pass its address down a chain
 // of direct calls: reached through a function value or an interface it moves
 // to the heap, and the message with it.
+//
+// A Codec must not be copied once it has decoded a string: the arena is a
+// strings.Builder, which panics when a copy of it is written to.
 type Codec struct {
-	b    []byte // encoding: the output so far; decoding: the input not yet read
-	rest []byte // encoding: the Tail field's bytes, not copied into b
-	dec  bool
-	bad  bool
+	b     []byte          // encoding: the output so far; decoding: the input not yet read
+	rest  []byte          // encoding: the Tail field's bytes, not copied into b
+	arena strings.Builder // decoding: the current chunk of this message's strings
+	dec   bool
+	bad   bool
 }
 
 // Encoder returns a codec whose walks append to b.
 func Encoder(b []byte) Codec { return Codec{b: b} }
 
-// Decoder returns a codec whose walks consume p. Views it hands out alias p.
+// Decoder returns a codec whose walks consume p. Views it hands out alias p;
+// strings never do.
 func Decoder(p []byte) Codec { return Codec{b: p, dec: true} }
 
 // Decoding reports the direction, for the few places a walk has to differ:
@@ -184,13 +197,34 @@ func (c *Codec) Len(n int) int {
 	return int(u)
 }
 
-// Str walks a length-prefixed string (decoded as a copy, unlike View).
+// Str walks a length-prefixed string. Decoded, it is a copy, unlike View,
+// cut from the message's arena: the chunk it is written to holds the other
+// strings of the message too. A string that does not fit the current chunk
+// starts a new one of max(n, min(2*cap, remaining input)) bytes; the old
+// chunk is left to the strings already cut from it, never copied. So the
+// first string of a message costs one allocation of its own length, and the
+// rest a number of allocations logarithmic in the message's size. No chunk is
+// larger than the input left to read when it was made (rounded up to the
+// allocator's size class), so a string the caller keeps — an AJO's for the
+// life of its job, a replayed journal entry's — pins at most its own
+// message's size, and all the chunks of one message together stay below
+// twice its size (plus the last chunk's rounding).
 func (c *Codec) Str(v *string) {
 	n := c.Len(len(*v))
-	if !c.dec {
+	switch {
+	case !c.dec:
 		c.b = append(c.b, *v...)
-	} else if !c.bad {
-		*v, c.b = string(c.b[:n]), c.b[n:]
+	case c.bad:
+	case n == 0:
+		*v = ""
+	default:
+		if size := c.arena.Cap(); size-c.arena.Len() < n {
+			c.arena = strings.Builder{}
+			c.arena.Grow(max(n, min(2*size, len(c.b))))
+		}
+		at := c.arena.Len()
+		c.arena.Write(c.b[:n])
+		*v, c.b = c.arena.String()[at:], c.b[n:]
 	}
 }
 

@@ -8,7 +8,8 @@ import (
 
 // TestWalkStaysOnTheStack is the escape guard of walkEntry: encoding into a
 // buffer with room allocates nothing, and decoding allocates the payload
-// struct, its strings and its list and nothing else — the AJO stays a view.
+// struct, its list and its strings' arena (package bin) and nothing else —
+// the AJO stays a view.
 // A walk that lets the entry or the codec escape costs every journal append
 // and every replayed record an allocation, and fails here before it fails
 // the benchmark gate.
@@ -28,14 +29,14 @@ func TestWalkStaysOnTheStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The Admission, eight strings, the group list and each group.
-	want := float64(1 + 8 + 1 + len(a.Groups))
+	// The Admission, the group list, and the arena chunks its eight strings
+	// and its groups are cut from (twelve allocations before the arena).
 	if n := testing.AllocsPerRun(100, func() {
 		got, err := decodePayload(rec)
 		if err != nil || got.Admit.Job != a.Job {
 			t.Fatal(got, err)
 		}
-	}); n != want {
-		t.Errorf("decoding an admission allocates %.0f times, want %.0f", n, want)
+	}); n > 4 {
+		t.Errorf("decoding an admission allocates %.0f times, want at most 4", n)
 	}
 }

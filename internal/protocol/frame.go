@@ -186,14 +186,24 @@ func writeFrame(w io.Writer, kind byte, id uint64, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame. The payload is freshly allocated, never pooled,
-// and ownership passes to the caller, who may keep it and anything decoded
-// out of it for good: a FramePut payload becomes the stored chunk itself
-// (staging.Spool.Chunk adopts it). The client's read loop is the one reader
-// that does not use it: it reads a reply's header first and its payload into
-// the buffer the waiting caller lent (streamConn.readLoop).
-func readFrame(r io.Reader) (Frame, error) {
-	f, n, err := readFrameHeader(r)
+// maxHandshakePayload bounds the frames read before the peer is
+// authenticated: a stream's hello, and the hello-ok or refusal that answers
+// it. A sealed hello is under 1 KiB; without this bound a 13-byte header
+// claiming MaxFramePayload would make the server allocate 64 MiB for a peer
+// that has shown no signature.
+const maxHandshakePayload = 64 << 10
+
+// readFrame reads one frame, its header into the reader's own buffer hdr
+// and refused if it announces more than limit bytes (readFrameHeader):
+// maxHandshakePayload for the handshake's frames, MaxFramePayload after
+// them. The payload is freshly allocated, never pooled, and ownership passes
+// to the caller, who may keep it and anything decoded out of it for good: a
+// FramePut payload becomes the stored chunk itself (staging.Spool.Chunk
+// adopts it). The client's read loop is the one reader that does not use it:
+// it reads a reply's header first and its payload into the buffer the
+// waiting caller lent (streamConn.readLoop).
+func readFrame(r io.Reader, hdr *[frameHeaderLen]byte, limit int) (Frame, error) {
+	f, n, err := readFrameHeader(r, hdr, limit)
 	if err == nil {
 		f.Payload, err = readFramePayload(r, n, nil)
 	}
@@ -203,10 +213,13 @@ func readFrame(r io.Reader) (Frame, error) {
 	return f, nil
 }
 
-// readFrameHeader reads one frame's header: its kind and ID, and the length
-// n of the payload that follows, still unread.
-func readFrameHeader(r io.Reader) (f Frame, n int, err error) {
-	var hdr [frameHeaderLen]byte
+// readFrameHeader reads one frame's header into hdr: its kind and ID, and
+// the length n of the payload that follows, still unread. A payload over
+// limit is ErrFrameTooLarge before any of it is read or allocated; the
+// handshake passes maxHandshakePayload. hdr belongs to the connection's one
+// reader and is reused for every frame, so reading a header allocates
+// nothing.
+func readFrameHeader(r io.Reader, hdr *[frameHeaderLen]byte, limit int) (f Frame, n int, err error) {
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return Frame{}, 0, err
 	}
@@ -214,7 +227,7 @@ func readFrameHeader(r io.Reader) (f Frame, n int, err error) {
 	if size < 9 {
 		return Frame{}, 0, ErrFrameShort
 	}
-	if size > MaxFramePayload+9 {
+	if uint64(size) > uint64(limit)+9 {
 		return Frame{}, 0, ErrFrameTooLarge
 	}
 	if _, err := io.ReadFull(r, hdr[4:]); err != nil {

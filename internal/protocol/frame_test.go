@@ -25,8 +25,9 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	wire := append([]byte(nil), buf.Bytes()...)
+	var hdr [frameHeaderLen]byte
 	for _, want := range cases {
-		got, err := readFrame(&buf)
+		got, err := readFrame(&buf, &hdr, MaxFramePayload)
 		if err != nil {
 			t.Fatalf("readFrame: %v", err)
 		}
@@ -68,6 +69,12 @@ func TestFrameDecodeRejects(t *testing.T) {
 	}
 	if err := writeFrame(&bytes.Buffer{}, FramePut, 1, make([]byte, MaxFramePayload+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("writeFrame oversize err = %v", err)
+	}
+	// A reader's own bound is checked on the header, before the payload.
+	var hdr [frameHeaderLen]byte
+	five := bytes.NewReader(AppendFrame(nil, FrameHello, 0, []byte("hello")))
+	if _, err := readFrame(five, &hdr, 4); !errors.Is(err, ErrFrameTooLarge) || five.Len() != len("hello")+9 {
+		t.Fatalf("5-byte payload under a 4-byte bound: err = %v, %d bytes left unread", err, five.Len())
 	}
 	// Truncated payload: header promises more than the buffer holds.
 	trunc := AppendFrame(nil, FrameCall, 1, []byte("abcdef"))

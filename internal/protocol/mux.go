@@ -84,7 +84,7 @@ func openStream(ctx context.Context, tr Transport, baseURL string, cred *pki.Cre
 		conn.Close()
 		return nil, fmt.Errorf("protocol: v3 hello to %s: %w", usite, err)
 	}
-	f, err := readFrame(conn)
+	f, err := readFrame(conn, new([frameHeaderLen]byte), maxHandshakePayload)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("protocol: v3 hello to %s: %w", usite, err)
@@ -305,8 +305,9 @@ func (s *streamConn) unsubscribe(id uint64) {
 // block the whole stream — the subscriber resumes at its cursor, which is
 // lossless by construction.
 func (s *streamConn) readLoop() {
+	var hdr [frameHeaderLen]byte
 	for {
-		f, n, err := readFrameHeader(s.conn)
+		f, n, err := readFrameHeader(s.conn, &hdr, MaxFramePayload)
 		if err != nil {
 			s.fail(fmt.Errorf("protocol: v3 stream read: %w", err))
 			return

@@ -375,7 +375,7 @@ func TestRowWithoutWalkIsANamedError(t *testing.T) {
 		row.serveFrame(context.Background(), &streamSession{conn: server}, 7, nil)
 		server.Close()
 	}()
-	f, err := readFrame(client)
+	f, err := readFrame(client, new([frameHeaderLen]byte), MaxFramePayload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,11 +389,14 @@ func TestRowWithoutWalkIsANamedError(t *testing.T) {
 }
 
 // TestWalksStayOnTheStack is the escape guard of walkMsg: encoding into a
-// buffer with room allocates nothing, and decoding allocates the strings and
-// lists the message holds and nothing else. A walk that lets its message or
-// its codec escape — a function-typed codec column, a field's address handed
-// to json.Unmarshal — costs every frame of every op an allocation or two, and
-// fails here before it fails the benchmark gate.
+// buffer with room allocates nothing, and decoding allocates the lists the
+// message holds and its strings' arena (package bin), and nothing else. A
+// single-string message costs exactly one allocation, so a walk that lets its
+// message or its codec escape — a function-typed codec column, a field's
+// address handed to json.Unmarshal — costs every frame of every op an
+// allocation or two and fails here before it fails the benchmark gate. An
+// event list costs its slice plus a number of arena chunks logarithmic in its
+// size, not five strings an event.
 func TestWalksStayOnTheStack(t *testing.T) {
 	var poll PollReply
 	bintest.Fill(t, &poll)
@@ -409,22 +412,31 @@ func TestWalksStayOnTheStack(t *testing.T) {
 		t.Errorf("encoding a PollReply and a binEvents allocates %.0f times, want 0", n)
 	}
 	pollBody, evsBody := mustEncode(poll), mustEncode(evs)
-	if n := testing.AllocsPerRun(100, func() {
-		var m PollReply
-		if err := decode(pollBody, &m); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 1 {
+	decodes := func(run func() error) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if n := decodes(func() error { var m PollReply; return decode(pollBody, &m) }); n != 1 {
 		t.Errorf("decoding a PollReply allocates %.0f times, want 1: the summary's job ID", n)
 	}
-	// Per event: Job, Origin, Type, Action, Reason.
-	want := float64(1 + 5*len(evs.Events))
-	if n := testing.AllocsPerRun(100, func() {
-		var m binEvents
-		if err := decode(evsBody, &m); err != nil {
-			t.Fatal(err)
-		}
-	}); n != want {
-		t.Errorf("decoding a binEvents of %d events allocates %.0f times, want %.0f: the list and five strings an event", len(evs.Events), n, want)
+	if n := decodes(func() error { var m binEvents; return decode(evsBody, &m) }); n > 4 {
+		t.Errorf("decoding a binEvents of %d events allocates %.0f times, want at most 4: the list and its strings' arena", len(evs.Events), n)
+	}
+	// A job's whole history in one batch, shaped like a real one.
+	many := binEvents{EventsReply: EventsReply{Cursor: 64}}
+	for i := range 64 {
+		ev := evs.Events[i%2]
+		ev.Job = "FZJ-CLUSTER.r0-000042"
+		ev.Seq, ev.Origin = uint64(i+1), "CLUSTER.r0"
+		ev.Type, ev.Action = events.TypeActionDone, ajo.ActionID(fmt.Sprintf("stage-%02d", i))
+		ev.Reason = fmt.Sprintf("exit status %d after %d retries", i%3, i%4)
+		many.Events = append(many.Events, ev)
+	}
+	body := mustEncode(many)
+	if n := decodes(func() error { var m binEvents; return decode(body, &m) }); n > 10 {
+		t.Errorf("decoding a binEvents of %d events (%d bytes) allocates %.0f times, want at most 10: the list and its strings' arena", len(many.Events), len(body), n)
 	}
 }

@@ -95,11 +95,14 @@ type streamSession struct {
 
 // ServeStreamConn authenticates and serves one v3 stream until the
 // connection dies or ctx is cancelled. It blocks; callers run it from the
-// upgrade handler's goroutine (or a testbed pipe's).
+// upgrade handler's goroutine (or a testbed pipe's). The hello is read
+// against maxHandshakePayload: a peer not yet authenticated cannot make it
+// allocate more.
 func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts StreamServerOpts) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	f, err := readFrame(conn)
+	var hdr [frameHeaderLen]byte
+	f, err := readFrame(conn, &hdr, maxHandshakePayload)
 	if err != nil || f.Kind != FrameHello {
 		return
 	}
@@ -148,7 +151,7 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 		subs:     make(map[uint64]context.CancelFunc),
 	}
 	for {
-		f, err := readFrame(conn)
+		f, err := readFrame(conn, &hdr, MaxFramePayload)
 		if err != nil {
 			break
 		}
@@ -192,11 +195,12 @@ func refuseHello(conn net.Conn, id uint64, envelope []byte) {
 // ServeStreamConn would, and nothing has crossed the firewall; otherwise the
 // hello is replayed inward for the gateway to verify in its turn, and the two
 // connections are spliced byte for byte until either side closes — which
-// closes the other, so a held subscribe ends with its caller.
+// closes the other, so a held subscribe ends with its caller. The hello is
+// read against maxHandshakePayload, as ServeStreamConn reads it.
 func SpliceStream(conn net.Conn, admit func(hello []byte) (inner net.Conn, refusal []byte)) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	f, err := readFrame(conn)
+	f, err := readFrame(conn, new([frameHeaderLen]byte), maxHandshakePayload)
 	if err != nil || f.Kind != FrameHello {
 		return
 	}

@@ -2,8 +2,12 @@ package protocol
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
+	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -73,6 +77,7 @@ func TestStreamSubscriptionOverload(t *testing.T) {
 		<-served
 	}()
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	var hdr [frameHeaderLen]byte
 
 	hello, err := Seal(r.user, MsgHello, HelloRequest{Usite: "FZJ", Nonce: "n"})
 	if err != nil {
@@ -81,7 +86,7 @@ func TestStreamSubscriptionOverload(t *testing.T) {
 	if err := writeFrame(conn, FrameHello, 0, hello); err != nil {
 		t.Fatal(err)
 	}
-	if f, err := readFrame(conn); err != nil || f.Kind != FrameHelloOK {
+	if f, err := readFrame(conn, &hdr, MaxFramePayload); err != nil || f.Kind != FrameHelloOK {
 		t.Fatalf("hello answered with kind %#x, %v", f.Kind, err)
 	}
 	sub := func(id uint64) {
@@ -97,7 +102,7 @@ func TestStreamSubscriptionOverload(t *testing.T) {
 		t.Helper()
 		got := make(map[uint64]bool)
 		for len(got) < len(want) {
-			f, err := readFrame(conn)
+			f, err := readFrame(conn, &hdr, MaxFramePayload)
 			if err != nil {
 				t.Fatalf("round %d: %d of %d subscriptions delivered, then %v", seq, len(got), len(want), err)
 			}
@@ -119,7 +124,7 @@ func TestStreamSubscriptionOverload(t *testing.T) {
 	}
 	over := uint64(maxStreamSubs + 1)
 	sub(over)
-	f, err := readFrame(conn)
+	f, err := readFrame(conn, &hdr, MaxFramePayload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +143,7 @@ func TestStreamSubscriptionOverload(t *testing.T) {
 	delete(open, 1)
 	for id := over + 1; ; id++ {
 		sub(id)
-		f, err := readFrame(conn)
+		f, err := readFrame(conn, &hdr, MaxFramePayload)
 		if err != nil {
 			t.Fatalf("no subscription admitted after a stop: %v", err)
 		}
@@ -156,4 +161,55 @@ func TestStreamSubscriptionOverload(t *testing.T) {
 	}
 	be.advance()
 	round(2, open)
+}
+
+// TestHelloFrameIsBoundedBeforeAuth sends the stream server and the firewall
+// front's splice a bare frame header claiming MaxFramePayload, from a peer
+// that never signs anything. Each must close the connection at once, without
+// allocating the payload it was promised: the hello is read against
+// maxHandshakePayload, not MaxFramePayload.
+func TestHelloFrameIsBoundedBeforeAuth(t *testing.T) {
+	doors := []struct {
+		name  string
+		serve func(net.Conn)
+	}{
+		{"ServeStreamConn", func(c net.Conn) {
+			ServeStreamConn(context.Background(), c, &subBackend{}, StreamServerOpts{})
+		}},
+		{"SpliceStream", func(c net.Conn) {
+			SpliceStream(c, func([]byte) (net.Conn, []byte) {
+				t.Error("SpliceStream admitted a hello it never read")
+				return nil, []byte("refused")
+			})
+		}},
+	}
+	var hdr [frameHeaderLen]byte
+	binary.BigEndian.PutUint32(hdr[:], MaxFramePayload+9)
+	hdr[4] = FrameHello
+	const conns = 4
+	for _, door := range doors {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for range conns {
+			client, server := net.Pipe()
+			served := make(chan struct{})
+			go func() {
+				door.serve(server)
+				close(served)
+			}()
+			go client.Write(hdr[:])
+			client.SetReadDeadline(time.Now().Add(time.Second))
+			_, err := client.Read(make([]byte, 1))
+			client.Close()
+			<-served
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Errorf("%s: the connection is still open a second after a %d MiB hello header", door.name, MaxFramePayload>>20)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= conns<<20 {
+			t.Errorf("%s: %d hello headers allocated %d KiB, want under 1 MiB each", door.name, conns, grew>>10)
+		}
+	}
 }
