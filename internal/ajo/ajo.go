@@ -540,18 +540,15 @@ func (j *AbstractJob) Find(id ActionID) (Action, bool) {
 
 // Graph builds the dependency DAG over the job's direct children.
 func (j *AbstractJob) Graph() (*dag.Graph, error) {
-	g := dag.New()
-	for _, a := range j.Actions {
-		if err := g.AddNode(string(a.ID())); err != nil {
-			return nil, err
-		}
+	ids := make([]string, len(j.Actions))
+	for i, a := range j.Actions {
+		ids[i] = string(a.ID())
 	}
-	for _, d := range j.Dependencies {
-		if err := g.AddEdge(string(d.Before), string(d.After)); err != nil {
-			return nil, err
-		}
+	edges := make([][2]string, len(j.Dependencies))
+	for i, d := range j.Dependencies {
+		edges[i] = [2]string{string(d.Before), string(d.After)}
 	}
-	return g, nil
+	return dag.Build(ids, edges)
 }
 
 // Validate checks the whole recursive structure: action field validity,

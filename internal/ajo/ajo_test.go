@@ -1,6 +1,7 @@
 package ajo
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,10 @@ import (
 )
 
 var fzjT3E = core.Target{Usite: "FZJ", Vsite: "T3E"}
+
+// raceEnabled is set by race_test.go under -race, where allocation counts
+// include the detector's own and mean nothing.
+var raceEnabled bool
 
 // sampleJob builds a representative compile-link-execute job with staging,
 // the §5.7 workload.
@@ -188,18 +193,51 @@ func TestGraphAndFind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, err := g.TopoSort()
-	if err != nil {
-		t.Fatal(err)
+	// The chain dispatches one action at a time, in dependency order.
+	done := map[string]bool{}
+	var order []string
+	for ready := g.Ready(done); len(ready) > 0; ready = g.Ready(done) {
+		if len(ready) != 1 {
+			t.Fatalf("after %v, Ready = %v, want one action", order, ready)
+		}
+		done[ready[0]] = true
+		order = append(order, ready[0])
 	}
-	if order[0] != "imp" || order[len(order)-1] != "exp" {
-		t.Fatalf("topo order = %v", order)
+	if got := strings.Join(order, " "); got != "imp cc ld run exp" {
+		t.Fatalf("dispatch order = %s", got)
 	}
 	if _, ok := j.Find("run"); !ok {
 		t.Fatal("Find(run) failed")
 	}
 	if _, ok := j.Find("ghost"); ok {
 		t.Fatal("Find(ghost) succeeded")
+	}
+}
+
+// TestValidateAllocationBudget gates the graph a consign builds on every
+// validation: the two slices handed to dag.Build and the graph, plus, above
+// eight actions, the ID set and the graph's ID index, whatever the number
+// of actions.
+func TestValidateAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include the race detector's own")
+	}
+	for _, c := range []struct{ n, max int }{{3, 4}, {512, 12}} {
+		j := &AbstractJob{Header: Header{ActionID: "chain"}, Target: fzjT3E}
+		for i := 0; i < c.n; i++ {
+			id := ActionID(fmt.Sprintf("t%03d", i))
+			j.Actions = append(j.Actions, &UserTask{TaskBase: TaskBase{Header: Header{ActionID: id}}, Command: "ls"})
+			if i > 0 {
+				j.Dependencies = append(j.Dependencies, Dependency{Before: j.Actions[i-1].ID(), After: id})
+			}
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			if err := j.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); n > float64(c.max) {
+			t.Errorf("Validate of a %d-action chain allocates %.0f times, want at most %d", c.n, n, c.max)
+		}
 	}
 }
 

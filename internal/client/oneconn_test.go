@@ -159,6 +159,13 @@ func TestEveryClientOpRidesOneConnection(t *testing.T) {
 	}
 	// Whole-process allocations per call: client, TLS both ways, gateway, NJS.
 	if n := testing.AllocsPerRun(50, func() {
+		if s, err := sess.Status(ctx, ids[0]); err != nil || s.Status != ajo.StatusSuccessful {
+			t.Fatalf("Status: %+v, %v", s, err)
+		}
+	}); n > 12 {
+		t.Errorf("Session.Status allocates %.0f times per call, ceiling 12", n)
+	}
+	if n := testing.AllocsPerRun(50, func() {
 		if jobs, err := sess.List(ctx); err != nil || len(jobs) != 33 {
 			t.Fatalf("List: %d jobs, %v", len(jobs), err)
 		}

@@ -3,14 +3,18 @@
 // dependencies" (paper §4), and the NJS "makes sure that the dependent parts
 // of the UNICORE job are scheduled in the predefined sequence" (§4.2).
 //
-// The graph is keyed by string IDs. Edges point from a predecessor to the
-// successor that must wait for it.
+// A Graph is immutable. Build takes every node ID and every edge at once,
+// indexes the IDs, lays the edges out as compressed adjacency arrays
+// (one offset array and one index array per direction) and rejects a cycle
+// with one pass of Kahn's algorithm, so building costs O(V+E) time and a
+// fixed number of allocations however many actions a job has. Edges point
+// from a predecessor to the successor that must wait for it.
 package dag
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Common graph errors.
@@ -21,266 +25,154 @@ var (
 	ErrSelfEdge      = errors.New("dag: self dependency")
 )
 
-// Graph is a mutable directed graph. Acyclicity is enforced on AddEdge, so a
-// Graph is a DAG at every point in its life. The zero value is not usable;
-// call New.
+// Graph is an acyclic dependency graph over string IDs. It never changes
+// after Build returns it, so it may be read from several goroutines.
 type Graph struct {
-	succ map[string]map[string]bool
-	pred map[string]map[string]bool
-	// order remembers insertion order so traversals are deterministic.
-	order []string
+	ids []string
+	// The predecessors of node i are pred[predOff[i]:predOff[i+1]], its
+	// successors succ[succOff[i]:succOff[i+1]], each in edge order. A
+	// duplicate edge appears twice, which no traversal below minds.
+	predOff, pred []int32
+	succOff, succ []int32
 }
 
-// New returns an empty graph.
-func New() *Graph {
-	return &Graph{
-		succ: make(map[string]map[string]bool),
-		pred: make(map[string]map[string]bool),
+// Build returns the graph with the given nodes, in this order, and edges,
+// each recording that e[1] depends on (runs after) e[0]. It rejects a
+// duplicate ID, an edge naming an unknown node, a self edge and a cycle; a
+// cycle error names one node that lies on a cycle. The graph keeps ids, so
+// the caller must not modify them afterwards.
+func Build(ids []string, edges [][2]string) (*Graph, error) {
+	n, e := len(ids), len(edges)
+	index := make(map[string]int32, n)
+	for i, id := range ids {
+		if _, dup := index[id]; dup {
+			return nil, fmt.Errorf("%w: %q", ErrDuplicateNode, id)
+		}
+		index[id] = int32(i)
 	}
+	// One backing array: predOff and succOff (n+2 each, see below), pred and
+	// succ (e each), then Kahn's in-degrees and queue (n each).
+	buf := make([]int32, 2*(n+2)+2*e+2*n)
+	predOff, succOff, rest := buf[:n+2], buf[n+2:2*n+4], buf[2*n+4:]
+	g := &Graph{ids: ids, predOff: predOff[:n+1], succOff: succOff[:n+1], pred: rest[:e], succ: rest[e : 2*e]}
+	indeg, queue := rest[2*e:2*e+n], rest[2*e+n:]
+	for _, ed := range edges {
+		from, okFrom := index[ed[0]]
+		to, okTo := index[ed[1]]
+		switch {
+		case !okFrom:
+			return nil, fmt.Errorf("%w: %q", ErrUnknownNode, ed[0])
+		case !okTo:
+			return nil, fmt.Errorf("%w: %q", ErrUnknownNode, ed[1])
+		case from == to:
+			return nil, fmt.Errorf("%w: %q", ErrSelfEdge, ed[0])
+		}
+		succOff[from+2]++
+		predOff[to+2]++
+	}
+	// With each degree counted two slots up, the prefix sums put node i's
+	// start in slot i+1; filling through that slot as a cursor moves it to
+	// node i's end, which is node i+1's start.
+	for i := 2; i < n+2; i++ {
+		succOff[i] += succOff[i-1]
+		predOff[i] += predOff[i-1]
+	}
+	for _, ed := range edges {
+		from, to := index[ed[0]], index[ed[1]]
+		g.succ[succOff[from+1]], g.pred[predOff[to+1]] = to, from
+		succOff[from+1]++
+		predOff[to+1]++
+	}
+	if on := g.onCycle(indeg, queue); on >= 0 {
+		return nil, fmt.Errorf("%w: action %q lies on a cycle", ErrCycle, ids[on])
+	}
+	return g, nil
+}
+
+// onCycle runs Kahn's algorithm with the given scratch arrays and returns -1
+// when every node can be ordered. Otherwise every node left unordered has
+// an unordered predecessor, so walking predecessors among them must revisit
+// a node; that node lies on a cycle and is returned.
+func (g *Graph) onCycle(indeg, queue []int32) int32 {
+	tail := 0
+	for i := range indeg {
+		indeg[i] = g.predOff[i+1] - g.predOff[i]
+		if indeg[i] == 0 {
+			queue[tail] = int32(i)
+			tail++
+		}
+	}
+	for head := 0; head < tail; head++ {
+		for _, s := range g.succ[g.succOff[queue[head]]:g.succOff[queue[head]+1]] {
+			if indeg[s]--; indeg[s] == 0 {
+				queue[tail] = s
+				tail++
+			}
+		}
+	}
+	if tail == len(indeg) {
+		return -1
+	}
+	v := int32(slices.IndexFunc(indeg, func(d int32) bool { return d > 0 }))
+	for indeg[v] > 0 { // unordered and not yet walked
+		indeg[v] = -1
+		for _, p := range g.pred[g.predOff[v]:g.predOff[v+1]] {
+			if indeg[p] != 0 {
+				v = p
+				break
+			}
+		}
+	}
+	return v
 }
 
 // Len returns the number of nodes.
-func (g *Graph) Len() int { return len(g.order) }
+func (g *Graph) Len() int { return len(g.ids) }
 
-// Has reports whether id is a node of the graph.
-func (g *Graph) Has(id string) bool { _, ok := g.succ[id]; return ok }
-
-// AddNode inserts a node. Adding an existing node returns ErrDuplicateNode.
-func (g *Graph) AddNode(id string) error {
-	if g.Has(id) {
-		return fmt.Errorf("%w: %q", ErrDuplicateNode, id)
-	}
-	g.succ[id] = make(map[string]bool)
-	g.pred[id] = make(map[string]bool)
-	g.order = append(g.order, id)
-	return nil
-}
-
-// AddEdge records that `to` depends on (runs after) `from`. It rejects edges
-// between unknown nodes, self edges, and edges that would close a cycle.
-// Duplicate edges are a silent no-op.
-func (g *Graph) AddEdge(from, to string) error {
-	if !g.Has(from) {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, from)
-	}
-	if !g.Has(to) {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, to)
-	}
-	if from == to {
-		return fmt.Errorf("%w: %q", ErrSelfEdge, from)
-	}
-	if g.succ[from][to] {
-		return nil
-	}
-	if g.reaches(to, from) {
-		return fmt.Errorf("%w: %q -> %q closes a cycle", ErrCycle, from, to)
-	}
-	g.succ[from][to] = true
-	g.pred[to][from] = true
-	return nil
-}
-
-// reaches reports whether dst is reachable from src.
-func (g *Graph) reaches(src, dst string) bool {
-	if src == dst {
-		return true
-	}
-	seen := map[string]bool{src: true}
-	stack := []string{src}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for m := range g.succ[n] {
-			if m == dst {
-				return true
-			}
-			if !seen[m] {
-				seen[m] = true
-				stack = append(stack, m)
-			}
-		}
-	}
-	return false
-}
-
-// Nodes returns all node IDs in insertion order.
-func (g *Graph) Nodes() []string {
-	out := make([]string, len(g.order))
-	copy(out, g.order)
-	return out
-}
-
-// Successors returns the direct successors of id, sorted.
-func (g *Graph) Successors(id string) []string { return sortedKeys(g.succ[id]) }
-
-// Predecessors returns the direct predecessors of id, sorted.
-func (g *Graph) Predecessors(id string) []string { return sortedKeys(g.pred[id]) }
-
-// Roots returns the nodes with no predecessors, in insertion order.
-func (g *Graph) Roots() []string {
-	var out []string
-	for _, id := range g.order {
-		if len(g.pred[id]) == 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Leaves returns the nodes with no successors, in insertion order.
-func (g *Graph) Leaves() []string {
-	var out []string
-	for _, id := range g.order {
-		if len(g.succ[id]) == 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// TopoSort returns a deterministic topological order (insertion order among
-// simultaneously-ready nodes). Because AddEdge preserves acyclicity the sort
-// cannot fail on a Graph built through the public API, but the error is kept
-// for defence in depth.
-func (g *Graph) TopoSort() ([]string, error) {
-	indeg := make(map[string]int, len(g.order))
-	for _, id := range g.order {
-		indeg[id] = len(g.pred[id])
-	}
-	var frontier []string
-	for _, id := range g.order {
-		if indeg[id] == 0 {
-			frontier = append(frontier, id)
-		}
-	}
-	out := make([]string, 0, len(g.order))
-	for len(frontier) > 0 {
-		n := frontier[0]
-		frontier = frontier[1:]
-		out = append(out, n)
-		// Visit successors in insertion order for determinism.
-		for _, m := range g.order {
-			if !g.succ[n][m] {
-				continue
-			}
-			indeg[m]--
-			if indeg[m] == 0 {
-				frontier = append(frontier, m)
-			}
-		}
-	}
-	if len(out) != len(g.order) {
-		return nil, ErrCycle
-	}
-	return out, nil
-}
+// Roots returns the nodes with no predecessors, in insertion order: those
+// ready before anything is done.
+func (g *Graph) Roots() []string { return g.Ready(nil) }
 
 // Ready returns the nodes whose predecessors are all in done and which are
 // not themselves in done, in insertion order. This is the NJS dispatch rule:
 // a task becomes eligible exactly when every predecessor has completed.
 func (g *Graph) Ready(done map[string]bool) []string {
 	var out []string
-	for _, id := range g.order {
+next:
+	for i, id := range g.ids {
 		if done[id] {
 			continue
 		}
-		ok := true
-		for p := range g.pred[id] {
-			if !done[p] {
-				ok = false
-				break
+		for _, p := range g.pred[g.predOff[i]:g.predOff[i+1]] {
+			if !done[g.ids[p]] {
+				continue next
 			}
 		}
-		if ok {
-			out = append(out, id)
-		}
+		out = append(out, id)
 	}
 	return out
 }
 
 // Descendants returns every node reachable from id (excluding id), sorted.
 func (g *Graph) Descendants(id string) ([]string, error) {
-	if !g.Has(id) {
+	start := slices.Index(g.ids, id)
+	if start < 0 {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, id)
 	}
-	seen := make(map[string]bool)
-	stack := []string{id}
+	seen := make([]bool, len(g.ids))
+	stack := []int32{int32(start)}
+	var out []string
 	for len(stack) > 0 {
-		n := stack[len(stack)-1]
+		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for m := range g.succ[n] {
-			if !seen[m] {
-				seen[m] = true
-				stack = append(stack, m)
+		for _, s := range g.succ[g.succOff[v]:g.succOff[v+1]] {
+			if !seen[s] {
+				seen[s] = true
+				out = append(out, g.ids[s])
+				stack = append(stack, s)
 			}
 		}
 	}
-	return sortedKeys(seen), nil
-}
-
-// CriticalPath returns the heaviest root-to-leaf path under the given node
-// weights, together with its total weight. Missing weights count as zero.
-// An empty graph yields a nil path and zero weight.
-func (g *Graph) CriticalPath(weight func(id string) float64) ([]string, float64) {
-	order, err := g.TopoSort()
-	if err != nil || len(order) == 0 {
-		return nil, 0
-	}
-	dist := make(map[string]float64, len(order))
-	prev := make(map[string]string, len(order))
-	for _, id := range order {
-		w := 0.0
-		if weight != nil {
-			w = weight(id)
-		}
-		best, bestFrom := 0.0, ""
-		for _, p := range sortedKeys(g.pred[id]) {
-			if bestFrom == "" || dist[p] > best {
-				best, bestFrom = dist[p], p
-			}
-		}
-		dist[id] = best + w
-		if bestFrom != "" {
-			prev[id] = bestFrom
-		}
-	}
-	endID, endW := "", -1.0
-	for _, id := range order {
-		if dist[id] > endW {
-			endID, endW = id, dist[id]
-		}
-	}
-	var path []string
-	for id := endID; id != ""; id = prev[id] {
-		path = append(path, id)
-	}
-	// Reverse in place.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, endW
-}
-
-// Clone returns an independent copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	for _, id := range g.order {
-		_ = c.AddNode(id)
-	}
-	for _, id := range g.order {
-		for m := range g.succ[id] {
-			c.succ[id][m] = true
-			c.pred[m][id] = true
-		}
-	}
-	return c
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return out, nil
 }

@@ -4,114 +4,136 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// raceEnabled is set by race_test.go under -race, where allocation counts
+// include the detector's own and mean nothing.
+var raceEnabled bool
+
 func mustBuild(t *testing.T, nodes []string, edges [][2]string) *Graph {
 	t.Helper()
-	g := New()
-	for _, n := range nodes {
-		if err := g.AddNode(n); err != nil {
-			t.Fatalf("AddNode(%q): %v", n, err)
-		}
-	}
-	for _, e := range edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatalf("AddEdge(%q,%q): %v", e[0], e[1], err)
-		}
+	g, err := Build(nodes, edges)
+	if err != nil {
+		t.Fatalf("Build(%v, %v): %v", nodes, edges, err)
 	}
 	return g
 }
 
-func TestAddNodeDuplicate(t *testing.T) {
-	g := New()
-	if err := g.AddNode("a"); err != nil {
-		t.Fatal(err)
+// topoSort orders g as the NJS dispatches it: each round takes every Ready
+// node, in insertion order, and marks it done. It fails when a round finds
+// nothing ready before every node is done.
+func topoSort(g *Graph) ([]string, error) {
+	done := map[string]bool{}
+	var order []string
+	for len(order) < g.Len() {
+		ready := g.Ready(done)
+		if len(ready) == 0 {
+			return order, fmt.Errorf("Ready stalled after %v", order)
+		}
+		for _, id := range ready {
+			done[id] = true
+		}
+		order = append(order, ready...)
 	}
-	if err := g.AddNode("a"); !errors.Is(err, ErrDuplicateNode) {
+	return order, nil
+}
+
+func TestAddNodeDuplicate(t *testing.T) {
+	if _, err := Build([]string{"a", "b", "a"}, nil); !errors.Is(err, ErrDuplicateNode) {
 		t.Fatalf("err = %v, want ErrDuplicateNode", err)
 	}
 }
 
 func TestAddEdgeValidation(t *testing.T) {
-	g := mustBuild(t, []string{"a", "b"}, nil)
-	if err := g.AddEdge("a", "x"); !errors.Is(err, ErrUnknownNode) {
+	nodes := []string{"a", "b"}
+	if _, err := Build(nodes, [][2]string{{"a", "x"}}); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("unknown to: %v", err)
 	}
-	if err := g.AddEdge("x", "a"); !errors.Is(err, ErrUnknownNode) {
+	if _, err := Build(nodes, [][2]string{{"x", "a"}}); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("unknown from: %v", err)
 	}
-	if err := g.AddEdge("a", "a"); !errors.Is(err, ErrSelfEdge) {
+	if _, err := Build(nodes, [][2]string{{"a", "b"}, {"a", "a"}}); !errors.Is(err, ErrSelfEdge) {
 		t.Fatalf("self edge: %v", err)
 	}
 }
 
+// The cycle error names a node on the cycle, even when the first node Kahn's
+// pass could not order (z) only hangs off it.
 func TestCycleRejected(t *testing.T) {
-	g := mustBuild(t, []string{"a", "b", "c"}, [][2]string{{"a", "b"}, {"b", "c"}})
-	if err := g.AddEdge("c", "a"); !errors.Is(err, ErrCycle) {
-		t.Fatalf("closing edge: err = %v, want ErrCycle", err)
+	_, err := Build([]string{"z", "r", "a", "b", "c"},
+		[][2]string{{"r", "a"}, {"a", "b"}, {"b", "c"}, {"c", "a"}, {"c", "z"}})
+	if !errors.Is(err, ErrCycle) {
+		t.Fatalf("err = %v, want ErrCycle", err)
 	}
-	// Graph must be unchanged by the failed insert.
-	if got := g.Successors("c"); len(got) != 0 {
-		t.Fatalf("failed AddEdge mutated graph: succ(c) = %v", got)
+	if named := namedNode(err, []string{"z", "r", "a", "b", "c"}); named != "a" && named != "b" && named != "c" {
+		t.Fatalf("err = %v names %q, want a node of the cycle a→b→c", err, named)
 	}
 }
 
 func TestDuplicateEdgeIsNoop(t *testing.T) {
-	g := mustBuild(t, []string{"a", "b"}, [][2]string{{"a", "b"}})
-	if err := g.AddEdge("a", "b"); err != nil {
-		t.Fatalf("duplicate edge: %v", err)
+	g := mustBuild(t, []string{"a", "b"}, [][2]string{{"a", "b"}, {"a", "b"}})
+	if got := g.Roots(); fmt.Sprint(got) != "[a]" {
+		t.Fatalf("Roots = %v", got)
 	}
-	if got := g.Successors("a"); len(got) != 1 {
-		t.Fatalf("succ(a) = %v, want exactly [b]", got)
+	if got, err := g.Descendants("a"); err != nil || fmt.Sprint(got) != "[b]" {
+		t.Fatalf("Descendants(a) = %v, %v; want exactly [b]", got, err)
+	}
+	if order, err := topoSort(g); err != nil || fmt.Sprint(order) != "[a b]" {
+		t.Fatalf("dispatch order %v, %v", order, err)
 	}
 }
 
 func TestTopoSortDiamond(t *testing.T) {
-	g := mustBuild(t, []string{"pre", "left", "right", "post"},
-		[][2]string{{"pre", "left"}, {"pre", "right"}, {"left", "post"}, {"right", "post"}})
-	order, err := g.TopoSort()
+	edges := [][2]string{{"pre", "left"}, {"pre", "right"}, {"left", "post"}, {"right", "post"}}
+	g := mustBuild(t, []string{"post", "right", "left", "pre"}, edges)
+	order, err := topoSort(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos := map[string]int{}
-	for i, id := range order {
-		pos[id] = i
-	}
-	for _, e := range [][2]string{{"pre", "left"}, {"pre", "right"}, {"left", "post"}, {"right", "post"}} {
-		if pos[e[0]] >= pos[e[1]] {
-			t.Fatalf("order %v violates %v", order, e)
-		}
+	if fmt.Sprint(order) != "[pre right left post]" {
+		t.Fatalf("dispatch order = %v", order)
 	}
 }
 
 func TestTopoSortDeterministic(t *testing.T) {
 	build := func() *Graph {
-		g := New()
+		var nodes []string
+		var edges [][2]string
 		for i := 0; i < 20; i++ {
-			_ = g.AddNode(fmt.Sprintf("n%02d", i))
+			nodes = append(nodes, fmt.Sprintf("n%02d", i))
 		}
 		for i := 0; i < 19; i += 2 {
-			_ = g.AddEdge(fmt.Sprintf("n%02d", i), fmt.Sprintf("n%02d", i+1))
+			edges = append(edges, [2]string{nodes[i], nodes[i+1]})
 		}
-		return g
+		return mustBuild(t, nodes, edges)
 	}
-	a, _ := build().TopoSort()
-	b, _ := build().TopoSort()
+	a, _ := topoSort(build())
+	b, _ := topoSort(build())
 	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("nondeterministic topo sort:\n%v\n%v", a, b)
+		t.Fatalf("nondeterministic dispatch order:\n%v\n%v", a, b)
 	}
 }
 
+// Roots come in insertion order; a leaf is a node with no descendants.
 func TestRootsLeaves(t *testing.T) {
 	g := mustBuild(t, []string{"a", "b", "c", "d"},
 		[][2]string{{"a", "b"}, {"b", "c"}})
 	if got := g.Roots(); fmt.Sprint(got) != "[a d]" {
 		t.Fatalf("Roots = %v", got)
 	}
-	if got := g.Leaves(); fmt.Sprint(got) != "[c d]" {
-		t.Fatalf("Leaves = %v", got)
+	var leaves []string
+	for _, id := range []string{"a", "b", "c", "d"} {
+		if d, err := g.Descendants(id); err == nil && len(d) == 0 {
+			leaves = append(leaves, id)
+		}
+	}
+	if fmt.Sprint(leaves) != "[c d]" {
+		t.Fatalf("leaves = %v", leaves)
 	}
 }
 
@@ -148,80 +170,66 @@ func TestDescendants(t *testing.T) {
 	}
 }
 
-func TestCriticalPath(t *testing.T) {
-	g := mustBuild(t, []string{"a", "b", "c", "d"},
-		[][2]string{{"a", "b"}, {"a", "c"}, {"b", "d"}, {"c", "d"}})
-	w := map[string]float64{"a": 1, "b": 10, "c": 2, "d": 1}
-	path, total := g.CriticalPath(func(id string) float64 { return w[id] })
-	if fmt.Sprint(path) != "[a b d]" {
-		t.Fatalf("path = %v, want [a b d]", path)
+// TestBuildAllocationBudget gates the one-pass build: the graph, its one
+// index array, and for more than eight nodes the ID index, whatever the
+// size of the job.
+func TestBuildAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include the race detector's own")
 	}
-	if total != 12 {
-		t.Fatalf("total = %v, want 12", total)
-	}
-}
-
-func TestCriticalPathEmpty(t *testing.T) {
-	path, total := New().CriticalPath(nil)
-	if path != nil || total != 0 {
-		t.Fatalf("empty graph: path=%v total=%v", path, total)
-	}
-}
-
-func TestClone(t *testing.T) {
-	g := mustBuild(t, []string{"a", "b"}, [][2]string{{"a", "b"}})
-	c := g.Clone()
-	_ = c.AddNode("z")
-	_ = c.AddEdge("b", "z")
-	if g.Has("z") {
-		t.Fatal("mutation of clone leaked into original")
-	}
-	if got := c.Successors("b"); fmt.Sprint(got) != "[z]" {
-		t.Fatalf("clone succ(b) = %v", got)
+	for _, n := range []int{1, 3, 8, 9, 64, 512} {
+		nodes := make([]string, n)
+		var edges [][2]string
+		for i := range nodes {
+			nodes[i] = fmt.Sprintf("n%03d", i)
+			if i > 0 {
+				edges = append(edges, [2]string{nodes[i-1], nodes[i]}, [2]string{nodes[0], nodes[i]})
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Build(nodes, edges); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 5 {
+			t.Errorf("Build of %d nodes and %d edges allocates %.0f times, want at most 5", n, len(edges), allocs)
+		}
 	}
 }
 
-// randomDAG builds a random graph where edges only point from lower to
-// higher indices, so it is a DAG by construction.
-func randomDAG(r *rand.Rand, n int, p float64) *Graph {
-	g := New()
-	for i := 0; i < n; i++ {
-		_ = g.AddNode(fmt.Sprintf("n%03d", i))
+// randomDAG returns a random DAG: edges only point from lower to higher
+// indices, and the nodes are inserted in shuffled order.
+func randomDAG(r *rand.Rand, n int, p float64) ([]string, [][2]string) {
+	nodes := make([]string, n)
+	for i := range nodes {
+		nodes[i] = fmt.Sprintf("n%03d", i)
 	}
+	var edges [][2]string
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if r.Float64() < p {
-				if err := g.AddEdge(fmt.Sprintf("n%03d", i), fmt.Sprintf("n%03d", j)); err != nil {
-					panic(err)
-				}
+				edges = append(edges, [2]string{nodes[i], nodes[j]})
 			}
 		}
 	}
-	return g
+	r.Shuffle(n, func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+	return nodes, edges
 }
 
-// Property: TopoSort on random DAGs yields a permutation respecting all
-// edges.
+// Property: the dispatch order of a random DAG is a permutation respecting
+// all edges.
 func TestQuickTopoSortRespectsEdges(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := randomDAG(r, 2+r.Intn(40), 0.15)
-		order, err := g.TopoSort()
-		if err != nil || len(order) != g.Len() {
+		nodes, edges := randomDAG(r, 2+r.Intn(40), 0.15)
+		g, err := Build(nodes, edges)
+		if err != nil {
 			return false
 		}
-		pos := map[string]int{}
-		for i, id := range order {
-			pos[id] = i
+		order, err := topoSort(g)
+		if err != nil || len(order) != len(nodes) {
+			return false
 		}
-		for _, id := range g.Nodes() {
-			for _, s := range g.Successors(id) {
-				if pos[id] >= pos[s] {
-					return false
-				}
-			}
-		}
-		return true
+		return respectsEdges(order, edges)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -233,43 +241,197 @@ func TestQuickTopoSortRespectsEdges(t *testing.T) {
 func TestQuickReadyDrainsDAG(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g := randomDAG(r, 1+r.Intn(30), 0.2)
-		done := map[string]bool{}
-		for steps := 0; steps <= g.Len(); steps++ {
-			ready := g.Ready(done)
-			if len(ready) == 0 {
-				break
-			}
-			for _, id := range ready {
-				done[id] = true
-			}
+		nodes, edges := randomDAG(r, 1+r.Intn(30), 0.2)
+		g, err := Build(nodes, edges)
+		if err != nil {
+			return false
 		}
-		return len(done) == g.Len()
+		_, err = topoSort(g)
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: an edge that would close a cycle is always rejected. Build a
-// random chain and try to add a random back edge.
+// Property: a back edge on a chain is always rejected as a cycle, and the
+// error names a node between the edge's ends.
 func TestQuickBackEdgeRejected(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(20)
-		g := New()
-		for i := 0; i < n; i++ {
-			_ = g.AddNode(fmt.Sprintf("n%03d", i))
-		}
-		for i := 0; i+1 < n; i++ {
-			_ = g.AddEdge(fmt.Sprintf("n%03d", i), fmt.Sprintf("n%03d", i+1))
+		nodes := make([]string, n)
+		var edges [][2]string
+		for i := range nodes {
+			nodes[i] = fmt.Sprintf("n%03d", i)
+			if i > 0 {
+				edges = append(edges, [2]string{nodes[i-1], nodes[i]})
+			}
 		}
 		i := r.Intn(n - 1)
 		j := i + 1 + r.Intn(n-i-1)
-		err := g.AddEdge(fmt.Sprintf("n%03d", j), fmt.Sprintf("n%03d", i))
-		return errors.Is(err, ErrCycle)
+		edges = append(edges, [2]string{nodes[j], nodes[i]})
+		_, err := Build(nodes, edges)
+		named := namedNode(err, nodes)
+		return errors.Is(err, ErrCycle) && named >= nodes[i] && named <= nodes[j]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzBuildAgreesWithReference checks Build against a naive reference on
+// arbitrary node and edge lists: the first byte picks the node count, the
+// next bytes name the nodes (so IDs can repeat), and each remaining byte
+// pair is an edge whose ends may name no node. Build must fail exactly when
+// the reference does, with the same sentinel; an accepted graph's dispatch
+// order must respect every edge and its Roots and Descendants must match
+// the reference; a cycle error must name a node that lies on a cycle.
+func FuzzBuildAgreesWithReference(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 2, 0, 1, 1, 2})
+	f.Add([]byte{3, 0, 1, 2, 0, 1, 1, 2, 2, 0})
+	f.Add([]byte{4, 0, 1, 2, 3, 3, 0, 0, 1, 1, 2, 2, 0})
+	f.Add([]byte{2, 0, 0})
+	f.Add([]byte{2, 0, 1, 0, 9})
+	f.Add([]byte{2, 0, 1, 1, 1})
+	f.Add([]byte{5, 0, 1, 2, 3, 4, 0, 1, 0, 1, 1, 2, 3, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0]) % 16
+		data = data[1:]
+		if len(data) < n {
+			return
+		}
+		nodes := make([]string, n)
+		for i := range nodes {
+			nodes[i] = strconv.Itoa(int(data[i]) % 20)
+		}
+		data = data[n:]
+		var edges [][2]string
+		for ; len(data) >= 2; data = data[2:] {
+			edges = append(edges, [2]string{strconv.Itoa(int(data[0]) % 24), strconv.Itoa(int(data[1]) % 24)})
+		}
+
+		succ, want := reference(nodes, edges)
+		g, err := Build(nodes, edges)
+		if !errors.Is(err, want) {
+			t.Fatalf("Build(%v, %v) = %v, reference says %v", nodes, edges, err, want)
+		}
+		switch want {
+		case ErrCycle:
+			named := namedNode(err, nodes)
+			if !reaches(succ, named, named) {
+				t.Fatalf("Build(%v, %v) = %v: %q lies on no cycle", nodes, edges, err, named)
+			}
+		case nil:
+			order, err := topoSort(g)
+			if err != nil || !respectsEdges(order, edges) {
+				t.Fatalf("Build(%v, %v): dispatch order %v, %v", nodes, edges, order, err)
+			}
+			var roots []string
+			hasPred := map[string]bool{}
+			for _, e := range edges {
+				hasPred[e[1]] = true
+			}
+			for _, id := range nodes {
+				if !hasPred[id] {
+					roots = append(roots, id)
+				}
+			}
+			if got := g.Roots(); fmt.Sprint(got) != fmt.Sprint(roots) {
+				t.Fatalf("Build(%v, %v): Roots = %v, want %v", nodes, edges, got, roots)
+			}
+			for _, id := range nodes {
+				var desc []string
+				for _, x := range nodes {
+					if reaches(succ, id, x) {
+						desc = append(desc, x)
+					}
+				}
+				sort.Strings(desc)
+				got, err := g.Descendants(id)
+				if err != nil || fmt.Sprint(got) != fmt.Sprint(desc) {
+					t.Fatalf("Build(%v, %v): Descendants(%s) = %v, %v; want %v", nodes, edges, id, got, err, desc)
+				}
+			}
+		}
+	})
+}
+
+// reference validates nodes and edges the slow way, in Build's order of
+// checks, and finds cycles by depth-first search. It returns the adjacency
+// it built and the sentinel Build should fail with, or nil.
+func reference(nodes []string, edges [][2]string) (map[string][]string, error) {
+	succ := map[string][]string{}
+	for _, id := range nodes {
+		if _, dup := succ[id]; dup {
+			return nil, ErrDuplicateNode
+		}
+		succ[id] = nil
+	}
+	for _, e := range edges {
+		_, okFrom := succ[e[0]]
+		_, okTo := succ[e[1]]
+		switch {
+		case !okFrom || !okTo:
+			return nil, ErrUnknownNode
+		case e[0] == e[1]:
+			return nil, ErrSelfEdge
+		}
+	}
+	for _, e := range edges {
+		succ[e[0]] = append(succ[e[0]], e[1])
+	}
+	for _, id := range nodes {
+		if reaches(succ, id, id) {
+			return succ, ErrCycle
+		}
+	}
+	return succ, nil
+}
+
+// reaches reports whether a path of at least one edge leads from src to dst.
+func reaches(succ map[string][]string, src, dst string) bool {
+	seen := map[string]bool{}
+	stack := append([]string(nil), succ[src]...)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if v == dst {
+			return true
+		}
+		if !seen[v] {
+			seen[v] = true
+			stack = append(stack, succ[v]...)
+		}
+	}
+	return false
+}
+
+// namedNode returns the node a cycle error names, or "" if it names none.
+func namedNode(err error, nodes []string) string {
+	if err == nil {
+		return ""
+	}
+	for _, id := range nodes {
+		if strings.Contains(err.Error(), strconv.Quote(id)) {
+			return id
+		}
+	}
+	return ""
+}
+
+func respectsEdges(order []string, edges [][2]string) bool {
+	pos := map[string]int{}
+	for i, id := range order {
+		pos[id] = i
+	}
+	for _, e := range edges {
+		if pos[e[0]] >= pos[e[1]] {
+			return false
+		}
+	}
+	return true
 }

@@ -84,7 +84,7 @@ type Snapshot struct {
 // Get returns the point registered under name and the given key/value
 // label pairs.
 func (s Snapshot) Get(name string, kv ...string) (MetricPoint, bool) {
-	want := key(name, labelMap(kv))
+	want := string(appendKey(nil, name, kv))
 	for _, p := range s.Metrics {
 		if key(p.Name, p.Labels) == want {
 			return p, true

@@ -20,9 +20,7 @@ package telemetry
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,25 +92,47 @@ func (r *Registry) SetNow(now func() time.Time) { r.now.Store(now) }
 // Now returns the registry clock's current time.
 func (r *Registry) Now() time.Time { return r.now.Load().(func() time.Time)() }
 
-// key builds the canonical shard-map key for a name and sorted label set.
+// appendKey appends the canonical shard-map key of name and the key/value
+// label pairs kv to b: the name, then per label in key order 0xff, the key,
+// 0x01 and the value. A repeated label key keeps its last value and an odd
+// trailing key gets an empty one, as in labelMap. Up to eight labels are
+// ordered on the stack.
+func appendKey(b []byte, name string, kv []string) []byte {
+	var idx [8]int
+	order := idx[:0] // kv index of each kept label key, sorted by key
+	for i := 0; i < len(kv); i += 2 {
+		j := len(order)
+		for j > 0 && kv[order[j-1]] > kv[i] {
+			j--
+		}
+		if j > 0 && kv[order[j-1]] == kv[i] {
+			order[j-1] = i
+			continue
+		}
+		order = append(order, 0)
+		copy(order[j+1:], order[j:])
+		order[j] = i
+	}
+	b = append(b, name...)
+	for _, i := range order {
+		b = append(b, 0xff)
+		b = append(b, kv[i]...)
+		b = append(b, 0x01)
+		if i+1 < len(kv) {
+			b = append(b, kv[i+1]...)
+		}
+	}
+	return b
+}
+
+// key returns the canonical key of a name and a label map, as lookup
+// builds it from pairs.
 func key(name string, labels map[string]string) string {
-	if len(labels) == 0 {
-		return name
+	kv := make([]string, 0, 2*len(labels))
+	for k, v := range labels {
+		kv = append(kv, k, v)
 	}
-	ks := make([]string, 0, len(labels))
-	for k := range labels {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	var b strings.Builder
-	b.WriteString(name)
-	for _, k := range ks {
-		b.WriteByte(0xff)
-		b.WriteString(k)
-		b.WriteByte(0x01)
-		b.WriteString(labels[k])
-	}
-	return b.String()
+	return string(appendKey(nil, name, kv))
 }
 
 // labelMap folds variadic key/value pairs into a map; an odd trailing key
@@ -132,30 +152,34 @@ func labelMap(kv []string) map[string]string {
 	return m
 }
 
-// lookup returns the instrument registered under (name, labels), creating
-// it with mk on first use. A Kind clash returns the existing instrument of
-// the other kind's entry replaced by a fresh one under a disambiguated
-// name, which never happens in practice because metric names are static.
-func (r *Registry) lookup(name string, labels map[string]string, mk func() instrument) instrument {
-	k := key(name, labels)
-	h := fnv.New32a()
-	h.Write([]byte(k))
-	s := &r.shards[h.Sum32()%nShards]
+// lookup returns the instrument registered under name and the label pairs
+// kv, creating it with mk on first use. A hit builds the key in a stack
+// buffer and allocates nothing; the label map and the key string are made
+// only on a miss. Metric names are static, so asking for a registered name
+// as another kind is a bug and panics.
+func (r *Registry) lookup(name string, kv []string, want Kind, mk func() instrument) instrument {
+	var buf [128]byte
+	k := appendKey(buf[:0], name, kv)
+	h := uint32(2166136261) // FNV-1a
+	for _, c := range k {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	s := &r.shards[h%nShards]
 
 	s.mu.RLock()
-	e, ok := s.metrics[k]
+	e, ok := s.metrics[string(k)]
 	s.mu.RUnlock()
-	if ok {
-		return e.inst
+	if !ok {
+		s.mu.Lock()
+		if e, ok = s.metrics[string(k)]; !ok {
+			e = &metricEntry{name: name, labels: labelMap(kv), inst: mk()}
+			s.metrics[string(k)] = e
+		}
+		s.mu.Unlock()
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok = s.metrics[k]; ok {
-		return e.inst
+	if got := e.inst.kind(); got != want {
+		panic(fmt.Sprintf("telemetry: metric %q is a %s, requested as %s", name, got, want))
 	}
-	e = &metricEntry{name: name, labels: labels, inst: mk()}
-	s.metrics[k] = e
 	return e.inst
 }
 
@@ -163,20 +187,20 @@ func (r *Registry) lookup(name string, labels map[string]string, mk func() instr
 // counter registered under name and optional key/value label pairs.
 // Callers on hot paths should cache the returned handle.
 func (r *Registry) Counter(name string, kv ...string) *Counter {
-	return r.lookup(name, labelMap(kv), func() instrument { return &Counter{} }).(*Counter)
+	return r.lookup(name, kv, KindCounter, func() instrument { return &Counter{} }).(*Counter)
 }
 
 // Gauge returns (creating on first use) the settable gauge registered
 // under name and optional key/value label pairs.
 func (r *Registry) Gauge(name string, kv ...string) *Gauge {
-	return r.lookup(name, labelMap(kv), func() instrument { return &Gauge{} }).(*Gauge)
+	return r.lookup(name, kv, KindGauge, func() instrument { return &Gauge{} }).(*Gauge)
 }
 
 // Histogram returns (creating on first use) the log-scale histogram
 // registered under name with the given bucket scale and optional key/value
 // label pairs.
 func (r *Registry) Histogram(name string, scale Scale, kv ...string) *Histogram {
-	return r.lookup(name, labelMap(kv), func() instrument { return newHistogram(scale) }).(*Histogram)
+	return r.lookup(name, kv, KindHistogram, func() instrument { return newHistogram(scale) }).(*Histogram)
 }
 
 // Counter counts events; all operations are a single atomic add.

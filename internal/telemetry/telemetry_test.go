@@ -12,6 +12,10 @@ import (
 	"time"
 )
 
+// raceEnabled is set by race_test.go under -race, where allocation counts
+// include the detector's own and mean nothing.
+var raceEnabled bool
+
 func TestConcurrentIncrements(t *testing.T) {
 	r := New("test")
 	const goroutines, per = 16, 1000
@@ -126,6 +130,67 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	if strings.Join(names, ",") != "aaa,mmm,zzz" {
 		t.Fatalf("snapshot order = %v", names)
 	}
+}
+
+// The shard-map key is also the snapshot's sort key, so its bytes must not
+// change: labels in key order, a repeated key keeping its last value, an odd
+// trailing key with an empty value.
+func TestKeyFormat(t *testing.T) {
+	for _, c := range []struct {
+		kv   []string
+		want string
+	}{
+		{nil, "m"},
+		{[]string{"op", "poll"}, "m\xffop\x01poll"},
+		{[]string{"b", "2", "a", "1", "b", "3", "c"}, "m\xffa\x011\xffb\x013\xffc\x01"},
+	} {
+		if got := string(appendKey(nil, "m", c.kv)); got != c.want {
+			t.Errorf("appendKey(m, %q) = %q, want %q", c.kv, got, c.want)
+		}
+		if got := key("m", labelMap(c.kv)); got != c.want {
+			t.Errorf("key(m, labelMap(%q)) = %q, want %q", c.kv, got, c.want)
+		}
+	}
+	r := New("k")
+	r.Counter("m", "b", "2", "a", "1").Inc()
+	if r.Counter("m", "a", "1", "b", "2").Value() != 1 {
+		t.Fatal("label order changed the instrument")
+	}
+}
+
+// TestLabelledHitAllocatesNothing gates the lookup of an instrument that
+// already exists, which per-frame and per-consign call sites pay.
+func TestLabelledHitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include the race detector's own")
+	}
+	r := New("hit")
+	hits := []func(){
+		func() { r.Counter("c").Inc(); r.Gauge("g").Inc() },
+		func() { r.Counter("c", "op", "poll").Inc(); r.Gauge("g", "op", "poll").Inc() },
+		func() {
+			r.Counter("c", "op", "poll", "vsite", "T3E").Inc()
+			r.Gauge("g", "vsite", "T3E", "op", "poll").Inc()
+		},
+	}
+	for pairs, hit := range hits {
+		hit()
+		if n := testing.AllocsPerRun(100, hit); n != 0 {
+			t.Errorf("a hit with %d label pairs allocates %.0f times, want 0", pairs, n)
+		}
+	}
+}
+
+func TestKindClashPanics(t *testing.T) {
+	r := New("clash")
+	r.Counter("x", "op", "poll")
+	defer func() {
+		const want = `telemetry: metric "x" is a counter, requested as gauge`
+		if got := recover(); got != want {
+			t.Fatalf("recovered %v, want %q", got, want)
+		}
+	}()
+	r.Gauge("x", "op", "poll")
 }
 
 func TestMergeAcrossOrigins(t *testing.T) {
