@@ -708,6 +708,15 @@ func (n *NJS) applyFile(e journal.Entry) error {
 		if !fs.Exists(m.Path) {
 			return nil // already applied (fuzzy snapshot) — later entries converge
 		}
+		if m.To == m.Path {
+			return nil
+		}
+		if strings.HasPrefix(m.To, m.Path+"/") {
+			// Older journals hold moves of a directory into its own subtree,
+			// which Rename now refuses. The source vanished when the move ran,
+			// so replay removes it: the same visible tree, without the cycle.
+			return fs.RemoveAll(m.Path)
+		}
 		_ = fs.RemoveAll(m.To)
 		if err := fs.MkdirAll(path.Dir(m.To)); err != nil {
 			return err

@@ -359,6 +359,44 @@ func TestRecoverPartialAbortFinishes(t *testing.T) {
 	}
 }
 
+// TestReplayRenameIntoOwnSubtree: a journal can hold a move of a directory
+// into its own subtree, which vfs.Rename refuses today. Recovery still
+// succeeds and leaves the tree such a move left visible: the source gone,
+// and its bytes no longer charged.
+func TestReplayRenameIntoOwnSubtree(t *testing.T) {
+	clock := sim.NewVirtualClock()
+	store, err := journal.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer store.Close()
+	file := func(kind journal.Kind, p, to string, data []byte) {
+		store.Append(journal.Entry{Kind: kind, File: &journal.FileMutation{Vsite: "T3E", Path: p, To: to, Data: data}})
+	}
+	file(journal.KindMkdir, "/a/sub", "", nil)
+	file(journal.KindFileWrite, "/a/sub/f", "", []byte("hello"))
+	file(journal.KindRename, "/a", "/a/x/b", nil)
+	file(journal.KindFileWrite, "/after", "", []byte("ok"))
+	if err := store.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+
+	n, err := Recover(store, durableCfg(clock), 0)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	fs := n.vsites["T3E"].Space.FS()
+	if fs.Exists("/a") {
+		t.Error("source of a move into its own subtree survived replay")
+	}
+	if !fs.Exists("/after") {
+		t.Error("entries after the move were not replayed")
+	}
+	if used := fs.Used(); used != 2 {
+		t.Errorf("Used() = %d after replay, want 2 (only /after)", used)
+	}
+}
+
 func TestRecoverLocalSubJobTree(t *testing.T) {
 	runOnce := func(crash bool) string {
 		clock := sim.NewVirtualClock()

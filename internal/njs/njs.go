@@ -150,6 +150,9 @@ type NJS struct {
 	// spools holds each Vsite's staged-upload spool (immutable after New;
 	// the Spool itself is thread-safe). See staging.go.
 	spools map[core.Vsite]*staging.Spool
+	// spoolByTag indexes the same spools by the tag they mint into their
+	// handles, so a handle names its spool (staging.HandleTag).
+	spoolByTag map[string]*staging.Spool
 
 	mapLogin LoginMapper // set once during wiring, before traffic
 	// peers is the client for sub-job consignment and transfers. It is an
@@ -293,6 +296,7 @@ func New(cfg Config) (*NJS, error) {
 		tel:          telemetry.New(origin),
 		vsites:       make(map[core.Vsite]*Vsite, len(cfg.Vsites)),
 		spools:       make(map[core.Vsite]*staging.Spool, len(cfg.Vsites)),
+		spoolByTag:   make(map[string]*staging.Spool, len(cfg.Vsites)),
 		jobs:         make(map[core.JobID]*unicoreJob),
 		batchIndex:   make(map[batchKey]actionRef),
 		consignIndex: make(map[string]*consignEntry),
@@ -351,6 +355,7 @@ func New(cfg Config) (*NJS, error) {
 			return nil, fmt.Errorf("njs: vsite %s: %w", vc.Name, err)
 		}
 		n.spools[vc.Name] = spool
+		n.spoolByTag[spoolTag] = spool
 		name := vc.Name
 		// Deliver start events through the clock rather than synchronously:
 		// the RMS may dispatch inside Submit, which runs while the NJS holds

@@ -41,15 +41,17 @@ func (n *NJS) stageAck() error {
 	return nil
 }
 
-// spoolOf resolves the Vsite spool holding a transfer handle.
+// spoolOf resolves the Vsite spool holding a transfer handle: the one whose
+// tag the handle carries, if it holds the handle.
 func (n *NJS) spoolOf(handle string) (*staging.Spool, bool) {
-	for _, name := range n.VsiteNames() {
-		sp := n.spools[name]
-		if _, ok := sp.Stat(handle); ok {
-			return sp, true
-		}
+	sp, ok := n.spoolByTag[staging.HandleTag(handle)]
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	if _, ok := sp.Stat(handle); !ok {
+		return nil, false
+	}
+	return sp, true
 }
 
 // StagingSpool exposes a Vsite's spool (deployment sweeps and testbed

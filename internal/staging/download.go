@@ -180,7 +180,8 @@ func Resume(ctx context.Context, src Source, w io.Writer, p Progress, opt Option
 // idempotent; ErrNotFound is permanent and fails fast).
 func fetchRetry(ctx context.Context, src Source, off int64, buf []byte, opt Options) (Chunk, error) {
 	var c Chunk
-	err := withRetry(ctx, opt, fmt.Sprintf("chunk at offset %d", off), func() error {
+	what := func() string { return fmt.Sprintf("chunk at offset %d", off) }
+	err := withRetry(ctx, opt, what, func() error {
 		var err error
 		c, err = src(ctx, off, opt.ChunkSize, buf)
 		return err

@@ -3,7 +3,6 @@ package staging
 import (
 	"encoding/json"
 	"fmt"
-	"path"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,7 +41,14 @@ type Spool struct {
 type spoolEntry struct {
 	meta      spoolMeta
 	watermark int64 // contiguous chunks received from index 0
+	// held records the chunks stored inside the window: bit i means chunk
+	// watermark+i is stored. Chunk shifts it as the watermark advances, so
+	// the spool never probes the file system for its own chunks.
+	held uint64
 }
+
+// The window must fit held's 64 bits: this fails to compile otherwise.
+const _ = uint(64 - MaxWindow)
 
 // spoolMeta is the persisted metadata document of one upload.
 type spoolMeta struct {
@@ -115,11 +121,22 @@ func HandleTag(handle string) string {
 }
 
 // dir returns an upload's directory.
-func (s *Spool) dir(handle string) string { return path.Join(s.root, handle) }
+func (s *Spool) dir(handle string) string { return s.root + "/" + handle }
 
-// chunkPath returns the file of chunk index.
+// chunkPath returns the file of chunk index (≥ 0): "c" and the index
+// zero-padded to at least eight digits, as "c%08d" formats it.
 func (s *Spool) chunkPath(handle string, index int64) string {
-	return path.Join(s.dir(handle), fmt.Sprintf("c%08d", index))
+	var buf [128]byte
+	b := append(buf[:0], s.root...)
+	b = append(b, '/')
+	b = append(b, handle...)
+	b = append(b, "/c"...)
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], index, 10)
+	for i := len(d); i < 8; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // persistMetaLocked writes an entry's meta.json (journaled via the FS
@@ -129,7 +146,7 @@ func (s *Spool) persistMetaLocked(e *spoolEntry) error {
 	if err != nil {
 		return err
 	}
-	return s.fs.WriteFile(path.Join(s.dir(e.meta.Handle), "meta.json"), raw)
+	return s.fs.WriteFile(s.dir(e.meta.Handle)+"/meta.json", raw)
 }
 
 // Open begins an upload for owner and returns its handle. The requested
@@ -218,14 +235,20 @@ func (s *Spool) Chunk(owner core.DN, handle string, index int64, data []byte, cr
 		return 0, fmt.Errorf("%w: chunk %d of %q is beyond watermark %d + window %d",
 			ErrOutOfOrder, index, handle, e.watermark, e.meta.Window)
 	}
-	p := s.chunkPath(handle, index)
-	if !s.fs.Exists(p) {
-		if err := s.fs.AdoptFile(p, data, crc); err != nil {
-			return 0, err
-		}
+	if index < e.watermark {
+		return e.watermark, nil
 	}
-	// Advance the watermark over every contiguously present chunk.
-	for s.fs.Exists(s.chunkPath(handle, e.watermark)) {
+	bit := uint64(1) << (index - e.watermark)
+	if e.held&bit != 0 {
+		return e.watermark, nil
+	}
+	if err := s.fs.AdoptFile(s.chunkPath(handle, index), data, crc); err != nil {
+		return 0, err
+	}
+	// Advance the watermark over every contiguously held chunk.
+	e.held |= bit
+	for e.held&1 != 0 {
+		e.held >>= 1
 		e.watermark++
 	}
 	return e.watermark, nil
@@ -390,7 +413,7 @@ func (s *Spool) Rescan() error {
 		if !fi.IsDir {
 			continue
 		}
-		raw, err := s.fs.ReadFile(path.Join(fi.Path, "meta.json"))
+		raw, err := s.fs.ReadFile(fi.Path + "/meta.json")
 		if err != nil {
 			// An upload whose open never reached the journal: remove the
 			// orphan directory.
@@ -405,6 +428,11 @@ func (s *Spool) Rescan() error {
 		e := &spoolEntry{meta: m}
 		for s.fs.Exists(s.chunkPath(m.Handle, e.watermark)) {
 			e.watermark++
+		}
+		for i := 1; i < m.Window; i++ {
+			if s.fs.Exists(s.chunkPath(m.Handle, e.watermark+int64(i))) {
+				e.held |= 1 << i
+			}
 		}
 		s.entries[m.Handle] = e
 		if n := handleSeq(m.Handle); n > s.seq {

@@ -472,3 +472,78 @@ func TestCommitReadsNoBytes(t *testing.T) {
 		t.Fatalf("Commit of %d bytes allocated %d bytes", len(payload), n)
 	}
 }
+
+// TestRescanKeepsOutOfOrderChunks: a chunk acked above a hole survives
+// recovery as held. The recovered spool acknowledges its re-send without
+// rewriting it, moves the watermark over it once the hole is filled, and
+// seals what the live spool seals.
+func TestRescanKeepsOutOfOrderChunks(t *testing.T) {
+	clock := sim.NewVirtualClock()
+	fs := vfs.New(clock)
+	replica := mirrorFS(t, fs, clock)
+	live, err := NewSpool(fs, "/spool", "", clock)
+	if err != nil {
+		t.Fatalf("NewSpool: %v", err)
+	}
+	payload := pattern(3*8 + 5) // chunks 0..3 on an 8-byte grid, the last short
+	piece := func(i int64) []byte { return payload[i*8 : min(i*8+8, int64(len(payload)))] }
+	send := func(s *Spool, i int64) int64 {
+		t.Helper()
+		w, err := s.Chunk("u", handleOf(t, s), i, piece(i), Checksum(piece(i)))
+		if err != nil {
+			t.Fatalf("Chunk(%d): %v", i, err)
+		}
+		return w
+	}
+	if _, err := live.Open("u", "in.dat", 8, 4); err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	send(live, 0)
+	send(live, 2)
+	fs.Observe(nil) // the replica holds chunks 0 and 2: the crash point
+
+	recovered, err := NewSpool(replica, "/spool", "", clock)
+	if err != nil {
+		t.Fatalf("NewSpool(replica): %v", err)
+	}
+	if err := recovered.Rescan(); err != nil {
+		t.Fatalf("Rescan: %v", err)
+	}
+	writes := 0
+	replica.Observe(func(m vfs.Mutation) {
+		if m.Op == vfs.OpWrite {
+			writes++
+		}
+	})
+	if w := send(recovered, 2); w != 1 || writes != 0 {
+		t.Fatalf("re-send of held chunk 2: watermark %d, %d writes; want 1, 0", w, writes)
+	}
+	if w := send(recovered, 1); w != 3 {
+		t.Fatalf("filling the hole: watermark %d, want 3", w)
+	}
+	send(recovered, 3)
+	for _, i := range []int64{1, 3} {
+		send(live, i)
+	}
+	want, err := live.Commit("u", handleOf(t, live), Checksum(payload))
+	if err != nil {
+		t.Fatalf("live Commit: %v", err)
+	}
+	got, err := recovered.Commit("u", handleOf(t, recovered), Checksum(payload))
+	if err != nil {
+		t.Fatalf("recovered Commit: %v", err)
+	}
+	if got.Size != want.Size || got.CRC != want.CRC || got.Chunks != want.Chunks {
+		t.Fatalf("recovered seal %d/%#x/%d, live seal %d/%#x/%d", got.Size, got.CRC, got.Chunks, want.Size, want.CRC, want.Chunks)
+	}
+}
+
+// handleOf returns the one upload a spool holds.
+func handleOf(t *testing.T, s *Spool) string {
+	t.Helper()
+	hs := s.Handles()
+	if len(hs) != 1 {
+		t.Fatalf("spool holds %d uploads, want 1", len(hs))
+	}
+	return hs[0]
+}

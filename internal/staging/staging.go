@@ -110,8 +110,9 @@ func isPermanent(err error) bool {
 // failures opt.Retries times with linear backoff (attempt k sleeps
 // k×opt.Backoff, cancellable). Permanent errors and context cancellation
 // surface immediately — this is the single retry policy under every chunk
-// fetch, chunk send, and commit.
-func withRetry(ctx context.Context, opt Options, what string, call func() error) error {
+// fetch, chunk send, and commit. what names the round trip in the final
+// error; it is called only then, so a call that succeeds formats nothing.
+func withRetry(ctx context.Context, opt Options, what func() string, call func() error) error {
 	var lastErr error
 	for attempt := 0; attempt <= opt.Retries; attempt++ {
 		if attempt > 0 {
@@ -130,7 +131,7 @@ func withRetry(ctx context.Context, opt Options, what string, call func() error)
 		}
 		lastErr = err
 	}
-	return fmt.Errorf("staging: %s failed after %d attempts: %w", what, opt.Retries+1, lastErr)
+	return fmt.Errorf("staging: %s failed after %d attempts: %w", what(), opt.Retries+1, lastErr)
 }
 
 // Options tunes a transfer engine. The zero value selects every default, so

@@ -100,7 +100,8 @@ func Upload(ctx context.Context, p Putter, vsite core.Vsite, name string, r io.R
 // putChunkRetry delivers one chunk on the shared retry policy (re-sends are
 // idempotent).
 func putChunkRetry(ctx context.Context, p Putter, req protocol.PutChunkRequest, opt Options) error {
-	return withRetry(ctx, opt, fmt.Sprintf("chunk %d of %s", req.Index, req.Handle), func() error {
+	what := func() string { return fmt.Sprintf("chunk %d of %s", req.Index, req.Handle) }
+	return withRetry(ctx, opt, what, func() error {
 		_, err := p.PutChunk(ctx, req)
 		return err
 	})
@@ -110,7 +111,8 @@ func putChunkRetry(ctx context.Context, p Putter, req protocol.PutChunkRequest, 
 // already-committed upload with the same CRC is acknowledged idempotently).
 func putCommitRetry(ctx context.Context, p Putter, req protocol.PutCommitRequest, opt Options) (protocol.PutCommitReply, error) {
 	var reply protocol.PutCommitReply
-	err := withRetry(ctx, opt, fmt.Sprintf("commit of %s", req.Handle), func() error {
+	what := func() string { return "commit of " + req.Handle }
+	err := withRetry(ctx, opt, what, func() error {
 		var err error
 		reply, err = p.PutCommit(ctx, req)
 		return err

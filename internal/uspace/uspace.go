@@ -31,6 +31,7 @@ type Space struct {
 	fs         *vfs.FS
 	xspaceRoot string
 	uspaceRoot string
+	jobPrefix  string // cleaned uspaceRoot ending in "/": JobDir's prefix
 }
 
 // Option configures a Space.
@@ -56,6 +57,10 @@ func New(fs *vfs.FS, opts ...Option) (*Space, error) {
 	if err := fs.MkdirAll(s.uspaceRoot); err != nil {
 		return nil, fmt.Errorf("uspace: creating Uspace root: %w", err)
 	}
+	s.jobPrefix = path.Clean(s.uspaceRoot)
+	if s.jobPrefix != "/" {
+		s.jobPrefix += "/"
+	}
 	return s, nil
 }
 
@@ -71,7 +76,7 @@ func (s *Space) UspaceRoot() string { return s.uspaceRoot }
 
 // JobDir returns the Uspace directory path for a job.
 func (s *Space) JobDir(job core.JobID) string {
-	return path.Join(s.uspaceRoot, string(job))
+	return s.jobPrefix + string(job)
 }
 
 // CreateJobDir creates the per-job Uspace directory — "create a UNICORE job
@@ -92,18 +97,25 @@ func (s *Space) RemoveJobDir(job core.JobID) error {
 	return s.fs.RemoveAll(s.JobDir(job))
 }
 
-// jobPath resolves a Uspace-relative path, refusing escapes.
+// jobPath resolves a Uspace-relative path, refusing escapes. The cleaned
+// rel is appended to the job dir, so the result is one string and the job
+// dir is checked on its prefix. An escape is refused before the job dir is
+// looked up.
 func (s *Space) jobPath(job core.JobID, rel string) (string, error) {
-	dir := s.JobDir(job)
-	if !s.fs.Exists(dir) {
-		return "", fmt.Errorf("%w: %s", ErrNoJobDir, job)
-	}
-	if strings.HasPrefix(rel, "/") {
+	c := path.Clean(rel)
+	dir := len(s.jobPrefix) + len(job)
+	if strings.HasPrefix(c, "/") {
 		return "", fmt.Errorf("%w: %q (must be Uspace-relative)", ErrEscape, rel)
 	}
-	p := path.Join(dir, rel)
-	if p != dir && !strings.HasPrefix(p, dir+"/") {
+	if c == ".." || strings.HasPrefix(c, "../") {
 		return "", fmt.Errorf("%w: %q", ErrEscape, rel)
+	}
+	p := s.jobPrefix + string(job) + "/" + c
+	if c == "." {
+		p = p[:dir]
+	}
+	if !s.fs.Exists(p[:dir]) {
+		return "", fmt.Errorf("%w: %s", ErrNoJobDir, job)
 	}
 	return p, nil
 }

@@ -184,58 +184,74 @@ func clean(p string) (string, error) {
 	return cp, nil
 }
 
-// split returns the cleaned components of a path ("/a/b" -> ["a","b"]).
-func split(p string) []string {
-	p = strings.Trim(p, "/")
-	if p == "" {
-		return nil
-	}
-	return strings.Split(p, "/")
-}
-
-// lookup walks to the node for p. Caller holds at least a read lock.
-func (fs *FS) lookup(p string) (*node, error) {
-	cp, err := clean(p)
-	if err != nil {
-		return nil, err
-	}
+// resolve walks the cleaned absolute path cp in place. A miss returns the
+// bare sentinel (ErrNotExist or ErrNotDir), so callers that discard the
+// error format nothing. Caller holds at least a read lock.
+func (fs *FS) resolve(cp string) (*node, error) {
 	n := fs.root
-	for _, part := range split(cp) {
+	for rest := cp[1:]; rest != ""; {
 		if !n.dir {
-			return nil, fmt.Errorf("%w: %q", ErrNotDir, p)
+			return nil, ErrNotDir
 		}
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
 		child, ok := n.children[part]
 		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrNotExist, p)
+			return nil, ErrNotExist
 		}
 		n = child
 	}
 	return n, nil
 }
 
-// parent walks to the parent directory of p and returns it plus the base
-// name. Caller holds the write lock.
-func (fs *FS) parent(p string) (*node, string, error) {
+// lookup walks to the node for p and returns it with the cleaned path. Caller
+// holds at least a read lock.
+func (fs *FS) lookup(p string) (*node, string, error) {
 	cp, err := clean(p)
 	if err != nil {
 		return nil, "", err
 	}
-	parts := split(cp)
-	if len(parts) == 0 {
-		return nil, "", fmt.Errorf("%w: cannot address root", ErrBadPath)
+	n, err := fs.resolve(cp)
+	if err != nil {
+		return nil, "", fmt.Errorf("%w: %q", err, p)
 	}
+	return n, cp, nil
+}
+
+// parent walks to the parent directory of p and returns it, the base name
+// and the cleaned path. Caller holds the write lock.
+func (fs *FS) parent(p string) (*node, string, string, error) {
+	cp, err := clean(p)
+	if err != nil {
+		return nil, "", "", err
+	}
+	if cp == "/" {
+		return nil, "", "", fmt.Errorf("%w: cannot address root", ErrBadPath)
+	}
+	i := strings.LastIndexByte(cp, '/')
 	n := fs.root
-	for _, part := range parts[:len(parts)-1] {
+	// cp[1:i+1] is the directory part, each component followed by a slash.
+	for rest := cp[1 : i+1]; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
 		child, ok := n.children[part]
 		if !ok {
-			return nil, "", fmt.Errorf("%w: %q", ErrNotExist, path.Dir(cp))
+			return nil, "", "", fmt.Errorf("%w: %q", ErrNotExist, cp[:i])
 		}
 		if !child.dir {
-			return nil, "", fmt.Errorf("%w: %q", ErrNotDir, part)
+			return nil, "", "", fmt.Errorf("%w: %q", ErrNotDir, part)
 		}
 		n = child
 	}
-	return n, parts[len(parts)-1], nil
+	return n, cp[i+1:], cp, nil
+}
+
+// childPath joins a cleaned directory path and an entry name.
+func childPath(dir, name string) string {
+	if dir == "/" {
+		return dir + name
+	}
+	return dir + "/" + name
 }
 
 // MkdirAll creates the directory p and any missing parents.
@@ -247,7 +263,9 @@ func (fs *FS) MkdirAll(p string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	n := fs.root
-	for _, part := range split(cp) {
+	for rest := cp[1:]; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
 		child, ok := n.children[part]
 		if !ok {
 			child = &node{name: part, dir: true, children: map[string]*node{}, modTime: fs.clock.Now()}
@@ -265,7 +283,7 @@ func (fs *FS) MkdirAll(p string) error {
 func (fs *FS) Mkdir(p string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	par, base, err := fs.parent(p)
+	par, base, cp, err := fs.parent(p)
 	if err != nil {
 		return err
 	}
@@ -273,7 +291,6 @@ func (fs *FS) Mkdir(p string) error {
 		return fmt.Errorf("%w: %q", ErrExist, p)
 	}
 	par.children[base] = &node{name: base, dir: true, children: map[string]*node{}, modTime: fs.clock.Now()}
-	cp, _ := clean(p)
 	fs.notifyLocked(Mutation{Op: OpMkdir, Path: cp})
 	return nil
 }
@@ -299,7 +316,7 @@ func (fs *FS) AdoptFile(p string, data []byte, crc uint64) error {
 func (fs *FS) put(p string, data []byte, crc uint64, crcOK bool) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	par, base, err := fs.parent(p)
+	par, base, cp, err := fs.parent(p)
 	if err != nil {
 		return err
 	}
@@ -317,7 +334,6 @@ func (fs *FS) put(p string, data []byte, crc uint64, crcOK bool) error {
 	n := &node{name: base, data: data[:len(data):len(data)], modTime: fs.clock.Now(), crc: crc}
 	n.crcOK.Store(crcOK)
 	par.children[base] = n
-	cp, _ := clean(p)
 	fs.notifyLocked(Mutation{Op: OpWrite, Path: cp, Data: n.data})
 	return nil
 }
@@ -326,7 +342,7 @@ func (fs *FS) put(p string, data []byte, crc uint64, crcOK bool) error {
 func (fs *FS) AppendFile(p string, data []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	par, base, err := fs.parent(p)
+	par, base, cp, err := fs.parent(p)
 	if err != nil {
 		return err
 	}
@@ -345,7 +361,6 @@ func (fs *FS) AppendFile(p string, data []byte) error {
 	n.modTime = fs.clock.Now()
 	n.crcOK.Store(false)
 	// Appends are observed as full-content writes (see MutationOp).
-	cp, _ := clean(p)
 	fs.notifyLocked(Mutation{Op: OpWrite, Path: cp, Data: n.view()})
 	return nil
 }
@@ -354,7 +369,7 @@ func (fs *FS) AppendFile(p string, data []byte) error {
 func (fs *FS) ReadFile(p string) ([]byte, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	n, err := fs.lookup(p)
+	n, _, err := fs.lookup(p)
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +397,7 @@ func (fs *FS) ReadFileRange(p string, offset, limit int64) ([]byte, int64, uint6
 	}
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	n, err := fs.lookup(p)
+	n, _, err := fs.lookup(p)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -407,11 +422,10 @@ func (fs *FS) ReadFileRange(p string, offset, limit int64) ([]byte, int64, uint6
 func (fs *FS) Stat(p string) (FileInfo, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	n, err := fs.lookup(p)
+	n, cp, err := fs.lookup(p)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	cp, _ := clean(p)
 	return fs.infoLocked(n, cp), nil
 }
 
@@ -429,9 +443,13 @@ func (fs *FS) infoLocked(n *node, fullPath string) FileInfo {
 
 // Exists reports whether p names a file or directory.
 func (fs *FS) Exists(p string) bool {
+	if !strings.HasPrefix(p, "/") {
+		return false
+	}
+	cp := path.Clean(p)
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	_, err := fs.lookup(p)
+	_, err := fs.resolve(cp)
 	return err == nil
 }
 
@@ -439,14 +457,13 @@ func (fs *FS) Exists(p string) bool {
 func (fs *FS) List(p string) ([]FileInfo, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	n, err := fs.lookup(p)
+	n, cp, err := fs.lookup(p)
 	if err != nil {
 		return nil, err
 	}
 	if !n.dir {
 		return nil, fmt.Errorf("%w: %q", ErrNotDir, p)
 	}
-	cp, _ := clean(p)
 	names := make([]string, 0, len(n.children))
 	for name := range n.children {
 		names = append(names, name)
@@ -454,7 +471,7 @@ func (fs *FS) List(p string) ([]FileInfo, error) {
 	sort.Strings(names)
 	out := make([]FileInfo, 0, len(names))
 	for _, name := range names {
-		out = append(out, fs.infoLocked(n.children[name], path.Join(cp, name)))
+		out = append(out, fs.infoLocked(n.children[name], childPath(cp, name)))
 	}
 	return out, nil
 }
@@ -462,12 +479,11 @@ func (fs *FS) List(p string) ([]FileInfo, error) {
 // Walk visits every file (not directories) under root in sorted path order.
 func (fs *FS) Walk(root string, visit func(FileInfo) error) error {
 	fs.mu.RLock()
-	n, err := fs.lookup(root)
+	n, cp, err := fs.lookup(root)
 	if err != nil {
 		fs.mu.RUnlock()
 		return err
 	}
-	cp, _ := clean(root)
 	var infos []FileInfo
 	var rec func(n *node, p string)
 	rec = func(n *node, p string) {
@@ -481,7 +497,7 @@ func (fs *FS) Walk(root string, visit func(FileInfo) error) error {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			rec(n.children[name], path.Join(p, name))
+			rec(n.children[name], childPath(p, name))
 		}
 	}
 	rec(n, cp)
@@ -498,7 +514,7 @@ func (fs *FS) Walk(root string, visit func(FileInfo) error) error {
 func (fs *FS) Remove(p string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	par, base, err := fs.parent(p)
+	par, base, cp, err := fs.parent(p)
 	if err != nil {
 		return err
 	}
@@ -511,7 +527,6 @@ func (fs *FS) Remove(p string) error {
 	}
 	fs.used -= subtreeSize(n)
 	delete(par.children, base)
-	cp, _ := clean(p)
 	fs.notifyLocked(Mutation{Op: OpRemove, Path: cp})
 	return nil
 }
@@ -521,7 +536,7 @@ func (fs *FS) Remove(p string) error {
 func (fs *FS) RemoveAll(p string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	par, base, err := fs.parent(p)
+	par, base, cp, err := fs.parent(p)
 	if err != nil {
 		if errors.Is(err, ErrNotExist) {
 			return nil
@@ -534,17 +549,17 @@ func (fs *FS) RemoveAll(p string) error {
 	}
 	fs.used -= subtreeSize(n)
 	delete(par.children, base)
-	cp, _ := clean(p)
 	fs.notifyLocked(Mutation{Op: OpRemove, Path: cp})
 	return nil
 }
 
 // Rename moves a file or directory. The destination parent must exist and
-// the destination name must be free.
+// the destination name must be free. As with os.Rename, a directory cannot
+// move onto itself or into its own subtree.
 func (fs *FS) Rename(oldp, newp string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	opar, obase, err := fs.parent(oldp)
+	opar, obase, ocp, err := fs.parent(oldp)
 	if err != nil {
 		return err
 	}
@@ -552,9 +567,12 @@ func (fs *FS) Rename(oldp, newp string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotExist, oldp)
 	}
-	npar, nbase, err := fs.parent(newp)
+	npar, nbase, ncp, err := fs.parent(newp)
 	if err != nil {
 		return err
+	}
+	if strings.HasPrefix(ncp, ocp) && (len(ncp) == len(ocp) || ncp[len(ocp)] == '/') {
+		return fmt.Errorf("%w: cannot move %q into itself", ErrBadPath, oldp)
 	}
 	if _, exists := npar.children[nbase]; exists {
 		return fmt.Errorf("%w: %q", ErrExist, newp)
@@ -563,8 +581,6 @@ func (fs *FS) Rename(oldp, newp string) error {
 	n.name = nbase
 	n.modTime = fs.clock.Now()
 	npar.children[nbase] = n
-	ocp, _ := clean(oldp)
-	ncp, _ := clean(newp)
 	fs.notifyLocked(Mutation{Op: OpRename, Path: ocp, To: ncp})
 	return nil
 }
@@ -611,7 +627,7 @@ func CopyBetween(dst *FS, dstPath string, src *FS, srcPath string) error {
 func (fs *FS) TreeSize(p string) (int64, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	n, err := fs.lookup(p)
+	n, _, err := fs.lookup(p)
 	if err != nil {
 		return 0, err
 	}
