@@ -162,8 +162,8 @@ func TestEveryClientOpRidesOneConnection(t *testing.T) {
 		if s, err := sess.Status(ctx, ids[0]); err != nil || s.Status != ajo.StatusSuccessful {
 			t.Fatalf("Status: %+v, %v", s, err)
 		}
-	}); n > 12 {
-		t.Errorf("Session.Status allocates %.0f times per call, ceiling 12", n)
+	}); n > 6 {
+		t.Errorf("Session.Status allocates %.0f times per call, ceiling 6", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
 		if jobs, err := sess.List(ctx); err != nil || len(jobs) != 33 {

@@ -54,7 +54,9 @@ func encodeFrame(b []byte, m any) (body, tail []byte, err error) {
 }
 
 // decode fills the zero message m points to from the frame body p. What m
-// then holds may alias p where its walk says View.
+// then holds may alias p where its walk says View or Tail: only a data frame's
+// message (a put chunk's Data, a data reply's Data) does, and a control
+// frame's body may be reused once it is decoded (readPayload).
 func decode(p []byte, m any) error {
 	c := bin.Decoder(p)
 	if err := walkMsg(&c, m); err != nil {
@@ -93,7 +95,7 @@ func walkMsg(c *bin.Codec, m any) error {
 		c.Str((*string)(&m.Job))
 	case *OutcomeReply:
 		c.Bool(&m.Found)
-		c.View(&m.Outcome)
+		c.Blob(&m.Outcome)
 	case *ListRequest, *LoadRequest: // no fields
 	case *ListReply:
 		for i := range bin.Slice(c, &m.Jobs) {
@@ -113,16 +115,16 @@ func walkMsg(c *bin.Codec, m any) error {
 		c.Str((*string)(&m.Vsite))
 	case *ResourcesReply:
 		for i := range bin.Slice(c, &m.PagesDER) {
-			c.View(&m.PagesDER[i])
+			c.Blob(&m.PagesDER[i])
 		}
 	case *AppletRequest:
 		c.Str(&m.Name)
 	case *AppletReply:
 		c.Str(&m.Name)
 		c.Str(&m.Version)
-		c.View(&m.Payload)
-		c.View(&m.Signature.CertDER)
-		c.View(&m.Signature.Sig)
+		c.Blob(&m.Payload)
+		c.Blob(&m.Signature.CertDER)
+		c.Blob(&m.Signature.Sig)
 	case *LoadReply:
 		c.Float64(&m.Overall)
 		walkLoads(c, &m.Vsites)

@@ -281,6 +281,10 @@ func (c *Client) attempt(ctx context.Context, usite core.Usite, t MsgType, row w
 		}
 		return false, err
 	}
+	// The decoded reply owns its fields (a data reply's Data aside, which is
+	// read into the caller's own buffer): the frame's receive buffer goes
+	// back to its pool once the reply is decoded.
+	defer f.release()
 	if f.Kind == FrameError {
 		code, msg := parseStreamError(f.Payload)
 		if code != StreamErrBadFrame {

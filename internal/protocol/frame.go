@@ -106,6 +106,18 @@ type Frame struct {
 	Kind    byte
 	ID      uint64
 	Payload []byte
+
+	recv *[]byte // the receive-pool buffer Payload was read into (readPayload); nil if Payload is the reader's to keep
+}
+
+// release returns the receive buffer a control frame was read into to its
+// pool. Its owner calls it once the message is decoded; nothing may read
+// f.Payload after.
+func (f *Frame) release() {
+	if f.recv != nil {
+		recvPool.Put(f.recv)
+		f.recv, f.Payload = nil, nil
+	}
 }
 
 // Frame decode errors.
@@ -142,6 +154,15 @@ func putFrameBuf(bp *[]byte) {
 		framePool.Put(bp)
 	}
 }
+
+// recvPool recycles the buffers control frames are read into (readPayload);
+// a buffer grows to the largest frame it has held. It is not framePool: that
+// pool's buffers grow to a staged upload's chunk and would be lent to
+// ten-byte acks. A control frame larger than recvPoolMax is read into a
+// buffer of its own, which is not pooled.
+var recvPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+const recvPoolMax = 64 << 10
 
 // AppendFrame appends the encoded frame to b and returns the result.
 func AppendFrame(b []byte, kind byte, id uint64, payload []byte) []byte {
@@ -197,11 +218,9 @@ const maxHandshakePayload = 64 << 10
 // and refused if it announces more than limit bytes (readFrameHeader):
 // maxHandshakePayload for the handshake's frames, MaxFramePayload after
 // them. The payload is freshly allocated, never pooled, and ownership passes
-// to the caller, who may keep it and anything decoded out of it for good: a
-// FramePut payload becomes the stored chunk itself (staging.Spool.Chunk
-// adopts it). The client's read loop is the one reader that does not use it:
-// it reads a reply's header first and its payload into the buffer the
-// waiting caller lent (streamConn.readLoop).
+// to the caller, who may keep it and anything decoded out of it for good.
+// Only the handshake's frames are read this way; the frames after them are
+// read by readPayload's buffer-ownership rule.
 func readFrame(r io.Reader, hdr *[frameHeaderLen]byte, limit int) (Frame, error) {
 	f, n, err := readFrameHeader(r, hdr, limit)
 	if err == nil {
@@ -211,6 +230,32 @@ func readFrame(r io.Reader, hdr *[frameHeaderLen]byte, limit int) (Frame, error)
 		return Frame{}, err
 	}
 	return f, nil
+}
+
+// readPayload reads the n-byte payload of the frame f, whose header has been
+// read, by the buffer-ownership rule. A data frame's decoded message aliases
+// its payload, so the reader keeps it: a FramePut's is the chunk the spool
+// adopts, a FrameData's is read into buf's capacity when it fits (the buffer
+// the waiting caller lent) and freshly otherwise. Every other frame is a
+// control frame, read into a receive-pool buffer (up to recvPoolMax) that the
+// frame's owner gives back with f.release once the message is decoded; no
+// decoded control message aliases it.
+func readPayload(r io.Reader, f *Frame, n int, buf []byte) (err error) {
+	switch {
+	case f.Kind == FramePut || f.Kind == FrameData:
+		f.Payload, err = readFramePayload(r, n, buf)
+		return err
+	case n == 0 || n > recvPoolMax:
+		f.Payload, err = readFramePayload(r, n, nil)
+		return err
+	}
+	bp := recvPool.Get().(*[]byte)
+	if f.Payload, err = readFramePayload(r, n, *bp); err != nil {
+		recvPool.Put(bp)
+		return err
+	}
+	*bp, f.recv = f.Payload, bp
+	return nil
 }
 
 // readFrameHeader reads one frame's header into hdr: its kind and ID, and

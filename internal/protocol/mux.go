@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -51,9 +52,15 @@ type streamConn struct {
 // it from pending, and from then on owns buf until it has sent on ch exactly
 // once: the reply frame, or a close when the stream died mid-payload.
 type waiter struct {
-	ch  chan Frame // 1-buffered
-	buf []byte     // receive buffer the reply payload is read into if it fits; nil allocates
+	ch  chan Frame // 1-buffered, from replyChans
+	buf []byte     // receive buffer a data reply's payload is read into if it fits; nil allocates
 }
+
+// replyChans recycles the waiters' reply channels. A channel goes back only
+// open and empty: once its round trip has received its one frame, or once
+// release has forestalled or drained the reader's one send. A channel the
+// reader closed (the stream died mid-payload) is never reused.
+var replyChans = sync.Pool{New: func() any { return make(chan Frame, 1) }}
 
 // openStream dials baseURL's v3 stream and authenticates it: a signed Hello
 // envelope out, a verified server-signed HelloOK back. ErrNoStream (from the
@@ -164,8 +171,8 @@ func (s *streamConn) failErr() error {
 	return ErrStreamClosed
 }
 
-// register allocates a correlation ID with a 1-buffered reply channel and
-// the receive buffer buf.
+// register allocates a correlation ID with a recycled reply channel and the
+// receive buffer buf.
 func (s *streamConn) register(buf []byte) (uint64, chan Frame, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -174,7 +181,7 @@ func (s *streamConn) register(buf []byte) (uint64, chan Frame, error) {
 	}
 	s.nextID++
 	id := s.nextID
-	ch := make(chan Frame, 1)
+	ch := replyChans.Get().(chan Frame)
 	s.pending[id] = waiter{ch: ch, buf: buf}
 	return id, ch, nil
 }
@@ -182,15 +189,20 @@ func (s *streamConn) register(buf []byte) (uint64, chan Frame, error) {
 // release withdraws a request its caller is giving up on. If the reader has
 // already claimed it, the reader may be reading the reply into the request's
 // receive buffer: release waits for the reader's one send, so the buffer is
-// the caller's again when release returns.
+// the caller's again when release returns. The reply itself is dropped.
 func (s *streamConn) release(id uint64, ch chan Frame) {
 	s.mu.Lock()
 	_, unclaimed := s.pending[id]
 	delete(s.pending, id)
 	s.mu.Unlock()
 	if !unclaimed {
-		<-ch
+		f, ok := <-ch
+		if !ok {
+			return // closed: the stream died mid-payload
+		}
+		f.release()
 	}
+	replyChans.Put(ch)
 }
 
 // send writes one frame, encoded in place (see getFrameBuf), under the write
@@ -217,7 +229,9 @@ func (s *streamConn) subStop(id uint64) {
 // release the long-poll with a FrameSubStop. frame is the request encoded
 // behind a reserved header (getFrameBuf); it is not retained. The reply's
 // payload is read into buf when it fits (the returned frame's Payload then
-// aliases buf), and nothing writes buf once roundTrip has returned.
+// aliases buf), and nothing writes buf once roundTrip has returned. Any other
+// reply is read into a receive-pool buffer, which the caller gives back with
+// Frame.release once it has decoded the reply.
 func (s *streamConn) roundTrip(ctx context.Context, kind byte, frame, buf []byte) (Frame, error) {
 	select {
 	case s.window <- struct{}{}:
@@ -241,6 +255,7 @@ func (s *streamConn) roundTrip(ctx context.Context, kind byte, frame, buf []byte
 		if !ok {
 			return Frame{}, s.failErr()
 		}
+		replyChans.Put(ch)
 		return f, nil
 	case <-ctx.Done():
 		s.release(id, ch)
@@ -297,13 +312,14 @@ func (s *streamConn) unsubscribe(id uint64) {
 	}
 }
 
-// readLoop is the single reader: every inbound frame routes by correlation
-// ID to a pending waiter or a subscription channel. A reply is routed on its
-// header, before its payload is read, so the payload lands in the receive
-// buffer its waiter lent. A subscription consumer that falls behind its
-// buffer is cut off (channel closed) rather than allowed to head-of-line
-// block the whole stream — the subscriber resumes at its cursor, which is
-// lossless by construction.
+// readLoop is the single reader: every inbound frame routes on its header,
+// before its payload is read, to a pending waiter, a subscription channel, or
+// nobody. A waiter's reply lands in the receive buffer it lent (a data reply)
+// or in a receive-pool buffer the waiter releases (any other); a frame nobody
+// waits for any more (its call was cancelled) is read into no buffer at all.
+// A subscription consumer that falls behind its buffer is cut off (channel
+// closed) rather than allowed to head-of-line block the whole stream — the
+// subscriber resumes at its cursor, which is lossless by construction.
 func (s *streamConn) readLoop() {
 	var hdr [frameHeaderLen]byte
 	for {
@@ -315,52 +331,70 @@ func (s *streamConn) readLoop() {
 		s.mu.Lock()
 		w, claimed := s.pending[f.ID]
 		delete(s.pending, f.ID)
+		_, subscribed := s.subs[f.ID]
 		s.mu.Unlock()
-		// A claimed waiter gets exactly one send, whatever happens next.
-		f.Payload, err = readFramePayload(s.conn, n, w.buf)
-		if err != nil {
-			s.fail(fmt.Errorf("protocol: v3 stream read: %w", err))
-			if claimed {
+		switch {
+		case claimed:
+			// A claimed waiter gets exactly one send, whatever happens next.
+			if err := readPayload(s.conn, &f, n, w.buf); err != nil {
+				s.fail(fmt.Errorf("protocol: v3 stream read: %w", err))
 				close(w.ch)
+				return
 			}
-			return
-		}
-		if claimed {
 			w.ch <- f
-			continue
+		case subscribed:
+			if err := readPayload(s.conn, &f, n, nil); err != nil {
+				s.fail(fmt.Errorf("protocol: v3 stream read: %w", err))
+				return
+			}
+			s.deliver(f)
+			f.release()
+		default:
+			// A reply that raced a cancellation, or a batch behind an
+			// unsubscribe: nobody reads it, so nothing holds it.
+			if _, err := io.CopyN(io.Discard, s.conn, int64(n)); err != nil {
+				s.fail(fmt.Errorf("protocol: v3 stream read: %w", err))
+				return
+			}
 		}
-		s.mu.Lock()
-		if ch, ok := s.subs[f.ID]; ok {
-			// An End batch or a FrameError is the server ending the
-			// subscription; an overflow or an undecodable batch is this end
-			// cutting it off, and the server's push loop runs on until told.
-			ended, cut := f.Kind != FrameEvents, false
-			if f.Kind == FrameEvents {
-				var ev binEvents
-				if decode(f.Payload, &ev) != nil {
-					cut = true
-				} else {
-					select {
-					case ch <- ev.EventsReply:
-						ended = ev.End
-					default: // overflow: cut the subscriber off
-						cut = true
-					}
-				}
-			}
-			if ended || cut {
-				delete(s.subs, f.ID)
-				close(ch)
-			}
-			s.mu.Unlock()
-			if cut {
-				// Off the read loop, which must never wait on a write; the
-				// write ends when the server reads it or the stream fails.
-				go s.subStop(f.ID)
-			}
-			continue
-		}
+	}
+}
+
+// deliver hands a subscription's frame to its channel, if the subscription
+// is still open. The decoded batch owns its fields, so f may be released
+// once deliver returns.
+func (s *streamConn) deliver(f Frame) {
+	s.mu.Lock()
+	ch, ok := s.subs[f.ID]
+	if !ok { // unsubscribed while the payload was read
 		s.mu.Unlock()
-		// Unmatched frames (reply raced a cancellation) are dropped.
+		return
+	}
+	// An End batch or a FrameError is the server ending the subscription; an
+	// overflow or an undecodable batch is this end cutting it off, and the
+	// server's push loop runs on until told.
+	ended, cut := f.Kind != FrameEvents, false
+	if f.Kind == FrameEvents {
+		var ev binEvents
+		if decode(f.Payload, &ev) != nil {
+			cut = true
+		} else {
+			select {
+			case ch <- ev.EventsReply:
+				ended = ev.End
+			default: // overflow: cut the subscriber off
+				cut = true
+			}
+		}
+	}
+	if ended || cut {
+		delete(s.subs, f.ID)
+		close(ch)
+	}
+	s.mu.Unlock()
+	if cut {
+		// Off the read loop, which must never wait on a write; the write
+		// ends when the server reads it or the stream fails.
+		go s.subStop(f.ID)
 	}
 }

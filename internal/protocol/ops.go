@@ -193,8 +193,10 @@ func (o *wireOp[Req, Rep]) decodeReply(t MsgType, f Frame, replyOut any) error {
 
 // serveFrame answers backend errors as generic stream errors — the client
 // surfaces them as *ErrorReply exactly like a sealed error envelope would. A
-// decoded request may alias body (a chunk's Data does): readFrame allocated
-// it for this frame alone, so the backend owns it from here. The reply's
+// decoded request aliases body only if it is a data frame's (a chunk's Data):
+// readPayload allocated that body for this frame alone, so the backend owns
+// it from here. Any other body is a receive-pool buffer the worker reuses
+// once serveFrame returns, and its decoded request holds copies. The reply's
 // fields are encoded into a small pooled buffer; a data reply's Data is not
 // copied into it but written straight from where it rests (encodeFrame), so
 // a backend's TransferReply.Data must stay unchanged until send returns —

@@ -75,6 +75,7 @@ func TestEnvelopeClientChecksReplyType(t *testing.T) {
 type codecFuzzer interface {
 	roundTrip(t *testing.T, msg MsgType, reqs, reps []any)
 	everyField(t *testing.T, msg MsgType)
+	outlivesFrame(t *testing.T, msg MsgType)
 	missingWalks() []string
 	fuzzCodecs(t *testing.T, msg MsgType, p []byte)
 	seedCodecs(add func([]byte), reqs, reps []any)
@@ -216,6 +217,47 @@ func TestEveryWireFieldSurvives(t *testing.T) {
 	for _, o := range ops {
 		if o.wire != nil {
 			o.wire.(codecFuzzer).everyField(t, o.request)
+		}
+	}
+}
+
+// outlivesFrame fills the row's control messages by reflection, decodes each
+// from a copy of its encoding, and overwrites the copy: the decoded message
+// must not change, since a control frame's receive buffer is reused once its
+// message is decoded (readPayload). A data frame's message — a put chunk's
+// request, a data reply — aliases its payload by design and is skipped.
+func (o *wireOp[Req, Rep]) outlivesFrame(t *testing.T, msg MsgType) {
+	if o.kind != FramePut {
+		outlives[Req](t, string(msg)+" request")
+	}
+	if o.answer != FrameData {
+		outlives[Rep](t, string(msg)+" reply")
+	}
+}
+
+func outlives[T any](t *testing.T, what string) {
+	var want T
+	bintest.Fill(t, &want)
+	p := bytes.Clone(mustEncode(want))
+	var got T
+	if err := decode(p, &got); err != nil {
+		t.Errorf("%s: %v", what, err)
+		return
+	}
+	for i := range p {
+		p[i] = 0xFF
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s changed with the frame it was decoded from:\n got %+v\nwant %+v", what, got, want)
+	}
+}
+
+// TestDecodedControlMessagesOutliveTheirFrame runs outlivesFrame over the
+// whole wire table.
+func TestDecodedControlMessagesOutliveTheirFrame(t *testing.T) {
+	for _, o := range ops {
+		if o.wire != nil {
+			o.wire.(codecFuzzer).outlivesFrame(t, o.request)
 		}
 	}
 }

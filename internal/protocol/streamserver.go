@@ -22,7 +22,8 @@ import (
 // Compare streamConn/openStream in mux.go for the client half.
 
 // defaultStreamConcurrency bounds how many request frames one stream serves
-// at once — the server-side mirror of the client's in-flight window.
+// at once — the server-side mirror of the client's in-flight window. It is
+// the number of workers a stream may start (streamSession.dispatch).
 const defaultStreamConcurrency = 64
 
 // maxStreamSubs bounds concurrently-open push subscriptions per stream; each
@@ -77,7 +78,7 @@ type StreamServerOpts struct {
 }
 
 // streamSession is one accepted v3 stream: single reader, mutex-serialised
-// writer, bounded concurrent dispatch, per-subscription cancel registry.
+// writer, a bounded pool of reused workers, per-subscription cancel registry.
 type streamSession struct {
 	conn     net.Conn
 	be       StreamBackend
@@ -85,9 +86,10 @@ type streamSession struct {
 	dn       core.DN
 	asServer bool
 
-	wmu sync.Mutex // serialises frame writes
-	sem chan struct{}
-	wg  sync.WaitGroup
+	wmu     sync.Mutex // serialises frame writes
+	work    chan Frame // unbuffered: a request frame handed to an idle worker
+	workers int        // workers started; only the read loop touches it
+	wg      sync.WaitGroup
 
 	subMu sync.Mutex
 	subs  map[uint64]context.CancelFunc
@@ -147,11 +149,14 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 		ctx:      sctx,
 		dn:       o.From,
 		asServer: o.Role == pki.RoleServer,
-		sem:      make(chan struct{}, defaultStreamConcurrency),
+		work:     make(chan Frame),
 		subs:     make(map[uint64]context.CancelFunc),
 	}
 	for {
-		f, err := readFrame(conn, &hdr, MaxFramePayload)
+		f, n, err := readFrameHeader(conn, &hdr, MaxFramePayload)
+		if err == nil {
+			err = readPayload(conn, &f, n, nil)
+		}
 		if err != nil {
 			break
 		}
@@ -161,19 +166,12 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 		switch f.Kind {
 		case FrameSub:
 			s.startSub(f)
+			f.release()
 		case FrameSubStop:
 			s.stopSub(f.ID)
+			f.release()
 		default:
-			select {
-			case s.sem <- struct{}{}:
-				s.wg.Add(1)
-				go func(f Frame) {
-					defer s.wg.Done()
-					defer func() { <-s.sem }()
-					s.handle(f)
-				}(f)
-			case <-sctx.Done():
-			}
+			s.dispatch(f)
 		}
 		if sctx.Err() != nil {
 			break
@@ -241,6 +239,44 @@ func (s *streamSession) writeErr(id uint64, code byte, msg string) {
 	bp := getFrameBuf(0)
 	*bp = appendStreamError(*bp, code, msg)
 	s.send(FrameError, id, bp, nil)
+}
+
+// dispatch hands a request frame to an idle worker. If none is idle it starts
+// one, up to defaultStreamConcurrency; with that many busy it blocks the read
+// loop until one is free, which is the stream's backpressure.
+func (s *streamSession) dispatch(f Frame) {
+	select {
+	case s.work <- f:
+		return
+	default:
+	}
+	if s.workers < defaultStreamConcurrency {
+		s.workers++
+		s.wg.Add(1)
+		go s.worker(f)
+		return
+	}
+	select {
+	case s.work <- f:
+	case <-s.ctx.Done():
+		f.release()
+	}
+}
+
+// worker serves request frames one at a time, f first, until the stream's
+// context ends, releasing each frame's receive buffer once it is answered.
+// Workers are reused, so a request costs no goroutine of its own.
+func (s *streamSession) worker(f Frame) {
+	defer s.wg.Done()
+	for {
+		s.handle(f)
+		f.release()
+		select {
+		case f = <-s.work:
+		case <-s.ctx.Done():
+			return
+		}
+	}
 }
 
 // handle serves one request/response frame: the wire table names the op the
