@@ -1,6 +1,6 @@
 // The benchmark harness regenerates every figure and evaluated claim of the
-// paper (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-// recorded results):
+// paper. This comment is the experiment index README.md's "Repository notes"
+// point to:
 //
 //	E1 BenchmarkFig1_SingleSiteJobFlow       — Figure 1, one Usite end to end
 //	E2 BenchmarkFig2_MultiSiteDistribution   — Figure 2, N-site job groups

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -134,7 +133,7 @@ func main() {
 		l.Close()
 	}()
 
-	err = http.Serve(l, gw)
+	err = protocol.NewHTTPServer(gw).Serve(l)
 	if shuttingDown.Load() {
 		if store != nil {
 			if serr := n.Snapshot(); serr != nil {

@@ -15,12 +15,23 @@
 // writer can send them from where they rest instead of copying them behind
 // the other fields. The message is Bytes followed by Rest either way.
 //
+// A field that repeats within its message — a job ID on every event of a
+// batch — may be walked as a Sym: its first occurrence is written as a
+// literal, and a later one as a one-byte reference to it (see Sym). A list of
+// instants may walk each as a TimeAfter the previous one, so a run of close
+// instants costs a few bytes each instead of nine. Both are chosen per field:
+// a walk that uses neither writes the bytes it always wrote.
+//
 // A decoded string is a copy: it never aliases the input, so the input may be
 // reused or overwritten once the walk is done. The strings of one message
 // share an arena, cut from chunks that grow geometrically (see Str), so a
 // message of many short fields costs a handful of allocations, not one per
 // field. A surviving string pins its chunk, and no chunk is larger than the
-// message's input.
+// message's input. Only a literal is cut from the arena, and it is cut from
+// the input bytes that carried it; a Sym reference hands back a string
+// already decoded. So the decoded strings of a message never hold more bytes
+// than its input, and all the chunks of one message together stay below
+// twice its size (plus the last chunk's rounding).
 //
 // The package imports only the standard library, so every tier may use it.
 package bin
@@ -50,6 +61,8 @@ type Codec struct {
 	b     []byte          // encoding: the output so far; decoding: the input not yet read
 	rest  []byte          // encoding: the Tail field's bytes, not copied into b
 	arena strings.Builder // decoding: the current chunk of this message's strings
+	syms  [symRefs]string // the last symRefs Sym literals, a ring: the newest is syms[(nsyms-1)%symRefs]
+	nsyms int             // Sym literals written or read so far
 	dec   bool
 	bad   bool
 }
@@ -168,19 +181,32 @@ func (c *Codec) Float64(v *float64) {
 // The location is not kept; a decoded time is UTC, which matches what a JSON
 // envelope yields after an RFC 3339 round trip, so the two decodings of one
 // instant compare equal.
-func (c *Codec) Time(t *time.Time) {
-	var ns int64
-	if !t.IsZero() {
-		ns = t.UnixNano()
-	}
+func (c *Codec) Time(t *time.Time) { c.TimeAfter(t, time.Time{}) }
+
+// TimeAfter walks t as the varint signed nanoseconds since prev: the time of
+// the list element walked before it, already decoded when t is, so a run of
+// close instants costs a byte or a few each. Both instants are counted as
+// Time counts them (the zero time as 0) and the difference wraps, so what
+// Time keeps TimeAfter keeps; after the zero time it writes Time's bytes.
+func (c *Codec) TimeAfter(t *time.Time, prev time.Time) {
+	base := unixNano(prev)
+	ns := unixNano(*t) - base
 	c.Varint(&ns)
 	switch {
 	case !c.dec || c.bad:
-	case ns == 0:
+	case base+ns == 0:
 		*t = time.Time{}
 	default:
-		*t = time.Unix(0, ns).UTC()
+		*t = time.Unix(0, base+ns).UTC()
 	}
+}
+
+// unixNano is t's instant as Time writes it: the zero time is 0.
+func unixNano(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return t.UnixNano()
 }
 
 // Len walks a list count or a length prefix: n is written when encoding and
@@ -214,18 +240,90 @@ func (c *Codec) Str(v *string) {
 	switch {
 	case !c.dec:
 		c.b = append(c.b, *v...)
-	case c.bad:
-	case n == 0:
-		*v = ""
-	default:
-		if size := c.arena.Cap(); size-c.arena.Len() < n {
-			c.arena = strings.Builder{}
-			c.arena.Grow(max(n, min(2*size, len(c.b))))
-		}
-		at := c.arena.Len()
-		c.arena.Write(c.b[:n])
-		*v, c.b = c.arena.String()[at:], c.b[n:]
+	case !c.bad:
+		*v = c.cut(n)
 	}
+}
+
+// cut decodes the next n input bytes, which the caller has checked are
+// there, as a string of the arena (Str).
+func (c *Codec) cut(n int) string {
+	if n == 0 {
+		return ""
+	}
+	if size := c.arena.Cap(); size-c.arena.Len() < n {
+		c.arena = strings.Builder{}
+		c.arena.Grow(max(n, min(2*size, len(c.b))))
+	}
+	at := c.arena.Len()
+	c.arena.Write(c.b[:n])
+	c.b = c.b[n:]
+	return c.arena.String()[at:]
+}
+
+// symRefs is how far back a Sym can refer: to any of the message's last
+// symRefs distinct literals.
+const symRefs = 16
+
+// Sym walks a string that is likely to repeat within its message. It is one
+// uvarint x, then, if x is at least symRefs, a literal of x-symRefs bytes, cut
+// from the arena as Str cuts it; an x below symRefs is a reference to the
+// x-th most recent non-empty literal of the message's Syms (0 the newest) and
+// is all there is. An encoder writes a reference whenever the string is one
+// of the last symRefs literals, so equal messages encode to equal bytes, and
+// a decoder refuses a reference to a literal it has not read. The table is
+// the Codec's own array: a reference costs no allocation either way, and a
+// decoded one is the string decoded before, so it adds nothing to the arena.
+// Sym is not Str's encoding; a field moves between them only with a format
+// version.
+func (c *Codec) Sym(v *string) {
+	if !c.dec {
+		x := uint64(symRefs + len(*v))
+		if i := c.symIndex(*v); i >= 0 {
+			x = uint64(i)
+		} else if *v != "" {
+			c.remember(*v)
+		}
+		c.b = binary.AppendUvarint(c.b, x)
+		if x >= symRefs {
+			c.b = append(c.b, *v...)
+		}
+		return
+	}
+	var x uint64
+	c.Uvarint(&x)
+	switch {
+	case c.bad:
+	case x < symRefs:
+		if x >= uint64(min(c.nsyms, symRefs)) {
+			c.bad = true
+			return
+		}
+		*v = c.syms[(c.nsyms-1-int(x))%symRefs]
+	case x-symRefs > uint64(len(c.b)):
+		c.bad = true
+	default:
+		*v = c.cut(int(x - symRefs))
+		if *v != "" {
+			c.remember(*v)
+		}
+	}
+}
+
+// symIndex returns how far back s is among the Sym literals remembered, or
+// -1. The empty string is never remembered: its literal is one byte too.
+func (c *Codec) symIndex(s string) int {
+	for i := range min(c.nsyms, symRefs) {
+		if c.syms[(c.nsyms-1-i)%symRefs] == s {
+			return i
+		}
+	}
+	return -1
+}
+
+func (c *Codec) remember(s string) {
+	c.syms[c.nsyms%symRefs] = s
+	c.nsyms++
 }
 
 // View walks a length-prefixed byte field. Decoded, it is a view into the

@@ -14,12 +14,12 @@ import (
 // X.509 certificate, and the client must present one chaining to the CA
 // before any request is processed.
 //
-// ServeTLS blocks until the listener closes. The returned server can be shut
-// down by closing the listener.
+// ServeTLS blocks until the listener closes. A peer that never completes its
+// handshake is dropped after the stream handshake timeout
+// (protocol.NewHTTPServer).
 func ServeTLS(l net.Listener, handler http.Handler, cred *pki.Credential, ca *pki.Authority) error {
-	srv := &http.Server{Handler: handler}
 	tl := tls.NewListener(l, pki.ServerTLS(cred, ca))
-	err := srv.Serve(tl)
+	err := protocol.NewHTTPServer(handler).Serve(tl)
 	if err == http.ErrServerClosed {
 		return nil
 	}

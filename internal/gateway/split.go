@@ -20,10 +20,11 @@ import (
 // components is done via IP socket connection to a site selectable port."
 //
 // The inner half is the Gateway itself, served plain on that port
-// (http.Serve(l, gw)). The Front is the Web-server half: it terminates https,
-// authenticates every caller at the firewall — a POSTed envelope, or the
-// signed hello that opens a frame stream — and only then lets the bytes
-// through, speaking to the inner half the protocol its own clients speak.
+// (protocol.NewHTTPServer(gw).Serve(l)). The Front is the Web-server half:
+// it terminates https, authenticates every caller at the firewall — a
+// POSTed envelope, or the signed hello that opens a frame stream — and only
+// then lets the bytes through, speaking to the inner half the protocol its
+// own clients speak.
 
 // Front is the Web-server half of a split gateway, deployed on the firewall
 // system: an authenticating proxy in front of the inner gateway.

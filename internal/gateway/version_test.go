@@ -97,7 +97,9 @@ func TestForeignVersionRefused(t *testing.T) {
 		{name: "front-hello", split: true, hello: true},
 	}
 	for _, door := range doors {
-		for _, version := range []int{1, 2, protocol.Version + 1} {
+		// Besides the long-retired versions, the one just before this build
+		// (a peer not yet upgraded) and the one just after are refused alike.
+		for _, version := range []int{1, 2, protocol.Version - 1, protocol.Version + 1} {
 			t.Run(fmt.Sprintf("%s/v%d", door.name, version), func(t *testing.T) {
 				var s *site
 				if door.split {

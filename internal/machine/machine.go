@@ -3,7 +3,7 @@
 // NEC SX-4" (paper §5.7); each profile records the architecture, batch
 // dialect, size, per-PE performance, and toolchain commands, and provides
 // the simulated compiler/linker tools that stand in for the real vendor
-// toolchains (see DESIGN.md substitution table).
+// toolchains.
 package machine
 
 import (

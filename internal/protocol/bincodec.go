@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"time"
 
 	"unicore/internal/bin"
 	"unicore/internal/telemetry"
@@ -98,12 +99,14 @@ func walkMsg(c *bin.Codec, m any) error {
 		c.Blob(&m.Outcome)
 	case *ListRequest, *LoadRequest: // no fields
 	case *ListReply:
+		var prev time.Time
 		for i := range bin.Slice(c, &m.Jobs) {
 			j := &m.Jobs[i]
 			c.Str((*string)(&j.Job))
 			c.Str(&j.Name)
 			c.Int((*int)(&j.Status))
-			c.Time(&j.Submitted)
+			c.TimeAfter(&j.Submitted, prev)
+			prev = j.Submitted
 		}
 	case *ControlRequest:
 		c.Str((*string)(&m.Job))
@@ -313,22 +316,27 @@ type binEvents struct {
 	End bool
 }
 
+// walkEvents names an event's repeated strings as Syms and its time as the
+// offset from the event before it: a batch is one job's history, so its job
+// ID, origin, types and action names repeat, and its instants are close.
 func walkEvents(c *bin.Codec, m *EventsReply, end *bool) {
 	c.Uvarint(&m.Cursor)
 	walkOrigins(c, &m.Origins)
 	c.Bool(&m.Gap)
 	c.Bool(end)
+	var prev time.Time
 	for i := range bin.Slice(c, &m.Events) {
 		ev := &m.Events[i]
-		c.Str((*string)(&ev.Job))
+		c.Sym((*string)(&ev.Job))
 		c.Uvarint(&ev.Seq)
 		c.Uvarint(&ev.Global)
-		c.Str(&ev.Origin)
-		c.Str((*string)(&ev.Type))
-		c.Str((*string)(&ev.Action))
+		c.Sym(&ev.Origin)
+		c.Sym((*string)(&ev.Type))
+		c.Sym((*string)(&ev.Action))
 		c.Int((*int)(&ev.Status))
-		c.Str(&ev.Reason)
-		c.Time(&ev.Time)
+		c.Sym(&ev.Reason)
+		c.TimeAfter(&ev.Time, prev)
+		prev = ev.Time
 		c.Bool(&ev.Terminal)
 	}
 }

@@ -43,7 +43,12 @@ func parseCert(der []byte) (*x509.Certificate, error) {
 // frames integrity-checked by their CRCs and the whole-file CRC checked at
 // commit, and event batches pushed server-side. An envelope or stream hello at any
 // other version is refused with a server-signed ErrBadVersion error.
-const Version = 3
+//
+// Version 4 changed the frame bodies of an events batch and a list reply:
+// repeated event strings travel as references and instants as the offset
+// from the one before (walkEvents). Any change to a frame body's bytes bumps
+// it; TestFrameBodiesArePinned holds the encodings of this version.
+const Version = 4
 
 // Errors reported when opening envelopes.
 var (

@@ -137,6 +137,19 @@ type HTTPTransport struct {
 	DialTimeout time.Duration
 }
 
+// NewHTTPServer is the http.Server of a site endpoint, over TLS (the
+// gateway) or plain (the NJS behind a firewall front). A peer that connects
+// and sends nothing — no TLS handshake, no request — is closed after
+// handshakeTimeout, as a stream whose hello never comes is, and a keep-alive
+// connection idle between envelopes after a few of them. Neither bounds what
+// follows the request headers: an upgraded stream keeps its connection until
+// it ends.
+func NewHTTPServer(h http.Handler) *http.Server { return httpServer(h, handshakeTimeout) }
+
+func httpServer(h http.Handler, handshake time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: handshake, IdleTimeout: 6 * handshake}
+}
+
 // NewHTTPTransport wraps an *http.Transport (typically built around
 // pki.ClientTLS) as a full Transport.
 func NewHTTPTransport(h *http.Transport) *HTTPTransport { return &HTTPTransport{HTTP: h} }

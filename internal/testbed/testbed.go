@@ -12,7 +12,6 @@ package testbed
 import (
 	"fmt"
 	"net"
-	"net/http"
 	"strings"
 
 	"unicore/internal/accounting"
@@ -176,7 +175,7 @@ func (d *Deployment) deploySite(spec SiteSpec) (*Site, error) {
 		if err != nil {
 			return nil, fmt.Errorf("split listener: %w", err)
 		}
-		go http.Serve(l, gw)
+		go protocol.NewHTTPServer(gw).Serve(l)
 		frontCred, err := d.CA.IssueServer("front."+strings.ToLower(string(spec.Usite)), host)
 		if err != nil {
 			return nil, err

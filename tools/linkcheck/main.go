@@ -1,14 +1,18 @@
 // Command linkcheck validates intra-repository markdown links: every
 // relative link target must exist, and a #fragment into a markdown file
 // must match one of its headings (GitHub anchor rules). External links
-// (http/https/mailto) are not fetched. It exits non-zero listing every
-// broken link — the docs job of CI runs it over the whole repository.
+// (http/https/mailto) are not fetched. A markdown file named in a Go comment
+// (docs/PROTOCOL.md, README.md) must exist too, next to the Go file or from
+// the repository root. It exits non-zero listing every broken link — the
+// docs job of CI runs it over the whole repository.
 //
 // Usage: go run ./tools/linkcheck [root]
 package main
 
 import (
 	"fmt"
+	"go/scanner"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -94,6 +98,42 @@ func checkFile(root, path string) ([]string, error) {
 	return problems, nil
 }
 
+// mdNameRE matches a markdown file name in prose: a path of word
+// characters ending in .md.
+var mdNameRE = regexp.MustCompile(`(?:\.\./)*[\w-]+(?:/[\w-]+)*\.md\b`)
+
+// checkGoComments returns a problem for each markdown file a comment of one
+// Go file names that exists neither beside the file nor from root.
+func checkGoComments(root, path string) ([]string, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	var sc scanner.Scanner
+	sc.Init(fset.AddFile(path, -1, len(src)), src, nil, scanner.ScanComments)
+	var problems []string
+	for {
+		pos, tok, lit := sc.Scan()
+		if tok == token.EOF {
+			return problems, nil
+		}
+		if tok != token.COMMENT {
+			continue
+		}
+		for _, name := range mdNameRE.FindAllString(lit, -1) {
+			if !exists(filepath.Join(filepath.Dir(path), name)) && !exists(filepath.Join(root, name)) {
+				problems = append(problems, fmt.Sprintf("%s: comment names %s, which is no file", fset.Position(pos), name))
+			}
+		}
+	}
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
 func main() {
 	root := "."
 	if len(os.Args) > 1 {
@@ -111,10 +151,14 @@ func main() {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(strings.ToLower(d.Name()), ".md") {
+		check := checkFile
+		switch {
+		case strings.HasSuffix(d.Name(), ".go"):
+			check = checkGoComments
+		case !strings.HasSuffix(strings.ToLower(d.Name()), ".md"):
 			return nil
 		}
-		ps, err := checkFile(root, path)
+		ps, err := check(root, path)
 		if err != nil {
 			return err
 		}
@@ -130,8 +174,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, p)
 	}
 	if len(problems) > 0 {
-		fmt.Fprintf(os.Stderr, "linkcheck: %d broken links in %d markdown files\n", len(problems), checked)
+		fmt.Fprintf(os.Stderr, "linkcheck: %d broken links in %d markdown and Go files\n", len(problems), checked)
 		os.Exit(1)
 	}
-	fmt.Printf("linkcheck: %d markdown files OK\n", checked)
+	fmt.Printf("linkcheck: %d markdown and Go files OK\n", checked)
 }

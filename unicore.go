@@ -27,8 +27,8 @@
 //	d.Run(100000) // drive the virtual clock
 //	sum, _ := sess.Status(ctx, id)
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// reproduced figures and claims.
+// README.md maps the three tiers onto the packages and points to the
+// experiment index of the reproduced figures and claims (bench_test.go).
 package unicore
 
 import (
