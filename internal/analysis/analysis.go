@@ -225,10 +225,15 @@ func IsMethodCall(info *types.Info, call *ast.CallExpr, path, typeName string, m
 }
 
 // CalleeFunc returns the declared function or method object a call resolves
-// to, or nil for calls through function values, conversions and builtins.
+// to — the generic one for a call of an instantiation, explicit or inferred —
+// or nil for calls through function values, conversions and builtins.
 func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.IndexExpr:
+		return CalleeFunc(info, &ast.CallExpr{Fun: fun.X})
+	case *ast.IndexListExpr:
+		return CalleeFunc(info, &ast.CallExpr{Fun: fun.X})
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:

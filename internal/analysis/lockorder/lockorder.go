@@ -1,8 +1,9 @@
 // Package lockorder enforces the NJS locking contract (PR 1): per-job locks
 // nest strictly ancestor→descendant, the registry lock (regMu) is innermost
 // (never held across a job-lock acquisition), and no per-job lock is held
-// across a peer call through protocol.Client — a network round trip under a
-// job lock would let one slow site block Poll/Control on the local job.
+// across a peer call through protocol.Client — protocol.Do, Client.Call or
+// Client.SubscribeStream: a network round trip under a job lock would let
+// one slow site block Poll/Control on the local job.
 //
 // The analyzer recognizes "job" locks syntactically and by type: a call
 // x.mu.Lock() where x's type is a struct with a sync.Mutex field `mu` and a
@@ -230,7 +231,8 @@ func (s *scanner) calls(n ast.Node) {
 // call interprets one call as a lock event or a peer call.
 func (s *scanner) call(call *ast.CallExpr) {
 	info := s.pass.TypesInfo
-	if analysis.IsMethodCall(info, call, "unicore/internal/protocol", "Client", "Call", "SubscribeStream", "streamCall", "callOnce") {
+	if analysis.IsPkgFunc(info, call, "unicore/internal/protocol", "Do") ||
+		analysis.IsMethodCall(info, call, "unicore/internal/protocol", "Client", "Call", "SubscribeStream") {
 		for _, h := range s.stack {
 			if h.kind == jobLock {
 				s.pass.Reportf(call.Pos(),

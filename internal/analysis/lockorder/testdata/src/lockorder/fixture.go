@@ -103,7 +103,10 @@ func GoodNestedLookup(r *reg, p *job, aid string) {
 func BadPeerCall(cl *protocol.Client, j *job) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	_ = cl.Call(context.Background(), "site", protocol.MsgPoll, nil, nil) // want "peer call through protocol.Client while job lock"
+	_ = cl.Call(context.Background(), "site", protocol.MsgFedAdvertise, nil, nil)                   // want "peer call through protocol.Client while job lock"
+	_ = protocol.Do(context.Background(), cl, "site", protocol.OpPoll, protocol.PollRequest{}, nil) // want "peer call through protocol.Client while job lock"
+	// The typed call with its types spelled out is the same call.
+	_ = protocol.Do[protocol.ControlRequest, protocol.ControlReply](context.Background(), cl, "site", protocol.OpControl, protocol.ControlRequest{}, nil) // want "peer call through protocol.Client while job lock"
 }
 
 // BadPeerSubscribe dials (or waits on) the peer's stream to open a push
@@ -115,16 +118,18 @@ func BadPeerSubscribe(cl *protocol.Client, j *job) {
 }
 
 // GoodPeerCallBranch unlocks on the early-exit path before calling the peer;
-// after the branch the lock is still held, so the second call is flagged —
+// after the branch the lock is still held, so the calls there are flagged —
 // exactly the consignRemote shape, with the bug reintroduced.
 func GoodPeerCallBranch(cl *protocol.Client, j *job) {
 	j.mu.Lock()
 	if j.done {
 		j.mu.Unlock()
-		_ = cl.Call(context.Background(), "site", protocol.MsgPoll, nil, nil) // released first: fine
+		_ = cl.Call(context.Background(), "site", protocol.MsgFedAdvertise, nil, nil)                   // released first: fine
+		_ = protocol.Do(context.Background(), cl, "site", protocol.OpPoll, protocol.PollRequest{}, nil) // released first: fine
 		return
 	}
-	_ = cl.Call(context.Background(), "site", protocol.MsgPoll, nil, nil) // want "peer call through protocol.Client while job lock"
+	_ = cl.Call(context.Background(), "site", protocol.MsgFedAdvertise, nil, nil)                   // want "peer call through protocol.Client while job lock"
+	_ = protocol.Do(context.Background(), cl, "site", protocol.OpPoll, protocol.PollRequest{}, nil) // want "peer call through protocol.Client while job lock"
 	j.mu.Unlock()
 }
 
@@ -134,6 +139,6 @@ func GoodLiteral(cl *protocol.Client, j *job, after func(func())) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	after(func() {
-		_ = cl.Call(context.Background(), "site", protocol.MsgPoll, nil, nil) // fresh goroutine: fine
+		_ = cl.Call(context.Background(), "site", protocol.MsgFedAdvertise, nil, nil) // fresh goroutine: fine
 	})
 }

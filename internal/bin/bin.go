@@ -137,11 +137,13 @@ func (c *Codec) Varint(v *int64) {
 	*v, c.b = x, c.b[n:]
 }
 
-// Int walks an int as a Varint.
+// Int walks an int as a Varint. Like every walk it writes v only when
+// decoding, so a message shared read-only may be encoded concurrently.
 func (c *Codec) Int(v *int) {
 	x := int64(*v)
-	c.Varint(&x)
-	*v = int(x)
+	if c.Varint(&x); c.dec {
+		*v = int(x)
+	}
 }
 
 // Bool walks one byte, 1 or 0; any non-zero value reads as true.
@@ -150,8 +152,9 @@ func (c *Codec) Bool(v *bool) {
 	if *v {
 		x = 1
 	}
-	c.Uvarint(&x)
-	*v = x != 0
+	if c.Uvarint(&x); c.dec {
+		*v = x != 0
+	}
 }
 
 // Float64 walks v's IEEE 754 bits as eight little-endian bytes (a load

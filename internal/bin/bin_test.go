@@ -102,6 +102,29 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodingOnlyReadsItsMessage: an encoder writes nothing back into the
+// message it walks, so a message shared read-only — a finished job's outcome
+// tree — may be encoded by any number of goroutines at once. Under -race a
+// primitive that stores into its field while encoding is reported here.
+func TestEncodingOnlyReadsItsMessage(t *testing.T) {
+	m := filled()
+	want := Encoder(nil)
+	m.walk(&want)
+	done := make(chan []byte)
+	for range 4 {
+		go func() {
+			enc := Encoder(nil)
+			m.walk(&enc)
+			done <- enc.Bytes()
+		}()
+	}
+	for range 4 {
+		if got := <-done; !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("concurrent encoding differs:\n%x\n%x", got, want.Bytes())
+		}
+	}
+}
+
 // TestWireBytes pins the encodings themselves: the frame bodies, AJO
 // documents and journal records already written are made of exactly these.
 func TestWireBytes(t *testing.T) {

@@ -216,7 +216,7 @@ func (b *Broker) Refresh(c *protocol.Client, usites ...core.Usite) error {
 // targets the gateway still reports.
 func (b *Broker) refreshSite(c *protocol.Client, u core.Usite) (map[core.Target]bool, error) {
 	var pages protocol.ResourcesReply
-	if err := c.Call(context.Background(), u, protocol.MsgResources, protocol.ResourcesRequest{}, &pages); err != nil {
+	if err := protocol.Do(context.Background(), c, u, protocol.OpResources, protocol.ResourcesRequest{}, &pages); err != nil {
 		return nil, fmt.Errorf("broker: resources from %s: %w", u, err)
 	}
 	fresh := make(map[core.Target]bool)
@@ -229,7 +229,7 @@ func (b *Broker) refreshSite(c *protocol.Client, u core.Usite) (map[core.Target]
 		fresh[p.Target] = true
 	}
 	var load protocol.LoadReply
-	if err := c.Call(context.Background(), u, protocol.MsgLoad, protocol.LoadRequest{}, &load); err != nil {
+	if err := protocol.Do(context.Background(), c, u, protocol.OpLoad, protocol.LoadRequest{}, &load); err != nil {
 		return nil, fmt.Errorf("broker: load from %s: %w", u, err)
 	}
 	for vs, vl := range load.Vsites {

@@ -39,7 +39,7 @@ func (j *JPA) Catalog() *resources.Catalog { return j.catalog }
 // them to the catalog, and returns them.
 func (j *JPA) FetchResources(usite core.Usite) ([]*resources.Page, error) {
 	var reply protocol.ResourcesReply
-	if err := j.c.Call(context.Background(), usite, protocol.MsgResources, protocol.ResourcesRequest{}, &reply); err != nil {
+	if err := protocol.Do(context.Background(), j.c, usite, protocol.OpResources, protocol.ResourcesRequest{}, &reply); err != nil {
 		return nil, err
 	}
 	pages := make([]*resources.Page, 0, len(reply.PagesDER))
@@ -101,7 +101,7 @@ func (j *JPA) submitContext(ctx context.Context, job *ajo.AbstractJob) (core.Job
 		return "", err
 	}
 	var reply protocol.ConsignReply
-	err = j.c.Call(ctx, job.Target.Usite, protocol.MsgConsign, protocol.ConsignRequest{
+	err = protocol.Do(ctx, j.c, job.Target.Usite, protocol.OpConsign, protocol.ConsignRequest{
 		ConsignID: newConsignID(),
 		AJO:       raw,
 	}, &reply)
@@ -150,7 +150,7 @@ type VerifiedApplet struct {
 // before returning it. Tampered or unsigned payloads are rejected.
 func FetchApplet(c *protocol.Client, ca *pki.Authority, usite core.Usite, name string) (VerifiedApplet, error) {
 	var reply protocol.AppletReply
-	if err := c.Call(context.Background(), usite, protocol.MsgApplet, protocol.AppletRequest{Name: name}, &reply); err != nil {
+	if err := protocol.Do(context.Background(), c, usite, protocol.OpApplet, protocol.AppletRequest{Name: name}, &reply); err != nil {
 		return VerifiedApplet{}, err
 	}
 	signer, err := ca.VerifySignature(reply.Payload, reply.Signature, pki.RoleSoftware)

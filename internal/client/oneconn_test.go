@@ -162,21 +162,21 @@ func TestEveryClientOpRidesOneConnection(t *testing.T) {
 		if s, err := sess.Status(ctx, ids[0]); err != nil || s.Status != ajo.StatusSuccessful {
 			t.Fatalf("Status: %+v, %v", s, err)
 		}
-	}); n > 6 {
-		t.Errorf("Session.Status allocates %.0f times per call, ceiling 6", n)
+	}); n > 4 {
+		t.Errorf("Session.Status allocates %.0f times per call, ceiling 4", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
 		if jobs, err := sess.List(ctx); err != nil || len(jobs) != 33 {
 			t.Fatalf("List: %d jobs, %v", len(jobs), err)
 		}
-	}); n > 150 {
-		t.Errorf("Session.List of 33 jobs allocates %.0f times per call, ceiling 150", n)
+	}); n > 11 {
+		t.Errorf("Session.List of 33 jobs allocates %.0f times per call, ceiling 11", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
 		if o, err := sess.Outcome(ctx, ids[1]); err != nil || len(o.Children) != 8 {
 			t.Fatalf("Outcome: %v", err)
 		}
-	}); n > 150 {
-		t.Errorf("Session.Outcome of a nine-node tree allocates %.0f times per call, ceiling 150", n)
+	}); n > 29 {
+		t.Errorf("Session.Outcome of a nine-node tree allocates %.0f times per call, ceiling 29", n)
 	}
 }

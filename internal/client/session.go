@@ -119,7 +119,7 @@ func (s *Session) Trace(job core.JobID) (string, bool) {
 func (s *Session) Metrics(ctx context.Context, perReplica, spans bool) ([]telemetry.Snapshot, error) {
 	var reply protocol.MetricsReply
 	req := protocol.MetricsRequest{PerReplica: perReplica, Spans: spans}
-	if err := s.c.Call(ctx, s.usite, protocol.MsgMetrics, req, &reply); err != nil {
+	if err := protocol.Do(ctx, s.c, s.usite, protocol.OpMetrics, req, &reply); err != nil {
 		return nil, err
 	}
 	return reply.Snapshots, nil
@@ -201,21 +201,21 @@ func (s *Session) DownloadTo(ctx context.Context, job core.JobID, file, localPat
 // staging.Putter surface; most callers want Upload).
 func (s *Session) PutOpen(ctx context.Context, req protocol.PutOpenRequest) (protocol.PutOpenReply, error) {
 	var reply protocol.PutOpenReply
-	err := s.c.Call(ctx, s.usite, protocol.MsgPutOpen, req, &reply)
+	err := protocol.Do(ctx, s.c, s.usite, protocol.OpPutOpen, req, &reply)
 	return reply, err
 }
 
 // PutChunk delivers one chunk of a staged upload (idempotent re-send safe).
 func (s *Session) PutChunk(ctx context.Context, req protocol.PutChunkRequest) (protocol.PutChunkReply, error) {
 	var reply protocol.PutChunkReply
-	err := s.c.Call(ctx, s.usite, protocol.MsgPutChunk, req, &reply)
+	err := protocol.Do(ctx, s.c, s.usite, protocol.OpPutChunk, req, &reply)
 	return reply, err
 }
 
 // PutCommit seals a staged upload after the server verified its CRC.
 func (s *Session) PutCommit(ctx context.Context, req protocol.PutCommitRequest) (protocol.PutCommitReply, error) {
 	var reply protocol.PutCommitReply
-	err := s.c.Call(ctx, s.usite, protocol.MsgPutCommit, req, &reply)
+	err := protocol.Do(ctx, s.c, s.usite, protocol.OpPutCommit, req, &reply)
 	return reply, err
 }
 
@@ -237,7 +237,7 @@ func (s *Session) Upload(ctx context.Context, vsite core.Vsite, name string, r i
 // callers want Watch or Await instead.
 func (s *Session) Events(ctx context.Context, req protocol.SubscribeRequest) (protocol.EventsReply, error) {
 	var reply protocol.EventsReply
-	if err := s.c.Call(ctx, s.usite, protocol.MsgSubscribe, req, &reply); err != nil {
+	if err := protocol.Do(ctx, s.c, s.usite, protocol.OpSubscribe, req, &reply); err != nil {
 		return protocol.EventsReply{}, err
 	}
 	return reply, nil
@@ -401,7 +401,7 @@ const (
 // listJobs fetches the caller's jobs at a Usite, newest first.
 func listJobs(ctx context.Context, c *protocol.Client, usite core.Usite) ([]protocol.JobInfo, error) {
 	var reply protocol.ListReply
-	if err := c.Call(ctx, usite, protocol.MsgList, protocol.ListRequest{}, &reply); err != nil {
+	if err := protocol.Do(ctx, c, usite, protocol.OpList, protocol.ListRequest{}, &reply); err != nil {
 		return nil, err
 	}
 	return reply.Jobs, nil
@@ -410,7 +410,7 @@ func listJobs(ctx context.Context, c *protocol.Client, usite core.Usite) ([]prot
 // pollStatus fetches the compact summary of one job.
 func pollStatus(ctx context.Context, c *protocol.Client, usite core.Usite, job core.JobID) (ajo.Summary, error) {
 	var reply protocol.PollReply
-	if err := c.Call(ctx, usite, protocol.MsgPoll, protocol.PollRequest{Job: job}, &reply); err != nil {
+	if err := protocol.Do(ctx, c, usite, protocol.OpPoll, protocol.PollRequest{Job: job}, &reply); err != nil {
 		return ajo.Summary{}, err
 	}
 	if !reply.Found {
@@ -422,7 +422,7 @@ func pollStatus(ctx context.Context, c *protocol.Client, usite core.Usite, job c
 // fetchOutcome retrieves and decodes the full outcome tree of one job.
 func fetchOutcome(ctx context.Context, c *protocol.Client, usite core.Usite, job core.JobID) (*ajo.Outcome, error) {
 	var reply protocol.OutcomeReply
-	if err := c.Call(ctx, usite, protocol.MsgOutcome, protocol.OutcomeRequest{Job: job}, &reply); err != nil {
+	if err := protocol.Do(ctx, c, usite, protocol.OpOutcome, protocol.OutcomeRequest{Job: job}, &reply); err != nil {
 		return nil, err
 	}
 	if !reply.Found {
@@ -434,7 +434,7 @@ func fetchOutcome(ctx context.Context, c *protocol.Client, usite core.Usite, job
 // controlJob sends one job-control operation (abort/hold/resume).
 func controlJob(ctx context.Context, c *protocol.Client, usite core.Usite, job core.JobID, op ajo.ControlOp) error {
 	var reply protocol.ControlReply
-	if err := c.Call(ctx, usite, protocol.MsgControl, protocol.ControlRequest{Job: job, Op: op}, &reply); err != nil {
+	if err := protocol.Do(ctx, c, usite, protocol.OpControl, protocol.ControlRequest{Job: job, Op: op}, &reply); err != nil {
 		return err
 	}
 	if !reply.OK {
@@ -449,7 +449,7 @@ func controlJob(ctx context.Context, c *protocol.Client, usite core.Usite, job c
 func fetchSource(c *protocol.Client, usite core.Usite, job core.JobID, file string) staging.Source {
 	return func(ctx context.Context, offset, limit int64, buf []byte) (staging.Chunk, error) {
 		reply := protocol.TransferReply{Data: buf[:0]}
-		err := c.Call(ctx, usite, protocol.MsgFetch, protocol.FetchRequest{
+		err := protocol.Do(ctx, c, usite, protocol.OpFetch, protocol.FetchRequest{
 			Job: job, File: file, Offset: offset, Limit: limit,
 		}, &reply)
 		if err != nil {

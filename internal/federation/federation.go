@@ -542,7 +542,7 @@ func (f *Federation) Forward(ctx context.Context, owner core.DN, consignID strin
 	}
 	var reply protocol.ConsignReply
 	start := time.Now()
-	err = f.cfg.Client.Call(ctx, t.Usite, protocol.MsgConsign, protocol.ConsignRequest{
+	err = protocol.Do(ctx, f.cfg.Client, t.Usite, protocol.OpConsign, protocol.ConsignRequest{
 		ConsignID: NamespaceConsignID(f.cfg.Usite, consignID),
 		AJO:       raw,
 	}, &reply)
@@ -573,8 +573,8 @@ func (f *Federation) Placement(id core.JobID) (Placement, bool) {
 
 // Relay performs one job-scoped protocol call against a peer gateway on
 // behalf of an already-authorized caller.
-func (f *Federation) Relay(ctx context.Context, peer core.Usite, t protocol.MsgType, payload, replyOut any) error {
-	return f.cfg.Client.Call(ctx, peer, t, payload, replyOut)
+func Relay[Req, Rep any](ctx context.Context, f *Federation, peer core.Usite, op *protocol.Op[Req, Rep], req Req, rep *Rep) error {
+	return protocol.Do(ctx, f.cfg.Client, peer, op, req, rep)
 }
 
 // PinStage records that a staged-upload handle lives at a peer.

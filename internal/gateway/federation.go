@@ -187,7 +187,7 @@ func (g *Gateway) fedStageOpen(ctx context.Context, c caller, req protocol.PutOp
 		return reply, false, nil
 	}
 	req.Owner = c.dn
-	if err := f.Relay(ctx, peer, protocol.MsgPutOpen, req, &reply); err != nil {
+	if err := federation.Relay(ctx, f, peer, protocol.OpPutOpen, req, &reply); err != nil {
 		return reply, true, fmt.Errorf("gateway: relaying staged upload to %s: %w", peer, err)
 	}
 	f.PinStage(reply.Handle, peer, c.dn)

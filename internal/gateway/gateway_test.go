@@ -85,14 +85,22 @@ func (s *site) gauge(name string, kv ...string) float64 {
 	return p.Value
 }
 
-// door is either way of calling a gateway: a protocol.Client, whose every op
-// rides the frame stream, or the envelopeDoor.
+// door is either way of calling a gateway, by request type: the frameDoor,
+// whose every op rides the frame stream, or the envelopeDoor.
 type door interface {
-	Call(ctx context.Context, usite core.Usite, t protocol.MsgType, payload, replyOut any) error
+	call(ctx context.Context, usite core.Usite, t protocol.MsgType, payload, replyOut any) error
+}
+
+// frameDoor is a protocol.Client as a door: the request runs through
+// protocol.Do on the op the gateway row of its type rides.
+type frameDoor struct{ *protocol.Client }
+
+func (d frameDoor) call(ctx context.Context, usite core.Usite, t protocol.MsgType, payload, replyOut any) error {
+	return ops[t].(prober).frame(ctx, d.Client, usite, payload, replyOut)
 }
 
 // envelopeDoor drives the gateways' signed-envelope door the way a POSTing
-// client did, for the tests that compare the two server doors: Call seals the
+// client did, for the tests that compare the two server doors: call seals the
 // request under cred, hands it to HandleContext and opens the reply — which
 // must be server-signed and of the op's reply type; a sealed error comes back
 // as a *protocol.ErrorReply.
@@ -106,7 +114,7 @@ func (s *site) envelopes(cred *pki.Credential) envelopeDoor {
 	return envelopeDoor{gw: map[core.Usite]*Gateway{"FZJ": s.gw}, cred: cred, ca: s.ca}
 }
 
-func (d envelopeDoor) Call(ctx context.Context, usite core.Usite, t protocol.MsgType, payload, replyOut any) error {
+func (d envelopeDoor) call(ctx context.Context, usite core.Usite, t protocol.MsgType, payload, replyOut any) error {
 	env, err := protocol.SealTraced(d.cred, telemetry.TraceFrom(ctx), t, payload)
 	if err != nil {
 		return err
@@ -153,14 +161,14 @@ func scriptJob(name, script string) *ajo.AbstractJob {
 	}
 }
 
-func consign(t *testing.T, c door, job *ajo.AbstractJob) core.JobID {
+func consign(t *testing.T, c *protocol.Client, job *ajo.AbstractJob) core.JobID {
 	t.Helper()
 	raw, err := ajo.Marshal(job)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
 	var reply protocol.ConsignReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgConsign, protocol.ConsignRequest{ConsignID: string(job.ID()), AJO: raw}, &reply); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpConsign, protocol.ConsignRequest{ConsignID: string(job.ID()), AJO: raw}, &reply); err != nil {
 		t.Fatalf("consign: %v", err)
 	}
 	if !reply.Accepted {
@@ -176,7 +184,7 @@ func TestEndToEndScriptJob(t *testing.T) {
 	s.clock.RunUntilIdle(100000)
 
 	var poll protocol.PollReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgPoll, protocol.PollRequest{Job: id}, &poll); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpPoll, protocol.PollRequest{Job: id}, &poll); err != nil {
 		t.Fatalf("poll: %v", err)
 	}
 	if !poll.Found || poll.Summary.Status != ajo.StatusSuccessful {
@@ -184,7 +192,7 @@ func TestEndToEndScriptJob(t *testing.T) {
 	}
 
 	var oreply protocol.OutcomeReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgOutcome, protocol.OutcomeRequest{Job: id}, &oreply); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpOutcome, protocol.OutcomeRequest{Job: id}, &oreply); err != nil {
 		t.Fatalf("outcome: %v", err)
 	}
 	if !oreply.Found {
@@ -210,7 +218,7 @@ func TestListAndControl(t *testing.T) {
 	id := consign(t, c, scriptJob("long", "cpu 30m\n"))
 
 	var list protocol.ListReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &list); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpList, protocol.ListRequest{}, &list); err != nil {
 		t.Fatalf("list: %v", err)
 	}
 	if len(list.Jobs) != 1 || list.Jobs[0].Job != id {
@@ -218,7 +226,7 @@ func TestListAndControl(t *testing.T) {
 	}
 
 	var ctl protocol.ControlReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgControl, protocol.ControlRequest{Job: id, Op: ajo.OpAbort}, &ctl); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpControl, protocol.ControlRequest{Job: id, Op: ajo.OpAbort}, &ctl); err != nil {
 		t.Fatalf("control: %v", err)
 	}
 	if !ctl.OK {
@@ -226,7 +234,7 @@ func TestListAndControl(t *testing.T) {
 	}
 	s.clock.RunUntilIdle(100000)
 	var poll protocol.PollReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgPoll, protocol.PollRequest{Job: id}, &poll); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpPoll, protocol.PollRequest{Job: id}, &poll); err != nil {
 		t.Fatalf("poll: %v", err)
 	}
 	if poll.Summary.Status != ajo.StatusAborted {
@@ -243,7 +251,7 @@ func TestUnmappedUserIsRefused(t *testing.T) {
 	c := s.client(mallory)
 	raw, _ := ajo.Marshal(scriptJob("x", "echo x\n"))
 	var reply protocol.ConsignReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgConsign, protocol.ConsignRequest{AJO: raw}, &reply); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpConsign, protocol.ConsignRequest{AJO: raw}, &reply); err != nil {
 		t.Fatalf("call: %v", err)
 	}
 	if reply.Accepted {
@@ -258,7 +266,7 @@ func TestRevokedCertificateIsRejected(t *testing.T) {
 	s := newSite(t)
 	s.ca.Revoke(s.alice.Cert)
 	c := s.client(s.alice)
-	err := c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &protocol.ListReply{})
+	err := protocol.Do(context.Background(), c, "FZJ", protocol.OpList, protocol.ListRequest{}, &protocol.ListReply{})
 	if err == nil {
 		t.Fatal("revoked certificate was accepted")
 	}
@@ -274,7 +282,7 @@ func TestBlockedUserIsRejected(t *testing.T) {
 	c := s.client(s.alice)
 	raw, _ := ajo.Marshal(scriptJob("x", "echo x\n"))
 	var reply protocol.ConsignReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgConsign, protocol.ConsignRequest{AJO: raw}, &reply); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpConsign, protocol.ConsignRequest{AJO: raw}, &reply); err != nil {
 		t.Fatalf("call: %v", err)
 	}
 	if reply.Accepted {
@@ -309,13 +317,13 @@ func TestSiteAuthHook(t *testing.T) {
 
 func c0(t *testing.T, s *site, cred *pki.Credential) error {
 	t.Helper()
-	return s.client(cred).Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &protocol.ListReply{})
+	return protocol.Do(context.Background(), s.client(cred), "FZJ", protocol.OpList, protocol.ListRequest{}, &protocol.ListReply{})
 }
 
 func TestTransferRequiresServerRole(t *testing.T) {
 	s := newSite(t)
 	c := s.client(s.alice)
-	err := c.Call(context.Background(), "FZJ", protocol.MsgTransfer, protocol.TransferRequest{Job: "FZJ-000001", File: "x"}, &protocol.TransferReply{})
+	err := protocol.Do(context.Background(), c, "FZJ", protocol.OpTransfer, protocol.TransferRequest{Job: "FZJ-000001", File: "x"}, &protocol.TransferReply{})
 	if err == nil {
 		t.Fatal("user-role transfer request was accepted")
 	}
@@ -334,12 +342,12 @@ func TestOtherUsersJobsAreInvisible(t *testing.T) {
 		t.Fatalf("IssueUser: %v", err)
 	}
 	cb := s.client(bob)
-	err = cb.Call(context.Background(), "FZJ", protocol.MsgOutcome, protocol.OutcomeRequest{Job: id}, &protocol.OutcomeReply{})
+	err = protocol.Do(context.Background(), cb, "FZJ", protocol.OpOutcome, protocol.OutcomeRequest{Job: id}, &protocol.OutcomeReply{})
 	if err == nil {
 		t.Fatal("bob could read alice's outcome")
 	}
 	var list protocol.ListReply
-	if err := cb.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &list); err != nil {
+	if err := protocol.Do(context.Background(), cb, "FZJ", protocol.OpList, protocol.ListRequest{}, &list); err != nil {
 		t.Fatalf("list: %v", err)
 	}
 	if len(list.Jobs) != 0 {
@@ -351,7 +359,7 @@ func TestResourcePages(t *testing.T) {
 	s := newSite(t)
 	c := s.client(s.alice)
 	var reply protocol.ResourcesReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgResources, protocol.ResourcesRequest{}, &reply); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpResources, protocol.ResourcesRequest{}, &reply); err != nil {
 		t.Fatalf("resources: %v", err)
 	}
 	if len(reply.PagesDER) != 1 {
@@ -369,7 +377,7 @@ func TestResourcePages(t *testing.T) {
 	}
 
 	// Asking for a non-existent Vsite is an error.
-	err = c.Call(context.Background(), "FZJ", protocol.MsgResources, protocol.ResourcesRequest{Vsite: "SX4"}, &reply)
+	err = protocol.Do(context.Background(), c, "FZJ", protocol.OpResources, protocol.ResourcesRequest{Vsite: "SX4"}, &reply)
 	if err == nil {
 		t.Fatal("resources for unknown Vsite succeeded")
 	}
@@ -392,7 +400,7 @@ func TestSignedApplets(t *testing.T) {
 
 	c := s.client(s.alice)
 	var reply protocol.AppletReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgApplet, protocol.AppletRequest{Name: "jpa"}, &reply); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpApplet, protocol.AppletRequest{Name: "jpa"}, &reply); err != nil {
 		t.Fatalf("applet fetch: %v", err)
 	}
 	// The user-side verification: the applet certificate is checked so the
@@ -426,7 +434,7 @@ func TestLoadQuery(t *testing.T) {
 	s := newSite(t)
 	c := s.client(s.alice)
 	var before protocol.LoadReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgLoad, protocol.LoadRequest{}, &before); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpLoad, protocol.LoadRequest{}, &before); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if before.Overall != 0 {
@@ -441,7 +449,7 @@ func TestLoadQuery(t *testing.T) {
 	}
 	s.clock.Advance(time.Second)
 	var after protocol.LoadReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgLoad, protocol.LoadRequest{}, &after); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpLoad, protocol.LoadRequest{}, &after); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if after.Overall != 1 {
@@ -461,8 +469,8 @@ func TestStatsCounting(t *testing.T) {
 	// Stats().ByType is a census of signed envelopes (v3 stream traffic has
 	// its own gateway_stream_* counters).
 	c := s.envelopes(s.alice)
-	_ = c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &protocol.ListReply{})
-	_ = c.Call(context.Background(), "FZJ", protocol.MsgTransfer, protocol.TransferRequest{}, nil) // rejected: role
+	_ = c.call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &protocol.ListReply{})
+	_ = c.call(context.Background(), "FZJ", protocol.MsgTransfer, protocol.TransferRequest{}, nil) // rejected: role
 	st := s.gw.Stats()
 	if st.Requests != 2 {
 		t.Fatalf("requests = %d, want 2", st.Requests)
@@ -501,17 +509,17 @@ func TestConsignIdempotency(t *testing.T) {
 	raw, _ := ajo.Marshal(job)
 	req := protocol.ConsignRequest{ConsignID: "retry-1", AJO: raw}
 	var r1, r2 protocol.ConsignReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgConsign, req, &r1); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpConsign, req, &r1); err != nil {
 		t.Fatalf("consign 1: %v", err)
 	}
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgConsign, req, &r2); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpConsign, req, &r2); err != nil {
 		t.Fatalf("consign 2: %v", err)
 	}
 	if r1.Job != r2.Job {
 		t.Fatalf("retried consign created a second job: %s vs %s", r1.Job, r2.Job)
 	}
 	var list protocol.ListReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &list); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpList, protocol.ListRequest{}, &list); err != nil {
 		t.Fatalf("list: %v", err)
 	}
 	if len(list.Jobs) != 1 {
@@ -526,7 +534,7 @@ func TestForgedUserDNInAJO(t *testing.T) {
 	job.UserDN = core.MakeDN("Somebody Else", "X", "DE")
 	raw, _ := ajo.Marshal(job)
 	var reply protocol.ConsignReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgConsign, protocol.ConsignRequest{AJO: raw}, &reply); err == nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpConsign, protocol.ConsignRequest{AJO: raw}, &reply); err == nil {
 		if reply.Accepted {
 			t.Fatal("AJO with a forged user DN was accepted from a user-role signer")
 		}

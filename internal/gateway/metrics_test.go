@@ -20,7 +20,7 @@ func TestMetricsScrape(t *testing.T) {
 	// only for envelopes whose header names a trace ID.
 	ctx := telemetry.WithTrace(context.Background(), telemetry.NewTraceID())
 	var lr protocol.ListReply
-	if err := s.client(s.alice).Call(ctx, "FZJ", protocol.MsgList, protocol.ListRequest{}, &lr); err != nil {
+	if err := protocol.Do(ctx, s.client(s.alice), "FZJ", protocol.OpList, protocol.ListRequest{}, &lr); err != nil {
 		t.Fatalf("traced list: %v", err)
 	}
 

@@ -28,7 +28,10 @@ type caller struct {
 // op is one row of the operation table, typed by its request and reply so
 // the frame door reaches the handler without boxing either.
 type op[Req, Rep any] struct {
-	msg protocol.MsgType
+	// wire is the op's frame form, which a federated gateway also relays the
+	// request over; msg names the one op without a frame form (gossip).
+	wire *protocol.Op[Req, Rep]
+	msg  protocol.MsgType
 	// serverOnly, when set, refuses user-role callers; it names the traffic
 	// the op is reserved for.
 	serverOnly string
@@ -47,7 +50,7 @@ type op[Req, Rep any] struct {
 // serve runs one decoded request — the body both doors share: trace span,
 // role check, then the federation relay or the local handler.
 func (o *op[Req, Rep]) serve(g *Gateway, ctx context.Context, c caller, req Req) (Rep, error) {
-	sp := g.tel.StartSpan(ctx, "gateway.dispatch").Note(string(o.msg))
+	sp := g.tel.StartSpan(ctx, "gateway.dispatch").Note(string(o.request()))
 	defer sp.End()
 	var none Rep
 	if o.serverOnly != "" && !c.asServer {
@@ -60,7 +63,7 @@ func (o *op[Req, Rep]) serve(g *Gateway, ctx context.Context, c caller, req Req)
 		}
 		if peer != "" {
 			var reply Rep
-			err := f.Relay(ctx, peer, o.msg, fwd, &reply)
+			err := federation.Relay(ctx, f, peer, o.wire, fwd, &reply)
 			return reply, err
 		}
 	}
@@ -86,12 +89,17 @@ func (o *op[Req, Rep]) relayTo(g *Gateway, f *federation.Federation, c caller, r
 func (o *op[Req, Rep]) envelope(g *Gateway, ctx context.Context, c caller, raw json.RawMessage) (any, error) {
 	var req Req
 	if err := json.Unmarshal(raw, &req); err != nil {
-		return nil, fmt.Errorf("gateway: bad %s request: %w", o.msg, err)
+		return nil, fmt.Errorf("gateway: bad %s request: %w", o.request(), err)
 	}
 	return o.serve(g, ctx, c, req)
 }
 
-func (o *op[Req, Rep]) request() protocol.MsgType { return o.msg }
+func (o *op[Req, Rep]) request() protocol.MsgType {
+	if o.wire != nil {
+		return o.wire.Type()
+	}
+	return o.msg
+}
 
 // route is a row with its request and reply types erased — what
 // HandleContext holds after a table lookup.
@@ -109,31 +117,31 @@ const unknownType protocol.MsgType = "unknown"
 // federation gossip also rides the frame stream.
 var (
 	opConsign = &op[protocol.ConsignRequest, protocol.ConsignReply]{
-		msg:   protocol.MsgConsign,
+		wire:  protocol.OpConsign,
 		local: (*Gateway).consign,
 	}
 	opPoll = &op[protocol.PollRequest, protocol.PollReply]{
-		msg: protocol.MsgPoll,
-		job: func(req protocol.PollRequest) core.JobID { return req.Job },
+		wire: protocol.OpPoll,
+		job:  func(req protocol.PollRequest) core.JobID { return req.Job },
 		local: func(g *Gateway, _ context.Context, c caller, req protocol.PollRequest) (protocol.PollReply, error) {
 			return g.svc().Poll(c.dn, c.asServer, req.Job)
 		},
 	}
 	opOutcome = &op[protocol.OutcomeRequest, protocol.OutcomeReply]{
-		msg:   protocol.MsgOutcome,
+		wire:  protocol.OpOutcome,
 		job:   func(req protocol.OutcomeRequest) core.JobID { return req.Job },
 		local: (*Gateway).outcome,
 	}
 	opList = &op[protocol.ListRequest, protocol.ListReply]{
-		msg: protocol.MsgList,
+		wire: protocol.OpList,
 		local: func(g *Gateway, _ context.Context, c caller, _ protocol.ListRequest) (protocol.ListReply, error) {
 			jobs, err := g.svc().List(c.dn)
 			return protocol.ListReply{Jobs: jobs}, err
 		},
 	}
 	opControl = &op[protocol.ControlRequest, protocol.ControlReply]{
-		msg: protocol.MsgControl,
-		job: func(req protocol.ControlRequest) core.JobID { return req.Job },
+		wire: protocol.OpControl,
+		job:  func(req protocol.ControlRequest) core.JobID { return req.Job },
 		local: func(g *Gateway, _ context.Context, c caller, req protocol.ControlRequest) (protocol.ControlReply, error) {
 			if err := g.svc().Control(c.dn, c.asServer, req.Job, req.Op); err != nil {
 				return protocol.ControlReply{Reason: err.Error()}, nil
@@ -142,12 +150,12 @@ var (
 		},
 	}
 	opResources = &op[protocol.ResourcesRequest, protocol.ResourcesReply]{
-		msg:   protocol.MsgResources,
+		wire:  protocol.OpResources,
 		local: (*Gateway).resources,
 	}
 	// opTransfer is the NJS-to-NJS Uspace read of §5.6.
 	opTransfer = &op[protocol.TransferRequest, protocol.TransferReply]{
-		msg:        protocol.MsgTransfer,
+		wire:       protocol.OpTransfer,
 		serverOnly: "Uspace transfers are NJS-to-NJS traffic",
 		job:        func(req protocol.TransferRequest) core.JobID { return req.Job },
 		local: func(g *Gateway, _ context.Context, c caller, req protocol.TransferRequest) (protocol.TransferReply, error) {
@@ -155,11 +163,11 @@ var (
 		},
 	}
 	opApplet = &op[protocol.AppletRequest, protocol.AppletReply]{
-		msg:   protocol.MsgApplet,
+		wire:  protocol.OpApplet,
 		local: (*Gateway).applet,
 	}
 	opLoad = &op[protocol.LoadRequest, protocol.LoadReply]{
-		msg: protocol.MsgLoad,
+		wire: protocol.OpLoad,
 		local: func(g *Gateway, _ context.Context, _ caller, _ protocol.LoadRequest) (protocol.LoadReply, error) {
 			// One sampling of the backend for the whole reply: Overall is
 			// the mean of the very per-Vsite figures it is sent with.
@@ -171,8 +179,8 @@ var (
 		},
 	}
 	opFetch = &op[protocol.FetchRequest, protocol.TransferReply]{
-		msg: protocol.MsgFetch,
-		job: func(req protocol.FetchRequest) core.JobID { return req.Job },
+		wire: protocol.OpFetch,
+		job:  func(req protocol.FetchRequest) core.JobID { return req.Job },
 		local: func(g *Gateway, _ context.Context, c caller, req protocol.FetchRequest) (protocol.TransferReply, error) {
 			return g.svc().FetchFileOwned(c.dn, c.asServer, req.Job, req.File, req.Offset, req.Limit)
 		},
@@ -182,16 +190,16 @@ var (
 	// long-poll); a user's all-jobs stream (empty Job) stays local — it is
 	// scoped to this Usite's log.
 	opSubscribe = &op[protocol.SubscribeRequest, protocol.EventsReply]{
-		msg:   protocol.MsgSubscribe,
+		wire:  protocol.OpSubscribe,
 		job:   func(req protocol.SubscribeRequest) core.JobID { return req.Job },
 		local: (*Gateway).longPollEvents,
 	}
 	opPutOpen = &op[protocol.PutOpenRequest, protocol.PutOpenReply]{
-		msg:   protocol.MsgPutOpen,
+		wire:  protocol.OpPutOpen,
 		local: (*Gateway).putOpen,
 	}
 	opPutChunk = &op[protocol.PutChunkRequest, protocol.PutChunkReply]{
-		msg: protocol.MsgPutChunk,
+		wire: protocol.OpPutChunk,
 		handle: func(req protocol.PutChunkRequest, owner core.DN) (string, protocol.PutChunkRequest) {
 			req.Owner = owner
 			return req.Handle, req
@@ -201,7 +209,7 @@ var (
 		},
 	}
 	opPutCommit = &op[protocol.PutCommitRequest, protocol.PutCommitReply]{
-		msg: protocol.MsgPutCommit,
+		wire: protocol.OpPutCommit,
 		handle: func(req protocol.PutCommitRequest, owner core.DN) (string, protocol.PutCommitRequest) {
 			req.Owner = owner
 			return req.Handle, req
@@ -211,7 +219,7 @@ var (
 		},
 	}
 	opMetrics = &op[protocol.MetricsRequest, protocol.MetricsReply]{
-		msg:   protocol.MsgMetrics,
+		wire:  protocol.OpMetrics,
 		local: (*Gateway).metrics,
 	}
 )

@@ -165,7 +165,7 @@ func (g *grid) submit(t *testing.T, user *pki.Credential, target core.Target) co
 	var reply protocol.ConsignReply
 	c := protocol.NewClient(g.net, user, g.ca, g.reg)
 	defer c.Close()
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgConsign, protocol.ConsignRequest{ConsignID: string(job.ID()), AJO: raw}, &reply); err != nil || !reply.Accepted {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpConsign, protocol.ConsignRequest{ConsignID: string(job.ID()), AJO: raw}, &reply); err != nil || !reply.Accepted {
 		t.Fatalf("consign at %s: %+v, %v", target, reply, err)
 	}
 	g.clock.RunUntilIdle(100000)
@@ -182,6 +182,12 @@ type prober interface {
 	// reply to decode into.
 	probe(job core.JobID, handle string) (request, replyOut any)
 	describe() (role, relay string)
+	// frames returns the frame kinds of the op the row rides; ok is false
+	// for gossip, which has no frame form.
+	frames() (request, reply byte, ok bool)
+	// frame runs a request of the row's type through protocol.Do on the op
+	// the row rides (frameDoor).
+	frame(ctx context.Context, c *protocol.Client, usite core.Usite, request, replyOut any) error
 }
 
 func (o *op[Req, Rep]) probe(job core.JobID, handle string) (any, any) {
@@ -198,6 +204,19 @@ func (o *op[Req, Rep]) probe(job core.JobID, handle string) (any, any) {
 		}
 	}
 	return req, new(Rep)
+}
+
+func (o *op[Req, Rep]) frame(ctx context.Context, c *protocol.Client, usite core.Usite, request, replyOut any) error {
+	rep, _ := replyOut.(*Rep)
+	return protocol.Do(ctx, c, usite, o.wire, request.(Req), rep)
+}
+
+func (o *op[Req, Rep]) frames() (request, reply byte, ok bool) {
+	if o.wire == nil {
+		return 0, 0, false
+	}
+	request, reply = o.wire.Frames()
+	return request, reply, true
 }
 
 func (o *op[Req, Rep]) describe() (role, relay string) {
@@ -290,7 +309,7 @@ func TestBothDoorsAgree(t *testing.T) {
 		var opened protocol.PutOpenReply
 		c := protocol.NewClient(g.net, g.alice, g.ca, g.reg)
 		defer c.Close()
-		if err := c.Call(context.Background(), "FZJ", protocol.MsgPutOpen, protocol.PutOpenRequest{Vsite: vsite, Name: "in.dat"}, &opened); err != nil {
+		if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpPutOpen, protocol.PutOpenRequest{Vsite: vsite, Name: "in.dat"}, &opened); err != nil {
 			t.Fatalf("put-open for %s: %v", vsite, err)
 		}
 		uploads[vsite] = opened.Handle
@@ -314,8 +333,8 @@ func TestBothDoorsAgree(t *testing.T) {
 	// In table order of the message names, so a run is repeatable: a chunk
 	// lands before the commit that seals it.
 	var framed []protocol.MsgType
-	for msg := range ops {
-		if _, _, ok := protocol.Frames(msg); ok {
+	for msg, row := range ops {
+		if _, _, ok := row.(prober).frames(); ok {
 			framed = append(framed, msg)
 		}
 	}
@@ -328,15 +347,15 @@ func TestBothDoorsAgree(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		envelopes := envelopeDoor{gw: g.gw, cred: sc.caller, ca: g.ca}
-		frames := protocol.NewClient(g.net, sc.caller, g.ca, g.reg)
+		frames := frameDoor{protocol.NewClient(g.net, sc.caller, g.ca, g.reg)}
 		defer frames.Close()
 		for _, msg := range framed {
 			row := ops[msg].(prober)
 			req, viaEnvelope := row.probe(sc.job, sc.handle)
 			_, viaFrame := row.probe(sc.job, sc.handle)
-			errEnvelope := envelopes.Call(context.Background(), "FZJ", msg, req, viaEnvelope)
+			errEnvelope := envelopes.call(context.Background(), "FZJ", msg, req, viaEnvelope)
 			before, posted := frameCount(), g.gw["FZJ"].Stats().Requests
-			errFrame := frames.Call(context.Background(), "FZJ", msg, req, viaFrame)
+			errFrame := frames.call(context.Background(), "FZJ", msg, req, viaFrame)
 			if frameCount() == before || g.gw["FZJ"].Stats().Requests != posted {
 				t.Errorf("%s / %s: the wire table frames this op, but the call reached the gateway as an envelope", sc.name, msg)
 			}
@@ -356,23 +375,23 @@ func TestBothDoorsAgree(t *testing.T) {
 	// The rows the scenarios exist for, spelled out once on the frame door.
 	frames := protocol.NewClient(g.net, g.alice, g.ca, g.reg)
 	defer frames.Close()
-	err = frames.Call(context.Background(), "FZJ", protocol.MsgTransfer, protocol.TransferRequest{Job: local, File: "out.dat"}, nil)
+	err = protocol.Do(context.Background(), frames, "FZJ", protocol.OpTransfer, protocol.TransferRequest{Job: local, File: "out.dat"}, nil)
 	if err == nil || !strings.Contains(err.Error(), ErrNotPermitted.Error()) {
 		t.Errorf("transfer as a user: err = %v, want the role refusal", err)
 	}
 	var poll protocol.PollReply
-	if err := frames.Call(context.Background(), "FZJ", protocol.MsgPoll, protocol.PollRequest{Job: remote}, &poll); err != nil || !poll.Found {
+	if err := protocol.Do(context.Background(), frames, "FZJ", protocol.OpPoll, protocol.PollRequest{Job: remote}, &poll); err != nil || !poll.Found {
 		t.Errorf("poll of the relayed job: %+v, %v", poll, err)
 	}
 	var out protocol.OutcomeReply
-	if err := frames.Call(context.Background(), "FZJ", protocol.MsgOutcome, protocol.OutcomeRequest{Job: remote}, &out); err != nil || !out.Found {
+	if err := protocol.Do(context.Background(), frames, "FZJ", protocol.OpOutcome, protocol.OutcomeRequest{Job: remote}, &out); err != nil || !out.Found {
 		t.Fatalf("outcome of the relayed job: found=%v, %v", out.Found, err)
 	}
 	if tree, err := ajo.UnmarshalOutcome(out.Outcome); err != nil || tree.Status != ajo.StatusSuccessful || len(tree.Children) != 1 {
 		t.Errorf("outcome of the relayed job: %+v, %v", tree, err)
 	}
 	var commit protocol.PutCommitReply
-	if err := frames.Call(context.Background(), "FZJ", protocol.MsgPutCommit, protocol.PutCommitRequest{
+	if err := protocol.Do(context.Background(), frames, "FZJ", protocol.OpPutCommit, protocol.PutCommitRequest{
 		Handle: uploads["SP2"], CRC: crc64.Checksum([]byte("chunk zero"), crc64.MakeTable(crc64.ECMA)),
 	}, &commit); err != nil || commit.Chunks != 1 {
 		t.Errorf("commit of the upload pinned to DWD: %+v, %v", commit, err)
@@ -400,7 +419,7 @@ func TestProtocolDocListsTheTables(t *testing.T) {
 	}
 	for msg, row := range ops {
 		form := "—"
-		if req, rep, ok := protocol.Frames(msg); ok {
+		if req, rep, ok := row.(prober).frames(); ok {
 			form = "`" + protocol.FrameKindName(req) + "` / `" + protocol.FrameKindName(rep) + "`"
 		}
 		reply, ok := protocol.ReplyType(msg)

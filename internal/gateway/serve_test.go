@@ -41,7 +41,7 @@ func TestMutualTLSEndToEnd(t *testing.T) {
 	job := scriptJob("over-tls", "echo tls works\n")
 	raw, _ := ajo.Marshal(job)
 	var reply protocol.ConsignReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgConsign, protocol.ConsignRequest{AJO: raw}, &reply); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpConsign, protocol.ConsignRequest{AJO: raw}, &reply); err != nil {
 		t.Fatalf("consign over TLS: %v", err)
 	}
 	if !reply.Accepted {
@@ -49,7 +49,7 @@ func TestMutualTLSEndToEnd(t *testing.T) {
 	}
 	s.clock.RunUntilIdle(100000)
 	var poll protocol.PollReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgPoll, protocol.PollRequest{Job: reply.Job}, &poll); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpPoll, protocol.PollRequest{Job: reply.Job}, &poll); err != nil {
 		t.Fatalf("poll over TLS: %v", err)
 	}
 	if poll.Summary.Status != ajo.StatusSuccessful {
@@ -159,7 +159,7 @@ func TestVerifyRoles(t *testing.T) {
 		t.Fatalf("IssueSoftware: %v", err)
 	}
 	c := s.client(soft)
-	err = c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &protocol.ListReply{})
+	err = protocol.Do(context.Background(), c, "FZJ", protocol.OpList, protocol.ListRequest{}, &protocol.ListReply{})
 	if err == nil {
 		t.Fatal("software-role caller was served")
 	}

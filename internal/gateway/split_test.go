@@ -100,7 +100,7 @@ func TestSplitEndToEnd(t *testing.T) {
 	s.clock.RunUntilIdle(100000)
 
 	var poll protocol.PollReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgPoll, protocol.PollRequest{Job: id}, &poll); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpPoll, protocol.PollRequest{Job: id}, &poll); err != nil {
 		t.Fatalf("poll: %v", err)
 	}
 	if poll.Summary.Status != ajo.StatusSuccessful {
@@ -132,7 +132,7 @@ func TestSplitRejectsAtTheFirewall(t *testing.T) {
 	hello := func(cred *pki.Credential) error {
 		c := protocol.NewClient(s.net, cred, s.ca, s.reg)
 		defer c.Close()
-		return c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, nil)
+		return protocol.Do(context.Background(), c, "FZJ", protocol.OpList, protocol.ListRequest{}, nil)
 	}
 	attempts := []struct {
 		name, code string
@@ -175,7 +175,7 @@ func TestSplitSurvivesInnerReconnect(t *testing.T) {
 	defer c.Close()
 	calls := func(when string) {
 		t.Helper()
-		if err := c.Call(ctx, "FZJ", protocol.MsgList, protocol.ListRequest{}, &protocol.ListReply{}); err != nil {
+		if err := protocol.Do(ctx, c, "FZJ", protocol.OpList, protocol.ListRequest{}, &protocol.ListReply{}); err != nil {
 			t.Fatalf("stream call %s: %v", when, err)
 		}
 		if err := s.postList(ctx, s.alice); err != nil {
@@ -209,7 +209,7 @@ func TestSplitHeldSubscribeDelaysNobodyElse(t *testing.T) {
 	defer alice.Close()
 	id := consign(t, alice, scriptJob("held", "echo held\n"))
 	var seen protocol.EventsReply
-	if err := alice.Call(ctx, "FZJ", protocol.MsgSubscribe, protocol.SubscribeRequest{Job: id}, &seen); err != nil {
+	if err := protocol.Do(ctx, alice, "FZJ", protocol.OpSubscribe, protocol.SubscribeRequest{Job: id}, &seen); err != nil {
 		t.Fatalf("events: %v", err)
 	}
 
@@ -219,7 +219,7 @@ func TestSplitHeldSubscribeDelaysNobodyElse(t *testing.T) {
 	held := make(chan error, 1)
 	go func() {
 		var next protocol.EventsReply
-		held <- alice.Call(ctx, "FZJ", protocol.MsgSubscribe,
+		held <- protocol.Do(ctx, alice, "FZJ", protocol.OpSubscribe,
 			protocol.SubscribeRequest{Job: id, Cursor: seen.Cursor, WaitMs: 60_000}, &next)
 	}()
 	for s.gauge("gateway_longpoll_active") < 1 {
@@ -232,7 +232,7 @@ func TestSplitHeldSubscribeDelaysNobodyElse(t *testing.T) {
 	c := s.client(bob)
 	defer c.Close()
 	own := consign(t, c, scriptJob("free", "echo free\n"))
-	if err := c.Call(ctx, "FZJ", protocol.MsgPoll, protocol.PollRequest{Job: own}, &protocol.PollReply{}); err != nil {
+	if err := protocol.Do(ctx, c, "FZJ", protocol.OpPoll, protocol.PollRequest{Job: own}, &protocol.PollReply{}); err != nil {
 		t.Fatalf("bob's poll: %v", err)
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
@@ -254,13 +254,13 @@ func TestSplitAbandonedHoldIsReleased(t *testing.T) {
 	defer c.Close()
 	id := consign(t, c, scriptJob("abandoned", "echo abandoned\n"))
 	var seen protocol.EventsReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgSubscribe, protocol.SubscribeRequest{Job: id}, &seen); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpSubscribe, protocol.SubscribeRequest{Job: id}, &seen); err != nil {
 		t.Fatalf("events: %v", err)
 	}
 	hold := protocol.SubscribeRequest{Job: id, Cursor: seen.Cursor, WaitMs: 60_000}
 	routes := map[string]func(context.Context) error{
 		"stream": func(ctx context.Context) error {
-			return c.Call(ctx, "FZJ", protocol.MsgSubscribe, hold, nil)
+			return protocol.Do(ctx, c, "FZJ", protocol.OpSubscribe, hold, nil)
 		},
 		"POST": func(ctx context.Context) error {
 			env, err := protocol.Seal(s.alice, protocol.MsgSubscribe, hold)
@@ -307,7 +307,7 @@ func TestSplitInnerDown(t *testing.T) {
 	s.net.Register("gw.fzj", front)
 	c := s.client(s.alice)
 	for route, err := range map[string]error{
-		"stream": c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &protocol.ListReply{}),
+		"stream": protocol.Do(context.Background(), c, "FZJ", protocol.OpList, protocol.ListRequest{}, &protocol.ListReply{}),
 		"POST":   s.postList(context.Background(), s.alice),
 	} {
 		if err == nil {

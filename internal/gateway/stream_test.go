@@ -79,39 +79,9 @@ func (c *tamperedConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestWrongReplyOutIsTheCallsError: handing Call a replyOut of another op's
-// reply type is the caller's bug and comes back as the call's error. It must
-// not be mistaken for an undecodable reply — which would drop a healthy
-// stream and run the request a second time.
-func TestWrongReplyOutIsTheCallsError(t *testing.T) {
-	s := newSite(t)
-	c := s.client(s.alice)
-	defer c.Close()
-	id := consign(t, c, scriptJob("held", "echo held\n"))
-	total := func(name string) float64 { return s.gw.Telemetry().Snapshot().Total(name) }
-
-	frames := total("gateway_stream_frames_total")
-	var wrong protocol.PollReply
-	err := c.Call(context.Background(), "FZJ", protocol.MsgControl, protocol.ControlRequest{Job: id, Op: ajo.OpHold}, &wrong)
-	if err == nil || !strings.Contains(err.Error(), "reply out parameter") {
-		t.Fatalf("control into a *PollReply: err = %v, want the out-parameter error", err)
-	}
-	if got := total("gateway_stream_frames_total") - frames; got != 1 {
-		t.Errorf("the call sent %v frames, want 1", got)
-	}
-	// The request itself ran, once, and the stream is the one the hello opened.
-	var right protocol.ControlReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgControl, protocol.ControlRequest{Job: id, Op: ajo.OpResume}, &right); err != nil || !right.OK {
-		t.Fatalf("resume after the hold: %+v, %v", right, err)
-	}
-	if got := total("gateway_stream_hellos_total"); got != 1 {
-		t.Errorf("%v stream hellos, want 1: the stream was dropped", got)
-	}
-}
-
-// TestUndecodableReplyDropsTheStream is the other half: bytes the row's
-// decoder rejects poison the connection, not the call — the stream is
-// dropped and the request replayed on a fresh one, within the retry budget.
+// TestUndecodableReplyDropsTheStream: bytes the op's decoder rejects poison
+// the connection, not the call — the stream is dropped and the request
+// replayed on a fresh one, within the retry budget.
 func TestUndecodableReplyDropsTheStream(t *testing.T) {
 	s := newSite(t)
 	tr := &tamper{Transport: s.net}
@@ -128,7 +98,7 @@ func TestUndecodableReplyDropsTheStream(t *testing.T) {
 		return f
 	}
 	var list protocol.ListReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &list); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpList, protocol.ListRequest{}, &list); err != nil {
 		t.Fatalf("list across a garbled reply: %v", err)
 	}
 	if len(list.Jobs) != 1 || list.Jobs[0].Job != id {
@@ -150,7 +120,7 @@ func TestUndecodableReplyDropsTheStream(t *testing.T) {
 		f.Payload = []byte{0xFF}
 		return f
 	}
-	err := c.Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, &list)
+	err := protocol.Do(context.Background(), c, "FZJ", protocol.OpList, protocol.ListRequest{}, &list)
 	if err == nil || !strings.Contains(err.Error(), "failed after 3 attempts") {
 		t.Fatalf("list against a peer that garbles every reply: err = %v, want the retry budget spent", err)
 	}
@@ -164,11 +134,11 @@ type lossyEnvelopes struct {
 	lose *atomic.Bool
 }
 
-func (d lossyEnvelopes) Call(ctx context.Context, usite core.Usite, t protocol.MsgType, payload, replyOut any) error {
+func (d lossyEnvelopes) call(ctx context.Context, usite core.Usite, t protocol.MsgType, payload, replyOut any) error {
 	if d.lose.CompareAndSwap(true, false) {
-		d.envelopeDoor.Call(ctx, usite, t, payload, nil)
+		d.envelopeDoor.call(ctx, usite, t, payload, nil)
 	}
-	return d.envelopeDoor.Call(ctx, usite, t, payload, replyOut)
+	return d.envelopeDoor.call(ctx, usite, t, payload, replyOut)
 }
 
 // TestLostReplyReplaysLikeTheEnvelopeRetry loses the reply to a mutating op
@@ -195,20 +165,29 @@ func TestLostReplyReplaysLikeTheEnvelopeRetry(t *testing.T) {
 		if streams {
 			client := protocol.NewClient(tr, s.alice, s.ca, s.reg)
 			defer client.Close()
-			c = client
+			c = frameDoor{client}
 		}
 		ctx := context.Background()
-		id := consign(t, c, scriptJob("replayed", "echo replayed\n"))
-		if err := c.Call(ctx, "FZJ", protocol.MsgControl, protocol.ControlRequest{Job: id, Op: ajo.OpHold}, nil); err != nil {
+		job := scriptJob("replayed", "echo replayed\n")
+		raw, err := ajo.Marshal(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var consigned protocol.ConsignReply
+		if err := c.call(ctx, "FZJ", protocol.MsgConsign, protocol.ConsignRequest{ConsignID: string(job.ID()), AJO: raw}, &consigned); err != nil || !consigned.Accepted {
+			t.Fatalf("consign: %+v, %v", consigned, err)
+		}
+		id := consigned.Job
+		if err := c.call(ctx, "FZJ", protocol.MsgControl, protocol.ControlRequest{Job: id, Op: ajo.OpHold}, nil); err != nil {
 			t.Fatalf("hold: %v", err)
 		}
 		var got observed
 		tr.loseReply.Store(true)
-		if err := c.Call(ctx, "FZJ", protocol.MsgControl, protocol.ControlRequest{Job: id, Op: ajo.OpResume}, &got.Resume); err != nil {
+		if err := c.call(ctx, "FZJ", protocol.MsgControl, protocol.ControlRequest{Job: id, Op: ajo.OpResume}, &got.Resume); err != nil {
 			got.Err = err.Error()
 		}
 		tr.loseReply.Store(true)
-		if err := c.Call(ctx, "FZJ", protocol.MsgPutOpen, protocol.PutOpenRequest{Vsite: "T3E", Name: "in.dat"}, &got.Opened); err != nil {
+		if err := c.call(ctx, "FZJ", protocol.MsgPutOpen, protocol.PutOpenRequest{Vsite: "T3E", Name: "in.dat"}, &got.Opened); err != nil {
 			t.Fatalf("put-open across a lost reply: %v", err)
 		}
 		if tr.loseReply.Load() {
@@ -269,7 +248,7 @@ func TestStreamKillReconnectIdempotent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var poll protocol.PollReply
-			if err := c.Call(context.Background(), "FZJ", protocol.MsgPoll, protocol.PollRequest{Job: id}, &poll); err != nil {
+			if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpPoll, protocol.PollRequest{Job: id}, &poll); err != nil {
 				errs <- err
 			}
 		}()
@@ -290,7 +269,7 @@ func TestStreamKillReconnectIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var again protocol.ConsignReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgConsign, protocol.ConsignRequest{ConsignID: string(job.ID()), AJO: raw}, &again); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpConsign, protocol.ConsignRequest{ConsignID: string(job.ID()), AJO: raw}, &again); err != nil {
 		t.Fatalf("re-consign: %v", err)
 	}
 	if !again.Accepted || again.Job != id {
@@ -299,7 +278,7 @@ func TestStreamKillReconnectIdempotent(t *testing.T) {
 
 	s.clock.RunUntilIdle(100000)
 	var poll protocol.PollReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgPoll, protocol.PollRequest{Job: id}, &poll); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpPoll, protocol.PollRequest{Job: id}, &poll); err != nil {
 		t.Fatalf("final poll: %v", err)
 	}
 	if !poll.Found || poll.Summary.Status != ajo.StatusSuccessful {
@@ -312,7 +291,7 @@ func TestStreamKillReconnectIdempotent(t *testing.T) {
 		t.Fatal("no reconnected stream registered after the first kill")
 	}
 	var last protocol.PollReply
-	if err := c.Call(context.Background(), "FZJ", protocol.MsgPoll, protocol.PollRequest{Job: id}, &last); err != nil {
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpPoll, protocol.PollRequest{Job: id}, &last); err != nil {
 		t.Fatalf("poll after second kill: %v", err)
 	}
 }
@@ -380,7 +359,7 @@ func TestRefusedEnvelopeIsCountedAtBothDoors(t *testing.T) {
 		send func(s *site) error
 	}{
 		{"post", func(s *site) error {
-			return s.envelopes(stranger).Call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, nil)
+			return s.envelopes(stranger).call(context.Background(), "FZJ", protocol.MsgList, protocol.ListRequest{}, nil)
 		}},
 		{"hello", func(s *site) error {
 			// The stranger trusts the site's CA (it verifies the refusal) but

@@ -114,7 +114,7 @@ func TestForeignVersionRefused(t *testing.T) {
 					// stock client does.
 					c := protocol.NewClient(tr, s.alice, s.ca, s.reg)
 					defer c.Close()
-					err = c.Call(context.Background(), "FZJ", protocol.MsgPoll, protocol.PollRequest{Job: "FZJ-000001"}, nil)
+					err = protocol.Do(context.Background(), c, "FZJ", protocol.OpPoll, protocol.PollRequest{Job: "FZJ-000001"}, nil)
 				} else {
 					// The POST doors take a hand-sealed envelope.
 					env, serr := protocol.Seal(s.alice, protocol.MsgList, protocol.ListRequest{})

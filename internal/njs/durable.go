@@ -645,7 +645,7 @@ func (n *NJS) ResumeRecovered() {
 	// outside all locks (mirrors abortJob).
 	if peers := n.peerClient(); peers != nil {
 		for _, ref := range remotes {
-			_ = peers.Call(context.Background(), ref.usite, protocol.MsgControl,
+			_ = protocol.Do(context.Background(), peers, ref.usite, protocol.OpControl,
 				protocol.ControlRequest{Job: ref.job, Op: ajo.OpAbort}, nil)
 		}
 	}

@@ -99,7 +99,7 @@ func (n *NJS) consignRemote(jobID core.JobID, aid ajo.ActionID, usite core.Usite
 	var reply protocol.ConsignReply
 	err := fmt.Errorf("njs: no peer client configured for %s", usite)
 	if peers := n.peerClient(); peers != nil {
-		err = peers.Call(context.Background(), usite, protocol.MsgConsign,
+		err = protocol.Do(context.Background(), peers, usite, protocol.OpConsign,
 			protocol.ConsignRequest{ConsignID: consignID, AJO: raw}, &reply)
 	}
 
@@ -114,7 +114,7 @@ func (n *NJS) consignRemote(jobID core.JobID, aid ajo.ActionID, usite core.Usite
 		// that job is now orphaned — abort it best-effort, outside the lock.
 		uj.mu.Unlock()
 		if peers := n.peerClient(); err == nil && reply.Accepted && peers != nil {
-			_ = peers.Call(context.Background(), usite, protocol.MsgControl,
+			_ = protocol.Do(context.Background(), peers, usite, protocol.OpControl,
 				protocol.ControlRequest{Job: reply.Job, Op: ajo.OpAbort}, nil)
 		}
 		return
@@ -168,7 +168,7 @@ func (n *NJS) pollRemote(jobID core.JobID, aid ajo.ActionID) {
 	var poll protocol.PollReply
 	err := fmt.Errorf("njs: no peer client configured for %s", usite)
 	if peers := n.peerClient(); peers != nil {
-		err = peers.Call(context.Background(), usite, protocol.MsgPoll, protocol.PollRequest{Job: remoteJob}, &poll)
+		err = protocol.Do(context.Background(), peers, usite, protocol.OpPoll, protocol.PollRequest{Job: remoteJob}, &poll)
 	}
 
 	uj.mu.Lock()
@@ -204,7 +204,7 @@ func (n *NJS) pollRemote(jobID core.JobID, aid ajo.ActionID) {
 	var oreply protocol.OutcomeReply
 	oerr := fmt.Errorf("njs: no peer client configured for %s", usite)
 	if peers := n.peerClient(); peers != nil {
-		oerr = peers.Call(context.Background(), usite, protocol.MsgOutcome, protocol.OutcomeRequest{Job: remoteJob}, &oreply)
+		oerr = protocol.Do(context.Background(), peers, usite, protocol.OpOutcome, protocol.OutcomeRequest{Job: remoteJob}, &oreply)
 	}
 
 	uj.mu.Lock()
@@ -242,7 +242,7 @@ func (n *NJS) fetchRemoteFile(usite core.Usite, job core.JobID, file string) ([]
 	}
 	src := func(ctx context.Context, offset, limit int64, buf []byte) (staging.Chunk, error) {
 		reply := protocol.TransferReply{Data: buf[:0]}
-		err := peers.Call(ctx, usite, protocol.MsgTransfer, protocol.TransferRequest{
+		err := protocol.Do(ctx, peers, usite, protocol.OpTransfer, protocol.TransferRequest{
 			Job: job, File: file, Offset: offset, Limit: limit,
 		}, &reply)
 		if err != nil {

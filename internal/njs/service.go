@@ -1,9 +1,10 @@
 package njs
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"unicore/internal/ajo"
 	"unicore/internal/core"
@@ -27,7 +28,9 @@ type Service interface {
 	Consign(ctx context.Context, user core.DN, consignID string, job *ajo.AbstractJob) (core.JobID, error)
 	// Poll returns the compact status summary of a job.
 	Poll(caller core.DN, asServer bool, id core.JobID) (protocol.PollReply, error)
-	// Outcome returns a deep copy of a job's outcome tree.
+	// Outcome returns a job's outcome tree, a deep copy while the job is live.
+	// A terminal outcome node is never written again; Service.Outcome of a
+	// terminal job returns the shared tree, read-only.
 	Outcome(caller core.DN, asServer bool, id core.JobID) (*ajo.Outcome, bool, error)
 	// List returns the caller's jobs at this Usite, newest first.
 	List(caller core.DN) ([]protocol.JobInfo, error)
@@ -205,8 +208,10 @@ func (n *NJS) Poll(caller core.DN, asServer bool, id core.JobID) (protocol.PollR
 	return protocol.PollReply{Found: true, Summary: s}, nil
 }
 
-// Outcome returns a deep copy of the job's outcome tree, taken under the
-// job's lock.
+// Outcome returns the job's outcome tree. A terminal outcome node is never
+// written again (every write checks its node's status first, and the root
+// turns terminal only after every action has); Outcome of a terminal job
+// returns the shared tree, read-only. A live job's tree is deep-copied.
 func (n *NJS) Outcome(caller core.DN, asServer bool, id core.JobID) (*ajo.Outcome, bool, error) {
 	uj, ok := n.job(id)
 	if !ok {
@@ -216,9 +221,11 @@ func (n *NJS) Outcome(caller core.DN, asServer bool, id core.JobID) (*ajo.Outcom
 		return nil, false, err
 	}
 	uj.mu.Lock()
-	cp := uj.root.Clone()
-	uj.mu.Unlock()
-	return cp, true, nil
+	defer uj.mu.Unlock()
+	if uj.root.Status.Terminal() {
+		return uj.root, true, nil
+	}
+	return uj.root.Clone(), true, nil
 }
 
 // List returns the caller's jobs at this Usite, newest first.
@@ -244,11 +251,11 @@ func (n *NJS) List(caller core.DN) ([]protocol.JobInfo, error) {
 			Submitted: uj.submitted,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Submitted.Equal(out[j].Submitted) {
-			return out[i].Submitted.After(out[j].Submitted)
+	slices.SortFunc(out, func(a, b protocol.JobInfo) int {
+		if c := b.Submitted.Compare(a.Submitted); c != 0 {
+			return c
 		}
-		return out[i].Job > out[j].Job
+		return cmp.Compare(b.Job, a.Job)
 	})
 	return out, nil
 }
@@ -300,7 +307,7 @@ func (n *NJS) abortJob(uj *unicoreJob) error {
 	uj.mu.Unlock()
 	if peers := n.peerClient(); peers != nil {
 		for _, ref := range remotes {
-			_ = peers.Call(context.Background(), ref.usite, protocol.MsgControl,
+			_ = protocol.Do(context.Background(), peers, ref.usite, protocol.OpControl,
 				protocol.ControlRequest{Job: ref.job, Op: ajo.OpAbort}, nil)
 		}
 	}

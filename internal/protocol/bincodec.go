@@ -184,8 +184,8 @@ func walkMsg(c *bin.Codec, m any) error {
 		c.Tail(&m.Data) // written from the vfs view it rests in (serveFrame)
 
 	// Event subscriptions (FrameSub / FrameEvents). The table's own types are
-	// what Client.Call sends and gets: a one-batch subscription, and a batch
-	// whose End flag nobody reads.
+	// what Do sends and gets for OpSubscribe: a one-batch subscription, and a
+	// batch whose End flag nobody reads.
 	case *SubscribeRequest:
 		once := true
 		walkSub(c, m, &once)
@@ -280,7 +280,7 @@ func walkSnapshots(c *bin.Codec, m *MetricsReply) error {
 // TransferReplyOverhead bounds the bytes a TransferReply's frame body spends
 // besides its Data: the Found flag, Size, CRC and Data's length prefix. A
 // receive buffer of limit+TransferReplyOverhead bytes holds the reply to any
-// ranged read of at most limit bytes (Client.Call reads it in place).
+// ranged read of at most limit bytes (Do reads it in place).
 const TransferReplyOverhead = 1 + 3*binary.MaxVarintLen64
 
 func walkFetch(c *bin.Codec, m *FetchRequest, transfer bool) {
@@ -292,7 +292,7 @@ func walkFetch(c *bin.Codec, m *FetchRequest, transfer bool) {
 }
 
 // binSub is the frame form of SubscribeRequest. Once marks a one-shot
-// subscription (the Client.Call MsgSubscribe compatibility path): the server
+// subscription (OpSubscribe run through Do): the server
 // answers with exactly one batch. A push subscription streams batches until
 // the job terminates, the client sends FrameSubStop, or the stream dies.
 type binSub struct {

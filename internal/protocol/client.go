@@ -53,9 +53,9 @@ func (r *Registry) Sites() []core.Usite {
 
 // Client is the RPC client used by the user tier (JPA/Session) and by
 // NJS→peer-gateway communication. Every op of the operation table that has a
-// frame form — all but federation gossip — rides one persistent multiplexed
-// frame stream per site, authenticated once by its signed hello; gossip
-// travels as one signed envelope per POST.
+// frame form — all but federation gossip — runs through Do on one persistent
+// multiplexed frame stream per site, authenticated once by its signed hello;
+// gossip travels through Call as one signed envelope per POST.
 type Client struct {
 	tr       Transport
 	cred     *pki.Credential
@@ -111,24 +111,16 @@ func (c *Client) Close() {
 	}
 }
 
-// Call sends one request to a Usite's gateway and decodes the reply payload
-// into replyOut (a pointer). Server errors arrive as *ErrorReply errors. A
-// row with a frame form rides the site's stream; the one row without
-// (federation gossip) is a sealed envelope. Cancellation aborts the in-flight
-// round trip (a held MsgSubscribe unblocks as soon as the caller cancels) and
-// stops the retry loop. A *TransferReply lends the spare capacity of its Data
-// as the receive buffer of a data reply (recvBuf); nothing writes that buffer
-// once Call has returned, so a call cancelled while its reply is being read
-// returns when the read is over.
+// Call sends one signed envelope to a Usite's gateway and decodes the reply
+// payload into replyOut (a pointer, or nil). It is the door of the one op
+// without a frame form, federation gossip (MsgFedAdvertise): every other op
+// rides the site's stream through Do, and Call refuses it with ErrStreamOp.
+// Server errors arrive as *ErrorReply errors. Cancellation stops the retry
+// loop.
 func (c *Client) Call(ctx context.Context, usite core.Usite, t MsgType, payload any, replyOut any) error {
-	if op := opByRequest[t]; op != nil && op.wire != nil {
-		return c.streamCall(ctx, usite, t, op.wire, payload, replyOut)
+	if o := opByRequest[t]; o != nil && o.wire != nil {
+		return fmt.Errorf("%w: %s", ErrStreamOp, t)
 	}
-	return c.callOnce(ctx, usite, t, payload, replyOut)
-}
-
-// callOnce performs one sealed envelope round trip.
-func (c *Client) callOnce(ctx context.Context, usite core.Usite, t MsgType, payload any, replyOut any) error {
 	base, ok := c.registry.Lookup(usite)
 	if !ok {
 		return fmt.Errorf("%w %q", errUnknownUsite, usite)
@@ -169,6 +161,9 @@ func (c *Client) callOnce(ctx context.Context, usite core.Usite, t MsgType, payl
 	}
 	return nil
 }
+
+// ErrStreamOp refuses a Call of an op that has a frame form (run it with Do).
+var ErrStreamOp = errors.New("protocol: a stream op is not sent as an envelope; run it with protocol.Do")
 
 // openReply verifies one server-signed reply envelope — a POST response or
 // a stream hello's answer. A MsgError reply comes back as an *ErrorReply
@@ -236,30 +231,40 @@ func (c *Client) dropSiteStream(usite core.Usite, sc *streamConn) {
 	sc.close()
 }
 
-// streamCall runs one call over the site's persistent stream, redialling and
-// replaying within the Retries budget while it is the connection, not the
-// call, that fails.
-func (c *Client) streamCall(ctx context.Context, usite core.Usite, t MsgType, row wireRow, payload any, replyOut any) error {
-	// The request is encoded behind a reserved header in one pooled buffer,
-	// released once the call is over. Everything the request references (a
-	// chunk's Data) is copied here and not touched again.
+// Do runs one op against a Usite's gateway over the site's persistent frame
+// stream and decodes the reply into rep (nil: reply discarded, errors still
+// surfaced); server errors arrive as *ErrorReply errors. The request is
+// encoded once, into a pooled buffer, so what it references (a chunk's Data)
+// is the caller's again as soon as Do returns. While it is the connection,
+// not the call, that fails, the request is replayed on a fresh one within
+// c.Retries. Cancellation aborts the in-flight round trip (a held
+// subscription unblocks at once) and stops the replays.
+//
+// A TransferReply lends the spare capacity of its Data as the receive buffer:
+// a data reply that fits is read straight into it, so a downloaded byte costs
+// the client no allocation, and nothing writes that buffer once Do returns.
+func Do[Req, Rep any](ctx context.Context, c *Client, usite core.Usite, op *Op[Req, Rep], req Req, rep *Rep) error {
 	frame := getFrameBuf(0)
 	defer putFrameBuf(frame)
 	var err error
-	if *frame, err = row.encodeRequest(*frame, payload, telemetry.TraceFrom(ctx)); err != nil {
+	if *frame, err = op.encodeRequest(*frame, &req, telemetry.TraceFrom(ctx)); err != nil {
 		return err
+	}
+	var buf []byte
+	if r, ok := any(rep).(*TransferReply); ok && r != nil {
+		buf = r.Data[:cap(r.Data)]
 	}
 	attempts := c.Retries + 1
 	for i := 0; i < attempts && ctx.Err() == nil; i++ {
 		var final bool
-		if final, err = c.attempt(ctx, usite, t, row, *frame, replyOut); final {
+		if final, err = op.attempt(ctx, c, usite, *frame, buf, rep); final {
 			return err
 		}
 	}
 	if ctx.Err() != nil {
-		return fmt.Errorf("protocol: %s to %s: %w", t, usite, ctx.Err())
+		return fmt.Errorf("protocol: %s to %s: %w", op.msg, usite, ctx.Err())
 	}
-	return fmt.Errorf("protocol: %s to %s failed after %d attempts: %w", t, usite, attempts, err)
+	return fmt.Errorf("protocol: %s to %s failed after %d attempts: %w", op.msg, usite, attempts, err)
 }
 
 // attempt is one try of a call. final=false means the connection failed, not
@@ -267,14 +272,13 @@ func (c *Client) streamCall(ctx context.Context, usite core.Usite, t MsgType, ro
 // reply nobody can read — and has been dropped: the request may be replayed
 // on a fresh one. A hello the server refused, a site with no stream path and
 // an error the server answered are the call's answer.
-func (c *Client) attempt(ctx context.Context, usite core.Usite, t MsgType, row wireRow, frame []byte, replyOut any) (final bool, err error) {
+func (o *Op[Req, Rep]) attempt(ctx context.Context, c *Client, usite core.Usite, frame, buf []byte, rep *Rep) (final bool, err error) {
 	sc, err := c.stream(ctx, usite)
 	if err != nil {
 		var refused *ErrorReply
 		return errors.As(err, &refused) || errors.Is(err, ErrNoStream) || errors.Is(err, errUnknownUsite), err
 	}
-	kind, _, _ := row.frames()
-	f, err := sc.roundTrip(ctx, kind, frame, recvBuf(replyOut))
+	f, err := sc.roundTrip(ctx, o.kind, frame, buf)
 	if err != nil {
 		if ctx.Err() == nil {
 			c.dropSiteStream(usite, sc)
@@ -288,29 +292,15 @@ func (c *Client) attempt(ctx context.Context, usite core.Usite, t MsgType, row w
 	if f.Kind == FrameError {
 		code, msg := parseStreamError(f.Payload)
 		if code != StreamErrBadFrame {
-			return true, &ErrorReply{Code: string(t), Message: msg}
+			return true, &ErrorReply{Code: string(o.msg), Message: msg}
 		}
 		err = errors.New(msg)
-	} else if err = row.decodeReply(t, f, replyOut); err == nil || errors.Is(err, errReplyOut) {
-		// errReplyOut is the caller's mistake: the stream is fine and the
-		// request has run; replaying it would run it twice and hide the
-		// mistake behind a zero reply.
-		return true, err
+	} else if err = o.decodeReply(f, rep); err == nil {
+		return true, nil
 	}
 	// A bad frame either way poisons the connection, not the call.
 	c.dropSiteStream(usite, sc)
 	return false, err
-}
-
-// recvBuf is the receive buffer a call lends its reply: the spare capacity of
-// a TransferReply's Data. A data reply that fits is read straight into it, so
-// the reply's Data aliases the caller's buffer and a downloaded byte costs the
-// client no allocation; one that does not fit is allocated as any reply is.
-func recvBuf(replyOut any) []byte {
-	if r, ok := replyOut.(*TransferReply); ok {
-		return r.Data[:cap(r.Data)]
-	}
-	return nil
 }
 
 // SubscribeStream opens a push subscription over the site's persistent v3

@@ -43,7 +43,7 @@ const (
 	FrameData  byte = 0x08
 	// FrameSub opens an event subscription; the server answers with one or
 	// more FrameEvents batches under the same id. A one-shot subscription
-	// (the Client.Call MsgSubscribe path) ends after a single batch; a push
+	// (OpSubscribe run through Do) ends after a single batch; a push
 	// subscription (Session.Watch) streams batches until the job terminates
 	// or the client sends FrameSubStop.
 	FrameSub     byte = 0x09

@@ -40,7 +40,7 @@ func TestPollRoundTripAllocatesOnlyItsJobID(t *testing.T) {
 	req := PollRequest{Job: "FZJ-000001"}
 	var reply PollReply
 	poll := func() {
-		if err := c.Call(ctx, "FZJ", MsgPoll, &req, &reply); err != nil || !reply.Found {
+		if err := Do(ctx, c, "FZJ", OpPoll, req, &reply); err != nil || !reply.Found {
 			t.Fatalf("poll: %+v, %v", reply, err)
 		}
 	}
@@ -181,7 +181,7 @@ func TestStreamServesAtMostItsConcurrency(t *testing.T) {
 			replies <- f
 		}
 	}()
-	poll, err := opByRequest[MsgPoll].wire.encodeRequest(nil, PollRequest{Job: "FZJ-000001"}, "")
+	poll, err := OpPoll.encodeRequest(nil, &PollRequest{Job: "FZJ-000001"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestRecycledReplyChannelCarriesOnlyItsReply(t *testing.T) {
 
 	poll := func(ctx context.Context, job string) error {
 		var reply PollReply
-		err := c.Call(ctx, "FZJ", MsgPoll, PollRequest{Job: core.JobID(job)}, &reply)
+		err := Do(ctx, c, "FZJ", OpPoll, PollRequest{Job: core.JobID(job)}, &reply)
 		if err == nil && reply.Summary.Job != job {
 			t.Errorf("poll of %s answered for %q", job, reply.Summary.Job)
 		}
@@ -325,7 +325,7 @@ func TestRecycledReplyChannelCarriesOnlyItsReply(t *testing.T) {
 	c.Retries = 0 // the killed fetch fails rather than replaying
 	fetch := make(chan error, 1)
 	go func() {
-		fetch <- c.Call(context.Background(), "FZJ", MsgFetch, fetchReq, &TransferReply{Data: make([]byte, 0, 128)})
+		fetch <- Do(context.Background(), c, "FZJ", OpFetch, fetchReq, &TransferReply{Data: make([]byte, 0, 128)})
 	}()
 	select {
 	case <-half:

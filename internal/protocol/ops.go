@@ -2,19 +2,17 @@ package protocol
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"unicore/internal/bin"
 	"unicore/internal/core"
 )
 
-// op is one row of the protocol's operation table: a request type, the reply
+// row is one row of the protocol's operation table: a request type, the reply
 // type that answers it, and how the pair rides the frame stream. Everything
 // this package does per op is derived from the table: the envelope client's
-// reply-type check, the client's frame encoding and reply decoding, and the
-// server session's frame dispatch.
-type op struct {
+// reply-type check, and the server session's frame dispatch.
+type row struct {
 	request MsgType
 	reply   MsgType
 	// wire is nil for the two ops that exist only as signed envelopes: the
@@ -22,61 +20,70 @@ type op struct {
 	wire wireRow
 }
 
-// ops is the operation table, in wire-constant order. A row's request and
-// reply types are its wireOp's type arguments; their wire forms are the cases
-// walkMsg has for them (bincodec.go).
-var ops = []op{
-	{MsgConsign, MsgConsignReply, call(binConsign, StreamBackend.StreamConsign)},
-	{MsgPoll, MsgPollReply, call(binPoll, StreamBackend.StreamPoll)},
-	{MsgOutcome, MsgOutcomeReply, call(binOutcome, StreamBackend.StreamOutcome)},
-	{MsgList, MsgListReply, call(binList, StreamBackend.StreamList)},
-	{MsgControl, MsgControlReply, call(binControl, StreamBackend.StreamControl)},
-	{MsgResources, MsgResourcesReply, call(binResources, StreamBackend.StreamResources)},
-	{MsgTransfer, MsgTransferReply, &wireOp[TransferRequest, TransferReply]{
-		kind: FrameFetch, code: 1, answer: FrameData, backend: StreamBackend.StreamTransfer,
-	}},
-	{MsgApplet, MsgAppletReply, call(binApplet, StreamBackend.StreamApplet)},
-	{MsgLoad, MsgLoadReply, call(binLoad, StreamBackend.StreamLoad)},
-	{MsgFetch, MsgFetchReply, &wireOp[FetchRequest, TransferReply]{
-		kind: FrameFetch, code: 0, answer: FrameData, backend: StreamBackend.StreamFetch,
-	}},
-	{MsgSubscribe, MsgEventsReply, subscribeOp},
-	{MsgPutOpen, MsgPutOpenReply, call(binPutOpen, StreamBackend.StreamPutOpen)},
-	{MsgPutChunk, MsgPutChunkReply, &wireOp[PutChunkRequest, PutChunkReply]{
-		kind: FramePut, answer: FramePutAck, backend: StreamBackend.StreamPutChunk,
-	}},
-	{MsgPutCommit, MsgPutCommitReply, call(binPutCommit, StreamBackend.StreamPutCommit)},
+// The stream ops, one typed handle each: what Do runs. A handle names its
+// request and reply types, so a request sent with another op's reply out
+// parameter does not compile.
+var (
+	OpConsign   = call(MsgConsign, binConsign, StreamBackend.StreamConsign)
+	OpPoll      = call(MsgPoll, binPoll, StreamBackend.StreamPoll)
+	OpOutcome   = call(MsgOutcome, binOutcome, StreamBackend.StreamOutcome)
+	OpList      = call(MsgList, binList, StreamBackend.StreamList)
+	OpControl   = call(MsgControl, binControl, StreamBackend.StreamControl)
+	OpResources = call(MsgResources, binResources, StreamBackend.StreamResources)
+	OpTransfer  = &Op[TransferRequest, TransferReply]{MsgTransfer, FrameFetch, 1, FrameData, StreamBackend.StreamTransfer}
+	OpApplet    = call(MsgApplet, binApplet, StreamBackend.StreamApplet)
+	OpLoad      = call(MsgLoad, binLoad, StreamBackend.StreamLoad)
+	OpFetch     = &Op[FetchRequest, TransferReply]{MsgFetch, FrameFetch, 0, FrameData, StreamBackend.StreamFetch}
+	// OpSubscribe is the one-batch form of a subscription. The server
+	// session runs FrameSub itself (one-shot and push subscriptions are
+	// cancellable and outlive a request slot, see startSub) and takes only
+	// the backend method from this handle.
+	OpSubscribe = &Op[SubscribeRequest, EventsReply]{MsgSubscribe, FrameSub, 0, FrameEvents, StreamBackend.StreamEvents}
+	OpPutOpen   = call(MsgPutOpen, binPutOpen, StreamBackend.StreamPutOpen)
+	OpPutChunk  = &Op[PutChunkRequest, PutChunkReply]{MsgPutChunk, FramePut, 0, FramePutAck, StreamBackend.StreamPutChunk}
+	OpPutCommit = call(MsgPutCommit, binPutCommit, StreamBackend.StreamPutCommit)
 	// The reply's snapshots ride as one JSON document (see walkSnapshots).
-	{MsgMetrics, MsgMetricsReply, call(binMetrics, StreamBackend.StreamMetrics)},
+	OpMetrics = call(MsgMetrics, binMetrics, StreamBackend.StreamMetrics)
+)
+
+// ops is the operation table, in wire-constant order. A stream op's request
+// and reply types are its Op's type arguments; their wire forms are the
+// cases walkMsg has for them (bincodec.go).
+var ops = []row{
+	framed(OpConsign, MsgConsignReply),
+	framed(OpPoll, MsgPollReply),
+	framed(OpOutcome, MsgOutcomeReply),
+	framed(OpList, MsgListReply),
+	framed(OpControl, MsgControlReply),
+	framed(OpResources, MsgResourcesReply),
+	framed(OpTransfer, MsgTransferReply),
+	framed(OpApplet, MsgAppletReply),
+	framed(OpLoad, MsgLoadReply),
+	framed(OpFetch, MsgFetchReply),
+	framed(OpSubscribe, MsgEventsReply),
+	framed(OpPutOpen, MsgPutOpenReply),
+	framed(OpPutChunk, MsgPutChunkReply),
+	framed(OpPutCommit, MsgPutCommitReply),
+	framed(OpMetrics, MsgMetricsReply),
 	{MsgFedAdvertise, MsgFedAdvertiseReply, nil},
 	{MsgHello, MsgHelloReply, nil},
 }
 
-// call is the row of an op that rides FrameCall / FrameReply under a call
+// call is the handle of an op that rides FrameCall / FrameReply under a call
 // code: the code and the backend method are all that tell such ops apart.
-func call[Req, Rep any](code byte, backend func(StreamBackend, context.Context, core.DN, bool, Req) (Rep, error)) *wireOp[Req, Rep] {
-	return &wireOp[Req, Rep]{kind: FrameCall, code: code, answer: FrameReply, backend: backend}
+func call[Req, Rep any](msg MsgType, code byte, backend func(StreamBackend, context.Context, core.DN, bool, Req) (Rep, error)) *Op[Req, Rep] {
+	return &Op[Req, Rep]{msg, FrameCall, code, FrameReply, backend}
 }
 
-// subscribeOp is the one-batch form of a subscription — what Client.Call
-// sends for MsgSubscribe. The server session runs FrameSub itself (one-shot
-// and push subscriptions are cancellable and outlive a request slot, see
-// startSub) and takes only the backend method from this row.
-var subscribeOp = &wireOp[SubscribeRequest, EventsReply]{
-	kind: FrameSub, answer: FrameEvents, backend: StreamBackend.StreamEvents,
+// framed is the table row of a stream op.
+func framed[Req, Rep any](o *Op[Req, Rep], reply MsgType) row {
+	return row{o.msg, reply, o}
 }
-
-// errReplyOut reports a Call whose replyOut cannot hold the op's reply,
-// errNotRequest one whose payload is not the op's request.
-var (
-	errReplyOut   = errors.New("protocol: wrong reply out parameter")
-	errNotRequest = errors.New("protocol: wrong request payload")
-)
 
 // opByRequest and opByFrame index the table: by request type for the
-// client, by request frame kind and code for the server session.
+// envelope client, by request frame kind and code for the server session.
 var (
-	opByRequest = make(map[MsgType]*op, len(ops))
+	opByRequest = make(map[MsgType]*row, len(ops))
 	opByFrame   = make(map[[2]byte]wireRow)
 )
 
@@ -101,41 +108,22 @@ func ReplyType(t MsgType) (reply MsgType, ok bool) {
 	return o.reply, true
 }
 
-// Frames returns the frame kinds a request type and its reply ride on a
-// stream; ok is false for the ops that travel as signed envelopes only (the
-// hello and federation gossip).
-func Frames(t MsgType) (request, reply byte, ok bool) {
-	o := opByRequest[t]
-	if o == nil || o.wire == nil {
-		return 0, 0, false
-	}
-	request, _, reply = o.wire.frames()
-	return request, reply, true
-}
-
-// wireRow is a wireOp with its request and reply types erased — what the
-// client and the server session hold after a table lookup.
+// wireRow is an Op with its request and reply types erased — what the
+// server session holds after a table lookup.
 type wireRow interface {
 	// frames returns the request frame kind, the code that selects the op
 	// among those sharing the kind, and the reply frame kind.
 	frames() (kind, code, answer byte)
-	// encodeRequest appends the request frame's payload to b. The error is
-	// errNotRequest when payload is not the op's request type (by value or by
-	// pointer).
-	encodeRequest(b []byte, payload any, trace string) ([]byte, error)
-	// decodeReply decodes a reply frame into replyOut (which may be nil:
-	// reply discarded, errors still surfaced). A replyOut that is not a
-	// pointer to the op's reply type is errReplyOut — the caller's mistake;
-	// any other error is the peer's: a reply this row cannot read.
-	decodeReply(t MsgType, f Frame, replyOut any) error
 	// serveFrame decodes one request body, runs it on the session's backend
 	// and writes the reply frame.
 	serveFrame(ctx context.Context, s *streamSession, id uint64, body []byte)
 }
 
-// wireOp is the frame form of one op, typed by its request and reply so a
-// request travels from the frame to the backend and back without boxing.
-type wireOp[Req, Rep any] struct {
+// Op is the frame form of one op, typed by its request and reply so a
+// request travels from the caller to the frame, and from the frame to the
+// backend and back, without boxing.
+type Op[Req, Rep any] struct {
+	msg    MsgType
 	kind   byte // request frame kind
 	code   byte // selects the op among those sharing kind: FrameCall's leading code byte, FrameFetch's trailing flag
 	answer byte // reply frame kind
@@ -143,7 +131,13 @@ type wireOp[Req, Rep any] struct {
 	backend func(StreamBackend, context.Context, core.DN, bool, Req) (Rep, error)
 }
 
-func (o *wireOp[Req, Rep]) frames() (kind, code, answer byte) { return o.kind, o.code, o.answer }
+// Type returns the op's request type.
+func (o *Op[Req, Rep]) Type() MsgType { return o.msg }
+
+// Frames returns the frame kinds the op's request and its reply ride.
+func (o *Op[Req, Rep]) Frames() (request, reply byte) { return o.kind, o.answer }
+
+func (o *Op[Req, Rep]) frames() (kind, code, answer byte) { return o.kind, o.code, o.answer }
 
 // named puts the message type into a codec error — above all errNoWalk,
 // which walkMsg cannot name itself without making every message escape.
@@ -151,42 +145,33 @@ func named[T any](err error) error {
 	return fmt.Errorf("%w (%T)", err, (*T)(nil))
 }
 
-func (o *wireOp[Req, Rep]) encodeRequest(b []byte, payload any, trace string) ([]byte, error) {
-	var req Req
-	switch v := payload.(type) {
-	case Req:
-		req = v
-	case *Req:
-		req = *v
-	default:
-		return b, errNotRequest
-	}
+// encodeRequest appends the request frame's payload to b.
+func (o *Op[Req, Rep]) encodeRequest(b []byte, req *Req, trace string) ([]byte, error) {
 	if o.kind == FrameCall {
 		c, code := bin.Encoder(b), o.code
 		walkCall(&c, &code, &trace)
 		b = c.Bytes()
 	}
-	b, err := encode(b, &req)
+	b, err := encode(b, req)
 	if err != nil {
 		return b, named[Req](err)
 	}
 	return b, nil
 }
 
-func (o *wireOp[Req, Rep]) decodeReply(t MsgType, f Frame, replyOut any) error {
-	p, ok := replyOut.(*Rep)
-	if !ok && replyOut != nil {
-		return fmt.Errorf("%w: %s reply decodes into %T, got %T", errReplyOut, t, p, replyOut)
-	}
+// decodeReply decodes a reply frame into rep (which may be nil: reply
+// discarded, errors still surfaced). An error is the peer's: a reply this op
+// cannot read.
+func (o *Op[Req, Rep]) decodeReply(f Frame, rep *Rep) error {
 	if f.Kind != o.answer {
-		return fmt.Errorf("protocol: %s answered with frame kind %#x", t, f.Kind)
+		return fmt.Errorf("protocol: %s answered with frame kind %#x", o.msg, f.Kind)
 	}
-	var rep Rep
-	if err := decode(f.Payload, &rep); err != nil {
+	var r Rep
+	if err := decode(f.Payload, &r); err != nil {
 		return named[Rep](err)
 	}
-	if p != nil {
-		*p = rep
+	if rep != nil {
+		*rep = r
 	}
 	return nil
 }
@@ -201,7 +186,7 @@ func (o *wireOp[Req, Rep]) decodeReply(t MsgType, f Frame, replyOut any) error {
 // copied into it but written straight from where it rests (encodeFrame), so
 // a backend's TransferReply.Data must stay unchanged until send returns —
 // a vfs view does, being immutable.
-func (o *wireOp[Req, Rep]) serveFrame(ctx context.Context, s *streamSession, id uint64, body []byte) {
+func (o *Op[Req, Rep]) serveFrame(ctx context.Context, s *streamSession, id uint64, body []byte) {
 	var req Req
 	if err := decode(body, &req); err != nil {
 		s.writeErr(id, StreamErrBadFrame, named[Req](err).Error())

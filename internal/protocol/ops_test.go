@@ -64,8 +64,54 @@ func TestEnvelopeClientChecksReplyType(t *testing.T) {
 	}
 	// Every other op rides the stream, and a transport without one is an
 	// error by name, not a second protocol.
-	if err := c.Call(context.Background(), "FZJ", MsgPoll, PollRequest{}, nil); !errors.Is(err, ErrNoStream) {
+	if err := Do(context.Background(), c, "FZJ", OpPoll, PollRequest{}, nil); !errors.Is(err, ErrNoStream) {
 		t.Fatalf("poll over a POST-only transport: err = %v, want ErrNoStream", err)
+	}
+}
+
+// countingTransport answers every POST like wrongTypeTransport and counts
+// what the client tried to send, by either path.
+type countingTransport struct {
+	wrongTypeTransport
+	posts, streams int
+}
+
+func (c *countingTransport) Post(ctx context.Context, base string, body []byte) ([]byte, error) {
+	c.posts++
+	return c.wrongTypeTransport.Post(ctx, base, body)
+}
+
+func (c *countingTransport) OpenStream(ctx context.Context, base string) (net.Conn, error) {
+	c.streams++
+	return c.wrongTypeTransport.OpenStream(ctx, base)
+}
+
+// TestCallIsTheEnvelopeDoorOnly: Call refuses every op that has a frame form
+// with ErrStreamOp naming the op, before anything reaches the transport — a
+// stream op runs through Do — and gossip, the op without one, still goes
+// through it as a signed envelope.
+func TestCallIsTheEnvelopeDoorOnly(t *testing.T) {
+	r := newRig(t)
+	tr := &countingTransport{wrongTypeTransport: wrongTypeTransport{rig: r, rt: MsgFedAdvertiseReply, payload: FedAdvertiseReply{Ads: []FedAd{{}}}}}
+	c := NewClient(tr, r.user, r.ca, r.reg)
+	for _, o := range ops {
+		if o.wire == nil {
+			continue
+		}
+		err := c.Call(context.Background(), "FZJ", o.request, nil, nil)
+		if !errors.Is(err, ErrStreamOp) || !strings.Contains(err.Error(), string(o.request)) {
+			t.Errorf("Call(%s): err = %v, want ErrStreamOp naming the op", o.request, err)
+		}
+	}
+	if tr.posts != 0 || tr.streams != 0 {
+		t.Fatalf("refused calls reached the transport: %d posts, %d stream dials", tr.posts, tr.streams)
+	}
+	var reply FedAdvertiseReply
+	if err := c.Call(context.Background(), "FZJ", MsgFedAdvertise, FedAdvertiseRequest{From: "LRZ"}, &reply); err != nil || len(reply.Ads) != 1 {
+		t.Fatalf("gossip through Call: %+v, %v", reply, err)
+	}
+	if tr.posts != 1 || tr.streams != 0 {
+		t.Errorf("gossip: %d posts, %d stream dials; want one signed envelope", tr.posts, tr.streams)
 	}
 }
 
@@ -79,7 +125,7 @@ type codecFuzzer interface {
 	missingWalks() []string
 	fuzzCodecs(t *testing.T, msg MsgType, p []byte)
 	seedCodecs(add func([]byte), reqs, reps []any)
-	zeroRequest() any
+	encodeZero(trace string) ([]byte, error)
 }
 
 // roundTrip runs v through its walk in both directions: decode(encode(v)).
@@ -109,7 +155,7 @@ func stable[T any](t *testing.T, what string, p []byte) {
 	}
 }
 
-func (o *wireOp[Req, Rep]) fuzzCodecs(t *testing.T, msg MsgType, p []byte) {
+func (o *Op[Req, Rep]) fuzzCodecs(t *testing.T, msg MsgType, p []byte) {
 	stable[Req](t, string(msg)+" request", p)
 	stable[Rep](t, string(msg)+" reply", p)
 }
@@ -173,7 +219,7 @@ func sample[T any](vs []any) T {
 // roundTrip requires decode(encode(v)) to compare deeply equal to v for every
 // sample of the row's own types — the same equality the event-stream recovery
 // tests demand between the JSON and binary decodings of one event.
-func (o *wireOp[Req, Rep]) roundTrip(t *testing.T, msg MsgType, reqs, reps []any) {
+func (o *Op[Req, Rep]) roundTrip(t *testing.T, msg MsgType, reqs, reps []any) {
 	tried := 0
 	for _, v := range reqs {
 		if req, ok := v.(Req); ok {
@@ -199,7 +245,7 @@ func (o *wireOp[Req, Rep]) roundTrip(t *testing.T, msg MsgType, reqs, reps []any
 // everyField fills the row's request and reply by reflection — every
 // exported field non-zero — and requires both to survive their walks: a field
 // added to a message and not named in its walk fails here by name.
-func (o *wireOp[Req, Rep]) everyField(t *testing.T, msg MsgType) {
+func (o *Op[Req, Rep]) everyField(t *testing.T, msg MsgType) {
 	var req Req
 	bintest.Fill(t, &req)
 	if got, err := roundTrip(req); err != nil || !reflect.DeepEqual(got, req) {
@@ -226,7 +272,7 @@ func TestEveryWireFieldSurvives(t *testing.T) {
 // must not change, since a control frame's receive buffer is reused once its
 // message is decoded (readPayload). A data frame's message — a put chunk's
 // request, a data reply — aliases its payload by design and is skipped.
-func (o *wireOp[Req, Rep]) outlivesFrame(t *testing.T, msg MsgType) {
+func (o *Op[Req, Rep]) outlivesFrame(t *testing.T, msg MsgType) {
 	if o.kind != FramePut {
 		outlives[Req](t, string(msg)+" request")
 	}
@@ -263,7 +309,7 @@ func TestDecodedControlMessagesOutliveTheirFrame(t *testing.T) {
 }
 
 // missingWalks names those of the row's two types walkMsg has no case for.
-func (o *wireOp[Req, Rep]) missingWalks() (missing []string) {
+func (o *Op[Req, Rep]) missingWalks() (missing []string) {
 	if _, err := encode(nil, new(Req)); errors.Is(err, errNoWalk) {
 		missing = append(missing, fmt.Sprintf("%T", new(Req)))
 	}
@@ -273,9 +319,10 @@ func (o *wireOp[Req, Rep]) missingWalks() (missing []string) {
 	return missing
 }
 
-func (o *wireOp[Req, Rep]) zeroRequest() any {
+// encodeZero runs the row's zero request through the client's encoder.
+func (o *Op[Req, Rep]) encodeZero(trace string) ([]byte, error) {
 	var req Req
-	return req
+	return o.encodeRequest(nil, &req, trace)
 }
 
 // mustEncode is encode for a message known to have its walk.
@@ -287,7 +334,7 @@ func mustEncode[T any](v T) []byte {
 	return b
 }
 
-func (o *wireOp[Req, Rep]) seedCodecs(add func([]byte), reqs, reps []any) {
+func (o *Op[Req, Rep]) seedCodecs(add func([]byte), reqs, reps []any) {
 	for _, v := range reqs {
 		if req, ok := v.(Req); ok {
 			add(mustEncode(req))
@@ -358,10 +405,9 @@ func TestWireTableIsConsistent(t *testing.T) {
 			t.Errorf("%s: walkMsg has no case for %s", o.request, missing)
 		}
 		// The zero request of the row's type, through the client's encoder.
-		zero := o.wire.(codecFuzzer).zeroRequest()
-		body, err := o.wire.encodeRequest(nil, zero, "trace-1")
+		body, err := o.wire.(codecFuzzer).encodeZero("trace-1")
 		if err != nil {
-			t.Fatalf("%s: encodeRequest refuses its own request type %T: %v", o.request, zero, err)
+			t.Fatalf("%s: encodeRequest refuses the zero request: %v", o.request, err)
 		}
 		gotCode, trace, _, err := splitRequest(kind, body)
 		if err != nil || gotCode != code {
@@ -392,8 +438,8 @@ type walkless struct{ N int }
 // and never with a panic in the session goroutine.
 func TestRowWithoutWalkIsANamedError(t *testing.T) {
 	served := false
-	row := &wireOp[walkless, walkless]{FrameCall, 0xEE, FrameReply,
-		func(StreamBackend, context.Context, core.DN, bool, walkless) (walkless, error) {
+	row := &Op[walkless, walkless]{msg: "walkless", kind: FrameCall, code: 0xEE, answer: FrameReply,
+		backend: func(StreamBackend, context.Context, core.DN, bool, walkless) (walkless, error) {
 			served = true
 			return walkless{}, nil
 		}}
@@ -403,11 +449,11 @@ func TestRowWithoutWalkIsANamedError(t *testing.T) {
 	if missing := row.missingWalks(); len(missing) != 2 {
 		t.Fatalf("missingWalks = %v, want both types", missing)
 	}
-	if _, err := row.encodeRequest(nil, walkless{}, ""); !named(err) {
+	if _, err := row.encodeRequest(nil, &walkless{}, ""); !named(err) {
 		t.Errorf("encodeRequest: %v", err)
 	}
 	var rep walkless
-	if err := row.decodeReply("walkless", Frame{Kind: FrameReply}, &rep); !named(err) {
+	if err := row.decodeReply(Frame{Kind: FrameReply}, &rep); !named(err) {
 		t.Errorf("decodeReply: %v", err)
 	}
 

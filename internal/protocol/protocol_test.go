@@ -175,7 +175,7 @@ func TestClientCall(t *testing.T) {
 	r.net.Register("gw.fzj", r.echoServer())
 	c := NewClient(r.net, r.user, r.ca, r.reg)
 	var reply PollReply
-	if err := c.Call(context.Background(), "FZJ", MsgPoll, PollRequest{Job: "J"}, &reply); err != nil {
+	if err := Do(context.Background(), c, "FZJ", OpPoll, PollRequest{Job: "J"}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	if !reply.Found {
@@ -187,7 +187,7 @@ func TestClientCallErrorReply(t *testing.T) {
 	r := newRig(t)
 	r.net.Register("gw.fzj", r.echoServer())
 	c := NewClient(r.net, r.user, r.ca, r.reg)
-	err := c.Call(context.Background(), "FZJ", MsgList, ListRequest{}, nil)
+	err := Do(context.Background(), c, "FZJ", OpList, ListRequest{}, nil)
 	var er *ErrorReply
 	if !errors.As(err, &er) || er.Message != "unsupported" {
 		t.Fatalf("err = %v", err)
@@ -202,7 +202,7 @@ func TestClientRejectsUserSignedReply(t *testing.T) {
 	r.net.Register("gw.fzj", mallory)
 	c := NewClient(r.net, r.user, r.ca, r.reg)
 	var reply PollReply
-	err := c.Call(context.Background(), "FZJ", MsgPoll, PollRequest{Job: "J"}, &reply)
+	err := Do(context.Background(), c, "FZJ", OpPoll, PollRequest{Job: "J"}, &reply)
 	if err == nil || !strings.Contains(err.Error(), "want server") {
 		t.Fatalf("err = %v", err)
 	}
@@ -211,7 +211,7 @@ func TestClientRejectsUserSignedReply(t *testing.T) {
 func TestClientUnknownUsite(t *testing.T) {
 	r := newRig(t)
 	c := NewClient(r.net, r.user, r.ca, r.reg)
-	if err := c.Call(context.Background(), "ZIB", MsgPoll, PollRequest{}, nil); err == nil {
+	if err := Do(context.Background(), c, "ZIB", OpPoll, PollRequest{}, nil); err == nil {
 		t.Fatal("unknown usite accepted")
 	}
 }
@@ -225,7 +225,7 @@ func TestClientRetriesOverFlakyLink(t *testing.T) {
 	ok := 0
 	for i := 0; i < 20; i++ {
 		var reply PollReply
-		if err := c.Call(context.Background(), "FZJ", MsgPoll, PollRequest{Job: "J"}, &reply); err == nil {
+		if err := Do(context.Background(), c, "FZJ", OpPoll, PollRequest{Job: "J"}, &reply); err == nil {
 			ok++
 		}
 	}
@@ -245,7 +245,7 @@ func TestFlakyZeroDropPassesThrough(t *testing.T) {
 	c := NewClient(flaky, r.user, r.ca, r.reg)
 	c.Retries = 0
 	var reply PollReply
-	if err := c.Call(context.Background(), "FZJ", MsgPoll, PollRequest{Job: "J"}, &reply); err != nil {
+	if err := Do(context.Background(), c, "FZJ", OpPoll, PollRequest{Job: "J"}, &reply); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -15,9 +15,9 @@ import (
 	"unicore/internal/core"
 )
 
-// These tests hold the receive-buffer contract of Client.Call: a data reply
+// These tests hold the receive-buffer contract of protocol.Do: a data reply
 // is read into the spare capacity of the caller's TransferReply.Data when it
-// fits, and nothing writes that buffer once Call has returned — not even a
+// fits, and nothing writes that buffer once Do has returned — not even a
 // reader that was mid-payload when the call was cancelled or its stream died.
 // They run under -race, which reports a reader still writing the buffer when
 // the caller overwrites it.
@@ -100,12 +100,12 @@ func TestConnFaultsDecidesOncePerFrame(t *testing.T) {
 	const fetches = 5
 	for i := 0; i < fetches; i++ {
 		var reply TransferReply
-		if err := c.Call(context.Background(), "FZJ", MsgFetch, fetchReq, &reply); err != nil || len(reply.Data) != 64<<10 {
+		if err := Do(context.Background(), c, "FZJ", OpFetch, fetchReq, &reply); err != nil || len(reply.Data) != 64<<10 {
 			t.Fatalf("fetch %d: %d bytes, %v", i, len(reply.Data), err)
 		}
 	}
 	var poll PollReply
-	if err := c.Call(context.Background(), "FZJ", MsgPoll, PollRequest{Job: "FZJ-000001"}, &poll); err != nil {
+	if err := Do(context.Background(), c, "FZJ", OpPoll, PollRequest{Job: "FZJ-000001"}, &poll); err != nil {
 		t.Fatalf("poll: %v", err)
 	}
 	// The hello reply passes undecided; then five data replies and a reply.
@@ -141,7 +141,7 @@ func TestDataReplyIsReadIntoTheCallerBuffer(t *testing.T) {
 	fetch := func(buf []byte) TransferReply {
 		t.Helper()
 		reply := TransferReply{Data: buf[:0]}
-		if err := c.Call(context.Background(), "FZJ", MsgFetch, fetchReq, &reply); err != nil {
+		if err := Do(context.Background(), c, "FZJ", OpFetch, fetchReq, &reply); err != nil {
 			t.Fatalf("Call: %v", err)
 		}
 		if !reply.Found || reply.Size != int64(len(data)) || !bytes.Equal(reply.Data, data) {
@@ -179,7 +179,7 @@ func midPayload(t *testing.T, tr func(*InProc) Transport, ctx context.Context, h
 	c.Retries = 0 // a dead stream fails the call rather than replaying it
 	buf = make([]byte, len(data)+TransferReplyOverhead)
 	errc := make(chan error, 1)
-	go func() { errc <- c.Call(ctx, "FZJ", MsgFetch, fetchReq, &TransferReply{Data: buf[:0]}) }()
+	go func() { errc <- Do(ctx, c, "FZJ", OpFetch, fetchReq, &TransferReply{Data: buf[:0]}) }()
 	select {
 	case <-half:
 	case err := <-errc:
@@ -189,7 +189,7 @@ func midPayload(t *testing.T, tr func(*InProc) Transport, ctx context.Context, h
 }
 
 // TestCancelledCallWaitsForItsPayload cancels a call while the reader is
-// mid-payload. Call must not return until the reader is done with the buffer
+// mid-payload. Do must not return until the reader is done with the buffer
 // — here, until the server's pause is over and the payload has been read —
 // and the caller may then overwrite the buffer at once.
 func TestCancelledCallWaitsForItsPayload(t *testing.T) {
@@ -212,14 +212,14 @@ func TestCancelledCallWaitsForItsPayload(t *testing.T) {
 	// The stream lives on, and the next reply is read behind the dropped one:
 	// a reader still writing the buffer would be reported by now.
 	var poll PollReply
-	if err := c.Call(context.Background(), "FZJ", MsgPoll, PollRequest{Job: "FZJ-000001"}, &poll); err != nil || !poll.Found {
+	if err := Do(context.Background(), c, "FZJ", OpPoll, PollRequest{Job: "FZJ-000001"}, &poll); err != nil || !poll.Found {
 		t.Fatalf("poll after the cancelled fetch: %+v, %v", poll, err)
 	}
 }
 
 // TestKilledStreamWaitsForItsPayload kills the stream while the reader is
 // mid-payload, from either end of the client: Client.Close, and a severed
-// connection. Call fails, and only once the reader has let go of the buffer.
+// connection. Do fails, and only once the reader has let go of the buffer.
 func TestKilledStreamWaitsForItsPayload(t *testing.T) {
 	for name, kill := range map[string]func(*Client, *Flaky){
 		"client closes":      func(c *Client, _ *Flaky) { c.Close() },

@@ -360,7 +360,7 @@ func (s *streamSession) runSub(ctx context.Context, id uint64, sub binSub) {
 		req.WaitMs = defaultPushWaitMs
 	}
 	for {
-		reply, err := subscribeOp.backend(s.be, ctx, s.dn, s.asServer, req)
+		reply, err := OpSubscribe.backend(s.be, ctx, s.dn, s.asServer, req)
 		if ctx.Err() != nil {
 			return // cancelled: FrameSubStop, stream teardown, or shutdown
 		}

@@ -160,7 +160,7 @@ func TestFederatedConsignSurvivesPeerGatewayRestart(t *testing.T) {
 	const consignID = "fed-restart-1"
 	consign := func() (protocol.ConsignReply, error) {
 		var reply protocol.ConsignReply
-		err := raw.Call(context.Background(), "FZJ", protocol.MsgConsign,
+		err := protocol.Do(context.Background(), raw, "FZJ", protocol.OpConsign,
 			protocol.ConsignRequest{ConsignID: consignID, AJO: ajoRaw}, &reply)
 		return reply, err
 	}
