@@ -35,9 +35,10 @@
 // record — all through the same two functions. MarshalJSON and UnmarshalJSON
 // (json.go) are the self-describing form for people and tools: class names
 // from Figure 3, one {kind, body} envelope per action. The outcome tree that
-// answers an AJO travels the same way: MarshalOutcome and UnmarshalOutcome are
-// the binary form a gateway replies with and the journal keeps,
-// MarshalOutcomeJSON the one a CLI prints.
+// answers an AJO travels the same way: WalkOutcome is the binary form a
+// gateway's reply frame carries inline, MarshalOutcome and UnmarshalOutcome
+// wrap it as the document the journal keeps, MarshalOutcomeJSON is the one a
+// CLI prints.
 package ajo
 
 import (

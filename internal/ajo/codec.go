@@ -24,8 +24,9 @@ import (
 // equal actions encode to equal bytes. Every field is named once, in
 // walkAction, which Marshal runs as the encoder and Unmarshal as the decoder.
 //
-// The outcome tree that answers an AJO (MarshalOutcome, at the end of this
-// file) is encoded the same way behind its own format tag.
+// The outcome tree that answers an AJO (WalkOutcome, at the end of this
+// file) is encoded the same way: inline in a frame body, or behind its own
+// format tag as a document (MarshalOutcome).
 //
 // The self-describing JSON form (json.go) is for people, not for the wire.
 
@@ -256,19 +257,12 @@ func walkStrMap(c *bin.Codec, m *map[string]string) {
 	}
 }
 
-// MarshalOutcome encodes an outcome tree in its one wire form — what a
-// gateway answers a retrieve-outcome with, and what the journal keeps of a
-// finished sub-job:
-//
-//	u8 outcomeTag, then one node:
-//	node := action, name, kind, status, reason, exit code, stdout, stderr,
-//	        files (path, size, crc), started, finished, child nodes
+// MarshalOutcome encodes an outcome tree in its document form — what the
+// journal keeps of a finished sub-job: the outcomeTag, then WalkOutcome's
+// root node.
 func MarshalOutcome(o *Outcome) ([]byte, error) {
-	if o == nil {
-		return nil, fmt.Errorf("ajo: marshal nil outcome")
-	}
 	c := bin.Encoder(append(make([]byte, 0, 512), outcomeTag))
-	if err := walkOutcome(&c, o, 0); err != nil {
+	if err := WalkOutcome(&c, o); err != nil {
 		return nil, err
 	}
 	return c.Bytes(), nil
@@ -285,7 +279,7 @@ func UnmarshalOutcome(data []byte) (*Outcome, error) {
 	}
 	c := bin.Decoder(data[1:])
 	o := new(Outcome)
-	if err := walkOutcome(&c, o, 0); err != nil {
+	if err := WalkOutcome(&c, o); err != nil {
 		return nil, err
 	}
 	if err := c.Err(); err != nil {
@@ -294,7 +288,23 @@ func UnmarshalOutcome(data []byte) (*Outcome, error) {
 	return o, nil
 }
 
-// walkOutcome is the one description of an outcome node, in both directions.
+// WalkOutcome is the one description of an outcome tree, in both
+// directions: MarshalOutcome and UnmarshalOutcome run it behind their tag,
+// and a frame body runs it inline, with no length prefix and no copy of the
+// tree into a document first (protocol.OutcomeReply). A decoder fills the
+// zero Outcome o points to; an encoder only reads the tree, so a shared,
+// read-only tree may be walked by any number of encoders at once.
+//
+//	node := action, name, kind, status, reason, exit code, stdout, stderr,
+//	        files (path, size, crc), started, finished, child nodes
+func WalkOutcome(c *bin.Codec, o *Outcome) error {
+	if o == nil {
+		return fmt.Errorf("ajo: marshal nil outcome")
+	}
+	return walkOutcome(c, o, 0)
+}
+
+// walkOutcome walks one node of WalkOutcome's tree, depth job groups down.
 func walkOutcome(c *bin.Codec, o *Outcome, depth int) error {
 	if depth >= maxDepth {
 		return fmt.Errorf("ajo: outcome nests deeper than %d job groups", maxDepth)

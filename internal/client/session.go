@@ -428,7 +428,7 @@ func fetchOutcome(ctx context.Context, c *protocol.Client, usite core.Usite, job
 	if !reply.Found {
 		return nil, fmt.Errorf("client: no job %s at %s", job, usite)
 	}
-	return ajo.UnmarshalOutcome(reply.Outcome)
+	return reply.Outcome, nil
 }
 
 // controlJob sends one job-control operation (abort/hold/resume).

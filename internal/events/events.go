@@ -204,7 +204,14 @@ func (l *Log) Owner(job core.JobID) (core.DN, bool) {
 
 // JobEvents returns up to max events of one job with Seq > after, in order.
 // gap reports that events between the cursor and the first returned event
-// were evicted (the subscriber resumed below the retained window).
+// were evicted (the subscriber resumed below the retained window); a cursor
+// at or past the newest event gets nothing and no gap.
+//
+// The events are a view of the job's window, not a copy: a window is
+// append-only (eviction only reslices its head, and no event is written
+// after it is appended), so the view never changes under its holder. It is
+// capped, so an append by the holder reallocates instead of reaching the
+// window's spare capacity. A holder must not write its elements.
 func (l *Log) JobEvents(job core.JobID, after uint64, max int) (evs []Event, gap bool) {
 	if max <= 0 {
 		max = DefaultJobCap
@@ -212,22 +219,16 @@ func (l *Log) JobEvents(job core.JobID, after uint64, max int) (evs []Event, gap
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	jl, ok := l.jobs[job]
-	if !ok {
+	if !ok || after >= jl.last {
 		return nil, false
 	}
 	if after+1 < jl.first {
 		gap = true
 		after = jl.first - 1
 	}
-	if after >= jl.last {
-		return nil, gap
-	}
 	start := int(after + 1 - jl.first)
-	end := len(jl.events)
-	if end-start > max {
-		end = start + max
-	}
-	return append([]Event(nil), jl.events[start:end]...), gap
+	end := min(len(jl.events), start+max)
+	return jl.events[start:end:end], gap
 }
 
 // UserEvents returns up to max events across all of one owner's jobs with

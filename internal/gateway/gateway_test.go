@@ -198,11 +198,7 @@ func TestEndToEndScriptJob(t *testing.T) {
 	if !oreply.Found {
 		t.Fatal("outcome not found")
 	}
-	o, err := ajo.UnmarshalOutcome(oreply.Outcome)
-	if err != nil {
-		t.Fatalf("UnmarshalOutcome: %v", err)
-	}
-	task, ok := o.Find("s1")
+	task, ok := oreply.Outcome.Find("s1")
 	if !ok {
 		t.Fatal("no outcome for task s1")
 	}

@@ -285,15 +285,15 @@ func (g *Gateway) consign(ctx context.Context, c caller, req protocol.ConsignReq
 	return protocol.ConsignReply{Accepted: true, Job: id}, nil
 }
 
-// outcome returns a job's outcome tree in its wire encoding — encoded here,
-// once, whichever door the request came through.
+// outcome returns a job's outcome tree as the NJS holds it: a finished
+// job's shared tree goes out uncopied, walked straight into the reply's
+// frame body (or marshalled into its envelope) and never written.
 func (g *Gateway) outcome(_ context.Context, c caller, req protocol.OutcomeRequest) (protocol.OutcomeReply, error) {
 	o, found, err := g.svc().Outcome(c.dn, c.asServer, req.Job)
 	if err != nil || !found {
 		return protocol.OutcomeReply{}, err
 	}
-	enc, err := ajo.MarshalOutcome(o)
-	return protocol.OutcomeReply{Found: true, Outcome: enc}, err
+	return protocol.OutcomeReply{Found: true, Outcome: o}, nil
 }
 
 // resources serves the ASN.1 resource pages of §5.4.

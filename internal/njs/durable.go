@@ -782,7 +782,7 @@ func (n *NJS) applyAdmit(a *journal.Admission) error {
 			parent.children[uj.parent.action] = id
 		}
 	}
-	n.jobs[id] = uj
+	n.registerLocked(uj)
 	if s := jobSeq(id); s > n.seq {
 		n.seq = s
 	}

@@ -166,6 +166,7 @@ type NJS struct {
 	// comment for the lock ordering.
 	regMu      sync.RWMutex
 	jobs       map[core.JobID]*unicoreJob
+	owned      map[core.DN][]*unicoreJob // each owner's top-level jobs, append-only (List)
 	batchIndex map[batchKey]actionRef
 	seq        int64
 
@@ -298,6 +299,7 @@ func New(cfg Config) (*NJS, error) {
 		spools:       make(map[core.Vsite]*staging.Spool, len(cfg.Vsites)),
 		spoolByTag:   make(map[string]*staging.Spool, len(cfg.Vsites)),
 		jobs:         make(map[core.JobID]*unicoreJob),
+		owned:        make(map[core.DN][]*unicoreJob),
 		batchIndex:   make(map[batchKey]actionRef),
 		consignIndex: make(map[string]*consignEntry),
 		log:          events.NewLog(cfg.Instance, events.DefaultJobCap),
@@ -450,6 +452,17 @@ func (n *NJS) job(id core.JobID) (*unicoreJob, bool) {
 	return uj, ok
 }
 
+// registerLocked enters a job in the registry and a top-level job in its
+// owner's index, which is append-only: List ranges over a slice of it taken
+// under the lock and read without it. Callers hold regMu, or are replaying
+// before the NJS is served.
+func (n *NJS) registerLocked(uj *unicoreJob) {
+	n.jobs[uj.id] = uj
+	if uj.parent == nil {
+		n.owned[uj.owner] = append(n.owned[uj.owner], uj)
+	}
+}
+
 // Consign accepts an AJO for execution — the asynchronous submit of §5.3.
 // It validates the job, maps the user at the destination Vsite, checks the
 // resource requests against the Vsite's resource page, creates the job
@@ -599,7 +612,7 @@ func (n *NJS) admit(user core.DN, login uudb.Login, job *ajo.AbstractJob, vs *Vs
 		uj.root.Children = append(uj.root.Children, o)
 	}
 	n.regMu.Lock()
-	n.jobs[id] = uj
+	n.registerLocked(uj)
 	n.regMu.Unlock()
 	n.recordAdmit(uj)
 	uj.mu.Lock()

@@ -217,10 +217,8 @@ func (n *NJS) pollRemote(jobID core.JobID, aid ajo.ActionID) {
 		return
 	}
 	if oerr == nil && oreply.Found {
-		if remote, err := ajo.UnmarshalOutcome(oreply.Outcome); err == nil {
-			o.Children = remote.Children
-			o.Started = remote.Started
-		}
+		o.Children = oreply.Outcome.Children
+		o.Started = oreply.Outcome.Started
 	}
 	reason := ""
 	if status != ajo.StatusSuccessful {

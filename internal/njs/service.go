@@ -56,6 +56,7 @@ type Service interface {
 	Ping() error
 	// Events returns the buffered job lifecycle events past the request's
 	// cursor (protocol v2, non-blocking; the gateway long-polls around it).
+	// A job-scoped reply's events are the log's shared window, read-only.
 	Events(caller core.DN, asServer bool, req protocol.SubscribeRequest) (protocol.EventsReply, error)
 	// EventsNotify returns a channel that is closed when new events may be
 	// available, plus a release func the waiter must call when done. Take the
@@ -228,28 +229,19 @@ func (n *NJS) Outcome(caller core.DN, asServer bool, id core.JobID) (*ajo.Outcom
 	return uj.root.Clone(), true, nil
 }
 
-// List returns the caller's jobs at this Usite, newest first.
+// List returns the caller's top-level jobs at this Usite, newest first
+// (children are reported inside their parents). It visits only the caller's
+// jobs, through the owner index, and allocates only its reply.
 func (n *NJS) List(caller core.DN) ([]protocol.JobInfo, error) {
 	n.regMu.RLock()
-	mine := make([]*unicoreJob, 0, len(n.jobs))
-	for _, uj := range n.jobs {
-		if uj.owner != caller || uj.parent != nil {
-			continue // children are reported inside their parents
-		}
-		mine = append(mine, uj)
-	}
+	mine := n.owned[caller]
 	n.regMu.RUnlock()
-	out := make([]protocol.JobInfo, 0, len(mine))
-	for _, uj := range mine {
+	out := make([]protocol.JobInfo, len(mine))
+	for i, uj := range mine {
 		uj.mu.Lock()
 		status := uj.root.Status
 		uj.mu.Unlock()
-		out = append(out, protocol.JobInfo{
-			Job:       uj.id,
-			Name:      uj.job.Name(),
-			Status:    status,
-			Submitted: uj.submitted,
-		})
+		out[i] = protocol.JobInfo{Job: uj.id, Name: uj.job.Name(), Status: status, Submitted: uj.submitted}
 	}
 	slices.SortFunc(out, func(a, b protocol.JobInfo) int {
 		if c := b.Submitted.Compare(a.Submitted); c != 0 {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"time"
 
+	"unicore/internal/ajo"
 	"unicore/internal/bin"
 	"unicore/internal/telemetry"
 )
@@ -96,7 +97,13 @@ func walkMsg(c *bin.Codec, m any) error {
 		c.Str((*string)(&m.Job))
 	case *OutcomeReply:
 		c.Bool(&m.Found)
-		c.Blob(&m.Outcome)
+		if !m.Found {
+			return nil
+		}
+		if c.Decoding() {
+			m.Outcome = new(ajo.Outcome)
+		}
+		return ajo.WalkOutcome(c, m.Outcome)
 	case *ListRequest, *LoadRequest: // no fields
 	case *ListReply:
 		var prev time.Time

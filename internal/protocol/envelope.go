@@ -44,11 +44,13 @@ func parseCert(der []byte) (*x509.Certificate, error) {
 // commit, and event batches pushed server-side. An envelope or stream hello at any
 // other version is refused with a server-signed ErrBadVersion error.
 //
-// Version 4 changed the frame bodies of an events batch and a list reply:
-// repeated event strings travel as references and instants as the offset
-// from the one before (walkEvents). Any change to a frame body's bytes bumps
-// it; TestFrameBodiesArePinned holds the encodings of this version.
-const Version = 4
+// Version 5 walks an outcome reply's tree inline in its frame body, with no
+// length prefix or format tag in front of it (ajo.WalkOutcome); version 4
+// changed the bodies of an events batch and a list reply, so repeated event
+// strings travel as references and instants as the offset from the one
+// before (walkEvents). Any change to a frame body's bytes bumps it;
+// TestFrameBodiesArePinned holds the encodings of this version.
+const Version = 5
 
 // Errors reported when opening envelopes.
 var (
@@ -248,10 +250,12 @@ type OutcomeRequest struct {
 	Job core.JobID `json:"job"`
 }
 
-// OutcomeReply carries the encoded outcome tree.
+// OutcomeReply carries the outcome tree: walked inline in a frame body
+// (ajo.WalkOutcome), a JSON tree in an envelope. A server's reply may hold
+// the NJS's shared terminal tree, which is only read on its way out.
 type OutcomeReply struct {
-	Found   bool   `json:"found"`
-	Outcome []byte `json:"outcome,omitempty"` // output of ajo.MarshalOutcome: raw in a frame, base64 in an envelope
+	Found   bool         `json:"found"`
+	Outcome *ajo.Outcome `json:"outcome,omitempty"`
 }
 
 // ListRequest asks for the caller's jobs at this Usite.

@@ -53,13 +53,29 @@ func goldenList() ListReply {
 	return m
 }
 
-// TestFrameBodiesArePinned holds the two largest bodies of a monitoring
+// goldenOutcome is the reply to an outcome fetch of the same finished
+// chain: the job and its eight steps, each step's one line of output.
+func goldenOutcome() OutcomeReply {
+	at := time.Date(1999, 8, 3, 9, 0, 0, 0, time.UTC)
+	root := &ajo.Outcome{Action: "job-17", Name: "done-0-16", Kind: ajo.KindJob, Status: ajo.StatusSuccessful, Started: at}
+	for s := range 8 {
+		step := &ajo.Outcome{Action: ajo.ActionID(fmt.Sprintf("step-%d", s)), Name: fmt.Sprintf("step-%d", s),
+			Kind: ajo.KindScript, Status: ajo.StatusSuccessful, Stdout: []byte("step\n"), Started: at}
+		at = at.Add(150500 * time.Millisecond)
+		step.Finished = at
+		root.Children = append(root.Children, step)
+	}
+	root.Finished = at
+	return OutcomeReply{Found: true, Outcome: root}
+}
+
+// TestFrameBodiesArePinned holds the three largest bodies of a monitoring
 // sweep to the bytes committed for this protocol Version, and to a size
 // ceiling. A walk change that regrows them fails the ceiling; one that
 // changes their bytes fails the pin until Version is bumped and the new
 // bytes are committed under testdata/wire-v<Version>.
 func TestFrameBodiesArePinned(t *testing.T) {
-	batch, list := goldenBatch(), goldenList()
+	batch, list, outcome := goldenBatch(), goldenList(), goldenOutcome()
 	for _, c := range []struct {
 		name    string
 		body    []byte
@@ -68,6 +84,10 @@ func TestFrameBodiesArePinned(t *testing.T) {
 	}{
 		{"events", mustEncode(batch), 500, func(p []byte) bool { var m binEvents; return decode(p, &m) == nil && reflect.DeepEqual(m, batch) }},
 		{"list", mustEncode(list), 850, func(p []byte) bool { var m ListReply; return decode(p, &m) == nil && reflect.DeepEqual(m, list) }},
+		{"outcome", mustEncode(outcome), 600, func(p []byte) bool {
+			var m OutcomeReply
+			return decode(p, &m) == nil && reflect.DeepEqual(m, outcome)
+		}},
 	} {
 		if len(c.body) > c.ceiling {
 			t.Errorf("protocol.Version %d: the %s body is %d bytes, over its ceiling of %d", Version, c.name, len(c.body), c.ceiling)

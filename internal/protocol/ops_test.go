@@ -191,7 +191,9 @@ func codecSamples() (reqs, reps []any) {
 			Job: "FZJ-000004", Seq: 2, Global: 21, Origin: "fzj", Type: events.Type("status"),
 			Action: ajo.ActionID("s1"), Status: ajo.StatusSuccessful, Reason: "done", Time: now, Terminal: true,
 		}}},
-		OutcomeReply{Found: true, Outcome: []byte{0x02, 1, 'j'}},
+		OutcomeReply{Found: true, Outcome: &ajo.Outcome{Action: "j", Kind: ajo.KindJob, Status: ajo.StatusFailed, Reason: "s1 failed",
+			Children: []*ajo.Outcome{{Action: "s1", Kind: ajo.KindScript, Status: ajo.StatusFailed, ExitCode: 2,
+				Stdout: []byte("out"), Files: []ajo.FileRecord{{Path: "f", Size: 3, CRC: 9}}, Started: now, Finished: now}}}},
 		ListReply{Jobs: []JobInfo{{Job: "FZJ-000007", Name: "nightly", Status: ajo.StatusQueued, Submitted: now}}},
 		ControlReply{Reason: "job already finished"},
 		ResourcesReply{PagesDER: [][]byte{{0x30, 0x03, 1, 2, 3}, {0x30, 0x00}}},
