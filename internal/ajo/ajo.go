@@ -555,49 +555,54 @@ func (j *AbstractJob) Graph() (*dag.Graph, error) {
 // Validate checks the whole recursive structure: action field validity,
 // unique IDs per level, dependency references, acyclicity, and that nested
 // job groups carry a destination.
-func (j *AbstractJob) Validate() error {
+func (j *AbstractJob) Validate() error { _, err := j.Check(); return err }
+
+// Check is Validate that also returns the job's own graph (Graph). It is not
+// kept on the job: a job may be validated from several goroutines.
+func (j *AbstractJob) Check() (*dag.Graph, error) {
 	if err := j.validateHeader(); err != nil {
-		return err
+		return nil, err
 	}
 	if j.Target.IsZero() {
-		return fmt.Errorf("ajo: job %s: no destination Vsite", j.ActionID)
+		return nil, fmt.Errorf("ajo: job %s: no destination Vsite", j.ActionID)
 	}
 	seen := make(map[ActionID]bool, len(j.Actions))
 	for _, a := range j.Actions {
 		if a == nil {
-			return fmt.Errorf("ajo: job %s: nil action", j.ActionID)
+			return nil, fmt.Errorf("ajo: job %s: nil action", j.ActionID)
 		}
 		if seen[a.ID()] {
-			return fmt.Errorf("ajo: job %s: duplicate action ID %q", j.ActionID, a.ID())
+			return nil, fmt.Errorf("ajo: job %s: duplicate action ID %q", j.ActionID, a.ID())
 		}
 		seen[a.ID()] = true
 		if a.Kind().IsService() {
-			return fmt.Errorf("ajo: job %s: service %s cannot be a job component", j.ActionID, a.ID())
+			return nil, fmt.Errorf("ajo: job %s: service %s cannot be a job component", j.ActionID, a.ID())
 		}
 		if err := a.Validate(); err != nil {
-			return fmt.Errorf("ajo: job %s: %w", j.ActionID, err)
+			return nil, fmt.Errorf("ajo: job %s: %w", j.ActionID, err)
 		}
 	}
 	for _, d := range j.Dependencies {
 		if !seen[d.Before] {
-			return fmt.Errorf("ajo: job %s: dependency references unknown action %q", j.ActionID, d.Before)
+			return nil, fmt.Errorf("ajo: job %s: dependency references unknown action %q", j.ActionID, d.Before)
 		}
 		if !seen[d.After] {
-			return fmt.Errorf("ajo: job %s: dependency references unknown action %q", j.ActionID, d.After)
+			return nil, fmt.Errorf("ajo: job %s: dependency references unknown action %q", j.ActionID, d.After)
 		}
 	}
 	// TransferTask sources must reference sibling actions.
 	for _, a := range j.Actions {
 		if tr, ok := a.(*TransferTask); ok {
 			if !seen[tr.FromAction] {
-				return fmt.Errorf("ajo: job %s: transfer %s references unknown action %q", j.ActionID, tr.ActionID, tr.FromAction)
+				return nil, fmt.Errorf("ajo: job %s: transfer %s references unknown action %q", j.ActionID, tr.ActionID, tr.FromAction)
 			}
 		}
 	}
-	if _, err := j.Graph(); err != nil {
-		return fmt.Errorf("ajo: job %s: %w", j.ActionID, err)
+	g, err := j.Graph()
+	if err != nil {
+		return nil, fmt.Errorf("ajo: job %s: %w", j.ActionID, err)
 	}
-	return nil
+	return g, nil
 }
 
 // Walk visits the job and, recursively, every nested action (pre-order).

@@ -2,6 +2,7 @@ package ajo
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -63,6 +64,25 @@ func sampleJob() *AbstractJob {
 func TestSampleJobValidates(t *testing.T) {
 	if err := sampleJob().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckReturnsTheGraph: Check is Validate plus the job's own graph, the
+// one Graph builds, so a consign builds it once; a job Validate refuses,
+// Check refuses with no graph.
+func TestCheckReturnsTheGraph(t *testing.T) {
+	j := sampleJob()
+	g, err := j.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := j.Graph()
+	if g.Len() != want.Len() || !reflect.DeepEqual(g.Roots(), want.Roots()) {
+		t.Errorf("Check's graph has %d nodes, roots %v; Graph's %d, roots %v", g.Len(), g.Roots(), want.Len(), want.Roots())
+	}
+	j.Dependencies = append(j.Dependencies, Dependency{Before: "exp", After: "imp"})
+	if g, err := j.Check(); err == nil || g != nil || j.Validate() == nil {
+		t.Errorf("a cyclic job: Check returned %v, %v; Validate %v", g, err, j.Validate())
 	}
 }
 

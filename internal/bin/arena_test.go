@@ -1,9 +1,11 @@
 package bin
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // encodeStrs is a Strs message holding list.
@@ -17,16 +19,21 @@ func encodeStrs(list []string) []byte {
 // left to read (the string that started it included) when it was made.
 type chunk struct{ cap, left int }
 
-// decodeChunks is Strs decoding in, noting each chunk the arena starts.
+// decodeChunks is Strs decoding in, noting each chunk the arena starts. A
+// string served from the intern table leaves the arena as it was.
 func decodeChunks(in []byte) ([]string, []chunk, error) {
 	var list []string
 	var chunks []chunk
+	var at *byte // the current chunk's first byte
 	c := Decoder(in)
 	for i := range Slice(&c, &list) {
-		before := c.arena.Len()
 		c.Str(&list[i])
-		if n := len(list[i]); n > 0 && (before == 0 || c.arena.Len() != before+n) {
-			chunks = append(chunks, chunk{c.arena.Cap(), len(c.b) + n})
+		if c.arena.Len() == 0 {
+			continue
+		}
+		if p := unsafe.StringData(c.arena.String()); p != at {
+			at = p
+			chunks = append(chunks, chunk{c.arena.Cap(), len(c.b) + len(list[i])})
 		}
 	}
 	return list, chunks, c.Err()
@@ -100,30 +107,46 @@ func TestDecodedStringsOutliveTheirInput(t *testing.T) {
 	}
 }
 
+// freshSeq numbers strings no decoder in this test binary has seen, however
+// often a test runs (go test -count).
+var freshSeq int
+
+func fresh() int {
+	freshSeq++
+	return freshSeq
+}
+
 // TestArenaAllocates counts what the arena costs: a message whose only
 // string has n bytes allocates once, exactly n bytes (n is a size class
 // here), which is what a string conversion of the field cost; and a message
-// of many strings allocates a number of chunks logarithmic in its size.
+// of many strings allocates a number of chunks logarithmic in its size. Every
+// string is fresh, unique to its run, so none is served from the intern
+// table; a repeated one is, and costs nothing.
 func TestArenaAllocates(t *testing.T) {
+	const runs = 100
 	for _, n := range []int{16, 48, 1024, 4096} {
-		s := strings.Repeat("u", n)
-		e := Encoder(nil)
-		e.Str(&s)
-		in := e.Bytes()
+		// AllocsPerRun calls once more than it is asked to, to warm up.
+		ins := make([][]byte, 2*runs+2)
+		for i := range ins {
+			s := fmt.Sprintf("arena-%0*d", n-len("arena-"), fresh())
+			e := Encoder(nil)
+			e.Str(&s)
+			ins[i] = e.Bytes()
+		}
+		next := 0
 		decodeOne := func() {
 			var got string
-			c := Decoder(in)
+			c := Decoder(ins[next])
+			next++
 			c.Str(&got)
 			if c.Err() != nil || len(got) != n {
 				t.Fatalf("decoded %d bytes: %v", len(got), c.Err())
 			}
 		}
-		if allocs := testing.AllocsPerRun(100, decodeOne); allocs != 1 {
-			t.Errorf("decoding one %d-byte string allocates %.0f times, want 1", n, allocs)
+		if allocs := testing.AllocsPerRun(runs, decodeOne); allocs != 1 {
+			t.Errorf("decoding one fresh %d-byte string allocates %.0f times, want 1", n, allocs)
 		}
-		const runs = 100
 		prev := runtime.GOMAXPROCS(1)
-		decodeOne()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range runs {
@@ -132,21 +155,51 @@ func TestArenaAllocates(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		runtime.GOMAXPROCS(prev)
 		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per != uint64(n) {
-			t.Errorf("decoding one %d-byte string allocates %d bytes, want %d", n, per, n)
+			t.Errorf("decoding one fresh %d-byte string allocates %d bytes, want %d", n, per, n)
 		}
 	}
 
-	list := make([]string, 256)
-	for i := range list {
-		list[i] = strings.Repeat("v", 1+i%23)
-	}
-	in := encodeStrs(list)
-	if allocs := testing.AllocsPerRun(20, func() {
-		var got []string
+	repeated := "arena-repeated"
+	e := Encoder(nil)
+	e.Str(&repeated)
+	in := e.Bytes()
+	decodeRepeated := func() string {
+		var got string
 		c := Decoder(in)
+		c.Str(&got)
+		if c.Err() != nil || got != repeated {
+			t.Fatalf("decoded %q: %v", got, c.Err())
+		}
+		return got
+	}
+	decodeRepeated() // its first sighting, cut from the arena
+	want := unsafe.StringData(decodeRepeated())
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if unsafe.StringData(decodeRepeated()) != want {
+			t.Fatal("a repeated string decoded to a new copy")
+		}
+	}); allocs != 0 {
+		t.Errorf("decoding a repeated one-string message allocates %.0f times, want 0", allocs)
+	}
+
+	// Fresh strings of 8 to 30 bytes, each unique to its run.
+	const perMessage = 256
+	ins := make([][]byte, runs/5+1)
+	for r := range ins {
+		list := make([]string, perMessage)
+		for i := range list {
+			list[i] = fmt.Sprintf("%08x", fresh()) + strings.Repeat("v", i%23)
+		}
+		ins[r] = encodeStrs(list)
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(runs/5, func() {
+		var got []string
+		c := Decoder(ins[next])
+		next++
 		c.Strs(&got)
 	}); allocs > 12 {
-		t.Errorf("decoding %d strings (%d bytes) allocates %.0f times, want the list and at most 11 chunks", len(list), len(in), allocs)
+		t.Errorf("decoding %d fresh strings (%d bytes) allocates %.0f times, want the list and at most 11 chunks", perMessage, len(ins[0]), allocs)
 	}
 }
 

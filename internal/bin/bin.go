@@ -23,15 +23,16 @@
 // a walk that uses neither writes the bytes it always wrote.
 //
 // A decoded string is a copy: it never aliases the input, so the input may be
-// reused or overwritten once the walk is done. The strings of one message
-// share an arena, cut from chunks that grow geometrically (see Str), so a
+// reused or overwritten once the walk is done. A string of 1 to internMax
+// bytes that the process has decoded before (a job ID, an event type) comes
+// from one package-level table of standalone copies, which holds at most
+// internSlots × (internMax bytes + a string header). The other strings of a
+// message share an arena, cut from chunks that grow geometrically, so a
 // message of many short fields costs a handful of allocations, not one per
-// field. A surviving string pins its chunk, and no chunk is larger than the
-// message's input. Only a literal is cut from the arena, and it is cut from
-// the input bytes that carried it; a Sym reference hands back a string
-// already decoded. So the decoded strings of a message never hold more bytes
-// than its input, and all the chunks of one message together stay below
-// twice its size (plus the last chunk's rounding).
+// field. Only a literal is cut, from the input bytes that carried it; a Sym
+// reference hands back a string already decoded. So the decoded strings of a
+// message never hold more bytes than its input, and all its chunks together
+// stay below twice its size (see Str).
 //
 // The package imports only the standard library, so every tier may use it.
 package bin
@@ -42,6 +43,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -226,18 +228,19 @@ func (c *Codec) Len(n int) int {
 	return int(u)
 }
 
-// Str walks a length-prefixed string. Decoded, it is a copy, unlike View,
-// cut from the message's arena: the chunk it is written to holds the other
-// strings of the message too. A string that does not fit the current chunk
-// starts a new one of max(n, min(2*cap, remaining input)) bytes; the old
-// chunk is left to the strings already cut from it, never copied. So the
-// first string of a message costs one allocation of its own length, and the
-// rest a number of allocations logarithmic in the message's size. No chunk is
-// larger than the input left to read when it was made (rounded up to the
-// allocator's size class), so a string the caller keeps — an AJO's for the
-// life of its job, a replayed journal entry's — pins at most its own
-// message's size, and all the chunks of one message together stay below
-// twice its size (plus the last chunk's rounding).
+// Str walks a length-prefixed string. Decoded, it is a copy, unlike View. A
+// string of 1 to internMax bytes is interned: its first sighting is only
+// noted, its second stores a standalone copy in the table, and from then on
+// it costs no allocation; one that collides in the table, a hostile peer's
+// included, costs only its cut. The others are cut from the message's arena.
+// One that does not fit the current chunk starts a new one of max(n,
+// min(2*cap, remaining input)) bytes, the old one left to the strings cut
+// from it: the first costs one allocation of its own length, the rest a
+// number logarithmic in the message's size. No chunk is larger than the input
+// left to read when it was made (rounded up to a size class), so a string the
+// caller keeps — an AJO's for the life of its job, a replayed journal entry's
+// — pins at most its own message's size, and all the chunks of one message
+// together stay below twice its size (plus the last chunk's rounding).
 func (c *Codec) Str(v *string) {
 	n := c.Len(len(*v))
 	switch {
@@ -254,6 +257,10 @@ func (c *Codec) cut(n int) string {
 	if n == 0 {
 		return ""
 	}
+	if s, ok := intern(c.b[:n]); ok {
+		c.b = c.b[n:]
+		return s
+	}
 	if size := c.arena.Cap(); size-c.arena.Len() < n {
 		c.arena = strings.Builder{}
 		c.arena.Grow(max(n, min(2*size, len(c.b))))
@@ -262,6 +269,49 @@ func (c *Codec) cut(n int) string {
 	c.arena.Write(c.b[:n])
 	c.b = c.b[n:]
 	return c.arena.String()[at:]
+}
+
+// The intern table (see Str): strings of 1 to internMax bytes, each at its
+// hash's home slot or the next, and the hashes of strings seen once.
+const internMax, internSlots = 64, 1 << 13
+
+var internTab [internSlots]atomic.Pointer[string]
+var internSeen [internSlots]atomic.Uint64
+
+// intern returns b's entry, storing it when b is seen for the second time,
+// or false for a first sighting, which is noted at other bits of the hash so
+// that strings sharing a home slot do not forget each other.
+func intern(b []byte) (string, bool) {
+	if len(b) > internMax {
+		return "", false
+	}
+	h := internHash(b)
+	i, j := h%internSlots, (h+1)%internSlots
+	for _, k := range [2]uint64{i, j} {
+		if s := internTab[k].Load(); s != nil && *s == string(b) {
+			return *s, true
+		}
+	}
+	if seen := &internSeen[h*0x9e3779b97f4a7c15>>32%internSlots]; seen.Load() != h {
+		seen.Store(h)
+		return "", false
+	}
+	if internTab[i].Load() != nil && internTab[j].Load() == nil {
+		i = j
+	}
+	s := string(b)
+	internTab[i].Store(&s)
+	return s, true
+}
+
+// internHash is FNV-1a: fixed, so every allocation count is the same on
+// every box and in every run.
+func internHash(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, x := range b {
+		h = (h ^ uint64(x)) * 1099511628211
+	}
+	return h
 }
 
 // symRefs is how far back a Sym can refer: to any of the message's last

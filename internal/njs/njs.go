@@ -482,7 +482,8 @@ func (n *NJS) Consign(ctx context.Context, user core.DN, consignID string, job *
 		inflight.Dec()
 		n.tel.Histogram("consign_ack_seconds", telemetry.ScaleSeconds).ObserveSince(ackStart)
 	}()
-	if err := job.Validate(); err != nil {
+	graph, err := job.Check()
+	if err != nil {
 		return "", err
 	}
 	if job.Target.Usite != n.usite {
@@ -509,7 +510,7 @@ func (n *NJS) Consign(ctx context.Context, user core.DN, consignID string, job *
 	}
 
 	if consignID == "" {
-		id, err := n.admit(user, login, job, vs, nil, "")
+		id, err := n.admit(user, login, job, graph, vs, nil, "")
 		if err == nil {
 			// Write-ahead contract: the admission record must be durable
 			// before the client is told the job was accepted — a crash after
@@ -537,7 +538,7 @@ func (n *NJS) Consign(ctx context.Context, user core.DN, consignID string, job *
 			e = &consignEntry{done: make(chan struct{})}
 			n.consignIndex[consignID] = e
 			n.consignMu.Unlock()
-			id, admitErr := n.admit(user, login, job, vs, nil, consignID)
+			id, admitErr := n.admit(user, login, job, graph, vs, nil, consignID)
 			err := admitErr
 			if err == nil {
 				sp := n.tel.StartSpan(ctx, "njs.journal.sync")
@@ -572,17 +573,14 @@ func (n *NJS) Consign(ctx context.Context, user core.DN, consignID string, job *
 }
 
 // admit creates the job record, registers it, and starts dispatching under
-// the new job's own lock. parent is set for locally expanded sub-jobs, in
-// which case the caller holds the parent's lock (ancestor→descendant order).
-func (n *NJS) admit(user core.DN, login uudb.Login, job *ajo.AbstractJob, vs *Vsite, parent *parentLink, consignID string) (core.JobID, error) {
+// the new job's own lock. graph is the job's (job.Check). parent is set for
+// locally expanded sub-jobs, in which case the caller holds the parent's lock
+// (ancestor→descendant order).
+func (n *NJS) admit(user core.DN, login uudb.Login, job *ajo.AbstractJob, graph *dag.Graph, vs *Vsite, parent *parentLink, consignID string) (core.JobID, error) {
 	id := n.nextJobID()
 	jobDir, err := vs.Space.CreateJobDir(id)
 	if err != nil {
 		return "", fmt.Errorf("njs: creating job directory: %w", err)
-	}
-	graph, err := job.Graph()
-	if err != nil {
-		return "", err
 	}
 	uj := &unicoreJob{
 		id:         id,

@@ -64,7 +64,11 @@ func (n *NJS) startLocalSubJobLocked(uj *unicoreJob, sub *ajo.AbstractJob) {
 	// ancestor→descendant, the allowed direction. If the child finishes
 	// synchronously during admission, its finalizer schedules the
 	// parent-side completion through the clock.
-	childID, err := n.admit(uj.owner, login, sub, vs, &parentLink{job: uj.id, action: sub.ID()}, "")
+	graph, err := sub.Graph()
+	var childID core.JobID
+	if err == nil {
+		childID, err = n.admit(uj.owner, login, sub, graph, vs, &parentLink{job: uj.id, action: sub.ID()}, "")
+	}
 	if err != nil {
 		n.completeActionLocked(uj, sub.ID(), ajo.StatusFailed, fmt.Sprintf("sub-job admit: %v", err))
 		return

@@ -59,6 +59,7 @@ func (r *Registry) Sites() []core.Usite {
 type Client struct {
 	tr       Transport
 	cred     *pki.Credential
+	dn       core.DN // cred's, rendered once
 	ca       *pki.Authority
 	registry *Registry
 	// Retries is the number of additional attempts after a transport failure:
@@ -82,12 +83,12 @@ type siteStream struct {
 // NewClient builds a client. tr is typically an *InProc for tests or an
 // HTTPTransport with pki.ClientTLS config for real deployments.
 func NewClient(tr Transport, cred *pki.Credential, ca *pki.Authority, reg *Registry) *Client {
-	return &Client{tr: tr, cred: cred, ca: ca, registry: reg, Retries: 2,
+	return &Client{tr: tr, cred: cred, dn: cred.DN(), ca: ca, registry: reg, Retries: 2,
 		streams: make(map[core.Usite]*siteStream)}
 }
 
 // DN returns the client identity.
-func (c *Client) DN() core.DN { return c.cred.DN() }
+func (c *Client) DN() core.DN { return c.dn }
 
 // Registry returns the client's site registry.
 func (c *Client) Registry() *Registry { return c.registry }

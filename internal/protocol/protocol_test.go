@@ -183,6 +183,22 @@ func TestClientCall(t *testing.T) {
 	}
 }
 
+// TestClientDNAllocatesNothing: a client renders its certificate's DN once,
+// not on every submit that stamps it on an AJO.
+func TestClientDNAllocatesNothing(t *testing.T) {
+	r := newRig(t)
+	c := NewClient(r.net, r.user, r.ca, r.reg)
+	if c.DN() != r.user.DN() {
+		t.Fatalf("DN() = %q, want %q", c.DN(), r.user.DN())
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(20, func() { _ = c.DN() }); n != 0 {
+		t.Errorf("Client.DN allocates %.0f times, want 0", n)
+	}
+}
+
 func TestClientCallErrorReply(t *testing.T) {
 	r := newRig(t)
 	r.net.Register("gw.fzj", r.echoServer())
