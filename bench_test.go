@@ -24,6 +24,7 @@ package unicore_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -37,6 +38,7 @@ import (
 	"unicore/internal/protocol"
 	"unicore/internal/resources"
 	"unicore/internal/sim"
+	"unicore/internal/telemetry"
 	"unicore/internal/testbed"
 	"unicore/internal/vfs"
 )
@@ -663,5 +665,38 @@ func BenchmarkFederatedConsign(b *testing.B) {
 		b.Fatalf("forwarded job did not complete via the origin gateway: %v", err)
 	}
 	snap := d.Federation("FZJ").Registry().Snapshot()
-	b.ReportMetric(snap.Quantile("fed_forward_ack_seconds", 0.99)*1000, "fed-forward-ack-p99-ms")
+	b.ReportMetric(quantile(snap, "fed_forward_ack_seconds", 0.99)*1000, "fed-forward-ack-p99-ms")
+}
+
+// quantile estimates the q-quantile (0 < q <= 1) of a histogram from its
+// buckets, summed over every label set of name: the upper bound of the
+// bucket where the cumulative count crosses q, or the last finite bound
+// when that is the overflow bucket. It is 0 when the histogram is empty.
+func quantile(s telemetry.Snapshot, name string, q float64) float64 {
+	var counts []uint64
+	var bounds []float64
+	var total uint64
+	for _, p := range s.Metrics {
+		if p.Name != name || p.Kind != telemetry.KindHistogram {
+			continue
+		}
+		for i, bk := range p.Buckets {
+			if i == len(counts) {
+				counts, bounds = append(counts, 0), append(bounds, bk.LE)
+			}
+			counts[i] += bk.Count
+			total += bk.Count
+		}
+	}
+	want := uint64(math.Max(1, math.Ceil(q*float64(total))))
+	var cum uint64
+	for i, n := range counts {
+		if cum += n; cum >= want {
+			if math.IsInf(bounds[i], 1) && i > 0 {
+				return bounds[i-1]
+			}
+			return bounds[i]
+		}
+	}
+	return 0
 }

@@ -10,6 +10,7 @@ import (
 
 	"unicore/internal/client"
 	"unicore/internal/core"
+	"unicore/internal/njs"
 	"unicore/internal/pki"
 	"unicore/internal/pool"
 	"unicore/internal/protocol"
@@ -76,7 +77,7 @@ func TestCombinedModesBootAndServe(t *testing.T) {
 				t.Fatal("no telemetry registries for -debug-addr")
 			}
 			if mode.pools == nil {
-				if gw.NJS() == nil {
+				if _, ok := gw.Backend().(*njs.NJS); !ok {
 					t.Fatalf("backend is %T, want the site's single NJS", gw.Backend())
 				}
 			} else {

@@ -2,14 +2,19 @@ package unicore_test
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/token"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
+	"unicore/internal/analysis"
 	"unicore/internal/njs"
 	"unicore/internal/pool"
 )
@@ -36,6 +41,251 @@ func TestNoPackageImportsGob(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNothingIsUnused keeps every package-level object and method of the
+// module reachable from something other than a test: another package, a
+// command, an example, a tool, the benchmark, or the facade in unicore.go.
+// An exported function only a test calls is code the product carries for
+// nobody. Test harness the product ships for other packages' tests stays on
+// unusedAllowed, one reason per entry; the list only ever shrinks.
+func TestNothingIsUnused(t *testing.T) {
+	found, err := unusedObjects(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, pos := range found {
+		if _, ok := unusedAllowed[key]; !ok {
+			t.Errorf("%s: %s is used nowhere or only by tests; delete it", pos, key)
+		}
+	}
+	for key, reason := range unusedAllowed {
+		if _, ok := found[key]; !ok {
+			t.Errorf("unusedAllowed names %s, which is gone or has a caller now; delete the entry", key)
+		}
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("unusedAllowed entry %s has no reason", key)
+		}
+	}
+}
+
+// TestNothingIsUnusedFixture runs the check behind TestNothingIsUnused over
+// testdata/unused, a module whose comments say what must and must not be
+// reported.
+func TestNothingIsUnusedFixture(t *testing.T) {
+	found, err := unusedObjects(filepath.Join("testdata", "unused"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for key := range found {
+		got = append(got, key)
+	}
+	sort.Strings(got)
+	want := []string{
+		"fixture/lib.Box.Unused", "fixture/lib.OnlyTestsCall",
+		"fixture/lib.Orphan", "fixture/lib.Orphan.Touch", "fixture/lib.Reader.Nowhere",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reported %q, want %q", got, want)
+	}
+}
+
+// unusedAllowed names the objects TestNothingIsUnused tolerates, each with
+// the reason it ships although no shipped code calls it. Entries may be
+// removed, never added.
+var unusedAllowed = map[string]string{
+	"unicore/bench.nameRE": "bench/ is frozen for the benchmark; its test checks metric names with it",
+
+	"unicore/internal/protocol.NewFlaky":          "test harness: protocol and gateway tests inject message loss and stream kills",
+	"unicore/internal/protocol.Flaky.Stats":       "test harness: protocol tests count the messages Flaky dropped",
+	"unicore/internal/protocol.Flaky.KillStreams": "test harness: protocol and gateway tests sever live streams",
+
+	"unicore/internal/protocol.SimulateRobustness":             "ROADMAP item 12",
+	"unicore/internal/protocol.RobustnessStats.CompletionRate": "ROADMAP item 12",
+	"unicore/internal/protocol.RobustnessStats.MeanWall":       "ROADMAP item 12",
+
+	"unicore/internal/njs.NJS.StagingSpool": "test harness: client and testbed tests inspect a Vsite's upload spool",
+	"unicore/internal/njs.NJS.Instance":     "test harness: deploy, controller and testbed tests find the replica that minted a job",
+
+	"unicore/internal/uspace.Space.WriteXspace": "test harness: E5 and the njs and asi tests seed and read users' home files",
+	"unicore/internal/uspace.Space.ReadXspace":  "test harness: E5 and the njs and asi tests seed and read users' home files",
+
+	"unicore/internal/gateway.Gateway.Backend": "test harness: deploy and unicore-gateway tests reach the tier behind a gateway",
+	"unicore/internal/vfs.FS.Used":             "test harness: vfs and njs tests check quota accounting",
+	"unicore/internal/protocol.Op.Frames":      "test harness: gateway tests check docs/PROTOCOL.md's frame column against it",
+}
+
+// unusedObjects type-checks every package of the module rooted at dir and
+// returns the package-level objects and methods declared in non-test files
+// that no non-test file uses, keyed by import path and name, with their
+// positions. Not reported: main and init; anything in a package whose name
+// ends in "test" (harness for tests); the exported names of the module's
+// root package and the methods of the types it aliases (the facade's API);
+// and methods that satisfy an interface the type meets, from the module or
+// the standard library, since a call through the interface names the
+// interface's method instead.
+func unusedObjects(dir string) (map[string]token.Position, error) {
+	l := analysis.NewLoader()
+	l.Dir = dir
+	pkgs, err := l.LoadAll("./...")
+	if err != nil {
+		return nil, err
+	}
+	type decl struct {
+		pos, end token.Pos
+		pkg      *analysis.Package
+	}
+	decls := map[types.Object]decl{}
+	receivers := map[*ast.Ident]bool{}
+	var facade *types.Package
+	for _, p := range pkgs {
+		if facade == nil || len(p.Pkg.Path()) < len(facade.Path()) {
+			facade = p.Pkg
+		}
+		if strings.HasSuffix(p.Pkg.Name(), "test") {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv != nil {
+						ast.Inspect(d.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								receivers[id] = true
+							}
+							return true
+						})
+					} else if d.Name.Name == "main" || d.Name.Name == "init" {
+						continue
+					}
+					decls[p.Info.Defs[d.Name]] = decl{d.Pos(), d.End(), p}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						var names []*ast.Ident
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							names = []*ast.Ident{s.Name}
+						case *ast.ValueSpec:
+							names = s.Names
+						}
+						for _, n := range names {
+							if n.Name != "_" {
+								decls[p.Info.Defs[n]] = decl{n.Pos(), n.End(), p}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	used := map[types.Object]bool{}
+	for _, p := range pkgs {
+		for id, obj := range p.Info.Uses {
+			if f, ok := obj.(*types.Func); ok {
+				obj = f.Origin()
+			}
+			if d, ok := decls[obj]; ok && !receivers[id] && (id.Pos() < d.pos || id.Pos() >= d.end) {
+				used[obj] = true
+			}
+		}
+	}
+
+	// Every interface a method could be satisfying: the error type, the
+	// named interfaces of every package in the program, and the interface
+	// literals the module's code writes. A generic type satisfies them
+	// through its instances, which the module's code also writes.
+	ifaces := map[string][]*types.Interface{}
+	instances := map[*types.Named]map[string]*types.Named{}
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				ifaces[it.Method(i).Name()] = append(ifaces[it.Method(i).Name()], it)
+			}
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	seen := map[*types.Package]bool{}
+	var walk func(*types.Package)
+	walk = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			walk(imp)
+		}
+	}
+	for _, p := range pkgs {
+		walk(p.Pkg)
+		for _, tv := range p.Info.Types {
+			if tv.IsType() {
+				addIface(tv.Type)
+			}
+			if n, ok := types.Unalias(tv.Type).(*types.Named); ok && n.Origin() != n {
+				if instances[n.Origin()] == nil {
+					instances[n.Origin()] = map[string]*types.Named{}
+				}
+				instances[n.Origin()][n.String()] = n
+			}
+		}
+	}
+
+	api := map[*types.Named]bool{}
+	for _, name := range facade.Scope().Names() {
+		if tn, ok := facade.Scope().Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
+			if n := analysis.Named(tn.Type()); n != nil {
+				api[n.Origin()] = true
+			}
+		}
+	}
+
+	found := map[string]token.Position{}
+	for obj, d := range decls {
+		if used[obj] || obj.Pkg() == facade && obj.Exported() {
+			continue
+		}
+		key := obj.Pkg().Path() + "." + obj.Name()
+		if f, ok := obj.(*types.Func); ok {
+			if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+				n := analysis.Named(recv.Type()).Origin()
+				forms := []*types.Named{n}
+				for _, inst := range instances[n] {
+					forms = append(forms, inst)
+				}
+				if api[n] || satisfies(forms, ifaces[f.Name()]) || errorsCalls[f.Name()] && satisfies(forms, ifaces["Error"]) {
+					continue
+				}
+				key = obj.Pkg().Path() + "." + n.Obj().Name() + "." + obj.Name()
+			}
+		}
+		found[key] = d.pkg.Fset.Position(d.pos)
+	}
+	return found, nil
+}
+
+// errorsCalls names the methods errors.Is, errors.As and errors.Unwrap call
+// on an error through interfaces package errors does not export.
+var errorsCalls = map[string]bool{"Is": true, "As": true, "Unwrap": true}
+
+// satisfies reports whether one of the types, or a pointer to it, implements
+// one of the interfaces.
+func satisfies(forms []*types.Named, ifaces []*types.Interface) bool {
+	for _, n := range forms {
+		for _, it := range ifaces {
+			if types.Implements(n, it) || types.Implements(types.NewPointer(n), it) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestServingTiersEncodeOutcomesOnce keeps the JSON form of an outcome tree

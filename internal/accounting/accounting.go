@@ -92,17 +92,6 @@ func Summarise(recs []Record) Summary {
 	return s
 }
 
-// ByOwner groups records by the local login that ran them.
-func ByOwner(recs []Record) map[string]Summary {
-	out := make(map[string]Summary)
-	for _, r := range recs {
-		s := out[r.Owner]
-		s.add(r)
-		out[r.Owner] = s
-	}
-	return out
-}
-
 // ByTarget groups records by Vsite.
 func ByTarget(recs []Record) map[core.Target]Summary {
 	out := make(map[core.Target]Summary)

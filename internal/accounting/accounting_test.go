@@ -73,10 +73,6 @@ func TestGrouping(t *testing.T) {
 		rec(fzj, "bob", 1, 0, 0, time.Hour, codine.StateDone),
 		rec(lrz, "alice", 1, 0, 0, time.Hour, codine.StateDone),
 	}
-	byOwner := ByOwner(recs)
-	if byOwner["alice"].Jobs != 2 || byOwner["bob"].Jobs != 1 {
-		t.Fatalf("byOwner = %+v", byOwner)
-	}
 	byTarget := ByTarget(recs)
 	if byTarget[fzj].Jobs != 2 || byTarget[lrz].Jobs != 1 {
 		t.Fatalf("byTarget = %+v", byTarget)

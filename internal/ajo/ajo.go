@@ -71,27 +71,6 @@ const (
 	KindQuery    Kind = "QueryService"
 )
 
-// Kinds lists every concrete action class (all leaves of Figure 3 plus the
-// recursive AbstractJobObject).
-func Kinds() []Kind {
-	return []Kind{
-		KindJob, KindExecute, KindCompile, KindLink, KindUser, KindScript,
-		KindImport, KindExport, KindTransfer, KindControl, KindList, KindQuery,
-	}
-}
-
-// IsTask reports whether k is an AbstractTaskObject subclass — "the unit
-// which boils down to a batch job for the destination system" (§3) or a file
-// operation.
-func (k Kind) IsTask() bool {
-	switch k {
-	case KindExecute, KindCompile, KindLink, KindUser, KindScript,
-		KindImport, KindExport, KindTransfer:
-		return true
-	}
-	return false
-}
-
 // IsExecutable reports whether k incarnates to a batch job (an ExecuteTask
 // subclass, as opposed to a FileTask handled by the NJS itself).
 func (k Kind) IsExecutable() bool {
@@ -100,11 +79,6 @@ func (k Kind) IsExecutable() bool {
 		return true
 	}
 	return false
-}
-
-// IsFileTask reports whether k is a FileTask subclass.
-func (k Kind) IsFileTask() bool {
-	return k == KindImport || k == KindExport || k == KindTransfer
 }
 
 // IsService reports whether k is an AbstractService subclass.

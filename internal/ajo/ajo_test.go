@@ -88,32 +88,37 @@ func TestCheckReturnsTheGraph(t *testing.T) {
 
 func TestKindPredicates(t *testing.T) {
 	cases := []struct {
-		k                         Kind
-		task, exec, file, service bool
+		k             Kind
+		exec, service bool
 	}{
-		{KindJob, false, false, false, false},
-		{KindExecute, true, true, false, false},
-		{KindCompile, true, true, false, false},
-		{KindLink, true, true, false, false},
-		{KindUser, true, true, false, false},
-		{KindScript, true, true, false, false},
-		{KindImport, true, false, true, false},
-		{KindExport, true, false, true, false},
-		{KindTransfer, true, false, true, false},
-		{KindControl, false, false, false, true},
-		{KindList, false, false, false, true},
-		{KindQuery, false, false, false, true},
+		{KindJob, false, false},
+		{KindExecute, true, false},
+		{KindCompile, true, false},
+		{KindLink, true, false},
+		{KindUser, true, false},
+		{KindScript, true, false},
+		{KindImport, false, false},
+		{KindExport, false, false},
+		{KindTransfer, false, false},
+		{KindControl, false, true},
+		{KindList, false, true},
+		{KindQuery, false, true},
 	}
 	for _, c := range cases {
-		if c.k.IsTask() != c.task || c.k.IsExecutable() != c.exec ||
-			c.k.IsFileTask() != c.file || c.k.IsService() != c.service {
-			t.Errorf("%s: predicates = task=%v exec=%v file=%v svc=%v",
-				c.k, c.k.IsTask(), c.k.IsExecutable(), c.k.IsFileTask(), c.k.IsService())
+		if c.k.IsExecutable() != c.exec || c.k.IsService() != c.service {
+			t.Errorf("%s: predicates = exec=%v svc=%v", c.k, c.k.IsExecutable(), c.k.IsService())
 		}
 	}
-	if len(Kinds()) != 12 {
-		t.Fatalf("Kinds() lists %d classes, want 12 (Figure 3)", len(Kinds()))
+	if len(kinds) != 12 {
+		t.Fatalf("kinds lists %d classes, want 12 (Figure 3)", len(kinds))
 	}
+}
+
+// kinds lists every concrete action class (all leaves of Figure 3 plus the
+// recursive AbstractJobObject).
+var kinds = []Kind{
+	KindJob, KindExecute, KindCompile, KindLink, KindUser, KindScript,
+	KindImport, KindExport, KindTransfer, KindControl, KindList, KindQuery,
 }
 
 func TestValidateRejections(t *testing.T) {

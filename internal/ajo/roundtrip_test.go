@@ -112,7 +112,7 @@ func exhaustiveActions() map[Kind]Action {
 // fails here first.
 func TestExhaustiveFixturesCoverEveryKind(t *testing.T) {
 	fixtures := exhaustiveActions()
-	for _, k := range Kinds() {
+	for _, k := range kinds {
 		a, ok := fixtures[k]
 		if !ok {
 			t.Errorf("no exhaustive fixture for kind %s", k)
@@ -132,8 +132,8 @@ func TestExhaustiveFixturesCoverEveryKind(t *testing.T) {
 			t.Errorf("newByKind(%s) allocates %s", k, alloc.Kind())
 		}
 	}
-	if len(fixtures) != len(Kinds()) {
-		t.Errorf("fixtures = %d kinds, registry = %d", len(fixtures), len(Kinds()))
+	if len(fixtures) != len(kinds) {
+		t.Errorf("fixtures = %d kinds, registry = %d", len(fixtures), len(kinds))
 	}
 }
 
@@ -189,7 +189,7 @@ func TestCrossCodecAgreement(t *testing.T) {
 func filledActions(t *testing.T) map[Kind]Action {
 	out := make(map[Kind]Action)
 	var leaves ActionList
-	for _, k := range Kinds() {
+	for _, k := range kinds {
 		a, err := newByKind(k)
 		if err != nil {
 			t.Fatal(err)

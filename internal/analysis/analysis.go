@@ -1,6 +1,6 @@
 // Package analysis is a self-contained skeleton of the go/analysis model,
-// built only on the standard library (go/ast, go/types and the source
-// importer). The repository's invariant checkers — the durable-ack,
+// built only on the standard library (go/ast, go/types, and the gc
+// importer's export data for the standard library). The repository's invariant checkers — the durable-ack,
 // lock-order, version-gating, context-propagation and error-sink analyzers
 // under internal/analysis/... — plug into it, and tools/unilint drives it
 // over package patterns. The vendored golang.org/x/tools module is not a
@@ -145,17 +145,6 @@ func Run(analyzers []*Analyzer, pkg *Package) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// Deref unwraps pointer types.
-func Deref(t types.Type) types.Type {
-	for {
-		p, ok := t.Underlying().(*types.Pointer)
-		if !ok {
-			return t
-		}
-		t = p.Elem()
-	}
-}
-
 // Named returns the named type behind t (unwrapping pointers and aliases in
 // any nesting order, so a pointer-to-alias like *unicore.JournalStore
 // resolves to journal.Store), or nil if t is not a named type.
@@ -183,13 +172,6 @@ func IsNamed(t types.Type, path, name string) bool {
 		return false
 	}
 	return n.Obj().Pkg().Path() == path && n.Obj().Name() == name
-}
-
-// NamedIn reports whether t (behind pointers/aliases) is any named type
-// declared in the package with the given import path.
-func NamedIn(t types.Type, path string) bool {
-	n := Named(t)
-	return n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == path
 }
 
 // Receiver returns the static type of the receiver expression of a method

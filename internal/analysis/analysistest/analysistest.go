@@ -8,7 +8,7 @@
 // where the quoted Go string is a regular expression the diagnostic message
 // must match. Fixtures live under testdata/ (ignored by the go tool) and may
 // import real repository packages; they are type-checked with the same
-// source-importer loader the unilint driver uses, and //lint:allow
+// loader the unilint driver uses, and //lint:allow
 // suppression is applied before matching, so fixtures exercise the
 // suppression path too.
 package analysistest

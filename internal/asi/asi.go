@@ -94,9 +94,6 @@ func New(tmpl Template) (*Interface, error) {
 	return &Interface{tmpl: tmpl, fields: fields}, nil
 }
 
-// Package returns the interfaced package name.
-func (i *Interface) Package() string { return i.tmpl.Package }
-
 // FieldNames lists the declared parameters, sorted.
 func (i *Interface) FieldNames() []string {
 	out := make([]string, 0, len(i.fields))

@@ -199,9 +199,9 @@ func TestCatalog(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, i := range cat {
-		names[i.Package()] = true
+		names[i.tmpl.Package] = true
 		if len(i.FieldNames()) == 0 {
-			t.Fatalf("%s declares no fields", i.Package())
+			t.Fatalf("%s declares no fields", i.tmpl.Package)
 		}
 	}
 	for _, want := range []string{"Gaussian94", "ANSYS", "PAM-CRASH"} {

@@ -90,14 +90,12 @@ type Candidate struct {
 	EstRun  time.Duration
 }
 
-// loadEntry is one recorded load report plus the bookkeeping that lets the
-// broker expire it: the refresh epoch that produced it and the local receipt
-// time. Without these, a removed or renamed Vsite's last report competes in
-// Candidates forever.
+// loadEntry is one recorded load report plus the refresh epoch that
+// produced it, which lets a clean refresh evict it. Without the epoch, a
+// removed or renamed Vsite's last report competes in Candidates forever.
 type loadEntry struct {
 	l     Load
 	epoch uint64
-	seen  time.Time
 }
 
 // Broker ranks Vsites for abstract resource requests.
@@ -107,8 +105,6 @@ type Broker struct {
 	loads    map[core.Target]loadEntry
 	policy   Policy
 	epoch    uint64                 // bumps at every Refresh round
-	ttl      time.Duration          // 0 = load reports never expire
-	now      func() time.Time       // nil = wall clock
 	siteCost map[core.Usite]float64 // additive placement cost per Usite
 }
 
@@ -122,9 +118,6 @@ func New(policy Policy) *Broker {
 	}
 }
 
-// Policy returns the ranking policy.
-func (b *Broker) Policy() Policy { return b.policy }
-
 // AddPage registers a Vsite's resource page.
 func (b *Broker) AddPage(p *resources.Page) {
 	b.mu.Lock()
@@ -132,34 +125,11 @@ func (b *Broker) AddPage(p *resources.Page) {
 	b.catalog.Add(p)
 }
 
-// RemoveTarget forgets a Vsite entirely: its resource page and any load
-// report. Used when a refresh or a federation advertisement shows the Vsite
-// is gone.
-func (b *Broker) RemoveTarget(t core.Target) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.catalog.Remove(t)
-	delete(b.loads, t)
-}
-
-// SetLoad records a Vsite's live load, stamped with the current epoch and
-// receipt time.
+// SetLoad records a Vsite's live load, stamped with the current epoch.
 func (b *Broker) SetLoad(t core.Target, l Load) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.loads[t] = loadEntry{l: l, epoch: b.epoch, seen: b.clock()}
-}
-
-// SetStale arms load-report expiry: a target whose newest load report is
-// older than ttl stops competing in Candidates until a fresh report arrives.
-// now overrides the clock (tests, sim time); nil means wall clock. A zero
-// ttl disables expiry — the default, preserving the behaviour of brokers
-// that load their figures once.
-func (b *Broker) SetStale(ttl time.Duration, now func() time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.ttl = ttl
-	b.now = now
+	b.loads[t] = loadEntry{l: l, epoch: b.epoch}
 }
 
 // SetSiteCost biases placement away from a Usite by adding cost to every
@@ -176,19 +146,6 @@ func (b *Broker) SetSiteCost(u core.Usite, cost float64) {
 		return
 	}
 	b.siteCost[u] = cost
-}
-
-func (b *Broker) clock() time.Time {
-	if b.now != nil {
-		return b.now()
-	}
-	return time.Now()
-}
-
-// stale reports whether a load entry has outlived the broker's ttl.
-// Callers hold b.mu.
-func (b *Broker) stale(e loadEntry) bool {
-	return b.ttl > 0 && b.clock().Sub(e.seen) > b.ttl
 }
 
 // Refresh pulls resource pages and load figures from each Usite's gateway.
@@ -283,14 +240,7 @@ func (b *Broker) Candidates(req resources.Request, software ...resources.Softwar
 		if !ok {
 			continue
 		}
-		e, reported := b.loads[t]
-		if reported && b.stale(e) {
-			// The load report outlived the staleness window: whoever fed
-			// this broker stopped renewing the Vsite, so for all we know it
-			// was removed or its site is unreachable. It stops competing
-			// until a fresh report arrives.
-			continue
-		}
+		e := b.loads[t]
 		if e.l.Drained() {
 			// Every NJS replica behind the Vsite is failing its health
 			// check: the capability is nominally there, but nothing can take

@@ -252,41 +252,6 @@ func TestDrainedSiteIsNeverSelected(t *testing.T) {
 	}
 }
 
-// TestStaleLoadReportExpires is the regression test for the load-eviction
-// bug: SetLoad entries used to live forever, so a Vsite whose site stopped
-// reporting (removed, renamed, unreachable) kept competing in Candidates on
-// its last figures. With a staleness window armed, an expired report takes
-// the Vsite out of contention until a fresh one arrives.
-func TestStaleLoadReportExpires(t *testing.T) {
-	now := time.Unix(933638400, 0) // the virtual epoch, 1999-08-03
-	b := inventory(LeastLoaded)
-	b.SetStale(time.Minute, func() time.Time { return now })
-	b.SetLoad(fzjT3E, Load{Load: 0.9})
-	b.SetLoad(lrzVPP, Load{Load: 0.1})
-	b.SetLoad(dwdSX4, Load{Load: 0.5})
-	cands, err := b.Candidates(resources.Request{Processors: 8, RunTime: time.Hour})
-	if err != nil {
-		t.Fatalf("Candidates: %v", err)
-	}
-	if len(cands) != 3 {
-		t.Fatalf("fresh reports: %d candidates, want 3", len(cands))
-	}
-	// Every report outlives the window: nothing is placeable.
-	now = now.Add(2 * time.Minute)
-	if _, err := b.Candidates(resources.Request{Processors: 8, RunTime: time.Hour}); !errors.Is(err, ErrNoCandidate) {
-		t.Fatalf("err = %v, want ErrNoCandidate once every load report expired", err)
-	}
-	// One renewed report brings exactly that Vsite back.
-	b.SetLoad(lrzVPP, Load{Load: 0.1})
-	cands, err = b.Candidates(resources.Request{Processors: 8, RunTime: time.Hour})
-	if err != nil {
-		t.Fatalf("Candidates after renewal: %v", err)
-	}
-	if len(cands) != 1 || cands[0].Target != lrzVPP {
-		t.Fatalf("candidates after renewal = %v, want only %s", cands, lrzVPP)
-	}
-}
-
 // TestRemovedVsiteEvictedAfterRefresh drives the eviction pass a clean
 // per-site refresh runs: a Vsite the gateway no longer reports loses both
 // its resource page and its load record, instead of competing forever.

@@ -3,7 +3,7 @@
 // Controller (JMC) that tracks status, retrieves output, and controls jobs
 // (paper §4.1, §5.7). In the paper both are signed Java applets running in a
 // Web browser; here they are a library (Session carries both surfaces) plus
-// CLI front ends, and the applet trust chain is reproduced by FetchApplet.
+// CLI front ends.
 package client
 
 import (

@@ -49,7 +49,7 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatalf("IssueUser: %v", err)
 	}
-	users := uudb.New("LRZ", clock)
+	users := uudb.New()
 	users.AddUser(user.DN(), "clara@lrz.de")
 	if err := users.AddMapping(user.DN(), "VPP", uudb.Login{UID: "clara"}); err != nil {
 		t.Fatalf("AddMapping: %v", err)
@@ -220,12 +220,12 @@ func TestSubmitWaitOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Outcome: %v", err)
 	}
-	stdout, _, err := TaskOutput(o, id2)
-	if err != nil {
-		t.Fatalf("TaskOutput: %v", err)
+	task, ok := o.Find(id2)
+	if !ok {
+		t.Fatalf("no outcome for %s", id2)
 	}
-	if !strings.Contains(string(stdout), "42") {
-		t.Fatalf("consume stdout = %q, want the produced answer", stdout)
+	if !strings.Contains(string(task.Stdout), "42") {
+		t.Fatalf("consume stdout = %q, want the produced answer", task.Stdout)
 	}
 
 	disp := Display(o)
@@ -298,14 +298,18 @@ func TestFetchAppletVerified(t *testing.T) {
 	if err := r.gw.InstallApplet(applet); err != nil {
 		t.Fatalf("InstallApplet: %v", err)
 	}
-	got, err := FetchApplet(r.c, r.ca, "LRZ", "jmc")
+	var got protocol.AppletReply
+	if err := protocol.Do(context.Background(), r.c, "LRZ", protocol.OpApplet, protocol.AppletRequest{Name: "jmc"}, &got); err != nil {
+		t.Fatalf("fetching applet: %v", err)
+	}
+	signer, err := r.ca.VerifySignature(got.Payload, got.Signature, pki.RoleSoftware)
 	if err != nil {
-		t.Fatalf("FetchApplet: %v", err)
+		t.Fatalf("verifying applet: %v", err)
 	}
-	if got.Version != "0.9" || got.Signer.CommonName() != "UNICORE Consortium" {
-		t.Fatalf("applet = %+v", got)
+	if got.Version != "0.9" || signer.CommonName() != "UNICORE Consortium" {
+		t.Fatalf("applet = %+v signed by %s", got, signer)
 	}
-	if _, err := FetchApplet(r.c, r.ca, "LRZ", "jpa"); err == nil {
+	if err := protocol.Do(context.Background(), r.c, "LRZ", protocol.OpApplet, protocol.AppletRequest{Name: "jpa"}, &got); err == nil {
 		t.Fatal("fetching a missing applet succeeded")
 	}
 }

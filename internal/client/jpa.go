@@ -10,7 +10,6 @@ import (
 
 	"unicore/internal/ajo"
 	"unicore/internal/core"
-	"unicore/internal/pki"
 	"unicore/internal/protocol"
 	"unicore/internal/resources"
 )
@@ -134,33 +133,4 @@ func newConsignID() string {
 		return fmt.Sprintf("consign-%d-%d", time.Now().UnixNano(), n)
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// VerifiedApplet is a gateway-served applet whose publisher signature has
-// been checked against the CA — the user-side half of Netscape object
-// signing (§5.2): only then is the software trusted.
-type VerifiedApplet struct {
-	Name    string
-	Version string
-	Payload []byte
-	Signer  core.DN
-}
-
-// FetchApplet downloads an applet from a Usite and verifies its signature
-// before returning it. Tampered or unsigned payloads are rejected.
-func FetchApplet(c *protocol.Client, ca *pki.Authority, usite core.Usite, name string) (VerifiedApplet, error) {
-	var reply protocol.AppletReply
-	if err := protocol.Do(context.Background(), c, usite, protocol.OpApplet, protocol.AppletRequest{Name: name}, &reply); err != nil {
-		return VerifiedApplet{}, err
-	}
-	signer, err := ca.VerifySignature(reply.Payload, reply.Signature, pki.RoleSoftware)
-	if err != nil {
-		return VerifiedApplet{}, fmt.Errorf("client: applet %q from %s failed verification: %w", name, usite, err)
-	}
-	return VerifiedApplet{
-		Name:    reply.Name,
-		Version: reply.Version,
-		Payload: reply.Payload,
-		Signer:  signer,
-	}, nil
 }

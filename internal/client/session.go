@@ -462,17 +462,6 @@ func fetchSource(c *protocol.Client, usite core.Usite, job core.JobID, file stri
 	}
 }
 
-// TaskOutput extracts a task's standard output and error from an outcome
-// tree ("the standard output and error files can be listed and/or saved for
-// tasks", §5.7).
-func TaskOutput(root *ajo.Outcome, id ajo.ActionID) (stdout, stderr []byte, err error) {
-	o, ok := root.Find(id)
-	if !ok {
-		return nil, nil, fmt.Errorf("client: no outcome for action %s", id)
-	}
-	return o.Stdout, o.Stderr, nil
-}
-
 // Display renders the JMC's job display: one line per action with the
 // status icon colour, indented by job-group depth — the text equivalent of
 // the coloured-icon tree of §5.7.

@@ -1,9 +1,9 @@
 // Package codine implements the resource-management system of the batch
 // tier. The UNICORE prototype embedded "the resource management system
 // Codine provided by Genias Software GmbH as part of NJS" (paper §5.1); this
-// package provides the equivalent operations — submit, status, hold,
-// release, cancel — on top of a deterministic discrete-event core, plus the
-// queue/slot accounting a site scheduler needs.
+// package provides the operations the NJS drives — submit, observe, cancel —
+// on top of a deterministic discrete-event core, plus the queue/slot
+// accounting a site scheduler needs.
 //
 // Jobs execute through the shell interpreter against the Vsite's file
 // system; the simulated CPU time a script consumes, divided by the machine's
@@ -40,26 +40,29 @@ type JobID int64
 // State is a batch job's lifecycle state.
 type State int
 
+// Batch job states, in lifecycle order.
 const (
+	// StatePending is queued, waiting for slots.
 	StatePending State = iota
-	StateHeld
+	// StateRunning holds slots and executes.
 	StateRunning
+	// StateDone finished with exit code 0.
 	StateDone
+	// StateFailed finished with a non-zero exit code or over its time limit.
 	StateFailed
+	// StateCancelled was cancelled before it finished.
 	StateCancelled
 )
 
-var stateNames = [...]string{"PENDING", "HELD", "RUNNING", "DONE", "FAILED", "CANCELLED"}
+var stateNames = [...]string{"PENDING", "RUNNING", "DONE", "FAILED", "CANCELLED"}
 
+// String returns the state's upper-case name.
 func (s State) String() string {
 	if s < 0 || int(s) >= len(stateNames) {
 		return fmt.Sprintf("State(%d)", int(s))
 	}
 	return stateNames[s]
 }
-
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool { return s == StateDone || s == StateFailed || s == StateCancelled }
 
 // Queue configures one batch queue.
 type Queue struct {
@@ -118,14 +121,18 @@ type Record struct {
 // EventType tags scheduler events.
 type EventType string
 
+// Scheduler events, one per state change.
 const (
+	// EventSubmitted follows a successful Submit.
 	EventSubmitted EventType = "submitted"
-	EventStarted   EventType = "started"
-	EventFinished  EventType = "finished"
-	EventFailed    EventType = "failed"
+	// EventStarted marks a dispatch: the job holds its slots.
+	EventStarted EventType = "started"
+	// EventFinished marks a transition to StateDone.
+	EventFinished EventType = "finished"
+	// EventFailed marks a transition to StateFailed.
+	EventFailed EventType = "failed"
+	// EventCancelled marks a transition to StateCancelled.
 	EventCancelled EventType = "cancelled"
-	EventHeld      EventType = "held"
-	EventReleased  EventType = "released"
 )
 
 // Event is a scheduler occurrence delivered to observers.
@@ -217,9 +224,6 @@ func New(clock sim.Scheduler, cfg Config) (*RMS, error) {
 // Machine returns the configured machine profile.
 func (r *RMS) Machine() machine.Profile { return r.cfg.Machine }
 
-// DefaultQueue returns the first configured queue's name.
-func (r *RMS) DefaultQueue() string { return r.cfg.Queues[0].Name }
-
 // Observe registers an event observer (called synchronously, in order).
 func (r *RMS) Observe(fn func(Event)) {
 	r.mu.Lock()
@@ -279,69 +283,7 @@ func (r *RMS) Submit(spec JobSpec) (JobID, error) {
 	return id, nil
 }
 
-// Status returns the job's current state.
-func (r *RMS) Status(id JobID) (State, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	j, ok := r.jobs[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownJob, id)
-	}
-	return j.state, nil
-}
-
-// Result returns the terminal result of a finished job.
-func (r *RMS) Result(id JobID) (Result, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	j, ok := r.jobs[id]
-	if !ok {
-		return Result{}, fmt.Errorf("%w: %d", ErrUnknownJob, id)
-	}
-	if !j.state.Terminal() {
-		return Result{}, fmt.Errorf("%w: job %d is %s", ErrBadState, id, j.state)
-	}
-	return j.result, nil
-}
-
-// Hold prevents a pending job from being dispatched.
-func (r *RMS) Hold(id JobID) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	j, ok := r.jobs[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownJob, id)
-	}
-	if j.state != StatePending {
-		return fmt.Errorf("%w: hold on %s job", ErrBadState, j.state)
-	}
-	j.state = StateHeld
-	q := r.queues[j.spec.Queue]
-	q.pending = removeID(q.pending, id)
-	r.emitLocked(EventHeld, id)
-	return nil
-}
-
-// Release returns a held job to the pending queue.
-func (r *RMS) Release(id JobID) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	j, ok := r.jobs[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownJob, id)
-	}
-	if j.state != StateHeld {
-		return fmt.Errorf("%w: release on %s job", ErrBadState, j.state)
-	}
-	j.state = StatePending
-	q := r.queues[j.spec.Queue]
-	q.pending = append(q.pending, id)
-	r.emitLocked(EventReleased, id)
-	r.scheduleLocked()
-	return nil
-}
-
-// Cancel terminates a pending, held, or running job.
+// Cancel terminates a pending or running job.
 func (r *RMS) Cancel(id JobID) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -350,7 +292,7 @@ func (r *RMS) Cancel(id JobID) error {
 		return fmt.Errorf("%w: %d", ErrUnknownJob, id)
 	}
 	switch j.state {
-	case StatePending, StateHeld:
+	case StatePending:
 		q := r.queues[j.spec.Queue]
 		q.pending = removeID(q.pending, id)
 	case StateRunning:
@@ -591,34 +533,6 @@ func (r *RMS) Accounting() []Record {
 	return out
 }
 
-// QueueLoad reports used and total slots for a queue.
-func (r *RMS) QueueLoad(name string) (used, total int, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	q, ok := r.queues[name]
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownQueue, name)
-	}
-	return q.used, q.cfg.Slots, nil
-}
-
-// PendingCount reports the queued-but-not-running jobs in a queue.
-func (r *RMS) PendingCount(name string) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	q, ok := r.queues[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownQueue, name)
-	}
-	n := 0
-	for _, id := range q.pending {
-		if r.jobs[id].state == StatePending {
-			n++
-		}
-	}
-	return n, nil
-}
-
 // Load summarises total RMS occupancy as a fraction in [0,1].
 func (r *RMS) Load() float64 {
 	r.mu.Lock()
@@ -634,25 +548,16 @@ func (r *RMS) Load() float64 {
 	return float64(used) / float64(total)
 }
 
-// Backlog reports the total number of jobs waiting (pending or held) across
-// every queue — the queue depth a resource broker weighs against capacity.
+// Backlog reports the total number of jobs pending across every queue — the
+// queue depth a resource broker weighs against capacity.
 func (r *RMS) Backlog() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0
 	for _, j := range r.jobs {
-		if j.state == StatePending || j.state == StateHeld {
+		if j.state == StatePending {
 			n++
 		}
 	}
 	return n
-}
-
-// QueueNames lists the configured queues in configuration order.
-func (r *RMS) QueueNames() []string {
-	names := make([]string, 0, len(r.cfg.Queues))
-	for _, q := range r.cfg.Queues {
-		names = append(names, q.Name)
-	}
-	return names
 }

@@ -40,6 +40,21 @@ func newRig(t *testing.T, cfg Config) *rig {
 	return &rig{clock: clock, fs: fs, rms: rms}
 }
 
+// state reads a job's state.
+func (r *rig) state(id JobID) State {
+	r.rms.mu.Lock()
+	defer r.rms.mu.Unlock()
+	return r.rms.jobs[id].state
+}
+
+// load reads the used and total slots of the queue named batch.
+func (r *rig) load() (used, total int) {
+	r.rms.mu.Lock()
+	defer r.rms.mu.Unlock()
+	q := r.rms.queues["batch"]
+	return q.used, q.cfg.Slots
+}
+
 func (r *rig) spec(script string) JobSpec {
 	return JobSpec{
 		Name: "job", Owner: "alice", Queue: "batch", Slots: 1,
@@ -57,7 +72,7 @@ func TestSubmitRunComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := r.rms.Status(id); st != StateRunning {
+	if st := r.state(id); st != StateRunning {
 		t.Fatalf("state after submit = %s (empty queue should dispatch at once)", st)
 	}
 	r.clock.RunUntilIdle(0)
@@ -125,7 +140,7 @@ func TestParallelWhenSlotsAvailable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	used, total, _ := r.rms.QueueLoad("batch")
+	used, total := r.load()
 	if used != 4 || total != 4 {
 		t.Fatalf("load = %d/%d, want 4/4", used, total)
 	}
@@ -177,17 +192,17 @@ func TestCancelPending(t *testing.T) {
 	r := newRig(t, Config{Queues: []Queue{{Name: "batch", Slots: 1}}})
 	id1, _ := r.rms.Submit(r.spec("cpu 10s"))
 	id2, _ := r.rms.Submit(r.spec("cpu 10s"))
-	if st, _ := r.rms.Status(id2); st != StatePending {
+	if st := r.state(id2); st != StatePending {
 		t.Fatalf("second job state = %s", st)
 	}
 	if err := r.rms.Cancel(id2); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := r.rms.Status(id2); st != StateCancelled {
+	if st := r.state(id2); st != StateCancelled {
 		t.Fatalf("state after cancel = %s", st)
 	}
 	r.clock.RunUntilIdle(0)
-	if st, _ := r.rms.Status(id1); st != StateDone {
+	if st := r.state(id1); st != StateDone {
 		t.Fatalf("first job = %s", st)
 	}
 }
@@ -200,44 +215,15 @@ func TestCancelRunningFreesSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cancelling the hog must let the second job dispatch.
-	if st, _ := r.rms.Status(id2); st != StateRunning {
+	if st := r.state(id2); st != StateRunning {
 		t.Fatalf("second job = %s after cancel", st)
 	}
 	r.clock.RunUntilIdle(0)
-	if st, _ := r.rms.Status(id2); st != StateDone {
+	if st := r.state(id2); st != StateDone {
 		t.Fatalf("second job final = %s", st)
 	}
 	if err := r.rms.Cancel(id2); !errors.Is(err, ErrBadState) {
 		t.Fatalf("cancel done job: %v", err)
-	}
-}
-
-func TestHoldRelease(t *testing.T) {
-	r := newRig(t, Config{Queues: []Queue{{Name: "batch", Slots: 1}}})
-	busy, _ := r.rms.Submit(r.spec("cpu 10s"))
-	id, _ := r.rms.Submit(r.spec("cpu 1s"))
-	if err := r.rms.Hold(id); err != nil {
-		t.Fatal(err)
-	}
-	r.clock.RunUntilIdle(0)
-	if st, _ := r.rms.Status(id); st != StateHeld {
-		t.Fatalf("held job = %s after drain", st)
-	}
-	if st, _ := r.rms.Status(busy); st != StateDone {
-		t.Fatalf("busy job = %s", st)
-	}
-	if err := r.rms.Release(id); err != nil {
-		t.Fatal(err)
-	}
-	r.clock.RunUntilIdle(0)
-	if st, _ := r.rms.Status(id); st != StateDone {
-		t.Fatalf("released job = %s", st)
-	}
-	if err := r.rms.Release(id); !errors.Is(err, ErrBadState) {
-		t.Fatalf("double release: %v", err)
-	}
-	if err := r.rms.Hold(id); !errors.Is(err, ErrBadState) {
-		t.Fatalf("hold done job: %v", err)
 	}
 }
 
@@ -260,25 +246,6 @@ func TestSubmitValidation(t *testing.T) {
 	s.TimeLimit = 48 * time.Hour
 	if _, err := r.rms.Submit(s); !errors.Is(err, ErrOverCapacity) {
 		t.Fatalf("time over MaxTime: %v", err)
-	}
-	if _, err := r.rms.Status(999); !errors.Is(err, ErrUnknownJob) {
-		t.Fatalf("unknown status: %v", err)
-	}
-	if _, err := r.rms.Result(999); !errors.Is(err, ErrUnknownJob) {
-		t.Fatalf("unknown result: %v", err)
-	}
-}
-
-func TestResultOnlyWhenTerminal(t *testing.T) {
-	r := newRig(t, Config{})
-	id, _ := r.rms.Submit(r.spec("cpu 10s"))
-	if _, err := r.rms.Result(id); !errors.Is(err, ErrBadState) {
-		t.Fatalf("result of running job: %v", err)
-	}
-	r.clock.RunUntilIdle(0)
-	res, err := r.rms.Result(id)
-	if err != nil || res.State != StateDone {
-		t.Fatalf("result = %+v, %v", res, err)
 	}
 }
 
@@ -375,7 +342,7 @@ func TestBackfillDoesNotStarveHead(t *testing.T) {
 	narrow.TimeLimit = 4 * time.Hour
 	narrowID, _ := r.rms.Submit(narrow)
 
-	if st, _ := r.rms.Status(narrowID); st != StatePending {
+	if st := r.state(narrowID); st != StatePending {
 		t.Fatalf("greedy narrow job dispatched (%s); would starve the head", st)
 	}
 	r.clock.RunUntilIdle(0)
@@ -424,7 +391,7 @@ func TestSlotsNeverOversubscribed(t *testing.T) {
 			})
 			violated := false
 			r.rms.Observe(func(Event) {
-				used, total, _ := r.rms.QueueLoad("batch")
+				used, total := r.load()
 				if used > total || used < 0 {
 					violated = true
 				}

@@ -195,11 +195,26 @@ func (h *harness) reconcile(t *testing.T) Result {
 // gauge reads one labeled metric value out of a snapshot.
 func gauge(t *testing.T, snap telemetry.Snapshot, name string, kv ...string) float64 {
 	t.Helper()
-	p, ok := snap.Get(name, kv...)
-	if !ok {
-		t.Fatalf("metric %s%v not in snapshot", name, kv)
+	for _, p := range snap.Metrics {
+		if p.Name == name && labelled(p, kv) {
+			return p.Value
+		}
 	}
-	return p.Value
+	t.Fatalf("metric %s%v not in snapshot", name, kv)
+	return 0
+}
+
+// labelled reports whether p's labels are exactly the key/value pairs kv.
+func labelled(p telemetry.MetricPoint, kv []string) bool {
+	if len(p.Labels) != len(kv)/2 {
+		return false
+	}
+	for i := 0; i+1 < len(kv); i += 2 {
+		if v, ok := p.Labels[kv[i]]; !ok || v != kv[i+1] {
+			return false
+		}
+	}
+	return true
 }
 
 func simpleSite(replicas int, auto *deploy.AutoscaleSpec) deploy.TopologySite {
@@ -397,7 +412,7 @@ func TestRollingGenerationBump(t *testing.T) {
 	}
 	set, _ := h.router.Set("T3E")
 	for _, tag := range set.Names() {
-		if set.Draining(tag) {
+		if st, _ := set.DrainStatus(tag); st.Draining {
 			t.Fatalf("replica %s left draining after the roll completed", tag)
 		}
 	}

@@ -106,7 +106,7 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	if cfg.Clock == nil {
 		return nil, errors.New("controller: nil clock")
 	}
-	users, err := deploy.BuildUsers(site.Usite, site.Users, cfg.Clock)
+	users, err := deploy.BuildUsers(site.Users)
 	if err != nil {
 		return nil, err
 	}

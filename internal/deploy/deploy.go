@@ -52,8 +52,8 @@ func Machine(name string, processors int) (machine.Profile, error) {
 
 // BuildUsers assembles a site's UUDB from its declared user mappings — the
 // piece of a site description BuildSite and controller.Stack share.
-func BuildUsers(usite core.Usite, mappings []UserMapping, clock sim.Scheduler) (*uudb.DB, error) {
-	users := uudb.New(usite, clock)
+func BuildUsers(mappings []UserMapping) (*uudb.DB, error) {
+	users := uudb.New()
 	for _, u := range mappings {
 		users.AddUser(u.DN, u.Email)
 		for vs, login := range u.Logins {
@@ -85,7 +85,7 @@ func newNJS(cfg njs.Config, store *journal.Store, snapshotEvery int) (*njs.NJS, 
 // (peers) is complete, and owns the store — snapshot and close it on
 // shutdown.
 func BuildSite(site *TopologySite, cred *pki.Credential, ca *pki.Authority, clock sim.Scheduler, stateDir string, snapshotEvery int) (*gateway.Gateway, *njs.NJS, *journal.Store, error) {
-	users, err := BuildUsers(site.Usite, site.Users, clock)
+	users, err := BuildUsers(site.Users)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"unicore/internal/ajo"
 	"unicore/internal/client"
+	"unicore/internal/codine"
 	"unicore/internal/core"
 	"unicore/internal/pki"
 	"unicore/internal/pool"
@@ -122,9 +124,15 @@ func TestBuildSiteEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("CLUSTER vsite missing")
 	}
-	names := vs.RMS.QueueNames()
-	if len(names) != 2 || names[0] != "fast" || names[1] != "batch" {
-		t.Fatalf("queues = %v", names)
+	for _, q := range []string{"fast", "batch"} {
+		spec := codine.JobSpec{Owner: "alice", Queue: q, Script: "true", WorkDir: "/", FS: vs.Space.FS()}
+		if _, err := vs.RMS.Submit(spec); err != nil {
+			t.Fatalf("queue %s: %v", q, err)
+		}
+	}
+	spec := codine.JobSpec{Owner: "alice", Queue: "default", Script: "true", WorkDir: "/", FS: vs.Space.FS()}
+	if _, err := vs.RMS.Submit(spec); !errors.Is(err, codine.ErrUnknownQueue) {
+		t.Fatalf("queue default: %v", err)
 	}
 }
 

@@ -170,9 +170,6 @@ func New(cfg Config) (*Federation, error) {
 // fed_forward_total, fed_forward_ack_seconds, fed_peer_stale).
 func (f *Federation) Registry() *telemetry.Registry { return f.reg }
 
-// Usite returns the local site.
-func (f *Federation) Usite() core.Usite { return f.cfg.Usite }
-
 // BindLocal wires the local serving tier in: pages lists the local resource
 // catalog, loads the per-Vsite live load. The gateway calls this when the
 // federation is attached.

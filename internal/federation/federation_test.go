@@ -60,7 +60,7 @@ func ad(origin core.Usite, epoch uint64, hops int, vsites ...string) protocol.Fe
 func peerAds(f *Federation) map[core.Usite]protocol.FedAd {
 	out := map[core.Usite]protocol.FedAd{}
 	for _, a := range f.KnownAds() {
-		if a.Origin != f.Usite() {
+		if a.Origin != f.cfg.Usite {
 			out[a.Origin] = a
 		}
 	}

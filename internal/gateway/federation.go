@@ -44,9 +44,6 @@ func (g *Gateway) SetFederation(f *federation.Federation) {
 	g.fed.Store(f)
 }
 
-// Federation returns the attached federation membership, or nil.
-func (g *Gateway) Federation() *federation.Federation { return g.fed.Load() }
-
 // vsiteLoadsOf snapshots one backend's per-Vsite load in wire form (shared
 // by the MsgLoad reply and the federation's self-advertisements).
 func (g *Gateway) vsiteLoadsOf(svc njs.Service) map[string]protocol.VsiteLoad {

@@ -92,14 +92,6 @@ func SignApplet(publisher *pki.Credential, name, version string, payload []byte)
 	return Applet{Name: name, Version: version, Payload: payload, Signature: sig}, nil
 }
 
-// Stats counts gateway traffic, by message type and by rejection cause.
-type Stats struct {
-	Requests  int64
-	Rejected  int64
-	ByType    map[protocol.MsgType]int64
-	ByFailure map[string]int64
-}
-
 // Config assembles a gateway.
 type Config struct {
 	Usite core.Usite
@@ -198,14 +190,6 @@ func (g *Gateway) svc() njs.Service { return g.backend.Load().svc }
 // *njs.NJS or a pool.Router over replica sets.
 func (g *Gateway) Backend() njs.Service { return g.svc() }
 
-// NJS returns the network job supervisor currently behind this gateway, or
-// nil when the backend is a replica pool rather than a single NJS (use
-// Backend for the general form).
-func (g *Gateway) NJS() *njs.NJS {
-	n, _ := g.svc().(*njs.NJS)
-	return n
-}
-
 // SetBackend swaps the server tier behind the gateway — the restart path: a
 // recovered NJS (njs.Recover) or a rebuilt router takes over from the dead
 // one without the gateway or its clients noticing anything beyond the
@@ -249,9 +233,6 @@ func (g *Gateway) Metrics() []telemetry.Snapshot {
 // Usite returns the site this gateway fronts.
 func (g *Gateway) Usite() core.Usite { return g.usite }
 
-// DN returns the gateway's server identity.
-func (g *Gateway) DN() core.DN { return g.cred.DN() }
-
 // MapLogin resolves a user DN to the local login at a Vsite — the security
 // servlet's defining function. It is installed into the NJS so that the
 // mapping stays at the security tier.
@@ -282,23 +263,6 @@ func (g *Gateway) AppletNames() []string {
 	g.appletMu.RUnlock()
 	sort.Strings(names)
 	return names
-}
-
-// Stats returns a snapshot of the traffic counters. Only message types that
-// have been seen appear in the maps.
-func (g *Gateway) Stats() Stats {
-	s := Stats{ByType: make(map[protocol.MsgType]int64), ByFailure: make(map[string]int64)}
-	for _, p := range g.tel.Snapshot().Metrics {
-		switch p.Name {
-		case "gateway_requests_total":
-			s.Requests += int64(p.Value)
-			s.ByType[protocol.MsgType(p.Labels["type"])] = int64(p.Value)
-		case "gateway_rejected_total":
-			s.Rejected += int64(p.Value)
-			s.ByFailure[p.Labels["cause"]] = int64(p.Value)
-		}
-	}
-	return s
 }
 
 // count records one verified request; t is a row of the operation table or

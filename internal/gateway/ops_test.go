@@ -39,20 +39,19 @@ func TestUnknownTypesShareOneCounter(t *testing.T) {
 		}
 	}
 	send(0)
-	types, causes := len(s.gw.Stats().ByType), len(s.gw.Stats().ByFailure)
-	series := len(s.gw.Telemetry().Snapshot().Metrics)
+	before := len(s.gw.Telemetry().Snapshot().Metrics)
 	for i := 1; i < 1000; i++ {
 		send(i)
 	}
-	st := s.gw.Stats()
-	if len(st.ByType) != types || len(st.ByFailure) != causes {
-		t.Fatalf("after 1000 bogus types: %d types, %d causes; after one: %d, %d", len(st.ByType), len(st.ByFailure), types, causes)
+	snap := s.gw.Telemetry().Snapshot()
+	if got := len(snap.Metrics); got != before {
+		t.Fatalf("after 1000 bogus types the scrape has %d series; after one: %d", got, before)
 	}
-	if got := len(s.gw.Telemetry().Snapshot().Metrics); got != series {
-		t.Fatalf("after 1000 bogus types the scrape has %d series; after one: %d", got, series)
-	}
-	if st.ByType[unknownType] != 1000 || st.ByFailure[string(unknownType)] != 1000 || st.Requests != 1000 || st.Rejected != 1000 {
-		t.Fatalf("stats = %+v, want 1000 requests, all rejected as %q", st, unknownType)
+	typed := series(snap, "gateway_requests_total", "type", string(unknownType))
+	refused := series(snap, "gateway_rejected_total", "cause", string(unknownType))
+	requests, rejected := snap.Total("gateway_requests_total"), snap.Total("gateway_rejected_total")
+	if typed != 1000 || refused != 1000 || requests != 1000 || rejected != 1000 {
+		t.Fatalf("%v requests (%v as %q), %v rejected (%v as %[3]q); want 1000 of each", requests, typed, unknownType, rejected, refused)
 	}
 }
 
@@ -100,7 +99,7 @@ func newGrid(t *testing.T) *grid {
 		if err != nil {
 			t.Fatalf("IssueServer: %v", err)
 		}
-		users := uudb.New(site.usite, g.clock)
+		users := uudb.New()
 		for _, u := range []*pki.Credential{g.alice, g.bob} {
 			users.AddUser(u.DN(), "user@grid")
 			if err := users.AddMapping(u.DN(), site.vsite, uudb.Login{UID: "u", Groups: []string{"grid"}}); err != nil {
@@ -314,7 +313,7 @@ func TestBothDoorsAgree(t *testing.T) {
 		}
 		uploads[vsite] = opened.Handle
 	}
-	if _, pinned := g.gw["FZJ"].Federation().StagePeer(uploads["SP2"]); !pinned {
+	if _, pinned := g.gw["FZJ"].fed.Load().StagePeer(uploads["SP2"]); !pinned {
 		t.Fatal("the upload for DWD's Vsite was not pinned to the peer")
 	}
 	scenarios := []struct {
@@ -354,9 +353,9 @@ func TestBothDoorsAgree(t *testing.T) {
 			req, viaEnvelope := row.probe(sc.job, sc.handle)
 			_, viaFrame := row.probe(sc.job, sc.handle)
 			errEnvelope := envelopes.call(context.Background(), "FZJ", msg, req, viaEnvelope)
-			before, posted := frameCount(), g.gw["FZJ"].Stats().Requests
+			before, posted := frameCount(), g.gw["FZJ"].Telemetry().Snapshot().Total("gateway_requests_total")
 			errFrame := frames.call(context.Background(), "FZJ", msg, req, viaFrame)
-			if frameCount() == before || g.gw["FZJ"].Stats().Requests != posted {
+			if frameCount() == before || g.gw["FZJ"].Telemetry().Snapshot().Total("gateway_requests_total") != posted {
 				t.Errorf("%s / %s: the wire table frames this op, but the call reached the gateway as an envelope", sc.name, msg)
 			}
 			if fmt.Sprint(errEnvelope) != fmt.Sprint(errFrame) {

@@ -106,8 +106,8 @@ func TestSplitEndToEnd(t *testing.T) {
 	if poll.Summary.Status != ajo.StatusSuccessful {
 		t.Fatalf("status = %s, want SUCCESSFUL", poll.Summary.Status)
 	}
-	if hellos, posts := s.gauge("gateway_stream_hellos_total", "role", "user"), s.gw.Stats().Requests; hellos != 1 || posts != 0 {
-		t.Fatalf("inner gateway saw %v stream hellos and %d envelopes, want the one spliced stream", hellos, posts)
+	if hellos, posts := s.gauge("gateway_stream_hellos_total", "role", "user"), s.gw.Telemetry().Snapshot().Total("gateway_requests_total"); hellos != 1 || posts != 0 {
+		t.Fatalf("inner gateway saw %v stream hellos and %v envelopes, want the one spliced stream", hellos, posts)
 	}
 }
 

@@ -5,7 +5,8 @@
 // runs, so authorisation, federation relaying, and error texts are identical
 // on both paths. Stream traffic is observable through dedicated telemetry
 // counters (gateway_stream_*) and deliberately never counts into
-// Stats().ByType — that map remains a census of signed envelopes.
+// gateway_requests_total — that counter remains a census of signed
+// envelopes.
 package gateway
 
 import (

@@ -108,11 +108,11 @@ func TestUndecodableReplyDropsTheStream(t *testing.T) {
 	if got := snap.Total("gateway_stream_hellos_total"); got != 2 {
 		t.Errorf("%v stream hellos, want 2: the poisoned stream was kept", got)
 	}
-	if p, _ := snap.Get("gateway_stream_frames_total", "kind", "call"); p.Value != 3 {
-		t.Errorf("%v call frames, want 3: the consign, the list and its one replay", p.Value)
+	if got := series(snap, "gateway_stream_frames_total", "kind", "call"); got != 3 {
+		t.Errorf("%v call frames, want 3: the consign, the list and its one replay", got)
 	}
-	if got := s.gw.Stats().Requests; got != 0 {
-		t.Errorf("%d envelopes reached the gateway, want none", got)
+	if got := snap.Total("gateway_requests_total"); got != 0 {
+		t.Errorf("%v envelopes reached the gateway, want none", got)
 	}
 
 	// A peer that garbles every reply exhausts the budget: the error names it.
@@ -194,8 +194,8 @@ func TestLostReplyReplaysLikeTheEnvelopeRetry(t *testing.T) {
 			t.Fatal("no reply was lost: the fault never fired")
 		}
 		if streams {
-			if posts := s.gw.Stats().Requests; posts != 0 {
-				t.Errorf("%d envelopes reached the gateway; one replay on a fresh stream should do", posts)
+			if posts := s.gw.Telemetry().Snapshot().Total("gateway_requests_total"); posts != 0 {
+				t.Errorf("%v envelopes reached the gateway; one replay on a fresh stream should do", posts)
 			}
 			if hellos := s.gw.Telemetry().Snapshot().Total("gateway_stream_hellos_total"); hellos != 3 {
 				t.Errorf("%v stream hellos, want 3: one redial per severed stream", hellos)
@@ -385,8 +385,8 @@ func TestRefusedEnvelopeIsCountedAtBothDoors(t *testing.T) {
 			if got := snap.HistCount("pki_verify_seconds"); got != 1 {
 				t.Errorf("pki_verify_seconds observations = %d, want 1", got)
 			}
-			if p, _ := snap.Get("gateway_rejected_total", "cause", "authentication"); p.Value != 1 {
-				t.Errorf(`gateway_rejected_total{cause="authentication"} = %v, want 1`, p.Value)
+			if got := series(snap, "gateway_rejected_total", "cause", "authentication"); got != 1 {
+				t.Errorf(`gateway_rejected_total{cause="authentication"} = %v, want 1`, got)
 			}
 			if got := snap.Total("gateway_stream_hellos_total"); got != 0 {
 				t.Errorf("gateway_stream_hellos_total = %v for a refused caller, want 0", got)

@@ -143,8 +143,8 @@ func TestForeignVersionRefused(t *testing.T) {
 					if n := s.gw.Telemetry().Snapshot().Total("pki_verify_total"); n != 0 {
 						t.Fatalf("%v foreign-version envelopes crossed the firewall", n)
 					}
-				} else if n := s.gw.Stats().ByFailure["authentication"]; n != 1 {
-					t.Fatalf("gateway counted %d authentication rejections, want 1", n)
+				} else if n := series(s.gw.Telemetry().Snapshot(), "gateway_rejected_total", "cause", "authentication"); n != 1 {
+					t.Fatalf("gateway counted %v authentication rejections, want 1", n)
 				}
 			})
 		}

@@ -59,7 +59,7 @@ func newPair(t *testing.T) *pair {
 		if err != nil {
 			t.Fatalf("IssueServer: %v", err)
 		}
-		users := uudb.New(usite, clock)
+		users := uudb.New()
 		users.AddUser(alice.DN(), "")
 		if err := users.AddMapping(alice.DN(), "T3E", uudb.Login{UID: "alice"}); err != nil {
 			t.Fatalf("AddMapping: %v", err)

@@ -39,9 +39,13 @@ var (
 // users, server systems, and software developers.
 type Role string
 
+// The three roles a certificate is issued for.
 const (
-	RoleUser     Role = "user"
-	RoleServer   Role = "server"
+	// RoleUser identifies a person; the gateway maps its DN to logins.
+	RoleUser Role = "user"
+	// RoleServer identifies a gateway or NJS endpoint.
+	RoleServer Role = "server"
+	// RoleSoftware signs applets (§5.2's object signing).
 	RoleSoftware Role = "software"
 )
 

@@ -74,14 +74,6 @@ func (s *ReplicaSet) Undrain(name string) error {
 	return nil
 }
 
-// Draining reports whether a replica is currently drained.
-func (s *ReplicaSet) Draining(name string) bool {
-	s.mu.RLock()
-	r, ok := s.byName[name]
-	s.mu.RUnlock()
-	return ok && r.draining.Load()
-}
-
 // DrainStatus reports how far a replica's drain has settled.
 func (s *ReplicaSet) DrainStatus(name string) (DrainStatus, error) {
 	s.mu.RLock()

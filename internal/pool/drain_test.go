@@ -54,8 +54,8 @@ func TestDrainStopsNewWorkKeepsOwnedWork(t *testing.T) {
 	if err := set.Drain("r1"); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if !set.Draining("r1") {
-		t.Fatal("Draining(r1) = false after Drain")
+	if st, _ := set.DrainStatus("r1"); !st.Draining {
+		t.Fatal("DrainStatus(r1).Draining = false after Drain")
 	}
 	if h := set.Healthy(); len(h) != 2 {
 		t.Fatalf("Healthy() = %v, want the two undrained replicas", h)

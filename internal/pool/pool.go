@@ -162,9 +162,6 @@ type Replica struct {
 	openUntil time.Time // breaker open until this instant; zero = closed
 }
 
-// Name returns the replica's stable pool name.
-func (r *Replica) Name() string { return r.name }
-
 // service returns the current service behind the replica.
 func (r *Replica) service() njs.Service { return r.svc.Load().(serviceBox).svc }
 

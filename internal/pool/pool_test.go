@@ -534,7 +534,9 @@ func TestRouterRoutesAcrossVsitesAndReportsHealth(t *testing.T) {
 	// still serves B.
 	all[0].setDown(true)
 	all[1].setDown(true)
-	router.CheckNow()
+	for _, set := range router.Sets() {
+		set.CheckNow()
+	}
 	if got := router.VsiteLoads()["A"]; got.Healthy != 0 || got.Replicas != 2 {
 		t.Fatalf("VsiteLoads[A] after drain = %+v, want 0 healthy of 2", got)
 	}

@@ -119,13 +119,6 @@ func (r *Router) SetLoginMapper(fn njs.LoginMapper) {
 	}
 }
 
-// CheckNow actively health-checks every replica of every set once.
-func (r *Router) CheckNow() {
-	for _, set := range r.Sets() {
-		set.CheckNow()
-	}
-}
-
 // StartHealthChecks arms the active health-check loop on every set (for
 // real-clock daemons; see ReplicaSet.StartHealthChecks).
 func (r *Router) StartHealthChecks() {

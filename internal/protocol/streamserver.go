@@ -73,7 +73,7 @@ type StreamServerOpts struct {
 	Usite core.Usite
 	// OnFrame, when set, observes every inbound post-handshake frame kind —
 	// the telemetry hook. Stream frames are deliberately not envelope
-	// requests and never count into gateway Stats().ByType.
+	// requests and never count into gateway_requests_total.
 	OnFrame func(kind byte)
 }
 

@@ -29,9 +29,6 @@ type Request struct {
 	TempDiskMB int           // temporary disk space, MiB
 }
 
-// IsZero reports whether the request demands nothing.
-func (r Request) IsZero() bool { return r == Request{} }
-
 // Max returns the component-wise maximum of two requests.
 func (r Request) Max(o Request) Request {
 	if o.Processors > r.Processors {
@@ -72,6 +69,7 @@ func (r Request) WithDefaults(d Request) Request {
 	return r
 }
 
+// String renders the request on one line for logs and error messages.
 func (r Request) String() string {
 	return fmt.Sprintf("cpus=%d time=%s mem=%dMB perm=%dMB temp=%dMB",
 		r.Processors, r.RunTime, r.MemoryMB, r.PermDiskMB, r.TempDiskMB)
@@ -93,10 +91,14 @@ func (rg Range) Contains(v int) bool {
 // SoftwareKind classifies a resource-page software entry.
 type SoftwareKind string
 
+// The software kinds a resource page lists.
 const (
+	// KindCompiler is a compiler the Vsite offers to CompileTasks.
 	KindCompiler SoftwareKind = "compiler"
-	KindLibrary  SoftwareKind = "library"
-	KindPackage  SoftwareKind = "package" // application packages: Gaussian, ANSYS, ...
+	// KindLibrary is a library LinkTasks can bind.
+	KindLibrary SoftwareKind = "library"
+	// KindPackage is an application package: Gaussian, ANSYS, ...
+	KindPackage SoftwareKind = "package"
 )
 
 // Software describes one installed compiler, library, or package.
@@ -303,16 +305,5 @@ func (c *Catalog) Targets() []core.Target {
 		out = append(out, t)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
-// Satisfying returns the targets whose pages satisfy the request, sorted.
-func (c *Catalog) Satisfying(r Request) []core.Target {
-	var out []core.Target
-	for _, t := range c.Targets() {
-		if c.pages[t].Check(r) == nil {
-			out = append(out, t)
-		}
-	}
 	return out
 }

@@ -170,15 +170,12 @@ func TestCatalog(t *testing.T) {
 	if _, ok := c.Get(core.Target{Usite: "FZJ", Vsite: "T3E"}); !ok {
 		t.Fatal("Get failed")
 	}
-	// 256 processors only fits the T3E.
-	hits := c.Satisfying(Request{Processors: 256})
-	if len(hits) != 1 || hits[0].Vsite != "T3E" {
-		t.Fatalf("Satisfying = %v", hits)
+	// 256 processors only fits the T3E; 1 GiB memory only fits the SP2.
+	if t3e.Check(Request{Processors: 256}) != nil || sp2.Check(Request{Processors: 256}) == nil {
+		t.Fatal("256 processors should fit the T3E only")
 	}
-	// 1 GiB memory only fits the SP2.
-	hits = c.Satisfying(Request{MemoryMB: 1024})
-	if len(hits) != 1 || hits[0].Vsite != "SP2" {
-		t.Fatalf("Satisfying(mem) = %v", hits)
+	if t3e.Check(Request{MemoryMB: 1024}) == nil || sp2.Check(Request{MemoryMB: 1024}) != nil {
+		t.Fatal("1 GiB memory should fit the SP2 only")
 	}
 }
 

@@ -19,7 +19,6 @@ package shell
 import (
 	"fmt"
 	"path"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -429,14 +428,4 @@ func runBinary(ctx *Ctx, name string, args []string) int {
 		}
 	}
 	return code
-}
-
-// ToolNames returns the sorted names of registered tools (for diagnostics).
-func (ctx *Ctx) ToolNames() []string {
-	out := make([]string, 0, len(ctx.Tools))
-	for n := range ctx.Tools {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -50,6 +50,7 @@ func (RealClock) AfterFunc(d time.Duration, f func()) Timer {
 
 type realTimer struct{ t *time.Timer }
 
+// Stop cancels the timer; it reports whether the call stopped it.
 func (r realTimer) Stop() bool { return r.t.Stop() }
 
 // Epoch is the default start time of a VirtualClock: an arbitrary fixed
@@ -57,7 +58,7 @@ func (r realTimer) Stop() bool { return r.t.Stop() }
 var Epoch = time.Date(1999, time.August, 3, 9, 0, 0, 0, time.UTC)
 
 // VirtualClock is a deterministic discrete-event clock. Callbacks scheduled
-// with AfterFunc fire only inside Advance, Step, or RunUntilIdle, on the
+// with AfterFunc fire only inside Advance or RunUntilIdle, on the
 // goroutine that called them. Callbacks may schedule further callbacks.
 //
 // The zero value is not usable; call NewVirtualClock.
@@ -84,17 +85,28 @@ type event struct {
 	dead bool
 }
 
+// eventHeap orders pending events by due time, then by scheduling order; it
+// implements container/heap's interface.
 type eventHeap []*event
 
+// Len is the number of events in the heap.
 func (h eventHeap) Len() int { return len(h) }
+
+// Less orders by due time, FIFO among events due at the same instant.
 func (h eventHeap) Less(i, j int) bool {
 	if !h[i].when.Equal(h[j].when) {
 		return h[i].when.Before(h[j].when)
 	}
 	return h[i].seq < h[j].seq
 }
+
+// Swap exchanges two events.
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
+
+// Push appends an event (container/heap restores the order).
+func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
+
+// Pop removes the last event (container/heap moved the earliest there).
 func (h *eventHeap) Pop() (popped any) {
 	old := *h
 	n := len(old)
@@ -115,6 +127,7 @@ type virtualTimer struct {
 	ev *event
 }
 
+// Stop cancels the event; it reports whether the event had not fired yet.
 func (t virtualTimer) Stop() bool {
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
@@ -143,27 +156,6 @@ func (c *VirtualClock) AfterFunc(d time.Duration, f func()) Timer {
 	return virtualTimer{c, ev}
 }
 
-// Pending returns the number of live scheduled events.
-func (c *VirtualClock) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, ev := range c.events {
-		if !ev.dead {
-			n++
-		}
-	}
-	return n
-}
-
-// NextEvent returns the due time of the earliest live event, and false when
-// no events are pending.
-func (c *VirtualClock) NextEvent() (time.Time, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nextLiveLocked()
-}
-
 // Advance moves virtual time forward by d, firing every event that falls due
 // in order, and returns the number fired. Events scheduled by callbacks for
 // instants inside the window also fire.
@@ -177,22 +169,6 @@ func (c *VirtualClock) Advance(d time.Duration) int {
 	c.now = deadline
 	c.mu.Unlock()
 	return fired
-}
-
-// Step advances directly to the next pending event and fires every event due
-// at that instant. It reports whether anything fired.
-func (c *VirtualClock) Step() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	next, ok := c.nextLiveLocked()
-	if !ok {
-		return false
-	}
-	c.fireUntilLocked(next)
-	if c.now.Before(next) {
-		c.now = next
-	}
-	return true
 }
 
 // RunUntilIdle fires events (stepping time forward as needed) until no events
@@ -264,16 +240,4 @@ func (c *VirtualClock) fireUntilLocked(deadline time.Time) int {
 		fired++
 	}
 	return fired
-}
-
-// Sleep is a convenience for code that wants a blocking wait on any
-// Scheduler: on a RealClock it really sleeps; on a VirtualClock it panics,
-// because virtual-time code must never block the driving goroutine.
-func Sleep(s Scheduler, d time.Duration) {
-	switch s.(type) {
-	case RealClock, *RealClock:
-		time.Sleep(d)
-	default:
-		panic("sim: Sleep on a virtual clock; restructure with AfterFunc")
-	}
 }

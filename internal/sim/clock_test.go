@@ -95,20 +95,6 @@ func TestCallbackMaySchedule(t *testing.T) {
 	}
 }
 
-func TestStepAdvancesToNextEvent(t *testing.T) {
-	c := NewVirtualClock()
-	c.AfterFunc(3*time.Hour, func() {})
-	if !c.Step() {
-		t.Fatal("Step found no event")
-	}
-	if got := c.Now().Sub(Epoch); got != 3*time.Hour {
-		t.Fatalf("Now advanced by %v, want 3h", got)
-	}
-	if c.Step() {
-		t.Fatal("Step fired with empty queue")
-	}
-}
-
 func TestRunUntilIdle(t *testing.T) {
 	c := NewVirtualClock()
 	total := 0
@@ -119,8 +105,8 @@ func TestRunUntilIdle(t *testing.T) {
 	if fired != 10 || total != 10 {
 		t.Fatalf("fired=%d total=%d, want 10/10", fired, total)
 	}
-	if c.Pending() != 0 {
-		t.Fatalf("%d events left pending", c.Pending())
+	if n := c.RunUntilIdle(0); n != 0 {
+		t.Fatalf("%d events were left pending", n)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,18 +80,6 @@ type Snapshot struct {
 	Spans []Span `json:"spans,omitempty"`
 }
 
-// Get returns the point registered under name and the given key/value
-// label pairs.
-func (s Snapshot) Get(name string, kv ...string) (MetricPoint, bool) {
-	want := string(appendKey(nil, name, kv))
-	for _, p := range s.Metrics {
-		if key(p.Name, p.Labels) == want {
-			return p, true
-		}
-	}
-	return MetricPoint{}, false
-}
-
 // Total sums Value across every label set of a counter or gauge name.
 func (s Snapshot) Total(name string) float64 {
 	var t float64
@@ -114,42 +101,6 @@ func (s Snapshot) HistCount(name string) uint64 {
 		}
 	}
 	return n
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) of a histogram by merging
-// every label set of name and taking the upper bound of the bucket where
-// the cumulative count crosses q. Returns 0 when the histogram is empty
-// or absent.
-func (s Snapshot) Quantile(name string, q float64) float64 {
-	var merged []Bucket
-	for _, p := range s.Metrics {
-		if p.Name != name || p.Kind != KindHistogram {
-			continue
-		}
-		merged = mergeBuckets(merged, p.Buckets)
-	}
-	var total uint64
-	for _, b := range merged {
-		total += b.Count
-	}
-	if total == 0 {
-		return 0
-	}
-	want := uint64(math.Ceil(q * float64(total)))
-	if want < 1 {
-		want = 1
-	}
-	var cum uint64
-	for i, b := range merged {
-		cum += b.Count
-		if cum >= want {
-			if math.IsInf(b.LE, 1) && i > 0 {
-				return merged[i-1].LE
-			}
-			return b.LE
-		}
-	}
-	return merged[len(merged)-1].LE
 }
 
 // Trace returns the snapshot's spans matching one trace ID.

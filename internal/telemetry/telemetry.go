@@ -81,9 +81,6 @@ func New(origin string) *Registry {
 	return r
 }
 
-// Origin returns the component label stamped on snapshots and spans.
-func (r *Registry) Origin() string { return r.origin }
-
 // SetNow replaces the clock used to stamp spans and snapshots. Virtual
 // clock testbeds point this at sim.Clock.Now; durations are unaffected
 // (they are always wall-measured).
@@ -226,9 +223,6 @@ type Gauge struct{ v atomic.Int64 }
 
 // Set replaces the level.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the level by delta (negative to decrement).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }

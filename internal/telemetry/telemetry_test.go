@@ -29,7 +29,7 @@ func TestConcurrentIncrements(t *testing.T) {
 			h := r.Histogram("lat_seconds", ScaleSeconds)
 			for i := 0; i < per; i++ {
 				c.Inc()
-				ga.Add(1)
+				ga.Inc()
 				h.Observe(0.001)
 			}
 		}()
@@ -42,7 +42,11 @@ func TestConcurrentIncrements(t *testing.T) {
 		t.Fatalf("gauge = %d, want %d", got, goroutines*per)
 	}
 	h := r.Histogram("lat_seconds", ScaleSeconds)
-	if got := h.Count(); got != goroutines*per {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	if got := n; got != goroutines*per {
 		t.Fatalf("histogram count = %d, want %d", got, goroutines*per)
 	}
 	if want := float64(goroutines*per) * 0.001; math.Abs(h.Sum()-want) > 1e-6 {
@@ -86,6 +90,18 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
+// point returns the snapshot's point registered under name and the given
+// key/value label pairs.
+func point(s Snapshot, name string, kv ...string) (MetricPoint, bool) {
+	want := string(appendKey(nil, name, kv))
+	for _, p := range s.Metrics {
+		if key(p.Name, p.Labels) == want {
+			return p, true
+		}
+	}
+	return MetricPoint{}, false
+}
+
 func TestSnapshotIsolation(t *testing.T) {
 	r := New("iso")
 	c := r.Counter("events", "kind", "a")
@@ -99,20 +115,20 @@ func TestSnapshotIsolation(t *testing.T) {
 	h.Observe(1 << 20)
 	r.Counter("events", "kind", "b").Inc()
 
-	p, ok := snap.Get("events", "kind", "a")
+	p, ok := point(snap, "events", "kind", "a")
 	if !ok || p.Value != 5 {
 		t.Fatalf("snapshot counter = %+v, want value 5", p)
 	}
-	if _, ok := snap.Get("events", "kind", "b"); ok {
+	if _, ok := point(snap, "events", "kind", "b"); ok {
 		t.Fatalf("snapshot grew a metric created after Snapshot()")
 	}
-	hp, ok := snap.Get("sizes_bytes")
+	hp, ok := point(snap, "sizes_bytes")
 	if !ok || hp.Count != 1 || hp.Sum != 100 {
 		t.Fatalf("snapshot histogram = %+v, want count 1 sum 100", hp)
 	}
 	// Mutating the snapshot's labels must not leak back into the registry.
 	p.Labels["kind"] = "mutated"
-	if p2, _ := r.Snapshot().Get("events", "kind", "a"); p2.Value != 105 {
+	if p2, _ := point(r.Snapshot(), "events", "kind", "a"); p2.Value != 105 {
 		t.Fatalf("registry counter after snapshot mutation = %+v", p2)
 	}
 }
@@ -217,31 +233,6 @@ func TestMergeAcrossOrigins(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	r := New("q")
-	h := r.Histogram("lat_seconds", ScaleSeconds)
-	for i := 0; i < 99; i++ {
-		h.Observe(0.001) // all in the ≤1024µs bucket
-	}
-	h.Observe(0.5) // one slow outlier
-	s := r.Snapshot()
-	p50 := s.Quantile("lat_seconds", 0.50)
-	p99 := s.Quantile("lat_seconds", 0.99)
-	p999 := s.Quantile("lat_seconds", 0.999)
-	if p50 > 0.002 {
-		t.Fatalf("p50 = %g, want ≤ 2ms bucket bound", p50)
-	}
-	if p99 > 0.002 {
-		t.Fatalf("p99 = %g, want ≤ 2ms bucket bound", p99)
-	}
-	if p999 < 0.5 {
-		t.Fatalf("p99.9 = %g, want ≥ 0.5", p999)
-	}
-	if got := s.Quantile("missing", 0.99); got != 0 {
-		t.Fatalf("quantile of missing metric = %g, want 0", got)
-	}
-}
-
 func TestTraceSpansAndRingBound(t *testing.T) {
 	r := New("gw")
 	base := time.Date(1999, 8, 3, 9, 0, 0, 0, time.UTC)
@@ -264,7 +255,7 @@ func TestTraceSpansAndRingBound(t *testing.T) {
 	// Untraced ctx records nothing and End on nil is safe.
 	r.StartSpan(context.Background(), "noop").End()
 
-	spans := r.Trace("abc123")
+	spans := r.Snapshot().Trace("abc123")
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans, want 1", len(spans))
 	}
@@ -345,7 +336,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if got := out.HistCount("consign_ack_seconds"); got != 1 {
 		t.Fatalf("consign_ack_seconds count = %d after round trip, want 1", got)
 	}
-	p, ok := out.Get("consign_ack_seconds")
+	p, ok := point(out, "consign_ack_seconds")
 	if !ok || len(p.Buckets) == 0 {
 		t.Fatal("histogram buckets lost in round trip")
 	}

@@ -153,17 +153,6 @@ func (r *Registry) Spans() []Span {
 	return out
 }
 
-// Trace returns this registry's spans for one trace ID, in recording order.
-func (r *Registry) Trace(id string) []Span {
-	var out []Span
-	for _, sp := range r.Spans() {
-		if sp.Trace == id {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
 // SortSpans orders spans for cross-registry presentation: by start time,
 // then origin, then per-registry sequence.
 func SortSpans(spans []Span) {

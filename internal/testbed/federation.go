@@ -64,6 +64,8 @@ func (g *gate) setMode(m int32) {
 	}
 }
 
+// ServeStream serves a frame stream unless the gate is dead, in which case
+// the connection is closed at once.
 func (g *gate) ServeStream(ctx context.Context, conn net.Conn) {
 	// Checked after Wrap, so a kill racing this accept either is seen here or
 	// finds the connection in the set it severs.
@@ -75,6 +77,7 @@ func (g *gate) ServeStream(ctx context.Context, conn net.Conn) {
 	g.inner.ServeStream(ctx, conn)
 }
 
+// ServeHTTP serves an envelope POST according to the gate's mode.
 func (g *gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch g.mode.Load() {
 	case gateDead:

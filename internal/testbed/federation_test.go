@@ -100,8 +100,14 @@ func TestFederatedAutoPlacement(t *testing.T) {
 	}
 	// And the forward shows in the origin's federation telemetry.
 	snap := d.Federation("FZJ").Registry().Snapshot()
-	if p, ok := snap.Get("fed_forward_total", "peer", "DWD"); !ok || p.Value != 1 {
-		t.Fatalf("fed_forward_total{peer=DWD} = %+v, want 1", p)
+	forwards := -1.0
+	for _, p := range snap.Metrics {
+		if p.Name == "fed_forward_total" && len(p.Labels) == 1 && p.Labels["peer"] == "DWD" {
+			forwards = p.Value
+		}
+	}
+	if forwards != 1 {
+		t.Fatalf("fed_forward_total{peer=DWD} = %v, want 1", forwards)
 	}
 }
 
@@ -247,9 +253,9 @@ func TestFederatedConsignSurvivesPeerGatewayRestart(t *testing.T) {
 func onlyGossipIsPosted(t *testing.T, d *Deployment, u core.Usite) {
 	t.Helper()
 	gw := d.Sites[u].Gateway
-	for typ, n := range gw.Stats().ByType {
-		if typ != protocol.MsgFedAdvertise && n != 0 {
-			t.Errorf("%s served %d %s envelopes; every forwarded hop rides the stream", u, n, typ)
+	for _, p := range gw.Telemetry().Snapshot().Metrics {
+		if typ := p.Labels["type"]; p.Name == "gateway_requests_total" && typ != string(protocol.MsgFedAdvertise) && p.Value != 0 {
+			t.Errorf("%s served %v %s envelopes; every forwarded hop rides the stream", u, p.Value, typ)
 		}
 	}
 	if gw.Telemetry().Snapshot().Total("gateway_stream_frames_total") == 0 {

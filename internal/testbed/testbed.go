@@ -16,7 +16,6 @@ import (
 
 	"unicore/internal/accounting"
 	"unicore/internal/client"
-	"unicore/internal/codine"
 	"unicore/internal/core"
 	"unicore/internal/deploy"
 	"unicore/internal/federation"
@@ -134,7 +133,7 @@ func (d *Deployment) deploySite(spec SiteSpec) (*Site, error) {
 	if err != nil {
 		return nil, err
 	}
-	users := uudb.New(spec.Usite, d.Clock)
+	users := uudb.New()
 	n, err := njs.New(njs.Config{Usite: spec.Usite, Clock: d.Clock, Vsites: spec.Vsites})
 	if err != nil {
 		return nil, err
@@ -448,6 +447,3 @@ func ReplicatedSite(usite core.Usite, vsite core.Vsite, nodes, replicas int, pol
 	}, usite, "")
 	return d, err
 }
-
-// QueueConfig is re-exported for site specs that want custom queues.
-type QueueConfig = codine.Queue

@@ -14,6 +14,7 @@ import (
 	"unicore/internal/client"
 	"unicore/internal/core"
 	"unicore/internal/deploy"
+	"unicore/internal/pki"
 	"unicore/internal/protocol"
 	"unicore/internal/resources"
 )
@@ -276,8 +277,12 @@ func TestSplitSiteRidesTheStream(t *testing.T) {
 		// everything past the first fetch has to be pushed.
 		gw := d.Sites[usite].Gateway
 		gauge := func(name string, kv ...string) float64 {
-			p, _ := gw.Telemetry().Snapshot().Get(name, kv...)
-			return p.Value
+			for _, p := range gw.Telemetry().Snapshot().Metrics {
+				if p.Name == name && len(p.Labels) == len(kv)/2 && (len(kv) == 0 || p.Labels[kv[0]] == kv[1]) {
+					return p.Value
+				}
+			}
+			return 0
 		}
 		for gauge("gateway_longpoll_active") < 1 {
 			time.Sleep(time.Millisecond)
@@ -314,8 +319,8 @@ func TestSplitSiteRidesTheStream(t *testing.T) {
 				t.Errorf("inner gateway %s%v = %v, want %v", series.name, series.kv, got, series.want)
 			}
 		}
-		if n := gw.Stats().Requests; n != 0 {
-			t.Errorf("inner gateway counted %d envelopes, want 0: an op fell off the stream", n)
+		if n := gw.Telemetry().Snapshot().Total("gateway_requests_total"); n != 0 {
+			t.Errorf("inner gateway counted %v envelopes, want 0: an op fell off the stream", n)
 		}
 		return got
 	}
@@ -485,15 +490,16 @@ func TestAppletDistribution(t *testing.T) {
 		t.Fatalf("NewUser: %v", err)
 	}
 	c := d.UserClient(user)
-	applet, err := client.FetchApplet(c, d.CA, "DEMO", "jpa")
-	if err != nil {
-		t.Fatalf("FetchApplet: %v", err)
+	var applet protocol.AppletReply
+	if err := protocol.Do(context.Background(), c, "DEMO", protocol.OpApplet, protocol.AppletRequest{Name: "jpa"}, &applet); err != nil {
+		t.Fatalf("fetching applet: %v", err)
 	}
 	if !strings.Contains(string(applet.Payload), "signed jpa applet") {
 		t.Fatalf("payload = %q", applet.Payload)
 	}
-	if applet.Signer.CommonName() != "UNICORE Consortium" {
-		t.Fatalf("signer = %s", applet.Signer)
+	signer, err := d.CA.VerifySignature(applet.Payload, applet.Signature, pki.RoleSoftware)
+	if err != nil || signer.CommonName() != "UNICORE Consortium" {
+		t.Fatalf("signer = %s, %v", signer, err)
 	}
 }
 

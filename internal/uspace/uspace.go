@@ -26,57 +26,40 @@ var (
 	ErrJobExists = errors.New("uspace: job directory already exists")
 )
 
+// The roots of every Space: users' home directories (the Xspace) and the
+// per-job directories (the Uspace).
+const (
+	xspaceRoot = "/home"
+	uspaceRoot = "/uspace"
+	jobPrefix  = uspaceRoot + "/" // JobDir's prefix
+)
+
 // Space is the data space of one Vsite.
 type Space struct {
-	fs         *vfs.FS
-	xspaceRoot string
-	uspaceRoot string
-	jobPrefix  string // cleaned uspaceRoot ending in "/": JobDir's prefix
-}
-
-// Option configures a Space.
-type Option func(*Space)
-
-// WithRoots overrides the default /home (Xspace) and /uspace roots.
-func WithRoots(xspace, uspaceRoot string) Option {
-	return func(s *Space) {
-		s.xspaceRoot = xspace
-		s.uspaceRoot = uspaceRoot
-	}
+	fs *vfs.FS
 }
 
 // New creates a Space on fs, creating both roots.
-func New(fs *vfs.FS, opts ...Option) (*Space, error) {
-	s := &Space{fs: fs, xspaceRoot: "/home", uspaceRoot: "/uspace"}
-	for _, o := range opts {
-		o(s)
-	}
-	if err := fs.MkdirAll(s.xspaceRoot); err != nil {
+func New(fs *vfs.FS) (*Space, error) {
+	if err := fs.MkdirAll(xspaceRoot); err != nil {
 		return nil, fmt.Errorf("uspace: creating Xspace root: %w", err)
 	}
-	if err := fs.MkdirAll(s.uspaceRoot); err != nil {
+	if err := fs.MkdirAll(uspaceRoot); err != nil {
 		return nil, fmt.Errorf("uspace: creating Uspace root: %w", err)
 	}
-	s.jobPrefix = path.Clean(s.uspaceRoot)
-	if s.jobPrefix != "/" {
-		s.jobPrefix += "/"
-	}
-	return s, nil
+	return &Space{fs: fs}, nil
 }
 
 // FS exposes the underlying file system (the batch tier runs on it).
 func (s *Space) FS() *vfs.FS { return s.fs }
 
-// XspaceRoot returns the Xspace root path.
-func (s *Space) XspaceRoot() string { return s.xspaceRoot }
-
 // UspaceRoot returns the Uspace root path (the parent of every job
 // directory).
-func (s *Space) UspaceRoot() string { return s.uspaceRoot }
+func (s *Space) UspaceRoot() string { return uspaceRoot }
 
 // JobDir returns the Uspace directory path for a job.
 func (s *Space) JobDir(job core.JobID) string {
-	return s.jobPrefix + string(job)
+	return jobPrefix + string(job)
 }
 
 // CreateJobDir creates the per-job Uspace directory — "create a UNICORE job
@@ -92,25 +75,20 @@ func (s *Space) CreateJobDir(job core.JobID) (string, error) {
 	return dir, nil
 }
 
-// RemoveJobDir deletes a job's Uspace and everything in it.
-func (s *Space) RemoveJobDir(job core.JobID) error {
-	return s.fs.RemoveAll(s.JobDir(job))
-}
-
 // jobPath resolves a Uspace-relative path, refusing escapes. The cleaned
 // rel is appended to the job dir, so the result is one string and the job
 // dir is checked on its prefix. An escape is refused before the job dir is
 // looked up.
 func (s *Space) jobPath(job core.JobID, rel string) (string, error) {
 	c := path.Clean(rel)
-	dir := len(s.jobPrefix) + len(job)
+	dir := len(jobPrefix) + len(job)
 	if strings.HasPrefix(c, "/") {
 		return "", fmt.Errorf("%w: %q (must be Uspace-relative)", ErrEscape, rel)
 	}
 	if c == ".." || strings.HasPrefix(c, "../") {
 		return "", fmt.Errorf("%w: %q", ErrEscape, rel)
 	}
-	p := s.jobPrefix + string(job) + "/" + c
+	p := jobPrefix + string(job) + "/" + c
 	if c == "." {
 		p = p[:dir]
 	}
@@ -130,11 +108,11 @@ func (s *Space) xspacePath(p string) (string, error) {
 	if cp == "/" {
 		return "", fmt.Errorf("%w: empty Xspace path", ErrEscape)
 	}
-	if cp != s.xspaceRoot && !strings.HasPrefix(cp, s.xspaceRoot+"/") {
-		cp = path.Join(s.xspaceRoot, cp)
+	if cp != xspaceRoot && !strings.HasPrefix(cp, xspaceRoot+"/") {
+		cp = path.Join(xspaceRoot, cp)
 	}
-	if cp != s.xspaceRoot && !strings.HasPrefix(cp, s.xspaceRoot+"/") {
-		return "", fmt.Errorf("%w: %q outside Xspace %s", ErrEscape, p, s.xspaceRoot)
+	if cp != xspaceRoot && !strings.HasPrefix(cp, xspaceRoot+"/") {
+		return "", fmt.Errorf("%w: %q outside Xspace %s", ErrEscape, p, xspaceRoot)
 	}
 	return cp, nil
 }
@@ -240,20 +218,6 @@ func (s *Space) StatJobFile(job core.JobID, rel string) (vfs.FileInfo, error) {
 		return vfs.FileInfo{}, err
 	}
 	return s.fs.Stat(p)
-}
-
-// ListJobFiles returns every file in a job's Uspace, recursively.
-func (s *Space) ListJobFiles(job core.JobID) ([]vfs.FileInfo, error) {
-	dir := s.JobDir(job)
-	if !s.fs.Exists(dir) {
-		return nil, fmt.Errorf("%w: %s", ErrNoJobDir, job)
-	}
-	var out []vfs.FileInfo
-	err := s.fs.Walk(dir, func(fi vfs.FileInfo) error {
-		out = append(out, fi)
-		return nil
-	})
-	return out, err
 }
 
 // WriteXspace seeds a file into the Xspace (site administration / test

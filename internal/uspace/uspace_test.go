@@ -130,41 +130,8 @@ func TestMissingJobDir(t *testing.T) {
 	if err := s.ImportInline("GHOST", "f", []byte("x")); !errors.Is(err, ErrNoJobDir) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := s.ListJobFiles("GHOST"); !errors.Is(err, ErrNoJobDir) {
-		t.Fatalf("list err = %v", err)
-	}
-}
-
-func TestRemoveJobDir(t *testing.T) {
-	s := newSpace(t)
-	_, _ = s.CreateJobDir("J1")
-	_ = s.WriteJobFile("J1", "f", []byte("x"))
-	if err := s.RemoveJobDir("J1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ReadJobFile("J1", "f"); !errors.Is(err, ErrNoJobDir) {
-		t.Fatalf("read after remove: %v", err)
-	}
-	// Removing again is a no-op.
-	if err := s.RemoveJobDir("J1"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestListJobFiles(t *testing.T) {
-	s := newSpace(t)
-	_, _ = s.CreateJobDir("J1")
-	_ = s.WriteJobFile("J1", "a.txt", []byte("1"))
-	_ = s.WriteJobFile("J1", "sub/b.txt", []byte("22"))
-	files, err := s.ListJobFiles("J1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 2 {
-		t.Fatalf("%d files", len(files))
-	}
-	if files[0].Path != "/uspace/J1/a.txt" || files[1].Path != "/uspace/J1/sub/b.txt" {
-		t.Fatalf("files = %+v", files)
+	if _, err := s.StatJobFile("GHOST", "f"); !errors.Is(err, ErrNoJobDir) {
+		t.Fatalf("stat err = %v", err)
 	}
 }
 
@@ -175,35 +142,6 @@ func TestStatJobFile(t *testing.T) {
 	fi, err := s.StatJobFile("J1", "f")
 	if err != nil || fi.Size != 3 {
 		t.Fatalf("stat = %+v, %v", fi, err)
-	}
-}
-
-func TestCustomRoots(t *testing.T) {
-	fs := vfs.New(sim.NewVirtualClock())
-	s, err := New(fs, WithRoots("/data/home", "/data/uspace"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.XspaceRoot() != "/data/home" {
-		t.Fatalf("xspace root = %q", s.XspaceRoot())
-	}
-	dir, _ := s.CreateJobDir("J")
-	if dir != "/data/uspace/J" {
-		t.Fatalf("job dir = %q", dir)
-	}
-	if err := s.WriteXspace("/data/home/u/f", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	// A path under the *default* root is confined under the custom root
-	// rather than escaping to it.
-	if err := s.WriteXspace("/home/u/f", []byte("x")); err != nil {
-		t.Fatalf("confined write failed: %v", err)
-	}
-	if fs.Exists("/home/u/f") {
-		t.Fatal("write escaped the custom Xspace root")
-	}
-	if !fs.Exists("/data/home/home/u/f") {
-		t.Fatal("confined write did not land under the custom root")
 	}
 }
 

@@ -11,22 +11,17 @@
 package uudb
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 
 	"unicore/internal/core"
-	"unicore/internal/sim"
 )
 
 // Errors reported by lookups and updates.
 var (
 	ErrUnknownUser  = errors.New("uudb: distinguished name not registered")
 	ErrNoMapping    = errors.New("uudb: no login mapping for vsite")
-	ErrUserBlocked  = errors.New("uudb: user blocked at this site")
 	ErrDuplicateMap = errors.New("uudb: mapping already present")
 )
 
@@ -39,47 +34,20 @@ type Login struct {
 
 // entry is the per-user record.
 type entry struct {
-	Email    string               `json:"email,omitempty"`
-	Blocked  bool                 `json:"blocked,omitempty"`
-	Mappings map[core.Vsite]Login `json:"mappings"`
-	Extra    map[string]string    `json:"extra,omitempty"` // site-specific authentication hints (smart card, DCE)
-}
-
-// AuditRecord logs every successful or failed mapping decision, since the
-// gateway is the site's security boundary.
-type AuditRecord struct {
-	Time    time.Time
-	DN      core.DN
-	Vsite   core.Vsite
-	UID     string
-	Allowed bool
-	Reason  string
+	Email    string
+	Mappings map[core.Vsite]Login
 }
 
 // DB is one site's user database. It is safe for concurrent use.
 type DB struct {
 	mu      sync.RWMutex
-	usite   core.Usite
-	clock   sim.Clock
 	entries map[core.DN]*entry
-	audit   []AuditRecord
 }
 
-// New creates an empty database for the given Usite. A nil clock uses the
-// real clock.
-func New(usite core.Usite, clock sim.Clock) *DB {
-	if clock == nil {
-		clock = sim.RealClock{}
-	}
-	return &DB{
-		usite:   usite,
-		clock:   clock,
-		entries: make(map[core.DN]*entry),
-	}
+// New creates an empty database.
+func New() *DB {
+	return &DB{entries: make(map[core.DN]*entry)}
 }
-
-// Usite returns the site this database belongs to.
-func (db *DB) Usite() core.Usite { return db.usite }
 
 // AddUser registers a DN (idempotent).
 func (db *DB) AddUser(dn core.DN, email string) {
@@ -91,8 +59,7 @@ func (db *DB) AddUser(dn core.DN, email string) {
 }
 
 // AddMapping installs the login for dn at vsite. The DN is registered if
-// needed. Re-mapping an existing (dn, vsite) pair fails with ErrDuplicateMap;
-// use ReplaceMapping for administrative updates.
+// needed. Re-mapping an existing (dn, vsite) pair fails with ErrDuplicateMap.
 func (db *DB) AddMapping(dn core.DN, vsite core.Vsite, login Login) error {
 	if login.UID == "" {
 		return fmt.Errorf("uudb: empty uid for %s at %s", dn, vsite)
@@ -111,148 +78,18 @@ func (db *DB) AddMapping(dn core.DN, vsite core.Vsite, login Login) error {
 	return nil
 }
 
-// ReplaceMapping overwrites (or creates) the login for dn at vsite.
-func (db *DB) ReplaceMapping(dn core.DN, vsite core.Vsite, login Login) error {
-	if login.UID == "" {
-		return fmt.Errorf("uudb: empty uid for %s at %s", dn, vsite)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	e, ok := db.entries[dn]
-	if !ok {
-		e = &entry{Mappings: map[core.Vsite]Login{}}
-		db.entries[dn] = e
-	}
-	e.Mappings[vsite] = login
-	return nil
-}
-
-// RemoveMapping removes the mapping of dn at vsite (no-op when absent).
-func (db *DB) RemoveMapping(dn core.DN, vsite core.Vsite) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if e, ok := db.entries[dn]; ok {
-		delete(e.Mappings, vsite)
-	}
-}
-
-// Block marks a user as blocked at this site; Map refuses until Unblock.
-func (db *DB) Block(dn core.DN) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if e, ok := db.entries[dn]; ok {
-		e.Blocked = true
-	}
-}
-
-// Unblock clears the blocked flag.
-func (db *DB) Unblock(dn core.DN) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if e, ok := db.entries[dn]; ok {
-		e.Blocked = false
-	}
-}
-
-// Map translates a DN to the local login at vsite, recording an audit entry
-// either way. This is the gateway's central operation (paper §4.2).
+// Map translates a DN to the local login at vsite. This is the gateway's
+// central operation (paper §4.2).
 func (db *DB) Map(dn core.DN, vsite core.Vsite) (Login, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	rec := AuditRecord{Time: db.clock.Now(), DN: dn, Vsite: vsite}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	e, ok := db.entries[dn]
 	if !ok {
-		rec.Reason = "unknown DN"
-		db.audit = append(db.audit, rec)
 		return Login{}, fmt.Errorf("%w: %s", ErrUnknownUser, dn)
-	}
-	if e.Blocked {
-		rec.Reason = "blocked"
-		db.audit = append(db.audit, rec)
-		return Login{}, fmt.Errorf("%w: %s", ErrUserBlocked, dn)
 	}
 	login, ok := e.Mappings[vsite]
 	if !ok {
-		rec.Reason = "no mapping for vsite"
-		db.audit = append(db.audit, rec)
 		return Login{}, fmt.Errorf("%w: %s at %s", ErrNoMapping, dn, vsite)
 	}
-	rec.Allowed = true
-	rec.UID = login.UID
-	db.audit = append(db.audit, rec)
 	return login, nil
-}
-
-// Users returns all registered DNs, sorted.
-func (db *DB) Users() []core.DN {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]core.DN, 0, len(db.entries))
-	for dn := range db.entries {
-		out = append(out, dn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Vsites returns the Vsites dn can log into, sorted.
-func (db *DB) Vsites(dn core.DN) []core.Vsite {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	e, ok := db.entries[dn]
-	if !ok {
-		return nil
-	}
-	out := make([]core.Vsite, 0, len(e.Mappings))
-	for v := range e.Mappings {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Audit returns a copy of the audit log.
-func (db *DB) Audit() []AuditRecord {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]AuditRecord, len(db.audit))
-	copy(out, db.audit)
-	return out
-}
-
-// --- Persistence (the site administrator maintains the database) ---
-
-type fileFormat struct {
-	Usite   core.Usite         `json:"usite"`
-	Entries map[core.DN]*entry `json:"entries"`
-}
-
-// MarshalJSON serialises the whole database.
-func (db *DB) MarshalJSON() ([]byte, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return json.Marshal(fileFormat{Usite: db.usite, Entries: db.entries})
-}
-
-// Load replaces the database contents from a serialised form.
-func (db *DB) Load(data []byte) error {
-	var ff fileFormat
-	if err := json.Unmarshal(data, &ff); err != nil {
-		return fmt.Errorf("uudb: decoding database: %w", err)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if ff.Usite != "" {
-		db.usite = ff.Usite
-	}
-	db.entries = ff.Entries
-	if db.entries == nil {
-		db.entries = map[core.DN]*entry{}
-	}
-	for _, e := range db.entries {
-		if e.Mappings == nil {
-			e.Mappings = map[core.Vsite]Login{}
-		}
-	}
-	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"unicore/internal/core"
-	"unicore/internal/sim"
 )
 
 var (
@@ -15,7 +14,7 @@ var (
 	bob   = core.MakeDN("Bob", "RUS", "DE")
 )
 
-func newDB() *DB { return New("FZJ", sim.NewVirtualClock()) }
+func newDB() *DB { return New() }
 
 func TestMapHappyPath(t *testing.T) {
 	db := newDB()
@@ -64,12 +63,8 @@ func TestDuplicateMappingRejected(t *testing.T) {
 	if err := db.AddMapping(alice, "T3E", Login{UID: "other"}); !errors.Is(err, ErrDuplicateMap) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := db.ReplaceMapping(alice, "T3E", Login{UID: "other"}); err != nil {
-		t.Fatalf("ReplaceMapping: %v", err)
-	}
-	l, _ := db.Map(alice, "T3E")
-	if l.UID != "other" {
-		t.Fatalf("uid after replace = %q", l.UID)
+	if l, _ := db.Map(alice, "T3E"); l.UID != "alice" {
+		t.Fatalf("uid after rejected re-map = %q", l.UID)
 	}
 }
 
@@ -80,129 +75,37 @@ func TestEmptyUIDRejected(t *testing.T) {
 	}
 }
 
-func TestBlockUnblock(t *testing.T) {
-	db := newDB()
-	_ = db.AddMapping(alice, "T3E", Login{UID: "alice"})
-	db.Block(alice)
-	if _, err := db.Map(alice, "T3E"); !errors.Is(err, ErrUserBlocked) {
-		t.Fatalf("blocked map err = %v", err)
-	}
-	db.Unblock(alice)
-	if _, err := db.Map(alice, "T3E"); err != nil {
-		t.Fatalf("unblocked map err = %v", err)
-	}
-}
-
-func TestRemoveMapping(t *testing.T) {
-	db := newDB()
-	_ = db.AddMapping(alice, "T3E", Login{UID: "alice"})
-	db.RemoveMapping(alice, "T3E")
-	if _, err := db.Map(alice, "T3E"); !errors.Is(err, ErrNoMapping) {
-		t.Fatalf("err after remove = %v", err)
-	}
-}
-
-func TestUsersAndVsitesSorted(t *testing.T) {
-	db := newDB()
-	_ = db.AddMapping(bob, "VPP", Login{UID: "bob"})
-	_ = db.AddMapping(alice, "T3E", Login{UID: "alice"})
-	_ = db.AddMapping(alice, "SX4", Login{UID: "alice2"})
-	users := db.Users()
-	if len(users) != 2 || users[0] != alice {
-		t.Fatalf("Users = %v", users)
-	}
-	vsites := db.Vsites(alice)
-	if fmt.Sprint(vsites) != "[SX4 T3E]" {
-		t.Fatalf("Vsites = %v", vsites)
-	}
-	if got := db.Vsites(core.DN("CN=nobody")); got != nil {
-		t.Fatalf("Vsites(unknown) = %v", got)
-	}
-}
-
-func TestAuditTrail(t *testing.T) {
-	db := newDB()
-	_ = db.AddMapping(alice, "T3E", Login{UID: "alice"})
-	_, _ = db.Map(alice, "T3E") // allowed
-	_, _ = db.Map(bob, "T3E")   // unknown
-	db.Block(alice)
-	_, _ = db.Map(alice, "T3E") // blocked
-	recs := db.Audit()
-	if len(recs) != 3 {
-		t.Fatalf("audit entries = %d, want 3", len(recs))
-	}
-	if !recs[0].Allowed || recs[0].UID != "alice" {
-		t.Fatalf("first record = %+v", recs[0])
-	}
-	if recs[1].Allowed || recs[1].Reason != "unknown DN" {
-		t.Fatalf("second record = %+v", recs[1])
-	}
-	if recs[2].Allowed || recs[2].Reason != "blocked" {
-		t.Fatalf("third record = %+v", recs[2])
-	}
-}
-
-func TestPersistenceRoundTrip(t *testing.T) {
-	db := newDB()
-	_ = db.AddMapping(alice, "T3E", Login{UID: "alice", Groups: []string{"hpc"}, Project: "zam"})
-	_ = db.AddMapping(bob, "VPP", Login{UID: "bob"})
-	db.Block(bob)
-	data, err := db.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	db2 := New("", sim.NewVirtualClock())
-	if err := db2.Load(data); err != nil {
-		t.Fatal(err)
-	}
-	if db2.Usite() != "FZJ" {
-		t.Fatalf("usite after load = %q", db2.Usite())
-	}
-	l, err := db2.Map(alice, "T3E")
-	if err != nil || l.UID != "alice" || l.Project != "zam" {
-		t.Fatalf("mapping after load = %+v, %v", l, err)
-	}
-	if _, err := db2.Map(bob, "VPP"); !errors.Is(err, ErrUserBlocked) {
-		t.Fatalf("blocked flag lost: %v", err)
-	}
-}
-
-func TestLoadGarbage(t *testing.T) {
-	db := newDB()
-	if err := db.Load([]byte("{not json")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-// Property: Map succeeds exactly for the (dn, vsite) pairs added and not
-// removed, for any interleaving of adds and removes.
+// Property: Map succeeds exactly for the (dn, vsite) pairs added, and the
+// first login added for a pair is the one it maps to, for any sequence of
+// adds.
 func TestQuickMapReflectsMutations(t *testing.T) {
 	type op struct {
-		Add   bool
 		User  uint8
 		Vsite uint8
+		UID   uint8
 	}
 	f := func(ops []op) bool {
 		db := newDB()
-		want := map[string]bool{}
+		want := map[string]string{}
 		for _, o := range ops {
 			dn := core.MakeDN(fmt.Sprintf("u%d", o.User%5), "O", "DE")
 			vs := core.Vsite(fmt.Sprintf("v%d", o.Vsite%4))
 			key := string(dn) + "|" + string(vs)
-			if o.Add {
-				_ = db.ReplaceMapping(dn, vs, Login{UID: "x"})
-				want[key] = true
-			} else {
-				db.RemoveMapping(dn, vs)
-				delete(want, key)
+			uid := fmt.Sprintf("x%d", o.UID)
+			err := db.AddMapping(dn, vs, Login{UID: uid})
+			if _, dup := want[key]; dup != errors.Is(err, ErrDuplicateMap) {
+				return false
+			}
+			if err == nil {
+				want[key] = uid
 			}
 		}
 		for u := 0; u < 5; u++ {
 			for v := 0; v < 4; v++ {
 				dn := core.MakeDN(fmt.Sprintf("u%d", u), "O", "DE")
 				vs := core.Vsite(fmt.Sprintf("v%d", v))
-				_, err := db.Map(dn, vs)
-				if want[string(dn)+"|"+string(vs)] != (err == nil) {
+				l, err := db.Map(dn, vs)
+				if uid, ok := want[string(dn)+"|"+string(vs)]; ok != (err == nil) || l.UID != uid {
 					return false
 				}
 			}

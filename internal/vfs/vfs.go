@@ -476,40 +476,6 @@ func (fs *FS) List(p string) ([]FileInfo, error) {
 	return out, nil
 }
 
-// Walk visits every file (not directories) under root in sorted path order.
-func (fs *FS) Walk(root string, visit func(FileInfo) error) error {
-	fs.mu.RLock()
-	n, cp, err := fs.lookup(root)
-	if err != nil {
-		fs.mu.RUnlock()
-		return err
-	}
-	var infos []FileInfo
-	var rec func(n *node, p string)
-	rec = func(n *node, p string) {
-		if !n.dir {
-			infos = append(infos, fs.infoLocked(n, p))
-			return
-		}
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			rec(n.children[name], childPath(p, name))
-		}
-	}
-	rec(n, cp)
-	fs.mu.RUnlock()
-	for _, fi := range infos {
-		if err := visit(fi); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Remove deletes a file or an empty directory.
 func (fs *FS) Remove(p string) error {
 	fs.mu.Lock()
@@ -588,30 +554,6 @@ func (fs *FS) Rename(oldp, newp string) error {
 // Copy duplicates the file at src to dst within this FS (see CopyBetween).
 func (fs *FS) Copy(dst, src string) error { return CopyBetween(fs, dst, fs, src) }
 
-// CopyTree recursively copies the directory (or file) at src to dst.
-func (fs *FS) CopyTree(dst, src string) error {
-	info, err := fs.Stat(src)
-	if err != nil {
-		return err
-	}
-	if !info.IsDir {
-		return fs.Copy(dst, src)
-	}
-	if err := fs.MkdirAll(dst); err != nil {
-		return err
-	}
-	entries, err := fs.List(src)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if err := fs.CopyTree(path.Join(dst, e.Name), e.Path); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // CopyBetween copies a single file across file systems (e.g. a transfer
 // between the Uspaces of two Vsites). The copy shares the source's immutable
 // buffer and its checksum; the destination's quota is charged in full.
@@ -621,17 +563,6 @@ func CopyBetween(dst *FS, dstPath string, src *FS, srcPath string) error {
 		return err
 	}
 	return dst.put(dstPath, data, crc, true)
-}
-
-// TreeSize returns the total content bytes under p.
-func (fs *FS) TreeSize(p string) (int64, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	n, _, err := fs.lookup(p)
-	if err != nil {
-		return 0, err
-	}
-	return subtreeSize(n), nil
 }
 
 func subtreeSize(n *node) int64 {

@@ -219,35 +219,20 @@ func TestListSorted(t *testing.T) {
 	}
 }
 
-func TestWalk(t *testing.T) {
+func TestCopy(t *testing.T) {
 	fs := newFS()
-	_ = fs.MkdirAll("/a/b")
-	_ = fs.WriteFile("/a/x", []byte("1"))
-	_ = fs.WriteFile("/a/b/y", []byte("22"))
-	var paths []string
-	err := fs.Walk("/", func(fi FileInfo) error {
-		paths = append(paths, fi.Path)
-		return nil
-	})
-	if err != nil {
+	_ = fs.MkdirAll("/src")
+	_ = fs.MkdirAll("/dst")
+	_ = fs.WriteFile("/src/g", []byte("gg"))
+	if err := fs.Copy("/dst/g", "/src/g"); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(paths) != "[/a/b/y /a/x]" {
-		t.Fatalf("Walk order = %v", paths)
-	}
-}
-
-func TestCopyAndCopyTree(t *testing.T) {
-	fs := newFS()
-	_ = fs.MkdirAll("/src/deep")
-	_ = fs.WriteFile("/src/f", []byte("f"))
-	_ = fs.WriteFile("/src/deep/g", []byte("gg"))
-	if err := fs.CopyTree("/dst", "/src"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.ReadFile("/dst/deep/g")
+	got, err := fs.ReadFile("/dst/g")
 	if err != nil || string(got) != "gg" {
-		t.Fatalf("copied tree read: %q, %v", got, err)
+		t.Fatalf("copied file read: %q, %v", got, err)
+	}
+	if fs.Used() != 4 {
+		t.Fatalf("Used() = %d after a copy, want 4: the copy is charged", fs.Used())
 	}
 }
 
@@ -267,17 +252,6 @@ func TestCopyBetween(t *testing.T) {
 	sb, _ := b.Stat("/u/data")
 	if sa.CRC != sb.CRC {
 		t.Fatal("CRCs differ after cross-FS copy")
-	}
-}
-
-func TestTreeSize(t *testing.T) {
-	fs := newFS()
-	_ = fs.MkdirAll("/a/b")
-	_ = fs.WriteFile("/a/f", bytes.Repeat([]byte("x"), 10))
-	_ = fs.WriteFile("/a/b/g", bytes.Repeat([]byte("y"), 5))
-	n, err := fs.TreeSize("/a")
-	if err != nil || n != 15 {
-		t.Fatalf("TreeSize = %d, %v", n, err)
 	}
 }
 
@@ -315,8 +289,7 @@ func TestQuickUsedInvariant(t *testing.T) {
 				_ = fs.Remove(p)
 			}
 		}
-		total, _ := fs.TreeSize("/")
-		return fs.Used() == total
+		return fs.Used() == subtreeSize(fs.root)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,7 @@
 // Command docscheck fails when an exported identifier in the given packages
-// lacks a doc comment. CI runs it over the packages whose godoc is part of
-// the repository's documentation contract (internal/pool, internal/broker,
-// internal/gateway, internal/events, internal/client, internal/staging,
-// internal/telemetry, internal/controller, internal/deploy,
-// internal/analysis...); a declaration group's comment covers its members,
-// as godoc renders it.
+// lacks a doc comment. CI runs it over every directory under internal/
+// (testdata excluded); a declaration group's comment covers its members, as
+// godoc renders it.
 //
 // Usage: go run ./tools/docscheck <package dir>...
 package main

@@ -68,24 +68,19 @@ func main() {
 		}
 	}
 
-	pkgs, err := analysis.List(patterns...)
+	pkgs, err := analysis.NewLoader().LoadAll(patterns...)
 	if err != nil {
 		fatal(err)
 	}
-	loader := analysis.NewLoader()
 	findings := 0
-	for _, lp := range pkgs {
+	for _, pkg := range pkgs {
 		// The suite analyzes shipped sources; the checker tooling itself
 		// (this driver, the analyzers, their fixtures) is exercised by its
 		// own tests instead — skipping it keeps fixture-like shapes from
 		// double-reporting.
-		if strings.HasPrefix(lp.ImportPath, "unicore/internal/analysis") ||
-			strings.HasPrefix(lp.ImportPath, "unicore/tools/unilint") {
+		if path := pkg.Pkg.Path(); strings.HasPrefix(path, "unicore/internal/analysis") ||
+			strings.HasPrefix(path, "unicore/tools/unilint") {
 			continue
-		}
-		pkg, err := loader.Load(lp.Dir, lp.ImportPath)
-		if err != nil {
-			fatal(err)
 		}
 		diags, err := analysis.Run(suite, pkg)
 		if err != nil {

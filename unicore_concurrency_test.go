@@ -19,7 +19,7 @@ import (
 // goroutine advances the virtual clock (the clock's contract allows only one
 // driving goroutine; everything else is genuinely concurrent). It asserts
 // per-job isolation (every client's List shows exactly its own jobs, all
-// successful) and that the gateway's lock-free Stats() totals stay
+// successful) and that the gateway's lock-free request counters stay
 // consistent. Run with -race: this is the regression test for the sharded
 // NJS registry and the atomic gateway counters.
 func TestConcurrentClientsStress(t *testing.T) {
@@ -134,24 +134,28 @@ func TestConcurrentClientsStress(t *testing.T) {
 		}
 	}
 
-	// Stats consistency: every request is counted exactly once, by type.
-	st := d.Sites["FZJ"].Gateway.Stats()
-	var byType int64
-	for _, v := range st.ByType {
-		byType += v
+	// Every request is counted exactly once, by type, and none was rejected.
+	var requests, byType float64
+	for _, p := range d.Sites["FZJ"].Gateway.Telemetry().Snapshot().Metrics {
+		switch p.Name {
+		case "gateway_requests_total":
+			requests += p.Value
+			if p.Labels["type"] != "" {
+				byType += p.Value
+			}
+		case "gateway_rejected_total":
+			t.Fatalf("stats: %v requests rejected as %v", p.Value, p.Labels)
+		}
 	}
-	if st.Requests != byType {
-		t.Fatalf("stats inconsistent: %d requests, %d by type", st.Requests, byType)
-	}
-	if st.Rejected != 0 {
-		t.Fatalf("stats: %d rejected requests: %v", st.Rejected, st.ByFailure)
+	if requests != byType {
+		t.Fatalf("stats inconsistent: %v requests, %v by type", requests, byType)
 	}
 	// consigns + at least one poll and one two-chunk fetch per job. Under
 	// protocol v3 the hot kinds ride the persistent stream (counted by the
 	// gateway_stream_frames_total telemetry counter) instead of arriving as
 	// envelopes; the two censuses together must still cover the workload.
-	frames := int64(d.Sites["FZJ"].Gateway.Telemetry().Snapshot().Total("gateway_stream_frames_total"))
-	if min := int64(clients * jobsPerClient * 4); st.Requests+frames < min {
-		t.Fatalf("stats: %d envelopes + %d stream frames, expected at least %d", st.Requests, frames, min)
+	frames := d.Sites["FZJ"].Gateway.Telemetry().Snapshot().Total("gateway_stream_frames_total")
+	if min := float64(clients * jobsPerClient * 4); requests+frames < min {
+		t.Fatalf("stats: %v envelopes + %v stream frames, expected at least %v", requests, frames, min)
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 	"unicore"
 	"unicore/internal/accounting"
-	"unicore/internal/client"
 	"unicore/internal/gateway"
+	"unicore/internal/pki"
 	"unicore/internal/protocol"
 )
 
@@ -209,7 +209,11 @@ func TestSecurityProperties(t *testing.T) {
 		t.Fatal("user credential signed an applet")
 	}
 	// Fetching a genuine applet still verifies for Eve.
-	if _, err := client.FetchApplet(d.UserClient(eve), d.CA, "SEC", "jpa"); err != nil {
+	var applet protocol.AppletReply
+	if err := protocol.Do(context.Background(), d.UserClient(eve), "SEC", protocol.OpApplet, protocol.AppletRequest{Name: "jpa"}, &applet); err != nil {
+		t.Fatalf("fetching applet: %v", err)
+	}
+	if _, err := d.CA.VerifySignature(applet.Payload, applet.Signature, pki.RoleSoftware); err != nil {
 		t.Fatalf("genuine applet failed verification: %v", err)
 	}
 }
