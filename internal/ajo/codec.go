@@ -59,12 +59,48 @@ const (
 	codeQuery
 )
 
-// kindByCode maps a kind code to the kind whose zero action newByKind makes
-// for a decoder to fill.
-var kindByCode = [...]Kind{
-	codeJob: KindJob, codeExecute: KindExecute, codeCompile: KindCompile, codeLink: KindLink,
-	codeUser: KindUser, codeScript: KindScript, codeImport: KindImport, codeExport: KindExport,
-	codeTransfer: KindTransfer, codeControl: KindControl, codeList: KindList, codeQuery: KindQuery,
+// newAction makes the zero action of a kind code for a decoder to fill,
+// charged to its budget first: nil for a code no kind has, or for one the
+// budget cannot pay for (c.Err then says so).
+func newAction(c *bin.Codec, code byte) Action {
+	switch code {
+	case codeJob:
+		return charged[AbstractJob](c)
+	case codeExecute:
+		return charged[ExecuteTask](c)
+	case codeCompile:
+		return charged[CompileTask](c)
+	case codeLink:
+		return charged[LinkTask](c)
+	case codeUser:
+		return charged[UserTask](c)
+	case codeScript:
+		return charged[ScriptTask](c)
+	case codeImport:
+		return charged[ImportTask](c)
+	case codeExport:
+		return charged[ExportTask](c)
+	case codeTransfer:
+		return charged[TransferTask](c)
+	case codeControl:
+		return charged[ControlService](c)
+	case codeList:
+		return charged[ListService](c)
+	case codeQuery:
+		return charged[QueryService](c)
+	}
+	return nil
+}
+
+// charged is a new T as an Action, once the budget has paid for it.
+func charged[T any, P interface {
+	*T
+	Action
+}](c *bin.Codec) Action {
+	if !bin.Charge[T](c, 1) {
+		return nil
+	}
+	return P(new(T))
 }
 
 // Marshal encodes any action (including a whole recursive AbstractJob) in
@@ -107,13 +143,11 @@ func walkAction(c *bin.Codec, a *Action, depth int) error {
 	if c.Decoding() {
 		var code byte
 		c.Byte(&code)
-		if c.Failed() {
-			return fmt.Errorf("ajo: decoding: %w", bin.ErrMalformed)
-		}
-		if int(code) < len(kindByCode) {
-			*a, _ = newByKind(kindByCode[code])
-		}
-		if *a == nil {
+		*a = newAction(c, code)
+		switch {
+		case c.Failed():
+			return fmt.Errorf("ajo: decoding: %w", c.Err())
+		case *a == nil:
 			return fmt.Errorf("ajo: unknown action kind code %d", code)
 		}
 	}
@@ -236,6 +270,9 @@ func walkStrMap(c *bin.Codec, m *map[string]string) {
 		return
 	}
 	if c.Decoding() {
+		if !bin.Charge[bin.MapEntry[string, string]](c, n) {
+			return
+		}
 		*m = make(map[string]string, n)
 		for ; n > 0 && !c.Failed(); n-- {
 			var k, v string
@@ -278,6 +315,7 @@ func UnmarshalOutcome(data []byte) (*Outcome, error) {
 		return nil, fmt.Errorf("ajo: outcome has format tag 0x%02x, this build reads binary outcome format 0x%02x", data[0], outcomeTag)
 	}
 	c := bin.Decoder(data[1:])
+	bin.Charge[Outcome](&c, 1) // the root always fits: it is smaller than bin.Slack
 	o := new(Outcome)
 	if err := WalkOutcome(&c, o); err != nil {
 		return nil, err
@@ -327,6 +365,9 @@ func walkOutcome(c *bin.Codec, o *Outcome, depth int) error {
 	c.Time(&o.Finished)
 	for i := range bin.Slice(c, &o.Children) {
 		if c.Decoding() {
+			if !bin.Charge[Outcome](c, 1) {
+				return nil // the caller's c.Err reports it
+			}
 			o.Children[i] = new(Outcome)
 		} else if o.Children[i] == nil {
 			return fmt.Errorf("ajo: outcome %s has a nil child", o.Action)

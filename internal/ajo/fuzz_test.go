@@ -4,12 +4,15 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
+
+	"unicore/internal/bin/bintest"
 )
 
 // FuzzAJOUnmarshal feeds the binary decoder what a hostile consigner could:
-// arbitrary bytes behind a valid TLS session. Invariants: no panic; a
-// document that decodes holds no more actions than it has bytes (a count
-// prefix cannot inflate the tree); and decoding is a fixed point —
+// arbitrary bytes behind a valid TLS session. Invariants: no panic; a decode
+// allocates no more than its budget, accepted or not; a document that
+// decodes holds no more actions than it has bytes (a count prefix cannot
+// inflate the tree); and decoding is a fixed point —
 // dec(enc(dec(x))) == dec(x) — so what a gateway forwards or an NJS journals
 // is the job it was handed.
 func FuzzAJOUnmarshal(f *testing.F) {
@@ -31,6 +34,7 @@ func FuzzAJOUnmarshal(f *testing.F) {
 	f.Add([]byte(`{"kind":"ListService","body":{"id":"ls"}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		bintest.WithinBudget(t, "AJO", len(data), func() { Unmarshal(data) })
 		a, err := Unmarshal(data)
 		if err != nil {
 			return

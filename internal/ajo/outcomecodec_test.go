@@ -173,8 +173,9 @@ func countNodes(o *Outcome) int {
 
 // FuzzOutcomeUnmarshal feeds the outcome decoder what a hostile gateway (to a
 // client) or peer site (to an NJS collecting a sub-job's outcome) could send.
-// Invariants: no panic; a tree that decodes holds no more nodes than it has
-// bytes; and decoding is a fixed point — dec(enc(dec(x))) == dec(x).
+// Invariants: no panic; a decode allocates no more than its budget, accepted
+// or not; a tree that decodes holds no more nodes than it has bytes; and
+// decoding is a fixed point — dec(enc(dec(x))) == dec(x).
 func FuzzOutcomeUnmarshal(f *testing.F) {
 	for _, o := range []*Outcome{treeOutcome(), filledOutcome(f), deepOutcome(8), {Action: "bare"}} {
 		raw, err := MarshalOutcome(o)
@@ -189,6 +190,7 @@ func FuzzOutcomeUnmarshal(f *testing.F) {
 	f.Add([]byte(`{"action":"job","kind":"AbstractJob","status":4}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		bintest.WithinBudget(t, "outcome", len(data), func() { UnmarshalOutcome(data) })
 		o, err := UnmarshalOutcome(data)
 		if err != nil {
 			return

@@ -3,7 +3,8 @@
 // to its walk is silently dropped; Fill makes that a test failure: it sets
 // every exported field of a value to a distinct non-zero value by reflection,
 // so an encode/decode round trip compared with reflect.DeepEqual names the
-// forgotten field.
+// forgotten field. WithinBudget holds a decoder's fuzzer to package bin's
+// decode budget, measured in bytes the heap handed out.
 package bintest
 
 import (

@@ -118,9 +118,12 @@ func walkEntry(c *bin.Codec, e *Entry) error {
 
 // payload returns the struct a kind's fields are walked in: a new one hung
 // on the entry when decoding, the entry's own when encoding — nil if it has
-// none, which walkEntry refuses.
+// none, which walkEntry refuses. A decoder charges it to the budget, which
+// always has room for it: it is the record's first allocation, and every
+// payload struct is smaller than bin.Slack.
 func payload[T any](c *bin.Codec, p **T) *T {
 	if c.Decoding() {
+		bin.Charge[T](c, 1)
 		*p = new(T)
 	}
 	return *p

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"unicore/internal/bin/bintest"
 )
 
 // frame wraps an arbitrary payload in a valid length+CRC64 header — what a
@@ -43,10 +45,11 @@ func fuzzSeedFrames(t testing.TB) []byte {
 // FuzzFrameReplay hammers the CRC64 frame scanner and the replay loop with
 // arbitrary byte streams — the exact inputs a crashed NJS hands them at
 // recovery time. Invariants: no panic, validPrefix stays within bounds and
-// never errors, a torn-tail-tolerant replay accepts any input that is not
-// positively corrupt, and the declared valid prefix replays without a torn
-// record — every checksummed frame in it either decodes or is ErrCorrupt,
-// never a silently shortened tail.
+// never errors, each record in the valid prefix decodes within its budget, a
+// torn-tail-tolerant replay accepts any input that is not positively
+// corrupt, and the declared valid prefix replays without a torn record —
+// every checksummed frame in it either decodes or is ErrCorrupt, never a
+// silently shortened tail.
 func FuzzFrameReplay(f *testing.F) {
 	valid := fuzzSeedFrames(f)
 	f.Add([]byte{})
@@ -68,6 +71,12 @@ func FuzzFrameReplay(f *testing.F) {
 		}
 		if n < 0 || n > int64(len(data)) {
 			t.Fatalf("validPrefix returned %d for %d input bytes", n, len(data))
+		}
+		// Each checksummed record decodes within its budget, accepted or not.
+		for rest := data[:n]; len(rest) > 0; {
+			p := rest[headerSize : headerSize+binary.LittleEndian.Uint32(rest)]
+			bintest.WithinBudget(t, "journal record", len(p), func() { decodePayload(p) })
+			rest = rest[headerSize+len(p):]
 		}
 
 		// Tolerant replay (the journal path) must accept anything that is

@@ -101,19 +101,23 @@ func walkMsg(c *bin.Codec, m any) error {
 			return nil
 		}
 		if c.Decoding() {
+			bin.Charge[ajo.Outcome](c, 1) // the root always fits: it is smaller than bin.Slack
 			m.Outcome = new(ajo.Outcome)
 		}
 		return ajo.WalkOutcome(c, m.Outcome)
 	case *ListRequest, *LoadRequest: // no fields
 	case *ListReply:
-		var prev time.Time
+		// A user's jobs are numbered by the site that minted them and often
+		// named in series, so each row's ID and name write only what differs
+		// from the row before.
+		var prev JobInfo
 		for i := range bin.Slice(c, &m.Jobs) {
 			j := &m.Jobs[i]
-			c.Str((*string)(&j.Job))
-			c.Str(&j.Name)
+			c.StrAfter((*string)(&j.Job), string(prev.Job))
+			c.StrAfter(&j.Name, prev.Name)
 			c.Int((*int)(&j.Status))
-			c.TimeAfter(&j.Submitted, prev)
-			prev = j.Submitted
+			c.TimeAfter(&j.Submitted, prev.Submitted)
+			prev = *j
 		}
 	case *ControlRequest:
 		c.Str((*string)(&m.Job))
@@ -224,7 +228,7 @@ func walkOrigins(c *bin.Codec, m *map[string]uint64) {
 			c.Str(&k)
 			c.Uvarint(&v)
 		}
-	} else if n > 0 {
+	} else if n > 0 && bin.Charge[bin.MapEntry[string, uint64]](c, n) {
 		*m = make(map[string]uint64, n)
 		for ; n > 0 && !c.Failed(); n-- {
 			var k string
@@ -242,7 +246,7 @@ func walkLoads(c *bin.Codec, m *map[string]VsiteLoad) {
 		for name, l := range *m {
 			walkLoad(c, &name, &l)
 		}
-	} else if n > 0 {
+	} else if n > 0 && bin.Charge[bin.MapEntry[string, VsiteLoad]](c, n) {
 		*m = make(map[string]VsiteLoad, n)
 		for ; n > 0 && !c.Failed(); n-- {
 			var name string

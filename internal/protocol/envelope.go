@@ -44,13 +44,15 @@ func parseCert(der []byte) (*x509.Certificate, error) {
 // commit, and event batches pushed server-side. An envelope or stream hello at any
 // other version is refused with a server-signed ErrBadVersion error.
 //
+// Version 6 front-codes a list reply's job IDs and names, each row writing
+// only the suffix that differs from the row before (bin.Codec.StrAfter).
 // Version 5 walks an outcome reply's tree inline in its frame body, with no
 // length prefix or format tag in front of it (ajo.WalkOutcome); version 4
 // changed the bodies of an events batch and a list reply, so repeated event
 // strings travel as references and instants as the offset from the one
 // before (walkEvents). Any change to a frame body's bytes bumps it;
 // TestFrameBodiesArePinned holds the encodings of this version.
-const Version = 5
+const Version = 6
 
 // Errors reported when opening envelopes.
 var (

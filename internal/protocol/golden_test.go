@@ -83,7 +83,7 @@ func TestFrameBodiesArePinned(t *testing.T) {
 		decodes func(p []byte) bool // to the message encoded
 	}{
 		{"events", mustEncode(batch), 500, func(p []byte) bool { var m binEvents; return decode(p, &m) == nil && reflect.DeepEqual(m, batch) }},
-		{"list", mustEncode(list), 850, func(p []byte) bool { var m ListReply; return decode(p, &m) == nil && reflect.DeepEqual(m, list) }},
+		{"list", mustEncode(list), 320, func(p []byte) bool { var m ListReply; return decode(p, &m) == nil && reflect.DeepEqual(m, list) }},
 		{"outcome", mustEncode(outcome), 600, func(p []byte) bool {
 			var m OutcomeReply
 			return decode(p, &m) == nil && reflect.DeepEqual(m, outcome)

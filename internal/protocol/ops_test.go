@@ -137,12 +137,21 @@ func roundTrip[T any](v T) (got T, err error) {
 	return got, err
 }
 
-// stable requires encode(decode(p)) to be a fixed point: what the walk of T
+// stable requires the decode of p as a T to stay within its budget, accepted
+// or not, and encode(decode(p)) to be a fixed point: what the walk of T
 // accepts re-encodes to bytes it accepts again, as the same value. (Compared
 // as values, not bytes: a decoder accepts non-canonical varints, and an
 // origins map encodes in map order.)
 func stable[T any](t *testing.T, what string, p []byte) {
 	var v T
+	// A metrics reply's snapshots are one JSON document, decoded by
+	// encoding/json outside the budget (walkSnapshots).
+	if _, json := any(&v).(*MetricsReply); !json {
+		bintest.WithinBudget(t, what, len(p), func() {
+			var v T
+			decode(p, &v)
+		})
+	}
 	if decode(p, &v) != nil {
 		return
 	}
@@ -351,7 +360,8 @@ func (o *Op[Req, Rep]) seedCodecs(add func([]byte), reqs, reps []any) {
 
 // FuzzStreamBodyDecoders feeds arbitrary bytes to every per-kind body decoder
 // in the wire table — what a stream peer can put in a frame after the hello:
-// no decoder may panic, and anything one accepts must re-encode stably. The
+// no decoder may panic or allocate more than its budget, and anything one
+// accepts must re-encode stably. The
 // frame forms that carry a flag beyond the table's request and reply types
 // (binSub.Once, binEvents.End) are fuzzed alongside.
 func FuzzStreamBodyDecoders(f *testing.F) {
