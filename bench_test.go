@@ -40,6 +40,7 @@ import (
 	"unicore/internal/sim"
 	"unicore/internal/telemetry"
 	"unicore/internal/testbed"
+	"unicore/internal/testbed/testbedtest"
 	"unicore/internal/vfs"
 )
 
@@ -63,16 +64,27 @@ func mustUser(b *testing.B, d *testbed.Deployment, uid string) *unicore.Credenti
 	return cred
 }
 
+// sessions opens one session per Usite of the deployment for a user, so a
+// workload that spans sites submits each job at its own Usite.
+func sessions(d *testbed.Deployment, user *unicore.Credential) map[unicore.Usite]*unicore.Session {
+	out := make(map[unicore.Usite]*unicore.Session)
+	for _, u := range d.Usites() {
+		out[u] = d.Session(user, u)
+	}
+	return out
+}
+
 // runJob submits a built job, drives the clock to idle, and returns the
 // root outcome (failing the benchmark on any non-success).
 func runJob(b *testing.B, d *testbed.Deployment, user *unicore.Credential, job *unicore.AbstractJob) *unicore.Outcome {
 	b.Helper()
-	id, err := d.JPA(user).Submit(job)
+	sess := d.Session(user, job.Target.Usite)
+	id, err := sess.Submit(context.Background(), job)
 	if err != nil {
 		b.Fatalf("submit: %v", err)
 	}
 	d.Run(50_000_000)
-	o, err := d.Session(user, job.Target.Usite).Outcome(context.Background(), id)
+	o, err := sess.Outcome(context.Background(), id)
 	if err != nil {
 		b.Fatalf("outcome: %v", err)
 	}
@@ -255,11 +267,11 @@ func BenchmarkSec57_GermanTestbed(b *testing.B) {
 		if err != nil {
 			b.Fatalf("workload: %v", err)
 		}
-		jpa := d.JPA(user)
+		sess := sessions(d, user)
 		b.StartTimer()
 
 		for _, j := range workload {
-			if _, err := jpa.Submit(j); err != nil {
+			if _, err := sess[j.Target.Usite].Submit(context.Background(), j); err != nil {
 				b.Fatalf("submit %s: %v", j.Name(), err)
 			}
 		}
@@ -300,11 +312,15 @@ func BenchmarkSec56_TransferHTTPSvsLocal(b *testing.B) {
 				if err := fzj.Space.WriteXspace(src, make([]byte, size)); err != nil {
 					b.Fatalf("xspace: %v", err)
 				}
-				jb := unicore.NewJob("local-import", unicore.Target{Usite: "FZJ", Vsite: "T3E"})
-				imp := jb.ImportXspace("import", src, "in.dat")
-				job, err := jb.Build()
-				if err != nil {
-					b.Fatalf("build: %v", err)
+				const imp = ajo.ActionID("import")
+				job := &ajo.AbstractJob{
+					Header: ajo.Header{ActionID: "local-import", ActionName: "local-import"},
+					Target: unicore.Target{Usite: "FZJ", Vsite: "T3E"},
+					Actions: []ajo.Action{&ajo.ImportTask{
+						Header: ajo.Header{ActionID: imp, ActionName: "import"},
+						Source: ajo.ImportSource{XspacePath: src},
+						To:     "in.dat",
+					}},
 				}
 				o := runJob(b, d, user, job)
 				act, _ := o.Find(imp)
@@ -444,7 +460,7 @@ func BenchmarkSec6_BrokerExtension(b *testing.B) {
 			b.StopTimer()
 			d := mustDeploy(b, testbed.GermanSpecs()...)
 			user := mustUser(b, d, fmt.Sprintf("s6-%d", i))
-			jpa := d.JPA(user)
+			sess := sessions(d, user)
 			c := d.UserClient(user)
 			habitual := unicore.Target{Usite: "FZJ", Vsite: "T3E"}
 			// Saturate the habitual machine: 6 × 256 PEs on a 512-PE T3E.
@@ -455,7 +471,7 @@ func BenchmarkSec6_BrokerExtension(b *testing.B) {
 				if err != nil {
 					b.Fatalf("build: %v", err)
 				}
-				if _, err := jpa.Submit(bgJob); err != nil {
+				if _, err := sess[habitual.Usite].Submit(context.Background(), bgJob); err != nil {
 					b.Fatalf("submit bg: %v", err)
 				}
 			}
@@ -488,7 +504,7 @@ func BenchmarkSec6_BrokerExtension(b *testing.B) {
 				if err != nil {
 					b.Fatalf("build: %v", err)
 				}
-				id, err := jpa.Submit(job)
+				id, err := sess[target.Usite].Submit(context.Background(), job)
 				if err != nil {
 					b.Fatalf("submit: %v", err)
 				}
@@ -632,14 +648,15 @@ func BenchmarkFederatedConsign(b *testing.B) {
 		testbed.SiteSpec{Usite: "FZJ", Vsites: []njs.VsiteConfig{{Name: "SMALL", Profile: machine.GenericCluster(2)}}},
 		testbed.SiteSpec{Usite: "DWD", Vsites: []njs.VsiteConfig{{Name: "BIG", Profile: machine.GenericCluster(32)}}},
 	)
-	if err := d.EnableFederation(); err != nil {
+	mesh, err := testbedtest.EnableFederation(d)
+	if err != nil {
 		b.Fatalf("federation: %v", err)
 	}
 	// Two rounds settle transitively-learned advertisements.
-	d.GossipAll()
-	d.GossipAll()
+	mesh.GossipAll()
+	mesh.GossipAll()
 	user := mustUser(b, d, "fed")
-	jpa := d.JPA(user)
+	sess := d.Session(user, "FZJ")
 	var last unicore.JobID
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -650,7 +667,7 @@ func BenchmarkFederatedConsign(b *testing.B) {
 		if err != nil {
 			b.Fatalf("build: %v", err)
 		}
-		id, err := jpa.Submit(job)
+		id, err := sess.Submit(context.Background(), job)
 		if err != nil {
 			b.Fatalf("submit: %v", err)
 		}
@@ -664,7 +681,7 @@ func BenchmarkFederatedConsign(b *testing.B) {
 	if o, err := d.Session(user, "FZJ").Outcome(context.Background(), last); err != nil || o.Status != unicore.StatusSuccessful {
 		b.Fatalf("forwarded job did not complete via the origin gateway: %v", err)
 	}
-	snap := d.Federation("FZJ").Registry().Snapshot()
+	snap := mesh.Federation("FZJ").Registry().Snapshot()
 	b.ReportMetric(quantile(snap, "fed_forward_ack_seconds", 0.99)*1000, "fed-forward-ack-p99-ms")
 }
 

@@ -10,10 +10,10 @@
 //	unicore-submit ... -stage-in input.dat=/data/huge.bin job.json
 //
 // -stage-in TO=LOCALPATH (repeatable) streams a local file into the
-// destination Vsite's spool through the chunked protocol-v2 staging engine
-// before consigning, and adds an ImportTask referencing the committed
-// transfer handle — so huge inputs never ride inline in the signed consign
-// envelope.
+// destination Vsite's spool through the chunked staging engine before
+// consigning, and adds an ImportTask referencing the committed transfer
+// handle (Builder.ImportStaged) — so huge inputs never ride inline in the
+// consign frame.
 package main
 
 import (
@@ -110,8 +110,7 @@ func main() {
 	}
 	// Submitting through the session mints a trace ID: the whole chain
 	// (gateway dispatch, pool routing, NJS admission, journal sync) is then
-	// visible via `unicore-status -spans metrics`. v1 sites simply drop the
-	// trace at sealing time.
+	// visible via `unicore-status -spans metrics`.
 	id, err := sess.Submit(context.Background(), job)
 	if err != nil {
 		log.Fatalf("unicore-submit: %v", err)
@@ -123,7 +122,7 @@ func main() {
 }
 
 // stageInputs uploads each TO=LOCALPATH file into the destination Vsite's
-// spool and prepends an ImportTask referencing the committed handle, wired
+// spool and adds an ImportTask referencing the committed handle, wired
 // before every original root action so no task runs until its staged inputs
 // are in the Uspace.
 func stageInputs(sess *unicore.Session, job *ajo.AbstractJob, stageIns []string) error {
@@ -132,7 +131,8 @@ func stageInputs(sess *unicore.Session, job *ajo.AbstractJob, stageIns []string)
 		return err
 	}
 	roots := g.Roots()
-	for i, si := range stageIns {
+	staged := client.NewJob("stage-in", job.Target)
+	for _, si := range stageIns {
 		to, local, _ := strings.Cut(si, "=")
 		if to == "" || local == "" {
 			return fmt.Errorf("bad -stage-in %q: want TO=LOCALPATH", si)
@@ -150,22 +150,17 @@ func stageInputs(sess *unicore.Session, job *ajo.AbstractJob, stageIns []string)
 		if err != nil {
 			return fmt.Errorf("staging %s: %w", local, err)
 		}
-		imp := &ajo.ImportTask{
-			Header: ajo.Header{
-				ActionID:   ajo.ActionID(fmt.Sprintf("stage-in-%02d", i)),
-				ActionName: "staged input " + to,
-			},
-			Source: ajo.ImportSource{Staged: handle},
-			To:     to,
-		}
-		job.Actions = append(job.Actions, imp)
+		imp := staged.ImportStaged("staged input "+to, handle, to)
 		for _, r := range roots {
-			job.Dependencies = append(job.Dependencies, ajo.Dependency{
-				Before: imp.ActionID, After: ajo.ActionID(r),
-			})
+			job.Dependencies = append(job.Dependencies, ajo.Dependency{Before: imp, After: ajo.ActionID(r)})
 		}
 		fmt.Fprintf(os.Stderr, "staged %s as %s (%s)\n", local, handle, to)
 	}
+	imports, err := staged.Build()
+	if err != nil {
+		return err
+	}
+	job.Actions = append(job.Actions, imports.Actions...)
 	return nil
 }
 

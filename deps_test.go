@@ -85,6 +85,7 @@ func TestNothingIsUnusedFixture(t *testing.T) {
 	want := []string{
 		"fixture/lib.Box.Unused", "fixture/lib.OnlyTestsCall",
 		"fixture/lib.Orphan", "fixture/lib.Orphan.Touch", "fixture/lib.Reader.Nowhere",
+		"fixture/session.S.Attach",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("reported %q, want %q", got, want)
@@ -121,10 +122,11 @@ var unusedAllowed = map[string]string{
 // that no non-test file uses, keyed by import path and name, with their
 // positions. Not reported: main and init; anything in a package whose name
 // ends in "test" (harness for tests); the exported names of the module's
-// root package and the methods of the types it aliases (the facade's API);
-// and methods that satisfy an interface the type meets, from the module or
-// the standard library, since a call through the interface names the
-// interface's method instead.
+// root package (the facade's API); and methods that satisfy an interface the
+// type meets, from the module or the standard library, since a call through
+// the interface names the interface's method instead. A method of a type the
+// facade aliases is reported like any other: the facade re-exports the
+// type, not a promise that each of its methods has a caller.
 func unusedObjects(dir string) (map[string]token.Position, error) {
 	l := analysis.NewLoader()
 	l.Dir = dir
@@ -238,15 +240,6 @@ func unusedObjects(dir string) (map[string]token.Position, error) {
 		}
 	}
 
-	api := map[*types.Named]bool{}
-	for _, name := range facade.Scope().Names() {
-		if tn, ok := facade.Scope().Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
-			if n := analysis.Named(tn.Type()); n != nil {
-				api[n.Origin()] = true
-			}
-		}
-	}
-
 	found := map[string]token.Position{}
 	for obj, d := range decls {
 		if used[obj] || obj.Pkg() == facade && obj.Exported() {
@@ -260,7 +253,7 @@ func unusedObjects(dir string) (map[string]token.Position, error) {
 				for _, inst := range instances[n] {
 					forms = append(forms, inst)
 				}
-				if api[n] || satisfies(forms, ifaces[f.Name()]) || errorsCalls[f.Name()] && satisfies(forms, ifaces["Error"]) {
+				if satisfies(forms, ifaces[f.Name()]) || errorsCalls[f.Name()] && satisfies(forms, ifaces["Error"]) {
 					continue
 				}
 				key = obj.Pkg().Path() + "." + n.Obj().Name() + "." + obj.Name()

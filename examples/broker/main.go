@@ -3,7 +3,9 @@
 // naming a destination system; the resource broker combines the sites'
 // resource pages (§5.4) with live load information from every gateway and
 // places the job on the best Vsite. The example saturates the Jülich T3E
-// first, then shows the broker steering new work away from it.
+// first, then shows the broker steering new work away from it, and builds
+// the job it places there in application terms through the PAM-CRASH
+// interface, the other half of the §6 outlook.
 package main
 
 import (
@@ -21,6 +23,14 @@ func main() {
 		log.Fatal(err)
 	}
 	defer d.Close()
+	// Every centre installs PAM-CRASH on its machine — what
+	// `unicore-idb -software package:PAM-CRASH:1997` does for a real site —
+	// so the application interface can target whichever Vsite the broker
+	// picks.
+	for _, t := range d.Targets() {
+		vs, _ := d.Sites[t.Usite].NJS.Vsite(t.Vsite)
+		vs.Page.Software = append(vs.Page.Software, unicore.Software{Kind: "package", Name: "PAM-CRASH", Version: "1997"})
+	}
 
 	user, err := d.NewUser("Berta Broker", "GCS", "bbroker")
 	if err != nil {
@@ -78,14 +88,27 @@ func main() {
 		log.Fatalf("broker did not react to load (still %s)", second)
 	}
 
-	// Submit the real job to the broker's choice and see it through.
-	job := unicore.NewJob("brokered simulation", second)
-	job.Script("simulate", "cpu 1h\nwrite result.dat 65536\necho simulated\n", demand)
-	built, err := job.Build()
+	// Build the real job in application terms against the page the broker's
+	// choice publishes: the interface checks PAM-CRASH is installed there,
+	// estimates the run's resources, and emits an ordinary abstract job
+	// (import the mesh, run the solver, export the results). Then submit it
+	// and see it through.
+	sess, err := unicore.Dial("", unicore.WithClient(c), unicore.WithSite(second.Usite))
 	if err != nil {
 		log.Fatal(err)
 	}
-	sess, err := unicore.Dial("", unicore.WithClient(c), unicore.WithSite(second.Usite))
+	pages, err := sess.JPA().FetchResources(second.Usite)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var page *unicore.ResourcePage
+	for _, p := range pages {
+		if p.Target == second {
+			page = p
+		}
+	}
+	built, err := unicore.PamCrash().BuildJob("brokered simulation", second, page,
+		map[string]string{"timesteps": "60000", "cpus": "16"}, []byte("crash mesh\n"), "/results/crash")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package ajo
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 )
@@ -161,30 +162,39 @@ func Aggregate(children []*Outcome) Status {
 	return StatusSuccessful
 }
 
-// Render produces the JMC-style indented status tree: one line per action
-// with its colour, "depending on the chosen level of detail the status is
-// displayed for job groups and/or tasks" (§5.7). depth < 0 renders fully.
-func (o *Outcome) Render(depth int) string {
+// Render draws the JMC's job display (§5.7): one line per action with its
+// status icon, status and colour, indented by job-group depth, children in
+// action-ID order — the text equivalent of the coloured-icon tree.
+func (o *Outcome) Render() string {
 	var b strings.Builder
-	o.render(&b, 0, depth)
+	o.render(&b, 0)
 	return b.String()
 }
 
-func (o *Outcome) render(b *strings.Builder, level, depth int) {
-	fmt.Fprintf(b, "%s[%s] %s %s", strings.Repeat("  ", level), o.Status.Colour(), o.Kind, o.Action)
-	if o.Name != "" {
-		fmt.Fprintf(b, " (%s)", o.Name)
-	}
-	fmt.Fprintf(b, ": %s", o.Status)
+func (o *Outcome) render(b *strings.Builder, depth int) {
+	fmt.Fprintf(b, "%s%s [%s/%s] %s", strings.Repeat("  ", depth), o.Status.icon(), o.Status, o.Status.Colour(), o.Name)
 	if o.Reason != "" {
-		fmt.Fprintf(b, " — %s", o.Reason)
+		fmt.Fprintf(b, " (%s)", o.Reason)
 	}
 	b.WriteByte('\n')
-	if depth == 0 {
-		return
+	children := slices.Clone(o.Children)
+	slices.SortStableFunc(children, func(x, y *Outcome) int { return strings.Compare(string(x.Action), string(y.Action)) })
+	for _, c := range children {
+		c.render(b, depth+1)
 	}
-	for _, c := range o.Children {
-		c.render(b, level+1, depth-1)
+}
+
+// icon is the glyph the JMC draws for a status.
+func (s Status) icon() string {
+	switch s {
+	case StatusSuccessful:
+		return "●"
+	case StatusFailed, StatusNotDone, StatusAborted:
+		return "✖"
+	case StatusRunning, StatusQueued:
+		return "◐"
+	default:
+		return "○"
 	}
 }
 

@@ -1,7 +1,6 @@
 package ajo
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -102,22 +101,33 @@ func TestOutcomeFind(t *testing.T) {
 	}
 }
 
+// TestRenderDepth pins the JMC display byte for byte: icon,
+// status and colour per line, two spaces per job-group level, children in
+// action-ID order whatever order the tree holds them in.
 func TestRenderDepth(t *testing.T) {
-	o := treeOutcome()
-	full := o.Render(-1)
-	if !strings.Contains(full, "sub.t") {
-		t.Fatalf("full render missing grandchild:\n%s", full)
+	o := &Outcome{
+		Action: "job", Kind: KindJob, Status: StatusRunning, Name: "cfd",
+		Children: []*Outcome{
+			{Action: "run", Kind: KindExecute, Status: StatusRunning, Name: "solve", Reason: "on T3E"},
+			{Action: "cc", Kind: KindCompile, Status: StatusSuccessful, Name: "compile"},
+			{Action: "sub", Kind: KindJob, Status: StatusFailed, Name: "post",
+				Children: []*Outcome{
+					{Action: "sub.t", Kind: KindUser, Status: StatusNotDone, Name: "plot"},
+					{Action: "sub.a", Kind: KindUser, Status: StatusPending, Name: "archive"},
+				}},
+		},
 	}
-	if !strings.Contains(full, "[yellow]") || !strings.Contains(full, "— on T3E") {
-		t.Fatalf("render missing colour or reason:\n%s", full)
+	want := "◐ [RUNNING/yellow] cfd\n" +
+		"  ● [SUCCESSFUL/green] compile\n" +
+		"  ◐ [RUNNING/yellow] solve (on T3E)\n" +
+		"  ✖ [FAILED/red] post\n" +
+		"    ○ [PENDING/blue] archive\n" +
+		"    ✖ [NOT_DONE/grey] plot\n"
+	if got := o.Render(); got != want {
+		t.Fatalf("Render:\n%s\nwant:\n%s", got, want)
 	}
-	top := o.Render(0)
-	if strings.Contains(top, "cc") || strings.Count(top, "\n") != 1 {
-		t.Fatalf("depth-0 render shows children:\n%s", top)
-	}
-	one := o.Render(1)
-	if !strings.Contains(one, "cc") || strings.Contains(one, "sub.t") {
-		t.Fatalf("depth-1 render wrong:\n%s", one)
+	if o.Children[0].Action != "run" {
+		t.Fatal("Render reordered the tree it drew")
 	}
 }
 

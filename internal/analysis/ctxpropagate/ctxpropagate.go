@@ -9,7 +9,7 @@
 // Function literals inherit the judgment of their enclosing function: a
 // closure inside a ctx-carrying function still has the caller's ctx in
 // scope. Root-level functions with no ctx parameter (the documented
-// non-context wrappers like JPA.Submit and JPA.FetchResources) are exempt.
+// non-context wrappers like JPA.FetchResources) are exempt.
 package ctxpropagate
 
 import (

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"unicore/internal/ajo"
-	"unicore/internal/client"
 	"unicore/internal/core"
 	"unicore/internal/machine"
 	"unicore/internal/resources"
@@ -257,7 +256,7 @@ func TestGaussianRunsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildJob: %v", err)
 	}
-	id, err := d.JPA(user).Submit(job)
+	id, err := d.Session(user, "CHEM").Submit(context.Background(), job)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -268,7 +267,7 @@ func TestGaussianRunsEndToEnd(t *testing.T) {
 		t.Fatalf("Outcome: %v", err)
 	}
 	if o.Status != ajo.StatusSuccessful {
-		t.Fatalf("status = %s\n%s", o.Status, client.Display(o))
+		t.Fatalf("status = %s\n%s", o.Status, o.Render())
 	}
 	// Both characteristic result files were exported to the Xspace.
 	for _, f := range []string{"output.log", "checkpoint.chk"} {

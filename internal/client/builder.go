@@ -45,16 +45,6 @@ func (b *Builder) Project(p string) *Builder {
 	return b
 }
 
-// SiteSecurity attaches a site-specific security token (the smart-card/DCE
-// material of §4.2).
-func (b *Builder) SiteSecurity(key, value string) *Builder {
-	if b.job.SiteSecurity == nil {
-		b.job.SiteSecurity = make(map[string]string)
-	}
-	b.job.SiteSecurity[key] = value
-	return b
-}
-
 func (b *Builder) nextID(prefix string) ajo.ActionID {
 	b.seq++
 	return ajo.ActionID(fmt.Sprintf("%s-%02d", prefix, b.seq))
@@ -85,17 +75,6 @@ func (b *Builder) Execute(name, executable string, args []string, req resources.
 		},
 		Executable: executable,
 		Arguments:  args,
-	})
-}
-
-// Command adds a UserTask with a raw command line.
-func (b *Builder) Command(name, command string, req resources.Request) ajo.ActionID {
-	return b.add(&ajo.UserTask{
-		TaskBase: ajo.TaskBase{
-			Header:    ajo.Header{ActionID: b.nextID("cmd"), ActionName: name},
-			Resources: req,
-		},
-		Command: command,
 	})
 }
 
@@ -138,20 +117,11 @@ func (b *Builder) ImportBytes(name string, data []byte, to string) ajo.ActionID 
 // ImportStaged stages a committed staged upload (the transfer handle
 // returned by Session.Upload) into the job's Uspace — the bulk path: the
 // bytes travelled ahead of the AJO through the chunked staging engine, so the
-// consign envelope stays small.
+// consign frame stays small.
 func (b *Builder) ImportStaged(name, handle, to string) ajo.ActionID {
 	return b.add(&ajo.ImportTask{
 		Header: ajo.Header{ActionID: b.nextID("import"), ActionName: name},
 		Source: ajo.ImportSource{Staged: handle},
-		To:     to,
-	})
-}
-
-// ImportXspace stages a file already in the Vsite's Xspace into the Uspace.
-func (b *Builder) ImportXspace(name, xspacePath, to string) ajo.ActionID {
-	return b.add(&ajo.ImportTask{
-		Header: ajo.Header{ActionID: b.nextID("import"), ActionName: name},
-		Source: ajo.ImportSource{XspacePath: xspacePath},
 		To:     to,
 	})
 }

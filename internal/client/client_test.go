@@ -1,8 +1,10 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -198,7 +200,7 @@ func TestSubmitWaitOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	jid, err := r.jpa.Submit(job)
+	jid, err := r.sess.Submit(context.Background(), job)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -228,7 +230,7 @@ func TestSubmitWaitOutcome(t *testing.T) {
 		t.Fatalf("consume stdout = %q, want the produced answer", task.Stdout)
 	}
 
-	disp := Display(o)
+	disp := o.Render()
 	if !strings.Contains(disp, "green") || !strings.Contains(disp, "round trip") {
 		t.Fatalf("display missing green icons or job name:\n%s", disp)
 	}
@@ -239,7 +241,7 @@ func TestHoldResume(t *testing.T) {
 	b := NewJob("held", vpp)
 	b.Script("quick", "echo done\n", resources.Request{Processors: 1, RunTime: time.Minute})
 	job, _ := b.Build()
-	jid, err := r.jpa.Submit(job)
+	jid, err := r.sess.Submit(context.Background(), job)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -270,7 +272,7 @@ func TestWaitTimesOut(t *testing.T) {
 	b := NewJob("slow", vpp)
 	b.Script("sleepy", "cpu 10h\n", resources.Request{Processors: 1, RunTime: 20 * time.Hour})
 	job, _ := b.Build()
-	jid, err := r.jpa.Submit(job)
+	jid, err := r.sess.Submit(context.Background(), job)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -306,7 +308,7 @@ func TestFetchAppletVerified(t *testing.T) {
 	if err != nil {
 		t.Fatalf("verifying applet: %v", err)
 	}
-	if got.Version != "0.9" || signer.CommonName() != "UNICORE Consortium" {
+	if got.Version != "0.9" || signer != software.DN() {
 		t.Fatalf("applet = %+v signed by %s", got, signer)
 	}
 	if err := protocol.Do(context.Background(), r.c, "LRZ", protocol.OpApplet, protocol.AppletRequest{Name: "jpa"}, &got); err == nil {
@@ -330,22 +332,22 @@ func TestFetchFileToWorkstation(t *testing.T) {
 	b.Script("produce", "write big.dat 300000\necho produced\n",
 		resources.Request{Processors: 1, RunTime: time.Minute})
 	job, _ := b.Build()
-	jid, err := r.jpa.Submit(job)
+	jid, err := r.sess.Submit(context.Background(), job)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	r.clock.RunUntilIdle(100000)
 
 	// The on-request §5.6 transfer back to the workstation, chunked.
-	data, err := r.sess.FetchFile(context.Background(), jid, "big.dat")
-	if err != nil {
-		t.Fatalf("FetchFile: %v", err)
+	var data bytes.Buffer
+	if _, err := r.sess.Download(context.Background(), jid, "big.dat", &data); err != nil {
+		t.Fatalf("Download: %v", err)
 	}
-	if len(data) != 300000 {
-		t.Fatalf("fetched %d bytes, want 300000", len(data))
+	if data.Len() != 300000 {
+		t.Fatalf("fetched %d bytes, want 300000", data.Len())
 	}
 	// Missing files are reported cleanly.
-	if _, err := r.sess.FetchFile(context.Background(), jid, "ghost.dat"); err == nil {
+	if _, err := r.sess.Download(context.Background(), jid, "ghost.dat", io.Discard); err == nil {
 		t.Fatal("fetching a missing file succeeded")
 	}
 }
@@ -355,7 +357,7 @@ func TestFetchFileRequiresOwnership(t *testing.T) {
 	b := NewJob("private", vpp)
 	b.Script("produce", "write secret.dat 64\n", resources.Request{Processors: 1, RunTime: time.Minute})
 	job, _ := b.Build()
-	jid, err := r.jpa.Submit(job)
+	jid, err := r.sess.Submit(context.Background(), job)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -367,7 +369,7 @@ func TestFetchFileRequiresOwnership(t *testing.T) {
 	}
 	reg := r.c.Registry()
 	eveSess := NewSession(protocol.NewClient(r.net, eve, r.ca, reg), "LRZ")
-	if _, err := eveSess.FetchFile(context.Background(), jid, "secret.dat"); err == nil {
+	if _, err := eveSess.Download(context.Background(), jid, "secret.dat", io.Discard); err == nil {
 		t.Fatal("eve fetched another user's job file")
 	}
 }

@@ -1,15 +1,15 @@
 package client
 
 import (
-	"bytes"
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"unicore/internal/ajo"
@@ -49,8 +49,8 @@ type Session struct {
 	// Watch/Await (default DefaultLongPoll). Set it before first use.
 	LongPoll time.Duration
 
-	// Transfer tunes the chunked transfer engines under Upload, Download,
-	// DownloadTo, and FetchFile: chunk size, in-flight window, chunk retries
+	// Transfer tunes the chunked transfer engines under Upload, Download
+	// and DownloadTo: chunk size, in-flight window, chunk retries
 	// (zero value = package staging defaults). Set it before first use.
 	Transfer staging.Options
 
@@ -66,22 +66,18 @@ func NewSession(c *protocol.Client, usite core.Usite) *Session {
 	return &Session{c: c, usite: usite, jpa: NewJPA(c), LongPoll: DefaultLongPoll}
 }
 
-// Usite returns the site this session talks to.
-func (s *Session) Usite() core.Usite { return s.usite }
-
-// DN returns the user identity behind this session.
-func (s *Session) DN() core.DN { return s.c.DN() }
-
 // JPA returns the session's job preparation agent (resource pages,
 // validation) for workflows the unified surface does not cover.
 func (s *Session) JPA() *JPA { return s.jpa }
 
-// Submit validates and consigns a job at this session's Usite. Each Submit
-// runs under a distributed trace: unless the caller already put one in ctx
-// (telemetry.WithTrace), a fresh trace ID is minted and carried in the
-// consign frame's header, so every server-side hop of this admission — gateway
-// dispatch, pool routing, NJS admission, journal sync — records a span under
-// it. Trace returns the ID after the job is admitted.
+// Submit validates and consigns a job at this session's Usite, returning
+// the UNICORE job ID the destination NJS assigned. The AJO's user DN is
+// stamped with the caller's certificate identity before it is sent. Each
+// Submit runs under a distributed trace: unless the caller already put one
+// in ctx (telemetry.WithTrace), a fresh trace ID is minted and carried in the
+// consign frame's header, so every server-side hop of this admission —
+// gateway dispatch, pool routing, NJS admission, journal sync — records a
+// span under it. Trace returns the ID after the job is admitted.
 func (s *Session) Submit(ctx context.Context, job *ajo.AbstractJob) (core.JobID, error) {
 	if job.Target.Usite != s.usite {
 		return "", fmt.Errorf("client: job targets %s, session is bound to %s", job.Target.Usite, s.usite)
@@ -91,16 +87,54 @@ func (s *Session) Submit(ctx context.Context, job *ajo.AbstractJob) (core.JobID,
 		trace = telemetry.NewTraceID()
 		ctx = telemetry.WithTrace(ctx, trace)
 	}
-	id, err := s.jpa.submitContext(ctx, job)
-	if err == nil {
-		s.traceMu.Lock()
-		if s.traces == nil {
-			s.traces = make(map[core.JobID]string)
-		}
-		s.traces[id] = trace
-		s.traceMu.Unlock()
+	if err := job.Validate(); err != nil {
+		return "", err
 	}
-	return id, err
+	job.UserDN = s.c.DN()
+	raw, err := ajo.Marshal(job)
+	if err != nil {
+		return "", err
+	}
+	var reply protocol.ConsignReply
+	err = protocol.Do(ctx, s.c, s.usite, protocol.OpConsign, protocol.ConsignRequest{
+		ConsignID: newConsignID(),
+		AJO:       raw,
+	}, &reply)
+	if err != nil {
+		return "", err
+	}
+	if !reply.Accepted {
+		return "", fmt.Errorf("client: %s refused the job: %s", s.usite, reply.Reason)
+	}
+	s.traceMu.Lock()
+	if s.traces == nil {
+		s.traces = make(map[core.JobID]string)
+	}
+	s.traces[reply.Job] = trace
+	s.traceMu.Unlock()
+	return reply.Job, nil
+}
+
+// consignIDReader is swapped by tests to simulate crypto/rand failure.
+var consignIDReader = rand.Read
+
+// consignIDFallback counts entropy-free tokens minted by this process.
+var consignIDFallback atomic.Uint64
+
+// newConsignID mints a random idempotency token for one submission attempt;
+// retries of the same submission reuse it inside protocol.Client. If
+// crypto/rand fails (the token only deduplicates retries, so aborting the
+// submission would be worse), the fallback token is still unique per
+// submission: a process-local atomic counter plus a wall-clock stamp. A
+// constant fallback here would make two distinct submissions share an
+// idempotency token, silently deduplicating the second as a "retry".
+func newConsignID() string {
+	var b [12]byte
+	if _, err := consignIDReader(b[:]); err != nil {
+		n := consignIDFallback.Add(1)
+		return fmt.Sprintf("consign-%d-%d", time.Now().UnixNano(), n)
+	}
+	return hex.EncodeToString(b[:])
 }
 
 // Trace returns the distributed trace ID a Submit through this session ran
@@ -155,31 +189,14 @@ func (s *Session) Resume(ctx context.Context, job core.JobID) error {
 	return controlJob(ctx, s.c, s.usite, job, ajo.OpResume)
 }
 
-// FetchFile downloads a whole file from the job's Uspace into memory. For
-// large results prefer Download, which streams without buffering the file.
-func (s *Session) FetchFile(ctx context.Context, job core.JobID, file string) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := s.Download(ctx, job, file, &buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // Download streams a file from the job's Uspace to w through the windowed
 // parallel transfer engine (package staging): s.Transfer.Window ranged
 // fetches stay in flight, bytes arrive at w strictly in order with no
 // whole-file buffering, and the whole-file checksum is verified
 // incrementally. Chunk-level retries ride out replica failover mid-transfer.
-// On failure the returned progress resumes the download via ResumeDownload.
+// On failure the returned progress says how many bytes reached w.
 func (s *Session) Download(ctx context.Context, job core.JobID, file string, w io.Writer) (staging.Progress, error) {
 	return staging.Download(ctx, fetchSource(s.c, s.usite, job, file), w, s.Transfer)
-}
-
-// ResumeDownload continues a failed Download from its returned progress
-// (against the same writer): nothing already delivered is refetched, and the
-// whole-file checksum still covers every byte.
-func (s *Session) ResumeDownload(ctx context.Context, job core.JobID, file string, w io.Writer, p staging.Progress) (staging.Progress, error) {
-	return staging.Resume(ctx, fetchSource(s.c, s.usite, job, file), w, p, s.Transfer)
 }
 
 // DownloadTo streams a file from the job's Uspace into a local file
@@ -459,41 +476,5 @@ func fetchSource(c *protocol.Client, usite core.Usite, job core.JobID, file stri
 			return staging.Chunk{}, fmt.Errorf("%w: job %s at %s has no file %q", staging.ErrNotFound, job, usite, file)
 		}
 		return staging.Chunk{Data: reply.Data, Size: reply.Size, CRC: reply.CRC}, nil
-	}
-}
-
-// Display renders the JMC's job display: one line per action with the
-// status icon colour, indented by job-group depth — the text equivalent of
-// the coloured-icon tree of §5.7.
-func Display(root *ajo.Outcome) string {
-	var b strings.Builder
-	renderOutcome(&b, root, 0)
-	return b.String()
-}
-
-func renderOutcome(b *strings.Builder, o *ajo.Outcome, depth int) {
-	icon := statusIcon(o.Status)
-	fmt.Fprintf(b, "%s%s [%s/%s] %s", strings.Repeat("  ", depth), icon, o.Status, o.Status.Colour(), o.Name)
-	if o.Reason != "" {
-		fmt.Fprintf(b, " (%s)", o.Reason)
-	}
-	b.WriteByte('\n')
-	children := append([]*ajo.Outcome(nil), o.Children...)
-	sort.SliceStable(children, func(i, j int) bool { return children[i].Action < children[j].Action })
-	for _, c := range children {
-		renderOutcome(b, c, depth+1)
-	}
-}
-
-func statusIcon(s ajo.Status) string {
-	switch s {
-	case ajo.StatusSuccessful:
-		return "●"
-	case ajo.StatusFailed, ajo.StatusNotDone, ajo.StatusAborted:
-		return "✖"
-	case ajo.StatusRunning, ajo.StatusQueued:
-		return "◐"
-	default:
-		return "○"
 	}
 }

@@ -187,11 +187,11 @@ func TestConsignIDFallbackStaysUnique(t *testing.T) {
 
 	// End to end: two fallback-tokened submissions admit two distinct jobs.
 	r := newRig(t)
-	id1, err := r.jpa.Submit(slowJob(t))
+	id1, err := r.sess.Submit(context.Background(), slowJob(t))
 	if err != nil {
 		t.Fatalf("Submit 1: %v", err)
 	}
-	id2, err := r.jpa.Submit(slowJob(t))
+	id2, err := r.sess.Submit(context.Background(), slowJob(t))
 	if err != nil {
 		t.Fatalf("Submit 2: %v", err)
 	}

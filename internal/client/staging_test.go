@@ -146,7 +146,7 @@ func (m *mutatingWriter) Write(p []byte) (int, error) {
 // TestFetchFileSurfacesMidTransferMutation is the client-level regression
 // test for the seed fetch loop: a Uspace file rewritten between two chunks
 // must surface as a checksum/mutation error through the engine under
-// Session.FetchFile — never loop, never return mixed bytes.
+// Session.Download — never loop, never return mixed bytes.
 func TestFetchFileSurfacesMidTransferMutation(t *testing.T) {
 	r := newRig(t)
 	content := bigPattern(300_000)
@@ -183,7 +183,7 @@ func runProducerJob(t *testing.T, r *rig, content []byte) core.JobID {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	id, err := r.jpa.Submit(job)
+	id, err := r.sess.Submit(context.Background(), job)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}

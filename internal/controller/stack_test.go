@@ -217,7 +217,7 @@ func TestStackReplicasReachPeerSites(t *testing.T) {
 		t.Fatalf("Outcome: found=%v err=%v", found, err)
 	}
 	if o.Status != ajo.StatusSuccessful {
-		t.Fatalf("job group across two stacks = %s, want SUCCESSFUL:\n%s", o.Status, client.Display(o))
+		t.Fatalf("job group across two stacks = %s, want SUCCESSFUL:\n%s", o.Status, o.Render())
 	}
 	// The sub-job really ran behind ZIB's gateway.
 	if jobs, err := stacks["ZIB"].Router.List(alice.DN()); err != nil || len(jobs) != 1 {

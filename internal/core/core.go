@@ -66,25 +66,3 @@ func MakeDN(cn, org, country string) DN {
 	}
 	return DN(strings.Join(parts, ","))
 }
-
-// CommonName extracts the CN attribute, or "" when absent.
-func (d DN) CommonName() string {
-	for _, part := range strings.Split(string(d), ",") {
-		part = strings.TrimSpace(part)
-		if rest, ok := strings.CutPrefix(part, "CN="); ok {
-			return rest
-		}
-	}
-	return ""
-}
-
-// Organisation extracts the O attribute, or "" when absent.
-func (d DN) Organisation() string {
-	for _, part := range strings.Split(string(d), ",") {
-		part = strings.TrimSpace(part)
-		if rest, ok := strings.CutPrefix(part, "O="); ok {
-			return rest
-		}
-	}
-	return ""
-}

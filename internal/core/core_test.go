@@ -59,19 +59,3 @@ func TestMakeDN(t *testing.T) {
 		t.Fatalf("MakeDN sparse = %q", got)
 	}
 }
-
-func TestDNAttributes(t *testing.T) {
-	d := MakeDN("Alice", "RUS", "DE")
-	if d.CommonName() != "Alice" {
-		t.Fatalf("CommonName = %q", d.CommonName())
-	}
-	if d.Organisation() != "RUS" {
-		t.Fatalf("Organisation = %q", d.Organisation())
-	}
-	if DN("O=only").CommonName() != "" {
-		t.Fatal("CommonName on CN-less DN should be empty")
-	}
-	if DN("CN=only").Organisation() != "" {
-		t.Fatal("Organisation on O-less DN should be empty")
-	}
-}

@@ -160,8 +160,12 @@ func TestCredentialFiles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadAuthority: %v", err)
 	}
-	if back.Name() != "File-CA" {
-		t.Fatalf("name = %q", back.Name())
+	carol, err := back.IssueUser("Carol", "RUS")
+	if err != nil {
+		t.Fatalf("IssueUser: %v", err)
+	}
+	if got := carol.Cert.Issuer.CommonName; got != "File-CA" {
+		t.Fatalf("loaded CA issues as %q, want File-CA", got)
 	}
 
 	cred, err := ca.IssueUser("File User", "Org")

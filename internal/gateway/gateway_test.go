@@ -408,7 +408,7 @@ func TestSignedApplets(t *testing.T) {
 	if err != nil {
 		t.Fatalf("verify applet: %v", err)
 	}
-	if dn.CommonName() != "UNICORE Consortium" {
+	if dn != software.DN() {
 		t.Fatalf("applet signer = %s", dn)
 	}
 

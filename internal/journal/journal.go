@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -254,32 +255,60 @@ const (
 	readTorn            // short/garbled tail frame
 )
 
-// readEntry decodes one frame from r.
-func readEntry(r io.Reader) (Entry, readResult, error) {
+// readStep is the most a frame read allocates ahead of the bytes it has
+// actually read: a payload is read in steps that at most double what is
+// already in hand, so a torn header claiming a huge length costs what the
+// file holds, not what the header says.
+const readStep = 64 << 10
+
+// readFrame reads one frame from r and returns its checksummed payload. A
+// clean end of input is readEOF; a short header, a length over
+// maxRecordSize, a short payload or a checksum mismatch is readTorn with a
+// nil error; only an I/O failure of r itself is an error.
+func readFrame(r io.Reader) ([]byte, readResult, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return Entry{}, readEOF, nil
+			return nil, readEOF, nil
 		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return Entry{}, readTorn, nil
-		}
-		return Entry{}, readTorn, err
+		return nil, readTorn, tornErr(err)
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
+	length := int(binary.LittleEndian.Uint32(hdr[0:4]))
 	want := binary.LittleEndian.Uint64(hdr[4:12])
 	if length > maxRecordSize {
-		return Entry{}, readTorn, nil
+		return nil, readTorn, nil
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			return Entry{}, readTorn, nil
+	payload := make([]byte, 0, min(length, readStep))
+	for len(payload) < length {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(length-len(payload), len(payload)))
 		}
-		return Entry{}, readTorn, err
+		n, err := io.ReadFull(r, payload[len(payload):min(cap(payload), length)])
+		payload = payload[:len(payload)+n]
+		if err != nil {
+			return nil, readTorn, tornErr(err)
+		}
 	}
 	if crc64.Checksum(payload, crcTable) != want {
-		return Entry{}, readTorn, nil
+		return nil, readTorn, nil
+	}
+	return payload, readOK, nil
+}
+
+// tornErr maps a short read to the torn-tail verdict (nil) and passes any
+// other read failure through.
+func tornErr(err error) error {
+	if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil
+	}
+	return err
+}
+
+// readEntry decodes one frame from r.
+func readEntry(r io.Reader) (Entry, readResult, error) {
+	payload, res, err := readFrame(r)
+	if res != readOK {
+		return Entry{}, res, err
 	}
 	// A frame that checksums correctly but does not decode is corruption
 	// (decodePayload says so), not a torn tail.
@@ -292,24 +321,12 @@ func readEntry(r io.Reader) (Entry, readResult, error) {
 func validPrefix(r io.Reader) (int64, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var offset int64
-	var hdr [headerSize]byte
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return offset, nil // clean EOF or short header: prefix ends here
+		payload, res, err := readFrame(br)
+		if res != readOK {
+			return offset, err
 		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint64(hdr[4:12])
-		if length > maxRecordSize {
-			return offset, nil
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return offset, nil
-		}
-		if crc64.Checksum(payload, crcTable) != want {
-			return offset, nil
-		}
-		offset += headerSize + int64(length)
+		offset += headerSize + int64(len(payload))
 	}
 }
 

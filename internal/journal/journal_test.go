@@ -2,11 +2,13 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -270,6 +272,67 @@ func TestTornTailIsDropped(t *testing.T) {
 	got := collect(t, s2)
 	if len(got) != 9 {
 		t.Fatalf("replayed %d entries after torn tail, want 9", len(got))
+	}
+}
+
+// TestTornHugeHeaderCostsWhatTheFileHolds tears the journal after a whole
+// header that claims a 200 MiB payload with nothing behind it. Recovery must
+// still truncate it as a torn tail, and neither the scan Open runs nor a
+// replay of the untruncated bytes may allocate for the claimed length: a
+// frame read grows with the bytes it actually reads.
+func TestTornHugeHeaderCostsWhatTheFileHolds(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		s.Append(entryN(i))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	path := filepath.Join(dir, journalName(0))
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr [headerSize]byte
+	binary.LittleEndian.PutUint32(hdr[:], 200<<20)
+	torn := append(bytes.Clone(whole), hdr[:]...)
+	if err := os.WriteFile(path, torn, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	replayed := 0
+	if n := allocated(func() {
+		err = readAll(bytes.NewReader(torn), true, func(Entry) error { replayed++; return nil })
+	}); n >= 1<<20 {
+		t.Errorf("replaying the torn tail allocated %d bytes, want < 1 MiB", n)
+	}
+	if err != nil || replayed != 3 {
+		t.Fatalf("replay of the torn journal: %d entries, %v; want 3, nil", replayed, err)
+	}
+	var s2 *Store
+	if n := allocated(func() { s2, err = Open(dir) }); n >= 1<<20 {
+		t.Errorf("recovering the torn journal allocated %d bytes, want < 1 MiB", n)
+	}
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(whole)) {
+		t.Fatalf("journal after recovery: %v, %v; want the torn header truncated to %d bytes", fi.Size(), err, len(whole))
+	}
+	if got := collect(t, s2); len(got) != 3 {
+		t.Fatalf("replayed %d entries after recovery, want 3", len(got))
 	}
 }
 

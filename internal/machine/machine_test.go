@@ -3,7 +3,9 @@ package machine
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"unicore/internal/resources"
 	"unicore/internal/shell"
 	"unicore/internal/sim"
 	"unicore/internal/vfs"
@@ -54,7 +56,14 @@ func TestResourcePageDerivation(t *testing.T) {
 	if !page.HasSoftware("compiler", "f90", "") {
 		t.Fatal("page missing f90 compiler")
 	}
-	if err := page.Check(page.Defaults()); err != nil {
+	defaults := resources.Request{
+		Processors: page.Processors.Default,
+		RunTime:    time.Duration(page.RunTimeSec.Default) * time.Second,
+		MemoryMB:   page.MemoryMB.Default,
+		PermDiskMB: page.PermDiskMB.Default,
+		TempDiskMB: page.TempDiskMB.Default,
+	}
+	if err := page.Check(defaults); err != nil {
 		t.Fatalf("page defaults do not satisfy the page: %v", err)
 	}
 }

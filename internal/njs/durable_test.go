@@ -53,7 +53,7 @@ func durableCfg(clock *sim.VirtualClock) Config {
 }
 
 func testMapper(dn core.DN, v core.Vsite) (uudb.Login, error) {
-	return uudb.Login{UID: "u_" + strings.ToLower(dn.CommonName())}, nil
+	return uudb.Login{UID: loginOf(dn)}, nil
 }
 
 // crashRestart simulates a process death and restart: the old NJS is killed,

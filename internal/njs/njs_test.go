@@ -18,6 +18,12 @@ import (
 )
 
 // newNJS builds a two-Vsite NJS with a permissive login mapper.
+// loginOf maps a user DN to the test login: "CN=Alice,O=…" logs in as u_alice.
+func loginOf(dn core.DN) string {
+	cn, _, _ := strings.Cut(strings.TrimPrefix(string(dn), "CN="), ",")
+	return "u_" + strings.ToLower(cn)
+}
+
 func newNJS(t *testing.T) (*NJS, *sim.VirtualClock) {
 	t.Helper()
 	clock := sim.NewVirtualClock()
@@ -33,7 +39,7 @@ func newNJS(t *testing.T) (*NJS, *sim.VirtualClock) {
 		t.Fatalf("New: %v", err)
 	}
 	n.SetLoginMapper(func(dn core.DN, v core.Vsite) (uudb.Login, error) {
-		return uudb.Login{UID: "u_" + strings.ToLower(dn.CommonName())}, nil
+		return uudb.Login{UID: loginOf(dn)}, nil
 	})
 	return n, clock
 }
@@ -148,7 +154,7 @@ func TestDependencyOrderAndFileGuarantee(t *testing.T) {
 		t.Fatalf("Outcome: %v found=%v", err, found)
 	}
 	if o.Status != ajo.StatusSuccessful {
-		t.Fatalf("job status = %s\n%s", o.Status, o.Render(3))
+		t.Fatalf("job status = %s\n%s", o.Status, o.Render())
 	}
 	prod, _ := o.Find("produce")
 	cons, _ := o.Find("consume")
@@ -232,7 +238,7 @@ func TestImportExecuteExport(t *testing.T) {
 	clock.RunUntilIdle(100000)
 	o, _, _ := n.Outcome(alice, false, id)
 	if o.Status != ajo.StatusSuccessful {
-		t.Fatalf("status = %s\n%s", o.Status, o.Render(3))
+		t.Fatalf("status = %s\n%s", o.Status, o.Render())
 	}
 	// The export must exist in the Vsite's Xspace with the same content.
 	vs, _ := n.Vsite("T3E")
@@ -271,7 +277,7 @@ func TestLocalSubJobOnAnotherVsite(t *testing.T) {
 	clock.RunUntilIdle(1000000)
 	o, _, _ := n.Outcome(alice, false, id)
 	if o.Status != ajo.StatusSuccessful {
-		t.Fatalf("status = %s\n%s", o.Status, o.Render(4))
+		t.Fatalf("status = %s\n%s", o.Status, o.Render())
 	}
 	// The sub-job ran on the CLUSTER Vsite: its accounting is there.
 	vs, _ := n.Vsite("CLUSTER")
@@ -467,7 +473,7 @@ func TestCompileLinkExecuteOnT3E(t *testing.T) {
 	clock.RunUntilIdle(1000000)
 	o, _, _ := n.Outcome(alice, false, id)
 	if o.Status != ajo.StatusSuccessful {
-		t.Fatalf("status = %s\n%s", o.Status, o.Render(4))
+		t.Fatalf("status = %s\n%s", o.Status, o.Render())
 	}
 	run, _ := o.Find("run")
 	if !strings.Contains(string(run.Stdout), "kernel ran") {

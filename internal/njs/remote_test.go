@@ -143,7 +143,7 @@ func TestRemoteSubJobChunkedTransfer(t *testing.T) {
 		t.Fatalf("Outcome: %v found=%v", err, found)
 	}
 	if o.Status != ajo.StatusSuccessful {
-		t.Fatalf("status = %s\n%s", o.Status, o.Render(4))
+		t.Fatalf("status = %s\n%s", o.Status, o.Render())
 	}
 	// The transferred file landed in the parent's Uspace, intact.
 	vs, _ := p.njsA.Vsite("T3E")
@@ -316,7 +316,7 @@ func TestRemoteDependencyFileInjection(t *testing.T) {
 	p.clock.RunUntilIdle(1_000_000)
 	o, _, _ := p.njsA.Outcome(p.alice.DN(), false, id)
 	if o.Status != ajo.StatusSuccessful {
-		t.Fatalf("status = %s\n%s", o.Status, o.Render(4))
+		t.Fatalf("status = %s\n%s", o.Status, o.Render())
 	}
 	// The staged import must appear inside the remote group's outcome.
 	remote, ok := o.Find("remote")
@@ -330,6 +330,6 @@ func TestRemoteDependencyFileInjection(t *testing.T) {
 		}
 	}
 	if !staged {
-		t.Fatalf("no staged dependency import in remote outcome:\n%s", remote.Render(3))
+		t.Fatalf("no staged dependency import in remote outcome:\n%s", remote.Render())
 	}
 }

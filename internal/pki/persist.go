@@ -97,7 +97,7 @@ func (a *Authority) EncodePEM() ([]byte, error) {
 	out = append(out, pem.EncodeToMemory(&pem.Block{
 		Type: pemState,
 		Headers: map[string]string{
-			"name":    a.name,
+			"name":    a.cert.Subject.CommonName,
 			"serial":  strconv.FormatInt(serial, 10),
 			"revoked": strings.Join(revoked, " "),
 		},
@@ -143,16 +143,12 @@ func DecodeAuthorityPEM(data []byte) (*Authority, error) {
 	pool := x509.NewCertPool()
 	pool.AddCert(cert)
 	a := &Authority{
-		name:    cert.Subject.CommonName,
 		cert:    cert,
 		key:     key,
 		pool:    pool,
 		serial:  1,
 		revoked: map[string]bool{},
 		ttl:     100 * 365 * 24 * 3600e9,
-	}
-	if n := state["name"]; n != "" {
-		a.name = n
 	}
 	if s := state["serial"]; s != "" {
 		v, err := strconv.ParseInt(s, 10, 64)

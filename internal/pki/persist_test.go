@@ -85,9 +85,6 @@ func TestAuthorityPEMRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeAuthorityPEM: %v", err)
 	}
-	if back.Name() != "Persist-CA" {
-		t.Fatalf("name = %q", back.Name())
-	}
 	// Alice still verifies; Bob is still revoked.
 	if _, err := back.VerifyCert(alice.Cert, RoleUser); err != nil {
 		t.Fatalf("alice no longer verifies: %v", err)
@@ -99,6 +96,9 @@ func TestAuthorityPEMRoundTrip(t *testing.T) {
 	carol, err := back.IssueUser("Carol", "Org")
 	if err != nil {
 		t.Fatalf("IssueUser after restore: %v", err)
+	}
+	if got := carol.Cert.Issuer.CommonName; got != "Persist-CA" {
+		t.Fatalf("restored CA issues as %q, want Persist-CA", got)
 	}
 	if carol.Cert.SerialNumber.Cmp(alice.Cert.SerialNumber) == 0 ||
 		carol.Cert.SerialNumber.Cmp(bob.Cert.SerialNumber) == 0 {

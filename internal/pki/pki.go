@@ -17,7 +17,6 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"crypto/x509/pkix"
-	"encoding/pem"
 	"errors"
 	"fmt"
 	"math/big"
@@ -77,11 +76,6 @@ func SubjectDN(cert *x509.Certificate) core.DN {
 	return core.MakeDN(cert.Subject.CommonName, org, country)
 }
 
-// CertPEM renders the certificate in PEM form.
-func (c *Credential) CertPEM() []byte {
-	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: c.Cert.Raw})
-}
-
 // Authority is a certificate authority. It issues certificates, maintains a
 // revocation list, and hands out the trust pool for verification.
 //
@@ -90,7 +84,6 @@ func (c *Credential) CertPEM() []byte {
 // trust pool is built once: concurrent verifies never serialize on the CA.
 type Authority struct {
 	mu      sync.RWMutex
-	name    string
 	cert    *x509.Certificate
 	key     ed25519.PrivateKey
 	pool    *x509.CertPool
@@ -129,7 +122,6 @@ func NewAuthority(name string) (*Authority, error) {
 	pool := x509.NewCertPool()
 	pool.AddCert(cert)
 	return &Authority{
-		name:    name,
 		cert:    cert,
 		key:     priv,
 		pool:    pool,
@@ -138,12 +130,6 @@ func NewAuthority(name string) (*Authority, error) {
 		ttl:     100 * 365 * 24 * time.Hour,
 	}, nil
 }
-
-// Name returns the CA's common name.
-func (a *Authority) Name() string { return a.name }
-
-// Certificate returns the CA certificate.
-func (a *Authority) Certificate() *x509.Certificate { return a.cert }
 
 // Pool returns the cert pool containing just this CA, for use as a TLS
 // root. The pool is immutable and shared; callers must not add to it.

@@ -94,7 +94,7 @@ func TestDetachedSignatureRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dn.CommonName() != "UNICORE Consortium" {
+	if dn != signer.DN() {
 		t.Fatalf("signer DN = %q", dn)
 	}
 }
@@ -133,15 +133,6 @@ func TestSignatureFromRevokedCertRejected(t *testing.T) {
 	ca.Revoke(signer.Cert)
 	if _, err := ca.VerifySignature(payload, sig, RoleSoftware); !errors.Is(err, ErrRevoked) {
 		t.Fatalf("revoked signer accepted: %v", err)
-	}
-}
-
-func TestCertPEM(t *testing.T) {
-	ca := newCA(t)
-	cred, _ := ca.IssueUser("P", "O")
-	pemBytes := cred.CertPEM()
-	if len(pemBytes) == 0 || string(pemBytes[:10]) != "-----BEGIN" {
-		t.Fatalf("CertPEM output malformed: %q", pemBytes[:20])
 	}
 }
 

@@ -63,7 +63,7 @@ func (e *echoServer) ServeStream(ctx context.Context, conn net.Conn) {
 
 func (e *echoServer) StreamHello(hello []byte) (Opened, []byte) {
 	o, err := OpenTraced(e.rig.ca, hello)
-	if err != nil || o.From.CommonName() != "Alice" || o.Role != pki.RoleUser {
+	if err != nil || o.From != e.rig.user.DN() || o.Role != pki.RoleUser {
 		refusal, _ := Seal(e.cred, MsgError, ErrorReply{Code: "authentication", Message: "wrong identity"})
 		return o, refusal
 	}
@@ -88,7 +88,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt != MsgPoll || role != pki.RoleUser || dn.CommonName() != "Alice" {
+	if mt != MsgPoll || role != pki.RoleUser || dn != r.user.DN() {
 		t.Fatalf("mt=%s role=%s dn=%s", mt, role, dn)
 	}
 	var pr PollRequest

@@ -137,33 +137,6 @@ func (p *Page) HasSoftware(kind SoftwareKind, name, version string) bool {
 	return false
 }
 
-// FindSoftware returns the catalog entry for (kind, name), preferring the
-// highest version string.
-func (p *Page) FindSoftware(kind SoftwareKind, name string) (Software, bool) {
-	var best Software
-	found := false
-	for _, s := range p.Software {
-		if s.Kind != kind || !strings.EqualFold(s.Name, name) {
-			continue
-		}
-		if !found || s.Version > best.Version {
-			best, found = s, true
-		}
-	}
-	return best, found
-}
-
-// Defaults returns the page's default request.
-func (p *Page) Defaults() Request {
-	return Request{
-		Processors: p.Processors.Default,
-		RunTime:    time.Duration(p.RunTimeSec.Default) * time.Second,
-		MemoryMB:   p.MemoryMB.Default,
-		PermDiskMB: p.PermDiskMB.Default,
-		TempDiskMB: p.TempDiskMB.Default,
-	}
-}
-
 // Check validates a request against the page. It collects every violation so
 // the JPA can show the user all problems at once.
 func (p *Page) Check(r Request) error {

@@ -1,4 +1,4 @@
-package testbed
+package testbed_test
 
 import (
 	"bytes"
@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicore/internal/testbed"
 
 	"unicore/internal/core"
 	"unicore/internal/deploy"
@@ -50,7 +51,7 @@ func chaosSpec() *deploy.TopologySpec {
 // duplicated, every event stream must be contiguous, and the controller's
 // reconcile/heal metrics must be visible through the gateway scrape.
 func TestChaosSoakUnderLoad(t *testing.T) {
-	d, m, err := NewManaged(chaosSpec(), "POOL", t.TempDir())
+	d, m, err := testbed.NewManaged(chaosSpec(), "POOL", t.TempDir())
 	if err != nil {
 		t.Fatalf("NewManaged: %v", err)
 	}
@@ -176,7 +177,7 @@ func TestChaosSoakUnderLoad(t *testing.T) {
 // journal-recovered instance so the client can finish it afterwards.
 func TestDrainBeforeKillLosesNothing(t *testing.T) {
 	spec := chaosSpec()
-	d, m, err := NewManaged(spec, "POOL", t.TempDir())
+	d, m, err := testbed.NewManaged(spec, "POOL", t.TempDir())
 	if err != nil {
 		t.Fatalf("NewManaged: %v", err)
 	}
@@ -325,7 +326,7 @@ func TestDrainBeforeKillLosesNothing(t *testing.T) {
 func TestManagedSiteSurfacesRetireAndCloseFailures(t *testing.T) {
 	root := t.TempDir()
 	spec := chaosSpec()
-	d, m, err := NewManaged(spec, "POOL", root)
+	d, m, err := testbed.NewManaged(spec, "POOL", root)
 	if err != nil {
 		t.Fatalf("NewManaged: %v", err)
 	}

@@ -1,4 +1,4 @@
-package testbed
+package testbed_test
 
 import (
 	"context"
@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicore/internal/testbed"
+	"unicore/internal/testbed/testbedtest"
 
 	"unicore/internal/ajo"
 	"unicore/internal/core"
@@ -27,8 +29,8 @@ func journalReopen(dir string) (*journal.Store, error) { return journal.Open(dir
 // crash at ALPHA exercises every recovery edge — local jobs mid-batch,
 // sub-jobs ALPHA consigned to BETA (poll loops to re-arm), and sub-jobs BETA
 // consigned to ALPHA (peer-side survival + idempotent re-consign).
-func crashSpecs() []SiteSpec {
-	return []SiteSpec{
+func crashSpecs() []testbed.SiteSpec {
+	return []testbed.SiteSpec{
 		{Usite: "ALPHA", Vsites: []njs.VsiteConfig{{Name: "CLUSTER", Profile: machine.GenericCluster(16)}}},
 		{Usite: "BETA", Vsites: []njs.VsiteConfig{{Name: "CLUSTER", Profile: machine.GenericCluster(8)}}},
 	}
@@ -64,7 +66,7 @@ func canonicalOutcome(o *ajo.Outcome) string {
 // outcome of every job, keyed by workload name.
 func runCrashWorkload(t *testing.T, crash bool) map[string]string {
 	t.Helper()
-	d, err := New(crashSpecs()...)
+	d, err := testbed.New(crashSpecs()...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -90,15 +92,15 @@ func runCrashWorkload(t *testing.T, crash bool) map[string]string {
 		}
 	}()
 
-	cfg := DefaultWorkload(7, 24, d.Targets())
+	cfg := testbed.DefaultWorkload(7, 24, d.Targets())
 	cfg.MultiSiteFraction = 0.35
 	cfg.MeanCPU = 15 * time.Minute
 	cfg.MaxProcs = 8
-	jobs, err := GenerateWorkload(cfg)
+	jobs, err := testbed.GenerateWorkload(cfg)
 	if err != nil {
 		t.Fatalf("GenerateWorkload: %v", err)
 	}
-	jpa := d.JPA(user)
+	sess := sessions(d, user)
 	type consigned struct {
 		name  string
 		usite core.Usite
@@ -106,7 +108,7 @@ func runCrashWorkload(t *testing.T, crash bool) map[string]string {
 	}
 	var ids []consigned
 	for _, j := range jobs {
-		id, err := jpa.Submit(j)
+		id, err := sess[j.Target.Usite].Submit(context.Background(), j)
 		if err != nil {
 			t.Fatalf("Submit(%s): %v", j.Name(), err)
 		}
@@ -140,7 +142,7 @@ func runCrashWorkload(t *testing.T, crash bool) map[string]string {
 		if err := h.store.Sync(); err != nil {
 			t.Fatalf("Sync: %v", err)
 		}
-		if err := d.KillSite("ALPHA"); err != nil {
+		if err := testbedtest.KillSite(d, "ALPHA"); err != nil {
 			t.Fatalf("KillSite: %v", err)
 		}
 		if err := h.store.Close(); err != nil {
@@ -151,7 +153,7 @@ func runCrashWorkload(t *testing.T, crash bool) map[string]string {
 			t.Fatalf("reopen: %v", err)
 		}
 		stores["ALPHA"] = storeHandle{dir: h.dir, store: store}
-		if err := d.RestartSite("ALPHA", store, snapshotEvery); err != nil {
+		if err := testbedtest.RestartSite(d, "ALPHA", store, snapshotEvery); err != nil {
 			t.Fatalf("RestartSite: %v", err)
 		}
 	}

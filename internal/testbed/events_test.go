@@ -1,4 +1,4 @@
-package testbed
+package testbed_test
 
 import (
 	"context"
@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unicore/internal/testbed"
 
 	"unicore/internal/ajo"
 	"unicore/internal/client"
@@ -69,7 +70,7 @@ func checkStream(t *testing.T, job core.JobID, evs []client.JobEvent) {
 // re-subscribing at the last cursor, and the assembled stream has no gaps
 // and no duplicates — byte-identical to what a reliable subscriber sees.
 func TestEventStreamRecoversFromDroppedReplies(t *testing.T) {
-	d, err := SingleSite("FZJ", "CLUSTER", 8)
+	d, err := testbed.SingleSite("FZJ", "CLUSTER", 8)
 	if err != nil {
 		t.Fatalf("SingleSite: %v", err)
 	}
@@ -134,7 +135,7 @@ func TestEventStreamRecoversFromDroppedReplies(t *testing.T) {
 // per-origin cursors, and resuming at the returned cursors yields nothing
 // new.
 func TestUserStreamMergesAcrossReplicas(t *testing.T) {
-	d, err := ReplicatedSite("POOL", "CLUSTER", 16, 3, 0)
+	d, err := testbed.ReplicatedSite("POOL", "CLUSTER", 16, 3, 0)
 	if err != nil {
 		t.Fatalf("ReplicatedSite: %v", err)
 	}
@@ -143,15 +144,14 @@ func TestUserStreamMergesAcrossReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa := d.JPA(user)
+	sess := d.Session(user, "POOL")
 	for i := 0; i < 6; i++ {
-		if _, err := jpa.Submit(probeJob(t, fmt.Sprintf("merge-%02d", i))); err != nil {
+		if _, err := sess.Submit(context.Background(), probeJob(t, fmt.Sprintf("merge-%02d", i))); err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
 	d.Run(1_000_000)
 
-	sess := d.Session(user, "POOL")
 	var all []client.JobEvent
 	origins := map[string]uint64{}
 	for {
@@ -205,7 +205,7 @@ func TestUserStreamMergesAcrossReplicas(t *testing.T) {
 // stream; a Watch opened from the start is refused with ErrWatchGap; and
 // Session.Events at an explicit retained cursor still reads the window.
 func TestEventLogEvictionEndToEnd(t *testing.T) {
-	d, err := SingleSite("FZJ", "CLUSTER", 8)
+	d, err := testbed.SingleSite("FZJ", "CLUSTER", 8)
 	if err != nil {
 		t.Fatalf("SingleSite: %v", err)
 	}

@@ -1,4 +1,4 @@
-package testbed
+package testbed_test
 
 import (
 	"context"
@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicore/internal/testbed"
+	"unicore/internal/testbed/testbedtest"
 
 	"unicore/internal/ajo"
 	"unicore/internal/client"
@@ -58,9 +60,9 @@ func failoverSpec(policy pool.Policy) *deploy.TopologySpec {
 
 // newFailoverSite boots failoverSpec as a controller-managed site with every
 // replica journaled under a fresh state root.
-func newFailoverSite(t *testing.T, policy pool.Policy) (*Deployment, *ManagedSite) {
+func newFailoverSite(t *testing.T, policy pool.Policy) (*testbed.Deployment, *testbed.ManagedSite) {
 	t.Helper()
-	d, m, err := NewManaged(failoverSpec(policy), "POOL", t.TempDir())
+	d, m, err := testbed.NewManaged(failoverSpec(policy), "POOL", t.TempDir())
 	if err != nil {
 		t.Fatalf("NewManaged: %v", err)
 	}
@@ -69,7 +71,7 @@ func newFailoverSite(t *testing.T, policy pool.Policy) (*Deployment, *ManagedSit
 }
 
 // replicaNJS resolves the live NJS behind one pool tag.
-func replicaNJS(t *testing.T, m *ManagedSite, tag string) *njs.NJS {
+func replicaNJS(t *testing.T, m *testbed.ManagedSite, tag string) *njs.NJS {
 	t.Helper()
 	for _, n := range m.Replicas() {
 		if n.Instance() == pool.Instance("CLUSTER", tag) {
@@ -82,7 +84,7 @@ func replicaNJS(t *testing.T, m *ManagedSite, tag string) *njs.NJS {
 
 // healReplica runs the one controller pass that recovers a crashed replica
 // from its journal and swaps it back in under its stable pool tag.
-func healReplica(t *testing.T, m *ManagedSite) {
+func healReplica(t *testing.T, m *testbed.ManagedSite) {
 	t.Helper()
 	res, err := m.Reconcile()
 	if err != nil {
@@ -185,18 +187,18 @@ func runFailoverWorkload(t *testing.T, kill bool) map[string]string {
 		t.Fatalf("NewUser: %v", err)
 	}
 
-	cfg := DefaultWorkload(11, 24, d.Targets())
+	cfg := testbed.DefaultWorkload(11, 24, d.Targets())
 	cfg.MultiSiteFraction = 0 // one Usite: every job is local to the pool
 	cfg.MeanCPU = 15 * time.Minute
 	cfg.MaxProcs = 8
-	jobs, err := GenerateWorkload(cfg)
+	jobs, err := testbed.GenerateWorkload(cfg)
 	if err != nil {
 		t.Fatalf("GenerateWorkload: %v", err)
 	}
-	jpa, sess := d.JPA(user), d.Session(user, "POOL")
+	sess := d.Session(user, "POOL")
 	ids := make(map[string]core.JobID, len(jobs))
 	for _, j := range jobs {
-		id, err := jpa.Submit(j)
+		id, err := sess.Submit(context.Background(), j)
 		if err != nil {
 			t.Fatalf("Submit(%s): %v", j.Name(), err)
 		}
@@ -249,7 +251,7 @@ func runFailoverWorkload(t *testing.T, kill bool) map[string]string {
 				t.Fatalf("Submit(traced-%02d) against the un-swept pool: %v", i, err)
 			}
 			tr, _ := watcher.sess.Trace(id)
-			spans, err := d.Trace("POOL", tr)
+			spans, err := testbedtest.Trace(d, "POOL", tr)
 			if err != nil {
 				t.Fatalf("Trace: %v", err)
 			}
@@ -290,7 +292,7 @@ func runFailoverWorkload(t *testing.T, kill bool) map[string]string {
 			t.Fatalf("healthy after kill = %v, want 2 replicas", h)
 		}
 		for i := 0; i < 6; i++ {
-			if _, err := jpa.Submit(probeJob(t, fmt.Sprintf("probe-%02d", i))); err != nil {
+			if _, err := sess.Submit(context.Background(), probeJob(t, fmt.Sprintf("probe-%02d", i))); err != nil {
 				t.Fatalf("Submit(probe-%02d) during outage: %v", i, err)
 			}
 		}
@@ -396,7 +398,7 @@ func TestConsignFailoverAcrossRealReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa := d.JPA(user)
+	sess := d.Session(user, "POOL")
 	// Kill whatever replica consistent hashing would pick for this job by
 	// killing all but one: the submission must still succeed on the
 	// survivor.
@@ -406,7 +408,7 @@ func TestConsignFailoverAcrossRealReplicas(t *testing.T) {
 			t.Fatalf("KillReplica(%s): %v", tag, err)
 		}
 	}
-	id, err := jpa.Submit(probeJob(t, "solo"))
+	id, err := sess.Submit(context.Background(), probeJob(t, "solo"))
 	if err != nil {
 		t.Fatalf("Submit with 2 of 3 replicas dead: %v", err)
 	}
@@ -417,7 +419,7 @@ func TestConsignFailoverAcrossRealReplicas(t *testing.T) {
 	if err := m.KillReplica("CLUSTER", "r2"); err != nil {
 		t.Fatalf("KillReplica(r2): %v", err)
 	}
-	if _, err := jpa.Submit(probeJob(t, "solo2")); err == nil || !strings.Contains(err.Error(), pool.ErrNoReplica.Error()) {
+	if _, err := sess.Submit(context.Background(), probeJob(t, "solo2")); err == nil || !strings.Contains(err.Error(), pool.ErrNoReplica.Error()) {
 		t.Fatalf("Submit on fully drained pool: err = %v, want ErrNoReplica", err)
 	}
 }

@@ -1,4 +1,4 @@
-package testbed
+package testbed_test
 
 // End-to-end coverage of the federated multi-gateway grid: broker-driven
 // placement across gateways, the cross-gateway durable-ack contract under
@@ -6,11 +6,14 @@ package testbed
 // kills a peer gateway mid-workload.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
+	"unicore/internal/testbed"
+	"unicore/internal/testbed/testbedtest"
 
 	"unicore/internal/ajo"
 	"unicore/internal/client"
@@ -24,22 +27,23 @@ import (
 // fedPair deploys a small FZJ (2 PEs) next to a large DWD (32 PEs), federated
 // and gossiped: a job needing more than 2 PEs consigned at FZJ can only run
 // behind DWD's gateway.
-func fedPair(t *testing.T) *Deployment {
+func fedPair(t *testing.T) (*testbed.Deployment, *testbedtest.Mesh) {
 	t.Helper()
-	d, err := New(
-		SiteSpec{Usite: "FZJ", Vsites: []njs.VsiteConfig{{Name: "SMALL", Profile: machine.GenericCluster(2)}}},
-		SiteSpec{Usite: "DWD", Vsites: []njs.VsiteConfig{{Name: "BIG", Profile: machine.GenericCluster(32)}}},
+	d, err := testbed.New(
+		testbed.SiteSpec{Usite: "FZJ", Vsites: []njs.VsiteConfig{{Name: "SMALL", Profile: machine.GenericCluster(2)}}},
+		testbed.SiteSpec{Usite: "DWD", Vsites: []njs.VsiteConfig{{Name: "BIG", Profile: machine.GenericCluster(32)}}},
 	)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	t.Cleanup(d.Close)
-	if err := d.EnableFederation(); err != nil {
+	mesh, err := testbedtest.EnableFederation(d)
+	if err != nil {
 		t.Fatalf("EnableFederation: %v", err)
 	}
-	d.GossipAll()
-	d.GossipAll()
-	return d
+	mesh.GossipAll()
+	mesh.GossipAll()
+	return d, mesh
 }
 
 // bigJob builds a job only DWD's 32-PE cluster can satisfy, targeted at the
@@ -55,18 +59,18 @@ func bigJob(name string) (*ajo.AbstractJob, error) {
 // gateway A with no explicit Vsite lands on a Vsite fronted by gateway B,
 // completes there, and is awaitable and fetchable from A.
 func TestFederatedAutoPlacement(t *testing.T) {
-	d := fedPair(t)
+	d, mesh := fedPair(t)
 	user, err := d.NewUser("Fed User", "Grid", "fed")
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa := d.JPA(user)
+	sess := d.Session(user, "FZJ")
 
 	job, err := bigJob("auto-placed")
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	id, err := jpa.Submit(job)
+	id, err := sess.Submit(context.Background(), job)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -86,12 +90,12 @@ func TestFederatedAutoPlacement(t *testing.T) {
 	if _, err := d.Session(user, "FZJ").Outcome(context.Background(), id); err != nil {
 		t.Fatalf("Outcome via origin: %v", err)
 	}
-	data, err := d.Session(user, "FZJ").FetchFile(context.Background(), id, "out.dat")
-	if err != nil {
-		t.Fatalf("FetchFile via origin: %v", err)
+	var data bytes.Buffer
+	if _, err := d.Session(user, "FZJ").Download(context.Background(), id, "out.dat", &data); err != nil {
+		t.Fatalf("Download via origin: %v", err)
 	}
-	if len(data) != 512 {
-		t.Fatalf("fetched %d bytes, want 512", len(data))
+	if data.Len() != 512 {
+		t.Fatalf("fetched %d bytes, want 512", data.Len())
 	}
 
 	// The work was charged where it ran.
@@ -99,7 +103,7 @@ func TestFederatedAutoPlacement(t *testing.T) {
 		t.Fatal("no accounting at DWD after a forwarded job ran there")
 	}
 	// And the forward shows in the origin's federation telemetry.
-	snap := d.Federation("FZJ").Registry().Snapshot()
+	snap := mesh.Federation("FZJ").Registry().Snapshot()
 	forwards := -1.0
 	for _, p := range snap.Metrics {
 		if p.Name == "fed_forward_total" && len(p.Labels) == 1 && p.Labels["peer"] == "DWD" {
@@ -115,7 +119,7 @@ func TestFederatedAutoPlacement(t *testing.T) {
 // authorization boundary: a user who did not forward the job through this
 // gateway cannot reach it by ID.
 func TestFederatedPlacementRefusedByStranger(t *testing.T) {
-	d := fedPair(t)
+	d, _ := fedPair(t)
 	owner, err := d.NewUser("Owner", "Grid", "owner")
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
@@ -128,7 +132,7 @@ func TestFederatedPlacementRefusedByStranger(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	id, err := d.JPA(owner).Submit(job)
+	id, err := d.Session(owner, "FZJ").Submit(context.Background(), job)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -144,7 +148,7 @@ func TestFederatedPlacementRefusedByStranger(t *testing.T) {
 // converge on the single admitted job, and the job must complete with a
 // contiguous event stream readable from the origin.
 func TestFederatedConsignSurvivesPeerGatewayRestart(t *testing.T) {
-	d := fedPair(t)
+	d, mesh := fedPair(t)
 	store, err := d.EnableDurability("DWD", t.TempDir(), 0)
 	if err != nil {
 		t.Fatalf("EnableDurability: %v", err)
@@ -173,7 +177,7 @@ func TestFederatedConsignSurvivesPeerGatewayRestart(t *testing.T) {
 
 	// The remote gateway admits the job but the ack is lost in transit: the
 	// origin must answer not-accepted (it cannot know the admission stuck).
-	if err := d.BlackholeGateway("DWD"); err != nil {
+	if err := mesh.BlackholeGateway("DWD"); err != nil {
 		t.Fatalf("BlackholeGateway: %v", err)
 	}
 	reply, err := consign()
@@ -188,7 +192,7 @@ func TestFederatedConsignSurvivesPeerGatewayRestart(t *testing.T) {
 	}
 
 	// Then the gateway process dies outright; a retry still must not ack.
-	if err := d.KillGateway("DWD"); err != nil {
+	if err := mesh.KillGateway("DWD"); err != nil {
 		t.Fatalf("KillGateway: %v", err)
 	}
 	reply, err = consign()
@@ -201,7 +205,7 @@ func TestFederatedConsignSurvivesPeerGatewayRestart(t *testing.T) {
 
 	// Gateway back: the retry with the same consign ID converges on the job
 	// the blackholed forward already admitted — accepted exactly once.
-	if err := d.RestartGateway("DWD"); err != nil {
+	if err := mesh.RestartGateway("DWD"); err != nil {
 		t.Fatalf("RestartGateway: %v", err)
 	}
 	reply, err = consign()
@@ -250,7 +254,7 @@ func TestFederatedConsignSurvivesPeerGatewayRestart(t *testing.T) {
 
 // onlyGossipIsPosted requires that every hop a site served rode the frame
 // stream through its gate: the only envelopes its gateway counted are gossip.
-func onlyGossipIsPosted(t *testing.T, d *Deployment, u core.Usite) {
+func onlyGossipIsPosted(t *testing.T, d *testbed.Deployment, u core.Usite) {
 	t.Helper()
 	gw := d.Sites[u].Gateway
 	for _, p := range gw.Telemetry().Snapshot().Metrics {
@@ -267,12 +271,12 @@ func onlyGossipIsPosted(t *testing.T, d *Deployment, u core.Usite) {
 // peer gateway while an explicit sub-job runs back at the origin site, with
 // a Uspace-to-Uspace transfer fanning the sub-job's output in.
 func TestDagSpansGateways(t *testing.T) {
-	d := fedPair(t)
+	d, _ := fedPair(t)
 	user, err := d.NewUser("DAG User", "Grid", "dag")
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa := d.JPA(user)
+	sess := d.Session(user, "FZJ")
 
 	pre := client.NewJob("pre", core.Target{Usite: "FZJ", Vsite: "SMALL"})
 	pre.Script("prepare", "write grid.dat 2048\necho prepared\n",
@@ -288,7 +292,7 @@ func TestDagSpansGateways(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	id, err := jpa.Submit(job)
+	id, err := sess.Submit(context.Background(), job)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -303,7 +307,7 @@ func TestDagSpansGateways(t *testing.T) {
 	}
 	if sum.Status != ajo.StatusSuccessful {
 		if o, oerr := d.Session(user, "FZJ").Outcome(context.Background(), id); oerr == nil {
-			t.Logf("outcome:\n%s", client.Display(o))
+			t.Logf("outcome:\n%s", o.Render())
 		}
 		t.Fatalf("status = %s, want SUCCESSFUL", sum.Status)
 	}
@@ -321,19 +325,19 @@ func TestDagSpansGateways(t *testing.T) {
 // gateway is killed and restarted mid-workload. Every job the origin acked
 // must complete exactly once; refused forwards must converge on retry.
 func TestFederationSoakPeerKilledMidWorkload(t *testing.T) {
-	d := fedPair(t)
+	d, mesh := fedPair(t)
 	user, err := d.NewUser("Soak User", "Grid", "soak")
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa := d.JPA(user)
+	sess := d.Session(user, "FZJ")
 
 	submit := func(i int) (core.JobID, error) {
 		job, err := bigJob(fmt.Sprintf("soak-%03d", i))
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
-		return jpa.Submit(job)
+		return sess.Submit(context.Background(), job)
 	}
 
 	accepted := make(map[core.JobID]bool)
@@ -347,7 +351,7 @@ func TestFederationSoakPeerKilledMidWorkload(t *testing.T) {
 	}
 	// Kill the peer gateway mid-workload: forwards fail, the origin must
 	// refuse (never ack) but keep serving.
-	if err := d.KillGateway("DWD"); err != nil {
+	if err := mesh.KillGateway("DWD"); err != nil {
 		t.Fatalf("KillGateway: %v", err)
 	}
 	for i := 8; i < 12; i++ {
@@ -357,7 +361,7 @@ func TestFederationSoakPeerKilledMidWorkload(t *testing.T) {
 			refused = append(refused, i)
 		}
 	}
-	if err := d.RestartGateway("DWD"); err != nil {
+	if err := mesh.RestartGateway("DWD"); err != nil {
 		t.Fatalf("RestartGateway: %v", err)
 	}
 	for _, i := range refused {

@@ -91,7 +91,7 @@ func (d *Deployment) ApplySpec(spec *deploy.TopologySpec, u core.Usite, stateRoo
 	}
 	m := &ManagedSite{
 		Stack: stack,
-		Site:  &Site{Spec: tspec, Users: stack.Users, Pool: stack.Router, Gateway: stack.Gateway, cred: srvCred},
+		Site:  &Site{Spec: tspec, Users: stack.Users, Pool: stack.Router, Gateway: stack.Gateway},
 	}
 	d.Net.Register(host, stack.Gateway)
 	// A stack's registry is seeded once, above; the stacks already running

@@ -1,4 +1,4 @@
-package testbed
+package testbed_test
 
 import (
 	"bytes"
@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicore/internal/testbed"
 
 	"unicore/internal/ajo"
 	"unicore/internal/client"
@@ -31,7 +32,7 @@ func stagedPayload(n int) []byte {
 // killHealReplica crashes one replica right after an fsync and has the
 // controller swap in a journal-recovered replacement, exactly as the failover
 // workload test does.
-func killHealReplica(t *testing.T, m *ManagedSite, tag string) {
+func killHealReplica(t *testing.T, m *testbed.ManagedSite, tag string) {
 	t.Helper()
 	if err := m.KillReplica("CLUSTER", tag); err != nil {
 		t.Fatalf("KillReplica(%s): %v", tag, err)
@@ -41,7 +42,7 @@ func killHealReplica(t *testing.T, m *ManagedSite, tag string) {
 
 // spoolHolds reports whether the live replica named inst holds a transfer
 // handle in its spool.
-func spoolHolds(m *ManagedSite, inst, handle string) bool {
+func spoolHolds(m *testbed.ManagedSite, inst, handle string) bool {
 	for _, n := range m.Replicas() {
 		if sp, ok := n.StagingSpool("CLUSTER"); ok && n.Instance() == inst {
 			_, held := sp.Stat(handle)
@@ -164,7 +165,7 @@ func TestStagedTransferSurvivesReplicaKill(t *testing.T) {
 	}
 	if sum.Status != ajo.StatusSuccessful {
 		o, _ := sess.Outcome(ctx, id)
-		t.Fatalf("staged job finished %s:\n%s", sum.Status, client.Display(o))
+		t.Fatalf("staged job finished %s:\n%s", sum.Status, o.Render())
 	}
 
 	// --- Phase 3: parallel download with a mid-transfer replica kill -------

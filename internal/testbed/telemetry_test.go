@@ -1,8 +1,9 @@
-package testbed
+package testbed_test
 
 import (
 	"context"
 	"testing"
+	"unicore/internal/testbed/testbedtest"
 
 	"unicore/internal/pool"
 	"unicore/internal/telemetry"
@@ -41,7 +42,7 @@ func TestTraceSpansSubmitAcrossTiers(t *testing.T) {
 	if !ok || trace == "" {
 		t.Fatal("Session.Trace: no trace recorded for the submitted job")
 	}
-	spans, err := d.Trace("POOL", trace)
+	spans, err := testbedtest.Trace(d, "POOL", trace)
 	if err != nil {
 		t.Fatalf("Trace: %v", err)
 	}

@@ -18,7 +18,6 @@ import (
 	"unicore/internal/client"
 	"unicore/internal/core"
 	"unicore/internal/deploy"
-	"unicore/internal/federation"
 	"unicore/internal/gateway"
 	"unicore/internal/journal"
 	"unicore/internal/machine"
@@ -56,8 +55,6 @@ type Site struct {
 	// the socket the gateway is served on inside.
 	Front *gateway.Front
 	inner net.Listener
-
-	cred *pki.Credential // server credential, kept for NJS restarts
 }
 
 // Deployment is a whole multi-Usite UNICORE installation.
@@ -71,8 +68,6 @@ type Deployment struct {
 
 	order   []core.Usite
 	managed map[core.Usite]*ManagedSite
-	feds    map[core.Usite]*federation.Federation
-	gates   map[core.Usite]*gate
 }
 
 // hostOf derives the in-process host name of a site's gateway.
@@ -140,7 +135,7 @@ func (d *Deployment) deploySite(spec SiteSpec) (*Site, error) {
 	}
 	// The NJS talks to peer sites as this site's server identity.
 	n.SetPeers(protocol.NewClient(d.Net, srvCred, d.CA, d.Registry))
-	site := &Site{Spec: spec, NJS: n, Users: users, cred: srvCred}
+	site := &Site{Spec: spec, NJS: n, Users: users}
 	gw, err := gateway.New(gateway.Config{
 		Usite:    spec.Usite,
 		Cred:     srvCred,
@@ -193,11 +188,13 @@ func (d *Deployment) deploySite(spec SiteSpec) (*Site, error) {
 	return site, nil
 }
 
-// single resolves a site served by one NJS — the kind EnableDurability,
-// KillSite and RestartSite crash and recover by hand. A controller-managed
-// site journals under its stack's state root and heals itself
-// (ManagedSite.KillReplica, Reconcile).
-func (d *Deployment) single(u core.Usite) (*Site, error) {
+// EnableDurability attaches a write-ahead journal store (rooted at dir) to a
+// site's NJS. snapshotEvery > 0 sets the automatic snapshot cadence. The
+// returned store belongs to the caller: Sync/Close it around a simulated
+// crash and recover the NJS from a reopened one (njs.Recover). Only a site
+// served by one NJS takes one: a controller-managed site journals under its
+// stack's state root and heals itself (ManagedSite.KillReplica, Reconcile).
+func (d *Deployment) EnableDurability(u core.Usite, dir string, snapshotEvery int) (*journal.Store, error) {
 	site, ok := d.Sites[u]
 	if !ok {
 		return nil, fmt.Errorf("testbed: unknown usite %q", u)
@@ -205,60 +202,12 @@ func (d *Deployment) single(u core.Usite) (*Site, error) {
 	if site.NJS == nil {
 		return nil, fmt.Errorf("testbed: %s is controller-managed; crash and heal it through its ManagedSite", u)
 	}
-	return site, nil
-}
-
-// EnableDurability attaches a write-ahead journal store (rooted at dir) to a
-// site's NJS. snapshotEvery > 0 sets the automatic snapshot cadence. The
-// returned store belongs to the caller: Sync/Close it around a simulated
-// crash and hand a reopened store to RestartSite.
-func (d *Deployment) EnableDurability(u core.Usite, dir string, snapshotEvery int) (*journal.Store, error) {
-	site, err := d.single(u)
-	if err != nil {
-		return nil, err
-	}
 	store, err := journal.Open(dir)
 	if err != nil {
 		return nil, err
 	}
 	site.NJS.AttachJournal(store, snapshotEvery)
 	return store, nil
-}
-
-// KillSite simulates an NJS process crash at a site: the NJS stops
-// journaling and every pending clock callback it owns becomes a no-op. The
-// gateway keeps running (the §5.2 split survives an inner restart); calls
-// reaching the dead NJS are refused or see its frozen state until
-// RestartSite swaps in the recovered one.
-func (d *Deployment) KillSite(u core.Usite) error {
-	site, err := d.single(u)
-	if err != nil {
-		return err
-	}
-	site.NJS.Kill()
-	return nil
-}
-
-// RestartSite boots a replacement NJS from the journal store, re-wires it
-// (peer client, gateway, login mapping), and resumes the recovered workload.
-func (d *Deployment) RestartSite(u core.Usite, store *journal.Store, snapshotEvery int) error {
-	site, err := d.single(u)
-	if err != nil {
-		return err
-	}
-	n, err := njs.Recover(store, njs.Config{
-		Usite:  site.Spec.Usite,
-		Clock:  d.Clock,
-		Vsites: site.Spec.Vsites,
-	}, snapshotEvery)
-	if err != nil {
-		return err
-	}
-	n.SetPeers(protocol.NewClient(d.Net, site.cred, d.CA, d.Registry))
-	site.Gateway.SetBackend(n) // installs the login mapper
-	site.NJS = n
-	n.ResumeRecovered()
-	return nil
 }
 
 // Close tears down split-site sockets and managed-site controllers.
@@ -318,11 +267,6 @@ func (d *Deployment) UserClient(cred *pki.Credential) *protocol.Client {
 	return protocol.NewClient(d.Net, cred, d.CA, d.Registry)
 }
 
-// JPA builds a job preparation agent for a user.
-func (d *Deployment) JPA(cred *pki.Credential) *client.JPA {
-	return client.NewJPA(d.UserClient(cred))
-}
-
 // Session opens a session (context-aware submit/monitor/control with
 // server-push event streams) for a user at one Usite. Under the virtual
 // clock, drive the deployment from another goroutine (go d.Run(...)) while a
@@ -347,22 +291,6 @@ func (d *Deployment) Metrics(u core.Usite) ([]telemetry.Snapshot, error) {
 		return nil, fmt.Errorf("testbed: unknown usite %q", u)
 	}
 	return site.Gateway.Metrics(), nil
-}
-
-// Trace collects every span recorded under one trace ID at a site, across
-// all tiers, ordered by start time — the per-request path of one client call
-// (gateway dispatch → pool routing → NJS admission → journal sync).
-func (d *Deployment) Trace(u core.Usite, trace string) ([]telemetry.Span, error) {
-	snaps, err := d.Metrics(u)
-	if err != nil {
-		return nil, err
-	}
-	var spans []telemetry.Span
-	for _, s := range snaps {
-		spans = append(spans, s.Trace(trace)...)
-	}
-	telemetry.SortSpans(spans)
-	return spans, nil
 }
 
 // Accounting collects every Vsite's batch accounting, tagged with target and

@@ -1,4 +1,4 @@
-package testbed
+package testbed_test
 
 import (
 	"context"
@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicore/internal/testbed"
 
 	"unicore/internal/accounting"
 	"unicore/internal/ajo"
@@ -20,7 +21,7 @@ import (
 )
 
 func TestSingleSiteQuickJob(t *testing.T) {
-	d, err := SingleSite("DEMO", "CLUSTER", 8)
+	d, err := testbed.SingleSite("DEMO", "CLUSTER", 8)
 	if err != nil {
 		t.Fatalf("SingleSite: %v", err)
 	}
@@ -29,7 +30,7 @@ func TestSingleSiteQuickJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa := d.JPA(user)
+	sess := d.Session(user, "DEMO")
 
 	b := client.NewJob("hello", core.Target{Usite: "DEMO", Vsite: "CLUSTER"})
 	b.Script("greet", "echo hello from the testbed\n", resources.Request{Processors: 1, RunTime: time.Minute})
@@ -37,7 +38,7 @@ func TestSingleSiteQuickJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	id, err := jpa.Submit(job)
+	id, err := sess.Submit(context.Background(), job)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -51,8 +52,18 @@ func TestSingleSiteQuickJob(t *testing.T) {
 	}
 }
 
+// sessions opens one session per Usite of the deployment for a user, so a
+// workload that spans sites submits each job at its own Usite.
+func sessions(d *testbed.Deployment, user *pki.Credential) map[core.Usite]*client.Session {
+	out := make(map[core.Usite]*client.Session)
+	for _, u := range d.Usites() {
+		out[u] = d.Session(user, u)
+	}
+	return out
+}
+
 func TestGermanTopology(t *testing.T) {
-	d, err := German()
+	d, err := testbed.German()
 	if err != nil {
 		t.Fatalf("German: %v", err)
 	}
@@ -87,7 +98,7 @@ func TestGermanTopology(t *testing.T) {
 }
 
 func TestMultiSiteJobAcrossGermany(t *testing.T) {
-	d, err := German()
+	d, err := testbed.German()
 	if err != nil {
 		t.Fatalf("German: %v", err)
 	}
@@ -96,7 +107,7 @@ func TestMultiSiteJobAcrossGermany(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa := d.JPA(user)
+	sess := d.Session(user, "FZJ")
 
 	// Pre-processing at ZIB, main run at FZJ, with a Uspace-to-Uspace
 	// transfer between them (§5.6).
@@ -114,7 +125,7 @@ func TestMultiSiteJobAcrossGermany(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	id, err := jpa.Submit(job)
+	id, err := sess.Submit(context.Background(), job)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -127,7 +138,7 @@ func TestMultiSiteJobAcrossGermany(t *testing.T) {
 	if sum.Status != ajo.StatusSuccessful {
 		o, oerr := d.Session(user, "FZJ").Outcome(context.Background(), id)
 		if oerr == nil {
-			t.Logf("outcome:\n%s", client.Display(o))
+			t.Logf("outcome:\n%s", o.Render())
 		}
 		t.Fatalf("status = %s, want SUCCESSFUL", sum.Status)
 	}
@@ -157,7 +168,7 @@ func TestManagedSiteReachesLaterSite(t *testing.T) {
 			Vsites: []deploy.TopologyVsite{{Name: "CLUSTER", Machine: "cluster", Replicas: 2}},
 		})
 	}
-	d, _, err := NewManaged(spec, "FIRST", "")
+	d, _, err := testbed.NewManaged(spec, "FIRST", "")
 	if err != nil {
 		t.Fatalf("NewManaged: %v", err)
 	}
@@ -192,14 +203,14 @@ func TestManagedSiteReachesLaterSite(t *testing.T) {
 		t.Fatalf("Outcome: %v", err)
 	}
 	if o.Status != ajo.StatusSuccessful {
-		t.Fatalf("job at FIRST with a sub-job for LATER finished %s:\n%s", o.Status, client.Display(o))
+		t.Fatalf("job at FIRST with a sub-job for LATER finished %s:\n%s", o.Status, o.Render())
 	}
 }
 
 func TestSplitSiteInDeployment(t *testing.T) {
-	specs := GermanSpecs()[:2]
+	specs := testbed.GermanSpecs()[:2]
 	specs[0].Split = true
-	d, err := New(specs...)
+	d, err := testbed.New(specs...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -211,11 +222,11 @@ func TestSplitSiteInDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa := d.JPA(user)
+	sess := d.Session(user, specs[0].Usite)
 	b := client.NewJob("via-firewall", core.Target{Usite: specs[0].Usite, Vsite: "T3E"})
 	b.Script("hello", "echo hello\n", resources.Request{Processors: 1, RunTime: time.Minute})
 	job, _ := b.Build()
-	id, err := jpa.Submit(job)
+	id, err := sess.Submit(context.Background(), job)
 	if err != nil {
 		t.Fatalf("Submit through split gateway: %v", err)
 	}
@@ -239,7 +250,7 @@ func TestSplitSiteRidesTheStream(t *testing.T) {
 		Outcome []byte // the tree, marshalled: its times compare by instant
 	}
 	// One job for both sites: action IDs are minted per process, not per site.
-	b := client.NewJob("via-firewall", core.Target{Usite: GermanSpecs()[0].Usite, Vsite: "T3E"})
+	b := client.NewJob("via-firewall", core.Target{Usite: testbed.GermanSpecs()[0].Usite, Vsite: "T3E"})
 	one := b.Script("one", "cpu 5m\necho a > x.txt\n", resources.Request{Processors: 1, RunTime: time.Hour})
 	two := b.Script("two", "cpu 5m\ncat x.txt\n", resources.Request{Processors: 1, RunTime: time.Hour})
 	b.After(one, two, "x.txt")
@@ -248,9 +259,9 @@ func TestSplitSiteRidesTheStream(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	run := func(t *testing.T, split bool) replies {
-		specs := GermanSpecs()[:1]
+		specs := testbed.GermanSpecs()[:1]
 		specs[0].Split = split
-		d, err := New(specs...)
+		d, err := testbed.New(specs...)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -338,14 +349,15 @@ func TestSplitSiteRidesTheStream(t *testing.T) {
 // and signed applets exactly as the combined gateway's does.
 func TestSplitSiteServesTheWebPage(t *testing.T) {
 	page := func(split bool) string {
-		specs := GermanSpecs()[:1]
+		specs := testbed.GermanSpecs()[:1]
 		specs[0].Split = split
-		d, err := New(specs...)
+		d, err := testbed.New(specs...)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
 		defer d.Close()
-		req, _ := http.NewRequest(http.MethodGet, "https://"+hostOf(specs[0].Usite)+"/", nil)
+		base, _ := d.Registry.Lookup(specs[0].Usite)
+		req, _ := http.NewRequest(http.MethodGet, base+"/", nil)
 		resp, err := d.Net.RoundTrip(req)
 		if err != nil {
 			t.Fatalf("GET /: %v", err)
@@ -372,12 +384,12 @@ func TestWorkloadGeneratorDeterminism(t *testing.T) {
 		{Usite: "FZJ", Vsite: "T3E"},
 		{Usite: "LRZ", Vsite: "VPP"},
 	}
-	cfg := DefaultWorkload(42, 50, targets)
-	w1, err := GenerateWorkload(cfg)
+	cfg := testbed.DefaultWorkload(42, 50, targets)
+	w1, err := testbed.GenerateWorkload(cfg)
 	if err != nil {
 		t.Fatalf("GenerateWorkload: %v", err)
 	}
-	w2, err := GenerateWorkload(cfg)
+	w2, err := testbed.GenerateWorkload(cfg)
 	if err != nil {
 		t.Fatalf("GenerateWorkload: %v", err)
 	}
@@ -421,7 +433,7 @@ func TestWorkloadRunsOnGermanTestbed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-minute virtual workload")
 	}
-	d, err := German()
+	d, err := testbed.German()
 	if err != nil {
 		t.Fatalf("German: %v", err)
 	}
@@ -430,15 +442,15 @@ func TestWorkloadRunsOnGermanTestbed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa := d.JPA(user)
+	sess := sessions(d, user)
 
-	jobs, err := GenerateWorkload(DefaultWorkload(7, 30, d.Targets()))
+	jobs, err := testbed.GenerateWorkload(testbed.DefaultWorkload(7, 30, d.Targets()))
 	if err != nil {
 		t.Fatalf("GenerateWorkload: %v", err)
 	}
 	ids := make(map[core.JobID]core.Usite, len(jobs))
 	for _, j := range jobs {
-		id, err := jpa.Submit(j)
+		id, err := sess[j.Target.Usite].Submit(context.Background(), j)
 		if err != nil {
 			t.Fatalf("Submit %s: %v", j.Name(), err)
 		}
@@ -458,7 +470,7 @@ func TestWorkloadRunsOnGermanTestbed(t *testing.T) {
 			bad++
 			o, oerr := d.Session(user, usite).Outcome(context.Background(), id)
 			if oerr == nil {
-				t.Errorf("job %s failed:\n%s", id, client.Display(o))
+				t.Errorf("job %s failed:\n%s", id, o.Render())
 			}
 		}
 	}
@@ -480,7 +492,7 @@ func TestWorkloadRunsOnGermanTestbed(t *testing.T) {
 }
 
 func TestAppletDistribution(t *testing.T) {
-	d, err := SingleSite("DEMO", "CLUSTER", 4)
+	d, err := testbed.SingleSite("DEMO", "CLUSTER", 4)
 	if err != nil {
 		t.Fatalf("SingleSite: %v", err)
 	}
@@ -498,17 +510,17 @@ func TestAppletDistribution(t *testing.T) {
 		t.Fatalf("payload = %q", applet.Payload)
 	}
 	signer, err := d.CA.VerifySignature(applet.Payload, applet.Signature, pki.RoleSoftware)
-	if err != nil || signer.CommonName() != "UNICORE Consortium" {
+	if err != nil || signer != d.Software.DN() {
 		t.Fatalf("signer = %s, %v", signer, err)
 	}
 }
 
 func TestNewRejectsBadSpecs(t *testing.T) {
-	if _, err := New(); err == nil {
+	if _, err := testbed.New(); err == nil {
 		t.Fatal("empty deployment created")
 	}
-	spec := GermanSpecs()[0]
-	if _, err := New(spec, spec); err == nil {
+	spec := testbed.GermanSpecs()[0]
+	if _, err := testbed.New(spec, spec); err == nil {
 		t.Fatal("duplicate Usite accepted")
 	}
 }

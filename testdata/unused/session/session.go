@@ -4,5 +4,6 @@ package session
 // S is aliased by the facade.
 type S struct{}
 
-// Attach is reached only through the facade's alias: not reported.
+// Attach is reachable through the facade's alias, but nothing calls it:
+// reported.
 func (S) Attach() {}

@@ -16,16 +16,9 @@
 // This package is the public facade: it re-exports the user-level API so a
 // downstream program can build jobs, deploy in-process testbeds, submit,
 // monitor, and broker without reaching into the internal packages.
-//
-//	d, _ := unicore.SingleSite("DEMO", "CLUSTER", 8)
-//	user, _ := d.NewUser("Jane Doe", "Demo Org", "jdoe")
-//	b := unicore.NewJob("hello", unicore.Target{Usite: "DEMO", Vsite: "CLUSTER"})
-//	b.Script("greet", "echo hello\n", unicore.ResourceRequest{Processors: 1})
-//	job, _ := b.Build()
-//	sess := d.Session(user, "DEMO")
-//	id, _ := sess.Submit(ctx, job)
-//	d.Run(100000) // drive the virtual clock
-//	sum, _ := sess.Status(ctx, id)
+// ExampleSingleSite (example_test.go, run by go test) is the shortest path
+// through all three tiers: deploy a site, issue a user, build, submit, drive
+// the virtual clock, read the status.
 //
 // README.md maps the three tiers onto the packages and points to the
 // experiment index of the reproduced figures and claims (bench_test.go).
@@ -97,6 +90,9 @@ type (
 	ResourceRequest = resources.Request
 	// ResourcePage describes a Vsite's capabilities and software.
 	ResourcePage = resources.Page
+	// Software is one compiler, library or application package a resource
+	// page lists.
+	Software = resources.Software
 )
 
 // User tier (paper §4.1).
@@ -110,11 +106,12 @@ type (
 	// Authority is the certification authority whose certificates the mutual
 	// TLS handshake trusts (the paper's §4.2 "UNICORE CA").
 	Authority = pki.Authority
-	// Client is the signed-envelope protocol client underneath JPA and
-	// Session; the broker refreshes its load information through one.
+	// Client is the protocol client underneath JPA and Session: one
+	// authenticated frame stream per gateway. The broker refreshes its load
+	// information through one.
 	Client = protocol.Client
-	// Transport carries envelopes (and the persistent frame stream) to a
-	// gateway: protocol.NewHTTPTransport for real deployments, a
+	// Transport carries the persistent frame stream (and the gossip POST)
+	// to a gateway: protocol.NewHTTPTransport for real deployments, a
 	// Deployment's in-process network for testbeds.
 	Transport = protocol.Transport
 	// Session is the client handle: context-aware submit/monitor/control
@@ -154,8 +151,8 @@ func WithSite(usite Usite) DialOption {
 
 // WithClient reuses an existing protocol client — its identity, transport,
 // live streams, and registry — instead of building a fresh one; a caller who
-// needs a lossy transport, a retry count or the envelope door sets it on the
-// client. The dialled URL is added to its registry.
+// needs a lossy transport or a retry count sets it on the client. The
+// dialled URL is added to its registry.
 func WithClient(c *Client) DialOption {
 	return func(cfg *dialConfig) { cfg.client = c }
 }
@@ -202,16 +199,16 @@ func Dial(gatewayURL string, opts ...DialOption) (*Session, error) {
 // Bulk data staging (package staging): Session.Upload streams a workstation
 // file into a Vsite's spool in CRC-checked chunks and returns the transfer
 // handle a Builder.ImportStaged task references, so huge inputs never ride
-// inline in the signed consign envelope; Session.Download streams a Uspace
-// result to an io.Writer through a windowed parallel fetch engine with
-// incremental checksum verification and chunk-level failover retries.
+// inline in the consign frame; Session.Download streams a Uspace result to
+// an io.Writer through a windowed parallel fetch engine with incremental
+// checksum verification and chunk-level failover retries.
 type (
 	// TransferOptions tunes the chunked transfer engines (chunk size,
 	// in-flight window, retries) — set Session.Transfer to deviate from the
 	// defaults.
 	TransferOptions = staging.Options
-	// TransferProgress is the resumable state of a streaming download
-	// (Session.Download / Session.ResumeDownload).
+	// TransferProgress is the state a streaming download reached
+	// (Session.Download).
 	TransferProgress = staging.Progress
 )
 
@@ -223,7 +220,7 @@ const DefaultTransferChunk = staging.DefaultChunkSize
 func NewJob(name string, target Target) *Builder { return client.NewJob(name, target) }
 
 // Display renders an outcome tree as the JMC's coloured status display.
-func Display(o *Outcome) string { return client.Display(o) }
+func Display(o *Outcome) string { return o.Render() }
 
 // Deployments (paper §5.7 and Figure 2).
 type (
@@ -234,8 +231,8 @@ type (
 	// WorkloadConfig parameterises the synthetic job mix.
 	WorkloadConfig = testbed.WorkloadConfig
 	// JournalStore is the write-ahead journal + snapshot store behind a
-	// durable single-NJS site (Deployment.EnableDurability / KillSite /
-	// RestartSite); a ManagedSite keeps its replicas' stores itself.
+	// durable single-NJS site (Deployment.EnableDurability); a ManagedSite
+	// keeps its replicas' stores itself.
 	JournalStore = journal.Store
 )
 
@@ -285,8 +282,8 @@ func NewManaged(spec *TopologySpec, usite Usite, stateRoot string) (*Deployment,
 	return testbed.NewManaged(spec, usite, stateRoot)
 }
 
-// OpenJournal opens (or creates) a journal store rooted at dir — the handle
-// EnableDurability attaches and RestartSite recovers from.
+// OpenJournal opens (or creates) a journal store rooted at dir — the kind of
+// store EnableDurability attaches and a restarted NJS recovers from.
 func OpenJournal(dir string) (*JournalStore, error) { return journal.Open(dir) }
 
 // German deploys the six-site 1999 German production testbed of §5.7.

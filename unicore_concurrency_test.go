@@ -1,6 +1,7 @@
 package unicore_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -80,13 +81,13 @@ func TestConcurrentClientsStress(t *testing.T) {
 					errs <- fmt.Errorf("client %d: job %s finished %s", c, id, s.Status)
 					return
 				}
-				data, err := sess.FetchFile(ctx, id, "out.dat")
-				if err != nil {
+				var data bytes.Buffer
+				if _, err := sess.Download(ctx, id, "out.dat", &data); err != nil {
 					errs <- fmt.Errorf("client %d: fetch %s: %w", c, id, err)
 					return
 				}
-				if len(data) != fileSize {
-					errs <- fmt.Errorf("client %d: fetched %d bytes, want %d", c, len(data), fileSize)
+				if data.Len() != fileSize {
+					errs <- fmt.Errorf("client %d: fetched %d bytes, want %d", c, data.Len(), fileSize)
 					return
 				}
 			}

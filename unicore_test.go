@@ -31,7 +31,7 @@ func TestPublicQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	id, err := d.JPA(user).Submit(job)
+	id, err := d.Session(user, "DEMO").Submit(context.Background(), job)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -121,7 +121,7 @@ func TestGermanWorkloadEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
-	jpa := d.JPA(user)
+	sess := sessions(d, user)
 
 	jobs, err := unicore.GenerateWorkload(unicore.DefaultWorkload(1999, 24, d.Targets()))
 	if err != nil {
@@ -133,7 +133,7 @@ func TestGermanWorkloadEndToEnd(t *testing.T) {
 	}
 	var all []placed
 	for _, j := range jobs {
-		id, err := jpa.Submit(j)
+		id, err := sess[j.Target.Usite].Submit(context.Background(), j)
 		if err != nil {
 			t.Fatalf("Submit %s: %v", j.Name(), err)
 		}
@@ -185,7 +185,7 @@ func TestSecurityProperties(t *testing.T) {
 	b := unicore.NewJob("secret", unicore.Target{Usite: "SEC", Vsite: "CLUSTER"})
 	b.Script("s", "echo secret result\n", unicore.ResourceRequest{Processors: 1, RunTime: time.Minute})
 	job, _ := b.Build()
-	id, err := d.JPA(alice).Submit(job)
+	id, err := d.Session(alice, "SEC").Submit(context.Background(), job)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
