@@ -41,7 +41,7 @@ var (
 		"recordActionStart": true, "recordActionDone": true,
 		"recordControl": true, "recordRootDone": true,
 		"recordInject": true, "recordRemote": true,
-		"recordFile": true, "emitEvent": true,
+		"recordFile": true,
 	}
 	syncNames = map[string]bool{"SyncJournal": true, "stageAck": true}
 )

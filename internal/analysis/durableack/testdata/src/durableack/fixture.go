@@ -81,6 +81,23 @@ func (s *Srv) SuppressedConsign(e journal.Entry) (core.JobID, error) {
 	return "j2", nil
 }
 
+func (s *Srv) recordControl(id core.JobID) {}
+
+func (s *Srv) emitEvent(id core.JobID) {}
+
+// BadHold journals a transition through a record* helper and acks unsynced.
+func (s *Srv) BadHold(id core.JobID) (core.JobID, error) {
+	s.recordControl(id)
+	return id, nil // want "unsynced journal mutation \"recordControl\""
+}
+
+// EventOnly raises an event, which journals nothing of its own (the event
+// rides the record of its transition), so the ack needs no sync.
+func (s *Srv) EventOnly(id core.JobID) (core.JobID, error) {
+	s.emitEvent(id)
+	return id, nil
+}
+
 // NotAnAck mutates the journal but returns no ack type, so it is out of
 // scope regardless of sync placement.
 func (s *Srv) NotAnAck(e journal.Entry) error {

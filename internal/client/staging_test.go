@@ -143,11 +143,11 @@ func (m *mutatingWriter) Write(p []byte) (int, error) {
 	return m.Buffer.Write(p)
 }
 
-// TestFetchFileSurfacesMidTransferMutation is the client-level regression
-// test for the seed fetch loop: a Uspace file rewritten between two chunks
-// must surface as a checksum/mutation error through the engine under
+// TestDownloadSurfacesMidTransferMutation is the client-level regression
+// test for the ranged download loop: a Uspace file rewritten between two
+// chunks must surface as a checksum/mutation error through the engine under
 // Session.Download — never loop, never return mixed bytes.
-func TestFetchFileSurfacesMidTransferMutation(t *testing.T) {
+func TestDownloadSurfacesMidTransferMutation(t *testing.T) {
 	r := newRig(t)
 	content := bigPattern(300_000)
 	id := runProducerJob(t, r, content)

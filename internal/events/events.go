@@ -90,7 +90,6 @@ const DefaultJobCap = 256
 
 // jobLog is the bounded event window of one job.
 type jobLog struct {
-	owner  core.DN
 	first  uint64 // Seq of events[0] (first+len-1 == last when non-empty)
 	last   uint64 // Seq of the newest event ever appended (survives eviction)
 	events []Event
@@ -132,7 +131,7 @@ func (l *Log) Origin() string { return l.origin }
 func (l *Log) jobLogLocked(owner core.DN, job core.JobID) *jobLog {
 	jl, ok := l.jobs[job]
 	if !ok {
-		jl = &jobLog{owner: owner, first: 1}
+		jl = &jobLog{first: 1}
 		l.jobs[job] = jl
 		l.byUser[owner] = append(l.byUser[owner], job)
 	}
@@ -152,7 +151,7 @@ func (l *Log) evictLocked(jl *jobLog) {
 
 // Append assigns the next per-job and per-log sequence numbers to ev, stamps
 // the origin, stores it, wakes every waiter, and returns the completed event
-// (the caller journals that exact record for crash recovery).
+// (the caller journals its numbers and time for crash recovery).
 func (l *Log) Append(owner core.DN, ev Event) Event {
 	l.mu.Lock()
 	jl := l.jobLogLocked(owner, ev.Job)
@@ -170,12 +169,14 @@ func (l *Log) Append(owner core.DN, ev Event) Event {
 }
 
 // Restore re-inserts an event replayed from the journal, keeping its original
-// sequence numbers. Replay of a snapshot plus its tail may present the same
-// event twice; duplicates (Seq not past the job's newest) are dropped, which
-// is what keeps cursors stable across crash recovery.
+// sequence numbers and stamping the log's origin, as Append does. Replay of a
+// snapshot plus its tail may present the same event twice; duplicates (Seq
+// not past the job's newest) are dropped, which is what keeps cursors stable
+// across crash recovery.
 func (l *Log) Restore(owner core.DN, ev Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	ev.Origin = l.origin
 	jl := l.jobLogLocked(owner, ev.Job)
 	if ev.Seq <= jl.last {
 		return // snapshot + tail overlap
@@ -189,17 +190,6 @@ func (l *Log) Restore(owner core.DN, ev Event) {
 		l.global = ev.Global
 	}
 	l.evictLocked(jl)
-}
-
-// Owner returns the owner of a job's event stream.
-func (l *Log) Owner(job core.JobID) (core.DN, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	jl, ok := l.jobs[job]
-	if !ok {
-		return "", false
-	}
-	return jl.owner, true
 }
 
 // JobEvents returns up to max events of one job with Seq > after, in order.
@@ -280,17 +270,4 @@ func (l *Log) Depth() int {
 		n += len(jl.events)
 	}
 	return n
-}
-
-// Snapshot returns every retained event ordered by Global — the event-log
-// part of an NJS snapshot, replayed through Restore on recovery.
-func (l *Log) Snapshot() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Event
-	for _, jl := range l.jobs {
-		out = append(out, jl.events...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Global < out[j].Global })
-	return out
 }

@@ -121,22 +121,23 @@ func TestUserStreamMergesJobsByGlobal(t *testing.T) {
 func TestRestoreIsIdempotentAndKeepsNumbering(t *testing.T) {
 	l := NewLog("r1", 0)
 	appendN(l, alice, "J1", 4)
-	snap := l.Snapshot()
+	snap, _ := l.JobEvents("J1", 0, 0)
 
 	recovered := NewLog("r1", 0)
-	// Snapshot + tail overlap: replay everything twice.
-	for _, ev := range snap {
-		recovered.Restore(alice, ev)
-	}
-	for _, ev := range snap {
-		recovered.Restore(alice, ev)
+	// Snapshot + tail overlap: replay everything twice. The journal keeps no
+	// origin; Restore stamps the log's own.
+	for range 2 {
+		for _, ev := range snap {
+			ev.Origin = ""
+			recovered.Restore(alice, ev)
+		}
 	}
 	evs, gap := recovered.JobEvents("J1", 0, 0)
 	if gap || len(evs) != 4 {
 		t.Fatalf("recovered log: %d events (gap=%v), want 4", len(evs), gap)
 	}
 	for i, ev := range evs {
-		if ev.Seq != uint64(i+1) || ev.Seq != snap[i].Seq || ev.Global != snap[i].Global {
+		if ev != snap[i] || ev.Seq != uint64(i+1) {
 			t.Fatalf("recovered event %d renumbered: %+v vs %+v", i, ev, snap[i])
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // formatTag leads every record payload. It names the layout below; a change
 // to the fields of any kind takes a new tag, and a reader refuses a tag it
 // was not built for instead of guessing.
-const formatTag byte = 0x01
+const formatTag byte = 0x02
 
 // walkEntry is the one description of a record payload, run by appendPayload
 // as the encoder and by decodePayload as the decoder: format tag, kind, then
@@ -41,6 +41,15 @@ func walkEntry(c *bin.Codec, e *Entry) error {
 			c.Str(&a.ParentJob)
 			c.Str(&a.ParentAction)
 			c.Time(&a.Submitted)
+			walkStamp(c, &a.Stamp)
+			for i := range bin.Slice(c, &a.Window) {
+				m := &a.Window[i]
+				c.Byte((*byte)(&m.Kind))
+				walkStamp(c, &m.Stamp)
+				c.Str(&m.Action)
+				c.Int(&m.Status)
+				c.Str(&m.Reason)
+			}
 			return nil
 		}
 	case KindActionStart, KindActionDone:
@@ -61,6 +70,7 @@ func walkEntry(c *bin.Codec, e *Entry) error {
 			c.Time(&a.Started)
 			c.Time(&a.Finished)
 			c.View(&a.Tree)
+			walkStamp(c, &a.Stamp)
 			return nil
 		}
 	case KindInject:
@@ -83,6 +93,8 @@ func walkEntry(c *bin.Codec, e *Entry) error {
 		if ctl := payload(c, &e.Control); ctl != nil {
 			c.Str(&ctl.Job)
 			c.Str(&ctl.Op)
+			c.Int(&ctl.Status)
+			walkStamp(c, &ctl.Stamp)
 			return nil
 		}
 	case KindRootDone:
@@ -90,30 +102,23 @@ func walkEntry(c *bin.Codec, e *Entry) error {
 			c.Str(&d.Job)
 			c.Int(&d.Status)
 			c.Time(&d.Finished)
+			walkStamp(c, &d.Stamp)
 			return nil
 		}
 	case KindSeq:
 		c.Varint(&e.Seq)
 		return nil
-	case KindJobEvent:
-		if ev := payload(c, &e.Event); ev != nil {
-			c.Str(&ev.Owner)
-			c.Str(&ev.Job)
-			c.Uvarint(&ev.Seq)
-			c.Uvarint(&ev.Global)
-			c.Str(&ev.Origin)
-			c.Str(&ev.Type)
-			c.Str(&ev.Action)
-			c.Int(&ev.Status)
-			c.Str(&ev.Reason)
-			c.Time(&ev.Time)
-			c.Bool(&ev.Terminal)
-			return nil
-		}
 	default:
 		return fmt.Errorf("journal: entry of unknown %s", e.Kind)
 	}
 	return fmt.Errorf("journal: %s entry without its payload", e.Kind)
+}
+
+// walkStamp walks the event stamp a transition's record carries.
+func walkStamp(c *bin.Codec, s *Stamp) {
+	c.Uvarint(&s.Seq)
+	c.Uvarint(&s.Global)
+	c.Time(&s.Time)
 }
 
 // payload returns the struct a kind's fields are walked in: a new one hung

@@ -79,7 +79,8 @@ const (
 	// KindRename moves a file or directory.
 	KindRename
 	// KindAdmit records a job admission (consign): identity, login, and the
-	// full AJO as ajo.Marshal encodes it.
+	// full AJO as ajo.Marshal encodes it. It and the four kinds of a job's
+	// later transitions carry the Stamp of the event the transition raised.
 	KindAdmit
 	// KindActionStart records a non-terminal action transition (queued by the
 	// batch subsystem, started on the machine).
@@ -97,17 +98,12 @@ const (
 	KindRootDone
 	// KindSeq restores the job-ID counter (snapshot bookkeeping).
 	KindSeq
-	// KindJobEvent records one protocol-v2 subscription event exactly as the
-	// event log assigned it (per-job and per-log sequence numbers included),
-	// so a recovered NJS restores its event log with the original cursor
-	// numbering — what keeps subscriber cursors valid across a crash.
-	KindJobEvent
 )
 
 var kindNames = [...]string{
 	"", "FILE_WRITE", "FILE_REMOVE", "MKDIR", "RENAME", "ADMIT",
 	"ACTION_START", "ACTION_DONE", "INJECT", "REMOTE", "CONTROL",
-	"ROOT_DONE", "SEQ", "JOB_EVENT",
+	"ROOT_DONE", "SEQ",
 }
 
 // String renders the kind as the docs name it (ADMIT, FILE_WRITE, …).
@@ -126,6 +122,28 @@ type FileMutation struct {
 	Data  []byte // full file contents for writes
 }
 
+// Stamp is where the event log (package events) placed the event a
+// transition raised: the per-job and per-log sequence numbers and the time.
+// The record of the transition carries it, so a transition and its event are
+// journaled once and a replay restores both or neither. Seq 0 is no event: a
+// snapshot's state records carry none (the ADMIT's Window holds them).
+type Stamp struct {
+	Seq    uint64
+	Global uint64
+	Time   time.Time
+}
+
+// Mark is one event of a job's retained window as a snapshot's ADMIT carries
+// it: the kind of the record whose transition raised it, its stamp, and the
+// event fields that record holds.
+type Mark struct {
+	Kind   Kind
+	Stamp  Stamp
+	Action string
+	Status int
+	Reason string
+}
+
 // Admission is a journaled job admission.
 type Admission struct {
 	Job          string
@@ -139,6 +157,8 @@ type Admission struct {
 	ParentJob    string
 	ParentAction string
 	Submitted    time.Time
+	Stamp        Stamp
+	Window       []Mark // a snapshot's: the job's retained events, oldest first
 }
 
 // FileStat mirrors an outcome file record.
@@ -164,6 +184,7 @@ type ActionEvent struct {
 	Started  time.Time
 	Finished time.Time
 	Tree     []byte
+	Stamp    Stamp
 }
 
 // Injection is a dependency file staged for an unconsigned sub-job.
@@ -182,10 +203,13 @@ type RemoteLink struct {
 	RemoteJob string
 }
 
-// ControlEvent records a hold/resume/abort transition.
+// ControlEvent records a hold/resume/abort transition. Status is the root
+// status the control event reported.
 type ControlEvent struct {
-	Job string
-	Op  string
+	Job    string
+	Op     string
+	Status int
+	Stamp  Stamp
 }
 
 // RootEvent records a job's terminal aggregate status.
@@ -193,23 +217,7 @@ type RootEvent struct {
 	Job      string
 	Status   int
 	Finished time.Time
-}
-
-// JobEventRecord is a journaled subscription event (package events), stored
-// with the exact sequence numbers the event log assigned, plus the owner DN
-// that keys the per-user stream on restore.
-type JobEventRecord struct {
-	Owner    string
-	Job      string
-	Seq      uint64
-	Global   uint64
-	Origin   string
-	Type     string
-	Action   string
-	Status   int
-	Reason   string
-	Time     time.Time
-	Terminal bool
+	Stamp    Stamp
 }
 
 // Entry is one journal record. Only the payload field matching Kind is
@@ -224,7 +232,6 @@ type Entry struct {
 	Remote  *RemoteLink
 	Control *ControlEvent
 	Root    *RootEvent
-	Event   *JobEventRecord
 	Seq     int64
 }
 

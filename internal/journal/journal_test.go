@@ -103,8 +103,6 @@ func TestAllEntryKindsRoundTrip(t *testing.T) {
 		{Kind: KindControl, Control: &ControlEvent{Job: "FZJ-000001", Op: "hold"}},
 		{Kind: KindRootDone, Root: &RootEvent{Job: "FZJ-000001", Status: 4, Finished: time.Unix(9, 0).UTC()}},
 		{Kind: KindSeq, Seq: 17},
-		{Kind: KindJobEvent, Event: &JobEventRecord{Owner: "CN=U,O=Org", Job: "FZJ-000001", Seq: 3, Global: 9,
-			Origin: "FZJ", Type: "status", Action: "run", Status: 2, Reason: "queued", Time: time.Unix(8, 0).UTC(), Terminal: true}},
 	}
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -139,7 +137,6 @@ var payloadKinds = map[string][]Kind{
 	"Remote":  {KindRemote},
 	"Control": {KindControl},
 	"Root":    {KindRootDone},
-	"Event":   {KindJobEvent},
 }
 
 // TestEveryPayloadFieldSurvives is the field-coverage gate for the hand
@@ -233,7 +230,7 @@ func TestForeignFormatIsRefusedByName(t *testing.T) {
 	defer s2.Close()
 	n := 0
 	err = s2.Replay(func(Entry) error { n++; return nil })
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "format tag 0x7f") || !strings.Contains(err.Error(), "journal format 0x01") {
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "format tag 0x7f") || !strings.Contains(err.Error(), fmt.Sprintf("journal format 0x%02x", formatTag)) {
 		t.Fatalf("replay over a foreign-format record: %v", err)
 	}
 	if n != 1 {

@@ -21,6 +21,10 @@ package njs
 //     Uspace and Xspace contents (including files written by batch scripts)
 //     replay byte-exactly.
 //
+// Each transition that raises a job event journals the event's stamp on its
+// own record, whose apply function restores the event with its original
+// numbering: an event survives a crash iff its transition's record is whole.
+//
 // Appends are O(1) enqueues on the store's batched flusher: no disk I/O ever
 // runs inside a job lock, and the Poll path appends nothing, so durability
 // does not serialize the PR-1 sharded-lock hot path.
@@ -194,47 +198,79 @@ func (n *NJS) recordFile(vsite string, m vfs.Mutation) {
 	}})
 }
 
-// toJobEventRecord converts one assigned log event into its journal record,
-// the single mapping shared by the tail (emitEvent) and the snapshot
-// (emitSnapshot) so the two can never drift apart.
-func toJobEventRecord(owner core.DN, ev events.Event) *journal.JobEventRecord {
-	return &journal.JobEventRecord{
-		Owner:    string(owner),
-		Job:      string(ev.Job),
-		Seq:      ev.Seq,
-		Global:   ev.Global,
-		Origin:   ev.Origin,
-		Type:     string(ev.Type),
-		Action:   string(ev.Action),
-		Status:   int(ev.Status),
-		Reason:   ev.Reason,
-		Time:     ev.Time,
-		Terminal: ev.Terminal,
+// eventTypes is the event type of each record kind whose transition raises
+// one. With the Mark of such a record — its stamp and its action, status and
+// reason fields — it makes the whole event, so the journal keeps each event
+// once, on the record of its transition.
+var eventTypes = [...]events.Type{
+	journal.KindAdmit:       events.TypeAdmitted,
+	journal.KindActionStart: events.TypeStatus,
+	journal.KindActionDone:  events.TypeActionDone,
+	journal.KindControl:     events.TypeControl,
+	journal.KindRootDone:    events.TypeJobDone,
+}
+
+// eventOf is the event a record's Mark stands for: the one mapping from the
+// journal to the event log, used when the event is raised and when it is
+// replayed. The log stamps its own origin on both.
+func eventOf(job core.JobID, m journal.Mark) events.Event {
+	return events.Event{
+		Job: job, Seq: m.Stamp.Seq, Global: m.Stamp.Global, Time: m.Stamp.Time,
+		Type: eventTypes[m.Kind], Action: ajo.ActionID(m.Action),
+		Status: ajo.Status(m.Status), Reason: m.Reason,
+		Terminal: m.Kind == journal.KindRootDone,
 	}
 }
 
-// emitEvent appends one lifecycle event to the in-memory log (always) and
-// journals the assigned record (when a journal is attached), so a recovered
-// replica restores the log with the exact cursor numbering subscribers hold.
-// Called under the job's lock, like the journal hooks; both are O(1).
-func (n *NJS) emitEvent(uj *unicoreJob, ev events.Event) {
-	ev.Job = uj.id
-	ev.Time = n.clock.Now()
-	ev = n.log.Append(uj.owner, ev)
-	if n.rec.Load() == nil {
-		return
+// markOf inverts eventOf, for the event window a snapshot's ADMIT carries.
+func markOf(ev events.Event) journal.Mark {
+	m := journal.Mark{Stamp: journal.Stamp{Seq: ev.Seq, Global: ev.Global, Time: ev.Time},
+		Action: string(ev.Action), Status: int(ev.Status), Reason: ev.Reason}
+	for k, t := range eventTypes {
+		if t != "" && t == ev.Type {
+			m.Kind = journal.Kind(k)
+		}
 	}
-	n.record(journal.Entry{Kind: journal.KindJobEvent, Event: toJobEventRecord(uj.owner, ev)})
+	return m
+}
+
+// emitEvent appends the event of one transition to the in-memory log and
+// returns the stamp the log assigned it, which the transition's record
+// carries. Called under the job's lock, so a job's records reach the journal
+// in the order of its events.
+func (n *NJS) emitEvent(uj *unicoreJob, m journal.Mark) journal.Stamp {
+	m.Stamp.Time = n.clock.Now()
+	ev := n.log.Append(uj.owner, eventOf(uj.id, m))
+	return journal.Stamp{Seq: ev.Seq, Global: ev.Global, Time: ev.Time}
+}
+
+// restoreEvent puts the event a replayed record carries back into the log
+// with its original numbers. A record without a stamp carries none.
+func (n *NJS) restoreEvent(uj *unicoreJob, m journal.Mark) {
+	if m.Stamp.Seq != 0 {
+		n.log.Restore(uj.owner, eventOf(uj.id, m))
+	}
 }
 
 func (n *NJS) recordAdmit(uj *unicoreJob) {
-	n.emitEvent(uj, events.Event{Type: events.TypeAdmitted, Status: ajo.StatusRunning})
+	st := n.emitEvent(uj, journal.Mark{Kind: journal.KindAdmit, Status: int(ajo.StatusRunning)})
 	if n.rec.Load() == nil {
 		return
 	}
-	raw, err := ajo.Marshal(uj.job)
+	adm, err := admissionOf(uj)
 	if err != nil {
 		return // a job that came through Validate always marshals
+	}
+	adm.Stamp = st
+	n.record(journal.Entry{Kind: journal.KindAdmit, Admit: adm})
+}
+
+// admissionOf captures what a job's ADMIT record holds: identity, login,
+// parent link and the AJO, none of which changes after admission.
+func admissionOf(uj *unicoreJob) (*journal.Admission, error) {
+	raw, err := ajo.Marshal(uj.job)
+	if err != nil {
+		return nil, err
 	}
 	adm := &journal.Admission{
 		Job:       string(uj.id),
@@ -251,7 +287,7 @@ func (n *NJS) recordAdmit(uj *unicoreJob) {
 		adm.ParentJob = string(uj.parent.job)
 		adm.ParentAction = string(uj.parent.action)
 	}
-	n.record(journal.Entry{Kind: journal.KindAdmit, Admit: adm})
+	return adm, nil
 }
 
 // actionEventOf captures an outcome as a journal event. Sub-job outcomes
@@ -280,20 +316,22 @@ func actionEventOf(uj *unicoreJob, aid ajo.ActionID, o *ajo.Outcome) *journal.Ac
 }
 
 func (n *NJS) recordActionDone(uj *unicoreJob, aid ajo.ActionID, o *ajo.Outcome) {
-	n.emitEvent(uj, events.Event{Type: events.TypeActionDone, Action: aid, Status: o.Status, Reason: o.Reason})
+	st := n.emitEvent(uj, journal.Mark{Kind: journal.KindActionDone, Action: string(aid), Status: int(o.Status), Reason: o.Reason})
 	if n.rec.Load() == nil {
 		return
 	}
-	n.record(journal.Entry{Kind: journal.KindActionDone, Action: actionEventOf(uj, aid, o)})
+	ev := actionEventOf(uj, aid, o)
+	ev.Stamp = st
+	n.record(journal.Entry{Kind: journal.KindActionDone, Action: ev})
 }
 
 func (n *NJS) recordActionStart(uj *unicoreJob, aid ajo.ActionID, status ajo.Status) {
-	n.emitEvent(uj, events.Event{Type: events.TypeStatus, Action: aid, Status: status})
+	st := n.emitEvent(uj, journal.Mark{Kind: journal.KindActionStart, Action: string(aid), Status: int(status)})
 	if n.rec.Load() == nil {
 		return
 	}
 	n.record(journal.Entry{Kind: journal.KindActionStart, Action: &journal.ActionEvent{
-		Job: string(uj.id), Action: string(aid), Status: int(status),
+		Job: string(uj.id), Action: string(aid), Status: int(status), Stamp: st,
 	}})
 }
 
@@ -316,22 +354,22 @@ func (n *NJS) recordRemote(uj *unicoreJob, aid ajo.ActionID, ref *remoteRef) {
 }
 
 func (n *NJS) recordControl(uj *unicoreJob, op ajo.ControlOp) {
-	n.emitEvent(uj, events.Event{Type: events.TypeControl, Status: uj.root.Status, Reason: string(op)})
+	st := n.emitEvent(uj, journal.Mark{Kind: journal.KindControl, Status: int(uj.root.Status), Reason: string(op)})
 	if n.rec.Load() == nil {
 		return
 	}
 	n.record(journal.Entry{Kind: journal.KindControl, Control: &journal.ControlEvent{
-		Job: string(uj.id), Op: string(op),
+		Job: string(uj.id), Op: string(op), Status: int(uj.root.Status), Stamp: st,
 	}})
 }
 
 func (n *NJS) recordRootDone(uj *unicoreJob) {
-	n.emitEvent(uj, events.Event{Type: events.TypeJobDone, Status: uj.root.Status, Terminal: true})
+	st := n.emitEvent(uj, journal.Mark{Kind: journal.KindRootDone, Status: int(uj.root.Status)})
 	if n.rec.Load() == nil {
 		return
 	}
 	n.record(journal.Entry{Kind: journal.KindRootDone, Root: &journal.RootEvent{
-		Job: string(uj.id), Status: int(uj.root.Status), Finished: uj.root.Finished,
+		Job: string(uj.id), Status: int(uj.root.Status), Finished: uj.root.Finished, Stamp: st,
 	}})
 }
 
@@ -363,14 +401,6 @@ func (n *NJS) emitSnapshot(emit func(journal.Entry) error) error {
 	}
 	for _, uj := range jobs {
 		if err := n.emitJob(uj, emit); err != nil {
-			return err
-		}
-	}
-	// The retained event log rides in the snapshot with its original
-	// numbering, so compaction never invalidates a subscriber's cursor.
-	for _, ev := range n.log.Snapshot() {
-		owner, _ := n.log.Owner(ev.Job)
-		if err := emit(journal.Entry{Kind: journal.KindJobEvent, Event: toJobEventRecord(owner, ev)}); err != nil {
 			return err
 		}
 	}
@@ -412,29 +442,23 @@ func (n *NJS) emitDataSpace(vsite string, fs *vfs.FS, emit func(journal.Entry) e
 	return rec("/")
 }
 
-// emitJob captures one job under its lock.
+// emitJob captures one job under its lock. Its ADMIT carries the job's
+// retained event window with the original numbering, so compaction never
+// invalidates a subscriber's cursor; the state records after it carry no
+// stamp. Events are raised under the same lock, so the window and the state
+// are of one instant.
 func (n *NJS) emitJob(uj *unicoreJob, emit func(journal.Entry) error) error {
-	raw, err := ajo.Marshal(uj.job)
+	adm, err := admissionOf(uj)
 	if err != nil {
 		return err
 	}
 	uj.mu.Lock()
 	defer uj.mu.Unlock()
 
-	adm := &journal.Admission{
-		Job:       string(uj.id),
-		Owner:     string(uj.owner),
-		UID:       uj.login.UID,
-		Groups:    uj.login.Groups,
-		Project:   uj.login.Project,
-		Vsite:     string(uj.vsite.Name),
-		AJO:       raw,
-		ConsignID: uj.consignID,
-		Submitted: uj.submitted,
-	}
-	if uj.parent != nil {
-		adm.ParentJob = string(uj.parent.job)
-		adm.ParentAction = string(uj.parent.action)
+	evs, _ := n.log.JobEvents(uj.id, 0, 0)
+	adm.Window = make([]journal.Mark, len(evs))
+	for i, ev := range evs {
+		adm.Window[i] = markOf(ev)
 	}
 	entries := []journal.Entry{{Kind: journal.KindAdmit, Admit: adm}}
 	if uj.held {
@@ -514,30 +538,7 @@ func Recover(store *journal.Store, cfg Config, snapshotEvery int) (*NJS, error) 
 		quotas[name] = fs.Quota()
 		fs.SetQuota(0)
 	}
-	// A job's admission event is journaled just ahead of its ADMIT record.
-	// An event of a job not admitted yet is held back until the admission
-	// arrives; if a torn tail swallowed the admission the event goes with
-	// it, so a job that was never there leaves nothing in the event log.
-	early := make(map[string][]*journal.JobEventRecord)
-	err = store.Replay(func(e journal.Entry) error {
-		if ev := e.Event; e.Kind == journal.KindJobEvent && ev != nil && n.jobs[core.JobID(ev.Job)] == nil {
-			early[ev.Job] = append(early[ev.Job], ev)
-			return nil
-		}
-		if err := n.applyEntry(e); err != nil {
-			return err
-		}
-		if e.Kind == journal.KindAdmit {
-			for _, ev := range early[e.Admit.Job] {
-				if err := n.applyJobEvent(ev); err != nil {
-					return err
-				}
-			}
-			delete(early, e.Admit.Job)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := store.Replay(n.applyEntry); err != nil {
 		return nil, err
 	}
 	for name, vs := range n.vsites {
@@ -652,7 +653,8 @@ func (n *NJS) ResumeRecovered() {
 }
 
 // applyEntry replays one journal entry. Replay runs before traffic, so it
-// mutates job state without locks; every application is idempotent.
+// mutates job state without locks; every application is idempotent. A
+// decoded entry always holds the payload its kind carries.
 func (n *NJS) applyEntry(e journal.Entry) error {
 	switch e.Kind {
 	case journal.KindFileWrite, journal.KindFileRemove, journal.KindMkdir, journal.KindRename:
@@ -671,8 +673,6 @@ func (n *NJS) applyEntry(e journal.Entry) error {
 		return n.applyControl(e.Control)
 	case journal.KindRootDone:
 		return n.applyRootDone(e.Root)
-	case journal.KindJobEvent:
-		return n.applyJobEvent(e.Event)
 	case journal.KindSeq:
 		if e.Seq > n.seq {
 			n.seq = e.Seq
@@ -686,9 +686,6 @@ func (n *NJS) applyEntry(e journal.Entry) error {
 
 func (n *NJS) applyFile(e journal.Entry) error {
 	m := e.File
-	if m == nil {
-		return fmt.Errorf("njs: %s entry without file payload", e.Kind)
-	}
 	vs, ok := n.vsites[core.Vsite(m.Vsite)]
 	if !ok {
 		return fmt.Errorf("njs: journal names unknown vsite %q", m.Vsite)
@@ -727,9 +724,6 @@ func (n *NJS) applyFile(e journal.Entry) error {
 }
 
 func (n *NJS) applyAdmit(a *journal.Admission) error {
-	if a == nil {
-		return errors.New("njs: admit entry without payload")
-	}
 	id := core.JobID(a.Job)
 	if _, exists := n.jobs[id]; exists {
 		return nil // snapshot + tail overlap
@@ -791,6 +785,10 @@ func (n *NJS) applyAdmit(a *journal.Admission) error {
 		close(done)
 		n.consignIndex[a.ConsignID] = &consignEntry{done: done, id: id}
 	}
+	n.restoreEvent(uj, journal.Mark{Kind: journal.KindAdmit, Stamp: a.Stamp, Status: int(ajo.StatusRunning)})
+	for _, m := range a.Window {
+		n.restoreEvent(uj, m)
+	}
 	return nil
 }
 
@@ -819,19 +817,19 @@ func JobInstance(usite core.Usite, id core.JobID) string {
 	return rest[:i]
 }
 
-func (n *NJS) replayJobAction(ev *journal.ActionEvent) (*unicoreJob, *ajo.Outcome) {
-	if ev == nil {
-		return nil, nil
-	}
+// replayJobAction restores the event an action record of kind carries and
+// returns the job and the outcome it names.
+func (n *NJS) replayJobAction(kind journal.Kind, ev *journal.ActionEvent) (*unicoreJob, *ajo.Outcome) {
 	uj, ok := n.jobs[core.JobID(ev.Job)]
 	if !ok {
 		return nil, nil
 	}
+	n.restoreEvent(uj, journal.Mark{Kind: kind, Stamp: ev.Stamp, Action: ev.Action, Status: ev.Status, Reason: ev.Reason})
 	return uj, uj.outcomes[ajo.ActionID(ev.Action)]
 }
 
 func (n *NJS) applyActionStart(ev *journal.ActionEvent) error {
-	uj, o := n.replayJobAction(ev)
+	uj, o := n.replayJobAction(journal.KindActionStart, ev)
 	if uj == nil || o == nil || o.Status.Terminal() {
 		return nil
 	}
@@ -840,7 +838,7 @@ func (n *NJS) applyActionStart(ev *journal.ActionEvent) error {
 }
 
 func (n *NJS) applyActionDone(ev *journal.ActionEvent) error {
-	uj, o := n.replayJobAction(ev)
+	uj, o := n.replayJobAction(journal.KindActionDone, ev)
 	if uj == nil || o == nil || o.Status.Terminal() {
 		return nil
 	}
@@ -872,9 +870,6 @@ func (n *NJS) applyActionDone(ev *journal.ActionEvent) error {
 }
 
 func (n *NJS) applyInject(in *journal.Injection) error {
-	if in == nil {
-		return nil
-	}
 	uj, ok := n.jobs[core.JobID(in.Job)]
 	if !ok {
 		return nil
@@ -890,9 +885,6 @@ func (n *NJS) applyInject(in *journal.Injection) error {
 }
 
 func (n *NJS) applyRemote(r *journal.RemoteLink) error {
-	if r == nil {
-		return nil
-	}
 	uj, ok := n.jobs[core.JobID(r.Job)]
 	if !ok {
 		return nil
@@ -904,13 +896,11 @@ func (n *NJS) applyRemote(r *journal.RemoteLink) error {
 }
 
 func (n *NJS) applyControl(c *journal.ControlEvent) error {
-	if c == nil {
-		return nil
-	}
 	uj, ok := n.jobs[core.JobID(c.Job)]
 	if !ok {
 		return nil
 	}
+	n.restoreEvent(uj, journal.Mark{Kind: journal.KindControl, Stamp: c.Stamp, Status: c.Status, Reason: c.Op})
 	switch ajo.ControlOp(c.Op) {
 	case ajo.OpAbort:
 		uj.aborted = true
@@ -922,35 +912,12 @@ func (n *NJS) applyControl(c *journal.ControlEvent) error {
 	return nil
 }
 
-// applyJobEvent restores one subscription event into the event log with its
-// original sequence numbers; Restore drops snapshot+tail duplicates.
-func (n *NJS) applyJobEvent(r *journal.JobEventRecord) error {
-	if r == nil {
-		return nil
-	}
-	n.log.Restore(core.DN(r.Owner), events.Event{
-		Job:      core.JobID(r.Job),
-		Seq:      r.Seq,
-		Global:   r.Global,
-		Origin:   r.Origin,
-		Type:     events.Type(r.Type),
-		Action:   ajo.ActionID(r.Action),
-		Status:   ajo.Status(r.Status),
-		Reason:   r.Reason,
-		Time:     r.Time,
-		Terminal: r.Terminal,
-	})
-	return nil
-}
-
 func (n *NJS) applyRootDone(r *journal.RootEvent) error {
-	if r == nil {
-		return nil
-	}
 	uj, ok := n.jobs[core.JobID(r.Job)]
 	if !ok {
 		return nil
 	}
+	n.restoreEvent(uj, journal.Mark{Kind: journal.KindRootDone, Stamp: r.Stamp, Status: r.Status})
 	if uj.root.Status.Terminal() {
 		return nil
 	}

@@ -665,8 +665,8 @@ func frameEnds(t *testing.T, wal []byte) []int {
 
 // TestTornWriteSweepOverLastRecords crashes a site at every byte of its
 // journal's tail. The journal holds one finished job and, last, one durable
-// consign — exactly its four records — and is cut at every offset inside the
-// last eight records (the consign's four and the finished job's final four).
+// consign — exactly its three records — and is cut at every offset inside the
+// last eight records (the consign's three and the finished job's final five).
 // Every cut must recover, and leave each job whole or gone:
 //
 //   - the finished job is always there and runs (again) to SUCCESSFUL;
@@ -706,9 +706,9 @@ func TestTornWriteSweepOverLastRecords(t *testing.T) {
 	if len(ends) != len(kinds) || len(ends) < 9 {
 		t.Fatalf("journal image has %d frames, replay saw %d entries", len(ends), len(kinds))
 	}
-	consign := []journal.Kind{journal.KindMkdir, journal.KindJobEvent, journal.KindAdmit, journal.KindFileWrite}
-	if got := kinds[len(kinds)-4:]; !reflect.DeepEqual(got, consign) {
-		t.Fatalf("a durable consign wrote %v, want its four records %v", got, consign)
+	consign := []journal.Kind{journal.KindMkdir, journal.KindAdmit, journal.KindFileWrite}
+	if got := kinds[len(kinds)-3:]; !reflect.DeepEqual(got, consign) {
+		t.Fatalf("a durable consign wrote %v, want its three records %v", got, consign)
 	}
 	admitEnd := ends[len(ends)-2]
 
@@ -817,5 +817,219 @@ func TestTornWriteSweepOverLastRecords(t *testing.T) {
 				fail("admissions per consign ID: %v", admits)
 			}
 		}()
+	}
+}
+
+// stampedKinds are the records whose transition raises an event.
+var stampedKinds = map[journal.Kind]bool{
+	journal.KindAdmit: true, journal.KindActionStart: true, journal.KindActionDone: true,
+	journal.KindControl: true, journal.KindRootDone: true,
+}
+
+// jobEvents returns a job's retained events with their times in the form a
+// replayed record yields (UTC, no monotonic reading), for comparison.
+func jobEvents(n *NJS, id core.JobID) []events.Event {
+	evs, _ := n.log.JobEvents(id, 0, 0)
+	out := make([]events.Event, len(evs))
+	for i, ev := range evs {
+		ev.Time = ev.Time.Round(0).UTC()
+		out[i] = ev
+	}
+	return out
+}
+
+// recoverCut writes files into a fresh state directory and recovers an NJS
+// from it without resuming, so its event log holds only what was replayed.
+func recoverCut(t *testing.T, files map[string][]byte) *NJS {
+	t.Helper()
+	dir := t.TempDir()
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := journal.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() { store.Close() })
+	n, err := Recover(store, durableCfg(sim.NewVirtualClock()), 0)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	t.Cleanup(n.Kill)
+	return n
+}
+
+// checkEventPrefix holds a recovered job's events against the uncut run's:
+// the first want of them, equal in every field.
+func checkEventPrefix(t *testing.T, where string, got, uncut []events.Event, want int) {
+	t.Helper()
+	if len(got) != want {
+		t.Fatalf("%s: recovered %d events, want the uncut run's first %d", where, len(got), want)
+	}
+	for i := range got {
+		if got[i] != uncut[i] {
+			t.Fatalf("%s: event %d recovered as %+v, the uncut run raised %+v", where, i, got[i], uncut[i])
+		}
+	}
+}
+
+// TestEventsSurviveEveryRecordBoundary crashes one durable three-action job,
+// held and resumed once, at every record boundary of its journal. An event
+// rides the record of its transition, so recovery yields a prefix of the
+// uncut run's events — same numbers, type, status and time — exactly as long
+// as the stamped state records that were replayed.
+func TestEventsSurviveEveryRecordBoundary(t *testing.T) {
+	dir := t.TempDir()
+	clock := sim.NewVirtualClock()
+	n, store := newDurableNJS(t, clock, dir, 0)
+	id, err := n.Consign(context.Background(), alice, "every-boundary", durableStagedJob("boundary"))
+	if err != nil {
+		t.Fatalf("Consign: %v", err)
+	}
+	for _, op := range []ajo.ControlOp{ajo.OpHold, ajo.OpResume} {
+		if err := n.Control(alice, false, id, op); err != nil {
+			t.Fatalf("Control(%s): %v", op, err)
+		}
+	}
+	clock.RunUntilIdle(0)
+	uncut := jobEvents(n, id)
+	if len(uncut) != 9 {
+		t.Fatalf("uncut run raised %d events, want 9", len(uncut))
+	}
+	var kinds []journal.Kind
+	if err := store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	n.Kill()
+	if err := store.Replay(func(e journal.Entry) error { kinds = append(kinds, e.Kind); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	wal, err := os.ReadFile(filepath.Join(dir, "journal-00000000.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := append([]int{0}, frameEnds(t, wal)...)
+	stamped := 0
+	for i, end := range ends {
+		if i > 0 && stampedKinds[kinds[i-1]] {
+			stamped++
+		}
+		rn := recoverCut(t, map[string][]byte{"journal-00000000.wal": wal[:end]})
+		checkEventPrefix(t, fmt.Sprintf("cut after record %d of %d", i, len(kinds)), jobEvents(rn, id), uncut, stamped)
+	}
+	if stamped != len(uncut) {
+		t.Fatalf("the journal holds %d stamped records for %d events", stamped, len(uncut))
+	}
+}
+
+// TestEventsSurviveEveryRecordBoundaryAfterCompact is the same sweep over the
+// tail of a compacted journal whose snapshot overlaps it: transitions run
+// between the rotation and the capture, so their records are in the tail and
+// their events in the snapshot's window too. Recovery at every tail boundary
+// yields the uncut run's first max(window, rotated + stamped tail records)
+// events.
+func TestEventsSurviveEveryRecordBoundaryAfterCompact(t *testing.T) {
+	dir := t.TempDir()
+	clock := sim.NewVirtualClock()
+	n, store := newDurableNJS(t, clock, dir, 0)
+	id, err := n.Consign(context.Background(), alice, "after-compact", durableStagedJob("compact"))
+	if err != nil {
+		t.Fatalf("Consign: %v", err)
+	}
+	clock.RunUntilIdle(1)
+	var rotated, window int
+	err = store.Compact(func(emit func(journal.Entry) error) error {
+		rotated = len(jobEvents(n, id))
+		clock.RunUntilIdle(2)
+		window = len(jobEvents(n, id))
+		return n.emitSnapshot(emit)
+	})
+	if err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if window <= rotated {
+		t.Fatalf("no transition ran between rotation and capture (%d events at both)", window)
+	}
+	clock.RunUntilIdle(0)
+	uncut := jobEvents(n, id)
+	if len(uncut) <= window {
+		t.Fatalf("no transition ran after the capture (%d events)", len(uncut))
+	}
+	if err := store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	n.Kill()
+	store.Close()
+	snap, err := os.ReadFile(filepath.Join(dir, "snapshot-00000001.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, "journal-00000001.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := recoverCut(t, map[string][]byte{"journal-00000000.wal": wal}) // the tail alone: no ADMIT, so no job
+	if evs := jobEvents(tail, id); len(evs) != 0 {
+		t.Fatalf("the tail alone restored %d events of a job it never admitted", len(evs))
+	}
+	var kinds []journal.Kind
+	err = tail.Journal().Replay(func(e journal.Entry) error { kinds = append(kinds, e.Kind); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := append([]int{0}, frameEnds(t, wal)...)
+	stamped := 0
+	for i, end := range ends {
+		if i > 0 && stampedKinds[kinds[i-1]] {
+			stamped++
+		}
+		rn := recoverCut(t, map[string][]byte{"snapshot-00000001.snap": snap, "journal-00000001.wal": wal[:end]})
+		checkEventPrefix(t, fmt.Sprintf("tail cut after record %d of %d", i, len(kinds)), jobEvents(rn, id), uncut, max(window, rotated+stamped))
+	}
+	if rotated+stamped != len(uncut) {
+		t.Fatalf("%d events before the rotation and %d stamped tail records, for %d events", rotated, stamped, len(uncut))
+	}
+}
+
+// TestRecoverRefusesParentFormat replays a journal and a snapshot written by
+// the build before format 0x02, when events were records of their own. Each
+// checksums, so neither is a torn tail; each must stop recovery with an
+// ErrCorrupt that names both formats, not replay as empty or without its
+// events.
+func TestRecoverRefusesParentFormat(t *testing.T) {
+	for _, tc := range []struct{ fixture, name string }{
+		{"format01.wal", "journal-00000000.wal"},
+		{"format01.snap", "snapshot-00000001.snap"},
+	} {
+		data, err := os.ReadFile(filepath.Join("..", "journal", "testdata", tc.fixture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ends := frameEnds(t, data); len(ends) < 5 || ends[len(ends)-1] != len(data) {
+			t.Fatalf("%s: %d bytes are not whole records", tc.fixture, len(data))
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		store, err := journal.Open(dir)
+		if err != nil {
+			t.Fatalf("%s: Open: %v", tc.fixture, err)
+		}
+		n, err := Recover(store, durableCfg(sim.NewVirtualClock()), 0)
+		if err == nil {
+			n.Kill()
+		}
+		store.Close()
+		if !errors.Is(err, journal.ErrCorrupt) || !strings.Contains(err.Error(), "0x01") || !strings.Contains(err.Error(), "0x02") {
+			t.Fatalf("%s: Recover = %v, want ErrCorrupt naming formats 0x01 and 0x02", tc.fixture, err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+			t.Fatalf("%s: the file changed on Open and Recover (%d of %d bytes left, %v)", tc.fixture, len(after), len(data), err)
+		}
 	}
 }

@@ -609,11 +609,13 @@ func (n *NJS) admit(user core.DN, login uudb.Login, job *ajo.AbstractJob, graph 
 		uj.outcomes[a.ID()] = o
 		uj.root.Children = append(uj.root.Children, o)
 	}
+	// The job is locked before it is visible, so no control reaches it
+	// ahead of its admission: its first event and record are the ADMIT's.
+	uj.mu.Lock()
 	n.regMu.Lock()
 	n.registerLocked(uj)
 	n.regMu.Unlock()
 	n.recordAdmit(uj)
-	uj.mu.Lock()
 	n.dispatchLocked(uj)
 	uj.mu.Unlock()
 	return id, nil

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 
 	"unicore/internal/accounting"
 	"unicore/internal/client"
@@ -68,6 +69,9 @@ type Deployment struct {
 
 	order   []core.Usite
 	managed map[core.Usite]*ManagedSite
+
+	clientsMu sync.Mutex
+	clients   map[*pki.Credential]*protocol.Client // Session's, one per credential
 }
 
 // hostOf derives the in-process host name of a site's gateway.
@@ -93,6 +97,7 @@ func newDeployment() (*Deployment, error) {
 		Registry: protocol.NewRegistry(),
 		Software: software,
 		Sites:    make(map[core.Usite]*Site),
+		clients:  make(map[*pki.Credential]*protocol.Client),
 	}, nil
 }
 
@@ -210,8 +215,14 @@ func (d *Deployment) EnableDurability(u core.Usite, dir string, snapshotEvery in
 	return store, nil
 }
 
-// Close tears down split-site sockets and managed-site controllers.
+// Close tears down split-site sockets, managed-site controllers and the
+// streams of Session's clients.
 func (d *Deployment) Close() {
+	d.clientsMu.Lock()
+	for _, c := range d.clients {
+		c.Close()
+	}
+	d.clientsMu.Unlock()
 	for _, s := range d.Sites {
 		if s.Front != nil {
 			s.Front.Close()
@@ -268,11 +279,26 @@ func (d *Deployment) UserClient(cred *pki.Credential) *protocol.Client {
 }
 
 // Session opens a session (context-aware submit/monitor/control with
-// server-push event streams) for a user at one Usite. Under the virtual
-// clock, drive the deployment from another goroutine (go d.Run(...)) while a
+// server-push event streams) for a user at one Usite. Every session of one
+// credential shares one protocol client, so it shares that client's stream to
+// each gateway and its one certificate verify. Under the virtual clock, drive
+// the deployment from another goroutine (go d.Run(...)) while a
 // Session.Await or Watch blocks — its long-poll wakes as events fire.
 func (d *Deployment) Session(cred *pki.Credential, usite core.Usite) *client.Session {
-	return client.NewSession(d.UserClient(cred), usite)
+	d.clientsMu.Lock()
+	defer d.clientsMu.Unlock()
+	c, ok := d.clients[cred]
+	// A stream is authenticated once, at its hello: a session opened after
+	// its credential was revoked must not inherit a stream opened before.
+	if ok && d.CA.IsRevoked(cred.Cert) {
+		c.Close()
+		ok = false
+	}
+	if !ok {
+		c = d.UserClient(cred)
+		d.clients[cred] = c
+	}
+	return client.NewSession(c, usite)
 }
 
 // Run drives the virtual clock until no events remain (or the safety cap is

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unicore/internal/testbed"
@@ -49,6 +50,55 @@ func TestSingleSiteQuickJob(t *testing.T) {
 	}
 	if sum.Status != ajo.StatusSuccessful {
 		t.Fatalf("status = %s", sum.Status)
+	}
+}
+
+// TestSessionsShareOneClientPerCredential: one-off sessions of one user
+// share that user's client, so five of them open one stream and verify one
+// certificate, not five.
+func TestSessionsShareOneClientPerCredential(t *testing.T) {
+	d, err := testbed.SingleSite("DEMO", "CLUSTER", 4)
+	if err != nil {
+		t.Fatalf("SingleSite: %v", err)
+	}
+	defer d.Close()
+	user, err := d.NewUser("Demo User", "Demo", "demo")
+	if err != nil {
+		t.Fatalf("NewUser: %v", err)
+	}
+	verifies := func() float64 {
+		snaps, err := d.Metrics("DEMO")
+		if err != nil {
+			t.Fatalf("Metrics: %v", err)
+		}
+		total := 0.0
+		for _, s := range snaps {
+			total += s.Total("pki_verify_total")
+		}
+		return total
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := d.Session(user, "DEMO").List(context.Background()); err != nil {
+			t.Fatalf("List %d: %v", i, err)
+		}
+	}
+	if n := verifies(); n != 1 {
+		t.Fatalf("five one-off sessions cost %v certificate verifies, want 1", n)
+	}
+	// Sessions opened from several goroutines at once share the same client.
+	var wg sync.WaitGroup
+	for i := 0; i < 5; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := d.Session(user, "DEMO").List(context.Background()); err != nil {
+				t.Errorf("concurrent List: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := verifies(); n != 1 {
+		t.Fatalf("ten sessions cost %v certificate verifies, want 1", n)
 	}
 }
 
