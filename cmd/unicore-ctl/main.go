@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -39,9 +40,9 @@ func main() {
 	var err error
 	switch os.Args[1] {
 	case "validate":
-		err = runValidate(os.Args[2:])
+		err = runValidate(os.Stdout, os.Args[2:])
 	case "diff":
-		err = runDiff(os.Args[2:])
+		err = runDiff(os.Stdout, os.Args[2:])
 	case "apply":
 		err = runApply(os.Args[2:])
 	case "-h", "-help", "--help", "help":
@@ -64,8 +65,9 @@ func usage() {
 `)
 }
 
-// runValidate parses the spec (which validates it) and prints a summary.
-func runValidate(args []string) error {
+// runValidate parses the spec (which validates it) and prints a summary to
+// w: one line per Vsite, then the verdict.
+func runValidate(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("validate", flag.ExitOnError)
 	specPath := fs.String("f", "", "topology spec file")
 	fs.Parse(args)
@@ -84,17 +86,18 @@ func runValidate(args []string) error {
 			if v.Autoscale != nil {
 				extra = fmt.Sprintf(" autoscale[%d,%d]", v.Autoscale.Min, v.Autoscale.Max)
 			}
-			fmt.Printf("%s/%s: %s x%d %s gen %d%s\n", site.Usite, v.Name,
-				v.Machine, v.DeclaredReplicas(), v.Policy, v.Generation, extra)
+			fmt.Fprintf(w, "%s/%s: %s x%d gen %d%s\n", site.Usite, v.Name,
+				v.Machine, v.DeclaredReplicas(), v.Generation, extra)
 		}
 	}
-	fmt.Printf("%s: valid (version %d, %d site(s))\n", *specPath, spec.Version, len(spec.Sites))
+	fmt.Fprintf(w, "%s: valid (version %d, %d site(s))\n", *specPath, spec.Version, len(spec.Sites))
 	return nil
 }
 
-// runDiff prints the changes taking -current to -f, one per line, in apply
-// order. Exits 0 with "no changes" when the specs declare the same topology.
-func runDiff(args []string) error {
+// runDiff prints to w the changes taking -current to -f, one per line, in
+// apply order. Exits 0 with "no changes" when the specs declare the same
+// topology.
+func runDiff(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	specPath := fs.String("f", "", "desired topology spec file")
 	currentPath := fs.String("current", "", "currently applied topology spec file")
@@ -112,11 +115,11 @@ func runDiff(args []string) error {
 	}
 	changes := deploy.DiffTopology(current, desired)
 	if len(changes) == 0 {
-		fmt.Println("no changes")
+		fmt.Fprintln(w, "no changes")
 		return nil
 	}
 	for _, c := range changes {
-		fmt.Println(c.String())
+		fmt.Fprintln(w, c.String())
 	}
 	return nil
 }

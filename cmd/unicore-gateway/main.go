@@ -6,8 +6,8 @@
 //
 // With -replicas N (or per-Vsite "replicas" counts in the site config) the
 // combined mode runs every Vsite as a pool of N NJS replicas behind
-// health-checked failover routing (-pool-policy selects round-robin,
-// least-loaded, or consistent-hash).
+// health-checked failover routing: new work goes round-robin over the
+// healthy replicas.
 //
 // Repeatable -peer USITE=https://host:port flags federate the gateway with
 // peer gateways at other administrative sites: it gossips advertisements to
@@ -18,7 +18,7 @@
 // Usage:
 //
 //	unicore-gateway -config site.json -ca ca.pem -cred gateway.pem -listen :8443
-//	unicore-gateway -config site.json -replicas 3 -pool-policy least-loaded -listen :8443
+//	unicore-gateway -config site.json -replicas 3 -listen :8443
 //	unicore-gateway -config site.json -peer DWD=https://gw.dwd:8443 -advertise https://gw.fzj:8443 -listen :8443
 //	unicore-gateway -front -inner 127.0.0.1:7000 -ca ca.pem -cred front.pem -listen :8443
 package main
@@ -47,10 +47,10 @@ import (
 
 // options are the flags that shape the combined-mode site.
 type options struct {
-	config, peers, poolPolicy, advertise string
-	replicas                             int
-	fedPeers                             []deploy.TopologyPeer
-	fedEvery                             time.Duration
+	config, peers, advertise string
+	replicas                 int
+	fedPeers                 []deploy.TopologyPeer
+	fedEvery                 time.Duration
 }
 
 func main() {
@@ -68,7 +68,6 @@ func main() {
 	flag.StringVar(&o.config, "config", "", "site configuration JSON (combined mode)")
 	flag.StringVar(&o.peers, "peers", "", "comma-separated USITE=https://host:port peer registry")
 	flag.IntVar(&o.replicas, "replicas", 1, "NJS replicas per Vsite (replica-pool mode when > 1)")
-	flag.StringVar(&o.poolPolicy, "pool-policy", "round-robin", "replica routing: round-robin, least-loaded, or consistent-hash")
 	flag.StringVar(&o.advertise, "advertise", "", "this gateway's URL in federation advertisements (required with -peer)")
 	flag.DurationVar(&o.fedEvery, "fed-interval", time.Minute, "federation gossip cadence")
 	flag.Func("peer", "peer gateway as USITE=https://host:port (repeatable; federates the grid)", func(v string) error {
@@ -170,9 +169,6 @@ func assemble(o options, cred *pki.Credential, ca *pki.Authority) (*gateway.Gate
 		if v.Replicas < 1 {
 			v.Replicas = o.replicas
 		}
-		if v.Policy == "" {
-			v.Policy = o.poolPolicy
-		}
 	}
 	log.Printf("combined mode: serving Usite %s", site.Usite)
 
@@ -201,7 +197,7 @@ func assemble(o options, cred *pki.Credential, ca *pki.Authority) (*gateway.Gate
 		regs := []*telemetry.Registry{stack.Gateway.Telemetry()}
 		for _, set := range stack.Router.Sets() {
 			regs = append(regs, set.Telemetry())
-			log.Printf("vsite %s: %d NJS replicas, %s routing", set.Vsite(), len(set.Names()), set.Policy())
+			log.Printf("vsite %s: %d NJS replicas", set.Vsite(), len(set.Names()))
 		}
 		for _, n := range stack.Replicas() {
 			regs = append(regs, n.Telemetry())

@@ -56,14 +56,14 @@ func TestCombinedModesBootAndServe(t *testing.T) {
 		// behind the gateway, no router in between.
 		pools map[core.Vsite]int
 	}{
-		{"-config", options{config: writeSite(""), replicas: 1, poolPolicy: "round-robin"}, nil},
+		{"-config", options{config: writeSite(""), replicas: 1}, nil},
 		// T3E pins its own replica count; CLUSTER takes the -replicas default.
-		{"-config -replicas 3 -pool-policy least-loaded",
-			options{config: writeSite(`, "replicas": 2`), replicas: 3, poolPolicy: "least-loaded"},
+		{"-config -replicas 3",
+			options{config: writeSite(`, "replicas": 2`), replicas: 3},
 			map[core.Vsite]int{"T3E": 2, "CLUSTER": 3}},
 		// A per-Vsite count alone makes the site a pool.
 		{"-config with a replica count in the file",
-			options{config: writeSite(`, "replicas": 2`), replicas: 1, poolPolicy: "round-robin"},
+			options{config: writeSite(`, "replicas": 2`), replicas: 1},
 			map[core.Vsite]int{"T3E": 2, "CLUSTER": 1}},
 	}
 	for _, mode := range modes {
@@ -89,9 +89,6 @@ func TestCombinedModesBootAndServe(t *testing.T) {
 					set, ok := router.Set(v)
 					if !ok || len(set.Names()) != want {
 						t.Fatalf("%s pool = %v, want %d replicas", v, set, want)
-					}
-					if policy, _ := pool.ParsePolicy(mode.o.poolPolicy); set.Policy() != policy {
-						t.Fatalf("%s routing = %s, want %s", v, set.Policy(), policy)
 					}
 				}
 			}

@@ -32,7 +32,7 @@ const topology = `{
   "sites": [{
     "usite": "POOL",
     "vsites": [{"name": "CLUSTER", "machine": "cluster", "processors": 16,
-                "replicas": 3, "policy": "round-robin", "snapshotEvery": 256}]
+                "replicas": 3, "snapshotEvery": 256}]
   }]
 }`
 

@@ -56,28 +56,26 @@ func (p Policy) String() string {
 }
 
 // Load is one Vsite's live occupancy as reported by its gateway, including
-// the replica-pool health behind it (package pool): Replicas/Healthy let the
-// ranking skip a drained Vsite — one whose pool has no healthy NJS replica
-// left — and weight backlog by the capacity that actually survives. A report
-// with Replicas == 0 predates pooling and is read as a single healthy NJS.
+// the NJS replicas behind it: Replicas/Healthy let the ranking skip a
+// drained Vsite — one with no healthy NJS replica — and weight backlog by
+// the capacity that actually survives. A single NJS reports 1/1.
 type Load struct {
 	Load     float64 // fraction of batch slots in use, [0,1]
 	Pending  int     // jobs waiting in the queues
 	Inflight int     // consigns being admitted right now (live telemetry gauge)
-	Replicas int     // NJS replicas serving this Vsite (0 = unknown, assume 1)
+	Replicas int     // NJS replicas serving this Vsite
 	Healthy  int     // replicas currently healthy
 }
 
-// Drained reports whether the Vsite's replica pool has no healthy replica
-// left. Legacy reports (Replicas == 0) are never considered drained.
-func (l Load) Drained() bool { return l.Replicas > 0 && l.Healthy == 0 }
+// Drained reports whether no healthy NJS replica serves the Vsite: every
+// replica of its pool is failing its health check, or it has none. A Vsite
+// with no load report reads as the zero Load, so it is drained too.
+func (l Load) Drained() bool { return l.Healthy <= 0 }
 
-// healthyFraction is the surviving share of the Vsite's capacity.
+// healthyFraction is the surviving share of the Vsite's capacity; scoring
+// reads it only for a Vsite that is not drained.
 func (l Load) healthyFraction() float64 {
-	if l.Replicas <= 0 {
-		return 1
-	}
-	return float64(l.Healthy) / float64(l.Replicas)
+	return float64(l.Healthy) / float64(max(l.Replicas, l.Healthy))
 }
 
 // Candidate is one ranked placement option.

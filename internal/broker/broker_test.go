@@ -17,7 +17,10 @@ var (
 	dwdSX4 = core.Target{Usite: "DWD", Vsite: "SX4"}
 )
 
-// inventory builds a broker stocked with the three-machine test inventory.
+// inventory builds a broker stocked with the three-machine test inventory,
+// each Vsite served by one idle, healthy NJS. Every load report in these
+// tests states Replicas and Healthy: a Vsite with no healthy replica is
+// drained.
 func inventory(p Policy) *Broker {
 	b := New(p)
 	t3e := machine.CrayT3E(512).ResourcePage()
@@ -29,6 +32,9 @@ func inventory(p Policy) *Broker {
 	b.AddPage(&t3e)
 	b.AddPage(&vpp)
 	b.AddPage(&sx4)
+	for _, t := range []core.Target{fzjT3E, lrzVPP, dwdSX4} {
+		b.SetLoad(t, Load{Replicas: 1, Healthy: 1})
+	}
 	return b
 }
 
@@ -65,9 +71,9 @@ func TestSoftwareFilter(t *testing.T) {
 
 func TestLeastLoadedPrefersIdleSite(t *testing.T) {
 	b := inventory(LeastLoaded)
-	b.SetLoad(fzjT3E, Load{Load: 0.9, Pending: 40})
-	b.SetLoad(lrzVPP, Load{Load: 0.1})
-	b.SetLoad(dwdSX4, Load{Load: 0.5})
+	b.SetLoad(fzjT3E, Load{Load: 0.9, Pending: 40, Replicas: 1, Healthy: 1})
+	b.SetLoad(lrzVPP, Load{Load: 0.1, Replicas: 1, Healthy: 1})
+	b.SetLoad(dwdSX4, Load{Load: 0.5, Replicas: 1, Healthy: 1})
 	got, err := b.Choose(resources.Request{Processors: 8, RunTime: time.Hour})
 	if err != nil {
 		t.Fatalf("Choose: %v", err)
@@ -85,9 +91,9 @@ func TestInflightConsignsCountAsLoad(t *testing.T) {
 	b := inventory(LeastLoaded)
 	// Both SX4-sized sites report empty queues and identical occupancy, but
 	// the SX4 is absorbing an admission burst right now.
-	b.SetLoad(fzjT3E, Load{Load: 0.9, Pending: 40})
-	b.SetLoad(lrzVPP, Load{Load: 0.1})
-	b.SetLoad(dwdSX4, Load{Load: 0.1, Inflight: 30})
+	b.SetLoad(fzjT3E, Load{Load: 0.9, Pending: 40, Replicas: 1, Healthy: 1})
+	b.SetLoad(lrzVPP, Load{Load: 0.1, Replicas: 1, Healthy: 1})
+	b.SetLoad(dwdSX4, Load{Load: 0.1, Inflight: 30, Replicas: 1, Healthy: 1})
 	got, err := b.Choose(resources.Request{Processors: 8, RunTime: time.Hour})
 	if err != nil {
 		t.Fatalf("Choose: %v", err)
@@ -116,8 +122,8 @@ func TestInflightConsignsCountAsLoad(t *testing.T) {
 
 func TestFastestMachineIgnoresLoad(t *testing.T) {
 	b := inventory(FastestMachine)
-	b.SetLoad(fzjT3E, Load{Load: 1, Pending: 100})
-	b.SetLoad(lrzVPP, Load{Load: 0})
+	b.SetLoad(fzjT3E, Load{Load: 1, Pending: 100, Replicas: 1, Healthy: 1})
+	b.SetLoad(lrzVPP, Load{Load: 0, Replicas: 1, Healthy: 1})
 	got, err := b.Choose(resources.Request{Processors: 8, RunTime: time.Hour})
 	if err != nil {
 		t.Fatalf("Choose: %v", err)
@@ -131,9 +137,9 @@ func TestFastestMachineIgnoresLoad(t *testing.T) {
 func TestBestTurnaroundBalancesWaitAndSpeed(t *testing.T) {
 	b := inventory(BestTurnaround)
 	// The T3E is saturated with a deep backlog; the slower SX4 is empty.
-	b.SetLoad(fzjT3E, Load{Load: 1, Pending: 64})
-	b.SetLoad(lrzVPP, Load{Load: 1, Pending: 64})
-	b.SetLoad(dwdSX4, Load{})
+	b.SetLoad(fzjT3E, Load{Load: 1, Pending: 64, Replicas: 1, Healthy: 1})
+	b.SetLoad(lrzVPP, Load{Load: 1, Pending: 64, Replicas: 1, Healthy: 1})
+	b.SetLoad(dwdSX4, Load{Replicas: 1, Healthy: 1})
 	got, err := b.Choose(resources.Request{Processors: 8, RunTime: time.Hour})
 	if err != nil {
 		t.Fatalf("Choose: %v", err)
@@ -214,7 +220,7 @@ func TestRetarget(t *testing.T) {
 
 func TestZeroRequestUsesPageDefaults(t *testing.T) {
 	b := inventory(BestTurnaround)
-	b.SetLoad(fzjT3E, Load{Load: 0.5, Pending: 4})
+	b.SetLoad(fzjT3E, Load{Load: 0.5, Pending: 4, Replicas: 1, Healthy: 1})
 	cands, err := b.Candidates(resources.Request{})
 	if err != nil {
 		t.Fatalf("Candidates: %v", err)
@@ -252,13 +258,35 @@ func TestDrainedSiteIsNeverSelected(t *testing.T) {
 	}
 }
 
+// TestZeroReplicaPoolIsDrained: a Vsite whose pool reports no replica at
+// all has no NJS to take a job, so the broker skips it like a pool whose
+// every replica fails its health check — even when it would win on load.
+func TestZeroReplicaPoolIsDrained(t *testing.T) {
+	b := inventory(LeastLoaded)
+	b.SetLoad(lrzVPP, Load{Replicas: 0, Healthy: 0}) // idle, but nobody serves it
+	b.SetLoad(dwdSX4, Load{Load: 0.5, Replicas: 1, Healthy: 1})
+	b.SetLoad(fzjT3E, Load{Load: 0.9, Replicas: 1, Healthy: 1})
+	cands, err := b.Candidates(resources.Request{Processors: 8, RunTime: time.Hour})
+	if err != nil {
+		t.Fatalf("Candidates: %v", err)
+	}
+	for _, c := range cands {
+		if c.Target == lrzVPP {
+			t.Fatalf("the zero-replica Vsite %s is a candidate: %+v", lrzVPP, c)
+		}
+	}
+	if len(cands) != 2 || cands[0].Target != dwdSX4 {
+		t.Fatalf("candidates = %+v, want the SX4 then the T3E", cands)
+	}
+}
+
 // TestRemovedVsiteEvictedAfterRefresh drives the eviction pass a clean
 // per-site refresh runs: a Vsite the gateway no longer reports loses both
 // its resource page and its load record, instead of competing forever.
 func TestRemovedVsiteEvictedAfterRefresh(t *testing.T) {
 	b := inventory(LeastLoaded)
-	b.SetLoad(lrzVPP, Load{Load: 0.0}) // the would-be winner
-	b.evictStaleSite("LRZ", nil)       // LRZ answered and reports nothing
+	b.SetLoad(lrzVPP, Load{Load: 0.0, Replicas: 1, Healthy: 1}) // the would-be winner
+	b.evictStaleSite("LRZ", nil)                                // LRZ answered and reports nothing
 	cands, err := b.Candidates(resources.Request{Processors: 8, RunTime: time.Hour})
 	if err != nil {
 		t.Fatalf("Candidates: %v", err)
@@ -277,9 +305,9 @@ func TestRemovedVsiteEvictedAfterRefresh(t *testing.T) {
 // a busier free one — the federation layer's hop/charge weighting lever.
 func TestSiteCostBiasesPlacement(t *testing.T) {
 	b := inventory(LeastLoaded)
-	b.SetLoad(fzjT3E, Load{Load: 0.9, Pending: 40})
-	b.SetLoad(lrzVPP, Load{Load: 0.1})
-	b.SetLoad(dwdSX4, Load{Load: 0.5})
+	b.SetLoad(fzjT3E, Load{Load: 0.9, Pending: 40, Replicas: 1, Healthy: 1})
+	b.SetLoad(lrzVPP, Load{Load: 0.1, Replicas: 1, Healthy: 1})
+	b.SetLoad(dwdSX4, Load{Load: 0.5, Replicas: 1, Healthy: 1})
 	b.SetSiteCost("LRZ", 2) // two machines' worth of occupancy penalty
 	got, err := b.Choose(resources.Request{Processors: 8, RunTime: time.Hour})
 	if err != nil {

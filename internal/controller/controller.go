@@ -3,9 +3,9 @@
 // and the production follow-up ("UNICORE — From Project Results to
 // Production Grids") reports dominating real deployments. A Controller
 // owns one Usite: each reconcile pass diffs the declared state
-// (deploy.TopologySite — per-Vsite replica counts, routing policies,
-// fleet generations, spool TTLs) against the pool.Router actually serving
-// traffic, and repairs the difference:
+// (deploy.TopologySite — per-Vsite replica counts, fleet generations,
+// spool TTLs) against the pool.Router actually serving traffic, and
+// repairs the difference:
 //
 //   - missing Vsites get replica sets, missing replicas get built and
 //     added to the live set (the declared floor, then autoscale headroom),
@@ -268,11 +268,8 @@ func (c *Controller) reconcileVsite(v *deploy.TopologyVsite, res *Result) (bool,
 	st := c.state(v.Name)
 	set, ok := c.cfg.Router.Set(v.Name)
 	if !ok {
-		policy, err := pool.ParsePolicy(v.Policy)
-		if err != nil {
-			return false, err
-		}
-		set, err = pool.New(pool.Config{Vsite: v.Name, Policy: policy, Clock: c.cfg.Clock})
+		var err error
+		set, err = pool.New(pool.Config{Vsite: v.Name, Clock: c.cfg.Clock})
 		if err != nil {
 			return false, err
 		}

@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -224,7 +225,6 @@ func simpleSite(replicas int, auto *deploy.AutoscaleSpec) deploy.TopologySite {
 			Name:      "T3E",
 			Machine:   "t3e",
 			Replicas:  replicas,
-			Policy:    "round-robin",
 			Autoscale: auto,
 		}},
 	}
@@ -455,9 +455,9 @@ func TestApplyRejectsForeignSite(t *testing.T) {
 		t.Fatal("Apply accepted a spec for a different usite")
 	}
 	bad := simpleSite(1, nil)
-	bad.Vsites[0].Policy = "nonesuch"
-	if err := h.ctl.Apply(bad); err == nil {
-		t.Fatal("Apply accepted an invalid policy")
+	bad.Vsites[0].Generation = -1
+	if err := h.ctl.Apply(bad); err == nil || !strings.Contains(err.Error(), "negative generation") {
+		t.Fatalf("Apply of a negative generation: err = %v, want it refused", err)
 	}
 }
 

@@ -53,8 +53,7 @@ func TestStackBootHealRoll(t *testing.T) {
 		Sites: []deploy.TopologySite{{
 			Usite: "FZJ",
 			Vsites: []deploy.TopologyVsite{{
-				Name: "T3E", Machine: "t3e", Replicas: 2,
-				Policy: "round-robin", SnapshotEvery: 64,
+				Name: "T3E", Machine: "t3e", Replicas: 2, SnapshotEvery: 64,
 			}},
 			Users: []deploy.UserMapping{{
 				DN:     alice.DN(),

@@ -15,7 +15,6 @@ import (
 	"unicore/internal/gateway"
 	"unicore/internal/njs"
 	"unicore/internal/pki"
-	"unicore/internal/pool"
 	"unicore/internal/protocol"
 	"unicore/internal/resources"
 	"unicore/internal/sim"
@@ -28,7 +27,7 @@ const conformanceSite = `{
   "usite": "FZJ",
   "vsites": [
     {"name": "T3E", "machine": "t3e", "processors": 128, "replicas": 2},
-    {"name": "CLUSTER", "machine": "cluster", "replicas": 3, "policy": "least-loaded"}
+    {"name": "CLUSTER", "machine": "cluster", "replicas": 3}
   ],
   "users": [
     {"dn": "CN=Alice,O=FZJ,C=DE",
@@ -120,16 +119,13 @@ func TestSiteConformance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewStack: %v", err)
 		}
-		// The declared shape: per-Vsite replica counts and routing, the
-		// router behind the gateway.
+		// The declared shape: per-Vsite replica counts, the router behind
+		// the gateway.
 		for v, want := range map[core.Vsite]int{"T3E": 2, "CLUSTER": 3} {
 			set, ok := stack.Router.Set(v)
 			if !ok || len(set.Names()) != want {
 				t.Fatalf("%s pool = %v, want %d replicas", v, set, want)
 			}
-		}
-		if set, _ := stack.Router.Set("CLUSTER"); set.Policy() != pool.LeastLoaded {
-			t.Fatalf("CLUSTER routing = %s, want the declared least-loaded", set.Policy())
 		}
 		if stack.Gateway.Backend() != njs.Service(stack.Router) {
 			t.Fatal("gateway backend is not the router")

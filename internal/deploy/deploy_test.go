@@ -317,7 +317,7 @@ func TestBuildReplicaGrowsLiveVsite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NJSConfig: %v", err)
 	}
-	set, err := pool.New(pool.Config{Vsite: "CLUSTER", Policy: pool.RoundRobin, Clock: clock})
+	set, err := pool.New(pool.Config{Vsite: "CLUSTER", Clock: clock})
 	if err != nil {
 		t.Fatalf("pool.New: %v", err)
 	}

@@ -17,7 +17,7 @@ func FuzzTopologySpecParse(f *testing.F) {
 	f.Add([]byte(sampleTopology))
 	f.Add([]byte(`{"version": 1, "sites": [{"usite": "A", "vsites": [{"name": "V", "machine": "cluster"}]}]}`))
 	f.Add([]byte(`{"version": 1, "journalDir": "/tmp/j", "sites": [{"usite": "A", "vsites": [
-		{"name": "V", "machine": "t3e", "replicas": 4, "policy": "ch",
+		{"name": "V", "machine": "t3e", "replicas": 4,
 		 "autoscale": {"min": 1, "max": 8, "backlogPerReplica": 2, "idleCycles": 5}}]}]}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version": 9}`))

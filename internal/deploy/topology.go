@@ -19,7 +19,6 @@ import (
 	"unicore/internal/codine"
 	"unicore/internal/core"
 	"unicore/internal/njs"
-	"unicore/internal/pool"
 	"unicore/internal/uudb"
 )
 
@@ -91,9 +90,6 @@ type TopologyVsite struct {
 	// live count inside [Autoscale.Min, Autoscale.Max]. The single-NJS
 	// builder (BuildSite) ignores it, as it does every pool knob below.
 	Replicas int `json:"replicas,omitempty"`
-	// Policy selects the pool's consign routing: "round-robin",
-	// "least-loaded", or "consistent-hash" (default round-robin).
-	Policy string `json:"policy,omitempty"`
 	// Generation versions the replica fleet. Bumping it makes the
 	// controller roll every replica: drain, retire, recover from the
 	// journal, rejoin — one replica at a time.
@@ -303,9 +299,6 @@ func (v *TopologyVsite) validate() error {
 	if v.SnapshotEvery < 0 {
 		return fmt.Errorf("negative snapshot cadence %d", v.SnapshotEvery)
 	}
-	if _, err := pool.ParsePolicy(v.Policy); err != nil {
-		return err
-	}
 	a := v.Autoscale
 	if a == nil {
 		return nil
@@ -384,7 +377,7 @@ func (site *TopologySite) Vsite(v core.Vsite) (*TopologyVsite, bool) {
 // TopologyChange is one step of a topology diff.
 type TopologyChange struct {
 	// Op names the change: "add-site", "remove-site", "add-vsite",
-	// "remove-vsite", "scale", "policy", "roll", "spool-ttl", "autoscale",
+	// "remove-vsite", "scale", "roll", "spool-ttl", "autoscale",
 	// "machine", "add-peer", "remove-peer", "peer-url".
 	Op    string
 	Usite core.Usite
@@ -463,9 +456,6 @@ func diffSite(have, want *TopologySite) []TopologyChange {
 		}
 		if hv.DeclaredReplicas() != wv.DeclaredReplicas() {
 			at("scale", fmt.Sprintf("replicas %d -> %d", hv.DeclaredReplicas(), wv.DeclaredReplicas()))
-		}
-		if hv.Policy != wv.Policy {
-			at("policy", fmt.Sprintf("%q -> %q", hv.Policy, wv.Policy))
 		}
 		if hv.Generation != wv.Generation {
 			at("roll", fmt.Sprintf("generation %d -> %d", hv.Generation, wv.Generation))

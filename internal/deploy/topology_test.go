@@ -21,7 +21,6 @@ const sampleTopology = `{
           "machine": "t3e",
           "processors": 512,
           "replicas": 3,
-          "policy": "least-loaded",
           "generation": 2,
           "spoolTTLSec": 3600,
           "snapshotEvery": 256,
@@ -99,7 +98,7 @@ func TestTopologyValidate(t *testing.T) {
 	}{
 		{"version", `"version": 1`, "unsupported spec version"},
 		{"machine", `"machine": "sp2"`, "unknown machine"},
-		{"policy", `"policy": "least-loaded"`, "unknown policy"},
+		{"policy", `"generation": 2`, `unknown field "policy"`},
 		{"negative-replicas", `"replicas": 2`, "negative replica count"},
 		{"autoscale-min", `"min": 2`, "autoscale min"},
 		{"autoscale-max", `"max": 6`, "autoscale max"},
@@ -111,7 +110,7 @@ func TestTopologyValidate(t *testing.T) {
 	repl := map[string]string{
 		"version":            `"version": 9`,
 		"machine":            `"machine": "cray-3000"`,
-		"policy":             `"policy": "psychic"`,
+		"policy":             `"policy": "round-robin", "generation": 2`,
 		"negative-replicas":  `"replicas": -1`,
 		"autoscale-min":      `"min": 0`,
 		"autoscale-max":      `"max": 1`,
@@ -206,7 +205,6 @@ func TestDiffTopology(t *testing.T) {
 	v, _ := site.Vsite("T3E")
 	v.Replicas = 5
 	v.Generation = 3
-	v.Policy = "consistent-hash"
 	v.SpoolTTLSec = 7200
 	v.Autoscale = nil
 	site.Vsites = append(site.Vsites, TopologyVsite{Name: "SX4", Machine: "sx4"})
@@ -221,7 +219,7 @@ func TestDiffTopology(t *testing.T) {
 			t.Fatalf("change %+v renders empty", c)
 		}
 	}
-	for _, op := range []string{"scale", "roll", "policy", "spool-ttl", "autoscale", "add-vsite", "remove-site", "add-peer", "peer-url"} {
+	for _, op := range []string{"scale", "roll", "spool-ttl", "autoscale", "add-vsite", "remove-site", "add-peer", "peer-url"} {
 		if ops[op] != 1 {
 			t.Fatalf("diff ops = %v, want one %q", ops, op)
 		}

@@ -92,10 +92,9 @@ func (s *ReplicaSet) DrainStatus(name string) (DrainStatus, error) {
 	return st, nil
 }
 
-// Remove retires a replica from the set for good: it leaves the ring (its
-// keys redistribute), and job- and handle-scoped calls naming it are
-// not-found from then on. Acknowledged
-// consign IDs stay in the ack index — a client retry of an admission the
+// Remove retires a replica from the set for good: new work stops walking to
+// it, and job- and handle-scoped calls naming it are not-found from then
+// on. Acknowledged consign IDs stay in the ack index — a client retry of an admission the
 // retired replica acked still converges on the recorded job ID instead of
 // duplicating the job. The caller owns the retired service (Kill it, close
 // its journal); scale down only after the replica's drain has settled.
@@ -113,7 +112,6 @@ func (s *ReplicaSet) Remove(name string) error {
 			break
 		}
 	}
-	s.ring.remove(name)
 	for dn, rep := range s.lastOpen {
 		if rep == r {
 			delete(s.lastOpen, dn)

@@ -16,7 +16,7 @@ import (
 // consigns or staged-upload opens, but everything it already owns — jobs,
 // held uploads — stays reachable through the pool by name.
 func TestDrainStopsNewWorkKeepsOwnedWork(t *testing.T) {
-	set, _, fakes := newTestSet(t, RoundRobin)
+	set, _, fakes := newTestSet(t)
 	router := routerOver(t, set)
 	r1 := Instance("CLUSTER", "r1")
 	// Land a job and an upload on r1 so it owns something before draining.
@@ -61,7 +61,7 @@ func TestDrainStopsNewWorkKeepsOwnedWork(t *testing.T) {
 		t.Fatalf("Healthy() = %v, want the two undrained replicas", h)
 	}
 
-	// New work avoids r1 across a full lap of every policy's pick loop.
+	// New work avoids r1 across three full laps of the round-robin walk.
 	before := fakes[1].jobCount()
 	for i := 0; i < 9; i++ {
 		if _, err := set.Consign(context.Background(), "CN=A", fmt.Sprintf("during-%d", i), testJob("CLUSTER")); err != nil {
@@ -116,7 +116,7 @@ func TestDrainStopsNewWorkKeepsOwnedWork(t *testing.T) {
 // of the contract — an acked consign ID it served still converges on the
 // recorded job.
 func TestRemoveRetiresReplica(t *testing.T) {
-	set, _, fakes := newTestSet(t, RoundRobin)
+	set, _, fakes := newTestSet(t)
 	var acked core.JobID
 	var ackedCID string
 	consigned := 0
@@ -195,7 +195,7 @@ func TestParseReplicaTag(t *testing.T) {
 
 // TestDrainUnknownReplica: the drain surface rejects unknown names.
 func TestDrainUnknownReplica(t *testing.T) {
-	set, _, _ := newTestSet(t, RoundRobin)
+	set, _, _ := newTestSet(t)
 	if err := set.Drain("ghost"); !errors.Is(err, ErrUnknownReplica) {
 		t.Fatalf("Drain(ghost) = %v", err)
 	}
@@ -212,7 +212,7 @@ func TestDrainUnknownReplica(t *testing.T) {
 // Vsite mid-roll) reads as drained to the §6 broker instead of drawing
 // consigns that can only fail with ErrNoReplica.
 func TestDrainedSetReportsNoHealthyReplica(t *testing.T) {
-	set, _, _ := newTestSet(t, RoundRobin)
+	set, _, _ := newTestSet(t)
 	for _, name := range set.Names() {
 		if err := set.Drain(name); err != nil {
 			t.Fatalf("Drain(%s): %v", name, err)

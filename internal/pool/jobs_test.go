@@ -72,10 +72,10 @@ func TestJobRoutingRulesHoldForEveryOp(t *testing.T) {
 	for _, topology := range []string{"set", "router"} {
 		for _, op := range jobOps {
 			t.Run(topology+"/"+op.name, func(t *testing.T) {
-				set, _, fakes := newTestSet(t, RoundRobin)
+				set, _, fakes := newTestSet(t)
 				svc := routerOver(t, set)
 				if topology == "router" {
-					other, _, _ := newTestSet(t, RoundRobin)
+					other, _, _ := newTestSet(t)
 					other.cfg.Vsite = "OTHER"
 					svc = routerOver(t, other, set)
 				}

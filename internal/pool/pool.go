@@ -4,9 +4,8 @@
 // production follow-up to the testbed deployment (§5.7) had to engineer
 // away. This package fronts N njs.Service replicas per Vsite with:
 //
-//   - pluggable placement — round-robin, least-loaded (live load queries, the
-//     same signal the §6 broker consumes), and consistent-hash-by-consign-id
-//     so retries of one submission target the same replica,
+//   - one placement rule: new work goes round-robin over the replicas that
+//     accept it (load-aware placement is the §6 broker's job, one level up),
 //   - routing by name: every job ID and staged-upload handle a replica mints
 //     carries its instance (Instance), so Poll/Outcome/FetchFile and chunk
 //     calls go to the replica the ID names, with no lookup state to lose,
@@ -34,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,47 +61,6 @@ var (
 	ErrDuplicateReplica = errors.New("pool: duplicate replica name")
 )
 
-// Policy selects how a ReplicaSet routes new consignments.
-type Policy int
-
-const (
-	// RoundRobin cycles admissions over the healthy replicas.
-	RoundRobin Policy = iota
-	// LeastLoaded queries each healthy replica's live load
-	// (njs.Service.VsiteLoads) and admits on the least occupied one.
-	LeastLoaded
-	// ConsistentHash places admissions by hashing the consign ID onto the
-	// replica ring, so retries of one submission target the same replica and
-	// the placement survives pool restarts.
-	ConsistentHash
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case RoundRobin:
-		return "round-robin"
-	case LeastLoaded:
-		return "least-loaded"
-	case ConsistentHash:
-		return "consistent-hash"
-	}
-	return fmt.Sprintf("Policy(%d)", int(p))
-}
-
-// ParsePolicy resolves a policy name as used by command-line flags.
-func ParsePolicy(s string) (Policy, error) {
-	switch strings.TrimSpace(s) {
-	case "round-robin", "rr", "":
-		return RoundRobin, nil
-	case "least-loaded", "ll":
-		return LeastLoaded, nil
-	case "consistent-hash", "ch", "hash":
-		return ConsistentHash, nil
-	}
-	return 0, fmt.Errorf("pool: unknown policy %q (want round-robin, least-loaded, or consistent-hash)", s)
-}
-
 // Health-check and circuit-breaker timing.
 const (
 	// DefaultCheckInterval is the active health-check cadence of
@@ -120,8 +79,6 @@ const (
 type Config struct {
 	// Vsite is the execution system this set serves.
 	Vsite core.Vsite
-	// Policy selects the consign routing strategy (default RoundRobin).
-	Policy Policy
 	// Clock drives health-check timing and circuit-breaker backoff. Required.
 	Clock sim.Scheduler
 }
@@ -218,18 +175,17 @@ func ReplicaTag(i int) string { return fmt.Sprintf("r%d", i) }
 func Instance(v core.Vsite, tag string) string { return string(v) + "." + tag }
 
 // ReplicaSet places new work on the NJS replicas of one Vsite: it routes
-// new consignments and staged-upload opens by policy, health-checks the
+// new consignments and staged-upload opens round-robin, health-checks the
 // replicas, and fails unacknowledged admissions over to the next healthy
 // replica.
 type ReplicaSet struct {
 	cfg Config
 
-	// mu guards replica membership, the ring, the ack index, and the mapper.
+	// mu guards replica membership, the ack index, and the mapper.
 	// Routing takes it only for map work, never across a replica call.
 	mu       sync.RWMutex
 	replicas []*Replica
 	byName   map[string]*Replica
-	ring     ring
 	acks     map[string]ackEntry      // consign ID → acknowledged admission
 	inflight map[string]chan struct{} // consign ID → in-flight admission
 	lastOpen map[core.DN]*Replica     // user → replica of their latest StageOpen
@@ -281,11 +237,8 @@ func (s *ReplicaSet) Metrics() []telemetry.Snapshot {
 // Vsite returns the execution system this set serves.
 func (s *ReplicaSet) Vsite() core.Vsite { return s.cfg.Vsite }
 
-// Policy returns the consign routing policy.
-func (s *ReplicaSet) Policy() Policy { return s.cfg.Policy }
-
 // Add registers a replica under a stable name. The name, not the service
-// pointer, is the replica's identity on the consistent-hash ring.
+// pointer, is the replica's identity: SetService swaps the service behind it.
 func (s *ReplicaSet) Add(name string, svc njs.Service) error {
 	if name == "" {
 		return errors.New("pool: empty replica name")
@@ -305,7 +258,6 @@ func (s *ReplicaSet) Add(name string, svc njs.Service) error {
 	}
 	s.replicas = append(s.replicas, r)
 	s.byName[name] = r
-	s.ring.add(name)
 	s.mu.Unlock()
 	s.reconcile(r, svc)
 	return nil
@@ -347,16 +299,15 @@ type ConsignReporter interface {
 
 // reconcile folds a joining (or journal-recovered) replica's admissions
 // into the pool's ack index. Unclaimed consign IDs are adopted — restoring
-// acknowledgement convergence across a pool restart, for every routing
-// policy. A consign ID that this pool LIVE-acknowledged on a different
-// replica marks an orphan: the rejoining replica journaled the admission,
-// died before acking, and consign failover re-admitted the job elsewhere;
-// the orphan copy is aborted so the logical job never executes twice (its
-// ID still names this replica, and resolves to the aborted tombstone). When
-// the existing entry was itself adopted — after a full pool restart nobody
-// knows which copy the client was acknowledged — the conflicting copy is
-// left running: duplicated work is recoverable, aborting the acknowledged
-// copy is not.
+// acknowledgement convergence across a pool restart. A consign ID that this
+// pool LIVE-acknowledged on a different replica marks an orphan: the
+// rejoining replica journaled the admission, died before acking, and
+// consign failover re-admitted the job elsewhere; the orphan copy is
+// aborted so the logical job never executes twice (its ID still names this
+// replica, and resolves to the aborted tombstone). When the existing entry
+// was itself adopted — after a full pool restart nobody knows which copy
+// the client was acknowledged — the conflicting copy is left running:
+// duplicated work is recoverable, aborting the acknowledged copy is not.
 func (s *ReplicaSet) reconcile(r *Replica, svc njs.Service) {
 	rep, ok := svc.(ConsignReporter)
 	if !ok {
@@ -562,13 +513,13 @@ func failoverable(err error) bool {
 	return errors.Is(err, njs.ErrDown)
 }
 
-// Consign admits an AJO on a policy-chosen healthy replica, failing an
-// unacknowledged admission over to the next healthy replica. A consign ID
-// that was already acknowledged converges on the recorded admission, and
-// concurrent retries of one consign ID wait for the first attempt instead
-// of racing onto different replicas — the pool-level half of the
-// idempotency contract; the NJS-level half dedupes retries that reach the
-// same replica. If no replica is healthy the error is ErrNoReplica.
+// Consign admits an AJO on the next healthy replica in round-robin order,
+// failing an unacknowledged admission over to the replica after it. A
+// consign ID that was already acknowledged converges on the recorded
+// admission, and concurrent retries of one consign ID wait for the first
+// attempt instead of racing onto different replicas — the pool-level half
+// of the idempotency contract; the NJS-level half dedupes retries that reach
+// the same replica. If no replica is healthy the error is ErrNoReplica.
 func (s *ReplicaSet) Consign(ctx context.Context, user core.DN, consignID string, job *ajo.AbstractJob) (core.JobID, error) {
 	if consignID == "" {
 		return s.consignOnce(ctx, user, consignID, job)
@@ -598,11 +549,11 @@ func (s *ReplicaSet) Consign(ctx context.Context, user core.DN, consignID string
 	}
 }
 
-// consignOnce runs one policy-routed admission attempt with failover. A job
-// referencing staged uploads is pinned to the replica whose spool holds the
-// bytes (the consign-affinity hint): routing it anywhere else would admit a
-// job whose imports cannot be satisfied, so if that replica is down the
-// admission fails with ErrReplicaDown instead of failing over.
+// consignOnce runs one admission attempt with failover. A job referencing
+// staged uploads is pinned to the replica whose spool holds the bytes (the
+// consign-affinity hint): routing it anywhere else would admit a job whose
+// imports cannot be satisfied, so if that replica is down the admission
+// fails with ErrReplicaDown instead of failing over.
 func (s *ReplicaSet) consignOnce(ctx context.Context, user core.DN, consignID string, job *ajo.AbstractJob) (core.JobID, error) {
 	hint, err := s.stageHint(job)
 	if err != nil {
@@ -614,17 +565,11 @@ func (s *ReplicaSet) consignOnce(ctx context.Context, user core.DN, consignID st
 		}
 		return s.admit(ctx, hint, user, consignID, job)
 	}
-	tried := make(map[*Replica]bool)
 	var lastErr error
-	for {
-		rep := s.pickConsign(consignID, tried)
-		if rep == nil {
-			break
-		}
-		if len(tried) > 0 {
+	for rep := range s.walk(nil) {
+		if lastErr != nil {
 			s.tel.Counter("pool_failover_retries_total").Inc()
 		}
-		tried[rep] = true
 		id, err := s.admit(ctx, rep, user, consignID, job)
 		if err == nil || !failoverable(err) || consignID == "" {
 			// Without a consign ID there is no idempotency to converge on:
@@ -639,10 +584,7 @@ func (s *ReplicaSet) consignOnce(ctx context.Context, user core.DN, consignID st
 		// index keeps every retry on the acknowledged one.
 		lastErr = err
 	}
-	if lastErr != nil {
-		return "", fmt.Errorf("%w (last replica error: %v)", ErrNoReplica, lastErr)
-	}
-	return "", ErrNoReplica
+	return "", noReplica(lastErr)
 }
 
 // admit runs one admission on rep: an acknowledged one enters the ack
@@ -670,56 +612,36 @@ func (s *ReplicaSet) admit(ctx context.Context, rep *Replica, user core.DN, cons
 	return id, nil
 }
 
-// pickConsign chooses the next replica for an admission under the configured
-// policy, excluding already-tried replicas, open breakers, and draining
+// walk is the one placement rule and the failover order of new work (a
+// consign, a staged-upload open): first, when it is non-nil, then every
+// other replica round-robin from the set's cursor, each yielded only if it
+// accepts new work at the moment the walk reaches it. The cursor moves once
+// per walk that gets past first, so successive walks start on successive
 // replicas.
-func (s *ReplicaSet) pickConsign(key string, tried map[*Replica]bool) *Replica {
-	now := s.cfg.Clock.Now()
-	reps := s.snapshotReplicas()
-	if len(reps) == 0 {
-		return nil
-	}
-	switch s.cfg.Policy {
-	case LeastLoaded:
-		var best *Replica
-		bestLoad := 0.0
-		for _, r := range reps {
-			if tried[r] || !s.acceptsNew(r, now) {
-				continue
-			}
-			l := r.service().VsiteLoads()[s.cfg.Vsite].Load
-			if best == nil || l < bestLoad {
-				best, bestLoad = r, l
-			}
+func (s *ReplicaSet) walk(first *Replica) iter.Seq[*Replica] {
+	return func(yield func(*Replica) bool) {
+		if first != nil && s.acceptsNew(first, s.cfg.Clock.Now()) && !yield(first) {
+			return
 		}
-		return best
-	case ConsistentHash:
-		s.mu.RLock()
-		rg := s.ring
-		s.mu.RUnlock()
-		byName := make(map[string]*Replica, len(reps))
-		for _, r := range reps {
-			byName[r.name] = r
-		}
-		name := rg.lookup(key, func(n string) bool {
-			r := byName[n]
-			return r != nil && !tried[r] && s.acceptsNew(r, now)
-		})
-		if name == "" {
-			return nil
-		}
-		return byName[name]
-	default: // RoundRobin
+		reps := s.snapshotReplicas()
 		start := int(s.rr.Add(1))
-		for i := 0; i < len(reps); i++ {
+		for i := range reps {
 			r := reps[(start+i)%len(reps)]
-			if tried[r] || !s.acceptsNew(r, now) {
-				continue
+			if r != first && s.acceptsNew(r, s.cfg.Clock.Now()) && !yield(r) {
+				return
 			}
-			return r
 		}
-		return nil
 	}
+}
+
+// noReplica is a walk's error once every replica has been tried: last is
+// the error of the last replica that refused the work, nil if none was
+// offered it.
+func noReplica(last error) error {
+	if last == nil {
+		return ErrNoReplica
+	}
+	return fmt.Errorf("%w (last replica error: %v)", ErrNoReplica, last)
 }
 
 // LoadInfo aggregates the set's live load for the §6 broker: mean occupancy

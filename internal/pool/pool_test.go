@@ -34,8 +34,7 @@ type fakeService struct {
 	consignN     int                    // admissions performed
 	pollN        int                    // polls served
 	down         bool
-	admitUnacked bool // admit the job, then refuse the ack (ErrDown)
-	load         float64
+	admitUnacked bool         // admit the job, then refuse the ack (ErrDown)
 	aborts       []core.JobID // jobs aborted via Control
 	mapper       njs.LoginMapper
 	stages       map[string]int64 // staged handle → chunk watermark
@@ -144,7 +143,7 @@ func (f *fakeService) VsiteLoads() map[core.Vsite]njs.VsiteLoad {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return map[core.Vsite]njs.VsiteLoad{
-		f.vsite: {Load: f.load, Pending: 0, Replicas: 1, Healthy: 1},
+		f.vsite: {Replicas: 1, Healthy: 1},
 	}
 }
 
@@ -258,10 +257,10 @@ func testJob(vsite core.Vsite) *ajo.AbstractJob {
 }
 
 // newTestSet builds a 3-replica set over fakes under a virtual clock.
-func newTestSet(t *testing.T, policy Policy) (*ReplicaSet, *sim.VirtualClock, []*fakeService) {
+func newTestSet(t *testing.T) (*ReplicaSet, *sim.VirtualClock, []*fakeService) {
 	t.Helper()
 	clock := sim.NewVirtualClock()
-	set, err := New(Config{Vsite: "CLUSTER", Policy: policy, Clock: clock})
+	set, err := New(Config{Vsite: "CLUSTER", Clock: clock})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -293,7 +292,7 @@ func routerOver(t *testing.T, sets ...*ReplicaSet) *Router {
 }
 
 func TestRoundRobinSpreadsConsigns(t *testing.T) {
-	set, _, fakes := newTestSet(t, RoundRobin)
+	set, _, fakes := newTestSet(t)
 	for i := 0; i < 9; i++ {
 		if _, err := set.Consign(context.Background(), "CN=u", fmt.Sprintf("c%d", i), testJob("CLUSTER")); err != nil {
 			t.Fatalf("Consign: %v", err)
@@ -307,21 +306,19 @@ func TestRoundRobinSpreadsConsigns(t *testing.T) {
 }
 
 func TestAllReplicasUnhealthyIsCleanErrNoReplica(t *testing.T) {
-	for _, policy := range []Policy{RoundRobin, LeastLoaded, ConsistentHash} {
-		set, _, fakes := newTestSet(t, policy)
-		for _, f := range fakes {
-			f.setDown(true)
-		}
-		set.CheckNow() // trip every breaker
-		if h := set.Healthy(); len(h) != 0 {
-			t.Fatalf("[%s] healthy after CheckNow on all-down pool: %v", policy, h)
-		}
-		if _, err := set.Consign(context.Background(), "CN=u", "c1", testJob("CLUSTER")); !errors.Is(err, ErrNoReplica) {
-			t.Errorf("[%s] Consign on all-down pool: err = %v, want ErrNoReplica", policy, err)
-		}
-		if _, err := routerOver(t, set).Poll("CN=u", false, "FZJ-CLUSTER.r0-000001"); !errors.Is(err, ErrReplicaDown) {
-			t.Errorf("[%s] Poll on all-down pool: err = %v, want ErrReplicaDown", policy, err)
-		}
+	set, _, fakes := newTestSet(t)
+	for _, f := range fakes {
+		f.setDown(true)
+	}
+	set.CheckNow() // trip every breaker
+	if h := set.Healthy(); len(h) != 0 {
+		t.Fatalf("healthy after CheckNow on all-down pool: %v", h)
+	}
+	if _, err := set.Consign(context.Background(), "CN=u", "c1", testJob("CLUSTER")); !errors.Is(err, ErrNoReplica) {
+		t.Errorf("Consign on all-down pool: err = %v, want ErrNoReplica", err)
+	}
+	if _, err := routerOver(t, set).Poll("CN=u", false, "FZJ-CLUSTER.r0-000001"); !errors.Is(err, ErrReplicaDown) {
+		t.Errorf("Poll on all-down pool: err = %v, want ErrReplicaDown", err)
 	}
 }
 
@@ -331,7 +328,7 @@ func TestAllReplicasUnhealthyIsCleanErrNoReplica(t *testing.T) {
 // consign ID converges on the acknowledged admission instead of running the
 // job a third time.
 func TestConsignFailoverDoesNotDuplicate(t *testing.T) {
-	set, _, fakes := newTestSet(t, RoundRobin)
+	set, _, fakes := newTestSet(t)
 	fakes[0].setDown(true)
 	fakes[0].admitUnacked = true
 	fakes[1].setDown(true) // plain refusal, nothing admitted
@@ -364,28 +361,29 @@ func TestConsignFailoverDoesNotDuplicate(t *testing.T) {
 	}
 }
 
-// TestConsistentHashAffinitySurvivesReplicaRestart covers both restart
-// flavours: a replica restart (SetService hot-swap under the same pool
-// name) keeps job reads landing on the replica the job ID names, and a pool
-// restart (fresh ReplicaSet) re-places the same consign ID on the same
-// replica via the name-keyed hash ring.
-func TestConsistentHashAffinitySurvivesReplicaRestart(t *testing.T) {
-	set, clock, fakes := newTestSet(t, ConsistentHash)
+// TestReadsFollowRestartedReplica: a replica restart (SetService hot-swap
+// under the same pool name) keeps job reads landing on the replica the job
+// ID names. While the replica is down its jobs' reads fail fast with
+// ErrReplicaDown instead of consulting another replica; after the swap
+// they are served by the recovered replica.
+func TestReadsFollowRestartedReplica(t *testing.T) {
+	set, _, fakes := newTestSet(t)
 	router := routerOver(t, set)
 	id, err := set.Consign(context.Background(), "CN=u", "stable-key", testJob("CLUSTER"))
 	if err != nil {
 		t.Fatalf("Consign: %v", err)
 	}
-	var owner int
+	owner := -1
 	for i, f := range fakes {
 		if f.jobCount() == 1 {
 			owner = i
 		}
 	}
-	ownerName := fmt.Sprintf("r%d", owner)
+	if owner < 0 {
+		t.Fatal("no replica admitted the job")
+	}
+	ownerName := ReplicaTag(owner)
 
-	// Kill the owner: the health check trips its breaker and reads of its
-	// jobs fail fast with ErrReplicaDown instead of consulting a stale copy.
 	fakes[owner].setDown(true)
 	set.CheckNow()
 	if _, err := router.Poll("CN=u", false, id); !errors.Is(err, ErrReplicaDown) {
@@ -407,33 +405,15 @@ func TestConsistentHashAffinitySurvivesReplicaRestart(t *testing.T) {
 	if recovered.pollN != 1 {
 		t.Fatalf("restarted owner served %d polls, want 1", recovered.pollN)
 	}
-
-	// Pool restart: a fresh set over the same replica names, and the hash ring re-places the same consign key on the same
-	// replica, where NJS-level idempotency converges on the admitted job.
-	set2, err := New(Config{Vsite: "CLUSTER", Policy: ConsistentHash, Clock: clock})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
 	for i, f := range fakes {
-		svc := njs.Service(f)
-		if i == owner {
-			svc = recovered
+		if f.pollN != 0 {
+			t.Fatalf("replica r%d served %d polls of a job %s owns", i, f.pollN, ownerName)
 		}
-		if err := set2.Add(fmt.Sprintf("r%d", i), svc); err != nil {
-			t.Fatalf("Add: %v", err)
-		}
-	}
-	id2, err := set2.Consign(context.Background(), "CN=u", "stable-key", testJob("CLUSTER"))
-	if err != nil || id2 != id {
-		t.Fatalf("re-consign after pool restart: id=%s err=%v, want %s", id2, err, id)
-	}
-	if n := recovered.jobCount(); n != 1 {
-		t.Fatalf("pool restart duplicated the job: owner has %d jobs", n)
 	}
 }
 
 func TestBreakerBacksOffExponentiallyAndRecovers(t *testing.T) {
-	set, clock, fakes := newTestSet(t, RoundRobin)
+	set, clock, fakes := newTestSet(t)
 	fakes[0].setDown(true)
 	const base = DefaultBackoffBase
 	set.CheckNow() // trip r0: open for base
@@ -473,21 +453,6 @@ func TestBreakerBacksOffExponentiallyAndRecovers(t *testing.T) {
 	set.CheckNow()
 	if got := set.Healthy(); len(got) != 3 {
 		t.Fatalf("healthy = %v after recovery, want all 3", got)
-	}
-}
-
-func TestLeastLoadedPrefersIdleReplica(t *testing.T) {
-	set, _, fakes := newTestSet(t, LeastLoaded)
-	fakes[0].load = 0.9
-	fakes[1].load = 0.5
-	fakes[2].load = 0.1
-	for i := 0; i < 3; i++ {
-		if _, err := set.Consign(context.Background(), "CN=u", fmt.Sprintf("l%d", i), testJob("CLUSTER")); err != nil {
-			t.Fatalf("Consign: %v", err)
-		}
-	}
-	if n := fakes[2].jobCount(); n != 3 {
-		t.Fatalf("idle replica admitted %d jobs, want all 3", n)
 	}
 }
 
@@ -557,7 +522,7 @@ func TestRouterRoutesAcrossVsitesAndReportsHealth(t *testing.T) {
 // orphan copy — the logical job never executes twice — while retries keep
 // converging on the acknowledged admission.
 func TestRejoinAbortsOrphanAdmissions(t *testing.T) {
-	set, _, fakes := newTestSet(t, RoundRobin)
+	set, _, fakes := newTestSet(t)
 	fakes[0].setDown(true)
 	fakes[0].admitUnacked = true // journals the admission, refuses the ack
 	fakes[1].setDown(true)
@@ -591,16 +556,16 @@ func TestRejoinAbortsOrphanAdmissions(t *testing.T) {
 
 // TestPoolRestartAdoptsReplicaAdmissions: a fresh ReplicaSet (empty ack
 // index) over already-running replicas adopts their admitted consign IDs at
-// Add time, so retries converge under every routing policy — not just
-// consistent hashing.
+// Add time, so retries converge instead of round-robining onto a second
+// replica.
 func TestPoolRestartAdoptsReplicaAdmissions(t *testing.T) {
-	set, clock, fakes := newTestSet(t, RoundRobin)
+	set, clock, fakes := newTestSet(t)
 	id, err := set.Consign(context.Background(), "CN=u", "adopt-1", testJob("CLUSTER"))
 	if err != nil {
 		t.Fatalf("Consign: %v", err)
 	}
 
-	set2, err := New(Config{Vsite: "CLUSTER", Policy: RoundRobin, Clock: clock})
+	set2, err := New(Config{Vsite: "CLUSTER", Clock: clock})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -633,7 +598,7 @@ func TestPoolRestartAdoptsReplicaAdmissions(t *testing.T) {
 // TestConcurrentSameConsignIDSerializes: concurrent retries of one consign
 // ID must not race onto different replicas; exactly one admission happens.
 func TestConcurrentSameConsignIDSerializes(t *testing.T) {
-	set, _, fakes := newTestSet(t, RoundRobin)
+	set, _, fakes := newTestSet(t)
 	const callers = 8
 	ids := make([]core.JobID, callers)
 	var wg sync.WaitGroup
@@ -668,7 +633,7 @@ func TestConcurrentSameConsignIDSerializes(t *testing.T) {
 // idempotency to converge on, so an unacked admission must surface its
 // error instead of risking a duplicate on another replica.
 func TestEmptyConsignIDDoesNotFailOver(t *testing.T) {
-	set, _, fakes := newTestSet(t, RoundRobin)
+	set, _, fakes := newTestSet(t)
 	fakes[0].setDown(true)
 	fakes[0].admitUnacked = true // journals the admission, refuses the ack
 	set.rr.Store(-1)             // make r0 the first pick
@@ -692,7 +657,7 @@ func TestEmptyConsignIDDoesNotFailOver(t *testing.T) {
 // both reachable and abort neither.
 func TestPoolRestartConflictAbortsNeitherCopy(t *testing.T) {
 	clock := sim.NewVirtualClock()
-	set, err := New(Config{Vsite: "CLUSTER", Policy: RoundRobin, Clock: clock})
+	set, err := New(Config{Vsite: "CLUSTER", Clock: clock})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

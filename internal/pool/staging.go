@@ -25,22 +25,21 @@ type StageReporter interface {
 }
 
 // StageOpen begins a staged upload on a healthy replica, whose instance the
-// returned handle carries. The caller's previous open wins over the routing
-// policy: a job's staged inputs must all land on one replica (the consign
+// returned handle carries. The replica of the caller's previous open leads
+// the walk: a job's staged inputs must all land on one replica (the consign
 // can only be admitted where ALL the bytes are), and sequential uploads by
-// one user are overwhelmingly one job's inputs. Like an ID-less consign, an
-// open that failed on a dead replica retries on the next healthy one —
-// nothing was acknowledged, and an orphan spool entry on the dead replica
-// is garbage-collected.
+// one user are overwhelmingly one job's inputs. A draining replica loses
+// that lead — opens are new work — even though its held uploads stay
+// reachable for chunk and commit calls. Like an ID-less consign, an open
+// that failed on a dead replica retries on the next healthy one — nothing
+// was acknowledged, and an orphan spool entry on the dead replica is
+// garbage-collected.
 func (s *ReplicaSet) StageOpen(caller core.DN, asServer bool, req protocol.PutOpenRequest) (protocol.PutOpenReply, error) {
-	tried := make(map[*Replica]bool)
+	s.mu.RLock()
+	last := s.lastOpen[caller]
+	s.mu.RUnlock()
 	var lastErr error
-	for {
-		rep := s.pickStageOpen(caller, req.Name, tried)
-		if rep == nil {
-			break
-		}
-		tried[rep] = true
+	for rep := range s.walk(last) {
 		rep.calls.Add(1)
 		reply, err := rep.service().StageOpen(caller, asServer, req)
 		rep.calls.Add(-1)
@@ -57,24 +56,7 @@ func (s *ReplicaSet) StageOpen(caller core.DN, asServer bool, req protocol.PutOp
 		s.markFailure(rep)
 		lastErr = err
 	}
-	if lastErr != nil {
-		return protocol.PutOpenReply{}, fmt.Errorf("%w (last replica error: %v)", ErrNoReplica, lastErr)
-	}
-	return protocol.PutOpenReply{}, ErrNoReplica
-}
-
-// pickStageOpen prefers the replica of the caller's previous open, then
-// falls back to the consign policy. A draining replica loses the
-// preference — opens are new work — even though its held uploads stay
-// reachable for chunk and commit calls.
-func (s *ReplicaSet) pickStageOpen(caller core.DN, key string, tried map[*Replica]bool) *Replica {
-	s.mu.RLock()
-	last := s.lastOpen[caller]
-	s.mu.RUnlock()
-	if last != nil && !tried[last] && s.acceptsNew(last, s.cfg.Clock.Now()) {
-		return last
-	}
-	return s.pickConsign(key, tried)
+	return protocol.PutOpenReply{}, noReplica(lastErr)
 }
 
 // stageHint resolves the consign-affinity constraint of a job's staged

@@ -25,7 +25,7 @@ func stagedJob(vsite core.Vsite, handle string) *ajo.AbstractJob {
 }
 
 func TestStageCallsFollowTheHandlePin(t *testing.T) {
-	set, _, fakes := newTestSet(t, RoundRobin)
+	set, _, fakes := newTestSet(t)
 	router := routerOver(t, set)
 	open, err := set.StageOpen("CN=u", false, protocol.PutOpenRequest{Vsite: "CLUSTER", ChunkSize: 8, Window: 2})
 	if err != nil {
@@ -59,7 +59,7 @@ func TestStageCallsFollowTheHandlePin(t *testing.T) {
 }
 
 func TestStageOpenFailsOverToHealthyReplica(t *testing.T) {
-	set, _, fakes := newTestSet(t, RoundRobin)
+	set, _, fakes := newTestSet(t)
 	fakes[0].setDown(true)
 	fakes[1].setDown(true)
 	open, err := set.StageOpen("CN=u", false, protocol.PutOpenRequest{Vsite: "CLUSTER"})
@@ -77,7 +77,7 @@ func TestStageOpenFailsOverToHealthyReplica(t *testing.T) {
 
 func TestStagedConsignPinsToHoldingReplica(t *testing.T) {
 	// Round-robin would spread admissions; the staged handle must override it.
-	set, _, fakes := newTestSet(t, RoundRobin)
+	set, _, fakes := newTestSet(t)
 	open, err := set.StageOpen("CN=u", false, protocol.PutOpenRequest{Vsite: "CLUSTER"})
 	if err != nil {
 		t.Fatalf("StageOpen: %v", err)
@@ -115,7 +115,7 @@ func TestStageOpenPrefersCallersPreviousReplica(t *testing.T) {
 	// Round-robin would spread sequential opens across replicas; one user's
 	// uploads must land together, because a job referencing them all can
 	// only be admitted where ALL the bytes are.
-	set, _, fakes := newTestSet(t, RoundRobin)
+	set, _, fakes := newTestSet(t)
 	first, err := set.StageOpen("CN=u", false, protocol.PutOpenRequest{Vsite: "CLUSTER"})
 	if err != nil {
 		t.Fatalf("StageOpen: %v", err)
@@ -141,7 +141,7 @@ func TestStageOpenPrefersCallersPreviousReplica(t *testing.T) {
 }
 
 func TestStagedConsignAcrossReplicasIsRefused(t *testing.T) {
-	set, _, _ := newTestSet(t, RoundRobin)
+	set, _, _ := newTestSet(t)
 	a, err := set.StageOpen("CN=u", false, protocol.PutOpenRequest{Vsite: "CLUSTER"})
 	if err != nil {
 		t.Fatalf("StageOpen: %v", err)
@@ -168,7 +168,7 @@ func TestRebuiltPoolRoutesStagedWorkByHandle(t *testing.T) {
 	// A pool rebuilt from scratch (gateway restart) knows nothing of the
 	// upload, yet routes a chunk and a staged consign to the replica that
 	// minted the handle, with no reconcile and no search.
-	set, clock, fakes := newTestSet(t, RoundRobin)
+	set, clock, fakes := newTestSet(t)
 	open, err := set.StageOpen("CN=u", false, protocol.PutOpenRequest{Vsite: "CLUSTER"})
 	if err != nil {
 		t.Fatalf("StageOpen: %v", err)
@@ -202,7 +202,7 @@ func TestRebuiltPoolRoutesStagedWorkByHandle(t *testing.T) {
 }
 
 func TestUnknownHandleIsErrUnknownHandle(t *testing.T) {
-	set, _, _ := newTestSet(t, RoundRobin)
+	set, _, _ := newTestSet(t)
 	router := routerOver(t, set)
 	// No such name in the pool, no name at all, and a name whose replica
 	// never minted the handle: each is the same clean refusal.

@@ -346,11 +346,10 @@ type AppletReply struct {
 type LoadRequest struct{}
 
 // VsiteLoad is the occupancy of one Vsite. Replicas/Healthy expose the
-// replica-pool topology behind the Vsite: a single-NJS site reports 1/1,
-// a pooled site reports how many NJS replicas serve the Vsite and how many
-// currently pass their health checks. Both fields are omitted by pre-pool
-// servers; a reader treats 0 replicas as "topology unknown" (legacy single
-// NJS), not as a drained site.
+// NJS replicas behind the Vsite: a single-NJS site reports 1/1, a pooled
+// site reports how many NJS replicas serve the Vsite and how many currently
+// pass their health checks. A reader treats 0 healthy replicas, 0 replicas
+// included, as a drained Vsite that can take no new job.
 type VsiteLoad struct {
 	Load     float64 `json:"load"`               // fraction of batch slots in use, [0,1]
 	Pending  int     `json:"pending"`            // jobs waiting in the queues

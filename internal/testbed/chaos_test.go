@@ -35,7 +35,6 @@ func chaosSpec() *deploy.TopologySpec {
 				Machine:       "cluster",
 				Processors:    16,
 				Replicas:      3,
-				Policy:        "round-robin",
 				SnapshotEvery: 64,
 			}},
 		}},

@@ -135,7 +135,7 @@ func TestEventStreamRecoversFromDroppedReplies(t *testing.T) {
 // per-origin cursors, and resuming at the returned cursors yields nothing
 // new.
 func TestUserStreamMergesAcrossReplicas(t *testing.T) {
-	d, err := testbed.ReplicatedSite("POOL", "CLUSTER", 16, 3, 0)
+	d, err := testbed.ReplicatedSite("POOL", "CLUSTER", 16, 3)
 	if err != nil {
 		t.Fatalf("ReplicatedSite: %v", err)
 	}

@@ -41,7 +41,7 @@ func probeJob(t *testing.T, name string) *ajo.AbstractJob {
 // failoverSpec is one Usite whose single Vsite is served by three NJS
 // replicas behind a pool.Router — the scaled-out server tier, declared the
 // way an operator would.
-func failoverSpec(policy pool.Policy) *deploy.TopologySpec {
+func failoverSpec() *deploy.TopologySpec {
 	return &deploy.TopologySpec{
 		Version: deploy.TopologyVersion,
 		Sites: []deploy.TopologySite{{
@@ -51,7 +51,6 @@ func failoverSpec(policy pool.Policy) *deploy.TopologySpec {
 				Machine:       "cluster",
 				Processors:    16,
 				Replicas:      3,
-				Policy:        policy.String(),
 				SnapshotEvery: 256,
 			}},
 		}},
@@ -60,9 +59,9 @@ func failoverSpec(policy pool.Policy) *deploy.TopologySpec {
 
 // newFailoverSite boots failoverSpec as a controller-managed site with every
 // replica journaled under a fresh state root.
-func newFailoverSite(t *testing.T, policy pool.Policy) (*testbed.Deployment, *testbed.ManagedSite) {
+func newFailoverSite(t *testing.T) (*testbed.Deployment, *testbed.ManagedSite) {
 	t.Helper()
-	d, m, err := testbed.NewManaged(failoverSpec(policy), "POOL", t.TempDir())
+	d, m, err := testbed.NewManaged(failoverSpec(), "POOL", t.TempDir())
 	if err != nil {
 		t.Fatalf("NewManaged: %v", err)
 	}
@@ -181,7 +180,7 @@ func (w *eventWatcher) verify(t *testing.T) {
 // the canonical outcome of every workload job, keyed by name.
 func runFailoverWorkload(t *testing.T, kill bool) map[string]string {
 	t.Helper()
-	d, m := newFailoverSite(t, pool.RoundRobin)
+	d, m := newFailoverSite(t)
 	user, err := d.NewUser("Failover User", "Test", "failover")
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
@@ -393,15 +392,14 @@ func TestReplicaFailoverMidWorkload(t *testing.T) {
 // submissions, and the next submission lands on a healthy replica without
 // the client seeing an error.
 func TestConsignFailoverAcrossRealReplicas(t *testing.T) {
-	d, m := newFailoverSite(t, pool.ConsistentHash)
+	d, m := newFailoverSite(t)
 	user, err := d.NewUser("Failover User", "Test", "failover")
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)
 	}
 	sess := d.Session(user, "POOL")
-	// Kill whatever replica consistent hashing would pick for this job by
-	// killing all but one: the submission must still succeed on the
-	// survivor.
+	// Kill all but one replica: wherever the round-robin walk starts, the
+	// submission must still succeed on the survivor.
 	survivor := replicaNJS(t, m, "r2")
 	for _, tag := range []string{"r0", "r1"} {
 		if err := m.KillReplica("CLUSTER", tag); err != nil {

@@ -13,7 +13,6 @@ import (
 	"unicore/internal/client"
 	"unicore/internal/core"
 	"unicore/internal/njs"
-	"unicore/internal/pool"
 	"unicore/internal/protocol"
 	"unicore/internal/resources"
 	"unicore/internal/staging"
@@ -82,7 +81,7 @@ func TestStagedTransferSurvivesReplicaKill(t *testing.T) {
 		chunkSize = 64 << 10
 		fileSize  = 4 << 20 // 64 chunks
 	)
-	d, m := newFailoverSite(t, pool.RoundRobin)
+	d, m := newFailoverSite(t)
 	user, err := d.NewUser("Stage User", "Test", "stage")
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"unicore/internal/testbed/testbedtest"
 
-	"unicore/internal/pool"
 	"unicore/internal/telemetry"
 )
 
@@ -16,7 +15,7 @@ import (
 // deployment runs on a frozen virtual clock; and a live scrape reports the
 // headline counters nonzero.
 func TestTraceSpansSubmitAcrossTiers(t *testing.T) {
-	d, _ := newFailoverSite(t, pool.RoundRobin)
+	d, _ := newFailoverSite(t)
 	user, err := d.NewUser("Trace User", "Test", "trace")
 	if err != nil {
 		t.Fatalf("NewUser: %v", err)

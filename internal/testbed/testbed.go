@@ -388,14 +388,14 @@ func SingleSite(usite core.Usite, vsite core.Vsite, nodes int) (*Deployment, err
 // controller.Stack as every other pool. NewManaged is the general form: a
 // state root for per-replica journals, and the ManagedSite handle that
 // crashes and heals replicas.
-func ReplicatedSite(usite core.Usite, vsite core.Vsite, nodes, replicas int, policy pool.Policy) (*Deployment, error) {
+func ReplicatedSite(usite core.Usite, vsite core.Vsite, nodes, replicas int) (*Deployment, error) {
 	d, _, err := NewManaged(&deploy.TopologySpec{
 		Version: deploy.TopologyVersion,
 		Sites: []deploy.TopologySite{{
 			Usite: usite,
 			Vsites: []deploy.TopologyVsite{{
 				Name: vsite, Machine: "cluster", Processors: nodes,
-				Replicas: replicas, Policy: policy.String(),
+				Replicas: replicas,
 			}},
 		}},
 	}, usite, "")

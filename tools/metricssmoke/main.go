@@ -94,8 +94,8 @@ func run() error {
 		Sites: []deploy.TopologySite{{
 			Usite: "SMOKE",
 			Vsites: []deploy.TopologyVsite{
-				{Name: "T3E", Machine: "t3e", Replicas: 2, Policy: "round-robin", SnapshotEvery: 256},
-				{Name: "CLUSTER", Machine: "cluster", Replicas: 2, Policy: "round-robin", SnapshotEvery: 256},
+				{Name: "T3E", Machine: "t3e", Replicas: 2, SnapshotEvery: 256},
+				{Name: "CLUSTER", Machine: "cluster", Replicas: 2, SnapshotEvery: 256},
 			},
 			Users: []deploy.UserMapping{{
 				DN: user.DN(),

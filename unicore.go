@@ -38,7 +38,6 @@ import (
 	"unicore/internal/gateway"
 	"unicore/internal/journal"
 	"unicore/internal/pki"
-	"unicore/internal/pool"
 	"unicore/internal/protocol"
 	"unicore/internal/resources"
 	"unicore/internal/staging"
@@ -241,29 +240,29 @@ func NewDeployment(specs ...SiteSpec) (*Deployment, error) { return testbed.New(
 
 // Server-tier replica pools (the horizontal scale-out of docs/ARCHITECTURE.md;
 // package pool): a Vsite can be served by several NJS replicas behind
-// health-checked failover routing.
-type (
-	// ReplicaPolicy selects how a Vsite's replica pool routes admissions.
-	ReplicaPolicy = pool.Policy
-)
+// health-checked failover routing. A pool has one placement rule: new work
+// goes round-robin over the replicas that accept it.
 
-// Replica routing policies.
-const (
-	PoolRoundRobin     = pool.RoundRobin
-	PoolLeastLoaded    = pool.LeastLoaded
-	PoolConsistentHash = pool.ConsistentHash
-)
+// ReplicaPolicy selects nothing: the pool has one placement rule. It stays
+// only because bench/ still passes it to ReplicatedSite, and goes with the
+// bench change of ROADMAP item 1.
+type ReplicaPolicy int
+
+// PoolRoundRobin is the only ReplicaPolicy; like the type, it selects
+// nothing and goes with ROADMAP item 1.
+const PoolRoundRobin ReplicaPolicy = 0
 
 // ReplicatedSite deploys one Usite whose generic-cluster Vsite is served by
 // a pool of memory-only NJS replicas. NewManaged is the general form, for
 // the failover lifecycle: journaled replicas that can be crashed and healed.
-func ReplicatedSite(usite Usite, vsite Vsite, nodes, replicas int, policy ReplicaPolicy) (*Deployment, error) {
-	return testbed.ReplicatedSite(usite, vsite, nodes, replicas, policy)
+// The ReplicaPolicy parameter is ignored (see ReplicaPolicy).
+func ReplicatedSite(usite Usite, vsite Vsite, nodes, replicas int, _ ReplicaPolicy) (*Deployment, error) {
+	return testbed.ReplicatedSite(usite, vsite, nodes, replicas)
 }
 
 type (
 	// TopologySpec is the declarative topology document `unicore-ctl apply
-	// -f` consumes: per-Vsite machines, replica counts and routing policies.
+	// -f` consumes: per-Vsite machines, replica counts and fleet generations.
 	TopologySpec = deploy.TopologySpec
 	// ManagedSite is a Usite booted from a TopologySpec, its replica pools
 	// kept converged by the site's controller: KillReplica crashes one
