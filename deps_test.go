@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -40,6 +41,40 @@ func TestNoPackageImportsGob(t *testing.T) {
 				t.Errorf("%s imports encoding/gob", fields[0])
 			}
 		}
+	}
+}
+
+// TestOneChecksum keeps CRC-64 in one place: internal/checksum is the only
+// non-test package that imports hash/crc64, so every checksummed byte — a
+// staged chunk, a download, a vfs file sum, a journal frame — goes through
+// its kernel. bench is exempt by name: its calibration, blob and sink
+// compute hash/crc64 directly and stay frozen until the benchmark is next
+// changed (ROADMAP item 1). Tests may use hash/crc64 as their reference.
+func TestOneChecksum(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}} {{join .Imports " "}}`, "./...").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) < 10 {
+		t.Fatalf("go list named only %d packages:\n%s", len(lines), out)
+	}
+	owners := 0
+	for _, line := range lines {
+		fields := strings.Fields(line)
+		if !slices.Contains(fields[1:], "hash/crc64") {
+			continue
+		}
+		switch fields[0] {
+		case "unicore/internal/checksum":
+			owners++
+		case "unicore/bench":
+		default:
+			t.Errorf("%s imports hash/crc64; checksum with unicore/internal/checksum", fields[0])
+		}
+	}
+	if owners != 1 {
+		t.Errorf("unicore/internal/checksum does not import hash/crc64: the check above has nothing to keep")
 	}
 }
 

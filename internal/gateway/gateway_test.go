@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -286,6 +287,109 @@ func TestRevokedCertificateIsRejected(t *testing.T) {
 	var er *protocol.ErrorReply
 	if !strings.Contains(err.Error(), "revoked") {
 		t.Fatalf("err = %v (%T, errAs=%v), want revocation failure", err, err, er)
+	}
+}
+
+// TestRevocationReachesAnOpenStream: a stream is authenticated once, at its
+// hello, so a revocation must reach the streams already open. Alice's stream,
+// opened before her certificate is revoked, has its next frame refused and is
+// closed; Bob's stream is still served; Alice's next stream is refused at its
+// hello.
+func TestRevocationReachesAnOpenStream(t *testing.T) {
+	s := newSite(t)
+	bob, err := s.ca.IssueUser("Bob Bauer", "FZJ")
+	if err != nil {
+		t.Fatalf("IssueUser: %v", err)
+	}
+	s.users.AddUser(bob.DN(), "bob@fzj.de")
+	if err := s.users.AddMapping(bob.DN(), "T3E", uudb.Login{UID: "bbaue", Groups: []string{"zam"}}); err != nil {
+		t.Fatalf("AddMapping: %v", err)
+	}
+	ctx := context.Background()
+	list := func(c *protocol.Client) error {
+		return protocol.Do(ctx, c, "FZJ", protocol.OpList, protocol.ListRequest{}, &protocol.ListReply{})
+	}
+	alice, bobs := s.client(s.alice), s.client(bob)
+	defer alice.Close()
+	defer bobs.Close()
+	for _, c := range []*protocol.Client{alice, bobs} {
+		if err := list(c); err != nil {
+			t.Fatalf("list before revocation: %v", err)
+		}
+	}
+	if v := s.gauge("pki_verify_total"); v != 2 {
+		t.Fatalf("pki_verify_total = %v after two streams' hellos, want 2", v)
+	}
+
+	s.ca.Revoke(s.alice.Cert)
+	err = list(alice)
+	var refused *protocol.ErrorReply
+	if !errors.As(err, &refused) || !strings.Contains(refused.Message, "revoked") {
+		t.Fatalf("alice's open stream after revocation: err = %v, want a revocation refusal", err)
+	}
+	if v := s.gauge("pki_verify_total"); v != 2 {
+		t.Fatalf("pki_verify_total = %v: the refusal came from a new hello, not alice's open stream", v)
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.gauge("gateway_stream_conns") != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("gateway_stream_conns = %v, want 1: alice's refused stream stayed open", s.gauge("gateway_stream_conns"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := list(bobs); err != nil {
+		t.Fatalf("bob's stream after alice's revocation: %v", err)
+	}
+	if err := list(alice); err == nil || !strings.Contains(err.Error(), "revoked") {
+		t.Fatalf("alice's fresh stream after revocation: err = %v, want a revocation refusal", err)
+	}
+	if v := s.gauge("pki_verify_total"); v != 3 {
+		t.Fatalf("pki_verify_total = %v, want 3: alice's refused hello is the one new verify", v)
+	}
+}
+
+// TestRevocationEndsAnOpenPush: a push subscription needs no inbound frame
+// to learn of a revocation. Alice's job runs on after her certificate is
+// revoked; its next batch is refused instead of pushed, the subscription
+// ends, and the stream closes.
+func TestRevocationEndsAnOpenPush(t *testing.T) {
+	s := newSite(t)
+	c := s.client(s.alice)
+	defer c.Close()
+	events, stop, err := c.SubscribeStream(context.Background(), "FZJ", protocol.SubscribeRequest{WaitMs: 60_000})
+	if err != nil {
+		t.Fatalf("SubscribeStream: %v", err)
+	}
+	defer stop()
+	consign(t, c, scriptJob("before", "echo hi\n"))
+	for queued := false; !queued; {
+		b, ok := <-events
+		if !ok {
+			t.Fatal("subscription ended before revocation")
+		}
+		for _, e := range b.Events {
+			queued = queued || e.Status == ajo.StatusQueued
+		}
+	}
+
+	s.ca.Revoke(s.alice.Cert)
+	s.clock.RunUntilIdle(100000) // the job's later events
+	timeout := time.After(5 * time.Second)
+	for open := true; open; {
+		select {
+		case b, ok := <-events:
+			if ok && len(b.Events) > 0 {
+				t.Fatalf("pushed after revocation: %+v", b.Events)
+			}
+			open = ok
+		case <-timeout:
+			t.Fatal("the revoked subscription is still open")
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.gauge("gateway_stream_conns") != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("gateway_stream_conns = %v, want 0: the revoked stream stayed open", s.gauge("gateway_stream_conns"))
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

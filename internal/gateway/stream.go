@@ -56,6 +56,7 @@ func (g *Gateway) ServeStream(ctx context.Context, conn net.Conn) {
 	protocol.ServeStreamConn(ctx, conn, g, protocol.StreamServerOpts{
 		Cred:  g.cred,
 		Usite: g.usite,
+		CA:    g.ca,
 		OnFrame: func(kind byte) {
 			g.tel.Counter("gateway_stream_frames_total", "kind", protocol.FrameKindName(kind)).Inc()
 		},
@@ -64,7 +65,9 @@ func (g *Gateway) ServeStream(ctx context.Context, conn net.Conn) {
 
 // StreamHello authenticates one Hello envelope: the same verification, role
 // policy and site-specific authentication the envelope path applies per
-// request, performed once and bound to the connection.
+// request, performed once and bound to the connection. Revocation is the one
+// check a stream repeats: ServeStream hands the CA to the stream, which
+// re-asks it about the hello's certificate whenever a revocation happened.
 func (g *Gateway) StreamHello(hello []byte) (protocol.Opened, []byte) {
 	o, refusal := g.authenticate(hello)
 	if refusal == nil {

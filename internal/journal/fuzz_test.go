@@ -12,6 +12,9 @@ import (
 	"unicore/internal/bin/bintest"
 )
 
+// crcTable is hash/crc64's ECMA table, the reference the journal frame must match.
+var crcTable = crc64.MakeTable(crc64.ECMA)
+
 // frame wraps an arbitrary payload in a valid length+CRC64 header — what a
 // record of any format, or a bit-exact corruption, looks like on disk.
 func frame(payload []byte) []byte {

@@ -47,16 +47,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"slices"
 	"time"
+
+	"unicore/internal/checksum"
 )
 
 // ErrCorrupt reports a damaged record before the journal tail.
 var ErrCorrupt = errors.New("journal: corrupt record")
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // headerSize is the fixed frame prefix: 4-byte length + 8-byte CRC.
 const headerSize = 12
@@ -249,7 +248,7 @@ func appendFrame(b []byte, e Entry) ([]byte, error) {
 		return b[:start], fmt.Errorf("journal: %s entry of %d bytes exceeds the %d-byte record limit", e.Kind, len(payload), maxRecordSize)
 	}
 	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(b[start+4:], crc64.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint64(b[start+4:], checksum.Checksum(payload))
 	return b, nil
 }
 
@@ -296,7 +295,7 @@ func readFrame(r io.Reader) ([]byte, readResult, error) {
 			return nil, readTorn, tornErr(err)
 		}
 	}
-	if crc64.Checksum(payload, crcTable) != want {
+	if checksum.Checksum(payload) != want {
 		return nil, readTorn, nil
 	}
 	return payload, readOK, nil

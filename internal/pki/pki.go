@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"unicore/internal/core"
@@ -90,6 +91,9 @@ type Authority struct {
 	serial  int64
 	revoked map[string]bool // serial (decimal string) -> revoked
 	ttl     time.Duration
+	// epoch counts Revoke calls, so a holder of an already verified
+	// certificate re-asks IsRevoked only when it has moved.
+	epoch atomic.Uint64
 }
 
 // NewAuthority creates a self-signed CA, e.g. the DFN-PCA stand-in.
@@ -211,7 +215,13 @@ func (a *Authority) Revoke(cert *x509.Certificate) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.revoked[cert.SerialNumber.String()] = true
+	a.epoch.Add(1)
 }
+
+// RevocationEpoch returns a number that moves whenever a certificate is
+// revoked: one atomic load, so a long-lived session can check it per request
+// and re-ask IsRevoked, which allocates, only when it has changed.
+func (a *Authority) RevocationEpoch() uint64 { return a.epoch.Load() }
 
 // IsRevoked reports whether the certificate has been revoked.
 func (a *Authority) IsRevoked(cert *x509.Certificate) bool {

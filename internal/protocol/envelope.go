@@ -184,6 +184,8 @@ type Opened struct {
 	From core.DN
 	// Role is the signer's certificate role (user or server).
 	Role pki.Role
+	// Cert is the signer's verified certificate.
+	Cert *x509.Certificate
 	// Trace is the distributed trace ID, "" when absent.
 	Trace string
 }
@@ -210,7 +212,7 @@ func OpenTraced(ca *pki.Authority, data []byte) (Opened, error) {
 	if err != nil {
 		return o, err
 	}
-	o.Type, o.Payload, o.From, o.Role = env.Type, env.Payload, dn, pki.CertRole(cert)
+	o.Type, o.Payload, o.From, o.Role, o.Cert = env.Type, env.Payload, dn, pki.CertRole(cert), cert
 	return o, nil
 }
 

@@ -191,18 +191,27 @@ func (s *streamConn) register(buf []byte) (uint64, chan Frame, error) {
 // receive buffer: release waits for the reader's one send, so the buffer is
 // the caller's again when release returns. The reply itself is dropped.
 func (s *streamConn) release(id uint64, ch chan Frame) {
+	if f, ok := s.reclaim(id, ch); ok {
+		f.release()
+	}
+}
+
+// reclaim takes request id back from the reader and returns its reply, if
+// the reader had claimed it and read it whole (ok is false when the request
+// was unclaimed or the stream died mid-payload). ch goes back to its pool
+// unless the reader closed it.
+func (s *streamConn) reclaim(id uint64, ch chan Frame) (f Frame, ok bool) {
 	s.mu.Lock()
 	_, unclaimed := s.pending[id]
 	delete(s.pending, id)
 	s.mu.Unlock()
 	if !unclaimed {
-		f, ok := <-ch
-		if !ok {
-			return // closed: the stream died mid-payload
+		if f, ok = <-ch; !ok {
+			return f, false // closed: the stream died mid-payload
 		}
-		f.release()
 	}
 	replyChans.Put(ch)
+	return f, ok
 }
 
 // send writes one frame, encoded in place (see getFrameBuf), under the write
@@ -265,7 +274,12 @@ func (s *streamConn) roundTrip(ctx context.Context, kind byte, frame, buf []byte
 		}
 		return Frame{}, ctx.Err()
 	case <-s.done:
-		s.release(id, ch)
+		// A reply read whole before the stream died still answers the call:
+		// a server that answers and then closes, as one refusing a revoked
+		// certificate does, is not a lost connection to replay on.
+		if f, ok := s.reclaim(id, ch); ok {
+			return f, nil
+		}
 		return Frame{}, s.failErr()
 	}
 }

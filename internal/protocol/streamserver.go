@@ -2,11 +2,13 @@ package protocol
 
 import (
 	"context"
+	"crypto/x509"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"unicore/internal/core"
@@ -37,7 +39,8 @@ const defaultPushWaitMs = 30_000
 
 // StreamBackend is the typed server behind a v3 stream — implemented by the
 // gateway, shared with its envelope dispatch. Identity (dn, asServer) is the
-// stream's: it was verified once at Hello and binds every frame after.
+// stream's: it was verified once at Hello and binds every frame after, for as
+// long as StreamServerOpts.CA has not revoked it.
 type StreamBackend interface {
 	// StreamHello authenticates the Hello envelope before the handshake
 	// completes — signature, role policy, site-specific auth, exactly as for
@@ -75,6 +78,11 @@ type StreamServerOpts struct {
 	// the telemetry hook. Stream frames are deliberately not envelope
 	// requests and never count into gateway_requests_total.
 	OnFrame func(kind byte)
+	// CA, when set, is asked again about the hello's certificate whenever its
+	// revocation epoch has moved: a stream whose certificate it has revoked
+	// since the hello has its next frame, or its next pushed batch, refused,
+	// and is closed.
+	CA *pki.Authority
 }
 
 // streamSession is one accepted v3 stream: single reader, mutex-serialised
@@ -85,6 +93,10 @@ type streamSession struct {
 	ctx      context.Context
 	dn       core.DN
 	asServer bool
+
+	ca    *pki.Authority    // nil: revocation is checked at the hello only
+	cert  *x509.Certificate // the hello's
+	epoch atomic.Uint64     // ca's revocation epoch when cert was last found good
 
 	wmu     sync.Mutex // serialises frame writes
 	work    chan Frame // unbuffered: a request frame handed to an idle worker
@@ -107,6 +119,12 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 	f, err := readFrame(conn, &hdr, maxHandshakePayload)
 	if err != nil || f.Kind != FrameHello {
 		return
+	}
+	var epoch uint64
+	if opts.CA != nil {
+		// Read before the hello is verified, so a revocation racing the
+		// verify moves it and is caught at the first frame.
+		epoch = opts.CA.RevocationEpoch()
 	}
 	o, refusal := be.StreamHello(f.Payload)
 	if refusal != nil {
@@ -149,9 +167,12 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 		ctx:      sctx,
 		dn:       o.From,
 		asServer: o.Role == pki.RoleServer,
+		ca:       opts.CA,
+		cert:     o.Cert,
 		work:     make(chan Frame),
 		subs:     make(map[uint64]context.CancelFunc),
 	}
+	s.epoch.Store(epoch)
 	for {
 		f, n, err := readFrameHeader(conn, &hdr, MaxFramePayload)
 		if err == nil {
@@ -162,6 +183,11 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 		}
 		if opts.OnFrame != nil {
 			opts.OnFrame(f.Kind)
+		}
+		if s.revoked() {
+			s.refuseRevoked(f.ID)
+			f.release()
+			break
 		}
 		switch f.Kind {
 		case FrameSub:
@@ -179,6 +205,32 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 	}
 	cancel()
 	s.wg.Wait()
+}
+
+// revoked reports whether the CA has revoked the hello's certificate since
+// the hello. It asks the CA only when the revocation epoch has moved since the
+// certificate was last found good, so an unchanged stream pays two atomic
+// loads and no allocation; a revoked certificate stays revoked, so once true
+// it stays true.
+func (s *streamSession) revoked() bool {
+	if s.ca == nil || s.cert == nil {
+		return false
+	}
+	e := s.ca.RevocationEpoch()
+	if e == s.epoch.Load() {
+		return false
+	}
+	if s.ca.IsRevoked(s.cert) {
+		return true
+	}
+	s.epoch.Store(e)
+	return false
+}
+
+// refuseRevoked answers request or subscription id with the revocation, as
+// a generic stream error the caller sees as the call's answer.
+func (s *streamSession) refuseRevoked(id uint64) {
+	s.writeErr(id, StreamErrGeneric, fmt.Sprintf("%v: serial %s", pki.ErrRevoked, s.cert.SerialNumber))
 }
 
 // refuseHello answers a refused hello like a refused POST: with a
@@ -366,6 +418,13 @@ func (s *streamSession) runSub(ctx context.Context, id uint64, sub binSub) {
 		}
 		if err != nil {
 			s.writeErr(id, StreamErrGeneric, err.Error())
+			return
+		}
+		if s.revoked() {
+			// No inbound frame need come to end a revoked push: the
+			// closed connection ends the read loop and the stream.
+			s.refuseRevoked(id)
+			s.conn.Close()
 			return
 		}
 		end := false

@@ -3,8 +3,9 @@ package staging
 import (
 	"context"
 	"fmt"
-	"hash/crc64"
 	"io"
+
+	"unicore/internal/checksum"
 )
 
 // Chunk is one ranged read reply: a window of the file plus the file's
@@ -117,7 +118,7 @@ func Resume(ctx context.Context, src Source, w io.Writer, p Progress, opt Option
 			return fmt.Errorf("%w: chunk at %d returned %d bytes, want %d", ErrMutated, written, len(c.Data), expect)
 		}
 		n, err := w.Write(c.Data)
-		crc = crc64.Update(crc, crcTable, c.Data[:n])
+		crc = checksum.Update(crc, c.Data[:n])
 		written += int64(n)
 		return err
 	}

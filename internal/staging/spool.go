@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"unicore/internal/checksum"
 	"unicore/internal/core"
 	"unicore/internal/sim"
 	"unicore/internal/vfs"
@@ -303,7 +304,7 @@ func (s *Spool) Commit(owner core.DN, handle string, crc uint64) (Info, error) {
 			return Info{}, fmt.Errorf("staging: chunk %d of %q is short (%d of %d bytes) but not last",
 				i, handle, fi.Size, e.meta.ChunkSize)
 		}
-		running = crcCombine(running, fi.CRC, fi.Size)
+		running = checksum.Combine(running, fi.CRC, fi.Size)
 		size += fi.Size
 	}
 	if running != crc {

@@ -31,20 +31,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"sync"
 	"time"
 
+	"unicore/internal/checksum"
 	"unicore/internal/protocol"
 )
 
-// crcTable is the shared CRC64-ECMA table; the same polynomial the vfs layer
-// and the journal use, so checksums compare across tiers.
-var crcTable = crc64.MakeTable(crc64.ECMA)
-
 // Checksum returns the crc64 (ECMA) of data — the per-chunk and whole-file
-// checksum of the staging protocol.
-func Checksum(data []byte) uint64 { return crc64.Checksum(data, crcTable) }
+// checksum of the staging protocol. It is checksum.Checksum, the one
+// checksum function of the repository, which the vfs file sum and the
+// journal frame use too, so checksums compare across tiers: a PCLMULQDQ fold
+// on amd64, the standard library's table-driven crc64 elsewhere, and the
+// standard library's value on every path.
+func Checksum(data []byte) uint64 { return checksum.Checksum(data) }
 
 // Defaults for the transfer engines. DefaultChunkSize is the single shared
 // chunk constant of the repository: the client fetch path and the NJS–NJS

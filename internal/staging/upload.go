@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"unicore/internal/checksum"
 	"unicore/internal/core"
 	"unicore/internal/protocol"
 )
@@ -77,7 +78,7 @@ func Upload(ctx context.Context, p Putter, vsite core.Vsite, name string, r io.R
 			} else if n > 0 {
 				req := protocol.PutChunkRequest{Handle: open.Handle, Index: index, Data: (*ring[sent])[:n]}
 				req.CRC = Checksum(req.Data)
-				crc = crcCombine(crc, req.CRC, int64(n))
+				crc = checksum.Combine(crc, req.CRC, int64(n))
 				go func() { errs <- putChunkRetry(ctx, p, req, opt) }()
 				index++
 				sent++

@@ -288,12 +288,6 @@ func (d *Deployment) Session(cred *pki.Credential, usite core.Usite) *client.Ses
 	d.clientsMu.Lock()
 	defer d.clientsMu.Unlock()
 	c, ok := d.clients[cred]
-	// A stream is authenticated once, at its hello: a session opened after
-	// its credential was revoked must not inherit a stream opened before.
-	if ok && d.CA.IsRevoked(cred.Cert) {
-		c.Close()
-		ok = false
-	}
 	if !ok {
 		c = d.UserClient(cred)
 		d.clients[cred] = c

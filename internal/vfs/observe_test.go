@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// crcTable is hash/crc64's ECMA table, the reference the vfs file sum must match.
+var crcTable = crc64.MakeTable(crc64.ECMA)
+
 // chunkedRead walks a file the way the NJS transfer path does: fixed-size
 // ReadFileRange calls until offset reaches the reported size, then verifies
 // the assembled bytes against the reported whole-file CRC.

@@ -12,7 +12,6 @@ package vfs
 import (
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"path"
 	"sort"
 	"strings"
@@ -20,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"unicore/internal/checksum"
 	"unicore/internal/sim"
 )
 
@@ -34,8 +34,6 @@ var (
 	ErrBadPath  = errors.New("vfs: malformed path")
 	ErrBadRange = errors.New("vfs: bad read range")
 )
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // FileInfo describes a file or directory.
 type FileInfo struct {
@@ -145,7 +143,7 @@ func (fs *FS) sumLocked(n *node) uint64 {
 	if !n.crcOK.Load() {
 		fs.crcMu.Lock()
 		if !n.crcOK.Load() {
-			n.crc = crc64.Checksum(n.data, crcTable)
+			n.crc = checksum.Checksum(n.data)
 			n.crcOK.Store(true)
 		}
 		fs.crcMu.Unlock()
