@@ -517,7 +517,7 @@ func (c *Controller) shrink(v *deploy.TopologyVsite, set *pool.ReplicaSet, st *v
 		st.shrink = nil
 		return
 	}
-	if status.Inflight > 0 || status.StagePins > 0 {
+	if status.Inflight > 0 || status.Uploads > 0 {
 		res.Draining++
 		return
 	}

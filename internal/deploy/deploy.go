@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"unicore/internal/accounting"
-	"unicore/internal/broker"
 	"unicore/internal/core"
 	"unicore/internal/federation"
 	"unicore/internal/gateway"
@@ -145,8 +144,8 @@ func BuildReplica(usite core.Usite, vc njs.VsiteConfig, clock sim.Scheduler, tag
 
 // Federate gives a gateway its grid membership: a federation advertising
 // the gateway at url, gossiping through client (which speaks under the
-// gateway's server credential) with the given peers, placing with the
-// least-loaded policy, and advertising the charge-back summary of the batch
+// gateway's server credential) with the given peers, placing least-loaded
+// first, and advertising the charge-back summary of the batch
 // accounting records usage returns. The gossip loop is not started.
 func Federate(gw *gateway.Gateway, client *protocol.Client, clock sim.Scheduler, url string, peers []TopologyPeer, usage func() []accounting.Record) (*federation.Federation, error) {
 	fed, err := federation.New(federation.Config{
@@ -154,7 +153,6 @@ func Federate(gw *gateway.Gateway, client *protocol.Client, clock sim.Scheduler,
 		URL:    url,
 		Client: client,
 		Clock:  clock,
-		Policy: broker.LeastLoaded,
 		Usage:  func() accounting.Summary { return accounting.Summarise(usage()) },
 	})
 	if err != nil {

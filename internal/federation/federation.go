@@ -4,26 +4,31 @@
 // cooperating so that "the best system for an application" may sit behind
 // somebody else's gateway.
 //
-// The design keeps the paper's trust model intact. Peered gateways speak
-// the same signed-envelope protocol as everything else, authenticating each
-// other with server-role credentials under the shared CA; no new wire
-// security is introduced. Three mechanisms ride on top:
+// The design keeps the paper's trust model intact. Peered gateways
+// authenticate each other with server-role credentials under the shared CA;
+// no new wire security is introduced. Four mechanisms ride on top:
 //
 //   - Gossip: each gateway periodically pushes its advertisement — resource
 //     pages, live Replicas/Healthy load, and an accounting charge-back
 //     summary, stamped with a monotonically increasing epoch — to its
-//     configured peers (MsgFedAdvertise, protocol v2) and ingests the
-//     replies. Ads relay transitively with a hop count, so a grid does not
-//     need a full mesh of static peer entries.
-//   - Placement: a federation-aware broker pass fuses the local catalog
-//     with every fresh peer advertisement, cost-weighting remote sites by
-//     hop distance and accounting usage, so Choose may return a target at
-//     a peer Usite.
-//   - Forwarding: a consign placed remotely is re-sealed toward the peer
+//     configured peers as a signed envelope (MsgFedAdvertise, the one op
+//     without a frame form) and ingests the replies. Ads relay transitively
+//     with a hop count, so a grid does not need a full mesh of static peer
+//     entries.
+//   - Ranking: a federation-aware broker pass fuses the local catalog with
+//     every fresh peer advertisement, cost-weighting remote sites by hop
+//     distance and accounting usage, so a job may be sent to a peer Usite.
+//   - Forwarding: a consign sent to a peer rides a stream frame to the peer
 //     gateway under the forwarding gateway's server identity, preserving
 //     the durable-ack contract end to end — the origin acks only with the
 //     remote NJS's journaled ack, and consign IDs are namespaced per origin
 //     so a client retry converges on the same remote job.
+//   - Relaying by name: a job ID and a staged-upload handle are both minted
+//     under their Usite, so a call scoped to either finds its peer by the
+//     name alone (JobSite, HandleSite). A user's call goes out on a stream
+//     acting for that user (protocol.DoFor), and the NJS that holds the job
+//     or upload judges it as the user's own; the origin keeps no record of
+//     what it sent.
 //
 // Staleness is judged with the receiver's clock, never the sender's stamp:
 // administrative domains do not share a clock, and a peer that stops
@@ -46,11 +51,12 @@ import (
 	"unicore/internal/protocol"
 	"unicore/internal/resources"
 	"unicore/internal/sim"
+	"unicore/internal/staging"
 	"unicore/internal/telemetry"
 )
 
 // DefaultStaleAfter is how long a peer advertisement stays placeable
-// without renewal.
+// without renewal, judged on the receiver's clock.
 const DefaultStaleAfter = 5 * time.Minute
 
 // hopCost is the placement penalty per gateway hop, in broker site-cost
@@ -84,11 +90,6 @@ type Config struct {
 	Client *protocol.Client
 	// Clock drives the gossip loop and staleness judgments.
 	Clock sim.Scheduler
-	// StaleAfter bounds how long an un-renewed ad stays placeable
-	// (default DefaultStaleAfter).
-	StaleAfter time.Duration
-	// Policy is the ranking policy of the placement broker.
-	Policy broker.Policy
 	// Usage supplies the local charge-back summary carried in self-ads.
 	// Nil means no accounting figures are advertised.
 	Usage func() accounting.Summary
@@ -103,23 +104,6 @@ type peerState struct {
 	seen   time.Time // local receipt clock, the staleness basis
 }
 
-// Placement records where a forwarded job went and who may reach through
-// to it. Job-scoped calls (poll, outcome, control, fetch, events) for a
-// remotely-placed job are authorized at the origin against this record,
-// then relayed under the origin gateway's server identity.
-type Placement struct {
-	Peer  core.Usite
-	Owner core.DN
-}
-
-// StagePin records that a staged-upload handle lives in a peer's spool:
-// later chunk/commit calls relay there, and a consign referencing the
-// handle must be placed at that peer.
-type StagePin struct {
-	Peer  core.Usite
-	Owner core.DN
-}
-
 // Federation is one gateway's membership in a multi-gateway grid.
 type Federation struct {
 	cfg Config
@@ -131,13 +115,11 @@ type Federation struct {
 	pages   func() []resources.Page
 	loads   func() map[string]protocol.VsiteLoad
 
-	mu        sync.Mutex
-	epoch     uint64
-	peers     map[core.Usite]*peerState
-	placed    map[core.JobID]Placement
-	stagePins map[string]StagePin
-	timer     sim.Timer
-	stopped   bool
+	mu      sync.Mutex
+	epoch   uint64
+	peers   map[core.Usite]*peerState
+	timer   sim.Timer
+	stopped bool
 }
 
 // New builds a federation membership. It starts idle: add peers, bind the
@@ -152,15 +134,10 @@ func New(cfg Config) (*Federation, error) {
 	if cfg.Clock == nil {
 		return nil, errors.New("federation: nil clock")
 	}
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = DefaultStaleAfter
-	}
 	f := &Federation{
-		cfg:       cfg,
-		reg:       telemetry.New("federation/" + string(cfg.Usite)),
-		peers:     make(map[core.Usite]*peerState),
-		placed:    make(map[core.JobID]Placement),
-		stagePins: make(map[string]StagePin),
+		cfg:   cfg,
+		reg:   telemetry.New("federation/" + string(cfg.Usite)),
+		peers: make(map[core.Usite]*peerState),
 	}
 	f.reg.SetNow(cfg.Clock.Now)
 	return f, nil
@@ -253,7 +230,7 @@ func (f *Federation) SelfAd() protocol.FedAd {
 // fresh reports whether a peer's ad is recent enough to act on.
 // Callers hold f.mu.
 func (f *Federation) freshLocked(ps *peerState) bool {
-	return ps.have && f.cfg.Clock.Now().Sub(ps.seen) <= f.cfg.StaleAfter
+	return ps.have && f.cfg.Clock.Now().Sub(ps.seen) <= DefaultStaleAfter
 }
 
 // KnownAds is the gossip payload: the self-ad followed by every fresh peer
@@ -412,8 +389,9 @@ func (f *Federation) Stop() {
 // advertisements — for the request. Remote candidates carry an additive
 // site cost of hopCost per gateway hop plus a saturating charge-back
 // penalty, so the local site wins ties and heavily-charged peers shed work.
+// Candidates are ranked least-loaded first.
 func (f *Federation) Place(req resources.Request, software ...resources.Software) ([]broker.Candidate, error) {
-	b := broker.New(f.cfg.Policy)
+	b := broker.New(broker.LeastLoaded)
 	f.localMu.Lock()
 	pages, loads := f.pages, f.loads
 	f.localMu.Unlock()
@@ -478,6 +456,17 @@ func (f *Federation) JobSite(id core.JobID) core.Usite {
 	return best
 }
 
+// HandleSite resolves which known site minted a staged-upload handle. A
+// spool mints its handles under its Usite as an NJS mints job IDs
+// ("stg-DWD-SP2-00000001"), so the name after the prefix reads as a job ID.
+func (f *Federation) HandleSite(handle string) core.Usite {
+	name, ok := strings.CutPrefix(handle, staging.HandlePrefix)
+	if !ok {
+		return ""
+	}
+	return f.JobSite(core.JobID(name))
+}
+
 // VsiteHost resolves which fresh peer advertises a Vsite by that name. The
 // answer must be unique — with two peers advertising the same Vsite name
 // the caller has to target by full Usite/Vsite instead.
@@ -520,7 +509,8 @@ func NamespaceConsignID(origin core.Usite, id string) string {
 // the admission — so the origin's durable-ack promise survives the extra
 // hop. A transport failure returns an error and the origin must answer
 // not-accepted: the client's retry re-forwards under the same namespaced
-// consign ID and converges on the remote NJS's dedupe.
+// consign ID and converges on the remote NJS's dedupe. Nothing is recorded:
+// the job's ID names the peer (JobSite), and the peer's NJS its owner.
 func (f *Federation) Forward(ctx context.Context, owner core.DN, consignID string, job *ajo.AbstractJob, t core.Target) (protocol.ConsignReply, error) {
 	if t.Usite == "" || t.Usite == f.cfg.Usite {
 		return protocol.ConsignReply{}, fmt.Errorf("federation: Forward wants a remote target, got %q", t)
@@ -549,63 +539,34 @@ func (f *Federation) Forward(ctx context.Context, owner core.DN, consignID strin
 	}
 	f.reg.Counter("fed_forward_total", "peer", string(t.Usite)).Inc()
 	f.reg.Histogram("fed_forward_ack_seconds", telemetry.ScaleSeconds).Observe(time.Since(start).Seconds())
-	if reply.Job != "" {
-		// Even a not-accepted reply that names a job means the remote NJS
-		// admitted it (durability unconfirmed); record the placement so
-		// reconciliation by ID routes through this gateway.
-		f.mu.Lock()
-		f.placed[reply.Job] = Placement{Peer: t.Usite, Owner: owner}
-		f.mu.Unlock()
-	}
 	return reply, nil
 }
 
-// Placement reports where a job forwarded through this gateway landed.
-func (f *Federation) Placement(id core.JobID) (Placement, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	p, ok := f.placed[id]
-	return p, ok
+// Relay performs one job- or upload-scoped protocol call against a peer
+// gateway, on a stream acting for user: the peer's NJS judges it as the
+// user's own call. An empty user relays under this gateway's server
+// identity (a server's call is relayed as the server).
+func Relay[Req, Rep any](ctx context.Context, f *Federation, peer core.Usite, user core.DN, op *protocol.Op[Req, Rep], req Req, rep *Rep) error {
+	return protocol.DoFor(ctx, f.cfg.Client, peer, user, op, req, rep)
 }
 
-// Relay performs one job-scoped protocol call against a peer gateway on
-// behalf of an already-authorized caller.
-func Relay[Req, Rep any](ctx context.Context, f *Federation, peer core.Usite, op *protocol.Op[Req, Rep], req Req, rep *Rep) error {
-	return protocol.Do(ctx, f.cfg.Client, peer, op, req, rep)
-}
-
-// PinStage records that a staged-upload handle lives at a peer.
-func (f *Federation) PinStage(handle string, peer core.Usite, owner core.DN) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.stagePins[handle] = StagePin{Peer: peer, Owner: owner}
-}
-
-// StagePeer looks a staged-upload handle's pin up.
-func (f *Federation) StagePeer(handle string) (StagePin, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	p, ok := f.stagePins[handle]
-	return p, ok
-}
-
-// StagedSite resolves the placement constraint a job's staged-upload
-// handles impose: "" means every referenced handle (if any) is local, a
-// Usite means every handle is pinned to that one peer, and an error means
-// the handles straddle sites — such a job cannot run anywhere.
+// StagedSite resolves the site constraint a job's staged-upload handles
+// impose: "" means every referenced handle (if any) is local, a Usite means
+// every handle names that one peer, and an error means the handles straddle
+// sites — such a job cannot run anywhere.
 func (f *Federation) StagedSite(job *ajo.AbstractJob) (core.Usite, error) {
 	var site core.Usite
 	local := false
 	for _, h := range job.StagedHandles() {
-		pin, ok := f.StagePeer(h)
-		if !ok {
+		peer := f.HandleSite(h)
+		if peer == "" {
 			local = true
 			continue
 		}
 		if site == "" {
-			site = pin.Peer
-		} else if site != pin.Peer {
-			return "", fmt.Errorf("federation: staged inputs straddle %s and %s", site, pin.Peer)
+			site = peer
+		} else if site != peer {
+			return "", fmt.Errorf("federation: staged inputs straddle %s and %s", site, peer)
 		}
 	}
 	if local && site != "" {

@@ -170,6 +170,23 @@ func TestJobSiteLongestPrefix(t *testing.T) {
 			t.Fatalf("JobSite(%s) = %q, want %q", id, got, want)
 		}
 	}
+	// A handle is minted under its Usite as a job ID is, and routes by the
+	// same rule after its prefix.
+	handles := map[string]core.Usite{
+		"stg-DWD-SP2-00000001":           "DWD",
+		"stg-DWD-WEST-SP2-00000001":      "DWD-WEST",
+		"stg-DWD-CLUSTER.r1-00000001":    "DWD",
+		"stg-DWD-WEST-CLUSTER.r1-000001": "DWD-WEST",
+		"stg-FZJ-T3E-00000001":           "", // local
+		"stg-ZIB-T3E-00000001":           "", // unknown
+		"stg-T3E-00000001":               "", // names no Usite
+		"DWD-000001":                     "", // a job ID is no handle
+	}
+	for h, want := range handles {
+		if got := f.HandleSite(h); got != want {
+			t.Fatalf("HandleSite(%s) = %q, want %q", h, got, want)
+		}
+	}
 }
 
 func TestNamespaceConsignID(t *testing.T) {
@@ -184,9 +201,12 @@ func TestNamespaceConsignID(t *testing.T) {
 func TestStagedSiteConstraint(t *testing.T) {
 	clock := sim.NewVirtualClock()
 	f := newFed(t, clock)
-	f.PinStage("h-dwd-1", "DWD", "CN=U")
-	f.PinStage("h-dwd-2", "DWD", "CN=U")
-	f.PinStage("h-rus", "RUS", "CN=U")
+	for _, u := range []core.Usite{"DWD", "RUS"} {
+		if err := f.AddPeer(u, "https://gw."+strings.ToLower(string(u))+".unicore"); err != nil {
+			t.Fatalf("AddPeer: %v", err)
+		}
+	}
+	const dwd1, dwd2, rus, local = "stg-DWD-SP2-00000001", "stg-DWD-SP2-00000002", "stg-RUS-VPP-00000001", "stg-FZJ-T3E-00000001"
 
 	jobWith := func(handles ...string) *ajo.AbstractJob {
 		j := &ajo.AbstractJob{Target: core.Target{Usite: "FZJ", Vsite: "T3E"}}
@@ -203,16 +223,16 @@ func TestStagedSiteConstraint(t *testing.T) {
 	if s, err := f.StagedSite(jobWith()); err != nil || s != "" {
 		t.Fatalf("no handles: %q, %v", s, err)
 	}
-	if s, err := f.StagedSite(jobWith("local-handle")); err != nil || s != "" {
+	if s, err := f.StagedSite(jobWith(local)); err != nil || s != "" {
 		t.Fatalf("local handle: %q, %v", s, err)
 	}
-	if s, err := f.StagedSite(jobWith("h-dwd-1", "h-dwd-2")); err != nil || s != "DWD" {
+	if s, err := f.StagedSite(jobWith(dwd1, dwd2)); err != nil || s != "DWD" {
 		t.Fatalf("one peer: %q, %v", s, err)
 	}
-	if _, err := f.StagedSite(jobWith("h-dwd-1", "h-rus")); err == nil {
+	if _, err := f.StagedSite(jobWith(dwd1, rus)); err == nil {
 		t.Fatal("two peers accepted")
 	}
-	if _, err := f.StagedSite(jobWith("h-dwd-1", "local-handle")); err == nil {
+	if _, err := f.StagedSite(jobWith(dwd1, local)); err == nil {
 		t.Fatal("peer+local straddle accepted")
 	}
 }

@@ -2,14 +2,14 @@ package gateway
 
 // The gateway's federation half: attaching a federation membership, serving
 // the gossip exchange, broker-driven placement and cross-gateway forwarding
-// of consigns, and the proxying rules for job-scoped and staging calls that
-// concern a remotely-placed job.
+// of consigns, and relaying a staged upload's open to the peer fronting its
+// Vsite. Job- and upload-scoped calls follow their name (op.serve) and are
+// judged by the NJS that holds the job or upload, as the user they act for.
 //
 // Division of labour: package federation owns the peer table, gossip state,
-// placement broker, and forwarding client; this file owns every policy
-// decision that needs the request's authentication context (who signed,
-// user or server role) — exactly the judgments the paper assigns to the
-// gateway tier.
+// placement broker, and forwarding client; this file owns the placement
+// decisions that need the request's authentication context (who signed,
+// user or server role).
 
 import (
 	"context"
@@ -128,37 +128,6 @@ func (g *Gateway) fedConsign(ctx context.Context, f *federation.Federation, cons
 	return reply, true, nil
 }
 
-// fedRoute names the peer gateway a job-scoped request (poll, outcome,
-// control, fetch, transfer, job events) must be relayed to — the one whose
-// NJS minted the job ID — or "" when the job is local. Peer servers relay
-// freely; a user is relayed only when this gateway's placement record shows
-// it forwarded that job for them — the proxying rule that keeps origin-side
-// authorization intact even though the relay itself travels under the
-// gateway's server identity.
-func (g *Gateway) fedRoute(f *federation.Federation, c caller, job core.JobID) (core.Usite, error) {
-	if job == "" {
-		return "", nil
-	}
-	peer := f.JobSite(job)
-	if peer == "" || c.asServer {
-		return peer, nil
-	}
-	if pl, ok := f.Placement(job); ok && pl.Owner == c.dn {
-		return peer, nil
-	}
-	return "", fmt.Errorf("gateway: job %s was not placed through this gateway", job)
-}
-
-// stageOwner resolves the effective owner of a staging call: a server-role
-// relay may carry the user it acts for (the consign UserDN rule applied to
-// spools); everyone else owns their own uploads.
-func stageOwner(c caller, owner core.DN) core.DN {
-	if c.asServer && owner != "" {
-		return owner
-	}
-	return c.dn
-}
-
 // servesVsite reports whether the local backend fronts the named Vsite.
 func (g *Gateway) servesVsite(v core.Vsite) bool {
 	for _, p := range g.svc().Pages() {
@@ -169,11 +138,12 @@ func (g *Gateway) servesVsite(v core.Vsite) bool {
 	return false
 }
 
-// fedStageOpen relays a user's staged upload toward the unique fresh peer
-// advertising the Vsite, pinning the returned handle so chunks, commits,
-// and the eventual consign follow it there. It returns handled=false when
-// the upload is local (or no peer advertises the Vsite — the local error
-// is the clearer one).
+// fedStageOpen relays a user's staged upload, acting for the user, toward
+// the unique fresh peer advertising the Vsite. The peer's spool mints the
+// handle under its Usite, so chunks, commits and the eventual consign follow
+// the handle there by name. It returns handled=false when the upload is
+// local (or no peer advertises the Vsite — the local error is the clearer
+// one).
 func (g *Gateway) fedStageOpen(ctx context.Context, c caller, req protocol.PutOpenRequest) (reply protocol.PutOpenReply, handled bool, err error) {
 	f := g.fed.Load()
 	if f == nil || c.asServer || g.servesVsite(req.Vsite) {
@@ -183,27 +153,8 @@ func (g *Gateway) fedStageOpen(ctx context.Context, c caller, req protocol.PutOp
 	if err != nil {
 		return reply, false, nil
 	}
-	req.Owner = c.dn
-	if err := federation.Relay(ctx, f, peer, protocol.OpPutOpen, req, &reply); err != nil {
+	if err := federation.Relay(ctx, f, peer, c.dn, protocol.OpPutOpen, req, &reply); err != nil {
 		return reply, true, fmt.Errorf("gateway: relaying staged upload to %s: %w", peer, err)
 	}
-	f.PinStage(reply.Handle, peer, c.dn)
 	return reply, true, nil
-}
-
-// fedStageRelay names the peer gateway a chunk or commit must be relayed to
-// — the one its handle is pinned to — or "" when the upload is local. Only
-// the user who opened the upload may follow it.
-func (g *Gateway) fedStageRelay(f *federation.Federation, c caller, handle string) (core.Usite, error) {
-	if c.asServer {
-		return "", nil
-	}
-	pin, ok := f.StagePeer(handle)
-	if !ok {
-		return "", nil
-	}
-	if pin.Owner != c.dn {
-		return "", fmt.Errorf("gateway: staged upload %s is not owned by %s", handle, c.dn)
-	}
-	return pin.Peer, nil
 }

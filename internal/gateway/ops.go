@@ -35,54 +35,51 @@ type op[Req, Rep any] struct {
 	// serverOnly, when set, refuses user-role callers; it names the traffic
 	// the op is reserved for.
 	serverOnly string
-	// job, when set, returns the job a request is scoped to: on a federated
-	// gateway the request follows the job to the peer whose NJS minted its
-	// ID (fedRoute).
-	job func(Req) core.JobID
-	// handle, when set, returns the staged-upload handle a request is scoped
-	// to and the request as it is forwarded, stamped with the user it is
-	// relayed for: the request follows a peer-pinned handle (fedStageRelay).
-	handle func(req Req, owner core.DN) (string, Req)
+	// job, when set, returns the job a request is scoped to, and handle the
+	// staged-upload handle: on a federated gateway the request follows the
+	// name to the peer whose NJS minted it (peer).
+	job    func(Req) core.JobID
+	handle func(Req) string
 	// local serves the request from this site.
 	local func(*Gateway, context.Context, caller, Req) (Rep, error)
 }
 
 // serve runs one decoded request — the body both doors share: trace span,
-// role check, then the federation relay or the local handler.
+// role check, then the federation relay or the local handler. A relayed call
+// is judged by the peer that holds its job or upload: a user's goes out on a
+// stream acting for the user, a server's as this gateway's server.
 func (o *op[Req, Rep]) serve(g *Gateway, ctx context.Context, c caller, req Req) (Rep, error) {
 	sp := g.tel.StartSpan(ctx, "gateway.dispatch").Note(string(o.request()))
 	defer sp.End()
-	var none Rep
 	if o.serverOnly != "" && !c.asServer {
+		var none Rep
 		return none, fmt.Errorf("%w: %s", ErrNotPermitted, o.serverOnly)
 	}
 	if f := g.fed.Load(); f != nil {
-		peer, fwd, err := o.relayTo(g, f, c, req)
-		if err != nil {
-			return none, err
-		}
-		if peer != "" {
+		if peer := o.peer(f, req); peer != "" {
+			var user core.DN
+			if !c.asServer {
+				user = c.dn
+			}
 			var reply Rep
-			err := federation.Relay(ctx, f, peer, o.wire, fwd, &reply)
+			err := federation.Relay(ctx, f, peer, user, o.wire, req, &reply)
 			return reply, err
 		}
 	}
 	return o.local(g, ctx, c, req)
 }
 
-// relayTo names the peer gateway a request must be relayed to ("" = serve
-// it here) and the request as forwarded.
-func (o *op[Req, Rep]) relayTo(g *Gateway, f *federation.Federation, c caller, req Req) (core.Usite, Req, error) {
+// peer names the peer gateway whose NJS minted the job ID or staged-upload
+// handle a request is scoped to: "" when that is this site, or when the
+// request names neither.
+func (o *op[Req, Rep]) peer(f *federation.Federation, req Req) core.Usite {
 	switch {
 	case o.job != nil:
-		peer, err := g.fedRoute(f, c, o.job(req))
-		return peer, req, err
+		return f.JobSite(o.job(req))
 	case o.handle != nil:
-		h, fwd := o.handle(req, c.dn)
-		peer, err := g.fedStageRelay(f, c, h)
-		return peer, fwd, err
+		return f.HandleSite(o.handle(req))
 	}
-	return "", req, nil
+	return ""
 }
 
 // envelope is the signed-envelope door: decode the JSON payload, then serve.
@@ -199,23 +196,17 @@ var (
 		local: (*Gateway).putOpen,
 	}
 	opPutChunk = &op[protocol.PutChunkRequest, protocol.PutChunkReply]{
-		wire: protocol.OpPutChunk,
-		handle: func(req protocol.PutChunkRequest, owner core.DN) (string, protocol.PutChunkRequest) {
-			req.Owner = owner
-			return req.Handle, req
-		},
+		wire:   protocol.OpPutChunk,
+		handle: func(req protocol.PutChunkRequest) string { return req.Handle },
 		local: func(g *Gateway, _ context.Context, c caller, req protocol.PutChunkRequest) (protocol.PutChunkReply, error) {
-			return g.svc().StageChunk(stageOwner(c, req.Owner), c.asServer, req)
+			return g.svc().StageChunk(c.dn, c.asServer, req)
 		},
 	}
 	opPutCommit = &op[protocol.PutCommitRequest, protocol.PutCommitReply]{
-		wire: protocol.OpPutCommit,
-		handle: func(req protocol.PutCommitRequest, owner core.DN) (string, protocol.PutCommitRequest) {
-			req.Owner = owner
-			return req.Handle, req
-		},
+		wire:   protocol.OpPutCommit,
+		handle: func(req protocol.PutCommitRequest) string { return req.Handle },
 		local: func(g *Gateway, _ context.Context, c caller, req protocol.PutCommitRequest) (protocol.PutCommitReply, error) {
-			return g.svc().StageCommit(stageOwner(c, req.Owner), c.asServer, req)
+			return g.svc().StageCommit(c.dn, c.asServer, req)
 		},
 	}
 	opMetrics = &op[protocol.MetricsRequest, protocol.MetricsReply]{
@@ -332,7 +323,7 @@ func (g *Gateway) putOpen(ctx context.Context, c caller, req protocol.PutOpenReq
 	if reply, handled, err := g.fedStageOpen(ctx, c, req); handled || err != nil {
 		return reply, err
 	}
-	return g.svc().StageOpen(stageOwner(c, req.Owner), c.asServer, req)
+	return g.svc().StageOpen(c.dn, c.asServer, req)
 }
 
 // metrics serves a live telemetry scrape: the site aggregate, or the

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"unicore/internal/ajo"
-	"unicore/internal/broker"
 	"unicore/internal/core"
 	"unicore/internal/federation"
 	"unicore/internal/machine"
@@ -66,6 +65,7 @@ type grid struct {
 	gw         map[core.Usite]*Gateway
 	alice, bob *pki.Credential
 	peer       *pki.Credential // DWD's server credential: a server-role caller at FZJ
+	origin     *pki.Credential // FZJ's server credential: a server-role caller at DWD
 }
 
 func newGrid(t *testing.T) *grid {
@@ -120,7 +120,7 @@ func newGrid(t *testing.T) *grid {
 		g.net.Register(host, gw)
 		g.reg.Add(site.usite, "https://"+host)
 		fed, err := federation.New(federation.Config{
-			Usite: site.usite, URL: "https://" + host, Clock: g.clock, Policy: broker.LeastLoaded,
+			Usite: site.usite, URL: "https://" + host, Clock: g.clock,
 			Client: protocol.NewClient(g.net, cred, ca, g.reg),
 		})
 		if err != nil {
@@ -130,6 +130,8 @@ func newGrid(t *testing.T) *grid {
 		g.gw[site.usite], feds[site.usite] = gw, fed
 		if site.usite == "DWD" {
 			g.peer = cred
+		} else {
+			g.origin = cred
 		}
 	}
 	for a, fa := range feds {
@@ -302,7 +304,7 @@ func TestBothDoorsAgree(t *testing.T) {
 		t.Fatalf("job %s was not forwarded to DWD", remote)
 	}
 	// Two staged uploads opened at FZJ: one into its own spool, one for DWD's
-	// Vsite, which FZJ relays and pins to the peer.
+	// Vsite, which FZJ relays to the peer, whose spool names it.
 	uploads := make(map[core.Vsite]string)
 	for _, vsite := range []core.Vsite{"T3E", "SP2"} {
 		var opened protocol.PutOpenReply
@@ -313,8 +315,8 @@ func TestBothDoorsAgree(t *testing.T) {
 		}
 		uploads[vsite] = opened.Handle
 	}
-	if _, pinned := g.gw["FZJ"].fed.Load().StagePeer(uploads["SP2"]); !pinned {
-		t.Fatal("the upload for DWD's Vsite was not pinned to the peer")
+	if site := g.gw["FZJ"].fed.Load().HandleSite(uploads["SP2"]); site != "DWD" {
+		t.Fatalf("the upload for DWD's Vsite has handle %s, which names %q, not DWD", uploads["SP2"], site)
 	}
 	scenarios := []struct {
 		name   string
@@ -393,7 +395,92 @@ func TestBothDoorsAgree(t *testing.T) {
 	if err := protocol.Do(context.Background(), frames, "FZJ", protocol.OpPutCommit, protocol.PutCommitRequest{
 		Handle: uploads["SP2"], CRC: crc64.Checksum([]byte("chunk zero"), crc64.MakeTable(crc64.ECMA)),
 	}, &commit); err != nil || commit.Chunks != 1 {
-		t.Errorf("commit of the upload pinned to DWD: %+v, %v", commit, err)
+		t.Errorf("commit of the upload DWD holds: %+v, %v", commit, err)
+	}
+}
+
+// TestRelayIsJudgedByTheNJSThatHoldsTheJob: a peer's stream that acts for a
+// user is that user's at the gateway it reaches, so the NJS holding the job
+// answers it as the user's own call. FZJ's server, acting for Alice, reaches
+// her forwarded job; acting for Bob, it is refused by DWD's NJS on every
+// job-scoped op — a server credential does not lend its role to the user it
+// names. Each user is named once, in the hello of the stream kept for them.
+func TestRelayIsJudgedByTheNJSThatHoldsTheJob(t *testing.T) {
+	g := newGrid(t)
+	ctx := context.Background()
+	remote := g.submit(t, g.alice, core.Target{Usite: "DWD", Vsite: "SP2"})
+	c := protocol.NewClient(g.net, g.origin, g.ca, g.reg)
+	defer c.Close()
+	hellos := func() float64 {
+		return series(g.gw["DWD"].Telemetry().Snapshot(), "gateway_stream_hellos_total", "role", string(pki.RoleServer))
+	}
+	before := hellos()
+
+	var poll protocol.PollReply
+	var out protocol.OutcomeReply
+	for i := 0; i < 3; i++ {
+		if err := protocol.DoFor(ctx, c, "DWD", g.alice.DN(), protocol.OpPoll, protocol.PollRequest{Job: remote}, &poll); err != nil || !poll.Found {
+			t.Fatalf("poll acting for the owner: %+v, %v", poll, err)
+		}
+	}
+	if err := protocol.DoFor(ctx, c, "DWD", g.alice.DN(), protocol.OpOutcome, protocol.OutcomeRequest{Job: remote}, &out); err != nil || !out.Found {
+		t.Fatalf("outcome acting for the owner: found=%v, %v", out.Found, err)
+	}
+
+	refused := njs.ErrNotAuthorized.Error()
+	bob := g.bob.DN()
+	if err := protocol.DoFor(ctx, c, "DWD", bob, protocol.OpPoll, protocol.PollRequest{Job: remote}, &poll); err == nil || !strings.Contains(err.Error(), refused) {
+		t.Errorf("poll acting for Bob: err = %v, want %q", err, refused)
+	}
+	if err := protocol.DoFor(ctx, c, "DWD", bob, protocol.OpOutcome, protocol.OutcomeRequest{Job: remote}, &out); err == nil || !strings.Contains(err.Error(), refused) {
+		t.Errorf("outcome acting for Bob: err = %v, want %q", err, refused)
+	}
+	if err := protocol.DoFor(ctx, c, "DWD", bob, protocol.OpFetch, protocol.FetchRequest{Job: remote, File: "out.dat"}, nil); err == nil || !strings.Contains(err.Error(), refused) {
+		t.Errorf("fetch acting for Bob: err = %v, want %q", err, refused)
+	}
+	if err := protocol.DoFor(ctx, c, "DWD", bob, protocol.OpSubscribe, protocol.SubscribeRequest{Job: remote}, nil); err == nil || !strings.Contains(err.Error(), refused) {
+		t.Errorf("events acting for Bob: err = %v, want %q", err, refused)
+	}
+	var ctl protocol.ControlReply
+	if err := protocol.DoFor(ctx, c, "DWD", bob, protocol.OpControl, protocol.ControlRequest{Job: remote, Op: ajo.OpAbort}, &ctl); err != nil || ctl.OK || !strings.Contains(ctl.Reason, refused) {
+		t.Errorf("abort acting for Bob: %+v, %v; want refused with %q", ctl, err, refused)
+	}
+	// A user-role op a server may not run stays refused for the user it acts for.
+	if err := protocol.DoFor(ctx, c, "DWD", bob, protocol.OpTransfer, protocol.TransferRequest{Job: remote, File: "out.dat"}, nil); err == nil || !strings.Contains(err.Error(), ErrNotPermitted.Error()) {
+		t.Errorf("transfer acting for Bob: err = %v, want the role refusal", err)
+	}
+	if got := hellos() - before; got != 2 {
+		t.Errorf("DWD verified %v server hellos for two users' streams, want 2", got)
+	}
+	// Bob's abort did not reach the job.
+	if err := protocol.DoFor(ctx, c, "DWD", g.alice.DN(), protocol.OpPoll, protocol.PollRequest{Job: remote}, &poll); err != nil || poll.Summary.Status != ajo.StatusSuccessful {
+		t.Errorf("owner's poll after Bob's abort: %+v, %v", poll, err)
+	}
+}
+
+// TestUserHelloActingForIsRefused: only a server relays calls for someone
+// else. A user-signed hello that names a user to act for — even the signer —
+// is refused by name, and nothing on it reaches the gateway's table.
+func TestUserHelloActingForIsRefused(t *testing.T) {
+	g := newGrid(t)
+	c := protocol.NewClient(g.net, g.alice, g.ca, g.reg)
+	defer c.Close()
+	frames := func() float64 { return g.gw["FZJ"].Telemetry().Snapshot().Total("gateway_stream_frames_total") }
+	before := frames()
+	for _, as := range []core.DN{g.bob.DN(), g.alice.DN()} {
+		var list protocol.ListReply
+		err := protocol.DoFor(context.Background(), c, "FZJ", as, protocol.OpList, protocol.ListRequest{}, &list)
+		if err == nil || !strings.Contains(err.Error(), protocol.ErrActingFor.Error()) {
+			t.Errorf("user hello acting for %s: err = %v, want %q", as, err, protocol.ErrActingFor)
+		}
+	}
+	if got := frames() - before; got != 0 {
+		t.Errorf("the gateway served %v frames on refused streams", got)
+	}
+	// Alice's own stream, which names nobody, is served.
+	var list protocol.ListReply
+	if err := protocol.Do(context.Background(), c, "FZJ", protocol.OpList, protocol.ListRequest{}, &list); err != nil {
+		t.Errorf("Alice's own list: %v", err)
 	}
 }
 

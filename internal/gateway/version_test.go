@@ -99,7 +99,7 @@ func TestForeignVersionRefused(t *testing.T) {
 	for _, door := range doors {
 		// Besides the long-retired versions, the one just before this build
 		// (a peer not yet upgraded) and the one just after are refused alike.
-		for _, version := range []int{1, 2, 3, 4, protocol.Version - 1, protocol.Version + 1} {
+		for _, version := range []int{1, 2, 3, 4, 5, protocol.Version - 1, protocol.Version + 1} {
 			t.Run(fmt.Sprintf("%s/v%d", door.name, version), func(t *testing.T) {
 				var s *site
 				if door.split {

@@ -343,14 +343,14 @@ func New(cfg Config) (*NJS, error) {
 			Page:  page,
 		}
 		n.vsites[vc.Name] = vs
-		// The spool tag makes handles globally unambiguous: the Vsite name
-		// within a single NJS, and a pool replica's instance (it serves one
-		// Vsite), so a pooled handle names the replica holding it. A
-		// recovered replica reuses its instance, so handles survive recovery
-		// unchanged.
-		spoolTag := string(vc.Name)
+		// The spool tag makes handles globally unambiguous: the Usite, as in
+		// a job ID, then the Vsite name within a single NJS or a pool
+		// replica's instance (it serves one Vsite), so a handle names the
+		// Usite and the replica holding it. A recovered replica reuses its
+		// instance, so handles survive recovery unchanged.
+		spoolTag := string(cfg.Usite) + "-" + string(vc.Name)
 		if cfg.Instance != "" {
-			spoolTag = cfg.Instance
+			spoolTag = string(cfg.Usite) + "-" + cfg.Instance
 		}
 		spool, err := staging.NewSpool(fs, SpoolRoot, spoolTag, cfg.Clock)
 		if err != nil {

@@ -126,7 +126,7 @@ func TestPoolInstanceNamesEveryMint(t *testing.T) {
 		t.Fatalf("Events: %v", err)
 	}
 	if id != "FZJ-CLUSTER.r1-000001" || JobInstance("FZJ", id) != "CLUSTER.r1" ||
-		staging.HandleTag(open.Handle) != "CLUSTER.r1" || reply.Origins["CLUSTER.r1"] == 0 ||
+		staging.HandleTag(open.Handle) != "FZJ-CLUSTER.r1" || reply.Origins["CLUSTER.r1"] == 0 ||
 		n.Metrics()[0].Origin != "njs/FZJ/CLUSTER.r1" {
 		t.Fatalf("replica CLUSTER.r1 minted job %s, handle %s, origins %v, telemetry %s",
 			id, open.Handle, reply.Origins, n.Metrics()[0].Origin)

@@ -11,6 +11,7 @@ package njs
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"unicore/internal/core"
@@ -52,6 +53,17 @@ func (n *NJS) spoolOf(handle string) (*staging.Spool, bool) {
 		return nil, false
 	}
 	return sp, true
+}
+
+// HandleInstance inverts the spool tag as JobInstance inverts nextJobID: the
+// pool instance (a single NJS's Vsite) whose spool minted a staged-upload
+// handle of usite — "" for handles usite never minted.
+func HandleInstance(usite core.Usite, handle string) string {
+	inst, ok := strings.CutPrefix(staging.HandleTag(handle), string(usite)+"-")
+	if !ok {
+		return ""
+	}
+	return inst
 }
 
 // StagingSpool exposes a Vsite's spool (deployment sweeps and testbed

@@ -40,11 +40,11 @@ type DrainStatus struct {
 	// Inflight is how many routed admission/staging calls are executing on
 	// the replica right now; a drain has settled when this is zero.
 	Inflight int
-	// StagePins is how many staged-upload handles the replica's spool holds
+	// Uploads is how many staged-upload handles the replica's spool holds
 	// (0 when the service is no StageReporter). They survive replacement —
 	// a journal-recovered service rescans its spool, and the handles keep
 	// naming the replica.
-	StagePins int
+	Uploads int
 }
 
 // Drain excludes a replica from new-work routing. Idempotent; the replica
@@ -87,7 +87,7 @@ func (s *ReplicaSet) DrainStatus(name string) (DrainStatus, error) {
 		Inflight: int(r.calls.Load()),
 	}
 	if rep, ok := r.service().(StageReporter); ok {
-		st.StagePins = len(rep.StagedHandles())
+		st.Uploads = len(rep.StagedHandles())
 	}
 	return st, nil
 }

@@ -43,7 +43,7 @@ func TestDrainStopsNewWorkKeepsOwnedWork(t *testing.T) {
 		if err != nil {
 			t.Fatalf("StageOpen: %v", err)
 		}
-		if staging.HandleTag(reply.Handle) == r1 {
+		if staging.HandleTag(reply.Handle) == "FZJ-"+r1 {
 			handle, stager = reply.Handle, caller
 		}
 	}
@@ -69,7 +69,7 @@ func TestDrainStopsNewWorkKeepsOwnedWork(t *testing.T) {
 		}
 		if reply, err := set.StageOpen(stager, false, protocol.PutOpenRequest{Vsite: "CLUSTER", Name: "more.dat"}); err != nil {
 			t.Fatalf("StageOpen during drain: %v", err)
-		} else if staging.HandleTag(reply.Handle) == r1 {
+		} else if staging.HandleTag(reply.Handle) == "FZJ-"+r1 {
 			t.Fatal("drained replica took a new staged-upload open (last-open preference not revoked)")
 		}
 	}
@@ -89,7 +89,7 @@ func TestDrainStopsNewWorkKeepsOwnedWork(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DrainStatus: %v", err)
 	}
-	if !st.Draining || st.Inflight != 0 || st.StagePins == 0 {
+	if !st.Draining || st.Inflight != 0 || st.Uploads == 0 {
 		t.Fatalf("DrainStatus = %+v, want settled-but-owning", st)
 	}
 

@@ -89,7 +89,7 @@ func (r *Router) FetchFileOwned(caller core.DN, asServer bool, id core.JobID, fi
 // holder resolves the replica a staged-upload handle names; a handle that
 // names no replica of the pool is ErrUnknownHandle.
 func (r *Router) holder(handle string) (*Replica, error) {
-	rep, err := r.named(staging.HandleTag(handle))
+	rep, err := r.named(njs.HandleInstance(r.usite, handle))
 	if rep == nil && err == nil {
 		err = fmt.Errorf("%w: %q", staging.ErrUnknownHandle, handle)
 	}

@@ -185,7 +185,7 @@ func (f *fakeService) StageOpen(caller core.DN, asServer bool, req protocol.PutO
 		return protocol.PutOpenReply{}, njs.ErrDown
 	}
 	f.seq++
-	h := fmt.Sprintf("stg-%s-%06d", f.instance, f.seq)
+	h := fmt.Sprintf("stg-%s-%s-%06d", f.usite, f.instance, f.seq)
 	if f.stages == nil {
 		f.stages = make(map[string]int64)
 	}

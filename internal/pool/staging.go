@@ -8,6 +8,7 @@ package pool
 
 import (
 	"fmt"
+	"strings"
 
 	"unicore/internal/ajo"
 	"unicore/internal/core"
@@ -59,6 +60,19 @@ func (s *ReplicaSet) StageOpen(caller core.DN, asServer bool, req protocol.PutOp
 	return protocol.PutOpenReply{}, noReplica(lastErr)
 }
 
+// holder resolves the replica of this set whose spool minted a handle. A
+// replica tags its spool "<usite>-<instance>" and an instance is
+// "<vsite>.<tag>" (Instance), so the handle names its replica from this
+// set's Vsite on, whatever the Usite is called.
+func (s *ReplicaSet) holder(handle string) (*Replica, bool) {
+	tag := staging.HandleTag(handle)
+	i := strings.LastIndex(tag, "-"+string(s.cfg.Vsite)+".")
+	if i < 0 {
+		return nil, false
+	}
+	return s.replica(tag[i+1:])
+}
+
 // stageHint resolves the consign-affinity constraint of a job's staged
 // uploads: the one replica of this set that ALL of them name. Handles naming
 // different replicas make the job unsatisfiable anywhere — that consign
@@ -68,7 +82,7 @@ func (s *ReplicaSet) StageOpen(caller core.DN, asServer bool, req protocol.PutOp
 func (s *ReplicaSet) stageHint(job *ajo.AbstractJob) (*Replica, error) {
 	var hint *Replica
 	for _, h := range job.StagedHandles() {
-		rep, ok := s.replica(staging.HandleTag(h))
+		rep, ok := s.holder(h)
 		if !ok {
 			continue
 		}

@@ -66,7 +66,7 @@ func TestStageOpenFailsOverToHealthyReplica(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StageOpen with 2 of 3 replicas dead: %v", err)
 	}
-	if staging.HandleTag(open.Handle) != Instance("CLUSTER", "r2") {
+	if staging.HandleTag(open.Handle) != "FZJ-"+Instance("CLUSTER", "r2") {
 		t.Fatalf("handle %s not minted by the sole healthy replica", open.Handle)
 	}
 	fakes[2].setDown(true)
@@ -192,7 +192,7 @@ func TestRebuiltPoolRoutesStagedWorkByHandle(t *testing.T) {
 	}
 	for i, f := range fakes {
 		want := 0
-		if staging.HandleTag(open.Handle) == Instance("CLUSTER", ReplicaTag(i)) {
+		if staging.HandleTag(open.Handle) == "FZJ-"+Instance("CLUSTER", ReplicaTag(i)) {
 			want = 3
 		}
 		if got := f.jobCount(); got != want {
@@ -206,7 +206,7 @@ func TestUnknownHandleIsErrUnknownHandle(t *testing.T) {
 	router := routerOver(t, set)
 	// No such name in the pool, no name at all, and a name whose replica
 	// never minted the handle: each is the same clean refusal.
-	for _, h := range []string{"stg-CLUSTER.r9-00000001", "stg-nowhere", "stg-CLUSTER.r1-99999999"} {
+	for _, h := range []string{"stg-FZJ-CLUSTER.r9-00000001", "stg-nowhere", "stg-FZJ-CLUSTER.r1-99999999"} {
 		if _, err := router.StageChunk("CN=u", false, protocol.PutChunkRequest{Handle: h, Index: 0}); !errors.Is(err, staging.ErrUnknownHandle) {
 			t.Fatalf("StageChunk(%s): err = %v, want ErrUnknownHandle", h, err)
 		}

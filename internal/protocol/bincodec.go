@@ -148,7 +148,6 @@ func walkMsg(c *bin.Codec, m any) error {
 		c.Varint(&m.Size)
 		c.Varint(&m.ChunkSize)
 		c.Int(&m.Window)
-		c.Str((*string)(&m.Owner))
 	case *PutOpenReply:
 		c.Str(&m.Handle)
 		c.Varint(&m.ChunkSize)
@@ -156,7 +155,6 @@ func walkMsg(c *bin.Codec, m any) error {
 	case *PutCommitRequest:
 		c.Str(&m.Handle)
 		c.Uvarint(&m.CRC)
-		c.Str((*string)(&m.Owner))
 	case *PutCommitReply:
 		c.Varint(&m.Size)
 		c.Uvarint(&m.CRC)
@@ -173,7 +171,6 @@ func walkMsg(c *bin.Codec, m any) error {
 		c.Str(&m.Handle)
 		c.Varint(&m.Index)
 		c.Uvarint(&m.CRC)
-		c.Str((*string)(&m.Owner))
 		c.View(&m.Data)
 	case *PutChunkReply:
 		c.Varint(&m.Received)

@@ -55,7 +55,9 @@ func (r *Registry) Sites() []core.Usite {
 // NJS→peer-gateway communication. Every op of the operation table that has a
 // frame form — all but federation gossip — runs through Do on one persistent
 // multiplexed frame stream per site, authenticated once by its signed hello;
-// gossip travels through Call as one signed envelope per POST.
+// gossip travels through Call as one signed envelope per POST. A server's
+// client keeps one more stream per site for each user it relays calls for
+// (DoFor): the user is named once, in that stream's hello.
 type Client struct {
 	tr       Transport
 	cred     *pki.Credential
@@ -69,12 +71,19 @@ type Client struct {
 	// ConsignID, everything else is read-only or idempotent).
 	Retries int
 
-	// smu guards the per-site persistent streams.
+	// smu guards the persistent streams.
 	smu     sync.Mutex
-	streams map[core.Usite]*siteStream
+	streams map[streamKey]*siteStream
 }
 
-// siteStream is the per-site stream slot: at most one live connection.
+// streamKey names one persistent stream: the site it is addressed to and the
+// user its hello acts for ("" for the client's own identity).
+type streamKey struct {
+	usite     core.Usite
+	actingFor core.DN
+}
+
+// siteStream is the per-key stream slot: at most one live connection.
 type siteStream struct {
 	mu   sync.Mutex
 	conn *streamConn
@@ -84,7 +93,7 @@ type siteStream struct {
 // HTTPTransport with pki.ClientTLS config for real deployments.
 func NewClient(tr Transport, cred *pki.Credential, ca *pki.Authority, reg *Registry) *Client {
 	return &Client{tr: tr, cred: cred, dn: cred.DN(), ca: ca, registry: reg, Retries: 2,
-		streams: make(map[core.Usite]*siteStream)}
+		streams: make(map[streamKey]*siteStream)}
 }
 
 // DN returns the client identity.
@@ -187,14 +196,14 @@ func openReply(ca *pki.Authority, usite core.Usite, data []byte) (MsgType, json.
 	return rt, raw, nil
 }
 
-// stream returns the live persistent stream to a site, dialing one if
+// stream returns the live persistent stream of a key, dialing one if
 // needed.
-func (c *Client) stream(ctx context.Context, usite core.Usite) (*streamConn, error) {
+func (c *Client) stream(ctx context.Context, k streamKey) (*streamConn, error) {
 	c.smu.Lock()
-	ss := c.streams[usite]
+	ss := c.streams[k]
 	if ss == nil {
 		ss = &siteStream{}
-		c.streams[usite] = ss
+		c.streams[k] = ss
 	}
 	c.smu.Unlock()
 
@@ -204,11 +213,11 @@ func (c *Client) stream(ctx context.Context, usite core.Usite) (*streamConn, err
 		return ss.conn, nil
 	}
 	ss.conn = nil
-	base, ok := c.registry.Lookup(usite)
+	base, ok := c.registry.Lookup(k.usite)
 	if !ok {
-		return nil, fmt.Errorf("%w %q", errUnknownUsite, usite)
+		return nil, fmt.Errorf("%w %q", errUnknownUsite, k.usite)
 	}
-	sc, err := openStream(ctx, c.tr, base, c.cred, c.ca, usite)
+	sc, err := openStream(ctx, c.tr, base, c.cred, c.ca, k.usite, k.actingFor)
 	if err != nil {
 		return nil, err
 	}
@@ -218,11 +227,11 @@ func (c *Client) stream(ctx context.Context, usite core.Usite) (*streamConn, err
 
 var errUnknownUsite = errors.New("protocol: unknown Usite")
 
-// dropSiteStream closes the site's stream if it is still sc, so a racing
-// redial is not torn down.
-func (c *Client) dropSiteStream(usite core.Usite, sc *streamConn) {
+// dropStream closes the key's stream if it is still sc, so a racing redial
+// is not torn down.
+func (c *Client) dropStream(k streamKey, sc *streamConn) {
 	c.smu.Lock()
-	ss := c.streams[usite]
+	ss := c.streams[k]
 	c.smu.Unlock()
 	ss.mu.Lock()
 	if ss.conn == sc {
@@ -245,6 +254,14 @@ func (c *Client) dropSiteStream(usite core.Usite, sc *streamConn) {
 // a data reply that fits is read straight into it, so a downloaded byte costs
 // the client no allocation, and nothing writes that buffer once Do returns.
 func Do[Req, Rep any](ctx context.Context, c *Client, usite core.Usite, op *Op[Req, Rep], req Req, rep *Rep) error {
+	return DoFor(ctx, c, usite, "", op, req, rep)
+}
+
+// DoFor is Do on the site's stream that acts for user: a server relaying a
+// user's call names the user once, in that stream's hello, and the site
+// judges every call on it as the user's own. An empty user is Do.
+func DoFor[Req, Rep any](ctx context.Context, c *Client, usite core.Usite, user core.DN, op *Op[Req, Rep], req Req, rep *Rep) error {
+	k := streamKey{usite: usite, actingFor: user}
 	frame := getFrameBuf(0)
 	defer putFrameBuf(frame)
 	var err error
@@ -258,7 +275,7 @@ func Do[Req, Rep any](ctx context.Context, c *Client, usite core.Usite, op *Op[R
 	attempts := c.Retries + 1
 	for i := 0; i < attempts && ctx.Err() == nil; i++ {
 		var final bool
-		if final, err = op.attempt(ctx, c, usite, *frame, buf, rep); final {
+		if final, err = op.attempt(ctx, c, k, *frame, buf, rep); final {
 			return err
 		}
 	}
@@ -273,8 +290,8 @@ func Do[Req, Rep any](ctx context.Context, c *Client, usite core.Usite, op *Op[R
 // reply nobody can read — and has been dropped: the request may be replayed
 // on a fresh one. A hello the server refused, a site with no stream path and
 // an error the server answered are the call's answer.
-func (o *Op[Req, Rep]) attempt(ctx context.Context, c *Client, usite core.Usite, frame, buf []byte, rep *Rep) (final bool, err error) {
-	sc, err := c.stream(ctx, usite)
+func (o *Op[Req, Rep]) attempt(ctx context.Context, c *Client, k streamKey, frame, buf []byte, rep *Rep) (final bool, err error) {
+	sc, err := c.stream(ctx, k)
 	if err != nil {
 		var refused *ErrorReply
 		return errors.As(err, &refused) || errors.Is(err, ErrNoStream) || errors.Is(err, errUnknownUsite), err
@@ -282,7 +299,7 @@ func (o *Op[Req, Rep]) attempt(ctx context.Context, c *Client, usite core.Usite,
 	f, err := sc.roundTrip(ctx, o.kind, frame, buf)
 	if err != nil {
 		if ctx.Err() == nil {
-			c.dropSiteStream(usite, sc)
+			c.dropStream(k, sc)
 		}
 		return false, err
 	}
@@ -300,7 +317,7 @@ func (o *Op[Req, Rep]) attempt(ctx context.Context, c *Client, usite core.Usite,
 		return true, nil
 	}
 	// A bad frame either way poisons the connection, not the call.
-	c.dropSiteStream(usite, sc)
+	c.dropStream(k, sc)
 	return false, err
 }
 
@@ -311,7 +328,7 @@ func (o *Op[Req, Rep]) attempt(ctx context.Context, c *Client, usite core.Usite,
 // without a terminal event means "resume by cursor": re-subscribe, and
 // nothing is lost.
 func (c *Client) SubscribeStream(ctx context.Context, usite core.Usite, req SubscribeRequest) (<-chan EventsReply, func(), error) {
-	sc, err := c.stream(ctx, usite)
+	sc, err := c.stream(ctx, streamKey{usite: usite})
 	if err != nil {
 		return nil, nil, err
 	}

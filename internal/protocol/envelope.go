@@ -44,6 +44,8 @@ func parseCert(der []byte) (*x509.Certificate, error) {
 // commit, and event batches pushed server-side. An envelope or stream hello at any
 // other version is refused with a server-signed ErrBadVersion error.
 //
+// Version 7 drops the staging requests' Owner field: a relayed call names
+// the user it acts for once, in its stream's hello (HelloRequest.ActingFor).
 // Version 6 front-codes a list reply's job IDs and names, each row writing
 // only the suffix that differs from the row before (bin.Codec.StrAfter).
 // Version 5 walks an outcome reply's tree inline in its frame body, with no
@@ -52,7 +54,7 @@ func parseCert(der []byte) (*x509.Certificate, error) {
 // strings travel as references and instants as the offset from the one
 // before (walkEvents). Any change to a frame body's bytes bumps it;
 // TestFrameBodiesArePinned holds the encodings of this version.
-const Version = 6
+const Version = 7
 
 // Errors reported when opening envelopes.
 var (
@@ -418,12 +420,6 @@ type PutOpenRequest struct {
 	// Window is how many chunks beyond the contiguous watermark the sender
 	// wants in flight. The server may clamp it.
 	Window int `json:"window,omitempty"`
-	// Owner, honoured only on server-role calls, names the user the upload
-	// is opened for: a federated gateway relaying a user's staged upload to
-	// the peer fronting the Vsite keeps the user's spool ownership intact —
-	// the staging mirror of the consign UserDN rule. Ignored (the signer
-	// owns the upload) for user-role callers.
-	Owner core.DN `json:"owner,omitempty"`
 }
 
 // PutOpenReply acknowledges a staged-upload open.
@@ -447,9 +443,6 @@ type PutChunkRequest struct {
 	Data   []byte `json:"data"`
 	// CRC is the crc64 (ECMA) of Data; the server verifies it before writing.
 	CRC uint64 `json:"crc"`
-	// Owner carries the upload's user on server-role relays (see
-	// PutOpenRequest.Owner).
-	Owner core.DN `json:"owner,omitempty"`
 }
 
 // PutChunkReply acknowledges a chunk. Received is the contiguous watermark —
@@ -464,9 +457,6 @@ type PutChunkReply struct {
 type PutCommitRequest struct {
 	Handle string `json:"handle"`
 	CRC    uint64 `json:"crc"`
-	// Owner carries the upload's user on server-role relays (see
-	// PutOpenRequest.Owner).
-	Owner core.DN `json:"owner,omitempty"`
 }
 
 // PutCommitReply acknowledges the seal. A committed upload survives crash
@@ -534,10 +524,15 @@ type FedAdvertiseReply struct {
 // signed envelope as the first frame of every persistent connection. Usite
 // names the site the stream is addressed to, so a Hello captured for one
 // gateway cannot be replayed against another; Nonce makes every handshake
-// envelope distinct.
+// envelope distinct. ActingFor, in a server-signed hello only, names the user
+// every call on the stream is made for: the server binds the stream to that
+// user as a user-role caller, so a peer gateway's relay is judged exactly as
+// the user's own call would be. A user-signed hello that names anyone is
+// refused (ErrActingFor).
 type HelloRequest struct {
-	Usite core.Usite `json:"usite"`
-	Nonce string     `json:"nonce"`
+	Usite     core.Usite `json:"usite"`
+	Nonce     string     `json:"nonce"`
+	ActingFor core.DN    `json:"acting_for,omitempty"`
 }
 
 // HelloReply accepts a v3 stream (MsgHelloReply, server-signed). Nonce

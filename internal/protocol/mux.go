@@ -66,7 +66,8 @@ var replyChans = sync.Pool{New: func() any { return make(chan Frame, 1) }}
 // envelope out, a verified server-signed HelloOK back. ErrNoStream (from the
 // transport) means "this pair has no stream path". A hello the server (or the
 // firewall front before it) refuses comes back as its signed *ErrorReply.
-func openStream(ctx context.Context, tr Transport, baseURL string, cred *pki.Credential, ca *pki.Authority, usite core.Usite) (*streamConn, error) {
+// A non-empty actingFor names the user the stream's calls are made for.
+func openStream(ctx context.Context, tr Transport, baseURL string, cred *pki.Credential, ca *pki.Authority, usite core.Usite, actingFor core.DN) (*streamConn, error) {
 	conn, err := tr.OpenStream(ctx, baseURL)
 	if err != nil {
 		return nil, err
@@ -77,7 +78,7 @@ func openStream(ctx context.Context, tr Transport, baseURL string, cred *pki.Cre
 		return nil, err
 	}
 	nonce := hex.EncodeToString(nb[:])
-	hello, err := SealTraced(cred, telemetry.TraceFrom(ctx), MsgHello, HelloRequest{Usite: usite, Nonce: nonce})
+	hello, err := SealTraced(cred, telemetry.TraceFrom(ctx), MsgHello, HelloRequest{Usite: usite, Nonce: nonce, ActingFor: actingFor})
 	if err != nil {
 		conn.Close()
 		return nil, err

@@ -177,7 +177,7 @@ func codecSamples() (reqs, reps []any) {
 	reqs = []any{
 		ConsignRequest{ConsignID: "c-1", AJO: []byte(`{"job":1}`)},
 		PollRequest{Job: "FZJ-000002"},
-		PutChunkRequest{Handle: "h-1", Index: 3, CRC: 0xDEADBEEF, Owner: "CN=alice", Data: []byte{1, 2, 3}},
+		PutChunkRequest{Handle: "h-1", Index: 3, CRC: 0xDEADBEEF, Data: []byte{1, 2, 3}},
 		FetchRequest{Job: "FZJ-000003", File: "out.dat", Offset: 1 << 20, Limit: 256 << 10},
 		TransferRequest{Job: "FZJ-000003", File: "out.dat", Offset: 1 << 20, Limit: 256 << 10},
 		SubscribeRequest{Job: "FZJ-000004", Cursor: 17, Origins: map[string]uint64{"fzj": 9, "dwd": 3}, Max: 64, WaitMs: 30000},
@@ -187,8 +187,8 @@ func codecSamples() (reqs, reps []any) {
 		ResourcesRequest{Vsite: "T3E"},
 		AppletRequest{Name: "jpa"},
 		LoadRequest{},
-		PutOpenRequest{Vsite: "T3E", Name: "in.dat", Size: 16 << 20, ChunkSize: 1 << 20, Window: 8, Owner: "CN=alice"},
-		PutCommitRequest{Handle: "h-1", CRC: 0xFEEDFACE, Owner: "CN=alice"},
+		PutOpenRequest{Vsite: "T3E", Name: "in.dat", Size: 16 << 20, ChunkSize: 1 << 20, Window: 8},
+		PutCommitRequest{Handle: "h-1", CRC: 0xFEEDFACE},
 		MetricsRequest{PerReplica: true, Spans: true},
 	}
 	reps = []any{

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/x509"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -40,7 +41,9 @@ const defaultPushWaitMs = 30_000
 // StreamBackend is the typed server behind a v3 stream — implemented by the
 // gateway, shared with its envelope dispatch. Identity (dn, asServer) is the
 // stream's: it was verified once at Hello and binds every frame after, for as
-// long as StreamServerOpts.CA has not revoked it.
+// long as StreamServerOpts.CA has not revoked it. A stream whose server hello
+// acts for a user (HelloRequest.ActingFor) is that user's: dn names the user
+// and asServer is false.
 type StreamBackend interface {
 	// StreamHello authenticates the Hello envelope before the handshake
 	// completes — signature, role policy, site-specific auth, exactly as for
@@ -66,6 +69,10 @@ type StreamBackend interface {
 	// a loop for push subscriptions.
 	StreamEvents(ctx context.Context, dn core.DN, asServer bool, req SubscribeRequest) (EventsReply, error)
 }
+
+// ErrActingFor refuses a user-signed stream hello that names a user to act
+// for: only a server relays calls for someone else.
+var ErrActingFor = errors.New("protocol: only a server-signed hello may act for a user")
 
 // StreamServerOpts configures ServeStreamConn.
 type StreamServerOpts struct {
@@ -145,6 +152,16 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 		refuseBecause(fmt.Sprintf("stream hello addressed to %s, this is %s", hr.Usite, opts.Usite))
 		return
 	}
+	// A server's hello that acts for a user binds the stream to that user as
+	// a user-role caller: every call on it is judged as the user's own.
+	dn, asServer := o.From, o.Role == pki.RoleServer
+	if hr.ActingFor != "" {
+		if !asServer {
+			refuseBecause(fmt.Sprintf("%v: %s signed a hello acting for %s", ErrActingFor, o.From, hr.ActingFor))
+			return
+		}
+		dn, asServer = hr.ActingFor, false
+	}
 	helloOK, err := SealTraced(opts.Cred, o.Trace, MsgHelloReply, HelloReply{Usite: opts.Usite, Nonce: hr.Nonce})
 	if err != nil {
 		return
@@ -165,8 +182,8 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 		conn:     conn,
 		be:       be,
 		ctx:      sctx,
-		dn:       o.From,
-		asServer: o.Role == pki.RoleServer,
+		dn:       dn,
+		asServer: asServer,
 		ca:       opts.CA,
 		cert:     o.Cert,
 		work:     make(chan Frame),

@@ -3,15 +3,19 @@ package protocol
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"unicore/internal/ajo"
 	"unicore/internal/core"
 	"unicore/internal/pki"
 )
@@ -210,6 +214,79 @@ func TestHelloFrameIsBoundedBeforeAuth(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew >= conns<<20 {
 			t.Errorf("%s: %d hello headers allocated %d KiB, want under 1 MiB each", door.name, conns, grew>>10)
+		}
+	}
+}
+
+// identityBackend answers a poll with the identity its stream bound: the
+// caller's DN as the summary's job, Found for a user-role caller.
+type identityBackend struct {
+	StreamBackend // any other op is a nil dereference: the test sends none
+	ca            *pki.Authority
+	cred          *pki.Credential
+	hellos        sync.Map // signer and acting-for of every accepted hello
+}
+
+func (*identityBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) { http.NotFound(w, r) }
+
+func (b *identityBackend) ServeStream(ctx context.Context, conn net.Conn) {
+	ServeStreamConn(ctx, conn, b, StreamServerOpts{Cred: b.cred, Usite: "FZJ"})
+}
+
+func (b *identityBackend) StreamHello(hello []byte) (Opened, []byte) {
+	o, err := OpenTraced(b.ca, hello)
+	if err != nil {
+		refusal, _ := Seal(b.cred, MsgError, ErrorReply{Code: "authentication", Message: err.Error()})
+		return o, refusal
+	}
+	var hr HelloRequest
+	_ = json.Unmarshal(o.Payload, &hr)
+	n, _ := b.hellos.LoadOrStore(string(o.From)+"|"+string(hr.ActingFor), new(atomic.Int64))
+	n.(*atomic.Int64).Add(1)
+	return o, nil
+}
+
+func (*identityBackend) StreamPoll(_ context.Context, dn core.DN, asServer bool, _ PollRequest) (PollReply, error) {
+	return PollReply{Found: !asServer, Summary: ajo.Summary{Job: string(dn)}}, nil
+}
+
+// TestActingForBindsEachStreamToItsUser: a server's client relays calls for
+// several users at once. Every call on a stream that acts for a user reaches
+// the backend as that user in the user role, every plain call as the server
+// in the server role, and each (site, user) pair costs one hello however
+// many calls share it.
+func TestActingForBindsEachStreamToItsUser(t *testing.T) {
+	r := newRig(t)
+	be := &identityBackend{ca: r.ca, cred: r.server}
+	r.net.Register("gw.fzj", be)
+	c := NewClient(r.net, r.server, r.ca, r.reg)
+	defer c.Close()
+	users := []core.DN{"", "CN=Alice", "CN=Bob", "CN=Carol"}
+	var wg sync.WaitGroup
+	for i := 0; i < 64; i++ {
+		user := users[i%len(users)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var rep PollReply
+			if err := DoFor(context.Background(), c, "FZJ", user, OpPoll, PollRequest{Job: "FZJ-000001"}, &rep); err != nil {
+				t.Errorf("poll acting for %q: %v", user, err)
+				return
+			}
+			want := user
+			if user == "" {
+				want = r.server.DN()
+			}
+			if core.DN(rep.Summary.Job) != want || rep.Found != (user != "") {
+				t.Errorf("poll acting for %q reached the backend as %s (user role %v)", user, rep.Summary.Job, rep.Found)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, user := range users {
+		n, ok := be.hellos.Load(string(r.server.DN()) + "|" + string(user))
+		if !ok || n.(*atomic.Int64).Load() != 1 {
+			t.Errorf("streams acting for %q opened %v hellos, want 1", user, n)
 		}
 	}
 }

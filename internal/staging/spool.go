@@ -81,13 +81,17 @@ type Info struct {
 	CRC    uint64
 }
 
+// HandlePrefix opens every staged-upload handle.
+const HandlePrefix = "stg-"
+
 // NewSpool creates (or reopens) a spool rooted at root on fs. tag is minted
 // into every handle ("stg-<tag>-00000001") and MUST be distinct per spool
-// across a whole deployment — the NJS tags each Vsite's spool with the Vsite
-// name, and a pool replica's one spool with its instance, so handles resolve
-// unambiguously within a multi-Vsite NJS and name their replica in a pool
-// (HandleTag reads it back). Call Rescan to
-// adopt entries already present in a recovered file tree.
+// across a whole deployment — the NJS tags each Vsite's spool
+// "<usite>-<vsite>", and a pool replica's one spool "<usite>-<instance>", so
+// a handle names its Usite as a job ID does, resolves unambiguously within a
+// multi-Vsite NJS and names its replica in a pool (HandleTag reads the tag
+// back). Call Rescan to adopt entries already present in a recovered file
+// tree.
 func NewSpool(fs *vfs.FS, root, tag string, clock sim.Clock) (*Spool, error) {
 	if fs == nil {
 		return nil, fmt.Errorf("staging: nil fs")
@@ -105,15 +109,15 @@ func NewSpool(fs *vfs.FS, root, tag string, clock sim.Clock) (*Spool, error) {
 func (s *Spool) mintLocked() string {
 	s.seq++
 	if s.tag == "" {
-		return fmt.Sprintf("stg-%08d", s.seq)
+		return fmt.Sprintf("%s%08d", HandlePrefix, s.seq)
 	}
-	return fmt.Sprintf("stg-%s-%08d", s.tag, s.seq)
+	return fmt.Sprintf("%s%s-%08d", HandlePrefix, s.tag, s.seq)
 }
 
 // HandleTag inverts mintLocked: the tag of the spool that minted a handle —
 // "" for an untagged spool's handles and for strings no spool minted.
 func HandleTag(handle string) string {
-	rest, ok := strings.CutPrefix(handle, "stg-")
+	rest, ok := strings.CutPrefix(handle, HandlePrefix)
 	i := strings.LastIndexByte(rest, '-')
 	if !ok || i < 0 {
 		return ""
@@ -147,7 +151,9 @@ func (s *Spool) persistMetaLocked(e *spoolEntry) error {
 	if err != nil {
 		return err
 	}
-	return s.fs.WriteFile(s.dir(e.meta.Handle)+"/meta.json", raw)
+	// One concatenation, not dir's result plus a suffix: the intermediate
+	// would be a second allocation once root and handle pass 32 bytes.
+	return s.fs.WriteFile(s.root+"/"+e.meta.Handle+"/meta.json", raw)
 }
 
 // Open begins an upload for owner and returns its handle. The requested

@@ -14,6 +14,7 @@ import (
 
 	"unicore/internal/core"
 	"unicore/internal/deploy"
+	"unicore/internal/njs"
 	"unicore/internal/protocol"
 	"unicore/internal/staging"
 )
@@ -219,7 +220,7 @@ func TestDrainBeforeKillLosesNothing(t *testing.T) {
 		t.Fatalf("PutChunk: %v", err)
 	}
 	// The handle names the replica that holds it.
-	pinOwner := staging.HandleTag(open.Handle)
+	pinOwner := njs.HandleInstance("POOL", open.Handle)
 	if !spoolHolds(m, pinOwner, open.Handle) {
 		t.Fatalf("replica %q does not hold the upload its handle %s names", pinOwner, open.Handle)
 	}

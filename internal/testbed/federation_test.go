@@ -22,6 +22,7 @@ import (
 	"unicore/internal/njs"
 	"unicore/internal/protocol"
 	"unicore/internal/resources"
+	"unicore/internal/staging"
 )
 
 // fedPair deploys a small FZJ (2 PEs) next to a large DWD (32 PEs), federated
@@ -115,9 +116,9 @@ func TestFederatedAutoPlacement(t *testing.T) {
 	}
 }
 
-// TestFederatedPlacementRefusedByStranger checks the placement record is the
-// authorization boundary: a user who did not forward the job through this
-// gateway cannot reach it by ID.
+// TestFederatedPlacementRefusedByStranger checks who answers for a forwarded
+// job: the origin relays a stranger's poll acting for the stranger, and the
+// NJS that holds the job, which records its owner, refuses it.
 func TestFederatedPlacementRefusedByStranger(t *testing.T) {
 	d, _ := fedPair(t)
 	owner, err := d.NewUser("Owner", "Grid", "owner")
@@ -138,6 +139,147 @@ func TestFederatedPlacementRefusedByStranger(t *testing.T) {
 	}
 	if _, err := d.Session(eve, "FZJ").Status(context.Background(), id); err == nil {
 		t.Fatal("stranger polled a remotely-placed job through the origin gateway")
+	}
+}
+
+// TestFederatedJobSurvivesOriginRebuild rebuilds the origin's federation
+// membership between the forward and the owner's calls, as a restarted
+// gateway process does: the owner still reaches the forwarded job by its ID
+// alone, and a stranger is still refused, by the NJS that holds the job.
+func TestFederatedJobSurvivesOriginRebuild(t *testing.T) {
+	d, mesh := fedPair(t)
+	ctx := context.Background()
+	owner, err := d.NewUser("Rebuild Owner", "Grid", "rebuild")
+	if err != nil {
+		t.Fatalf("NewUser: %v", err)
+	}
+	eve, err := d.NewUser("Eve", "Grid", "eve")
+	if err != nil {
+		t.Fatalf("NewUser: %v", err)
+	}
+	job, err := bigJob("outlives-the-origin")
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	id, err := d.Session(owner, "FZJ").Submit(ctx, job)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if !strings.HasPrefix(string(id), "DWD-") {
+		t.Fatalf("job ID %s: not forwarded to DWD", id)
+	}
+	if err := mesh.RebuildFederation("FZJ"); err != nil {
+		t.Fatalf("RebuildFederation: %v", err)
+	}
+	d.Run(1_000_000)
+
+	sess := d.Session(owner, "FZJ")
+	sum, err := sess.Status(ctx, id)
+	if err != nil {
+		t.Fatalf("Status via the rebuilt origin: %v", err)
+	}
+	if sum.Status != ajo.StatusSuccessful {
+		t.Fatalf("status = %s, want SUCCESSFUL", sum.Status)
+	}
+	out, err := sess.Outcome(ctx, id)
+	if err != nil {
+		t.Fatalf("Outcome via the rebuilt origin: %v", err)
+	}
+	if out.Status != ajo.StatusSuccessful {
+		t.Fatalf("outcome status = %s, want SUCCESSFUL", out.Status)
+	}
+	ev, err := sess.Events(ctx, protocol.SubscribeRequest{Job: id})
+	if err != nil {
+		t.Fatalf("Events via the rebuilt origin: %v", err)
+	}
+	if len(ev.Events) == 0 || ev.Gap {
+		t.Fatalf("event stream empty or gapped: %+v", ev)
+	}
+	for i, e := range ev.Events {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("event %d has seq %d — stream not contiguous", i, e.Seq)
+		}
+	}
+	if _, err := d.Session(eve, "FZJ").Status(ctx, id); err == nil {
+		t.Fatal("stranger polled the forwarded job through the rebuilt origin")
+	}
+}
+
+// TestFederatedUploadSurvivesOriginRebuild rebuilds the origin's federation
+// membership between a relayed staged-upload open and its chunks: the handle
+// names DWD, so the chunks and the commit still reach DWD's spool, and the
+// consign that references the handle runs there.
+func TestFederatedUploadSurvivesOriginRebuild(t *testing.T) {
+	d, mesh := fedPair(t)
+	ctx := context.Background()
+	user, err := d.NewUser("Stage User", "Grid", "stage")
+	if err != nil {
+		t.Fatalf("NewUser: %v", err)
+	}
+	sess := d.Session(user, "FZJ")
+	open, err := sess.PutOpen(ctx, protocol.PutOpenRequest{Vsite: "BIG", Name: "in.dat", ChunkSize: 16})
+	if err != nil {
+		t.Fatalf("PutOpen for DWD's Vsite via FZJ: %v", err)
+	}
+	if site := mesh.Federation("FZJ").HandleSite(open.Handle); site != "DWD" {
+		t.Fatalf("handle %s names %q, want DWD", open.Handle, site)
+	}
+	if err := mesh.RebuildFederation("FZJ"); err != nil {
+		t.Fatalf("RebuildFederation: %v", err)
+	}
+	data := []byte("0123456789abcdef0123")
+	for i, chunk := range [][]byte{data[:16], data[16:]} {
+		if _, err := sess.PutChunk(ctx, protocol.PutChunkRequest{
+			Handle: open.Handle, Index: int64(i), Data: chunk, CRC: staging.Checksum(chunk),
+		}); err != nil {
+			t.Fatalf("PutChunk %d via the rebuilt origin: %v", i, err)
+		}
+	}
+	commit, err := sess.PutCommit(ctx, protocol.PutCommitRequest{Handle: open.Handle, CRC: staging.Checksum(data)})
+	if err != nil {
+		t.Fatalf("PutCommit via the rebuilt origin: %v", err)
+	}
+	if commit.Size != int64(len(data)) || commit.Chunks != 2 {
+		t.Fatalf("commit = %+v, want %d bytes in 2 chunks", commit, len(data))
+	}
+	spool, _ := d.Sites["DWD"].NJS.StagingSpool("BIG")
+	if info, ok := spool.Stat(open.Handle); !ok || !info.Committed || info.Owner != user.DN() {
+		t.Fatalf("DWD's spool holds %s as %+v (found %v), want committed and owned by %s", open.Handle, info, ok, user.DN())
+	}
+
+	// The rebuilt origin relearns the ads at its next gossip round; the
+	// auto-placed consign then goes where the handle names, though FZJ's own
+	// Vsite could run the job.
+	mesh.GossipAll()
+	b := client.NewJob("staged-at-peer", core.Target{Usite: "FZJ"})
+	imp := b.ImportStaged("stage", open.Handle, "in.dat")
+	run := b.Script("copy", "cat in.dat > out.dat\n", resources.Request{Processors: 1, RunTime: time.Hour})
+	b.After(imp, run)
+	job, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	id, err := sess.Submit(ctx, job)
+	if err != nil {
+		t.Fatalf("Submit via the rebuilt origin: %v", err)
+	}
+	if !strings.HasPrefix(string(id), "DWD-") {
+		t.Fatalf("job ID %s: the staged consign did not run at DWD", id)
+	}
+	d.Run(1_000_000)
+	sum, err := sess.Status(ctx, id)
+	if err != nil {
+		t.Fatalf("Status: %v", err)
+	}
+	if sum.Status != ajo.StatusSuccessful {
+		t.Fatalf("status = %s, want SUCCESSFUL", sum.Status)
+	}
+	var got bytes.Buffer
+	if _, err := sess.Download(ctx, id, "out.dat", &got); err != nil {
+		t.Fatalf("Download: %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), data) {
+		t.Fatalf("out.dat = %q, want the staged %q", got.Bytes(), data)
 	}
 }
 

@@ -100,7 +100,7 @@ func TestStagedTransferSurvivesReplicaKill(t *testing.T) {
 		t.Fatalf("PutOpen: %v", err)
 	}
 	// The handle names the replica holding the upload: the victim.
-	holder := staging.HandleTag(open.Handle)
+	holder := njs.HandleInstance("POOL", open.Handle)
 	if !spoolHolds(m, holder, open.Handle) {
 		t.Fatalf("replica %q does not hold the upload its handle %s names", holder, open.Handle)
 	}

@@ -146,39 +146,61 @@ func EnableFederation(d *testbed.Deployment, usites ...core.Usite) (*Mesh, error
 		if site.Front != nil {
 			return nil, fmt.Errorf("testbedtest: federation on split site %s is not supported", u)
 		}
-		if _, dup := m.feds[u]; dup {
+		if _, dup := m.gates[u]; dup {
 			continue
 		}
 		h, err := host(d, u)
 		if err != nil {
 			return nil, err
 		}
-		cred, err := serverCred(d, u)
-		if err != nil {
-			return nil, err
-		}
-		fed, err := deploy.Federate(site.Gateway, protocol.NewClient(d.Net, cred, d.CA, d.Registry),
-			d.Clock, "https://"+h, nil, func() []accounting.Record { return d.SiteAccounting(u) })
-		if err != nil {
-			return nil, err
-		}
-		m.feds[u] = fed
 		g := newGate(site.Gateway)
 		m.gates[u] = g
 		d.Net.Register(h, g)
 	}
-	for a, fa := range m.feds {
-		for b := range m.feds {
-			if a == b {
-				continue
-			}
-			base, _ := d.Registry.Lookup(b)
-			if err := fa.AddPeer(b, base); err != nil {
-				return nil, err
-			}
+	for u := range m.gates {
+		if err := m.federate(u); err != nil {
+			return nil, err
 		}
 	}
 	return m, nil
+}
+
+// RebuildFederation gives a federated site's gateway a new federation
+// membership, as a restarted gateway process builds one from its topology:
+// the same peers, and nothing the old membership learned or sent. Ads come
+// back with the next GossipAll.
+func (m *Mesh) RebuildFederation(u core.Usite) error {
+	if _, ok := m.gates[u]; !ok {
+		return fmt.Errorf("testbedtest: %s has no federated gateway", u)
+	}
+	return m.federate(u)
+}
+
+// federate builds u's federation membership, peered with every other site
+// of the mesh, and attaches it to u's gateway.
+func (m *Mesh) federate(u core.Usite) error {
+	h, err := host(m.d, u)
+	if err != nil {
+		return err
+	}
+	cred, err := serverCred(m.d, u)
+	if err != nil {
+		return err
+	}
+	var peers []deploy.TopologyPeer
+	for p := range m.gates {
+		if p != u {
+			base, _ := m.d.Registry.Lookup(p)
+			peers = append(peers, deploy.TopologyPeer{Usite: p, URL: base})
+		}
+	}
+	fed, err := deploy.Federate(m.d.Sites[u].Gateway, protocol.NewClient(m.d.Net, cred, m.d.CA, m.d.Registry),
+		m.d.Clock, "https://"+h, peers, func() []accounting.Record { return m.d.SiteAccounting(u) })
+	if err != nil {
+		return err
+	}
+	m.feds[u] = fed
+	return nil
 }
 
 // Federation returns a site's federation membership (nil when the site is
