@@ -32,13 +32,11 @@
 // package bin's uvarint primitives like the stream frames and the journal
 // records. A consign request carries it, a gateway forwards it to a peer, an
 // NJS hands it to a remote Usite and writes it into its journal's admission
-// record — all through the same two functions. MarshalJSON and UnmarshalJSON
-// (json.go) are the self-describing form for people and tools: class names
-// from Figure 3, one {kind, body} envelope per action. The outcome tree that
-// answers an AJO travels the same way: WalkOutcome is the binary form a
-// gateway's reply frame carries inline, MarshalOutcome and UnmarshalOutcome
-// wrap it as the document the journal keeps, MarshalOutcomeJSON is the one a
-// CLI prints.
+// record — all through the same two functions; nothing sends or stores an
+// AJO in any other form. The outcome tree that answers an AJO travels the
+// same way: WalkOutcome is the binary form a gateway's reply frame carries
+// inline, MarshalOutcome and UnmarshalOutcome wrap it as the document the
+// journal keeps, MarshalOutcomeJSON is the one a CLI prints.
 package ajo
 
 import (
@@ -499,6 +497,9 @@ type AbstractJob struct {
 	Actions      ActionList        `json:"actions"`
 	Dependencies []Dependency      `json:"dependencies,omitempty"`
 }
+
+// ActionList is the list of an AbstractJob's components, each any Action.
+type ActionList []Action
 
 // Kind reports KindJob.
 func (j *AbstractJob) Kind() Kind { return KindJob }

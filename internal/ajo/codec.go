@@ -27,8 +27,6 @@ import (
 // The outcome tree that answers an AJO (WalkOutcome, at the end of this
 // file) is encoded the same way: inline in a frame body, or behind its own
 // format tag as a document (MarshalOutcome).
-//
-// The self-describing JSON form (json.go) is for people, not for the wire.
 
 // formatTag leads every binary AJO, outcomeTag every binary outcome tree. A
 // reader refuses any other value by name rather than guessing at the bytes

@@ -36,18 +36,16 @@ func allConcreteActions() []Action {
 	}
 }
 
-// codecs are the two forms of an AJO: the binary wire form and the JSON
-// debug form. Every round-trip test runs over both.
+// codecs are the forms of an AJO the round-trip tests run over: the binary
+// wire form, the one form an AJO has.
 var codecs = []struct {
 	name      string
 	marshal   func(Action) ([]byte, error)
 	unmarshal func([]byte) (Action, error)
 }{
 	{"bin", Marshal, Unmarshal},
-	{"json", MarshalJSON, UnmarshalJSON},
 }
 
-func TestJSONRoundTripAllKinds(t *testing.T)   { roundTripAllKinds(t, MarshalJSON, UnmarshalJSON) }
 func TestBinaryRoundTripAllKinds(t *testing.T) { roundTripAllKinds(t, Marshal, Unmarshal) }
 
 func roundTripAllKinds(t *testing.T, marshal func(Action) ([]byte, error), unmarshal func([]byte) (Action, error)) {
@@ -76,37 +74,9 @@ func normalise(a Action) string {
 	return string(b)
 }
 
-func TestJSONEnvelopeShape(t *testing.T) {
-	data, err := MarshalJSON(&ListService{Header: Header{ActionID: "ls1"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env struct {
-		Kind string          `json:"kind"`
-		Body json.RawMessage `json:"body"`
-	}
-	if err := json.Unmarshal(data, &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Kind != "ListService" {
-		t.Fatalf("envelope kind = %q (want the Figure 3 class name)", env.Kind)
-	}
-}
-
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := UnmarshalJSON([]byte(`{"kind":"NoSuchTask","body":{}}`)); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-	if _, err := UnmarshalJSON([]byte(`{`)); err == nil {
-		t.Fatal("broken JSON accepted")
-	}
-	if _, err := UnmarshalJSON([]byte(`{"kind":"UserTask","body":[1,2]}`)); err == nil {
-		t.Fatal("mistyped body accepted")
-	}
-	for _, marshal := range []func(Action) ([]byte, error){Marshal, MarshalJSON} {
-		if _, err := marshal(nil); err == nil {
-			t.Fatal("nil action marshalled")
-		}
+	if _, err := Marshal(nil); err == nil {
+		t.Fatal("nil action marshalled")
 	}
 	if _, err := Marshal(&AbstractJob{Header: Header{ActionID: "j"}, Actions: ActionList{nil}}); err == nil {
 		t.Fatal("job holding a nil action marshalled")
@@ -116,7 +86,7 @@ func TestUnmarshalErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asJSON, err := MarshalJSON(sampleJob())
+	asJSON, err := json.Marshal(sampleJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +102,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		}
 	}
 	// A document of another format is refused by its tag, and the error says
-	// which format this build reads — the JSON form handed to the binary
+	// which format this build reads — a JSON rendering handed to the binary
 	// decoder is the likely way to get here.
 	_, err = Unmarshal(asJSON)
 	if err == nil || !strings.Contains(err.Error(), "format tag 0x7b") || !strings.Contains(err.Error(), "binary format 0x01") {
@@ -253,35 +223,6 @@ func TestDeeplyNestedJobRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryAndJSONAgree: the job a site decodes from the wire and the job a
-// person reads in the debug form are the same job.
-func TestBinaryAndJSONAgree(t *testing.T) {
-	for _, j := range []*AbstractJob{sampleJob(), nested(1, 6)} {
-		raw, err := Marshal(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromBin, err := Unmarshal(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		doc, err := MarshalJSON(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromJSON, err := UnmarshalJSON(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(fromBin, fromJSON) {
-			t.Fatalf("%s: binary and JSON decodings differ:\n%#v\n%#v", j.ActionID, fromBin, fromJSON)
-		}
-		if normalise(j) != normalise(fromBin) {
-			t.Fatalf("%s: binary round trip changed the job", j.ActionID)
-		}
-	}
-}
-
 // TestMarshalIsDeterministic: equal jobs encode to equal bytes (map entries
 // go out in key order), so a journal written from a seed is byte-reproducible.
 func TestMarshalIsDeterministic(t *testing.T) {
@@ -323,7 +264,7 @@ func TestOutcomeRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: any UserTask round-trips through both codecs.
+// Property: any UserTask round-trips through the codec.
 func TestQuickUserTaskRoundTrip(t *testing.T) {
 	f := func(id string, cmd string, cpus uint8) bool {
 		if id == "" || cmd == "" {
@@ -350,10 +291,9 @@ func TestQuickUserTaskRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: inline import data of any content survives both codecs (raw in
-// the binary form, base64 in the JSON form), as workstation files are
-// carried inside the AJO in the paper. The binary form also keeps an empty
-// file apart from no file; the JSON form's omitempty cannot.
+// Property: inline import data of any content survives the codec, as
+// workstation files are carried inside the AJO in the paper. The binary
+// form also keeps an empty file apart from no file.
 func TestQuickInlineImportDataPreserved(t *testing.T) {
 	f := func(data []byte) bool {
 		imp := &ImportTask{Header: Header{ActionID: "i"}, Source: ImportSource{Inline: data}, To: "f"}

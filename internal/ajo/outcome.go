@@ -2,6 +2,7 @@ package ajo
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"strings"
@@ -228,4 +229,10 @@ func Summarise(root *Outcome) Summary {
 	rec(root)
 	s.Status = root.Status
 	return s
+}
+
+// MarshalOutcomeJSON renders an outcome tree as indented JSON, for people (a
+// CLI's -json output); MarshalOutcome is the form that travels.
+func MarshalOutcomeJSON(o *Outcome) ([]byte, error) {
+	return json.MarshalIndent(o, "", "  ")
 }

@@ -1,8 +1,8 @@
 // Package lockorder enforces the NJS locking contract (PR 1): per-job locks
 // nest strictly ancestor→descendant, the registry lock (regMu) is innermost
 // (never held across a job-lock acquisition), and no per-job lock is held
-// across a peer call through protocol.Client — protocol.Do, Client.Call or
-// Client.SubscribeStream: a network round trip under a job lock would let
+// across a peer call through protocol.Client — protocol.Do, protocol.DoFor
+// or Client.SubscribeStream: a network round trip under a job lock would let
 // one slow site block Poll/Control on the local job.
 //
 // The analyzer recognizes "job" locks syntactically and by type: a call
@@ -232,7 +232,8 @@ func (s *scanner) calls(n ast.Node) {
 func (s *scanner) call(call *ast.CallExpr) {
 	info := s.pass.TypesInfo
 	if analysis.IsPkgFunc(info, call, "unicore/internal/protocol", "Do") ||
-		analysis.IsMethodCall(info, call, "unicore/internal/protocol", "Client", "Call", "SubscribeStream") {
+		analysis.IsPkgFunc(info, call, "unicore/internal/protocol", "DoFor") ||
+		analysis.IsMethodCall(info, call, "unicore/internal/protocol", "Client", "SubscribeStream") {
 		for _, h := range s.stack {
 			if h.kind == jobLock {
 				s.pass.Reportf(call.Pos(),

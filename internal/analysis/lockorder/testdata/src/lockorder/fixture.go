@@ -103,8 +103,10 @@ func GoodNestedLookup(r *reg, p *job, aid string) {
 func BadPeerCall(cl *protocol.Client, j *job) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	_ = cl.Call(context.Background(), "site", protocol.MsgFedAdvertise, nil, nil)                   // want "peer call through protocol.Client while job lock"
-	_ = protocol.Do(context.Background(), cl, "site", protocol.OpPoll, protocol.PollRequest{}, nil) // want "peer call through protocol.Client while job lock"
+	_ = protocol.Do(context.Background(), cl, "site", protocol.OpAdvertise, protocol.FedAdvertiseRequest{}, nil) // want "peer call through protocol.Client while job lock"
+	_ = protocol.Do(context.Background(), cl, "site", protocol.OpPoll, protocol.PollRequest{}, nil)              // want "peer call through protocol.Client while job lock"
+	// A relayed call, acting for a user, is the same round trip.
+	_ = protocol.DoFor(context.Background(), cl, "site", "CN=Alice", protocol.OpPoll, protocol.PollRequest{}, nil) // want "peer call through protocol.Client while job lock"
 	// The typed call with its types spelled out is the same call.
 	_ = protocol.Do[protocol.ControlRequest, protocol.ControlReply](context.Background(), cl, "site", protocol.OpControl, protocol.ControlRequest{}, nil) // want "peer call through protocol.Client while job lock"
 }
@@ -124,12 +126,12 @@ func GoodPeerCallBranch(cl *protocol.Client, j *job) {
 	j.mu.Lock()
 	if j.done {
 		j.mu.Unlock()
-		_ = cl.Call(context.Background(), "site", protocol.MsgFedAdvertise, nil, nil)                   // released first: fine
-		_ = protocol.Do(context.Background(), cl, "site", protocol.OpPoll, protocol.PollRequest{}, nil) // released first: fine
+		_ = protocol.Do(context.Background(), cl, "site", protocol.OpAdvertise, protocol.FedAdvertiseRequest{}, nil) // released first: fine
+		_ = protocol.Do(context.Background(), cl, "site", protocol.OpPoll, protocol.PollRequest{}, nil)              // released first: fine
 		return
 	}
-	_ = cl.Call(context.Background(), "site", protocol.MsgFedAdvertise, nil, nil)                   // want "peer call through protocol.Client while job lock"
-	_ = protocol.Do(context.Background(), cl, "site", protocol.OpPoll, protocol.PollRequest{}, nil) // want "peer call through protocol.Client while job lock"
+	_ = protocol.Do(context.Background(), cl, "site", protocol.OpAdvertise, protocol.FedAdvertiseRequest{}, nil) // want "peer call through protocol.Client while job lock"
+	_ = protocol.Do(context.Background(), cl, "site", protocol.OpPoll, protocol.PollRequest{}, nil)              // want "peer call through protocol.Client while job lock"
 	j.mu.Unlock()
 }
 
@@ -139,6 +141,6 @@ func GoodLiteral(cl *protocol.Client, j *job, after func(func())) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	after(func() {
-		_ = cl.Call(context.Background(), "site", protocol.MsgFedAdvertise, nil, nil) // fresh goroutine: fine
+		_ = protocol.Do(context.Background(), cl, "site", protocol.OpAdvertise, protocol.FedAdvertiseRequest{}, nil) // fresh goroutine: fine
 	})
 }

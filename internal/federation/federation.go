@@ -11,10 +11,10 @@
 //   - Gossip: each gateway periodically pushes its advertisement — resource
 //     pages, live Replicas/Healthy load, and an accounting charge-back
 //     summary, stamped with a monotonically increasing epoch — to its
-//     configured peers as a signed envelope (MsgFedAdvertise, the one op
-//     without a frame form) and ingests the replies. Ads relay transitively
-//     with a hop count, so a grid does not need a full mesh of static peer
-//     entries.
+//     configured peers as a stream frame (protocol.OpAdvertise), on the one
+//     stream per peer that forwarding also rides, and ingests the replies.
+//     Ads relay transitively with a hop count, so a grid does not need a
+//     full mesh of static peer entries.
 //   - Ranking: a federation-aware broker pass fuses the local catalog with
 //     every fresh peer advertisement, cost-weighting remote sites by hop
 //     distance and accounting usage, so a job may be sent to a peer Usite.
@@ -293,7 +293,7 @@ func (f *Federation) ingest(ad protocol.FedAd) {
 }
 
 // HandleAdvertise serves one inbound gossip exchange (the gateway's
-// MsgFedAdvertise dispatch): ingest the sender's view, answer with ours.
+// OpAdvertise row): ingest the sender's view, answer with ours.
 func (f *Federation) HandleAdvertise(req protocol.FedAdvertiseRequest) protocol.FedAdvertiseReply {
 	for _, ad := range req.Ads {
 		f.ingest(ad)
@@ -312,7 +312,7 @@ func (f *Federation) GossipOnce(ctx context.Context) error {
 	for _, u := range peers {
 		ads := f.KnownAds()
 		var reply protocol.FedAdvertiseReply
-		err := f.cfg.Client.Call(ctx, u, protocol.MsgFedAdvertise,
+		err := protocol.Do(ctx, f.cfg.Client, u, protocol.OpAdvertise,
 			protocol.FedAdvertiseRequest{From: f.cfg.Usite, Ads: ads}, &reply)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("federation: gossip to %s: %w", u, err))

@@ -1,9 +1,9 @@
 package gateway
 
 // The operation table: every request type the gateway answers is one row
-// here, and both doors — a signed envelope through HandleContext, a frame
-// through a Stream* method — run the same row, so authorisation, federation
-// relaying and error texts are identical on both paths by construction.
+// here. A frame runs its row through a Stream* method; the in-process
+// HandleContext runs the same row from a signed envelope, so authorisation,
+// federation relaying and error texts are identical on both by construction.
 
 import (
 	"context"
@@ -29,9 +29,8 @@ type caller struct {
 // the frame door reaches the handler without boxing either.
 type op[Req, Rep any] struct {
 	// wire is the op's frame form, which a federated gateway also relays the
-	// request over; msg names the one op without a frame form (gossip).
+	// request over.
 	wire *protocol.Op[Req, Rep]
-	msg  protocol.MsgType
 	// serverOnly, when set, refuses user-role callers; it names the traffic
 	// the op is reserved for.
 	serverOnly string
@@ -82,7 +81,7 @@ func (o *op[Req, Rep]) peer(f *federation.Federation, req Req) core.Usite {
 	return ""
 }
 
-// envelope is the signed-envelope door: decode the JSON payload, then serve.
+// envelope is HandleContext's half: decode the JSON payload, then serve.
 func (o *op[Req, Rep]) envelope(g *Gateway, ctx context.Context, c caller, raw json.RawMessage) (any, error) {
 	var req Req
 	if err := json.Unmarshal(raw, &req); err != nil {
@@ -91,12 +90,7 @@ func (o *op[Req, Rep]) envelope(g *Gateway, ctx context.Context, c caller, raw j
 	return o.serve(g, ctx, c, req)
 }
 
-func (o *op[Req, Rep]) request() protocol.MsgType {
-	if o.wire != nil {
-		return o.wire.Type()
-	}
-	return o.msg
-}
+func (o *op[Req, Rep]) request() protocol.MsgType { return o.wire.Type() }
 
 // route is a row with its request and reply types erased — what
 // HandleContext holds after a table lookup.
@@ -110,8 +104,7 @@ type route interface {
 // verbatim would let one authenticated peer mint unbounded metric series.
 const unknownType protocol.MsgType = "unknown"
 
-// The rows, named for the Stream* methods in stream.go: every op but
-// federation gossip also rides the frame stream.
+// The rows, named for the Stream* methods in stream.go.
 var (
 	opConsign = &op[protocol.ConsignRequest, protocol.ConsignReply]{
 		wire:  protocol.OpConsign,
@@ -213,16 +206,9 @@ var (
 		wire:  protocol.OpMetrics,
 		local: (*Gateway).metrics,
 	}
-)
-
-// ops is the operation table. The reply type that answers each request type
-// is the protocol's to say (protocol.ReplyType).
-var ops = table(
-	opConsign, opPoll, opOutcome, opList, opControl, opResources, opTransfer, opApplet, opLoad,
-	opFetch, opSubscribe, opPutOpen, opPutChunk, opPutCommit, opMetrics,
 	// Only peer gateways may gossip, and only a federated gateway answers.
-	&op[protocol.FedAdvertiseRequest, protocol.FedAdvertiseReply]{
-		msg:        protocol.MsgFedAdvertise,
+	opAdvertise = &op[protocol.FedAdvertiseRequest, protocol.FedAdvertiseReply]{
+		wire:       protocol.OpAdvertise,
 		serverOnly: "federation gossip is gateway-to-gateway traffic",
 		local: func(g *Gateway, _ context.Context, _ caller, req protocol.FedAdvertiseRequest) (protocol.FedAdvertiseReply, error) {
 			f := g.fed.Load()
@@ -231,7 +217,14 @@ var ops = table(
 			}
 			return f.HandleAdvertise(req), nil
 		},
-	},
+	}
+)
+
+// ops is the operation table. The reply type that answers each request type
+// is the protocol's to say (protocol.ReplyType).
+var ops = table(
+	opConsign, opPoll, opOutcome, opList, opControl, opResources, opTransfer, opApplet, opLoad,
+	opFetch, opSubscribe, opPutOpen, opPutChunk, opPutCommit, opMetrics, opAdvertise,
 )
 
 // table indexes the rows by request type.
@@ -278,7 +271,7 @@ func (g *Gateway) consign(ctx context.Context, c caller, req protocol.ConsignReq
 
 // outcome returns a job's outcome tree as the NJS holds it: a finished
 // job's shared tree goes out uncopied, walked straight into the reply's
-// frame body (or marshalled into its envelope) and never written.
+// frame body and never written.
 func (g *Gateway) outcome(_ context.Context, c caller, req protocol.OutcomeRequest) (protocol.OutcomeReply, error) {
 	o, found, err := g.svc().Outcome(c.dn, c.asServer, req.Job)
 	if err != nil || !found {

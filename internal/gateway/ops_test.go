@@ -183,9 +183,8 @@ type prober interface {
 	// reply to decode into.
 	probe(job core.JobID, handle string) (request, replyOut any)
 	describe() (role, relay string)
-	// frames returns the frame kinds of the op the row rides; ok is false
-	// for gossip, which has no frame form.
-	frames() (request, reply byte, ok bool)
+	// frames returns the frame kinds of the op the row rides.
+	frames() (request, reply byte)
 	// frame runs a request of the row's type through protocol.Do on the op
 	// the row rides (frameDoor).
 	frame(ctx context.Context, c *protocol.Client, usite core.Usite, request, replyOut any) error
@@ -212,13 +211,7 @@ func (o *op[Req, Rep]) frame(ctx context.Context, c *protocol.Client, usite core
 	return protocol.Do(ctx, c, usite, o.wire, request.(Req), rep)
 }
 
-func (o *op[Req, Rep]) frames() (request, reply byte, ok bool) {
-	if o.wire == nil {
-		return 0, 0, false
-	}
-	request, reply = o.wire.Frames()
-	return request, reply, true
-}
+func (o *op[Req, Rep]) frames() (request, reply byte) { return o.wire.Frames() }
 
 func (o *op[Req, Rep]) describe() (role, relay string) {
 	role, relay = "user", "never"
@@ -259,6 +252,13 @@ func canonical(t *testing.T, msg protocol.MsgType, reply any) (doc string, ok bo
 		for i, s := range snaps {
 			snaps[i] = s.(map[string]any)["origin"]
 		}
+	case protocol.MsgFedAdvertise:
+		// Every answer stamps a fresh self-advertisement.
+		ads, _ := fields["ads"].([]any)
+		ok = len(ads) > 0
+		for i, ad := range ads {
+			ads[i] = ad.(map[string]any)["origin"]
+		}
 	}
 	for k, v := range fields {
 		switch v := v.(type) {
@@ -278,9 +278,9 @@ func canonical(t *testing.T, msg protocol.MsgType, reply any) (doc string, ok bo
 }
 
 // TestBothDoorsAgree sends the same request through the signed-envelope door
-// (sealed by hand into HandleContext) and through the frame stream, for every op the wire
-// table puts on frames — every client op — and requires the same reply and
-// the same error text from both. The scenarios cover each way the shared row
+// (sealed by hand into HandleContext) and through the frame stream, for every
+// op of the table, and requires the same reply and the same error text from
+// both. The scenarios cover each way the shared row
 // can answer: served locally, refused by role (a user asking for a
 // server-only op), refused by ownership, not found, and relayed to the peer
 // gateway that holds the job. Ops and their request types come from the
@@ -334,15 +334,10 @@ func TestBothDoorsAgree(t *testing.T) {
 	// In table order of the message names, so a run is repeatable: a chunk
 	// lands before the commit that seals it.
 	var framed []protocol.MsgType
-	for msg, row := range ops {
-		if _, _, ok := row.(prober).frames(); ok {
-			framed = append(framed, msg)
-		}
+	for msg := range ops {
+		framed = append(framed, msg)
 	}
 	sort.Slice(framed, func(i, j int) bool { return framed[i] < framed[j] })
-	if len(framed) != len(ops)-1 {
-		t.Fatalf("the wire table frames %d of the gateway's %d ops, want all but fed-advertise", len(framed), len(ops))
-	}
 	frameCount := func() float64 {
 		return g.gw["FZJ"].Telemetry().Snapshot().Total("gateway_stream_frames_total")
 	}
@@ -458,6 +453,42 @@ func TestRelayIsJudgedByTheNJSThatHoldsTheJob(t *testing.T) {
 	}
 }
 
+// TestUserGossipIsRefused: gossip is gateway-to-gateway traffic. A user's
+// stream that sends an advertisement is refused by the row's serverOnly
+// reason, at a federated gateway and at one without a federation alike, and
+// the federation ingests nothing; a peer's stream is answered.
+func TestUserGossipIsRefused(t *testing.T) {
+	g := newGrid(t)
+	fed := g.gw["FZJ"].fed.Load()
+	inBefore := fed.Registry().Snapshot().Total("fed_advertise_total")
+	push := protocol.FedAdvertiseRequest{From: "EVIL", Ads: []protocol.FedAd{{Origin: "EVIL", URL: "https://gw.evil", Epoch: 1}}}
+	c := protocol.NewClient(g.net, g.alice, g.ca, g.reg)
+	defer c.Close()
+	var reply protocol.FedAdvertiseReply
+	err := protocol.Do(context.Background(), c, "FZJ", protocol.OpAdvertise, push, &reply)
+	if err == nil || !strings.Contains(err.Error(), opAdvertise.serverOnly) || !strings.Contains(err.Error(), ErrNotPermitted.Error()) {
+		t.Fatalf("user gossip: err = %v, want the %q refusal", err, opAdvertise.serverOnly)
+	}
+	if got := fed.Registry().Snapshot().Total("fed_advertise_total"); got != inBefore {
+		t.Errorf("a refused user's gossip moved fed_advertise_total by %v", got-inBefore)
+	}
+	if _, err := fed.VsiteHost("EVIL"); err == nil {
+		t.Error("a user's advertisement was ingested")
+	}
+	s := newSite(t)
+	uc := s.client(s.alice)
+	defer uc.Close()
+	if err := protocol.Do(context.Background(), uc, "FZJ", protocol.OpAdvertise, push, nil); err == nil || !strings.Contains(err.Error(), opAdvertise.serverOnly) {
+		t.Errorf("user gossip at an unfederated gateway: err = %v, want the %q refusal", err, opAdvertise.serverOnly)
+	}
+	// The peer's own stream is answered with FZJ's view, its own ad first.
+	pc := protocol.NewClient(g.net, g.peer, g.ca, g.reg)
+	defer pc.Close()
+	if err := protocol.Do(context.Background(), pc, "FZJ", protocol.OpAdvertise, protocol.FedAdvertiseRequest{From: "DWD"}, &reply); err != nil || len(reply.Ads) == 0 || reply.Ads[0].Origin != "FZJ" {
+		t.Errorf("peer gossip: %+v, %v", reply, err)
+	}
+}
+
 // TestUserHelloActingForIsRefused: only a server relays calls for someone
 // else. A user-signed hello that names a user to act for — even the signer —
 // is refused by name, and nothing on it reaches the gateway's table.
@@ -504,10 +535,8 @@ func TestProtocolDocListsTheTables(t *testing.T) {
 		"`hello`": {"`hello-reply`", "`hello` / `hello-ok`", "user", "never"},
 	}
 	for msg, row := range ops {
-		form := "—"
-		if req, rep, ok := row.(prober).frames(); ok {
-			form = "`" + protocol.FrameKindName(req) + "` / `" + protocol.FrameKindName(rep) + "`"
-		}
+		req, rep := row.(prober).frames()
+		form := "`" + protocol.FrameKindName(req) + "` / `" + protocol.FrameKindName(rep) + "`"
 		reply, ok := protocol.ReplyType(msg)
 		if !ok {
 			t.Errorf("gateway row %s is not a request type of the protocol's operation table", msg)

@@ -28,8 +28,7 @@ func ServeTLS(l net.Listener, handler http.Handler, cred *pki.Credential, ca *pk
 
 // ClientTransport builds the protocol transport that presents the client
 // credential and validates gateway certificates against the CA — the user
-// side of the mutual TLS handshake. Envelope POSTs and v3 stream upgrades
-// share the same TLS configuration.
+// side of the mutual TLS handshake, under which every v3 stream is dialled.
 func ClientTransport(cred *pki.Credential, ca *pki.Authority) *protocol.HTTPTransport {
 	return protocol.NewHTTPTransport(&http.Transport{TLSClientConfig: pki.ClientTLS(cred, ca)})
 }

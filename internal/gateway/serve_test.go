@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"crypto/tls"
 	"io"
@@ -66,7 +67,7 @@ func TestMutualTLSEndToEnd(t *testing.T) {
 			MinVersion: tls.VersionTLS13,
 		}},
 	}
-	if resp, err := bare.Post(url+protocol.Endpoint, "application/json", strings.NewReader("{}")); err == nil {
+	if resp, err := bare.Get(url + "/"); err == nil {
 		// TLS 1.3 reports missing client certs on first read or as an HTTP
 		// failure; either way the request must not succeed.
 		body, _ := io.ReadAll(resp.Body)
@@ -82,7 +83,7 @@ func TestMutualTLSEndToEnd(t *testing.T) {
 }
 
 // TestServeHTTPSurface covers the Web-server surface: the UNICORE Web page,
-// unknown paths, and oversized envelopes.
+// unknown paths, and the retired envelope door.
 func TestServeHTTPSurface(t *testing.T) {
 	s := newSite(t)
 
@@ -110,19 +111,37 @@ func TestServeHTTPSurface(t *testing.T) {
 		t.Fatalf("unknown path = %d", rec.Code)
 	}
 
-	// GET on the envelope endpoint is not allowed.
-	rec = httptest.NewRecorder()
-	s.gw.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, protocol.Endpoint, nil))
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("GET endpoint = %d", rec.Code)
-	}
+	// The envelope door is gone: every op rides the stream.
+	envelopeDoorIsGone(t, s.gw)
+}
 
-	// Oversized request bodies are rejected before parsing.
-	huge := strings.NewReader(strings.Repeat("x", maxRequest+1))
-	rec = httptest.NewRecorder()
-	s.gw.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, protocol.Endpoint, huge))
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized request = %d", rec.Code)
+// envelopeDoorIsGone requires a site's https handler to answer the retired
+// envelope endpoint, /unicore, with 404 — a well-formed signed envelope
+// POSTed there included.
+func envelopeDoorIsGone(t *testing.T, h http.Handler) {
+	t.Helper()
+	ca, err := pki.NewAuthority("Any-CA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	user, err := ca.IssueUser("Alice Ahlmann", "FZJ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := protocol.Seal(user, protocol.MsgList, protocol.ListRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*http.Request{
+		httptest.NewRequest(http.MethodPost, "/unicore", bytes.NewReader(env)),
+		httptest.NewRequest(http.MethodPost, "/unicore", strings.NewReader("garbage")),
+		httptest.NewRequest(http.MethodGet, "/unicore", nil),
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s /unicore = %d, want 404", r.Method, rec.Code)
+		}
 	}
 }
 
@@ -137,16 +156,9 @@ func TestFrontHTTPSurface(t *testing.T) {
 	if got.Code != http.StatusOK || got.Body.String() != want.Body.String() || !strings.Contains(got.Body.String(), "FZJ/T3E") {
 		t.Fatalf("web page through front = %d\n%s\nwant\n%s", got.Code, got.Body, want.Body)
 	}
-	rec := httptest.NewRecorder()
-	front.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, protocol.Endpoint, nil))
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("GET through front = %d", rec.Code)
-	}
-	huge := strings.NewReader(strings.Repeat("x", maxRequest+1))
-	rec = httptest.NewRecorder()
-	front.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, protocol.Endpoint, huge))
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized through front = %d", rec.Code)
+	envelopeDoorIsGone(t, front)
+	if n := s.gw.Telemetry().Snapshot().Total("gateway_requests_total"); n != 0 {
+		t.Fatalf("the inner gateway counted %v envelopes", n)
 	}
 }
 

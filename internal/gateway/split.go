@@ -21,10 +21,10 @@ import (
 //
 // The inner half is the Gateway itself, served plain on that port
 // (protocol.NewHTTPServer(gw).Serve(l)). The Front is the Web-server half:
-// it terminates https, authenticates every caller at the firewall — a
-// POSTed envelope, or the signed hello that opens a frame stream — and only
-// then lets the bytes through, speaking to the inner half the protocol its
-// own clients speak.
+// it terminates https, authenticates every caller at the firewall by the
+// signed hello that opens its frame stream — a user's or a peer gateway's —
+// and only then splices the stream through, speaking to the inner half the
+// protocol its own clients speak.
 
 // Front is the Web-server half of a split gateway, deployed on the firewall
 // system: an authenticating proxy in front of the inner gateway.
@@ -64,11 +64,6 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if conn, ok := upgradeStream(w, r); ok {
 			f.ServeStream(r.Context(), conn)
 		}
-	case r.Method == http.MethodPost && r.URL.Path == protocol.Endpoint:
-		if body, ok := readEnvelope(w, r); ok {
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(f.handle(r.Context(), body))
-		}
 	case r.Method == http.MethodGet && r.URL.Path == "/":
 		f.page.ServeHTTP(w, r)
 	default:
@@ -76,10 +71,10 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// admit authenticates one signed envelope at the firewall. A non-nil refusal
+// admit authenticates one stream hello at the firewall. A non-nil refusal
 // is the sealed error reply: unauthenticated traffic never crosses.
-func (f *Front) admit(envelope []byte) (refusal []byte) {
-	_, _, _, role, err := protocol.Open(f.ca, envelope)
+func (f *Front) admit(hello []byte) (refusal []byte) {
+	_, _, _, role, err := protocol.Open(f.ca, hello)
 	if err != nil {
 		return f.sealError("authentication", err)
 	}
@@ -87,19 +82,6 @@ func (f *Front) admit(envelope []byte) (refusal []byte) {
 		return f.sealError("role", fmt.Errorf("%w: %q", ErrNotPermitted, role))
 	}
 	return nil
-}
-
-// handle relays one authenticated envelope inward. The relay runs under the
-// caller's context, so a hold inside ends when the caller goes away.
-func (f *Front) handle(ctx context.Context, envelope []byte) []byte {
-	if refusal := f.admit(envelope); refusal != nil {
-		return refusal
-	}
-	reply, err := f.tr.Post(ctx, f.inner, envelope)
-	if err != nil {
-		return f.relayError(err)
-	}
-	return reply
 }
 
 // ServeStream implements protocol.StreamServer: verify the stream's hello,

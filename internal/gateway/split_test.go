@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -78,20 +79,6 @@ func splitSite(t *testing.T) (*site, *Front, *innerSocket) {
 	return s, front, sock
 }
 
-// postList POSTs a hand-sealed list request at the site's host: the envelope
-// route through whatever is registered there.
-func (s *site) postList(ctx context.Context, cred *pki.Credential) error {
-	env, err := protocol.Seal(cred, protocol.MsgList, protocol.ListRequest{})
-	if err != nil {
-		return err
-	}
-	reply, err := s.net.Post(ctx, "https://gw.fzj", env)
-	if err != nil {
-		return err
-	}
-	return openEnvelopeReply(s.ca, protocol.MsgList, reply, nil)
-}
-
 func TestSplitEndToEnd(t *testing.T) {
 	s, _, _ := splitSite(t)
 	c := s.client(s.alice)
@@ -111,10 +98,10 @@ func TestSplitEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSplitRejectsAtTheFirewall: nothing unauthenticated crosses, on either
-// route. A garbage POST, a hello signed under a foreign CA and a
-// software-role hello are each answered by the front with a sealed error, and
-// the inner gateway never hears of them.
+// TestSplitRejectsAtTheFirewall: nothing unauthenticated crosses. A garbage
+// hello, a hello signed under a foreign CA and a software-role hello are
+// each answered by the front with a sealed error, and the inner gateway
+// never hears of them.
 func TestSplitRejectsAtTheFirewall(t *testing.T) {
 	s, _, _ := splitSite(t)
 	otherCA, err := pki.NewAuthority("IMPOSTOR")
@@ -138,14 +125,12 @@ func TestSplitRejectsAtTheFirewall(t *testing.T) {
 		name, code string
 		send       func() error
 	}{
-		{"garbage POST", "authentication", func() error {
-			reply, err := s.net.Post(context.Background(), "https://gw.fzj", []byte("garbage"))
-			if err != nil {
-				return err
-			}
-			return openEnvelopeReply(s.ca, protocol.MsgList, reply, nil)
+		{"garbage hello", "authentication", func() error {
+			tr := &helloRewriter{t: t, base: s.net, rewrite: func([]byte) []byte { return []byte("garbage") }}
+			c := protocol.NewClient(tr, s.alice, s.ca, s.reg)
+			defer c.Close()
+			return protocol.Do(context.Background(), c, "FZJ", protocol.OpList, protocol.ListRequest{}, nil)
 		}},
-		{"foreign-CA POST", "authentication", func() error { return s.postList(context.Background(), stranger) }},
 		{"foreign-CA hello", "authentication", func() error { return hello(stranger) }},
 		{"software-role hello", "role", func() error { return hello(software) }},
 	}
@@ -167,9 +152,10 @@ func TestSplitRejectsAtTheFirewall(t *testing.T) {
 // TestSplitSurvivesInnerReconnect restarts the inner half between two calls:
 // its socket and every connection through it die, a new process listens on
 // the same port, and the next call on each route goes through — the client
-// redials its stream, net/http redials the front's pooled connection.
+// redials its stream, net/http redials the pooled connection the front
+// proxies the Web page over.
 func TestSplitSurvivesInnerReconnect(t *testing.T) {
-	s, _, sock := splitSite(t)
+	s, front, sock := splitSite(t)
 	ctx := context.Background()
 	c := s.client(s.alice)
 	defer c.Close()
@@ -178,8 +164,10 @@ func TestSplitSurvivesInnerReconnect(t *testing.T) {
 		if err := protocol.Do(ctx, c, "FZJ", protocol.OpList, protocol.ListRequest{}, &protocol.ListReply{}); err != nil {
 			t.Fatalf("stream call %s: %v", when, err)
 		}
-		if err := s.postList(ctx, s.alice); err != nil {
-			t.Fatalf("POST %s: %v", when, err)
+		rec := httptest.NewRecorder()
+		front.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("Web page %s: %d %s", when, rec.Code, rec.Body)
 		}
 	}
 	calls("before the restart")
@@ -246,8 +234,8 @@ func TestSplitHeldSubscribeDelaysNobodyElse(t *testing.T) {
 }
 
 // TestSplitAbandonedHoldIsReleased cancels a 60 s held subscribe behind the
-// front, on each route, and requires the inner gateway to let go of it with
-// the caller instead of parking it until the wait runs out.
+// front and requires the inner gateway to let go of it with the caller
+// instead of parking it until the wait runs out.
 func TestSplitAbandonedHoldIsReleased(t *testing.T) {
 	s, _, _ := splitSite(t)
 	c := s.client(s.alice)
@@ -258,39 +246,22 @@ func TestSplitAbandonedHoldIsReleased(t *testing.T) {
 		t.Fatalf("events: %v", err)
 	}
 	hold := protocol.SubscribeRequest{Job: id, Cursor: seen.Cursor, WaitMs: 60_000}
-	routes := map[string]func(context.Context) error{
-		"stream": func(ctx context.Context) error {
-			return protocol.Do(ctx, c, "FZJ", protocol.OpSubscribe, hold, nil)
-		},
-		"POST": func(ctx context.Context) error {
-			env, err := protocol.Seal(s.alice, protocol.MsgSubscribe, hold)
-			if err != nil {
-				return err
-			}
-			_, err = s.net.Post(ctx, "https://gw.fzj", env)
-			return err
-		},
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- protocol.Do(ctx, c, "FZJ", protocol.OpSubscribe, hold, nil) }()
+	for s.gauge("gateway_longpoll_active") < 1 {
+		time.Sleep(time.Millisecond)
 	}
-	for name, send := range routes {
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() { done <- send(ctx) }()
-		for s.gauge("gateway_longpoll_active") < 1 {
-			time.Sleep(time.Millisecond)
+	cancel()
+	released := time.Now()
+	for s.gauge("gateway_longpoll_active") != 0 {
+		if time.Since(released) > time.Second {
+			t.Fatal("the inner gateway still holds the subscribe 1 s after its caller gave up")
 		}
-		cancel()
-		released := time.Now()
-		for s.gauge("gateway_longpoll_active") != 0 {
-			if time.Since(released) > time.Second {
-				t.Fatalf("%s route: the inner gateway still holds the subscribe 1 s after its caller gave up", name)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		// The stream caller gets its cancellation back; the POST's caller is
-		// gone, and the front has answered nobody with a sealed relay error.
-		if err := <-done; name == "stream" && !errors.Is(err, context.Canceled) {
-			t.Errorf("%s route: abandoned hold returned %v, want the cancellation", name, err)
-		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Errorf("abandoned hold returned %v, want the cancellation", err)
 	}
 }
 
@@ -306,15 +277,11 @@ func TestSplitInnerDown(t *testing.T) {
 	}
 	s.net.Register("gw.fzj", front)
 	c := s.client(s.alice)
-	for route, err := range map[string]error{
-		"stream": protocol.Do(context.Background(), c, "FZJ", protocol.OpList, protocol.ListRequest{}, &protocol.ListReply{}),
-		"POST":   s.postList(context.Background(), s.alice),
-	} {
-		if err == nil {
-			t.Fatalf("%s call succeeded with the inner server down", route)
-		}
-		if !strings.Contains(err.Error(), "relay") {
-			t.Fatalf("%s: err = %v, want a relay failure", route, err)
-		}
+	err = protocol.Do(context.Background(), c, "FZJ", protocol.OpList, protocol.ListRequest{}, &protocol.ListReply{})
+	if err == nil {
+		t.Fatal("stream call succeeded with the inner server down")
+	}
+	if !strings.Contains(err.Error(), "relay") {
+		t.Fatalf("err = %v, want a relay failure", err)
 	}
 }

@@ -1,12 +1,10 @@
 // Protocol v3 stream serving: the gateway's half of the persistent
-// multiplexed frame transport. The HTTP upgrade at /unicore/v3 hands the raw
-// connection to protocol.ServeStreamConn; the typed frame handlers below run
-// the rows of the operation table (ops.go) that the signed-envelope door
-// runs, so authorisation, federation relaying, and error texts are identical
-// on both paths. Stream traffic is observable through dedicated telemetry
-// counters (gateway_stream_*) and deliberately never counts into
-// gateway_requests_total — that counter remains a census of signed
-// envelopes.
+// multiplexed frame transport, the one door every op comes in by. The HTTP
+// upgrade at /unicore/v3 hands the raw connection to
+// protocol.ServeStreamConn; the typed frame handlers below run the rows of
+// the operation table (ops.go). Stream traffic is observable through
+// dedicated telemetry counters (gateway_stream_*) and never counts into
+// gateway_requests_total, which counts only in-process HandleContext calls.
 package gateway
 
 import (
@@ -63,9 +61,9 @@ func (g *Gateway) ServeStream(ctx context.Context, conn net.Conn) {
 	})
 }
 
-// StreamHello authenticates one Hello envelope: the same verification, role
-// policy and site-specific authentication the envelope path applies per
-// request, performed once and bound to the connection. Revocation is the one
+// StreamHello authenticates one Hello envelope: signature verification, role
+// policy and site-specific authentication, performed once and bound to the
+// connection. Revocation is the one
 // check a stream repeats: ServeStream hands the CA to the stream, which
 // re-asks it about the hello's certificate whenever a revocation happened.
 func (g *Gateway) StreamHello(hello []byte) (protocol.Opened, []byte) {
@@ -150,7 +148,12 @@ func (g *Gateway) StreamTransfer(ctx context.Context, dn core.DN, asServer bool,
 }
 
 // StreamEvents serves one event-batch round of a stream subscription: the
-// same federation routing and long-poll core as an envelope MsgSubscribe.
+// federation routing and long-poll core of opSubscribe.
 func (g *Gateway) StreamEvents(ctx context.Context, dn core.DN, asServer bool, req protocol.SubscribeRequest) (protocol.EventsReply, error) {
 	return opSubscribe.serve(g, ctx, caller{dn, asServer}, req)
+}
+
+// StreamAdvertise serves one gossip exchange from a peer gateway's stream.
+func (g *Gateway) StreamAdvertise(ctx context.Context, dn core.DN, asServer bool, req protocol.FedAdvertiseRequest) (protocol.FedAdvertiseReply, error) {
+	return opAdvertise.serve(g, ctx, caller{dn, asServer}, req)
 }

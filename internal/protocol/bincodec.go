@@ -11,9 +11,9 @@ import (
 	"unicore/internal/telemetry"
 )
 
-// Compact binary codec for every client op. JSON stays the payload format of
-// every signed envelope, but the frames of a v3 stream carry uvarint
-// encodings instead: no field names, no base64 expansion of chunk data, no
+// Compact binary codec for every stream op. JSON stays the payload format of
+// the signed hello, but the frames of a v3 stream carry uvarint encodings
+// instead: no field names, no base64 expansion of chunk data, no
 // reflection. Each message is described once, by a walk that names its fields
 // in wire order; package bin runs the walk as the encoder (appending to a
 // possibly pooled buffer) and as the decoder (one error check at the end).
@@ -33,6 +33,7 @@ const (
 	binPutOpen
 	binPutCommit
 	binMetrics
+	binAdvertise
 )
 
 // errNoWalk reports a message type walkMsg has no case for: a row added to
@@ -128,9 +129,7 @@ func walkMsg(c *bin.Codec, m any) error {
 	case *ResourcesRequest:
 		c.Str((*string)(&m.Vsite))
 	case *ResourcesReply:
-		for i := range bin.Slice(c, &m.PagesDER) {
-			c.Blob(&m.PagesDER[i])
-		}
+		walkPages(c, &m.PagesDER)
 	case *AppletRequest:
 		c.Str(&m.Name)
 	case *AppletReply:
@@ -164,6 +163,11 @@ func walkMsg(c *bin.Codec, m any) error {
 		c.Bool(&m.Spans)
 	case *MetricsReply:
 		return walkSnapshots(c, m)
+	case *FedAdvertiseRequest:
+		c.Str((*string)(&m.From))
+		walkAds(c, &m.Ads)
+	case *FedAdvertiseReply:
+		walkAds(c, &m.Ads)
 
 	// Staged-upload chunks (FramePut / FramePutAck). Data stays a view: the
 	// frame was read for this chunk alone and the spool writes it straight out.
@@ -234,6 +238,28 @@ func walkOrigins(c *bin.Codec, m *map[string]uint64) {
 			c.Uvarint(&v)
 			(*m)[k] = v
 		}
+	}
+}
+
+// walkPages walks a list of DER resource pages (§5.4), each one opaque here.
+func walkPages(c *bin.Codec, pages *[][]byte) {
+	for i := range bin.Slice(c, pages) {
+		c.Blob(&(*pages)[i])
+	}
+}
+
+func walkAds(c *bin.Codec, ads *[]FedAd) {
+	for i := range bin.Slice(c, ads) {
+		ad := &(*ads)[i]
+		c.Str((*string)(&ad.Origin))
+		c.Str(&ad.URL)
+		c.Uvarint(&ad.Epoch)
+		c.Time(&ad.Stamp)
+		c.Int(&ad.Hops)
+		walkPages(c, &ad.PagesDER)
+		walkLoads(c, &ad.Loads)
+		c.Int(&ad.Jobs)
+		c.Float64(&ad.Charge)
 	}
 }
 

@@ -95,6 +95,9 @@ func TestSmallestElementsFitTheBudget(t *testing.T) {
 				return mustEncode(m)
 			},
 			func(p []byte) error { var m ListReply; return decode(p, &m) }},
+		{"advertisement", 16, // eight empty fields and the charge's eight bytes
+			func(n int) []byte { return mustEncode(FedAdvertiseReply{Ads: make([]FedAd, n)}) },
+			func(p []byte) error { var m FedAdvertiseReply; return decode(p, &m) }},
 	} {
 		if size := len(c.encode(n+1)) - len(c.encode(n)); size != c.size {
 			t.Errorf("the smallest %s is %d bytes, want %d", c.element, size, c.size)

@@ -51,11 +51,10 @@ func (r *Registry) Sites() []core.Usite {
 	return out
 }
 
-// Client is the RPC client used by the user tier (JPA/Session) and by
-// NJS→peer-gateway communication. Every op of the operation table that has a
-// frame form — all but federation gossip — runs through Do on one persistent
-// multiplexed frame stream per site, authenticated once by its signed hello;
-// gossip travels through Call as one signed envelope per POST. A server's
+// Client is the RPC client used by the user tier (JPA/Session), by
+// NJS→peer-gateway communication and by gateway-to-gateway federation. Every
+// op of the operation table runs through Do on one persistent multiplexed
+// frame stream per site, authenticated once by its signed hello. A server's
 // client keeps one more stream per site for each user it relays calls for
 // (DoFor): the user is named once, in that stream's hello.
 type Client struct {
@@ -121,63 +120,8 @@ func (c *Client) Close() {
 	}
 }
 
-// Call sends one signed envelope to a Usite's gateway and decodes the reply
-// payload into replyOut (a pointer, or nil). It is the door of the one op
-// without a frame form, federation gossip (MsgFedAdvertise): every other op
-// rides the site's stream through Do, and Call refuses it with ErrStreamOp.
-// Server errors arrive as *ErrorReply errors. Cancellation stops the retry
-// loop.
-func (c *Client) Call(ctx context.Context, usite core.Usite, t MsgType, payload any, replyOut any) error {
-	if o := opByRequest[t]; o != nil && o.wire != nil {
-		return fmt.Errorf("%w: %s", ErrStreamOp, t)
-	}
-	base, ok := c.registry.Lookup(usite)
-	if !ok {
-		return fmt.Errorf("%w %q", errUnknownUsite, usite)
-	}
-	// Propagate the caller's distributed trace in the envelope header.
-	body, err := SealTraced(c.cred, telemetry.TraceFrom(ctx), t, payload)
-	if err != nil {
-		return err
-	}
-	var respBody []byte
-	attempts := c.Retries + 1
-	for i := 0; i < attempts; i++ {
-		if err = ctx.Err(); err != nil {
-			return fmt.Errorf("protocol: %s to %s: %w", t, usite, err)
-		}
-		respBody, err = c.tr.Post(ctx, base, body)
-		if err == nil {
-			break
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("protocol: %s to %s failed after %d attempts: %w", t, usite, attempts, err)
-	}
-	rt, raw, err := openReply(c.ca, usite, respBody)
-	if err != nil {
-		return err
-	}
-	// A correctly signed reply of the wrong type would otherwise decode to a
-	// zero value of the expected one (a list-reply read as "job not found").
-	if want, ok := ReplyType(t); ok && rt != want {
-		return fmt.Errorf("protocol: %s to %s answered with a %s, want %s", t, usite, rt, want)
-	}
-	if replyOut == nil {
-		return nil
-	}
-	if err := json.Unmarshal(raw, replyOut); err != nil {
-		return fmt.Errorf("protocol: decoding %s reply: %w", rt, err)
-	}
-	return nil
-}
-
-// ErrStreamOp refuses a Call of an op that has a frame form (run it with Do).
-var ErrStreamOp = errors.New("protocol: a stream op is not sent as an envelope; run it with protocol.Do")
-
-// openReply verifies one server-signed reply envelope — a POST response or
-// a stream hello's answer. A MsgError reply comes back as an *ErrorReply
-// error.
+// openReply verifies the server-signed envelope that answers a stream
+// hello. A MsgError reply comes back as an *ErrorReply error.
 func openReply(ca *pki.Authority, usite core.Usite, data []byte) (MsgType, json.RawMessage, error) {
 	rt, raw, _, role, err := Open(ca, data)
 	if err != nil {

@@ -1,12 +1,13 @@
 // Package protocol implements the UNICORE protocols (paper §5.3): the
 // high-level asynchronous client–server protocol whose requests are AJOs and
 // whose replies are acks, summaries, and outcomes; and the low-level
-// security protocol, here a signed envelope carried over https.
+// security protocol, here a signed hello that authenticates a persistent
+// frame stream carried over https.
 //
 // "JPA/JMC act as client while NJS (resp. the gateway) acts as both client
-// and server depending on the partner" — the same envelope format is used by
-// users talking to a gateway and by an NJS consigning a sub-job to a peer
-// site. "It is an asynchronous protocol ... by minimizing the length of time
+// and server depending on the partner" — the same stream is used by users
+// talking to a gateway, by an NJS consigning a sub-job to a peer site, and
+// by a gateway gossiping with its federation peers. "It is an asynchronous protocol ... by minimizing the length of time
 // that an interaction takes the asynchronous protocol protects against any
 // unreliability of the underlying communication mechanism"; robustness.go
 // quantifies that claim (experiment E6).
@@ -36,14 +37,16 @@ func parseCert(der []byte) (*x509.Certificate, error) {
 	return cert, nil
 }
 
-// Version is the one wire protocol version this build speaks: signed
-// envelopes over POST for every message kind, plus the persistent multiplexed
-// frame stream (see frame.go) that every client op rides — a long-lived
-// authenticated connection in a compact binary codec, staged chunks as raw
-// frames integrity-checked by their CRCs and the whole-file CRC checked at
-// commit, and event batches pushed server-side. An envelope or stream hello at any
-// other version is refused with a server-signed ErrBadVersion error.
+// Version is the one wire protocol version this build speaks: the persistent
+// multiplexed frame stream (see frame.go) that every op rides — a
+// long-lived connection authenticated once by a signed hello envelope, a
+// compact binary codec, staged chunks as raw frames integrity-checked by
+// their CRCs and the whole-file CRC checked at commit, and event batches
+// pushed server-side. A stream hello at any other version is refused with a
+// server-signed ErrBadVersion error.
 //
+// Version 8 gives federation gossip a frame form (OpAdvertise) and retires
+// the POSTed envelope it used to travel as, so a site has one door.
 // Version 7 drops the staging requests' Owner field: a relayed call names
 // the user it acts for once, in its stream's hello (HelloRequest.ActingFor).
 // Version 6 front-codes a list reply's job IDs and names, each row writing
@@ -54,7 +57,7 @@ func parseCert(der []byte) (*x509.Certificate, error) {
 // strings travel as references and instants as the offset from the one
 // before (walkEvents). Any change to a frame body's bytes bumps it;
 // TestFrameBodiesArePinned holds the encodings of this version.
-const Version = 7
+const Version = 8
 
 // Errors reported when opening envelopes.
 var (
@@ -115,9 +118,10 @@ const (
 	// MsgMetricsReply carries the scraped snapshots, one per origin.
 	MsgMetricsReply MsgType = "metrics-reply"
 	// MsgFedAdvertise exchanges federation advertisements between peered
-	// gateways: the sender pushes every fresh advertisement it
-	// holds — its own plus relayed peers' — and the receiver answers with its
-	// view, so one gossip round trip converges both peer tables.
+	// gateways, on the stream between them (OpAdvertise): the sender pushes
+	// every fresh advertisement it holds — its own plus relayed peers' — and
+	// the receiver answers with its view, so one gossip round trip converges
+	// both peer tables.
 	MsgFedAdvertise MsgType = "fed-advertise"
 	// MsgFedAdvertiseReply answers a gossip exchange with the receiver's
 	// advertisement set.

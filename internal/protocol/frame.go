@@ -8,8 +8,8 @@ import (
 	"sync"
 )
 
-// Every client op rides a persistent multiplexed byte stream per (client,
-// site) pair instead of one POST per envelope. The stream carries frames:
+// Every op rides a persistent multiplexed byte stream per (client, site)
+// pair instead of one POST per envelope. The stream carries frames:
 //
 //	u32 BE  length   — covers kind + id + payload, at most MaxFramePayload+9
 //	u8      kind     — frame discriminator (Frame* constants)

@@ -10,13 +10,13 @@ import (
 
 // row is one row of the protocol's operation table: a request type, the reply
 // type that answers it, and how the pair rides the frame stream. Everything
-// this package does per op is derived from the table: the envelope client's
-// reply-type check, and the server session's frame dispatch.
+// this package does per op is derived from the table: the reply type a
+// request is answered with, and the server session's frame dispatch.
 type row struct {
 	request MsgType
 	reply   MsgType
-	// wire is nil for the two ops that exist only as signed envelopes: the
-	// hello that authenticates a stream, and gateway-to-gateway gossip.
+	// wire is nil for the one op that is not a frame body: the signed hello
+	// that authenticates a stream.
 	wire wireRow
 }
 
@@ -44,6 +44,9 @@ var (
 	OpPutCommit = call(MsgPutCommit, binPutCommit, StreamBackend.StreamPutCommit)
 	// The reply's snapshots ride as one JSON document (see walkSnapshots).
 	OpMetrics = call(MsgMetrics, binMetrics, StreamBackend.StreamMetrics)
+	// OpAdvertise is gateway-to-gateway gossip, on the stream a peer's
+	// federation also forwards consigns over.
+	OpAdvertise = call(MsgFedAdvertise, binAdvertise, StreamBackend.StreamAdvertise)
 )
 
 // ops is the operation table, in wire-constant order. A stream op's request
@@ -65,7 +68,7 @@ var ops = []row{
 	framed(OpPutChunk, MsgPutChunkReply),
 	framed(OpPutCommit, MsgPutCommitReply),
 	framed(OpMetrics, MsgMetricsReply),
-	{MsgFedAdvertise, MsgFedAdvertiseReply, nil},
+	framed(OpAdvertise, MsgFedAdvertiseReply),
 	{MsgHello, MsgHelloReply, nil},
 }
 
@@ -80,8 +83,8 @@ func framed[Req, Rep any](o *Op[Req, Rep], reply MsgType) row {
 	return row{o.msg, reply, o}
 }
 
-// opByRequest and opByFrame index the table: by request type for the
-// envelope client, by request frame kind and code for the server session.
+// opByRequest and opByFrame index the table: by request type for ReplyType,
+// by request frame kind and code for the server session.
 var (
 	opByRequest = make(map[MsgType]*row, len(ops))
 	opByFrame   = make(map[[2]byte]wireRow)
@@ -177,7 +180,7 @@ func (o *Op[Req, Rep]) decodeReply(f Frame, rep *Rep) error {
 }
 
 // serveFrame answers backend errors as generic stream errors — the client
-// surfaces them as *ErrorReply exactly like a sealed error envelope would. A
+// surfaces them as *ErrorReply. A
 // decoded request aliases body only if it is a data frame's (a chunk's Data):
 // readPayload allocated that body for this frame alone, so the backend owns
 // it from here. Any other body is a receive-pool buffer the worker reuses

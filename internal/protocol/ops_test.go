@@ -19,99 +19,34 @@ import (
 	"unicore/internal/telemetry"
 )
 
-// wrongTypeTransport answers every POST with a correctly server-signed reply
-// of one fixed type, whatever was asked.
-type wrongTypeTransport struct {
-	rig     *testRig
-	rt      MsgType
-	payload any
+// streamless is a transport that reaches no stream: what a peer that
+// answers the upgrade with anything but 101 looks like.
+type streamless struct{ dials *int }
+
+func (streamless) Post(context.Context, string, []byte) ([]byte, error) {
+	return nil, errors.ErrUnsupported
 }
 
-func (w wrongTypeTransport) Post(context.Context, string, []byte) ([]byte, error) {
-	return Seal(w.rig.server, w.rt, w.payload)
-}
-
-func (wrongTypeTransport) OpenStream(context.Context, string) (net.Conn, error) {
+func (s streamless) OpenStream(context.Context, string) (net.Conn, error) {
+	*s.dials++
 	return nil, ErrNoStream
 }
 
-// TestEnvelopeClientChecksReplyType: a server-signed list-reply answering the
-// one op that travels as an envelope must be an error, not a zero reply read
-// as "no advertisements". The op's own reply type and a signed error reply
-// still get through.
-func TestEnvelopeClientChecksReplyType(t *testing.T) {
+// TestStreamlessPeerIsRefusedByName: every op rides the stream, so a
+// transport without one is an error by name, not a second protocol, and is
+// not redialled: there is nothing a retry could reach.
+func TestStreamlessPeerIsRefusedByName(t *testing.T) {
 	r := newRig(t)
-	call := func(rt MsgType, payload any) (FedAdvertiseReply, error) {
-		c := NewClient(wrongTypeTransport{rig: r, rt: rt, payload: payload}, r.user, r.ca, r.reg)
-		var reply FedAdvertiseReply
-		err := c.Call(context.Background(), "FZJ", MsgFedAdvertise, FedAdvertiseRequest{From: "LRZ"}, &reply)
-		return reply, err
-	}
-	if _, err := call(MsgListReply, ListReply{}); err == nil || !strings.Contains(err.Error(), string(MsgListReply)) {
-		t.Fatalf("list-reply answering gossip: err = %v, want a reply-type error", err)
-	}
-	// The check holds when the caller discards the reply, too.
-	c := NewClient(wrongTypeTransport{rig: r, rt: MsgListReply, payload: ListReply{}}, r.user, r.ca, r.reg)
-	if err := c.Call(context.Background(), "FZJ", MsgFedAdvertise, FedAdvertiseRequest{}, nil); err == nil {
-		t.Fatal("list-reply answering gossip with a discarded reply: no error")
-	}
-	if reply, err := call(MsgFedAdvertiseReply, FedAdvertiseReply{Ads: []FedAd{{}}}); err != nil || len(reply.Ads) != 1 {
-		t.Fatalf("fed-advertise-reply answering gossip: %+v, %v", reply, err)
-	}
-	var er *ErrorReply
-	if _, err := call(MsgError, ErrorReply{Code: "fed-advertise", Message: "boom"}); !errors.As(err, &er) || er.Message != "boom" {
-		t.Fatalf("error reply answering gossip: err = %v", err)
-	}
-	// Every other op rides the stream, and a transport without one is an
-	// error by name, not a second protocol.
+	var dials int
+	c := NewClient(streamless{&dials}, r.user, r.ca, r.reg)
 	if err := Do(context.Background(), c, "FZJ", OpPoll, PollRequest{}, nil); !errors.Is(err, ErrNoStream) {
-		t.Fatalf("poll over a POST-only transport: err = %v, want ErrNoStream", err)
+		t.Fatalf("poll over a streamless transport: err = %v, want ErrNoStream", err)
 	}
-}
-
-// countingTransport answers every POST like wrongTypeTransport and counts
-// what the client tried to send, by either path.
-type countingTransport struct {
-	wrongTypeTransport
-	posts, streams int
-}
-
-func (c *countingTransport) Post(ctx context.Context, base string, body []byte) ([]byte, error) {
-	c.posts++
-	return c.wrongTypeTransport.Post(ctx, base, body)
-}
-
-func (c *countingTransport) OpenStream(ctx context.Context, base string) (net.Conn, error) {
-	c.streams++
-	return c.wrongTypeTransport.OpenStream(ctx, base)
-}
-
-// TestCallIsTheEnvelopeDoorOnly: Call refuses every op that has a frame form
-// with ErrStreamOp naming the op, before anything reaches the transport — a
-// stream op runs through Do — and gossip, the op without one, still goes
-// through it as a signed envelope.
-func TestCallIsTheEnvelopeDoorOnly(t *testing.T) {
-	r := newRig(t)
-	tr := &countingTransport{wrongTypeTransport: wrongTypeTransport{rig: r, rt: MsgFedAdvertiseReply, payload: FedAdvertiseReply{Ads: []FedAd{{}}}}}
-	c := NewClient(tr, r.user, r.ca, r.reg)
-	for _, o := range ops {
-		if o.wire == nil {
-			continue
-		}
-		err := c.Call(context.Background(), "FZJ", o.request, nil, nil)
-		if !errors.Is(err, ErrStreamOp) || !strings.Contains(err.Error(), string(o.request)) {
-			t.Errorf("Call(%s): err = %v, want ErrStreamOp naming the op", o.request, err)
-		}
+	if err := Do(context.Background(), c, "FZJ", OpAdvertise, FedAdvertiseRequest{From: "LRZ"}, nil); !errors.Is(err, ErrNoStream) {
+		t.Fatalf("gossip over a streamless transport: err = %v, want ErrNoStream", err)
 	}
-	if tr.posts != 0 || tr.streams != 0 {
-		t.Fatalf("refused calls reached the transport: %d posts, %d stream dials", tr.posts, tr.streams)
-	}
-	var reply FedAdvertiseReply
-	if err := c.Call(context.Background(), "FZJ", MsgFedAdvertise, FedAdvertiseRequest{From: "LRZ"}, &reply); err != nil || len(reply.Ads) != 1 {
-		t.Fatalf("gossip through Call: %+v, %v", reply, err)
-	}
-	if tr.posts != 1 || tr.streams != 0 {
-		t.Errorf("gossip: %d posts, %d stream dials; want one signed envelope", tr.posts, tr.streams)
+	if dials != 2 {
+		t.Errorf("two calls dialled %d times, want one each", dials)
 	}
 }
 
@@ -174,6 +109,10 @@ func (o *Op[Req, Rep]) fuzzCodecs(t *testing.T, msg MsgType, p []byte) {
 // corpus.
 func codecSamples() (reqs, reps []any) {
 	now := time.Unix(0, 1234567890123456789).UTC()
+	ad := FedAd{Origin: "FZJ", URL: "https://gw.fzj", Epoch: 42, Stamp: now, Hops: 2,
+		PagesDER: [][]byte{{0x30, 0x03, 1, 2, 3}},
+		Loads:    map[string]VsiteLoad{"T3E": {Load: 0.75, Pending: 2, Inflight: 1, Replicas: 3, Healthy: 2}},
+		Jobs:     17, Charge: 1234.5}
 	reqs = []any{
 		ConsignRequest{ConsignID: "c-1", AJO: []byte(`{"job":1}`)},
 		PollRequest{Job: "FZJ-000002"},
@@ -190,6 +129,7 @@ func codecSamples() (reqs, reps []any) {
 		PutOpenRequest{Vsite: "T3E", Name: "in.dat", Size: 16 << 20, ChunkSize: 1 << 20, Window: 8},
 		PutCommitRequest{Handle: "h-1", CRC: 0xFEEDFACE},
 		MetricsRequest{PerReplica: true, Spans: true},
+		FedAdvertiseRequest{From: "LRZ", Ads: []FedAd{ad}},
 	}
 	reps = []any{
 		ConsignReply{Job: "FZJ-000001", Accepted: true, Reason: "ok"},
@@ -213,6 +153,7 @@ func codecSamples() (reqs, reps []any) {
 		PutCommitReply{Size: 16 << 20, CRC: 0xFEEDFACE, Chunks: 16},
 		MetricsReply{Snapshots: []telemetry.Snapshot{{Origin: "usite/FZJ", Taken: now,
 			Metrics: []telemetry.MetricPoint{{Name: "consign_total", Kind: telemetry.KindCounter, Value: 4}}}}},
+		FedAdvertiseReply{Ads: []FedAd{ad, {Origin: "DWD", URL: "https://gw.dwd", Epoch: 1, Stamp: now}}},
 	}
 	return reqs, reps
 }
@@ -401,8 +342,8 @@ func TestWireTableIsConsistent(t *testing.T) {
 	framed := 0
 	for _, o := range ops {
 		if o.wire == nil {
-			// Only what no client sends over a stream may lack a frame form.
-			if o.request != MsgFedAdvertise && o.request != MsgHello {
+			// Only the hello, which opens the stream, may lack a frame form.
+			if o.request != MsgHello {
 				t.Errorf("%s has no frame form: a client would need a second connection for it", o.request)
 			}
 			continue

@@ -55,8 +55,6 @@ type echoServer struct {
 
 func (r *testRig) echoServer() *echoServer { return &echoServer{rig: r, cred: r.server} }
 
-func (*echoServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { http.NotFound(w, r) }
-
 func (e *echoServer) ServeStream(ctx context.Context, conn net.Conn) {
 	ServeStreamConn(ctx, conn, e, StreamServerOpts{Cred: e.cred, Usite: "FZJ"})
 }
@@ -150,23 +148,29 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// streamFunc serves a stream with a plain function.
+type streamFunc func(net.Conn)
+
+func (f streamFunc) ServeStream(_ context.Context, conn net.Conn) { f(conn) }
+
+// TestInProcRouting: a stream dialled at a host reaches the server
+// registered under that host, and a host nobody registered is no route.
 func TestInProcRouting(t *testing.T) {
 	p := NewInProc()
-	p.Register("a.example", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		_, _ = w.Write([]byte("from-a"))
+	p.Register("a.example", streamFunc(func(conn net.Conn) {
+		defer conn.Close()
+		_, _ = conn.Write([]byte("from-a"))
 	}))
-	req, _ := http.NewRequest("GET", "http://a.example/x", nil)
-	resp, err := p.RoundTrip(req)
+	conn, err := p.OpenStream(context.Background(), "http://a.example")
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _ := io.ReadAll(resp.Body)
+	data, _ := io.ReadAll(conn)
 	if string(data) != "from-a" {
-		t.Fatalf("body = %q", data)
+		t.Fatalf("stream read %q", data)
 	}
-	req2, _ := http.NewRequest("GET", "http://ghost.example/x", nil)
-	if _, err := p.RoundTrip(req2); err == nil {
-		t.Fatal("no-route request succeeded")
+	if _, err := p.OpenStream(context.Background(), "http://ghost.example"); err == nil {
+		t.Fatal("a stream to an unregistered host was dialled")
 	}
 }
 

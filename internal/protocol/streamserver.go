@@ -20,8 +20,7 @@ import (
 // Server-side half of the v3 frame protocol. ServeStreamConn owns the
 // framing, the Hello authentication handshake, correlation-ID bookkeeping,
 // and the push-subscription loops; the typed request handling stays with the
-// StreamBackend (the gateway), which shares its implementation with the
-// signed-envelope dispatch path. SpliceStream is the firewall front's share.
+// StreamBackend (the gateway). SpliceStream is the firewall front's share.
 // Compare streamConn/openStream in mux.go for the client half.
 
 // defaultStreamConcurrency bounds how many request frames one stream serves
@@ -39,16 +38,15 @@ const maxStreamSubs = 256
 const defaultPushWaitMs = 30_000
 
 // StreamBackend is the typed server behind a v3 stream — implemented by the
-// gateway, shared with its envelope dispatch. Identity (dn, asServer) is the
+// gateway. Identity (dn, asServer) is the
 // stream's: it was verified once at Hello and binds every frame after, for as
 // long as StreamServerOpts.CA has not revoked it. A stream whose server hello
 // acts for a user (HelloRequest.ActingFor) is that user's: dn names the user
 // and asServer is false.
 type StreamBackend interface {
 	// StreamHello authenticates the Hello envelope before the handshake
-	// completes — signature, role policy, site-specific auth, exactly as for
-	// a POSTed envelope. A non-nil refusal is the sealed MsgError envelope
-	// that refuses the stream.
+	// completes — signature, role policy, site-specific auth. A non-nil
+	// refusal is the sealed MsgError envelope that refuses the stream.
 	StreamHello(hello []byte) (o Opened, refusal []byte)
 	StreamConsign(ctx context.Context, dn core.DN, asServer bool, req ConsignRequest) (ConsignReply, error)
 	StreamPoll(ctx context.Context, dn core.DN, asServer bool, req PollRequest) (PollReply, error)
@@ -62,6 +60,7 @@ type StreamBackend interface {
 	StreamPutChunk(ctx context.Context, dn core.DN, asServer bool, req PutChunkRequest) (PutChunkReply, error)
 	StreamPutCommit(ctx context.Context, dn core.DN, asServer bool, req PutCommitRequest) (PutCommitReply, error)
 	StreamMetrics(ctx context.Context, dn core.DN, asServer bool, req MetricsRequest) (MetricsReply, error)
+	StreamAdvertise(ctx context.Context, dn core.DN, asServer bool, req FedAdvertiseRequest) (FedAdvertiseReply, error)
 	StreamFetch(ctx context.Context, dn core.DN, asServer bool, req FetchRequest) (TransferReply, error)
 	StreamTransfer(ctx context.Context, dn core.DN, asServer bool, req TransferRequest) (TransferReply, error)
 	// StreamEvents serves one cursor-resumable event batch (one long-poll
@@ -82,8 +81,7 @@ type StreamServerOpts struct {
 	// refused (the stream equivalent of posting to the wrong gateway).
 	Usite core.Usite
 	// OnFrame, when set, observes every inbound post-handshake frame kind —
-	// the telemetry hook. Stream frames are deliberately not envelope
-	// requests and never count into gateway_requests_total.
+	// the telemetry hook.
 	OnFrame func(kind byte)
 	// CA, when set, is asked again about the hello's certificate whenever its
 	// revocation epoch has moved: a stream whose certificate it has revoked
@@ -250,8 +248,8 @@ func (s *streamSession) refuseRevoked(id uint64) {
 	s.writeErr(id, StreamErrGeneric, fmt.Sprintf("%v: serial %s", pki.ErrRevoked, s.cert.SerialNumber))
 }
 
-// refuseHello answers a refused hello like a refused POST: with a
-// server-signed MsgError envelope, carried as the message of a FrameError.
+// refuseHello answers a refused hello with a server-signed MsgError
+// envelope, carried as the message of a FrameError.
 func refuseHello(conn net.Conn, id uint64, envelope []byte) {
 	writeFrame(conn, FrameError, id, appendStreamError(nil, StreamErrGeneric, string(envelope)))
 }

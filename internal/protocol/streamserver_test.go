@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"sync"
@@ -226,8 +225,6 @@ type identityBackend struct {
 	cred          *pki.Credential
 	hellos        sync.Map // signer and acting-for of every accepted hello
 }
-
-func (*identityBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) { http.NotFound(w, r) }
 
 func (b *identityBackend) ServeStream(ctx context.Context, conn net.Conn) {
 	ServeStreamConn(ctx, conn, b, StreamServerOpts{Cred: b.cred, Usite: "FZJ"})

@@ -2,27 +2,20 @@ package protocol
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"crypto/tls"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// Endpoint is the single https endpoint of a UNICORE site; envelopes go in
-// and come out of POST bodies.
-const Endpoint = "/unicore"
 
 // StreamEndpoint is the protocol v3 upgrade endpoint: a GET with
 // `Upgrade: unicore-v3` hijacks the connection into a persistent multiplexed
@@ -37,80 +30,60 @@ const StreamUpgradeProto = "unicore-v3"
 // call's error: there is no second protocol to fall back to.
 var ErrNoStream = errors.New("protocol: transport does not support v3 streams")
 
-// Transport moves bytes between a client and a site gateway. OpenStream dials
-// the site's persistent v3 frame stream, which carries every client op; Post
-// carries one signed envelope — gateway-to-gateway gossip, and what a
-// firewall front relays of it.
+// Transport moves bytes between a client and a site gateway: OpenStream
+// dials the site's persistent v3 frame stream, which carries every op.
 type Transport interface {
+	// Post is what is left of the retired envelope door. Every
+	// implementation refuses it with errors.ErrUnsupported; it stays in the
+	// interface only because the frozen benchmark harness (bench/trace.go)
+	// forwards it, and goes with that harness's next change (ROADMAP item 1).
 	Post(ctx context.Context, baseURL string, body []byte) ([]byte, error)
 	OpenStream(ctx context.Context, baseURL string) (net.Conn, error)
 }
 
 // StreamServer is implemented by handlers that can serve a v3 frame stream
 // (the Gateway, the firewall-split Front). In-process transports hand it one
-// end of a net.Pipe; a registered handler that lacks it has no stream path,
-// and its callers get ErrNoStream.
+// end of a net.Pipe.
 type StreamServer interface {
 	ServeStream(ctx context.Context, conn net.Conn)
 }
 
-// InProc is an in-process network: it dispatches envelope POSTs directly to
-// registered handlers and v3 streams over net.Pipe, keyed by host name. It
-// lets a whole multi-Usite deployment run inside one process and one virtual
-// clock, with the same handler code that serves real TLS sockets.
+// InProc is an in-process network: it serves v3 streams over net.Pipe,
+// keyed by host name. It lets a whole multi-Usite deployment run inside one
+// process and one virtual clock, with the same handler code that serves real
+// TLS sockets.
 type InProc struct {
 	mu    sync.RWMutex
-	hosts map[string]http.Handler
+	hosts map[string]StreamServer
 }
 
 // NewInProc returns an empty in-process network.
 func NewInProc() *InProc {
-	return &InProc{hosts: make(map[string]http.Handler)}
+	return &InProc{hosts: make(map[string]StreamServer)}
 }
 
-// Register binds a host name (e.g. "gw.fzj.unicore") to a handler. A handler
-// that also implements StreamServer is reachable over OpenStream.
-func (p *InProc) Register(host string, h http.Handler) {
+// Register binds a host name (e.g. "gw.fzj.unicore") to a stream server.
+func (p *InProc) Register(host string, s StreamServer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.hosts[host] = h
+	p.hosts[host] = s
 }
 
-func (p *InProc) lookup(host string) (http.Handler, bool) {
-	p.mu.RLock()
-	h, ok := p.hosts[host]
-	p.mu.RUnlock()
-	return h, ok
+// Post implements Transport: it refuses, and goes with Transport.Post
+// (ROADMAP item 1).
+func (p *InProc) Post(context.Context, string, []byte) ([]byte, error) {
+	return nil, errors.ErrUnsupported
 }
 
-// RoundTrip implements http.RoundTripper.
-func (p *InProc) RoundTrip(req *http.Request) (*http.Response, error) {
-	h, ok := p.lookup(req.URL.Host)
-	if !ok {
-		return nil, fmt.Errorf("inproc: no route to host %q", req.URL.Host)
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	resp := rec.Result()
-	resp.Request = req
-	return resp, nil
-}
-
-// Post implements Transport.
-func (p *InProc) Post(ctx context.Context, baseURL string, body []byte) ([]byte, error) {
-	return post(ctx, p, baseURL, body)
-}
-
-// OpenStream implements Transport: when the registered handler is a
-// StreamServer, both stream ends are halves of a net.Pipe.
+// OpenStream implements Transport: both stream ends are halves of a
+// net.Pipe.
 func (p *InProc) OpenStream(ctx context.Context, baseURL string) (net.Conn, error) {
-	h, ok := p.lookup(hostOfURL(baseURL))
+	host := hostOfURL(baseURL)
+	p.mu.RLock()
+	s, ok := p.hosts[host]
+	p.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("inproc: no route to host %q", hostOfURL(baseURL))
-	}
-	s, ok := h.(StreamServer)
-	if !ok {
-		return nil, ErrNoStream
+		return nil, fmt.Errorf("inproc: no route to host %q", host)
 	}
 	client, server := net.Pipe()
 	// The stream outlives the dial call; only the conn's own lifetime bounds
@@ -127,10 +100,9 @@ func hostOfURL(baseURL string) string {
 	return strings.TrimPrefix(strings.TrimPrefix(baseURL, "https://"), "http://")
 }
 
-// HTTPTransport is the real-network Transport: envelopes ride HTTPS POSTs
-// through HTTP (an *http.Transport carrying the mutual-TLS config), and v3
-// streams are dialed with the same TLS config and switched off HTTP with an
-// Upgrade handshake against StreamEndpoint.
+// HTTPTransport is the real-network Transport: v3 streams are dialed with
+// the TLS config of HTTP (an *http.Transport carrying the mutual-TLS config)
+// and switched off HTTP with an Upgrade handshake against StreamEndpoint.
 type HTTPTransport struct {
 	HTTP *http.Transport
 	// DialTimeout bounds the TCP+TLS+Upgrade handshake (default 10s).
@@ -141,7 +113,7 @@ type HTTPTransport struct {
 // gateway) or plain (the NJS behind a firewall front). A peer that connects
 // and sends nothing — no TLS handshake, no request — is closed after
 // handshakeTimeout, as a stream whose hello never comes is, and a keep-alive
-// connection idle between envelopes after a few of them. Neither bounds what
+// connection idle between requests after a few of them. Neither bounds what
 // follows the request headers: an upgraded stream keeps its connection until
 // it ends.
 func NewHTTPServer(h http.Handler) *http.Server { return httpServer(h, handshakeTimeout) }
@@ -154,9 +126,10 @@ func httpServer(h http.Handler, handshake time.Duration) *http.Server {
 // pki.ClientTLS) as a full Transport.
 func NewHTTPTransport(h *http.Transport) *HTTPTransport { return &HTTPTransport{HTTP: h} }
 
-// Post implements Transport.
-func (t *HTTPTransport) Post(ctx context.Context, baseURL string, body []byte) ([]byte, error) {
-	return post(ctx, t.HTTP, baseURL, body)
+// Post implements Transport: it refuses, and goes with Transport.Post
+// (ROADMAP item 1).
+func (t *HTTPTransport) Post(context.Context, string, []byte) ([]byte, error) {
+	return nil, errors.ErrUnsupported
 }
 
 // OpenStream implements Transport: dial TLS, send the Upgrade handshake,
@@ -412,38 +385,4 @@ func (f *Flaky) OpenStream(ctx context.Context, baseURL string) (net.Conn, error
 		return nil, err
 	}
 	return f.faults.Wrap(conn), nil
-}
-
-// post sends an envelope to a site URL over an http.RoundTripper and returns
-// the reply envelope bytes. The context rides on the request, so handlers
-// that wait server-side (the MsgSubscribe long-poll) observe cancellation.
-func post(ctx context.Context, rt http.RoundTripper, baseURL string, body []byte) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+Endpoint, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	// Every envelope op is idempotent; the empty key (never sent) lets
-	// net/http redial when a pooled connection turns out to be dead.
-	req.Header["Idempotency-Key"] = nil
-	resp, err := rt.RoundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("protocol: HTTP %d: %s", resp.StatusCode, truncate(data, 200))
-	}
-	return data, nil
-}
-
-func truncate(b []byte, n int) string {
-	if len(b) <= n {
-		return string(b)
-	}
-	return string(b[:n]) + "..."
 }

@@ -391,22 +391,125 @@ func TestFederatedConsignSurvivesPeerGatewayRestart(t *testing.T) {
 			t.Fatalf("event %d has seq %d — stream not contiguous", i, e.Seq)
 		}
 	}
-	onlyGossipIsPosted(t, d, "DWD")
+	nothingIsPosted(t, d, "DWD")
 }
 
-// onlyGossipIsPosted requires that every hop a site served rode the frame
-// stream through its gate: the only envelopes its gateway counted are gossip.
-func onlyGossipIsPosted(t *testing.T, d *testbed.Deployment, u core.Usite) {
+// nothingIsPosted requires that every hop a site served, gossip included,
+// rode the frame stream through its gate: its gateway counted no envelopes.
+func nothingIsPosted(t *testing.T, d *testbed.Deployment, u core.Usite) {
 	t.Helper()
-	gw := d.Sites[u].Gateway
-	for _, p := range gw.Telemetry().Snapshot().Metrics {
-		if typ := p.Labels["type"]; p.Name == "gateway_requests_total" && typ != string(protocol.MsgFedAdvertise) && p.Value != 0 {
-			t.Errorf("%s served %v %s envelopes; every forwarded hop rides the stream", u, p.Value, typ)
-		}
+	snap := d.Sites[u].Gateway.Telemetry().Snapshot()
+	if n := snap.Total("gateway_requests_total"); n != 0 {
+		t.Errorf("%s served %v envelopes; every hop rides the stream", u, n)
 	}
-	if gw.Telemetry().Snapshot().Total("gateway_stream_frames_total") == 0 {
+	if snap.Total("gateway_stream_frames_total") == 0 {
 		t.Errorf("%s served no stream frames", u)
 	}
+}
+
+// TestGossipRidesOneStreamPerPeer: a gateway gossips on the stream it keeps
+// to each peer, so three rounds between two gateways cost each one hello
+// verify, not one envelope verify per round, and no envelope at all.
+func TestGossipRidesOneStreamPerPeer(t *testing.T) {
+	d, err := testbed.New(testbed.GermanSpecs()[:2]...)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(d.Close)
+	usites := d.Usites()
+	mesh, err := testbedtest.EnableFederation(d)
+	if err != nil {
+		t.Fatalf("EnableFederation: %v", err)
+	}
+	verifies := func(u core.Usite) float64 {
+		return d.Sites[u].Gateway.Telemetry().Snapshot().Total("pki_verify_total")
+	}
+	before := map[core.Usite]float64{}
+	for _, u := range usites {
+		before[u] = verifies(u)
+	}
+	for range 3 {
+		mesh.GossipAll()
+	}
+	for _, u := range usites {
+		if got := verifies(u) - before[u]; got != 1 {
+			t.Errorf("three gossip rounds cost %s %v signature verifies, want 1: the peer's stream hello", u, got)
+		}
+		nothingIsPosted(t, d, u)
+		for _, p := range usites {
+			if p != u {
+				if _, err := mesh.Federation(u).VsiteHost(d.Sites[p].Spec.Vsites[0].Name); err != nil {
+					t.Errorf("%s holds no fresh ad of %s: %v", u, p, err)
+				}
+			}
+		}
+	}
+}
+
+// TestSplitSiteFederates: a §5.2 split site is a federation peer like any
+// other, its peers reaching its inner gateway through its front. A split FZJ
+// and a plain DWD gossip both ways, and a job only FZJ's cluster can run,
+// consigned at DWD, is placed at FZJ, runs there, and is followed to
+// completion through DWD.
+func TestSplitSiteFederates(t *testing.T) {
+	d, err := testbed.New(
+		testbed.SiteSpec{Usite: "FZJ", Split: true, Vsites: []njs.VsiteConfig{{Name: "BIG", Profile: machine.GenericCluster(32)}}},
+		testbed.SiteSpec{Usite: "DWD", Vsites: []njs.VsiteConfig{{Name: "SMALL", Profile: machine.GenericCluster(2)}}},
+	)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(d.Close)
+	if d.Sites["FZJ"].Front == nil {
+		t.Fatal("FZJ is not split")
+	}
+	mesh, err := testbedtest.EnableFederation(d)
+	if err != nil {
+		t.Fatalf("EnableFederation: %v", err)
+	}
+	mesh.GossipAll()
+	mesh.GossipAll()
+	if host, err := mesh.Federation("DWD").VsiteHost("BIG"); err != nil || host != "FZJ" {
+		t.Fatalf("DWD's view of BIG: %q, %v; want FZJ's ad, gossiped through its front", host, err)
+	}
+	if host, err := mesh.Federation("FZJ").VsiteHost("SMALL"); err != nil || host != "DWD" {
+		t.Fatalf("FZJ's view of SMALL: %q, %v; want DWD's ad", host, err)
+	}
+
+	user, err := d.NewUser("Split Fed User", "Grid", "splitfed")
+	if err != nil {
+		t.Fatalf("NewUser: %v", err)
+	}
+	b := client.NewJob("placed-behind-the-firewall", core.Target{Usite: "DWD"})
+	b.Script("main", "write out.dat 512\necho ran behind the firewall\n",
+		resources.Request{Processors: 8, RunTime: 30 * time.Minute})
+	job, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	sess := d.Session(user, "DWD")
+	id, err := sess.Submit(context.Background(), job)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if !strings.HasPrefix(string(id), "FZJ-") {
+		t.Fatalf("job ID %s: auto placement did not forward to FZJ", id)
+	}
+	d.Run(1_000_000)
+	sum, err := sess.Status(context.Background(), id)
+	if err != nil {
+		t.Fatalf("Status via DWD: %v", err)
+	}
+	if sum.Status != ajo.StatusSuccessful {
+		t.Fatalf("status = %s, want SUCCESSFUL", sum.Status)
+	}
+	if _, err := sess.Outcome(context.Background(), id); err != nil {
+		t.Fatalf("Outcome via DWD: %v", err)
+	}
+	if recs := d.SiteAccounting("FZJ"); len(recs) == 0 {
+		t.Fatal("no accounting at FZJ after a forwarded job ran there")
+	}
+	nothingIsPosted(t, d, "FZJ")
 }
 
 // TestDagSpansGateways runs a DAG whose parent is auto-placed behind the
@@ -534,5 +637,5 @@ func TestFederationSoakPeerKilledMidWorkload(t *testing.T) {
 	if len(jobs) != len(accepted) {
 		t.Fatalf("DWD holds %d jobs, want %d", len(jobs), len(accepted))
 	}
-	onlyGossipIsPosted(t, d, "DWD")
+	nothingIsPosted(t, d, "DWD")
 }

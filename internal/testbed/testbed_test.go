@@ -2,8 +2,8 @@ package testbed_test
 
 import (
 	"context"
-	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -406,17 +406,18 @@ func TestSplitSiteServesTheWebPage(t *testing.T) {
 			t.Fatalf("New: %v", err)
 		}
 		defer d.Close()
-		base, _ := d.Registry.Lookup(specs[0].Usite)
-		req, _ := http.NewRequest(http.MethodGet, base+"/", nil)
-		resp, err := d.Net.RoundTrip(req)
-		if err != nil {
-			t.Fatalf("GET /: %v", err)
+		// The site's https handler: its front when split, else its gateway.
+		site := d.Sites[specs[0].Usite]
+		var door http.Handler = site.Gateway
+		if site.Front != nil {
+			door = site.Front
 		}
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET / (split=%v) = %d: %s", split, resp.StatusCode, body)
+		rec := httptest.NewRecorder()
+		door.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET / (split=%v) = %d: %s", split, rec.Code, rec.Body)
 		}
-		return string(body)
+		return rec.Body.String()
 	}
 	split, combined := page(true), page(false)
 	if split != combined {

@@ -9,8 +9,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 
@@ -18,7 +16,6 @@ import (
 	"unicore/internal/core"
 	"unicore/internal/deploy"
 	"unicore/internal/federation"
-	"unicore/internal/gateway"
 	"unicore/internal/journal"
 	"unicore/internal/njs"
 	"unicore/internal/pki"
@@ -130,7 +127,8 @@ type Mesh struct {
 
 // EnableFederation peers the named sites' gateways (every site when none are
 // named) into a full mesh. Each gateway gets a federation membership
-// speaking under a server credential of its site. No gossip timer is armed —
+// speaking under a server credential of its site; a split site's is its
+// inner gateway's, which its peers reach through its front. No gossip timer is armed —
 // drive rounds with GossipAll so tests stay deterministic under the virtual
 // clock.
 func EnableFederation(d *testbed.Deployment, usites ...core.Usite) (*Mesh, error) {
@@ -143,9 +141,6 @@ func EnableFederation(d *testbed.Deployment, usites ...core.Usite) (*Mesh, error
 		if !ok {
 			return nil, fmt.Errorf("testbedtest: unknown usite %q", u)
 		}
-		if site.Front != nil {
-			return nil, fmt.Errorf("testbedtest: federation on split site %s is not supported", u)
-		}
 		if _, dup := m.gates[u]; dup {
 			continue
 		}
@@ -153,7 +148,12 @@ func EnableFederation(d *testbed.Deployment, usites ...core.Usite) (*Mesh, error
 		if err != nil {
 			return nil, err
 		}
-		g := newGate(site.Gateway)
+		// A split site's peers reach it as its users do: through its front.
+		var door protocol.StreamServer = site.Gateway
+		if site.Front != nil {
+			door = site.Front
+		}
+		g := newGate(door)
 		m.gates[u] = g
 		d.Net.Register(h, g)
 	}
@@ -246,27 +246,26 @@ func (m *Mesh) BlackholeGateway(u core.Usite) error { return m.setMode(u, gateBl
 // Gateway failure modes of the gate wrapper.
 const (
 	gateAlive = iota
-	// gateDead refuses every stream and request before the gateway sees it
-	// and severs the live streams — a crashed gateway process. Clients
-	// observe a transport failure and retry.
+	// gateDead refuses every stream before the gateway sees it and severs the
+	// live streams — a crashed gateway process. Clients observe a transport
+	// failure and retry.
 	gateDead
 	// gateBlackhole hands requests to the gateway (state changes happen) but
 	// loses the answers: a stream is cut when the reply to a frame is
-	// written, a POST's response is discarded — the reply lost in transit.
+	// written — the reply lost in transit.
 	gateBlackhole
 )
 
-// gate wraps a site's gateway with a switchable failure mode, on both of its
-// doors: the frame streams clients and peers ride (protocol.StreamServer,
-// through the connection-fault wrapper protocol.Flaky uses) and the gossip
-// POST.
+// gate wraps a site's stream door — its gateway, or a split site's front —
+// with a switchable failure mode, through the connection-fault wrapper
+// protocol.Flaky uses.
 type gate struct {
-	inner  *gateway.Gateway
+	inner  protocol.StreamServer
 	mode   atomic.Int32
 	faults protocol.ConnFaults
 }
 
-func newGate(inner *gateway.Gateway) *gate {
+func newGate(inner protocol.StreamServer) *gate {
 	g := &gate{inner: inner}
 	g.faults.Decide = func() protocol.Fault {
 		if g.mode.Load() == gateBlackhole {
@@ -295,17 +294,4 @@ func (g *gate) ServeStream(ctx context.Context, conn net.Conn) {
 		return
 	}
 	g.inner.ServeStream(ctx, conn)
-}
-
-// ServeHTTP serves an envelope POST according to the gate's mode.
-func (g *gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch g.mode.Load() {
-	case gateDead:
-		http.Error(w, "testbed: gateway down", http.StatusBadGateway)
-	case gateBlackhole:
-		g.inner.ServeHTTP(httptest.NewRecorder(), r)
-		http.Error(w, "testbed: reply lost", http.StatusBadGateway)
-	default:
-		g.inner.ServeHTTP(w, r)
-	}
 }

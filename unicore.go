@@ -109,9 +109,9 @@ type (
 	// authenticated frame stream per gateway. The broker refreshes its load
 	// information through one.
 	Client = protocol.Client
-	// Transport carries the persistent frame stream (and the gossip POST)
-	// to a gateway: protocol.NewHTTPTransport for real deployments, a
-	// Deployment's in-process network for testbeds.
+	// Transport carries the persistent frame stream to a gateway:
+	// protocol.NewHTTPTransport for real deployments, a Deployment's
+	// in-process network for testbeds.
 	Transport = protocol.Transport
 	// Session is the client handle: context-aware submit/monitor/control
 	// for one user at one Usite, with server-push job event streams
