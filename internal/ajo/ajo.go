@@ -92,7 +92,8 @@ var idCounter atomic.Int64
 // NewID mints a process-unique action ID for ad-hoc construction. The JPA
 // builder assigns its own deterministic IDs.
 func NewID(prefix string) ActionID {
-	return ActionID(fmt.Sprintf("%s-%06d", prefix, idCounter.Add(1)))
+	var b [64]byte
+	return ActionID(core.AppendSeq(append(append(b[:0], prefix...), '-'), idCounter.Add(1), 6))
 }
 
 // Action is the AbstractAction of Figure 3.

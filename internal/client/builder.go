@@ -8,7 +8,6 @@ package client
 
 import (
 	"errors"
-	"fmt"
 
 	"unicore/internal/ajo"
 	"unicore/internal/core"
@@ -47,7 +46,8 @@ func (b *Builder) Project(p string) *Builder {
 
 func (b *Builder) nextID(prefix string) ajo.ActionID {
 	b.seq++
-	return ajo.ActionID(fmt.Sprintf("%s-%02d", prefix, b.seq))
+	var id [32]byte
+	return ajo.ActionID(core.AppendSeq(append(append(id[:0], prefix...), '-'), int64(b.seq), 2))
 }
 
 func (b *Builder) add(a ajo.Action) ajo.ActionID {

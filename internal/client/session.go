@@ -134,7 +134,9 @@ func newConsignID() string {
 		n := consignIDFallback.Add(1)
 		return fmt.Sprintf("consign-%d-%d", time.Now().UnixNano(), n)
 	}
-	return hex.EncodeToString(b[:])
+	var h [2 * len(b)]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 // Trace returns the distributed trace ID a Submit through this session ran

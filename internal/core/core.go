@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -45,6 +46,18 @@ func ParseTarget(s string) (Target, error) {
 // accepted the consignment and are prefixed with its Usite name, so they are
 // globally unique across a deployment (e.g. "FZJ-000042").
 type JobID string
+
+// AppendSeq appends n (n >= 0) to b in decimal, zero-padded to width
+// digits: what fmt's %0*d prints, without boxing its arguments. The job and
+// action IDs are built with it in a caller's stack buffer.
+func AppendSeq(b []byte, n int64, width int) []byte {
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], n, 10)
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
+}
 
 // DN is an X.509 distinguished name in RFC-2253-ish rendering. In UNICORE
 // the user's certificate DN is the unique UNICORE user identification

@@ -106,6 +106,7 @@ type Log struct {
 	jobs    map[core.JobID]*jobLog
 	byUser  map[core.DN][]core.JobID
 	notify  chan struct{}
+	waited  bool // Notify has handed out notify since it was made
 }
 
 // NewLog creates a log. origin tags every event with the appending replica's
@@ -151,7 +152,9 @@ func (l *Log) evictLocked(jl *jobLog) {
 
 // Append assigns the next per-job and per-log sequence numbers to ev, stamps
 // the origin, stores it, wakes every waiter, and returns the completed event
-// (the caller journals its numbers and time for crash recovery).
+// (the caller journals its numbers and time for crash recovery). The notify
+// channel is closed and replaced only when Notify has handed it out: a
+// channel nobody holds has nobody to wake.
 func (l *Log) Append(owner core.DN, ev Event) Event {
 	l.mu.Lock()
 	jl := l.jobLogLocked(owner, ev.Job)
@@ -162,8 +165,11 @@ func (l *Log) Append(owner core.DN, ev Event) Event {
 	ev.Origin = l.origin
 	jl.events = append(jl.events, ev)
 	l.evictLocked(jl)
-	close(l.notify)
-	l.notify = make(chan struct{})
+	if l.waited {
+		close(l.notify)
+		l.notify = make(chan struct{})
+		l.waited = false
+	}
 	l.mu.Unlock()
 	return ev
 }
@@ -256,6 +262,7 @@ func (l *Log) UserEvents(owner core.DN, after uint64, max int) (evs []Event, nex
 func (l *Log) Notify() <-chan struct{} {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.waited = true
 	return l.notify
 }
 

@@ -109,3 +109,56 @@ func TestJobEventsAllocatesNothing(t *testing.T) {
 		t.Errorf("JobEvents allocates %.0f times per call, want 0", n)
 	}
 }
+
+// TestNotifyWakesAWaiterAndSparesTheChannelOtherwise: a channel Notify
+// handed out before an append is closed by it, and an append nobody waits
+// for leaves the current channel open and in place for the next waiter.
+func TestNotifyWakesAWaiterAndSparesTheChannelOtherwise(t *testing.T) {
+	l := NewLog("r1", 0)
+	ch := l.Notify()
+	appendN(l, alice, "J1", 1)
+	select {
+	case <-ch:
+	default:
+		t.Fatal("a waiter that took Notify before the append was not woken")
+	}
+
+	l.mu.Lock()
+	before := l.notify
+	l.mu.Unlock()
+	appendN(l, alice, "J1", 2)
+	l.mu.Lock()
+	after := l.notify
+	l.mu.Unlock()
+	if after != before {
+		t.Fatal("an append with no waiter replaced the notify channel")
+	}
+	select {
+	case <-after:
+		t.Fatal("an append with no waiter closed the notify channel")
+	default:
+	}
+	if got := l.Notify(); got != after {
+		t.Fatal("Notify did not hand out the channel left in place")
+	}
+	appendN(l, alice, "J1", 1)
+	select {
+	case <-after:
+	default:
+		t.Fatal("the append after Notify did not close the channel it handed out")
+	}
+}
+
+// TestAppendAllocationBudget: appending to a job's window whose array has
+// room allocates nothing — no notify channel is made while nobody waits.
+func TestAppendAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	l := NewLog("r1", 0)
+	appendN(l, alice, "J1", 2*DefaultJobCap) // the window is full and evicting
+	ev := Event{Job: "J1", Type: TypeStatus, Status: ajo.StatusRunning}
+	if n := testing.AllocsPerRun(100, func() { l.Append(alice, ev) }); n != 0 {
+		t.Errorf("Append allocates %.0f times per call, want 0", n)
+	}
+}

@@ -18,6 +18,11 @@ const maxPendingBytes = 32 << 20
 // vfs lock — do not wait on file I/O unless the queue is full. Sync blocks
 // until every entry appended so far is written and fsynced.
 //
+// The queue is double-buffered: the flusher takes the pending slice as its
+// batch and leaves the previous batch's drained, cleared slice in its place,
+// so a steady stream of batches reuses two arrays instead of growing a new
+// queue per batch.
+//
 // One condition variable serves three kinds of waiter. Append's Signal still
 // reaches the flusher: the flusher waits only when nothing is queued or in
 // flight, and then no Sync has anything to wait for and no Append is over
@@ -27,10 +32,11 @@ type writer struct {
 	cond     *sync.Cond
 	f        file
 	pending  []Entry
-	queued   int   // weight of pending plus the batch in flight
-	appended int64 // entries handed to Append
-	flushed  int64 // entries written to the file
-	err      error // first write or fsync error, sticky
+	spare    []Entry // the last batch, cleared: the next pending queue
+	queued   int     // weight of pending plus the batch in flight
+	appended int64   // entries handed to Append
+	flushed  int64   // entries written to the file
+	err      error   // first write or fsync error, sticky
 	closed   bool
 	done     chan struct{}
 }
@@ -100,7 +106,7 @@ func (w *writer) flushLoop() {
 		}
 		batch := w.pending
 		taken := w.queued // the previous batch is already subtracted
-		w.pending = nil
+		w.pending, w.spare = w.spare, nil
 		w.mu.Unlock()
 
 		buf = buf[:0]
@@ -114,7 +120,9 @@ func (w *writer) flushLoop() {
 			_, err = w.f.Write(buf)
 		}
 
+		clear(batch) // the spare queue holds no payload for the collector to keep
 		w.mu.Lock()
+		w.spare = batch[:0]
 		w.flushed += int64(len(batch))
 		w.queued -= taken
 		if err != nil && w.err == nil {

@@ -437,10 +437,12 @@ func (n *NJS) nextJobID() core.JobID {
 	n.seq++
 	seq := n.seq
 	n.regMu.Unlock()
+	var b [64]byte
+	id := append(b[:0], n.usite...)
 	if n.instance != "" {
-		return core.JobID(fmt.Sprintf("%s-%s-%06d", n.usite, n.instance, seq))
+		id = append(append(id, '-'), n.instance...)
 	}
-	return core.JobID(fmt.Sprintf("%s-%06d", n.usite, seq))
+	return core.JobID(core.AppendSeq(append(id, '-'), seq, 6))
 }
 
 // job resolves a job ID under the registry read lock. Jobs are never removed

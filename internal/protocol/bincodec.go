@@ -48,8 +48,8 @@ func encode(b []byte, m any) ([]byte, error) {
 }
 
 // encodeFrame is encode for the send path: the body is appended to b except
-// for the bytes of a field walked as a Tail (a data reply's Data), which are
-// returned uncopied for sendFrame to write behind it.
+// for the bytes of a field walked as a Tail (a data reply's or a put chunk's
+// Data), which are returned uncopied for sendFrame to write behind it.
 func encodeFrame(b []byte, m any) (body, tail []byte, err error) {
 	c := bin.Encoder(b)
 	err = walkMsg(&c, m)
@@ -169,13 +169,15 @@ func walkMsg(c *bin.Codec, m any) error {
 	case *FedAdvertiseReply:
 		walkAds(c, &m.Ads)
 
-	// Staged-upload chunks (FramePut / FramePutAck). Data stays a view: the
-	// frame was read for this chunk alone and the spool writes it straight out.
+	// Staged-upload chunks (FramePut / FramePutAck). Data is a Tail: the
+	// client writes it from the caller's chunk rather than copying it behind
+	// the header, and decoded it stays a view — the frame was read for this
+	// chunk alone and the spool writes it straight out.
 	case *PutChunkRequest:
 		c.Str(&m.Handle)
 		c.Varint(&m.Index)
 		c.Uvarint(&m.CRC)
-		c.View(&m.Data)
+		c.Tail(&m.Data)
 	case *PutChunkReply:
 		c.Varint(&m.Received)
 

@@ -188,10 +188,10 @@ func (c *Client) dropStream(k streamKey, sc *streamConn) {
 // Do runs one op against a Usite's gateway over the site's persistent frame
 // stream and decodes the reply into rep (nil: reply discarded, errors still
 // surfaced); server errors arrive as *ErrorReply errors. The request is
-// encoded once, into a pooled buffer, so what it references (a chunk's Data)
-// is the caller's again as soon as Do returns. While it is the connection,
-// not the call, that fails, the request is replayed on a fresh one within
-// c.Retries. Cancellation aborts the in-flight round trip (a held
+// encoded once, into a pooled buffer, but for a chunk's Data, which every
+// attempt writes from the caller's slice; either is the caller's again as
+// soon as Do returns. While it is the connection, not the call, that fails,
+// the request is replayed on a fresh one within c.Retries. Cancellation aborts the in-flight round trip (a held
 // subscription unblocks at once) and stops the replays.
 //
 // A TransferReply lends the spare capacity of its Data as the receive buffer:
@@ -208,8 +208,9 @@ func DoFor[Req, Rep any](ctx context.Context, c *Client, usite core.Usite, user 
 	k := streamKey{usite: usite, actingFor: user}
 	frame := getFrameBuf(0)
 	defer putFrameBuf(frame)
+	var tail []byte
 	var err error
-	if *frame, err = op.encodeRequest(*frame, &req, telemetry.TraceFrom(ctx)); err != nil {
+	if *frame, tail, err = op.encodeRequest(*frame, &req, telemetry.TraceFrom(ctx)); err != nil {
 		return err
 	}
 	var buf []byte
@@ -219,7 +220,7 @@ func DoFor[Req, Rep any](ctx context.Context, c *Client, usite core.Usite, user 
 	attempts := c.Retries + 1
 	for i := 0; i < attempts && ctx.Err() == nil; i++ {
 		var final bool
-		if final, err = op.attempt(ctx, c, k, *frame, buf, rep); final {
+		if final, err = op.attempt(ctx, c, k, *frame, tail, buf, rep); final {
 			return err
 		}
 	}
@@ -234,13 +235,13 @@ func DoFor[Req, Rep any](ctx context.Context, c *Client, usite core.Usite, user 
 // reply nobody can read — and has been dropped: the request may be replayed
 // on a fresh one. A hello the server refused, a site with no stream path and
 // an error the server answered are the call's answer.
-func (o *Op[Req, Rep]) attempt(ctx context.Context, c *Client, k streamKey, frame, buf []byte, rep *Rep) (final bool, err error) {
+func (o *Op[Req, Rep]) attempt(ctx context.Context, c *Client, k streamKey, frame, tail, buf []byte, rep *Rep) (final bool, err error) {
 	sc, err := c.stream(ctx, k)
 	if err != nil {
 		var refused *ErrorReply
 		return errors.As(err, &refused) || errors.Is(err, ErrNoStream) || errors.Is(err, errUnknownUsite), err
 	}
-	f, err := sc.roundTrip(ctx, o.kind, frame, buf)
+	f, err := sc.roundTrip(ctx, o.kind, frame, tail, buf)
 	if err != nil {
 		if ctx.Err() == nil {
 			c.dropStream(k, sc)

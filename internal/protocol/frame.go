@@ -128,11 +128,11 @@ var (
 
 // framePool recycles encode-side frame buffers: a frame is encoded once,
 // header and fields in one buffer, and costs no steady-state allocation. A
-// data reply's Data is not copied in (sendFrame writes it from the vfs view
-// behind the buffer), so the frames the pool sees are mostly under 100
-// bytes and a pool miss costs half a kilobyte; an upload's put frame grows
-// its buffer to the chunk once. Buffers above a sanity cap are dropped
-// rather than pooled to keep the pool from pinning worst-case frames forever.
+// data reply's or a put chunk's Data is not copied in (sendFrame writes it
+// from where it rests, behind the buffer), so the frames the pool sees are
+// mostly under 100 bytes and a pool miss costs half a kilobyte. Buffers
+// above a sanity cap are dropped rather than pooled to keep the pool from
+// pinning worst-case frames forever.
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 const framePoolMax = 4 << 20
@@ -176,7 +176,7 @@ func AppendFrame(b []byte, kind byte, id uint64, payload []byte) []byte {
 // getFrameBuf) and writes the frame: frame, then tail — the end of the
 // payload, written from where it rests rather than copied behind the rest
 // (encodeFrame). The header counts both. A frame without a tail is one
-// w.Write, as every frame a client writes is. It must be called under the
+// w.Write; a data reply and a put chunk are two. It must be called under the
 // stream's write lock, which keeps a frame's two writes together; a failed
 // write leaves a torn frame, so its caller closes the connection.
 func sendFrame(w io.Writer, kind byte, id uint64, frame, tail []byte) error {

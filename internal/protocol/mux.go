@@ -215,11 +215,11 @@ func (s *streamConn) reclaim(id uint64, ch chan Frame) (f Frame, ok bool) {
 	return f, ok
 }
 
-// send writes one frame, encoded in place (see getFrameBuf), under the write
-// lock. A client frame is always one Write: it has no tail.
-func (s *streamConn) send(kind byte, id uint64, frame []byte) error {
+// send writes one frame, encoded in place (see getFrameBuf) and followed by
+// its tail, under the write lock.
+func (s *streamConn) send(kind byte, id uint64, frame, tail []byte) error {
 	s.wmu.Lock()
-	err := sendFrame(s.conn, kind, id, frame, nil)
+	err := sendFrame(s.conn, kind, id, frame, tail)
 	s.wmu.Unlock()
 	if err != nil {
 		s.fail(fmt.Errorf("protocol: v3 stream write: %w", err))
@@ -230,7 +230,7 @@ func (s *streamConn) send(kind byte, id uint64, frame []byte) error {
 // subStop tells the server to end subscription id (best effort).
 func (s *streamConn) subStop(id uint64) {
 	var frame [frameHeaderLen]byte
-	s.send(FrameSubStop, id, frame[:])
+	s.send(FrameSubStop, id, frame[:], nil)
 }
 
 // roundTrip sends one request frame and waits for its correlated reply,
@@ -242,7 +242,7 @@ func (s *streamConn) subStop(id uint64) {
 // aliases buf), and nothing writes buf once roundTrip has returned. Any other
 // reply is read into a receive-pool buffer, which the caller gives back with
 // Frame.release once it has decoded the reply.
-func (s *streamConn) roundTrip(ctx context.Context, kind byte, frame, buf []byte) (Frame, error) {
+func (s *streamConn) roundTrip(ctx context.Context, kind byte, frame, tail, buf []byte) (Frame, error) {
 	select {
 	case s.window <- struct{}{}:
 	case <-ctx.Done():
@@ -256,7 +256,7 @@ func (s *streamConn) roundTrip(ctx context.Context, kind byte, frame, buf []byte
 	if err != nil {
 		return Frame{}, err
 	}
-	if err := s.send(kind, id, frame); err != nil {
+	if err := s.send(kind, id, frame, tail); err != nil {
 		s.release(id, ch)
 		return Frame{}, err
 	}
@@ -304,7 +304,7 @@ func (s *streamConn) subscribe(b binSub) (uint64, <-chan EventsReply, error) {
 
 	bp := getFrameBuf(0)
 	*bp, _ = encode(*bp, &b) // a binSub has its walk
-	err := s.send(FrameSub, id, *bp)
+	err := s.send(FrameSub, id, *bp, nil)
 	putFrameBuf(bp)
 	if err != nil {
 		return 0, nil, err

@@ -97,7 +97,7 @@ func TestUnclaimedReplyIsDiscarded(t *testing.T) {
 	}()
 	bp := getFrameBuf(0)
 	*bp = append(*bp, mustEncode(PollRequest{Job: "FZJ-000001"})...)
-	f, err := s.roundTrip(context.Background(), FrameCall, *bp, nil)
+	f, err := s.roundTrip(context.Background(), FrameCall, *bp, nil, nil)
 	putFrameBuf(bp)
 	runtime.ReadMemStats(&after)
 	if err != nil {
@@ -181,7 +181,7 @@ func TestStreamServesAtMostItsConcurrency(t *testing.T) {
 			replies <- f
 		}
 	}()
-	poll, err := OpPoll.encodeRequest(nil, &PollRequest{Job: "FZJ-000001"}, "")
+	poll, _, err := OpPoll.encodeRequest(nil, &PollRequest{Job: "FZJ-000001"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,18 +148,19 @@ func named[T any](err error) error {
 	return fmt.Errorf("%w (%T)", err, (*T)(nil))
 }
 
-// encodeRequest appends the request frame's payload to b.
-func (o *Op[Req, Rep]) encodeRequest(b []byte, req *Req, trace string) ([]byte, error) {
+// encodeRequest appends the request frame's payload to b, except for the
+// bytes of a field walked as a Tail (a put chunk's Data): those come back
+// uncopied as tail, for sendFrame to write behind the rest (encodeFrame).
+func (o *Op[Req, Rep]) encodeRequest(b []byte, req *Req, trace string) (body, tail []byte, err error) {
 	if o.kind == FrameCall {
 		c, code := bin.Encoder(b), o.code
 		walkCall(&c, &code, &trace)
 		b = c.Bytes()
 	}
-	b, err := encode(b, req)
-	if err != nil {
-		return b, named[Req](err)
+	if body, tail, err = encodeFrame(b, req); err != nil {
+		return body, nil, named[Req](err)
 	}
-	return b, nil
+	return body, tail, nil
 }
 
 // decodeReply decodes a reply frame into rep (which may be nil: reply

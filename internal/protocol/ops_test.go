@@ -274,7 +274,8 @@ func (o *Op[Req, Rep]) missingWalks() (missing []string) {
 // encodeZero runs the row's zero request through the client's encoder.
 func (o *Op[Req, Rep]) encodeZero(trace string) ([]byte, error) {
 	var req Req
-	return o.encodeRequest(nil, &req, trace)
+	body, tail, err := o.encodeRequest(nil, &req, trace)
+	return append(body, tail...), err
 }
 
 // mustEncode is encode for a message known to have its walk.
@@ -402,7 +403,7 @@ func TestRowWithoutWalkIsANamedError(t *testing.T) {
 	if missing := row.missingWalks(); len(missing) != 2 {
 		t.Fatalf("missingWalks = %v, want both types", missing)
 	}
-	if _, err := row.encodeRequest(nil, &walkless{}, ""); !named(err) {
+	if _, _, err := row.encodeRequest(nil, &walkless{}, ""); !named(err) {
 		t.Errorf("encodeRequest: %v", err)
 	}
 	var rep walkless

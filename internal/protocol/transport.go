@@ -243,11 +243,11 @@ const (
 // on the client end of a stream, the testbed's gateway gate on the server
 // end): it tracks the live connections it wrapped so Sever can cut them, and
 // asks Decide once for every frame a wrapped end writes. A frame may take
-// more than one Write — a server writes a data reply's Data apart from its
-// header — so a wrapped end follows the frames' length headers and asks only
-// when a Write starts a frame; a LoseFrame there means none of the frame is
-// written. The handshake frame, an end's first, always passes: a fault plan
-// is about requests and replies.
+// more than one Write — a data reply's or a put chunk's Data is written
+// apart from its header — so a wrapped end follows the frames' length
+// headers and asks only when a Write starts a frame; a LoseFrame there means
+// none of the frame is written. The handshake frame, an end's first, always
+// passes: a fault plan is about requests and replies.
 type ConnFaults struct {
 	Decide func() Fault // nil passes everything
 

@@ -128,9 +128,10 @@ func runLine(ctx *Ctx, line string) int {
 	return status
 }
 
-// splitChain splits a line on && and || outside quotes.
+// splitChain splits a line on && and || outside quotes. The segments are
+// substrings of line.
 func splitChain(line string) (segs []string, ops []string, err error) {
-	var cur strings.Builder
+	start := 0
 	inQuote := byte(0)
 	for i := 0; i < len(line); i++ {
 		c := line[i]
@@ -138,38 +139,33 @@ func splitChain(line string) (segs []string, ops []string, err error) {
 			if c == inQuote {
 				inQuote = 0
 			}
-			cur.WriteByte(c)
 			continue
 		}
 		switch c {
 		case '\'', '"':
 			inQuote = c
-			cur.WriteByte(c)
 		case '&', '|':
-			if i+1 < len(line) && line[i+1] == c {
-				segs = append(segs, cur.String())
-				cur.Reset()
-				if c == '&' {
-					ops = append(ops, "&&")
-				} else {
-					ops = append(ops, "||")
-				}
-				i++
-			} else {
+			if i+1 >= len(line) || line[i+1] != c {
 				return nil, nil, fmt.Errorf("unsupported operator %q", string(c))
 			}
+			segs = append(segs, line[start:i])
+			if c == '&' {
+				ops = append(ops, "&&")
+			} else {
+				ops = append(ops, "||")
+			}
+			i++
+			start = i + 1
 		case ';':
-			segs = append(segs, cur.String())
-			cur.Reset()
+			segs = append(segs, line[start:i])
 			ops = append(ops, ";")
-		default:
-			cur.WriteByte(c)
+			start = i + 1
 		}
 	}
 	if inQuote != 0 {
 		return nil, nil, fmt.Errorf("unterminated quote")
 	}
-	segs = append(segs, cur.String())
+	segs = append(segs, line[start:])
 	return segs, ops, nil
 }
 
@@ -202,8 +198,9 @@ func runSimple(ctx *Ctx, text string) int {
 			return 0
 		}
 	}
-	// Expand variables and peel redirections.
-	var argv []string
+	// Expand variables and peel redirections. argv is filtered into words'
+	// own array: it never outruns the word it is read from.
+	argv := words[:0]
 	var rd redirect
 	for i := 0; i < len(words); i++ {
 		w := words[i]
@@ -253,44 +250,61 @@ func isName(s string) bool {
 }
 
 // tokenize splits a command into words, honouring single and double quotes.
+// A word is a substring of text unless quoted and unquoted parts splice
+// into it; only such a word is built. The list is sized once from the
+// line's spaces, which bound its words unless tabs separate them.
 func tokenize(text string) ([]string, error) {
-	var words []string
-	var cur strings.Builder
-	inWord := false
-	for i := 0; i < len(text); i++ {
-		c := text[i]
-		switch c {
-		case ' ', '\t':
-			if inWord {
-				words = append(words, cur.String())
-				cur.Reset()
-				inWord = false
-			}
-		case '\'', '"':
-			quote := c
-			inWord = true
+	words := make([]string, 0, 1+strings.Count(text, " "))
+	for i := 0; ; {
+		for i < len(text) && (text[i] == ' ' || text[i] == '\t') {
 			i++
-			for ; i < len(text) && text[i] != quote; i++ {
-				cur.WriteByte(text[i])
-			}
-			if i >= len(text) {
-				return nil, fmt.Errorf("unterminated quote")
-			}
-		default:
-			inWord = true
-			cur.WriteByte(c)
 		}
+		if i == len(text) {
+			return words, nil
+		}
+		var word string
+		var spliced strings.Builder
+		for parts := 0; i < len(text) && text[i] != ' ' && text[i] != '\t'; parts++ {
+			var part string
+			if q := text[i]; q == '\'' || q == '"' {
+				end := strings.IndexByte(text[i+1:], q)
+				if end < 0 {
+					return nil, fmt.Errorf("unterminated quote")
+				}
+				part, i = text[i+1:i+1+end], i+2+end
+			} else {
+				j := strings.IndexAny(text[i:], " \t'\"")
+				if j < 0 {
+					j = len(text) - i
+				}
+				part, i = text[i:i+j], i+j
+			}
+			if parts == 0 {
+				word = part
+				continue
+			}
+			if parts == 1 {
+				spliced.WriteString(word)
+			}
+			spliced.WriteString(part)
+		}
+		if spliced.Len() > 0 {
+			word = spliced.String()
+		}
+		words = append(words, word)
 	}
-	if inWord {
-		words = append(words, cur.String())
-	}
-	return words, nil
 }
 
-// expand substitutes $NAME and ${NAME}.
+// expand substitutes $NAME and ${NAME}. A string without '$' is returned
+// as it is.
 func expand(ctx *Ctx, s string) string {
+	i := strings.IndexByte(s, '$')
+	if i < 0 {
+		return s
+	}
 	var out strings.Builder
-	for i := 0; i < len(s); i++ {
+	out.WriteString(s[:i])
+	for ; i < len(s); i++ {
 		if s[i] != '$' || i+1 >= len(s) {
 			out.WriteByte(s[i])
 			continue
@@ -306,7 +320,7 @@ func expand(ctx *Ctx, s string) string {
 			continue
 		}
 		if s[i+1] == '#' || s[i+1] == '@' {
-			out.WriteString(ctx.Env[string(s[i+1])])
+			out.WriteString(ctx.Env[s[i+1:i+2]])
 			i++
 			continue
 		}
@@ -328,10 +342,10 @@ func expand(ctx *Ctx, s string) string {
 
 // Abs resolves p relative to the context working directory.
 func (ctx *Ctx) Abs(p string) string {
-	if strings.HasPrefix(p, "/") {
+	if strings.HasPrefix(p, "/") || ctx.Cwd == "" {
 		return path.Clean(p)
 	}
-	return path.Join(ctx.Cwd, p)
+	return path.Clean(ctx.Cwd + "/" + p)
 }
 
 // dispatch routes to builtins, registered tools, or simulated binaries.

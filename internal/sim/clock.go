@@ -78,7 +78,9 @@ func NewVirtualClockAt(start time.Time) *VirtualClock {
 	return &VirtualClock{now: start}
 }
 
+// event is one scheduled callback; it is also the Timer AfterFunc returns.
 type event struct {
+	c    *VirtualClock
 	when time.Time
 	seq  int64 // tie-break: FIFO among events due at the same instant
 	fn   func()
@@ -122,19 +124,14 @@ func (c *VirtualClock) Now() time.Time {
 	return c.now
 }
 
-type virtualTimer struct {
-	c  *VirtualClock
-	ev *event
-}
-
 // Stop cancels the event; it reports whether the event had not fired yet.
-func (t virtualTimer) Stop() bool {
-	t.c.mu.Lock()
-	defer t.c.mu.Unlock()
-	if t.ev.dead {
+func (ev *event) Stop() bool {
+	ev.c.mu.Lock()
+	defer ev.c.mu.Unlock()
+	if ev.dead {
 		return false
 	}
-	t.ev.dead = true
+	ev.dead = true
 	return true
 }
 
@@ -150,10 +147,10 @@ func (c *VirtualClock) AfterFunc(d time.Duration, f func()) Timer {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ev := &event{when: c.now.Add(d), seq: c.seq, fn: f}
+	ev := &event{c: c, when: c.now.Add(d), seq: c.seq, fn: f}
 	c.seq++
 	heap.Push(&c.events, ev)
-	return virtualTimer{c, ev}
+	return ev
 }
 
 // Advance moves virtual time forward by d, firing every event that falls due

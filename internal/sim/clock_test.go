@@ -194,3 +194,35 @@ func TestQuickMonotoneFiringOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// raceEnabled is set by race_test.go under -race, where allocation counts
+// include the detector's own and mean nothing.
+var raceEnabled bool
+
+// TestAfterFuncAllocatesOnlyItsEvent: the scheduled event is its own Timer,
+// so scheduling a callback on a clock whose heap has room allocates the
+// event and nothing else, and the returned Timer still cancels it.
+func TestAfterFuncAllocatesOnlyItsEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	c := NewVirtualClock()
+	fired := 0
+	f := func() { fired++ }
+	for i := 0; i < 256; i++ { // grow the heap; firing empties it, keeping its room
+		c.AfterFunc(time.Duration(i)*time.Second, f)
+	}
+	c.RunUntilIdle(0)
+	var tm Timer
+	if n := testing.AllocsPerRun(100, func() { tm = c.AfterFunc(time.Minute, f) }); n != 1 {
+		t.Errorf("AfterFunc allocates %.0f times per call, want 1", n)
+	}
+	if !tm.Stop() || tm.Stop() {
+		t.Error("Stop of a pending timer: want true once, then false")
+	}
+	fired = 0
+	c.RunUntilIdle(0)
+	if fired != 100 {
+		t.Errorf("fired %d of the 101 timers with one stopped, want 100", fired)
+	}
+}

@@ -18,7 +18,8 @@ type Putter interface {
 	PutOpen(ctx context.Context, req protocol.PutOpenRequest) (protocol.PutOpenReply, error)
 	// PutChunk delivers (idempotently) one chunk. req.Data belongs to the
 	// caller and is reused as soon as PutChunk returns: an implementation
-	// must not retain it (a wire encodes it; anything else copies).
+	// must not retain it (a wire writes it before returning; anything else
+	// copies).
 	PutChunk(ctx context.Context, req protocol.PutChunkRequest) (protocol.PutChunkReply, error)
 	// PutCommit seals the upload after verifying the whole-file CRC.
 	PutCommit(ctx context.Context, req protocol.PutCommitRequest) (protocol.PutCommitReply, error)

@@ -71,7 +71,9 @@ func NewTraceID() string {
 		// fallback keeps tracing best-effort rather than fatal.
 		return "trace-rand-unavailable"
 	}
-	return hex.EncodeToString(b[:])
+	var h [2 * len(b)]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 // ActiveSpan is an in-flight hop created by StartSpan; call End (or EndNote)

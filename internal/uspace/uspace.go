@@ -104,12 +104,16 @@ func (s *Space) jobPath(job core.JobID, rel string) (string, error) {
 // name <xspaceRoot>/results/a.dat, unless the path already carries the root
 // prefix. Escapes (..) are refused.
 func (s *Space) xspacePath(p string) (string, error) {
-	cp := path.Clean("/" + p)
+	cp := p
+	if !strings.HasPrefix(cp, "/") {
+		cp = "/" + cp
+	}
+	cp = path.Clean(cp)
 	if cp == "/" {
 		return "", fmt.Errorf("%w: empty Xspace path", ErrEscape)
 	}
 	if cp != xspaceRoot && !strings.HasPrefix(cp, xspaceRoot+"/") {
-		cp = path.Join(xspaceRoot, cp)
+		cp = xspaceRoot + cp // both clean, and cp is rooted and not "/"
 	}
 	if cp != xspaceRoot && !strings.HasPrefix(cp, xspaceRoot+"/") {
 		return "", fmt.Errorf("%w: %q outside Xspace %s", ErrEscape, p, xspaceRoot)
