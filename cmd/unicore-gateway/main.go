@@ -213,13 +213,10 @@ func assemble(o options, cred *pki.Credential, ca *pki.Authority) (*gateway.Gate
 		}, nil
 	}
 
-	gw, n, _, err := deploy.BuildSite(site, cred, ca, sim.RealClock{}, "", 0)
+	tr := gateway.ClientTransport(cred, ca)
+	gw, n, _, err := deploy.BuildSite(site, cred, ca, sim.RealClock{}, protocol.NewClient(tr, cred, ca, routes), "", 0)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	tr := gateway.ClientTransport(cred, ca)
-	if o.peers != "" {
-		n.SetPeers(protocol.NewClient(tr, cred, ca, routes))
 	}
 	regs := []*telemetry.Registry{gw.Telemetry(), n.Telemetry()}
 	stop := func() {}

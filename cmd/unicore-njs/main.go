@@ -194,16 +194,14 @@ func assemble(o options, cred *pki.Credential, ca *pki.Authority) (*gateway.Gate
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	gw, n, store, err := deploy.BuildSite(site, cred, ca, sim.RealClock{}, o.stateDir, o.snapEvery)
+	peers := protocol.NewClient(gateway.ClientTransport(cred, ca), cred, ca, routes)
+	gw, n, store, err := deploy.BuildSite(site, cred, ca, sim.RealClock{}, peers, o.stateDir, o.snapEvery)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if o.peers != "" {
-		n.SetPeers(protocol.NewClient(gateway.ClientTransport(cred, ca), cred, ca, routes))
-	}
 	if store != nil {
-		// Wiring is complete: resume the recovered workload (re-dispatch
-		// in-flight actions, re-arm remote poll timers).
+		// Resume the recovered workload (re-dispatch in-flight actions,
+		// re-arm remote poll timers).
 		n.ResumeRecovered()
 	}
 	return gw, n, store, nil

@@ -60,11 +60,12 @@ func newRig(t *testing.T) *rig {
 		Usite:  "LRZ",
 		Clock:  clock,
 		Vsites: []njs.VsiteConfig{{Name: "VPP", Profile: machine.FujitsuVPP700(52)}},
+		Logins: users.Map,
 	})
 	if err != nil {
 		t.Fatalf("njs.New: %v", err)
 	}
-	gw, err := gateway.New(gateway.Config{Usite: "LRZ", Cred: srv, CA: ca, Users: users, Backend: n})
+	gw, err := gateway.New(gateway.Config{Usite: "LRZ", Cred: srv, CA: ca, Backend: n})
 	if err != nil {
 		t.Fatalf("gateway.New: %v", err)
 	}

@@ -55,15 +55,13 @@ type Config struct {
 	Clock sim.Scheduler
 	// Interval is the Start cadence (default DefaultInterval).
 	Interval time.Duration
-	// Build constructs a fresh replica for a declared Vsite under a pool
-	// tag. Required.
+	// Build constructs a replica for a declared Vsite under a pool tag,
+	// recovering whatever durable state (journal) the tag has — the
+	// scale-up, heal and roll path alike; a memory-only replica heals
+	// empty. Required.
 	Build func(v deploy.TopologyVsite, tag string) (njs.Service, error)
-	// Recover reconstructs a replica from its durable state (its journal)
-	// under the same tag — the heal and roll path. Required; memory-only
-	// deployments may return a fresh instance (the replica heals empty).
-	Recover func(v deploy.TopologyVsite, tag string) (njs.Service, error)
-	// Retire releases a replica instance that left the set or was replaced:
-	// kill it, close its journal. Optional.
+	// Retire releases a replica instance that left the set, crashed, or was
+	// replaced: kill it, close its journal. Optional.
 	Retire func(v deploy.TopologyVsite, tag string, svc njs.Service) error
 }
 
@@ -123,8 +121,8 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Clock == nil {
 		return nil, errors.New("controller: nil clock")
 	}
-	if cfg.Build == nil || cfg.Recover == nil {
-		return nil, errors.New("controller: need Build and Recover hooks")
+	if cfg.Build == nil {
+		return nil, errors.New("controller: need a Build hook")
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
@@ -397,16 +395,22 @@ func (c *Controller) signals(set *pool.ReplicaSet) (inflight, depth float64) {
 	return inflight, depth
 }
 
-// heal recovers every crashed replica from its durable state and swaps it
-// back in under the same pool name — the pool's rejoin reconciliation then
-// re-homes its ack-index entries.
+// heal retires every crashed replica (Retire skips the snapshot of a dead
+// NJS and releases its journal), rebuilds it from its durable state, and
+// swaps it back in under the same pool name — the pool's rejoin
+// reconciliation then re-homes its ack-index entries.
 func (c *Controller) heal(v *deploy.TopologyVsite, set *pool.ReplicaSet, st *vsiteState, res *Result, errs *[]error) {
 	for _, tag := range set.Names() {
 		svc, ok := set.Service(tag)
 		if !ok || svc.Ping() == nil {
 			continue
 		}
-		recovered, err := c.cfg.Recover(*v, tag)
+		if c.cfg.Retire != nil {
+			if err := c.cfg.Retire(*v, tag, svc); err != nil {
+				*errs = append(*errs, fmt.Errorf("controller: retiring %s/%s: %w", v.Name, tag, err))
+			}
+		}
+		recovered, err := c.cfg.Build(*v, tag)
 		if err != nil {
 			*errs = append(*errs, fmt.Errorf("controller: healing %s/%s: %w", v.Name, tag, err))
 			continue
@@ -423,7 +427,8 @@ func (c *Controller) heal(v *deploy.TopologyVsite, set *pool.ReplicaSet, st *vsi
 
 // roll advances the rolling generation replacement by at most one step:
 // start draining the first out-of-generation replica, or — once the drain
-// has settled — retire the old instance, recover its journal, and rejoin.
+// has settled — retire the old instance, rebuild it from its journal, and
+// rejoin.
 func (c *Controller) roll(v *deploy.TopologyVsite, set *pool.ReplicaSet, st *vsiteState, res *Result, errs *[]error) {
 	if st.roll == nil {
 		for _, tag := range set.Names() {
@@ -457,7 +462,7 @@ func (c *Controller) roll(v *deploy.TopologyVsite, set *pool.ReplicaSet, st *vsi
 			*errs = append(*errs, fmt.Errorf("controller: retiring %s/%s: %w", v.Name, op.tag, err))
 		}
 	}
-	recovered, err := c.cfg.Recover(*v, op.tag)
+	recovered, err := c.cfg.Build(*v, op.tag)
 	if err != nil {
 		*errs = append(*errs, fmt.Errorf("controller: rolling %s/%s: %w", v.Name, op.tag, err))
 		st.roll = nil
@@ -567,8 +572,11 @@ func (c *Controller) lastTag(names []string) string {
 	return best
 }
 
-// resumeRecovered invokes the post-wiring resume hook on services that have
-// one (*njs.NJS does: re-dispatch in-flight actions, re-arm poll timers).
+// resumeRecovered invokes the resume hook on services that have one
+// (*njs.NJS does: re-dispatch in-flight actions, re-arm poll timers). The
+// controller calls it only once the replica has joined its set, whose
+// reconciliation aborts orphan copies of jobs that failed over elsewhere
+// before anything re-dispatches.
 func resumeRecovered(svc njs.Service) {
 	if rr, ok := svc.(interface{ ResumeRecovered() }); ok {
 		rr.ResumeRecovered()

@@ -102,8 +102,7 @@ func (f *fakeReplica) StageChunk(core.DN, bool, protocol.PutChunkRequest) (proto
 func (f *fakeReplica) StageCommit(core.DN, bool, protocol.PutCommitRequest) (protocol.PutCommitReply, error) {
 	return protocol.PutCommitReply{}, nil
 }
-func (f *fakeReplica) Pages() []resources.Page        { return nil }
-func (f *fakeReplica) SetLoginMapper(njs.LoginMapper) {}
+func (f *fakeReplica) Pages() []resources.Page { return nil }
 func (f *fakeReplica) Events(core.DN, bool, protocol.SubscribeRequest) (protocol.EventsReply, error) {
 	return protocol.EventsReply{}, nil
 }
@@ -114,8 +113,8 @@ func (f *fakeReplica) EventsNotify(protocol.SubscribeRequest) (<-chan struct{}, 
 
 var _ njs.Service = (*fakeReplica)(nil)
 
-// harness wires a controller over an empty router with Build/Recover/Retire
-// hooks that mint fakeReplicas and record lifecycle events.
+// harness wires a controller over an empty router with Build/Retire hooks
+// that mint fakeReplicas and record lifecycle events.
 type harness struct {
 	router  *pool.Router
 	clock   *sim.VirtualClock
@@ -123,7 +122,6 @@ type harness struct {
 	mu      sync.Mutex
 	built   map[string]*fakeReplica // latest instance per vsite/tag key
 	builds  int
-	recover int
 	retired []string
 }
 
@@ -147,28 +145,17 @@ func newHarness(t *testing.T, site deploy.TopologySite) *harness {
 		t.Fatalf("NewRouter: %v", err)
 	}
 	h := &harness{router: router, clock: sim.NewVirtualClock(), built: make(map[string]*fakeReplica)}
-	mint := func(v deploy.TopologyVsite, tag string) (njs.Service, error) {
-		f := &fakeReplica{vsite: v.Name, tag: tag}
-		h.mu.Lock()
-		h.built[h.key(v.Name, tag)] = f
-		h.mu.Unlock()
-		return f, nil
-	}
 	ctl, err := New(Config{
 		Site:   site,
 		Router: router,
 		Clock:  h.clock,
 		Build: func(v deploy.TopologyVsite, tag string) (njs.Service, error) {
+			f := &fakeReplica{vsite: v.Name, tag: tag}
 			h.mu.Lock()
 			h.builds++
+			h.built[h.key(v.Name, tag)] = f
 			h.mu.Unlock()
-			return mint(v, tag)
-		},
-		Recover: func(v deploy.TopologyVsite, tag string) (njs.Service, error) {
-			h.mu.Lock()
-			h.recover++
-			h.mu.Unlock()
-			return mint(v, tag)
+			return f, nil
 		},
 		Retire: func(v deploy.TopologyVsite, tag string, svc njs.Service) error {
 			h.mu.Lock()
@@ -271,7 +258,8 @@ func TestReconcileCreatesDeclaredTopology(t *testing.T) {
 }
 
 // TestSelfHealReplacesCrashedReplica: a replica whose Ping fails is
-// recovered and swapped back in under the same tag.
+// retired, rebuilt by the one Build hook, and swapped back in under the same
+// tag.
 func TestSelfHealReplacesCrashedReplica(t *testing.T) {
 	h := newHarness(t, simpleSite(3, nil))
 	h.reconcile(t)
@@ -288,6 +276,12 @@ func TestSelfHealReplacesCrashedReplica(t *testing.T) {
 	}
 	if !replacement.resumed {
 		t.Fatal("recovered replica was not resumed")
+	}
+	h.mu.Lock()
+	builds, retired := h.builds, append([]string(nil), h.retired...)
+	h.mu.Unlock()
+	if builds != 4 || len(retired) != 1 || retired[0] != "T3E/r1" {
+		t.Fatalf("heal built %d replicas in all and retired %v, want 4 builds and [T3E/r1]", builds, retired)
 	}
 	set, _ := h.router.Set("T3E")
 	if svc, _ := set.Service("r1"); svc != njs.Service(replacement) {

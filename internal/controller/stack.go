@@ -140,7 +140,6 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		Clock:    cfg.Clock,
 		Interval: cfg.Interval,
 		Build:    st.build,
-		Recover:  st.recover,
 		Retire:   st.retire,
 	})
 	if err != nil {
@@ -151,7 +150,6 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		Usite:   site.Usite,
 		Cred:    cfg.Cred,
 		CA:      cfg.CA,
-		Users:   users,
 		Backend: router,
 	})
 	if err != nil {
@@ -251,52 +249,40 @@ func (s *Stack) takeStore(v core.Vsite, tag string) *journal.Store {
 	return store
 }
 
-// build constructs a replica for the controller: journal-backed under
-// <stateRoot>/<usite>/<vsite>/<tag> when a state root is declared,
-// memory-only otherwise, with the stack's peer client installed.
+// build constructs a replica for the controller, mapping logins through the
+// stack's UUDB and reaching peer sites through its peer client: memory-only
+// when no state root is declared, otherwise journal-backed under
+// <stateRoot>/<usite>/<vsite>/<tag>, recovering whatever that directory
+// holds — which makes build the heal and roll path too, once Retire has
+// released the old instance's journal.
 func (s *Stack) build(v deploy.TopologyVsite, tag string) (njs.Service, error) {
 	vc, err := v.NJSConfig()
 	if err != nil {
 		return nil, err
 	}
-	var store *journal.Store
-	every := v.SnapshotEvery
-	if every <= 0 {
-		every = DefaultSnapshotEvery
+	cfg := njs.Config{Usite: s.usite, Clock: s.clock, Logins: s.Users.Map, Peers: s.Peers, SnapshotEvery: v.SnapshotEvery}
+	if cfg.SnapshotEvery <= 0 {
+		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
 	if s.stateRoot != "" {
-		store, err = journal.Open(filepath.Join(s.stateRoot, string(s.usite), string(v.Name), tag))
+		cfg.Journal, err = journal.Open(filepath.Join(s.stateRoot, string(s.usite), string(v.Name), tag))
 		if err != nil {
 			return nil, err
 		}
 	}
-	n, err := deploy.BuildReplica(s.usite, vc, s.clock, tag, store, every)
+	n, err := deploy.BuildReplica(cfg, vc, tag)
 	if err != nil {
-		if store != nil {
-			err = errors.Join(err, store.Close())
+		if cfg.Journal != nil {
+			err = errors.Join(err, cfg.Journal.Close())
 		}
 		return nil, err
 	}
-	n.SetPeers(s.Peers)
-	if store != nil {
+	if cfg.Journal != nil {
 		s.mu.Lock()
-		s.stores[storeKey(v.Name, tag)] = store
+		s.stores[storeKey(v.Name, tag)] = cfg.Journal
 		s.mu.Unlock()
 	}
 	return n, nil
-}
-
-// recover is the heal/roll path: release the crashed instance's journal
-// handle, then rebuild from the same directory — the recovered replica
-// replays its journal, and the pool's rejoin reconciliation re-homes its
-// ack entries.
-func (s *Stack) recover(v deploy.TopologyVsite, tag string) (njs.Service, error) {
-	if store := s.takeStore(v.Name, tag); store != nil {
-		if err := store.Close(); err != nil {
-			return nil, fmt.Errorf("controller: releasing journal of %s/%s: %w", v.Name, tag, err)
-		}
-	}
-	return s.build(v, tag)
 }
 
 // shutdown retires a live NJS: snapshot (compacting the journal for the next
@@ -313,8 +299,8 @@ func shutdown(n *njs.NJS) error {
 	return err
 }
 
-// retire shuts a replaced or scaled-down instance all the way down:
-// snapshot, kill, close — every failure reported.
+// retire shuts a replaced, scaled-down or crashed instance all the way down:
+// snapshot (a live one only), kill, close — every failure reported.
 func (s *Stack) retire(v deploy.TopologyVsite, tag string, svc njs.Service) error {
 	var errs []error
 	if n, ok := svc.(*njs.NJS); ok {

@@ -75,7 +75,7 @@ func TestSiteConformance(t *testing.T) {
 	site, cred, ca := conformanceKeys(t)
 
 	single := func(t *testing.T, clock *sim.VirtualClock, dir string) standing {
-		gw, n, store, err := deploy.BuildSite(site, cred, ca, clock, dir, 0)
+		gw, n, store, err := deploy.BuildSite(site, cred, ca, clock, nil, dir, 0)
 		if err != nil {
 			t.Fatalf("BuildSite: %v", err)
 		}

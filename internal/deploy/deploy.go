@@ -64,31 +64,21 @@ func BuildUsers(mappings []UserMapping) (*uudb.DB, error) {
 	return users, nil
 }
 
-// newNJS mints an NJS: memory-only when store is nil, otherwise recovered
-// from the store (an empty store is a fresh NJS) and journaling to it from
-// then on.
-func newNJS(cfg njs.Config, store *journal.Store, snapshotEvery int) (*njs.NJS, error) {
-	if store == nil {
-		return njs.New(cfg)
-	}
-	return njs.Recover(store, cfg, snapshotEvery)
-}
-
 // BuildSite assembles a single-NJS site — UUDB, one NJS serving every
 // declared Vsite, and the gateway in front of it — under the given clock
-// (sim.RealClock{} in the daemons). With stateDir == "" the NJS is
-// memory-only and the returned store is nil. Otherwise job state is
-// recovered from the journal rooted there and every later transition is
-// journaled (automatic snapshot after snapshotEvery entries; see
-// njs.AttachJournal): the caller must call NJS.ResumeRecovered once wiring
-// (peers) is complete, and owns the store — snapshot and close it on
-// shutdown.
-func BuildSite(site *TopologySite, cred *pki.Credential, ca *pki.Authority, clock sim.Scheduler, stateDir string, snapshotEvery int) (*gateway.Gateway, *njs.NJS, *journal.Store, error) {
+// (sim.RealClock{} in the daemons). The NJS maps logins through the UUDB and
+// reaches other sites through peers (nil: no peer sites). With stateDir ==
+// "" the NJS is memory-only and the returned store is nil. Otherwise job
+// state is recovered from the journal rooted there and every later
+// transition is journaled (automatic snapshot after snapshotEvery entries):
+// the caller calls NJS.ResumeRecovered to resume the recovered workload, and
+// owns the store — snapshot and close it on shutdown.
+func BuildSite(site *TopologySite, cred *pki.Credential, ca *pki.Authority, clock sim.Scheduler, peers *protocol.Client, stateDir string, snapshotEvery int) (*gateway.Gateway, *njs.NJS, *journal.Store, error) {
 	users, err := BuildUsers(site.Users)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	cfg := njs.Config{Usite: site.Usite, Clock: clock}
+	cfg := njs.Config{Usite: site.Usite, Clock: clock, Logins: users.Map, Peers: peers, SnapshotEvery: snapshotEvery}
 	for i := range site.Vsites {
 		vc, err := site.Vsites[i].NJSConfig()
 		if err != nil {
@@ -96,46 +86,43 @@ func BuildSite(site *TopologySite, cred *pki.Credential, ca *pki.Authority, cloc
 		}
 		cfg.Vsites = append(cfg.Vsites, vc)
 	}
-	var store *journal.Store
 	if stateDir != "" {
-		if store, err = journal.Open(stateDir); err != nil {
+		if cfg.Journal, err = journal.Open(stateDir); err != nil {
 			return nil, nil, nil, err
 		}
 	}
-	n, err := newNJS(cfg, store, snapshotEvery)
+	n, err := njs.New(cfg)
 	var gw *gateway.Gateway
 	if err == nil {
-		gw, err = gateway.New(gateway.Config{Usite: site.Usite, Cred: cred, CA: ca, Users: users, Backend: n})
+		gw, err = gateway.New(gateway.Config{Usite: site.Usite, Cred: cred, CA: ca, Backend: n})
 	}
 	if err != nil {
-		if store != nil {
+		if cfg.Journal != nil {
 			// Surface a failing close alongside the assembly error: a close
 			// failure here is a swallowed flush/fsync problem on the journal.
-			err = errors.Join(err, store.Close())
+			err = errors.Join(err, cfg.Journal.Close())
 		}
 		return nil, nil, nil, err
 	}
 	// Telemetry timestamps (trace span starts) follow the deployment clock.
 	gw.Telemetry().SetNow(clock.Now)
-	return gw, n, store, nil
+	return gw, n, cfg.Journal, nil
 }
 
-// BuildReplica builds one NJS replica serving a single Vsite under a pool
-// tag — the only place a tagged NJS is minted, whether a controller.Stack is
-// populating, growing, healing or rolling a pool. The NJS instance is
-// pool.Instance(vsite, tag), unique within the Usite, so the names minted
-// across every pool of the site never collide and each names its replica; a
-// recovered replica must be rebuilt under the tag it journaled with. A nil
-// store builds a memory-only replica; otherwise the replica's prior life is
-// recovered from the store, the caller must call ResumeRecovered once wiring
-// is complete, and the caller owns the store.
-func BuildReplica(usite core.Usite, vc njs.VsiteConfig, clock sim.Scheduler, tag string, store *journal.Store, snapshotEvery int) (*njs.NJS, error) {
-	n, err := newNJS(njs.Config{
-		Usite:    usite,
-		Clock:    clock,
-		Vsites:   []njs.VsiteConfig{vc},
-		Instance: pool.Instance(vc.Name, tag),
-	}, store, snapshotEvery)
+// BuildReplica builds one NJS replica serving the single Vsite vc under a
+// pool tag — the only place a tagged NJS is minted, whether a
+// controller.Stack is populating, growing, healing or rolling a pool. cfg
+// carries the rest of the replica's construction: usite, clock, login
+// mapper, peer client, and its own journal (nil: memory-only). The NJS
+// instance is pool.Instance(vc.Name, tag), unique within the Usite, so the
+// names minted across every pool of the site never collide and each names
+// its replica; a replica recovered from its journal must be rebuilt under
+// the tag it journaled with, and resumed with ResumeRecovered once it has
+// rejoined its set.
+func BuildReplica(cfg njs.Config, vc njs.VsiteConfig, tag string) (*njs.NJS, error) {
+	cfg.Vsites = []njs.VsiteConfig{vc}
+	cfg.Instance = pool.Instance(vc.Name, tag)
+	n, err := njs.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("deploy: vsite %s replica %s: %w", vc.Name, tag, err)
 	}

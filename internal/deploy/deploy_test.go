@@ -14,6 +14,7 @@ import (
 	"unicore/internal/client"
 	"unicore/internal/codine"
 	"unicore/internal/core"
+	"unicore/internal/njs"
 	"unicore/internal/pki"
 	"unicore/internal/pool"
 	"unicore/internal/resources"
@@ -105,7 +106,7 @@ func TestBuildSiteEndToEnd(t *testing.T) {
 		t.Fatalf("IssueServer: %v", err)
 	}
 	clock := sim.NewVirtualClock()
-	gw, n, store, err := BuildSite(cfg, cred, ca, clock, "", 0)
+	gw, n, store, err := BuildSite(cfg, cred, ca, clock, nil, "", 0)
 	if err != nil {
 		t.Fatalf("BuildSite: %v", err)
 	}
@@ -115,9 +116,25 @@ func TestBuildSiteEndToEnd(t *testing.T) {
 	if gw.Usite() != "FZJ" || n.Usite() != "FZJ" {
 		t.Fatalf("usites: gw=%s njs=%s", gw.Usite(), n.Usite())
 	}
-	login, err := gw.MapLogin("CN=Alice,O=FZJ,C=DE", "T3E")
-	if err != nil || login.UID != "alice" {
-		t.Fatalf("mapping = %+v, %v", login, err)
+	// The NJS maps logins through the site's UUDB: Alice's job runs as her
+	// T3E login, and a DN the UUDB does not know is refused.
+	b := client.NewJob("whoami", core.Target{Usite: "FZJ", Vsite: "T3E"})
+	b.Script("who", "echo $USER\n", resources.Request{Processors: 1, RunTime: time.Hour})
+	job, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	if _, err := n.Consign(context.Background(), "CN=Mallory,O=FZJ,C=DE", "", job); err == nil {
+		t.Fatal("an unmapped DN's job was admitted")
+	}
+	id, err := n.Consign(context.Background(), "CN=Alice,O=FZJ,C=DE", "", job)
+	if err != nil {
+		t.Fatalf("Consign: %v", err)
+	}
+	clock.RunUntilIdle(0)
+	o, _, err := n.Outcome("CN=Alice,O=FZJ,C=DE", false, id)
+	if err != nil || len(o.Children) != 1 || string(o.Children[0].Stdout) != "alice\n" {
+		t.Fatalf("mapping: outcome %+v, %v; want the script to run as alice", o, err)
 	}
 	// The custom queues took effect.
 	vs, ok := n.Vsite("CLUSTER")
@@ -321,11 +338,11 @@ func TestBuildReplicaGrowsLiveVsite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pool.New: %v", err)
 	}
-	set.SetLoginMapper(func(core.DN, core.Vsite) (uudb.Login, error) {
+	base := njs.Config{Usite: "FZJ", Clock: clock, Logins: func(core.DN, core.Vsite) (uudb.Login, error) {
 		return uudb.Login{UID: "a"}, nil
-	})
+	}}
 	for r := 0; r < 2; r++ {
-		n, err := BuildReplica("FZJ", vc, clock, pool.ReplicaTag(r), nil, 0)
+		n, err := BuildReplica(base, vc, pool.ReplicaTag(r))
 		if err != nil {
 			t.Fatalf("BuildReplica(%d): %v", r, err)
 		}
@@ -344,7 +361,7 @@ func TestBuildReplicaGrowsLiveVsite(t *testing.T) {
 		t.Fatalf("Consign before grow: %v", err)
 	}
 	// …then grow it by one replica built in isolation.
-	n3, err := BuildReplica("FZJ", vc, clock, pool.ReplicaTag(2), nil, 0)
+	n3, err := BuildReplica(base, vc, pool.ReplicaTag(2))
 	if err != nil {
 		t.Fatalf("BuildReplica(2): %v", err)
 	}
@@ -398,7 +415,7 @@ func TestBuildDurableSiteErrorPathClosesStore(t *testing.T) {
 	clock := sim.NewVirtualClock()
 	stateDir := t.TempDir()
 
-	_, _, _, err = BuildSite(cfg, nil, ca, clock, stateDir, 0)
+	_, _, _, err = BuildSite(cfg, nil, ca, clock, nil, stateDir, 0)
 	if err == nil {
 		t.Fatal("BuildSite with nil credential succeeded")
 	}
@@ -411,7 +428,7 @@ func TestBuildDurableSiteErrorPathClosesStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("IssueServer: %v", err)
 	}
-	_, n, store, err := BuildSite(cfg, cred, ca, clock, stateDir, 0)
+	_, n, store, err := BuildSite(cfg, cred, ca, clock, nil, stateDir, 0)
 	if err != nil {
 		t.Fatalf("BuildSite after failed attempt: %v", err)
 	}

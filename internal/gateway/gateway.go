@@ -4,10 +4,6 @@
 //   - authenticates every stream by verifying its signed hello's chain
 //     against the site CA (the reproduction of the https/X.509 mutual
 //     authentication of §4.1), once, for every request the stream carries,
-//   - maps the user's certificate distinguished name to the local user-id at
-//     the target system through the site's UUDB ("the Java security servlet
-//     (gateway) which maps the user's certificate to the user's id at the
-//     target system"),
 //   - offers a hook for "additional site specific authentication" (smart
 //     cards, DCE) exactly where the paper places it,
 //   - serves the signed applets (JPA/JMC payloads) and the Vsites' resource
@@ -41,7 +37,6 @@ import (
 	"unicore/internal/pki"
 	"unicore/internal/protocol"
 	"unicore/internal/telemetry"
-	"unicore/internal/uudb"
 )
 
 // maxEventWait caps how long one MsgSubscribe request may long-poll
@@ -95,11 +90,8 @@ type Config struct {
 	Cred *pki.Credential
 	// CA is the trust root for verifying callers.
 	CA *pki.Authority
-	// Users is the site's UNICORE user database for DN→login mapping.
-	Users *uudb.DB
 	// Backend is the server tier behind the gateway: the site's *njs.NJS, or
-	// a pool.Router fronting health-checked NJS replica pools per Vsite. The
-	// gateway installs itself as its login mapper.
+	// a pool.Router fronting health-checked NJS replica pools per Vsite.
 	Backend njs.Service
 	// SiteAuth, when set, is consulted for every user-role request.
 	SiteAuth SiteAuth
@@ -110,7 +102,6 @@ type Gateway struct {
 	usite    core.Usite
 	cred     *pki.Credential
 	ca       *pki.Authority
-	users    *uudb.DB
 	siteAuth SiteAuth
 
 	// backend holds the server tier behind an atomic pointer so a recovered
@@ -144,7 +135,7 @@ type Gateway struct {
 	sources  []func() []telemetry.Snapshot
 }
 
-// New assembles a gateway and wires it into the NJS as its login mapper.
+// New assembles a gateway in front of its backend.
 func New(cfg Config) (*Gateway, error) {
 	if cfg.Usite == "" {
 		return nil, errors.New("gateway: empty usite")
@@ -155,9 +146,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.CA == nil {
 		return nil, errors.New("gateway: nil CA")
 	}
-	if cfg.Users == nil {
-		return nil, errors.New("gateway: nil user database")
-	}
 	if cfg.Backend == nil {
 		return nil, errors.New("gateway: nil Backend")
 	}
@@ -165,7 +153,6 @@ func New(cfg Config) (*Gateway, error) {
 		usite:    cfg.Usite,
 		cred:     cfg.Cred,
 		ca:       cfg.CA,
-		users:    cfg.Users,
 		siteAuth: cfg.SiteAuth,
 		applets:  make(map[string]Applet),
 		tel:      telemetry.New("gateway/" + string(cfg.Usite)),
@@ -185,13 +172,12 @@ func (g *Gateway) svc() njs.Service { return g.backend.Load().svc }
 // *njs.NJS or a pool.Router over replica sets.
 func (g *Gateway) Backend() njs.Service { return g.svc() }
 
-// SetBackend swaps the server tier behind the gateway — the restart path: a
-// recovered NJS (njs.Recover) or a rebuilt router takes over from the dead
-// one without the gateway or its clients noticing anything beyond the
-// recovery gap. The gateway re-installs itself as the new backend's login
-// mapper.
+// SetBackend swaps the server tier behind the gateway — the restart path: an
+// NJS rebuilt over the dead one's journal, or a rebuilt router, takes over
+// without the gateway or its clients noticing anything beyond the recovery
+// gap. The new backend comes complete: its login mapper and peer client are
+// part of its construction.
 func (g *Gateway) SetBackend(s njs.Service) {
-	s.SetLoginMapper(g.MapLogin)
 	g.backend.Store(&backendBox{svc: s})
 }
 
@@ -227,13 +213,6 @@ func (g *Gateway) Metrics() []telemetry.Snapshot {
 
 // Usite returns the site this gateway fronts.
 func (g *Gateway) Usite() core.Usite { return g.usite }
-
-// MapLogin resolves a user DN to the local login at a Vsite — the security
-// servlet's defining function. It is installed into the NJS so that the
-// mapping stays at the security tier.
-func (g *Gateway) MapLogin(dn core.DN, vsite core.Vsite) (uudb.Login, error) {
-	return g.users.Map(dn, vsite)
-}
 
 // InstallApplet registers a signed applet after verifying its signature
 // chains to the CA with the software role — a site never serves tampered

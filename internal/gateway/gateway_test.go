@@ -57,11 +57,12 @@ func newSite(t *testing.T, opts ...func(*Config)) *site {
 		Usite:  "FZJ",
 		Clock:  clock,
 		Vsites: []njs.VsiteConfig{{Name: "T3E", Profile: machine.CrayT3E(64)}},
+		Logins: users.Map,
 	})
 	if err != nil {
 		t.Fatalf("njs.New: %v", err)
 	}
-	cfg := Config{Usite: "FZJ", Cred: srvCred, CA: ca, Users: users, Backend: n}
+	cfg := Config{Usite: "FZJ", Cred: srvCred, CA: ca, Backend: n}
 	for _, o := range opts {
 		o(&cfg)
 	}

@@ -109,11 +109,12 @@ func newGrid(t *testing.T) *grid {
 		n, err := njs.New(njs.Config{
 			Usite: site.usite, Clock: g.clock,
 			Vsites: []njs.VsiteConfig{{Name: site.vsite, Profile: machine.CrayT3E(64)}},
+			Logins: users.Map,
 		})
 		if err != nil {
 			t.Fatalf("njs.New: %v", err)
 		}
-		gw, err := New(Config{Usite: site.usite, Cred: cred, CA: ca, Users: users, Backend: n})
+		gw, err := New(Config{Usite: site.usite, Cred: cred, CA: ca, Backend: n})
 		if err != nil {
 			t.Fatalf("gateway.New: %v", err)
 		}

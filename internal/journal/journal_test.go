@@ -729,6 +729,28 @@ func TestFailedFsyncIsSticky(t *testing.T) {
 	}
 }
 
+// TestAppendAfterCloseFailsSync: an entry appended after Close can never
+// reach the file, so the next Sync must not report it durable. Closing with
+// nothing appended afterwards keeps Sync at nil.
+func TestAppendAfterCloseFailsSync(t *testing.T) {
+	for _, late := range []bool{false, true} {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		s.Append(entryN(1))
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if late {
+			s.Append(entryN(2))
+		}
+		if err := s.Sync(); (err != nil) != late {
+			t.Errorf("append after close = %v: Sync = %v", late, err)
+		}
+	}
+}
+
 // BenchmarkJournalAppend measures the producer-side cost of an append: the
 // enqueue that runs on the NJS transition path while the flusher goroutine
 // does the I/O.

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,9 +29,10 @@ type Store struct {
 	// (nil otherwise). Sync must cover it: an entry appended just before
 	// the rotation lives there, and Sync's durability promise includes it.
 	prev *writer
-	// cerr is the first failure to drain/close a rotated-out generation.
-	// Entries acknowledged into that generation may not be on disk, so once
-	// set, Sync fails forever — the store can no longer promise durability.
+	// cerr is the first failure to drain/close a rotated-out generation, or
+	// errAppendAfterClose. Entries handed to the store may not be on disk,
+	// so once set, Sync fails forever — the store can no longer promise
+	// durability.
 	cerr error
 	gen  uint64
 
@@ -40,6 +42,10 @@ type Store struct {
 	closed  atomic.Bool
 	appends atomic.Int64 // entries since the last compaction (snapshot cadence)
 }
+
+// errAppendAfterClose is the sticky error of a store that was handed an
+// entry after Close: the entry is lost.
+var errAppendAfterClose = errors.New("journal: append after close")
 
 func journalName(gen uint64) string  { return fmt.Sprintf("journal-%08d.wal", gen) }
 func snapshotName(gen uint64) string { return fmt.Sprintf("snapshot-%08d.snap", gen) }
@@ -166,14 +172,19 @@ func (s *Store) Dir() string { return s.dir }
 // Append enqueues one entry on the live journal. It is cheap, and waits only
 // when the writer's queue is at its bound (see writer.Append); durability is
 // deferred to the batched flusher (call Sync to force it). The enqueue
-// happens under wmu so it cannot race Compact's
-// writer swap: an entry lands either in the old generation (whose Close
-// drains it) or the new one — never in a writer that is already closed.
+// happens under wmu so it cannot race Compact's writer swap: an entry lands
+// either in the old generation (whose Close drains it) or the new one — never
+// in a writer that Compact closed. An entry appended after Close reaches no
+// file: it is dropped and fails every later Sync.
 func (s *Store) Append(e Entry) {
+	s.wmu.Lock()
 	if s.closed.Load() {
+		if s.cerr == nil {
+			s.cerr = errAppendAfterClose
+		}
+		s.wmu.Unlock()
 		return
 	}
-	s.wmu.Lock()
 	s.w.Append(e)
 	s.wmu.Unlock()
 	s.appends.Add(1)
@@ -341,11 +352,11 @@ func (s *Store) Compact(emit func(append func(Entry) error) error) error {
 	return nil
 }
 
-// Close flushes, fsyncs, and closes the live journal. Further appends are
-// dropped. It takes compactMu so it cannot interleave with Compact: without
-// it, Close could capture the pre-rotation writer while Compact swaps in a
-// fresh one that would then never be closed — leaking its flusher goroutine
-// and losing whatever was batched into it.
+// Close flushes, fsyncs, and closes the live journal. A further append is
+// dropped and fails every later Sync. Close takes compactMu so it cannot
+// interleave with Compact: without it, Close could capture the pre-rotation
+// writer while Compact swaps in a fresh one that would then never be closed —
+// leaking its flusher goroutine and losing whatever was batched into it.
 func (s *Store) Close() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()

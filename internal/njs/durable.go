@@ -1,10 +1,10 @@
 package njs
 
 // This file makes the NJS durable: every admission and state transition is
-// appended to a write-ahead journal (package journal), and Recover rebuilds
-// a site from the newest snapshot plus the journal tail — the "keep jobs
-// across restarts" requirement that moving UNICORE from testbed to
-// production imposed on the server tier.
+// appended to a write-ahead journal (package journal), and New, given the
+// journal (Config.Journal), rebuilds a site from the newest snapshot plus the
+// journal tail — the "keep jobs across restarts" requirement that moving
+// UNICORE from testbed to production imposed on the server tier.
 //
 // # What is journaled
 //
@@ -31,11 +31,13 @@ package njs
 //
 // # Recovery model
 //
-// Recover(store, cfg, ...) builds a fresh NJS and replays the entry stream
-// into it. Replay is idempotent (terminal transitions are never reapplied,
-// file writes are last-writer-wins), which is what makes the store's fuzzy
-// snapshots converge to the crash-time state. After the caller has re-wired
-// the NJS (SetPeers, login mapper), ResumeRecovered finishes the job:
+// New builds the NJS and replays the entry stream into it. Replay is
+// idempotent (terminal transitions are never reapplied, file writes are
+// last-writer-wins), which is what makes the store's fuzzy snapshots
+// converge to the crash-time state. ResumeRecovered finishes the job; it is
+// a separate call because a pool must first reconcile the recovered
+// admissions against its ack index (aborting orphan copies) before anything
+// re-dispatches:
 //
 //   - rebinds each job's Uspace directory (and removes orphaned directories
 //     left by admissions that never reached the journal),
@@ -58,7 +60,6 @@ package njs
 // parent re-admits them deterministically.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"path"
@@ -84,19 +85,6 @@ type recorder struct {
 	store         *journal.Store
 	snapshotEvery int64 // logical entries between automatic snapshots; 0 = manual only
 	snapshotting  atomic.Bool
-}
-
-// AttachJournal starts journaling this NJS's transitions and data-space
-// mutations to store. snapshotEvery > 0 arranges an automatic
-// snapshot/compaction after that many appended entries. Attach before
-// traffic; attaching does not write a snapshot by itself.
-func (n *NJS) AttachJournal(store *journal.Store, snapshotEvery int) {
-	r := &recorder{store: store, snapshotEvery: int64(snapshotEvery)}
-	n.rec.Store(r)
-	for name, vs := range n.vsites {
-		vsite := string(name)
-		vs.Space.FS().Observe(func(m vfs.Mutation) { n.recordFile(vsite, m) })
-	}
 }
 
 // Journal returns the attached store (nil when durability is disabled).
@@ -140,7 +128,7 @@ func (n *NJS) Snapshot() error {
 // data-space observation stop, and every clock callback that fires afterwards
 // is a no-op, so a dead site neither advances state nor reaches its peers.
 // The journal store itself stays open — it belongs to the caller, who will
-// hand it to Recover.
+// hand it to the replacement's New.
 func (n *NJS) Kill() {
 	n.dead.Store(true)
 	n.rec.Store(nil)
@@ -515,19 +503,12 @@ func sortedActionIDs[V any](m map[ajo.ActionID]V) []ajo.ActionID {
 
 // --- recovery ---
 
-// Recover builds an NJS from cfg and replays the journal store into it, then
-// attaches the store so post-recovery transitions are journaled (with the
-// given automatic snapshot cadence; see AttachJournal).
-//
-// The returned NJS serves status/outcome requests immediately, but holds all
-// recovered in-flight work until ResumeRecovered is called — the caller must
-// first re-wire the pieces recovery cannot know: the peer client (SetPeers)
-// and the login mapper (normally the gateway).
-func Recover(store *journal.Store, cfg Config, snapshotEvery int) (*NJS, error) {
-	n, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
+// recover replays the journal store into a freshly built NJS, then journals
+// every later transition and data-space mutation to it; snapshotEvery > 0
+// arranges an automatic compaction after that many appended entries. The
+// NJS serves status/outcome requests at once, but holds recovered in-flight
+// work until ResumeRecovered.
+func (n *NJS) recover(store *journal.Store, snapshotEvery int) error {
 	// Replay is single-threaded and pre-traffic. Quotas are lifted while
 	// replaying: the fuzzy snapshot may transiently re-create files that a
 	// later entry removes, and the final state fit the quota when it was
@@ -539,7 +520,7 @@ func Recover(store *journal.Store, cfg Config, snapshotEvery int) (*NJS, error) 
 		fs.SetQuota(0)
 	}
 	if err := store.Replay(n.applyEntry); err != nil {
-		return nil, err
+		return err
 	}
 	for name, vs := range n.vsites {
 		vs.Space.FS().SetQuota(quotas[name])
@@ -549,18 +530,24 @@ func Recover(store *journal.Store, cfg Config, snapshotEvery int) (*NJS, error) 
 	// survive the crash with their handles and watermarks intact.
 	for _, sp := range n.spools {
 		if err := sp.Rescan(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	n.AttachJournal(store, snapshotEvery)
-	return n, nil
+	n.rec.Store(&recorder{store: store, snapshotEvery: int64(snapshotEvery)})
+	for name, vs := range n.vsites {
+		vsite := string(name)
+		vs.Space.FS().Observe(func(m vfs.Mutation) { n.recordFile(vsite, m) })
+	}
+	return nil
 }
 
-// ResumeRecovered finishes a recovery once the NJS is fully wired: it
-// rebinds Uspace directories, removes orphans, re-arms remote poll timers,
-// re-links finished children, and re-dispatches everything that was in
-// flight. Calling it on an NJS that was not recovered (or twice) is a no-op
-// for jobs that are already running normally.
+// ResumeRecovered finishes a recovery: it rebinds Uspace directories,
+// removes orphans, re-arms remote poll timers, re-links finished children,
+// and re-dispatches everything that was in flight. A pool calls it only
+// after the replica has rejoined, because the rejoin aborts orphan copies of
+// jobs that failed over elsewhere, and those must not re-dispatch first.
+// Calling it on an NJS that was not recovered (or twice) is a no-op for jobs
+// that are already running normally.
 func (n *NJS) ResumeRecovered() {
 	n.regMu.RLock()
 	jobs := make([]*unicoreJob, 0, len(n.jobs))
@@ -644,11 +631,8 @@ func (n *NJS) ResumeRecovered() {
 	}
 	// Best-effort peer aborts for remote sub-jobs of resumed aborts, issued
 	// outside all locks (mirrors abortJob).
-	if peers := n.peerClient(); peers != nil {
-		for _, ref := range remotes {
-			_ = protocol.Do(context.Background(), peers, ref.usite, protocol.OpControl,
-				protocol.ControlRequest{Job: ref.job, Op: ajo.OpAbort}, nil)
-		}
+	for _, ref := range remotes {
+		_ = callPeer(n, ref.usite, protocol.OpControl, protocol.ControlRequest{Job: ref.job, Op: ajo.OpAbort}, nil)
 	}
 }
 

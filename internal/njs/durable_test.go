@@ -32,13 +32,18 @@ func newDurableNJS(t testing.TB, clock *sim.VirtualClock, dir string, snapshotEv
 	if err != nil {
 		t.Fatalf("journal.Open: %v", err)
 	}
-	n, err := New(durableCfg(clock))
+	n, err := recoverFrom(store, clock, snapshotEvery)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	n.SetLoginMapper(testMapper)
-	n.AttachJournal(store, snapshotEvery)
 	return n, store
+}
+
+// recoverFrom builds an NJS over store, replaying whatever it holds.
+func recoverFrom(store *journal.Store, clock *sim.VirtualClock, snapshotEvery int) (*NJS, error) {
+	cfg := durableCfg(clock)
+	cfg.Journal, cfg.SnapshotEvery = store, snapshotEvery
+	return New(cfg)
 }
 
 func durableCfg(clock *sim.VirtualClock) Config {
@@ -49,6 +54,7 @@ func durableCfg(clock *sim.VirtualClock) Config {
 			{Name: "T3E", Profile: machine.CrayT3E(64)},
 			{Name: "CLUSTER", Profile: machine.GenericCluster(8)},
 		},
+		Logins: testMapper,
 	}
 }
 
@@ -72,11 +78,10 @@ func crashRestart(t testing.TB, old *NJS, store *journal.Store, clock *sim.Virtu
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	n, err := Recover(store2, durableCfg(clock), snapshotEvery)
+	n, err := recoverFrom(store2, clock, snapshotEvery)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	n.SetLoginMapper(testMapper)
 	n.ResumeRecovered()
 	return n, store2
 }
@@ -337,11 +342,10 @@ func TestRecoverPartialAbortFinishes(t *testing.T) {
 		t.Fatalf("Sync: %v", err)
 	}
 
-	n, err := Recover(store, durableCfg(clock), 0)
+	n, err := recoverFrom(store, clock, 0)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	n.SetLoginMapper(testMapper)
 	n.ResumeRecovered()
 	clock.RunUntilIdle(0)
 
@@ -381,7 +385,7 @@ func TestReplayRenameIntoOwnSubtree(t *testing.T) {
 		t.Fatalf("Sync: %v", err)
 	}
 
-	n, err := Recover(store, durableCfg(clock), 0)
+	n, err := recoverFrom(store, clock, 0)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -534,7 +538,7 @@ func TestSubJobOutcomeTreeReplaysFromTheJournal(t *testing.T) {
 	if err := old.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Recover(old, durableCfg(clock), 0)
+	_, err = recoverFrom(old, clock, 0)
 	if !errors.Is(err, journal.ErrCorrupt) || !strings.Contains(err.Error(), "format tag 0x7b") {
 		t.Fatalf("Recover over JSON outcome trees: %v, want ErrCorrupt naming the foreign format tag", err)
 	}
@@ -564,11 +568,10 @@ func TestConsignAckIsDurable(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer store2.Close()
-	n2, err := Recover(store2, durableCfg(clock), 0)
+	n2, err := recoverFrom(store2, clock, 0)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	n2.SetLoginMapper(testMapper)
 	n2.ResumeRecovered()
 	clock.RunUntilIdle(0)
 
@@ -638,7 +641,7 @@ func BenchmarkJournalRecover(b *testing.B) {
 		if err != nil {
 			b.Fatalf("Open: %v", err)
 		}
-		rn, err := Recover(store, durableCfg(clock), 0)
+		rn, err := recoverFrom(store, clock, 0)
 		if err != nil {
 			b.Fatalf("Recover: %v", err)
 		}
@@ -728,12 +731,11 @@ func TestTornWriteSweepOverLastRecords(t *testing.T) {
 			}
 			defer store.Close()
 			clock := sim.NewVirtualClock()
-			n, err := Recover(store, durableCfg(clock), 0)
+			n, err := recoverFrom(store, clock, 0)
 			if err != nil {
 				fail("Recover: %v", err)
 			}
 			defer n.Kill()
-			n.SetLoginMapper(testMapper)
 			n.ResumeRecovered()
 			clock.RunUntilIdle(0)
 
@@ -853,7 +855,7 @@ func recoverCut(t *testing.T, files map[string][]byte) *NJS {
 		t.Fatalf("Open: %v", err)
 	}
 	t.Cleanup(func() { store.Close() })
-	n, err := Recover(store, durableCfg(sim.NewVirtualClock()), 0)
+	n, err := recoverFrom(store, sim.NewVirtualClock(), 0)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -1020,7 +1022,7 @@ func TestRecoverRefusesParentFormat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Open: %v", tc.fixture, err)
 		}
-		n, err := Recover(store, durableCfg(sim.NewVirtualClock()), 0)
+		n, err := recoverFrom(store, sim.NewVirtualClock(), 0)
 		if err == nil {
 			n.Kill()
 		}

@@ -31,13 +31,13 @@
 //
 // # Durability
 //
-// With a journal attached (AttachJournal / Recover), every admission and
-// state transition is appended to a write-ahead journal: the append is an
-// O(1) enqueue on a batched background flusher, so journaling never puts
-// file I/O inside a job lock and Poll appends nothing. Consign additionally
-// group-commits (fsync, batched across concurrent consigns, outside all
-// locks) before acknowledging, so an accepted job is always durable. See
-// durable.go for the recovery model.
+// With a journal (Config.Journal), every admission and state transition is
+// appended to a write-ahead journal: the append is an O(1) enqueue on a
+// batched background flusher, so journaling never puts file I/O inside a job
+// lock and Poll appends nothing. Consign additionally group-commits (fsync,
+// batched across concurrent consigns, outside all locks) before
+// acknowledging, so an accepted job is always durable. See durable.go for the
+// recovery model.
 package njs
 
 import (
@@ -56,6 +56,7 @@ import (
 	"unicore/internal/dag"
 	"unicore/internal/events"
 	"unicore/internal/incarnation"
+	"unicore/internal/journal"
 	"unicore/internal/machine"
 	"unicore/internal/protocol"
 	"unicore/internal/resources"
@@ -73,7 +74,6 @@ var (
 	ErrUnknownVsite  = errors.New("njs: unknown vsite")
 	ErrWrongUsite    = errors.New("njs: job addressed to another usite")
 	ErrNotAuthorized = errors.New("njs: not authorized for this job")
-	ErrNoMapper      = errors.New("njs: no login mapper configured")
 	ErrDown          = errors.New("njs: site is down")
 )
 
@@ -98,9 +98,8 @@ func httpsTransferDelay(size int64) time.Duration {
 	return httpsLatency + time.Duration(float64(size)/httpsRate*float64(time.Second))
 }
 
-// LoginMapper resolves a user DN to the local login at a Vsite. The gateway
-// injects the site's uudb here, keeping the mapping at the security tier
-// where the paper puts it.
+// LoginMapper resolves a user DN to the local login at a Vsite: the site
+// UUDB's Map, the mapping the paper's security servlet owns (§4.2).
 type LoginMapper func(core.DN, core.Vsite) (uudb.Login, error)
 
 // VsiteConfig declares one execution system behind this NJS.
@@ -139,6 +138,19 @@ type Config struct {
 	// to peer sites either. Leave empty for a single-NJS site; a recovered
 	// replica must reuse the instance it was journaled under.
 	Instance string
+	// Logins maps each user to a login at the target Vsite — the site UUDB's
+	// Map. Required.
+	Logins LoginMapper
+	// Peers reaches other Usites' gateways for sub-jobs and Uspace-to-Uspace
+	// transfers; nil for a site with no peers.
+	Peers *protocol.Client
+	// Journal makes the NJS durable: New replays it (an empty store is a
+	// fresh site) and journals every later transition to it. The caller owns
+	// the store. Recovered in-flight work waits for ResumeRecovered.
+	Journal *journal.Store
+	// SnapshotEvery > 0 compacts the journal after that many appended
+	// entries; 0 leaves compaction to Snapshot.
+	SnapshotEvery int
 }
 
 // NJS is one site's network job supervisor.
@@ -154,11 +166,10 @@ type NJS struct {
 	// handles, so a handle names its spool (staging.HandleTag).
 	spoolByTag map[string]*staging.Spool
 
-	mapLogin LoginMapper // set once during wiring, before traffic
-	// peers is the client for sub-job consignment and transfers. It is an
-	// atomic pointer because recovery re-wires it while recovered clock
-	// callbacks may already be scheduled.
-	peers atomic.Pointer[protocol.Client]
+	logins LoginMapper
+	// peers is the client for sub-job consignment and transfers (nil: no
+	// peer sites).
+	peers *protocol.Client
 
 	// regMu guards the job registry and the batch index. It is held only
 	// for map lookups and inserts — never across job work — so that
@@ -283,6 +294,9 @@ func New(cfg Config) (*NJS, error) {
 	if len(cfg.Vsites) == 0 {
 		return nil, errors.New("njs: no vsites configured")
 	}
+	if cfg.Logins == nil {
+		return nil, errors.New("njs: nil login mapper")
+	}
 	if cfg.Instance != "" && len(cfg.Vsites) != 1 {
 		return nil, fmt.Errorf("njs: pool instance %s must serve exactly one vsite, not %d", cfg.Instance, len(cfg.Vsites))
 	}
@@ -294,6 +308,8 @@ func New(cfg Config) (*NJS, error) {
 		usite:        cfg.Usite,
 		instance:     cfg.Instance,
 		clock:        cfg.Clock,
+		logins:       cfg.Logins,
+		peers:        cfg.Peers,
 		tel:          telemetry.New(origin),
 		vsites:       make(map[core.Vsite]*Vsite, len(cfg.Vsites)),
 		spools:       make(map[core.Vsite]*staging.Spool, len(cfg.Vsites)),
@@ -371,21 +387,16 @@ func New(cfg Config) (*NJS, error) {
 			cfg.Clock.AfterFunc(0, func() { n.onBatchStarted(name, bid) })
 		})
 	}
+	if cfg.Journal != nil {
+		if err := n.recover(cfg.Journal, cfg.SnapshotEvery); err != nil {
+			return nil, err
+		}
+	}
 	return n, nil
 }
 
 // Usite returns the site this NJS serves.
 func (n *NJS) Usite() core.Usite { return n.usite }
-
-// SetLoginMapper installs the DN→login resolver (normally the gateway's
-// uudb).
-func (n *NJS) SetLoginMapper(fn LoginMapper) { n.mapLogin = fn }
-
-// SetPeers installs the client used to reach other Usites' gateways.
-func (n *NJS) SetPeers(c *protocol.Client) { n.peers.Store(c) }
-
-// peerClient returns the installed peer client (nil before wiring).
-func (n *NJS) peerClient() *protocol.Client { return n.peers.Load() }
 
 // VsiteNames lists the configured Vsites, sorted.
 func (n *NJS) VsiteNames() []core.Vsite {
@@ -495,10 +506,7 @@ func (n *NJS) Consign(ctx context.Context, user core.DN, consignID string, job *
 	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrUnknownVsite, job.Target.Vsite)
 	}
-	if n.mapLogin == nil {
-		return "", ErrNoMapper
-	}
-	login, err := n.mapLogin(user, job.Target.Vsite)
+	login, err := n.logins(user, job.Target.Vsite)
 	if err != nil {
 		return "", fmt.Errorf("njs: mapping %s at %s: %w", user, job.Target.Vsite, err)
 	}

@@ -14,7 +14,6 @@ import (
 	"unicore/internal/resources"
 	"unicore/internal/sim"
 	"unicore/internal/staging"
-	"unicore/internal/uudb"
 )
 
 // newNJS builds a two-Vsite NJS with a permissive login mapper.
@@ -34,13 +33,11 @@ func newNJS(t *testing.T) (*NJS, *sim.VirtualClock) {
 			{Name: "T3E", Profile: machine.CrayT3E(64)},
 			{Name: "CLUSTER", Profile: machine.GenericCluster(8)},
 		},
+		Logins: testMapper,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	n.SetLoginMapper(func(dn core.DN, v core.Vsite) (uudb.Login, error) {
-		return uudb.Login{UID: loginOf(dn)}, nil
-	})
 	return n, clock
 }
 
@@ -89,12 +86,10 @@ func TestConsignValidation(t *testing.T) {
 		t.Fatal("oversized request admitted")
 	}
 
-	// No mapper.
-	n2, _ := newNJS(t)
-	n2.SetLoginMapper(nil)
-	j4 := job("nomap", "T3E", []ajo.Action{script("s", "echo hi\n")}, nil)
-	if _, err := n2.Consign(context.Background(), alice, "", j4); !errors.Is(err, ErrNoMapper) {
-		t.Fatalf("err = %v, want ErrNoMapper", err)
+	// No login mapper: New refuses to build the NJS.
+	noLogins := Config{Usite: "FZJ", Clock: sim.NewVirtualClock(), Vsites: []VsiteConfig{{Name: "T3E", Profile: machine.CrayT3E(64)}}}
+	if _, err := New(noLogins); err == nil || !strings.Contains(err.Error(), "login mapper") {
+		t.Fatalf("New without Logins: err = %v, want a refusal naming the login mapper", err)
 	}
 }
 
@@ -105,14 +100,13 @@ func TestConsignValidation(t *testing.T) {
 func TestPoolInstanceNamesEveryMint(t *testing.T) {
 	clock := sim.NewVirtualClock()
 	two := []VsiteConfig{{Name: "T3E", Profile: machine.CrayT3E(64)}, {Name: "CLUSTER", Profile: machine.GenericCluster(8)}}
-	if _, err := New(Config{Usite: "FZJ", Clock: clock, Vsites: two, Instance: "T3E.r0"}); err == nil {
+	if _, err := New(Config{Usite: "FZJ", Clock: clock, Vsites: two, Instance: "T3E.r0", Logins: testMapper}); err == nil {
 		t.Fatal("a pool instance serving two vsites was built")
 	}
-	n, err := New(Config{Usite: "FZJ", Clock: clock, Vsites: two[1:], Instance: "CLUSTER.r1"})
+	n, err := New(Config{Usite: "FZJ", Clock: clock, Vsites: two[1:], Instance: "CLUSTER.r1", Logins: testMapper})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	n.SetLoginMapper(func(core.DN, core.Vsite) (uudb.Login, error) { return uudb.Login{UID: "a"}, nil })
 	id, err := n.Consign(context.Background(), alice, "", job("named", "CLUSTER", []ajo.Action{script("s", "echo hi\n")}, nil))
 	if err != nil {
 		t.Fatalf("Consign: %v", err)

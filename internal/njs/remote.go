@@ -51,11 +51,7 @@ func (n *NJS) startLocalSubJobLocked(uj *unicoreJob, sub *ajo.AbstractJob) {
 			fmt.Sprintf("sub-job: %v: %q", ErrUnknownVsite, sub.Target.Vsite))
 		return
 	}
-	if n.mapLogin == nil {
-		n.completeActionLocked(uj, sub.ID(), ajo.StatusFailed, ErrNoMapper.Error())
-		return
-	}
-	login, err := n.mapLogin(uj.owner, sub.Target.Vsite)
+	login, err := n.logins(uj.owner, sub.Target.Vsite)
 	if err != nil {
 		n.completeActionLocked(uj, sub.ID(), ajo.StatusFailed, fmt.Sprintf("sub-job mapping: %v", err))
 		return
@@ -79,9 +75,7 @@ func (n *NJS) startLocalSubJobLocked(uj *unicoreJob, sub *ajo.AbstractJob) {
 // startRemoteSubJobLocked consigns a sub-job to a peer Usite and starts the
 // poll loop. The network call is deferred through the clock so it runs with
 // no job lock held — a consign to a peer must never block Poll/Control on
-// this job behind a network round trip. The peer client is also checked only
-// when the deferred call runs, so a recovered NJS may re-dispatch remote
-// sub-jobs before SetPeers has been re-wired.
+// this job behind a network round trip.
 func (n *NJS) startRemoteSubJobLocked(uj *unicoreJob, sub *ajo.AbstractJob) {
 	raw, err := ajo.Marshal(sub)
 	if err != nil {
@@ -101,11 +95,7 @@ func (n *NJS) consignRemote(jobID core.JobID, aid ajo.ActionID, usite core.Usite
 		return
 	}
 	var reply protocol.ConsignReply
-	err := fmt.Errorf("njs: no peer client configured for %s", usite)
-	if peers := n.peerClient(); peers != nil {
-		err = protocol.Do(context.Background(), peers, usite, protocol.OpConsign,
-			protocol.ConsignRequest{ConsignID: consignID, AJO: raw}, &reply)
-	}
+	err := callPeer(n, usite, protocol.OpConsign, protocol.ConsignRequest{ConsignID: consignID, AJO: raw}, &reply)
 
 	uj, ok := n.job(jobID)
 	if !ok {
@@ -117,9 +107,8 @@ func (n *NJS) consignRemote(jobID core.JobID, aid ajo.ActionID, usite core.Usite
 		// Aborted while the consign was in flight. If the peer accepted,
 		// that job is now orphaned — abort it best-effort, outside the lock.
 		uj.mu.Unlock()
-		if peers := n.peerClient(); err == nil && reply.Accepted && peers != nil {
-			_ = protocol.Do(context.Background(), peers, usite, protocol.OpControl,
-				protocol.ControlRequest{Job: reply.Job, Op: ajo.OpAbort}, nil)
+		if err == nil && reply.Accepted {
+			_ = callPeer(n, usite, protocol.OpControl, protocol.ControlRequest{Job: reply.Job, Op: ajo.OpAbort}, nil)
 		}
 		return
 	}
@@ -170,10 +159,7 @@ func (n *NJS) pollRemote(jobID core.JobID, aid ajo.ActionID) {
 	uj.mu.Unlock()
 
 	var poll protocol.PollReply
-	err := fmt.Errorf("njs: no peer client configured for %s", usite)
-	if peers := n.peerClient(); peers != nil {
-		err = protocol.Do(context.Background(), peers, usite, protocol.OpPoll, protocol.PollRequest{Job: remoteJob}, &poll)
-	}
+	err := callPeer(n, usite, protocol.OpPoll, protocol.PollRequest{Job: remoteJob}, &poll)
 
 	uj.mu.Lock()
 	ref, ok = uj.remote[aid]
@@ -206,10 +192,7 @@ func (n *NJS) pollRemote(jobID core.JobID, aid ajo.ActionID) {
 	uj.mu.Unlock()
 
 	var oreply protocol.OutcomeReply
-	oerr := fmt.Errorf("njs: no peer client configured for %s", usite)
-	if peers := n.peerClient(); peers != nil {
-		oerr = protocol.Do(context.Background(), peers, usite, protocol.OpOutcome, protocol.OutcomeRequest{Job: remoteJob}, &oreply)
-	}
+	oerr := callPeer(n, usite, protocol.OpOutcome, protocol.OutcomeRequest{Job: remoteJob}, &oreply)
 
 	uj.mu.Lock()
 	defer uj.mu.Unlock()
@@ -238,13 +221,12 @@ func (n *NJS) pollRemote(jobID core.JobID, aid ajo.ActionID) {
 // retries, and incremental whole-file CRC verification — a file that mutates
 // under the transfer surfaces as an error instead of assembling garbage.
 func (n *NJS) fetchRemoteFile(usite core.Usite, job core.JobID, file string) ([]byte, error) {
-	peers := n.peerClient()
-	if peers == nil {
+	if n.peers == nil {
 		return nil, fmt.Errorf("njs: no peer client configured for %s", usite)
 	}
 	src := func(ctx context.Context, offset, limit int64, buf []byte) (staging.Chunk, error) {
 		reply := protocol.TransferReply{Data: buf[:0]}
-		err := protocol.Do(ctx, peers, usite, protocol.OpTransfer, protocol.TransferRequest{
+		err := protocol.Do(ctx, n.peers, usite, protocol.OpTransfer, protocol.TransferRequest{
 			Job: job, File: file, Offset: offset, Limit: limit,
 		}, &reply)
 		if err != nil {
@@ -306,4 +288,12 @@ func injectImports(sub *ajo.AbstractJob, injections []injection) (*ajo.AbstractJ
 		return nil, fmt.Errorf("njs: injected sub-job invalid: %w", err)
 	}
 	return cp, nil
+}
+
+// callPeer sends one request to a peer Usite's gateway.
+func callPeer[Req, Rep any](n *NJS, usite core.Usite, op *protocol.Op[Req, Rep], req Req, rep *Rep) error {
+	if n.peers == nil {
+		return fmt.Errorf("njs: no peer client configured for %s", usite)
+	}
+	return protocol.Do(context.Background(), n.peers, usite, op, req, rep)
 }

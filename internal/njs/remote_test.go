@@ -68,15 +68,16 @@ func newPair(t *testing.T) *pair {
 			Usite:  usite,
 			Clock:  clock,
 			Vsites: []njs.VsiteConfig{{Name: "T3E", Profile: machine.CrayT3E(64)}},
+			Logins: users.Map,
+			Peers:  protocol.NewClient(net, cred, ca, reg),
 		})
 		if err != nil {
 			t.Fatalf("njs.New: %v", err)
 		}
-		gw, err := gateway.New(gateway.Config{Usite: usite, Cred: cred, CA: ca, Users: users, Backend: n})
+		gw, err := gateway.New(gateway.Config{Usite: usite, Cred: cred, CA: ca, Backend: n})
 		if err != nil {
 			t.Fatalf("gateway.New: %v", err)
 		}
-		n.SetPeers(protocol.NewClient(net, cred, ca, reg))
 		net.Register(host, gw)
 		reg.Add(usite, "https://"+host)
 		return n, gw

@@ -49,8 +49,6 @@ type Service interface {
 	Pages() []resources.Page
 	// VsiteLoads reports per-Vsite occupancy and replica health (§6 input).
 	VsiteLoads() map[core.Vsite]VsiteLoad
-	// SetLoginMapper installs the DN→login resolver of the security tier.
-	SetLoginMapper(LoginMapper)
 	// Ping reports whether the service can currently take responsibility for
 	// work — the active health probe of a replica pool.
 	Ping() error
@@ -297,11 +295,8 @@ func (n *NJS) abortJob(uj *unicoreJob) error {
 	uj.mu.Lock()
 	err := n.abortLocked(uj, &remotes)
 	uj.mu.Unlock()
-	if peers := n.peerClient(); peers != nil {
-		for _, ref := range remotes {
-			_ = protocol.Do(context.Background(), peers, ref.usite, protocol.OpControl,
-				protocol.ControlRequest{Job: ref.job, Op: ajo.OpAbort}, nil)
-		}
+	for _, ref := range remotes {
+		_ = callPeer(n, ref.usite, protocol.OpControl, protocol.ControlRequest{Job: ref.job, Op: ajo.OpAbort}, nil)
 	}
 	return err
 }

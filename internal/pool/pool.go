@@ -181,15 +181,14 @@ func Instance(v core.Vsite, tag string) string { return string(v) + "." + tag }
 type ReplicaSet struct {
 	cfg Config
 
-	// mu guards replica membership, the ack index, and the mapper.
-	// Routing takes it only for map work, never across a replica call.
+	// mu guards replica membership and the ack index. Routing takes it
+	// only for map work, never across a replica call.
 	mu       sync.RWMutex
 	replicas []*Replica
 	byName   map[string]*Replica
 	acks     map[string]ackEntry      // consign ID → acknowledged admission
 	inflight map[string]chan struct{} // consign ID → in-flight admission
 	lastOpen map[core.DN]*Replica     // user → replica of their latest StageOpen
-	mapper   njs.LoginMapper
 	checking bool
 	timer    sim.Timer
 
@@ -253,9 +252,6 @@ func (s *ReplicaSet) Add(name string, svc njs.Service) error {
 	}
 	r := &Replica{name: name}
 	r.svc.Store(serviceBox{svc})
-	if s.mapper != nil {
-		svc.SetLoginMapper(s.mapper)
-	}
 	s.replicas = append(s.replicas, r)
 	s.byName[name] = r
 	s.mu.Unlock()
@@ -264,22 +260,20 @@ func (s *ReplicaSet) Add(name string, svc njs.Service) error {
 }
 
 // SetService hot-swaps the service behind a replica — the per-replica SetBackend:
-// a recovered NJS takes over from the dead one under the same pool identity.
-// The swap re-installs the login mapper and closes the replica's breaker
-// (the replacement is presumed healthy until proven otherwise).
+// an NJS rebuilt over the dead one's journal takes over under the same pool
+// identity. The replacement comes complete (login mapper and peer client are
+// part of its construction); the swap closes the replica's breaker (it is
+// presumed healthy until proven otherwise) and reconciles its recovered
+// admissions against the ack index.
 func (s *ReplicaSet) SetService(name string, svc njs.Service) error {
 	if svc == nil {
 		return errors.New("pool: nil service")
 	}
 	s.mu.RLock()
 	r, ok := s.byName[name]
-	mapper := s.mapper
 	s.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownReplica, name)
-	}
-	if mapper != nil {
-		svc.SetLoginMapper(mapper)
 	}
 	r.svc.Store(serviceBox{svc})
 	r.markSuccess()
@@ -374,18 +368,6 @@ func (s *ReplicaSet) Healthy() []string {
 		}
 	}
 	return out
-}
-
-// SetLoginMapper installs the DN→login resolver on every replica (present
-// and future); the Router passes on the gateway's.
-func (s *ReplicaSet) SetLoginMapper(fn njs.LoginMapper) {
-	s.mu.Lock()
-	s.mapper = fn
-	reps := append([]*Replica(nil), s.replicas...)
-	s.mu.Unlock()
-	for _, r := range reps {
-		r.service().SetLoginMapper(fn)
-	}
 }
 
 // snapshotReplicas returns the replica slice without holding the lock across

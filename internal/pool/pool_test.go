@@ -34,9 +34,8 @@ type fakeService struct {
 	consignN     int                    // admissions performed
 	pollN        int                    // polls served
 	down         bool
-	admitUnacked bool         // admit the job, then refuse the ack (ErrDown)
-	aborts       []core.JobID // jobs aborted via Control
-	mapper       njs.LoginMapper
+	admitUnacked bool             // admit the job, then refuse the ack (ErrDown)
+	aborts       []core.JobID     // jobs aborted via Control
 	stages       map[string]int64 // staged handle → chunk watermark
 }
 
@@ -145,12 +144,6 @@ func (f *fakeService) VsiteLoads() map[core.Vsite]njs.VsiteLoad {
 	return map[core.Vsite]njs.VsiteLoad{
 		f.vsite: {Replicas: 1, Healthy: 1},
 	}
-}
-
-func (f *fakeService) SetLoginMapper(fn njs.LoginMapper) {
-	f.mu.Lock()
-	f.mapper = fn
-	f.mu.Unlock()
 }
 
 func (f *fakeService) Ping() error {

@@ -26,14 +26,12 @@ import (
 type Router struct {
 	usite core.Usite
 
-	// mu guards set membership and the mapper: sets are usually registered
-	// at assembly time, but a controller may add one to a live router when
-	// the declared topology grows a Vsite.
+	// mu guards set membership: sets are usually registered at assembly
+	// time, but a controller may add one to a live router when the declared
+	// topology grows a Vsite.
 	mu    sync.RWMutex
 	sets  map[core.Vsite]*ReplicaSet
 	order []core.Vsite
-
-	mapper njs.LoginMapper
 }
 
 // Router implements the NJS service surface.
@@ -61,11 +59,7 @@ func (r *Router) AddSet(set *ReplicaSet) error {
 	}
 	r.sets[set.Vsite()] = set
 	r.order = append(r.order, set.Vsite())
-	mapper := r.mapper
 	r.mu.Unlock()
-	if mapper != nil {
-		set.SetLoginMapper(mapper)
-	}
 	return nil
 }
 
@@ -105,18 +99,6 @@ func (r *Router) live() []*Replica {
 		}
 	}
 	return out
-}
-
-// SetLoginMapper installs the DN→login resolver on every replica of every
-// set — the gateway calls this once when it adopts the router as its
-// backend, exactly as it would a single NJS.
-func (r *Router) SetLoginMapper(fn njs.LoginMapper) {
-	r.mu.Lock()
-	r.mapper = fn
-	r.mu.Unlock()
-	for _, set := range r.Sets() {
-		set.SetLoginMapper(fn)
-	}
 }
 
 // StartHealthChecks arms the active health-check loop on every set (for

@@ -227,6 +227,7 @@ func (c *VirtualClock) fireUntilLocked(deadline time.Time) int {
 			break
 		}
 		heap.Pop(&c.events)
+		top.dead = true // fired: a later Stop reports false
 		if c.now.Before(top.when) {
 			c.now = top.when
 		}

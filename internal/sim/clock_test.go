@@ -70,6 +70,22 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
+// TestStopAfterFireReportsFalse: Stop reports whether the event had not
+// fired yet, whichever call fired it.
+func TestStopAfterFireReportsFalse(t *testing.T) {
+	c := NewVirtualClock()
+	idle := c.AfterFunc(0, func() {})
+	c.RunUntilIdle(0)
+	if idle.Stop() {
+		t.Error("Stop after RunUntilIdle fired the timer reported true")
+	}
+	advanced := c.AfterFunc(time.Second, func() {})
+	c.Advance(time.Second)
+	if advanced.Stop() {
+		t.Error("Stop after Advance fired the timer reported true")
+	}
+}
+
 func TestCallbackMaySchedule(t *testing.T) {
 	c := NewVirtualClock()
 	var hits []time.Duration

@@ -10,10 +10,12 @@ import (
 	"unicore/internal/testbed/testbedtest"
 
 	"unicore/internal/ajo"
+	"unicore/internal/client"
 	"unicore/internal/core"
 	"unicore/internal/journal"
 	"unicore/internal/machine"
 	"unicore/internal/njs"
+	"unicore/internal/resources"
 )
 
 // storeHandle pairs a journal store with its directory so a simulated crash
@@ -199,5 +201,54 @@ func TestCrashRecoveryMidWorkload(t *testing.T) {
 		if strings.Contains(s, "FAILED") || strings.Contains(s, "NOT_DONE") {
 			t.Fatalf("baseline workload has failures:\n%s", s)
 		}
+	}
+}
+
+// TestEnableDurabilityRefusesASiteWithJobs: EnableDurability rebuilds the
+// site's NJS over the journal, which would drop whatever the old one holds,
+// so a site that has taken a consign is refused and keeps serving its job.
+// Before traffic the rebuilt NJS goes behind the gateway.
+func TestEnableDurabilityRefusesASiteWithJobs(t *testing.T) {
+	d, err := testbed.SingleSite("DEMO", "CLUSTER", 8)
+	if err != nil {
+		t.Fatalf("SingleSite: %v", err)
+	}
+	defer d.Close()
+	site := d.Sites["DEMO"]
+	before := site.NJS
+	store, err := d.EnableDurability("DEMO", t.TempDir(), 0)
+	if err != nil {
+		t.Fatalf("EnableDurability before traffic: %v", err)
+	}
+	defer store.Close()
+	if site.NJS == before || site.NJS.Journal() != store || site.Gateway.Backend() != njs.Service(site.NJS) {
+		t.Fatal("the journaled NJS is not the one behind the gateway")
+	}
+
+	user, err := d.NewUser("Durable User", "Test", "durable")
+	if err != nil {
+		t.Fatalf("NewUser: %v", err)
+	}
+	sess := d.Session(user, "DEMO")
+	b := client.NewJob("before", core.Target{Usite: "DEMO", Vsite: "CLUSTER"})
+	b.Script("greet", "echo hello\n", resources.Request{Processors: 1, RunTime: time.Minute})
+	job, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	id, err := sess.Submit(context.Background(), job)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	serving := site.NJS
+	if _, err := d.EnableDurability("DEMO", t.TempDir(), 0); err == nil {
+		t.Fatal("EnableDurability over a site holding a consigned job succeeded")
+	}
+	if site.NJS != serving || site.Gateway.Backend() != njs.Service(serving) {
+		t.Fatal("a refused EnableDurability replaced the serving NJS")
+	}
+	d.Run(100000)
+	if sum, err := sess.Status(context.Background(), id); err != nil || sum.Status != ajo.StatusSuccessful {
+		t.Fatalf("job after the refusal: %+v, %v", sum, err)
 	}
 }

@@ -10,6 +10,7 @@
 package testbed
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -39,8 +40,6 @@ type SiteSpec struct {
 	// server half outside, the NJS half inside, talking over a loopback TCP
 	// socket.
 	Split bool
-	// SiteAuth is the optional site-specific authentication hook.
-	SiteAuth gateway.SiteAuth
 }
 
 // Site is one deployed Usite.
@@ -133,22 +132,11 @@ func (d *Deployment) deploySite(spec SiteSpec) (*Site, error) {
 	if err != nil {
 		return nil, err
 	}
-	users := uudb.New()
-	n, err := njs.New(njs.Config{Usite: spec.Usite, Clock: d.Clock, Vsites: spec.Vsites})
-	if err != nil {
+	site := &Site{Spec: spec, Users: uudb.New()}
+	if site.NJS, err = d.siteNJS(site, srvCred, nil, 0); err != nil {
 		return nil, err
 	}
-	// The NJS talks to peer sites as this site's server identity.
-	n.SetPeers(protocol.NewClient(d.Net, srvCred, d.CA, d.Registry))
-	site := &Site{Spec: spec, NJS: n, Users: users}
-	gw, err := gateway.New(gateway.Config{
-		Usite:    spec.Usite,
-		Cred:     srvCred,
-		CA:       d.CA,
-		Users:    users,
-		Backend:  n,
-		SiteAuth: spec.SiteAuth,
-	})
+	gw, err := gateway.New(gateway.Config{Usite: spec.Usite, Cred: srvCred, CA: d.CA, Backend: site.NJS})
 	if err != nil {
 		return nil, err
 	}
@@ -193,12 +181,31 @@ func (d *Deployment) deploySite(spec SiteSpec) (*Site, error) {
 	return site, nil
 }
 
-// EnableDurability attaches a write-ahead journal store (rooted at dir) to a
-// site's NJS. snapshotEvery > 0 sets the automatic snapshot cadence. The
-// returned store belongs to the caller: Sync/Close it around a simulated
-// crash and recover the NJS from a reopened one (njs.Recover). Only a site
-// served by one NJS takes one: a controller-managed site journals under its
-// stack's state root and heals itself (ManagedSite.KillReplica, Reconcile).
+// siteNJS builds the NJS of a single-NJS site: logins mapped through the
+// site's UUDB, peer sites reached under the site's server identity cred, and
+// journaling to store when it is non-nil.
+func (d *Deployment) siteNJS(site *Site, cred *pki.Credential, store *journal.Store, snapshotEvery int) (*njs.NJS, error) {
+	return njs.New(njs.Config{
+		Usite:         site.Spec.Usite,
+		Clock:         d.Clock,
+		Vsites:        site.Spec.Vsites,
+		Logins:        site.Users.Map,
+		Peers:         protocol.NewClient(d.Net, cred, d.CA, d.Registry),
+		Journal:       store,
+		SnapshotEvery: snapshotEvery,
+	})
+}
+
+// EnableDurability makes a site durable: it opens a write-ahead journal
+// store rooted at dir, builds the site's NJS again over it (snapshotEvery > 0
+// sets the automatic snapshot cadence) and puts the new NJS behind the
+// gateway. Call it before traffic: a site whose NJS already holds a
+// consigned job or a staged upload is refused, because the rebuild would
+// drop them. The returned store belongs to the caller: Sync/Close it around
+// a simulated crash and rebuild the NJS over a reopened one
+// (testbedtest.RestartSite). Only a site served by one NJS takes one: a
+// controller-managed site journals under its stack's state root and heals
+// itself (ManagedSite.KillReplica, Reconcile).
 func (d *Deployment) EnableDurability(u core.Usite, dir string, snapshotEvery int) (*journal.Store, error) {
 	site, ok := d.Sites[u]
 	if !ok {
@@ -207,11 +214,24 @@ func (d *Deployment) EnableDurability(u core.Usite, dir string, snapshotEvery in
 	if site.NJS == nil {
 		return nil, fmt.Errorf("testbed: %s is controller-managed; crash and heal it through its ManagedSite", u)
 	}
+	if len(site.NJS.ConsignedJobs()) > 0 || len(site.NJS.StagedHandles()) > 0 {
+		return nil, fmt.Errorf("testbed: %s already holds jobs or staged uploads; enable durability before traffic", u)
+	}
+	cred, err := d.CA.IssueServer("gateway."+strings.ToLower(string(u)), hostOf(u))
+	if err != nil {
+		return nil, err
+	}
 	store, err := journal.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	site.NJS.AttachJournal(store, snapshotEvery)
+	n, err := d.siteNJS(site, cred, store, snapshotEvery)
+	if err != nil {
+		return nil, errors.Join(err, store.Close())
+	}
+	site.NJS.Kill()
+	site.NJS = n
+	site.Gateway.SetBackend(n)
 	return store, nil
 }
 

@@ -71,8 +71,9 @@ func KillSite(d *testbed.Deployment, u core.Usite) error {
 	return nil
 }
 
-// RestartSite boots a replacement NJS from the journal store, re-wires it
-// (peer client, gateway, login mapping), and resumes the recovered workload.
+// RestartSite builds a replacement NJS over the journal store — its login
+// mapper, a peer client and the journal are part of its construction — puts
+// it behind the site's gateway, and resumes the recovered workload.
 func RestartSite(d *testbed.Deployment, u core.Usite, store *journal.Store, snapshotEvery int) error {
 	site, err := single(d, u)
 	if err != nil {
@@ -82,16 +83,19 @@ func RestartSite(d *testbed.Deployment, u core.Usite, store *journal.Store, snap
 	if err != nil {
 		return err
 	}
-	n, err := njs.Recover(store, njs.Config{
-		Usite:  site.Spec.Usite,
-		Clock:  d.Clock,
-		Vsites: site.Spec.Vsites,
-	}, snapshotEvery)
+	n, err := njs.New(njs.Config{
+		Usite:         site.Spec.Usite,
+		Clock:         d.Clock,
+		Vsites:        site.Spec.Vsites,
+		Logins:        site.Users.Map,
+		Peers:         protocol.NewClient(d.Net, cred, d.CA, d.Registry),
+		Journal:       store,
+		SnapshotEvery: snapshotEvery,
+	})
 	if err != nil {
 		return err
 	}
-	n.SetPeers(protocol.NewClient(d.Net, cred, d.CA, d.Registry))
-	site.Gateway.SetBackend(n) // installs the login mapper
+	site.Gateway.SetBackend(n)
 	site.NJS = n
 	n.ResumeRecovered()
 	return nil

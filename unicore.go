@@ -282,7 +282,7 @@ func NewManaged(spec *TopologySpec, usite Usite, stateRoot string) (*Deployment,
 }
 
 // OpenJournal opens (or creates) a journal store rooted at dir — the kind of
-// store EnableDurability attaches and a restarted NJS recovers from.
+// store a durable NJS is built over and a restarted one recovers from.
 func OpenJournal(dir string) (*JournalStore, error) { return journal.Open(dir) }
 
 // German deploys the six-site 1999 German production testbed of §5.7.
