@@ -149,7 +149,6 @@ var unusedAllowed = map[string]string{
 
 	"unicore/internal/gateway.Gateway.Backend": "test harness: deploy and unicore-gateway tests reach the tier behind a gateway",
 	"unicore/internal/vfs.FS.Used":             "test harness: vfs and njs tests check quota accounting",
-	"unicore/internal/protocol.Op.Frames":      "test harness: gateway tests check docs/PROTOCOL.md's frame column against it",
 }
 
 // unusedObjects type-checks every package of the module rooted at dir and

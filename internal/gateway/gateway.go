@@ -133,6 +133,8 @@ type Gateway struct {
 	// registry) appended to MsgMetrics scrapes alongside the backend's.
 	sourceMu sync.Mutex
 	sources  []func() []telemetry.Snapshot
+
+	frames protocol.Handlers // the stream's dispatch table: a handler per row, built by New
 }
 
 // New assembles a gateway in front of its backend.
@@ -156,6 +158,13 @@ func New(cfg Config) (*Gateway, error) {
 		siteAuth: cfg.SiteAuth,
 		applets:  make(map[string]Applet),
 		tel:      telemetry.New("gateway/" + string(cfg.Usite)),
+		frames:   make(protocol.Handlers, len(ops)),
+	}
+	for _, r := range ops {
+		r.register(g)
+	}
+	if missing := g.frames.Unserved(); len(missing) > 0 {
+		return nil, fmt.Errorf("gateway: no row of the operation table serves %v", missing)
 	}
 	g.SetBackend(cfg.Backend)
 	return g, nil

@@ -1,9 +1,10 @@
 package gateway
 
 // The operation table: every request type the gateway answers is one row
-// here. A frame runs its row through a Stream* method; the in-process
-// HandleContext runs the same row from a signed envelope, so authorisation,
-// federation relaying and error texts are identical on both by construction.
+// here. A frame runs its row through the handler New registers for it; the
+// in-process HandleContext runs the same row from a signed envelope, so
+// authorisation, federation relaying and error texts are identical on both
+// by construction.
 
 import (
 	"context"
@@ -90,13 +91,23 @@ func (o *op[Req, Rep]) envelope(g *Gateway, ctx context.Context, c caller, raw j
 	return o.serve(g, ctx, c, req)
 }
 
+// register makes the row g's handler for its op's frames. The closure is
+// built once per gateway, never per frame; a frame runs it under the
+// identity its stream's hello bound.
+func (o *op[Req, Rep]) register(g *Gateway) {
+	protocol.Handle(g.frames, o.wire, func(ctx context.Context, dn core.DN, asServer bool, req Req) (Rep, error) {
+		return o.serve(g, ctx, caller{dn, asServer}, req)
+	})
+}
+
 func (o *op[Req, Rep]) request() protocol.MsgType { return o.wire.Type() }
 
 // route is a row with its request and reply types erased — what
-// HandleContext holds after a table lookup.
+// HandleContext and New hold after a table lookup.
 type route interface {
 	request() protocol.MsgType
 	envelope(g *Gateway, ctx context.Context, c caller, raw json.RawMessage) (any, error)
+	register(g *Gateway)
 }
 
 // unknownType is the one bucket every request type outside the table is
@@ -104,7 +115,7 @@ type route interface {
 // verbatim would let one authenticated peer mint unbounded metric series.
 const unknownType protocol.MsgType = "unknown"
 
-// The rows, named for the Stream* methods in stream.go.
+// The rows, named for the protocol ops they serve.
 var (
 	opConsign = &op[protocol.ConsignRequest, protocol.ConsignReply]{
 		wire:  protocol.OpConsign,

@@ -212,7 +212,10 @@ func (o *op[Req, Rep]) frame(ctx context.Context, c *protocol.Client, usite core
 	return protocol.Do(ctx, c, usite, o.wire, request.(Req), rep)
 }
 
-func (o *op[Req, Rep]) frames() (request, reply byte) { return o.wire.Frames() }
+func (o *op[Req, Rep]) frames() (request, reply byte) {
+	request, _, reply = o.wire.Frames()
+	return request, reply
+}
 
 func (o *op[Req, Rep]) describe() (role, relay string) {
 	role, relay = "user", "never"

@@ -79,6 +79,27 @@ func (c *tamperedConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// TestEveryFramedOpIsServed: a gateway's frame table holds one handler per
+// row of its operation table, and a gateway whose table leaves a framed op
+// of the protocol's unserved is not built — what no compiler checks once ops
+// are registered, not methods.
+func TestEveryFramedOpIsServed(t *testing.T) {
+	s := newSite(t)
+	if missing := s.gw.frames.Unserved(); len(missing) != 0 {
+		t.Errorf("the gateway serves no frame of %v", missing)
+	}
+	if len(s.gw.frames) != len(ops) {
+		t.Errorf("%d rows registered %d frame handlers", len(ops), len(s.gw.frames))
+	}
+	list := ops[protocol.MsgList]
+	delete(ops, protocol.MsgList)
+	defer func() { ops[protocol.MsgList] = list }()
+	_, err := New(Config{Usite: "FZJ", Cred: s.gw.cred, CA: s.ca, Backend: s.njs})
+	if err == nil || !strings.Contains(err.Error(), string(protocol.MsgList)) {
+		t.Errorf("New without the list row: err = %v, want a refusal naming %s", err, protocol.MsgList)
+	}
+}
+
 // TestUndecodableReplyDropsTheStream: bytes the op's decoder rejects poison
 // the connection, not the call — the stream is dropped and the request
 // replayed on a fresh one, within the retry budget.

@@ -520,26 +520,7 @@ func (n *NJS) Consign(ctx context.Context, user core.DN, consignID string, job *
 	}
 
 	if consignID == "" {
-		id, err := n.admit(user, login, job, graph, vs, nil, "")
-		if err == nil {
-			// Write-ahead contract: the admission record must be durable
-			// before the client is told the job was accepted — a crash after
-			// the ack may lose later transitions, never the job itself. The
-			// store's batched flusher group-commits concurrent consigns.
-			// On sync failure the id is returned with the error: the job is
-			// admitted and running, only its durability is unconfirmed.
-			sp := n.tel.StartSpan(ctx, "njs.journal.sync")
-			err = n.SyncJournal()
-			sp.End()
-		}
-		if err == nil && n.dead.Load() {
-			// Killed between admit and ack: the recorder may already have
-			// been detached, so this admission's durability is unknowable.
-			// Refuse the ack — either the record reached the journal (the
-			// job recovers) or the client's retry re-consigns it.
-			err = ErrDown
-		}
-		return id, err
+		return n.admitDurably(ctx, user, login, job, graph, vs, "")
 	}
 	for {
 		n.consignMu.Lock()
@@ -548,26 +529,15 @@ func (n *NJS) Consign(ctx context.Context, user core.DN, consignID string, job *
 			e = &consignEntry{done: make(chan struct{})}
 			n.consignIndex[consignID] = e
 			n.consignMu.Unlock()
-			id, admitErr := n.admit(user, login, job, graph, vs, nil, consignID)
-			err := admitErr
-			if err == nil {
-				sp := n.tel.StartSpan(ctx, "njs.journal.sync")
-				err = n.SyncJournal() // durable before the ack (see above)
-				sp.End()
-			}
-			if err == nil && n.dead.Load() {
-				err = ErrDown // killed between admit and ack (see above)
-			}
+			id, err := n.admitDurably(ctx, user, login, job, graph, vs, consignID)
 			n.consignMu.Lock()
-			if admitErr != nil {
-				delete(n.consignIndex, consignID) // let a retry re-attempt
-			} else {
-				// Keep the reservation even when the durability sync failed:
-				// the job is admitted and running, so retries must converge
-				// on it (and surface the same error), never duplicate it.
-				e.id = id
+			// An admitted job keeps its reservation even when the durability
+			// sync failed: it is running, so retries must converge on it (and
+			// surface the same error), never duplicate it.
+			e.id, e.err = id, err
+			if id == "" {
+				delete(n.consignIndex, consignID) // not admitted: let a retry re-attempt
 			}
-			e.err = err
 			n.consignMu.Unlock()
 			close(e.done)
 			return id, err
@@ -580,6 +550,31 @@ func (n *NJS) Consign(ctx context.Context, user core.DN, consignID string, job *
 		// The attempt we waited on failed before admission and was cleared;
 		// try again.
 	}
+}
+
+// admitDurably admits a consigned job and acknowledges it only once its
+// admission record is durable. Write-ahead contract: the record must be
+// durable before the client is told the job was accepted — a crash after the
+// ack may lose later transitions, never the job itself. The store's batched
+// flusher group-commits concurrent consigns. The ID is "" only when the job
+// was not admitted; on a sync failure it is returned with the error: the job
+// is admitted and running, only its durability is unconfirmed.
+func (n *NJS) admitDurably(ctx context.Context, user core.DN, login uudb.Login, job *ajo.AbstractJob, graph *dag.Graph, vs *Vsite, consignID string) (core.JobID, error) {
+	id, err := n.admit(user, login, job, graph, vs, nil, consignID)
+	if err != nil {
+		return id, err
+	}
+	sp := n.tel.StartSpan(ctx, "njs.journal.sync")
+	err = n.SyncJournal()
+	sp.End()
+	if err == nil && n.dead.Load() {
+		// Killed between admit and ack: the recorder may already have been
+		// detached, so this admission's durability is unknowable. Refuse
+		// the ack — either the record reached the journal (the job
+		// recovers) or the client's retry re-consigns it.
+		err = ErrDown
+	}
+	return id, err
 }
 
 // admit creates the job record, registers it, and starts dispatching under

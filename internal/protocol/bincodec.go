@@ -2,8 +2,8 @@ package protocol
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
+	"math"
 	"time"
 
 	"unicore/internal/ajo"
@@ -140,7 +140,7 @@ func walkMsg(c *bin.Codec, m any) error {
 		c.Blob(&m.Signature.Sig)
 	case *LoadReply:
 		c.Float64(&m.Overall)
-		walkLoads(c, &m.Vsites)
+		walkMap(c, &m.Vsites)
 	case *PutOpenRequest:
 		c.Str((*string)(&m.Vsite))
 		c.Str(&m.Name)
@@ -162,7 +162,7 @@ func walkMsg(c *bin.Codec, m any) error {
 		c.Bool(&m.PerReplica)
 		c.Bool(&m.Spans)
 	case *MetricsReply:
-		return walkSnapshots(c, m)
+		walkSnapshots(c, &m.Snapshots)
 	case *FedAdvertiseRequest:
 		c.Str((*string)(&m.From))
 		walkAds(c, &m.Ads)
@@ -224,22 +224,43 @@ func walkCall(c *bin.Codec, code *byte, trace *string) {
 	c.Str(trace)
 }
 
-func walkOrigins(c *bin.Codec, m *map[string]uint64) {
+// walkMap walks a map keyed by name — a subscription's origin cursors, the
+// Vsites' loads, a metric's labels: its count, then each entry (walkEntry).
+// A decoder charges the map before it makes it.
+func walkMap[V uint64 | VsiteLoad | string](c *bin.Codec, m *map[string]V) {
 	n := c.Len(len(*m))
 	if !c.Decoding() {
 		for k, v := range *m {
-			c.Str(&k)
-			c.Uvarint(&v)
+			walkEntry(c, &k, &v)
 		}
-	} else if n > 0 && bin.Charge[bin.MapEntry[string, uint64]](c, n) {
-		*m = make(map[string]uint64, n)
+	} else if n > 0 && bin.Charge[bin.MapEntry[string, V]](c, n) {
+		*m = make(map[string]V, n)
 		for ; n > 0 && !c.Failed(); n-- {
 			var k string
-			var v uint64
-			c.Str(&k)
-			c.Uvarint(&v)
+			var v V
+			walkEntry(c, &k, &v)
 			(*m)[k] = v
 		}
+	}
+}
+
+// walkEntry walks one entry of a walkMap map. A label's key and value are
+// Syms: a scrape repeats them on point after point.
+func walkEntry[V uint64 | VsiteLoad | string](c *bin.Codec, k *string, v *V) {
+	switch v := any(v).(type) {
+	case *uint64:
+		c.Str(k)
+		c.Uvarint(v)
+	case *VsiteLoad:
+		c.Str(k)
+		c.Float64(&v.Load)
+		c.Int(&v.Pending)
+		c.Int(&v.Inflight)
+		c.Int(&v.Replicas)
+		c.Int(&v.Healthy)
+	case *string:
+		c.Sym(k)
+		c.Sym(v)
 	}
 }
 
@@ -259,58 +280,50 @@ func walkAds(c *bin.Codec, ads *[]FedAd) {
 		c.Time(&ad.Stamp)
 		c.Int(&ad.Hops)
 		walkPages(c, &ad.PagesDER)
-		walkLoads(c, &ad.Loads)
+		walkMap(c, &ad.Loads)
 		c.Int(&ad.Jobs)
 		c.Float64(&ad.Charge)
 	}
 }
 
-func walkLoads(c *bin.Codec, m *map[string]VsiteLoad) {
-	n := c.Len(len(*m))
-	if !c.Decoding() {
-		for name, l := range *m {
-			walkLoad(c, &name, &l)
+// walkSnapshots walks a metrics reply's telemetry snapshots. A scrape names
+// the same metrics, label keys and values, kinds and span hops over and
+// over, so each is a Sym.
+func walkSnapshots(c *bin.Codec, snaps *[]telemetry.Snapshot) {
+	for i := range bin.Slice(c, snaps) {
+		s := &(*snaps)[i]
+		c.Sym(&s.Origin)
+		c.Time(&s.Taken)
+		for j := range bin.Slice(c, &s.Metrics) {
+			p := &s.Metrics[j]
+			c.Sym(&p.Name)
+			walkMap(c, &p.Labels)
+			c.Sym((*string)(&p.Kind))
+			c.Float64(&p.Value)
+			c.Uvarint(&p.Count)
+			c.Float64(&p.Sum)
+			for k := range bin.Slice(c, &p.Buckets) {
+				b := &p.Buckets[k]
+				inf := math.IsInf(b.LE, 1) // the overflow bucket's bound, which Float64 refuses
+				if c.Bool(&inf); !inf {
+					c.Float64(&b.LE)
+				} else if c.Decoding() {
+					b.LE = math.Inf(1)
+				}
+				c.Uvarint(&b.Count)
+			}
 		}
-	} else if n > 0 && bin.Charge[bin.MapEntry[string, VsiteLoad]](c, n) {
-		*m = make(map[string]VsiteLoad, n)
-		for ; n > 0 && !c.Failed(); n-- {
-			var name string
-			var l VsiteLoad
-			walkLoad(c, &name, &l)
-			(*m)[name] = l
+		for j := range bin.Slice(c, &s.Spans) {
+			sp := &s.Spans[j]
+			c.Sym(&sp.Trace)
+			c.Sym(&sp.Name)
+			c.Sym(&sp.Origin)
+			c.Sym(&sp.Note)
+			c.Uvarint(&sp.Seq)
+			c.Time(&sp.Start)
+			c.Varint((*int64)(&sp.Dur))
 		}
 	}
-}
-
-func walkLoad(c *bin.Codec, name *string, l *VsiteLoad) {
-	c.Str(name)
-	c.Float64(&l.Load)
-	c.Int(&l.Pending)
-	c.Int(&l.Inflight)
-	c.Int(&l.Replicas)
-	c.Int(&l.Healthy)
-}
-
-// A metrics reply is the one body that is not a walk over fields: the
-// snapshots are package telemetry's type, which grows with every instrumented
-// layer, so they ride as one length-prefixed JSON document — the document an
-// envelope would carry. Snapshots that do not marshal go out as an empty
-// document, which the decoder refuses like any malformed body. The decoded
-// list goes through a local: json.Unmarshal lets its target escape, and a
-// target inside m would take every message of walkMsg to the heap with it.
-func walkSnapshots(c *bin.Codec, m *MetricsReply) error {
-	var doc []byte
-	if !c.Decoding() {
-		doc, _ = json.Marshal(m.Snapshots)
-	}
-	c.View(&doc)
-	if !c.Decoding() || c.Err() != nil {
-		return nil // decode reports c.Err itself
-	}
-	var snaps []telemetry.Snapshot
-	err := json.Unmarshal(doc, &snaps)
-	m.Snapshots = snaps
-	return err
 }
 
 // TransferReplyOverhead bounds the bytes a TransferReply's frame body spends
@@ -339,7 +352,7 @@ type binSub struct {
 func walkSub(c *bin.Codec, m *SubscribeRequest, once *bool) {
 	c.Str((*string)(&m.Job))
 	c.Uvarint(&m.Cursor)
-	walkOrigins(c, &m.Origins)
+	walkMap(c, &m.Origins)
 	c.Int(&m.Max)
 	c.Varint(&m.WaitMs)
 	c.Bool(once)
@@ -357,7 +370,7 @@ type binEvents struct {
 // ID, origin, types and action names repeat, and its instants are close.
 func walkEvents(c *bin.Codec, m *EventsReply, end *bool) {
 	c.Uvarint(&m.Cursor)
-	walkOrigins(c, &m.Origins)
+	walkMap(c, &m.Origins)
 	c.Bool(&m.Gap)
 	c.Bool(end)
 	var prev time.Time

@@ -19,20 +19,24 @@ func hostile(front ...byte) []byte {
 	return append(binary.AppendUvarint(front, 1<<20), make([]byte, 1<<20)...)
 }
 
-// TestHostileMapCountsAreRefused: a body whose map count claims an entry for
-// every byte behind it is refused by name before the map is made, so the
-// decode allocates no more than its budget — a map sized for 1 Mi entries
-// takes 53–128 MiB.
+// TestHostileMapCountsAreRefused: a body whose map or list count claims an
+// entry for every byte behind it is refused by name before the map or list
+// is made, so the decode allocates no more than its budget — a map sized for
+// 1 Mi entries takes 53–128 MiB, a list of 1 Mi snapshots 88 MiB.
 func TestHostileMapCountsAreRefused(t *testing.T) {
 	for _, c := range []struct {
 		walk   string
 		body   []byte
 		decode func([]byte) error
 	}{
-		{"walkOrigins", hostile(0, 0), // job, cursor
+		{"walkMap: origins", hostile(0, 0), // job, cursor
 			func(p []byte) error { var m binSub; return decode(p, &m) }},
-		{"walkLoads", hostile(0, 0, 0, 0, 0, 0, 0, 0), // overall load
+		{"walkMap: loads", hostile(0, 0, 0, 0, 0, 0, 0, 0), // overall load
 			func(p []byte) error { var m LoadReply; return decode(p, &m) }},
+		{"walkSnapshots: snapshots", hostile(),
+			func(p []byte) error { var m MetricsReply; return decode(p, &m) }},
+		{"walkMap: labels", hostile(1, 16, 0, 1, 16), // one snapshot, origin "", taken, one point, name ""
+			func(p []byte) error { var m MetricsReply; return decode(p, &m) }},
 	} {
 		if err := c.decode(c.body); !errors.Is(err, bin.ErrOverBudget) {
 			t.Errorf("%s: a 1 MiB body claiming 1 Mi entries decoded with %v, want %v", c.walk, err, bin.ErrOverBudget)

@@ -45,6 +45,8 @@ func parseCert(der []byte) (*x509.Certificate, error) {
 // pushed server-side. A stream hello at any other version is refused with a
 // server-signed ErrBadVersion error.
 //
+// Version 9 walks a metrics reply's snapshots (walkSnapshots), which were one
+// JSON document, so its decode is held to the budget like every body's.
 // Version 8 gives federation gossip a frame form (OpAdvertise) and retires
 // the POSTed envelope it used to travel as, so a site has one door.
 // Version 7 drops the staging requests' Owner field: a relayed call names
@@ -57,7 +59,7 @@ func parseCert(der []byte) (*x509.Certificate, error) {
 // strings travel as references and instants as the offset from the one
 // before (walkEvents). Any change to a frame body's bytes bumps it;
 // TestFrameBodiesArePinned holds the encodings of this version.
-const Version = 8
+const Version = 9
 
 // Errors reported when opening envelopes.
 var (

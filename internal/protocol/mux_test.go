@@ -126,10 +126,12 @@ type blockingPolls struct {
 }
 
 func (b *blockingPolls) ServeStream(ctx context.Context, conn net.Conn) {
-	ServeStreamConn(ctx, conn, b, StreamServerOpts{Cred: b.cred, Usite: "FZJ"})
+	h := b.handlers()
+	Handle(h, OpPoll, b.poll)
+	ServeStreamConn(ctx, conn, b, h, StreamServerOpts{Cred: b.cred, Usite: "FZJ"})
 }
 
-func (b *blockingPolls) StreamPoll(ctx context.Context, _ core.DN, _ bool, _ PollRequest) (PollReply, error) {
+func (b *blockingPolls) poll(ctx context.Context, _ core.DN, _ bool, _ PollRequest) (PollReply, error) {
 	n := b.in.Add(1)
 	for p := b.peak.Load(); n > p && !b.peak.CompareAndSwap(p, n); p = b.peak.Load() {
 	}
@@ -252,13 +254,12 @@ func TestStreamServesAtMostItsConcurrency(t *testing.T) {
 type jobEcho struct{ dataServer }
 
 func (e *jobEcho) ServeStream(ctx context.Context, conn net.Conn) {
-	if e.wrap != nil {
-		conn = e.wrap(conn)
-	}
-	ServeStreamConn(ctx, conn, e, StreamServerOpts{Cred: e.cred, Usite: "FZJ"})
+	h := e.handlers()
+	Handle(h, OpPoll, jobEchoPoll)
+	e.serve(ctx, conn, h)
 }
 
-func (*jobEcho) StreamPoll(ctx context.Context, _ core.DN, _ bool, req PollRequest) (PollReply, error) {
+func jobEchoPoll(ctx context.Context, _ core.DN, _ bool, req PollRequest) (PollReply, error) {
 	select {
 	case <-time.After(time.Duration(rand.Int63n(int64(time.Millisecond)))):
 	case <-ctx.Done():

@@ -1,17 +1,15 @@
 package protocol
 
 import (
-	"context"
 	"fmt"
 
 	"unicore/internal/bin"
-	"unicore/internal/core"
 )
 
 // row is one row of the protocol's operation table: a request type, the reply
 // type that answers it, and how the pair rides the frame stream. Everything
 // this package does per op is derived from the table: the reply type a
-// request is answered with, and the server session's frame dispatch.
+// request is answered with, and the frames a server finds its handler by.
 type row struct {
 	request MsgType
 	reply   MsgType
@@ -20,33 +18,32 @@ type row struct {
 	wire wireRow
 }
 
-// The stream ops, one typed handle each: what Do runs. A handle names its
-// request and reply types, so a request sent with another op's reply out
-// parameter does not compile.
+// The stream ops, one typed handle each: what Do runs and Handle registers.
+// A handle names its request and reply types, so a request sent with another
+// op's reply out parameter does not compile.
 var (
-	OpConsign   = call(MsgConsign, binConsign, StreamBackend.StreamConsign)
-	OpPoll      = call(MsgPoll, binPoll, StreamBackend.StreamPoll)
-	OpOutcome   = call(MsgOutcome, binOutcome, StreamBackend.StreamOutcome)
-	OpList      = call(MsgList, binList, StreamBackend.StreamList)
-	OpControl   = call(MsgControl, binControl, StreamBackend.StreamControl)
-	OpResources = call(MsgResources, binResources, StreamBackend.StreamResources)
-	OpTransfer  = &Op[TransferRequest, TransferReply]{MsgTransfer, FrameFetch, 1, FrameData, StreamBackend.StreamTransfer}
-	OpApplet    = call(MsgApplet, binApplet, StreamBackend.StreamApplet)
-	OpLoad      = call(MsgLoad, binLoad, StreamBackend.StreamLoad)
-	OpFetch     = &Op[FetchRequest, TransferReply]{MsgFetch, FrameFetch, 0, FrameData, StreamBackend.StreamFetch}
+	OpConsign   = call[ConsignRequest, ConsignReply](MsgConsign, binConsign)
+	OpPoll      = call[PollRequest, PollReply](MsgPoll, binPoll)
+	OpOutcome   = call[OutcomeRequest, OutcomeReply](MsgOutcome, binOutcome)
+	OpList      = call[ListRequest, ListReply](MsgList, binList)
+	OpControl   = call[ControlRequest, ControlReply](MsgControl, binControl)
+	OpResources = call[ResourcesRequest, ResourcesReply](MsgResources, binResources)
+	OpTransfer  = &Op[TransferRequest, TransferReply]{MsgTransfer, FrameFetch, 1, FrameData}
+	OpApplet    = call[AppletRequest, AppletReply](MsgApplet, binApplet)
+	OpLoad      = call[LoadRequest, LoadReply](MsgLoad, binLoad)
+	OpFetch     = &Op[FetchRequest, TransferReply]{MsgFetch, FrameFetch, 0, FrameData}
 	// OpSubscribe is the one-batch form of a subscription. The server
 	// session runs FrameSub itself (one-shot and push subscriptions are
 	// cancellable and outlive a request slot, see startSub) and takes only
-	// the backend method from this handle.
-	OpSubscribe = &Op[SubscribeRequest, EventsReply]{MsgSubscribe, FrameSub, 0, FrameEvents, StreamBackend.StreamEvents}
-	OpPutOpen   = call(MsgPutOpen, binPutOpen, StreamBackend.StreamPutOpen)
-	OpPutChunk  = &Op[PutChunkRequest, PutChunkReply]{MsgPutChunk, FramePut, 0, FramePutAck, StreamBackend.StreamPutChunk}
-	OpPutCommit = call(MsgPutCommit, binPutCommit, StreamBackend.StreamPutCommit)
-	// The reply's snapshots ride as one JSON document (see walkSnapshots).
-	OpMetrics = call(MsgMetrics, binMetrics, StreamBackend.StreamMetrics)
+	// the handler registered under this handle.
+	OpSubscribe = &Op[SubscribeRequest, EventsReply]{MsgSubscribe, FrameSub, 0, FrameEvents}
+	OpPutOpen   = call[PutOpenRequest, PutOpenReply](MsgPutOpen, binPutOpen)
+	OpPutChunk  = &Op[PutChunkRequest, PutChunkReply]{MsgPutChunk, FramePut, 0, FramePutAck}
+	OpPutCommit = call[PutCommitRequest, PutCommitReply](MsgPutCommit, binPutCommit)
+	OpMetrics   = call[MetricsRequest, MetricsReply](MsgMetrics, binMetrics)
 	// OpAdvertise is gateway-to-gateway gossip, on the stream a peer's
 	// federation also forwards consigns over.
-	OpAdvertise = call(MsgFedAdvertise, binAdvertise, StreamBackend.StreamAdvertise)
+	OpAdvertise = call[FedAdvertiseRequest, FedAdvertiseReply](MsgFedAdvertise, binAdvertise)
 )
 
 // ops is the operation table, in wire-constant order. A stream op's request
@@ -73,9 +70,9 @@ var ops = []row{
 }
 
 // call is the handle of an op that rides FrameCall / FrameReply under a call
-// code: the code and the backend method are all that tell such ops apart.
-func call[Req, Rep any](msg MsgType, code byte, backend func(StreamBackend, context.Context, core.DN, bool, Req) (Rep, error)) *Op[Req, Rep] {
-	return &Op[Req, Rep]{msg, FrameCall, code, FrameReply, backend}
+// code: the code and the types are all that tell such ops apart.
+func call[Req, Rep any](msg MsgType, code byte) *Op[Req, Rep] {
+	return &Op[Req, Rep]{msg, FrameCall, code, FrameReply}
 }
 
 // framed is the table row of a stream op.
@@ -83,21 +80,13 @@ func framed[Req, Rep any](o *Op[Req, Rep], reply MsgType) row {
 	return row{o.msg, reply, o}
 }
 
-// opByRequest and opByFrame index the table: by request type for ReplyType,
-// by request frame kind and code for the server session.
-var (
-	opByRequest = make(map[MsgType]*row, len(ops))
-	opByFrame   = make(map[[2]byte]wireRow)
-)
+// opByRequest indexes the table by request type, for ReplyType. The one
+// index by frame is a server's Handlers.
+var opByRequest = make(map[MsgType]*row, len(ops))
 
 func init() {
 	for i := range ops {
-		o := &ops[i]
-		opByRequest[o.request] = o
-		if o.wire != nil {
-			kind, code, _ := o.wire.frames()
-			opByFrame[[2]byte{kind, code}] = o.wire
-		}
+		opByRequest[ops[i].request] = &ops[i]
 	}
 }
 
@@ -111,15 +100,9 @@ func ReplyType(t MsgType) (reply MsgType, ok bool) {
 	return o.reply, true
 }
 
-// wireRow is an Op with its request and reply types erased — what the
-// server session holds after a table lookup.
+// wireRow is an Op with its request and reply types erased.
 type wireRow interface {
-	// frames returns the request frame kind, the code that selects the op
-	// among those sharing the kind, and the reply frame kind.
-	frames() (kind, code, answer byte)
-	// serveFrame decodes one request body, runs it on the session's backend
-	// and writes the reply frame.
-	serveFrame(ctx context.Context, s *streamSession, id uint64, body []byte)
+	Frames() (request, code, reply byte)
 }
 
 // Op is the frame form of one op, typed by its request and reply so a
@@ -130,17 +113,14 @@ type Op[Req, Rep any] struct {
 	kind   byte // request frame kind
 	code   byte // selects the op among those sharing kind: FrameCall's leading code byte, FrameFetch's trailing flag
 	answer byte // reply frame kind
-
-	backend func(StreamBackend, context.Context, core.DN, bool, Req) (Rep, error)
 }
 
 // Type returns the op's request type.
 func (o *Op[Req, Rep]) Type() MsgType { return o.msg }
 
-// Frames returns the frame kinds the op's request and its reply ride.
-func (o *Op[Req, Rep]) Frames() (request, reply byte) { return o.kind, o.answer }
-
-func (o *Op[Req, Rep]) frames() (kind, code, answer byte) { return o.kind, o.code, o.answer }
+// Frames returns the frame kind the op's request rides, the code that selects
+// the op among the requests of that kind, and the reply's frame kind.
+func (o *Op[Req, Rep]) Frames() (request, code, reply byte) { return o.kind, o.code, o.answer }
 
 // named puts the message type into a codec error — above all errNoWalk,
 // which walkMsg cannot name itself without making every message escape.
@@ -178,37 +158,6 @@ func (o *Op[Req, Rep]) decodeReply(f Frame, rep *Rep) error {
 		*rep = r
 	}
 	return nil
-}
-
-// serveFrame answers backend errors as generic stream errors — the client
-// surfaces them as *ErrorReply. A
-// decoded request aliases body only if it is a data frame's (a chunk's Data):
-// readPayload allocated that body for this frame alone, so the backend owns
-// it from here. Any other body is a receive-pool buffer the worker reuses
-// once serveFrame returns, and its decoded request holds copies. The reply's
-// fields are encoded into a small pooled buffer; a data reply's Data is not
-// copied into it but written straight from where it rests (encodeFrame), so
-// a backend's TransferReply.Data must stay unchanged until send returns —
-// a vfs view does, being immutable.
-func (o *Op[Req, Rep]) serveFrame(ctx context.Context, s *streamSession, id uint64, body []byte) {
-	var req Req
-	if err := decode(body, &req); err != nil {
-		s.writeErr(id, StreamErrBadFrame, named[Req](err).Error())
-		return
-	}
-	rep, err := o.backend(s.be, ctx, s.dn, s.asServer, req)
-	if err != nil {
-		s.writeErr(id, StreamErrGeneric, err.Error())
-		return
-	}
-	bp := getFrameBuf(0)
-	var tail []byte
-	if *bp, tail, err = encodeFrame(*bp, &rep); err != nil {
-		putFrameBuf(bp)
-		s.writeErr(id, StreamErrBadFrame, named[Rep](err).Error())
-		return
-	}
-	s.send(o.answer, id, bp, tail)
 }
 
 // splitRequest peels a request frame's payload apart: the code that selects

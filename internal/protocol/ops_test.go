@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
 	"strings"
@@ -58,6 +59,7 @@ type codecFuzzer interface {
 	everyField(t *testing.T, msg MsgType)
 	outlivesFrame(t *testing.T, msg MsgType)
 	missingWalks() []string
+	handleZero(h Handlers)
 	fuzzCodecs(t *testing.T, msg MsgType, p []byte)
 	seedCodecs(add func([]byte), reqs, reps []any)
 	encodeZero(trace string) ([]byte, error)
@@ -78,15 +80,11 @@ func roundTrip[T any](v T) (got T, err error) {
 // as values, not bytes: a decoder accepts non-canonical varints, and an
 // origins map encodes in map order.)
 func stable[T any](t *testing.T, what string, p []byte) {
+	bintest.WithinBudget(t, what, len(p), func() {
+		var v T
+		decode(p, &v)
+	})
 	var v T
-	// A metrics reply's snapshots are one JSON document, decoded by
-	// encoding/json outside the budget (walkSnapshots).
-	if _, json := any(&v).(*MetricsReply); !json {
-		bintest.WithinBudget(t, what, len(p), func() {
-			var v T
-			decode(p, &v)
-		})
-	}
 	if decode(p, &v) != nil {
 		return
 	}
@@ -152,7 +150,11 @@ func codecSamples() (reqs, reps []any) {
 		PutOpenReply{Handle: "h-2", ChunkSize: 1 << 20, Window: 8},
 		PutCommitReply{Size: 16 << 20, CRC: 0xFEEDFACE, Chunks: 16},
 		MetricsReply{Snapshots: []telemetry.Snapshot{{Origin: "usite/FZJ", Taken: now,
-			Metrics: []telemetry.MetricPoint{{Name: "consign_total", Kind: telemetry.KindCounter, Value: 4}}}}},
+			Metrics: []telemetry.MetricPoint{
+				{Name: "consign_total", Labels: map[string]string{"vsite": "T3E"}, Kind: telemetry.KindCounter, Value: 4},
+				{Name: "consign_ack_seconds", Kind: telemetry.KindHistogram, Count: 3, Sum: 0.25,
+					Buckets: []telemetry.Bucket{{LE: 0.1, Count: 2}, {LE: math.Inf(1), Count: 1}}}},
+			Spans: []telemetry.Span{{Trace: "t-1", Name: "njs.consign", Origin: "njs/FZJ", Note: "T3E", Seq: 7, Start: now, Dur: 1500}}}}},
 		FedAdvertiseReply{Ads: []FedAd{ad, {Origin: "DWD", URL: "https://gw.dwd", Epoch: 1, Stamp: now}}},
 	}
 	return reqs, reps
@@ -340,6 +342,16 @@ func TestWireTableIsConsistent(t *testing.T) {
 	if len(opByRequest) != len(ops) {
 		t.Fatalf("%d rows index to %d request types: a request type is listed twice", len(ops), len(opByRequest))
 	}
+	// A server that serves every framed row: the one frame index.
+	h := Handlers{}
+	for _, o := range ops {
+		if o.wire != nil {
+			o.wire.(codecFuzzer).handleZero(h)
+		}
+	}
+	if missing := h.Unserved(); len(missing) != 0 {
+		t.Errorf("a table with every row registered leaves %v unserved", missing)
+	}
 	framed := 0
 	for _, o := range ops {
 		if o.wire == nil {
@@ -350,7 +362,7 @@ func TestWireTableIsConsistent(t *testing.T) {
 			continue
 		}
 		framed++
-		kind, code, answer := o.wire.frames()
+		kind, code, answer := o.wire.Frames()
 		if FrameKindName(kind) == fmt.Sprintf("0x%02x", kind) || FrameKindName(answer) == fmt.Sprintf("0x%02x", answer) {
 			t.Errorf("%s rides unnamed frame kinds %#x/%#x", o.request, kind, answer)
 		}
@@ -370,17 +382,26 @@ func TestWireTableIsConsistent(t *testing.T) {
 		if kind == FrameCall && trace != "trace-1" {
 			t.Errorf("%s: trace %q did not survive the call header", o.request, trace)
 		}
-		if opByFrame[[2]byte{kind, code}] != o.wire {
+		if e, _ := h[[2]byte{kind, code}].(interface{ wire() wireRow }); e == nil || e.wire() != o.wire {
 			t.Errorf("%s: frame (%#x, %d) resolves to another row", o.request, kind, code)
 		}
 	}
-	if len(opByFrame) != framed {
-		t.Fatalf("%d framed rows index to %d (kind, code) pairs: two rows share a frame", framed, len(opByFrame))
+	if len(h) != framed {
+		t.Fatalf("%d framed rows index to %d (kind, code) pairs: two rows share a frame", framed, len(h))
 	}
-	if opByFrame[[2]byte{FrameCall, 0xEE}] != nil || opByFrame[[2]byte{0x55, 0}] != nil {
+	if h[[2]byte{FrameCall, 0xEE}] != nil || h[[2]byte{0x55, 0}] != nil {
 		t.Fatal("an unknown call code or frame kind resolves to a row")
 	}
 }
+
+// handleZero registers the row in h with a handler that answers the zero
+// reply.
+func (o *Op[Req, Rep]) handleZero(h Handlers) {
+	Handle(h, o, func(context.Context, core.DN, bool, Req) (rep Rep, err error) { return rep, err })
+}
+
+// wire is the op an entry of Handlers serves.
+func (e *served[Req, Rep]) wire() wireRow { return e.op }
 
 // walkless is a message type walkMsg has no case for: what a row added to the
 // table without its walk looks like.
@@ -392,11 +413,12 @@ type walkless struct{ N int }
 // and never with a panic in the session goroutine.
 func TestRowWithoutWalkIsANamedError(t *testing.T) {
 	served := false
-	row := &Op[walkless, walkless]{msg: "walkless", kind: FrameCall, code: 0xEE, answer: FrameReply,
-		backend: func(StreamBackend, context.Context, core.DN, bool, walkless) (walkless, error) {
-			served = true
-			return walkless{}, nil
-		}}
+	row := &Op[walkless, walkless]{msg: "walkless", kind: FrameCall, code: 0xEE, answer: FrameReply}
+	h := Handlers{}
+	Handle(h, row, func(context.Context, core.DN, bool, walkless) (walkless, error) {
+		served = true
+		return walkless{}, nil
+	})
 	named := func(err error) bool {
 		return errors.Is(err, errNoWalk) && strings.Contains(err.Error(), "walkless")
 	}
@@ -414,7 +436,7 @@ func TestRowWithoutWalkIsANamedError(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	go func() {
-		row.serveFrame(context.Background(), &streamSession{conn: server}, 7, nil)
+		h[[2]byte{row.kind, row.code}].serveFrame(context.Background(), &streamSession{conn: server}, 7, nil)
 		server.Close()
 	}()
 	f, err := readFrame(client, new([frameHeaderLen]byte), MaxFramePayload)

@@ -48,15 +48,27 @@ func newRig(t *testing.T) *testRig {
 // with a fixed PollReply and a list with an error; hellos are verified like a
 // real gateway's, and answered under cred.
 type echoServer struct {
-	StreamBackend // any other op is a nil dereference: the tests send none
-	rig           *testRig
-	cred          *pki.Credential
+	rig  *testRig
+	cred *pki.Credential
 }
 
 func (r *testRig) echoServer() *echoServer { return &echoServer{rig: r, cred: r.server} }
 
 func (e *echoServer) ServeStream(ctx context.Context, conn net.Conn) {
-	ServeStreamConn(ctx, conn, e, StreamServerOpts{Cred: e.cred, Usite: "FZJ"})
+	ServeStreamConn(ctx, conn, e, e.handlers(), StreamServerOpts{Cred: e.cred, Usite: "FZJ"})
+}
+
+// handlers is the echo server's table — a poll and a list, and no other op —
+// which the fakes built on it add their own ops to.
+func (*echoServer) handlers() Handlers {
+	h := Handlers{}
+	Handle(h, OpPoll, func(context.Context, core.DN, bool, PollRequest) (PollReply, error) {
+		return PollReply{Found: true}, nil
+	})
+	Handle(h, OpList, func(context.Context, core.DN, bool, ListRequest) (ListReply, error) {
+		return ListReply{}, errors.New("unsupported")
+	})
+	return h
 }
 
 func (e *echoServer) StreamHello(hello []byte) (Opened, []byte) {
@@ -66,14 +78,6 @@ func (e *echoServer) StreamHello(hello []byte) (Opened, []byte) {
 		return o, refusal
 	}
 	return o, nil
-}
-
-func (*echoServer) StreamPoll(context.Context, core.DN, bool, PollRequest) (PollReply, error) {
-	return PollReply{Found: true}, nil
-}
-
-func (*echoServer) StreamList(context.Context, core.DN, bool, ListRequest) (ListReply, error) {
-	return ListReply{}, errors.New("unsupported")
 }
 
 func TestSealOpenRoundTrip(t *testing.T) {

@@ -31,14 +31,24 @@ type dataServer struct {
 }
 
 func (d *dataServer) ServeStream(ctx context.Context, conn net.Conn) {
+	d.serve(ctx, conn, d.handlers())
+}
+
+// serve serves conn, wrapped, from h.
+func (d *dataServer) serve(ctx context.Context, conn net.Conn, h Handlers) {
 	if d.wrap != nil {
 		conn = d.wrap(conn)
 	}
-	ServeStreamConn(ctx, conn, d, StreamServerOpts{Cred: d.cred, Usite: "FZJ"})
+	ServeStreamConn(ctx, conn, d, h, StreamServerOpts{Cred: d.cred, Usite: "FZJ"})
 }
 
-func (d *dataServer) StreamFetch(context.Context, core.DN, bool, FetchRequest) (TransferReply, error) {
-	return TransferReply{Found: true, Size: int64(len(d.data)), CRC: 1, Data: d.data}, nil
+// handlers is the echo server's table and a fetch.
+func (d *dataServer) handlers() Handlers {
+	h := d.echoServer.handlers()
+	Handle(h, OpFetch, func(context.Context, core.DN, bool, FetchRequest) (TransferReply, error) {
+		return TransferReply{Found: true, Size: int64(len(d.data)), CRC: 1, Data: d.data}, nil
+	})
+	return h
 }
 
 // halvingConn holds back half of a data reply's Data. The server writes the

@@ -19,9 +19,10 @@ import (
 
 // Server-side half of the v3 frame protocol. ServeStreamConn owns the
 // framing, the Hello authentication handshake, correlation-ID bookkeeping,
-// and the push-subscription loops; the typed request handling stays with the
-// StreamBackend (the gateway). SpliceStream is the firewall front's share.
-// Compare streamConn/openStream in mux.go for the client half.
+// and the push-subscription loops; the hello's check stays with the
+// StreamBackend and each op with its handler in Handlers (the gateway's
+// rows). SpliceStream is the firewall front's share. Compare
+// streamConn/openStream in mux.go for the client half.
 
 // defaultStreamConcurrency bounds how many request frames one stream serves
 // at once — the server-side mirror of the client's in-flight window. It is
@@ -37,36 +38,58 @@ const maxStreamSubs = 256
 // subscription would spin on empty fetches.
 const defaultPushWaitMs = 30_000
 
-// StreamBackend is the typed server behind a v3 stream — implemented by the
-// gateway. Identity (dn, asServer) is the
-// stream's: it was verified once at Hello and binds every frame after, for as
-// long as StreamServerOpts.CA has not revoked it. A stream whose server hello
-// acts for a user (HelloRequest.ActingFor) is that user's: dn names the user
-// and asServer is false.
+// StreamBackend authenticates the hellos of a v3 stream — implemented by the
+// gateway. Identity (dn, asServer) is the stream's: it was verified once at
+// Hello and binds every frame after, for as long as StreamServerOpts.CA has
+// not revoked it. A stream whose server hello acts for a user
+// (HelloRequest.ActingFor) is that user's: dn names the user and asServer is
+// false.
 type StreamBackend interface {
 	// StreamHello authenticates the Hello envelope before the handshake
 	// completes — signature, role policy, site-specific auth. A non-nil
 	// refusal is the sealed MsgError envelope that refuses the stream.
 	StreamHello(hello []byte) (o Opened, refusal []byte)
-	StreamConsign(ctx context.Context, dn core.DN, asServer bool, req ConsignRequest) (ConsignReply, error)
-	StreamPoll(ctx context.Context, dn core.DN, asServer bool, req PollRequest) (PollReply, error)
-	StreamOutcome(ctx context.Context, dn core.DN, asServer bool, req OutcomeRequest) (OutcomeReply, error)
-	StreamList(ctx context.Context, dn core.DN, asServer bool, req ListRequest) (ListReply, error)
-	StreamControl(ctx context.Context, dn core.DN, asServer bool, req ControlRequest) (ControlReply, error)
-	StreamResources(ctx context.Context, dn core.DN, asServer bool, req ResourcesRequest) (ResourcesReply, error)
-	StreamApplet(ctx context.Context, dn core.DN, asServer bool, req AppletRequest) (AppletReply, error)
-	StreamLoad(ctx context.Context, dn core.DN, asServer bool, req LoadRequest) (LoadReply, error)
-	StreamPutOpen(ctx context.Context, dn core.DN, asServer bool, req PutOpenRequest) (PutOpenReply, error)
-	StreamPutChunk(ctx context.Context, dn core.DN, asServer bool, req PutChunkRequest) (PutChunkReply, error)
-	StreamPutCommit(ctx context.Context, dn core.DN, asServer bool, req PutCommitRequest) (PutCommitReply, error)
-	StreamMetrics(ctx context.Context, dn core.DN, asServer bool, req MetricsRequest) (MetricsReply, error)
-	StreamAdvertise(ctx context.Context, dn core.DN, asServer bool, req FedAdvertiseRequest) (FedAdvertiseReply, error)
-	StreamFetch(ctx context.Context, dn core.DN, asServer bool, req FetchRequest) (TransferReply, error)
-	StreamTransfer(ctx context.Context, dn core.DN, asServer bool, req TransferRequest) (TransferReply, error)
-	// StreamEvents serves one cursor-resumable event batch (one long-poll
-	// round). ServeStreamConn drives it once per one-shot subscription and in
-	// a loop for push subscriptions.
-	StreamEvents(ctx context.Context, dn core.DN, asServer bool, req SubscribeRequest) (EventsReply, error)
+}
+
+// Handlers is a stream server's dispatch table: the handler of each op it
+// serves, by the op's request frame kind and code. Handle fills it; a frame
+// whose op has no entry is refused as unsupported.
+type Handlers map[[2]byte]handler
+
+// handler is an op's entry in Handlers with its types erased: serveFrame
+// decodes one request body, runs the op's handler on it under the session's
+// identity and writes the reply frame.
+type handler interface {
+	serveFrame(ctx context.Context, s *streamSession, id uint64, body []byte)
+}
+
+// served is the entry Handle makes.
+type served[Req, Rep any] struct {
+	op *Op[Req, Rep]
+	fn func(context.Context, core.DN, bool, Req) (Rep, error)
+}
+
+// Handle registers fn as the server of op's frames in h. fn runs under the
+// identity the stream's hello bound (see StreamBackend); an error it returns
+// answers the frame as a generic stream error. For OpSubscribe, fn serves one
+// event batch (one long-poll round), once for a one-shot subscription and in
+// a loop for a push subscription.
+func Handle[Req, Rep any](h Handlers, op *Op[Req, Rep], fn func(ctx context.Context, dn core.DN, asServer bool, req Req) (Rep, error)) {
+	h[[2]byte{op.kind, op.code}] = &served[Req, Rep]{op, fn}
+}
+
+// Unserved returns the request type of every framed op in the protocol's
+// table that h has no handler for, in table order.
+func (h Handlers) Unserved() (missing []MsgType) {
+	for _, r := range ops {
+		if r.wire == nil {
+			continue // the hello
+		}
+		if kind, code, _ := r.wire.Frames(); h[[2]byte{kind, code}] == nil {
+			missing = append(missing, r.request)
+		}
+	}
+	return missing
 }
 
 // ErrActingFor refuses a user-signed stream hello that names a user to act
@@ -94,7 +117,7 @@ type StreamServerOpts struct {
 // writer, a bounded pool of reused workers, per-subscription cancel registry.
 type streamSession struct {
 	conn     net.Conn
-	be       StreamBackend
+	handlers Handlers
 	ctx      context.Context
 	dn       core.DN
 	asServer bool
@@ -112,12 +135,13 @@ type streamSession struct {
 	subs  map[uint64]context.CancelFunc
 }
 
-// ServeStreamConn authenticates and serves one v3 stream until the
-// connection dies or ctx is cancelled. It blocks; callers run it from the
-// upgrade handler's goroutine (or a testbed pipe's). The hello is read
+// ServeStreamConn authenticates one v3 stream's hello with be, then serves
+// its frames from h until the connection dies or ctx is cancelled. It
+// blocks; callers run it from the upgrade handler's goroutine (or a testbed
+// pipe's). The hello is read
 // against maxHandshakePayload: a peer not yet authenticated cannot make it
 // allocate more.
-func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts StreamServerOpts) {
+func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, h Handlers, opts StreamServerOpts) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	var hdr [frameHeaderLen]byte
@@ -178,7 +202,7 @@ func ServeStreamConn(ctx context.Context, conn net.Conn, be StreamBackend, opts 
 	}()
 	s := &streamSession{
 		conn:     conn,
-		be:       be,
+		handlers: h,
 		ctx:      sctx,
 		dn:       dn,
 		asServer: asServer,
@@ -346,17 +370,17 @@ func (s *streamSession) worker(f Frame) {
 	}
 }
 
-// handle serves one request/response frame: the wire table names the op the
-// frame's kind and code select, and the op's row does the rest. A frame no
-// row claims — an unknown kind, or an unknown code of a known kind — is
-// refused here and nowhere else.
+// handle serves one request/response frame: the frame's kind and code select
+// the handler of its op, which does the rest. A frame no handler claims — an
+// unknown kind, an unknown code of a known kind, or an op this server does
+// not serve — is refused here and nowhere else.
 func (s *streamSession) handle(f Frame) {
 	code, trace, body, err := splitRequest(f.Kind, f.Payload)
 	if err != nil {
 		s.writeErr(f.ID, StreamErrBadFrame, err.Error())
 		return
 	}
-	op := opByFrame[[2]byte{f.Kind, code}]
+	op := s.handlers[[2]byte{f.Kind, code}]
 	if op == nil {
 		s.writeErr(f.ID, StreamErrUnsupported, fmt.Sprintf("unsupported %s frame (code %d)", FrameKindName(f.Kind), code))
 		return
@@ -368,9 +392,40 @@ func (s *streamSession) handle(f Frame) {
 	op.serveFrame(ctx, s, f.ID, body)
 }
 
+// serveFrame answers handler errors as generic stream errors — the client
+// surfaces them as *ErrorReply. A decoded request aliases body only if it is
+// a data frame's (a chunk's Data): readPayload allocated that body for this
+// frame alone, so the handler owns it from here. Any other body is a
+// receive-pool buffer the worker reuses once serveFrame returns, and its
+// decoded request holds copies. The reply's fields are encoded into a small
+// pooled buffer; a data reply's Data is not copied into it but written
+// straight from where it rests (encodeFrame), so a handler's
+// TransferReply.Data must stay unchanged until send returns — a vfs view
+// does, being immutable.
+func (e *served[Req, Rep]) serveFrame(ctx context.Context, s *streamSession, id uint64, body []byte) {
+	var req Req
+	if err := decode(body, &req); err != nil {
+		s.writeErr(id, StreamErrBadFrame, named[Req](err).Error())
+		return
+	}
+	rep, err := e.fn(ctx, s.dn, s.asServer, req)
+	if err != nil {
+		s.writeErr(id, StreamErrGeneric, err.Error())
+		return
+	}
+	bp := getFrameBuf(0)
+	var tail []byte
+	if *bp, tail, err = encodeFrame(*bp, &rep); err != nil {
+		putFrameBuf(bp)
+		s.writeErr(id, StreamErrBadFrame, named[Rep](err).Error())
+		return
+	}
+	s.send(e.op.answer, id, bp, tail)
+}
+
 // startSub opens a subscription under the frame's correlation ID: one batch
-// for a one-shot (the MsgSubscribe compatibility path), a server-driven push
-// loop otherwise.
+// for a one-shot (what Await, Events and Watch's first fetch run), a
+// server-driven push loop otherwise.
 func (s *streamSession) startSub(f Frame) {
 	sub, err := decodeSub(f.Payload)
 	if err != nil {
@@ -417,17 +472,23 @@ func (s *streamSession) stopSub(id uint64) {
 	}
 }
 
-// runSub drives one subscription. Each round is one backend long-poll; a
-// push subscription advances its own cursors between rounds, skips empty
-// batches, and ends (End=true) once it has delivered the terminal event of a
-// job-scoped stream.
+// runSub drives one subscription. Each round is one long-poll of the
+// OpSubscribe handler; a push subscription advances its own cursors between
+// rounds, skips empty batches, and ends (End=true) once it has delivered the
+// terminal event of a job-scoped stream. A server with no such handler
+// refuses the subscription as unsupported.
 func (s *streamSession) runSub(ctx context.Context, id uint64, sub binSub) {
+	events, _ := s.handlers[[2]byte{OpSubscribe.kind, OpSubscribe.code}].(*served[SubscribeRequest, EventsReply])
+	if events == nil {
+		s.writeErr(id, StreamErrUnsupported, "unsupported "+FrameKindName(FrameSub)+" frame")
+		return
+	}
 	req := sub.SubscribeRequest
 	if !sub.Once && req.WaitMs <= 0 {
 		req.WaitMs = defaultPushWaitMs
 	}
 	for {
-		reply, err := OpSubscribe.backend(s.be, ctx, s.dn, s.asServer, req)
+		reply, err := events.fn(ctx, s.dn, s.asServer, req)
 		if ctx.Err() != nil {
 			return // cancelled: FrameSubStop, stream teardown, or shutdown
 		}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,8 +23,7 @@ import (
 // subBackend serves what a subscription needs and nothing else: the hello,
 // and event batches that owe every subscription one event per round.
 type subBackend struct {
-	StreamBackend // any other op is a nil dereference: the test sends none
-	ca            *pki.Authority
+	ca *pki.Authority
 
 	mu    sync.Mutex
 	round uint64        // every job's events run up to this seq
@@ -38,7 +38,15 @@ func (b *subBackend) StreamHello(hello []byte) (Opened, []byte) {
 	return o, nil
 }
 
-func (b *subBackend) StreamEvents(ctx context.Context, _ core.DN, _ bool, req SubscribeRequest) (EventsReply, error) {
+// handlers is the subscription backend's table: event batches, and no other
+// op.
+func (b *subBackend) handlers() Handlers {
+	h := Handlers{}
+	Handle(h, OpSubscribe, b.events)
+	return h
+}
+
+func (b *subBackend) events(ctx context.Context, _ core.DN, _ bool, req SubscribeRequest) (EventsReply, error) {
 	for {
 		b.mu.Lock()
 		round, moved := b.round, b.moved
@@ -72,7 +80,7 @@ func TestStreamSubscriptionOverload(t *testing.T) {
 	conn, server := net.Pipe()
 	served := make(chan struct{})
 	go func() {
-		ServeStreamConn(context.Background(), server, be, StreamServerOpts{Cred: r.server, Usite: "FZJ"})
+		ServeStreamConn(context.Background(), server, be, be.handlers(), StreamServerOpts{Cred: r.server, Usite: "FZJ"})
 		close(served)
 	}()
 	defer func() {
@@ -177,7 +185,7 @@ func TestHelloFrameIsBoundedBeforeAuth(t *testing.T) {
 		serve func(net.Conn)
 	}{
 		{"ServeStreamConn", func(c net.Conn) {
-			ServeStreamConn(context.Background(), c, &subBackend{}, StreamServerOpts{})
+			ServeStreamConn(context.Background(), c, &subBackend{}, nil, StreamServerOpts{})
 		}},
 		{"SpliceStream", func(c net.Conn) {
 			SpliceStream(c, func([]byte) (net.Conn, []byte) {
@@ -220,14 +228,15 @@ func TestHelloFrameIsBoundedBeforeAuth(t *testing.T) {
 // identityBackend answers a poll with the identity its stream bound: the
 // caller's DN as the summary's job, Found for a user-role caller.
 type identityBackend struct {
-	StreamBackend // any other op is a nil dereference: the test sends none
-	ca            *pki.Authority
-	cred          *pki.Credential
-	hellos        sync.Map // signer and acting-for of every accepted hello
+	ca     *pki.Authority
+	cred   *pki.Credential
+	hellos sync.Map // signer and acting-for of every accepted hello
 }
 
 func (b *identityBackend) ServeStream(ctx context.Context, conn net.Conn) {
-	ServeStreamConn(ctx, conn, b, StreamServerOpts{Cred: b.cred, Usite: "FZJ"})
+	h := Handlers{}
+	Handle(h, OpPoll, identityPoll)
+	ServeStreamConn(ctx, conn, b, h, StreamServerOpts{Cred: b.cred, Usite: "FZJ"})
 }
 
 func (b *identityBackend) StreamHello(hello []byte) (Opened, []byte) {
@@ -243,7 +252,7 @@ func (b *identityBackend) StreamHello(hello []byte) (Opened, []byte) {
 	return o, nil
 }
 
-func (*identityBackend) StreamPoll(_ context.Context, dn core.DN, asServer bool, _ PollRequest) (PollReply, error) {
+func identityPoll(_ context.Context, dn core.DN, asServer bool, _ PollRequest) (PollReply, error) {
 	return PollReply{Found: !asServer, Summary: ajo.Summary{Job: string(dn)}}, nil
 }
 
@@ -285,5 +294,76 @@ func TestActingForBindsEachStreamToItsUser(t *testing.T) {
 		if !ok || n.(*atomic.Int64).Load() != 1 {
 			t.Errorf("streams acting for %q opened %v hellos, want 1", user, n)
 		}
+	}
+}
+
+// TestUnservedOpIsUnsupported: a server serves the ops its table holds and no
+// other. A list call and a subscription to a server whose table holds only a
+// poll are each refused with StreamErrUnsupported naming the frame, and the
+// poll that follows on the same stream is still served.
+func TestUnservedOpIsUnsupported(t *testing.T) {
+	r := newRig(t)
+	h := Handlers{}
+	Handle(h, OpPoll, func(context.Context, core.DN, bool, PollRequest) (PollReply, error) {
+		return PollReply{Found: true}, nil
+	})
+	conn, server := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		ServeStreamConn(context.Background(), server, r.echoServer(), h, StreamServerOpts{Cred: r.server, Usite: "FZJ"})
+		close(served)
+	}()
+	defer func() {
+		conn.Close()
+		<-served
+	}()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	var hdr [frameHeaderLen]byte
+	hello, err := Seal(r.user, MsgHello, HelloRequest{Usite: "FZJ", Nonce: "n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, FrameHello, 0, hello); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := readFrame(conn, &hdr, MaxFramePayload); err != nil || f.Kind != FrameHelloOK {
+		t.Fatalf("hello answered with kind %#x, %v", f.Kind, err)
+	}
+	list, _, err := OpList.encodeRequest(nil, &ListRequest{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := []struct {
+		kind byte
+		body []byte
+	}{
+		{FrameCall, list},
+		{FrameSub, mustEncode(binSub{SubscribeRequest: SubscribeRequest{Job: "FZJ-000001"}})},
+	}
+	for i, req := range refused {
+		id := uint64(i + 1)
+		if err := writeFrame(conn, req.kind, id, req.body); err != nil {
+			t.Fatal(err)
+		}
+		f, err := readFrame(conn, &hdr, MaxFramePayload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, msg := parseStreamError(f.Payload)
+		if f.Kind != FrameError || f.ID != id || code != StreamErrUnsupported || !strings.Contains(msg, FrameKindName(req.kind)) {
+			t.Errorf("%s frame answered with kind %#x id %d code %d %q, want unsupported naming the frame", FrameKindName(req.kind), f.Kind, f.ID, code, msg)
+		}
+	}
+	poll, _, err := OpPoll.encodeRequest(nil, &PollRequest{Job: "FZJ-000001"}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, FrameCall, 9, poll); err != nil {
+		t.Fatal(err)
+	}
+	f, err := readFrame(conn, &hdr, MaxFramePayload)
+	var rep PollReply
+	if err != nil || f.Kind != FrameReply || f.ID != 9 || decode(f.Payload, &rep) != nil || !rep.Found {
+		t.Fatalf("the poll after the refusals: kind %#x id %d %+v, %v", f.Kind, f.ID, rep, err)
 	}
 }
