@@ -505,16 +505,6 @@ type ActionList []Action
 // Kind reports KindJob.
 func (j *AbstractJob) Kind() Kind { return KindJob }
 
-// Find returns the direct child action with the given ID.
-func (j *AbstractJob) Find(id ActionID) (Action, bool) {
-	for _, a := range j.Actions {
-		if a.ID() == id {
-			return a, true
-		}
-	}
-	return nil, false
-}
-
 // Graph builds the dependency DAG over the job's direct children.
 func (j *AbstractJob) Graph() (*dag.Graph, error) {
 	ids := make([]string, len(j.Actions))

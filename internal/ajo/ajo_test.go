@@ -77,8 +77,8 @@ func TestCheckReturnsTheGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := j.Graph()
-	if g.Len() != want.Len() || !reflect.DeepEqual(g.Roots(), want.Roots()) {
-		t.Errorf("Check's graph has %d nodes, roots %v; Graph's %d, roots %v", g.Len(), g.Roots(), want.Len(), want.Roots())
+	if !reflect.DeepEqual(g, want) {
+		t.Errorf("Check's graph %+v differs from Graph's %+v", g, want)
 	}
 	j.Dependencies = append(j.Dependencies, Dependency{Before: "exp", After: "imp"})
 	if g, err := j.Check(); err == nil || g != nil || j.Validate() == nil {
@@ -219,30 +219,34 @@ func TestGraphAndFind(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The chain dispatches one action at a time, in dependency order.
-	done := map[string]bool{}
+	done := make([]bool, len(j.Actions))
 	var order []string
-	for ready := g.Ready(done); len(ready) > 0; ready = g.Ready(done) {
+	for {
+		var ready []int
+		g.Ready(func(i int) bool { return done[i] }, func(i int) { ready = append(ready, i) })
+		if len(ready) == 0 {
+			break
+		}
 		if len(ready) != 1 {
 			t.Fatalf("after %v, Ready = %v, want one action", order, ready)
 		}
 		done[ready[0]] = true
-		order = append(order, ready[0])
+		order = append(order, string(j.Actions[ready[0]].ID()))
 	}
 	if got := strings.Join(order, " "); got != "imp cc ld run exp" {
 		t.Fatalf("dispatch order = %s", got)
 	}
-	if _, ok := j.Find("run"); !ok {
-		t.Fatal("Find(run) failed")
+	if i, ok := g.Index("run"); !ok || j.Actions[i].ID() != "run" {
+		t.Fatalf("Index(run) = %d, %v", i, ok)
 	}
-	if _, ok := j.Find("ghost"); ok {
-		t.Fatal("Find(ghost) succeeded")
+	if _, ok := g.Index("ghost"); ok {
+		t.Fatal("Index(ghost) succeeded")
 	}
 }
 
 // TestValidateAllocationBudget gates the graph a consign builds on every
 // validation: the two slices handed to dag.Build and the graph, plus, above
-// eight actions, the ID set and the graph's ID index, whatever the number
-// of actions.
+// eight actions, the ID set, whatever the number of actions.
 func TestValidateAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include the race detector's own")
@@ -293,14 +297,24 @@ func TestMaxResources(t *testing.T) {
 	}
 }
 
+// child returns the direct child action of j with the given ID, or nil.
+func child(j *AbstractJob, id ActionID) Action {
+	for _, a := range j.Actions {
+		if a.ID() == id {
+			return a
+		}
+	}
+	return nil
+}
+
 func TestTaskResources(t *testing.T) {
 	j := sampleJob()
-	run, _ := j.Find("run")
+	run := child(j, "run")
 	r, ok := TaskResources(run)
 	if !ok || r.Processors != 64 {
 		t.Fatalf("TaskResources(run) = %+v, %v", r, ok)
 	}
-	imp, _ := j.Find("imp")
+	imp := child(j, "imp")
 	if _, ok := TaskResources(imp); ok {
 		t.Fatal("file task reported resources")
 	}

@@ -96,9 +96,10 @@ type Outcome struct {
 	Children []*Outcome   `json:"children,omitempty"`
 }
 
-// NewOutcome initialises a pending outcome for an action.
-func NewOutcome(a Action) *Outcome {
-	return &Outcome{Action: a.ID(), Name: a.Name(), Kind: a.Kind(), Status: StatusPending}
+// NewOutcome initialises a pending outcome for an action. It returns the
+// outcome itself, so a caller can keep it inside a larger record.
+func NewOutcome(a Action) Outcome {
+	return Outcome{Action: a.ID(), Name: a.Name(), Kind: a.Kind(), Status: StatusPending}
 }
 
 // Clone returns a deep copy of the tree rooted at o: no node, output buffer,

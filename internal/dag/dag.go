@@ -4,17 +4,20 @@
 // of the UNICORE job are scheduled in the predefined sequence" (§4.2).
 //
 // A Graph is immutable. Build takes every node ID and every edge at once,
-// indexes the IDs, lays the edges out as compressed adjacency arrays
-// (one offset array and one index array per direction) and rejects a cycle
-// with one pass of Kahn's algorithm, so building costs O(V+E) time and a
-// fixed number of allocations however many actions a job has. Edges point
-// from a predecessor to the successor that must wait for it.
+// sorts the node indices by ID, lays the edges out as compressed adjacency
+// arrays (one offset array and one index array per direction) and rejects a
+// cycle with one pass of Kahn's algorithm, so building costs O((V+E) log V)
+// time and a fixed number of allocations however many actions a job has.
+// Edges point from a predecessor to the successor that must wait for it. A
+// node is known by its index, its position in Build's ID list, so a caller
+// keeps per-node state in one array and finds a node by ID through Index.
 package dag
 
 import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 )
 
 // Common graph errors.
@@ -29,6 +32,8 @@ var (
 // after Build returns it, so it may be read from several goroutines.
 type Graph struct {
 	ids []string
+	// byID lists the node indices in ascending order of their IDs.
+	byID []int32
 	// The predecessors of node i are pred[predOff[i]:predOff[i+1]], its
 	// successors succ[succOff[i]:succOff[i+1]], each in edge order. A
 	// duplicate edge appears twice, which no traversal below minds.
@@ -43,22 +48,24 @@ type Graph struct {
 // the caller must not modify them afterwards.
 func Build(ids []string, edges [][2]string) (*Graph, error) {
 	n, e := len(ids), len(edges)
-	index := make(map[string]int32, n)
-	for i, id := range ids {
-		if _, dup := index[id]; dup {
-			return nil, fmt.Errorf("%w: %q", ErrDuplicateNode, id)
-		}
-		index[id] = int32(i)
-	}
 	// One backing array: predOff and succOff (n+2 each, see below), pred and
-	// succ (e each), then Kahn's in-degrees and queue (n each).
-	buf := make([]int32, 2*(n+2)+2*e+2*n)
+	// succ (e each), byID, then Kahn's in-degrees and queue (n each).
+	buf := make([]int32, 2*(n+2)+2*e+3*n)
 	predOff, succOff, rest := buf[:n+2], buf[n+2:2*n+4], buf[2*n+4:]
-	g := &Graph{ids: ids, predOff: predOff[:n+1], succOff: succOff[:n+1], pred: rest[:e], succ: rest[e : 2*e]}
-	indeg, queue := rest[2*e:2*e+n], rest[2*e+n:]
+	g := &Graph{ids: ids, predOff: predOff[:n+1], succOff: succOff[:n+1], pred: rest[:e], succ: rest[e : 2*e], byID: rest[2*e : 2*e+n]}
+	indeg, queue := rest[2*e+n:2*e+2*n], rest[2*e+2*n:]
+	for i := range g.byID {
+		g.byID[i] = int32(i)
+	}
+	slices.SortFunc(g.byID, func(a, b int32) int { return strings.Compare(ids[a], ids[b]) })
+	for k := 1; k < n; k++ {
+		if ids[g.byID[k]] == ids[g.byID[k-1]] {
+			return nil, fmt.Errorf("%w: %q", ErrDuplicateNode, ids[g.byID[k]])
+		}
+	}
 	for _, ed := range edges {
-		from, okFrom := index[ed[0]]
-		to, okTo := index[ed[1]]
+		from, okFrom := g.Index(ed[0])
+		to, okTo := g.Index(ed[1])
 		switch {
 		case !okFrom:
 			return nil, fmt.Errorf("%w: %q", ErrUnknownNode, ed[0])
@@ -78,8 +85,9 @@ func Build(ids []string, edges [][2]string) (*Graph, error) {
 		predOff[i] += predOff[i-1]
 	}
 	for _, ed := range edges {
-		from, to := index[ed[0]], index[ed[1]]
-		g.succ[succOff[from+1]], g.pred[predOff[to+1]] = to, from
+		from, _ := g.Index(ed[0])
+		to, _ := g.Index(ed[1])
+		g.succ[succOff[from+1]], g.pred[predOff[to+1]] = int32(to), int32(from)
 		succOff[from+1]++
 		predOff[to+1]++
 	}
@@ -87,6 +95,16 @@ func Build(ids []string, edges [][2]string) (*Graph, error) {
 		return nil, fmt.Errorf("%w: action %q lies on a cycle", ErrCycle, ids[on])
 	}
 	return g, nil
+}
+
+// Index returns the index of the node with the given ID: its position in
+// the ID list Build was given.
+func (g *Graph) Index(id string) (int, bool) {
+	k, ok := slices.BinarySearchFunc(g.byID, id, func(i int32, id string) int { return strings.Compare(g.ids[i], id) })
+	if !ok {
+		return -1, false
+	}
+	return int(g.byID[k]), true
 }
 
 // onCycle runs Kahn's algorithm with the given scratch arrays and returns -1
@@ -126,53 +144,53 @@ func (g *Graph) onCycle(indeg, queue []int32) int32 {
 	return v
 }
 
-// Len returns the number of nodes.
-func (g *Graph) Len() int { return len(g.ids) }
-
 // Roots returns the nodes with no predecessors, in insertion order: those
 // ready before anything is done.
-func (g *Graph) Roots() []string { return g.Ready(nil) }
-
-// Ready returns the nodes whose predecessors are all in done and which are
-// not themselves in done, in insertion order. This is the NJS dispatch rule:
-// a task becomes eligible exactly when every predecessor has completed.
-func (g *Graph) Ready(done map[string]bool) []string {
+func (g *Graph) Roots() []string {
 	var out []string
-next:
 	for i, id := range g.ids {
-		if done[id] {
-			continue
+		if g.predOff[i] == g.predOff[i+1] {
+			out = append(out, id)
 		}
-		for _, p := range g.pred[g.predOff[i]:g.predOff[i+1]] {
-			if !done[g.ids[p]] {
-				continue next
-			}
-		}
-		out = append(out, id)
 	}
 	return out
 }
 
-// Descendants returns every node reachable from id (excluding id), sorted.
-func (g *Graph) Descendants(id string) ([]string, error) {
-	start := slices.Index(g.ids, id)
-	if start < 0 {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, id)
+// Ready calls visit, in index order, with every node i that is not done
+// while all its predecessors are: done(i) is false and done(p) true for each
+// predecessor p. This is the NJS dispatch rule: a task becomes eligible
+// exactly when every predecessor has completed. done is asked as the walk
+// goes, so a node that an earlier visit finished is not visited. Ready
+// allocates nothing.
+func (g *Graph) Ready(done func(i int) bool, visit func(i int)) {
+next:
+	for i := range g.ids {
+		if done(i) {
+			continue
+		}
+		for _, p := range g.pred[g.predOff[i]:g.predOff[i+1]] {
+			if !done(int(p)) {
+				continue next
+			}
+		}
+		visit(i)
 	}
-	seen := make([]bool, len(g.ids))
-	stack := []int32{int32(start)}
-	var out []string
+}
+
+// Descendants reports, for every node, whether it is reachable from node i
+// (i itself excluded): the mask is indexed like the nodes.
+func (g *Graph) Descendants(i int) []bool {
+	below := make([]bool, len(g.ids))
+	stack := []int32{int32(i)}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, s := range g.succ[g.succOff[v]:g.succOff[v+1]] {
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, g.ids[s])
+			if !below[s] {
+				below[s] = true
 				stack = append(stack, s)
 			}
 		}
 	}
-	slices.Sort(out)
-	return out, nil
+	return below
 }

@@ -28,19 +28,44 @@ func mustBuild(t *testing.T, nodes []string, edges [][2]string) *Graph {
 // node, in insertion order, and marks it done. It fails when a round finds
 // nothing ready before every node is done.
 func topoSort(g *Graph) ([]string, error) {
-	done := map[string]bool{}
+	done := make([]bool, len(g.ids))
 	var order []string
-	for len(order) < g.Len() {
-		ready := g.Ready(done)
+	for len(order) < len(g.ids) {
+		ready := readyIDs(g, done)
 		if len(ready) == 0 {
 			return order, fmt.Errorf("Ready stalled after %v", order)
 		}
 		for _, id := range ready {
-			done[id] = true
+			i, _ := g.Index(id)
+			done[i] = true
 		}
 		order = append(order, ready...)
 	}
 	return order, nil
+}
+
+// readyIDs collects the IDs Ready visits, given each node's done flag.
+func readyIDs(g *Graph, done []bool) []string {
+	var out []string
+	g.Ready(func(i int) bool { return done[i] }, func(i int) { out = append(out, g.ids[i]) })
+	return out
+}
+
+// descendants returns the IDs of the nodes below id, sorted, or an error
+// for an unknown ID.
+func descendants(g *Graph, id string) ([]string, error) {
+	i, ok := g.Index(id)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, id)
+	}
+	var out []string
+	for j, below := range g.Descendants(i) {
+		if below {
+			out = append(out, g.ids[j])
+		}
+	}
+	sort.Strings(out)
+	return out, nil
 }
 
 func TestAddNodeDuplicate(t *testing.T) {
@@ -80,7 +105,7 @@ func TestDuplicateEdgeIsNoop(t *testing.T) {
 	if got := g.Roots(); fmt.Sprint(got) != "[a]" {
 		t.Fatalf("Roots = %v", got)
 	}
-	if got, err := g.Descendants("a"); err != nil || fmt.Sprint(got) != "[b]" {
+	if got, err := descendants(g, "a"); err != nil || fmt.Sprint(got) != "[b]" {
 		t.Fatalf("Descendants(a) = %v, %v; want exactly [b]", got, err)
 	}
 	if order, err := topoSort(g); err != nil || fmt.Sprint(order) != "[a b]" {
@@ -128,7 +153,7 @@ func TestRootsLeaves(t *testing.T) {
 	}
 	var leaves []string
 	for _, id := range []string{"a", "b", "c", "d"} {
-		if d, err := g.Descendants(id); err == nil && len(d) == 0 {
+		if d, err := descendants(g, id); err == nil && len(d) == 0 {
 			leaves = append(leaves, id)
 		}
 	}
@@ -140,39 +165,134 @@ func TestRootsLeaves(t *testing.T) {
 func TestReadyFrontier(t *testing.T) {
 	g := mustBuild(t, []string{"imp", "run", "exp"},
 		[][2]string{{"imp", "run"}, {"run", "exp"}})
-	done := map[string]bool{}
-	if got := g.Ready(done); fmt.Sprint(got) != "[imp]" {
+	done := make([]bool, 3)
+	if got := readyIDs(g, done); fmt.Sprint(got) != "[imp]" {
 		t.Fatalf("Ready(∅) = %v", got)
 	}
-	done["imp"] = true
-	if got := g.Ready(done); fmt.Sprint(got) != "[run]" {
+	done[0] = true
+	if got := readyIDs(g, done); fmt.Sprint(got) != "[run]" {
 		t.Fatalf("Ready(imp) = %v", got)
 	}
-	done["run"] = true
-	done["exp"] = true
-	if got := g.Ready(done); len(got) != 0 {
+	done[1] = true
+	done[2] = true
+	if got := readyIDs(g, done); len(got) != 0 {
 		t.Fatalf("Ready(all) = %v, want empty", got)
+	}
+}
+
+// TestIndex maps every ID to its position in the list Build was given, on a
+// diamond inserted out of order and on a graph with a duplicate edge, and
+// finds no unknown ID.
+func TestIndex(t *testing.T) {
+	for _, g := range []*Graph{
+		mustBuild(t, []string{"post", "right", "left", "pre"},
+			[][2]string{{"pre", "left"}, {"pre", "right"}, {"left", "post"}, {"right", "post"}}),
+		mustBuild(t, []string{"b", "a"}, [][2]string{{"a", "b"}, {"a", "b"}}),
+	} {
+		for want, id := range g.ids {
+			if got, ok := g.Index(id); !ok || got != want {
+				t.Errorf("Index(%q) = %d, %v; want %d", id, got, ok, want)
+			}
+		}
+		for _, id := range []string{"", "zz", "a0", "pos"} {
+			if i, ok := g.Index(id); ok {
+				t.Errorf("Index(%q) = %d of %v, want not found", id, i, g.ids)
+			}
+		}
+	}
+}
+
+// TestReadyByIndex walks a diamond inserted out of order: Ready visits in
+// index order, consults done as it goes, and visits nothing once every node
+// is done. Descendants masks by index too, and a duplicate edge counts once.
+func TestReadyByIndex(t *testing.T) {
+	g := mustBuild(t, []string{"post", "right", "left", "pre"},
+		[][2]string{{"pre", "left"}, {"pre", "right"}, {"left", "post"}, {"right", "post"}, {"left", "post"}})
+	done := make([]bool, 4)
+	if got := readyIDs(g, done); fmt.Sprint(got) != "[pre]" {
+		t.Fatalf("Ready(∅) = %v", got)
+	}
+	done[3] = true
+	if got := readyIDs(g, done); fmt.Sprint(got) != "[right left]" {
+		t.Fatalf("Ready(pre) = %v", got)
+	}
+	// A visit that finishes a node ahead of the walk keeps it from being
+	// visited: visiting right finishes left too, so only right is visited
+	// and post (whose predecessors are now done) follows it. Post comes
+	// first in index order, so the walk has already passed it.
+	var visited []string
+	g.Ready(func(i int) bool { return done[i] }, func(i int) {
+		visited = append(visited, g.ids[i])
+		done[1], done[2] = true, true
+	})
+	if fmt.Sprint(visited) != "[right]" {
+		t.Fatalf("visited %v, want [right]", visited)
+	}
+	if got := readyIDs(g, done); fmt.Sprint(got) != "[post]" {
+		t.Fatalf("Ready(pre right left) = %v", got)
+	}
+	done[0] = true
+	if got := readyIDs(g, done); len(got) != 0 {
+		t.Fatalf("Ready(all) = %v, want nothing", got)
+	}
+	if got := fmt.Sprint(g.Descendants(3)); got != "[true true true false]" {
+		t.Fatalf("Descendants(pre) = %s", got)
+	}
+	if got := fmt.Sprint(g.Descendants(2)); got != "[true false false false]" {
+		t.Fatalf("Descendants(left) = %s", got)
+	}
+	if got := fmt.Sprint(g.Descendants(0)); got != "[false false false false]" {
+		t.Fatalf("Descendants(post) = %s", got)
+	}
+}
+
+// TestReadyAllocatesNothing gates the NJS dispatch rule: a Ready walk over
+// a job's graph allocates nothing, however many nodes it visits.
+func TestReadyAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include the race detector's own")
+	}
+	nodes := make([]string, 64)
+	var edges [][2]string
+	for i := range nodes {
+		nodes[i] = fmt.Sprintf("n%03d", i)
+		if i >= 8 {
+			edges = append(edges, [2]string{nodes[i-8], nodes[i]})
+		}
+	}
+	g := mustBuild(t, nodes, edges)
+	done := make([]bool, len(nodes))
+	for i := range done[:24] {
+		done[i] = true
+	}
+	visits := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		g.Ready(func(i int) bool { return done[i] }, func(int) { visits++ })
+	}); allocs != 0 {
+		t.Errorf("Ready allocates %.0f times, want 0", allocs)
+	}
+	if visits != 101*8 {
+		t.Fatalf("Ready visited %d nodes in 101 walks, want 8 a walk", visits)
 	}
 }
 
 func TestDescendants(t *testing.T) {
 	g := mustBuild(t, []string{"a", "b", "c", "d"},
 		[][2]string{{"a", "b"}, {"b", "c"}})
-	got, err := g.Descendants("a")
+	got, err := descendants(g, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got) != "[b c]" {
 		t.Fatalf("Descendants(a) = %v", got)
 	}
-	if _, err := g.Descendants("zz"); !errors.Is(err, ErrUnknownNode) {
+	if _, err := descendants(g, "zz"); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("Descendants(zz) err = %v", err)
 	}
 }
 
-// TestBuildAllocationBudget gates the one-pass build: the graph, its one
-// index array, and for more than eight nodes the ID index, whatever the
-// size of the job.
+// TestBuildAllocationBudget gates the one-pass build: the graph and its one
+// index array, whatever the size of the job.
 func TestBuildAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include the race detector's own")
@@ -190,8 +310,8 @@ func TestBuildAllocationBudget(t *testing.T) {
 			if _, err := Build(nodes, edges); err != nil {
 				t.Fatal(err)
 			}
-		}); allocs > 5 {
-			t.Errorf("Build of %d nodes and %d edges allocates %.0f times, want at most 5", n, len(edges), allocs)
+		}); allocs > 2 {
+			t.Errorf("Build of %d nodes and %d edges allocates %.0f times, want at most 2", n, len(edges), allocs)
 		}
 	}
 }
@@ -351,7 +471,7 @@ func FuzzBuildAgreesWithReference(f *testing.F) {
 					}
 				}
 				sort.Strings(desc)
-				got, err := g.Descendants(id)
+				got, err := descendants(g, id)
 				if err != nil || fmt.Sprint(got) != fmt.Sprint(desc) {
 					t.Fatalf("Build(%v, %v): Descendants(%s) = %v, %v; want %v", nodes, edges, id, got, err, desc)
 				}

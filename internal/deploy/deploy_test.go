@@ -238,7 +238,7 @@ func TestJobSpecBuild(t *testing.T) {
 	if job.CountActions() != 4 { // root job group + three tasks
 		t.Fatalf("actions = %d, want 4", job.CountActions())
 	}
-	run, ok := job.Find("run")
+	run, ok := findAction(job, "run")
 	if !ok {
 		t.Fatal("task run missing")
 	}
@@ -263,7 +263,7 @@ func TestJobSpecImportsWorkstationFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	imp, _ := job.Find("imp")
+	imp, _ := findAction(job, "imp")
 	it := imp.(*ajo.ImportTask)
 	if string(it.Source.Inline) != "workstation bytes" {
 		t.Fatalf("inline = %q", it.Source.Inline)
@@ -293,7 +293,7 @@ func TestJobSpecNestedGroups(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	// The transfer's FromAction was rewritten to the sub-job's real ID.
-	tr, _ := job.Find("tr")
+	tr, _ := findAction(job, "tr")
 	from := tr.(*ajo.TransferTask).FromAction
 	var subID ajo.ActionID
 	for _, a := range job.Actions {
@@ -436,4 +436,14 @@ func TestBuildDurableSiteErrorPathClosesStore(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatalf("closing recovered store: %v", err)
 	}
+}
+
+// findAction returns the direct child action of job with the given ID.
+func findAction(job *ajo.AbstractJob, id ajo.ActionID) (ajo.Action, bool) {
+	for _, a := range job.Actions {
+		if a.ID() == id {
+			return a, true
+		}
+	}
+	return nil, false
 }

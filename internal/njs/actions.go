@@ -11,33 +11,32 @@ import (
 	"unicore/internal/telemetry"
 )
 
-// startActionLocked dispatches one ready action by class.
-func (n *NJS) startActionLocked(uj *unicoreJob, a ajo.Action) {
-	o := uj.outcomes[a.ID()]
-	o.Started = n.clock.Now()
-	switch t := a.(type) {
+// startActionLocked dispatches ready action i by class.
+func (n *NJS) startActionLocked(uj *unicoreJob, i int) {
+	uj.acts[i].out.Started = n.clock.Now()
+	switch t := uj.job.Actions[i].(type) {
 	case *ajo.ImportTask:
-		n.startImportLocked(uj, t)
+		n.startImportLocked(uj, i, t)
 	case *ajo.ExportTask:
-		n.startExportLocked(uj, t)
+		n.startExportLocked(uj, i, t)
 	case *ajo.TransferTask:
-		n.startTransferLocked(uj, t)
+		n.startTransferLocked(uj, i, t)
 	case *ajo.AbstractJob:
-		n.startSubJobLocked(uj, t)
+		n.startSubJobLocked(uj, i, t)
 	default:
-		if a.Kind().IsExecutable() {
-			n.startBatchLocked(uj, a)
+		if t.Kind().IsExecutable() {
+			n.startBatchLocked(uj, i, t)
 			return
 		}
-		n.completeActionLocked(uj, a.ID(), ajo.StatusFailed,
-			fmt.Sprintf("unsupported action class %s", a.Kind()))
+		n.completeActionLocked(uj, i, ajo.StatusFailed,
+			fmt.Sprintf("unsupported action class %s", t.Kind()))
 	}
 }
 
 // deferComplete finishes an action after a virtual delay, modelling the
 // staging time of file operations. The callback locks only the job it
 // advances.
-func (n *NJS) deferComplete(uj *unicoreJob, aid ajo.ActionID, d time.Duration, status ajo.Status, reason string) {
+func (n *NJS) deferComplete(uj *unicoreJob, i int, d time.Duration, status ajo.Status, reason string) {
 	jobID := uj.id
 	n.clock.AfterFunc(d, func() {
 		if n.dead.Load() {
@@ -49,7 +48,7 @@ func (n *NJS) deferComplete(uj *unicoreJob, aid ajo.ActionID, d time.Duration, s
 		}
 		j.mu.Lock()
 		defer j.mu.Unlock()
-		n.completeActionLocked(j, aid, status, reason)
+		n.completeActionLocked(j, i, status, reason)
 		n.finalizeIfDoneLocked(j)
 	})
 }
@@ -57,9 +56,8 @@ func (n *NJS) deferComplete(uj *unicoreJob, aid ajo.ActionID, d time.Duration, s
 // startImportLocked stages data into the job's Uspace (§5.6: from the user's
 // workstation — carried inside the AJO or pre-staged into the Vsite's spool
 // by the chunked upload protocol — or from the Vsite Xspace).
-func (n *NJS) startImportLocked(uj *unicoreJob, t *ajo.ImportTask) {
-	o := uj.outcomes[t.ID()]
-	o.Status = ajo.StatusRunning
+func (n *NJS) startImportLocked(uj *unicoreJob, i int, t *ajo.ImportTask) {
+	uj.acts[i].out.Status = ajo.StatusRunning
 	var size int64
 	var err error
 	switch {
@@ -90,35 +88,36 @@ func (n *NJS) startImportLocked(uj *unicoreJob, t *ajo.ImportTask) {
 		err = uj.vsite.Space.ImportInline(uj.id, t.To, t.Source.Inline)
 	}
 	if err != nil {
-		n.deferComplete(uj, t.ID(), fileOpLatency, ajo.StatusFailed, fmt.Sprintf("import: %v", err))
+		n.deferComplete(uj, i, fileOpLatency, ajo.StatusFailed, fmt.Sprintf("import: %v", err))
 		return
 	}
-	n.deferComplete(uj, t.ID(), localCopyDelay(size), ajo.StatusSuccessful, "")
+	n.deferComplete(uj, i, localCopyDelay(size), ajo.StatusSuccessful, "")
 }
 
 // startExportLocked copies a result to permanent Xspace storage (§5.6).
-func (n *NJS) startExportLocked(uj *unicoreJob, t *ajo.ExportTask) {
-	o := uj.outcomes[t.ID()]
+func (n *NJS) startExportLocked(uj *unicoreJob, i int, t *ajo.ExportTask) {
+	o := &uj.acts[i].out
 	o.Status = ajo.StatusRunning
 	fi, err := uj.vsite.Space.Export(uj.id, t.From, t.ToXspace)
 	if err != nil {
-		n.deferComplete(uj, t.ID(), fileOpLatency, ajo.StatusFailed, fmt.Sprintf("export: %v", err))
+		n.deferComplete(uj, i, fileOpLatency, ajo.StatusFailed, fmt.Sprintf("export: %v", err))
 		return
 	}
 	o.Files = append(o.Files, ajo.FileRecord{Path: fi.Path, Size: fi.Size, CRC: fi.CRC})
-	n.deferComplete(uj, t.ID(), localCopyDelay(fi.Size), ajo.StatusSuccessful, "")
+	n.deferComplete(uj, i, localCopyDelay(fi.Size), ajo.StatusSuccessful, "")
 }
 
 // startTransferLocked pulls files from a sibling action's Uspace into this
 // job's Uspace — the §5.6 Uspace-to-Uspace transfer. Local sources are a
 // copy; remote sources go through the peer gateway over https.
-func (n *NJS) startTransferLocked(uj *unicoreJob, t *ajo.TransferTask) {
-	o := uj.outcomes[t.ID()]
+func (n *NJS) startTransferLocked(uj *unicoreJob, i int, t *ajo.TransferTask) {
+	o := &uj.acts[i].out
 	o.Status = ajo.StatusRunning
 
+	from, _ := uj.graph.Index(string(t.FromAction)) // Check holds it to a sibling
 	var total int64
 	copyOne := func(file string) (int64, error) {
-		data, err := n.readActionFileLocked(uj, t.FromAction, file)
+		data, err := n.readActionFileLocked(uj, from, file)
 		if err != nil {
 			return 0, err
 		}
@@ -130,7 +129,7 @@ func (n *NJS) startTransferLocked(uj *unicoreJob, t *ajo.TransferTask) {
 	for _, f := range t.Files {
 		nbytes, err := copyOne(f)
 		if err != nil {
-			n.deferComplete(uj, t.ID(), fileOpLatency, ajo.StatusFailed,
+			n.deferComplete(uj, i, fileOpLatency, ajo.StatusFailed,
 				fmt.Sprintf("transfer %s from %s: %v", f, t.FromAction, err))
 			return
 		}
@@ -138,22 +137,22 @@ func (n *NJS) startTransferLocked(uj *unicoreJob, t *ajo.TransferTask) {
 		total += nbytes
 	}
 	delay := localCopyDelay(total)
-	if _, remote := uj.remote[t.FromAction]; remote {
+	if uj.acts[from].remote != nil {
 		delay = httpsTransferDelay(total)
 	}
-	n.deferComplete(uj, t.ID(), delay, ajo.StatusSuccessful, "")
+	n.deferComplete(uj, i, delay, ajo.StatusSuccessful, "")
 }
 
-// readActionFileLocked reads a file from the Uspace that backs an action:
+// readActionFileLocked reads a file from the Uspace that backs action i:
 // the enclosing job's own Uspace for plain tasks, a child job's Uspace for
 // locally expanded sub-jobs, or a remote fetch for sub-jobs at peer Usites.
 // A child's vsite is immutable and its Space is thread-safe, so the child's
 // lock is not needed.
-func (n *NJS) readActionFileLocked(uj *unicoreJob, aid ajo.ActionID, file string) ([]byte, error) {
-	if ref, ok := uj.remote[aid]; ok {
+func (n *NJS) readActionFileLocked(uj *unicoreJob, i int, file string) ([]byte, error) {
+	if ref := uj.acts[i].remote; ref != nil {
 		return n.fetchRemoteFile(ref.usite, ref.job, file)
 	}
-	if childID, ok := uj.children[aid]; ok {
+	if childID := uj.acts[i].child; childID != "" {
 		child, ok := n.job(childID)
 		if !ok {
 			return nil, fmt.Errorf("%w: child %s", ErrUnknownJob, childID)
@@ -165,34 +164,34 @@ func (n *NJS) readActionFileLocked(uj *unicoreJob, aid ajo.ActionID, file string
 
 // startBatchLocked incarnates an executable task and submits it to the
 // Vsite's batch subsystem.
-func (n *NJS) startBatchLocked(uj *unicoreJob, a ajo.Action) {
-	o := uj.outcomes[a.ID()]
+func (n *NJS) startBatchLocked(uj *unicoreJob, i int, a ajo.Action) {
 	inc, err := incarnation.Incarnate(a, uj.login, uj.vsite.Table)
 	if err != nil {
-		n.completeActionLocked(uj, a.ID(), ajo.StatusFailed, fmt.Sprintf("incarnation: %v", err))
+		n.completeActionLocked(uj, i, ajo.StatusFailed, fmt.Sprintf("incarnation: %v", err))
 		return
 	}
 	spec := inc.Spec
 	spec.Script = inc.Script
 	spec.FS = uj.vsite.Space.FS()
 	spec.WorkDir = uj.jobDir
-	jobID, aid := uj.id, a.ID()
+	jobID := uj.id
 	// Completion is delivered through the clock: Cancel (and, on saturated
 	// machines, Submit) can reach a terminal state synchronously while this
 	// NJS still holds its lock, so a direct callback would self-deadlock.
 	spec.Done = func(_ codine.JobID, res codine.Result) {
-		n.clock.AfterFunc(0, func() { n.onBatchDone(jobID, aid, res) })
+		n.clock.AfterFunc(0, func() { n.onBatchDone(jobID, i, res) })
 	}
 	bid, err := uj.vsite.RMS.Submit(spec)
 	if err != nil {
-		n.completeActionLocked(uj, a.ID(), ajo.StatusFailed, fmt.Sprintf("batch submit: %v", err))
+		n.completeActionLocked(uj, i, ajo.StatusFailed, fmt.Sprintf("batch submit: %v", err))
 		return
 	}
-	o.Status = ajo.StatusQueued
-	uj.batch[a.ID()] = bid
-	n.recordActionStart(uj, a.ID(), ajo.StatusQueued)
+	s := &uj.acts[i]
+	s.out.Status = ajo.StatusQueued
+	s.batch = bid
+	n.recordActionStart(uj, &s.out)
 	n.regMu.Lock()
-	n.batchIndex[batchKey{uj.vsite.Name, bid}] = actionRef{uj.id, a.ID()}
+	n.batchIndex[batchKey{uj.vsite.Name, bid}] = actionRef{uj.id, i}
 	n.regMu.Unlock()
 }
 
@@ -214,16 +213,16 @@ func (n *NJS) onBatchStarted(vsite core.Vsite, bid codine.JobID) {
 	}
 	uj.mu.Lock()
 	defer uj.mu.Unlock()
-	if o := uj.outcomes[ref.action]; o != nil && !o.Status.Terminal() {
+	if o := &uj.acts[ref.action].out; !o.Status.Terminal() {
 		o.Status = ajo.StatusRunning
-		n.recordActionStart(uj, ref.action, ajo.StatusRunning)
+		n.recordActionStart(uj, o)
 	}
 }
 
 // onBatchDone collects a finished batch job: "collect the standard output
 // and error files from the batch jobs belonging to one UNICORE job and make
 // them available to the user" (§5.5).
-func (n *NJS) onBatchDone(jobID core.JobID, aid ajo.ActionID, res codine.Result) {
+func (n *NJS) onBatchDone(jobID core.JobID, i int, res codine.Result) {
 	if n.dead.Load() {
 		return
 	}
@@ -233,14 +232,15 @@ func (n *NJS) onBatchDone(jobID core.JobID, aid ajo.ActionID, res codine.Result)
 	}
 	uj.mu.Lock()
 	defer uj.mu.Unlock()
-	if bid, inFlight := uj.batch[aid]; inFlight {
+	s := &uj.acts[i]
+	if s.batch != 0 {
 		n.regMu.Lock()
-		delete(n.batchIndex, batchKey{uj.vsite.Name, bid})
+		delete(n.batchIndex, batchKey{uj.vsite.Name, s.batch})
 		n.regMu.Unlock()
-		delete(uj.batch, aid)
+		s.batch = 0
 	}
-	o := uj.outcomes[aid]
-	if o == nil || o.Status.Terminal() {
+	o := &s.out
+	if o.Status.Terminal() {
 		return
 	}
 	o.Stdout = []byte(res.Stdout)
@@ -256,7 +256,7 @@ func (n *NJS) onBatchDone(jobID core.JobID, aid ajo.ActionID, res codine.Result)
 	default:
 		status = ajo.StatusFailed
 	}
-	n.completeActionLocked(uj, aid, status, reason)
+	n.completeActionLocked(uj, i, status, reason)
 	n.finalizeIfDoneLocked(uj)
 }
 
@@ -264,24 +264,26 @@ func (n *NJS) onBatchDone(jobID core.JobID, aid ajo.ActionID, res codine.Result)
 // dependency can be augmented by the names of the files to be transferred
 // from one to the other. UNICORE then guarantees that the specified data
 // sets created by the predecessor are available to the successor."
-func (n *NJS) propagateFilesLocked(uj *unicoreJob, before ajo.ActionID) error {
+func (n *NJS) propagateFilesLocked(uj *unicoreJob, i int) error {
+	before := uj.acts[i].out.Action
 	for _, dep := range uj.job.Dependencies {
 		if dep.Before != before || len(dep.Files) == 0 {
 			continue
 		}
-		after, ok := uj.job.Find(dep.After)
+		after, ok := uj.graph.Index(string(dep.After))
 		if !ok {
 			continue
 		}
 		for _, file := range dep.Files {
-			data, err := n.readActionFileLocked(uj, before, file)
+			data, err := n.readActionFileLocked(uj, i, file)
 			if err != nil {
 				return fmt.Errorf("file %q from %s: %w", file, before, err)
 			}
-			if _, isSub := after.(*ajo.AbstractJob); isSub {
+			if _, isSub := uj.job.Actions[after].(*ajo.AbstractJob); isSub {
 				// The successor is a job group: stage the file into it as
 				// an injected import when it is consigned.
-				uj.injections[dep.After] = append(uj.injections[dep.After], injection{name: file, data: data})
+				s := &uj.acts[after]
+				s.injections = append(s.injections, injection{name: file, data: data})
 				n.recordInject(uj, dep.After, file, data)
 				continue
 			}

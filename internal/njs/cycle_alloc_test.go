@@ -34,10 +34,44 @@ func cycleJob(i int) *ajo.AbstractJob {
 	}
 }
 
+// consignBudget bounds the allocations of one durable consign of cycleJob
+// in-process: validation, the job record, its first dispatch, the ADMIT
+// record and its event, and the group commit that acknowledges it. The
+// record is three allocations: the job with its root outcome, one state per
+// action holding the action's outcome, and the root's child list.
+const consignBudget = 28
+
+// TestConsignAllocationBudget holds a durable consign to consignBudget. The
+// clock does not run, so only admission and the first dispatch are counted.
+func TestConsignAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	clock := sim.NewVirtualClock()
+	n, store := newDurableNJS(t, clock, t.TempDir(), 0)
+	defer store.Close()
+	const runs = 50
+	jobs := make([]*ajo.AbstractJob, runs+1) // AllocsPerRun runs once more to warm up
+	consignIDs := make([]string, runs+1)
+	for i := range jobs {
+		jobs[i], consignIDs[i] = cycleJob(i), fmt.Sprintf("consign-%06d", i)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := n.Consign(context.Background(), alice, consignIDs[i], jobs[i]); err != nil {
+			t.Fatalf("Consign: %v", err)
+		}
+		i++
+	})
+	if allocs > consignBudget {
+		t.Errorf("a durable consign allocates %.0f times, budget %d", allocs, consignBudget)
+	}
+}
+
 // jobCycleBudget bounds the allocations of one durable three-action job's
 // whole cycle in-process: consign with its durable ack, every transition
 // with its event and journal record, and the outcome read.
-const jobCycleBudget = 125
+const jobCycleBudget = 95
 
 // TestJobCycleAllocationBudget holds the job cycle to jobCycleBudget. A
 // transition allocates what the job keeps (its records, events and files)

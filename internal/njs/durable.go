@@ -70,7 +70,6 @@ import (
 	"time"
 
 	"unicore/internal/ajo"
-	"unicore/internal/codine"
 	"unicore/internal/core"
 	"unicore/internal/events"
 	"unicore/internal/journal"
@@ -278,12 +277,12 @@ func admissionOf(uj *unicoreJob) (*journal.Admission, error) {
 	return adm, nil
 }
 
-// actionEventOf captures an outcome as a journal event. Sub-job outcomes
-// (those carrying children) are serialized as a tree.
-func actionEventOf(uj *unicoreJob, aid ajo.ActionID, o *ajo.Outcome) *journal.ActionEvent {
+// actionEventOf captures an action's outcome as a journal event. Sub-job
+// outcomes (those carrying children) are serialized as a tree.
+func actionEventOf(uj *unicoreJob, o *ajo.Outcome) *journal.ActionEvent {
 	ev := &journal.ActionEvent{
 		Job:      string(uj.id),
-		Action:   string(aid),
+		Action:   string(o.Action),
 		Status:   int(o.Status),
 		Reason:   o.Reason,
 		ExitCode: o.ExitCode,
@@ -303,23 +302,23 @@ func actionEventOf(uj *unicoreJob, aid ajo.ActionID, o *ajo.Outcome) *journal.Ac
 	return ev
 }
 
-func (n *NJS) recordActionDone(uj *unicoreJob, aid ajo.ActionID, o *ajo.Outcome) {
-	st := n.emitEvent(uj, journal.Mark{Kind: journal.KindActionDone, Action: string(aid), Status: int(o.Status), Reason: o.Reason})
+func (n *NJS) recordActionDone(uj *unicoreJob, o *ajo.Outcome) {
+	st := n.emitEvent(uj, journal.Mark{Kind: journal.KindActionDone, Action: string(o.Action), Status: int(o.Status), Reason: o.Reason})
 	if n.rec.Load() == nil {
 		return
 	}
-	ev := actionEventOf(uj, aid, o)
+	ev := actionEventOf(uj, o)
 	ev.Stamp = st
 	n.record(journal.Entry{Kind: journal.KindActionDone, Action: ev})
 }
 
-func (n *NJS) recordActionStart(uj *unicoreJob, aid ajo.ActionID, status ajo.Status) {
-	st := n.emitEvent(uj, journal.Mark{Kind: journal.KindActionStart, Action: string(aid), Status: int(status)})
+func (n *NJS) recordActionStart(uj *unicoreJob, o *ajo.Outcome) {
+	st := n.emitEvent(uj, journal.Mark{Kind: journal.KindActionStart, Action: string(o.Action), Status: int(o.Status)})
 	if n.rec.Load() == nil {
 		return
 	}
 	n.record(journal.Entry{Kind: journal.KindActionStart, Action: &journal.ActionEvent{
-		Job: string(uj.id), Action: string(aid), Status: int(status), Stamp: st,
+		Job: string(uj.id), Action: string(o.Action), Status: int(o.Status), Stamp: st,
 	}})
 }
 
@@ -457,28 +456,28 @@ func (n *NJS) emitJob(uj *unicoreJob, emit func(journal.Entry) error) error {
 		entries = append(entries, journal.Entry{Kind: journal.KindControl,
 			Control: &journal.ControlEvent{Job: string(uj.id), Op: string(ajo.OpAbort)}})
 	}
-	for _, aid := range sortedActionIDs(uj.outcomes) {
-		o := uj.outcomes[aid]
+	// Each action's records, in action order: its status, the files staged
+	// for it, and its link to a peer's sub-job.
+	for i := range uj.acts {
+		s := &uj.acts[i]
+		aid := string(s.out.Action)
 		switch {
-		case o.Status.Terminal():
+		case s.out.Status.Terminal():
 			entries = append(entries, journal.Entry{Kind: journal.KindActionDone,
-				Action: actionEventOf(uj, aid, o)})
-		case o.Status != ajo.StatusPending:
+				Action: actionEventOf(uj, &s.out)})
+		case s.out.Status != ajo.StatusPending:
 			entries = append(entries, journal.Entry{Kind: journal.KindActionStart,
-				Action: &journal.ActionEvent{Job: string(uj.id), Action: string(aid), Status: int(o.Status)}})
+				Action: &journal.ActionEvent{Job: string(uj.id), Action: aid, Status: int(s.out.Status)}})
 		}
-	}
-	for _, after := range sortedActionIDs(uj.injections) {
-		for _, inj := range uj.injections[after] {
+		for _, inj := range s.injections {
 			entries = append(entries, journal.Entry{Kind: journal.KindInject,
-				Inject: &journal.Injection{Job: string(uj.id), After: string(after), Name: inj.name, Data: inj.data}})
+				Inject: &journal.Injection{Job: string(uj.id), After: aid, Name: inj.name, Data: inj.data}})
 		}
-	}
-	for _, aid := range sortedActionIDs(uj.remote) {
-		ref := uj.remote[aid]
-		entries = append(entries, journal.Entry{Kind: journal.KindRemote,
-			Remote: &journal.RemoteLink{Job: string(uj.id), Action: string(aid),
-				Usite: string(ref.usite), RemoteJob: string(ref.job)}})
+		if ref := s.remote; ref != nil {
+			entries = append(entries, journal.Entry{Kind: journal.KindRemote,
+				Remote: &journal.RemoteLink{Job: string(uj.id), Action: aid,
+					Usite: string(ref.usite), RemoteJob: string(ref.job)}})
+		}
 	}
 	if uj.root.Status.Terminal() {
 		entries = append(entries, journal.Entry{Kind: journal.KindRootDone,
@@ -490,15 +489,6 @@ func (n *NJS) emitJob(uj *unicoreJob, emit func(journal.Entry) error) error {
 		}
 	}
 	return nil
-}
-
-func sortedActionIDs[V any](m map[ajo.ActionID]V) []ajo.ActionID {
-	out := make([]ajo.ActionID, 0, len(m))
-	for aid := range m {
-		out = append(out, aid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // --- recovery ---
@@ -597,29 +587,29 @@ func (n *NJS) ResumeRecovered() {
 			uj.mu.Unlock()
 			continue
 		}
-		// Sub-jobs at peer Usites: keep polling where we left off.
-		for _, aid := range sortedActionIDs(uj.remote) {
-			if o := uj.outcomes[aid]; o != nil && !o.Status.Terminal() {
-				uj.inflight[aid] = true
-				n.scheduleRemotePollLocked(uj.id, aid, uj.remote[aid])
-			}
-		}
-		// Locally expanded sub-jobs: the child drives itself; a child that
-		// finished before the crash completes the parent action through the
-		// clock, exactly as live finalisation would have.
-		for _, aid := range sortedActionIDs(uj.children) {
-			o := uj.outcomes[aid]
-			if o == nil || o.Status.Terminal() {
+		for i := range uj.acts {
+			s := &uj.acts[i]
+			if s.out.Status.Terminal() {
 				continue
 			}
-			uj.inflight[aid] = true
-			childID := uj.children[aid]
-			if child, ok := n.job(childID); ok {
+			// A sub-job at a peer Usite: keep polling where we left off.
+			if s.remote != nil {
+				s.inflight = true
+				n.scheduleRemotePollLocked(uj.id, i, s.remote)
+			}
+			// A locally expanded sub-job: the child drives itself; a child
+			// that finished before the crash completes the parent action
+			// through the clock, exactly as live finalisation would have.
+			if s.child == "" {
+				continue
+			}
+			s.inflight = true
+			if child, ok := n.job(s.child); ok {
 				child.mu.Lock() // ancestor→descendant order
 				terminal := child.root.Status.Terminal()
 				child.mu.Unlock()
 				if terminal {
-					parentID, action := uj.id, aid
+					parentID, action, childID := uj.id, s.out.Action, s.child
 					n.clock.AfterFunc(0, func() { n.completeChild(parentID, action, childID) })
 				}
 			}
@@ -728,38 +718,16 @@ func (n *NJS) applyAdmit(a *journal.Admission) error {
 	if err != nil {
 		return err
 	}
-	uj := &unicoreJob{
-		id:         id,
-		owner:      core.DN(a.Owner),
-		login:      uudb.Login{UID: a.UID, Groups: a.Groups, Project: a.Project},
-		job:        job,
-		vsite:      vs,
-		jobDir:     vs.Space.JobDir(id),
-		graph:      graph,
-		consignID:  a.ConsignID,
-		submitted:  a.Submitted,
-		outcomes:   make(map[ajo.ActionID]*ajo.Outcome, len(job.Actions)),
-		done:       make(map[string]bool),
-		inflight:   make(map[ajo.ActionID]bool),
-		injections: make(map[ajo.ActionID][]injection),
-		batch:      make(map[ajo.ActionID]codine.JobID),
-		remote:     make(map[ajo.ActionID]*remoteRef),
-		children:   make(map[ajo.ActionID]core.JobID),
-	}
-	uj.root = ajo.NewOutcome(job)
-	uj.root.Status = ajo.StatusRunning
-	uj.root.Started = a.Submitted
-	for _, act := range job.Actions {
-		o := ajo.NewOutcome(act)
-		uj.outcomes[act.ID()] = o
-		uj.root.Children = append(uj.root.Children, o)
-	}
+	var parent *parentLink
 	if a.ParentJob != "" {
-		uj.parent = &parentLink{job: core.JobID(a.ParentJob), action: ajo.ActionID(a.ParentAction)}
-		if parent, ok := n.jobs[uj.parent.job]; ok {
-			parent.children[uj.parent.action] = id
+		parent = &parentLink{job: core.JobID(a.ParentJob), action: ajo.ActionID(a.ParentAction)}
+		if s := n.replayedAction(a.ParentJob, a.ParentAction); s != nil {
+			s.child = id
+			s.linked()
 		}
 	}
+	login := uudb.Login{UID: a.UID, Groups: a.Groups, Project: a.Project}
+	uj := newJob(id, core.DN(a.Owner), login, job, graph, vs, vs.Space.JobDir(id), a.Submitted, a.ConsignID, parent)
 	n.registerLocked(uj)
 	if s := jobSeq(id); s > n.seq {
 		n.seq = s
@@ -801,31 +769,41 @@ func JobInstance(usite core.Usite, id core.JobID) string {
 	return rest[:i]
 }
 
+// replayedAction returns the state of a replayed job's action, or nil when
+// the journal names no such job or action.
+func (n *NJS) replayedAction(job, action string) *actionState {
+	if uj, ok := n.jobs[core.JobID(job)]; ok {
+		return uj.action(action)
+	}
+	return nil
+}
+
 // replayJobAction restores the event an action record of kind carries and
-// returns the job and the outcome it names.
-func (n *NJS) replayJobAction(kind journal.Kind, ev *journal.ActionEvent) (*unicoreJob, *ajo.Outcome) {
+// returns the job and the action state it names.
+func (n *NJS) replayJobAction(kind journal.Kind, ev *journal.ActionEvent) (*unicoreJob, *actionState) {
 	uj, ok := n.jobs[core.JobID(ev.Job)]
 	if !ok {
 		return nil, nil
 	}
 	n.restoreEvent(uj, journal.Mark{Kind: kind, Stamp: ev.Stamp, Action: ev.Action, Status: ev.Status, Reason: ev.Reason})
-	return uj, uj.outcomes[ajo.ActionID(ev.Action)]
+	return uj, uj.action(ev.Action)
 }
 
 func (n *NJS) applyActionStart(ev *journal.ActionEvent) error {
-	uj, o := n.replayJobAction(journal.KindActionStart, ev)
-	if uj == nil || o == nil || o.Status.Terminal() {
+	_, s := n.replayJobAction(journal.KindActionStart, ev)
+	if s == nil || s.out.Status.Terminal() {
 		return nil
 	}
-	o.Status = ajo.Status(ev.Status)
+	s.out.Status = ajo.Status(ev.Status)
 	return nil
 }
 
 func (n *NJS) applyActionDone(ev *journal.ActionEvent) error {
-	uj, o := n.replayJobAction(journal.KindActionDone, ev)
-	if uj == nil || o == nil || o.Status.Terminal() {
+	uj, s := n.replayJobAction(journal.KindActionDone, ev)
+	if s == nil || s.out.Status.Terminal() {
 		return nil
 	}
+	o := &s.out
 	o.Status = ajo.Status(ev.Status)
 	o.Reason = ev.Reason
 	o.ExitCode = ev.ExitCode
@@ -848,35 +826,40 @@ func (n *NJS) applyActionDone(ev *journal.ActionEvent) error {
 		}
 		o.Children = node.Children
 	}
-	uj.done[ev.Action] = true
-	delete(uj.inflight, ajo.ActionID(ev.Action))
+	uj.ndone++
 	return nil
 }
 
 func (n *NJS) applyInject(in *journal.Injection) error {
-	uj, ok := n.jobs[core.JobID(in.Job)]
-	if !ok {
+	s := n.replayedAction(in.Job, in.After)
+	if s == nil {
 		return nil
 	}
-	after := ajo.ActionID(in.After)
-	for _, existing := range uj.injections[after] {
+	for _, existing := range s.injections {
 		if existing.name == in.Name {
 			return nil // snapshot + tail overlap
 		}
 	}
-	uj.injections[after] = append(uj.injections[after], injection{name: in.Name, data: in.Data})
+	s.injections = append(s.injections, injection{name: in.Name, data: in.Data})
 	return nil
 }
 
 func (n *NJS) applyRemote(r *journal.RemoteLink) error {
-	uj, ok := n.jobs[core.JobID(r.Job)]
-	if !ok {
-		return nil
-	}
-	uj.remote[ajo.ActionID(r.Action)] = &remoteRef{
-		usite: core.Usite(r.Usite), job: core.JobID(r.RemoteJob),
+	if s := n.replayedAction(r.Job, r.Action); s != nil {
+		s.remote = &remoteRef{usite: core.Usite(r.Usite), job: core.JobID(r.RemoteJob)}
+		s.linked()
 	}
 	return nil
+}
+
+// linked marks a replayed sub-job action running once its sub-job's link
+// is replayed: dispatching a sub-job journals no record but the link, so
+// without this a recovered sub-job would read PENDING until it finished,
+// while the same job recovered from a snapshot reads RUNNING.
+func (s *actionState) linked() {
+	if s.out.Status == ajo.StatusPending {
+		s.out.Status = ajo.StatusRunning
+	}
 }
 
 func (n *NJS) applyControl(c *journal.ControlEvent) error {

@@ -115,7 +115,7 @@ func TestListSurvivesReplayWithoutSubJobs(t *testing.T) {
 	}
 	uj, _ := n.job(parent)
 	uj.mu.Lock()
-	child := uj.children["sub"]
+	child := uj.action("sub").child
 	uj.mu.Unlock()
 	if child == "" {
 		t.Fatal("the sub-job was not admitted")

@@ -228,10 +228,12 @@ type batchKey struct {
 
 type actionRef struct {
 	job    core.JobID
-	action ajo.ActionID
+	action int // the action's node in the job's graph
 }
 
-// unicoreJob is the NJS-side state of one consigned job group.
+// unicoreJob is the NJS-side state of one consigned job group. Its actions'
+// state is one array indexed like the nodes of its graph, which is the
+// order of job.Actions; an ID reaches its state through graph.Index.
 type unicoreJob struct {
 	// Immutable after admission — readable without holding mu.
 	id        core.JobID
@@ -248,22 +250,68 @@ type unicoreJob struct {
 
 	// mu guards everything below. It is this job's shard of the NJS:
 	// operations on other jobs never take it.
-	mu       sync.Mutex
-	outcomes map[ajo.ActionID]*ajo.Outcome
-	root     *ajo.Outcome
-	done     map[string]bool
-	inflight map[ajo.ActionID]bool
-	held     bool
-	aborted  bool
+	mu      sync.Mutex
+	acts    []actionState
+	ndone   int // actions whose outcome is terminal
+	root    ajo.Outcome
+	held    bool
+	aborted bool
+}
+
+// actionState is the NJS-side state of one action of a job.
+type actionState struct {
+	// out is the action's outcome, a child of the job's root outcome. An
+	// action is done once its status is terminal.
+	out      ajo.Outcome
+	inflight bool
+	// batch is the batch job running the action (0: none), for control.
+	batch codine.JobID
+	// remote tracks a sub-job consigned to a peer Usite.
+	remote *remoteRef
+	// child is a sub-job expanded locally (same Usite).
+	child core.JobID
 	// injections are files to stage into a sub-job before consigning it
 	// (dependency-files arriving from predecessors).
-	injections map[ajo.ActionID][]injection
-	// batch maps in-flight actions to their batch job IDs for control.
-	batch map[ajo.ActionID]codine.JobID
-	// remote tracks sub-jobs consigned to peer Usites.
-	remote map[ajo.ActionID]*remoteRef
-	// children tracks sub-jobs expanded locally (same Usite).
-	children map[ajo.ActionID]core.JobID
+	injections []injection
+}
+
+// newJob builds the record of an admitted job: a running root outcome over
+// one pending outcome per action, each held in the action's state.
+func newJob(id core.JobID, owner core.DN, login uudb.Login, job *ajo.AbstractJob, graph *dag.Graph, vs *Vsite, jobDir string, submitted time.Time, consignID string, parent *parentLink) *unicoreJob {
+	uj := &unicoreJob{
+		id:        id,
+		owner:     owner,
+		login:     login,
+		job:       job,
+		vsite:     vs,
+		jobDir:    jobDir,
+		graph:     graph,
+		submitted: submitted,
+		consignID: consignID,
+		parent:    parent,
+		acts:      make([]actionState, len(job.Actions)),
+		root:      ajo.NewOutcome(job),
+	}
+	uj.root.Status = ajo.StatusRunning
+	uj.root.Started = submitted
+	uj.root.Children = make([]*ajo.Outcome, len(job.Actions))
+	for i, a := range job.Actions {
+		uj.acts[i].out = ajo.NewOutcome(a)
+		uj.root.Children[i] = &uj.acts[i].out
+	}
+	return uj
+}
+
+// done reports whether action i's outcome is terminal.
+func (uj *unicoreJob) done(i int) bool { return uj.acts[i].out.Status.Terminal() }
+
+// action returns the state of the action with the given ID, or nil if the
+// job has none.
+func (uj *unicoreJob) action(id string) *actionState {
+	if i, ok := uj.graph.Index(id); ok {
+		return &uj.acts[i]
+	}
+	return nil
 }
 
 type injection struct {
@@ -587,33 +635,7 @@ func (n *NJS) admit(user core.DN, login uudb.Login, job *ajo.AbstractJob, graph 
 	if err != nil {
 		return "", fmt.Errorf("njs: creating job directory: %w", err)
 	}
-	uj := &unicoreJob{
-		id:         id,
-		owner:      user,
-		login:      login,
-		job:        job,
-		vsite:      vs,
-		jobDir:     jobDir,
-		graph:      graph,
-		consignID:  consignID,
-		outcomes:   make(map[ajo.ActionID]*ajo.Outcome, len(job.Actions)),
-		done:       make(map[string]bool),
-		inflight:   make(map[ajo.ActionID]bool),
-		injections: make(map[ajo.ActionID][]injection),
-		batch:      make(map[ajo.ActionID]codine.JobID),
-		remote:     make(map[ajo.ActionID]*remoteRef),
-		children:   make(map[ajo.ActionID]core.JobID),
-		parent:     parent,
-		submitted:  n.clock.Now(),
-	}
-	uj.root = ajo.NewOutcome(job)
-	uj.root.Status = ajo.StatusRunning
-	uj.root.Started = n.clock.Now()
-	for _, a := range job.Actions {
-		o := ajo.NewOutcome(a)
-		uj.outcomes[a.ID()] = o
-		uj.root.Children = append(uj.root.Children, o)
-	}
+	uj := newJob(id, user, login, job, graph, vs, jobDir, n.clock.Now(), consignID, parent)
 	// The job is locked before it is visible, so no control reaches it
 	// ahead of its admission: its first event and record are the ADMIT's.
 	uj.mu.Lock()
@@ -631,97 +653,76 @@ func (n *NJS) dispatchLocked(uj *unicoreJob) {
 	if uj.held || uj.aborted || uj.root.Status.Terminal() {
 		return
 	}
-	for _, idStr := range uj.graph.Ready(uj.done) {
-		aid := ajo.ActionID(idStr)
-		if uj.inflight[aid] {
-			continue
+	uj.graph.Ready(uj.done, func(i int) {
+		if !uj.acts[i].inflight {
+			uj.acts[i].inflight = true
+			n.startActionLocked(uj, i)
 		}
-		a, ok := uj.job.Find(aid)
-		if !ok { // cannot happen on a validated job
-			continue
-		}
-		uj.inflight[aid] = true
-		n.startActionLocked(uj, a)
-	}
+	})
 	n.finalizeIfDoneLocked(uj)
 }
 
-// completeActionLocked records a terminal status for an action, cascades
+// endActionLocked gives action i, not yet terminal, its terminal status
+// and journals the transition. A reason replaces the outcome's.
+func (n *NJS) endActionLocked(uj *unicoreJob, i int, status ajo.Status, reason string) {
+	s := &uj.acts[i]
+	s.out.Status = status
+	if reason != "" {
+		s.out.Reason = reason
+	}
+	s.out.Finished = n.clock.Now()
+	s.inflight = false
+	uj.ndone++
+	n.recordActionDone(uj, &s.out)
+}
+
+// completeActionLocked records a terminal status for action i, cascades
 // NotDone to dependents of failures, and continues dispatching.
-func (n *NJS) completeActionLocked(uj *unicoreJob, aid ajo.ActionID, status ajo.Status, reason string) {
-	o := uj.outcomes[aid]
-	if o == nil || o.Status.Terminal() {
+func (n *NJS) completeActionLocked(uj *unicoreJob, i int, status ajo.Status, reason string) {
+	if uj.done(i) {
 		return
 	}
-	o.Status = status
-	if reason != "" {
-		o.Reason = reason
-	}
-	if o.Finished.IsZero() {
-		o.Finished = n.clock.Now()
-	}
-	uj.done[string(aid)] = true
-	delete(uj.inflight, aid)
-	n.recordActionDone(uj, aid, o)
-
+	n.endActionLocked(uj, i, status, reason)
 	if status == ajo.StatusSuccessful {
-		if err := n.propagateFilesLocked(uj, aid); err != nil {
+		if err := n.propagateFilesLocked(uj, i); err != nil {
 			// A guaranteed dependency file is missing or unreachable: the
 			// successors that needed it cannot run.
-			n.failSuccessorsNeedingFilesLocked(uj, aid, err)
+			n.failSuccessorsNeedingFilesLocked(uj, i, err)
 		}
 	} else {
-		n.cascadeNotDoneLocked(uj, aid)
+		n.cascadeNotDoneLocked(uj, i)
 	}
 	n.dispatchLocked(uj)
 }
 
-// cascadeNotDoneLocked marks every descendant of aid as NOT_DONE.
-func (n *NJS) cascadeNotDoneLocked(uj *unicoreJob, aid ajo.ActionID) {
-	desc, err := uj.graph.Descendants(string(aid))
-	if err != nil {
-		return
-	}
-	for _, d := range desc {
-		did := ajo.ActionID(d)
-		o := uj.outcomes[did]
-		if o == nil || o.Status.Terminal() {
-			continue
+// cascadeNotDoneLocked marks every descendant of action i as NOT_DONE, in
+// action order.
+func (n *NJS) cascadeNotDoneLocked(uj *unicoreJob, i int) {
+	for d, below := range uj.graph.Descendants(i) {
+		if below && !uj.done(d) {
+			n.endActionLocked(uj, d, ajo.StatusNotDone, fmt.Sprintf("predecessor %s did not succeed", uj.acts[i].out.Action))
 		}
-		o.Status = ajo.StatusNotDone
-		o.Reason = fmt.Sprintf("predecessor %s did not succeed", aid)
-		o.Finished = n.clock.Now()
-		uj.done[d] = true
-		delete(uj.inflight, did)
-		n.recordActionDone(uj, did, o)
 	}
 }
 
 // failSuccessorsNeedingFilesLocked handles a broken file-dependency edge.
-func (n *NJS) failSuccessorsNeedingFilesLocked(uj *unicoreJob, before ajo.ActionID, cause error) {
+func (n *NJS) failSuccessorsNeedingFilesLocked(uj *unicoreJob, before int, cause error) {
 	for _, dep := range uj.job.Dependencies {
-		if dep.Before != before || len(dep.Files) == 0 {
+		if dep.Before != uj.acts[before].out.Action || len(dep.Files) == 0 {
 			continue
 		}
-		o := uj.outcomes[dep.After]
-		if o == nil || o.Status.Terminal() {
+		after, ok := uj.graph.Index(string(dep.After))
+		if !ok || uj.done(after) {
 			continue
 		}
-		o.Status = ajo.StatusNotDone
-		o.Reason = fmt.Sprintf("dependency files unavailable: %v", cause)
-		o.Finished = n.clock.Now()
-		uj.done[string(dep.After)] = true
-		n.recordActionDone(uj, dep.After, o)
-		n.cascadeNotDoneLocked(uj, dep.After)
+		n.endActionLocked(uj, after, ajo.StatusNotDone, fmt.Sprintf("dependency files unavailable: %v", cause))
+		n.cascadeNotDoneLocked(uj, after)
 	}
 }
 
 // finalizeIfDoneLocked closes the job once every action is terminal.
 func (n *NJS) finalizeIfDoneLocked(uj *unicoreJob) {
-	if uj.root.Status.Terminal() {
-		return
-	}
-	if len(uj.done) < uj.graph.Len() {
+	if uj.root.Status.Terminal() || uj.ndone < len(uj.acts) {
 		return
 	}
 	status := ajo.Aggregate(uj.root.Children)
@@ -754,10 +755,13 @@ func (n *NJS) completeChild(parentID core.JobID, aid ajo.ActionID, childID core.
 	if !ok {
 		return
 	}
+	i, ok := parent.graph.Index(string(aid))
+	if !ok {
+		return
+	}
 	parent.mu.Lock()
 	defer parent.mu.Unlock()
-	o := parent.outcomes[aid]
-	if o == nil || o.Status.Terminal() {
+	if parent.done(i) {
 		return
 	}
 	//lint:allow lockorder childID is parent's sub-job (parentLink set at admit), so parent→child is ancestor→descendant
@@ -769,16 +773,17 @@ func (n *NJS) completeChild(parentID core.JobID, aid ajo.ActionID, childID core.
 	if !status.Terminal() {
 		return
 	}
-	parent.children[aid] = childID
+	s := &parent.acts[i]
+	s.child = childID
 	// The child is terminal, so its outcome nodes are frozen and safe to
 	// share with the parent's tree.
-	o.Children = children
-	o.Started = started
+	s.out.Children = children
+	s.out.Started = started
 	reason := ""
 	if status != ajo.StatusSuccessful {
 		reason = fmt.Sprintf("sub-job %s finished %s", childID, status)
 	}
-	n.completeActionLocked(parent, aid, status, reason)
+	n.completeActionLocked(parent, i, status, reason)
 	n.finalizeIfDoneLocked(parent)
 }
 

@@ -3,12 +3,14 @@ package njs
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"unicore/internal/ajo"
 	"unicore/internal/core"
+	"unicore/internal/events"
 	"unicore/internal/machine"
 	"unicore/internal/protocol"
 	"unicore/internal/resources"
@@ -331,6 +333,37 @@ func TestAbortMarksActionsAborted(t *testing.T) {
 	// Aborting again is an error.
 	if err := n.Control(alice, false, id, ajo.OpAbort); err == nil {
 		t.Fatal("double abort succeeded")
+	}
+}
+
+// TestAbortEventsFollowActionOrder aborts jobs with three non-terminal
+// actions, two queued and one pending, whose IDs do not sort in action
+// order. The aborted events come in action order every time: an abort is
+// as replayable as the run that led to it.
+func TestAbortEventsFollowActionOrder(t *testing.T) {
+	n, clock := newNJS(t)
+	want := []ajo.ActionID{"zz", "aa", "mm"}
+	for range 5 {
+		j := job("abort-order", "T3E", []ajo.Action{
+			script("zz", "cpu 5h\n"), script("aa", "echo after zz\n"), script("mm", "cpu 5h\n"),
+		}, []ajo.Dependency{{Before: "zz", After: "aa"}})
+		id, err := n.Consign(context.Background(), alice, "", j)
+		if err != nil {
+			t.Fatalf("Consign: %v", err)
+		}
+		clock.Advance(time.Second)
+		if err := n.Control(alice, false, id, ajo.OpAbort); err != nil {
+			t.Fatalf("Abort: %v", err)
+		}
+		var got []ajo.ActionID
+		for _, ev := range jobEvents(n, id) {
+			if ev.Type == events.TypeActionDone && ev.Status == ajo.StatusAborted {
+				got = append(got, ev.Action)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("aborted events for %v, want action order %v", got, want)
+		}
 	}
 }
 

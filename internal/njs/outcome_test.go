@@ -53,8 +53,9 @@ func TestTerminalOutcomeIsSharedAndNeverWritten(t *testing.T) {
 	}
 	uj, _ := n.job(id)
 	uj.mu.Lock()
-	childID := uj.children["sub"]
+	childID := uj.action("sub").child
 	uj.mu.Unlock()
+	long, _ := uj.graph.Index("long")
 
 	var (
 		mu    sync.Mutex
@@ -124,7 +125,7 @@ func TestTerminalOutcomeIsSharedAndNeverWritten(t *testing.T) {
 					t.Errorf("%s of a finished job succeeded", op)
 				}
 			}
-			n.onBatchDone(id, "long", codine.Result{State: codine.StateDone, Stdout: "late output\n", ExitCode: 7})
+			n.onBatchDone(id, long, codine.Result{State: codine.StateDone, Stdout: "late output\n", ExitCode: 7})
 			n.completeChild(id, "sub", childID)
 		}
 	}()

@@ -18,16 +18,15 @@ import (
 // consigned to the peer NJS through that site's gateway and polled until
 // terminal.
 
-// startSubJobLocked dispatches a nested AbstractJob.
-func (n *NJS) startSubJobLocked(uj *unicoreJob, sub *ajo.AbstractJob) {
-	o := uj.outcomes[sub.ID()]
-	o.Status = ajo.StatusRunning
+// startSubJobLocked dispatches a nested AbstractJob, action i.
+func (n *NJS) startSubJobLocked(uj *unicoreJob, i int, sub *ajo.AbstractJob) {
+	uj.acts[i].out.Status = ajo.StatusRunning
 
 	// Stage dependency files produced by predecessors into the sub-job as
 	// injected inline imports.
-	subCopy, err := injectImports(sub, uj.injections[sub.ID()])
+	subCopy, err := injectImports(sub, uj.acts[i].injections)
 	if err != nil {
-		n.completeActionLocked(uj, sub.ID(), ajo.StatusFailed, fmt.Sprintf("staging sub-job: %v", err))
+		n.completeActionLocked(uj, i, ajo.StatusFailed, fmt.Sprintf("staging sub-job: %v", err))
 		return
 	}
 	subCopy.UserDN = uj.owner
@@ -36,24 +35,24 @@ func (n *NJS) startSubJobLocked(uj *unicoreJob, sub *ajo.AbstractJob) {
 	}
 
 	if subCopy.Target.Usite == n.usite {
-		n.startLocalSubJobLocked(uj, subCopy)
+		n.startLocalSubJobLocked(uj, i, subCopy)
 		return
 	}
-	n.startRemoteSubJobLocked(uj, subCopy)
+	n.startRemoteSubJobLocked(uj, i, subCopy)
 }
 
 // startLocalSubJobLocked expands a sub-job at this Usite (same or different
 // Vsite) as a child unicoreJob.
-func (n *NJS) startLocalSubJobLocked(uj *unicoreJob, sub *ajo.AbstractJob) {
+func (n *NJS) startLocalSubJobLocked(uj *unicoreJob, i int, sub *ajo.AbstractJob) {
 	vs, ok := n.vsites[sub.Target.Vsite]
 	if !ok {
-		n.completeActionLocked(uj, sub.ID(), ajo.StatusFailed,
+		n.completeActionLocked(uj, i, ajo.StatusFailed,
 			fmt.Sprintf("sub-job: %v: %q", ErrUnknownVsite, sub.Target.Vsite))
 		return
 	}
 	login, err := n.logins(uj.owner, sub.Target.Vsite)
 	if err != nil {
-		n.completeActionLocked(uj, sub.ID(), ajo.StatusFailed, fmt.Sprintf("sub-job mapping: %v", err))
+		n.completeActionLocked(uj, i, ajo.StatusFailed, fmt.Sprintf("sub-job mapping: %v", err))
 		return
 	}
 	// admit locks the fresh child while this job's lock is held —
@@ -66,31 +65,31 @@ func (n *NJS) startLocalSubJobLocked(uj *unicoreJob, sub *ajo.AbstractJob) {
 		childID, err = n.admit(uj.owner, login, sub, graph, vs, &parentLink{job: uj.id, action: sub.ID()}, "")
 	}
 	if err != nil {
-		n.completeActionLocked(uj, sub.ID(), ajo.StatusFailed, fmt.Sprintf("sub-job admit: %v", err))
+		n.completeActionLocked(uj, i, ajo.StatusFailed, fmt.Sprintf("sub-job admit: %v", err))
 		return
 	}
-	uj.children[sub.ID()] = childID
+	uj.acts[i].child = childID
 }
 
 // startRemoteSubJobLocked consigns a sub-job to a peer Usite and starts the
 // poll loop. The network call is deferred through the clock so it runs with
 // no job lock held — a consign to a peer must never block Poll/Control on
 // this job behind a network round trip.
-func (n *NJS) startRemoteSubJobLocked(uj *unicoreJob, sub *ajo.AbstractJob) {
+func (n *NJS) startRemoteSubJobLocked(uj *unicoreJob, i int, sub *ajo.AbstractJob) {
 	raw, err := ajo.Marshal(sub)
 	if err != nil {
-		n.completeActionLocked(uj, sub.ID(), ajo.StatusFailed, fmt.Sprintf("encoding sub-job: %v", err))
+		n.completeActionLocked(uj, i, ajo.StatusFailed, fmt.Sprintf("encoding sub-job: %v", err))
 		return
 	}
-	jobID, aid, usite := uj.id, sub.ID(), sub.Target.Usite
-	consignID := fmt.Sprintf("%s/%s", jobID, aid)
-	n.clock.AfterFunc(0, func() { n.consignRemote(jobID, aid, usite, consignID, raw) })
+	jobID, usite := uj.id, sub.Target.Usite
+	consignID := fmt.Sprintf("%s/%s", jobID, sub.ID())
+	n.clock.AfterFunc(0, func() { n.consignRemote(jobID, i, usite, consignID, raw) })
 }
 
 // consignRemote performs the lock-free half of a remote sub-job dispatch:
 // the peer consignment call, then (re-locking the job) recording the remote
 // reference and arming the poll loop.
-func (n *NJS) consignRemote(jobID core.JobID, aid ajo.ActionID, usite core.Usite, consignID string, raw []byte) {
+func (n *NJS) consignRemote(jobID core.JobID, i int, usite core.Usite, consignID string, raw []byte) {
 	if n.dead.Load() {
 		return
 	}
@@ -102,8 +101,7 @@ func (n *NJS) consignRemote(jobID core.JobID, aid ajo.ActionID, usite core.Usite
 		return
 	}
 	uj.mu.Lock()
-	o := uj.outcomes[aid]
-	if o == nil || o.Status.Terminal() {
+	if uj.done(i) {
 		// Aborted while the consign was in flight. If the peer accepted,
 		// that job is now orphaned — abort it best-effort, outside the lock.
 		uj.mu.Unlock()
@@ -114,34 +112,34 @@ func (n *NJS) consignRemote(jobID core.JobID, aid ajo.ActionID, usite core.Usite
 	}
 	defer uj.mu.Unlock()
 	if err != nil {
-		n.completeActionLocked(uj, aid, ajo.StatusFailed,
+		n.completeActionLocked(uj, i, ajo.StatusFailed,
 			fmt.Sprintf("consigning to %s: %v", usite, err))
 		n.finalizeIfDoneLocked(uj)
 		return
 	}
 	if !reply.Accepted {
-		n.completeActionLocked(uj, aid, ajo.StatusFailed,
+		n.completeActionLocked(uj, i, ajo.StatusFailed,
 			fmt.Sprintf("peer %s refused: %s", usite, reply.Reason))
 		n.finalizeIfDoneLocked(uj)
 		return
 	}
 	ref := &remoteRef{usite: usite, job: reply.Job}
-	uj.remote[aid] = ref
-	n.recordRemote(uj, aid, ref)
-	n.scheduleRemotePollLocked(jobID, aid, ref)
+	uj.acts[i].remote = ref
+	n.recordRemote(uj, uj.acts[i].out.Action, ref)
+	n.scheduleRemotePollLocked(jobID, i, ref)
 }
 
 // scheduleRemotePollLocked arms the next status poll for a remote sub-job.
-func (n *NJS) scheduleRemotePollLocked(jobID core.JobID, aid ajo.ActionID, ref *remoteRef) {
+func (n *NJS) scheduleRemotePollLocked(jobID core.JobID, i int, ref *remoteRef) {
 	ref.timer = n.clock.AfterFunc(remotePollInterval, func() {
-		n.pollRemote(jobID, aid)
+		n.pollRemote(jobID, i)
 	})
 }
 
 // pollRemote checks a remote sub-job; on terminal status it retrieves the
 // outcome and completes the action. The network calls happen without any
 // lock held; only the owning job is locked to read and advance its state.
-func (n *NJS) pollRemote(jobID core.JobID, aid ajo.ActionID) {
+func (n *NJS) pollRemote(jobID core.JobID, i int) {
 	if n.dead.Load() {
 		return
 	}
@@ -150,8 +148,8 @@ func (n *NJS) pollRemote(jobID core.JobID, aid ajo.ActionID) {
 		return
 	}
 	uj.mu.Lock()
-	ref, ok := uj.remote[aid]
-	if !ok || uj.outcomes[aid].Status.Terminal() {
+	ref := uj.acts[i].remote
+	if ref == nil || uj.done(i) {
 		uj.mu.Unlock()
 		return
 	}
@@ -162,27 +160,27 @@ func (n *NJS) pollRemote(jobID core.JobID, aid ajo.ActionID) {
 	err := callPeer(n, usite, protocol.OpPoll, protocol.PollRequest{Job: remoteJob}, &poll)
 
 	uj.mu.Lock()
-	ref, ok = uj.remote[aid]
-	if !ok { // aborted while the poll was in flight
+	ref = uj.acts[i].remote
+	if ref == nil { // aborted while the poll was in flight
 		uj.mu.Unlock()
 		return
 	}
 	if err != nil || !poll.Found {
 		ref.failures++
 		if ref.failures > remoteMaxFailures {
-			n.completeActionLocked(uj, aid, ajo.StatusFailed,
+			n.completeActionLocked(uj, i, ajo.StatusFailed,
 				fmt.Sprintf("lost contact with %s after %d attempts: %v", usite, ref.failures, err))
 			n.finalizeIfDoneLocked(uj)
 			uj.mu.Unlock()
 			return
 		}
-		n.scheduleRemotePollLocked(jobID, aid, ref)
+		n.scheduleRemotePollLocked(jobID, i, ref)
 		uj.mu.Unlock()
 		return
 	}
 	ref.failures = 0
 	if !poll.Summary.Status.Terminal() {
-		n.scheduleRemotePollLocked(jobID, aid, ref)
+		n.scheduleRemotePollLocked(jobID, i, ref)
 		uj.mu.Unlock()
 		return
 	}
@@ -196,11 +194,8 @@ func (n *NJS) pollRemote(jobID core.JobID, aid ajo.ActionID) {
 
 	uj.mu.Lock()
 	defer uj.mu.Unlock()
-	if _, ok := uj.remote[aid]; !ok { // aborted while fetching the outcome
-		return
-	}
-	o := uj.outcomes[aid]
-	if o == nil || o.Status.Terminal() {
+	o := &uj.acts[i].out
+	if uj.acts[i].remote == nil || o.Status.Terminal() { // aborted while fetching the outcome
 		return
 	}
 	if oerr == nil && oreply.Found {
@@ -211,7 +206,7 @@ func (n *NJS) pollRemote(jobID core.JobID, aid ajo.ActionID) {
 	if status != ajo.StatusSuccessful {
 		reason = fmt.Sprintf("remote sub-job %s at %s finished %s", remoteJob, usite, status)
 	}
-	n.completeActionLocked(uj, aid, status, reason)
+	n.completeActionLocked(uj, i, status, reason)
 	n.finalizeIfDoneLocked(uj)
 }
 

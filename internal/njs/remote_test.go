@@ -10,6 +10,9 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,7 +20,9 @@ import (
 
 	"unicore/internal/ajo"
 	"unicore/internal/core"
+	"unicore/internal/events"
 	"unicore/internal/gateway"
+	"unicore/internal/journal"
 	"unicore/internal/machine"
 	"unicore/internal/njs"
 	"unicore/internal/pki"
@@ -39,7 +44,11 @@ type pair struct {
 	alice *pki.Credential
 }
 
-func newPair(t *testing.T) *pair {
+func newPair(t *testing.T) *pair { return newJournaledPair(t, nil) }
+
+// newJournaledPair is newPair with site A journaled to store (nil: not
+// durable).
+func newJournaledPair(t *testing.T, store *journal.Store) *pair {
 	t.Helper()
 	clock := sim.NewVirtualClock()
 	ca, err := pki.NewAuthority("PAIR-CA")
@@ -54,7 +63,7 @@ func newPair(t *testing.T) *pair {
 	reg := protocol.NewRegistry()
 	p := &pair{clock: clock, ca: ca, net: net, reg: reg, alice: alice}
 
-	mk := func(usite core.Usite, host string) (*njs.NJS, *gateway.Gateway) {
+	mk := func(usite core.Usite, host string, store *journal.Store) (*njs.NJS, *gateway.Gateway) {
 		cred, err := ca.IssueServer("gw."+string(usite), host)
 		if err != nil {
 			t.Fatalf("IssueServer: %v", err)
@@ -65,11 +74,12 @@ func newPair(t *testing.T) *pair {
 			t.Fatalf("AddMapping: %v", err)
 		}
 		n, err := njs.New(njs.Config{
-			Usite:  usite,
-			Clock:  clock,
-			Vsites: []njs.VsiteConfig{{Name: "T3E", Profile: machine.CrayT3E(64)}},
-			Logins: users.Map,
-			Peers:  protocol.NewClient(net, cred, ca, reg),
+			Usite:   usite,
+			Clock:   clock,
+			Vsites:  []njs.VsiteConfig{{Name: "T3E", Profile: machine.CrayT3E(64)}},
+			Logins:  users.Map,
+			Peers:   protocol.NewClient(net, cred, ca, reg),
+			Journal: store,
 		})
 		if err != nil {
 			t.Fatalf("njs.New: %v", err)
@@ -82,8 +92,8 @@ func newPair(t *testing.T) *pair {
 		reg.Add(usite, "https://"+host)
 		return n, gw
 	}
-	p.njsA, _ = mk("A", "gw.a")
-	p.njsB, p.gwB = mk("B", "gw.b")
+	p.njsA, _ = mk("A", "gw.a", store)
+	p.njsB, p.gwB = mk("B", "gw.b", nil)
 	return p
 }
 
@@ -332,5 +342,141 @@ func TestRemoteDependencyFileInjection(t *testing.T) {
 	}
 	if !staged {
 		t.Fatalf("no staged dependency import in remote outcome:\n%s", remote.Render())
+	}
+}
+
+// TestCompactedReplayMatchesJournalReplay compacts site A's journal while
+// a job there holds a dependency file staged for a sub-job not yet
+// consigned (an injection) and a sub-job running at B (a remote link). The
+// job recovered from the snapshot must equal the job recovered from the
+// uncompacted journal: each action's state, the outcome tree and the event
+// window.
+func TestCompactedReplayMatchesJournalReplay(t *testing.T) {
+	dir := t.TempDir()
+	store, err := journal.Open(dir)
+	if err != nil {
+		t.Fatalf("journal.Open: %v", err)
+	}
+	p := newJournaledPair(t, store)
+	long := func(id, text string) *ajo.ScriptTask {
+		return &ajo.ScriptTask{
+			TaskBase: ajo.TaskBase{
+				Header:    ajo.Header{ActionID: ajo.ActionID(id), ActionName: id},
+				Resources: resources.Request{Processors: 1, RunTime: 10 * time.Hour},
+			},
+			Script: text,
+		}
+	}
+	atB := func(id string, task *ajo.ScriptTask) *ajo.AbstractJob {
+		return &ajo.AbstractJob{
+			Header:  ajo.Header{ActionID: ajo.ActionID(id), ActionName: id},
+			Target:  core.Target{Usite: "B", Vsite: "T3E"},
+			Actions: ajo.ActionList{task},
+		}
+	}
+	job := &ajo.AbstractJob{
+		Header: ajo.Header{ActionID: ajo.NewID("midflight"), ActionName: "midflight"},
+		Target: core.Target{Usite: "A", Vsite: "T3E"},
+		Actions: ajo.ActionList{
+			long("make", "write handoff.dat 2048\n"),
+			long("gate", "cpu 5h\n"),
+			atB("remote", long("far", "cpu 5h\n")),
+			atB("later", long("use", "cat handoff.dat\n")),
+		},
+		Dependencies: []ajo.Dependency{
+			{Before: "make", After: "later", Files: []string{"handoff.dat"}},
+			{Before: "gate", After: "later"},
+		},
+	}
+	id, err := p.njsA.Consign(context.Background(), p.alice.DN(), "midflight", job)
+	if err != nil {
+		t.Fatalf("Consign: %v", err)
+	}
+	p.clock.Advance(10 * time.Second)
+	live := njs.ActionStates(p.njsA, id)
+	if !strings.Contains(live, "later PENDING") || !strings.Contains(live, "inject=handoff.dat:2048") ||
+		!strings.Contains(live, "remote=B/") || !strings.Contains(live, "make SUCCESSFUL") {
+		t.Fatalf("the job is not mid-flight with an injection and a remote link:\n%s", live)
+	}
+
+	files := func() map[string][]byte {
+		if err := store.Sync(); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, e := range entries {
+			if out[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	uncompacted := files()
+	if err := p.njsA.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	compacted := files()
+	p.njsA.Kill()
+	store.Close()
+	if reflect.DeepEqual(compacted, uncompacted) {
+		t.Fatal("Snapshot did not compact the journal")
+	}
+
+	recovered := func(files map[string][]byte) *njs.NJS {
+		dir := t.TempDir()
+		for name, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+		store, err := journal.Open(dir)
+		if err != nil {
+			t.Fatalf("journal.Open: %v", err)
+		}
+		t.Cleanup(func() { store.Close() })
+		n, err := njs.New(njs.Config{
+			Usite:   "A",
+			Clock:   sim.NewVirtualClock(),
+			Vsites:  []njs.VsiteConfig{{Name: "T3E", Profile: machine.CrayT3E(64)}},
+			Logins:  func(core.DN, core.Vsite) (uudb.Login, error) { return uudb.Login{UID: "alice"}, nil },
+			Journal: store,
+		})
+		if err != nil {
+			t.Fatalf("recovering: %v", err)
+		}
+		t.Cleanup(n.Kill)
+		return n
+	}
+	fromJournal, fromSnapshot := recovered(uncompacted), recovered(compacted)
+	want, got := njs.ActionStates(fromJournal, id), njs.ActionStates(fromSnapshot, id)
+	if got != want {
+		t.Errorf("action state replayed from the snapshot:\n%s\nfrom the journal:\n%s", got, want)
+	}
+	if !strings.Contains(want, "inject=handoff.dat:2048") || !strings.Contains(want, "remote=B/") {
+		t.Errorf("the journal replayed without the injection or the remote link:\n%s", want)
+	}
+	outcome := func(n *njs.NJS) *ajo.Outcome {
+		o, found, err := n.Outcome(p.alice.DN(), false, id)
+		if err != nil || !found {
+			t.Fatalf("Outcome: found=%v %v", found, err)
+		}
+		return o
+	}
+	if o, w := outcome(fromSnapshot), outcome(fromJournal); !reflect.DeepEqual(o, w) {
+		t.Errorf("outcome replayed from the snapshot:\n%s\nfrom the journal:\n%s", o.Render(), w.Render())
+	}
+	window := func(n *njs.NJS) []events.Event {
+		r, err := n.Events(p.alice.DN(), false, protocol.SubscribeRequest{Job: id})
+		if err != nil {
+			t.Fatalf("Events: %v", err)
+		}
+		return r.Events
+	}
+	if evs, w := window(fromSnapshot), window(fromJournal); len(w) == 0 || !reflect.DeepEqual(evs, w) {
+		t.Errorf("events replayed from the snapshot:\n%+v\nfrom the journal:\n%+v", evs, w)
 	}
 }

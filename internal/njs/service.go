@@ -200,7 +200,7 @@ func (n *NJS) Poll(caller core.DN, asServer bool, id core.JobID) (protocol.PollR
 		return protocol.PollReply{}, err
 	}
 	uj.mu.Lock()
-	s := ajo.Summarise(uj.root)
+	s := ajo.Summarise(&uj.root)
 	uj.mu.Unlock()
 	s.Job = string(id)
 	s.Updated = n.clock.Now()
@@ -222,7 +222,7 @@ func (n *NJS) Outcome(caller core.DN, asServer bool, id core.JobID) (*ajo.Outcom
 	uj.mu.Lock()
 	defer uj.mu.Unlock()
 	if uj.root.Status.Terminal() {
-		return uj.root, true, nil
+		return &uj.root, true, nil
 	}
 	return uj.root.Clone(), true, nil
 }
@@ -301,56 +301,48 @@ func (n *NJS) abortJob(uj *unicoreJob) error {
 	return err
 }
 
-// abortLocked cancels everything in flight and closes the job. Remote
-// sub-job references are collected into remotes for the caller to abort
-// after the locks are dropped.
+// abortLocked cancels everything in flight and closes the job, walking its
+// actions in order, so an abort's cancels, records and events are the same
+// on every run. Remote sub-job references are collected into remotes for
+// the caller to abort after the locks are dropped.
 func (n *NJS) abortLocked(uj *unicoreJob, remotes *[]remoteRef) error {
 	if uj.root.Status.Terminal() {
 		return fmt.Errorf("njs: job %s already %s", uj.id, uj.root.Status)
 	}
 	uj.aborted = true
 	n.recordControl(uj, ajo.OpAbort)
-	// Cancel batch jobs in flight (completion events arrive through the
-	// clock, so Cancel cannot re-enter this job synchronously).
-	for aid, bid := range uj.batch {
-		_ = uj.vsite.RMS.Cancel(bid)
-		n.regMu.Lock()
-		delete(n.batchIndex, batchKey{uj.vsite.Name, bid})
-		n.regMu.Unlock()
-		delete(uj.batch, aid)
-	}
-	// Abort local children (descending the sub-job tree keeps lock order).
-	for _, childID := range uj.children {
-		child, ok := n.job(childID)
-		if !ok {
-			continue
+	for i := range uj.acts {
+		s := &uj.acts[i]
+		// Cancel a batch job in flight (completion events arrive through
+		// the clock, so Cancel cannot re-enter this job synchronously).
+		if s.batch != 0 {
+			_ = uj.vsite.RMS.Cancel(s.batch)
+			n.regMu.Lock()
+			delete(n.batchIndex, batchKey{uj.vsite.Name, s.batch})
+			n.regMu.Unlock()
+			s.batch = 0
 		}
-		child.mu.Lock()
-		if !child.root.Status.Terminal() {
-			_ = n.abortLocked(child, remotes)
+		// Abort a local child (descending the sub-job tree keeps lock order).
+		if child, ok := n.job(s.child); ok {
+			child.mu.Lock()
+			if !child.root.Status.Terminal() {
+				_ = n.abortLocked(child, remotes)
+			}
+			child.mu.Unlock()
 		}
-		child.mu.Unlock()
-	}
-	// Detach remote sub-jobs and stop their poll loops; the peer abort
-	// calls happen outside the locks.
-	for aid, ref := range uj.remote {
-		if ref.timer != nil {
-			ref.timer.Stop()
+		// Detach a remote sub-job and stop its poll loop; the peer abort
+		// call happens outside the locks.
+		if ref := s.remote; ref != nil {
+			if ref.timer != nil {
+				ref.timer.Stop()
+			}
+			*remotes = append(*remotes, *ref)
+			s.remote = nil
 		}
-		*remotes = append(*remotes, *ref)
-		delete(uj.remote, aid)
-	}
-	// Every non-terminal action becomes ABORTED.
-	for aid, o := range uj.outcomes {
-		if o.Status.Terminal() {
-			continue
+		// A non-terminal action becomes ABORTED.
+		if !s.out.Status.Terminal() {
+			n.endActionLocked(uj, i, ajo.StatusAborted, "aborted by user")
 		}
-		o.Status = ajo.StatusAborted
-		o.Reason = "aborted by user"
-		o.Finished = n.clock.Now()
-		uj.done[string(aid)] = true
-		delete(uj.inflight, aid)
-		n.recordActionDone(uj, aid, o)
 	}
 	n.finalizeIfDoneLocked(uj)
 	return nil
