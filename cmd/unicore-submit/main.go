@@ -126,7 +126,7 @@ func main() {
 // before every original root action so no task runs until its staged inputs
 // are in the Uspace.
 func stageInputs(sess *unicore.Session, job *ajo.AbstractJob, stageIns []string) error {
-	g, err := job.Graph()
+	g, err := job.Check()
 	if err != nil {
 		return err
 	}

@@ -505,71 +505,72 @@ type ActionList []Action
 // Kind reports KindJob.
 func (j *AbstractJob) Kind() Kind { return KindJob }
 
-// Graph builds the dependency DAG over the job's direct children.
-func (j *AbstractJob) Graph() (*dag.Graph, error) {
-	ids := make([]string, len(j.Actions))
-	for i, a := range j.Actions {
-		ids[i] = string(a.ID())
-	}
-	edges := make([][2]string, len(j.Dependencies))
-	for i, d := range j.Dependencies {
-		edges[i] = [2]string{string(d.Before), string(d.After)}
-	}
-	return dag.Build(ids, edges)
-}
-
 // Validate checks the whole recursive structure: action field validity,
 // unique IDs per level, dependency references, acyclicity, and that nested
-// job groups carry a destination.
-func (j *AbstractJob) Validate() error { _, err := j.Check(); return err }
+// job groups carry a destination. It keeps no graph, so a job of up to 16
+// actions and no transfer is checked in stack scratch and allocates nothing.
+func (j *AbstractJob) Validate() error {
+	var ids [16]string
+	_, err := j.check(ids[:0], false)
+	return err
+}
 
-// Check is Validate that also returns the job's own graph (Graph). It is not
-// kept on the job: a job may be validated from several goroutines.
-func (j *AbstractJob) Check() (*dag.Graph, error) {
+// Check is Validate that also returns the job's dependency DAG over its
+// direct children, by value: the one graph an NJS keeps for the job. It is
+// not kept on the job: a job may be validated from several goroutines.
+func (j *AbstractJob) Check() (dag.Graph, error) {
+	return j.check(make([]string, 0, len(j.Actions)), true)
+}
+
+// check validates the job, appending its children's IDs to ids for the DAG
+// check, and returns the graph when keep is set.
+func (j *AbstractJob) check(ids []string, keep bool) (g dag.Graph, err error) {
 	if err := j.validateHeader(); err != nil {
-		return nil, err
+		return g, err
 	}
 	if j.Target.IsZero() {
-		return nil, fmt.Errorf("ajo: job %s: no destination Vsite", j.ActionID)
+		return g, fmt.Errorf("ajo: job %s: no destination Vsite", j.ActionID)
 	}
-	seen := make(map[ActionID]bool, len(j.Actions))
 	for _, a := range j.Actions {
 		if a == nil {
-			return nil, fmt.Errorf("ajo: job %s: nil action", j.ActionID)
+			return g, fmt.Errorf("ajo: job %s: nil action", j.ActionID)
 		}
-		if seen[a.ID()] {
-			return nil, fmt.Errorf("ajo: job %s: duplicate action ID %q", j.ActionID, a.ID())
-		}
-		seen[a.ID()] = true
 		if a.Kind().IsService() {
-			return nil, fmt.Errorf("ajo: job %s: service %s cannot be a job component", j.ActionID, a.ID())
+			return g, fmt.Errorf("ajo: job %s: service %s cannot be a job component", j.ActionID, a.ID())
 		}
 		if err := a.Validate(); err != nil {
-			return nil, fmt.Errorf("ajo: job %s: %w", j.ActionID, err)
+			return g, fmt.Errorf("ajo: job %s: %w", j.ActionID, err)
 		}
+		ids = append(ids, string(a.ID()))
 	}
-	for _, d := range j.Dependencies {
-		if !seen[d.Before] {
-			return nil, fmt.Errorf("ajo: job %s: dependency references unknown action %q", j.ActionID, d.Before)
-		}
-		if !seen[d.After] {
-			return nil, fmt.Errorf("ajo: job %s: dependency references unknown action %q", j.ActionID, d.After)
-		}
-	}
-	// TransferTask sources must reference sibling actions.
+	// A TransferTask's source must be a sibling; the ID set is built at the first.
+	var known map[ActionID]bool
 	for _, a := range j.Actions {
 		if tr, ok := a.(*TransferTask); ok {
-			if !seen[tr.FromAction] {
-				return nil, fmt.Errorf("ajo: job %s: transfer %s references unknown action %q", j.ActionID, tr.ActionID, tr.FromAction)
+			if known == nil {
+				known = make(map[ActionID]bool, len(ids))
+				for _, id := range ids {
+					known[ActionID(id)] = true
+				}
+			}
+			if !known[tr.FromAction] {
+				return g, fmt.Errorf("ajo: job %s: transfer %s references unknown action %q", j.ActionID, tr.ActionID, tr.FromAction)
 			}
 		}
 	}
-	g, err := j.Graph()
+	if keep {
+		g, err = dag.Build(ids, j.Dependencies, dependencyEnds)
+	} else {
+		err = dag.Validate(ids, j.Dependencies, dependencyEnds)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("ajo: job %s: %w", j.ActionID, err)
+		return dag.Graph{}, fmt.Errorf("ajo: job %s: %w", j.ActionID, err)
 	}
 	return g, nil
 }
+
+// dependencyEnds reads a Dependency in place as a DAG edge.
+func dependencyEnds(d Dependency) (string, string) { return string(d.Before), string(d.After) }
 
 // Walk visits the job and, recursively, every nested action (pre-order).
 func (j *AbstractJob) Walk(visit func(Action)) {

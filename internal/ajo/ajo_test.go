@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"unicore/internal/core"
+	"unicore/internal/dag"
 	"unicore/internal/resources"
 )
 
@@ -68,20 +69,24 @@ func TestSampleJobValidates(t *testing.T) {
 }
 
 // TestCheckReturnsTheGraph: Check is Validate plus the job's own graph, the
-// one Graph builds, so a consign builds it once; a job Validate refuses,
-// Check refuses with no graph.
+// one dag.Build makes of its children and dependencies; a job Validate
+// refuses, Check refuses with no graph.
 func TestCheckReturnsTheGraph(t *testing.T) {
 	j := sampleJob()
 	g, err := j.Check()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := j.Graph()
+	var ids []string
+	for _, a := range j.Actions {
+		ids = append(ids, string(a.ID()))
+	}
+	want, _ := dag.Build(ids, j.Dependencies, dependencyEnds)
 	if !reflect.DeepEqual(g, want) {
-		t.Errorf("Check's graph %+v differs from Graph's %+v", g, want)
+		t.Errorf("Check's graph %+v differs from dag.Build's %+v", g, want)
 	}
 	j.Dependencies = append(j.Dependencies, Dependency{Before: "exp", After: "imp"})
-	if g, err := j.Check(); err == nil || g != nil || j.Validate() == nil {
+	if g, err := j.Check(); err == nil || !reflect.DeepEqual(g, dag.Graph{}) || j.Validate() == nil {
 		t.Errorf("a cyclic job: Check returned %v, %v; Validate %v", g, err, j.Validate())
 	}
 }
@@ -214,7 +219,7 @@ func TestNestedJobValidates(t *testing.T) {
 
 func TestGraphAndFind(t *testing.T) {
 	j := sampleJob()
-	g, err := j.Graph()
+	g, err := j.Check()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,28 +249,54 @@ func TestGraphAndFind(t *testing.T) {
 	}
 }
 
-// TestValidateAllocationBudget gates the graph a consign builds on every
-// validation: the two slices handed to dag.Build and the graph, plus, above
-// eight actions, the ID set, whatever the number of actions.
+// chain returns a job of n user tasks, each depending on the one before.
+func chain(n int) *AbstractJob {
+	j := &AbstractJob{Header: Header{ActionID: "chain"}, Target: fzjT3E}
+	for i := 0; i < n; i++ {
+		id := ActionID(fmt.Sprintf("t%03d", i))
+		j.Actions = append(j.Actions, &UserTask{TaskBase: TaskBase{Header: Header{ActionID: id}}, Command: "ls"})
+		if i > 0 {
+			j.Dependencies = append(j.Dependencies, Dependency{Before: j.Actions[i-1].ID(), After: id})
+		}
+	}
+	return j
+}
+
+// TestValidateAllocationBudget gates the validation a client runs on every
+// job before it consigns it: Validate keeps no graph, so a job of up to 16
+// actions and no transfer is checked with its IDs and DAG scratch on the
+// stack and allocates nothing. Above that its ID list and DAG scratch go to
+// the heap, whatever the number of actions.
 func TestValidateAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include the race detector's own")
 	}
-	for _, c := range []struct{ n, max int }{{3, 4}, {512, 12}} {
-		j := &AbstractJob{Header: Header{ActionID: "chain"}, Target: fzjT3E}
-		for i := 0; i < c.n; i++ {
-			id := ActionID(fmt.Sprintf("t%03d", i))
-			j.Actions = append(j.Actions, &UserTask{TaskBase: TaskBase{Header: Header{ActionID: id}}, Command: "ls"})
-			if i > 0 {
-				j.Dependencies = append(j.Dependencies, Dependency{Before: j.Actions[i-1].ID(), After: id})
-			}
-		}
+	for _, c := range []struct{ n, max int }{{3, 0}, {16, 0}, {512, 12}} {
+		j := chain(c.n)
 		if n := testing.AllocsPerRun(20, func() {
 			if err := j.Validate(); err != nil {
 				t.Fatal(err)
 			}
 		}); n > float64(c.max) {
 			t.Errorf("Validate of a %d-action chain allocates %.0f times, want at most %d", c.n, n, c.max)
+		}
+	}
+}
+
+// TestCheckAllocationBudget gates the graph an NJS keeps: returned by
+// value, it costs its ID list and its one index array, whatever its size.
+func TestCheckAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include the race detector's own")
+	}
+	for _, size := range []int{3, 512} {
+		j := chain(size)
+		if n := testing.AllocsPerRun(20, func() {
+			if _, err := j.Check(); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 2 {
+			t.Errorf("Check of a %d-action chain allocates %.0f times, want at most 2", size, n)
 		}
 	}
 }

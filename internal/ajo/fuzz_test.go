@@ -2,6 +2,7 @@ package ajo
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -12,7 +13,9 @@ import (
 // arbitrary bytes behind a valid TLS session. Invariants: no panic; a decode
 // allocates no more than its budget, accepted or not; a document that
 // decodes holds no more actions than it has bytes (a count prefix cannot
-// inflate the tree); and decoding is a fixed point —
+// inflate the tree); a decoded job gets the same verdict, word for word,
+// from Validate, which keeps no graph, and from Check, which builds the one
+// an NJS keeps; and decoding is a fixed point —
 // dec(enc(dec(x))) == dec(x) — so what a gateway forwards or an NJS journals
 // is the job it was handed.
 func FuzzAJOUnmarshal(f *testing.F) {
@@ -39,8 +42,13 @@ func FuzzAJOUnmarshal(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if j, ok := a.(*AbstractJob); ok && j.CountActions() > len(data) {
-			t.Fatalf("%d-byte document decoded to %d actions", len(data), j.CountActions())
+		if j, ok := a.(*AbstractJob); ok {
+			if j.CountActions() > len(data) {
+				t.Fatalf("%d-byte document decoded to %d actions", len(data), j.CountActions())
+			}
+			if _, err := j.Check(); fmt.Sprint(err) != fmt.Sprint(j.Validate()) {
+				t.Fatalf("Check says %v, Validate says %v", err, j.Validate())
+			}
 		}
 		enc, err := Marshal(a)
 		if err != nil {

@@ -7,16 +7,18 @@
 // sorts the node indices by ID, lays the edges out as compressed adjacency
 // arrays (one offset array and one index array per direction) and rejects a
 // cycle with one pass of Kahn's algorithm, so building costs O((V+E) log V)
-// time and a fixed number of allocations however many actions a job has.
-// Edges point from a predecessor to the successor that must wait for it. A
-// node is known by its index, its position in Build's ID list, so a caller
-// keeps per-node state in one array and finds a node by ID through Index.
+// time and one allocation however many actions a job has, for a graph the
+// caller keeps; Validate keeps none and allocates nothing up to 16 nodes and
+// 80 edges. Edges point from a predecessor to the successor that must wait
+// for it. A node is known by its index, its position in Build's ID list, so
+// a caller keeps per-node state in one array and finds a node through Index.
 package dag
 
 import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 )
 
@@ -41,18 +43,32 @@ type Graph struct {
 	succOff, succ []int32
 }
 
-// Build returns the graph with the given nodes, in this order, and edges,
-// each recording that e[1] depends on (runs after) e[0]. It rejects a
-// duplicate ID, an edge naming an unknown node, a self edge and a cycle; a
-// cycle error names one node that lies on a cycle. The graph keeps ids, so
-// the caller must not modify them afterwards.
-func Build(ids []string, edges [][2]string) (*Graph, error) {
+// Build returns the graph with the given nodes, in this order, and edges:
+// ends(edges[k]) names a node and the node that depends on (runs after) it.
+// It rejects a duplicate ID, an edge naming an unknown node, a self edge and
+// a cycle; a cycle error names one node that lies on a cycle. The graph
+// keeps ids, so the caller must not modify them afterwards.
+func Build[E any](ids []string, edges []E, ends func(E) (before, after string)) (Graph, error) {
+	return build(ids, edges, ends, nil)
+}
+
+// Validate returns the error Build would return, and keeps nothing.
+func Validate[E any](ids []string, edges []E, ends func(E) (before, after string)) error {
+	var scratch [256]int32
+	_, err := build(ids, edges, ends, scratch[:])
+	return err
+}
+
+// build is Build in buf (zeroed) or, if that is too small, the heap. It returns
+// the graph by value: a caller that drops it keeps buf and ids on its stack.
+func build[E any](ids []string, edges []E, ends func(E) (string, string), buf []int32) (Graph, error) {
 	n, e := len(ids), len(edges)
 	// One backing array: predOff and succOff (n+2 each, see below), pred and
 	// succ (e each), byID, then Kahn's in-degrees and queue (n each).
-	buf := make([]int32, 2*(n+2)+2*e+3*n)
+	size := 2*(n+2) + 2*e + 3*n
+	buf = slices.Grow(buf[:0], size)[:size]
 	predOff, succOff, rest := buf[:n+2], buf[n+2:2*n+4], buf[2*n+4:]
-	g := &Graph{ids: ids, predOff: predOff[:n+1], succOff: succOff[:n+1], pred: rest[:e], succ: rest[e : 2*e], byID: rest[2*e : 2*e+n]}
+	g := Graph{ids: ids, predOff: predOff[:n+1], succOff: succOff[:n+1], pred: rest[:e], succ: rest[e : 2*e], byID: rest[2*e : 2*e+n]}
 	indeg, queue := rest[2*e+n:2*e+2*n], rest[2*e+2*n:]
 	for i := range g.byID {
 		g.byID[i] = int32(i)
@@ -60,19 +76,20 @@ func Build(ids []string, edges [][2]string) (*Graph, error) {
 	slices.SortFunc(g.byID, func(a, b int32) int { return strings.Compare(ids[a], ids[b]) })
 	for k := 1; k < n; k++ {
 		if ids[g.byID[k]] == ids[g.byID[k-1]] {
-			return nil, fmt.Errorf("%w: %q", ErrDuplicateNode, ids[g.byID[k]])
+			return Graph{}, fmt.Errorf("%w: %q", ErrDuplicateNode, ids[g.byID[k]])
 		}
 	}
 	for _, ed := range edges {
-		from, okFrom := g.Index(ed[0])
-		to, okTo := g.Index(ed[1])
+		before, after := ends(ed)
+		from, okFrom := g.Index(before)
+		to, okTo := g.Index(after)
 		switch {
 		case !okFrom:
-			return nil, fmt.Errorf("%w: %q", ErrUnknownNode, ed[0])
+			return Graph{}, fmt.Errorf("%w: %q", ErrUnknownNode, before)
 		case !okTo:
-			return nil, fmt.Errorf("%w: %q", ErrUnknownNode, ed[1])
+			return Graph{}, fmt.Errorf("%w: %q", ErrUnknownNode, after)
 		case from == to:
-			return nil, fmt.Errorf("%w: %q", ErrSelfEdge, ed[0])
+			return Graph{}, fmt.Errorf("%w: %q", ErrSelfEdge, before)
 		}
 		succOff[from+2]++
 		predOff[to+2]++
@@ -85,14 +102,15 @@ func Build(ids []string, edges [][2]string) (*Graph, error) {
 		predOff[i] += predOff[i-1]
 	}
 	for _, ed := range edges {
-		from, _ := g.Index(ed[0])
-		to, _ := g.Index(ed[1])
+		before, after := ends(ed)
+		from, _ := g.Index(before)
+		to, _ := g.Index(after)
 		g.succ[succOff[from+1]], g.pred[predOff[to+1]] = int32(to), int32(from)
 		succOff[from+1]++
 		predOff[to+1]++
 	}
 	if on := g.onCycle(indeg, queue); on >= 0 {
-		return nil, fmt.Errorf("%w: action %q lies on a cycle", ErrCycle, ids[on])
+		return Graph{}, fmt.Errorf("%w: action %q lies on a cycle", ErrCycle, ids[on])
 	}
 	return g, nil
 }
@@ -100,8 +118,8 @@ func Build(ids []string, edges [][2]string) (*Graph, error) {
 // Index returns the index of the node with the given ID: its position in
 // the ID list Build was given.
 func (g *Graph) Index(id string) (int, bool) {
-	k, ok := slices.BinarySearchFunc(g.byID, id, func(i int32, id string) int { return strings.Compare(g.ids[i], id) })
-	if !ok {
+	k := sort.Search(len(g.byID), func(m int) bool { return g.ids[g.byID[m]] >= id })
+	if k == len(g.byID) || g.ids[g.byID[k]] != id {
 		return -1, false
 	}
 	return int(g.byID[k]), true

@@ -15,13 +15,16 @@ import (
 // include the detector's own and mean nothing.
 var raceEnabled bool
 
+// pair reads a test edge: e[1] depends on e[0].
+func pair(e [2]string) (string, string) { return e[0], e[1] }
+
 func mustBuild(t *testing.T, nodes []string, edges [][2]string) *Graph {
 	t.Helper()
-	g, err := Build(nodes, edges)
+	g, err := Build(nodes, edges, pair)
 	if err != nil {
 		t.Fatalf("Build(%v, %v): %v", nodes, edges, err)
 	}
-	return g
+	return &g
 }
 
 // topoSort orders g as the NJS dispatches it: each round takes every Ready
@@ -69,20 +72,20 @@ func descendants(g *Graph, id string) ([]string, error) {
 }
 
 func TestAddNodeDuplicate(t *testing.T) {
-	if _, err := Build([]string{"a", "b", "a"}, nil); !errors.Is(err, ErrDuplicateNode) {
+	if _, err := Build([]string{"a", "b", "a"}, nil, pair); !errors.Is(err, ErrDuplicateNode) {
 		t.Fatalf("err = %v, want ErrDuplicateNode", err)
 	}
 }
 
 func TestAddEdgeValidation(t *testing.T) {
 	nodes := []string{"a", "b"}
-	if _, err := Build(nodes, [][2]string{{"a", "x"}}); !errors.Is(err, ErrUnknownNode) {
+	if _, err := Build(nodes, [][2]string{{"a", "x"}}, pair); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("unknown to: %v", err)
 	}
-	if _, err := Build(nodes, [][2]string{{"x", "a"}}); !errors.Is(err, ErrUnknownNode) {
+	if _, err := Build(nodes, [][2]string{{"x", "a"}}, pair); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("unknown from: %v", err)
 	}
-	if _, err := Build(nodes, [][2]string{{"a", "b"}, {"a", "a"}}); !errors.Is(err, ErrSelfEdge) {
+	if _, err := Build(nodes, [][2]string{{"a", "b"}, {"a", "a"}}, pair); !errors.Is(err, ErrSelfEdge) {
 		t.Fatalf("self edge: %v", err)
 	}
 }
@@ -91,7 +94,7 @@ func TestAddEdgeValidation(t *testing.T) {
 // pass could not order (z) only hangs off it.
 func TestCycleRejected(t *testing.T) {
 	_, err := Build([]string{"z", "r", "a", "b", "c"},
-		[][2]string{{"r", "a"}, {"a", "b"}, {"b", "c"}, {"c", "a"}, {"c", "z"}})
+		[][2]string{{"r", "a"}, {"a", "b"}, {"b", "c"}, {"c", "a"}, {"c", "z"}}, pair)
 	if !errors.Is(err, ErrCycle) {
 		t.Fatalf("err = %v, want ErrCycle", err)
 	}
@@ -291,8 +294,9 @@ func TestDescendants(t *testing.T) {
 	}
 }
 
-// TestBuildAllocationBudget gates the one-pass build: the graph and its one
-// index array, whatever the size of the job.
+// TestBuildAllocationBudget gates the one-pass build: the graph is returned
+// by value, so its one index array is all it allocates, whatever the size of
+// the job.
 func TestBuildAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include the race detector's own")
@@ -307,11 +311,36 @@ func TestBuildAllocationBudget(t *testing.T) {
 			}
 		}
 		if allocs := testing.AllocsPerRun(20, func() {
-			if _, err := Build(nodes, edges); err != nil {
+			if _, err := Build(nodes, edges, pair); err != nil {
 				t.Fatal(err)
 			}
-		}); allocs > 2 {
-			t.Errorf("Build of %d nodes and %d edges allocates %.0f times, want at most 2", n, len(edges), allocs)
+		}); allocs > 1 {
+			t.Errorf("Build of %d nodes and %d edges allocates %.0f times, want at most 1", n, len(edges), allocs)
+		}
+	}
+}
+
+// TestValidateAllocatesNothing: a graph of up to 16 nodes and 80 edges is
+// checked in stack scratch, and a larger one allocates only its scratch.
+func TestValidateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include the race detector's own")
+	}
+	for _, c := range []struct{ n, max int }{{1, 0}, {3, 0}, {8, 0}, {16, 0}, {512, 1}} {
+		nodes := make([]string, c.n)
+		var edges [][2]string
+		for i := range nodes {
+			nodes[i] = fmt.Sprintf("n%03d", i)
+			if i > 0 {
+				edges = append(edges, [2]string{nodes[i-1], nodes[i]}, [2]string{nodes[0], nodes[i]})
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := Validate(nodes, edges, pair); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > float64(c.max) {
+			t.Errorf("Validate of %d nodes and %d edges allocates %.0f times, want at most %d", c.n, len(edges), allocs, c.max)
 		}
 	}
 }
@@ -341,11 +370,11 @@ func TestQuickTopoSortRespectsEdges(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nodes, edges := randomDAG(r, 2+r.Intn(40), 0.15)
-		g, err := Build(nodes, edges)
+		g, err := Build(nodes, edges, pair)
 		if err != nil {
 			return false
 		}
-		order, err := topoSort(g)
+		order, err := topoSort(&g)
 		if err != nil || len(order) != len(nodes) {
 			return false
 		}
@@ -362,11 +391,11 @@ func TestQuickReadyDrainsDAG(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nodes, edges := randomDAG(r, 1+r.Intn(30), 0.2)
-		g, err := Build(nodes, edges)
+		g, err := Build(nodes, edges, pair)
 		if err != nil {
 			return false
 		}
-		_, err = topoSort(g)
+		_, err = topoSort(&g)
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -391,7 +420,7 @@ func TestQuickBackEdgeRejected(t *testing.T) {
 		i := r.Intn(n - 1)
 		j := i + 1 + r.Intn(n-i-1)
 		edges = append(edges, [2]string{nodes[j], nodes[i]})
-		_, err := Build(nodes, edges)
+		_, err := Build(nodes, edges, pair)
 		named := namedNode(err, nodes)
 		return errors.Is(err, ErrCycle) && named >= nodes[i] && named <= nodes[j]
 	}
@@ -407,6 +436,7 @@ func TestQuickBackEdgeRejected(t *testing.T) {
 // the reference does, with the same sentinel; an accepted graph's dispatch
 // order must respect every edge and its Roots and Descendants must match
 // the reference; a cycle error must name a node that lies on a cycle.
+// Validate, which keeps no graph, must fail with Build's very error.
 func FuzzBuildAgreesWithReference(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 0, 1, 1, 2})
 	f.Add([]byte{3, 0, 1, 2, 0, 1, 1, 2, 2, 0})
@@ -435,9 +465,12 @@ func FuzzBuildAgreesWithReference(f *testing.F) {
 		}
 
 		succ, want := reference(nodes, edges)
-		g, err := Build(nodes, edges)
+		g, err := Build(nodes, edges, pair)
 		if !errors.Is(err, want) {
 			t.Fatalf("Build(%v, %v) = %v, reference says %v", nodes, edges, err, want)
+		}
+		if verr := Validate(nodes, edges, pair); !errors.Is(verr, want) || fmt.Sprint(verr) != fmt.Sprint(err) {
+			t.Fatalf("Validate(%v, %v) = %v, Build says %v", nodes, edges, verr, err)
 		}
 		switch want {
 		case ErrCycle:
@@ -446,7 +479,7 @@ func FuzzBuildAgreesWithReference(f *testing.F) {
 				t.Fatalf("Build(%v, %v) = %v: %q lies on no cycle", nodes, edges, err, named)
 			}
 		case nil:
-			order, err := topoSort(g)
+			order, err := topoSort(&g)
 			if err != nil || !respectsEdges(order, edges) {
 				t.Fatalf("Build(%v, %v): dispatch order %v, %v", nodes, edges, order, err)
 			}
@@ -471,7 +504,7 @@ func FuzzBuildAgreesWithReference(f *testing.F) {
 					}
 				}
 				sort.Strings(desc)
-				got, err := descendants(g, id)
+				got, err := descendants(&g, id)
 				if err != nil || fmt.Sprint(got) != fmt.Sprint(desc) {
 					t.Fatalf("Build(%v, %v): Descendants(%s) = %v, %v; want %v", nodes, edges, id, got, err, desc)
 				}

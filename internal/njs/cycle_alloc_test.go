@@ -38,8 +38,9 @@ func cycleJob(i int) *ajo.AbstractJob {
 // in-process: validation, the job record, its first dispatch, the ADMIT
 // record and its event, and the group commit that acknowledges it. The
 // record is three allocations: the job with its root outcome, one state per
-// action holding the action's outcome, and the root's child list.
-const consignBudget = 28
+// action holding the action's outcome, and the root's child list. The
+// job's graph, held by value, is two: its ID list and its index array.
+const consignBudget = 26
 
 // TestConsignAllocationBudget holds a durable consign to consignBudget. The
 // clock does not run, so only admission and the first dispatch are counted.
@@ -71,7 +72,7 @@ func TestConsignAllocationBudget(t *testing.T) {
 // jobCycleBudget bounds the allocations of one durable three-action job's
 // whole cycle in-process: consign with its durable ack, every transition
 // with its event and journal record, and the outcome read.
-const jobCycleBudget = 95
+const jobCycleBudget = 93
 
 // TestJobCycleAllocationBudget holds the job cycle to jobCycleBudget. A
 // transition allocates what the job keeps (its records, events and files)

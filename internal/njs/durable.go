@@ -457,7 +457,8 @@ func (n *NJS) emitJob(uj *unicoreJob, emit func(journal.Entry) error) error {
 			Control: &journal.ControlEvent{Job: string(uj.id), Op: string(ajo.OpAbort)}})
 	}
 	// Each action's records, in action order: its status, the files staged
-	// for it, and its link to a peer's sub-job.
+	// for it, and its link to a peer's sub-job. A start is written only for
+	// a batch task, the one kind that journals its start.
 	for i := range uj.acts {
 		s := &uj.acts[i]
 		aid := string(s.out.Action)
@@ -465,7 +466,7 @@ func (n *NJS) emitJob(uj *unicoreJob, emit func(journal.Entry) error) error {
 		case s.out.Status.Terminal():
 			entries = append(entries, journal.Entry{Kind: journal.KindActionDone,
 				Action: actionEventOf(uj, &s.out)})
-		case s.out.Status != ajo.StatusPending:
+		case s.out.Status != ajo.StatusPending && uj.job.Actions[i].Kind().IsExecutable():
 			entries = append(entries, journal.Entry{Kind: journal.KindActionStart,
 				Action: &journal.ActionEvent{Job: string(uj.id), Action: aid, Status: int(s.out.Status)}})
 		}
@@ -714,7 +715,7 @@ func (n *NJS) applyAdmit(a *journal.Admission) error {
 	if !ok {
 		return fmt.Errorf("njs: replaying %s: AJO decoded as %T", id, act)
 	}
-	graph, err := job.Graph()
+	graph, err := job.Check()
 	if err != nil {
 		return err
 	}

@@ -242,7 +242,7 @@ type unicoreJob struct {
 	job       *ajo.AbstractJob
 	vsite     *Vsite
 	jobDir    string
-	graph     *dag.Graph
+	graph     dag.Graph
 	submitted time.Time
 	consignID string
 	// parent links a locally expanded child back to its parent action.
@@ -277,7 +277,7 @@ type actionState struct {
 
 // newJob builds the record of an admitted job: a running root outcome over
 // one pending outcome per action, each held in the action's state.
-func newJob(id core.JobID, owner core.DN, login uudb.Login, job *ajo.AbstractJob, graph *dag.Graph, vs *Vsite, jobDir string, submitted time.Time, consignID string, parent *parentLink) *unicoreJob {
+func newJob(id core.JobID, owner core.DN, login uudb.Login, job *ajo.AbstractJob, graph dag.Graph, vs *Vsite, jobDir string, submitted time.Time, consignID string, parent *parentLink) *unicoreJob {
 	uj := &unicoreJob{
 		id:        id,
 		owner:     owner,
@@ -607,7 +607,7 @@ func (n *NJS) Consign(ctx context.Context, user core.DN, consignID string, job *
 // flusher group-commits concurrent consigns. The ID is "" only when the job
 // was not admitted; on a sync failure it is returned with the error: the job
 // is admitted and running, only its durability is unconfirmed.
-func (n *NJS) admitDurably(ctx context.Context, user core.DN, login uudb.Login, job *ajo.AbstractJob, graph *dag.Graph, vs *Vsite, consignID string) (core.JobID, error) {
+func (n *NJS) admitDurably(ctx context.Context, user core.DN, login uudb.Login, job *ajo.AbstractJob, graph dag.Graph, vs *Vsite, consignID string) (core.JobID, error) {
 	id, err := n.admit(user, login, job, graph, vs, nil, consignID)
 	if err != nil {
 		return id, err
@@ -629,7 +629,7 @@ func (n *NJS) admitDurably(ctx context.Context, user core.DN, login uudb.Login, 
 // the new job's own lock. graph is the job's (job.Check). parent is set for
 // locally expanded sub-jobs, in which case the caller holds the parent's lock
 // (ancestor→descendant order).
-func (n *NJS) admit(user core.DN, login uudb.Login, job *ajo.AbstractJob, graph *dag.Graph, vs *Vsite, parent *parentLink, consignID string) (core.JobID, error) {
+func (n *NJS) admit(user core.DN, login uudb.Login, job *ajo.AbstractJob, graph dag.Graph, vs *Vsite, parent *parentLink, consignID string) (core.JobID, error) {
 	id := n.nextJobID()
 	jobDir, err := vs.Space.CreateJobDir(id)
 	if err != nil {

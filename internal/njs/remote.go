@@ -59,7 +59,7 @@ func (n *NJS) startLocalSubJobLocked(uj *unicoreJob, i int, sub *ajo.AbstractJob
 	// ancestor→descendant, the allowed direction. If the child finishes
 	// synchronously during admission, its finalizer schedules the
 	// parent-side completion through the clock.
-	graph, err := sub.Graph()
+	graph, err := sub.Check()
 	var childID core.JobID
 	if err == nil {
 		childID, err = n.admit(uj.owner, login, sub, graph, vs, &parentLink{job: uj.id, action: sub.ID()}, "")
@@ -257,7 +257,7 @@ func injectImports(sub *ajo.AbstractJob, injections []injection) (*ajo.AbstractJ
 	if len(injections) == 0 {
 		return cp, nil
 	}
-	g, err := cp.Graph()
+	g, err := cp.Check()
 	if err != nil {
 		return nil, err
 	}

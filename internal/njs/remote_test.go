@@ -347,10 +347,11 @@ func TestRemoteDependencyFileInjection(t *testing.T) {
 
 // TestCompactedReplayMatchesJournalReplay compacts site A's journal while
 // a job there holds a dependency file staged for a sub-job not yet
-// consigned (an injection) and a sub-job running at B (a remote link). The
-// job recovered from the snapshot must equal the job recovered from the
-// uncompacted journal: each action's state, the outcome tree and the event
-// window.
+// consigned (an injection) and a sub-job running at B (a remote link), and
+// a second job's import is in flight (RUNNING, with no start journaled).
+// Each job recovered from the snapshot must equal the job recovered from
+// the uncompacted journal: each action's state, the outcome tree and the
+// event window.
 func TestCompactedReplayMatchesJournalReplay(t *testing.T) {
 	dir := t.TempDir()
 	store, err := journal.Open(dir)
@@ -397,6 +398,19 @@ func TestCompactedReplayMatchesJournalReplay(t *testing.T) {
 	if !strings.Contains(live, "later PENDING") || !strings.Contains(live, "inject=handoff.dat:2048") ||
 		!strings.Contains(live, "remote=B/") || !strings.Contains(live, "make SUCCESSFUL") {
 		t.Fatalf("the job is not mid-flight with an injection and a remote link:\n%s", live)
+	}
+	importing := &ajo.AbstractJob{
+		Header: ajo.Header{ActionID: ajo.NewID("importing"), ActionName: "importing"},
+		Target: core.Target{Usite: "A", Vsite: "T3E"},
+		Actions: ajo.ActionList{&ajo.ImportTask{Header: ajo.Header{ActionID: "imp"},
+			Source: ajo.ImportSource{Inline: []byte("input")}, To: "input.dat"}},
+	}
+	importID, err := p.njsA.Consign(context.Background(), p.alice.DN(), "importing", importing)
+	if err != nil {
+		t.Fatalf("Consign: %v", err)
+	}
+	if live := njs.ActionStates(p.njsA, importID); !strings.Contains(live, "imp RUNNING") {
+		t.Fatalf("the import is not in flight:\n%s", live)
 	}
 
 	files := func() map[string][]byte {
@@ -452,12 +466,17 @@ func TestCompactedReplayMatchesJournalReplay(t *testing.T) {
 		return n
 	}
 	fromJournal, fromSnapshot := recovered(uncompacted), recovered(compacted)
-	want, got := njs.ActionStates(fromJournal, id), njs.ActionStates(fromSnapshot, id)
-	if got != want {
-		t.Errorf("action state replayed from the snapshot:\n%s\nfrom the journal:\n%s", got, want)
+	for _, id := range []core.JobID{id, importID} {
+		want, got := njs.ActionStates(fromJournal, id), njs.ActionStates(fromSnapshot, id)
+		if got != want {
+			t.Errorf("action state of %s replayed from the snapshot:\n%s\nfrom the journal:\n%s", id, got, want)
+		}
 	}
-	if !strings.Contains(want, "inject=handoff.dat:2048") || !strings.Contains(want, "remote=B/") {
+	if want := njs.ActionStates(fromJournal, id); !strings.Contains(want, "inject=handoff.dat:2048") || !strings.Contains(want, "remote=B/") {
 		t.Errorf("the journal replayed without the injection or the remote link:\n%s", want)
+	}
+	if want := njs.ActionStates(fromJournal, importID); !strings.Contains(want, "imp PENDING") {
+		t.Errorf("the journal replayed the in-flight import other than PENDING:\n%s", want)
 	}
 	outcome := func(n *njs.NJS) *ajo.Outcome {
 		o, found, err := n.Outcome(p.alice.DN(), false, id)
